@@ -1,7 +1,7 @@
 """Bench the cost-based optimizer: the strategy sweep at small scale.
 
 Runs the ext-optimizer selectivity x Zipf x keyword-count grid (every
-scenario replayed under all four strategies on both runtimes), records
+scenario replayed under all four strategies, unbatched and batched), records
 the sweep into ``BENCH_optimizer.json`` at the repository root, and pins
 the qualitative shape the optimizer exists for:
 

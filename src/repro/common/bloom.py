@@ -90,10 +90,9 @@ class BloomFilter:
 def bloom_for_keys(keys, false_positive_rate: float = 0.01) -> BloomFilter:
     """Build a filter over ``keys``, sized for them at the target FP rate.
 
-    The single sizing rule both PIER runtimes (atomic executor and
-    streaming dataflow) use for the Bloom join, so the filter a query
-    ships is bit-identical whichever runtime executes it. An empty key
-    set yields the minimal (8-bit, matches-nothing) filter.
+    The filter leg of the Bloom join, sized by the same
+    :meth:`BloomFilter.with_capacity` rule the optimizer prices it with.
+    An empty key set yields the minimal (8-bit, matches-nothing) filter.
     """
     keys = list(keys)
     if not keys:

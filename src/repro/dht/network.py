@@ -588,10 +588,10 @@ class DhtNetwork:
     ) -> "BatchShipment":
         """Ship one tuple batch from node ``source`` to node ``target``.
 
-        The streaming-exchange primitive: charges exactly what the atomic
-        executor charges for the same payload over the same edge, so a
-        query split into batches pays the same per-payload cost and only
-        the per-message overhead scales with the batch count.
+        The streaming-exchange primitive: a payload costs the same
+        however it is batched over an edge, so a query split into batches
+        pays the same per-payload cost and only the per-message overhead
+        scales with the batch count.
 
         * ``direct=False`` (rehash traffic): the batch routes through the
           DHT — one message per overlay hop, payload charged once plus a
@@ -790,7 +790,7 @@ class DhtNetwork:
     #
     # The public surface for everything outside repro.dht that needs a
     # node's storage: replica placement (repro.cache.replication), PIER
-    # temp-tuple stashes (executor/dataflow spill sinks), and catalog
+    # temp-tuple stashes (the dataflow's spill sinks), and catalog
     # scans. Nothing outside this package touches DhtNode internals —
     # tests/test_boundary_lint.py enforces it — which is what lets the
     # storage backend move behind a transport without engine rewrites.

@@ -23,9 +23,9 @@ This experiment measures exactly that contrast:
   ``BUDGETS`` are the operating range the no-cliff floor is gated on;
   ``CLIFF_BUDGET`` is the far-undersized point where the legacy
   policy's eviction churn and probe re-reads blow up.
-* **Equivalence matrix** — each scenario additionally runs the full
-  strategy × runtime matrix (atomic unbudgeted vs pipelined tightly
-  budgeted) and asserts identical answers.
+* **Equivalence matrix** — each scenario additionally runs every
+  joining strategy unbudgeted with one batch per edge and tightly
+  budgeted in batches of 16, and asserts identical answers.
 * **Optimizer shift** — each scenario's posting sizes are priced with
   and without the optimizer's memory-pressure term; rows record where
   tight budgets flip the strategy choice (e.g. toward the Bloom join,
@@ -39,13 +39,13 @@ This experiment measures exactly that contrast:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, SMALL_SCALE
 from repro.experiments.ext_optimizer import build_zipf_world, _result_key
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
-from repro.pier.executor import DistributedExecutor
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.query import JoinStrategy
 
@@ -109,7 +109,9 @@ def run(
             alpha, num_files=num_files, vocab_size=120, num_nodes=48,
             seed=scale.seed + int(alpha * 10),
         )
-        atomic = DistributedExecutor(world.network, world.catalog)
+        unbatched = DataflowExecutor(
+            world.network, world.catalog, config=DataflowConfig(batch_size=None)
+        )
 
         # One fixed plan list per alpha: every sweep point replays the
         # same conjunctions against the same reference answer sets.
@@ -122,7 +124,9 @@ def run(
                     terms, node, strategy=JoinStrategy.DISTRIBUTED_JOIN
                 )
                 plans.append(plan)
-                references.append(_result_key(atomic.execute(plan)[0]))
+                references.append(
+                    _result_key(unbatched.execute(replace(plan, batch_size=None))[0])
+                )
 
         def timed_pass(flow: DataflowExecutor) -> float:
             started = perf_counter()
@@ -203,7 +207,7 @@ def run(
                 )
             )
 
-        # Strategy × runtime equivalence matrix at the tight budget.
+        # Strategy × batching equivalence matrix at the tight budget.
         tight = DataflowExecutor(
             world.network,
             world.catalog,
@@ -215,17 +219,19 @@ def run(
             reference = None
             for strategy in MATRIX_STRATEGIES:
                 plan = world.planner.plan(terms, node, strategy=strategy)
-                key = _result_key(atomic.execute(plan)[0])
+                key = _result_key(
+                    unbatched.execute(replace(plan, batch_size=None))[0]
+                )
                 if reference is None:
                     reference = key
                 elif key != reference:
                     raise AssertionError(
-                        f"{scenario}/{strategy.value}: atomic answer diverged"
+                        f"{scenario}/{strategy.value}: unbudgeted answer diverged"
                     )
                 if _result_key(tight.execute(plan)[0]) != reference:
                     raise AssertionError(
                         f"{scenario}/{strategy.value}: tightly budgeted "
-                        "pipelined answer diverged"
+                        "answer diverged"
                     )
             rows.append(
                 ("equivalence", alpha, scenario, TIGHT_BUDGET,
@@ -281,8 +287,8 @@ def run(
             "throughput rows: wall-clock q/s per (policy, row budget) "
             "point with the ratio vs an unlimited run interleaved in the "
             "same timing window (budget 0 = unlimited reference), "
-            "answers pinned to the atomic unlimited reference; "
-            "equivalence rows: strategy x runtime matrix verified at the "
+            "answers pinned to the unbudgeted one-batch-per-edge reference; "
+            "equivalence rows: strategy x batching matrix verified at the "
             "tight budget; optimizer rows: strategy pick without vs with "
             "the memory-pressure term (columns 5-8 = free pick, tight "
             "pick, shifted, predicted spill bytes)"

@@ -9,13 +9,13 @@ keywords intersect (2-5), and how selective the intersection is
 (rare∧rare, rare∧popular, popular∧popular mixes).
 
 This experiment sweeps exactly that grid. Every scenario replays the
-same queries under all four strategies on both runtimes — the atomic
-executor for exact byte accounting, the streaming dataflow for
-first-answer/completion latency in virtual time — and reports
-per-strategy bandwidth, entries shipped, latency, the reduction against
-the DISTRIBUTED_JOIN baseline, and the strategy the cost model actually
-picks. Answer sets are verified identical across strategies on every
-query (the equivalence the test matrix pins).
+same queries under all four strategies at two batchings of the dataflow
+— one batch per edge for the byte accounting the optimizer prices, the
+planner's batch size for first-answer/completion latency in virtual time
+— and reports per-strategy bandwidth, entries shipped, latency, the
+reduction against the DISTRIBUTED_JOIN baseline, and the strategy the
+cost model actually picks. Answer sets are verified identical across
+strategies on every query (the equivalence the test matrix pins).
 
 ``python -m repro.experiments.ext_optimizer`` records the sweep into
 ``BENCH_optimizer.json`` at the repository root.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import mean
 
@@ -33,7 +33,6 @@ from repro.dht.network import DhtNetwork
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, SMALL_SCALE
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
-from repro.pier.executor import DistributedExecutor
 from repro.pier.optimizer import CostBasedOptimizer
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
@@ -137,7 +136,9 @@ def run(
             alpha, num_files=num_files, vocab_size=vocab, num_nodes=48,
             seed=scale.seed + int(alpha * 10),
         )
-        atomic = DistributedExecutor(world.network, world.catalog)
+        unbatched = DataflowExecutor(
+            world.network, world.catalog, config=DataflowConfig(batch_size=None)
+        )
         dataflow = DataflowExecutor(
             world.network, world.catalog,
             config=DataflowConfig(batch_size=16), rng=scale.seed + 5,
@@ -162,7 +163,9 @@ def run(
                 completions: list[float] = []
                 for node in query_nodes:
                     plan = planner.plan(terms, node, strategy=strategy)
-                    answer, stats = atomic.execute(plan)
+                    answer, stats = unbatched.execute(
+                        replace(plan, batch_size=None)
+                    )
                     total_bytes += stats.bytes
                     total_entries += stats.posting_entries_shipped
                     key = _result_key(answer)
@@ -175,8 +178,8 @@ def run(
                     flow_rows, flow_stats = dataflow.execute(plan)
                     if _result_key(flow_rows) != reference:
                         raise AssertionError(
-                            f"{scenario}/{strategy.value}: pipelined answer "
-                            "set diverged from the atomic reference"
+                            f"{scenario}/{strategy.value}: batched answer "
+                            "set diverged from the unbatched reference"
                         )
                     pipeline = flow_stats.pipeline
                     if pipeline.first_answer_time is not None:

@@ -25,8 +25,7 @@ from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, get_library, get_workload
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowExecutor
-from repro.pier.executor import DistributedExecutor
+from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
@@ -78,7 +77,9 @@ def run(scale: PaperScale = PAPER_SCALE, max_queries: int = 200) -> ExperimentRe
     shipped_pipelined: list[int] = []
     first_vs_complete: list[float] = []
     planner = KeywordPlanner(catalog)
-    executor = DistributedExecutor(network, catalog)
+    unbatched = DataflowExecutor(
+        network, catalog, config=DataflowConfig(batch_size=None)
+    )
     dataflow = DataflowExecutor(network, catalog, rng=scale.seed + 22)
     for query in list(workload)[:max_queries]:
         try:
@@ -98,7 +99,8 @@ def run(scale: PaperScale = PAPER_SCALE, max_queries: int = 200) -> ExperimentRe
                 strategy=JoinStrategy.DISTRIBUTED_JOIN,
                 order_by_size=False,
             )
-            _, stats = executor.execute(plan, fetch_items=False)
+            plan.batch_size = None
+            _, stats = unbatched.execute(plan, fetch_items=False)
             shipped_naive.append(stats.posting_entries_shipped)
             pipelined_plan = planner.plan(
                 list(query.terms),

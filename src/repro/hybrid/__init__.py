@@ -6,7 +6,7 @@ QRS, TF, TPF, SAM); :mod:`repro.hybrid.ultrapeer` is the hybrid
 LimeWire/PIERSearch ultrapeer of Figure 17; :mod:`repro.hybrid.engine`
 races Gnutella flooding against the DHT re-query as scheduled events in
 virtual time; and :mod:`repro.hybrid.deployment` reproduces the 50-node
-PlanetLab deployment experiment (on the event-driven engine by default).
+PlanetLab deployment experiment on that engine.
 """
 
 from repro.hybrid.rare_items import (

@@ -4,7 +4,10 @@ Reproduces the paper's 50-node experiment: fifty hybrid ultrapeers join a
 much larger Gnutella network and a private DHT overlay. During a warm-up
 phase they snoop results of forwarded background queries and publish rare
 items (the QRS scheme). During the test phase, leaf queries of hybrid
-ultrapeers that time out on Gnutella are re-issued through PIERSearch.
+ultrapeers that time out on Gnutella are re-issued through PIERSearch:
+each one runs as a virtual-time race on the hybrid query engine
+(:mod:`repro.hybrid.engine`), flood arrivals against the hop-by-hop DHT
+re-query and its streaming dataflow.
 
 Reported quantities mirror Section 7: publish bandwidth per file, PIER
 first-result latency (with and without InvertedCache), per-query
@@ -29,7 +32,6 @@ from repro.gnutella.measurement import (
     ContentMatcher,
     bfs_depths,
     dynamic_stop_ttl,
-    first_result_latency_for_depth,
     index_hosts_by_result,
 )
 from repro.gnutella.network import GnutellaNetwork
@@ -80,18 +82,11 @@ class DeploymentConfig:
     replication_extra: int = 2
     #: virtual time between test-phase leaf queries
     query_interval: float = 1.0
-    # --- event-driven query engine (repro.hybrid.engine) --------------
-    #: run each leaf query as a virtual-time race (flood arrivals vs the
-    #: hop-by-hop DHT re-query); False falls back to the closed-form path
-    event_driven: bool = True
+    # --- hybrid query engine (repro.hybrid.engine) --------------------
     #: mean one-way DHT hop latency used by the engine's draws
     dht_hop_latency: float = 1.2
     #: fractional jitter of each per-hop latency draw
     hop_jitter: float = 0.35
-    #: how re-queries execute once routed: "pipelined" streams tuple
-    #: batches through the exchange dataflow (first answer can win
-    #: mid-join); "atomic" keeps the legacy lump-sum execution
-    execution_mode: str = "pipelined"
     #: exchange batch size override (None = planner's per-plan choice)
     batch_size: int | None = None
     #: per-site join memory budget in *rows* (None = unbounded, no
@@ -128,7 +123,7 @@ class DeploymentReport:
     cache_bytes_saved: int = 0
     #: hot posting-list keys the replication controller spread out
     replicated_keys: int = 0
-    # --- event-driven engine (zero when the analytic path ran) --------
+    # --- hybrid query engine -----------------------------------------
     #: most leaf queries simultaneously in flight in virtual time
     peak_inflight: int = 0
     #: mid-query route repairs performed across all DHT walks
@@ -327,24 +322,18 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
     test_rng = spawn_rng(rng, "testorigin")
     gnutella_zero = oracle_zero = 0
 
-    # The event-driven engine races every leaf query in virtual time;
-    # the analytic fallback (event_driven=False) keeps the closed-form
-    # pricing for comparison runs.
-    engine: HybridQueryEngine | None = None
-    if config.event_driven:
-        engine = HybridQueryEngine(
-            sim,
-            dht,
-            latency_model=latency_model,
-            config=RaceConfig(
-                dht_hop_latency=config.dht_hop_latency,
-                hop_jitter=config.hop_jitter,
-                execution_mode=config.execution_mode,
-                batch_size=config.batch_size,
-                memory_budget=config.memory_budget,
-            ),
-            rng=spawn_rng(rng, "engine"),
-        )
+    engine = HybridQueryEngine(
+        sim,
+        dht,
+        latency_model=latency_model,
+        config=RaceConfig(
+            dht_hop_latency=config.dht_hop_latency,
+            hop_jitter=config.hop_jitter,
+            batch_size=config.batch_size,
+            memory_budget=config.memory_budget,
+        ),
+        rng=spawn_rng(rng, "engine"),
+    )
     if config.churn_interval > 0 and config.churn_steps > 0:
         churn = ChurnProcess(
             dht,
@@ -372,26 +361,16 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
             match_depths, config.desired_results, config.client_max_ttl
         )
         gnutella_count = sum(1 for depth in match_depths if depth <= stop_ttl)
-        if engine is not None:
-            race = hybrid.handle_leaf_query_simulated(
-                engine, list(query.terms), match_depths, stop_ttl
-            )
-            report.outcomes.append(race.outcome)
-        else:
-            first_depth = min(match_depths, default=math.inf)
-            gnutella_latency = first_result_latency_for_depth(
-                first_depth, latency_model, config.client_max_ttl
-            )
-            outcome = hybrid.handle_leaf_query(
-                list(query.terms), gnutella_count, gnutella_latency
-            )
-            report.outcomes.append(outcome)
+        race = hybrid.handle_leaf_query_simulated(
+            engine, list(query.terms), match_depths, stop_ttl
+        )
+        report.outcomes.append(race.outcome)
         gnutella_zero += 1 if gnutella_count == 0 else 0
         oracle_zero += 1 if not matches else 0
 
     # Leaf queries arrive as simulator events, one every query_interval of
     # virtual time — this is the clock the cache's TTLs, the replication
-    # controller's expiries, churn, and (event-driven) the races run on.
+    # controller's expiries, churn, and the races run on.
     for position, query in enumerate(test):
         sim.schedule_at(
             position * config.query_interval,
@@ -399,9 +378,9 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
         )
     sim.run()
 
-    # Outcomes are final only once the simulator drains (event-driven
-    # races resolve long after submission), so derive the per-query
-    # aggregates in a single post-run pass for both paths.
+    # Outcomes are final only once the simulator drains (races resolve
+    # long after submission), so derive the per-query aggregates in a
+    # single post-run pass.
     n = len(test)
     hybrid_zero = 0
     for outcome in report.outcomes:
@@ -414,10 +393,9 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
                 report.pier_first_result_latencies.append(
                     outcome.pier_latency - config.gnutella_timeout
                 )
-    if engine is not None:
-        report.peak_inflight = engine.peak_inflight
-        report.route_retries = sum(race.route_retries for race in engine.races)
-        report.pier_abandoned = sum(1 for race in engine.races if race.pier_failed)
+    report.peak_inflight = engine.peak_inflight
+    report.route_retries = sum(race.route_retries for race in engine.races)
+    report.pier_abandoned = sum(1 for race in engine.races if race.pier_failed)
     report.gnutella_no_result_fraction = gnutella_zero / n
     report.hybrid_no_result_fraction = hybrid_zero / n
     report.oracle_no_result_fraction = oracle_zero / n

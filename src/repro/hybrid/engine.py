@@ -1,12 +1,10 @@
-"""Event-driven hybrid query engine: the Figure 7/12 race in virtual time.
+"""Hybrid query engine: the Figure 7/12 race in virtual time.
 
-The closed-form hybrid path (:meth:`HybridUltrapeer.handle_leaf_query`)
-prices each source analytically — a precomputed Gnutella first-result
-latency, then ``critical_path_hops x dht_hop_latency`` for PIER. That is
-exact for an idle, static overlay, but it cannot show what happens when
-thousands of queries are in flight at once, when churn strikes mid-query,
-or how the first-result CDF actually looks. This module runs the race
-instead:
+Every leaf query of a hybrid ultrapeer runs as a race between Gnutella
+flooding and the DHT re-query on one simulator, so thousands of queries
+overlap, churn strikes mid-query, and the first-result CDF is measured
+rather than priced (the paper's closed-form equations live in
+:mod:`repro.model`):
 
 * **Gnutella side** — matching replicas become result-arrival events
   scheduled per the dynamic-query round structure
@@ -25,8 +23,7 @@ instead:
   the race resolves at the *first answer batch* while upstream batches
   are still in flight — a DHT answer wins mid-join, and
   ``pier_completion_latency`` records when the pipeline actually drained.
-  ``RaceConfig(execution_mode="atomic")`` restores the legacy synchronous
-  execute with its analytic answer tail. When the submitting ultrapeer's
+  When the submitting ultrapeer's
   :class:`~repro.piersearch.search.SearchEngine` carries a cost-based
   optimizer (:mod:`repro.pier.optimizer`), each re-query races with the
   cheapest of the four join strategies — semi-join digest streams and
@@ -34,12 +31,9 @@ instead:
   dataflow as the distributed join.
 * **Resolution** — whichever source delivers first in virtual time wins
   the first-result latency; late Gnutella arrivals still count toward the
-  final answer set, exactly like the analytic policy.
+  final answer set.
 
-Wire costs are charged exactly once — by the dataflow's batch sends in
-pipelined mode, or by the atomic executor in compatibility mode — and the
-two runtimes account byte-identical payloads, so bandwidth comparisons
-against the analytic path stay valid either way.
+Wire costs are charged exactly once, by the dataflow's batch sends.
 """
 
 from __future__ import annotations
@@ -87,12 +81,6 @@ class RaceConfig:
     #: partition-stretched walk indefinitely. None = no deadline (the
     #: pre-hardening behaviour).
     requery_deadline: float | None = None
-    #: how the re-query plan executes once the chain is routed:
-    #: "pipelined" streams tuple batches through the exchange dataflow on
-    #: the engine's simulator (a DHT answer can win mid-join);
-    #: "atomic" is the legacy compatibility path (one synchronous
-    #: execute_plan call priced as a lump tail)
-    execution_mode: str = "pipelined"
     #: exchange batch size override (None = the plan's planner choice,
     #: falling back to the dataflow default)
     batch_size: int | None = None
@@ -199,10 +187,6 @@ class HybridQueryEngine:
         self.inflight = 0
         self.peak_inflight = 0
         self.completed = 0
-        if self.config.execution_mode not in ("atomic", "pipelined"):
-            raise ValueError(
-                f"unknown execution mode {self.config.execution_mode!r}"
-            )
         #: one dataflow runtime per search engine, sharing this simulator
         #: and RNG so races and tuple batches interleave deterministically
         #: (the SearchEngine itself is held as the key so a recycled id()
@@ -337,7 +321,7 @@ class HybridQueryEngine:
                     "cache.hit", results=entry.result_count, saved_bytes=entry.cost_bytes
                 )
             self.sim.schedule(
-                hybrid.cache_latency, lambda: self._complete_pier(race)
+                hybrid.cache_latency, lambda: self._complete_cache_hit(race)
             )
             return
         if self.config.requery_deadline is not None:
@@ -464,44 +448,13 @@ class HybridQueryEngine:
     def _execute(self, walk: _Walk) -> None:
         """Chain fully routed: run the plan, then deliver the answer(s).
 
-        In ``pipelined`` mode (the default) the plan is handed to the
-        exchange dataflow on this engine's simulator: tuple batches flow
-        site-to-site as events, and the race resolves at the *first*
-        answer batch — a DHT answer can win mid-join, while the rest of
-        the pipeline keeps draining (its bytes still count, exactly like
-        the atomic accounting). ``atomic`` mode keeps the legacy path: a
-        synchronous execute priced as one answer/item-fetch tail.
+        The plan is handed to the exchange dataflow on this engine's
+        simulator: tuple batches flow site-to-site as events, and the
+        race resolves at the *first* answer batch — a DHT answer can win
+        mid-join, while the rest of the pipeline keeps draining (its
+        bytes still count).
         """
         race = walk.race
-        if self.config.execution_mode == "atomic":
-            try:
-                result = walk.hybrid.search_engine.execute_plan(
-                    walk.plan, trace_parent=walk.span
-                )
-            except DhtError:
-                # A plan site churned out between preparation and execution.
-                self.metrics.counter("hybrid.dht_dead_ends").add(1)
-                if walk.span is not None:
-                    walk.span.finish(error="DhtError", hops=walk.hops)
-                self._retry(race, walk.hybrid)
-                return
-            outcome = race.outcome
-            outcome.pier_results = len(result)
-            outcome.pier_bytes = result.stats.bytes
-            race.join_matches = result.stats.join_matches
-            self._flag_untrusted_zero(race)
-            if not outcome.degraded:
-                walk.hybrid.cache_store(list(outcome.terms), result)
-            if walk.span is not None:
-                walk.span.finish(
-                    hops=walk.hops, results=len(result), bytes=result.stats.bytes
-                )
-            # The answer/item-fetch tail: whatever part of the critical path
-            # the dissemination chain did not cover.
-            tail_hops = max(1, result.stats.critical_path_hops - result.stats.chain_hops)
-            delay = sum(self._hop_delay() for _ in range(tail_hops))
-            self.sim.schedule(delay, lambda: self._complete_pier(race))
-            return
         if self.config.batch_size is not None:
             walk.plan.batch_size = self.config.batch_size
         self._dataflow_for(walk.hybrid.search_engine).submit(
@@ -584,26 +537,23 @@ class HybridQueryEngine:
             self.config.retry_backoff, lambda: self._start_requery(race, hybrid)
         )
 
-    def _complete_pier(self, race: QueryRace) -> None:
+    def _complete_cache_hit(self, race: QueryRace) -> None:
         race.outcome.pier_latency = self.sim.now - race.submitted_at
-        if race.outcome.pier_completion_latency == 0.0:
-            race.outcome.pier_completion_latency = race.outcome.pier_latency
-        self._flag_untrusted_zero(race)
+        race.outcome.pier_completion_latency = race.outcome.pier_latency
         self._finish(race)
 
     def _flag_untrusted_zero(self, race: QueryRace) -> None:
         """Degrade a zero-result answer that cannot be trusted as empty.
 
-        Runs where the *final* PIER result count is known (the atomic
-        completion and the pipelined drain — never at the first answer
-        batch, whose Item rows may still be in flight). An empty answer
-        is only honest when the walk was clean, the ring membership never
-        moved under it, none of its posting keys lies in a suspect range
-        (a slice whose owner died with no handoff), and the posting join
-        itself matched nothing. Otherwise a survivor may legitimately own
-        the key range with none of the departed owner's data — loss that
-        *looks* like absence. Flag it so recall accounting can tell the
-        two apart.
+        Runs where the *final* PIER result count is known (the pipeline
+        drain — never at the first answer batch, whose Item rows may still
+        be in flight). An empty answer is only honest when the walk was
+        clean, the ring membership never moved under it, none of its
+        posting keys lies in a suspect range (a slice whose owner died
+        with no handoff), and the posting join itself matched nothing.
+        Otherwise a survivor may legitimately own the key range with none
+        of the departed owner's data — loss that *looks* like absence.
+        Flag it so recall accounting can tell the two apart.
         """
         outcome = race.outcome
         if (

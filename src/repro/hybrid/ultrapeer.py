@@ -9,13 +9,14 @@ Leaf queries that return nothing from Gnutella within a timeout are
 re-issued through PIERSearch.
 
 Two query paths coexist. :meth:`HybridUltrapeer.handle_leaf_query` is the
-closed-form path (precomputed Gnutella latency, PIER priced as critical
-path hops x hop latency). :meth:`HybridUltrapeer.handle_leaf_query_simulated`
-instead *runs the race* on the event-driven engine
-(:mod:`repro.hybrid.engine`): Gnutella result arrivals, the re-query
-timeout, and every DHT routing hop become simulator events in virtual
-time, so concurrent queries overlap, churn breaks routes mid-query, and
-whichever source delivers first wins for real.
+closed-form path (precomputed Gnutella latency, a blocking PIERSearch
+call priced as critical path hops x hop latency).
+:meth:`HybridUltrapeer.handle_leaf_query_simulated` instead *runs the
+race* on the hybrid query engine (:mod:`repro.hybrid.engine`): Gnutella
+result arrivals, the re-query timeout, and every DHT routing hop become
+simulator events in virtual time, so concurrent queries overlap, churn
+breaks routes mid-query, and whichever source delivers first wins for
+real.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class HybridQueryOutcome:
     used_pier: bool = False
     pier_results: int = 0
     pier_latency: float = 0.0
-    #: virtual time until PIER's pipeline fully drained (pipelined races
-    #: resolve at the first answer batch, so this is >= pier_latency; the
-    #: closed-form and atomic paths set it equal to pier_latency)
+    #: virtual time until PIER's pipeline fully drained (races resolve at
+    #: the first answer batch, so this is >= pier_latency; the closed-form
+    #: path and cache hits set it equal to pier_latency)
     pier_completion_latency: float = 0.0
     pier_bytes: int = 0
     #: PIER answer served from the ultrapeer's result cache

@@ -53,9 +53,9 @@ class Transport:
 
     ``deliver`` assesses and charges the wire cost of one typed message;
     ``charge`` is the low-level primitive behind it, exposed for call
-    sites that already computed their exact cost (the dataflow's
-    stage-granular accounting must stay byte-identical to the atomic
-    executor, so it cannot re-derive costs from message shape alone).
+    sites that already computed their exact cost (the dataflow's plan
+    dissemination and Item fetches, whose request and response legs do
+    not reduce to one message shape).
     """
 
     def deliver(self, message: NetMessage) -> Delivery:

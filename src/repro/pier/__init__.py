@@ -3,17 +3,18 @@
 This package reproduces the slice of PIER [Huebsch et al., VLDB 2003] that
 PIERSearch exercises: relational schemas and tuples, a catalog of DHT-
 indexed tables (with memoized per-epoch posting statistics), local
-physical operators (scan / select / project / substring filter / Bloom
-probe / incremental symmetric hash join with optional memory-budgeted
-spilling), and two execution runtimes behind one executor: the atomic
-stage-at-a-time path and the streaming exchange dataflow
+physical operators (scan / select / project / substring filter /
+incremental symmetric hash join with optional memory-budgeted spilling),
+and one execution runtime: the streaming exchange dataflow
 (:mod:`repro.pier.dataflow`) that ships tuple batches between sites as
 events in virtual time, charging every shipped tuple to the bandwidth
-meter either way.
+meter. A blocking caller drains it with one batch per edge; the hybrid
+engine submits plans onto its shared simulator and takes the first
+answer batch.
 
-Four join strategies execute on both runtimes, picked per query by the
-cost-based optimizer (:mod:`repro.pier.optimizer`) from memoized posting
-statistics — what ships between sites, and when each wins:
+Four join strategies execute on it, picked per query by the cost-based
+optimizer (:mod:`repro.pier.optimizer`) from memoized posting statistics
+— what ships between sites, and when each wins:
 
 =================  ================================  =====================
 strategy           bytes shipped site-to-site        when it wins
@@ -34,12 +35,8 @@ from repro.pier.schema import Row, Schema, row_identity
 from repro.pier.rows import RowBatch
 from repro.pier.catalog import Catalog, TableHandle
 from repro.pier.operators import (
-    BloomProbe,
-    Distinct,
-    GroupByAggregate,
     HashJoin,
     Operator,
-    OrderByLimit,
     Projection,
     Scan,
     Selection,
@@ -49,7 +46,6 @@ from repro.pier.operators import (
 )
 from repro.pier.query import DistributedPlan, PipelineStats, PlanStage, QueryStats
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, DataflowQuery
-from repro.pier.executor import DistributedExecutor
 from repro.pier.optimizer import CostBasedOptimizer, CostEstimate, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
 
@@ -61,16 +57,12 @@ __all__ = [
     "Catalog",
     "TableHandle",
     "Operator",
-    "BloomProbe",
     "Scan",
     "Selection",
     "Projection",
     "SubstringFilter",
     "HashJoin",
     "SymmetricHashJoin",
-    "Distinct",
-    "GroupByAggregate",
-    "OrderByLimit",
     "SpillSink",
     "DistributedPlan",
     "PlanStage",
@@ -79,7 +71,6 @@ __all__ = [
     "DataflowConfig",
     "DataflowExecutor",
     "DataflowQuery",
-    "DistributedExecutor",
     "CostBasedOptimizer",
     "CostEstimate",
     "OptimizerConfig",

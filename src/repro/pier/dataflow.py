@@ -1,11 +1,8 @@
 """Streaming exchange dataflow: pipelined, batched PIER execution.
 
-The atomic executor (:mod:`repro.pier.executor`) materialises each join
-stage of a distributed plan in one lump: all surviving tuples ship
-site-to-site in a single accounting step and the first answer exists only
-once the whole join has finished. This module replaces that with the
-runtime the paper actually describes — posting-list tuples *stream*
-between sites:
+The one runtime that executes distributed plans, and the one the paper
+describes (Section 3.2, Figure 2) — posting-list tuples *stream* between
+the sites of a keyword chain:
 
 * Each plan stage becomes a per-site operator pipeline (Scan → SHJ →
   filters) and consecutive stages are connected by **exchange edges** that
@@ -32,13 +29,14 @@ between sites:
   incrementally per batch at the filter site before answers leave
   (:mod:`repro.pier.optimizer` picks between them by predicted bytes).
 
-Byte accounting is *identical* to the atomic executor per payload: a
-batch pays its tuples once plus one routing header per hop, so a stage
-split into ``k`` batches costs exactly ``k-1`` extra header units per hop
-over the atomic lump sum — the batch-size sweep in
-``BENCH_dataflow.json`` measures that latency/bytes trade-off, and with
-``batch_size=None`` (one batch per edge) the two runtimes charge
-byte-identical totals.
+Byte accounting is per payload: a batch pays its tuples once plus one
+routing header per hop, so a stage split into ``k`` batches costs exactly
+``k-1`` extra header units per hop over shipping it whole — the
+batch-size sweep in ``BENCH_dataflow.json`` measures that latency/bytes
+trade-off. ``batch_size=None`` ships one batch per edge, the cheapest
+accounting and the one the blocking
+:meth:`repro.piersearch.search.SearchEngine.search` uses (a call that
+returns the whole answer has no first-answer time to optimise).
 
 In-memory, exchange batches are **compact**: a shared schema tuple plus
 one value tuple per row (:class:`repro.pier.rows.RowBatch`), converted to
@@ -91,65 +89,22 @@ def temp_ring_key(
 ) -> int:
     """Ring key of a query's temporary tuples at one stage.
 
-    Matches the atomic executor's temp-tuple keying (``__temp__|q|s``);
-    ``tag`` distinguishes extra streams such as join spill partitions.
-    ``namespace`` isolates executors that share one DHT — per-executor
-    query counters restart at zero, so concurrent queries from e.g. two
-    shard engines would otherwise collide on temp slots. The default
-    empty namespace hashes identically to the historical keying.
+    Keyed ``__temp__|q|s``; ``tag`` distinguishes extra streams such as
+    join spill partitions. ``namespace`` isolates executors that share
+    one DHT — per-executor query counters restart at zero, so concurrent
+    queries from e.g. two shard engines would otherwise collide on temp
+    slots.
     """
     suffix = f"|{tag}" if tag else ""
     return hash_key(f"__temp__|{namespace}q{query_id}|s{stage_index}{suffix}")
-
-
-def route_hops(network: DhtNetwork, origin: int, key_owner: int) -> int:
-    """Overlay hops to route from ``origin`` to ``key_owner``'s id."""
-    if origin == key_owner:
-        return 0
-    return network.lookup(key_owner, origin=origin).hops
-
-
-def fetch_items_charged(
-    network: DhtNetwork,
-    catalog: Catalog,
-    cost_model: CostModel,
-    file_ids: list,
-    query_node: int,
-    charge: Callable[[str, int, int], None],
-) -> tuple[list[Row], int]:
-    """Fetch Item tuples for surviving fileIDs, charging every message.
-
-    The single source of truth for item-fetch accounting — the atomic
-    executor and the streaming dataflow both call it, which is what keeps
-    their byte totals provably identical (pinned by the equivalence
-    suite). Takes bare fileID values (the dataflow's compact batches never
-    materialise fileID dicts). Returns (item rows, max routing hops across
-    the parallel fetches — the one that bounds latency).
-    """
-    items = catalog.table("Item")
-    results: list[Row] = []
-    max_fetch_hops = 0
-    for file_id in file_ids:
-        host = items.host_of(file_id)
-        hops = route_hops(network, query_node, host)
-        max_fetch_hops = max(max_fetch_hops, hops)
-        request_bytes = cost_model.routed_bytes(cost_model.fileid_bytes, hops)
-        fetched = items.fetch_local(host, file_id)
-        response_payload = sum(
-            cost_model.item_tuple_bytes(item["filename"]) for item in fetched
-        )
-        response_bytes = cost_model.message_bytes(response_payload)
-        charge("pier.item_fetch", max(1, hops) + 1, request_bytes + response_bytes)
-        results.extend(fetched)
-    return results, max_fetch_hops
 
 
 @dataclass(frozen=True)
 class DataflowConfig:
     """Knobs of the streaming runtime."""
 
-    #: tuples per exchange batch (None = one batch per edge, which makes
-    #: byte accounting exactly match the atomic executor)
+    #: tuples per exchange batch (None = one batch per edge: the fewest
+    #: routing headers, and no first answer before the join drains)
     batch_size: int | None = DEFAULT_BATCH_SIZE
     #: mean one-way per-hop latency of an overlay hop (virtual seconds)
     hop_latency: float = 1.2
@@ -251,9 +206,9 @@ class DataflowExecutor:
     """Runs distributed plans as streaming dataflows in virtual time.
 
     Standalone use drains a private simulator synchronously
-    (:meth:`execute`); the event-driven hybrid engine instead
-    :meth:`submit`\\ s queries onto its shared simulator, where tuple
-    flow interleaves with Gnutella arrivals, churn, and other races.
+    (:meth:`execute`); the hybrid engine instead :meth:`submit`\\ s
+    queries onto its shared simulator, where tuple flow interleaves with
+    Gnutella arrivals, churn, and other races.
     """
 
     def __init__(
@@ -295,21 +250,16 @@ class DataflowExecutor:
         plan: DistributedPlan,
         fetch_items: bool = True,
         stop_after: int | None = None,
-        trace_parent=None,
     ) -> tuple[list[Row], QueryStats]:
         """Run ``plan`` to completion on this executor's simulator.
 
         Synchronous counterpart of :meth:`submit` for standalone use (do
         not call it on a simulator shared with other activities — it
-        drains the whole event queue). Returns (rows, stats) exactly like
-        the atomic executor.
+        drains the whole event queue). Returns (result rows, per-query
+        statistics); rows are Item tuples when ``fetch_items`` is set,
+        otherwise the surviving posting entries.
         """
-        query = self.submit(
-            plan,
-            fetch_items=fetch_items,
-            stop_after=stop_after,
-            trace_parent=trace_parent,
-        )
+        query = self.submit(plan, fetch_items=fetch_items, stop_after=stop_after)
         self.sim.run()
         if query.error is not None:
             raise query.error
@@ -598,8 +548,8 @@ class _Exchange:
         #: shipped tuples count as posting entries (rehash and digest
         #: edges; answer edges and the Bloom filter leg ship no entries)
         self.count_entries = count_entries
-        #: upstream is a join stage: an empty close breaks the chain like
-        #: the atomic executor's early break, instead of shipping onward
+        #: upstream is a join stage: an empty close breaks the chain
+        #: instead of shipping onward
         self.from_join = from_join
         #: answer edges stream eagerly — every offer ships at once, since
         #: batching answers only delays what the user is waiting for
@@ -784,7 +734,6 @@ class _QueryRun:
         self.stats = QueryStats(
             strategy=plan.strategy,
             keywords=plan.keywords,
-            mode="pipelined",
             pipeline=PipelineStats(batch_size=self.batch_size),
         )
         self.query = DataflowQuery(plan, self.stats, stop_after)
@@ -824,12 +773,17 @@ class _QueryRun:
             self._assemble_bloom_chain(ready)
         else:
             # Single-stage semi/Bloom plans degenerate to the distributed
-            # join, exactly like the atomic executor.
+            # join (nothing to intersect, nothing ships).
             self._assemble_join_chain(ready)
 
     def _disseminate(self) -> list[float]:
-        """Charge plan dissemination like the atomic executor; returns the
-        virtual time the plan reaches each stage's site."""
+        """Charge plan dissemination; returns the virtual time the plan
+        reaches each stage's site.
+
+        The plan travels query node -> site1 -> site2 -> ... because each
+        site must know where to rehash next; the hop count of that chain
+        is the latency-critical path of dissemination.
+        """
         plan = self.plan
         ready: list[float] = []
         elapsed = 0.0
@@ -889,9 +843,9 @@ class _QueryRun:
         if rehash_tuple is None:
             rehash_tuple = cost.rehash_tuple_bytes()
         answer_tuple = cost.tuple_bytes(cost.fileid_bytes)
-        # A single-stage plan answers straight from the scan, so (like the
-        # atomic executor) its result rows are full posting entries, not
-        # join survivors — the answer edge carries the wider schema.
+        # A single-stage plan answers straight from the scan, so its
+        # result rows are full posting entries, not join survivors — the
+        # answer edge carries the wider schema.
         # ``project_keys`` overrides that: a key-projected source ships
         # bare fileIDs whatever the stage count, and the schema must say so.
         single_stage = len(plan.stages) == 1 and not project_keys
@@ -944,7 +898,7 @@ class _QueryRun:
                 ]
             elif single_stage:
                 # Full posting tuples: these go straight to the answer
-                # edge, whose result rows must match the atomic runtime.
+                # edge.
                 values = [(row["keyword"], row["fileID"]) for row in rows]
             else:
                 values = [(row["fileID"],) for row in rows]
@@ -1138,15 +1092,30 @@ class _QueryRun:
         self._results_ready(items, answer_count)
 
     def _fetch_items(self, file_ids: list) -> tuple[list[Row], int]:
-        """Charge and perform Item fetches exactly like the atomic path."""
-        results, batch_max_hops = fetch_items_charged(
-            self.executor.network,
-            self.executor.catalog,
-            self.executor.cost_model,
-            file_ids,
-            self.plan.query_node,
-            self._charge,
-        )
+        """Fetch the Item tuples of one answer batch, charging every message.
+
+        Takes bare fileID values (compact batches never materialise
+        fileID dicts). Returns (item rows, max routing hops across the
+        parallel fetches — the one that bounds the batch's latency).
+        """
+        cost = self.executor.cost_model
+        items = self.catalog_table("Item")
+        query_node = self.plan.query_node
+        results: list[Row] = []
+        batch_max_hops = 0
+        for file_id in file_ids:
+            host = items.host_of(file_id)
+            hops = self._route_hops(query_node, host)
+            batch_max_hops = max(batch_max_hops, hops)
+            request_bytes = cost.routed_bytes(cost.fileid_bytes, hops)
+            fetched = items.fetch_local(host, file_id)
+            response_bytes = cost.message_bytes(
+                sum(cost.item_tuple_bytes(item["filename"]) for item in fetched)
+            )
+            self._charge(
+                "pier.item_fetch", max(1, hops) + 1, request_bytes + response_bytes
+            )
+            results.extend(fetched)
         self.max_fetch_hops = max(self.max_fetch_hops, batch_max_hops)
         return results, batch_max_hops
 
@@ -1177,24 +1146,23 @@ class _QueryRun:
         if self.answers_done and self.outstanding_fetches == 0:
             self.complete()
 
-    # -- empty streams (the atomic executor's early break) ---------------
+    # -- empty streams ---------------------------------------------------
 
     def on_empty_stream(self, exchange: _Exchange) -> None:
         """An edge closed without ever sending a tuple.
 
-        Mirrors the atomic control flow exactly: an empty *scan* still
-        rehashes (one empty message) to the next site, which runs its
-        stage and comes up empty; an empty *join* output breaks the chain
-        — downstream stages never activate, and the query node receives
-        one empty answer message.
+        An empty *scan* still rehashes (one empty message) to the next
+        site, which runs its stage and comes up empty; an empty *join*
+        output breaks the chain — downstream stages never activate, and
+        the query node receives one empty answer message.
         """
         if exchange.category == "pier.answer" or exchange.from_join:
             # An empty scan on a single-stage plan answers directly; an
-            # empty join output breaks the chain like the atomic executor.
+            # empty join output breaks the chain.
             self._finalize_empty()
             return
         # Empty scan output on a multi-stage plan: ship one empty batch so
-        # the next stage still runs (and is charged), as the atomic loop does.
+        # the next stage still runs (and is charged).
         exchange.empty_shipped = True
         exchange._queue.append([])
         exchange._pump()
@@ -1330,7 +1298,10 @@ class _QueryRun:
                 sink.clear()
 
     def _route_hops(self, origin: int, key_owner: int) -> int:
-        return route_hops(self.executor.network, origin, key_owner)
+        """Overlay hops to route from ``origin`` to ``key_owner``'s id."""
+        if origin == key_owner:
+            return 0
+        return self.executor.network.lookup(key_owner, origin=origin).hops
 
     def _charge(self, category: str, messages: int, byte_count: int) -> None:
         self.stats.messages += messages
@@ -1364,8 +1335,7 @@ class _BloomProbeStage:
         self.run.stats.per_stage_entries.append(len(rows))
         hot = self.run.hot
         started = perf_counter() if hot is not None else 0.0
-        # Key-level Bloom probe (the BloomProbe operator's semantics,
-        # without materialising a candidate dict per posting row).
+        # Key-level Bloom probe: no candidate dict per posting row.
         candidates = dict.fromkeys(
             row["fileID"] for row in rows if bloom_contains_key(bloom, row["fileID"])
         )

@@ -1,9 +1,9 @@
 """Local physical operators.
 
 These are the node-local building blocks of PIER query plans: iterator-
-style operators over streams of rows. The distributed executor composes
-them per site; shipping between sites is the executor's job, so every
-operator here is purely local and purely functional over its input stream.
+style operators over streams of rows. The dataflow runtime composes them
+per site; shipping between sites is the runtime's job, so every operator
+here is purely local and purely functional over its input stream.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class Metered(Operator):
       producing each row, as a seeded reservoir histogram (so metering a
       million-row scan retains a bounded sample).
 
-    The observability layer's opt-in hook for the atomic iterator path —
-    the streaming dataflow runtime meters its stages event-side instead.
+    The observability layer's opt-in hook for iterator pipelines — the
+    streaming dataflow runtime meters its stages event-side instead.
     Wrapping changes no output: rows, order, and laziness are preserved.
     """
 
@@ -185,35 +185,13 @@ class SubstringFilter(Operator):
 
 
 def bloom_contains_key(bloom, value: Any) -> bool:
-    """The shared key convention for Bloom probes: values probe by
-    ``str()`` (the filter hashes strings; fileIDs are hex strings
-    already). Both :class:`BloomProbe` and the streaming dataflow's
-    key-level probe stage go through here, so the normalization rule has
-    exactly one home."""
+    """The key convention for Bloom probes: values probe by ``str()``
+    (the filter hashes strings; fileIDs are hex strings already). The
+    receiving-site half of the Bloom join probes its local posting list
+    through here; the output is a superset of the true matches — a Bloom
+    filter has no false negatives, and false positives survive only until
+    the filter site verifies candidates exactly."""
     return str(value) in bloom
-
-
-class BloomProbe(Operator):
-    """Keep rows whose ``column`` value *probably* belongs to ``bloom``.
-
-    The receiving-site half of the Bloom join: the rarest posting list
-    arrives as a :class:`~repro.common.bloom.BloomFilter` and the local
-    list is probed against it. The output is a superset of the true
-    matches — Bloom filters never produce false negatives, so no real
-    match is dropped, while false positives survive only until the filter
-    site verifies candidates exactly. Values are probed through
-    :func:`bloom_contains_key`.
-    """
-
-    def __init__(self, child: Operator, column: str, bloom):
-        self.child = child
-        self.column = column
-        self.bloom = bloom
-
-    def __iter__(self) -> Iterator[Row]:
-        bloom = self.bloom
-        column = self.column
-        return (row for row in self.child if bloom_contains_key(bloom, row[column]))
 
 
 class HashJoin(Operator):
@@ -801,131 +779,3 @@ class SymmetricHashJoin(Operator):
                     right_done = True
                 else:
                     yield from self.insert_right(row)
-
-
-class Distinct(Operator):
-    """Drop duplicate rows (all columns considered)."""
-
-    def __init__(self, child: Operator):
-        self.child = child
-
-    def __iter__(self) -> Iterator[Row]:
-        seen: set[tuple] = set()
-        for row in self.child:
-            signature = tuple(sorted(row.items()))
-            if signature in seen:
-                continue
-            seen.add(signature)
-            yield row
-
-
-#: aggregate name -> (initial accumulator, step, finalise)
-_AGGREGATES = {
-    "count": (lambda: 0, lambda acc, value: acc + 1, lambda acc: acc),
-    "sum": (lambda: 0, lambda acc, value: acc + value, lambda acc: acc),
-    "min": (
-        lambda: None,
-        lambda acc, value: value if acc is None else min(acc, value),
-        lambda acc: acc,
-    ),
-    "max": (
-        lambda: None,
-        lambda acc, value: value if acc is None else max(acc, value),
-        lambda acc: acc,
-    ),
-    "avg": (
-        lambda: (0, 0),
-        lambda acc, value: (acc[0] + value, acc[1] + 1),
-        lambda acc: acc[0] / acc[1] if acc[1] else None,
-    ),
-}
-
-
-class GroupByAggregate(Operator):
-    """Hash-based grouping with the classic SQL aggregates.
-
-    ``aggregates`` maps output column -> (function name, input column);
-    the input column is ignored for ``count``. PIER computes such
-    aggregates for its non-filesharing workloads (e.g. network-monitoring
-    queries); here it also powers replication-factor statistics over the
-    Item/Inverted tables.
-
-    >>> rows = [{"artist": "a", "size": 1}, {"artist": "a", "size": 3}]
-    >>> op = GroupByAggregate(Scan(rows), ("artist",),
-    ...                       {"files": ("count", "size"), "bytes": ("sum", "size")})
-    >>> op.rows()
-    [{'artist': 'a', 'files': 2, 'bytes': 4}]
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        group_by: tuple[str, ...],
-        aggregates: dict[str, tuple[str, str]],
-    ):
-        for output, (function, _) in aggregates.items():
-            if function not in _AGGREGATES:
-                raise ValueError(f"unknown aggregate {function!r} for {output!r}")
-        self.child = child
-        self.group_by = group_by
-        self.aggregates = aggregates
-
-    def __iter__(self) -> Iterator[Row]:
-        groups: dict[tuple, dict[str, Any]] = {}
-        for row in self.child:
-            key = tuple(row[column] for column in self.group_by)
-            state = groups.get(key)
-            if state is None:
-                state = {
-                    output: _AGGREGATES[function][0]()
-                    for output, (function, _) in self.aggregates.items()
-                }
-                groups[key] = state
-            for output, (function, input_column) in self.aggregates.items():
-                value = row[input_column] if function != "count" else None
-                state[output] = _AGGREGATES[function][1](state[output], value)
-        for key, state in groups.items():
-            result: Row = dict(zip(self.group_by, key))
-            for output, (function, _) in self.aggregates.items():
-                result[output] = _AGGREGATES[function][2](state[output])
-            yield result
-
-
-class OrderByLimit(Operator):
-    """Sort by a column and optionally keep the top ``limit`` rows."""
-
-    def __init__(
-        self,
-        child: Operator,
-        column: str,
-        descending: bool = False,
-        limit: int | None = None,
-    ):
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be >= 0, got {limit}")
-        self.child = child
-        self.column = column
-        self.descending = descending
-        self.limit = limit
-
-    def __iter__(self) -> Iterator[Row]:
-        ordered = sorted(
-            self.child, key=lambda row: row[self.column], reverse=self.descending
-        )
-        if self.limit is not None:
-            ordered = ordered[: self.limit]
-        return iter(ordered)
-
-
-def intersect_on(column: str, *row_sets: list[Row]) -> list[Row]:
-    """Intersect row sets by a column, keeping rows from the first set.
-
-    Convenience used by tests and the planner to compute expected join
-    results without running operators.
-    """
-    if not row_sets:
-        return []
-    surviving = {row[column] for row in row_sets[0]}
-    for rows in row_sets[1:]:
-        surviving &= {row[column] for row in rows}
-    return [row for row in row_sets[0] if row[column] in surviving]

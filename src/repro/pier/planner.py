@@ -10,15 +10,10 @@ The planner also feeds the streaming dataflow runtime: from the same
 posting-size statistics it picks the exchange **batch size** (small
 batches for rare terms, so the first answer leaves quickly; larger
 batches for popular terms, amortising per-message headers) and — when
-asked to choose — the **strategy**. Strategy choice has two modes:
-
-* the legacy two-way threshold (a query whose rarest posting list is
-  still large ships many entries under the distributed join, so the
-  single-site InvertedCache plan wins when that table is available), or
-* the cost-based four-way choice: construct the planner with a
-  :class:`~repro.pier.optimizer.CostBasedOptimizer` and ``strategy=None``
-  plans price DISTRIBUTED_JOIN, SEMI_JOIN, BLOOM_JOIN and INVERTED_CACHE
-  from the same posting statistics and take the cheapest.
+asked to choose — the **strategy**: construct the planner with a
+:class:`~repro.pier.optimizer.CostBasedOptimizer` and ``strategy=None``
+plans price DISTRIBUTED_JOIN, SEMI_JOIN, BLOOM_JOIN and INVERTED_CACHE
+from the same posting statistics and take the cheapest.
 """
 
 from __future__ import annotations
@@ -35,8 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: batch-size bounds the planner chooses within (tuples per exchange batch)
 MIN_BATCH_SIZE = 4
 MAX_BATCH_SIZE = 256
-#: smallest posting list above which InvertedCache beats shipping entries
-INVERTED_CACHE_THRESHOLD = 192
 
 
 class KeywordPlanner:
@@ -50,8 +43,7 @@ class KeywordPlanner:
     ):
         self.catalog = catalog
         self.posting_table = posting_table
-        #: when set, ``strategy=None`` plans take the cost-based four-way
-        #: choice instead of the legacy two-way threshold
+        #: prices the four strategies for ``strategy=None`` plans
         self.optimizer = optimizer
 
     def posting_size(self, keyword: str) -> int:
@@ -82,30 +74,17 @@ class KeywordPlanner:
         return max(MIN_BATCH_SIZE, min(MAX_BATCH_SIZE, power))
 
     def choose_strategy(self, sizes: dict[str, int]) -> JoinStrategy:
-        """Pick a strategy from posting-size statistics.
+        """Cheapest of the four strategies under the optimizer's byte-cost
+        model, from posting-size statistics.
 
-        With a :class:`~repro.pier.optimizer.CostBasedOptimizer` attached,
-        all four strategies are priced by the byte-cost model and the
-        cheapest wins. Otherwise the legacy two-way rule applies: a
-        single-term query ships nothing, so the distributed join always
-        wins; for multi-term queries the join ships at least the smallest
-        posting list between sites, and once that exceeds
-        ``INVERTED_CACHE_THRESHOLD`` entries, resolving the query at the
-        single InvertedCache site is cheaper — when that table exists.
+        Raises :class:`~repro.common.errors.PlanError` on a planner built
+        without an optimizer — there is nothing to price with.
         """
-        if self.optimizer is not None:
-            return self.optimizer.choose(sizes)
-        if "InvertedCache" not in self.catalog or len(sizes) < 2:
-            return JoinStrategy.DISTRIBUTED_JOIN
-        if min(sizes.values(), default=0) >= INVERTED_CACHE_THRESHOLD:
-            # Same coverage policy as the cost-based optimizer: a
-            # registered-but-empty (or partially published) cache would
-            # silently drop answers.
-            from repro.pier.optimizer import inverted_cache_covers
-
-            if inverted_cache_covers(self.catalog, sizes):
-                return JoinStrategy.INVERTED_CACHE
-        return JoinStrategy.DISTRIBUTED_JOIN
+        if self.optimizer is None:
+            raise PlanError(
+                "choosing a strategy needs a planner built with an optimizer"
+            )
+        return self.optimizer.choose(sizes)
 
     def plan(
         self,
@@ -122,12 +101,10 @@ class KeywordPlanner:
         rarest term minimises the rows the filters must consider.
 
         ``strategy=None`` asks the planner to choose a strategy from its
-        posting-size statistics (:meth:`choose_strategy`) — the four-way
-        cost-based choice when an optimizer is attached, the legacy
-        two-way threshold otherwise. The semi-join and Bloom-join
-        strategies reuse the distributed join's stage chain (same sites,
-        same smallest-first order); only what ships between the sites
-        differs.
+        posting-size statistics (:meth:`choose_strategy`), which needs an
+        optimizer. The semi-join and Bloom-join strategies reuse the
+        distributed join's stage chain (same sites, same smallest-first
+        order); only what ships between the sites differs.
         """
         if not keywords:
             raise PlanError("keyword query needs at least one term")

@@ -156,11 +156,10 @@ def spill_stats_from_join(join) -> SpillStats:
 
 @dataclass
 class PipelineStats:
-    """What the streaming dataflow runtime adds to a query's statistics.
+    """Batch-level and virtual-time statistics of one dataflow execution.
 
-    Only present on pipelined executions (``QueryStats.pipeline``); the
-    atomic path has no batches, so it carries ``None``. Times are virtual
-    seconds from query submission on the dataflow's simulator clock.
+    Times are virtual seconds from query submission on the dataflow's
+    simulator clock.
     """
 
     #: tuples per exchange batch (None = stage-granularity, one batch/edge)
@@ -187,10 +186,8 @@ class QueryStats:
 
     strategy: JoinStrategy
     keywords: tuple[str, ...] = ()
-    #: which runtime executed the plan: "atomic" or "pipelined"
-    mode: str = "atomic"
-    #: batch/pipeline metadata (pipelined executions only)
-    pipeline: "PipelineStats | None" = None
+    #: batch/pipeline metadata of the dataflow execution
+    pipeline: PipelineStats = field(default_factory=PipelineStats)
     #: memory-budgeted join accounting (budgeted executions only)
     spill: "SpillStats | None" = None
     results: int = 0

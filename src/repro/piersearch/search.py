@@ -2,17 +2,21 @@
 
 Given a keyword query, the Search Engine builds the corresponding PIER
 plan (a chain of posting-list joins, or a single-site InvertedCache scan)
-and executes it through the distributed executor.
+and executes it on the streaming exchange dataflow
+(:mod:`repro.pier.dataflow`). The blocking :meth:`SearchEngine.search`
+drains the plan on the engine's private simulator with one batch per
+exchange edge; the hybrid query engine instead takes the prepared plan
+and submits it to a dataflow on its own shared simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.executor import DistributedExecutor
+from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import DistributedPlan, JoinStrategy, QueryStats
@@ -44,7 +48,6 @@ class SearchEngine:
         network: DhtNetwork,
         catalog: Catalog,
         inverted_cache: bool = False,
-        mode: str = "atomic",
         optimizer: CostBasedOptimizer | bool | None = None,
         memory_budget: int | None = None,
         tracer=None,
@@ -53,7 +56,6 @@ class SearchEngine:
         self.network = network
         self.catalog = catalog
         self.inverted_cache = inverted_cache
-        self.mode = mode
         self.tracer = tracer
         self.metrics = metrics
         #: ``True`` builds a default cost-based optimizer; with one
@@ -61,8 +63,9 @@ class SearchEngine:
         #: strategies and execute the cheapest. The optimizer targets
         #: Inverted-index deployments — an InvertedCache deployment has
         #: already made its strategy choice, so it is ignored there.
-        #: ``memory_budget`` (join rows per site, not bytes) makes the
-        #: default optimizer price expected spill + re-read bytes too.
+        #: ``memory_budget`` (join rows per site, not bytes) bounds the
+        #: executor's join state and makes the default optimizer price the
+        #: expected spill + re-read bytes.
         if optimizer is True:
             optimizer = CostBasedOptimizer(
                 catalog,
@@ -71,8 +74,12 @@ class SearchEngine:
             )
         self.optimizer = optimizer or None
         self.planner = KeywordPlanner(catalog, optimizer=self.optimizer)
-        self.executor = DistributedExecutor(
-            network, catalog, mode=mode, tracer=tracer, metrics=metrics
+        self.executor = DataflowExecutor(
+            network,
+            catalog,
+            config=DataflowConfig(batch_size=None, memory_budget=memory_budget),
+            tracer=tracer,
+            metrics=metrics,
         )
 
     def prepare(
@@ -86,8 +93,8 @@ class SearchEngine:
         ``terms`` are normalised with the same tokenizer used at publish
         time, so stop words in the query are ignored (a query that is all
         stop words raises :class:`~repro.common.errors.PlanError`). The
-        event-driven query engine uses this to learn the keyword-site
-        chain it must route hop by hop before executing.
+        hybrid query engine uses this to learn the keyword-site chain it
+        must route hop by hop before executing.
         """
         normalised: list[str] = []
         for term in terms:
@@ -112,9 +119,15 @@ class SearchEngine:
             planner = self.planner
         return planner.plan(normalised, query_node, strategy=strategy)
 
-    def execute_plan(self, plan: DistributedPlan, trace_parent=None) -> SearchResult:
-        """Execute an already-prepared plan. See :meth:`search`."""
-        items, stats = self.executor.execute(plan, trace_parent=trace_parent)
+    def execute_plan(self, plan: DistributedPlan) -> SearchResult:
+        """Execute an already-prepared plan. See :meth:`search`.
+
+        A blocking call returns the whole answer at once, so there is no
+        first-answer time to buy with small batches: every edge ships one
+        batch whatever size the planner picked, which costs the fewest
+        routing headers.
+        """
+        items, stats = self.executor.execute(replace(plan, batch_size=None))
         self.observe_execution(plan, stats)
         return self.finalize(plan, items, stats)
 
@@ -123,8 +136,8 @@ class SearchEngine:
 
         No-op unless a cost-based optimizer priced the plan — the hook
         behind the predicted-vs-actual bytes error metric. Called by the
-        synchronous path above and by the event-driven hybrid engine when
-        its pipelined execution completes.
+        synchronous path above and by the hybrid engine when a race's
+        dataflow drains.
         """
         if self.optimizer is not None and plan.predicted_bytes is not None:
             self.optimizer.observe_actual(
@@ -137,9 +150,9 @@ class SearchEngine:
 
         DHT keyword match is exact-token; this re-checks conjunctive
         semantics on the returned filenames (mirrors client behavior).
-        Shared by the synchronous path and the event-driven dataflow,
-        which receives its Item rows from answer batches instead of a
-        blocking execute call.
+        Shared by the synchronous path and the hybrid engine, which
+        receives its Item rows from answer batches instead of a blocking
+        execute call.
         """
         keywords = list(plan.keywords)
         matching = [item for item in items if _matches_all(item["filename"], keywords)]

@@ -4,7 +4,11 @@ from dataclasses import replace
 
 import pytest
 
+import repro.hybrid.deployment as deployment
 from repro.hybrid.deployment import DeploymentConfig, run_deployment
+from repro.pier.catalog import Catalog
+
+from oracle import oracle_items
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +56,8 @@ class TestDeploymentOutcomes:
 
 
 class TestEventDrivenRace:
-    """The deployment's default path: every leaf query is a virtual-time
-    race on the event-driven engine."""
+    """Every leaf query of the deployment is a virtual-time race on the
+    hybrid query engine."""
 
     @pytest.fixture(scope="class")
     def small_config(self):
@@ -71,22 +75,29 @@ class TestEventDrivenRace:
     def event_report(self, small_config):
         return run_deployment(small_config)
 
-    def test_event_and_analytic_paths_agree_on_results(
-        self, small_config, event_report
-    ):
-        """The engine changes *when* answers arrive, never *what* they are."""
-        analytic = run_deployment(replace(small_config, event_driven=False))
-        assert (
-            event_report.gnutella_no_result_fraction
-            == analytic.gnutella_no_result_fraction
-        )
-        assert (
-            event_report.hybrid_no_result_fraction
-            == analytic.hybrid_no_result_fraction
-        )
-        for simulated, closed_form in zip(event_report.outcomes, analytic.outcomes):
-            assert simulated.used_pier == closed_form.used_pier
-            assert simulated.total_results == closed_form.total_results
+    def test_race_results_agree_with_oracle(self, small_config, monkeypatch):
+        """The engine decides *when* answers arrive, never *what* they
+        are: each re-query returns what the published index holds."""
+        catalogs = []
+
+        def recording_catalog(dht):
+            catalogs.append(Catalog(dht))
+            return catalogs[-1]
+
+        monkeypatch.setattr(deployment, "Catalog", recording_catalog)
+        report = run_deployment(small_config)
+        (catalog,) = catalogs
+        assert any(outcome.pier_results for outcome in report.outcomes)
+        for outcome in report.outcomes:
+            # The re-query fires exactly when the flood is empty-handed
+            # at the timeout; late flood results still count.
+            timed_out = (
+                outcome.gnutella_results == 0
+                or outcome.gnutella_latency > small_config.gnutella_timeout
+            )
+            assert outcome.used_pier == timed_out
+            expected = len(oracle_items(catalog, outcome.terms)) if timed_out else 0
+            assert outcome.total_results == outcome.gnutella_results + expected
 
     def test_queries_overlap_in_virtual_time(self, event_report):
         # 1 s submit interval against a 30 s timeout: races must overlap.

@@ -328,32 +328,19 @@ class TestPipelinedRaces:
         assert outcome.pier_latency > TIMEOUT
         assert outcome.pier_latency < outcome.pier_completion_latency
 
-    def test_atomic_mode_still_supported(self):
-        sim, _, engine, hybrid = self.build(
-            config=RaceConfig(execution_mode="atomic", retry_backoff=0.5)
-        )
+    def test_race_and_blocking_search_charge_the_same(self):
+        # With one batch per edge (huge batch size) a race charges exactly
+        # what the blocking search() does for the same plan.
+        sim, _, engine, hybrid = self.build(config=RaceConfig(batch_size=10**9))
         race = hybrid.handle_leaf_query_simulated(
             engine, ["montia", "klorena"], [math.inf], 3
         )
         sim.run()
-        outcome = race.outcome
-        assert outcome.pier_results > 1
-        assert outcome.pier_latency == outcome.pier_completion_latency > TIMEOUT
-
-    def test_pipelined_and_atomic_agree_on_results_and_bytes(self):
-        # One batch per edge (huge batch size) makes the pipelined byte
-        # totals exactly the atomic ones; results agree at any batch size.
-        results = {}
-        for mode in ("pipelined", "atomic"):
-            sim, _, engine, hybrid = self.build(
-                config=RaceConfig(execution_mode=mode, batch_size=10**9)
-            )
-            race = hybrid.handle_leaf_query_simulated(
-                engine, ["montia", "klorena"], [math.inf], 3
-            )
-            sim.run()
-            results[mode] = (race.outcome.pier_results, race.outcome.pier_bytes)
-        assert results["pipelined"] == results["atomic"]
+        blocking = hybrid.search_engine.search(
+            ["montia", "klorena"], query_node=hybrid.dht_node_id
+        )
+        assert race.outcome.pier_results == len(blocking) > 1
+        assert race.outcome.pier_bytes == blocking.stats.bytes
 
     def test_stop_after_bounds_answers(self):
         sim, _, engine, hybrid = self.build(

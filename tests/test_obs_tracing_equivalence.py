@@ -3,11 +3,11 @@
 Two guarantees the tracing/metrics layer must keep forever:
 
 * **Golden span tree** — the span tree of a small query (structure,
-  attributes, virtual timestamps) is pinned for both runtimes in
+  attributes, virtual timestamps) is pinned in
   ``tests/golden/span_tree.json``. Instrumentation landing in new places
   or timestamps drifting shows up as a diff; regenerate with
   ``python tests/test_obs_tracing_equivalence.py``.
-* **Observation is free** — running the full 4-strategy x 2-runtime
+* **Observation is free** — running the full 4-strategy x 2-batching
   matrix with tracing and metrics enabled leaves every QueryStats field,
   every answer set, and the network's metered bytes byte-identical to an
   untraced run. The tracer consumes no randomness and never perturbs
@@ -25,7 +25,6 @@ from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.obs.trace import Tracer, validate_chrome_trace
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
-from repro.pier.executor import DistributedExecutor
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
@@ -40,32 +39,26 @@ PINNED_STRATEGIES = (JoinStrategy.DISTRIBUTED_JOIN, JoinStrategy.BLOOM_JOIN)
 
 
 def traced_span_forest() -> dict:
-    """Span forest of the pinned query, per (strategy, runtime) cell."""
+    """Span forest of the pinned query, per strategy."""
     from test_dataflow_equivalence import build_world, plan_for
 
     forests: dict = {}
     for strategy in PINNED_STRATEGIES:
-        for tag in ("atomic", "pipelined"):
-            rng, network, catalog = build_world(0)
-            query_node = network.random_node_id()
-            plan = plan_for(catalog, strategy, PINNED_TERMS, query_node)
-            if tag == "atomic":
-                tracer = Tracer()
-                executor = DistributedExecutor(network, catalog, tracer=tracer)
-                executor.execute(plan)
-            else:
-                sim = Simulator()
-                tracer = Tracer(clock=lambda: sim.now)
-                executor = DataflowExecutor(
-                    network,
-                    catalog,
-                    sim=sim,
-                    config=DataflowConfig(batch_size=2),
-                    rng=0,
-                    tracer=tracer,
-                )
-                executor.execute(plan)
-            forests[f"{strategy.name}|{tag}"] = tracer.forest()
+        rng, network, catalog = build_world(0)
+        query_node = network.random_node_id()
+        plan = plan_for(catalog, strategy, PINNED_TERMS, query_node)
+        sim = Simulator()
+        tracer = Tracer(clock=lambda: sim.now)
+        executor = DataflowExecutor(
+            network,
+            catalog,
+            sim=sim,
+            config=DataflowConfig(batch_size=2),
+            rng=0,
+            tracer=tracer,
+        )
+        executor.execute(plan)
+        forests[f"{strategy.name}|pipelined"] = tracer.forest()
     return forests
 
 
@@ -89,7 +82,14 @@ def matrix_digest(traced: bool, seeds=(0, 3)) -> dict:
             metrics = MetricsRegistry()
         else:
             sim, tracer, metrics = Simulator(), None, None
-        atomic = DistributedExecutor(network, catalog, tracer=tracer, metrics=metrics)
+        unbatched = DataflowExecutor(
+            network,
+            catalog,
+            sim=sim,
+            config=DataflowConfig(batch_size=None),
+            tracer=tracer,
+            metrics=metrics,
+        )
         batched = DataflowExecutor(
             network,
             catalog,
@@ -103,7 +103,7 @@ def matrix_digest(traced: bool, seeds=(0, 3)) -> dict:
             query_node = network.random_node_id()
             for strategy in JoinStrategy:
                 plan = plan_for(catalog, strategy, terms, query_node)
-                for tag, executor in (("atomic", atomic), ("pipelined", batched)):
+                for tag, executor in (("unbatched", unbatched), ("pipelined", batched)):
                     rows, stats = executor.execute(plan)
                     name = f"s{seed}|{'+'.join(terms)}|{strategy.name}|{tag}"
                     payload[name] = {

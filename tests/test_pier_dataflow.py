@@ -6,13 +6,13 @@ from repro.common.errors import DhtError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, temp_ring_key
-from repro.pier.executor import DistributedExecutor
 from repro.pier.operators import Scan, SpillSink, SymmetricHashJoin
 from repro.pier.planner import KeywordPlanner
 from repro.obs.metrics import MetricsRegistry
 from repro.piersearch.publisher import Publisher
-from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
+
+from oracle import oracle_items
 
 WORDS = ["nebula", "quasar", "aurora", "meteor"]
 
@@ -63,29 +63,6 @@ class TestPipelinedExecution:
         pipeline = stats.pipeline
         assert pipeline.first_answer_time is not None
         assert pipeline.first_answer_time < pipeline.completion_time
-
-    def test_executor_pipelined_mode_delegates(self):
-        network, catalog = build_world()
-        plan = plan_for(network, catalog, ["nebula"])
-        executor = DistributedExecutor(network, catalog, mode="pipelined", rng=5)
-        rows, stats = executor.execute(plan)
-        assert stats.mode == "pipelined"
-        assert rows
-
-    def test_executor_rejects_unknown_mode(self):
-        network, catalog = build_world(num_files=1)
-        with pytest.raises(ValueError):
-            DistributedExecutor(network, catalog, mode="warp")
-
-    def test_search_engine_pipelined_mode(self):
-        network, catalog = build_world()
-        atomic_engine = SearchEngine(network, catalog)
-        pipelined_engine = SearchEngine(network, catalog, mode="pipelined")
-        node = network.random_node_id()
-        a = atomic_engine.search(["nebula", "quasar"], query_node=node)
-        b = pipelined_engine.search(["nebula", "quasar"], query_node=node)
-        assert sorted(a.filenames) == sorted(b.filenames)
-        assert b.stats.mode == "pipelined"
 
 
 class TestEarlyTermination:
@@ -310,8 +287,8 @@ class TestEmptyStreams:
 
 
 class TestNoFetchRowShapeParity:
-    """With fetch_items=False both runtimes return the same row *shapes*,
-    not just the same fileID sets (regression: the compact batch-row path
+    """With fetch_items=False the result rows keep their *shapes*, not
+    just the right fileID set (regression: the compact batch-row path
     must not strip single-stage answers down to fileID-only rows)."""
 
     def shape_key(self, rows):
@@ -320,21 +297,21 @@ class TestNoFetchRowShapeParity:
     def test_single_stage_returns_full_posting_rows(self):
         network, catalog = build_world()
         plan = plan_for(network, catalog, ["nebula"])
-        atomic = DistributedExecutor(network, catalog)
         dataflow = DataflowExecutor(network, catalog, rng=5)
-        rows_atomic, _ = atomic.execute(plan, fetch_items=False)
-        rows_dataflow, _ = dataflow.execute(plan, fetch_items=False)
-        assert rows_atomic  # the corpus guarantees matches
-        assert {"keyword", "fileID"} <= set(rows_atomic[0])
-        assert self.shape_key(rows_dataflow) == self.shape_key(rows_atomic)
+        rows, _ = dataflow.execute(plan, fetch_items=False)
+        stage = plan.stages[0]
+        postings = catalog.table("Inverted").fetch_local(stage.site, "nebula")
+        assert postings  # the corpus guarantees matches
+        assert {"keyword", "fileID"} <= set(rows[0])
+        assert self.shape_key(rows) == self.shape_key(postings)
 
     def test_multi_stage_returns_fileid_survivors(self):
         network, catalog = build_world()
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=2)
-        atomic = DistributedExecutor(network, catalog)
         dataflow = DataflowExecutor(network, catalog, rng=5)
-        rows_atomic, _ = atomic.execute(plan, fetch_items=False)
-        rows_dataflow, _ = dataflow.execute(plan, fetch_items=False)
-        assert rows_atomic
-        assert set(rows_atomic[0]) == {"fileID"}
-        assert self.shape_key(rows_dataflow) == self.shape_key(rows_atomic)
+        rows, _ = dataflow.execute(plan, fetch_items=False)
+        expected = {item["fileID"] for item in oracle_items(catalog, plan.keywords)}
+        assert expected
+        assert self.shape_key(rows) == self.shape_key(
+            {"fileID": file_id} for file_id in expected
+        )

@@ -1,11 +1,12 @@
-"""Integration tests for the distributed executor and planner."""
+"""Integration tests for the planner and the dataflow executor's join and
+InvertedCache accounting."""
 
 import pytest
 
 from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.executor import DistributedExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
@@ -31,7 +32,7 @@ def engine_env():
         publisher.publish_file(filename, size, ip, 6346)
         cache_publisher.publish_file(filename, size, ip, 6346)
     planner = KeywordPlanner(catalog)
-    executor = DistributedExecutor(network, catalog)
+    executor = DataflowExecutor(network, catalog)
     return network, catalog, planner, executor
 
 

@@ -9,7 +9,6 @@ from repro.pier.operators import (
     Selection,
     SubstringFilter,
     SymmetricHashJoin,
-    intersect_on,
 )
 
 
@@ -166,14 +165,3 @@ class TestSymmetricHashJoin:
         left = [{"id": 1, "l": "a"}, {"id": 1, "l": "b"}]
         right = [{"id": 1, "r": "x"}, {"id": 1, "r": "y"}]
         assert len(SymmetricHashJoin(Scan(left), Scan(right), "id").rows()) == 4
-
-
-class TestIntersectOn:
-    def test_intersection(self):
-        a = rows_of([1, 2, 3])
-        b = rows_of([2, 3, 4])
-        c = rows_of([3, 4, 5])
-        assert intersect_on("k", a, b, c) == rows_of([3])
-
-    def test_empty_args(self):
-        assert intersect_on("k") == []

@@ -3,7 +3,7 @@
 Covers the byte-cost model (golden-file pinned), the Bloom join's
 false-positive invariant (FPs may only add bytes, never answers), the
 byte-accounting invariant (per-query stats equal the meter's charges for
-every strategy on both runtimes), and the optimizer wired through the
+every strategy at both batchings), and the optimizer wired through the
 search engine and the hybrid engine's race path.
 """
 
@@ -19,13 +19,14 @@ from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
-from repro.pier.executor import DistributedExecutor
 from repro.pier.optimizer import CostBasedOptimizer, CostEstimate, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
+
+from oracle import oracle_items
 
 GOLDEN = Path(__file__).parent / "golden" / "optimizer_choices.json"
 
@@ -252,19 +253,17 @@ class TestBloomJoinProperties:
         network, catalog = build_world(
             seed=seed, nodes=16, popular=40, rare=max(overlap, 6), overlap=overlap
         )
-        executor = DistributedExecutor(network, catalog)
-        planner = KeywordPlanner(catalog)
-        query_node = network.random_node_id()
-        reference = planner.plan(
-            ["rarex", "popular"], query_node, strategy=JoinStrategy.DISTRIBUTED_JOIN
-        )
-        rows_ref, _ = executor.execute(reference)
-        plan = planner.plan(
-            ["rarex", "popular"], query_node, strategy=JoinStrategy.BLOOM_JOIN
+        executor = DataflowExecutor(network, catalog, rng=seed)
+        plan = KeywordPlanner(catalog).plan(
+            ["rarex", "popular"],
+            network.random_node_id(),
+            strategy=JoinStrategy.BLOOM_JOIN,
         )
         plan.bloom_fp_rate = fp_rate
         rows_bloom, stats = executor.execute(plan)
-        assert result_key(rows_bloom) == result_key(rows_ref)
+        assert result_key(rows_bloom) == result_key(
+            oracle_items(catalog, ["rarex", "popular"])
+        )
         # Every answer survived each digest leg, so shipped entries are
         # bounded below by the answer count whenever anything shipped.
         assert stats.posting_entries_shipped >= len({r["fileID"] for r in rows_bloom})
@@ -274,11 +273,13 @@ class TestBloomJoinProperties:
         seed=st.integers(min_value=0, max_value=10_000),
         fp_rate=st.floats(min_value=0.005, max_value=0.9),
     )
-    def test_pipelined_bloom_matches_atomic_for_any_fp(self, seed, fp_rate):
+    def test_batched_bloom_matches_unbatched_for_any_fp(self, seed, fp_rate):
         network, catalog = build_world(seed=seed, nodes=16, popular=30, rare=6, overlap=2)
-        atomic = DistributedExecutor(network, catalog)
-        dataflow = DataflowExecutor(
+        unbatched = DataflowExecutor(
             network, catalog, config=DataflowConfig(batch_size=None), rng=seed
+        )
+        batched = DataflowExecutor(
+            network, catalog, config=DataflowConfig(batch_size=3), rng=seed
         )
         planner = KeywordPlanner(catalog)
         plan = planner.plan(
@@ -287,17 +288,19 @@ class TestBloomJoinProperties:
         )
         plan.batch_size = None
         plan.bloom_fp_rate = fp_rate
-        rows_atomic, stats_atomic = atomic.execute(plan)
-        rows_flow, stats_flow = dataflow.execute(plan)
-        assert result_key(rows_flow) == result_key(rows_atomic)
-        assert stats_flow.bytes == stats_atomic.bytes
-        assert stats_flow.filter_bytes == stats_atomic.filter_bytes
+        rows_whole, stats_whole = unbatched.execute(plan)
+        rows_split, stats_split = batched.execute(plan)
+        assert result_key(rows_split) == result_key(rows_whole)
+        assert stats_split.filter_bytes == stats_whole.filter_bytes
+        assert stats_split.posting_entries_shipped == stats_whole.posting_entries_shipped
+        extra = stats_split.bytes - stats_whole.bytes
+        assert extra >= 0 and extra % network.cost_model.header_bytes == 0
 
     def test_false_positives_add_candidate_bytes_not_answers(self):
         """A sloppier filter lets more candidates through (more digest
         entries on the wire) while the verified answer set is unchanged."""
         network, catalog = build_world(seed=3, popular=400, rare=12, overlap=4)
-        executor = DistributedExecutor(network, catalog)
+        executor = DataflowExecutor(network, catalog, rng=3)
         planner = KeywordPlanner(catalog)
         query_node = network.random_node_id()
 
@@ -321,20 +324,19 @@ class TestBloomJoinProperties:
 
 class TestByteAccountingInvariant:
     """Per-query ``QueryStats`` bandwidth must equal the sum of charged
-    ``DhtNetwork`` transfers, for every strategy on both runtimes —
+    ``DhtNetwork`` transfers, for every strategy at both batchings —
     the regression this catches is double-charging (or not charging)
     a new message category."""
 
     STRATEGIES = tuple(JoinStrategy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
-    @pytest.mark.parametrize("runtime", ["atomic", "stage", "batched"])
+    @pytest.mark.parametrize("runtime", ["stage", "batched"])
     def test_stats_equal_meter_charges(self, strategy, runtime):
         network, catalog = build_world(
             seed=11, popular=60, rare=9, overlap=4, with_cache=True
         )
         executors = {
-            "atomic": lambda: DistributedExecutor(network, catalog),
             "stage": lambda: DataflowExecutor(
                 network, catalog, config=DataflowConfig(batch_size=None), rng=2
             ),

@@ -2,15 +2,10 @@
 
 import pytest
 
+from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.planner import (
-    INVERTED_CACHE_THRESHOLD,
-    KeywordPlanner,
-    MAX_BATCH_SIZE,
-    MIN_BATCH_SIZE,
-)
-from repro.pier.query import JoinStrategy
+from repro.pier.planner import KeywordPlanner, MAX_BATCH_SIZE, MIN_BATCH_SIZE
 from repro.piersearch.publisher import Publisher
 
 FILES = [
@@ -102,55 +97,11 @@ class TestBatchSizeChoice:
 
 
 class TestStrategyChoice:
-    def test_single_term_always_distributed_join(self, world):
-        _, catalog, _ = world
-        planner = KeywordPlanner(catalog)
-        assert (
-            planner.choose_strategy({"k": 10**6}) is JoinStrategy.DISTRIBUTED_JOIN
-        )
-
-    def test_without_cache_table_stays_distributed(self):
-        network = DhtNetwork(rng=5)
-        network.populate(8)
-        catalog = Catalog(network)
-        from repro.pier.schema import INVERTED_SCHEMA, ITEM_SCHEMA
-
-        catalog.register(ITEM_SCHEMA)
-        catalog.register(INVERTED_SCHEMA)
-        planner = KeywordPlanner(catalog)
-        sizes = {"a": INVERTED_CACHE_THRESHOLD * 2, "b": INVERTED_CACHE_THRESHOLD * 2}
-        assert planner.choose_strategy(sizes) is JoinStrategy.DISTRIBUTED_JOIN
-
-    def test_registered_but_empty_cache_is_never_chosen(self, world):
-        """The publisher registers every schema up front, so an
-        Inverted-only world still has an (empty) InvertedCache table;
-        choosing it would silently answer with the empty set."""
-        _, catalog, _ = world
-        planner = KeywordPlanner(catalog)
-        sizes = {"a": INVERTED_CACHE_THRESHOLD, "b": INVERTED_CACHE_THRESHOLD + 5}
-        assert planner.choose_strategy(sizes) is JoinStrategy.DISTRIBUTED_JOIN
-
-    def test_popular_conjunction_prefers_inverted_cache(self, world):
-        _, catalog, _ = world
-        planner = KeywordPlanner(catalog)
-        sizes = {"a": INVERTED_CACHE_THRESHOLD, "b": INVERTED_CACHE_THRESHOLD + 5}
-        # Once the cache actually covers the rarest term, it wins.
-        cache = catalog.table("InvertedCache")
-        for index in range(INVERTED_CACHE_THRESHOLD):
-            cache.publish(
-                {
-                    "keyword": "a",
-                    "fileID": f"file{index:04d}",
-                    "fulltext": f"a b file {index}",
-                }
-            )
-        assert planner.choose_strategy(sizes) is JoinStrategy.INVERTED_CACHE
-        rare = {"a": 2, "b": INVERTED_CACHE_THRESHOLD + 5}
-        assert planner.choose_strategy(rare) is JoinStrategy.DISTRIBUTED_JOIN
-
     def test_plan_with_auto_strategy(self, world):
+        """Choosing a strategy is the optimizer's job: a planner built
+        without one has nothing to price with (the optimizer-backed
+        choice is covered in ``test_pier_optimizer.py``)."""
         network, catalog, _ = world
         planner = KeywordPlanner(catalog)
-        plan = planner.plan(["nebula", "quasar"], network.random_node_id(), strategy=None)
-        # Posting lists here are tiny: the join ships almost nothing.
-        assert plan.strategy is JoinStrategy.DISTRIBUTED_JOIN
+        with pytest.raises(PlanError):
+            planner.plan(["nebula", "quasar"], network.random_node_id(), strategy=None)

@@ -90,3 +90,22 @@ class TestSearch:
         node = network.random_node_id()
         result = engine.search(["toxic"], query_node=node)
         assert len(result) == 2
+
+    def test_memory_budget_bounds_the_blocking_search(self, search_env):
+        """The budget reaches the engine's own executor, not only the
+        optimizer's pricing: a tight one spills join state site-locally,
+        and the answer and the wire bytes stay the unbudgeted ones."""
+        network, catalog = search_env
+        node = network.random_node_id()
+        free, tight = (
+            SearchEngine(network, catalog, memory_budget=budget).search(
+                ["britney", "toxic"],
+                query_node=node,
+                strategy=JoinStrategy.DISTRIBUTED_JOIN,
+            )
+            for budget in (None, 1)
+        )
+        assert sorted(tight.filenames) == sorted(free.filenames) != []
+        assert tight.stats.bytes == free.stats.bytes
+        assert free.stats.spill is None
+        assert tight.stats.spill.spilled_tuples > 0

@@ -4,9 +4,9 @@ Pins the core guarantee of the partitioned hybrid hash join — spill,
 stay-spilled routing, restore and role reversal are pure
 memory-for-re-reads trades — across rows/keys modes, spill policies,
 partition fan-outs, arbitrary arrival interleavings, mid-stream
-re-budgeting, and both runtimes (atomic vs pipelined), plus the
-accounting invariants that tie ``QueryStats`` spill bytes to row
-counts.
+re-budgeting, and whole plans on the dataflow (budgeted vs unbudgeted),
+plus the accounting invariants that tie ``QueryStats`` spill bytes to
+row counts.
 """
 
 import random
@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
-from repro.pier.executor import DistributedExecutor
 from repro.pier.operators import SpillSink, SymmetricHashJoin
 from repro.pier.planner import KeywordPlanner
 from repro.piersearch.publisher import Publisher
+
+from oracle import oracle_items
 
 WORDS = ["nebula", "quasar", "aurora", "meteor"]
 
@@ -159,25 +160,25 @@ def build_world(seed, num_files=30, nodes=20):
 
 
 class TestRuntimeEquivalence:
-    """Budgeted pipelined execution matches the unbudgeted atomic
-    runtime answer-for-answer — and, batch-for-batch, spilling charges
-    no wire bytes (spill copies are site-local storage accounting)."""
+    """Budgeted execution matches the oracle answer-for-answer — and,
+    batch-for-batch, spilling charges no wire bytes over the unbudgeted
+    run (spill copies are site-local storage accounting)."""
 
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         budget=st.sampled_from([1, 2, 3, 5, 8]),
     )
-    def test_budgeted_pipelined_matches_atomic_with_byte_invariant(
-        self, seed, budget
-    ):
+    def test_budget_changes_no_answer_and_no_wire_byte(self, seed, budget):
         network, catalog = build_world(seed)
         plan = KeywordPlanner(catalog).plan(
             ["nebula", "quasar"], network.random_node_id()
         )
         plan.batch_size = None
-        atomic = DistributedExecutor(network, catalog)
-        rows_atomic, stats_atomic = atomic.execute(plan)
+        unbudgeted = DataflowExecutor(
+            network, catalog, config=DataflowConfig(batch_size=None), rng=seed
+        )
+        _, stats_free = unbudgeted.execute(plan)
         budgeted = DataflowExecutor(
             network,
             catalog,
@@ -186,12 +187,10 @@ class TestRuntimeEquivalence:
         )
         rows_flow, stats_flow = budgeted.execute(plan)
         key = lambda rs: sorted(sorted(r.items()) for r in rs)
-        assert key(rows_flow) == key(rows_atomic)
-        # QueryStats byte invariant: with whole-list batches the
-        # pipelined run ships exactly the atomic runtime's bytes — a
-        # memory budget adds spill/re-read *accounting*, never wire
-        # bytes.
-        assert stats_flow.bytes == stats_atomic.bytes
+        assert key(rows_flow) == key(oracle_items(catalog, plan.keywords))
+        # QueryStats byte invariant: a memory budget adds spill/re-read
+        # *accounting*, never wire bytes.
+        assert stats_flow.bytes == stats_free.bytes
         if stats_flow.pipeline.spilled_tuples:
             spill = stats_flow.spill
             assert spill is not None

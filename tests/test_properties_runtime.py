@@ -202,13 +202,14 @@ def stats_digest(seeds=(0, 3)) -> dict:
     from test_dataflow_equivalence import build_world, plan_for, queries_for, result_key
 
     from repro.pier.dataflow import DataflowConfig, DataflowExecutor
-    from repro.pier.executor import DistributedExecutor
     from repro.pier.query import JoinStrategy
 
     payload: dict = {}
     for seed in seeds:
         rng, network, catalog = build_world(seed)
-        atomic = DistributedExecutor(network, catalog)
+        unbatched = DataflowExecutor(
+            network, catalog, config=DataflowConfig(batch_size=None)
+        )
         batched = DataflowExecutor(
             network, catalog, config=DataflowConfig(batch_size=2), rng=seed
         )
@@ -216,7 +217,7 @@ def stats_digest(seeds=(0, 3)) -> dict:
             query_node = network.random_node_id()
             for strategy in JoinStrategy:
                 plan = plan_for(catalog, strategy, terms, query_node)
-                for tag, executor in (("atomic", atomic), ("pipelined", batched)):
+                for tag, executor in (("unbatched", unbatched), ("pipelined", batched)):
                     rows, stats = executor.execute(plan)
                     record = {
                         "bytes": stats.bytes,
@@ -229,7 +230,7 @@ def stats_digest(seeds=(0, 3)) -> dict:
                         "critical_path_hops": stats.critical_path_hops,
                         "answers": [list(answer) for answer in result_key(rows)],
                     }
-                    if stats.pipeline is not None:
+                    if executor is batched:
                         record["batches"] = stats.pipeline.batches_shipped
                         record["first_answer"] = stats.pipeline.first_answer_time
                         record["completion"] = stats.pipeline.completion_time

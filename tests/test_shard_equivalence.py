@@ -160,11 +160,7 @@ def run_hybrid_races(seed: int, num_shards: int):
     engines = build_sharded_engines(
         kernel,
         network,
-        config=RaceConfig(
-            dht_hop_latency=HOP_LATENCY,
-            hop_jitter=HOP_JITTER,
-            execution_mode="pipelined",
-        ),
+        config=RaceConfig(dht_hop_latency=HOP_LATENCY, hop_jitter=HOP_JITTER),
         seed=seed,
     )
     node_ids = sorted(network.nodes)
