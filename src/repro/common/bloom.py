@@ -13,12 +13,45 @@ Two uses in the paper:
 
 The implementation is a classic k-hash Bloom filter over a bit array
 (stored in one Python int, which keeps it compact and hashable-free).
+It is set-at-a-time: :meth:`BloomFilter.update` sets the bits of a whole
+key list and :meth:`BloomFilter.matching` tests one in a single loop
+each (``add`` and ``in`` are the one-item forms of the same two loops),
+and an item is hashed **once per process**, not once per call — the
+``(h1, h2)`` pair behind its k positions is memoised, because a corpus
+re-uses the same join keys (fileIDs) in every query's filter and probe.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+
+#: cross-filter memo of the double-hashing pair per item (keyed by the
+#: item's ``str`` form). The pair does not depend on a filter's size, so
+#: one SHA-1 serves every filter an item ever meets. Bounded — cleared
+#: wholesale when full (the hash is pure, so dropping is always safe).
+_hash_memo: dict[str, tuple[int, int]] = {}
+_HASH_MEMO_MAX = 1 << 15
+
+
+def _hash_pair(item) -> tuple[int, int]:
+    """``(h1, h2)`` of ``str(item)``: position i is ``(h1 + i*h2) % m``.
+
+    The memo-miss path of :meth:`BloomFilter.update` /
+    :meth:`BloomFilter.matching`, which probe :data:`_hash_memo` inline.
+    """
+    text = str(item)
+    pair = _hash_memo.get(text)
+    if pair is None:
+        digest = hashlib.sha1(text.encode("utf-8")).digest()
+        pair = (
+            int.from_bytes(digest[:8], "big"),
+            int.from_bytes(digest[8:16], "big") | 1,  # odd => full cycle
+        )
+        if len(_hash_memo) >= _HASH_MEMO_MAX:
+            _hash_memo.clear()
+        _hash_memo[text] = pair
+    return pair
 
 
 class BloomFilter:
@@ -49,24 +82,56 @@ class BloomFilter:
         num_hashes = max(1, int(round(num_bits / expected_items * math.log(2))))
         return cls(num_bits=num_bits, num_hashes=num_hashes)
 
-    def _positions(self, item: str):
-        digest = hashlib.sha1(item.encode("utf-8")).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") | 1  # odd => full cycle
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
-
-    def add(self, item: str) -> None:
-        for position in self._positions(item):
-            self._bits |= 1 << position
-        self._count += 1
+    def add(self, item) -> None:
+        self.update((item,))
 
     def update(self, items) -> None:
+        """Add every item (hashed by its ``str`` form, like :meth:`matching`)."""
+        bits = self._bits
+        num_bits = self.num_bits
+        hashes = range(self.num_hashes)
+        memo_get = _hash_memo.get
+        added = 0
         for item in items:
-            self.add(item)
+            pair = memo_get(item)
+            h1, h2 = pair if pair is not None else _hash_pair(item)
+            for _ in hashes:
+                bits |= 1 << h1 % num_bits
+                h1 += h2
+            added += 1
+        self._bits = bits
+        self._count += added
 
-    def __contains__(self, item: str) -> bool:
-        return all(self._bits >> position & 1 for position in self._positions(item))
+    def matching(self, items) -> list:
+        """The items the filter may contain, in input order.
+
+        The probe half of the Bloom join: the receiving site passes its
+        local posting list's join keys through here in one call. Keys
+        probe by ``str()`` — the filter hashes strings, and fileIDs are
+        hex strings already — and the build side (:meth:`update`) hashes
+        the same form, so any hashable join key works on both. The output
+        is a superset of the true matches: a Bloom filter has no false
+        negatives, and false positives survive only until the filter site
+        verifies candidates exactly.
+        """
+        bits = self._bits
+        num_bits = self.num_bits
+        hashes = range(self.num_hashes)
+        memo_get = _hash_memo.get
+        found = []
+        for item in items:
+            pair = memo_get(item)
+            h1, h2 = pair if pair is not None else _hash_pair(item)
+            for _ in hashes:
+                if not bits >> h1 % num_bits & 1:
+                    break
+                h1 += h2
+            else:
+                found.append(item)
+        return found
+
+    def __contains__(self, item) -> bool:
+        return bool(self.matching((item,)))
 
     def __len__(self) -> int:
         """Number of add() calls (not distinct items)."""

@@ -790,7 +790,8 @@ class DhtNetwork:
     #
     # The public surface for everything outside repro.dht that needs a
     # node's storage: replica placement (repro.cache.replication), PIER
-    # temp-tuple stashes (the dataflow's spill sinks), and catalog
+    # temp-tuple stashes (the dataflow's spill sinks, which write a
+    # partition's keys at a time through put_local_many), and catalog
     # scans. Nothing outside this package touches DhtNode internals —
     # tests/test_boundary_lint.py enforces it — which is what lets the
     # storage backend move behind a transport without engine rewrites.
@@ -816,6 +817,29 @@ class DhtNetwork:
                 return False
             raise NodeNotFoundError(f"unknown node {node_id:x}")
         node.store.put(key, value, identity=identity)
+        return True
+
+    def put_local_many(
+        self,
+        node_id: int,
+        key: int,
+        entries,
+        missing_ok: bool = False,
+    ) -> bool:
+        """Write ``(identity, value)`` pairs under one key of ``node_id``'s
+        store, in order (no messages charged).
+
+        The set-at-a-time :meth:`put_local`: one node lookup and one
+        bucket lookup per call, which is how a join's spill sink surfaces
+        a partition's keys. Same return and ``missing_ok`` contract — a
+        departed node stores nothing and reports False.
+        """
+        node = self.nodes.get(node_id)
+        if node is None:
+            if missing_ok:
+                return False
+            raise NodeNotFoundError(f"unknown node {node_id:x}")
+        node.store.put_many(key, entries)
         return True
 
     def remove_local(self, node_id: int, key: int, missing_ok: bool = True) -> int:

@@ -43,6 +43,22 @@ class LocalStore:
         bucket[handle] = value
         return True
 
+    def put_many(self, key: int, entries) -> int:
+        """Store ``(identity, value)`` pairs under ``key``, in order.
+
+        The set-at-a-time form of :meth:`put` — one bucket lookup for the
+        whole run (a join's spill sink surfaces a partition's keys through
+        it). Returns how many values were new.
+        """
+        bucket = self._data.setdefault(key, {})
+        stored = 0
+        for identity, value in entries:
+            handle = identity if identity is not None else value
+            if handle not in bucket:
+                bucket[handle] = value
+                stored += 1
+        return stored
+
     def get(self, key: int) -> list[Any]:
         """All values stored under ``key`` (empty list if none)."""
         bucket = self._data.get(key)

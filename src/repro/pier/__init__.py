@@ -35,7 +35,6 @@ from repro.pier.schema import Row, Schema, row_identity
 from repro.pier.rows import RowBatch
 from repro.pier.catalog import Catalog, TableHandle
 from repro.pier.operators import (
-    HashJoin,
     Operator,
     Projection,
     Scan,
@@ -61,7 +60,6 @@ __all__ = [
     "Selection",
     "Projection",
     "SubstringFilter",
-    "HashJoin",
     "SymmetricHashJoin",
     "SpillSink",
     "DistributedPlan",

@@ -48,6 +48,7 @@ speed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable
@@ -65,7 +66,6 @@ from repro.pier.operators import (
     SubstringFilter,
     Scan,
     SymmetricHashJoin,
-    bloom_contains_key,
 )
 from repro.pier.rows import RowBatch
 from repro.pier.query import (
@@ -328,7 +328,12 @@ class _DhtSpillSink(SpillSink):
     memory, and leftovers are released with the query's other temp keys.
     Keys-mode partitions surface one ``{column: key}`` tuple per
     *distinct* key (the multiplicity stays in the compact index), so a
-    skewed eviction never materialises per-duplicate dicts. Rows spilled
+    skewed eviction never materialises per-duplicate dicts, and they
+    surface set-at-a-time: an evicted partition (``write_counts``) or a
+    run of keys routed into spilled partitions (``route_counts``) writes
+    each partition's fresh keys with one
+    :meth:`DhtNetwork.put_local_many` and feeds the ``operator.spill.*``
+    counters once per call. Rows spilled
     after the site churned out get no DHT copy — they are counted as
     ``orphan_rows`` (surfaced via ``operator.spill.orphan_rows``) and
     live only in the base sink until the run releases them. Like the
@@ -347,9 +352,9 @@ class _DhtSpillSink(SpillSink):
         #: unique across both sides, so a partition that re-spills after
         #: a restore never collides
         self._seq = 0
-        # Spill accounting runs once per spilled row — resolve the span
-        # and metric counters once instead of attribute hops and a
-        # string-keyed registry lookup per row.
+        # Spill accounting runs on every eviction and routed run —
+        # resolve the span and metric counters once instead of attribute
+        # hops and a string-keyed registry lookup each time.
         self._span = run.span
         metrics = run.metrics
         self._rows_counter = metrics.counter("operator.spill.rows") if metrics else None
@@ -442,55 +447,62 @@ class _DhtSpillSink(SpillSink):
             self._account_orphans(1)
         super().route_row(side, pid, key, row)
 
-    def route_count(self, side: str, pid: int, key: Any) -> bool:
+    def route_counts(
+        self, side: str, routed: list[tuple[int, Any]]
+    ) -> list[tuple[int, Any]]:
         span = self._span
         if span is not None:
-            span.event("join.spill", side=side, partition=pid, rows=1, site=self.site)
+            for pid, _ in routed:
+                span.event(
+                    "join.spill", side=side, partition=pid, rows=1, site=self.site
+                )
         if self._rows_counter is not None:
-            self._rows_counter.add(1)
-            self._bytes_counter.add(self.row_bytes)
-        fresh = super().route_count(side, pid, key)
-        if fresh:
-            # Only a key new to the partition gets a surfaced tuple —
-            # multiplicity bumps stay in the compact index.
-            if self._network.put_local(
-                self.site,
-                self.ring_key(side, pid),
-                {self.column: key},
-                identity=self._seq,
-                missing_ok=True,
-            ):
-                self._seq += 1
-            else:
-                self._account_orphans(1)
-        elif not self._site_alive():
-            self._account_orphans(1)
+            self._rows_counter.add(len(routed))
+            self._bytes_counter.add(len(routed) * self.row_bytes)
+        fresh = super().route_counts(side, routed)
+        # Only a key new to its partition gets a surfaced tuple —
+        # multiplicity bumps stay in the compact index.
+        if not self._surface(side, fresh):
+            self._account_orphans(len(routed))
         return fresh
 
     def write_counts(self, side: str, pid: int, mapping: dict[Any, int]) -> None:
         rows = sum(mapping.values())
         self._observe_spill(side, pid, rows)
-        if not self._site_alive():
+        # One surfaced tuple per *distinct* key: keys whose multiplicity
+        # is merely bumped (a re-evicted partition) are already in the
+        # store.
+        surfaced = self._counts[side].get(pid, ())
+        if not self._surface(
+            side, [(pid, key) for key in mapping if key not in surfaced]
+        ):
             self._account_orphans(rows)
-        elif mapping:
-            # One surfaced tuple per *distinct* key: keys whose
-            # multiplicity is merely bumped (spilled-partition routing
-            # re-spills one key at a time) are already in the store.
-            surfaced = self._counts[side].get(pid, {})
-            fresh = [key for key in mapping if key not in surfaced]
-            if fresh:
-                ring_key = self.ring_key(side, pid)
-                network = self._network
-                for key in fresh:
-                    network.put_local(
-                        self.site,
-                        ring_key,
-                        {self.column: key},
-                        identity=self._seq,
-                        missing_ok=True,
-                    )
-                    self._seq += 1
         super().write_counts(side, pid, mapping)
+
+    def _surface(self, side: str, fresh: list[tuple[int, Any]]) -> bool:
+        """Write one ``{column: key}`` tuple per fresh ``(pid, key)`` into
+        the site's store, one ``put_local_many`` per partition.
+
+        Identities are drawn from ``_seq`` in ``fresh`` order. Returns
+        False when the site has churned out — nothing is stored and the
+        caller's rows are orphans.
+        """
+        if not self._site_alive():
+            return False
+        if fresh:
+            by_partition: dict[int, list[tuple[int, Row]]] = {}
+            column = self.column
+            for seq, (pid, key) in enumerate(fresh, self._seq):
+                entries = by_partition.get(pid)
+                if entries is None:
+                    entries = by_partition[pid] = []
+                entries.append((seq, {column: key}))
+            self._seq += len(fresh)
+            for pid, entries in by_partition.items():
+                self._network.put_local_many(
+                    self.site, self.ring_key(side, pid), entries
+                )
+        return True
 
     def _drop_dht_copy(self, side: str, pid: int) -> None:
         if ((side, pid)) in self._ring_keys and self._site_alive():
@@ -556,7 +568,7 @@ class _Exchange:
         self.eager = eager
         self.ready_time = ready_time
         self._buffer: list[tuple] = []
-        self._queue: list[list[tuple]] = []
+        self._queue: deque[list[tuple]] = deque()
         self._sending = False
         self._closed = False
         self._eos_sent = False
@@ -583,9 +595,13 @@ class _Exchange:
         threshold = self.run.batch_size
         if threshold is None:
             return  # stage granularity: everything ships on close
-        while len(self._buffer) >= threshold:
-            self._queue.append(self._buffer[:threshold])
-            self._buffer = self._buffer[threshold:]
+        buffer = self._buffer
+        full = len(buffer) - len(buffer) % threshold
+        if full:
+            # One pass over the offer, however many batches it fills.
+            for start in range(0, full, threshold):
+                self._queue.append(buffer[start : start + threshold])
+            self._buffer = buffer[full:]
         self._pump()
 
     def close(self) -> None:
@@ -608,7 +624,7 @@ class _Exchange:
             self._finish_stream()
 
     def _send_head(self) -> None:
-        batch = self._queue.pop(0)
+        batch = self._queue.popleft()
         try:
             shipment = self.run.executor.network.ship_batch(
                 self.source_site,
@@ -1335,10 +1351,9 @@ class _BloomProbeStage:
         self.run.stats.per_stage_entries.append(len(rows))
         hot = self.run.hot
         started = perf_counter() if hot is not None else 0.0
-        # Key-level Bloom probe: no candidate dict per posting row.
-        candidates = dict.fromkeys(
-            row["fileID"] for row in rows if bloom_contains_key(bloom, row["fileID"])
-        )
+        # Key-level Bloom probe, the whole posting list in one call: no
+        # candidate dict per posting row.
+        candidates = dict.fromkeys(bloom.matching([row["fileID"] for row in rows]))
         if hot is not None:
             hot.bloom_probe_seconds.observe(perf_counter() - started)
             hot.bloom_probe_rows.add(len(rows))
@@ -1449,9 +1464,7 @@ class _JoinStage:
             run._stage_spans.append(self.span)
         if run.hot is not None:
             run.hot.join_build_rows.add(len(rows))
-        insert_right_key = self.shj.insert_right_key
-        for row in rows:
-            insert_right_key(row["fileID"])
+        self.shj.insert_keys("right", [row["fileID"] for row in rows])
 
     def deliver(self, batch: RowBatch) -> None:
         if self.run.query.done:
@@ -1464,12 +1477,13 @@ class _JoinStage:
                 return
         hot = self.run.hot
         started = perf_counter() if hot is not None else 0.0
-        # Key-only hot loop: probe/build on bare fileIDs, no dict per row.
-        insert_left_key = self.shj.insert_left_key
+        # Key-only hot path: the batch probes and builds on bare fileIDs
+        # in one call, no dict per row.
+        keys = [key for (key,) in batch.values]
         emitted = self.emitted
         survivors: list[tuple] = []
-        for (key,) in batch.values:
-            if insert_left_key(key) and key not in emitted:
+        for key, matches in zip(keys, self.shj.insert_keys("left", keys)):
+            if matches and key not in emitted:
                 emitted.add(key)
                 survivors.append((key,))
         if hot is not None:

@@ -184,49 +184,18 @@ class SubstringFilter(Operator):
                 yield row
 
 
-def bloom_contains_key(bloom, value: Any) -> bool:
-    """The key convention for Bloom probes: values probe by ``str()``
-    (the filter hashes strings; fileIDs are hex strings already). The
-    receiving-site half of the Bloom join probes its local posting list
-    through here; the output is a superset of the true matches — a Bloom
-    filter has no false negatives, and false positives survive only until
-    the filter site verifies candidates exactly."""
-    return str(value) in bloom
-
-
-class HashJoin(Operator):
-    """Classic build/probe equi-join on one column.
-
-    Joins ``left`` and ``right`` on ``column``; output rows merge both
-    sides (right side wins on column-name collisions other than the join
-    column, which is shared).
-    """
-
-    def __init__(self, left: Operator, right: Operator, column: str):
-        self.left = left
-        self.right = right
-        self.column = column
-
-    def __iter__(self) -> Iterator[Row]:
-        build: dict[Any, list[Row]] = {}
-        for row in self.left:
-            build.setdefault(row[self.column], []).append(row)
-        for row in self.right:
-            for match in build.get(row[self.column], ()):  # probe
-                merged = dict(match)
-                merged.update(row)
-                yield merged
-
-
 class SpillSink:
     """Where a memory-bounded join parks build-state *partitions*.
 
     Storage is partition-granular: the join evicts whole hash partitions
-    (``write_rows`` / ``write_counts``), probes re-read single keys out of
-    a spilled partition (``read_rows`` / ``read_count``), and a partition
-    restores wholesale when the budget frees up (``take_rows`` /
-    ``take_counts``). Keys-mode state is parked as compact ``(key,
-    count)`` multiplicities — never one row dict per duplicate.
+    (``write_rows`` / ``write_counts``), routes later build state of a
+    partition that stays spilled straight in (``route_row``, and for the
+    key path ``route_counts`` — one call per run of routed keys, never
+    one per key), probes re-read single keys out of a spilled partition
+    (``read_rows`` / ``read_count``), and a partition restores wholesale
+    when the budget frees up (``take_rows`` / ``take_counts``).
+    Keys-mode state is parked as compact ``(key, count)`` multiplicities
+    — never one row dict per duplicate.
 
     The reference implementation keeps everything in plain dicts; the
     dataflow runtime subclasses it with a DHT-backed sink whose extra
@@ -292,7 +261,7 @@ class SpillSink:
         totals = self._part_totals[side]
         totals[pid] = totals.get(pid, 0) + rows
 
-    # -- single-row routing (a spilled partition staying spilled) --------
+    # -- routing (a spilled partition staying spilled) -------------------
 
     def route_row(self, side: str, pid: int, key: Any, row: Row) -> None:
         """Append one rows-mode build row straight into a spilled partition.
@@ -308,17 +277,34 @@ class SpillSink:
             entry.append(row)
         self._account_write(side, pid, 1)
 
-    def route_count(self, side: str, pid: int, key: Any) -> bool:
-        """Bump one keys-mode multiplicity in a spilled partition.
+    def route_counts(
+        self, side: str, routed: list[tuple[int, Any]]
+    ) -> list[tuple[int, Any]]:
+        """Bump keys-mode multiplicities in spilled partitions.
 
-        Returns True when ``key`` is new to the partition — the DHT sink
-        uses that to keep its surface at one tuple per distinct key.
+        ``routed`` is a run of ``(partition id, key)`` build keys, in
+        arrival order, that landed in partitions already spilled. Returns
+        the entries whose key is new to its partition, in order — the DHT
+        sink uses that to keep its surface at one tuple per distinct key.
         """
-        partition = self._counts[side].setdefault(pid, {})
-        count = partition.get(key)
-        partition[key] = 1 if count is None else count + 1
-        self._account_write(side, pid, 1)
-        return count is None
+        partitions = self._counts[side]
+        totals = self._part_totals[side]
+        fresh: list[tuple[int, Any]] = []
+        for entry in routed:
+            pid, key = entry
+            partition = partitions.get(pid)
+            if partition is None:
+                partition = partitions[pid] = {}
+            count = partition.get(key)
+            if count is None:
+                partition[key] = 1
+                fresh.append(entry)
+            else:
+                partition[key] = count + 1
+            totals[pid] = totals.get(pid, 0) + 1
+        self.spilled_rows += len(routed)
+        self.spilled_bytes += len(routed) * self.row_bytes
+        return fresh
 
     # -- probe re-reads --------------------------------------------------
 
@@ -384,17 +370,24 @@ class SymmetricHashJoin(Operator):
     it interleaves the two inputs, which exercises the symmetric structure
     while producing the same output set as any arrival order.
 
-    There is also a **key-only fast path**: :meth:`insert_left_key` /
-    :meth:`insert_right_key` consume bare join-key values and return match
-    *counts*. The streaming dataflow uses it because its exchange batches
+    There is also a **key-only path**, and it is set-at-a-time:
+    :meth:`insert_keys` consumes a whole run of bare join-key values for
+    one side — a site's posting list, or one arriving exchange batch — in
+    a single loop and returns one match *count* per key
+    (:meth:`insert_left_key` / :meth:`insert_right_key` are its one-key
+    forms). The streaming dataflow uses it because its exchange batches
     carry single-column key tuples (:mod:`repro.pier.rows`) and its join
     stages only ever forward the key of a match — the classic dict-merge
     path would allocate (and immediately discard) one merged dict per
     match. Build state on this path is a per-key multiplicity, not a row
-    list; spilling still writes ``{column: key}`` rows so spill accounting
-    and the DHT temp-tuple surface are shape-compatible with the dict
-    path. The two APIs must not be mixed on one instance (the first
-    insert pins the mode; mixing raises :class:`TypeError`).
+    list, and spill is partition-granular end to end: keys landing in
+    spilled partitions reach the sink a run at a time
+    (:meth:`SpillSink.route_counts`), and the overflow check runs
+    ``_maybe_spill`` only when the budget is actually exceeded. How a key
+    sequence is chunked into calls changes no count, no spill statistic
+    and no sink content. The row and key APIs must not be mixed on one
+    instance (the first insert pins the mode; mixing raises
+    :class:`TypeError`).
 
     With ``memory_budget`` set, the join holds at most that many **rows**
     (not bytes) across both in-memory tables, hash-partitioned by
@@ -482,14 +475,12 @@ class SymmetricHashJoin(Operator):
         return self._insert("right", "left", row)
 
     def insert_left_key(self, key: Any) -> int:
-        """Key-only fast path: consume a left join key; returns the number
-        of right-side matches it completes (spilled partitions included)."""
-        return self._insert_key("left", "right", key)
+        """One-key :meth:`insert_keys` on the left side."""
+        return self.insert_keys("left", (key,))[0]
 
     def insert_right_key(self, key: Any) -> int:
-        """Key-only fast path: consume a right join key; returns the number
-        of left-side matches it completes (spilled partitions included)."""
-        return self._insert_key("right", "left", key)
+        """One-key :meth:`insert_keys` on the right side."""
+        return self.insert_keys("right", (key,))[0]
 
     def _pin_mode(self, mode: str) -> None:
         if self._mode is None:
@@ -541,38 +532,104 @@ class SymmetricHashJoin(Operator):
         self._count_insert(side)
         return merged
 
-    def _insert_key(self, side: str, other: str, key: Any) -> int:
+    def insert_keys(self, side: str, keys: Iterable[Any]) -> list[int]:
+        """Key-only path: consume a run of ``side``'s join keys, in order.
+
+        Returns, per key, the number of other-side matches it completes
+        (spilled partitions included). Exactly the effect of inserting the
+        keys one call at a time, at one call's overhead.
+        """
         if self._mode != "keys":
             self._pin_mode("keys")
-        count = self._key_tables[other].get(key, 0)
-        tracking = self._tracking
-        if tracking:
-            pid = self._pid_memo.get(key)
-            if pid is None:
-                pid = spill_partition(key, self.num_partitions)
-            if pid in self._spilled[other]:
-                count += self.spill_sink.read_count(other, pid, key)
-            if self._stay_spilled and pid in self._spilled[side]:
-                # Spilled partitions stay spilled (see _insert).
-                self.spill_sink.route_count(side, pid, key)
-                return count
+        other = "right" if side == "left" else "left"
         table = self._key_tables[side]
-        table[key] = table.get(key, 0) + 1
-        if tracking:
-            self._part_rows[side][pid] += 1
-            self._part_keys[side][pid].add(key)
-        self._count_insert(side)
-        return count
-
-    def _count_insert(self, side: str) -> None:
+        probe = self._key_tables[other].get
         in_memory = self._in_memory
-        size = in_memory[side] + 1
-        in_memory[side] = size
+        budget = self.memory_budget
+        counts: list[int] = []
+        if budget is None:
+            # Unbudgeted: no partitions, no sink, nothing to overflow.
+            for key in keys:
+                counts.append(probe(key, 0))
+                table[key] = table.get(key, 0) + 1
+            if counts:
+                in_memory[side] += len(counts)
+                self._track_peak(side)
+            return counts
+        sink = self.spill_sink
+        memo_get = self._pid_memo.get
+        stay_spilled = self._stay_spilled
+        spilled_side = self._spilled[side]
+        spilled_other = self._spilled[other]
+        tracking = self._tracking
+        part_rows = self._part_rows[side]
+        part_keys = self._part_keys[side]
+        size = unsampled = in_memory[side]
+        #: resident inserts left before the budget overflows
+        room = budget - size - in_memory[other]
+        #: (pid, key) of keys landing in partitions that stay spilled
+        #: (see _insert); they reach the sink a run at a time
+        routed: list[tuple[int, Any]] = []
+        for key in keys:
+            count = probe(key, 0)
+            if tracking:
+                pid = memo_get(key)
+                if pid is None:
+                    pid = spill_partition(key, self.num_partitions)
+                # Never-spilled partitions cost zero sink reads.
+                if pid in spilled_other:
+                    count += sink.read_count(other, pid, key)
+                counts.append(count)
+                if stay_spilled and pid in spilled_side:
+                    routed.append((pid, key))
+                    continue
+                part_rows[pid] += 1
+                part_keys[pid].add(key)
+            else:
+                counts.append(count)
+            table[key] = table.get(key, 0) + 1
+            size += 1
+            room -= 1
+            if room < 0:
+                # Overflow. The sink must see the routed run first: an
+                # eviction surfaces tuples after it, and a restore
+                # decision reads the partition totals it bumps.
+                in_memory[side] = size
+                self._track_peak(side)
+                if routed:
+                    sink.route_counts(side, routed)
+                    routed = []
+                self._maybe_spill()
+                tracking = self._tracking
+                part_rows = self._part_rows[side]
+                part_keys = self._part_keys[side]
+                size = unsampled = in_memory[side]
+                room = budget - size - in_memory[other]
+        if size > unsampled:
+            in_memory[side] = size
+            self._track_peak(side)
+        if routed:
+            sink.route_counts(side, routed)
+        return counts
+
+    def _track_peak(self, side: str) -> None:
+        """Fold ``side``'s resident size into its peak, after an insert.
+
+        Inserts only grow a side between two ``_maybe_spill`` calls, so
+        sampling before each of them and after a run's last insert sees
+        every maximum an insert reaches.
+        """
+        size = self._in_memory[side]
         if side == "left":
             if size > self.peak_left_table:
                 self.peak_left_table = size
         elif size > self.peak_right_table:
             self.peak_right_table = size
+
+    def _count_insert(self, side: str) -> None:
+        in_memory = self._in_memory
+        in_memory[side] += 1
+        self._track_peak(side)
         budget = self.memory_budget
         if budget is not None and in_memory["left"] + in_memory["right"] > budget:
             self._maybe_spill()

@@ -1,8 +1,11 @@
 """Tests for the Bloom filter."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common import bloom as bloom_module
 from repro.common.bloom import BloomFilter, bloom_for_keys
 
 
@@ -128,3 +131,97 @@ class TestSizingInvariants:
         reference = BloomFilter.with_capacity(500, 0.01)
         assert bloom.num_bits == reference.num_bits
         assert bloom.num_hashes == reference.num_hashes
+
+
+def reference_positions(item, num_bits, num_hashes):
+    """The filter's definition, written out: SHA-1 double hashing."""
+    digest = hashlib.sha1(str(item).encode("utf-8")).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:16], "big") | 1
+    return [(h1 + i * h2) % num_bits for i in range(num_hashes)]
+
+
+key_lists = st.lists(st.text(max_size=12), max_size=60)
+
+
+class TestSetAtATime:
+    """``update`` and ``matching`` are the only two loops; ``add`` and
+    ``in`` are their one-item forms, and all of them hash an item once
+    per process through a bounded memo that never shows in an answer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=key_lists, probes=key_lists, fp=st.floats(0.01, 0.5))
+    def test_matching_is_the_membership_filter(self, members, probes, fp):
+        bloom = bloom_for_keys(members, fp)
+        probes = probes + members[:5]
+        assert bloom.matching(probes) == [item for item in probes if item in bloom]
+        assert bloom.matching(probes) == [
+            item
+            for item in probes
+            if all(
+                bloom._bits >> position & 1
+                for position in reference_positions(
+                    item, bloom.num_bits, bloom.num_hashes
+                )
+            )
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(items=key_lists, cut=st.integers(0, 60))
+    def test_update_equals_repeated_add(self, items, cut):
+        bulk = BloomFilter(num_bits=257, num_hashes=4)
+        bulk.update(items[:cut])
+        bulk.update(iter(items[cut:]))  # any iterable, any split
+        one_by_one = BloomFilter(num_bits=257, num_hashes=4)
+        expected_bits = 0
+        for item in items:
+            one_by_one.add(item)
+            for position in reference_positions(item, 257, 4):
+                expected_bits |= 1 << position
+        assert bulk._bits == one_by_one._bits == expected_bits
+        assert len(bulk) == len(one_by_one) == len(items)
+
+    def test_pinned_bit_pattern(self):
+        """The filter cannot drift: bits, and hence false positives and
+        wire bytes, of a fixed 128-key filter at fp 0.01, recorded before
+        the hash memo and the bulk loops went in."""
+        bloom = bloom_for_keys([f"file{i:04d}" for i in range(128)], 0.01)
+        assert (bloom.num_bits, bloom.num_hashes, len(bloom)) == (1226, 7, 128)
+        assert hex(bloom._bits) == (
+            "0x2e8eeb422b3ff3c7634623c34230a2abca9e61e8eb6ee1f1f4223eb7a57afc5f"
+            "9417b9b2bcf53fb54b746e9cbeffc1c113cd3d14fa0e5f717becb27730d1fcdaec"
+            "150f91cc21a2617835cc78356f8c18b44d0dccc687585f59e3906b365dabf4349a"
+            "6e46992fdc2624d9a297eb06e987a6f410cb1482cdb6a157f003328938f06d876b"
+            "6e0de6ce537cdecd5505ec28a77164dcc0e7bdf38337"
+        )
+        false_positives = bloom.matching(f"miss{i:04d}" for i in range(500))
+        assert false_positives == [
+            "miss0107", "miss0126", "miss0219", "miss0228", "miss0229",
+            "miss0260", "miss0481", "miss0495",
+        ]  # fmt: skip
+
+    def test_join_keys_build_and_probe_by_their_str_form(self):
+        bloom = bloom_for_keys([1, 2, 3])
+        assert bloom._bits == bloom_for_keys(["1", "2", "3"])._bits
+        assert bloom.matching([3, "3", 2]) == [3, "3", 2]
+        assert 1 in bloom and "1" in bloom
+
+    def test_memo_is_bounded_and_clearing_it_changes_no_answer(self, monkeypatch):
+        monkeypatch.setattr(bloom_module, "_HASH_MEMO_MAX", 8)
+        memo = bloom_module._hash_memo
+        memo.clear()
+        keys = [f"key{i}" for i in range(100)]
+        reference = bloom_for_keys(keys)
+        assert 0 < len(memo) <= 8
+        bloom = BloomFilter(reference.num_bits, reference.num_hashes)
+        for index, key in enumerate(keys):
+            if index % 7 == 0:
+                memo.clear()  # mid-stream: the hash is pure
+            bloom.add(key)
+            assert len(memo) <= 8
+        assert bloom._bits == reference._bits
+        probes = keys[::3] + [f"other{i}" for i in range(200)]
+        before = bloom.matching(probes)
+        memo.clear()
+        assert bloom.matching(probes) == before
+        assert len(memo) <= 8

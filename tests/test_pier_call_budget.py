@@ -1,0 +1,66 @@
+"""Guard against sliding back to tuple-at-a-time on the conjunction path.
+
+The key-only path of the PIER pipeline is set-at-a-time: one
+``insert_keys`` per posting list or batch, one ``route_counts`` per run
+of routed keys, one ``put_local_many`` per surfaced partition, one hash
+per Bloom key. Nothing about that shows in an answer or a byte count, so
+a regression to per-key calls would pass every other test. This one
+counts *function calls* — deterministic, no timing — over a small
+Bloom-join world and holds them under a recorded ceiling.
+"""
+
+import cProfile
+import pstats
+import random
+
+from repro.dht.network import DhtNetwork
+from repro.pier.catalog import Catalog
+from repro.pier.query import JoinStrategy
+from repro.piersearch.publisher import Publisher
+from repro.piersearch.search import SearchEngine
+
+FAMILIES = ("alpha", "beta", "gamma", "delta")
+NUM_FILES = 256
+QUERIES = 24
+#: Primitive calls per query (built-in calls included). Recorded on
+#: CPython 3.11 when the bulk path landed: 3,563 per query, against 5,734
+#: on the per-key path it replaced (the same world, the commit before).
+#: The ceiling leaves ~20 % headroom for interpreter versions and
+#: unrelated bookkeeping; the per-key path overshoots it by a third.
+CALLS_PER_QUERY_CEILING = 4_300
+
+
+def terms_of(index):
+    return [
+        f"{family}{(index // 4**position) % 4:02d}"
+        for position, family in enumerate(FAMILIES)
+    ]
+
+
+def test_budgeted_bloom_conjunctions_stay_set_at_a_time():
+    network = DhtNetwork(rng=5)
+    network.populate(16)
+    catalog = Catalog(network)
+    publisher = Publisher(network, catalog)
+    # Mixed-radix names: each term matches a quarter of the corpus (64
+    # postings against a join budget of 32, so every join site spills),
+    # all four together exactly one file.
+    for index in range(NUM_FILES):
+        name = " ".join(terms_of(index)) + f" take{index:04d}.mp3"
+        publisher.publish_file(name, 1000 + index, f"10.0.0.{index}", 6346)
+    engine = SearchEngine(network, catalog, optimizer=True, memory_budget=32)
+    rng = random.Random(9)
+    queries = [terms_of(rng.randrange(NUM_FILES)) for _ in range(QUERIES)]
+    engine.search(queries[0])  # lazy set-up and memo fills stay outside the count
+
+    profile = cProfile.Profile()
+    profile.enable()
+    results = [engine.search(terms) for terms in queries]
+    profile.disable()
+
+    for result in results:
+        assert len(result) == 1
+        assert result.stats.strategy is JoinStrategy.BLOOM_JOIN
+        assert result.stats.spill.spilled_tuples > 0
+    calls_per_query = pstats.Stats(profile).prim_calls / QUERIES
+    assert calls_per_query < CALLS_PER_QUERY_CEILING, calls_per_query

@@ -158,18 +158,76 @@ class TestMemoryBudgetSpill:
         # ...and completion released every one of those keys.
         assert self._stored_spill_keys(network, spill_keys) == set()
 
-    def _run_budgeted_with_kill(self, kill):
+    @pytest.mark.parametrize(
+        "terms", [["nebula", "quasar"], ["nebula", "quasar", "aurora"]]
+    )
+    def test_batching_changes_no_spill_stat_and_no_surfaced_tuple(self, terms):
+        """The DHT-sink twin of the operator-level chunking property: the
+        join sites see the same key order whatever the exchange batch
+        size (zero jitter keeps arrivals in send order), so the spill
+        statistics and the ``spill-{side}-p{pid}`` tuples in the sites'
+        stores — order included — cannot depend on how the stream was
+        cut into ``insert_keys`` calls."""
+        network, catalog = build_world(num_files=60)
+        runs = {}
+        for batch_size in (1, 2, 16, None):
+            plan = plan_for(network, catalog, terms, batch_size=batch_size)
+            budgeted = DataflowExecutor(
+                network,
+                catalog,
+                config=DataflowConfig(
+                    batch_size=batch_size, memory_budget=3, hop_jitter=0.0
+                ),
+                rng=11,
+            )
+
+            def surface():
+                return [
+                    (stage, side, pid, [row["fileID"] for row in rows])
+                    for stage, planned in enumerate(plan.stages)
+                    for side in ("left", "right")
+                    for pid in range(8)
+                    if (
+                        rows := network.get_local(
+                            planned.site,
+                            temp_ring_key(1, stage, f"spill-{side}-p{pid}"),
+                        )
+                    )
+                ]
+
+            query = budgeted.submit(plan)
+            last_mid_query = []
+
+            def snapshot():
+                # The final sample before completion sees every join
+                # drained: the answer's own hop outlasts the 0.05 s step.
+                if not query.done:
+                    last_mid_query[:] = surface()
+                    budgeted.sim.schedule(0.05, snapshot)
+
+            budgeted.sim.schedule(0.05, snapshot)
+            budgeted.sim.run()
+            assert query.done and query.error is None
+            assert surface() == []  # released on completion
+            runs[batch_size] = (query.stats.spill, last_mid_query)
+        reference_spill, reference_surface = runs[None]
+        assert reference_spill.spilled_tuples > 0 and reference_surface
+        for batch_size, (spill, mid_query) in runs.items():
+            assert spill == reference_spill, batch_size
+            assert mid_query == reference_surface, batch_size
+
+    def _run_budgeted_with_kill(self, kill, batch_size=2):
         """Submit a budgeted two-term query and run ``kill(network,
         plan)`` at t=4.1 — after the join stages have spilled (the spill
         trace for this seeded world starts just before t=4.0) but while
         build batches are still arriving."""
         network, catalog = build_world(num_files=40)
-        plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=2)
+        plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=batch_size)
         metrics = MetricsRegistry()
         budgeted = DataflowExecutor(
             network,
             catalog,
-            config=DataflowConfig(batch_size=2, memory_budget=3),
+            config=DataflowConfig(batch_size=batch_size, memory_budget=3),
             rng=11,
             metrics=metrics,
         )
@@ -190,36 +248,66 @@ class TestMemoryBudgetSpill:
         }
         return query, metrics, leftover
 
+    @staticmethod
+    def _kill_join_sites(network, plan):
+        for stage in plan.stages[1:]:
+            if stage.site in network.nodes and network.size > 1:
+                network.remove_node(stage.site, graceful=False)
+
     def test_orphan_rows_labelled_and_released_after_site_churn(self):
         """Regression: rows spilled after their site churned out used to
         land in the in-memory sink with no accounting distinction. They
         must surface as the ``operator.spill.orphan_rows`` metric and be
         released with the query's other temp state."""
-
-        def kill_join_sites(network, plan):
-            for stage in plan.stages[1:]:
-                if stage.site in network.nodes and network.size > 1:
-                    network.remove_node(stage.site, graceful=False)
-
-        query, metrics, leftover = self._run_budgeted_with_kill(kill_join_sites)
+        query, metrics, leftover = self._run_budgeted_with_kill(
+            self._kill_join_sites
+        )
         assert query.done
         assert metrics.counter("operator.spill.rows").value > 0
         assert metrics.counter("operator.spill.orphan_rows").value > 0
         assert leftover == set()
 
+    @pytest.mark.parametrize(
+        "batch_size, spilled_rows, orphan_rows", [(1, 27, 7), (2, 28, 2)]
+    )
+    def test_orphan_count_pinned_to_the_single_put_path(
+        self, batch_size, spilled_rows, orphan_rows
+    ):
+        """A run of keys surfaced through ``put_local_many`` on a departed
+        site counts one orphan per *row*, exactly as the per-row
+        ``put_local`` did: the expected numbers were recorded on the
+        parent commit's tuple-at-a-time path."""
+        query, metrics, leftover = self._run_budgeted_with_kill(
+            self._kill_join_sites, batch_size
+        )
+        assert query.done
+        assert metrics.counter("operator.spill.rows").value == spilled_rows
+        assert metrics.counter("operator.spill.orphan_rows").value == orphan_rows
+        assert query.stats.spill.orphan_rows == orphan_rows
+        assert leftover == set()
+
+    @staticmethod
+    def _collapse(network, plan):
+        for node_id in list(network.nodes):
+            if network.size > 1:
+                network.remove_node(node_id, graceful=False)
+
     def test_spill_state_released_on_pipeline_failure(self):
         """A query that *fails* mid-spill must release its spill surface
         exactly like a completing one."""
-
-        def collapse(network, plan):
-            for node_id in list(network.nodes):
-                if network.size > 1:
-                    network.remove_node(node_id, graceful=False)
-
-        query, metrics, leftover = self._run_budgeted_with_kill(collapse)
+        query, metrics, leftover = self._run_budgeted_with_kill(self._collapse)
         assert query.done and query.error is not None
         assert metrics.counter("operator.spill.rows").value > 0
         assert metrics.counter("operator.spill.orphan_rows").value > 0
+        assert leftover == set()
+
+    @pytest.mark.parametrize("batch_size", [1, 16, None])
+    def test_spill_state_released_on_failure_at_any_batching(self, batch_size):
+        query, metrics, leftover = self._run_budgeted_with_kill(
+            self._collapse, batch_size
+        )
+        assert query.done and query.error is not None
+        assert metrics.counter("operator.spill.rows").value > 0
         assert leftover == set()
 
     def test_incremental_shj_spills_and_matches(self):

@@ -9,8 +9,10 @@ from repro.common.ids import KEY_SPACE, hash_key, in_interval, ring_distance
 from repro.dht.keyspace import responsible_node
 from repro.metrics.cdf import discrete_cdf, fraction_at_most
 from repro.model.analytical import SystemParameters, pf_gnutella, pf_hybrid
-from repro.pier.operators import HashJoin, Scan, SymmetricHashJoin
+from repro.pier.operators import Scan, SymmetricHashJoin
 from repro.piersearch.tokenizer import extract_keywords, tokenize
+
+from oracle import nested_loop_join
 
 ring_points = st.integers(min_value=0, max_value=KEY_SPACE - 1)
 
@@ -52,15 +54,15 @@ class TestJoinProperties:
 
     @given(left=row_lists, right=row_lists)
     @settings(max_examples=50)
-    def test_shj_equals_classic_hash_join(self, left, right):
+    def test_shj_equals_nested_loop_reference(self, left, right):
         left_rows = [{"k": v, "side": "l", "i": i} for i, v in enumerate(left)]
         right_rows = [{"k": v, "side": "r", "j": j} for j, v in enumerate(right)]
         shj = SymmetricHashJoin(Scan(left_rows), Scan(right_rows), "k").rows()
-        hj = HashJoin(Scan(left_rows), Scan(right_rows), "k").rows()
+        reference = nested_loop_join(left_rows, right_rows, "k")
         canon = lambda rows: sorted(
             tuple(sorted((k, v) for k, v in row.items())) for row in rows
         )
-        assert canon(shj) == canon(hj)
+        assert canon(shj) == canon(reference)
 
     @given(left=row_lists, right=row_lists)
     @settings(max_examples=50)
@@ -69,9 +71,11 @@ class TestJoinProperties:
 
         left_rows = [{"k": v} for v in left]
         right_rows = [{"k": v} for v in right]
-        out = HashJoin(Scan(left_rows), Scan(right_rows), "k").rows()
         lc, rc = Counter(left), Counter(right)
-        assert len(out) == sum(lc[k] * rc[k] for k in lc)
+        expected = sum(lc[k] * rc[k] for k in lc)
+        assert len(nested_loop_join(left_rows, right_rows, "k")) == expected
+        shj = SymmetricHashJoin(Scan(left_rows), Scan(right_rows), "k")
+        assert len(shj.rows()) == expected
 
 
 class TestTokenizerProperties:

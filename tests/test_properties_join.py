@@ -6,11 +6,14 @@ memory-for-re-reads trades — across rows/keys modes, spill policies,
 partition fan-outs, arbitrary arrival interleavings, mid-stream
 re-budgeting, and whole plans on the dataflow (budgeted vs unbudgeted),
 plus the accounting invariants that tie ``QueryStats`` spill bytes to
-row counts.
+row counts. The key path is set-at-a-time, so the suite also pins
+**chunking invariance**: how a key sequence is cut into ``insert_keys``
+calls changes no count, no spill statistic and no sink content.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,7 @@ from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.operators import SpillSink, SymmetricHashJoin
 from repro.pier.planner import KeywordPlanner
+from repro.pier.query import spill_stats_from_join
 from repro.piersearch.publisher import Publisher
 
 from oracle import oracle_items
@@ -145,6 +149,105 @@ class TestOperatorEquivalence:
         assert row_signature(tight.insert_right(probe)) == row_signature(
             free.insert_right(probe)
         )
+
+
+def feed(join, moves, cuts=()):
+    """Feed ``(side, key)`` arrivals through ``insert_keys``, one call per
+    same-side run, with extra call boundaries before every index in
+    ``cuts``. Returns the per-arrival match counts, flattened."""
+    counts = []
+    start = 0
+    for index in range(1, len(moves) + 1):
+        if (
+            index == len(moves)
+            or index in cuts
+            or moves[index][0] != moves[start][0]
+        ):
+            keys = [key for _, key in moves[start:index]]
+            counts.extend(join.insert_keys(moves[start][0], keys))
+            start = index
+    return counts
+
+
+def spill_state(join):
+    """Everything a chunking must not change: spill statistics, peaks,
+    resident tables, spilled-partition sets and the sink's contents."""
+    sink = join.spill_sink
+    return {
+        "stats": spill_stats_from_join(join),
+        "restored_rows": join.restored_rows,
+        "peaks": (join.peak_left_table, join.peak_right_table),
+        "resident": join._key_tables,
+        "in_memory": join._in_memory,
+        "spilled_partitions": join.spilled_partitions,
+        "sink_counts": sink._counts,
+        "sink_totals": sink._part_totals,
+    }
+
+
+class TestChunkingInvariance:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        moves=st.lists(
+            st.tuples(st.sampled_from(["left", "right"]), st.integers(0, 39)),
+            min_size=1,
+            max_size=80,
+        ),
+        spread=st.integers(min_value=1, max_value=40),
+        budget=budgets,
+        fan_out=fan_outs,
+        policy=policies,
+        cuts=st.sets(st.integers(1, 79)),
+    )
+    def test_any_split_of_a_key_sequence_spills_identically(
+        self, moves, spread, budget, fan_out, policy, cuts
+    ):
+        """One call per same-side run, one call per key, and any split in
+        between are the same join: equal match counts, ``SpillStats``,
+        peaks, sink contents and spilled partitions. ``spread`` folds the
+        key space, so a small one is heavy skew (1 = a single hot key)."""
+        moves = [(side, key % spread) for side, key in moves]
+        per_key = make_budgeted(budget, fan_out, policy)
+        reference = feed(per_key, moves, cuts=range(len(moves)))
+        for split in ((), cuts):
+            join = make_budgeted(budget, fan_out, policy)
+            assert feed(join, moves, cuts=split) == reference
+            assert spill_state(join) == spill_state(per_key)
+            assert_accounting_invariants(join)
+        # The budget never changes an answer, whatever the split.
+        assert feed(SymmetricHashJoin(column="k"), moves) == reference
+
+    @pytest.mark.parametrize("cuts", [(), range(160)], ids=["bulk", "per-key"])
+    def test_pinned_numbers_of_the_per_key_path(self, cuts):
+        """Regression pin: 128 distinct keys built under budget 32 over 8
+        partitions, then a 32-key probe (16 hits, 16 misses). The expected
+        numbers were recorded from the tuple-at-a-time path this PR's
+        parent commit still had, before that path was deleted."""
+        keys = [f"file{i:04d}" for i in range(128)]
+        probe = keys[::8] + [f"miss{i:04d}" for i in range(16)]
+        join = make_budgeted(32, 8, "partitioned")
+        moves = [("right", key) for key in keys] + [("left", key) for key in probe]
+        counts = feed(join, moves, cuts=cuts)
+        assert counts == [0] * 128 + [1] * 16 + [0] * 16
+        sink = join.spill_sink
+        assert (sink.spilled_rows, sink.spilled_bytes) == (132, 67584)
+        assert (sink.reads, sink.reread_bytes, sink.restored_rows) == (28, 7168, 0)
+        assert (join.partition_evictions, join.partition_restores) == (11, 0)
+        assert join.role_reversals == 1
+        assert (join.peak_left_table, join.peak_right_table) == (18, 33)
+        assert join.spilled_partitions == {
+            "left": {1, 2, 3, 5},
+            "right": {0, 1, 2, 3, 4, 5, 6},
+        }
+        parked = {
+            side: [sink.partition_rows(side, pid) for pid in range(8)]
+            for side in ("left", "right")
+        }
+        assert parked == {
+            "left": [0, 5, 4, 5, 0, 5, 0, 0],
+            "right": [15, 15, 17, 17, 17, 17, 15, 0],
+        }
+        assert join._in_memory == {"left": 13, "right": 15}
 
 
 def build_world(seed, num_files=30, nodes=20):
