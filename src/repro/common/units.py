@@ -144,8 +144,12 @@ class BandwidthMeter:
     def charge(self, category: str, messages: int, byte_count: int) -> None:
         self.messages += messages
         self.bytes += byte_count
-        previous = self.by_category.get(category, MessageCost(0, 0))
-        self.by_category[category] = previous + MessageCost(messages, byte_count)
+        by_category = self.by_category
+        previous = by_category.get(category)
+        if previous is not None:
+            messages += previous.messages
+            byte_count += previous.bytes
+        by_category[category] = MessageCost(messages, byte_count)
 
     def charge_cost(self, category: str, cost: MessageCost) -> None:
         self.charge(category, cost.messages, cost.bytes)

@@ -17,7 +17,7 @@ from repro.common.errors import DhtError, KeyNotFoundError, NodeNotFoundError
 from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.common.rng import make_rng
 from repro.common.units import BandwidthMeter, CostModel, DEFAULT_COST_MODEL
-from repro.dht.node import DhtNode
+from repro.dht.node import OWNS, DhtNode
 from repro.dht.ring import COMPACT_SHIFT, Ring, RingCell, RingSnapshot
 from repro.net.messages import DirectMessage, RoutedMessage
 from repro.net.transport import InProcessTransport, Transport
@@ -451,29 +451,38 @@ class DhtNetwork:
         return result
 
     def _walk(self, key: int, origin: int) -> LookupResult:
-        """The uncached hop-by-hop greedy walk behind :meth:`lookup`."""
+        """The uncached hop-by-hop greedy walk behind :meth:`lookup`.
+
+        Each hop is one :meth:`DhtNode.route
+        <repro.dht.node.DhtNode.route>` call on the node the query sits
+        on — own the key, name the next hop, or dead-end — read from that
+        node's compiled table (one bisect), so a route-cache miss costs a
+        handful of table lookups rather than a scan per hop.
+        """
         max_hops = MAX_HOPS_FACTOR * max(1, self.size).bit_length() + 8
+        nodes = self.nodes
         current = origin
         path = [current]
         for _ in range(max_hops):
-            node = self.nodes[current]
-            if node.owns(key):
+            next_hop = nodes[current].route(key)
+            if next_hop == OWNS:
                 return LookupResult(key=key, owner=current, path=path)
-            next_hop = node.closest_preceding(key)
-            if next_hop is None or next_hop == current:
-                next_hop = node.first_successor()
             if next_hop is None:
-                raise DhtError(
-                    f"routing dead-end at node {current:x} for key {key:x} "
-                    f"after {len(path) - 1} hops: no finger or successor to "
-                    "forward to",
-                    key=key,
-                    path=path,
-                )
+                raise self._dead_end(current, key, path)
             current = next_hop
             path.append(current)
         raise DhtError(
             f"routing for key {key:x} did not converge in {max_hops} hops",
+            key=key,
+            path=path,
+        )
+
+    @staticmethod
+    def _dead_end(current: int, key: int, path: list[int]) -> DhtError:
+        return DhtError(
+            f"routing dead-end at node {current:x} for key {key:x} "
+            f"after {len(path) - 1} hops: no finger or successor to "
+            "forward to",
             key=key,
             path=path,
         )
@@ -491,6 +500,9 @@ class DhtNetwork:
         applied mid-lookup: if the node the query currently sits on — or
         a finger it planned to follow — has departed, the walk recovers
         through the last live node's successor list and counts a retry.
+        Each hop is the same :meth:`DhtNode.route
+        <repro.dht.node.DhtNode.route>` step :meth:`lookup` walks with;
+        the liveness repair happens here, after the step has answered.
 
         The generator never stabilizes mid-walk; it routes over whatever
         tables exist, exactly as an in-flight query would. Raises
@@ -520,19 +532,11 @@ class DhtNetwork:
                 path.append(current)
                 yield current
                 continue
-            if node.owns(key):
+            next_hop = node.route(key)
+            if next_hop == OWNS:
                 return LookupResult(key=key, owner=current, path=path, retries=retries)
-            next_hop = node.closest_preceding(key)
-            if next_hop is None or next_hop == current:
-                next_hop = node.first_successor()
             if next_hop is None:
-                raise DhtError(
-                    f"routing dead-end at node {current:x} for key {key:x} "
-                    f"after {len(path) - 1} hops: no finger or successor to "
-                    "forward to",
-                    key=key,
-                    path=path,
-                )
+                raise self._dead_end(current, key, path)
             if next_hop not in self.nodes:
                 # Stale routing entry naming a departed node: fall back to
                 # the first live successor (Chord's failure recovery).

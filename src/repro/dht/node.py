@@ -9,16 +9,39 @@ The node is slotted and lazy so a million of them fit in RAM: fingers,
 successors, and predecessor are derived on first use from the network's
 published :class:`~repro.dht.ring.RingSnapshot` (keyed by the snapshot
 version), and the local store is only allocated when something is stored.
-The eager :meth:`update_routing` path is kept as the reference
-implementation — standalone nodes (no snapshot cell) and equivalence
-tests use it, and the lazy derivation is pinned byte-identical to it.
+The eager :meth:`update_routing` path fills the same tables from a sorted
+id list — standalone nodes (no snapshot cell) and equivalence tests use
+it, and the lazy derivation is pinned byte-identical to it.
+
+**One routing step.** Every hop of every lookup is one call to
+:meth:`DhtNode.route`: "do I own ``key``, else who is next, else dead
+end". It reads a *compiled* form of the tables — fingers ∪ successors as
+sorted clockwise offsets from this node's id, plus how far the
+predecessor's id reaches — so the answer costs one modular subtraction,
+one range comparison and one ``bisect_right`` instead of an interval test
+and a linear scan of every entry. The compiled table is built lazily on
+the first routing use after a table change (snapshot refresh, explicit
+``fingers``/``successors``/``predecessor`` assignment,
+:meth:`update_routing`) and never for a node that does not route, so an
+idle node pays one empty slot. Assign whole tables; mutating a list
+returned by ``fingers``/``successors`` in place is not seen by routing.
 """
 
 from __future__ import annotations
 
-from repro.common.ids import KEY_BITS, in_interval, ring_distance
-from repro.dht.keyspace import finger_start
+from bisect import bisect_left, bisect_right
+from functools import partial
+
+from repro.common.ids import KEY_SPACE
+from repro.dht.keyspace import finger_table, responsible_node, successor_list
 from repro.dht.storage import LocalStore
+
+#: :meth:`DhtNode.route`'s answer when the node itself owns the key — no
+#: ring id is negative, so it cannot be mistaken for a next hop
+OWNS = -1
+
+#: ``(foreign, offsets, hops, fallback)`` — see :meth:`DhtNode._compile`
+_Compiled = tuple[int, list[int], list[int], int | None]
 
 
 class DhtNode:
@@ -34,6 +57,7 @@ class DhtNode:
         "_store",
         "_ring_cell",
         "_routed_version",
+        "_compiled",
     )
 
     def __init__(self, node_id: int, successor_count: int = 8, ring_cell=None):
@@ -55,6 +79,9 @@ class DhtNode:
         self._routed_version: int | None = None
         if ring_cell is not None and ring_cell.snapshot is not None:
             self._routed_version = ring_cell.snapshot.version
+        #: the tables compiled for :meth:`route` (see :meth:`_compile`);
+        #: None until the node first routes and after every table change
+        self._compiled: _Compiled | None = None
 
     # -- storage (lazy) ------------------------------------------------
 
@@ -72,8 +99,9 @@ class DhtNode:
         """Derive tables from the current snapshot if it moved.
 
         A node absent from the snapshot (joined after the last stabilize)
-        keeps whatever tables it has — empty for a fresh node — exactly
-        matching the eager path, where stabilize never ran for it.
+        keeps whatever tables it has — empty for a fresh node — and the
+        table compiled from them, exactly matching the eager path, where
+        stabilize never ran for it.
         """
         cell = self._ring_cell
         if cell is None:
@@ -87,6 +115,7 @@ class DhtNode:
         self._successors = snapshot.successors_of(self.node_id, self.successor_count)
         self._predecessor = snapshot.predecessor_of(self.node_id)
         self._routed_version = snapshot.version
+        self._compiled = None
 
     @property
     def fingers(self) -> list[int]:
@@ -101,6 +130,7 @@ class DhtNode:
         # stabilize, exactly as under eager routing.
         self._refresh()
         self._fingers = value
+        self._compiled = None
 
     @property
     def successors(self) -> list[int]:
@@ -111,6 +141,7 @@ class DhtNode:
     def successors(self, value: list[int]) -> None:
         self._refresh()
         self._successors = value
+        self._compiled = None
 
     @property
     def predecessor(self) -> int | None:
@@ -121,6 +152,7 @@ class DhtNode:
     def predecessor(self, value: int | None) -> None:
         self._refresh()
         self._predecessor = value
+        self._compiled = None
 
     def update_routing(self, sorted_ids) -> None:
         """Refresh fingers and successor list from the current ring.
@@ -130,62 +162,101 @@ class DhtNode:
         facade hands us the (already known) ring membership. Routing itself
         still uses only this node's table.
         """
-        import bisect
-
-        from repro.dht.keyspace import responsible_node, successor_list
-
-        fingers: list[int] = []
-        previous = None
-        for index in range(KEY_BITS):
-            target = finger_start(self.node_id, index)
-            owner = responsible_node(sorted_ids, target)
-            # Dedup consecutive identical fingers to keep the table small.
-            if owner != previous:
-                fingers.append(owner)
-                previous = owner
-        self._fingers = fingers
-        self._successors = successor_list(sorted_ids, self.node_id, self.successor_count)
-        index = bisect.bisect_left(sorted_ids, self.node_id)
+        node_id = self.node_id
+        self._fingers = finger_table(node_id, partial(responsible_node, sorted_ids))
+        self._successors = successor_list(sorted_ids, node_id, self.successor_count)
+        index = bisect_left(sorted_ids, node_id)
         self._predecessor = sorted_ids[index - 1] if len(sorted_ids) > 1 else None
         # Pin the tables to the current snapshot epoch so a lazy refresh
         # does not immediately overwrite an explicit update.
         cell = self._ring_cell
         if cell is not None and cell.snapshot is not None:
             self._routed_version = cell.snapshot.version
+        self._compiled = None
+
+    # -- the routing step ----------------------------------------------
+
+    def _compile(self) -> _Compiled:
+        """Compile the current tables for :meth:`route`, and cache them.
+
+        ``(foreign, offsets, hops, fallback)``: the keys at clockwise
+        distance ``1..foreign`` from this node — up to and including the
+        predecessor's id — belong to someone else, every other key is
+        ours (no predecessor, or a predecessor equal to ourselves, leaves
+        ``foreign == 0``: we own everything); ``offsets`` are the sorted
+        distinct clockwise distances of ``fingers + successors`` from this
+        node, ``hops`` the ids they stand for (an entry equal to our own
+        id is never a candidate; an id listed twice collapses to one
+        entry); ``fallback`` is ``successors[0]`` for when no entry
+        precedes the key, None when there is no successor at all.
+        """
+        node_id = self.node_id
+        successors = self._successors or []
+        by_offset: dict[int, int] = {}
+        for candidate in (self._fingers or []) + successors:
+            offset = (candidate - node_id) % KEY_SPACE
+            if offset:
+                by_offset.setdefault(offset, candidate)
+        offsets = sorted(by_offset)
+        predecessor = self._predecessor
+        compiled = self._compiled = (
+            0 if predecessor is None else (predecessor - node_id) % KEY_SPACE,
+            offsets,
+            [by_offset[offset] for offset in offsets],
+            successors[0] if successors else None,
+        )
+        return compiled
+
+    def _table(self) -> _Compiled:
+        """The compiled form of the tables as they stand right now."""
+        self._refresh()
+        return self._compiled or self._compile()
+
+    def route(self, key: int) -> int | None:
+        """One routing step for ``key`` from this node's local state.
+
+        Returns :data:`OWNS` when this node is responsible for ``key``
+        (it owns the interval ``(predecessor, self]``); otherwise the
+        next hop — the routing entry that most tightly precedes the key
+        clockwise (classic Chord ``closest_preceding_finger``), or the
+        first successor when no entry does (the key then lies between us
+        and it); or None at a dead end, a node with no successor to
+        forward to. ``key`` may be un-normalised.
+        """
+        # :meth:`_table`, with the snapshot-moved test of :meth:`_refresh`
+        # done in place: this runs once per hop of every lookup.
+        cell = self._ring_cell
+        if cell is not None:
+            snapshot = cell.snapshot
+            if snapshot is not None and snapshot.version != self._routed_version:
+                self._refresh()
+        foreign, offsets, hops, fallback = self._compiled or self._compile()
+        distance = (key - self.node_id) % KEY_SPACE
+        if not 0 < distance <= foreign:
+            return OWNS
+        index = bisect_right(offsets, distance)
+        return hops[index - 1] if index else fallback
 
     def owns(self, key: int) -> bool:
         """True if this node is responsible for ``key``.
 
         A node owns the interval (predecessor, self].
         """
-        predecessor = self.predecessor
-        if predecessor is None:
-            return True
-        return in_interval(key, predecessor, self.node_id, inclusive_end=True)
+        return self.route(key) == OWNS
 
     def closest_preceding(self, key: int) -> int | None:
-        """Best next hop for ``key`` from this node's routing state.
+        """Best next hop for ``key`` among this node's routing entries.
 
-        Chooses the routing-table entry that most tightly precedes the key
-        clockwise (classic Chord ``closest_preceding_finger``), falling back
-        to the first successor. Returns None when this node has no better
-        candidate than itself.
+        The entry that most tightly precedes the key clockwise; None when
+        no entry lies between this node and the key (:meth:`route` then
+        falls back to the first successor).
         """
-        best: int | None = None
-        node_id = self.node_id
-        best_distance = ring_distance(node_id, key)
-        for candidate in self.fingers + self.successors:
-            if candidate == node_id:
-                continue
-            distance = ring_distance(candidate, key)
-            if distance < best_distance:
-                best = candidate
-                best_distance = distance
-        return best
+        _, offsets, hops, _ = self._table()
+        index = bisect_right(offsets, (key - self.node_id) % KEY_SPACE)
+        return hops[index - 1] if index else None
 
     def first_successor(self) -> int | None:
-        successors = self.successors
-        return successors[0] if successors else None
+        return self._table()[3]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DhtNode({self.node_id:040x})"

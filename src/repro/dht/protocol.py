@@ -12,7 +12,7 @@ The protocol is iterative (the querier drives each hop), like Bamboo's
 default and like PIER's deployment:
 
     querier -> node A:   FIND_OWNER(key)
-    node A  -> querier:  NEXT_HOP(B)          (A's closest_preceding)
+    node A  -> querier:  NEXT_HOP(B)          (A's routing step)
     querier -> node B:   FIND_OWNER(key)
     node B  -> querier:  OWNER                (B owns the key)
 
@@ -28,6 +28,7 @@ from typing import Any, Callable
 
 from repro.common.ids import KEY_SPACE
 from repro.dht.network import DhtNetwork
+from repro.dht.node import OWNS
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Message, SimNetwork
 
@@ -159,17 +160,12 @@ class DhtProtocol:
         if node is None:
             return  # departed between routing-table refreshes
         payload = message.payload
-        key = payload["key"]
-        if node.owns(key):
+        next_hop = node.route(payload["key"])
+        if next_hop == OWNS or next_hop is None:
+            # A node with nobody to forward to answers for the key itself.
             kind, value = OWNER, message.destination
         else:
-            next_hop = node.closest_preceding(key)
-            if next_hop is None or next_hop == node.node_id:
-                next_hop = node.first_successor()
-            if next_hop is None:
-                kind, value = OWNER, message.destination
-            else:
-                kind, value = NEXT_HOP, next_hop
+            kind, value = NEXT_HOP, next_hop
         reply = Message(
             source=message.destination,
             destination=message.source,

@@ -18,12 +18,14 @@ Two pieces that make million-peer rings affordable:
 * :class:`RingSnapshot` — an immutable copy of the ring published by
   ``DhtNetwork.stabilize``. Lazy per-node routing (see
   :class:`repro.dht.node.DhtNode`) derives fingers/successors/predecessor
-  from the snapshot on first use instead of materializing 160-entry
-  finger scans for every node on every stabilize. Because the snapshot is
-  frozen at stabilize time, stale-table churn semantics are preserved
-  exactly: nodes that joined after the snapshot see empty tables until
-  the next stabilize, and departed nodes linger in survivors' tables —
-  precisely what the eager ``update_routing`` path produces.
+  from the snapshot on first use instead of materializing tables for
+  every node on every stabilize (a finger table is O(log N) owner
+  bisects, see :func:`repro.dht.keyspace.finger_table`). Because the
+  snapshot is frozen at stabilize time, stale-table churn semantics are
+  preserved exactly: nodes that joined after the snapshot see empty
+  tables until the next stabilize, and departed nodes linger in
+  survivors' tables — precisely what the eager ``update_routing`` path
+  produces.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import sys
 from array import array
 from typing import Iterable, Iterator
 
-from repro.common.ids import KEY_BITS, KEY_SPACE
+from repro.common.ids import KEY_SPACE
+from repro.dht.keyspace import finger_table
 
 #: compact node ids are 64-bit draws shifted into the top bits of the
 #: 160-bit keyspace; the low 96 bits are always zero
@@ -172,19 +175,14 @@ class Ring:
     def fingers_of(self, node_id: int) -> list[int]:
         """The deduplicated finger table for ``node_id`` on this ring.
 
-        Same construction as ``DhtNode.update_routing``: the successor of
-        ``node_id + 2**i`` for each ``i``, with consecutive duplicates
-        dropped.
+        The successor of ``node_id + 2**i`` for each ``i``, consecutive
+        duplicates dropped — built by the one distance-skipping
+        construction, :func:`repro.dht.keyspace.finger_table`, in
+        O(log N) owner bisects rather than one per bit position. Both
+        backings go through :meth:`responsible`, so list and compact
+        rings give byte-identical tables.
         """
-        fingers: list[int] = []
-        previous = None
-        responsible = self.responsible
-        for index in range(KEY_BITS):
-            owner = responsible((node_id + (1 << index)) % KEY_SPACE)
-            if owner != previous:
-                fingers.append(owner)
-                previous = owner
-        return fingers
+        return finger_table(node_id, self.responsible)
 
     def backing_bytes(self) -> int:
         """Heap bytes held by the sorted backing (ids counted separately)."""
@@ -242,11 +240,11 @@ def ring_state_bytes(network) -> int:
     """Deep heap-byte accounting for a network's ring + routing state.
 
     Counts what scales with membership: the nodes dict, each
-    :class:`~repro.dht.node.DhtNode` (plus its id int and any
-    materialized routing lists and their entry ints), the sorted ring
-    backing, and the published snapshot backing. Stored data is excluded
-    — this is the *ring state* figure the capacity plan divides by peer
-    count.
+    :class:`~repro.dht.node.DhtNode` (plus its id int, any materialized
+    routing lists and, once the node has routed, the table compiled from
+    them), the sorted ring backing, and the published snapshot backing.
+    Stored data is excluded — this is the *ring state* figure the
+    capacity plan divides by peer count.
     """
     getsizeof = sys.getsizeof
     total = getsizeof(network.nodes)
@@ -262,6 +260,12 @@ def ring_state_bytes(network) -> int:
                 # Entry ids are counted once via the nodes dict; only the
                 # list cells themselves are new weight.
                 total += getsizeof(table)
+        compiled = node._compiled
+        if compiled is not None:
+            _, offsets, hops, _ = compiled
+            total += getsizeof(compiled) + getsizeof(offsets) + getsizeof(hops)
+            # Offsets are ints of their own, unlike the ids they index.
+            total += sum(map(getsizeof, offsets))
     return total
 
 
