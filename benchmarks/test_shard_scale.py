@@ -149,7 +149,7 @@ from repro.dht.network import DhtNetwork
 from repro.dht.ring import bytes_per_peer
 from repro.experiments.ext_shard import ShardScenario, run_scenario
 
-network = DhtNetwork(rng=3, compact_ids=True, lazy_routing=True)
+network = DhtNetwork(rng=3, compact_ids=True)
 network.populate(300_000)
 per_peer = bytes_per_peer(network)
 scenario = ShardScenario(num_peers=300_000, num_chains=800, hops_per_chain=150)

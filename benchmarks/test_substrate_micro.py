@@ -8,7 +8,7 @@ from repro.dht.network import DhtNetwork
 from repro.gnutella.flooding import flood
 from repro.gnutella.topology import TopologyConfig, build_topology
 from repro.pier.catalog import Catalog
-from repro.pier.operators import Scan, SymmetricHashJoin
+from repro.pier.operators import SymmetricHashJoin
 from repro.piersearch.publisher import Publisher
 
 
@@ -53,11 +53,12 @@ def test_flood_800_ultrapeers(benchmark):
 
 
 def test_symmetric_hash_join_10k(benchmark):
-    left = [{"fileID": i % 2000, "side": "l"} for i in range(10_000)]
-    right = [{"fileID": i % 2000, "side": "r"} for i in range(10_000)]
+    keys = [i % 2000 for i in range(10_000)]
 
     def join():
-        return sum(1 for _ in SymmetricHashJoin(Scan(left), Scan(right), "fileID"))
+        shj = SymmetricHashJoin()
+        shj.insert_keys("right", keys)
+        return sum(shj.insert_keys("left", keys))
 
     count = benchmark(join)
     assert count == 50_000  # 2000 keys x 5 x 5 matches

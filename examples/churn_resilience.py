@@ -1,10 +1,11 @@
 """DHT lookups under churn — why the paper runs PIER over Bamboo.
 
-Drives the message-level DHT protocol through the discrete-event
-simulator: lookups pay real per-hop latency, silently failed nodes cause
-timeouts and retries through stale routing tables, and a stabilization
-round repairs the overlay. Prints success rate, mean latency and retries
-for increasing failure fractions.
+Walks the hop-by-hop DHT lookup every query workload uses
+(``DhtNetwork.iter_lookup``) over un-stabilized routing tables: lookups
+pay per-hop latency, silently failed nodes cost a timeout and a retry
+through a live successor, and a stabilization round repairs the overlay.
+Prints success rate, mean latency and retries for increasing failure
+fractions.
 
 Run:  python examples/churn_resilience.py
 """

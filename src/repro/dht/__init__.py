@@ -7,21 +7,17 @@ so we implement a Chord-style ring: 160-bit keyspace, finger tables,
 successor lists, replication to successors, and explicit hop accounting.
 """
 
-from repro.dht.keyspace import finger_start, responsible_node
+from repro.dht.keyspace import finger_start
 from repro.dht.node import DhtNode
 from repro.dht.network import DhtNetwork, LookupResult
 from repro.dht.storage import LocalStore
 from repro.dht.churn import ChurnProcess
-from repro.dht.protocol import AsyncLookup, DhtProtocol
 
 __all__ = [
     "finger_start",
-    "responsible_node",
     "DhtNode",
     "DhtNetwork",
     "LookupResult",
     "LocalStore",
     "ChurnProcess",
-    "AsyncLookup",
-    "DhtProtocol",
 ]

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import bisect
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from repro.common.ids import KEY_BITS, KEY_SPACE
 
@@ -34,11 +33,9 @@ def finger_table(node_id: int, responsible: Callable[[int], int]) -> list[int]:
     ``node_id``), every remaining start has that owner too and the table
     is complete.
 
-    ``responsible`` is the owner lookup — :meth:`Ring.responsible
-    <repro.dht.ring.Ring.responsible>` for snapshot-derived tables, a
-    :func:`responsible_node` partial over a sorted id list for
-    :meth:`DhtNode.update_routing <repro.dht.node.DhtNode.update_routing>`
-    — so one construction serves both ring representations.
+    ``responsible`` is the owner lookup, :meth:`Ring.responsible
+    <repro.dht.ring.Ring.responsible>`, so one construction serves both
+    ring representations.
     """
     fingers: list[int] = []
     previous = None
@@ -53,31 +50,3 @@ def finger_table(node_id: int, responsible: Callable[[int], int]) -> list[int]:
             break
         index = next_index
     return fingers
-
-
-def responsible_node(sorted_ids: Sequence[int], key: int) -> int:
-    """The node responsible for ``key``: its successor on the ring.
-
-    ``sorted_ids`` must be sorted ascending. Chord assigns each key to the
-    first node clockwise from it (wrapping past zero).
-    """
-    if not sorted_ids:
-        raise ValueError("empty ring")
-    key %= KEY_SPACE
-    index = bisect.bisect_left(sorted_ids, key)
-    if index == len(sorted_ids):
-        return sorted_ids[0]
-    return sorted_ids[index]
-
-
-def successor_list(sorted_ids: Sequence[int], node_id: int, count: int) -> list[int]:
-    """The ``count`` nodes clockwise after ``node_id`` (excluding itself)."""
-    if not sorted_ids:
-        return []
-    index = bisect.bisect_right(sorted_ids, node_id)
-    result: list[int] = []
-    n = len(sorted_ids)
-    for offset in range(min(count, n - 1)):
-        result.append(sorted_ids[(index + offset) % n])
-    # Drop self if the ring has wrapped all the way around.
-    return [node for node in result if node != node_id]

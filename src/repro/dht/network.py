@@ -76,10 +76,8 @@ class DhtNetwork:
         successor_count: int = 8,
         cost_model: CostModel | None = None,
         rng: random.Random | int | None = None,
-        route_cache: bool = True,
         transport: Transport | None = None,
         compact_ids: bool = False,
-        lazy_routing: bool = True,
     ):
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
@@ -92,15 +90,13 @@ class DhtNetwork:
         #: packs into a sorted ``array('Q')`` — 8 bytes/peer membership
         #: (see :mod:`repro.dht.ring`); identical routing semantics
         self.compact_ids = compact_ids
-        #: fingers/successors derived lazily from the stabilize snapshot
-        #: instead of materialized per node per stabilize; ``False`` keeps
-        #: the eager reference path for equivalence testing
-        self.lazy_routing = lazy_routing
         self._ring = Ring(compact=compact_ids)  # sorted node ids
+        #: the latest stabilize snapshot, shared with every node: fingers,
+        #: successors and predecessor are derived from it on first use
         self._ring_cell = RingCell()
         #: bumped once per stabilize call: snapshot versions must move on
-        #: *every* stabilize (eager rebuilds unconditionally), not only
-        #: when membership changed
+        #: *every* stabilize, not only when membership changed (a
+        #: hand-assigned table lasts until the next stabilize, no longer)
         self._stabilize_serial = 0
         self.meter = BandwidthMeter()
         #: every cross-node byte flows through this boundary (typed
@@ -113,9 +109,7 @@ class DhtNetwork:
         self.membership_version = 0
         # --- epoch-stamped route cache ---------------------------------
         #: memoizes :meth:`lookup` paths between membership changes (see
-        #: ``route_cache`` in the class docstring); ``route_cache=False``
-        #: routes every lookup hop by hop, for equivalence testing
-        self.route_cache_enabled = route_cache
+        #: the route cache invariant in the class docstring)
         self._route_cache: dict[tuple[int, int, bool], tuple[int, ...]] = {}
         self._route_cache_epoch = -1
         self.route_cache_hits = 0
@@ -156,9 +150,7 @@ class DhtNetwork:
         if node_id in self.nodes:
             raise DhtError(f"node id {node_id:x} already present")
         node = DhtNode(
-            node_id,
-            successor_count=self.successor_count,
-            ring_cell=self._ring_cell if self.lazy_routing else None,
+            node_id, successor_count=self.successor_count, ring_cell=self._ring_cell
         )
         self._ring.add(node_id)
         self.nodes[node_id] = node
@@ -217,7 +209,7 @@ class DhtNetwork:
             node_ids = [self._random_id() for _ in range(count)]
             if len(set(node_ids)) != count:
                 raise DhtError("duplicate random node id during populate")
-            cell = self._ring_cell if self.lazy_routing else None
+            cell = self._ring_cell
             self.nodes = {
                 nid: DhtNode(nid, successor_count=self.successor_count, ring_cell=cell)
                 for nid in node_ids
@@ -279,19 +271,12 @@ class DhtNetwork:
     def stabilize(self) -> None:
         """Refresh every node's routing state from the current ring.
 
-        Lazy mode (the default) publishes one immutable ring snapshot —
-        an O(n) copy — and nodes derive their tables from it on first
-        use. Eager mode rebuilds every node's tables right here, which is
-        the historical reference behavior the lazy path is pinned
-        against (see tests/test_dht_ring_equivalence.py).
+        Publishes one immutable ring snapshot — an O(n) copy — and nodes
+        derive their tables from it on first use (pinned to the
+        written-out finger definition in tests/test_dht_ring_equivalence.py).
         """
-        if self.lazy_routing:
-            self._stabilize_serial += 1
-            self._ring_cell.snapshot = RingSnapshot(self._stabilize_serial, self._ring)
-        else:
-            ring = self._ring.tolist()
-            for node in self.nodes.values():
-                node.update_routing(ring)
+        self._stabilize_serial += 1
+        self._ring_cell.snapshot = RingSnapshot(self._stabilize_serial, self._ring)
         self._stale = False
 
     def _ensure_stable(self) -> None:
@@ -414,12 +399,12 @@ class DhtNetwork:
     def lookup(self, key: int, origin: int | None = None) -> LookupResult:
         """Route ``key`` from ``origin`` to its owner using local state only.
 
-        With the route cache enabled (the default), repeated lookups of
-        keys in the same owner region from the same origin replay the
-        memoized hop path in O(1) instead of re-walking the ring — with
-        identical hops, path, and owner, so all byte accounting derived
-        from the result is unchanged (see the class docstring for the
-        epoch invariant that keeps cached routes honest across churn).
+        Repeated lookups of keys in the same owner region from the same
+        origin replay the route cache's memoized hop path in O(1) instead
+        of re-walking the ring — with identical hops, path, and owner, so
+        all byte accounting derived from the result is unchanged (see the
+        class docstring for the epoch invariant that keeps cached routes
+        honest across churn).
 
         Raises :class:`DhtError` if routing does not converge or dead-ends
         (which, with stabilized tables, should never happen). A returned
@@ -434,8 +419,6 @@ class DhtNetwork:
             origin = self.random_node_id()
         if origin not in self.nodes:
             raise NodeNotFoundError(f"unknown origin {origin:x}")
-        if not self.route_cache_enabled:
-            return self._walk(key, origin)
         if self._route_cache_epoch != self.membership_version:
             self._route_cache.clear()
             self._route_cache_epoch = self.membership_version
@@ -807,44 +790,25 @@ class DhtNetwork:
         key: int,
         value: Any,
         identity: Hashable | None = None,
-        missing_ok: bool = False,
-    ) -> bool:
-        """Write directly into ``node_id``'s store (no messages charged).
-
-        Returns True when stored. With ``missing_ok`` a departed node is
-        reported as False instead of raising — the idiom for spill sinks
-        racing churn.
-        """
+    ) -> None:
+        """Write directly into ``node_id``'s store (no messages charged)."""
         node = self.nodes.get(node_id)
         if node is None:
-            if missing_ok:
-                return False
             raise NodeNotFoundError(f"unknown node {node_id:x}")
         node.store.put(key, value, identity=identity)
-        return True
 
-    def put_local_many(
-        self,
-        node_id: int,
-        key: int,
-        entries,
-        missing_ok: bool = False,
-    ) -> bool:
+    def put_local_many(self, node_id: int, key: int, entries) -> None:
         """Write ``(identity, value)`` pairs under one key of ``node_id``'s
         store, in order (no messages charged).
 
         The set-at-a-time :meth:`put_local`: one node lookup and one
         bucket lookup per call, which is how a join's spill sink surfaces
-        a partition's keys. Same return and ``missing_ok`` contract — a
-        departed node stores nothing and reports False.
+        a partition's keys.
         """
         node = self.nodes.get(node_id)
         if node is None:
-            if missing_ok:
-                return False
             raise NodeNotFoundError(f"unknown node {node_id:x}")
         node.store.put_many(key, entries)
-        return True
 
     def remove_local(self, node_id: int, key: int, missing_ok: bool = True) -> int:
         """Drop every value under ``key`` at ``node_id``; returns count."""

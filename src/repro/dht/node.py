@@ -9,9 +9,7 @@ The node is slotted and lazy so a million of them fit in RAM: fingers,
 successors, and predecessor are derived on first use from the network's
 published :class:`~repro.dht.ring.RingSnapshot` (keyed by the snapshot
 version), and the local store is only allocated when something is stored.
-The eager :meth:`update_routing` path fills the same tables from a sorted
-id list — standalone nodes (no snapshot cell) and equivalence tests use
-it, and the lazy derivation is pinned byte-identical to it.
+A standalone node (no snapshot cell) has exactly the tables assigned to it.
 
 **One routing step.** Every hop of every lookup is one call to
 :meth:`DhtNode.route`: "do I own ``key``, else who is next, else dead
@@ -21,19 +19,17 @@ predecessor's id reaches — so the answer costs one modular subtraction,
 one range comparison and one ``bisect_right`` instead of an interval test
 and a linear scan of every entry. The compiled table is built lazily on
 the first routing use after a table change (snapshot refresh, explicit
-``fingers``/``successors``/``predecessor`` assignment,
-:meth:`update_routing`) and never for a node that does not route, so an
-idle node pays one empty slot. Assign whole tables; mutating a list
-returned by ``fingers``/``successors`` in place is not seen by routing.
+``fingers``/``successors``/``predecessor`` assignment) and never for a
+node that does not route, so an idle node pays one empty slot. Assign
+whole tables; mutating a list returned by ``fingers``/``successors`` in
+place is not seen by routing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from functools import partial
+from bisect import bisect_right
 
 from repro.common.ids import KEY_SPACE
-from repro.dht.keyspace import finger_table, responsible_node, successor_list
 from repro.dht.storage import LocalStore
 
 #: :meth:`DhtNode.route`'s answer when the node itself owns the key — no
@@ -69,7 +65,7 @@ class DhtNode:
         self._predecessor: int | None = None
         self._store: LocalStore | None = None
         #: shared slot holding the network's latest stabilize snapshot
-        #: (None for standalone nodes driven via :meth:`update_routing`)
+        #: (None for standalone nodes, whose tables are assigned by hand)
         self._ring_cell = ring_cell
         #: snapshot version the current tables were derived from — pinned
         #: at join to the version already published, so a node never
@@ -100,8 +96,7 @@ class DhtNode:
 
         A node absent from the snapshot (joined after the last stabilize)
         keeps whatever tables it has — empty for a fresh node — and the
-        table compiled from them, exactly matching the eager path, where
-        stabilize never ran for it.
+        table compiled from them: stabilize never ran for it.
         """
         cell = self._ring_cell
         if cell is None:
@@ -127,7 +122,7 @@ class DhtNode:
     def fingers(self, value: list[int]) -> None:
         # Materialize the other tables from the current snapshot first so
         # an explicit assignment sticks (and only it) until the next
-        # stabilize, exactly as under eager routing.
+        # stabilize.
         self._refresh()
         self._fingers = value
         self._compiled = None
@@ -152,26 +147,6 @@ class DhtNode:
     def predecessor(self, value: int | None) -> None:
         self._refresh()
         self._predecessor = value
-        self._compiled = None
-
-    def update_routing(self, sorted_ids) -> None:
-        """Refresh fingers and successor list from the current ring.
-
-        This plays the role of Chord's periodic stabilization: in a real
-        deployment each entry would be found via a lookup; here the network
-        facade hands us the (already known) ring membership. Routing itself
-        still uses only this node's table.
-        """
-        node_id = self.node_id
-        self._fingers = finger_table(node_id, partial(responsible_node, sorted_ids))
-        self._successors = successor_list(sorted_ids, node_id, self.successor_count)
-        index = bisect_left(sorted_ids, node_id)
-        self._predecessor = sorted_ids[index - 1] if len(sorted_ids) > 1 else None
-        # Pin the tables to the current snapshot epoch so a lazy refresh
-        # does not immediately overwrite an explicit update.
-        cell = self._ring_cell
-        if cell is not None and cell.snapshot is not None:
-            self._routed_version = cell.snapshot.version
         self._compiled = None
 
     # -- the routing step ----------------------------------------------

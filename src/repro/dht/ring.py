@@ -11,12 +11,11 @@ Two pieces that make million-peer rings affordable:
   160-bit keyspace semantics — keys still land anywhere in ``[0, 2**160)``
   — while membership costs 8 bytes per peer instead of ~56. Every lookup
   primitive (owner bisect, successor list, finger targets) is implemented
-  against both backings with the *same* algorithm as
-  :mod:`repro.dht.keyspace`, translated through the monotone bijection
-  ``id = q << 96``, so results are byte-identical.
+  against both backings with the *same* algorithm, translated through
+  the monotone bijection ``id = q << 96``, so results are byte-identical.
 
 * :class:`RingSnapshot` — an immutable copy of the ring published by
-  ``DhtNetwork.stabilize``. Lazy per-node routing (see
+  ``DhtNetwork.stabilize``. Per-node routing (see
   :class:`repro.dht.node.DhtNode`) derives fingers/successors/predecessor
   from the snapshot on first use instead of materializing tables for
   every node on every stabilize (a finger table is O(log N) owner
@@ -24,8 +23,7 @@ Two pieces that make million-peer rings affordable:
   snapshot is frozen at stabilize time, stale-table churn semantics are
   preserved exactly: nodes that joined after the snapshot see empty
   tables until the next stabilize, and departed nodes linger in
-  survivors' tables — precisely what the eager ``update_routing`` path
-  produces.
+  survivors' tables.
 """
 
 from __future__ import annotations
@@ -92,10 +90,6 @@ class Ring:
         index = self.index_of(node_id)
         return index < len(self._ids) and self[index] == node_id
 
-    def tolist(self) -> list[int]:
-        """The membership as a sorted list of full-width ids (copy)."""
-        return list(self)
-
     # -- mutation ------------------------------------------------------
 
     def add(self, node_id: int) -> None:
@@ -120,7 +114,7 @@ class Ring:
         else:
             self._ids = sorted(ids)
 
-    # -- bisect primitives (identical to repro.dht.keyspace) -----------
+    # -- bisect primitives ----------------------------------------------
 
     def index_of(self, node_id: int) -> int:
         """``bisect_left`` position of ``node_id`` in the sorted ring."""
@@ -131,9 +125,9 @@ class Ring:
     def responsible(self, key: int) -> int:
         """The node responsible for ``key`` — its clockwise successor.
 
-        Same algorithm as :func:`repro.dht.keyspace.responsible_node`;
-        for the compact backing the bisect runs on words with
-        ``ceil(key / 2**96)``, since ``(w << 96) >= key  <=>
+        Chord assigns each key to the first node clockwise from it
+        (wrapping past zero). For the compact backing the bisect runs on
+        words with ``ceil(key / 2**96)``, since ``(w << 96) >= key  <=>
         w >= ceil(key / 2**96)``.
         """
         ids = self._ids
@@ -151,10 +145,7 @@ class Ring:
         return ids[index]
 
     def successor_list(self, node_id: int, count: int) -> list[int]:
-        """The ``count`` nodes clockwise after ``node_id`` (excluding it).
-
-        Same algorithm as :func:`repro.dht.keyspace.successor_list`.
-        """
+        """The ``count`` nodes clockwise after ``node_id`` (excluding it)."""
         ids = self._ids
         if not ids:
             return []
@@ -192,7 +183,7 @@ class Ring:
 class RingSnapshot:
     """Immutable ring membership published by one stabilize round.
 
-    Shared by every node in the network: lazy routing reads fingers,
+    Shared by every node in the network: routing reads fingers,
     successors, and predecessor out of the snapshot keyed by ``version``,
     so one O(n) copy per stabilize replaces n full finger rebuilds.
     """

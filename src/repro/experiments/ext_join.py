@@ -1,19 +1,21 @@
 """Extension: memory-adaptive join robustness under skew × budget.
 
-A symmetric hash join that can't hold its build state has two shapes of
-failure. The all-or-nothing spill (``spill_policy="all"``, the legacy
-behaviour) flushes *both* build sides wholesale the moment one row
-exceeds the budget — after which every probe pays a spill-store read,
-however rare its key. The partitioned hybrid hash join
-(``spill_policy="partitioned"``) evicts only its largest hash
-partitions, so probes into never-spilled partitions stay free and
-throughput degrades smoothly as the budget tightens.
+A symmetric hash join that can't hold its build state can fail two ways.
+An all-or-nothing spill flushes *both* build sides wholesale the moment
+one row exceeds the budget — after which every probe pays a spill-store
+read, however rare its key. The partitioned hybrid hash join (the one
+:class:`~repro.pier.operators.SymmetricHashJoin` implements) evicts only
+its largest hash partitions, so probes into never-spilled partitions stay
+free and throughput degrades smoothly as the budget tightens. The
+all-or-nothing policy is gone from the code; the rows it recorded
+(policy ``"all"`` in ``BENCH_join.json``) stay in the artifact as the
+historical baseline the partitioned rows are read against.
 
-This experiment measures exactly that contrast:
+This experiment sweeps the partitioned join:
 
 * **Throughput sweep** — replayed multi-keyword conjunctions run
-  pipelined under Zipf-skewed posting lists, for every (skew, budget,
-  policy) point; wall-clock queries/sec, spill/re-read volume, partition
+  pipelined under Zipf-skewed posting lists, for every (skew, budget)
+  point; wall-clock queries/sec, spill/re-read volume, partition
   evictions/restores and role reversals are recorded per point, and
   every budgeted answer set is asserted equal to the unlimited-memory
   reference. Each point's throughput ratio is measured against an
@@ -21,8 +23,8 @@ This experiment measures exactly that contrast:
   (best-of-N both sides), so machine-level drift cancels; the spill
   metrics are deterministic and bit-stable across runs. Budgets in
   ``BUDGETS`` are the operating range the no-cliff floor is gated on;
-  ``CLIFF_BUDGET`` is the far-undersized point where the legacy
-  policy's eviction churn and probe re-reads blow up.
+  ``CLIFF_BUDGET`` is the far-undersized point where the recorded
+  all-or-nothing baseline's eviction churn and probe re-reads blow up.
 * **Equivalence matrix** — each scenario additionally runs every
   joining strategy unbudgeted with one batch per edge and tightly
   budgeted in batches of 16, and asserts identical answers.
@@ -49,15 +51,15 @@ from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.query import JoinStrategy
 
-#: row budgets swept per policy (None = unlimited reference point).
+#: row budgets swept (None = unlimited reference point).
 #: These are the *operating* budgets the no-cliff throughput floor is
 #: gated on; the cliff point below is recorded separately.
 BUDGETS = (None, 512, 128, 64)
 
-#: the far-below-operating budget where the all-or-nothing policy's
-#: collapse is starkest — recorded for both policies and gated on the
-#: deterministic spill metrics (eviction churn, probe re-reads), which
-#: are bit-stable across runs, rather than on wall clock
+#: the far-below-operating budget where the recorded all-or-nothing
+#: baseline's collapse is starkest — gated on the deterministic spill
+#: metrics (eviction churn, probe re-reads), which are bit-stable across
+#: runs, rather than on wall clock
 CLIFF_BUDGET = 32
 
 #: Zipf exponents of the corpus term distribution; 1.1 is the skewed
@@ -87,13 +89,8 @@ MATRIX_STRATEGIES = (
     JoinStrategy.BLOOM_JOIN,
 )
 
-
-def _sweep_points():
-    for policy in ("partitioned", "all"):
-        for budget in BUDGETS:
-            if budget is not None:
-                yield (policy, budget)
-        yield (policy, CLIFF_BUDGET)
+#: budgeted sweep points, widest first
+SWEEP_BUDGETS = tuple(b for b in BUDGETS if b is not None) + (CLIFF_BUDGET,)
 
 
 def run(
@@ -149,10 +146,8 @@ def run(
             )
         )
 
-        for policy, budget in _sweep_points():
-            config = DataflowConfig(
-                batch_size=16, memory_budget=budget, spill_policy=policy
-            )
+        for budget in SWEEP_BUDGETS:
+            config = DataflowConfig(batch_size=16, memory_budget=budget)
             flow = DataflowExecutor(
                 world.network, world.catalog, config=config, rng=scale.seed + 7
             )
@@ -182,7 +177,7 @@ def run(
                 answer, stats = fresh.execute(plan)
                 if _result_key(answer) != reference:
                     raise AssertionError(
-                        f"alpha={alpha} {policy}/{budget}: budgeted answer "
+                        f"alpha={alpha} budget={budget}: budgeted answer "
                         "set diverged from the unlimited-memory reference"
                     )
                 if stats.spill is not None:
@@ -195,7 +190,7 @@ def run(
                 (
                     "throughput",
                     alpha,
-                    policy,
+                    "partitioned",  # the artifact's frozen rows say "all"
                     budget,
                     round(len(plans) / best, 1),
                     round(best_paired / best, 3),
@@ -284,7 +279,7 @@ def run(
         ],
         rows=rows,
         notes=(
-            "throughput rows: wall-clock q/s per (policy, row budget) "
+            "throughput rows: wall-clock q/s per row-budget "
             "point with the ratio vs an unlimited run interleaved in the "
             "same timing window (budget 0 = unlimited reference), "
             "answers pinned to the unbudgeted one-batch-per-edge reference; "
@@ -327,7 +322,8 @@ def record(
 
     Pass an already-computed ``result`` to record it without re-running
     the sweep (the benchmark suite asserts on the exact execution it
-    records); otherwise the sweep runs here.
+    records); otherwise the sweep runs here. Re-recording over the
+    committed artifact drops its frozen ``"all"`` baseline rows.
     """
     if result is None:
         result = run(scale, alphas=alphas, repeats=repeats, rounds=rounds)

@@ -224,7 +224,7 @@ def measure_dht_capacity(num_peers: int) -> dict:
     """Build a compact-mode DHT at ``num_peers`` and cost its ring state.
 
     Constructs a real :class:`~repro.dht.network.DhtNetwork` (compact
-    ids, lazy routing), stabilized once, and reports construction time
+    ids), stabilized once, and reports construction time
     plus deep-measured routing-state bytes per peer — the memory half of
     the million-peer capacity story.
     """
@@ -232,14 +232,13 @@ def measure_dht_capacity(num_peers: int) -> dict:
     from repro.dht.ring import bytes_per_peer, ring_state_bytes
 
     start = time.perf_counter()
-    network = DhtNetwork(rng=7, compact_ids=True, lazy_routing=True)
+    network = DhtNetwork(rng=7, compact_ids=True)
     network.populate(num_peers)
     construct_seconds = time.perf_counter() - start
     state_bytes = ring_state_bytes(network)
     return {
         "num_peers": num_peers,
         "compact_ids": True,
-        "lazy_routing": True,
         "construct_seconds": construct_seconds,
         "ring_state_bytes": state_bytes,
         "bytes_per_peer": bytes_per_peer(network),

@@ -7,9 +7,8 @@ no-op cheap when observability is off:
   per query (race -> flood rounds / DHT hop chains / dataflow stages ->
   exchange batches / join spills), exportable as Chrome ``trace_event``
   JSON and flat JSONL.
-* :mod:`repro.obs.metrics` — a labelled :class:`MetricsRegistry`
-  extending :class:`repro.sim.stats.StatsRegistry` with Prometheus
-  text-format and JSON snapshot exporters.
+* :mod:`repro.obs.metrics` — a labelled :class:`MetricsRegistry` with
+  Prometheus text-format and JSON snapshot exporters.
 * :mod:`repro.obs.profile` — 1-in-N sampled wall-clock profiling of
   event-loop callbacks, with a top-K hot-span report.
 

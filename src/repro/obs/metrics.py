@@ -1,7 +1,7 @@
 """Labelled metrics registry with Prometheus and JSON exporters.
 
-:class:`MetricsRegistry` extends :class:`repro.sim.stats.StatsRegistry`
-(so every existing counter/histogram call keeps working) with:
+:class:`MetricsRegistry` groups the counters, gauges and histograms of
+:mod:`repro.sim.stats` for one run, each created on first use, with:
 
 * optional ``labels={...}`` on all three metric kinds — the labelled
   series is stored under a canonical ``name{k="v",...}`` key in the same
@@ -21,7 +21,7 @@ import math
 import re
 from typing import Any, Mapping
 
-from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry
+from repro.sim.stats import Counter, Gauge, Histogram
 
 #: quantiles exported for every histogram, summary-style
 _QUANTILES = (0.5, 0.9, 0.99)
@@ -77,16 +77,27 @@ def _format_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-class MetricsRegistry(StatsRegistry):
-    """The unified registry the observability layer wires everywhere."""
+class MetricsRegistry:
+    """The one registry the observability layer wires everywhere."""
+
+    def __init__(self) -> None:
+        self.counters: dict[str, Counter] = {}
+        self.gauges: dict[str, Gauge] = {}
+        self.histograms: dict[str, Histogram] = {}
 
     def counter(
         self, name: str, labels: Mapping[str, Any] | None = None
     ) -> Counter:
-        return super().counter(_series_key(name, labels))
+        key = _series_key(name, labels)
+        if key not in self.counters:
+            self.counters[key] = Counter(key)
+        return self.counters[key]
 
     def gauge(self, name: str, labels: Mapping[str, Any] | None = None) -> Gauge:
-        return super().gauge(_series_key(name, labels))
+        key = _series_key(name, labels)
+        if key not in self.gauges:
+            self.gauges[key] = Gauge(key)
+        return self.gauges[key]
 
     def histogram(
         self,
@@ -95,9 +106,25 @@ class MetricsRegistry(StatsRegistry):
         reservoir_size: int | None = None,
         seed: int = 0,
     ) -> Histogram:
-        return super().histogram(
-            _series_key(name, labels), reservoir_size=reservoir_size, seed=seed
-        )
+        """The named histogram; the reservoir arguments apply on creation."""
+        key = _series_key(name, labels)
+        if key not in self.histograms:
+            self.histograms[key] = Histogram(
+                key, reservoir_size=reservoir_size, seed=seed
+            )
+        return self.histograms[key]
+
+    def summary(self) -> dict[str, float]:
+        """Flat numeric summary: counters, gauges, and histogram means."""
+        out: dict[str, float] = {}
+        for name, counter in self.counters.items():
+            out[name] = counter.value
+        for name, gauge in self.gauges.items():
+            out[name] = gauge.value
+        for name, histogram in self.histograms.items():
+            out[f"{name}.mean"] = histogram.mean
+            out[f"{name}.count"] = histogram.count
+        return out
 
     # -- exporters ---------------------------------------------------------
 

@@ -36,9 +36,7 @@ from repro.pier.rows import RowBatch
 from repro.pier.catalog import Catalog, TableHandle
 from repro.pier.operators import (
     Operator,
-    Projection,
     Scan,
-    Selection,
     SpillSink,
     SubstringFilter,
     SymmetricHashJoin,
@@ -57,8 +55,6 @@ __all__ = [
     "TableHandle",
     "Operator",
     "Scan",
-    "Selection",
-    "Projection",
     "SubstringFilter",
     "SymmetricHashJoin",
     "SpillSink",

@@ -118,10 +118,6 @@ class DataflowConfig:
     memory_budget: int | None = None
     #: hash-partition fan-out of each budgeted join's build state
     spill_partitions: int = NUM_SPILL_PARTITIONS
-    #: "partitioned" evicts largest partitions incrementally (skew-aware,
-    #: no cliff); "all" keeps the legacy flush-both-sides-whole behaviour
-    #: for comparison experiments
-    spill_policy: str = "partitioned"
 
 
 class DataflowQuery:
@@ -326,10 +322,10 @@ class _DhtSpillSink(SpillSink):
     is what the PIER temp-tuple contract exposes to other readers (and
     what tests inspect), it is removed when its partition restores into
     memory, and leftovers are released with the query's other temp keys.
-    Keys-mode partitions surface one ``{column: key}`` tuple per
-    *distinct* key (the multiplicity stays in the compact index), so a
-    skewed eviction never materialises per-duplicate dicts, and they
-    surface set-at-a-time: an evicted partition (``write_counts``) or a
+    A partition surfaces one ``{column: key}`` tuple per *distinct* key
+    (the multiplicity stays in the compact index), in arrival order, so
+    a skewed eviction never materialises per-duplicate dicts, and it
+    surfaces set-at-a-time: an evicted partition (``write_counts``) or a
     run of keys routed into spilled partitions (``route_counts``) writes
     each partition's fresh keys with one
     :meth:`DhtNetwork.put_local_many` and feeds the ``operator.spill.*``
@@ -387,65 +383,12 @@ class _DhtSpillSink(SpillSink):
     def _site_alive(self) -> bool:
         return self.site in self._network.nodes
 
-    def _observe_spill(self, side: str, pid: int, rows: int) -> None:
-        if not rows:
-            return
-        span = self._span
-        if span is not None:
-            span.event(
-                "join.spill", side=side, partition=pid, rows=rows, site=self.site
-            )
-        if self._rows_counter is not None:
-            self._rows_counter.add(rows)
-            self._bytes_counter.add(rows * self.row_bytes)
-
     def _account_orphans(self, rows: int) -> None:
         # Site churned out mid-query: no DHT copy exists, the rows stay
         # only in the base in-memory sink until the run releases them.
         self.orphan_rows += rows
         if self._orphan_counter is not None:
             self._orphan_counter.add(rows)
-
-    def write_rows(self, side: str, pid: int, mapping: dict[Any, list[Row]]) -> None:
-        rows = sum(len(entry) for entry in mapping.values())
-        self._observe_spill(side, pid, rows)
-        if not self._site_alive():
-            self._account_orphans(rows)
-        elif rows:
-            ring_key = self.ring_key(side, pid)
-            network = self._network
-            for entry in mapping.values():
-                for row in entry:
-                    network.put_local(
-                        self.site,
-                        ring_key,
-                        dict(row),
-                        identity=self._seq,
-                        missing_ok=True,
-                    )
-                    self._seq += 1
-        super().write_rows(side, pid, mapping)
-
-    def route_row(self, side: str, pid: int, key: Any, row: Row) -> None:
-        span = self._span
-        if span is not None:
-            span.event("join.spill", side=side, partition=pid, rows=1, site=self.site)
-        if self._rows_counter is not None:
-            self._rows_counter.add(1)
-            self._bytes_counter.add(self.row_bytes)
-        # missing_ok folds the site-aliveness check into the put: False
-        # means the site churned out, i.e. the row is an orphan.
-        if self._network.put_local(
-            self.site,
-            self.ring_key(side, pid),
-            dict(row),
-            identity=self._seq,
-            missing_ok=True,
-        ):
-            self._seq += 1
-        else:
-            self._account_orphans(1)
-        super().route_row(side, pid, key, row)
 
     def route_counts(
         self, side: str, routed: list[tuple[int, Any]]
@@ -468,7 +411,14 @@ class _DhtSpillSink(SpillSink):
 
     def write_counts(self, side: str, pid: int, mapping: dict[Any, int]) -> None:
         rows = sum(mapping.values())
-        self._observe_spill(side, pid, rows)
+        if rows:
+            if self._span is not None:
+                self._span.event(
+                    "join.spill", side=side, partition=pid, rows=rows, site=self.site
+                )
+            if self._rows_counter is not None:
+                self._rows_counter.add(rows)
+                self._bytes_counter.add(rows * self.row_bytes)
         # One surfaced tuple per *distinct* key: keys whose multiplicity
         # is merely bumped (a re-evicted partition) are already in the
         # store.
@@ -504,20 +454,13 @@ class _DhtSpillSink(SpillSink):
                 )
         return True
 
-    def _drop_dht_copy(self, side: str, pid: int) -> None:
-        if ((side, pid)) in self._ring_keys and self._site_alive():
+    def take_counts(self, side: str, pid: int) -> dict[Any, int]:
+        if (side, pid) in self._ring_keys and self._site_alive():
             self._network.remove_local(
                 self.site, self._ring_keys[(side, pid)], missing_ok=True
             )
         if self._restored_counter is not None:
             self._restored_counter.add(self.partition_rows(side, pid))
-
-    def take_rows(self, side: str, pid: int) -> dict[Any, list[Row]]:
-        self._drop_dht_copy(side, pid)
-        return super().take_rows(side, pid)
-
-    def take_counts(self, side: str, pid: int) -> dict[Any, int]:
-        self._drop_dht_copy(side, pid)
         return super().take_counts(side, pid)
 
 
@@ -1444,7 +1387,6 @@ class _JoinStage:
             memory_budget=budget,
             spill_sink=sink,
             num_partitions=config.spill_partitions,
-            spill_policy=config.spill_policy,
         )
         self.span = None
 

@@ -1,15 +1,18 @@
 """Local physical operators.
 
-These are the node-local building blocks of PIER query plans: iterator-
-style operators over streams of rows. The dataflow runtime composes them
-per site; shipping between sites is the runtime's job, so every operator
-here is purely local and purely functional over its input stream.
+These are the node-local building blocks of PIER query plans. ``Scan``
+and ``SubstringFilter`` are iterator operators over row streams (the
+InvertedCache stage filters cached full text with them);
+:class:`SymmetricHashJoin` is the one join — a set-at-a-time join of
+bare join-key multisets with a partitioned, memory-budgeted build state
+parked in a :class:`SpillSink`. The dataflow runtime composes them per
+site; shipping between sites is the runtime's job, so everything here is
+purely local.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 from zlib import crc32
 
 from repro.pier.schema import Row
@@ -68,55 +71,6 @@ class Operator:
         return list(self)
 
 
-class Metered(Operator):
-    """Transparent metering wrapper around any operator.
-
-    Yields the child's rows unchanged while recording, into a
-    :class:`repro.obs.metrics.MetricsRegistry` (or plain
-    :class:`repro.sim.stats.StatsRegistry`):
-
-    * ``<name>.rows`` — output row counter,
-    * ``<name>.seconds`` — wall-clock seconds spent *inside the child*
-      producing each row, as a seeded reservoir histogram (so metering a
-      million-row scan retains a bounded sample).
-
-    The observability layer's opt-in hook for iterator pipelines — the
-    streaming dataflow runtime meters its stages event-side instead.
-    Wrapping changes no output: rows, order, and laziness are preserved.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        registry,
-        name: str,
-        labels: dict[str, str] | None = None,
-        reservoir_size: int = 1024,
-    ):
-        self.child = child
-        self.registry = registry
-        self.name = name
-        self.labels = labels
-        self.reservoir_size = reservoir_size
-
-    def __iter__(self) -> Iterator[Row]:
-        kwargs = {"labels": self.labels} if self.labels else {}
-        rows = self.registry.counter(f"{self.name}.rows", **kwargs)
-        seconds = self.registry.histogram(
-            f"{self.name}.seconds", reservoir_size=self.reservoir_size, **kwargs
-        )
-        iterator = iter(self.child)
-        while True:
-            start = perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                return
-            seconds.observe(perf_counter() - start)
-            rows.add(1)
-            yield row
-
-
 class Scan(Operator):
     """Leaf operator over an already-materialised list of rows."""
 
@@ -128,37 +82,6 @@ class Scan(Operator):
 
     def __len__(self) -> int:
         return len(self._rows)
-
-
-class Selection(Operator):
-    """Filter rows by an arbitrary predicate."""
-
-    def __init__(self, child: Operator, predicate: Callable[[Row], bool]):
-        self.child = child
-        self.predicate = predicate
-
-    def __iter__(self) -> Iterator[Row]:
-        return (row for row in self.child if self.predicate(row))
-
-
-class Projection(Operator):
-    """Keep only the named columns, deduplicating the projected rows."""
-
-    def __init__(self, child: Operator, columns: tuple[str, ...]):
-        self.child = child
-        self.columns = columns
-
-    def __iter__(self) -> Iterator[Row]:
-        # Signature first, dict only for survivors: duplicate rows are
-        # dropped on the tuple alone, without allocating a dict each.
-        seen: set[tuple] = set()
-        columns = self.columns
-        for row in self.child:
-            signature = tuple(row[column] for column in columns)
-            if signature in seen:
-                continue
-            seen.add(signature)
-            yield dict(zip(columns, signature))
 
 
 class SubstringFilter(Operator):
@@ -187,15 +110,13 @@ class SubstringFilter(Operator):
 class SpillSink:
     """Where a memory-bounded join parks build-state *partitions*.
 
-    Storage is partition-granular: the join evicts whole hash partitions
-    (``write_rows`` / ``write_counts``), routes later build state of a
-    partition that stays spilled straight in (``route_row``, and for the
-    key path ``route_counts`` — one call per run of routed keys, never
-    one per key), probes re-read single keys out of a spilled partition
-    (``read_rows`` / ``read_count``), and a partition restores wholesale
-    when the budget frees up (``take_rows`` / ``take_counts``).
-    Keys-mode state is parked as compact ``(key, count)`` multiplicities
-    — never one row dict per duplicate.
+    Storage is partition-granular and compact — ``(key, count)``
+    multiplicities, never one row per duplicate: the join evicts whole
+    hash partitions (``write_counts``), routes later build keys of a
+    partition that stays spilled straight in (``route_counts`` — one call
+    per run of routed keys, never one per key), probes re-read single
+    keys out of a spilled partition (``read_count``), and a partition
+    restores wholesale when the budget frees up (``take_counts``).
 
     The reference implementation keeps everything in plain dicts; the
     dataflow runtime subclasses it with a DHT-backed sink whose extra
@@ -209,15 +130,10 @@ class SpillSink:
         self.column = column
         #: bytes charged per logical spilled/re-read row (accounting only)
         self.row_bytes = row_bytes
-        #: rows-mode spilled state: side -> partition id -> key -> rows,
-        #: indexed by join key so a probe re-reads only its matches
-        #: instead of scanning the whole partition (which would make a
-        #: budgeted join quadratic)
-        self._rows: dict[str, dict[int, dict[Any, list[Row]]]] = {
-            "left": {},
-            "right": {},
-        }
-        #: keys-mode spilled state: side -> partition id -> key -> count
+        #: spilled state: side -> partition id -> key -> count, indexed by
+        #: join key so a probe re-reads only its own multiplicity instead
+        #: of scanning the whole partition (which would make a budgeted
+        #: join quadratic)
         self._counts: dict[str, dict[int, dict[Any, int]]] = {
             "left": {},
             "right": {},
@@ -235,52 +151,22 @@ class SpillSink:
         #: the base sink always counts 0)
         self.orphan_rows = 0
 
-    # -- eviction --------------------------------------------------------
-
-    def write_rows(self, side: str, pid: int, mapping: dict[Any, list[Row]]) -> None:
-        """Park a rows-mode partition: join key -> its build rows."""
-        partition = self._rows[side].setdefault(pid, {})
-        rows = 0
-        for key, entry in mapping.items():
-            partition.setdefault(key, []).extend(entry)
-            rows += len(entry)
-        self._account_write(side, pid, rows)
-
     def write_counts(self, side: str, pid: int, mapping: dict[Any, int]) -> None:
-        """Park a keys-mode partition compactly: join key -> multiplicity."""
+        """Park an evicted partition: join key -> multiplicity."""
         partition = self._counts[side].setdefault(pid, {})
         rows = 0
         for key, count in mapping.items():
             partition[key] = partition.get(key, 0) + count
             rows += count
-        self._account_write(side, pid, rows)
-
-    def _account_write(self, side: str, pid: int, rows: int) -> None:
         self.spilled_rows += rows
         self.spilled_bytes += rows * self.row_bytes
         totals = self._part_totals[side]
         totals[pid] = totals.get(pid, 0) + rows
 
-    # -- routing (a spilled partition staying spilled) -------------------
-
-    def route_row(self, side: str, pid: int, key: Any, row: Row) -> None:
-        """Append one rows-mode build row straight into a spilled partition.
-
-        The per-insert fast path of :meth:`write_rows`, used by the join
-        when a build row lands in a partition that is already spilled.
-        """
-        partition = self._rows[side].setdefault(pid, {})
-        entry = partition.get(key)
-        if entry is None:
-            partition[key] = [row]
-        else:
-            entry.append(row)
-        self._account_write(side, pid, 1)
-
     def route_counts(
         self, side: str, routed: list[tuple[int, Any]]
     ) -> list[tuple[int, Any]]:
-        """Bump keys-mode multiplicities in spilled partitions.
+        """Bump multiplicities in partitions that stay spilled.
 
         ``routed`` is a run of ``(partition id, key)`` build keys, in
         arrival order, that landed in partitions already spilled. Returns
@@ -306,17 +192,6 @@ class SpillSink:
         self.spilled_bytes += len(routed) * self.row_bytes
         return fresh
 
-    # -- probe re-reads --------------------------------------------------
-
-    def read_rows(self, side: str, pid: int, key: Any) -> list[Row]:
-        """Re-read ``key``'s rows out of one spilled partition."""
-        self.reads += 1
-        matches = self._rows[side].get(pid, {}).get(key)
-        if not matches:
-            return []
-        self.reread_bytes += len(matches) * self.row_bytes
-        return list(matches)
-
     def read_count(self, side: str, pid: int, key: Any) -> int:
         """Re-read ``key``'s multiplicity out of one spilled partition."""
         self.reads += 1
@@ -324,127 +199,87 @@ class SpillSink:
         self.reread_bytes += count * self.row_bytes
         return count
 
-    # -- restore ---------------------------------------------------------
-
-    def take_rows(self, side: str, pid: int) -> dict[Any, list[Row]]:
-        """Remove and return a spilled rows-mode partition."""
-        mapping = self._rows[side].pop(pid, {})
-        self.restored_rows += self._part_totals[side].pop(pid, 0)
-        return mapping
-
     def take_counts(self, side: str, pid: int) -> dict[Any, int]:
-        """Remove and return a spilled keys-mode partition."""
+        """Remove and return a spilled partition (restore)."""
         mapping = self._counts[side].pop(pid, {})
         self.restored_rows += self._part_totals[side].pop(pid, 0)
         return mapping
-
-    # -- inspection ------------------------------------------------------
 
     def partition_rows(self, side: str, pid: int) -> int:
         """Logical rows currently parked in one spilled partition."""
         return self._part_totals[side].get(pid, 0)
 
     def has_spilled(self, side: str) -> bool:
-        return bool(self._rows[side]) or bool(self._counts[side])
+        return bool(self._counts[side])
 
     def clear(self) -> None:
         """Drop all parked state (query teardown)."""
-        for store in (self._rows, self._counts, self._part_totals):
+        for store in (self._counts, self._part_totals):
             for side in store.values():
                 side.clear()
 
 
-class SymmetricHashJoin(Operator):
-    """Pipelined symmetric hash join (SHJ) on one column.
+class SymmetricHashJoin:
+    """Pipelined symmetric hash join (SHJ) of two join-key streams.
 
-    Both inputs are consumed as streams; each arriving row is inserted into
-    its side's hash table and probed against the other side's table, so
-    results stream out as soon as both matching rows have arrived. This is
-    the join PIER executes between posting lists (Section 3.2).
+    Both inputs are consumed as streams; each arriving key is inserted
+    into its side's hash table and probed against the other side's table,
+    so matches surface as soon as both sides have arrived. This is the
+    join PIER executes between posting lists (Section 3.2): the exchange
+    batches of the streaming dataflow carry single-column fileID tuples
+    (:mod:`repro.pier.rows`) and a join stage only ever forwards the key
+    of a match, so the join works on bare key values and a side's build
+    state is a per-key multiplicity, not a row list.
 
-    The join is **incremental**: :meth:`insert_left` / :meth:`insert_right`
-    consume one row at a time (the dataflow runtime feeds them one tuple
-    batch at a time) and return the matches that row completes, while the
-    hash tables persist across calls. The iterator interface is a thin
-    round-robin driver over the same core — for a deterministic simulation
-    it interleaves the two inputs, which exercises the symmetric structure
-    while producing the same output set as any arrival order.
-
-    There is also a **key-only path**, and it is set-at-a-time:
-    :meth:`insert_keys` consumes a whole run of bare join-key values for
-    one side — a site's posting list, or one arriving exchange batch — in
-    a single loop and returns one match *count* per key
+    The join is **incremental** and **set-at-a-time**: :meth:`insert_keys`
+    consumes a whole run of one side's keys — a site's posting list, or
+    one arriving exchange batch — in a single loop and returns one match
+    *count* per key, while the hash tables persist across calls
     (:meth:`insert_left_key` / :meth:`insert_right_key` are its one-key
-    forms). The streaming dataflow uses it because its exchange batches
-    carry single-column key tuples (:mod:`repro.pier.rows`) and its join
-    stages only ever forward the key of a match — the classic dict-merge
-    path would allocate (and immediately discard) one merged dict per
-    match. Build state on this path is a per-key multiplicity, not a row
-    list, and spill is partition-granular end to end: keys landing in
-    spilled partitions reach the sink a run at a time
-    (:meth:`SpillSink.route_counts`), and the overflow check runs
-    ``_maybe_spill`` only when the budget is actually exceeded. How a key
-    sequence is chunked into calls changes no count, no spill statistic
-    and no sink content. The row and key APIs must not be mixed on one
-    instance (the first insert pins the mode; mixing raises
-    :class:`TypeError`).
+    forms). How a key sequence is chunked into calls changes no count, no
+    spill statistic and no sink content.
 
     With ``memory_budget`` set, the join holds at most that many **rows**
     (not bytes) across both in-memory tables, hash-partitioned by
     :func:`spill_partition`. On overflow it evicts whole *partitions* —
     largest first, from whichever side is currently larger (role reversal
-    when the "small" build side turns out large mid-stream) — to
-    ``spill_sink`` (a :class:`SpillSink`, by default an in-memory one).
-    Probes consult the per-partition spilled index, so keys in
-    never-spilled partitions cost zero sink reads; a spilled partition
-    *stays* spilled — later build rows for it route straight to the sink
-    rather than refilling memory — until enough budget frees up to
-    restore it incrementally. This is the
-    memory-for-re-reads trade of a dynamic hybrid hash join, and it never
-    changes the output set. ``spill_policy="all"`` keeps the legacy
-    all-or-nothing behaviour (one row over budget flushes both sides
-    wholesale) for comparison experiments.
+    when the "small" build side turns out large mid-stream), a
+    partition's keys in arrival order — to ``spill_sink`` (a
+    :class:`SpillSink`, by default an in-memory one). Probes consult the
+    per-partition spilled index, so keys in never-spilled partitions cost
+    zero sink reads; a spilled partition *stays* spilled — later build
+    keys for it reach the sink a run at a time
+    (:meth:`SpillSink.route_counts`) rather than refilling memory only to
+    be evicted again — until enough budget frees up to restore it. This
+    is the memory-for-re-reads trade of a dynamic hybrid hash join, and it
+    never changes a count.
     """
 
     def __init__(
         self,
-        left: Operator | None = None,
-        right: Operator | None = None,
         column: str = "fileID",
         memory_budget: int | None = None,
         spill_sink: SpillSink | None = None,
         num_partitions: int = NUM_SPILL_PARTITIONS,
-        spill_policy: str = "partitioned",
     ):
         if memory_budget is not None and memory_budget < 1:
             raise ValueError(f"memory_budget must be >= 1, got {memory_budget}")
         if num_partitions < 1:
             raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
-        if spill_policy not in ("partitioned", "all"):
-            raise ValueError(
-                f"spill_policy must be 'partitioned' or 'all', got {spill_policy!r}"
-            )
-        self.left = left
-        self.right = right
         self.column = column
         self.memory_budget = memory_budget
         self.num_partitions = num_partitions
-        self.spill_policy = spill_policy
-        #: only the partitioned policy keeps evicted partitions spilled —
-        #: the legacy "all" policy refills memory and re-flushes (that
-        #: churn is the cliff the experiments measure against)
-        self._stay_spilled = spill_policy == "partitioned"
         self.spill_sink = spill_sink or (SpillSink(column) if memory_budget else None)
-        self._tables: dict[str, dict[Any, list[Row]]] = {"left": {}, "right": {}}
-        #: key-only fast path build state: join key -> multiplicity
+        #: build state: join key -> multiplicity
         self._key_tables: dict[str, dict[Any, int]] = {"left": {}, "right": {}}
-        self._mode: str | None = None  # "rows" or "keys", pinned on first insert
         self._in_memory = {"left": 0, "right": 0}
         #: partition bookkeeping, maintained only while a budget is set:
-        #: resident rows per partition, resident keys per partition, and
-        #: which partitions currently have spilled state.
+        #: resident rows per partition, resident keys per partition (a
+        #: dict used as an insertion-ordered set, so eviction walks a
+        #: partition in arrival order whatever the interpreter's string
+        #: hash salt), and which partitions currently have spilled state.
         self._part_rows: dict[str, list[int]] = {"left": [], "right": []}
-        self._part_keys: dict[str, list[set]] = {"left": [], "right": []}
+        self._part_keys: dict[str, list[dict[Any, None]]] = {"left": [], "right": []}
         self._spilled: dict[str, set[int]] = {"left": set(), "right": set()}
         #: partition bookkeeping is *lazy*: a budgeted join pays nothing
         #: per insert until its first overflow, when the resident tables
@@ -466,14 +301,6 @@ class SymmetricHashJoin(Operator):
 
     # -- incremental core ------------------------------------------------
 
-    def insert_left(self, row: Row) -> list[Row]:
-        """Consume one left row; returns the matches it completes."""
-        return self._insert("left", "right", row)
-
-    def insert_right(self, row: Row) -> list[Row]:
-        """Consume one right row; returns the matches it completes."""
-        return self._insert("right", "left", row)
-
     def insert_left_key(self, key: Any) -> int:
         """One-key :meth:`insert_keys` on the left side."""
         return self.insert_keys("left", (key,))[0]
@@ -482,65 +309,13 @@ class SymmetricHashJoin(Operator):
         """One-key :meth:`insert_keys` on the right side."""
         return self.insert_keys("right", (key,))[0]
 
-    def _pin_mode(self, mode: str) -> None:
-        if self._mode is None:
-            self._mode = mode
-        elif self._mode != mode:
-            raise TypeError(
-                f"cannot mix {mode!r}-mode inserts into a {self._mode!r}-mode "
-                "SymmetricHashJoin"
-            )
-
-    def _insert(self, side: str, other: str, row: Row) -> list[Row]:
-        if self._mode != "rows":
-            self._pin_mode("rows")
-        key = row[self.column]
-        merged: list[Row] = []
-        matches = self._tables[other].get(key)
-        if matches:
-            for match in matches:
-                # The right side wins column collisions, whichever arrives
-                # last; one dict per *output* row, nothing intermediate.
-                merged.append({**row, **match} if side == "left" else {**match, **row})
-        tracking = self._tracking
-        if tracking:
-            pid = self._pid_memo.get(key)
-            if pid is None:
-                pid = spill_partition(key, self.num_partitions)
-            # Never-spilled partitions cost zero sink reads.
-            if pid in self._spilled[other]:
-                for match in self.spill_sink.read_rows(other, pid, key):
-                    merged.append(
-                        {**row, **match} if side == "left" else {**match, **row}
-                    )
-            if self._stay_spilled and pid in self._spilled[side]:
-                # Classic hybrid hash: a spilled partition *stays*
-                # spilled — its later build rows route straight to the
-                # sink instead of refilling memory only to be evicted
-                # again a few inserts later.
-                self.spill_sink.route_row(side, pid, key, row)
-                return merged
-        table = self._tables[side]
-        entry = table.get(key)
-        if entry is None:
-            table[key] = [row]
-        else:
-            entry.append(row)
-        if tracking:
-            self._part_rows[side][pid] += 1
-            self._part_keys[side][pid].add(key)
-        self._count_insert(side)
-        return merged
-
     def insert_keys(self, side: str, keys: Iterable[Any]) -> list[int]:
-        """Key-only path: consume a run of ``side``'s join keys, in order.
+        """Consume a run of ``side``'s join keys, in order.
 
         Returns, per key, the number of other-side matches it completes
         (spilled partitions included). Exactly the effect of inserting the
         keys one call at a time, at one call's overhead.
         """
-        if self._mode != "keys":
-            self._pin_mode("keys")
         other = "right" if side == "left" else "left"
         table = self._key_tables[side]
         probe = self._key_tables[other].get
@@ -558,7 +333,6 @@ class SymmetricHashJoin(Operator):
             return counts
         sink = self.spill_sink
         memo_get = self._pid_memo.get
-        stay_spilled = self._stay_spilled
         spilled_side = self._spilled[side]
         spilled_other = self._spilled[other]
         tracking = self._tracking
@@ -567,8 +341,9 @@ class SymmetricHashJoin(Operator):
         size = unsampled = in_memory[side]
         #: resident inserts left before the budget overflows
         room = budget - size - in_memory[other]
-        #: (pid, key) of keys landing in partitions that stay spilled
-        #: (see _insert); they reach the sink a run at a time
+        #: (pid, key) of keys landing in partitions that stay spilled —
+        #: classic hybrid hash: they go straight to the sink, a run at a
+        #: time, instead of refilling memory only to be evicted again
         routed: list[tuple[int, Any]] = []
         for key in keys:
             count = probe(key, 0)
@@ -580,11 +355,11 @@ class SymmetricHashJoin(Operator):
                 if pid in spilled_other:
                     count += sink.read_count(other, pid, key)
                 counts.append(count)
-                if stay_spilled and pid in spilled_side:
+                if pid in spilled_side:
                     routed.append((pid, key))
                     continue
                 part_rows[pid] += 1
-                part_keys[pid].add(key)
+                part_keys[pid][key] = None
             else:
                 counts.append(count)
             table[key] = table.get(key, 0) + 1
@@ -625,14 +400,6 @@ class SymmetricHashJoin(Operator):
                 self.peak_left_table = size
         elif size > self.peak_right_table:
             self.peak_right_table = size
-
-    def _count_insert(self, side: str) -> None:
-        in_memory = self._in_memory
-        in_memory[side] += 1
-        self._track_peak(side)
-        budget = self.memory_budget
-        if budget is not None and in_memory["left"] + in_memory["right"] > budget:
-            self._maybe_spill()
 
     # -- spill / restore machinery ---------------------------------------
 
@@ -676,17 +443,11 @@ class SymmetricHashJoin(Operator):
         fan_out = self.num_partitions
         for side in ("left", "right"):
             rows = self._part_rows[side] = [0] * fan_out
-            keys = self._part_keys[side] = [set() for _ in range(fan_out)]
-            if self._mode == "keys":
-                for key, count in self._key_tables[side].items():
-                    pid = spill_partition(key, self.num_partitions)
-                    rows[pid] += count
-                    keys[pid].add(key)
-            else:
-                for key, entry in self._tables[side].items():
-                    pid = spill_partition(key, self.num_partitions)
-                    rows[pid] += len(entry)
-                    keys[pid].add(key)
+            keys = self._part_keys[side] = [{} for _ in range(fan_out)]
+            for key, count in self._key_tables[side].items():
+                pid = spill_partition(key, fan_out)
+                rows[pid] += count
+                keys[pid][key] = None
 
     def _maybe_spill(self) -> None:
         budget = self.memory_budget
@@ -698,13 +459,6 @@ class SymmetricHashJoin(Operator):
             # keep the index maintained per insert from here on.
             self._rebuild_partition_index()
             self._tracking = True
-        if self.spill_policy == "all":
-            # Legacy cliff: one row over budget flushes both sides whole.
-            for side in ("left", "right"):
-                for pid in range(self.num_partitions):
-                    if self._part_rows[side][pid]:
-                        self._evict_partition(side, pid)
-            return
         while in_memory["left"] + in_memory["right"] > budget:
             # Skew-aware victim choice: the larger resident side loses its
             # largest partition. A victim-side flip mid-stream is role
@@ -723,19 +477,13 @@ class SymmetricHashJoin(Operator):
         self._maybe_restore()
 
     def _evict_partition(self, side: str, pid: int) -> None:
+        # Compact spill: one (key, count) entry per distinct key, in the
+        # order the keys arrived.
         keys = self._part_keys[side][pid]
-        if self._mode == "keys":
-            # Compact spill: one (key, count) entry per distinct key, not
-            # one row dict per multiplicity.
-            key_table = self._key_tables[side]
-            self.spill_sink.write_counts(
-                side, pid, {key: key_table.pop(key) for key in keys}
-            )
-        else:
-            table = self._tables[side]
-            self.spill_sink.write_rows(
-                side, pid, {key: table.pop(key) for key in keys}
-            )
+        key_table = self._key_tables[side]
+        self.spill_sink.write_counts(
+            side, pid, {key: key_table.pop(key) for key in keys}
+        )
         keys.clear()
         self._in_memory[side] -= self._part_rows[side][pid]
         self._part_rows[side][pid] = 0
@@ -770,21 +518,13 @@ class SymmetricHashJoin(Operator):
             self._restore_partition(best[1], best[2])
 
     def _restore_partition(self, side: str, pid: int) -> None:
-        sink = self.spill_sink
         keys = self._part_keys[side][pid]
+        key_table = self._key_tables[side]
         restored = 0
-        if self._mode == "keys":
-            key_table = self._key_tables[side]
-            for key, count in sink.take_counts(side, pid).items():
-                key_table[key] = key_table.get(key, 0) + count
-                keys.add(key)
-                restored += count
-        else:
-            table = self._tables[side]
-            for key, entry in sink.take_rows(side, pid).items():
-                table.setdefault(key, []).extend(entry)
-                keys.add(key)
-                restored += len(entry)
+        for key, count in self.spill_sink.take_counts(side, pid).items():
+            key_table[key] = key_table.get(key, 0) + count
+            keys[key] = None
+            restored += count
         self._part_rows[side][pid] += restored
         self._in_memory[side] += restored
         self._spilled[side].discard(pid)
@@ -814,25 +554,3 @@ class SymmetricHashJoin(Operator):
     @property
     def restored_rows(self) -> int:
         return self.spill_sink.restored_rows if self.spill_sink else 0
-
-    # -- iterator driver -------------------------------------------------
-
-    def __iter__(self) -> Iterator[Row]:
-        if self.left is None or self.right is None:
-            raise ValueError("iterating a SymmetricHashJoin needs both inputs")
-        left_iter = iter(self.left)
-        right_iter = iter(self.right)
-        left_done = right_done = False
-        while not (left_done and right_done):
-            if not left_done:
-                row = next(left_iter, None)
-                if row is None:
-                    left_done = True
-                else:
-                    yield from self.insert_left(row)
-            if not right_done:
-                row = next(right_iter, None)
-                if row is None:
-                    right_done = True
-                else:
-                    yield from self.insert_right(row)

@@ -2,14 +2,13 @@
 
 The PlanetLab deployment in the paper is replaced by a deterministic
 discrete-event simulator: :class:`~repro.sim.engine.Simulator` provides a
-virtual clock and event queue, :mod:`repro.sim.latency` models wide-area
-round-trip times across two continents, and :mod:`repro.sim.stats` collects
-counters and histograms that the experiment harness reports.
+virtual clock and event queue, :mod:`repro.sim.latency` draws per-hop
+wide-area delays, and :mod:`repro.sim.stats` holds the counter, gauge and
+histogram primitives the metrics registry (:mod:`repro.obs.metrics`) groups.
 """
 
 from repro.sim.engine import Event, EventGroup, Simulator
-from repro.sim.latency import LatencyModel, TwoContinentLatencyModel, UniformLatencyModel
-from repro.sim.network import Message, SimNetwork
+from repro.sim.latency import UniformLatencyModel
 from repro.sim.shard import (
     ShardContext,
     ShardProgram,
@@ -18,7 +17,7 @@ from repro.sim.shard import (
     run_sharded,
     shard_of_key,
 )
-from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry
+from repro.sim.stats import Counter, Gauge, Histogram
 
 __all__ = [
     "Event",
@@ -30,13 +29,8 @@ __all__ = [
     "ShardedSimulator",
     "run_sharded",
     "shard_of_key",
-    "LatencyModel",
-    "TwoContinentLatencyModel",
     "UniformLatencyModel",
-    "Message",
-    "SimNetwork",
     "Counter",
     "Gauge",
     "Histogram",
-    "StatsRegistry",
 ]

@@ -1,11 +1,10 @@
-"""Wide-area latency models.
+"""Wide-area hop latency.
 
-The paper's deployment spans PlanetLab nodes on two continents. Observed
-latencies therefore mix intra-continent RTTs (tens of ms) with
-trans-Atlantic RTTs (~100-200 ms), plus per-hop processing time at loaded
-Gnutella ultrapeers (which dominates: the paper reports 73 s average first
-result for single-result queries, driven by deep flooding and peer
-processing/queueing rather than raw wire speed).
+The paper's deployment spans PlanetLab nodes on two continents, so a DHT
+hop pays anything from an intra-continent to a trans-Atlantic one-way
+delay (tens of ms to ~100 ms). The churn experiment
+(:mod:`repro.experiments.ext_churn`) draws each hop of a lookup from this
+model; flood latency has its own model in :mod:`repro.gnutella.latency`.
 """
 
 from __future__ import annotations
@@ -14,57 +13,12 @@ import random
 from dataclasses import dataclass
 
 
-class LatencyModel:
-    """Interface: one-way latency between two nodes, in seconds."""
-
-    def delay(self, source: int, destination: int, rng: random.Random) -> float:
-        raise NotImplementedError
-
-
 @dataclass
-class UniformLatencyModel(LatencyModel):
-    """Latency drawn uniformly from [low, high] seconds. Simple and fast."""
+class UniformLatencyModel:
+    """One-way latency between two nodes, uniform in [low, high] seconds."""
 
     low: float = 0.02
     high: float = 0.12
 
     def delay(self, source: int, destination: int, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
-
-
-class TwoContinentLatencyModel(LatencyModel):
-    """PlanetLab-style two-continent model.
-
-    Nodes are assigned a continent by parity of a stable hash of their id.
-    Intra-continent one-way delay ~ U[0.01, 0.05] s; inter-continent
-    ~ U[0.05, 0.12] s. A lognormal-ish processing jitter models overloaded
-    ultrapeers forwarding floods.
-    """
-
-    def __init__(
-        self,
-        intra_low: float = 0.01,
-        intra_high: float = 0.05,
-        inter_low: float = 0.05,
-        inter_high: float = 0.12,
-        processing_mean: float = 0.4,
-    ):
-        self.intra_low = intra_low
-        self.intra_high = intra_high
-        self.inter_low = inter_low
-        self.inter_high = inter_high
-        self.processing_mean = processing_mean
-
-    @staticmethod
-    def continent_of(node: int) -> int:
-        # Stable 2-way split; good enough to mix intra/inter links.
-        return (node * 2654435761) % 2
-
-    def delay(self, source: int, destination: int, rng: random.Random) -> float:
-        same = self.continent_of(source) == self.continent_of(destination)
-        if same:
-            wire = rng.uniform(self.intra_low, self.intra_high)
-        else:
-            wire = rng.uniform(self.inter_low, self.inter_high)
-        processing = rng.expovariate(1.0 / self.processing_mean) if self.processing_mean else 0.0
-        return wire + processing

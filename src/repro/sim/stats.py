@@ -1,14 +1,14 @@
 """Counters, gauges, and histograms for experiment reporting.
 
-These are the primitive metric types; :mod:`repro.obs.metrics` builds the
-labelled registry and the Prometheus/JSON exporters on top of them.
+These are the primitive metric types; :mod:`repro.obs.metrics` groups
+them in the labelled registry with the Prometheus/JSON exporters.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -139,43 +139,3 @@ class Histogram:
             else:
                 points.append((value, index / n))
         return points
-
-
-@dataclass
-class StatsRegistry:
-    """Groups counters, gauges, and histograms for one experiment run."""
-
-    counters: dict[str, Counter] = field(default_factory=dict)
-    gauges: dict[str, Gauge] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(name)
-        return self.gauges[name]
-
-    def histogram(
-        self, name: str, reservoir_size: int | None = None, seed: int = 0
-    ) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(
-                name, reservoir_size=reservoir_size, seed=seed
-            )
-        return self.histograms[name]
-
-    def summary(self) -> dict[str, float]:
-        """Flat numeric summary: counters, gauges, and histogram means."""
-        out: dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[name] = counter.value
-        for name, gauge in self.gauges.items():
-            out[name] = gauge.value
-        for name, histogram in self.histograms.items():
-            out[f"{name}.mean"] = histogram.mean
-            out[f"{name}.count"] = histogram.count
-        return out

@@ -6,7 +6,8 @@ no plan, no operators, no messages, no virtual time — so the answer of
 any strategy at any batching can be checked against it.
 :func:`nested_loop_join` is the same idea one level down: the equi-join
 of two row lists by comparing every pair, with no hash table to get
-wrong.
+wrong; :func:`reference_match_counts` replays a symmetric join's
+arrivals through it, which is what the key-multiset join is held to.
 
 The DHT references are the routing layer's definitions written out the
 slow way: :func:`reference_fingers` looks all 160 finger starts up,
@@ -18,9 +19,11 @@ finger construction; ``tests/test_dht_routing_step.py`` holds the two
 equal.
 """
 
+from bisect import bisect_left
+
 from repro.common.errors import DhtError
 from repro.common.ids import KEY_BITS, KEY_SPACE, in_interval, ring_distance
-from repro.dht.keyspace import finger_start, responsible_node
+from repro.dht.keyspace import finger_start
 from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
 from repro.pier.catalog import table_key
@@ -50,9 +53,29 @@ def nested_loop_join(left, right, column):
     """Equi-join of two row lists on ``column``, every pair compared.
 
     Output rows merge both sides; the right side wins column-name
-    collisions, as in the production join.
+    collisions.
     """
     return [{**l, **r} for l in left for r in right if l[column] == r[column]]
+
+
+def reference_match_counts(moves, column="k"):
+    """Per-arrival match counts of a symmetric join fed ``(side, key)``
+    arrivals: each arrival nested-loop joined with the other side's
+    earlier arrivals."""
+    seen = {"left": [], "right": []}
+    counts = []
+    for side, key in moves:
+        row = {column: key}
+        other = seen["right" if side == "left" else "left"]
+        counts.append(len(nested_loop_join([row], other, column)))
+        seen[side].append(row)
+    return counts
+
+
+def reference_owner(sorted_ids, key):
+    """The member responsible for ``key``: the first clockwise from it
+    (itself included), wrapping past zero."""
+    return sorted_ids[bisect_left(sorted_ids, key % KEY_SPACE) % len(sorted_ids)]
 
 
 def reference_fingers(sorted_ids, node_id):
@@ -60,7 +83,7 @@ def reference_fingers(sorted_ids, node_id):
     every bit position ``i``, consecutive duplicates dropped."""
     fingers = []
     for index in range(KEY_BITS):
-        owner = responsible_node(sorted_ids, finger_start(node_id, index))
+        owner = reference_owner(sorted_ids, finger_start(node_id, index))
         if not fingers or owner != fingers[-1]:
             fingers.append(owner)
     return fingers

@@ -19,9 +19,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: modules allowed to touch DhtNode / LocalStore internals
 DHT_INTERNAL = ("repro/dht/",)
 #: modules allowed to charge a BandwidthMeter directly: the transport
-#: itself, and the sim substrate's own meter (its fallback path when no
-#: transport is wired)
-METER_CHARGERS = ("repro/net/", "repro/sim/network.py", "repro/common/units.py")
+#: itself, and the meter's own module
+METER_CHARGERS = ("repro/net/", "repro/common/units.py")
 
 #: attribute names that expose DhtNode internals
 FORBIDDEN_ATTRS = {"store", "successors"}
@@ -124,4 +123,22 @@ def test_lint_actually_detects_violations():
         assert hits, f"lint failed to flag the {name!r} pattern"
     assert not _exempt(probe, DHT_INTERNAL)
     assert _exempt(SRC / "dht" / "network.py", DHT_INTERNAL)
-    assert _exempt(SRC / "sim" / "network.py", METER_CHARGERS)
+    assert _exempt(SRC / "net" / "transport.py", METER_CHARGERS)
+
+
+def test_deleted_path_selectors_stay_deleted():
+    """One path per job: no constructor or config field selects a twin."""
+    import dataclasses
+    import inspect
+
+    from repro.dht.network import DhtNetwork
+    from repro.pier.dataflow import DataflowConfig
+    from repro.pier.operators import SymmetricHashJoin
+
+    exposed = (
+        set(inspect.signature(DhtNetwork.__init__).parameters)
+        | set(inspect.signature(SymmetricHashJoin.__init__).parameters)
+        | {field.name for field in dataclasses.fields(DataflowConfig)}
+    )
+    gone = {"spill_policy", "lazy_routing", "route_cache", "left", "right"}
+    assert not exposed & gone

@@ -1,9 +1,19 @@
-"""Unit tests for ring arithmetic shared by DHT components."""
+"""Unit tests for ring arithmetic shared by DHT components: finger
+starts, and the owner and successor-list bisects of the sorted ring."""
 
 import pytest
 
 from repro.common.ids import KEY_SPACE
-from repro.dht.keyspace import finger_start, responsible_node, successor_list
+from repro.dht.keyspace import finger_start
+from repro.dht.ring import Ring
+
+
+def responsible_node(ids, key):
+    return Ring(ids=ids).responsible(key)
+
+
+def successor_list(ids, node_id, count):
+    return Ring(ids=ids).successor_list(node_id, count)
 
 
 class TestFingerStart:

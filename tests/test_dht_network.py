@@ -134,24 +134,23 @@ class TestDataPath:
         first, second = (node.node_id for node in network.populate(2))
         entries = [(seq, {"fileID": f"f{seq}"}) for seq in range(5)]
         for identity, value in entries:
-            assert network.put_local(first, 42, value, identity=identity)
-        assert network.put_local_many(second, 42, entries) is True
+            network.put_local(first, 42, value, identity=identity)
+        network.put_local_many(second, 42, entries)
         assert network.get_local(second, 42) == network.get_local(first, 42)
         assert network.meter.bytes == 0  # local writes charge nothing
 
     def test_put_local_many_on_departed_node(self):
-        """Same contract as ``put_local``: a departed node raises, or —
-        with ``missing_ok``, the spill sinks' idiom — stores nothing and
-        says so."""
+        """Same contract as ``put_local``: a departed node raises and
+        nothing is stored."""
         network = DhtNetwork(rng=3)
         gone = network.populate(4)[0].node_id
         network.remove_node(gone, graceful=False)
         entries = [(0, "a"), (1, "b")]
-        assert network.put_local_many(gone, 42, entries, missing_ok=True) is False
-        assert network.put_local(gone, 42, "a", identity=0, missing_ok=True) is False
-        assert network.total_stored() == 0
         with pytest.raises(NodeNotFoundError):
             network.put_local_many(gone, 42, entries)
+        with pytest.raises(NodeNotFoundError):
+            network.put_local(gone, 42, "a", identity=0)
+        assert network.total_stored() == 0
 
 
 class TestDeparture:
@@ -408,8 +407,8 @@ def _result_of(gen):
 
 
 class TestRouteCache:
-    def _network(self, **kwargs):
-        network = DhtNetwork(rng=77, **kwargs)
+    def _network(self):
+        network = DhtNetwork(rng=77)
         network.populate(24)
         return network
 
@@ -476,15 +475,6 @@ class TestRouteCache:
         # only name live members.
         assert all(node_id in network.nodes for node_id in result.path)
         assert result.owner == network.owner_of(key)
-
-    def test_cache_disabled_never_counts(self):
-        network = self._network(route_cache=False)
-        origin = network.random_node_id()
-        key = hash_key("plain")
-        for _ in range(3):
-            network.lookup(key, origin=origin)
-        assert network.route_cache_hits == 0
-        assert network.route_cache_misses == 0
 
     def test_ship_batch_same_pair_costs_identical_bytes(self):
         network = self._network()

@@ -2,15 +2,14 @@
 
 from repro.common.ids import KEY_SPACE
 from repro.dht.network import DhtNetwork
-from repro.dht.node import DhtNode
 
 
 def make_ring(ids):
-    nodes = {node_id: DhtNode(node_id) for node_id in ids}
-    ring = sorted(ids)
-    for node in nodes.values():
-        node.update_routing(ring)
-    return nodes
+    network = DhtNetwork()
+    for node_id in ids:
+        network.create_node(node_id)
+    network.stabilize()
+    return network.nodes
 
 
 class TestOwnership:

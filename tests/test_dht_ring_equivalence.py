@@ -1,12 +1,15 @@
-"""Property suite: compact array-backed ring == dict/list reference ring.
+"""Property suite: compact array-backed ring == full-width list ring ==
+the routing tables' written-out definition.
 
-The compact ring (``array('Q')`` words, lazy snapshot-derived routing)
-and the historical representation (full-width id list, eager per-node
-``update_routing``) must be observationally identical: same owners, same
-lookup paths, same successor lists and fingers, same metered bytes —
-under any interleaving of joins, departures, stabilizes, and lookups.
-Hypothesis drives randomized churn schedules over both configurations in
-lockstep and compares every observable after every step.
+The compact ring (``array('Q')`` words) and the list ring (full-width
+ids) must be observationally identical: same owners, same lookup paths,
+same successor lists and fingers, same metered bytes — under any
+interleaving of joins, departures, stabilizes, and lookups. Hypothesis
+drives randomized churn schedules over both configurations in lockstep
+and compares every observable after every step; whenever the rings are
+freshly stabilized, every node's snapshot-derived tables are also held
+to the definition in ``tests/oracle.py`` (``reference_fingers``: all 160
+finger starts looked up, one by one).
 
 A construction-only extrapolation test pins the memory claim: deep
 bytes-per-peer measured at 50k compact peers is per-peer-constant by
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from oracle import reference_fingers
 from repro.common.ids import KEY_SPACE
 from repro.dht.network import DhtNetwork
 from repro.dht.ring import COMPACT_SHIFT, Ring, bytes_per_peer
@@ -71,7 +75,7 @@ class TestRingBackingEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Network-level churn: compact+lazy vs plain+eager in lockstep
+# Network-level churn: compact vs list ring in lockstep, and vs definition
 # ----------------------------------------------------------------------
 
 #: one churn step: join a new peer, remove a live one (gracefully or
@@ -88,21 +92,32 @@ churn_ops = st.one_of(
 
 
 def _build_pair() -> tuple[DhtNetwork, DhtNetwork]:
-    compact = DhtNetwork(rng=5, compact_ids=True, lazy_routing=True)
-    reference = DhtNetwork(rng=5, compact_ids=False, lazy_routing=False)
+    compact = DhtNetwork(rng=5, compact_ids=True)
+    reference = DhtNetwork(rng=5, compact_ids=False)
     return compact, reference
 
 
-def _assert_same_observables(compact: DhtNetwork, reference: DhtNetwork) -> None:
-    assert sorted(compact.nodes) == sorted(reference.nodes)
+def _assert_same_observables(
+    compact: DhtNetwork, reference: DhtNetwork, stabilized: bool
+) -> None:
+    """Both rings agree on everything; ``stabilized`` says no membership
+    change has landed since the last stabilize, so the tables must also
+    equal their definition over the current membership."""
+    members = sorted(compact.nodes)
+    assert members == sorted(reference.nodes)
     assert compact.meter.bytes == reference.meter.bytes
     assert compact.meter.messages == reference.meter.messages
-    for node_id in compact.nodes:
-        lazy = compact.nodes[node_id]
-        eager = reference.nodes[node_id]
-        assert lazy.fingers == eager.fingers, f"fingers diverge at {node_id:#x}"
-        assert lazy.successors == eager.successors
-        assert lazy.predecessor == eager.predecessor
+    for position, node_id in enumerate(members):
+        packed = compact.nodes[node_id]
+        plain = reference.nodes[node_id]
+        assert packed.fingers == plain.fingers, f"fingers diverge at {node_id:#x}"
+        assert packed.successors == plain.successors
+        assert packed.predecessor == plain.predecessor
+        if stabilized:
+            assert plain.fingers == reference_fingers(members, node_id)
+            clockwise = members[position + 1 :] + members[:position]
+            assert plain.successors == clockwise[: plain.successor_count]
+            assert plain.predecessor == (clockwise[-1] if clockwise else None)
 
 
 class TestNetworkChurnEquivalence:
@@ -111,6 +126,7 @@ class TestNetworkChurnEquivalence:
     def test_interleaved_churn_is_observationally_identical(self, ops):
         compact, reference = _build_pair()
         live: list[int] = []
+        stabilized = False
         for op, value in ops:
             if op == "join":
                 node_id = (value << COMPACT_SHIFT) % KEY_SPACE
@@ -119,6 +135,7 @@ class TestNetworkChurnEquivalence:
                 compact.create_node(node_id)
                 reference.create_node(node_id)
                 live.append(node_id)
+                stabilized = False
             elif op in ("leave", "crash"):
                 if len(live) <= 1:
                     continue
@@ -126,9 +143,11 @@ class TestNetworkChurnEquivalence:
                 graceful = op == "leave"
                 compact.remove_node(node_id, graceful=graceful)
                 reference.remove_node(node_id, graceful=graceful)
+                stabilized = False
             elif op == "stabilize":
                 compact.stabilize()
                 reference.stabilize()
+                stabilized = True
             elif op == "lookup":
                 if not live:
                     continue
@@ -138,7 +157,8 @@ class TestNetworkChurnEquivalence:
                 assert a.owner == b.owner
                 assert a.path == b.path, "lookup paths diverged"
                 assert a.hops == b.hops
-            _assert_same_observables(compact, reference)
+                stabilized = True  # lookup() stabilizes a stale ring first
+            _assert_same_observables(compact, reference, stabilized)
 
     @given(count=st.integers(min_value=1, max_value=60), key=keys)
     @settings(max_examples=25, deadline=None)
@@ -155,7 +175,7 @@ class TestNetworkChurnEquivalence:
         a = compact.lookup(key, origin=origin)
         b = reference.lookup(key, origin=origin)
         assert (a.owner, a.path) == (b.owner, b.path)
-        _assert_same_observables(compact, reference)
+        _assert_same_observables(compact, reference, stabilized=True)
 
 
 # ----------------------------------------------------------------------
@@ -168,12 +188,12 @@ def test_million_peer_bytes_per_peer_ceiling_by_extrapolation():
     clear the 1 KB/peer million-peer ceiling with margin.
 
     Per-peer cost is constant by construction — an 8-byte ring word, a
-    slotted node, lazy (unmaterialized) tables — so a 50k sample
+    slotted node, unmaterialized tables — so a 50k sample
     extrapolates linearly; the recorded ``BENCH_shard.json`` pins the
     actual 1M measurement (~210 B/peer) and this test keeps the
     regression signal cheap enough for every CI run.
     """
-    network = DhtNetwork(rng=13, compact_ids=True, lazy_routing=True)
+    network = DhtNetwork(rng=13, compact_ids=True)
     network.populate(50_000)
     per_peer = bytes_per_peer(network)
     assert per_peer <= 1024.0, f"{per_peer:.0f} B/peer at 50k, ceiling 1024"

@@ -23,11 +23,7 @@ from repro.common.errors import DhtError
 from repro.common.ids import KEY_SPACE, in_interval, ring_distance
 from repro.dht.network import DhtNetwork
 from repro.dht.node import OWNS, DhtNode
-from repro.dht.protocol import DhtProtocol
 from repro.dht.ring import COMPACT_SHIFT, Ring, RingCell, RingSnapshot
-from repro.sim.engine import Simulator
-from repro.sim.latency import UniformLatencyModel
-from repro.sim.network import SimNetwork
 
 WORD_SPACE = 1 << 64
 ID_BITS = (4, 8, 20, 64, 160)
@@ -115,15 +111,6 @@ class TestFingerTables:
                     expected = reference_fingers(ids, node_id)
                     for ring in rings:
                         assert ring.fingers_of(node_id) == expected
-
-    @given(cluster=id_clusters(max_bits=160, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_update_routing_builds_the_same_table(self, cluster):
-        ids, probes = cluster
-        for node_id in ids[:4] + probes:
-            node = DhtNode(node_id)
-            node.update_routing(ids)
-            assert node.fingers == reference_fingers(ids, node_id)
 
 
 # ----------------------------------------------------------------------
@@ -223,18 +210,15 @@ class TestCompiledTableInvalidation:
     @given(
         node=hand_built_nodes(),
         key=ring_ids,
-        which=st.sampled_from(("fingers", "successors", "predecessor", "update_routing")),
+        which=st.sampled_from(("fingers", "successors", "predecessor")),
         table=tables,
         predecessor=st.one_of(st.none(), ring_ids),
-        ring=st.lists(ring_ids, min_size=1, max_size=8, unique=True),
     )
     @settings(max_examples=200, deadline=None)
-    def test_assignment_and_update_routing(self, node, key, which, table, predecessor, ring):
+    def test_assignment(self, node, key, which, table, predecessor):
         assert_step_matches(node, key)  # compiles the table about to go stale
         if which == "predecessor":
             node.predecessor = predecessor
-        elif which == "update_routing":
-            node.update_routing(sorted(ring))
         else:
             setattr(node, which, table)
         for probe in probe_keys(node, key):
@@ -368,22 +352,15 @@ def assert_walks_agree(network: DhtNetwork, key: int, origin: int, between) -> N
                 apply_membership(network, op)
 
 
-NETWORKS = {
-    "lazy-compact": dict(compact_ids=True, lazy_routing=True),
-    "lazy-list": dict(compact_ids=False, lazy_routing=True),
-    "eager-list": dict(compact_ids=False, lazy_routing=False),
-}
-
-
 class TestWalksUnderChurn:
-    @pytest.mark.parametrize("flavour", NETWORKS)
+    @pytest.mark.parametrize("compact_ids", [True, False], ids=["compact", "list"])
     @given(
         start=st.integers(min_value=1, max_value=24),
         ops=st.lists(st.one_of(membership_ops, walk_ops), min_size=1, max_size=24),
     )
     @settings(max_examples=40, deadline=None)
-    def test_lookup_and_iter_lookup_follow_the_reference(self, flavour, start, ops):
-        network = DhtNetwork(rng=3, **NETWORKS[flavour])
+    def test_lookup_and_iter_lookup_follow_the_reference(self, compact_ids, start, ops):
+        network = DhtNetwork(rng=3, compact_ids=compact_ids)
         seed = random.Random(start)
         for _ in range(start):
             network.create_node(seed.getrandbits(64) << COMPACT_SHIFT)
@@ -421,53 +398,3 @@ class TestWalksUnderChurn:
             origin = rng.choice(sorted(network.nodes))
             assert_walks_agree(network, rng.getrandbits(160), origin, ())
         assert network.route_repairs > before
-
-
-def make_protocol(dht: DhtNetwork):
-    sim = Simulator()
-    net = SimNetwork(sim, latency=UniformLatencyModel(0.05, 0.15), rng=random.Random(1))
-    return sim, DhtProtocol(dht, sim, net)
-
-
-class TestProtocolUsesTheSameStep:
-    @given(
-        count=st.integers(min_value=1, max_value=40),
-        lookups=st.lists(
-            st.tuples(st.integers(0, 2 * KEY_SPACE), st.integers(0, 10**6)),
-            min_size=1,
-            max_size=8,
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_owner_and_hops_match_reference_on_a_stable_ring(self, count, lookups):
-        dht = DhtNetwork(rng=count)
-        dht.populate(count)
-        sim, protocol = make_protocol(dht)
-        started = []
-        for key, pick in lookups:
-            origin = sorted(dht.nodes)[pick % count]
-            started.append((protocol.lookup(key, origin=origin), key, origin))
-        sim.run()
-        for lookup, key, origin in started:
-            owner, path, _ = reference_outcome(dht, key, origin)[1]
-            assert not lookup.failed and lookup.retries == 0
-            assert lookup.owner == owner
-            assert lookup.hops == len(path)  # one request per node visited
-
-    def test_dead_end_node_answers_owner(self):
-        dht = DhtNetwork(rng=4)
-        dht.populate(2)
-        stuck, other = sorted(dht.nodes)
-        node = dht.nodes[stuck]
-        node.fingers, node.successors = [], []
-        key = stuck + 1  # the other node's key, and nobody to forward it to
-        assert node.route(key) is None
-        sim, protocol = make_protocol(dht)
-        lookup = protocol.lookup(key, origin=stuck)
-        sim.run()
-        assert not lookup.failed
-        assert lookup.owner == stuck and lookup.hops == 1
-        with pytest.raises(DhtError, match="dead-end"):
-            list(dht.iter_lookup(key, origin=stuck))
-        with pytest.raises(DhtError, match="dead-end"):
-            dht.lookup(key, origin=stuck)

@@ -6,13 +6,13 @@ from repro.common.errors import DhtError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, temp_ring_key
-from repro.pier.operators import Scan, SpillSink, SymmetricHashJoin
+from repro.pier.operators import SpillSink, SymmetricHashJoin
 from repro.pier.planner import KeywordPlanner
 from repro.obs.metrics import MetricsRegistry
 from repro.piersearch.publisher import Publisher
 from repro.sim.engine import Simulator
 
-from oracle import oracle_items
+from oracle import oracle_items, reference_match_counts
 
 WORDS = ["nebula", "quasar", "aurora", "meteor"]
 
@@ -311,15 +311,12 @@ class TestMemoryBudgetSpill:
         assert leftover == set()
 
     def test_incremental_shj_spills_and_matches(self):
-        left = [{"k": i % 3, "side": "l", "i": i} for i in range(9)]
-        right = [{"k": i % 3, "side": "r", "i": i + 100} for i in range(9)]
-        reference = SymmetricHashJoin(Scan(left), Scan(right), "k").rows()
-        bounded = SymmetricHashJoin(
-            Scan(left), Scan(right), "k", memory_budget=4, spill_sink=SpillSink("k")
-        )
-        rows = bounded.rows()
-        signature = lambda rs: sorted(sorted(r.items()) for r in rs)
-        assert signature(rows) == signature(reference)
+        moves = [
+            (side, index % 3) for index in range(9) for side in ("left", "right")
+        ]
+        bounded = SymmetricHashJoin("k", memory_budget=4, spill_sink=SpillSink("k"))
+        counts = [bounded.insert_keys(side, (key,))[0] for side, key in moves]
+        assert counts == reference_match_counts(moves)
         assert bounded.spilled_rows > 0
         assert bounded.spill_reads > 0
 

@@ -1,14 +1,6 @@
 """Unit tests for the local physical operators."""
 
-from repro.obs.metrics import MetricsRegistry
-from repro.pier.operators import (
-    Metered,
-    Projection,
-    Scan,
-    Selection,
-    SubstringFilter,
-    SymmetricHashJoin,
-)
+from repro.pier.operators import Scan, SubstringFilter, SymmetricHashJoin
 
 from oracle import nested_loop_join
 
@@ -17,44 +9,18 @@ def rows_of(values):
     return [{"k": value} for value in values]
 
 
-class TestMetered:
-    def test_transparent_passthrough(self):
-        registry = MetricsRegistry()
-        wrapped = Metered(Scan(rows_of([1, 2, 3])), registry, "scan")
-        assert wrapped.rows() == rows_of([1, 2, 3])
+def join_size(left, right):
+    """Matches completed when ``right`` is built and ``left`` probes it —
+    and, a symmetric join giving both the same, the other way round."""
 
-    def test_counts_rows_and_samples_latency(self):
-        registry = MetricsRegistry()
-        Metered(Scan(rows_of(range(10))), registry, "scan").rows()
-        assert registry.counter("scan.rows").value == 10
-        histogram = registry.histogram("scan.seconds")
-        assert histogram.count == 10
-        assert histogram.minimum >= 0.0
+    def probe(build_side, build, probe_side, keys):
+        join = SymmetricHashJoin(column="k")
+        join.insert_keys(build_side, build)
+        return sum(join.insert_keys(probe_side, keys))
 
-    def test_labels_make_per_site_series(self):
-        registry = MetricsRegistry()
-        for site in ("1", "2"):
-            Metered(
-                Scan(rows_of([1])), registry, "scan", labels={"site": site}
-            ).rows()
-        assert registry.counter("scan.rows", labels={"site": "1"}).value == 1
-        assert registry.counter("scan.rows", labels={"site": "2"}).value == 1
-
-    def test_reservoir_bounds_retention(self):
-        registry = MetricsRegistry()
-        Metered(
-            Scan(rows_of(range(5_000))), registry, "scan", reservoir_size=64
-        ).rows()
-        histogram = registry.histogram("scan.seconds")
-        assert histogram.count == 5_000
-        assert len(histogram.samples) == 64
-
-    def test_composes_with_plain_stats_registry(self):
-        from repro.sim.stats import StatsRegistry
-
-        registry = StatsRegistry()
-        Metered(Scan(rows_of([1, 2])), registry, "scan").rows()
-        assert registry.counter("scan.rows").value == 2
+    size = probe("right", right, "left", left)
+    assert size == probe("left", left, "right", right)
+    return size
 
 
 class TestScan:
@@ -67,25 +33,6 @@ class TestScan:
     def test_reiterable(self):
         scan = Scan(rows_of([1]))
         assert scan.rows() == scan.rows()
-
-
-class TestSelection:
-    def test_filters(self):
-        out = Selection(Scan(rows_of([1, 2, 3])), lambda r: r["k"] > 1).rows()
-        assert out == rows_of([2, 3])
-
-    def test_empty_input(self):
-        assert Selection(Scan([]), lambda r: True).rows() == []
-
-
-class TestProjection:
-    def test_keeps_columns(self):
-        rows = [{"a": 1, "b": 2}]
-        assert Projection(Scan(rows), ("a",)).rows() == [{"a": 1}]
-
-    def test_deduplicates(self):
-        rows = [{"a": 1, "b": 2}, {"a": 1, "b": 3}]
-        assert Projection(Scan(rows), ("a",)).rows() == [{"a": 1}]
 
 
 class TestSubstringFilter:
@@ -118,57 +65,46 @@ class TestSubstringFilter:
 
 
 class TestHashJoin:
-    """Fixed equi-join answers, from the production join and from the
-    nested-loop reference the differential tests compare it with."""
+    """Fixed equi-join sizes, from the production join on key multisets
+    and from the nested-loop reference the differential tests compare it
+    with."""
 
     def test_basic_join(self):
-        left = [{"id": 1, "l": "a"}]
-        right = [{"id": 1, "r": "b"}, {"id": 2, "r": "c"}]
-        expected = [{"id": 1, "l": "a", "r": "b"}]
-        assert SymmetricHashJoin(Scan(left), Scan(right), "id").rows() == expected
-        assert nested_loop_join(left, right, "id") == expected
+        left, right = [1], [1, 2]
+        assert join_size(left, right) == 1
+        assert nested_loop_join(rows_of(left), rows_of(right), "k") == [{"k": 1}]
 
     def test_duplicate_matches_multiply(self):
-        left = [{"id": 1, "l": "a"}, {"id": 1, "l": "b"}]
-        right = [{"id": 1, "r": "x"}]
-        assert len(SymmetricHashJoin(Scan(left), Scan(right), "id").rows()) == 2
-        assert len(nested_loop_join(left, right, "id")) == 2
+        left, right = [1, 1], [1]
+        assert join_size(left, right) == 2
+        assert len(nested_loop_join(rows_of(left), rows_of(right), "k")) == 2
 
     def test_empty_sides(self):
-        for left, right in (([], rows_of([1])), (rows_of([1]), [])):
-            assert SymmetricHashJoin(Scan(left), Scan(right), "k").rows() == []
-            assert nested_loop_join(left, right, "k") == []
+        for left, right in (([], [1]), ([1], [])):
+            assert join_size(left, right) == 0
+            assert nested_loop_join(rows_of(left), rows_of(right), "k") == []
 
 
 class TestSymmetricHashJoin:
     def test_same_result_as_nested_loop_reference(self):
-        left = [{"id": i, "l": i} for i in range(10)]
-        right = [{"id": i, "r": i} for i in range(5, 15)]
-        shj = {
-            tuple(sorted(row.items()))
-            for row in SymmetricHashJoin(Scan(left), Scan(right), "id")
-        }
-        reference = {
-            tuple(sorted(row.items()))
-            for row in nested_loop_join(left, right, "id")
-        }
-        assert shj == reference
+        left, right = list(range(10)), list(range(5, 15))
+        join = SymmetricHashJoin(column="k")
+        join.insert_keys("right", right)
+        matched = [
+            key for key, count in zip(left, join.insert_keys("left", left)) if count
+        ]
+        reference = nested_loop_join(rows_of(left), rows_of(right), "k")
+        assert rows_of(matched) == reference
 
     def test_streams_with_unbalanced_inputs(self):
-        left = [{"id": 1, "l": "a"}]
-        right = [{"id": i, "r": i} for i in range(100)]
-        out = SymmetricHashJoin(Scan(left), Scan(right), "id").rows()
-        assert len(out) == 1
+        assert join_size([1], list(range(100))) == 1
 
     def test_peak_table_sizes_tracked(self):
-        join = SymmetricHashJoin(
-            Scan(rows_of(range(10))), Scan(rows_of(range(10))), "k"
-        )
-        join.rows()
+        join = SymmetricHashJoin(column="k")
+        join.insert_keys("left", range(10))
+        join.insert_keys("right", range(10))
         assert join.peak_left_table == 10
         assert join.peak_right_table == 10
 
     def test_duplicate_join_keys(self):
-        left = [{"id": 1, "l": "a"}, {"id": 1, "l": "b"}]
-        right = [{"id": 1, "r": "x"}, {"id": 1, "r": "y"}]
-        assert len(SymmetricHashJoin(Scan(left), Scan(right), "id").rows()) == 4
+        assert join_size([1, 1], [1, 1]) == 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pier.operators import Scan, SpillSink, SymmetricHashJoin
+from repro.pier.operators import SpillSink, SymmetricHashJoin
 from repro.pier.rows import RowBatch
 
 
@@ -48,16 +48,6 @@ class TestKeyOnlyJoin:
         assert shj.insert_left_key("a") == 2  # both right copies match
         assert shj.insert_left_key("b") == 0
 
-    def test_key_mode_counts_match_dict_mode_matches(self):
-        left = [{"k": i % 3} for i in range(9)]
-        right = [{"k": i % 3} for i in range(6)]
-        dict_join = SymmetricHashJoin(Scan(left), Scan(right), "k")
-        expected = len(dict_join.rows())
-        key_join = SymmetricHashJoin(column="k")
-        total = sum(key_join.insert_right_key(row["k"]) for row in right)
-        total += sum(key_join.insert_left_key(row["k"]) for row in left)
-        assert total == expected
-
     def test_key_mode_spills_and_reads_back(self):
         shj = SymmetricHashJoin(column="k", memory_budget=2, spill_sink=SpillSink("k"))
         for key in ("a", "b", "c"):
@@ -76,13 +66,3 @@ class TestKeyOnlyJoin:
         shj.insert_left_key(0)
         assert shj.peak_right_table == 5
         assert shj.peak_left_table == 1
-
-    def test_mixing_key_and_dict_modes_raises(self):
-        shj = SymmetricHashJoin(column="k")
-        shj.insert_left_key("a")
-        with pytest.raises(TypeError):
-            shj.insert_left({"k": "a"})
-        other = SymmetricHashJoin(column="k")
-        other.insert_left({"k": "a"})
-        with pytest.raises(TypeError):
-            other.insert_right_key("a")

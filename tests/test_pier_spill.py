@@ -4,19 +4,28 @@ Covers the memory-adaptive core of :class:`SymmetricHashJoin`: largest-
 partition eviction, the per-partition spilled index that keeps
 never-spilled probes free of sink reads, stay-spilled routing, role
 reversal, incremental restore when the budget frees up, the compact
-keys-mode spill representation, and the legacy all-or-nothing policy
-kept for comparison experiments.
+``(key, count)`` spill representation, and — in two interpreters with
+different string-hash salts — that eviction surfaces a partition's keys
+in arrival order. Answers are held to ``tests/oracle.py``'s nested-loop
+reference on key multisets.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.pier.operators import (
     NUM_SPILL_PARTITIONS,
-    Scan,
     SpillSink,
     SymmetricHashJoin,
     spill_partition,
 )
+
+from oracle import reference_match_counts
 
 
 def keys_in_partition(pid, num_partitions, count, start=0):
@@ -29,16 +38,9 @@ def keys_in_partition(pid, num_partitions, count, start=0):
     return found
 
 
-def rows_for(keys, side):
-    return [{"k": key, "tag": f"{side}{i}"} for i, key in enumerate(keys)]
-
-
-def make_join(budget, policy="partitioned", partitions=4):
+def make_join(budget, partitions=4):
     return SymmetricHashJoin(
-        column="k",
-        memory_budget=budget,
-        num_partitions=partitions,
-        spill_policy=policy,
+        column="k", memory_budget=budget, num_partitions=partitions
     )
 
 
@@ -47,8 +49,7 @@ class TestPartitionedEviction:
         join = make_join(budget=8)
         big = keys_in_partition(0, 4, 6)
         small = keys_in_partition(1, 4, 3)
-        for row in rows_for(big + small, "l"):
-            join.insert_left(row)
+        join.insert_keys("left", big + small)
         # 9 rows against a budget of 8: exactly one eviction, and it
         # takes the 6-row partition, leaving the 3-row one resident.
         assert join.partition_evictions == 1
@@ -58,27 +59,11 @@ class TestPartitionedEviction:
 
     def test_budgeted_join_below_budget_never_tracks_or_spills(self):
         join = make_join(budget=100)
-        for row in rows_for(keys_in_partition(0, 4, 10), "l"):
-            join.insert_left(row)
+        join.insert_keys("left", keys_in_partition(0, 4, 10))
         assert join.spilled_rows == 0
         # Partition bookkeeping is lazy: it only switches on at the
         # first overflow, so pre-spill inserts stay near-free.
         assert join._tracking is False
-
-    def test_all_policy_flushes_both_sides_wholesale(self):
-        join = make_join(budget=8, policy="all")
-        left = keys_in_partition(0, 4, 3) + keys_in_partition(1, 4, 2)
-        right = keys_in_partition(2, 4, 4, start=1000)
-        for row in rows_for(left, "l"):
-            join.insert_left(row)
-        for row in rows_for(right, "r"):
-            join.insert_right(row)
-        # One row over budget flushed everything: both sides' nonempty
-        # partitions spilled, nothing resident.
-        assert join.spilled_partitions["left"] == {0, 1}
-        assert join.spilled_partitions["right"] == {2}
-        assert join._in_memory == {"left": 0, "right": 0}
-        assert join.spilled_rows == 9
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -86,15 +71,7 @@ class TestPartitionedEviction:
         with pytest.raises(ValueError):
             SymmetricHashJoin(column="k", num_partitions=0)
         with pytest.raises(ValueError):
-            make_join(budget=4, policy="some")
-        with pytest.raises(ValueError):
             make_join(budget=4).set_memory_budget(0)
-
-    def test_mode_mixing_raises(self):
-        join = make_join(budget=4)
-        join.insert_left({"k": 1})
-        with pytest.raises(TypeError):
-            join.insert_left_key(1)
 
 
 class TestSpilledIndexGatesReads:
@@ -102,27 +79,22 @@ class TestSpilledIndexGatesReads:
         """Regression: before the partitioned rework, the first spill
         made *every* subsequent probe call into the sink."""
         join = make_join(budget=8)
-        for row in rows_for(keys_in_partition(0, 4, 6), "l"):
-            join.insert_left(row)
+        join.insert_keys("left", keys_in_partition(0, 4, 6))
         resident = keys_in_partition(1, 4, 3)
-        for row in rows_for(resident, "l"):
-            join.insert_left(row)
+        join.insert_keys("left", resident)
         assert join.spilled_rows > 0
         # Probe only keys of the resident partition: matches come out of
         # memory, the sink is never consulted.
         for key in resident:
-            assert len(join.insert_right({"k": key, "tag": "probe"})) == 1
+            assert join.insert_right_key(key) == 1
         assert join.spill_reads == 0
 
     def test_spilled_partition_probe_reads_sink(self):
         join = make_join(budget=8)
         spilled_keys = keys_in_partition(0, 4, 6)
-        for row in rows_for(spilled_keys, "l"):
-            join.insert_left(row)
-        for row in rows_for(keys_in_partition(1, 4, 3), "l"):
-            join.insert_left(row)
-        matches = join.insert_right({"k": spilled_keys[0], "tag": "probe"})
-        assert len(matches) == 1
+        join.insert_keys("left", spilled_keys)
+        join.insert_keys("left", keys_in_partition(1, 4, 3))
+        assert join.insert_right_key(spilled_keys[0]) == 1
         assert join.spill_reads == 1
 
 
@@ -130,49 +102,38 @@ class TestStaySpilled:
     def test_later_rows_for_spilled_partition_route_to_sink(self):
         join = make_join(budget=8)
         keys = keys_in_partition(0, 4, 6)
-        for row in rows_for(keys, "l"):
-            join.insert_left(row)
-        for row in rows_for(keys_in_partition(1, 4, 3), "l"):
-            join.insert_left(row)
+        join.insert_keys("left", keys)
+        join.insert_keys("left", keys_in_partition(1, 4, 3))
         assert join.spilled_partitions["left"] == {0}
         resident_before = join._in_memory["left"]
         spilled_before = join.spilled_rows
         late = keys_in_partition(0, 4, 1, start=10_000)[0]
-        join.insert_left({"k": late, "tag": "late"})
+        join.insert_left_key(late)
         # The spilled partition stayed spilled: the late row went
         # straight to the sink instead of refilling memory.
         assert join._in_memory["left"] == resident_before
         assert join.spilled_rows == spilled_before + 1
         # ...and it is still joinable.
-        assert len(join.insert_right({"k": late, "tag": "probe"})) == 1
+        assert join.insert_right_key(late) == 1
 
-    def test_all_policy_refills_and_reflushes(self):
-        """The legacy policy's cliff: rows keep landing in memory and
-        get flushed wholesale again and again."""
-        join = make_join(budget=4, policy="all")
-        for row in rows_for(keys_in_partition(0, 4, 16), "l"):
-            join.insert_left(row)
-        # Every overflow re-flushed the refilling partition: repeated
-        # eviction events where a stay-spilled policy pays exactly one.
-        assert join.partition_evictions >= 3
-        stay = make_join(budget=4)
-        for row in rows_for(keys_in_partition(0, 4, 16), "l"):
-            stay.insert_left(row)
-        assert stay.partition_evictions == 1
+    def test_refilling_partition_is_evicted_exactly_once(self):
+        """Sixteen keys of one partition against a budget of four: the
+        partition spills once and the rest of it routes to the sink (an
+        all-or-nothing flush would refill and reflush, again and again)."""
+        join = make_join(budget=4)
+        join.insert_keys("left", keys_in_partition(0, 4, 16))
+        assert join.partition_evictions == 1
 
 
 class TestRoleReversal:
     def test_victim_side_flip_is_counted(self):
         join = make_join(budget=6)
-        for row in rows_for(keys_in_partition(0, 4, 5), "l"):
-            join.insert_left(row)
-        for row in rows_for(keys_in_partition(1, 4, 3, start=1000), "r"):
-            join.insert_right(row)
+        join.insert_keys("left", keys_in_partition(0, 4, 5))
+        join.insert_keys("right", keys_in_partition(1, 4, 3, start=1000))
         assert join.role_reversals == 0
         # The right side now outgrows the left mid-stream: the next
         # eviction flips the victim side.
-        for row in rows_for(keys_in_partition(2, 4, 9, start=2000), "r"):
-            join.insert_right(row)
+        join.insert_keys("right", keys_in_partition(2, 4, 9, start=2000))
         assert join.role_reversals >= 1
         assert join.spilled_partitions["right"]
 
@@ -181,25 +142,21 @@ class TestRestore:
     def test_loosening_budget_restores_partitions(self):
         join = make_join(budget=8)
         keys = keys_in_partition(0, 4, 6)
-        for row in rows_for(keys, "l"):
-            join.insert_left(row)
-        for row in rows_for(keys_in_partition(1, 4, 3), "l"):
-            join.insert_left(row)
+        join.insert_keys("left", keys)
+        join.insert_keys("left", keys_in_partition(1, 4, 3))
         assert join.spilled_partitions["left"] == {0}
         join.set_memory_budget(64)
         assert join.partition_restores == 1
         assert join.spilled_partitions["left"] == set()
         assert join.spill_sink.partition_rows("left", 0) == 0
         # Restored rows match from memory again, without sink reads.
-        assert len(join.insert_right({"k": keys[0], "tag": "p"})) == 1
+        assert join.insert_right_key(keys[0]) == 1
         assert join.spill_reads == 0
 
     def test_lifting_budget_restores_everything(self):
         join = make_join(budget=4)
-        for row in rows_for(keys_in_partition(0, 4, 4), "l"):
-            join.insert_left(row)
-        for row in rows_for(keys_in_partition(1, 4, 4, start=500), "r"):
-            join.insert_right(row)
+        join.insert_keys("left", keys_in_partition(0, 4, 4))
+        join.insert_keys("right", keys_in_partition(1, 4, 4, start=500))
         assert join.spilled_rows > 0
         join.set_memory_budget(None)
         assert join.spilled_partitions == {"left": set(), "right": set()}
@@ -211,10 +168,8 @@ class TestRestore:
         """A restore fits in half the slack, so restoring can never push
         the join back over budget (no evict/restore ping-pong)."""
         join = make_join(budget=8)
-        for row in rows_for(keys_in_partition(0, 4, 6), "l"):
-            join.insert_left(row)
-        for row in rows_for(keys_in_partition(1, 4, 3), "l"):
-            join.insert_left(row)
+        join.insert_keys("left", keys_in_partition(0, 4, 6))
+        join.insert_keys("left", keys_in_partition(1, 4, 3))
         evictions = join.partition_evictions
         join.set_memory_budget(9)  # slack 6: the 6-row partition stays out
         assert join.partition_restores == 0
@@ -225,8 +180,7 @@ class TestRestore:
     def test_tightening_budget_on_unbudgeted_join_spills(self):
         join = SymmetricHashJoin(column="k")
         assert join.spill_sink is None
-        for row in rows_for(keys_in_partition(0, NUM_SPILL_PARTITIONS, 6), "l"):
-            join.insert_left(row)
+        join.insert_keys("left", keys_in_partition(0, NUM_SPILL_PARTITIONS, 6))
         join.set_memory_budget(4)
         assert join.spill_sink is not None
         assert join.spilled_rows > 0
@@ -273,22 +227,92 @@ class TestKeysModeCompactSpill:
 
 class TestIteratorEquivalence:
     def test_partitioned_budgeted_matches_unbudgeted(self):
-        left = rows_for([i % 7 for i in range(30)], "l")
-        right = rows_for([i % 5 for i in range(30)], "r")
-        signature = lambda rs: sorted(sorted(r.items()) for r in rs)
-        reference = SymmetricHashJoin(Scan(left), Scan(right), "k").rows()
-        for policy in ("partitioned", "all"):
-            for budget in (1, 2, 5, 17):
-                join = SymmetricHashJoin(
-                    Scan(left),
-                    Scan(right),
-                    "k",
-                    memory_budget=budget,
-                    spill_sink=SpillSink("k"),
-                    num_partitions=4,
-                    spill_policy=policy,
-                )
-                assert signature(join.rows()) == signature(reference), (
-                    f"{policy}/{budget}"
-                )
-                assert join.spilled_rows > 0
+        """Both inputs interleaved round-robin, one key per call: every
+        arrival completes the matches the nested-loop reference gives
+        it, under any budget."""
+        moves = [
+            (side, index % modulus)
+            for index in range(30)
+            for side, modulus in (("left", 7), ("right", 5))
+        ]
+        expected = reference_match_counts(moves)
+        assert sum(expected) == 132  # sum over keys of left x right multiplicity
+        for budget in (None, 1, 2, 5, 17):
+            join = SymmetricHashJoin(
+                "k",
+                memory_budget=budget,
+                spill_sink=SpillSink("k") if budget else None,
+                num_partitions=4,
+            )
+            counts = [join.insert_keys(side, (key,))[0] for side, key in moves]
+            assert counts == expected, budget
+            assert (join.spilled_rows > 0) == (budget is not None)
+
+
+#: One budgeted two-term query over str fileIDs, sampled until it
+#: completes: the last ``spill-{side}-p{pid}`` buckets seen in the join
+#: sites' stores, as ``[stage, side, pid, [[identity, fileID], ...]]``.
+SURFACE_SCRIPT = """
+import json
+from repro.pier.dataflow import DataflowConfig, DataflowExecutor, temp_ring_key
+from test_pier_dataflow import build_world, plan_for
+
+network, catalog = build_world(num_files=60)
+plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
+flow = DataflowExecutor(
+    network,
+    catalog,
+    config=DataflowConfig(batch_size=4, memory_budget=3, hop_jitter=0.0),
+    rng=11,
+)
+query = flow.submit(plan)
+surface = []
+
+def snapshot():
+    if query.done:
+        return
+    surface[:] = [
+        [stage, side, pid, [[seq, row["fileID"]] for seq, row in bucket.items()]]
+        for stage, planned in enumerate(plan.stages)
+        for side in ("left", "right")
+        for pid in range(8)
+        if (
+            bucket := network.nodes[planned.site].store._data.get(
+                temp_ring_key(1, stage, f"spill-{side}-p{pid}")
+            )
+        )
+    ]
+    flow.sim.schedule(0.05, snapshot)
+
+flow.sim.schedule(0.05, snapshot)
+flow.sim.run()
+assert query.done and query.error is None
+print(json.dumps(surface))
+"""
+
+
+class TestEvictionOrder:
+    def test_spill_surface_is_independent_of_the_string_hash_salt(self):
+        """Eviction walks a partition in arrival order, so the tuples a
+        budgeted join surfaces in its site's store — and the identities
+        they are stored under — are the same in two interpreters whose
+        ``str`` hashes differ."""
+        root = Path(__file__).resolve().parent.parent
+        surfaces = []
+        for salt in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=salt,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", SURFACE_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            surfaces.append(json.loads(done.stdout))
+        assert surfaces[0] == surfaces[1]
+        # Not vacuous: some surfaced partition holds several keys.
+        assert any(len(bucket) > 1 for *_, bucket in surfaces[0])

@@ -6,10 +6,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.common.ids import KEY_SPACE, hash_key, in_interval, ring_distance
-from repro.dht.keyspace import responsible_node
+from repro.dht.ring import Ring
 from repro.metrics.cdf import discrete_cdf, fraction_at_most
 from repro.model.analytical import SystemParameters, pf_gnutella, pf_hybrid
-from repro.pier.operators import Scan, SymmetricHashJoin
+from repro.pier.operators import SymmetricHashJoin
 from repro.piersearch.tokenizer import extract_keywords, tokenize
 
 from oracle import nested_loop_join
@@ -38,8 +38,7 @@ class TestRingProperties:
 
     @given(ids=st.lists(ring_points, min_size=1, max_size=30, unique=True), key=ring_points)
     def test_responsible_node_is_first_clockwise(self, ids, key):
-        ids.sort()
-        owner = responsible_node(ids, key)
+        owner = Ring(ids=ids).responsible(key)
         assert owner in ids
         # No other node lies strictly between the key and its owner.
         for node in ids:
@@ -55,27 +54,31 @@ class TestJoinProperties:
     @given(left=row_lists, right=row_lists)
     @settings(max_examples=50)
     def test_shj_equals_nested_loop_reference(self, left, right):
-        left_rows = [{"k": v, "side": "l", "i": i} for i, v in enumerate(left)]
-        right_rows = [{"k": v, "side": "r", "j": j} for j, v in enumerate(right)]
-        shj = SymmetricHashJoin(Scan(left_rows), Scan(right_rows), "k").rows()
-        reference = nested_loop_join(left_rows, right_rows, "k")
-        canon = lambda rows: sorted(
-            tuple(sorted((k, v) for k, v in row.items())) for row in rows
+        shj = SymmetricHashJoin(column="k")
+        shj.insert_keys("right", right)
+        matched = [
+            {"k": key}
+            for key, count in zip(left, shj.insert_keys("left", left))
+            for _ in range(count)
+        ]
+        reference = nested_loop_join(
+            [{"k": v} for v in left], [{"k": v} for v in right], "k"
         )
-        assert canon(shj) == canon(reference)
+        assert matched == reference
 
     @given(left=row_lists, right=row_lists)
     @settings(max_examples=50)
     def test_join_size_is_sum_of_products(self, left, right):
         from collections import Counter
 
-        left_rows = [{"k": v} for v in left]
-        right_rows = [{"k": v} for v in right]
         lc, rc = Counter(left), Counter(right)
         expected = sum(lc[k] * rc[k] for k in lc)
+        left_rows = [{"k": v} for v in left]
+        right_rows = [{"k": v} for v in right]
         assert len(nested_loop_join(left_rows, right_rows, "k")) == expected
-        shj = SymmetricHashJoin(Scan(left_rows), Scan(right_rows), "k")
-        assert len(shj.rows()) == expected
+        shj = SymmetricHashJoin(column="k")
+        shj.insert_keys("left", left)
+        assert sum(shj.insert_keys("right", right)) == expected
 
 
 class TestTokenizerProperties:

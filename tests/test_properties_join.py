@@ -2,9 +2,10 @@
 
 Pins the core guarantee of the partitioned hybrid hash join — spill,
 stay-spilled routing, restore and role reversal are pure
-memory-for-re-reads trades — across rows/keys modes, spill policies,
-partition fan-outs, arbitrary arrival interleavings, mid-stream
-re-budgeting, and whole plans on the dataflow (budgeted vs unbudgeted),
+memory-for-re-reads trades — across partition fan-outs, arbitrary
+arrival interleavings, mid-stream re-budgeting, and whole plans on the
+dataflow (budgeted vs unbudgeted), against the unbudgeted join and
+against ``tests/oracle.py``'s nested-loop reference on key multisets,
 plus the accounting invariants that tie ``QueryStats`` spill bytes to
 row counts. The key path is set-at-a-time, so the suite also pins
 **chunking invariance**: how a key sequence is cut into ``insert_keys``
@@ -25,7 +26,7 @@ from repro.pier.planner import KeywordPlanner
 from repro.pier.query import spill_stats_from_join
 from repro.piersearch.publisher import Publisher
 
-from oracle import oracle_items
+from oracle import oracle_items, reference_match_counts
 
 WORDS = ["nebula", "quasar", "aurora", "meteor"]
 
@@ -40,7 +41,6 @@ interleavings = st.lists(
 
 budgets = st.integers(min_value=1, max_value=12)
 fan_outs = st.sampled_from([1, 2, 4, 8])
-policies = st.sampled_from(["partitioned", "all"])
 
 #: mid-stream budget changes: (apply at insert index, new budget where
 #: None lifts the budget entirely)
@@ -52,17 +52,12 @@ rebudgets = st.lists(
 ROW_BYTES = 512
 
 
-def row_signature(rows):
-    return sorted(sorted(r.items()) for r in rows)
-
-
-def make_budgeted(budget, fan_out, policy):
+def make_budgeted(budget, fan_out):
     return SymmetricHashJoin(
         column="k",
         memory_budget=budget,
         spill_sink=SpillSink("k", row_bytes=ROW_BYTES),
         num_partitions=fan_out,
-        spill_policy=policy,
     )
 
 
@@ -83,29 +78,20 @@ def assert_accounting_invariants(join):
 
 class TestOperatorEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(moves=interleavings, budget=budgets, fan_out=fan_outs, policy=policies)
-    def test_rows_mode_budgeted_matches_unbudgeted(
-        self, moves, budget, fan_out, policy
-    ):
-        free = SymmetricHashJoin(column="k")
-        tight = make_budgeted(budget, fan_out, policy)
-        for index, (side, key) in enumerate(moves):
-            row = {"k": key, "tag": index}
-            insert_free = free.insert_left if side == "left" else free.insert_right
-            insert_tight = tight.insert_left if side == "left" else tight.insert_right
-            # Every insert completes the *same* matches, spilled or not.
-            assert row_signature(insert_tight(row)) == row_signature(
-                insert_free(row)
-            )
+    @given(moves=interleavings, budget=budgets, fan_out=fan_outs)
+    def test_budgeted_matches_nested_loop_reference(self, moves, budget, fan_out):
+        tight = make_budgeted(budget, fan_out)
+        counts = [tight.insert_keys(side, (key,))[0] for side, key in moves]
+        # Every insert completes the matches the reference gives it,
+        # spilled or not.
+        assert counts == reference_match_counts(moves)
         assert_accounting_invariants(tight)
 
     @settings(max_examples=60, deadline=None)
-    @given(moves=interleavings, budget=budgets, fan_out=fan_outs, policy=policies)
-    def test_keys_mode_budgeted_matches_unbudgeted(
-        self, moves, budget, fan_out, policy
-    ):
+    @given(moves=interleavings, budget=budgets, fan_out=fan_outs)
+    def test_keys_mode_budgeted_matches_unbudgeted(self, moves, budget, fan_out):
         free = SymmetricHashJoin(column="k")
-        tight = make_budgeted(budget, fan_out, policy)
+        tight = make_budgeted(budget, fan_out)
         for side, key in moves:
             if side == "left":
                 assert tight.insert_left_key(key) == free.insert_left_key(key)
@@ -126,29 +112,20 @@ class TestOperatorEquivalence:
         """Tightening, loosening or lifting the budget between arbitrary
         inserts (forcing evict/restore interleavings) never changes a
         single match."""
-        schedule = {}
-        for index, new_budget in changes:
-            schedule[index] = new_budget
-        free = SymmetricHashJoin(column="k")
-        tight = make_budgeted(budget, fan_out, "partitioned")
+        schedule = dict(changes)
+        tight = make_budgeted(budget, fan_out)
+        counts = []
         for index, (side, key) in enumerate(moves):
-            change = schedule.get(index, "hold")
-            if change != "hold":
-                tight.set_memory_budget(change)
-            row = {"k": key, "tag": index}
-            insert_free = free.insert_left if side == "left" else free.insert_right
-            insert_tight = tight.insert_left if side == "left" else tight.insert_right
-            assert row_signature(insert_tight(row)) == row_signature(
-                insert_free(row)
-            )
+            if index in schedule:
+                tight.set_memory_budget(schedule[index])
+            counts.extend(tight.insert_keys(side, (key,)))
         # Lifting the budget at the end restores everything: no spilled
         # partitions survive, and the tables answer from memory alone.
         tight.set_memory_budget(None)
         assert tight.spilled_partitions == {"left": set(), "right": set()}
-        probe = {"k": moves[0][1], "tag": "probe"}
-        assert row_signature(tight.insert_right(probe)) == row_signature(
-            free.insert_right(probe)
-        )
+        probe_key = moves[0][1]
+        counts.append(tight.insert_right_key(probe_key))
+        assert counts == reference_match_counts(moves + [("right", probe_key)])
 
 
 def feed(join, moves, cuts=()):
@@ -196,21 +173,20 @@ class TestChunkingInvariance:
         spread=st.integers(min_value=1, max_value=40),
         budget=budgets,
         fan_out=fan_outs,
-        policy=policies,
         cuts=st.sets(st.integers(1, 79)),
     )
     def test_any_split_of_a_key_sequence_spills_identically(
-        self, moves, spread, budget, fan_out, policy, cuts
+        self, moves, spread, budget, fan_out, cuts
     ):
         """One call per same-side run, one call per key, and any split in
         between are the same join: equal match counts, ``SpillStats``,
         peaks, sink contents and spilled partitions. ``spread`` folds the
         key space, so a small one is heavy skew (1 = a single hot key)."""
         moves = [(side, key % spread) for side, key in moves]
-        per_key = make_budgeted(budget, fan_out, policy)
+        per_key = make_budgeted(budget, fan_out)
         reference = feed(per_key, moves, cuts=range(len(moves)))
         for split in ((), cuts):
-            join = make_budgeted(budget, fan_out, policy)
+            join = make_budgeted(budget, fan_out)
             assert feed(join, moves, cuts=split) == reference
             assert spill_state(join) == spill_state(per_key)
             assert_accounting_invariants(join)
@@ -225,7 +201,7 @@ class TestChunkingInvariance:
         parent commit still had, before that path was deleted."""
         keys = [f"file{i:04d}" for i in range(128)]
         probe = keys[::8] + [f"miss{i:04d}" for i in range(16)]
-        join = make_budgeted(32, 8, "partitioned")
+        join = make_budgeted(32, 8)
         moves = [("right", key) for key in keys] + [("left", key) for key in probe]
         counts = feed(join, moves, cuts=cuts)
         assert counts == [0] * 128 + [1] * 16 + [0] * 16

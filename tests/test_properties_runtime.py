@@ -7,9 +7,10 @@ Three invariants the perf work must never bend:
   a cancelled group never fires another callback, ``pending`` counters
   stay exact, and cancelling is idempotent.
 * **Route-cache transparency** — with churn interleaved at arbitrary
-  points, a network with the route cache enabled is observationally
-  identical to one without it: same ``LookupResult`` hops/paths/owners,
-  same metered messages and bytes.
+  points, every lookup the network serves, direct or inside a put or a
+  get, from the cache or not, is the walk the uncached reference walker
+  in ``tests/oracle.py`` makes: same owner, same path, no retries (and
+  every byte a put or get is charged derives from that path).
 * **Representation-blind accounting** — the compact batch-row path keeps
   ``QueryStats`` byte-identical across all four join strategies (pinned
   by the golden digest in ``tests/golden/runtime_stats_digest.json``).
@@ -20,9 +21,11 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import DhtError, KeyNotFoundError
+from repro.common.errors import KeyNotFoundError
 from repro.dht.network import DhtNetwork
 from repro.sim.engine import Simulator
+
+from test_dht_routing_step import reference_outcome
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "runtime_stats_digest.json"
 
@@ -129,61 +132,58 @@ dht_ops = st.lists(
 )
 
 
-def _apply(network: DhtNetwork, op, keys, stored) -> tuple:
-    """Run one program step; returns a comparable outcome tuple."""
+def _apply(network: DhtNetwork, op, keys) -> None:
+    """Run one program step."""
     kind, operand = op
     if kind == "lookup":
-        key = keys[operand % len(keys)]
-        origin = network.random_node_id()
-        result = network.lookup(key, origin=origin)
-        return ("lookup", result.owner, result.hops, tuple(result.path))
-    if kind == "put":
+        network.lookup(keys[operand % len(keys)], origin=network.random_node_id())
+    elif kind == "put":
         key = keys[operand % 12]
         result = network.put_raw(key, f"v{operand}", payload_bytes=64)
-        stored.add(key)
-        return ("put", result.owner, result.hops)
-    if kind == "get":
+        assert f"v{operand}" in network.get_local(result.owner, key)
+    elif kind == "get":
         key = keys[operand % 12]
         try:
             values = network.get_raw(key)
-            return ("get", tuple(sorted(map(str, values))))
         except KeyNotFoundError:
-            return ("get", "missing")
-    # churn: one leave + one join, optionally without stabilizing (the
-    # next lookup stabilizes lazily; the epoch bump must flush the cache)
-    victim = network.random_node_id()
-    network.remove_node(victim, graceful=operand)
-    network.create_node()
-    if operand:
-        network.stabilize()
-    return ("churn",)
+            values = []
+        assert values == network.get_local(network.owner_of(key), key)
+    else:
+        # churn: one leave + one join, optionally without stabilizing (the
+        # next lookup stabilizes lazily; the epoch bump must flush the cache)
+        victim = network.random_node_id()
+        network.remove_node(victim, graceful=operand)
+        network.create_node()
+        if operand:
+            network.stabilize()
 
 
 class TestRouteCacheEquivalence:
     @given(seed=st.integers(0, 10_000), ops=dht_ops)
     @settings(max_examples=40, deadline=None)
     def test_cache_on_equals_cache_off_under_interleaved_churn(self, seed, ops):
-        cached = DhtNetwork(rng=seed, route_cache=True)
-        plain = DhtNetwork(rng=seed, route_cache=False)
-        cached.populate(16)
-        plain.populate(16)
+        """Cache on is ``DhtNetwork.lookup``; cache off is the reference
+        walker, run on the same network right after each lookup returns."""
+        network = DhtNetwork(rng=seed)
+        network.populate(16)
+        served = 0
+        cached_lookup = network.lookup
+
+        def checked_lookup(key, origin=None):
+            nonlocal served
+            result = cached_lookup(key, origin)
+            served += 1
+            assert ("return", (result.owner, result.path, result.retries)) == (
+                reference_outcome(network, key, result.path[0])
+            )
+            return result
+
+        # Shadows the method, so the lookups inside put/get are checked too.
+        network.lookup = checked_lookup
         keys = [(seed * 7919 + i * 104729) % (2**160) for i in range(40)]
-        stored_a: set = set()
-        stored_b: set = set()
         for op in ops:
-            try:
-                outcome_a = _apply(cached, op, keys, stored_a)
-            except DhtError as error:
-                outcome_a = ("error", type(error).__name__)
-            try:
-                outcome_b = _apply(plain, op, keys, stored_b)
-            except DhtError as error:
-                outcome_b = ("error", type(error).__name__)
-            assert outcome_a == outcome_b
-        # Metered traffic is identical to the byte, per category.
-        assert cached.meter.messages == plain.meter.messages
-        assert cached.meter.bytes == plain.meter.bytes
-        assert cached.meter.by_category == plain.meter.by_category
+            _apply(network, op, keys)
+        assert network.route_cache_hits + network.route_cache_misses == served
 
 
 # ----------------------------------------------------------------------

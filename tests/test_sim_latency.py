@@ -1,8 +1,8 @@
-"""Unit tests for the wide-area latency models."""
+"""Unit tests for the wide-area hop latency model."""
 
 import random
 
-from repro.sim.latency import TwoContinentLatencyModel, UniformLatencyModel
+from repro.sim.latency import UniformLatencyModel
 
 
 class TestUniformLatencyModel:
@@ -12,43 +12,3 @@ class TestUniformLatencyModel:
         for _ in range(200):
             delay = model.delay(1, 2, rng)
             assert 0.02 <= delay <= 0.12
-
-
-class TestTwoContinentLatencyModel:
-    def test_continent_assignment_is_stable(self):
-        assert (
-            TwoContinentLatencyModel.continent_of(7)
-            == TwoContinentLatencyModel.continent_of(7)
-        )
-
-    def test_both_continents_used(self):
-        continents = {TwoContinentLatencyModel.continent_of(n) for n in range(100)}
-        assert continents == {0, 1}
-
-    def test_inter_continent_slower_on_average(self):
-        model = TwoContinentLatencyModel(processing_mean=0.0)
-        rng = random.Random(2)
-        # Find node pairs on the same and different continents.
-        same = next(
-            (a, b)
-            for a in range(50)
-            for b in range(50)
-            if a != b and model.continent_of(a) == model.continent_of(b)
-        )
-        diff = next(
-            (a, b)
-            for a in range(50)
-            for b in range(50)
-            if model.continent_of(a) != model.continent_of(b)
-        )
-        same_mean = sum(model.delay(*same, rng) for _ in range(300)) / 300
-        diff_mean = sum(model.delay(*diff, rng) for _ in range(300)) / 300
-        assert diff_mean > same_mean
-
-    def test_processing_jitter_adds_delay(self):
-        rng = random.Random(3)
-        quiet = TwoContinentLatencyModel(processing_mean=0.0)
-        loaded = TwoContinentLatencyModel(processing_mean=1.0)
-        quiet_mean = sum(quiet.delay(0, 1, rng) for _ in range(300)) / 300
-        loaded_mean = sum(loaded.delay(0, 1, rng) for _ in range(300)) / 300
-        assert loaded_mean > quiet_mean + 0.5

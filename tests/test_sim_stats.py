@@ -1,10 +1,12 @@
-"""Unit tests for counters and histograms."""
+"""Unit tests for counters, gauges, histograms and the registry that
+groups them."""
 
 import math
 
 import pytest
 
-from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.stats import Counter, Gauge, Histogram
 
 
 class TestCounter:
@@ -113,13 +115,13 @@ class TestReservoirHistogram:
 
 class TestStatsRegistry:
     def test_counter_created_once(self):
-        registry = StatsRegistry()
+        registry = MetricsRegistry()
         registry.counter("a").add(3)
         registry.counter("a").add(2)
         assert registry.counter("a").value == 5
 
     def test_summary_contains_all(self):
-        registry = StatsRegistry()
+        registry = MetricsRegistry()
         registry.counter("msgs").add(7)
         registry.histogram("lat").observe(1.5)
         summary = registry.summary()
@@ -128,14 +130,14 @@ class TestStatsRegistry:
         assert summary["lat.count"] == 1
 
     def test_gauge_created_once_and_summarised(self):
-        registry = StatsRegistry()
+        registry = MetricsRegistry()
         registry.gauge("depth").set(4.0)
         registry.gauge("depth").add(1.0)
         assert registry.gauge("depth").value == 5.0
         assert registry.summary()["depth"] == 5.0
 
     def test_histogram_reservoir_args_apply_on_creation(self):
-        registry = StatsRegistry()
+        registry = MetricsRegistry()
         hist = registry.histogram("lat", reservoir_size=16, seed=9)
         assert registry.histogram("lat") is hist
         assert hist.reservoir_size == 16
