@@ -1,34 +1,109 @@
-"""Per-ultrapeer content index.
+"""Filename matching and the per-ultrapeer content index.
 
 An ultrapeer answers queries on behalf of its leaves: each leaf publishes
 its file list to the ultrapeer on connect (Gnutella 0.6), so query
-processing never touches leaves. The index keeps a token -> files map for
-candidate generation and verifies candidates with Gnutella's substring
-matching semantics, so lookups are fast without changing match results.
+processing never touches leaves. Which *filenames* satisfy a query is a
+fact about the network's content, not about one ultrapeer, so it is
+resolved once, by the :class:`FilenameMatcher` every index of a network
+shares; an index only picks out its own files among the matching names.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.piersearch.tokenizer import tokenize
 from repro.workload.library import SharedFile
 
+#: a term inside more tokens than this is left to the substring check
+UNSELECTIVE_TOKENS = 50
 
-class UltrapeerIndex:
-    """Files searchable at one ultrapeer (its own plus its leaves')."""
+
+class FilenameMatcher:
+    """Gnutella's substring match over a growing set of distinct filenames.
+
+    A filename matches when it contains every term, case-folded, as a
+    substring. A token index narrows the candidates and the substring test
+    verifies them, so the answer equals scanning every name. Answers are
+    memoized per lowered-term tuple until a new filename is learnt.
+
+    No terms is an empty conjunction: *every* filename matches, which is
+    what ``ContentMatcher.matching_filenames([])`` returns and what
+    ``GnutellaNetwork.all_results_for([])`` scans to; a servent drops such
+    a query, so ``UltrapeerIndex.match([])`` answers ``[]`` itself.
+    """
 
     def __init__(self) -> None:
-        self._files: list[SharedFile] = []
+        self._names: list[str] = []
+        self._lowered: list[str] = []
+        self._known: set[str] = set()
         self._token_index: dict[str, list[int]] = {}
+        self._memo: dict[tuple[str, ...], tuple[tuple[str, ...], frozenset[str]]] = {}
+
+    def add(self, filename: str) -> None:
+        if filename in self._known:
+            return
+        self._known.add(filename)
+        for token in set(tokenize(filename)):
+            self._token_index.setdefault(token, []).append(len(self._names))
+        self._names.append(filename)
+        self._lowered.append(filename.lower())
+        self._memo.clear()
+
+    def match(self, terms: Sequence[str]) -> tuple[str, ...]:
+        """Matching filenames, in the order they were added."""
+        return self._resolve(terms)[0]
+
+    def matching_set(self, terms: Sequence[str]) -> frozenset[str]:
+        """The filenames of :meth:`match`, for membership tests."""
+        return self._resolve(terms)[1]
+
+    def _resolve(self, terms: Sequence[str]) -> tuple[tuple[str, ...], frozenset[str]]:
+        lowered = tuple(map(str.lower, terms))
+        resolved = self._memo.get(lowered)
+        if resolved is None:
+            names = tuple(self._names[position] for position in self._scan(lowered))
+            resolved = self._memo[lowered] = (names, frozenset(names))
+        return resolved
+
+    def _scan(self, lowered: tuple[str, ...]) -> list[int]:
+        best: set[int] | None = None
+        for term in lowered:
+            if tokenize(term) != [term]:
+                continue  # empty, or may straddle tokens: the index cannot place it
+            postings = [rows for token, rows in self._token_index.items() if term in token]
+            if not postings:
+                return []  # no token contains this term anywhere
+            if len(postings) > UNSELECTIVE_TOKENS:
+                continue
+            union = set().union(*postings)
+            if best is None or len(union) < len(best):
+                best = union
+        candidates = range(len(self._names)) if best is None else sorted(best)
+        return [p for p in candidates if all(term in self._lowered[p] for term in lowered)]
+
+
+class UltrapeerIndex:
+    """Files searchable at one ultrapeer (its own plus its leaves').
+
+    ``matcher`` is the network's shared matcher; without one the index
+    keeps a private matcher over its own filenames.
+    """
+
+    def __init__(self, matcher: FilenameMatcher | None = None) -> None:
+        self._files: list[SharedFile] = []
+        self._filenames: set[str] = set()
+        self._matcher = FilenameMatcher() if matcher is None else matcher
 
     def add_file(self, file: SharedFile) -> None:
-        position = len(self._files)
-        self._files.append(file)
-        for token in set(tokenize(file.filename)):
-            self._token_index.setdefault(token, []).append(position)
+        self.add_files([file])
 
     def add_files(self, files: list[SharedFile]) -> None:
+        self._files.extend(files)
         for file in files:
-            self.add_file(file)
+            if file.filename not in self._filenames:
+                self._filenames.add(file.filename)
+                self._matcher.add(file.filename)
 
     def __len__(self) -> int:
         return len(self._files)
@@ -38,48 +113,11 @@ class UltrapeerIndex:
         return list(self._files)
 
     def match(self, terms: list[str]) -> list[SharedFile]:
-        """Files whose names contain every query term (substring match).
-
-        Candidate generation uses the token index on the rarest term's
-        tokens; verification applies true substring semantics, so the
-        result is identical to scanning every file.
-        """
+        """Files whose names contain every query term (substring match),
+        in the order they were added; an empty query matches nothing."""
         if not terms:
             return []
-        lowered = [term.lower() for term in terms]
-        candidates = self._candidates(lowered)
-        matched: list[SharedFile] = []
-        for position in candidates:
-            name = self._files[position].filename.lower()
-            if all(term in name for term in lowered):
-                matched.append(self._files[position])
-        return matched
-
-    def _candidates(self, lowered_terms: list[str]) -> range | list[int]:
-        """Narrow the candidate set using the token index when possible.
-
-        A term that is itself a token can only match files containing that
-        token... unless it appears as a substring of a longer token, so we
-        only use the index when the term matches at least one indexed token
-        by substring; we then take the union of those tokens' posting
-        lists. If a term matches too many tokens, fall back to a full scan.
-        """
-        best: list[int] | None = None
-        for term in lowered_terms:
-            token_lists = [
-                positions
-                for token, positions in self._token_index.items()
-                if term in token
-            ]
-            if not token_lists:
-                return []  # no token contains this term anywhere
-            if len(token_lists) > 50:
-                continue  # too unselective; try another term
-            union: set[int] = set()
-            for positions in token_lists:
-                union.update(positions)
-            if best is None or len(union) < len(best):
-                best = sorted(union)
-        if best is None:
-            return range(len(self._files))
-        return best
+        matching = self._matcher.matching_set(terms)
+        if matching.isdisjoint(self._filenames):
+            return []
+        return [file for file in self._files if file.filename in matching]

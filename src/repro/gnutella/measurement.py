@@ -11,17 +11,20 @@ within its BFS horizon, so we precompute per-vantage BFS depths once and
 intersect per query — provably equivalent to running ``flood`` per
 (query, vantage), which the test suite verifies at small scale. Latency
 uses the same round/hop arithmetic as the full dynamic-query simulation.
+
+Matching lives below this module, shared with the Section 7 deployment:
+:class:`ContentMatcher` reads the network's one ``FilenameMatcher`` and
+depths come from :meth:`GnutellaNetwork.replica_depths`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from repro.gnutella.latency import GnutellaLatencyModel
 from repro.gnutella.network import GnutellaNetwork
-from repro.piersearch.tokenizer import tokenize
 from repro.workload.library import SharedFile
 from repro.workload.queries import Query, QueryWorkload
 from repro.workload.trace import QueryObservation, TraceBundle
@@ -30,55 +33,30 @@ DEFAULT_UNION_KS = (5, 15, 25, 30)
 
 
 class ContentMatcher:
-    """Matches queries against the network's distinct filenames, fast.
+    """A placement's matching filenames and replicas for a query.
 
-    Builds one token index over distinct filenames; per-query matching
-    narrows candidates through the index and verifies with the same
-    substring semantics as :meth:`GnutellaNetwork.all_results_for`
-    (equivalence is covered by tests).
+    Reads the network's shared ``FilenameMatcher`` (same substring
+    semantics as :meth:`GnutellaNetwork.all_results_for`, covered by
+    tests). An empty query matches every filename.
     """
 
     def __init__(self, network: GnutellaNetwork):
         if network.placement is None:
             raise ValueError("network has no content placement")
         self.placement = network.placement
-        self.filenames = list(self.placement.replicas_by_filename)
-        self._token_index: dict[str, list[int]] = {}
-        for position, filename in enumerate(self.filenames):
-            for token in set(tokenize(filename)):
-                self._token_index.setdefault(token, []).append(position)
+        self._matcher = network.matcher
 
     def matching_filenames(self, terms: list[str]) -> list[str]:
-        lowered = [term.lower() for term in terms]
-        best: list[int] | None = None
-        for term in lowered:
-            postings = [
-                positions
-                for token, positions in self._token_index.items()
-                if term in token
-            ]
-            if not postings:
-                return []
-            if len(postings) > 50 and best is not None:
-                continue
-            union: set[int] = set()
-            for positions in postings:
-                union.update(positions)
-            if best is None or len(union) < len(best):
-                best = sorted(union)
-        candidates = best if best is not None else range(len(self.filenames))
-        matched: list[str] = []
-        for position in candidates:
-            name = self.filenames[position].lower()
-            if all(term in name for term in lowered):
-                matched.append(self.filenames[position])
-        return matched
+        placed = self.placement.replicas_by_filename
+        return [name for name in self._matcher.match(terms) if name in placed]
+
+    def replicas(self, filenames: list[str]) -> list[SharedFile]:
+        """Every replica of ``filenames``, filename by filename."""
+        placed = self.placement.replicas_by_filename
+        return [replica for filename in filenames for replica in placed[filename]]
 
     def matching_replicas(self, terms: list[str]) -> list[SharedFile]:
-        replicas: list[SharedFile] = []
-        for filename in self.matching_filenames(terms):
-            replicas.extend(self.placement.replicas_by_filename[filename])
-        return replicas
+        return self.replicas(self.matching_filenames(terms))
 
 
 @dataclass
@@ -199,18 +177,16 @@ def replay_campaign(
     union_ks = tuple(k for k in union_ks if k <= len(vantages)) or (len(vantages),)
 
     depths = [bfs_depths(network, vantage) for vantage in vantages]
-    file_hosts = index_hosts_by_result(network)
     matcher = ContentMatcher(network)
 
     replays: list[QueryReplay] = []
     for position, query in enumerate(workload):
         replays.append(
             _replay_one(
+                network,
                 matcher,
                 query,
-                vantages,
                 depths,
-                file_hosts,
                 desired_results,
                 union_ks,
                 latency_model,
@@ -241,87 +217,48 @@ def bfs_depths(network: GnutellaNetwork, origin: int) -> dict[int, int]:
     return depth
 
 
-def index_hosts_by_result(network: GnutellaNetwork) -> dict[tuple, list[int]]:
-    """result_key -> the ultrapeers at which that replica is indexed."""
-    hosts: dict[tuple, list[int]] = {}
-    for ultrapeer, index in network.indexes.items():
-        for file in index.files:
-            hosts.setdefault(file.result_key, []).append(ultrapeer)
-    return hosts
-
-
 def _replay_one(
+    network: GnutellaNetwork,
     matcher: ContentMatcher,
     query: Query,
-    vantages: list[int],
     depths: list[dict[int, int]],
-    file_hosts: dict[tuple, list[int]],
     desired_results: int,
     union_ks: tuple[int, ...],
     latency_model: GnutellaLatencyModel,
     max_ttl: int,
     designated: int,
 ) -> QueryReplay:
-    matches = matcher.matching_replicas(list(query.terms))
-    # Depth of each matching replica from each vantage = min depth over the
-    # ultrapeers indexing it.
-    replica_depths: list[list[int]] = []
-    keys: list[tuple] = []
-    for file in matches:
-        key = file.result_key
-        ultrapeers = file_hosts.get(key, ())
-        per_vantage = [
-            min(
-                (depth_map[up] for up in ultrapeers if up in depth_map),
-                default=math.inf,
-            )
-            for depth_map in depths
-        ]
-        replica_depths.append(per_vantage)
-        keys.append(key)
+    names = matcher.matching_filenames(list(query.terms))
+    # One row per matching replica: its filename, and from each vantage
+    # its depth (min depth over the ultrapeers indexing it).
+    row_names = [replica.filename for replica in matcher.replicas(names)]
+    depths_by_vantage = [network.replica_depths(names, each) for each in depths]
 
     vantage_sets: list[set[int]] = []
-    for vantage_index in range(len(vantages)):
-        vantage_depths = [per_vantage[vantage_index] for per_vantage in replica_depths]
+    for vantage_depths in depths_by_vantage:
         stop_ttl = dynamic_stop_ttl(vantage_depths, desired_results, max_ttl)
-        reached = {
-            row for row, depth in enumerate(vantage_depths) if depth <= stop_ttl
-        }
-        vantage_sets.append(reached)
+        vantage_sets.append(
+            {row for row, depth in enumerate(vantage_depths) if depth <= stop_ttl}
+        )
 
     union_results_by_k: dict[int, int] = {}
     union_distinct_by_k: dict[int, int] = {}
     running: set[int] = set()
-    next_k = iter(sorted(union_ks))
-    target = next(next_k, None)
     for count, reached in enumerate(vantage_sets, start=1):
         running |= reached
-        while target is not None and count == target:
-            union_results_by_k[target] = len(running)
-            union_distinct_by_k[target] = len({keys[row][0] for row in running})
-            target = next(next_k, None)
+        if count in union_ks:
+            union_results_by_k[count] = len(running)
+            union_distinct_by_k[count] = len({row_names[row] for row in running})
 
     single_set = vantage_sets[designated]
-    single_distinct = len({keys[row][0] for row in single_set})
+    single_distinct = len({row_names[row] for row in single_set})
 
-    # Average replication over distinct filenames in the full-union set,
-    # approximated from the union itself as the paper does.
-    full_union: set[int] = set()
-    for reached in vantage_sets:
-        full_union |= reached
-    replication_by_name: dict[str, int] = {}
-    for row in full_union:
-        name = keys[row][0]
-        replication_by_name[name] = replication_by_name.get(name, 0) + 1
-    if replication_by_name:
-        average_replication = sum(replication_by_name.values()) / len(replication_by_name)
-    else:
-        average_replication = 0.0
+    # Average replication over distinct filenames in the full-union set
+    # (``running`` by now), approximated from the union as the paper does.
+    union_distinct = len({row_names[row] for row in running})
+    average_replication = len(running) / union_distinct if running else 0.0
 
-    first_depth = min(
-        (replica_depths[row][designated] for row in range(len(keys))),
-        default=math.inf,
-    )
+    first_depth = min(depths_by_vantage[designated], default=math.inf)
     latency = first_result_latency_for_depth(first_depth, latency_model, max_ttl)
 
     return QueryReplay(
@@ -333,7 +270,7 @@ def _replay_one(
         single_distinct=single_distinct,
         average_replication=average_replication,
         first_result_latency=latency,
-        matched_filenames=sorted({key[0] for key in keys}),
+        matched_filenames=sorted(set(row_names)),
     )
 
 
@@ -344,8 +281,9 @@ def dynamic_stop_ttl(depths: list[float], desired_results: int, max_ttl: int) ->
     result count reaches ``desired_results`` (or ``max_ttl`` is hit). This
     mirrors :func:`repro.gnutella.dynamic.dynamic_query`'s stopping rule.
     """
+    histogram = Counter(depths)
     for ttl in range(1, max_ttl + 1):
-        found = sum(1 for depth in depths if depth <= ttl)
+        found = sum(count for depth, count in histogram.items() if depth <= ttl)
         if found >= desired_results:
             return ttl
     return max_ttl

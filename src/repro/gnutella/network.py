@@ -4,11 +4,16 @@ Glues topology, content placement, per-ultrapeer indexes, flooding,
 dynamic querying and the latency model into one object experiments can
 drive. Also provides BrowseHost (fetching a neighbour's file list), which
 the hybrid ultrapeer uses to gather file information (Section 7).
+
+The network owns the content plane everything above it reads: the one
+filename matcher its indexes share, and each replica's hosting ultrapeers.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import repeat
 
 from repro.common.rng import make_rng
 from repro.gnutella.dynamic import (
@@ -18,7 +23,7 @@ from repro.gnutella.dynamic import (
     dynamic_query,
 )
 from repro.gnutella.flooding import FloodResult, flood
-from repro.gnutella.index import UltrapeerIndex
+from repro.gnutella.index import FilenameMatcher, UltrapeerIndex
 from repro.gnutella.latency import GnutellaLatencyModel
 from repro.gnutella.topology import Topology, TopologyConfig, build_topology
 from repro.workload.library import ContentLibrary, Placement, SharedFile
@@ -42,10 +47,16 @@ class GnutellaNetwork:
         #: delivered as a FloodMessage of ``query_bytes`` on it
         self.transport = transport
         self.query_bytes = query_bytes
+        #: resolves a query's filenames once for the whole network
+        self.matcher = FilenameMatcher()
         self.indexes: dict[int, UltrapeerIndex] = {
-            ultrapeer: UltrapeerIndex() for ultrapeer in topology.ultrapeers
+            ultrapeer: UltrapeerIndex(self.matcher)
+            for ultrapeer in topology.ultrapeers
         }
         self.placement: Placement | None = None
+        #: filename -> (each replica's first hosting ultrapeer or None, in
+        #: placement order; (replica position, further host) pairs)
+        self._replica_hosts: dict[str, tuple[list, list[tuple[int, int]]]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -75,12 +86,36 @@ class GnutellaNetwork:
         ultrapeers index their own files locally.
         """
         self.placement = placement
+        for filename in placement.replicas_by_filename:
+            self.matcher.add(filename)
         for node, files in placement.files_by_node.items():
-            if self.topology.is_ultrapeer(node):
-                self.indexes[node].add_files(files)
-            else:
-                for parent in self.topology.leaf_parents.get(node, ()):
-                    self.indexes[parent].add_files(files)
+            for ultrapeer in self._hosts_of(node):
+                self.indexes[ultrapeer].add_files(files)
+        for filename, replicas in placement.replicas_by_filename.items():
+            hosts = [self._hosts_of(replica.node_id) for replica in replicas]
+            self._replica_hosts[filename] = (
+                [each[0] if each else None for each in hosts],
+                [(row, up) for row, each in enumerate(hosts) for up in each[1:]],
+            )
+
+    def _hosts_of(self, node: int) -> tuple[int, ...]:
+        """The ultrapeers that index ``node``'s files."""
+        if self.topology.is_ultrapeer(node):
+            return (node,)
+        return tuple(self.topology.leaf_parents.get(node, ()))
+
+    def replica_depths(self, filenames: list[str], depth_map: dict[int, int]) -> list[float]:
+        """Per replica of ``filenames``, in placement order: the least
+        ``depth_map`` value over its hosting ultrapeers, ``inf`` with none."""
+        depth_of = depth_map.get
+        depths: list[float] = []
+        for filename in filenames:
+            first, others = self._replica_hosts[filename]
+            start = len(depths)
+            depths.extend(map(depth_of, first, repeat(math.inf)))
+            for row, host in others:
+                depths[start + row] = min(depths[start + row], depth_of(host, math.inf))
+        return depths
 
     # ------------------------------------------------------------------
     # Query interface
@@ -143,13 +178,12 @@ class GnutellaNetwork:
         if self.placement is None:
             return []
         lowered = [term.lower() for term in terms]
-        matches: list[SharedFile] = []
-        for files in self.placement.files_by_node.values():
-            for file in files:
-                name = file.filename.lower()
-                if all(term in name for term in lowered):
-                    matches.append(file)
-        return matches
+        return [
+            file
+            for files in self.placement.files_by_node.values()
+            for file in files
+            if all(term in file.filename.lower() for term in lowered)
+        ]
 
     def random_ultrapeers(self, count: int) -> list[int]:
         """A uniform sample of distinct ultrapeers (measurement vantages)."""

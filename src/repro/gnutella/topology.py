@@ -203,7 +203,8 @@ def _attach_leaves(
     for leaf in leaves:
         parents: list[int] = []
         for _ in range(min(connections, len(available))):
-            candidates = [up for up in available if up not in parents]
+            # a leaf's first connection excludes nobody: same draw, no copy
+            candidates = [up for up in available if up not in parents] if parents else available
             if not candidates:
                 break
             parent = rng.choice(candidates)

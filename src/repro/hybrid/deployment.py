@@ -28,12 +28,7 @@ from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
 from repro.gnutella.latency import GnutellaLatencyModel
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
-from repro.gnutella.measurement import (
-    ContentMatcher,
-    bfs_depths,
-    dynamic_stop_ttl,
-    index_hosts_by_result,
-)
+from repro.gnutella.measurement import ContentMatcher, bfs_depths, dynamic_stop_ttl
 from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.topology import TopologyConfig
 from repro.hybrid.ultrapeer import HybridQueryOutcome, HybridUltrapeer
@@ -282,7 +277,6 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
     hybrid_by_ultrapeer = {hybrid.ultrapeer_id: hybrid for hybrid in hybrids}
 
     matcher = ContentMatcher(gnutella)
-    file_hosts = index_hosts_by_result(gnutella)
     latency_model = gnutella.latency_model
 
     # --- Warm-up: hybrid ultrapeers snoop background traffic ----------
@@ -304,8 +298,7 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
             if key:
                 popularity.observe(key)
         _observe_background_query(
-            gnutella, matcher, file_hosts, hybrid_by_ultrapeer, origin,
-            query, config,
+            gnutella, matcher, hybrid_by_ultrapeer, origin, query, config
         )
 
     # --- Test phase: leaf queries of hybrid ultrapeers ----------------
@@ -349,14 +342,9 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
         if depths is None:
             depths = bfs_depths(gnutella, hybrid.ultrapeer_id)
             depths_cache[hybrid.ultrapeer_id] = depths
-        matches = matcher.matching_replicas(list(query.terms))
-        match_depths = [
-            min(
-                (depths[up] for up in file_hosts.get(file.result_key, ()) if up in depths),
-                default=math.inf,
-            )
-            for file in matches
-        ]
+        match_depths = gnutella.replica_depths(
+            matcher.matching_filenames(list(query.terms)), depths
+        )
         stop_ttl = dynamic_stop_ttl(
             match_depths, config.desired_results, config.client_max_ttl
         )
@@ -366,7 +354,7 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
         )
         report.outcomes.append(race.outcome)
         gnutella_zero += 1 if gnutella_count == 0 else 0
-        oracle_zero += 1 if not matches else 0
+        oracle_zero += 1 if not match_depths else 0
 
     # Leaf queries arrive as simulator events, one every query_interval of
     # virtual time — this is the clock the cache's TTLs, the replication
@@ -414,7 +402,6 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
 def _observe_background_query(
     gnutella: GnutellaNetwork,
     matcher: ContentMatcher,
-    file_hosts: dict[tuple, list[int]],
     hybrid_by_ultrapeer: dict[int, HybridUltrapeer],
     origin: int,
     query,
@@ -435,13 +422,12 @@ def _observe_background_query(
     ]
     if not observers:
         return
-    results = matcher.matching_replicas(list(query.terms))
+    names = matcher.matching_filenames(list(query.terms))
     # The snooped result stream is what came back through the flood: the
     # replicas whose hosting ultrapeers the flood reached.
+    depths = gnutella.replica_depths(names, dict.fromkeys(flood_result.visited, 0))
     visible = [
-        file
-        for file in results
-        if any(up in flood_result.visited for up in file_hosts.get(file.result_key, ()))
+        file for file, depth in zip(matcher.replicas(names), depths) if depth == 0
     ]
     for hybrid in observers:
         hybrid.observe_query_results(visible)

@@ -17,8 +17,18 @@ them hop by hop, liveness repair included. The production code answers
 the same questions from compiled per-node tables and a distance-skipping
 finger construction; ``tests/test_dht_routing_step.py`` holds the two
 equal.
+
+The Gnutella references are the content plane written out the slow way:
+:func:`substring_scan` is the match rule with no index and no memo,
+:func:`reference_replica_depths` and :func:`reference_stop_ttl` are the
+per-replica ``min`` and the per-TTL recount the production helpers
+replaced, and :func:`reference_replay` runs a union-of-k replay from
+them. ``tests/test_gnutella_matcher.py`` holds production to all four.
+:func:`reference_attach_leaves` is leaf attachment with a fresh candidate
+list per connection (``tests/test_gnutella_topology.py``).
 """
 
+import math
 from bisect import bisect_left
 
 from repro.common.errors import DhtError
@@ -174,3 +184,117 @@ def reference_iter_lookup(network, key, origin):
         key=key,
         path=path,
     )
+
+
+def substring_scan(items, terms, name=lambda item: item):
+    """``items`` whose name contains every term, case-folded, in order.
+
+    An empty ``terms`` is an empty conjunction: everything matches.
+    """
+    lowered = [term.lower() for term in terms]
+    return [
+        item for item in items if all(term in name(item).lower() for term in lowered)
+    ]
+
+
+def reference_hosts(network):
+    """(filename, node) -> the ultrapeers whose index lists a file of
+    that node under that name, read back out of the indexes."""
+    hosts = {}
+    for ultrapeer, index in network.indexes.items():
+        for file in index.files:
+            hosts.setdefault((file.filename, file.node_id), []).append(ultrapeer)
+    return hosts
+
+
+def reference_replica_depths(replicas, hosts, depth_map):
+    """Depth of each replica: least depth over its hosting ultrapeers
+    that ``depth_map`` reaches, ``inf`` with none."""
+    return [
+        min(
+            (
+                depth_map[up]
+                for up in hosts.get((file.filename, file.node_id), ())
+                if up in depth_map
+            ),
+            default=math.inf,
+        )
+        for file in replicas
+    ]
+
+
+def reference_stop_ttl(depths, desired_results, max_ttl):
+    """The dynamic-query stopping TTL, recounting the list at every TTL."""
+    for ttl in range(1, max_ttl + 1):
+        found = sum(1 for depth in depths if depth <= ttl)
+        if found >= desired_results:
+            return ttl
+    return max_ttl
+
+
+def reference_replay(network, query, depth_maps, desired_results, union_ks, max_ttl, designated):
+    """One query of a union-of-k campaign from the definitions above.
+
+    Returns the count fields of a ``QueryReplay`` as a dict (latency is
+    given as the first-result depth at the designated vantage).
+    """
+    replicas = network.all_results_for(list(query.terms))
+    hosts = reference_hosts(network)
+    reached_by_vantage = []
+    first_depth = math.inf
+    for position, depth_map in enumerate(depth_maps):
+        depths = reference_replica_depths(replicas, hosts, depth_map)
+        stop = reference_stop_ttl(depths, desired_results, max_ttl)
+        reached_by_vantage.append(
+            {row for row, depth in enumerate(depths) if depth <= stop}
+        )
+        if position == designated:
+            first_depth = min(depths, default=math.inf)
+
+    def distinct(rows):
+        return len({replicas[row].filename for row in rows})
+
+    union = set()
+    union_results, union_distinct = {}, {}
+    for count, reached in enumerate(reached_by_vantage, start=1):
+        union |= reached
+        if count in union_ks:
+            union_results[count] = len(union)
+            union_distinct[count] = distinct(union)
+    single = reached_by_vantage[designated]
+    return {
+        "vantage_results": [len(reached) for reached in reached_by_vantage],
+        "union_results_by_k": union_results,
+        "union_distinct_by_k": union_distinct,
+        "single_results": len(single),
+        "single_distinct": distinct(single),
+        "average_replication": len(union) / distinct(union) if union else 0.0,
+        "first_depth": first_depth,
+        "matched_filenames": sorted({file.filename for file in replicas}),
+    }
+
+
+def reference_attach_leaves(ultrapeers, leaves, profiles, connections, rng):
+    """Leaf attachment, rebuilding the candidate list for every connection."""
+    capacity = {up: profiles[up]["leaf_capacity"] for up in ultrapeers}
+    available = [up for up in ultrapeers if capacity[up] > 0]
+    leaf_parents = {}
+    ultrapeer_leaves = {up: [] for up in ultrapeers}
+    for leaf in leaves:
+        parents = []
+        for _ in range(min(connections, len(available))):
+            candidates = [up for up in available if up not in parents]
+            if not candidates:
+                break
+            parent = rng.choice(candidates)
+            parents.append(parent)
+            ultrapeer_leaves[parent].append(leaf)
+            capacity[parent] -= 1
+            if capacity[parent] == 0:
+                available.remove(parent)
+        if not parents:
+            parent = rng.choice(ultrapeers)
+            parents = [parent]
+            ultrapeer_leaves[parent].append(leaf)
+        leaf_parents[leaf] = parents
+    return leaf_parents, ultrapeer_leaves

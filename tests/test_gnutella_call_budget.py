@@ -1,0 +1,59 @@
+"""Guard against sliding back to per-ultrapeer, per-replica re-derivation.
+
+Which filenames a query matches, and which ultrapeers index a replica,
+are facts about the network: the Section 7 deployment resolves the first
+once per query (one shared ``FilenameMatcher``, each flooded ultrapeer
+only filters its own files) and reads the second from one host table
+(``GnutellaNetwork.replica_depths``). None of that shows in a report —
+the floods, matches, publishes and races are the same — so a regression
+to a substring scan of a private token index at every visited ultrapeer,
+or to a ``result_key`` tuple and a host walk per matching replica, would
+pass every other test. This one counts *function calls* — deterministic,
+no timing — over one deployment and holds them under a recorded ceiling,
+and pins what the hybrids were offered and published so the saving
+cannot come from snooping less.
+"""
+
+import cProfile
+import pstats
+
+from repro.hybrid.deployment import DeploymentConfig, run_deployment
+
+CONFIG = DeploymentConfig(
+    num_ultrapeers=400,
+    num_leaves=1600,
+    num_hybrid=50,
+    num_items=500,
+    num_background_queries=200,
+    num_test_queries=300,
+    seed=1,
+)
+#: Primitive calls per test query over the whole run (world building and
+#: the warm-up floods included; built-in calls included). Recorded on
+#: CPython 3.11 when the shared content plane landed: 4,898 per query,
+#: against 9,617 on the path it replaced (the same world, the commit
+#: before). The ceiling leaves ~35 % headroom for interpreter versions and
+#: unrelated bookkeeping; the old path overshoots it by 45 %.
+CALLS_PER_QUERY_CEILING = 6_600
+#: ``SharedFile.result_key`` is now called only where a result's identity
+#: is the point: once per snooped file a hybrid ultrapeer is offered under
+#: the QRS rule. Identical offers and publishes before and after.
+QRS_OFFERS = 2396
+FILES_PUBLISHED = 2360
+
+
+def test_deployment_resolves_filenames_once_per_network():
+    profile = cProfile.Profile()
+    profile.enable()
+    report = run_deployment(CONFIG)
+    profile.disable()
+
+    assert len(report.outcomes) == CONFIG.num_test_queries
+    assert report.files_published == FILES_PUBLISHED
+    stats = pstats.Stats(profile)
+    result_key_calls = sum(
+        entry[1] for (_, _, name), entry in stats.stats.items() if name == "result_key"
+    )
+    assert result_key_calls == QRS_OFFERS
+    calls_per_query = stats.prim_calls / CONFIG.num_test_queries
+    assert calls_per_query < CALLS_PER_QUERY_CEILING, calls_per_query

@@ -10,7 +10,6 @@ from repro.gnutella.measurement import (
     ContentMatcher,
     bfs_depths,
     dynamic_stop_ttl,
-    index_hosts_by_result,
     replay_campaign,
 )
 from repro.gnutella.network import GnutellaNetwork
@@ -71,7 +70,6 @@ class TestFastPathEquivalence:
         library, network, workload = env
         vantage = network.topology.ultrapeers[0]
         depths = bfs_depths(network, vantage)
-        hosts = index_hosts_by_result(network)
         matcher = ContentMatcher(network)
         desired, max_ttl = 150, 3
         for query in list(workload)[:25]:
@@ -86,13 +84,9 @@ class TestFastPathEquivalence:
             )
             full_keys = {f.result_key for f in full.results()}
             matches = matcher.matching_replicas(terms)
-            match_depths = [
-                min(
-                    (depths[up] for up in hosts.get(f.result_key, ()) if up in depths),
-                    default=math.inf,
-                )
-                for f in matches
-            ]
+            match_depths = network.replica_depths(
+                matcher.matching_filenames(terms), depths
+            )
             stop = dynamic_stop_ttl(match_depths, desired, max_ttl)
             fast_keys = {
                 f.result_key

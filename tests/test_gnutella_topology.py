@@ -2,6 +2,8 @@
 
 import pytest
 
+from oracle import reference_attach_leaves
+from repro.gnutella import topology as topology_module
 from repro.gnutella.topology import (
     NEW_PROFILE,
     OLD_PROFILE,
@@ -119,3 +121,22 @@ class TestHelpers:
         limit = OLD_PROFILE["leaf_capacity"]
         for up in topo.ultrapeers:
             assert len(topo.ultrapeer_leaves[up]) <= limit
+
+
+class TestAttachLeavesReference:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "ultrapeers,leaves,connections",
+        # roomy; multi-parent; over capacity (6 x 75 slots for 500 leaves)
+        [(60, 240, 1), (40, 300, 3), (6, 500, 2)],
+    )
+    def test_topology_equals_fresh_candidate_list_per_connection(
+        self, monkeypatch, seed, ultrapeers, leaves, connections
+    ):
+        config = TopologyConfig(
+            num_ultrapeers=ultrapeers, num_leaves=leaves, new_client_fraction=0.0,
+            leaf_connections=connections, seed=seed,
+        )
+        built = build_topology(config)
+        monkeypatch.setattr(topology_module, "_attach_leaves", reference_attach_leaves)
+        assert build_topology(config) == built
