@@ -171,7 +171,7 @@ class AdaptiveReplicationController:
             )
         if not placed:
             return []
-        # One direct transfer per replica, charged like put_raw's replication.
+        # One direct transfer per replica, charged like put_many's replica copies.
         network.transport.charge("cache.replicate", len(placed), payload)
         network.register_replicas(key, placed)
         self._placed_at[key] = now

@@ -419,22 +419,30 @@ class DhtNetwork:
             origin = self.random_node_id()
         if origin not in self.nodes:
             raise NodeNotFoundError(f"unknown origin {origin:x}")
+        path = self._route(key, origin)
+        return LookupResult(key=key, owner=path[-1], path=list(path))
+
+    def _route(self, key: int, origin: int) -> tuple[int, ...]:
+        """Hop path from ``origin`` to ``key``'s owner, through the cache: the
+        one routing body under :meth:`lookup` and :meth:`put_many`, which
+        stabilize, reduce ``key`` and check ``origin`` is a member first.
+        A walk that raises is neither cached nor counted."""
         if self._route_cache_epoch != self.membership_version:
             self._route_cache.clear()
             self._route_cache_epoch = self.membership_version
         owner = self._ring.responsible(key)
         cache_key = (origin, owner, key == owner)
-        cached = self._route_cache.get(cache_key)
-        if cached is not None:
+        path = self._route_cache.get(cache_key)
+        if path is not None:
             self.route_cache_hits += 1
-            return LookupResult(key=key, owner=cached[-1], path=list(cached))
-        result = self._walk(key, origin)
-        self._route_cache[cache_key] = tuple(result.path)
+            return path
+        path = self._route_cache[cache_key] = tuple(self._walk(key, origin))
         self.route_cache_misses += 1
-        return result
+        return path
 
-    def _walk(self, key: int, origin: int) -> LookupResult:
-        """The uncached hop-by-hop greedy walk behind :meth:`lookup`.
+    def _walk(self, key: int, origin: int) -> list[int]:
+        """The uncached hop-by-hop greedy walk behind :meth:`_route`: the
+        nodes visited, ``origin`` first and the key's owner last.
 
         Each hop is one :meth:`DhtNode.route
         <repro.dht.node.DhtNode.route>` call on the node the query sits
@@ -449,7 +457,7 @@ class DhtNetwork:
         for _ in range(max_hops):
             next_hop = nodes[current].route(key)
             if next_hop == OWNS:
-                return LookupResult(key=key, owner=current, path=path)
+                return path
             if next_hop is None:
                 raise self._dead_end(current, key, path)
             current = next_hop
@@ -563,6 +571,10 @@ class DhtNetwork:
 
     # ------------------------------------------------------------------
     # Data path
+    #
+    # Writes all go through put_many (put/put_raw are its one-entry
+    # forms): the only place a tuple is stored on owner + successors +
+    # registered replicas, and the only place a put is priced.
     # ------------------------------------------------------------------
 
     def ship_batch(
@@ -621,12 +633,8 @@ class DhtNetwork:
         payload_bytes: int = 0,
         identity: Hashable | None = None,
         category: str = "dht.put",
-    ) -> LookupResult:
-        """Publish ``value`` under the hash of ``key_string``.
-
-        Charges one message per routing hop plus one per extra replica, each
-        carrying the payload.
-        """
+    ) -> tuple[int, int]:
+        """Publish ``value`` under the hash of ``key_string``. See :meth:`put_raw`."""
         key = hash_key(key_string)
         return self.put_raw(key, value, origin, payload_bytes, identity, category)
 
@@ -638,56 +646,78 @@ class DhtNetwork:
         payload_bytes: int = 0,
         identity: Hashable | None = None,
         category: str = "dht.put",
-    ) -> LookupResult:
-        """Publish under an already-hashed key. See :meth:`put`."""
-        key %= KEY_SPACE
-        result = self.lookup(key, origin)
-        owner = self.nodes[result.owner]
-        owner.store.put(key, value, identity=identity)
-        self.transport.deliver(
-            RoutedMessage(
-                source=result.path[0] if result.path else result.owner,
-                target=result.owner,
-                payload_bytes=payload_bytes,
-                category=category,
-                hops=result.hops,
-            )
-        )
-        # Replicate to successors of the owner (one direct hop each).
-        replicas = owner.successors[: self.replication - 1]
-        for replica_id in replicas:
-            self.nodes[replica_id].store.put(key, value, identity=identity)
-        if replicas:
-            self.transport.deliver(
-                DirectMessage(
-                    source=result.owner,
-                    target=replicas[0],
-                    payload_bytes=payload_bytes,
-                    category=category,
-                    copies=len(replicas),
-                )
-            )
-        # Keep adaptively-placed replicas coherent: they are registered as
-        # serveable copies, so a publish must reach them too or rotated
-        # reads would silently miss the new value.
-        extra_holders = [
-            node_id
-            for node_id in self._replica_sets.get(key, ())
-            if node_id in self.nodes and node_id != result.owner and node_id not in replicas
-        ]
-        for node_id in extra_holders:
-            self.nodes[node_id].store.put(key, value, identity=identity)
-        if extra_holders:
-            self.transport.deliver(
-                DirectMessage(
-                    source=result.owner,
-                    target=extra_holders[0],
-                    payload_bytes=payload_bytes,
-                    category="cache.replicate",
-                    copies=len(extra_holders),
-                )
-            )
-        return result
+    ) -> tuple[int, int]:
+        """Publish under an already-hashed key: the one-entry :meth:`put_many`."""
+        entry = (key % KEY_SPACE, value, identity, payload_bytes, category)
+        return self.put_many((entry,), origin)
+
+    def put_many(self, entries, origin: int | None = None) -> tuple[int, int]:
+        """*The* put body: route, store and price a batch of tuples, in order.
+
+        ``entries`` are ``(reduced ring key, value, identity, payload_bytes,
+        category)``. Each routes from ``origin`` (None: a random member,
+        drawn per entry) through the route cache and is stored on the
+        key's owner, on the owner's ``replication - 1`` successors and on
+        the key's registered replica holders, for one message per routing
+        hop plus one per copy, each carrying the payload. Costs are summed
+        and charged once per category when the batch ends, first seen
+        first; ``(messages, bytes)`` is their total. If routing fails
+        midway the :class:`DhtError` propagates with the entries before it
+        stored and charged and the failing one neither.
+        """
+        self._ensure_stable()
+        ring, nodes = self._ring, self.nodes
+        if not ring:
+            raise DhtError("empty network")
+        if origin is not None and origin not in nodes:
+            raise NodeNotFoundError(f"unknown origin {origin:x}")
+        route, choice = self._route, self.rng.choice
+        successor_copies = self.replication - 1
+        replica_sets = self._replica_sets
+        routed_bytes = self.cost_model.routed_bytes
+        message_bytes = self.cost_model.message_bytes
+        charges: dict[str, list[int]] = {}  # category -> [messages, bytes]
+        try:
+            for key, value, identity, payload_bytes, category in entries:
+                path = route(key, choice(ring) if origin is None else origin)
+                owner_id = path[-1]
+                owner = nodes[owner_id]
+                owner.store.put(key, value, identity=identity)
+                hops = len(path) - 1
+                charge = charges.setdefault(category, [0, 0])
+                charge[0] += hops or 1  # a self-owned key is one local delivery
+                charge[1] += routed_bytes(payload_bytes, hops)
+                # Replicate to successors of the owner (one direct hop each).
+                replicas = owner.successors[:successor_copies]
+                for replica_id in replicas:
+                    nodes[replica_id].store.put(key, value, identity=identity)
+                if replicas:
+                    charge[0] += len(replicas)
+                    charge[1] += len(replicas) * message_bytes(payload_bytes)
+                # Keep adaptively-placed replicas coherent: they are registered
+                # as serveable copies, so a publish must reach them too or
+                # rotated reads would silently miss the new value.
+                registered = replica_sets.get(key)
+                if not registered:
+                    continue
+                holders = [
+                    node_id
+                    for node_id in registered
+                    if node_id in nodes and node_id != owner_id and node_id not in replicas
+                ]
+                for node_id in holders:
+                    nodes[node_id].store.put(key, value, identity=identity)
+                if holders:
+                    charge = charges.setdefault("cache.replicate", [0, 0])
+                    charge[0] += len(holders)
+                    charge[1] += len(holders) * message_bytes(payload_bytes)
+        finally:
+            total_messages = total_bytes = 0
+            for category, (messages, byte_count) in charges.items():
+                self.transport.charge(category, messages, byte_count)
+                total_messages += messages
+                total_bytes += byte_count
+        return total_messages, total_bytes
 
     def get(
         self,

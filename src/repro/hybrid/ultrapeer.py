@@ -148,18 +148,23 @@ class HybridUltrapeer:
         return published
 
     def publish_file(self, file: SharedFile) -> bool:
-        """Publish one file unless this ultrapeer already published it."""
+        """Publish one file unless this ultrapeer already published it.
+
+        Its plan is compiled once on the shared publisher, however many
+        ultrapeers snoop it; a publish that raises leaves it unpublished
+        here, to be offered again.
+        """
         key = file.result_key
         if key in self._published_keys:
             return False
+        plans = self.publisher.plans
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = self.publisher.plan_file(
+                file.filename, file.filesize, file.ip_address, file.port
+            )
+        receipt = self.publisher.publish_plan(plan, origin=self.dht_node_id)
         self._published_keys.add(key)
-        receipt = self.publisher.publish_file(
-            filename=file.filename,
-            filesize=file.filesize,
-            ip_address=file.ip_address,
-            port=file.port,
-            origin=self.dht_node_id,
-        )
         self.receipts.append(receipt)
         if self.metrics is not None:
             self.metrics.counter("ultrapeer.qrs_published").add(1)

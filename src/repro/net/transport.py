@@ -3,8 +3,9 @@
 Every subsystem that used to poke the bandwidth meter (or draw per-hop
 latencies) inline now funnels through a :class:`Transport`:
 
-* :class:`~repro.dht.network.DhtNetwork` delivers its routed puts/gets,
-  replica copies, key handoffs, and exchange batch shipments here;
+* :class:`~repro.dht.network.DhtNetwork` delivers its routed gets, key
+  handoffs, and exchange batch shipments here, and charges each put
+  batch's routed and replica-copy costs here once per category;
 * the PIER dataflow charges its dissemination and answer legs here and
   draws its per-hop batch latencies from :meth:`Transport.hop_delay`;
 * Gnutella flooding can deliver each forward edge as a

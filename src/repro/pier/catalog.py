@@ -9,7 +9,7 @@ DHT itself as its index structure (Section 3.1 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.common.errors import KeyNotFoundError, SchemaError
 from repro.common.ids import hash_key
@@ -22,15 +22,31 @@ def table_key(table: str, index_value: Any) -> int:
     return hash_key(f"{table}|{index_value}")
 
 
+#: one validated tuple ready for :meth:`DhtNetwork.put_many`:
+#: ``(ring key, row, identity, payload_bytes, category)``
+PublishEntry = tuple[int, Row, tuple, int, str]
+
+
 @dataclass
 class TableHandle:
     """One registered table: schema plus publish/fetch helpers."""
 
     schema: Schema
     network: DhtNetwork
-    #: invoked after every successful publish (the catalog hooks this to
-    #: invalidate its memoized per-key statistics)
-    on_publish: Callable[[], None] | None = None
+    #: the owning catalog's :meth:`Catalog.publish`
+    publish_entries: Callable[[Sequence[PublishEntry], int | None], tuple[int, int]]
+
+    def entry(self, row: Row, payload_bytes: int = 0, category: str | None = None) -> PublishEntry:
+        """Validate ``row`` and resolve where and as what it is stored."""
+        schema = self.schema
+        schema.validate(row)
+        return (
+            table_key(schema.name, schema.index_value(row)),
+            row,
+            row_identity(schema, row),
+            payload_bytes,
+            category or f"publish.{schema.name}",
+        )
 
     def publish(
         self,
@@ -38,21 +54,9 @@ class TableHandle:
         origin: int | None = None,
         payload_bytes: int = 0,
         category: str | None = None,
-    ) -> int:
-        """Validate and publish ``row``; returns routing hops used."""
-        self.schema.validate(row)
-        key = table_key(self.schema.name, self.schema.index_value(row))
-        result = self.network.put_raw(
-            key,
-            row,
-            origin=origin,
-            payload_bytes=payload_bytes,
-            identity=row_identity(self.schema, row),
-            category=category or f"publish.{self.schema.name}",
-        )
-        if self.on_publish is not None:
-            self.on_publish()
-        return result.hops
+    ) -> tuple[int, int]:
+        """Validate and publish ``row``: the one-entry :meth:`Catalog.publish`."""
+        return self.publish_entries((self.entry(row, payload_bytes, category),), origin)
 
     def fetch(self, index_value: Any, origin: int | None = None) -> list[Row]:
         """All rows with the given index value; empty list when none exist."""
@@ -90,7 +94,7 @@ class TableHandle:
             for value in values:
                 if not isinstance(value, dict):
                     continue
-                if set(value) != set(self.schema.columns):
+                if value.keys() != self.schema.column_set:
                     continue
                 identity = row_identity(self.schema, value)
                 if identity in seen:
@@ -124,16 +128,29 @@ class Catalog:
     def register(self, schema: Schema) -> TableHandle:
         if schema.name in self._tables:
             raise SchemaError(f"table {schema.name!r} already registered")
-        handle = TableHandle(
-            schema=schema, network=self.network, on_publish=self._note_publish
-        )
+        handle = TableHandle(schema, self.network, publish_entries=self.publish)
         self._tables[schema.name] = handle
         return handle
 
     # -- per-epoch posting statistics ----------------------------------
 
-    def _note_publish(self) -> None:
-        self._publish_version += 1
+    def publish(
+        self, entries: Sequence[PublishEntry], origin: int | None = None
+    ) -> tuple[int, int]:
+        """Publish compiled entries (:meth:`TableHandle.entry`) as one routed
+        batch from ``origin``; returns the ``(messages, bytes)`` charged.
+
+        Each tuple moves the statistics epoch by one. A batch that fails
+        midway has stored the tuples before the failure, so it moves the
+        epoch by the whole batch: the memo is only ever flushed early.
+        """
+        try:
+            return self.network.put_many(entries, origin)
+        finally:
+            self._note_publish(len(entries))
+
+    def _note_publish(self, count: int) -> None:
+        self._publish_version += count
 
     def posting_size(self, table: str, index_value: Any) -> int:
         """Stored-tuple count under ``index_value`` at its ring owner.

@@ -8,7 +8,7 @@ the tuple (the "publishing key" in the paper's terminology).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.common.errors import SchemaError
@@ -32,8 +32,12 @@ class Schema:
     columns: tuple[str, ...]
     key: tuple[str, ...]
     index_column: str
+    #: ``columns`` as a set, built once: what :meth:`validate` compares
+    #: a row's keys against
+    column_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "column_set", frozenset(self.columns))
         if not self.columns:
             raise SchemaError(f"table {self.name!r} has no columns")
         if len(set(self.columns)) != len(self.columns):
@@ -50,9 +54,9 @@ class Schema:
 
     def validate(self, row: Row) -> Row:
         """Check ``row`` matches this schema exactly; returns the row."""
-        row_columns = set(row)
-        expected = set(self.columns)
-        if row_columns != expected:
+        expected = self.column_set
+        if row.keys() != expected:
+            row_columns = set(row)
             extra = sorted(row_columns - expected)
             missing = sorted(expected - row_columns)
             raise SchemaError(

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Hashable, NamedTuple
 
 from repro.common.units import CostModel
 from repro.dht.network import DhtNetwork
-from repro.pier.catalog import Catalog, TableHandle
+from repro.pier.catalog import Catalog, PublishEntry, TableHandle
 from repro.pier.schema import (
     INVERTED_CACHE_SCHEMA,
     INVERTED_SCHEMA,
@@ -46,8 +47,26 @@ class PublishReceipt:
         return self.bytes / 1024
 
 
+class PublishPlan(NamedTuple):
+    """One file compiled into the tuples that publish it: everything about
+    publishing it that does not depend on who does. ``entries`` are the
+    Item tuple, then one posting per keyword."""
+
+    file_id: str
+    keywords: tuple[str, ...]
+    entries: tuple[PublishEntry, ...]
+
+
 class Publisher:
-    """Publishes shared files into the DHT as PIER tuples."""
+    """Publishes shared files into the DHT as PIER tuples.
+
+    Two steps: :meth:`plan_file` compiles a file into a
+    :class:`PublishPlan` (fileID, keywords, validated rows, ring keys,
+    identities, wire sizes) and :meth:`publish_plan` sends the plan's
+    tuples from one origin as a single routed batch. :meth:`publish_file`
+    does both and retains nothing; callers that publish one file from
+    many origins (the hybrid ultrapeers) keep plans in :attr:`plans`.
+    """
 
     def __init__(
         self,
@@ -65,6 +84,9 @@ class Publisher:
         self.cache: TableHandle = self._ensure(
             INVERTED_CACHE_SCHEMA.name, INVERTED_CACHE_SCHEMA
         )
+        #: plans kept by callers that publish a file more than once, under
+        #: a key of their choosing; :meth:`publish_file` never writes here
+        self.plans: dict[Hashable, PublishPlan] = {}
         self.published_files = 0
         self.published_bytes = 0
 
@@ -72,6 +94,58 @@ class Publisher:
         if name in self.catalog:
             return self.catalog.table(name)
         return self.catalog.register(schema)
+
+    def plan_file(self, filename: str, filesize: int, ip_address: str, port: int) -> PublishPlan:
+        """Compile one shared file into its publish plan.
+
+        Files whose names contain no indexable keyword (all stop words)
+        still get an Item tuple but no posting entries, and therefore can
+        never be found by keyword search — same as the real system.
+        """
+        file_id = compute_file_id(filename, filesize, ip_address, port)
+        keywords = tuple(extract_keywords(filename))
+        costs = self.cost_model
+        item_row: Row = {
+            "fileID": file_id,
+            "filename": filename,
+            "filesize": filesize,
+            "ipAddress": ip_address,
+            "port": port,
+        }
+        entries = [self.items.entry(item_row, costs.item_tuple_bytes(filename))]
+        for keyword in keywords:
+            if self.inverted_cache:
+                cache_row: Row = {"keyword": keyword, "fileID": file_id, "fulltext": filename}
+                size = costs.inverted_cache_tuple_bytes(keyword, filename)
+                entries.append(self.cache.entry(cache_row, size))
+            else:
+                inverted_row: Row = {"keyword": keyword, "fileID": file_id}
+                entries.append(
+                    self.inverted.entry(inverted_row, costs.inverted_tuple_bytes(keyword))
+                )
+        return PublishPlan(file_id, keywords, tuple(entries))
+
+    def publish_plan(self, plan: PublishPlan, origin: int | None = None) -> PublishReceipt:
+        """Publish a compiled file from ``origin``; returns the receipt.
+
+        Each publish stores row objects of its own: a key handoff dedups
+        the rows it moves by object identity, so publishes sharing a row
+        would merge on a node that inherits both.
+        """
+        entries = [
+            (key, dict(row), identity, payload_bytes, category)
+            for key, row, identity, payload_bytes, category in plan.entries
+        ]
+        messages, byte_count = self.catalog.publish(entries, origin)
+        self.published_files += 1
+        self.published_bytes += byte_count
+        return PublishReceipt(
+            file_id=plan.file_id,
+            keywords=plan.keywords,
+            tuples_published=len(entries),
+            bytes=byte_count,
+            messages=messages,
+        )
 
     def publish_file(
         self,
@@ -81,65 +155,8 @@ class Publisher:
         port: int,
         origin: int | None = None,
     ) -> PublishReceipt:
-        """Publish one shared file; returns the receipt with costs.
-
-        Files whose names contain no indexable keyword (all stop words)
-        still get an Item tuple but no posting entries, and therefore can
-        never be found by keyword search — same as the real system.
-        """
-        file_id = compute_file_id(filename, filesize, ip_address, port)
-        keywords = tuple(extract_keywords(filename))
-        meter_before = self.network.meter.snapshot()
-
-        item_row: Row = {
-            "fileID": file_id,
-            "filename": filename,
-            "filesize": filesize,
-            "ipAddress": ip_address,
-            "port": port,
-        }
-        self.items.publish(
-            item_row,
-            origin=origin,
-            payload_bytes=self.cost_model.item_tuple_bytes(filename),
-            category="publish.Item",
-        )
-        tuples = 1
-        for keyword in keywords:
-            if self.inverted_cache:
-                cache_row: Row = {
-                    "keyword": keyword,
-                    "fileID": file_id,
-                    "fulltext": filename,
-                }
-                self.cache.publish(
-                    cache_row,
-                    origin=origin,
-                    payload_bytes=self.cost_model.inverted_cache_tuple_bytes(keyword, filename),
-                    category="publish.InvertedCache",
-                )
-            else:
-                inverted_row: Row = {"keyword": keyword, "fileID": file_id}
-                self.inverted.publish(
-                    inverted_row,
-                    origin=origin,
-                    payload_bytes=self.cost_model.inverted_tuple_bytes(keyword),
-                    category="publish.Inverted",
-                )
-            tuples += 1
-
-        meter_after = self.network.meter.snapshot()
-        byte_cost = meter_after.bytes - meter_before.bytes
-        message_cost = meter_after.messages - meter_before.messages
-        self.published_files += 1
-        self.published_bytes += byte_cost
-        return PublishReceipt(
-            file_id=file_id,
-            keywords=keywords,
-            tuples_published=tuples,
-            bytes=byte_cost,
-            messages=message_cost,
-        )
+        """Publish one shared file; returns the receipt with costs."""
+        return self.publish_plan(self.plan_file(filename, filesize, ip_address, port), origin)
 
     @property
     def average_bytes_per_file(self) -> float:

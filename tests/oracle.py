@@ -26,8 +26,14 @@ replaced, and :func:`reference_replay` runs a union-of-k replay from
 them. ``tests/test_gnutella_matcher.py`` holds production to all four.
 :func:`reference_attach_leaves` is leaf attachment with a fresh candidate
 list per connection (``tests/test_gnutella_topology.py``).
+
+:func:`reference_publish` is publishing one file a tuple at a time: each
+row validated, keyed, routed, copied and charged on its own, one typed
+message per charge. ``tests/test_publish_batch.py`` holds the compiled
+plan and the batch put to it.
 """
 
+import hashlib
 import math
 from bisect import bisect_left
 
@@ -36,7 +42,9 @@ from repro.common.ids import KEY_BITS, KEY_SPACE, in_interval, ring_distance
 from repro.dht.keyspace import finger_start
 from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
+from repro.net.messages import DirectMessage, RoutedMessage
 from repro.pier.catalog import table_key
+from repro.piersearch.publisher import PublishReceipt
 from repro.piersearch.tokenizer import extract_keywords
 
 
@@ -183,6 +191,92 @@ def reference_iter_lookup(network, key, origin):
         f"routing for key {key:x} did not converge in {max_hops} hops",
         key=key,
         path=path,
+    )
+
+
+def reference_publish(publisher, filename, filesize, ip_address, port, origin=None):
+    """Publish one file through ``publisher``'s world, a tuple at a time.
+
+    Item tuple first, then one posting per keyword; per tuple: validate,
+    hash ``table|index value`` to the ring key, route it with
+    ``network.lookup`` (which stabilizes, draws the origin when None and
+    goes through the route cache), store at the owner and deliver the
+    routed message, copy to the owner's ``replication - 1`` successors
+    and deliver one direct message for them, copy to the key's registered
+    replica holders and deliver theirs as ``cache.replicate``, and move
+    the catalog's publish version by one. A routing failure propagates
+    with the earlier tuples stored and charged. Returns the receipt.
+    """
+    network, catalog, costs = publisher.network, publisher.catalog, publisher.cost_model
+    file_id = hashlib.sha1(f"{filename}|{filesize}|{ip_address}|{port}".encode()).hexdigest()
+    keywords = tuple(extract_keywords(filename))
+    item = {
+        "fileID": file_id,
+        "filename": filename,
+        "filesize": filesize,
+        "ipAddress": ip_address,
+        "port": port,
+    }
+    tuples = [("Item", item, costs.item_tuple_bytes(filename))]
+    for keyword in keywords:
+        if publisher.inverted_cache:
+            row = {"keyword": keyword, "fileID": file_id, "fulltext": filename}
+            size = costs.inverted_cache_tuple_bytes(keyword, filename)
+            tuples.append(("InvertedCache", row, size))
+        else:
+            row = {"keyword": keyword, "fileID": file_id}
+            tuples.append(("Inverted", row, costs.inverted_tuple_bytes(keyword)))
+    messages = byte_count = 0
+    for table, row, payload_bytes in tuples:
+        schema = catalog.table(table).schema
+        schema.validate(row)
+        key = table_key(table, row[schema.index_column])
+        identity = (table,) + tuple(row[column] for column in schema.key)
+        category = f"publish.{table}"
+        result = network.lookup(key, origin)
+        owner = result.owner
+        network.put_local(owner, key, row, identity=identity)
+        deliveries = [
+            network.transport.deliver(
+                RoutedMessage(
+                    source=result.path[0],
+                    target=owner,
+                    payload_bytes=payload_bytes,
+                    category=category,
+                    hops=result.hops,
+                )
+            )
+        ]
+        successors = network.successors_of(owner)[: network.replication - 1]
+        registered = [
+            node_id
+            for node_id in network.replica_nodes(key)
+            if node_id in network.nodes and node_id != owner and node_id not in successors
+        ]
+        for holders, charged_as in ((successors, category), (registered, "cache.replicate")):
+            for node_id in holders:
+                network.put_local(node_id, key, row, identity=identity)
+            if holders:
+                deliveries.append(
+                    network.transport.deliver(
+                        DirectMessage(
+                            source=owner,
+                            target=holders[0],
+                            payload_bytes=payload_bytes,
+                            category=charged_as,
+                            copies=len(holders),
+                        )
+                    )
+                )
+        catalog._note_publish(1)
+        messages += sum(delivery.messages for delivery in deliveries)
+        byte_count += sum(delivery.bytes for delivery in deliveries)
+    return PublishReceipt(
+        file_id=file_id,
+        keywords=keywords,
+        tuples_published=len(tuples),
+        bytes=byte_count,
+        messages=messages,
     )
 
 

@@ -1,17 +1,21 @@
 """Guard against sliding back to per-ultrapeer, per-replica re-derivation.
 
-Which filenames a query matches, and which ultrapeers index a replica,
-are facts about the network: the Section 7 deployment resolves the first
-once per query (one shared ``FilenameMatcher``, each flooded ultrapeer
-only filters its own files) and reads the second from one host table
-(``GnutellaNetwork.replica_depths``). None of that shows in a report —
+Which filenames a query matches, which ultrapeers index a replica, and
+which tuples publish a file are facts about the network: the Section 7
+deployment resolves the first once per query (one shared
+``FilenameMatcher``, each flooded ultrapeer only filters its own files),
+reads the second from one host table (``GnutellaNetwork.replica_depths``)
+and compiles the third once per file (``Publisher.plan_file``, kept on
+the shared publisher under the file's ``result_key``) however many
+hybrid ultrapeers snoop and publish it. None of that shows in a report —
 the floods, matches, publishes and races are the same — so a regression
 to a substring scan of a private token index at every visited ultrapeer,
-or to a ``result_key`` tuple and a host walk per matching replica, would
-pass every other test. This one counts *function calls* — deterministic,
-no timing — over one deployment and holds them under a recorded ceiling,
-and pins what the hybrids were offered and published so the saving
-cannot come from snooping less.
+to a ``result_key`` tuple and a host walk per matching replica, or to
+hashing, tokenising and validating a file at every ultrapeer that
+publishes it, would pass every other test. This one counts *function
+calls* — deterministic, no timing — over one deployment and holds them
+under a recorded ceiling, and pins what the hybrids were offered,
+compiled and published so the saving cannot come from snooping less.
 """
 
 import cProfile
@@ -30,16 +34,22 @@ CONFIG = DeploymentConfig(
 )
 #: Primitive calls per test query over the whole run (world building and
 #: the warm-up floods included; built-in calls included). Recorded on
-#: CPython 3.11 when the shared content plane landed: 4,898 per query,
-#: against 9,617 on the path it replaced (the same world, the commit
-#: before). The ceiling leaves ~35 % headroom for interpreter versions and
-#: unrelated bookkeeping; the old path overshoots it by 45 %.
-CALLS_PER_QUERY_CEILING = 6_600
+#: CPython 3.11 when a file became one compiled plan and one batch put:
+#: 3,549 per query, against 4,928 on the put-per-tuple path it replaced
+#: (the same world, the commit before) and 9,617 before the shared
+#: content plane. The ceiling leaves ~21 % headroom for interpreter
+#: versions and unrelated bookkeeping; the per-tuple path overshoots it
+#: by 15 %.
+CALLS_PER_QUERY_CEILING = 4_300
 #: ``SharedFile.result_key`` is now called only where a result's identity
 #: is the point: once per snooped file a hybrid ultrapeer is offered under
 #: the QRS rule. Identical offers and publishes before and after.
 QRS_OFFERS = 2396
 FILES_PUBLISHED = 2360
+#: Distinct files among those publishes: each is compiled once, on the
+#: first ultrapeer to publish it, and published from every one that
+#: snoops it (4.5 publishes per plan here).
+FILES_COMPILED = 529
 
 
 def test_deployment_resolves_filenames_once_per_network():
@@ -51,9 +61,14 @@ def test_deployment_resolves_filenames_once_per_network():
     assert len(report.outcomes) == CONFIG.num_test_queries
     assert report.files_published == FILES_PUBLISHED
     stats = pstats.Stats(profile)
-    result_key_calls = sum(
-        entry[1] for (_, _, name), entry in stats.stats.items() if name == "result_key"
-    )
-    assert result_key_calls == QRS_OFFERS
+
+    def calls(function: str) -> int:
+        return sum(
+            entry[1] for (_, _, name), entry in stats.stats.items() if name == function
+        )
+
+    assert calls("result_key") == QRS_OFFERS
+    assert calls("publish_plan") == FILES_PUBLISHED
+    assert calls("plan_file") == FILES_COMPILED < FILES_PUBLISHED
     calls_per_query = stats.prim_calls / CONFIG.num_test_queries
     assert calls_per_query < CALLS_PER_QUERY_CEILING, calls_per_query

@@ -139,8 +139,8 @@ def _apply(network: DhtNetwork, op, keys) -> None:
         network.lookup(keys[operand % len(keys)], origin=network.random_node_id())
     elif kind == "put":
         key = keys[operand % 12]
-        result = network.put_raw(key, f"v{operand}", payload_bytes=64)
-        assert f"v{operand}" in network.get_local(result.owner, key)
+        network.put_raw(key, f"v{operand}", payload_bytes=64)
+        assert f"v{operand}" in network.get_local(network.owner_of(key), key)
     elif kind == "get":
         key = keys[operand % 12]
         try:
@@ -162,24 +162,26 @@ class TestRouteCacheEquivalence:
     @given(seed=st.integers(0, 10_000), ops=dht_ops)
     @settings(max_examples=40, deadline=None)
     def test_cache_on_equals_cache_off_under_interleaved_churn(self, seed, ops):
-        """Cache on is ``DhtNetwork.lookup``; cache off is the reference
-        walker, run on the same network right after each lookup returns."""
+        """Cache on is ``DhtNetwork._route``, the one cached routing body
+        under lookup, put and get; cache off is the reference walker, run
+        on the same network right after each route returns."""
         network = DhtNetwork(rng=seed)
         network.populate(16)
         served = 0
-        cached_lookup = network.lookup
+        cached_route = network._route
 
-        def checked_lookup(key, origin=None):
+        def checked_route(key, origin):
             nonlocal served
-            result = cached_lookup(key, origin)
+            path = cached_route(key, origin)
             served += 1
-            assert ("return", (result.owner, result.path, result.retries)) == (
-                reference_outcome(network, key, result.path[0])
+            assert path[0] == origin
+            assert ("return", (path[-1], list(path), 0)) == (
+                reference_outcome(network, key, origin)
             )
-            return result
+            return path
 
-        # Shadows the method, so the lookups inside put/get are checked too.
-        network.lookup = checked_lookup
+        # Shadows the method, so the routes inside put/get are checked too.
+        network._route = checked_route
         keys = [(seed * 7919 + i * 104729) % (2**160) for i in range(40)]
         for op in ops:
             _apply(network, op, keys)
