@@ -833,7 +833,9 @@ class DhtNetwork:
 
         The set-at-a-time :meth:`put_local`: one node lookup and one
         bucket lookup per call, which is how a join's spill sink surfaces
-        a partition's keys.
+        a partition's keys. ``entries`` may be any iterable, consumed
+        once — the sink passes ``zip(identities, keys)`` and each value is
+        the bare join key, not a row.
         """
         node = self.nodes.get(node_id)
         if node is None:
@@ -847,7 +849,8 @@ class DhtNetwork:
             if missing_ok:
                 return 0
             raise NodeNotFoundError(f"unknown node {node_id:x}")
-        return node.store.remove_key(key)
+        store = node._store  # a node that never stored has nothing to drop
+        return store.remove_key(key) if store is not None else 0
 
     def local_contains(self, node_id: int, key: int) -> bool:
         """Whether ``node_id`` currently holds any value under ``key``."""

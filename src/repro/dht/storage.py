@@ -48,7 +48,8 @@ class LocalStore:
 
         The set-at-a-time form of :meth:`put` — one bucket lookup for the
         whole run (a join's spill sink surfaces a partition's keys through
-        it). Returns how many values were new.
+        it, as bare ``(sequence number, join key)`` pairs). ``entries`` is
+        any iterable, consumed once. Returns how many values were new.
         """
         bucket = self._data.setdefault(key, {})
         stored = 0

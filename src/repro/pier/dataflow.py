@@ -129,6 +129,10 @@ class DataflowQuery:
         self.stop_after = stop_after
         self.rows: list[Row] = []
         self.done = False
+        #: what failed the query, if anything. Stored *without* its
+        #: traceback (see ``_QueryRun.fail``): the message and type say
+        #: what went wrong, not which frame raised it — break on
+        #: ``_QueryRun.fail`` to see the raising stack
         self.error: DhtError | None = None
 
     @property
@@ -253,7 +257,9 @@ class DataflowExecutor:
         not call it on a simulator shared with other activities — it
         drains the whole event queue). Returns (result rows, per-query
         statistics); rows are Item tuples when ``fetch_items`` is set,
-        otherwise the surviving posting entries.
+        otherwise the surviving posting entries. A failed query re-raises
+        its :attr:`DataflowQuery.error` from here, so the traceback
+        starts at this call, not at the DHT operation that failed.
         """
         query = self.submit(plan, fetch_items=fetch_items, stop_after=stop_after)
         self.sim.run()
@@ -322,17 +328,22 @@ class _DhtSpillSink(SpillSink):
     is what the PIER temp-tuple contract exposes to other readers (and
     what tests inspect), it is removed when its partition restores into
     memory, and leftovers are released with the query's other temp keys.
-    A partition surfaces one ``{column: key}`` tuple per *distinct* key
-    (the multiplicity stays in the compact index), in arrival order, so
-    a skewed eviction never materialises per-duplicate dicts, and it
-    surfaces set-at-a-time: an evicted partition (``write_counts``) or a
-    run of keys routed into spilled partitions (``route_counts``) writes
-    each partition's fresh keys with one
-    :meth:`DhtNetwork.put_local_many` and feeds the ``operator.spill.*``
-    counters once per call. Rows spilled
+    A partition surfaces one value per *distinct* key, in arrival order:
+    the bare join key under its ``_seq`` identity (multiplicities stay in
+    the compact index). The column is named once — by the sink's
+    ``column`` and the bucket's tag — the way a
+    :class:`~repro.pier.rows.RowBatch` names its schema once, so a
+    spilled key costs no dict. (A ring handoff re-files a moved value
+    under the value itself, so a bucket that churn moved is keyed by
+    join key, not by sequence number — as unique, since a bucket holds
+    one value per distinct key.) Surfacing is set-at-a-time: an evicted
+    partition (``write_counts``) or a run of keys routed into spilled
+    partitions (``route_counts``) writes each partition's fresh keys with
+    one :meth:`DhtNetwork.put_local_many` and feeds the
+    ``operator.spill.*`` counters once per call. Rows spilled
     after the site churned out get no DHT copy — they are counted as
     ``orphan_rows`` (surfaced via ``operator.spill.orphan_rows``) and
-    live only in the base sink until the run releases them. Like the
+    live only in the base sink, which goes with the run's teardown. Like the
     in-memory base sink, this models spill *accounting*, not a real
     memory saving — the simulation keeps all state resident.
     """
@@ -385,7 +396,7 @@ class _DhtSpillSink(SpillSink):
 
     def _account_orphans(self, rows: int) -> None:
         # Site churned out mid-query: no DHT copy exists, the rows stay
-        # only in the base in-memory sink until the run releases them.
+        # only in the base in-memory sink until the run is torn down.
         self.orphan_rows += rows
         if self._orphan_counter is not None:
             self._orphan_counter.add(rows)
@@ -393,66 +404,63 @@ class _DhtSpillSink(SpillSink):
     def route_counts(
         self, side: str, routed: list[tuple[int, Any]]
     ) -> list[tuple[int, Any]]:
-        span = self._span
-        if span is not None:
-            for pid, _ in routed:
-                span.event(
-                    "join.spill", side=side, partition=pid, rows=1, site=self.site
-                )
+        if self._span is not None:
+            self._span.event(
+                "join.spill",
+                side=side,
+                partitions=sorted({pid for pid, _ in routed}),
+                rows=len(routed),
+                site=self.site,
+            )
         if self._rows_counter is not None:
             self._rows_counter.add(len(routed))
             self._bytes_counter.add(len(routed) * self.row_bytes)
         fresh = super().route_counts(side, routed)
-        # Only a key new to its partition gets a surfaced tuple —
-        # multiplicity bumps stay in the compact index.
-        if not self._surface(side, fresh):
-            self._account_orphans(len(routed))
-        return fresh
-
-    def write_counts(self, side: str, pid: int, mapping: dict[Any, int]) -> None:
-        rows = sum(mapping.values())
-        if rows:
-            if self._span is not None:
-                self._span.event(
-                    "join.spill", side=side, partition=pid, rows=rows, site=self.site
-                )
-            if self._rows_counter is not None:
-                self._rows_counter.add(rows)
-                self._bytes_counter.add(rows * self.row_bytes)
-        # One surfaced tuple per *distinct* key: keys whose multiplicity
-        # is merely bumped (a re-evicted partition) are already in the
-        # store.
-        surfaced = self._counts[side].get(pid, ())
-        if not self._surface(
-            side, [(pid, key) for key in mapping if key not in surfaced]
-        ):
-            self._account_orphans(rows)
-        super().write_counts(side, pid, mapping)
-
-    def _surface(self, side: str, fresh: list[tuple[int, Any]]) -> bool:
-        """Write one ``{column: key}`` tuple per fresh ``(pid, key)`` into
-        the site's store, one ``put_local_many`` per partition.
-
-        Identities are drawn from ``_seq`` in ``fresh`` order. Returns
-        False when the site has churned out — nothing is stored and the
-        caller's rows are orphans.
-        """
+        # Only a key new to its partition is surfaced — multiplicity
+        # bumps stay in the compact index. Identities follow ``fresh``
+        # order across the partitions the run touched.
         if not self._site_alive():
-            return False
-        if fresh:
-            by_partition: dict[int, list[tuple[int, Row]]] = {}
-            column = self.column
+            self._account_orphans(len(routed))
+        elif fresh:
+            by_partition: dict[int, list[tuple[int, Any]]] = {}
             for seq, (pid, key) in enumerate(fresh, self._seq):
                 entries = by_partition.get(pid)
                 if entries is None:
                     entries = by_partition[pid] = []
-                entries.append((seq, {column: key}))
+                entries.append((seq, key))
             self._seq += len(fresh)
             for pid, entries in by_partition.items():
                 self._network.put_local_many(
                     self.site, self.ring_key(side, pid), entries
                 )
-        return True
+        return fresh
+
+    def write_counts(
+        self, side: str, pid: int, mapping: dict[Any, int], rows: int
+    ) -> None:
+        if rows:
+            if self._span is not None:
+                self._span.event(
+                    "join.spill",
+                    side=side,
+                    partitions=[pid],
+                    rows=rows,
+                    site=self.site,
+                )
+            if self._rows_counter is not None:
+                self._rows_counter.add(rows)
+                self._bytes_counter.add(rows * self.row_bytes)
+        # One surfaced key per *distinct* key, in arrival order: the
+        # evicted mapping is keyed by exactly those.
+        if not self._site_alive():
+            self._account_orphans(rows)
+        elif mapping:
+            seq = self._seq
+            self._seq = seq + len(mapping)
+            self._network.put_local_many(
+                self.site, self.ring_key(side, pid), zip(range(seq, self._seq), mapping)
+            )
+        super().write_counts(side, pid, mapping, rows)
 
     def take_counts(self, side: str, pid: int) -> dict[Any, int]:
         if (side, pid) in self._ring_keys and self._site_alive():
@@ -705,6 +713,9 @@ class _QueryRun:
         self.outstanding_fetches = 0
         self.answers_done = False
         self._temp_keys: set[tuple[int, int]] = set()
+        #: ring membership when the run began: unchanged at release means
+        #: no temp tuple can have moved off its site
+        self._membership_at_start = executor.network.membership_version
         #: Bloom join only: the verification return leg back to the filter
         #: site, and its hop count (added to the critical path when the
         #: leg actually carries candidates)
@@ -1188,12 +1199,16 @@ class _QueryRun:
             ).observe(self.pipeline.completion_time)
         if self.on_complete is not None:
             self.on_complete(self.query)
+        self._teardown()
 
     def fail(self, error: DhtError) -> None:
         if self.query.done:
             return
         self.query.done = True
-        self.query.error = error
+        # Without its traceback: the frames that caught the error hold
+        # this run, so ``run -> query -> error -> frame -> run`` would
+        # make every failed query a cycle only the collector frees.
+        self.query.error = error.with_traceback(None)
         self.pipeline.completion_time = self.sim.now - self.submitted_at
         self.group.cancel()
         self._aggregate_spill_stats()
@@ -1206,6 +1221,21 @@ class _QueryRun:
             self.metrics.counter("dataflow.failures").add(1)
         if self.on_error is not None:
             self.on_error(self.query, error)
+        self._teardown()
+
+    def _teardown(self) -> None:
+        """Drop everything only an in-flight query needs.
+
+        Edges, stages and sinks all point back at the run, so a finished
+        run is a reference cycle until these lists go; dropping them lets
+        the whole chain (edge -> stage -> edge ...) die by reference count
+        the moment the query is done, collector or no collector.
+        """
+        self.exchanges = []
+        self.joins = []
+        self._stage_spans = []
+        self.bloom_return_edge = None
+        self.on_first_answer = self.on_complete = self.on_error = None
 
     # -- plumbing --------------------------------------------------------
 
@@ -1246,15 +1276,32 @@ class _QueryRun:
         self._temp_keys.add((site, key))
 
     def _release_temp_keys(self) -> None:
+        """Remove this run's temp tuples from whichever store holds them.
+
+        A live site holds its temp tuples itself, unless a node joined as
+        its predecessor mid-query and claimed the keys it now owns out of
+        the site's store — and wherever later joins and leaves move such
+        a bucket, it stays with the key's owner — so once the ring has
+        changed under the run, a live site's keys are released at the
+        site and at the owner. A site that left gracefully handed
+        everything to its successor (which may have handed it on): a
+        departed site's keys are released at every live node, the rare
+        path. The spill sinks' parked state (orphan rows included) goes
+        with the joins in :meth:`_teardown`.
+        """
+        network = self.executor.network
+        nodes = network.nodes
+        churned = network.membership_version != self._membership_at_start
         for site, key in self._temp_keys:
-            self.executor.network.remove_local(site, key)
+            if site not in nodes:
+                holders = nodes
+            elif churned:
+                holders = (site, network.owner_of(key))
+            else:
+                holders = (site,)
+            for holder in holders:
+                network.remove_local(holder, key)
         self._temp_keys.clear()
-        # Orphan spill rows (site churned out: no DHT copy to remove) are
-        # released with the rest of the query's temporary state.
-        for join in self.joins:
-            sink = join.shj.spill_sink
-            if sink is not None:
-                sink.clear()
 
     def _route_hops(self, origin: int, key_owner: int) -> int:
         """Overlay hops to route from ``origin`` to ``key_owner``'s id."""

@@ -151,17 +151,24 @@ class SpillSink:
         #: the base sink always counts 0)
         self.orphan_rows = 0
 
-    def write_counts(self, side: str, pid: int, mapping: dict[Any, int]) -> None:
-        """Park an evicted partition: join key -> multiplicity."""
-        partition = self._counts[side].setdefault(pid, {})
-        rows = 0
-        for key, count in mapping.items():
-            partition[key] = partition.get(key, 0) + count
-            rows += count
+    def write_counts(
+        self, side: str, pid: int, mapping: dict[Any, int], rows: int
+    ) -> None:
+        """Park an evicted partition: join key -> multiplicity, ``rows``
+        logical rows in all.
+
+        The sink takes ``mapping`` over — it *becomes* the parked
+        partition — so the caller must not touch it afterwards. Nothing
+        may be parked under ``pid``: a join only evicts resident
+        partitions, and a spilled one is restored whole
+        (:meth:`take_counts`) before it can fill and be evicted again.
+        """
+        partitions = self._counts[side]
+        assert pid not in partitions, f"{side} partition {pid} is already parked"
+        partitions[pid] = mapping
         self.spilled_rows += rows
         self.spilled_bytes += rows * self.row_bytes
-        totals = self._part_totals[side]
-        totals[pid] = totals.get(pid, 0) + rows
+        self._part_totals[side][pid] = rows
 
     def route_counts(
         self, side: str, routed: list[tuple[int, Any]]
@@ -171,7 +178,7 @@ class SpillSink:
         ``routed`` is a run of ``(partition id, key)`` build keys, in
         arrival order, that landed in partitions already spilled. Returns
         the entries whose key is new to its partition, in order — the DHT
-        sink uses that to keep its surface at one tuple per distinct key.
+        sink uses that to keep its surface at one value per distinct key.
         """
         partitions = self._counts[side]
         totals = self._part_totals[side]
@@ -211,12 +218,6 @@ class SpillSink:
 
     def has_spilled(self, side: str) -> bool:
         return bool(self._counts[side])
-
-    def clear(self) -> None:
-        """Drop all parked state (query teardown)."""
-        for store in (self._counts, self._part_totals):
-            for side in store.values():
-                side.clear()
 
 
 class SymmetricHashJoin:
@@ -478,14 +479,15 @@ class SymmetricHashJoin:
 
     def _evict_partition(self, side: str, pid: int) -> None:
         # Compact spill: one (key, count) entry per distinct key, in the
-        # order the keys arrived.
+        # order the keys arrived, handed over to the sink for good.
         keys = self._part_keys[side][pid]
         key_table = self._key_tables[side]
+        rows = self._part_rows[side][pid]
         self.spill_sink.write_counts(
-            side, pid, {key: key_table.pop(key) for key in keys}
+            side, pid, {key: key_table.pop(key) for key in keys}, rows
         )
         keys.clear()
-        self._in_memory[side] -= self._part_rows[side][pid]
+        self._in_memory[side] -= rows
         self._part_rows[side][pid] = 0
         self._spilled[side].add(pid)
         self.partition_evictions += 1

@@ -78,9 +78,13 @@ class Event:
 
         A no-op after the event has fired or was already cancelled, so
         callbacks may safely cancel their own (already popped) handle.
+        The callback is dropped at once: a cancelled entry can sit in the
+        heap for a long time, and must not keep alive whatever its
+        callback closes over (a whole cancelled query, say).
         """
         if self._state == _PENDING:
             self._state = _CANCELLED
+            self.callback = None
             self._sim._on_cancel(self)
 
 

@@ -9,6 +9,7 @@ from repro.pier.dataflow import DataflowConfig, DataflowExecutor, temp_ring_key
 from repro.pier.operators import SpillSink, SymmetricHashJoin
 from repro.pier.planner import KeywordPlanner
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.piersearch.publisher import Publisher
 from repro.sim.engine import Simulator
 
@@ -35,6 +36,29 @@ def plan_for(network, catalog, terms, batch_size=None):
     plan = KeywordPlanner(catalog).plan(terms, network.random_node_id())
     plan.batch_size = batch_size
     return plan
+
+
+def spill_ring_keys(query_id=1, partitions=8, stages=4):
+    """Every ring key a budgeted query's spill sinks could use: one per
+    (stage, side, partition) under the ``spill-{side}-p{pid}`` tag."""
+    return {
+        temp_ring_key(query_id, stage, f"spill-{side}-p{pid}")
+        for stage in range(stages)
+        for side in ("left", "right")
+        for pid in range(partitions)
+    }
+
+
+def stored_spill_keys(network, query_id=1):
+    """The spill ring keys some live node holds a value under, mapped to
+    how many values the network holds there."""
+    spill_keys = spill_ring_keys(query_id)
+    stored = {}
+    for node in network.nodes.values():
+        for ring_key, values in node.store.items():
+            if ring_key in spill_keys and values:
+                stored[ring_key] = stored.get(ring_key, 0) + len(values)
+    return stored
 
 
 class TestPipelinedExecution:
@@ -111,25 +135,6 @@ class TestMemoryBudgetSpill:
         assert stats.pipeline.spilled_tuples > 0
         assert stats.pipeline.spill_reads > 0
 
-    def _spill_ring_keys(self, query_id, partitions=8, stages=4):
-        """Every ring key a budgeted query's spill sinks could use: one
-        per (stage, side, partition) under the ``spill-{side}-p{pid}``
-        tag."""
-        return {
-            temp_ring_key(query_id, stage, f"spill-{side}-p{pid}")
-            for stage in range(stages)
-            for side in ("left", "right")
-            for pid in range(partitions)
-        }
-
-    def _stored_spill_keys(self, network, spill_keys):
-        return {
-            ring_key
-            for node in network.nodes.values()
-            for ring_key, values in node.store.items()
-            if ring_key in spill_keys and values
-        }
-
     def test_spill_state_surfaces_per_partition_and_is_released(self):
         network, catalog = build_world(num_files=40)
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
@@ -139,12 +144,11 @@ class TestMemoryBudgetSpill:
             config=DataflowConfig(batch_size=4, memory_budget=3),
             rng=11,
         )
-        spill_keys = self._spill_ring_keys(query_id=1)
         seen_mid_run = set()
         query = budgeted.submit(plan)
 
         def snapshot():
-            seen_mid_run.update(self._stored_spill_keys(network, spill_keys))
+            seen_mid_run.update(stored_spill_keys(network))
             if not query.done:
                 budgeted.sim.schedule(0.5, snapshot)
 
@@ -156,7 +160,7 @@ class TestMemoryBudgetSpill:
         assert query.stats.pipeline.spilled_tuples > 0
         assert seen_mid_run
         # ...and completion released every one of those keys.
-        assert self._stored_spill_keys(network, spill_keys) == set()
+        assert stored_spill_keys(network) == {}
 
     @pytest.mark.parametrize(
         "terms", [["nebula", "quasar"], ["nebula", "quasar", "aurora"]]
@@ -182,13 +186,14 @@ class TestMemoryBudgetSpill:
             )
 
             def surface():
+                # Surfaced values are the bare join keys (fileIDs).
                 return [
-                    (stage, side, pid, [row["fileID"] for row in rows])
+                    (stage, side, pid, keys)
                     for stage, planned in enumerate(plan.stages)
                     for side in ("left", "right")
                     for pid in range(8)
                     if (
-                        rows := network.get_local(
+                        keys := network.get_local(
                             planned.site,
                             temp_ring_key(1, stage, f"spill-{side}-p{pid}"),
                         )
@@ -216,6 +221,45 @@ class TestMemoryBudgetSpill:
             assert spill == reference_spill, batch_size
             assert mid_query == reference_surface, batch_size
 
+    def test_one_join_spill_event_per_eviction_and_per_routed_run(self, monkeypatch):
+        """A traced budgeted query marks each eviction and each *run* of
+        keys routed into spilled partitions with one ``join.spill`` event
+        (not one per routed row), both in one shape, and the events' rows
+        add up to the ``operator.spill.rows`` counter."""
+        routed_runs = []
+        route_counts = SpillSink.route_counts
+
+        def counting(sink, side, routed):
+            routed_runs.append(len(routed))
+            return route_counts(sink, side, routed)
+
+        monkeypatch.setattr(SpillSink, "route_counts", counting)
+        network, catalog = build_world(num_files=60)
+        plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
+        tracer, metrics = Tracer(), MetricsRegistry()
+        budgeted = DataflowExecutor(
+            network,
+            catalog,
+            config=DataflowConfig(batch_size=4, memory_budget=3, hop_jitter=0.0),
+            rng=11,
+            tracer=tracer,
+            metrics=metrics,
+        )
+        tracer.bind_clock(lambda: budgeted.sim.now)
+        _, stats = budgeted.execute(plan)
+        events = [span.attrs for span in tracer.spans if span.name == "join.spill"]
+        assert stats.spill.partition_evictions
+        assert sum(routed_runs) > len(routed_runs)  # some run has many rows
+        assert len(events) == stats.spill.partition_evictions + len(routed_runs)
+        assert all(
+            sorted(event) == ["partitions", "rows", "side", "site"]
+            and event["partitions"] == sorted(set(event["partitions"]))
+            for event in events
+        )
+        spilled = metrics.counter("operator.spill.rows").value
+        assert sum(event["rows"] for event in events) == spilled
+        assert spilled == stats.spill.spilled_tuples > len(events)
+
     def _run_budgeted_with_kill(self, kill, batch_size=2):
         """Submit a budgeted two-term query and run ``kill(network,
         plan)`` at t=4.1 — after the join stages have spilled (the spill
@@ -234,18 +278,7 @@ class TestMemoryBudgetSpill:
         query = budgeted.submit(plan)
         budgeted.sim.schedule(4.1, lambda: kill(network, plan))
         budgeted.sim.run()
-        spill_keys = {
-            temp_ring_key(1, stage, f"spill-{side}-p{pid}")
-            for stage in range(4)
-            for side in ("left", "right")
-            for pid in range(8)
-        }
-        leftover = {
-            ring_key
-            for node in network.nodes.values()
-            for ring_key, values in node.store.items()
-            if ring_key in spill_keys and values
-        }
+        leftover = set(stored_spill_keys(network))
         return query, metrics, leftover
 
     @staticmethod

@@ -251,19 +251,24 @@ class TestIteratorEquivalence:
 
 #: One budgeted two-term query over str fileIDs, sampled until it
 #: completes: the last ``spill-{side}-p{pid}`` buckets seen in the join
-#: sites' stores, as ``[stage, side, pid, [[identity, fileID], ...]]``.
+#: sites' stores, as ``[stage, side, pid, [[identity, fileID], ...]]``
+#: (the stored value *is* the fileID — the sink surfaces bare join keys),
+#: then the run's ``SpillStats`` and ``operator.spill.*`` counters.
 SURFACE_SCRIPT = """
-import json
+import dataclasses, json
+from repro.obs.metrics import MetricsRegistry
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, temp_ring_key
 from test_pier_dataflow import build_world, plan_for
 
 network, catalog = build_world(num_files=60)
 plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
+metrics = MetricsRegistry()
 flow = DataflowExecutor(
     network,
     catalog,
     config=DataflowConfig(batch_size=4, memory_budget=3, hop_jitter=0.0),
     rng=11,
+    metrics=metrics,
 )
 query = flow.submit(plan)
 surface = []
@@ -272,7 +277,7 @@ def snapshot():
     if query.done:
         return
     surface[:] = [
-        [stage, side, pid, [[seq, row["fileID"]] for seq, row in bucket.items()]]
+        [stage, side, pid, [[seq, key] for seq, key in bucket.items()]]
         for stage, planned in enumerate(plan.stages)
         for side in ("left", "right")
         for pid in range(8)
@@ -287,18 +292,56 @@ def snapshot():
 flow.sim.schedule(0.05, snapshot)
 flow.sim.run()
 assert query.done and query.error is None
-print(json.dumps(surface))
+counters = {
+    name: metrics.counter(f"operator.spill.{name}").value
+    for name in ("rows", "bytes", "orphan_rows", "restored_rows")
+}
+print(json.dumps([surface, dataclasses.asdict(query.stats.spill), counters]))
 """
+
+#: What that script printed on the commit *before* the surface went from
+#: one ``{"fileID": key}`` dict per key to the bare key (fileIDs cut to
+#: their first eight hex digits): same identities, same keys, same order,
+#: same entry count per bucket — checked against the old path, not
+#: against the new one's own output.
+PARENT_SURFACE = [
+    [1, "left", 0, [[27, "afb9ee54"], [33, "5536f21e"], [42, "2d769160"]]],
+    [1, "left", 2, [[28, "c7877dab"], [30, "89201e89"], [34, "247d7f40"], [36, "5a55d1bb"]]],
+    [1, "left", 3, [[26, "3a7b7fff"], [37, "276e6d37"]]],
+    [1, "left", 4, [[43, "3d67d3d3"]]],
+    [1, "left", 5, [[29, "478c610a"], [35, "8095717c"], [38, "624ac17a"]]],
+    [1, "left", 7, [[31, "0b3defa1"], [32, "c4b68424"], [39, "f3fbd226"], [40, "370b628e"], [41, "956002fb"]]],
+    [1, "right", 0, [[0, "a309f75c"], [1, "72b280e3"], [4, "9448359a"], [9, "5536f21e"], [10, "1542658d"], [19, "92e95236"]]],
+    [1, "right", 2, [[5, "89201e89"], [8, "70743dfd"], [12, "9b886d96"], [13, "5a55d1bb"], [18, "f8fffc2c"], [22, "5b236026"], [23, "a5d837d8"]]],
+    [1, "right", 4, [[6, "cd61f85c"], [7, "1d789e9e"], [11, "0350b034"]]],
+    [1, "right", 5, [[14, "478c610a"], [15, "aeafd084"], [20, "624ac17a"]]],
+    [1, "right", 6, [[16, "a0165433"], [17, "59c6bd72"], [25, "5222800f"]]],
+    [1, "right", 7, [[2, "bed9edb4"], [3, "12ffda2b"], [21, "3cd744b1"], [24, "370b628e"]]],
+]
+PARENT_SPILL_STATS = {
+    "spilled_tuples": 44,
+    "spill_reads": 17,
+    "spilled_bytes": 22528,
+    "reread_bytes": 3584,
+    "partition_evictions": 12,
+    "partition_restores": 0,
+    "role_reversals": 1,
+    "orphan_rows": 0,
+}
+PARENT_SPILL_COUNTERS = {
+    "rows": 44, "bytes": 22528, "orphan_rows": 0, "restored_rows": 0,
+}
 
 
 class TestEvictionOrder:
     def test_spill_surface_is_independent_of_the_string_hash_salt(self):
-        """Eviction walks a partition in arrival order, so the tuples a
+        """Eviction walks a partition in arrival order, so the keys a
         budgeted join surfaces in its site's store — and the identities
         they are stored under — are the same in two interpreters whose
-        ``str`` hashes differ."""
+        ``str`` hashes differ, and the same the per-key-dict surface of
+        the parent commit held."""
         root = Path(__file__).resolve().parent.parent
-        surfaces = []
+        outputs = []
         for salt in ("0", "1"):
             env = dict(
                 os.environ,
@@ -312,7 +355,12 @@ class TestEvictionOrder:
                 text=True,
                 check=True,
             )
-            surfaces.append(json.loads(done.stdout))
-        assert surfaces[0] == surfaces[1]
-        # Not vacuous: some surfaced partition holds several keys.
-        assert any(len(bucket) > 1 for *_, bucket in surfaces[0])
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0] == outputs[1]
+        surface, spill_stats, counters = outputs[0]
+        assert [
+            [stage, side, pid, [[seq, key[:8]] for seq, key in bucket]]
+            for stage, side, pid, bucket in surface
+        ] == PARENT_SURFACE
+        assert spill_stats == PARENT_SPILL_STATS
+        assert counters == PARENT_SPILL_COUNTERS

@@ -193,6 +193,73 @@ class TestChunkingInvariance:
         # The budget never changes an answer, whatever the split.
         assert feed(SymmetricHashJoin(column="k"), moves) == reference
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        moves=st.lists(
+            st.tuples(st.sampled_from(["left", "right"]), st.integers(0, 39)),
+            min_size=2,
+            max_size=80,
+        ),
+        spread=st.integers(min_value=1, max_value=40),
+        budget=budgets,
+        fan_out=fan_outs,
+        cuts=st.sets(st.integers(1, 79)),
+        loosen_at=st.integers(1, 79),
+    )
+    def test_a_partition_re_evicted_after_a_restore_spills_identically(
+        self, moves, spread, budget, fan_out, cuts, loosen_at
+    ):
+        """Loosen the budget mid-stream (spilled partitions restore: the
+        sink gives their mappings back), tighten it again (they are
+        evicted afresh: the sink adopts new mappings under the same
+        partition ids), and carry on. Whatever the chunking, the sink ends
+        up with the same contents — an adopted mapping is never one the
+        join still writes to, and never a stale one."""
+        moves = [(side, key % spread) for side, key in moves]
+        loosen_at = min(loosen_at, len(moves) - 1)
+
+        def run(join, cuts):
+            counts = feed(join, moves[:loosen_at], cuts)
+            join.set_memory_budget(64)
+            join.set_memory_budget(budget)
+            later = {cut - loosen_at for cut in cuts if cut > loosen_at}
+            return counts + feed(join, moves[loosen_at:], later)
+
+        per_key = make_budgeted(budget, fan_out)
+        reference = run(per_key, range(len(moves)))
+        assert reference == reference_match_counts(moves)
+        for split in ((), cuts):
+            join = make_budgeted(budget, fan_out)
+            assert run(join, split) == reference
+            assert spill_state(join) == spill_state(per_key)
+            assert_accounting_invariants(join)
+
+    def test_write_counts_hands_the_evicted_mapping_over(self):
+        """``SpillSink.write_counts`` adopts the mapping it is given (no
+        copy, no merge) and ``take_counts`` gives the same object back; a
+        restore/re-evict round trip parks a fresh mapping under the same
+        partition id."""
+        sink = SpillSink("k", row_bytes=ROW_BYTES)
+        evicted = {1: 2, 5: 1}
+        sink.write_counts("left", 0, evicted, 3)
+        assert sink._counts["left"][0] is evicted  # handed over, not copied
+        assert (sink.partition_rows("left", 0), sink.spilled_rows) == (3, 3)
+        assert sink.spilled_bytes == 3 * ROW_BYTES
+        assert sink.take_counts("left", 0) is evicted
+        assert (sink.partition_rows("left", 0), sink.restored_rows) == (0, 3)
+
+        join = make_budgeted(4, 1)
+        join.insert_keys("left", [1, 2, 3, 4, 5])
+        first = join.spill_sink._counts["left"][0]
+        assert first == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
+        join.set_memory_budget(64)
+        assert (join.partition_restores, join.spill_sink._counts["left"]) == (1, {})
+        join.insert_keys("left", [6])
+        join.set_memory_budget(4)
+        again = join.spill_sink._counts["left"][0]
+        assert again is not first and list(again) == [1, 2, 3, 4, 5, 6]
+        assert (join.partition_evictions, join.spilled_rows) == (2, 11)
+
     @pytest.mark.parametrize("cuts", [(), range(160)], ids=["bulk", "per-key"])
     def test_pinned_numbers_of_the_per_key_path(self, cuts):
         """Regression pin: 128 distinct keys built under budget 32 over 8
