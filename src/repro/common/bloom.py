@@ -16,9 +16,18 @@ The implementation is a classic k-hash Bloom filter over a bit array
 It is set-at-a-time: :meth:`BloomFilter.update` sets the bits of a whole
 key list and :meth:`BloomFilter.matching` tests one in a single loop
 each (``add`` and ``in`` are the one-item forms of the same two loops),
-and an item is hashed **once per process**, not once per call — the
-``(h1, h2)`` pair behind its k positions is memoised, because a corpus
-re-uses the same join keys (fileIDs) in every query's filter and probe.
+and the work per key is paid **once per filter shape**, not once per
+hash: an item's k positions depend only on its ``str`` form and the
+filter's ``(num_bits, num_hashes)``, so its k-bit *mask* is memoised per
+shape, and a key costs ``update`` one OR and ``matching`` one
+``bits & mask == mask`` — a corpus re-uses the same join keys (fileIDs)
+in every query's filter and probe, at the same shape whenever the
+rarest posting list has the same length. Under the masks, an item's
+``(h1, h2)`` double-hashing pair is memoised once per process (one
+SHA-1 serves every shape). Both memos are keyed by the item's ``str``
+form only, and both are bounded — the mask memo in total bits, since a
+mask costs ``num_bits / 8`` bytes — and cleared wholesale when full:
+the hash is pure, so dropping is always safe and never changes a bit.
 """
 
 from __future__ import annotations
@@ -33,14 +42,19 @@ import math
 _hash_memo: dict[str, tuple[int, int]] = {}
 _HASH_MEMO_MAX = 1 << 15
 
+#: cross-filter memo of k-bit masks: ``(num_bits, num_hashes)`` -> the
+#: item's ``str`` form -> the int with the item's k positions set.
+#: Bounded in total *bits* (a mask costs ``num_bits / 8`` bytes, so an
+#: entry count would not bound memory): every shape's masks are dropped
+#: together once :data:`_mask_memo_bits` would pass the bound.
+_mask_memos: dict[tuple[int, int], dict[str, int]] = {}
+_mask_memo_bits = 0
+_MASK_MEMO_MAX_BITS = 1 << 24
 
-def _hash_pair(item) -> tuple[int, int]:
-    """``(h1, h2)`` of ``str(item)``: position i is ``(h1 + i*h2) % m``.
 
-    The memo-miss path of :meth:`BloomFilter.update` /
-    :meth:`BloomFilter.matching`, which probe :data:`_hash_memo` inline.
-    """
-    text = str(item)
+def _hash_pair(text: str) -> tuple[int, int]:
+    """``(h1, h2)`` of an item's ``str`` form: position i is
+    ``(h1 + i*h2) % m``."""
     pair = _hash_memo.get(text)
     if pair is None:
         digest = hashlib.sha1(text.encode("utf-8")).digest()
@@ -52,6 +66,31 @@ def _hash_pair(item) -> tuple[int, int]:
             _hash_memo.clear()
         _hash_memo[text] = pair
     return pair
+
+
+def _mask(masks: dict[str, int], text: str, num_bits: int, num_hashes: int) -> int:
+    """The k-bit mask of ``text`` in a ``(num_bits, num_hashes)`` filter.
+
+    The memo-miss path of :meth:`BloomFilter.update` /
+    :meth:`BloomFilter.matching`, which probe ``masks`` (the shape's
+    entry of :data:`_mask_memos`) inline.
+    """
+    global _mask_memo_bits
+    h1, h2 = _hash_pair(text)
+    mask = 0
+    for _ in range(num_hashes):
+        mask |= 1 << h1 % num_bits
+        h1 += h2
+    if _mask_memo_bits + num_bits > _MASK_MEMO_MAX_BITS:
+        # Drop every shape's masks; ``masks`` is cleared in place and
+        # stays registered, since the caller's loop keeps filling it.
+        _mask_memos.clear()
+        masks.clear()
+        _mask_memos[(num_bits, num_hashes)] = masks
+        _mask_memo_bits = 0
+    masks[text] = mask
+    _mask_memo_bits += num_bits
+    return mask
 
 
 class BloomFilter:
@@ -88,16 +127,16 @@ class BloomFilter:
     def update(self, items) -> None:
         """Add every item (hashed by its ``str`` form, like :meth:`matching`)."""
         bits = self._bits
-        num_bits = self.num_bits
-        hashes = range(self.num_hashes)
-        memo_get = _hash_memo.get
+        num_bits, num_hashes = self.num_bits, self.num_hashes
+        masks = _mask_memos.setdefault((num_bits, num_hashes), {})
+        masks_get = masks.get
         added = 0
         for item in items:
-            pair = memo_get(item)
-            h1, h2 = pair if pair is not None else _hash_pair(item)
-            for _ in hashes:
-                bits |= 1 << h1 % num_bits
-                h1 += h2
+            text = item if item.__class__ is str else str(item)
+            mask = masks_get(text)
+            if mask is None:
+                mask = _mask(masks, text, num_bits, num_hashes)
+            bits |= mask
             added += 1
         self._bits = bits
         self._count += added
@@ -115,18 +154,16 @@ class BloomFilter:
         verifies candidates exactly.
         """
         bits = self._bits
-        num_bits = self.num_bits
-        hashes = range(self.num_hashes)
-        memo_get = _hash_memo.get
+        num_bits, num_hashes = self.num_bits, self.num_hashes
+        masks = _mask_memos.setdefault((num_bits, num_hashes), {})
+        masks_get = masks.get
         found = []
         for item in items:
-            pair = memo_get(item)
-            h1, h2 = pair if pair is not None else _hash_pair(item)
-            for _ in hashes:
-                if not bits >> h1 % num_bits & 1:
-                    break
-                h1 += h2
-            else:
+            text = item if item.__class__ is str else str(item)
+            mask = masks_get(text)
+            if mask is None:
+                mask = _mask(masks, text, num_bits, num_hashes)
+            if bits & mask == mask:
                 found.append(item)
         return found
 

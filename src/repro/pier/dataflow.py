@@ -336,11 +336,19 @@ class _DhtSpillSink(SpillSink):
     spilled key costs no dict. (A ring handoff re-files a moved value
     under the value itself, so a bucket that churn moved is keyed by
     join key, not by sequence number — as unique, since a bucket holds
-    one value per distinct key.) Surfacing is set-at-a-time: an evicted
-    partition (``write_counts``) or a run of keys routed into spilled
-    partitions (``route_counts``) writes each partition's fresh keys with
-    one :meth:`DhtNetwork.put_local_many` and feeds the
-    ``operator.spill.*`` counters once per call. Rows spilled
+    one value per distinct key.) Surfacing is partition-granular: an
+    evicted partition (``write_counts``) or a run of keys routed into
+    spilled partitions (``route_counts``) takes its fresh keys' ``_seq``
+    identities at once, in order, but only *buffers* them per ``(side,
+    pid)``; the join's :meth:`flush` at the end of the call writes every
+    partition it touched with one :meth:`DhtNetwork.put_local_many`, in
+    the order the call first touched them, and a partition restored
+    within the call drops its buffer (its bucket would be removed
+    anyway). So the store holds exactly what one write per eviction and
+    per routed run would have left at every event boundary — same
+    values, identities and order — for one write per partition per call.
+    The ``operator.spill.*`` counters and the ``join.spill`` span event
+    are still fed once per eviction or routed run. Rows spilled
     after the site churned out get no DHT copy — they are counted as
     ``orphan_rows`` (surfaced via ``operator.spill.orphan_rows``) and
     live only in the base sink, which goes with the run's teardown. Like the
@@ -359,6 +367,15 @@ class _DhtSpillSink(SpillSink):
         #: unique across both sides, so a partition that re-spills after
         #: a restore never collides
         self._seq = 0
+        #: this call's surfaced ``(seq, key)`` entries not yet written:
+        #: side -> pid -> entries, plus ``(ring key, entries)`` in the
+        #: order the call first touched each partition (a restore empties
+        #: and unlinks its entries; a re-eviction opens new ones)
+        self._pending: dict[str, dict[int, list[tuple[int, Any]]]] = {
+            "left": {},
+            "right": {},
+        }
+        self._touched: list[tuple[int, list[tuple[int, Any]]]] = []
         # Spill accounting runs on every eviction and routed run —
         # resolve the span and metric counters once instead of attribute
         # hops and a string-keyed registry lookup each time.
@@ -401,6 +418,13 @@ class _DhtSpillSink(SpillSink):
         if self._orphan_counter is not None:
             self._orphan_counter.add(rows)
 
+    def _open(self, side: str, pid: int) -> list[tuple[int, Any]]:
+        """Start buffering ``(side, pid)``'s surfaced entries for this call."""
+        entries: list[tuple[int, Any]] = []
+        self._pending[side][pid] = entries
+        self._touched.append((self.ring_key(side, pid), entries))
+        return entries
+
     def route_counts(
         self, side: str, routed: list[tuple[int, Any]]
     ) -> list[tuple[int, Any]]:
@@ -422,17 +446,15 @@ class _DhtSpillSink(SpillSink):
         if not self._site_alive():
             self._account_orphans(len(routed))
         elif fresh:
-            by_partition: dict[int, list[tuple[int, Any]]] = {}
-            for seq, (pid, key) in enumerate(fresh, self._seq):
-                entries = by_partition.get(pid)
+            pending = self._pending[side]
+            seq = self._seq
+            for pid, key in fresh:
+                entries = pending.get(pid)
                 if entries is None:
-                    entries = by_partition[pid] = []
+                    entries = self._open(side, pid)
                 entries.append((seq, key))
-            self._seq += len(fresh)
-            for pid, entries in by_partition.items():
-                self._network.put_local_many(
-                    self.site, self.ring_key(side, pid), entries
-                )
+                seq += 1
+            self._seq = seq
         return fresh
 
     def write_counts(
@@ -451,18 +473,20 @@ class _DhtSpillSink(SpillSink):
                 self._rows_counter.add(rows)
                 self._bytes_counter.add(rows * self.row_bytes)
         # One surfaced key per *distinct* key, in arrival order: the
-        # evicted mapping is keyed by exactly those.
+        # evicted mapping is keyed by exactly those. Nothing is parked
+        # under ``pid``, so nothing of it is pending either.
         if not self._site_alive():
             self._account_orphans(rows)
         elif mapping:
             seq = self._seq
             self._seq = seq + len(mapping)
-            self._network.put_local_many(
-                self.site, self.ring_key(side, pid), zip(range(seq, self._seq), mapping)
-            )
+            self._open(side, pid).extend(zip(range(seq, self._seq), mapping))
         super().write_counts(side, pid, mapping, rows)
 
     def take_counts(self, side: str, pid: int) -> dict[Any, int]:
+        entries = self._pending[side].pop(pid, None)
+        if entries is not None:
+            entries.clear()
         if (side, pid) in self._ring_keys and self._site_alive():
             self._network.remove_local(
                 self.site, self._ring_keys[(side, pid)], missing_ok=True
@@ -470,6 +494,18 @@ class _DhtSpillSink(SpillSink):
         if self._restored_counter is not None:
             self._restored_counter.add(self.partition_rows(side, pid))
         return super().take_counts(side, pid)
+
+    def flush(self) -> None:
+        touched = self._touched
+        if not touched:
+            return
+        put_local_many = self._network.put_local_many
+        for ring_key, entries in touched:
+            if entries:
+                put_local_many(self.site, ring_key, entries)
+        self._touched = []
+        self._pending["left"].clear()
+        self._pending["right"].clear()
 
 
 class _Exchange:

@@ -114,9 +114,13 @@ class SpillSink:
     multiplicities, never one row per duplicate: the join evicts whole
     hash partitions (``write_counts``), routes later build keys of a
     partition that stays spilled straight in (``route_counts`` — one call
-    per run of routed keys, never one per key), probes re-read single
-    keys out of a spilled partition (``read_count``), and a partition
-    restores wholesale when the budget frees up (``take_counts``).
+    per run of routed keys, never one per key), and a partition restores
+    wholesale when the budget frees up (``take_counts``). Probes re-read
+    single keys' multiplicities straight out of the parked index
+    (``_counts``) and restore decisions scan the per-partition totals
+    (``_part_totals``) — :class:`SymmetricHashJoin` reads both directly
+    and settles ``reads``/``reread_bytes`` once per call. The join ends
+    every call that can spill with :meth:`flush`.
 
     The reference implementation keeps everything in plain dicts; the
     dataflow runtime subclasses it with a DHT-backed sink whose extra
@@ -199,13 +203,6 @@ class SpillSink:
         self.spilled_bytes += len(routed) * self.row_bytes
         return fresh
 
-    def read_count(self, side: str, pid: int, key: Any) -> int:
-        """Re-read ``key``'s multiplicity out of one spilled partition."""
-        self.reads += 1
-        count = self._counts[side].get(pid, {}).get(key, 0)
-        self.reread_bytes += count * self.row_bytes
-        return count
-
     def take_counts(self, side: str, pid: int) -> dict[Any, int]:
         """Remove and return a spilled partition (restore)."""
         mapping = self._counts[side].pop(pid, {})
@@ -218,6 +215,14 @@ class SpillSink:
 
     def has_spilled(self, side: str) -> bool:
         return bool(self._counts[side])
+
+    def flush(self) -> None:
+        """End of a join call: make everything parked during it visible.
+
+        The in-memory sink has nothing to write; a sink that mirrors
+        partitions elsewhere buffers a call's surfaced keys and writes
+        each touched partition once here.
+        """
 
 
 class SymmetricHashJoin:
@@ -251,9 +256,11 @@ class SymmetricHashJoin:
     zero sink reads; a spilled partition *stays* spilled — later build
     keys for it reach the sink a run at a time
     (:meth:`SpillSink.route_counts`) rather than refilling memory only to
-    be evicted again — until enough budget frees up to restore it. This
-    is the memory-for-re-reads trade of a dynamic hybrid hash join, and it
-    never changes a count.
+    be evicted again — until enough budget frees up to restore it. Every
+    call that can spill (:meth:`insert_keys` under a budget,
+    :meth:`set_memory_budget`) ends with one :meth:`SpillSink.flush`.
+    This is the memory-for-re-reads trade of a dynamic hybrid hash join,
+    and it never changes a count.
     """
 
     def __init__(
@@ -336,6 +343,11 @@ class SymmetricHashJoin:
         memo_get = self._pid_memo.get
         spilled_side = self._spilled[side]
         spilled_other = self._spilled[other]
+        #: the other side's parked partitions (pid -> key -> count): a
+        #: probe into a spilled partition re-reads its key's multiplicity
+        #: here, and the reads settle on the sink once, after the loop
+        parked_other = sink._counts[other]
+        reads = reread_rows = 0
         tracking = self._tracking
         part_rows = self._part_rows[side]
         part_keys = self._part_keys[side]
@@ -354,7 +366,10 @@ class SymmetricHashJoin:
                     pid = spill_partition(key, self.num_partitions)
                 # Never-spilled partitions cost zero sink reads.
                 if pid in spilled_other:
-                    count += sink.read_count(other, pid, key)
+                    parked = parked_other[pid].get(key, 0)
+                    count += parked
+                    reads += 1
+                    reread_rows += parked
                 counts.append(count)
                 if pid in spilled_side:
                     routed.append((pid, key))
@@ -386,6 +401,10 @@ class SymmetricHashJoin:
             self._track_peak(side)
         if routed:
             sink.route_counts(side, routed)
+        if reads:
+            sink.reads += reads
+            sink.reread_bytes += reread_rows * sink.row_bytes
+        sink.flush()
         return counts
 
     def _track_peak(self, side: str) -> None:
@@ -433,6 +452,7 @@ class SymmetricHashJoin:
             self._maybe_spill()
         else:
             self._maybe_restore()
+        self.spill_sink.flush()
 
     def _rebuild_partition_index(self) -> None:
         """(Re)derive per-partition bookkeeping from the resident tables.
@@ -503,17 +523,20 @@ class SymmetricHashJoin:
         if sink is None:
             return
         budget = self.memory_budget
+        in_memory = self._in_memory
         while True:
-            slack = budget - self._in_memory["left"] - self._in_memory["right"]
+            slack = budget - in_memory["left"] - in_memory["right"]
             if slack < 2:
                 return
+            # A spilled partition's parked rows are the sink's running
+            # total (never 0: only a non-empty partition is evicted).
+            fits = slack // 2
             best: tuple[int, str, int] | None = None
             for side in ("left", "right"):
+                totals = sink._part_totals[side]
                 for pid in self._spilled[side]:
-                    rows = sink.partition_rows(side, pid)
-                    if rows and rows <= slack // 2 and (
-                        best is None or (rows, side, pid) < best
-                    ):
+                    rows = totals[pid]
+                    if rows <= fits and (best is None or (rows, side, pid) < best):
                         best = (rows, side, pid)
             if best is None:
                 return

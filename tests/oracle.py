@@ -31,6 +31,14 @@ list per connection (``tests/test_gnutella_topology.py``).
 row validated, keyed, routed, copied and charged on its own, one typed
 message per charge. ``tests/test_publish_batch.py`` holds the compiled
 plan and the batch put to it.
+
+:class:`ReferenceSpillSink` is the dataflow's DHT-backed spill sink
+writing its store surface the moment it changes — one write per eviction
+and one per partition a routed run touched, nothing buffered — and
+:func:`reference_bloom_bits` is a Bloom filter's bit array built the k
+hashes of every key at a time, with no memo. ``tests/test_pier_spill.py``
+and ``tests/test_common_bloom.py`` hold the per-partition flush and the
+per-shape masks to them.
 """
 
 import hashlib
@@ -44,6 +52,8 @@ from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
 from repro.net.messages import DirectMessage, RoutedMessage
 from repro.pier.catalog import table_key
+from repro.pier.dataflow import _DhtSpillSink
+from repro.pier.operators import SpillSink
 from repro.piersearch.publisher import PublishReceipt
 from repro.piersearch.tokenizer import extract_keywords
 
@@ -88,6 +98,75 @@ def reference_match_counts(moves, column="k"):
         counts.append(len(nested_loop_join([row], other, column)))
         seen[side].append(row)
     return counts
+
+
+class ReferenceSpillSink(_DhtSpillSink):
+    """The DHT-backed spill sink with an unbuffered surface.
+
+    Same constructor, counters, span events and parked index as the
+    production sink; only the store writes differ: an eviction writes its
+    partition's keys at once, a routed run writes each partition it
+    touched at once, and a restore removes the bucket — so :meth:`flush`
+    has nothing to do.
+    """
+
+    def _mark(self, side, partitions, rows):
+        if self._span is not None:
+            self._span.event(
+                "join.spill", side=side, partitions=partitions, rows=rows, site=self.site
+            )
+        if self._rows_counter is not None:
+            self._rows_counter.add(rows)
+            self._bytes_counter.add(rows * self.row_bytes)
+
+    def route_counts(self, side, routed):
+        self._mark(side, sorted({pid for pid, _ in routed}), len(routed))
+        fresh = SpillSink.route_counts(self, side, routed)
+        if not self._site_alive():
+            self._account_orphans(len(routed))
+        elif fresh:
+            by_partition = {}
+            for seq, (pid, key) in enumerate(fresh, self._seq):
+                by_partition.setdefault(pid, []).append((seq, key))
+            self._seq += len(fresh)
+            for pid, entries in by_partition.items():
+                self._network.put_local_many(self.site, self.ring_key(side, pid), entries)
+        return fresh
+
+    def write_counts(self, side, pid, mapping, rows):
+        if rows:
+            self._mark(side, [pid], rows)
+        if not self._site_alive():
+            self._account_orphans(rows)
+        elif mapping:
+            entries = list(zip(range(self._seq, self._seq + len(mapping)), mapping))
+            self._seq += len(mapping)
+            self._network.put_local_many(self.site, self.ring_key(side, pid), entries)
+        SpillSink.write_counts(self, side, pid, mapping, rows)
+
+    def take_counts(self, side, pid):
+        if (side, pid) in self._ring_keys and self._site_alive():
+            self._network.remove_local(self.site, self._ring_keys[(side, pid)])
+        if self._restored_counter is not None:
+            self._restored_counter.add(self.partition_rows(side, pid))
+        return SpillSink.take_counts(self, side, pid)
+
+    def flush(self):
+        pass
+
+
+def reference_bloom_bits(items, num_bits, num_hashes):
+    """A Bloom filter's bit array over ``items`` by definition: SHA-1 of
+    each item's ``str`` form, double hashing, k shift-and-ORs per item."""
+    bits = 0
+    for item in items:
+        digest = hashlib.sha1(str(item).encode("utf-8")).digest()
+        h1 = int.from_bytes(digest[:8], "big")
+        h2 = int.from_bytes(digest[8:16], "big") | 1
+        for _ in range(num_hashes):
+            bits |= 1 << h1 % num_bits
+            h1 += h2
+    return bits
 
 
 def reference_owner(sorted_ids, key):

@@ -1,4 +1,9 @@
-"""Tests for the Bloom filter."""
+"""Tests for the Bloom filter.
+
+The per-shape mask memo is held to ``tests/oracle.py``'s
+:func:`reference_bloom_bits` — the k shift-and-ORs per key, no memo —
+across memo clears and a memo too small for one filter.
+"""
 
 import hashlib
 
@@ -7,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import bloom as bloom_module
 from repro.common.bloom import BloomFilter, bloom_for_keys
+
+from oracle import reference_bloom_bits
 
 
 class TestBasics:
@@ -207,21 +214,125 @@ class TestSetAtATime:
         assert 1 in bloom and "1" in bloom
 
     def test_memo_is_bounded_and_clearing_it_changes_no_answer(self, monkeypatch):
+        """The pair memo holds at most ``_HASH_MEMO_MAX`` items and the
+        mask memo at most ``_MASK_MEMO_MAX_BITS`` bits over every shape;
+        dropping either, mid-stream or between calls, moves no bit."""
         monkeypatch.setattr(bloom_module, "_HASH_MEMO_MAX", 8)
-        memo = bloom_module._hash_memo
-        memo.clear()
+        clear_memos()
         keys = [f"key{i}" for i in range(100)]
         reference = bloom_for_keys(keys)
+        num_bits = reference.num_bits
+        monkeypatch.setattr(bloom_module, "_MASK_MEMO_MAX_BITS", 5 * num_bits)
+        memo = bloom_module._hash_memo
         assert 0 < len(memo) <= 8
-        bloom = BloomFilter(reference.num_bits, reference.num_hashes)
+        clear_memos()
+        bloom = BloomFilter(num_bits, reference.num_hashes)
+        other = BloomFilter(num_bits + 1, reference.num_hashes)
         for index, key in enumerate(keys):
             if index % 7 == 0:
                 memo.clear()  # mid-stream: the hash is pure
             bloom.add(key)
+            other.add(key)
             assert len(memo) <= 8
+            assert mask_memo_bits() <= 5 * num_bits
         assert bloom._bits == reference._bits
+        assert other._bits == reference_bloom_bits(keys, num_bits + 1, reference.num_hashes)
         probes = keys[::3] + [f"other{i}" for i in range(200)]
         before = bloom.matching(probes)
-        memo.clear()
+        clear_memos()
         assert bloom.matching(probes) == before
         assert len(memo) <= 8
+        assert mask_memo_bits() <= 5 * num_bits
+
+
+def clear_memos():
+    bloom_module._hash_memo.clear()
+    bloom_module._mask_memos.clear()
+    bloom_module._mask_memo_bits = 0
+
+
+def mask_memo_bits():
+    """Bits the mask memo holds, counted from its contents."""
+    held = sum(
+        num_bits * len(masks)
+        for (num_bits, _), masks in bloom_module._mask_memos.items()
+    )
+    assert held == bloom_module._mask_memo_bits
+    return held
+
+
+#: join keys as the dataflow sees them (hex-ish strings) and as tests and
+#: other callers pass them (ints), colliding on purpose: ``5`` and ``"5"``
+#: are the same key to the filter
+mixed_keys = st.lists(
+    st.one_of(st.integers(0, 40), st.integers(0, 40).map(str), st.text(max_size=6)),
+    max_size=50,
+)
+
+
+class TestMasksPerShape:
+    """A key's k positions are memoised as one mask per filter shape:
+    ``update`` is one OR per key and ``matching`` one masked compare, and
+    the bits are the k-hash loop's, memo or no memo."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        members=mixed_keys,
+        probes=mixed_keys,
+        num_bits=st.integers(8, 700),
+        num_hashes=st.integers(1, 9),
+        clear_at=st.integers(0, 50),
+        bound=st.sampled_from([None, 1, 3]),
+    )
+    def test_bits_and_matches_equal_the_k_hash_loop(
+        self, members, probes, num_bits, num_hashes, clear_at, bound
+    ):
+        """Equal ``_bits`` and equal ``matching`` output to the reference,
+        with the memos cleared between two ``update`` calls and between
+        update and probe, and with a mask memo holding ``bound`` masks
+        (``None``: the default bound) — so it clears wholesale inside a
+        single call."""
+        saved = bloom_module._MASK_MEMO_MAX_BITS
+        if bound is not None:
+            bloom_module._MASK_MEMO_MAX_BITS = bound * num_bits
+        try:
+            bloom = BloomFilter(num_bits, num_hashes)
+            bloom.update(members[:clear_at])
+            clear_memos()
+            bloom.update(iter(members[clear_at:]))
+            expected = reference_bloom_bits(members, num_bits, num_hashes)
+            assert bloom._bits == expected
+            assert len(bloom) == len(members)
+            found = bloom.matching(probes + members)
+            clear_memos()
+            assert bloom.matching(probes + members) == found
+        finally:
+            bloom_module._MASK_MEMO_MAX_BITS = saved
+        assert found == [
+            item
+            for item in probes + members
+            if expected & (mask := reference_bloom_bits([item], num_bits, num_hashes)) == mask
+        ]
+
+    def test_int_and_str_keys_share_one_memo_entry(self, monkeypatch):
+        """Regression: the loops probed the memo with the raw item while it
+        was keyed by ``str(item)``, so every non-str key missed on every
+        call. ``5`` and ``"5"`` set the same bits, through one entry, and
+        a key's mask is built once per shape however it is spelled."""
+        built = []
+        mask = bloom_module._mask
+
+        def counting(masks, text, num_bits, num_hashes):
+            built.append(text)
+            return mask(masks, text, num_bits, num_hashes)
+
+        monkeypatch.setattr(bloom_module, "_mask", counting)
+        clear_memos()
+        as_int, as_str = BloomFilter(97, 5), BloomFilter(97, 5)
+        as_int.update([5, 5, 6])
+        as_str.update(["5", "6"])
+        assert as_int._bits == as_str._bits == reference_bloom_bits(["5", "6"], 97, 5)
+        assert as_int.matching([5, "5", 6, "6", 7]) == as_str.matching([5, "5", 6, "6", 7])
+        assert built == ["5", "6", "7"]
+        assert sorted(bloom_module._mask_memos[(97, 5)]) == ["5", "6", "7"]
+        assert BloomFilter(98, 5).matching([5]) == [] and built[-1] == "5"

@@ -7,7 +7,8 @@ reversal, incremental restore when the budget frees up, the compact
 ``(key, count)`` spill representation, and — in two interpreters with
 different string-hash salts — that eviction surfaces a partition's keys
 in arrival order. Answers are held to ``tests/oracle.py``'s nested-loop
-reference on key multisets.
+reference on key multisets, and the DHT sink's once-per-partition
+surface to its unbuffered ``ReferenceSpillSink`` after every call.
 """
 
 import json
@@ -15,17 +16,25 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.dht.network import DhtNetwork
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
+from repro.pier.dataflow import _DhtSpillSink
 from repro.pier.operators import (
     NUM_SPILL_PARTITIONS,
     SpillSink,
     SymmetricHashJoin,
     spill_partition,
 )
+from repro.pier.query import spill_stats_from_join
 
-from oracle import reference_match_counts
+from oracle import ReferenceSpillSink, reference_match_counts
 
 
 def keys_in_partition(pid, num_partitions, count, start=0):
@@ -247,6 +256,200 @@ class TestIteratorEquivalence:
             counts = [join.insert_keys(side, (key,))[0] for side, key in moves]
             assert counts == expected, budget
             assert (join.spilled_rows > 0) == (budget is not None)
+
+
+class SinkRun:
+    """The slice of a dataflow query run a DHT spill sink reads."""
+
+    query_id = 1
+
+    def __init__(self, network):
+        self.executor = SimpleNamespace(
+            network=network, cost_model=network.cost_model, temp_namespace=""
+        )
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer()
+        self.span = self.tracer.begin("query")
+        self.temp_keys = []
+
+    def register_temp_key(self, site, key):
+        self.temp_keys.append((site, key))
+
+
+def twin_joins(budget, fan_out):
+    """The same budgeted join twice, on twin networks: over the buffered
+    production sink and over the unbuffered reference."""
+    twins = []
+    for sink_class in (_DhtSpillSink, ReferenceSpillSink):
+        network = DhtNetwork(rng=3)
+        network.populate(6)
+        run = SinkRun(network)
+        sink = sink_class(run, min(network.nodes), 1, "fileID")
+        join = SymmetricHashJoin(
+            "fileID", memory_budget=budget, spill_sink=sink, num_partitions=fan_out
+        )
+        twins.append((network, run, join))
+    return twins
+
+
+def observed(network, run, join):
+    """Everything the two sinks must agree on after a join call: every
+    store's buckets with identities, values and order, the sink's
+    sequence and index, spill statistics, counters and span events."""
+    sink = join.spill_sink
+    return {
+        "stores": [
+            (node_id, [(key, list(bucket.items())) for key, bucket in node.store._data.items()])
+            for node_id, node in sorted(network.nodes.items())
+        ],
+        "seq": sink._seq,
+        "ring_keys": sink._ring_keys,
+        "temp_keys": run.temp_keys,
+        "parked": sink._counts,
+        "totals": sink._part_totals,
+        "stats": spill_stats_from_join(join),
+        "restored_rows": sink.restored_rows,
+        "spilled": join.spilled_partitions,
+        "in_memory": join._in_memory,
+        "counters": {
+            name: run.metrics.counter(f"operator.spill.{name}").value
+            for name in ("rows", "bytes", "orphan_rows", "restored_rows")
+        },
+        "events": [span.attrs for span in run.tracer.spans if span.name == "join.spill"],
+    }
+
+
+def surfaced(network, join):
+    """``(pid, [key, ...])`` of every left partition's bucket at the site."""
+    sink = join.spill_sink
+    store = network.nodes[sink.site].store
+    return [
+        (pid, store.get(key))
+        for (side, pid), key in sorted(sink._ring_keys.items())
+        if side == "left" and store.get(key)
+    ]
+
+
+file_keys = st.integers(0, 23).map(lambda n: f"file{n:02d}")
+sink_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.sampled_from(["left", "right"]),
+            st.lists(file_keys, max_size=14),
+        ),
+        st.tuples(st.just("budget"), st.one_of(st.none(), st.integers(1, 16))),
+        st.tuples(st.just("depart"), st.booleans()),
+    ),
+    max_size=24,
+)
+
+
+def departure_ops(graceful):
+    """Spill, lose the site, spill on (orphans), then lift the budget."""
+    files = [f"file{n:02d}" for n in range(24)]
+    return [
+        ("insert", "left", files[:12]),
+        ("depart", graceful),
+        ("insert", "left", files[6:18]),
+        ("insert", "right", files[::2]),
+        ("budget", None),
+    ]
+
+
+class TestSurfaceDifferential:
+    """The buffered sink writes each partition once per join call; the
+    store must read exactly as if every eviction and routed run had
+    written at once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=sink_ops, budget=st.integers(1, 12), fan_out=st.sampled_from([1, 2, 4, 8]))
+    # The right call evicts a left partition (pending), then the larger
+    # right partition, whose slack restores the left one in the same call.
+    @example(
+        ops=[
+            ("insert", "left", ["file00", "file00", "file04", "file04"]),
+            ("insert", "right", ["file00"] * 5),
+        ],
+        budget=6,
+        fan_out=2,
+    )
+    # The site leaves with spilled buckets — handed to its successor, or
+    # lost — and the join keeps spilling (orphans) and restoring.
+    @example(ops=departure_ops(graceful=True), budget=4, fan_out=4)
+    @example(ops=departure_ops(graceful=False), budget=4, fan_out=4)
+    def test_once_per_partition_surface_equals_the_unbuffered_one(
+        self, ops, budget, fan_out
+    ):
+        """Random key runs, tightened, loosened and lifted budgets, and a
+        site that leaves (gracefully: its buckets move to the successor;
+        or not: later spills are orphans) — after every call the two
+        twins agree on everything :func:`observed` reads."""
+        twins = twin_joins(budget, fan_out)
+        for op in ops:
+            results = []
+            for network, run, join in twins:
+                if op[0] == "insert":
+                    results.append(join.insert_keys(op[1], op[2]))
+                elif op[0] == "budget":
+                    join.set_memory_budget(op[1])
+                elif join.spill_sink.site in network.nodes:
+                    network.remove_node(join.spill_sink.site, graceful=op[1])
+            assert results[:1] == results[1:]
+            assert observed(*twins[0]) == observed(*twins[1]), op
+
+    def test_a_partition_restored_within_the_call_that_spilled_it(self):
+        """One right-side call evicts left partition 0 (its keys go
+        pending), then evicts a bigger right partition and so has the
+        slack to restore left partition 0: the pending keys are dropped
+        and nothing of it is left in the store — as the unbuffered sink
+        wrote and then removed them."""
+        twins = twin_joins(budget=10, fan_out=8)
+        left = [keys_in_partition(pid, 8, 1, start=100)[0] for pid in range(6)]
+        right = keys_in_partition(7, 8, 6, start=500)
+        for network, run, join in twins:
+            join.insert_keys("left", left)
+            join.insert_keys("right", right[:4])
+            assert join.partition_evictions == 0
+            join.insert_keys("right", right[4:])
+            # left p0 out, then right p7 out, then left p0 back in
+            assert (join.partition_evictions, join.partition_restores) == (2, 1)
+            assert join.spilled_partitions == {"left": set(), "right": {7}}
+            assert join.role_reversals == 1
+            assert surfaced(network, join) == []
+        assert observed(*twins[0]) == observed(*twins[1])
+
+    def test_tightening_the_budget_surfaces_before_the_call_returns(self):
+        """``set_memory_budget`` evicts without an insert: its own flush
+        writes the evicted partitions, with no later call to do it."""
+        twins = twin_joins(budget=64, fan_out=4)
+        keys = keys_in_partition(0, 4, 3) + keys_in_partition(1, 4, 5)
+        for network, run, join in twins:
+            join.insert_keys("left", keys)
+            join.set_memory_budget(1)
+            assert surfaced(network, join) == [(0, keys[:3]), (1, keys[3:])]
+        assert observed(*twins[0]) == observed(*twins[1])
+
+    def test_a_join_call_writes_each_partition_once(self, monkeypatch):
+        """Sixteen keys of one partition under budget 4, in one call: the
+        fifth evicts the partition and the last eleven route into it —
+        one store write for all of it, where the unbuffered sink makes
+        two (the eviction, then the routed run)."""
+        puts = []
+        put_local_many = DhtNetwork.put_local_many
+
+        def recording(network, node_id, key, entries):
+            puts.append(key)
+            return put_local_many(network, node_id, key, entries)
+
+        monkeypatch.setattr(DhtNetwork, "put_local_many", recording)
+        keys = keys_in_partition(0, 4, 16)
+        for (network, run, join), writes in zip(twin_joins(budget=4, fan_out=4), (1, 2)):
+            puts.clear()
+            join.insert_keys("left", keys)
+            assert join.partition_evictions == 1
+            assert puts == [join.spill_sink.ring_key("left", 0)] * writes
+            assert surfaced(network, join) == [(0, keys)]
 
 
 #: One budgeted two-term query over str fileIDs, sampled until it
