@@ -241,11 +241,9 @@ def run(
         )
         for scenario, terms in world.queries.items():
             sizes = {t: world.catalog.posting_size("Inverted", t) for t in terms}
-            free_pick = unbudgeted.choose(sizes, inverted_cache=False)
-            tight_pick = pressured.choose(sizes, inverted_cache=False)
-            spill_cost = pressured.estimates(sizes, inverted_cache=False)[
-                tight_pick
-            ].spill_bytes
+            free_pick = unbudgeted.pick(sizes, inverted_cache=False).strategy
+            tight = pressured.pick(sizes, inverted_cache=False)
+            tight_pick = tight.strategy
             rows.append(
                 (
                     "optimizer",
@@ -255,7 +253,7 @@ def run(
                     free_pick.value,
                     tight_pick.value,
                     int(free_pick is not tight_pick),
-                    spill_cost,
+                    tight.spill_bytes,
                     0,
                     0,
                     0,

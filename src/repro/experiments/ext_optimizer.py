@@ -145,7 +145,7 @@ def run(
         )
         for scenario, terms in world.queries.items():
             sizes = {t: world.catalog.posting_size("Inverted", t) for t in terms}
-            pick = world.optimizer.choose(sizes, inverted_cache=False)
+            pick = world.optimizer.pick(sizes, inverted_cache=False).strategy
             query_nodes = [
                 world.network.random_node_id() for _ in range(repeats)
             ]

@@ -4,9 +4,14 @@ The one runtime that executes distributed plans, and the one the paper
 describes (Section 3.2, Figure 2) — posting-list tuples *stream* between
 the sites of a keyword chain:
 
-* Each plan stage becomes a per-site operator pipeline (Scan → SHJ →
-  filters) and consecutive stages are connected by **exchange edges** that
-  ship fixed-size tuple batches over the DHT.
+* A plan runs as its step list (:func:`repro.pier.query.plan_steps`),
+  interpreted by :meth:`_QueryRun.start`: the plan legs are charged front
+  to back, then one back-to-front loop opens every **exchange edge**
+  (a ship step) and every per-site stage (a key-join, Bloom probe or
+  Bloom verify step — one :class:`_Stage` body for all three), so each
+  step's output exists before the step feeding it. The scan and its
+  local steps (substring filters, the Bloom build) run when the plan
+  reaches the first site.
 * Every batch is a scheduled event in **virtual time** on a
   :class:`~repro.sim.engine.Simulator`: a send event charges the batch's
   wire bytes (:meth:`DhtNetwork.ship_batch`) and draws per-hop latencies
@@ -22,12 +27,11 @@ the sites of a keyword chain:
   answer tuples have arrived, every in-flight and queued upstream batch
   is cancelled through a :class:`~repro.sim.engine.EventGroup`, saving
   the bytes those batches would have shipped.
-* All four join strategies run pipelined: the distributed join streams
-  framed posting tuples, the **semi-join** streams packed key digests
-  over the same chain, and the **Bloom join** ships the rarest list as a
-  Bloom filter, streams probable-match digests, and verifies candidates
-  incrementally per batch at the filter site before answers leave
-  (:mod:`repro.pier.optimizer` picks between them by predicted bytes).
+* Nothing here branches on the strategy: the distributed join, the
+  semi-join, the Bloom join (filter forward, probable-match digests, a
+  verification leg back to the filter site) and the InvertedCache plan
+  differ only in their step lists (:mod:`repro.pier.optimizer` picks
+  between them by pricing the same lists).
 
 Byte accounting is per payload: a batch pays its tuples once plus one
 routing header per hop, so a stage split into ``k`` batches costs exactly
@@ -50,6 +54,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable
 
@@ -64,24 +71,38 @@ from repro.pier.operators import (
     NUM_SPILL_PARTITIONS,
     SpillSink,
     SubstringFilter,
-    Scan,
     SymmetricHashJoin,
 )
 from repro.pier.rows import RowBatch
 from repro.pier.query import (
+    POSTING_TABLE,
     DistributedPlan,
-    JoinStrategy,
+    Edge,
+    Op,
     PipelineStats,
     QueryStats,
     SpillStats,
+    Step,
+    edge_tuple_bytes,
     spill_stats_from_join,
 )
 from repro.pier.schema import Row
 from repro.sim.engine import EventGroup, Simulator
 
+_FILE_ID = itemgetter("fileID")
+
 #: default tuples per exchange batch when neither the plan nor the
 #: executor's config picks one
 DEFAULT_BATCH_SIZE = 64
+
+#: the per-site operator steps (each run by one :class:`_Stage`): name
+#: (span ``stage.<name>``, metrics ``operator.<name>.*``), the span
+#: attribute counting emitted keys, and the rows-in and keys-out counters
+_STAGES = {
+    Op.JOIN: ("join", "survivors", "probe_rows", "survivor_rows"),
+    Op.BLOOM_PROBE: ("bloom_probe", "candidates", "rows", "candidates"),
+    Op.BLOOM_VERIFY: ("bloom_verify", "verified", "rows", "survivors"),
+}
 
 
 def temp_ring_key(
@@ -139,16 +160,6 @@ class DataflowQuery:
     def pipeline(self) -> PipelineStats:
         return self.stats.pipeline
 
-    @property
-    def first_answer_time(self) -> float | None:
-        """Virtual seconds from submission to the first answer tuple."""
-        return self.pipeline.first_answer_time
-
-    @property
-    def completion_time(self) -> float | None:
-        """Virtual seconds from submission until the pipeline drained."""
-        return self.pipeline.completion_time
-
 
 class _HotMetrics:
     """Per-executor cache of hot-path metric handles.
@@ -161,44 +172,28 @@ class _HotMetrics:
 
     def __init__(self, metrics):
         self.metrics = metrics
-        self.batch_transit = metrics.histogram(
-            "dataflow.batch_transit", reservoir_size=4096
-        )
-        self.join_seconds = metrics.histogram(
-            "operator.join.seconds", reservoir_size=1024
-        )
+        self.batch_transit = metrics.histogram("dataflow.batch_transit", reservoir_size=4096)
         self.join_build_rows = metrics.counter("operator.join.build_rows")
-        self.join_probe_rows = metrics.counter("operator.join.probe_rows")
-        self.join_survivor_rows = metrics.counter("operator.join.survivor_rows")
-        self.bloom_probe_seconds = metrics.histogram(
-            "operator.bloom_probe.seconds", reservoir_size=1024
-        )
-        self.bloom_probe_rows = metrics.counter("operator.bloom_probe.rows")
-        self.bloom_probe_candidates = metrics.counter(
-            "operator.bloom_probe.candidates"
-        )
-        self.bloom_verify_seconds = metrics.histogram(
-            "operator.bloom_verify.seconds", reservoir_size=1024
-        )
-        self.bloom_verify_rows = metrics.counter("operator.bloom_verify.rows")
-        self.bloom_verify_survivors = metrics.counter(
-            "operator.bloom_verify.survivors"
-        )
+        #: (seconds, rows in, keys out) of each stage operation
+        self.stage = {
+            op: (
+                metrics.histogram(f"operator.{name}.seconds", reservoir_size=1024),
+                metrics.counter(f"operator.{name}.{rows}"),
+                metrics.counter(f"operator.{name}.{out}"),
+            )
+            for op, (name, _, rows, out) in _STAGES.items()
+        }
         self._by_category: dict = {}
 
     def batch_counters(self, category):
         """(batches, tuples) counters for one traffic category, memoised."""
         handles = self._by_category.get(category)
         if handles is None:
-            handles = (
-                self.metrics.counter(
-                    "dataflow.batches", labels={"category": category}
-                ),
-                self.metrics.counter(
-                    "dataflow.tuples", labels={"category": category}
-                ),
+            labels = {"category": category}
+            handles = self._by_category[category] = (
+                self.metrics.counter("dataflow.batches", labels=labels),
+                self.metrics.counter("dataflow.tuples", labels=labels),
             )
-            self._by_category[category] = handles
         return handles
 
 
@@ -321,39 +316,27 @@ class _DhtSpillSink(SpillSink):
     """Join spill partitions parked in the executing site's DHT temp store.
 
     Probes and restores are served from the base sink's in-memory
-    partition index, so a probe touches only its matches instead of
-    rescanning a partition per arriving row. The copy written to the
-    site's store — one temp ring key per (side, partition), tag
-    ``spill-{side}-p{pid}`` — is the *externally observable* surface: it
-    is what the PIER temp-tuple contract exposes to other readers (and
-    what tests inspect), it is removed when its partition restores into
-    memory, and leftovers are released with the query's other temp keys.
-    A partition surfaces one value per *distinct* key, in arrival order:
-    the bare join key under its ``_seq`` identity (multiplicities stay in
-    the compact index). The column is named once — by the sink's
-    ``column`` and the bucket's tag — the way a
-    :class:`~repro.pier.rows.RowBatch` names its schema once, so a
-    spilled key costs no dict. (A ring handoff re-files a moved value
-    under the value itself, so a bucket that churn moved is keyed by
-    join key, not by sequence number — as unique, since a bucket holds
-    one value per distinct key.) Surfacing is partition-granular: an
-    evicted partition (``write_counts``) or a run of keys routed into
-    spilled partitions (``route_counts``) takes its fresh keys' ``_seq``
-    identities at once, in order, but only *buffers* them per ``(side,
-    pid)``; the join's :meth:`flush` at the end of the call writes every
-    partition it touched with one :meth:`DhtNetwork.put_local_many`, in
-    the order the call first touched them, and a partition restored
-    within the call drops its buffer (its bucket would be removed
-    anyway). So the store holds exactly what one write per eviction and
-    per routed run would have left at every event boundary — same
-    values, identities and order — for one write per partition per call.
-    The ``operator.spill.*`` counters and the ``join.spill`` span event
-    are still fed once per eviction or routed run. Rows spilled
-    after the site churned out get no DHT copy — they are counted as
-    ``orphan_rows`` (surfaced via ``operator.spill.orphan_rows``) and
-    live only in the base sink, which goes with the run's teardown. Like the
-    in-memory base sink, this models spill *accounting*, not a real
-    memory saving — the simulation keeps all state resident.
+    partition index. The copy in the site's store — one temp ring key per
+    (side, partition), tag ``spill-{side}-p{pid}`` — is the *externally
+    observable* surface of the PIER temp-tuple contract (what tests
+    inspect): removed when its partition restores, leftovers released
+    with the query's other temp keys. A partition surfaces one bare join
+    key per *distinct* key, in arrival order, under its ``_seq`` identity
+    (multiplicities stay in the index; the column is named once, by the
+    sink and the tag, so a spilled key costs no dict; a ring handoff
+    re-files a moved value under the key itself, as unique). An eviction
+    (``write_counts``) or a routed run (``route_counts``) takes its fresh
+    keys' identities at once but only *buffers* them per ``(side, pid)``;
+    the join's :meth:`flush` at the end of the call writes each touched
+    partition with one :meth:`DhtNetwork.put_local_many`, in first-touch
+    order, and a partition restored within the call drops its buffer. So
+    at every event boundary the store holds exactly what one write per
+    eviction and per routed run would have left. The ``operator.spill.*``
+    counters and the ``join.spill`` span event are fed once per eviction
+    or routed run. Rows spilled after the site churned out get no DHT copy
+    (``orphan_rows``, ``operator.spill.orphan_rows``) and live only in the
+    base sink until teardown. Like the base sink, this models spill
+    *accounting*, not a real memory saving.
     """
 
     def __init__(self, run: "_QueryRun", site: int, stage_index: int, column: str):
@@ -380,17 +363,14 @@ class _DhtSpillSink(SpillSink):
         # resolve the span and metric counters once instead of attribute
         # hops and a string-keyed registry lookup each time.
         self._span = run.span
+        names = ("rows", "bytes", "orphan_rows", "restored_rows")
         metrics = run.metrics
-        self._rows_counter = metrics.counter("operator.spill.rows") if metrics else None
-        self._bytes_counter = (
-            metrics.counter("operator.spill.bytes") if metrics else None
-        )
-        self._orphan_counter = (
-            metrics.counter("operator.spill.orphan_rows") if metrics else None
-        )
-        self._restored_counter = (
-            metrics.counter("operator.spill.restored_rows") if metrics else None
-        )
+        (
+            self._rows_counter,
+            self._bytes_counter,
+            self._orphan_counter,
+            self._restored_counter,
+        ) = [metrics.counter(f"operator.spill.{n}") if metrics else None for n in names]
 
     def ring_key(self, side: str, pid: int) -> int:
         key = self._ring_keys.get((side, pid))
@@ -509,51 +489,40 @@ class _DhtSpillSink(SpillSink):
 
 
 class _Exchange:
-    """One edge of the dataflow: batches from ``source`` to ``target_site``.
+    """One streaming ship step: batches from its source site to its target.
 
     Buffers offered value tuples (one per row, under the edge's fixed
     ``columns`` schema — see :class:`~repro.pier.rows.RowBatch`) into
     fixed-size batches, paces sends ``send_interval`` apart, charges each
     batch on send, and delivers a free end-of-stream control event after
     the last data arrival (the marker piggybacks on the final batch, so
-    it costs no extra bytes).
+    it costs no extra bytes). An answer edge goes straight to the query
+    node and streams eagerly — every offer ships at once, since batching
+    answers only delays what the user is waiting for — and ships no
+    posting entries.
     """
 
     def __init__(
-        self,
-        run: "_QueryRun",
-        source_site: int,
-        target_site: int,
-        category: str,
-        per_tuple_bytes: int,
-        deliver: Callable[[RowBatch], None],
-        deliver_eos: Callable[[], None],
-        direct: bool = False,
-        from_join: bool = False,
-        eager: bool = False,
-        ready_time: float = 0.0,
-        count_entries: bool = False,
-        columns: tuple[str, ...] = ("fileID",),
+        self, run: "_QueryRun", step: Step, feeder: Step, target: tuple, ready: list[float]
     ):
+        edge, sites = step.edge, run.sites
         self.run = run
-        self.source_site = source_site
-        self.target_site = target_site
-        self.category = category
-        self.per_tuple_bytes = per_tuple_bytes
-        self.deliver = deliver
-        self.deliver_eos = deliver_eos
-        self.direct = direct
-        self.columns = columns
-        #: shipped tuples count as posting entries (rehash and digest
-        #: edges; answer edges and the Bloom filter leg ship no entries)
-        self.count_entries = count_entries
-        #: upstream is a join stage: an empty close breaks the chain
-        #: instead of shipping onward
-        self.from_join = from_join
-        #: answer edges stream eagerly — every offer ships at once, since
-        #: batching answers only delays what the user is waiting for
-        self.eager = eager
-        self.ready_time = ready_time
+        self.source_site = sites[step.stage]
+        self.target_site = sites[step.to]
+        self.category = edge
+        self.per_tuple_bytes = edge_tuple_bytes(edge, run.executor.cost_model)
+        self.deliver, self.deliver_eos = target
+        self.answer = answer = edge == Edge.ANSWER
+        #: fed by the scan: an empty stream still ships one empty batch so
+        #: the next site runs its stage (an empty operator output or
+        #: answer stream breaks the chain instead)
+        self.ships_empty = not answer and feeder.op == Op.SCAN
+        #: the schema of the rows ``feeder`` offers
+        self.columns = feeder.columns
+        self.ready_time = 0.0 if answer else ready[step.to]
+        #: hops a step flagged ``extends_path`` adds to the critical path
+        #: when it carries anything (set by the run that opens it)
+        self.path_hops = 0
         self._buffer: list[tuple] = []
         self._queue: deque[list[tuple]] = deque()
         self._sending = False
@@ -566,14 +535,14 @@ class _Exchange:
         self._last_arrival = 0.0
         hot = run.hot
         if hot is not None:
-            self._m_batches, self._m_tuples = hot.batch_counters(category)
+            self._m_batches, self._m_tuples = hot.batch_counters(self.category)
             self._m_transit = hot.batch_transit
         else:
             self._m_batches = self._m_tuples = self._m_transit = None
 
     def offer(self, values: list[tuple]) -> None:
         """Queue value tuples (shaped by this edge's ``columns``) to ship."""
-        if self.eager:
+        if self.answer:
             if values:
                 self._queue.append(list(values))
                 self._pump()
@@ -612,29 +581,29 @@ class _Exchange:
 
     def _send_head(self) -> None:
         batch = self._queue.popleft()
+        run = self.run
         try:
-            shipment = self.run.executor.network.ship_batch(
+            shipment = run.executor.network.ship_batch(
                 self.source_site,
                 self.target_site,
                 len(batch) * self.per_tuple_bytes,
                 category=self.category,
-                direct=self.direct,
+                direct=self.answer,
             )
         except DhtError as error:
-            self.run.fail(error)
+            run.fail(error)
             return
-        self.run.stats.messages += shipment.messages
-        self.run.stats.bytes += shipment.bytes
-        self.run.pipeline.batches_shipped += 1
+        run.stats.messages += shipment.messages
+        run.stats.bytes += shipment.bytes
+        run.pipeline.batches_shipped += 1
         self.batches_sent += 1
         self.tuples_sent += len(batch)
-        if self.count_entries:
-            self.run.stats.posting_entries_shipped += len(batch)
-        hops = 1 if self.direct else shipment.hops
-        delay = sum(self.run.executor.hop_delay() for _ in range(hops))
-        arrival = max(self.run.sim.now + delay, self.ready_time)
+        if not self.answer:
+            run.stats.posting_entries_shipped += len(batch)
+        hops = 1 if self.answer else shipment.hops
+        delay = run.delay(hops)
+        arrival = max(run.sim.now + delay, self.ready_time)
         self._last_arrival = max(self._last_arrival, arrival)
-        run = self.run
         if run.span is not None and run.span.recording:
             # A batch span covers send -> arrival; the end timestamp is
             # known now (virtual time), so close it immediately. All-
@@ -656,11 +625,9 @@ class _Exchange:
             self._m_batches.add(1)
             self._m_tuples.add(len(batch))
             self._m_transit.observe(arrival - run.sim.now)
-        self.run.group.schedule_at(arrival, lambda batch=batch: self._arrive(batch))
+        run.group.schedule_at(arrival, lambda batch=batch: self._arrive(batch))
         if self._queue:
-            self.run.group.schedule(
-                self.run.executor.config.send_interval, self._send_head
-            )
+            run.group.schedule(run.executor.config.send_interval, self._send_head)
         else:
             self._sending = False
             if self._closed:
@@ -694,7 +661,12 @@ class _Exchange:
 
 
 class _QueryRun:
-    """Everything one pipelined query owns while in flight."""
+    """Everything one pipelined query owns while in flight.
+
+    Keep its instance attributes under 30: past that CPython 3.11 stops
+    sharing instance-dict keys, and every ``run.`` read on the per-batch
+    paths slows down (~5 % of a query's host time).
+    """
 
     def __init__(
         self,
@@ -741,8 +713,15 @@ class _QueryRun:
         )
         self.query = DataflowQuery(plan, self.stats, stop_after)
         self.submitted_at = executor.sim.now
+        #: the node a step at each stage index runs at (the query node
+        #: last, at :data:`~repro.pier.query.QUERY_NODE`)
+        self.sites = [stage.site for stage in plan.stages] + [plan.query_node]
         self.exchanges: list[_Exchange] = []
-        self.joins: list[_JoinStage] = []
+        #: the key-join stages, front to back
+        self.joins: list[_Stage] = []
+        #: the keys the Bloom build step built its filter from (what a
+        #: Bloom verify step checks candidates against)
+        self.filter_keys: set | None = None
         self.batches_delivered = 0
         self.answer_tuples = 0
         self.max_fetch_hops = 0
@@ -752,324 +731,137 @@ class _QueryRun:
         #: ring membership when the run began: unchanged at release means
         #: no temp tuple can have moved off its site
         self._membership_at_start = executor.network.membership_version
-        #: Bloom join only: the verification return leg back to the filter
-        #: site, and its hop count (added to the critical path when the
-        #: leg actually carries candidates)
-        self.bloom_return_edge: _Exchange | None = None
-        self.bloom_return_hops = 0
 
     @property
     def pipeline(self) -> PipelineStats:
         return self.stats.pipeline
 
-    # -- assembly --------------------------------------------------------
+    # -- the step-list interpreter --------------------------------------
 
     def start(self) -> None:
-        plan = self.plan
+        """Interpret the plan's step list: ship the plan legs front to
+        back, then open every other ship step and per-site stage back to
+        front (each step's output exists before the step feeding it), and
+        schedule the scan and its site-local steps for when the plan
+        reaches their site."""
+        steps = self.plan.steps
         try:
-            ready = self._disseminate()
+            ready = self._disseminate(steps)
         except DhtError as error:
             self.fail(error)
             return
-        if plan.strategy is JoinStrategy.INVERTED_CACHE:
-            self._assemble_inverted_cache(ready)
-        elif plan.strategy is JoinStrategy.SEMI_JOIN and len(plan.stages) > 1:
-            self._assemble_semi_join_chain(ready)
-        elif plan.strategy is JoinStrategy.BLOOM_JOIN and len(plan.stages) > 1:
-            self._assemble_bloom_chain(ready)
-        else:
-            # Single-stage semi/Bloom plans degenerate to the distributed
-            # join (nothing to intersect, nothing ships).
-            self._assemble_join_chain(ready)
+        target: Any = None  # (deliver, end-of-stream) of the next step
+        out: Any = None  # what the step being opened feeds
+        local_end = len(steps)
+        for position in range(len(steps) - 1, len(ready) - 1, -1):
+            step = steps[position]
+            op = step.op
+            if op == Op.SHIP:
+                out = self._open_edge(step, steps[position - 1], target, ready)
+                local_end = position
+            elif op in _STAGES:
+                stage = _Stage(self, step, out)
+                target = (stage.deliver, stage.on_eos)
+            elif op == Op.ANSWER:
+                target = (self._deliver_answer, self._answers_finished)
+            elif op == Op.SCAN:
+                self.group.schedule_at(
+                    ready[step.stage], partial(self._scan, steps[position:local_end], out)
+                )
 
-    def _disseminate(self) -> list[float]:
-        """Charge plan dissemination; returns the virtual time the plan
-        reaches each stage's site.
-
-        The plan travels query node -> site1 -> site2 -> ... because each
-        site must know where to rehash next; the hop count of that chain
-        is the latency-critical path of dissemination.
-        """
-        plan = self.plan
+    def _disseminate(self, steps: tuple[Step, ...]) -> list[float]:
+        """Ship the plan legs that lead the step list (query node -> site1
+        -> site2 ...: each site must know where to rehash next, so that
+        chain's hops are the critical path of dissemination); returns the
+        virtual time the plan reaches each leg's target stage."""
+        sites = self.sites
         ready: list[float] = []
         elapsed = 0.0
         chain_hops = 0
-        if plan.strategy is JoinStrategy.INVERTED_CACHE:
-            hops = self._route_hops(plan.query_node, plan.first_site)
-            self._charge(
-                "pier.query",
-                max(1, hops),
-                self.executor.cost_model.routed_bytes(
-                    self.executor.cost_model.query_plan_bytes, hops
-                ),
-            )
-            chain_hops = hops
-            elapsed = self._chain_delay(hops)
-            ready = [self.sim.now + elapsed] * len(plan.stages)
-        else:
-            previous = plan.query_node
-            for stage in plan.stages:
-                hops = self._route_hops(previous, stage.site)
-                self._charge(
-                    "pier.query",
-                    max(1, hops),
-                    self.executor.cost_model.routed_bytes(
-                        self.executor.cost_model.query_plan_bytes, hops
-                    ),
-                )
-                chain_hops += hops
-                elapsed += self._chain_delay(hops)
-                ready.append(self.sim.now + elapsed)
-                previous = stage.site
+        for step in steps:
+            if step.edge != Edge.PLAN:
+                break
+            hops = self._ship_plan(sites[step.stage], sites[step.to])
+            chain_hops += hops
+            if self.delay_dissemination:
+                elapsed += self.delay(hops)
+            ready.append(self.sim.now + elapsed)
         self.stats.chain_hops = chain_hops
         return ready
 
-    def _chain_delay(self, hops: int) -> float:
-        if not self.delay_dissemination:
-            return 0.0
-        return sum(self.executor.hop_delay() for _ in range(hops))
-
-    def _assemble_join_chain(
-        self,
-        ready: list[float],
-        rehash_tuple: int | None = None,
-        rehash_category: str = "pier.rehash",
-        project_keys: bool = False,
-    ) -> None:
-        """Assemble the keyword chain dataflow.
-
-        The default parameters build the distributed join (framed posting
-        tuples on the rehash edges); the semi-join variant narrows the
-        edges to packed key digests and projects the source down to its
-        unique fileIDs before offering — same sites, same joins, ~26x
-        fewer bytes per shipped entry.
-        """
-        plan = self.plan
+    def _ship_plan(self, source: int, target: int) -> int:
+        """Charge one plan leg, a routed message; returns its hops."""
         cost = self.executor.cost_model
-        if rehash_tuple is None:
-            rehash_tuple = cost.rehash_tuple_bytes()
-        answer_tuple = cost.tuple_bytes(cost.fileid_bytes)
-        # A single-stage plan answers straight from the scan, so its
-        # result rows are full posting entries, not join survivors — the
-        # answer edge carries the wider schema.
-        # ``project_keys`` overrides that: a key-projected source ships
-        # bare fileIDs whatever the stage count, and the schema must say so.
-        single_stage = len(plan.stages) == 1 and not project_keys
-        # Build back to front: each stage's output edge must exist first.
-        answer = _Exchange(
-            self,
-            plan.last_site,
-            plan.query_node,
-            category="pier.answer",
-            per_tuple_bytes=answer_tuple,
-            deliver=self._deliver_answer,
-            deliver_eos=self._answers_finished,
-            direct=True,
-            from_join=len(plan.stages) > 1,
-            eager=True,
-            columns=("keyword", "fileID") if single_stage else ("fileID",),
-        )
-        downstream = answer
-        for index in range(len(plan.stages) - 1, 0, -1):
-            stage = plan.stages[index]
-            join = _JoinStage(self, stage.site, stage.keyword, index, downstream)
-            self.joins.insert(0, join)
-            downstream = _Exchange(
-                self,
-                plan.stages[index - 1].site,
-                stage.site,
-                category=rehash_category,
-                per_tuple_bytes=rehash_tuple,
-                deliver=join.deliver,
-                deliver_eos=join.on_eos,
-                from_join=index - 1 > 0,
-                ready_time=ready[index],
-                count_entries=True,
-            )
-            self.exchanges.append(downstream)
-        self.exchanges.append(answer)
-        source_out = downstream
-        first = plan.stages[0]
+        hops = self._route_hops(source, target)
+        self._charge(Edge.PLAN, max(1, hops), cost.routed_bytes(cost.query_plan_bytes, hops))
+        return hops
 
-        def activate_source() -> None:
+    def _open_edge(self, step: Step, feeder: Step, target: tuple, ready: list[float]):
+        """Open one ship step into ``target``; returns what ``feeder``
+        offers to."""
+        if step.edge == Edge.FILTER:
+            # One routed message carrying the bit array: it stands for the
+            # whole scanned list, but ships no entries.
+            return partial(self._ship_filter, step, target[0], ready[step.to])
+        edge = _Exchange(self, step, feeder, target, ready)
+        self.exchanges.append(edge)
+        if step.extends_path:
             try:
-                rows = self._fetch_stage_local("Inverted", first.site, first.keyword)
-            except DhtError as error:
-                self.fail(error)
-                return
-            self.stats.per_stage_entries.append(len(rows))
-            if project_keys:
-                values = [
-                    (key,) for key in dict.fromkeys(row["fileID"] for row in rows)
-                ]
-            elif single_stage:
-                # Full posting tuples: these go straight to the answer
-                # edge.
-                values = [(row["keyword"], row["fileID"]) for row in rows]
-            else:
-                values = [(row["fileID"],) for row in rows]
-            source_out.offer(values)
-            source_out.close()
+                edge.path_hops = self._route_hops(edge.source_site, edge.target_site)
+            except DhtError:
+                pass  # stats only; the send itself re-routes
+        return edge
 
-        self.group.schedule_at(ready[0], activate_source)
-
-    def _assemble_semi_join_chain(self, ready: list[float]) -> None:
-        """Semi-join: the join chain over packed key digests."""
-        cost = self.executor.cost_model
-        self._assemble_join_chain(
-            ready,
-            rehash_tuple=cost.digest_bytes(1),
-            rehash_category="pier.semijoin",
-            project_keys=True,
-        )
-
-    def _assemble_bloom_chain(self, ready: list[float]) -> None:
-        """Bloom join: filter forward, candidate digests after, verify back.
-
-        ``site1 --bloom--> site2 --digest--> ... --digest--> sitek
-        --digest--> site1 --answer--> query node``. The probe site keeps
-        only keys passing the filter; downstream sites intersect the
-        candidate stream exactly; the filter site verifies candidates
-        against the rarest list, so Bloom false positives die there.
-        Refinement is incremental per batch — every arriving candidate
-        batch is probed/intersected immediately and its survivors
-        forwarded while upstream batches are still in flight, so the
-        first verified answer leaves before the candidate stream drains.
-        """
-        plan = self.plan
-        cost = self.executor.cost_model
-        digest_tuple = cost.digest_bytes(1)
-        answer = _Exchange(
-            self,
-            plan.first_site,
-            plan.query_node,
-            category="pier.answer",
-            per_tuple_bytes=cost.tuple_bytes(cost.fileid_bytes),
-            deliver=self._deliver_answer,
-            deliver_eos=self._answers_finished,
-            direct=True,
-            from_join=True,
-            eager=True,
-        )
-        self.exchanges.append(answer)
-        verifier = _BloomVerifyStage(self, answer)
-        return_edge = _Exchange(
-            self,
-            plan.last_site,
-            plan.first_site,
-            category="pier.bloom.digest",
-            per_tuple_bytes=digest_tuple,
-            deliver=verifier.deliver,
-            deliver_eos=verifier.on_eos,
-            from_join=True,
-            count_entries=True,
-        )
-        self.exchanges.append(return_edge)
-        self.bloom_return_edge = return_edge
+    def _scan(self, local: tuple[Step, ...], out) -> None:
+        """Run a scan step and the site-local steps after it: substring
+        filters on the scanned rows, the projection the scan offers, and
+        the Bloom build."""
+        scan = local[0]
+        stage = self.plan.stages[scan.stage]
         try:
-            self.bloom_return_hops = self._route_hops(
-                plan.last_site, plan.first_site
+            table = self.executor.catalog.table(scan.table)
+            rows = table.fetch_local(stage.site, stage.keyword)
+        except DhtError as error:
+            self.fail(error)
+            return
+        self.stats.per_stage_entries.append(len(rows))
+        for step in local[1:]:
+            if step.op == Op.FILTER:
+                needle = self.plan.stages[step.to].keyword
+                rows = SubstringFilter(rows, column="fulltext", needle=needle)
+        if len(scan.columns) > 1:
+            # Whole posting tuples, straight to the answer edge.
+            out.offer(list(map(itemgetter(*scan.columns), rows)))
+            out.close()
+            return
+        keys = map(_FILE_ID, rows)
+        if scan.distinct:
+            keys = dict.fromkeys(keys)
+        if local[-1].op == Op.BLOOM_BUILD:
+            keys = list(keys)
+            self.filter_keys = set(keys)
+            out(bloom_for_keys(keys, self.plan.bloom_fp_rate))
+            return
+        out.offer(list(zip(keys)))  # one-column value tuples
+        out.close()
+
+    def _ship_filter(self, step: Step, deliver, ready_time: float, bloom) -> None:
+        try:
+            shipment = self.executor.network.ship_batch(
+                self.sites[step.stage],
+                self.sites[step.to],
+                bloom.size_bytes,
+                category=step.edge,
             )
-        except DhtError:
-            self.bloom_return_hops = 0  # stats only; the send itself re-routes
-        # Exact-intersection stages between the probe site and the return
-        # leg, built back to front like the join chain.
-        downstream = return_edge
-        for index in range(len(plan.stages) - 1, 1, -1):
-            stage = plan.stages[index]
-            join = _JoinStage(self, stage.site, stage.keyword, index, downstream)
-            self.joins.insert(0, join)
-            downstream = _Exchange(
-                self,
-                plan.stages[index - 1].site,
-                stage.site,
-                category="pier.bloom.digest",
-                per_tuple_bytes=digest_tuple,
-                deliver=join.deliver,
-                deliver_eos=join.on_eos,
-                from_join=True,
-                ready_time=ready[index],
-                count_entries=True,
-            )
-            self.exchanges.append(downstream)
-        probe = _BloomProbeStage(
-            self, plan.stages[1].site, plan.stages[1].keyword, downstream
-        )
-        first = plan.stages[0]
-        second = plan.stages[1]
-
-        def activate_source() -> None:
-            try:
-                rows = self._fetch_stage_local("Inverted", first.site, first.keyword)
-            except DhtError as error:
-                self.fail(error)
-                return
-            self.stats.per_stage_entries.append(len(rows))
-            rare = list(dict.fromkeys(row["fileID"] for row in rows))
-            verifier.rare_keys = set(rare)
-            bloom = bloom_for_keys(rare, plan.bloom_fp_rate)
-            # The filter leg: one routed message carrying the bit array
-            # (it represents the whole rarest list, but ships no entries).
-            try:
-                shipment = self.executor.network.ship_batch(
-                    first.site,
-                    second.site,
-                    bloom.size_bytes,
-                    category="pier.bloom.filter",
-                )
-            except DhtError as error:
-                self.fail(error)
-                return
-            self.stats.messages += shipment.messages
-            self.stats.bytes += shipment.bytes
-            self.stats.filter_bytes += bloom.size_bytes
-            self.pipeline.batches_shipped += 1
-            delay = sum(self.executor.hop_delay() for _ in range(shipment.hops))
-            arrival = max(self.sim.now + delay, ready[1])
-            self.group.schedule_at(arrival, lambda: probe.deliver(bloom))
-
-        self.group.schedule_at(ready[0], activate_source)
-
-    def _assemble_inverted_cache(self, ready: list[float]) -> None:
-        plan = self.plan
-        cost = self.executor.cost_model
-        answer = _Exchange(
-            self,
-            plan.first_site,
-            plan.query_node,
-            category="pier.answer",
-            per_tuple_bytes=cost.tuple_bytes(cost.fileid_bytes),
-            deliver=self._deliver_answer,
-            deliver_eos=self._answers_finished,
-            direct=True,
-            from_join=True,
-            eager=True,
-        )
-        self.exchanges.append(answer)
-
-        def activate_site() -> None:
-            try:
-                rows = self._fetch_stage_local(
-                    "InvertedCache", plan.first_site, plan.stages[0].keyword
-                )
-            except DhtError as error:
-                self.fail(error)
-                return
-            self.stats.per_stage_entries.append(len(rows))
-            operator = Scan(rows)
-            for keyword in plan.keywords[1:]:
-                operator = SubstringFilter(operator, column="fulltext", needle=keyword)
-            survivors = dict.fromkeys(row["fileID"] for row in operator)
-            answer.offer([(key,) for key in survivors])
-            answer.close()
-
-        self.group.schedule_at(ready[0], activate_site)
-
-    def _fetch_stage_local(self, table: str, site: int, keyword: str) -> list[Row]:
-        return self.catalog_table(table).fetch_local(site, keyword)
-
-    def catalog_table(self, name: str):
-        return self.executor.catalog.table(name)
+        except DhtError as error:
+            self.fail(error)
+            return
+        self.stats.messages += shipment.messages
+        self.stats.bytes += shipment.bytes
+        self.stats.filter_bytes += bloom.size_bytes
+        self.pipeline.batches_shipped += 1
+        arrival = max(self.sim.now + self.delay(shipment.hops), ready_time)
+        self.group.schedule_at(arrival, lambda: deliver(bloom))
 
     # -- answers ---------------------------------------------------------
 
@@ -1087,9 +879,8 @@ class _QueryRun:
             self.fail(error)
             return
         self.outstanding_fetches += 1
-        delay = sum(self.executor.hop_delay() for _ in range(fetch_hops + 1))
         self.group.schedule(
-            delay,
+            self.delay(fetch_hops + 1),
             lambda items=items, count=len(batch): self._finish_fetch(items, count),
         )
 
@@ -1105,7 +896,7 @@ class _QueryRun:
         parallel fetches — the one that bounds the batch's latency).
         """
         cost = self.executor.cost_model
-        items = self.catalog_table("Item")
+        items = self.executor.catalog.table("Item")
         query_node = self.plan.query_node
         results: list[Row] = []
         batch_max_hops = 0
@@ -1158,17 +949,13 @@ class _QueryRun:
         """An edge closed without ever sending a tuple.
 
         An empty *scan* still rehashes (one empty message) to the next
-        site, which runs its stage and comes up empty; an empty *join*
-        output breaks the chain — downstream stages never activate, and
-        the query node receives one empty answer message.
+        site, which runs its stage and comes up empty; an empty operator
+        or answer stream breaks the chain — downstream stages never
+        activate, and the query node receives one empty answer message.
         """
-        if exchange.category == "pier.answer" or exchange.from_join:
-            # An empty scan on a single-stage plan answers directly; an
-            # empty join output breaks the chain.
+        if not exchange.ships_empty:
             self._finalize_empty()
             return
-        # Empty scan output on a multi-stage plan: ship one empty batch so
-        # the next stage still runs (and is charged).
         exchange.empty_shipped = True
         exchange._queue.append([])
         exchange._pump()
@@ -1178,11 +965,7 @@ class _QueryRun:
             return
         cost = self.executor.cost_model
         self._charge("pier.answer", 1, cost.message_bytes(0))
-        self.group.schedule(self.executor.hop_delay(), self._complete_empty)
-
-    def _complete_empty(self) -> None:
-        self.answers_done = True
-        self._maybe_complete()
+        self.group.schedule(self.executor.hop_delay(), self._answers_finished)
 
     # -- termination -----------------------------------------------------
 
@@ -1201,15 +984,14 @@ class _QueryRun:
         self.pipeline.completion_time = self.sim.now - self.submitted_at
         self.stats.results = len(self.query.rows)
         self.stats.join_matches = self.answer_tuples
-        self.stats.critical_path_hops = self.stats.chain_hops + 1
-        if (
-            self.bloom_return_edge is not None
-            and self.bloom_return_edge.batches_sent > 0
-        ):
-            # The Bloom join's verification leg extends the data path
-            # beyond the dissemination chain (candidates travel back to
-            # the filter site before the answer leaves).
-            self.stats.critical_path_hops += self.bloom_return_hops
+        # The answer hop, plus any leg (the Bloom join's verification leg
+        # back to the filter site) that lengthens the data path beyond the
+        # dissemination chain, when it carried anything.
+        hops = self.stats.chain_hops + 1
+        for edge in self.exchanges:
+            if edge.batches_sent:
+                hops += edge.path_hops
+        self.stats.critical_path_hops = hops
         if self.fetch_items and self.answer_tuples > 0:
             self.stats.critical_path_hops += self.max_fetch_hops + 1
         self._aggregate_spill_stats()
@@ -1270,7 +1052,7 @@ class _QueryRun:
         self.exchanges = []
         self.joins = []
         self._stage_spans = []
-        self.bloom_return_edge = None
+        self.filter_keys = None
         self.on_first_answer = self.on_complete = self.on_error = None
 
     # -- plumbing --------------------------------------------------------
@@ -1294,19 +1076,14 @@ class _QueryRun:
         if spill is not None:
             self.stats.spill = spill
             if self.metrics is not None:
-                self.metrics.counter("operator.spill.reads").add(spill.spill_reads)
-                self.metrics.counter("operator.spill.reread_bytes").add(
-                    spill.reread_bytes
-                )
-                self.metrics.counter("operator.spill.partition_evictions").add(
-                    spill.partition_evictions
-                )
-                self.metrics.counter("operator.spill.partition_restores").add(
-                    spill.partition_restores
-                )
-                self.metrics.counter("operator.spill.role_reversals").add(
-                    spill.role_reversals
-                )
+                for name, value in (
+                    ("reads", spill.spill_reads),
+                    ("reread_bytes", spill.reread_bytes),
+                    ("partition_evictions", spill.partition_evictions),
+                    ("partition_restores", spill.partition_restores),
+                    ("role_reversals", spill.role_reversals),
+                ):
+                    self.metrics.counter(f"operator.spill.{name}").add(value)
 
     def register_temp_key(self, site: int, key: int) -> None:
         self._temp_keys.add((site, key))
@@ -1345,186 +1122,133 @@ class _QueryRun:
             return 0
         return self.executor.network.lookup(key_owner, origin=origin).hops
 
+    def delay(self, hops: int) -> float:
+        """Virtual seconds ``hops`` overlay hops take (one draw per hop)."""
+        hop_delay = self.executor.hop_delay
+        return sum([hop_delay() for _ in range(hops)])
+
     def _charge(self, category: str, messages: int, byte_count: int) -> None:
         self.stats.messages += messages
         self.stats.bytes += byte_count
         self.executor.network.transport.charge(category, messages, byte_count)
 
 
-class _BloomProbeStage:
-    """Probe site of the Bloom join: local postings vs the arriving filter.
+class _Stage:
+    """One per-site operator step — key-join, Bloom probe or Bloom verify.
 
-    Receives the Bloom filter built from the rarest posting list and
-    streams digests of the *probable* matches (true matches plus the
-    filter's false positives) downstream. False positives can only add
-    digest bytes here — the verification stage removes them exactly.
+    One body for all three: the first delivery opens the stage (reads the
+    site's posting keys); each delivery keeps the keys that *match*, drops
+    those already emitted and offers the rest downstream, incrementally
+    per batch; end-of-stream closes the output edge. A key-join matches
+    the arriving keys an incremental (possibly budgeted)
+    :class:`~repro.pier.operators.SymmetricHashJoin` finds in the site's
+    list; a Bloom probe's one delivery is the filter, and it keeps the
+    site's keys that pass (false positives only add digest bytes); a Bloom
+    verify keeps the arriving candidates the filter was built from, so
+    false positives die there.
     """
 
-    def __init__(self, run: _QueryRun, site: int, keyword: str, out: _Exchange):
+    def __init__(self, run: _QueryRun, step: Step, out: _Exchange):
+        op, index = step.op, step.stage
         self.run = run
-        self.site = site
-        self.keyword = keyword
-        self.out = out
-
-    def deliver(self, bloom) -> None:
-        if self.run.query.done:
-            return
-        try:
-            rows = self.run._fetch_stage_local("Inverted", self.site, self.keyword)
-        except DhtError as error:
-            self.run.fail(error)
-            return
-        self.run.stats.per_stage_entries.append(len(rows))
-        hot = self.run.hot
-        started = perf_counter() if hot is not None else 0.0
-        # Key-level Bloom probe, the whole posting list in one call: no
-        # candidate dict per posting row.
-        candidates = dict.fromkeys(bloom.matching([row["fileID"] for row in rows]))
-        if hot is not None:
-            hot.bloom_probe_seconds.observe(perf_counter() - started)
-            hot.bloom_probe_rows.add(len(rows))
-            hot.bloom_probe_candidates.add(len(candidates))
-        if self.run.span is not None:
-            self.run.span.child(
-                "stage.bloom_probe",
-                site=self.site,
-                keyword=self.keyword,
-                rows=len(rows),
-                candidates=len(candidates),
-            ).finish()
-        self.out.offer([(key,) for key in candidates])
-        self.out.close()
-
-
-class _BloomVerifyStage:
-    """Filter site, second visit: exact verification of candidate batches.
-
-    Intersects every arriving candidate batch with the rarest list's key
-    set — incrementally, per batch — and streams verified answers out
-    immediately, so the first answer can leave while later candidate
-    batches are still in flight.
-    """
-
-    def __init__(self, run: _QueryRun, out: _Exchange):
-        self.run = run
-        self.out = out
-        #: set by the source stage when it builds the filter
-        self.rare_keys: set = set()
-        self.emitted: set = set()
-        self.span = None
-
-    def deliver(self, batch: RowBatch) -> None:
-        if self.run.query.done:
-            return
-        run = self.run
-        if self.span is None and run.span is not None:
-            self.span = run.span.child("stage.bloom_verify")
-            run._stage_spans.append(self.span)
-        hot = run.hot
-        started = perf_counter() if hot is not None else 0.0
-        rare_keys = self.rare_keys
-        emitted = self.emitted
-        survivors: list[tuple] = []
-        for (key,) in batch.values:
-            if key in rare_keys and key not in emitted:
-                emitted.add(key)
-                survivors.append((key,))
-        if hot is not None:
-            hot.bloom_verify_seconds.observe(perf_counter() - started)
-            hot.bloom_verify_rows.add(len(batch))
-            hot.bloom_verify_survivors.add(len(survivors))
-        if survivors:
-            self.out.offer(survivors)
-
-    def on_eos(self) -> None:
-        if self.span is not None:
-            self.span.finish(verified=len(self.emitted))
-        if self.run.query.done:
-            return
-        self.out.close()
-
-
-class _JoinStage:
-    """One join site: incremental SHJ of arriving batches vs local postings."""
-
-    def __init__(
-        self,
-        run: _QueryRun,
-        site: int,
-        keyword: str,
-        index: int,
-        out: _Exchange,
-    ):
-        self.run = run
-        self.site = site
-        self.keyword = keyword
+        self.op = op
+        #: a Bloom probe's one delivery is the filter, not a key batch
+        self.probe = op == Op.BLOOM_PROBE
         self.index = index
+        self.site = run.sites[index]
+        self.keyword = run.plan.stages[index].keyword
         self.out = out
-        self.activated = False
+        #: the site's keys to match against, once opened
+        self.local: Any = None
         self.emitted: set[object] = set()
-        config = run.executor.config
-        budget = config.memory_budget
-        sink = _DhtSpillSink(run, site, index, "fileID") if budget else None
-        self.shj = SymmetricHashJoin(
-            column="fileID",
-            memory_budget=budget,
-            spill_sink=sink,
-            num_partitions=config.spill_partitions,
-        )
         self.span = None
-
-    def activate(self) -> None:
-        self.activated = True
-        rows = self.run._fetch_stage_local("Inverted", self.site, self.keyword)
-        self.run.stats.per_stage_entries.append(len(rows))
-        run = self.run
-        if run.span is not None:
-            self.span = run.span.child(
-                "stage.join",
-                site=self.site,
-                keyword=self.keyword,
-                stage=self.index,
-                build_rows=len(rows),
+        self.shj: SymmetricHashJoin | None = None
+        #: (seconds, rows in, keys out) metric handles, when metered
+        self.meters = run.hot.stage[op] if run.hot is not None else None
+        if op == Op.JOIN:
+            config = run.executor.config
+            budget = config.memory_budget
+            sink = _DhtSpillSink(run, self.site, self.index, "fileID") if budget else None
+            self.shj = SymmetricHashJoin(
+                column="fileID",
+                memory_budget=budget,
+                spill_sink=sink,
+                num_partitions=config.spill_partitions,
             )
-            run._stage_spans.append(self.span)
-        if run.hot is not None:
-            run.hot.join_build_rows.add(len(rows))
-        self.shj.insert_keys("right", [row["fileID"] for row in rows])
+            run.joins.insert(0, self)
 
-    def deliver(self, batch: RowBatch) -> None:
-        if self.run.query.done:
+    def _open(self) -> None:
+        run = self.run
+        if self.op == Op.BLOOM_VERIFY:
+            self.local = run.filter_keys
+            attrs: dict[str, Any] = {}
+        else:
+            table = run.executor.catalog.table(POSTING_TABLE)
+            rows = table.fetch_local(self.site, self.keyword)
+            run.stats.per_stage_entries.append(len(rows))
+            self.local = list(map(_FILE_ID, rows))
+            attrs = {"site": self.site, "keyword": self.keyword}
+            if self.shj is not None:
+                attrs.update(stage=self.index, build_rows=len(rows))
+            else:
+                attrs.update(rows=len(rows))
+        if run.span is not None:
+            self.span = run.span.child(f"stage.{_STAGES[self.op][0]}", **attrs)
+            run._stage_spans.append(self.span)
+        if self.shj is not None:
+            if run.hot is not None:
+                run.hot.join_build_rows.add(len(self.local))
+            self.shj.insert_keys("right", self.local)
+
+    def deliver(self, batch) -> None:
+        """Refine one arriving batch (for a Bloom probe: the filter)."""
+        run = self.run
+        if run.query.done:
             return
-        if not self.activated:
+        if self.local is None:
             try:
-                self.activate()
+                self._open()
             except DhtError as error:
-                self.run.fail(error)
+                run.fail(error)
                 return
-        hot = self.run.hot
-        started = perf_counter() if hot is not None else 0.0
-        # Key-only hot path: the batch probes and builds on bare fileIDs
-        # in one call, no dict per row.
-        keys = [key for (key,) in batch.values]
+        meters = self.meters
+        started = perf_counter() if meters is not None else 0.0
+        if self.probe:
+            keys = self.local
+            matched = batch.matching(keys)
+        else:
+            # Key-only hot path: no dict per row.
+            keys = [key for (key,) in batch.values]
+            if self.shj is not None:
+                matched = compress(keys, self.shj.insert_keys("left", keys))
+            else:
+                local = self.local
+                matched = [key for key in keys if key in local]
         emitted = self.emitted
         survivors: list[tuple] = []
-        for key, matches in zip(keys, self.shj.insert_keys("left", keys)):
-            if matches and key not in emitted:
+        for key in matched:
+            if key not in emitted:
                 emitted.add(key)
                 survivors.append((key,))
-        if hot is not None:
-            hot.join_seconds.observe(perf_counter() - started)
-            hot.join_probe_rows.add(len(batch))
-            hot.join_survivor_rows.add(len(survivors))
+        if meters is not None:
+            seconds, rows_counter, keys_counter = meters
+            seconds.observe(perf_counter() - started)
+            rows_counter.add(len(keys))
+            keys_counter.add(len(survivors))
         if survivors:
             self.out.offer(survivors)
+        if self.probe:
+            self.on_eos()  # the filter was the probe's whole input
 
     def on_eos(self) -> None:
         if self.span is not None:
-            self.span.finish(
-                survivors=len(self.emitted),
-                spilled_rows=self.shj.spilled_rows,
-                spill_reads=self.shj.spill_reads,
-            )
+            summary = {_STAGES[self.op][1]: len(self.emitted)}
+            if self.shj is not None:
+                summary.update(
+                    spilled_rows=self.shj.spilled_rows,
+                    spill_reads=self.shj.spill_reads,
+                )
+            self.span.finish(**summary)
         if self.run.query.done:
             return
         self.out.close()

@@ -1,49 +1,47 @@
 """Cost-based join optimizer: pick the cheapest of the four strategies.
 
-The PIER layer owes most of its query bandwidth to shipping full posting
-lists between sites: the distributed symmetric-hash join rehashes framed,
-serialized posting tuples (~531 B per entry under the default
-:class:`~repro.common.units.CostModel`). The PIER lineage's answer is
-bandwidth-saving join rewrites, and this module prices all four
-strategies per query from the memoized
-:class:`~repro.pier.catalog.Catalog` posting statistics:
+The distributed symmetric-hash join rehashes framed posting tuples (~531
+B per entry under the default :class:`~repro.common.units.CostModel`);
+the PIER lineage's answer is bandwidth-saving rewrites — the semi-join,
+the Bloom join and the InvertedCache plan (see
+:class:`~repro.pier.query.JoinStrategy`). This module prices all four
+per query from the memoized :class:`~repro.pier.catalog.Catalog` posting
+statistics, by walking each strategy's step list
+(:func:`~repro.pier.query.plan_steps`) — the same list the dataflow
+runtime executes, so a strategy or edge is priced the moment it is
+spelled out there.
 
-* **DISTRIBUTED_JOIN** — ship full framed tuples down the keyword chain.
-* **SEMI_JOIN** — ship packed fileID digests (no framing, no
-  serialization overhead: ~20 B per entry) down the same chain; payloads
-  (Item tuples) are fetched second, only for survivors.
-* **BLOOM_JOIN** — compress the rarest posting list into a Bloom filter
-  (~1.2 B per entry at 1% FP), ship the filter forward, and ship back
-  digests of only the *probable* matches. The filter site verifies
-  candidates exactly against its local list, so Bloom false positives
-  inflate the digest legs but can never change the answer set.
-* **INVERTED_CACHE** — resolve at the single site hosting the rarest
-  term's InvertedCache list (nothing ships between posting sites), when
-  that table was published.
-
-Byte-cost model
+Per-step prices
 ---------------
 
-For posting sizes sorted ascending ``n1 <= ... <= nk``, per-leg hop
-estimate ``h``, join selectivity ``sigma`` (expected fraction of the
-rarest list surviving each additional join) and Bloom FP target ``fp``,
-the model prices only the terms that *differ* between strategies — plan
-dissemination plus inter-site shipping. Answer delivery and Item fetches
-are identical across strategies (same answer set) and are excluded:
+With posting sizes sorted ascending ``n1 <= ... <= nk`` (stage ``i``
+holds ``n(i+1)``), per-leg hop estimate ``h``, join selectivity ``sigma``
+(the fraction of the stream surviving each intersection) and Bloom FP
+target ``fp``, the stream reaching a step after ``j`` intersections is
+``s = round(n1 * sigma^j)``, plus — past a Bloom probe at stage ``p``,
+the ``jp``-th intersection — ``n(p+1) * fp * sigma^(j-jp)`` false
+positives:
 
-* survivors shipped on leg ``i``: ``s_i = n1 * sigma^(i-1)``
-* ``DISTRIBUTED_JOIN``: ``k`` plan legs + ``sum_i s_i *
-  tuple_bytes(fileid + 12)`` framed tuples, one header per hop.
-* ``SEMI_JOIN``: ``k`` plan legs + ``sum_i digest_bytes(s_i)``.
-* ``BLOOM_JOIN``: ``k`` plan legs + one Bloom filter sized for ``n1`` at
-  ``fp`` + candidate digests ``c_i = s_i + n2 * fp * sigma^(i-2)``
-  (true survivors plus the false positives the probe site lets through)
-  on the forward legs, plus the ``c_k`` return leg to the filter site.
-* ``INVERTED_CACHE``: one plan leg, nothing else.
+=====================  ==============================================
+step                   price
+=====================  ==============================================
+ship *plan*            ``query_plan_bytes`` + ``h`` headers
+ship *rehash*          ``s * tuple_bytes(fileid + 12)`` + ``h`` headers
+ship *semi*/*digest*   ``s * fileid_bytes`` + ``h`` headers
+ship *filter*          a Bloom filter for ``n1`` keys at ``fp`` + ``h``
+                       headers
+ship *answer*          0 — the same answer set under every strategy
+key-join at ``i``      spill + re-read bytes of ``s`` arriving rows
+                       against ``n(i+1)`` local ones (0 unbudgeted)
+any other step         0 — site-local, and the Bloom probe only adds
+                       its false positives to the stream
+=====================  ==============================================
 
-Ties break toward the simpler strategy (distributed join first), and a
-single-term query always takes the distributed join — no strategy ships
-anything when there is nothing to intersect.
+Ship steps sum to an estimate's ``wire_bytes`` and key-joins to its
+``spill_bytes``; strategies are compared on their weighted sum
+(:data:`LOCAL_BYTE_WEIGHT`). Ties break toward the simpler strategy, and
+a single-term query always takes the distributed join — nothing ships
+when there is nothing to intersect.
 """
 
 from __future__ import annotations
@@ -54,7 +52,16 @@ from dataclasses import dataclass
 from repro.common.bloom import BloomFilter
 from repro.common.units import CostModel
 from repro.pier.catalog import Catalog
-from repro.pier.query import JoinStrategy
+from repro.pier.query import (
+    CACHE_TABLE,
+    Edge,
+    JoinStrategy,
+    Op,
+    Step,
+    edge_tuple_bytes,
+    plan_steps,
+)
+
 
 def inverted_cache_covers(catalog: Catalog, sizes: dict[str, int]) -> bool:
     """Whether the InvertedCache strategy can answer this query.
@@ -64,15 +71,14 @@ def inverted_cache_covers(catalog: Catalog, sizes: dict[str, int]) -> bool:
     (empty) InvertedCache table. The strategy is only equivalent when the
     cache actually covers the rarest term's posting list; a smaller cache
     list means partially-published content and would silently drop
-    answers. The single coverage policy shared by the cost-based
-    optimizer and the legacy planner threshold.
+    answers.
     """
-    if "InvertedCache" not in catalog:
+    if CACHE_TABLE not in catalog:
         return False
     rarest, rarest_size = min(sizes.items(), key=lambda kv: (kv[1], kv[0]))
     if rarest_size == 0:
         return True  # empty intersection either way
-    return catalog.posting_size("InvertedCache", rarest) >= rarest_size
+    return catalog.posting_size(CACHE_TABLE, rarest) >= rarest_size
 
 
 #: tie-break preference: simpler machinery wins equal-cost comparisons
@@ -82,6 +88,10 @@ _PREFERENCE = (
     JoinStrategy.BLOOM_JOIN,
     JoinStrategy.INVERTED_CACHE,
 )
+
+#: what one site-local byte (a spilled or re-read join row) weighs against
+#: one wire byte when strategies are compared: at par
+LOCAL_BYTE_WEIGHT = 1
 
 
 @dataclass(frozen=True)
@@ -104,20 +114,19 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Predicted differential wire cost of one strategy for one query."""
+    """Predicted differential cost of one strategy for one query."""
 
     strategy: JoinStrategy
-    bytes: int
-    #: human-readable breakdown (plan / shipping terms), for experiment
-    #: tables and golden-file review
-    detail: str
+    #: plan dissemination plus inter-site shipping
+    wire_bytes: int
     #: expected spill + re-read bytes under the configured memory budget
-    #: (0 when unbudgeted); already included in ``bytes``
-    spill_bytes: int = 0
+    #: (0 when unbudgeted)
+    spill_bytes: int
 
     @property
-    def kilobytes(self) -> float:
-        return self.bytes / 1024
+    def bytes(self) -> int:
+        """What :meth:`CostBasedOptimizer.pick` minimises."""
+        return self.wire_bytes + LOCAL_BYTE_WEIGHT * self.spill_bytes
 
 
 class CostBasedOptimizer:
@@ -150,17 +159,14 @@ class CostBasedOptimizer:
         handles = self._strategy_handles.get(strategy_name)
         if handles is None:
             labels = {"strategy": strategy_name}
-            handles = (
+            handles = self._strategy_handles[strategy_name] = (
                 self.metrics.counter("optimizer.picks", labels=labels),
                 self.metrics.counter("optimizer.predicted_bytes", labels=labels),
                 self.metrics.counter("optimizer.actual_bytes", labels=labels),
                 self.metrics.histogram(
-                    "optimizer.bytes_error_ratio",
-                    labels=labels,
-                    reservoir_size=4096,
+                    "optimizer.bytes_error_ratio", labels=labels, reservoir_size=4096
                 ),
             )
-            self._strategy_handles[strategy_name] = handles
         return handles
 
     # ------------------------------------------------------------------
@@ -173,14 +179,6 @@ class CostBasedOptimizer:
             return max(1, self.config.hop_estimate)
         live = len(self.catalog.network.nodes)
         return max(1, math.ceil(math.log2(live)) if live > 1 else 1)
-
-    def _plan_cost(self, legs: int) -> int:
-        cost = self.cost_model
-        return legs * cost.routed_bytes(cost.query_plan_bytes, self.hop_estimate())
-
-    def _survivors(self, n1: int, leg: int) -> int:
-        """Estimated entries surviving onto leg ``leg`` (1-based)."""
-        return int(round(n1 * self.config.join_selectivity ** (leg - 1)))
 
     def _spill_bytes(self, arriving: int, local: int) -> int:
         """Expected spill + re-read bytes of one budgeted join stage.
@@ -210,132 +208,86 @@ class CostBasedOptimizer:
 
         ``inverted_cache`` forces the InvertedCache strategy's
         availability; ``None`` (the planner's path) probes the catalog
-        (:meth:`_inverted_cache_usable`). The override exists for pricing
+        (:func:`inverted_cache_covers`). The override exists for pricing
         hypothetical stats tables — the golden-file regression test pins
         choices on a canonical table without publishing a corpus.
         """
-        cost = self.cost_model
         ordered = sorted(sizes.values())
-        k = len(ordered)
-        hops = self.hop_estimate()
-        header = cost.header_bytes * hops
-        if k < 2:
-            # Nothing to intersect: every non-cache strategy degenerates
-            # to the same single-site fetch.
-            plan = self._plan_cost(max(1, k))
-            return {
-                JoinStrategy.DISTRIBUTED_JOIN: CostEstimate(
-                    JoinStrategy.DISTRIBUTED_JOIN, plan, f"plan {plan}B, no shipping"
-                )
-            }
-        n1 = ordered[0]
+        # Nothing to intersect: only the simplest strategy is priced.
+        candidates = _PREFERENCE if len(ordered) > 1 else _PREFERENCE[:1]
+        priced = {}
+        for strategy in candidates:
+            steps = plan_steps(strategy, max(1, len(ordered)))
+            if any(step.table == CACHE_TABLE for step in steps):
+                if inverted_cache is None:
+                    inverted_cache = inverted_cache_covers(self.catalog, sizes)
+                if not inverted_cache:
+                    continue
+            wire, spill = self._price(steps, ordered)
+            priced[strategy] = CostEstimate(strategy, wire, spill)
+        return priced
+
+    def _price(self, steps: tuple[Step, ...], ordered: list[int]) -> tuple[int, int]:
+        """(wire bytes, spill bytes) of one step list, priced step by step
+        (see the module docstring)."""
+        cost = self.cost_model
+        header = cost.header_bytes * self.hop_estimate()
+        sigma = self.config.join_selectivity
         fp = self.config.bloom_fp_rate
-        plan = self._plan_cost(k)
+        rarest = ordered[0] if ordered else 0
+        joins = 0  # intersections the stream has passed
+        false_hits = 0.0  # Bloom false positives let through, at the probe
+        probed = 0  # ``joins`` right after the Bloom probe
+        wire = spill = 0
+        for step in steps:
+            op, edge = step.op, step.edge
+            if edge == Edge.PLAN:
+                wire += cost.query_plan_bytes + header
+            elif edge == Edge.FILTER:
+                wire += BloomFilter.with_capacity(max(1, rarest), fp).size_bytes + header
+            elif op == Op.BLOOM_PROBE:
+                false_hits = ordered[step.stage] * fp
+                joins += 1
+                probed = joins
+            elif op == Op.JOIN or (op == Op.SHIP and edge != Edge.ANSWER):
+                arriving = int(round(rarest * sigma**joins))
+                if false_hits:
+                    arriving = int(round(arriving + false_hits * sigma ** (joins - probed)))
+                if op == Op.JOIN:
+                    spill += self._spill_bytes(arriving, ordered[step.stage])
+                    joins += 1
+                else:
+                    wire += arriving * edge_tuple_bytes(edge, cost) + header
+        return wire, spill
 
-        rehash_tuple = cost.rehash_tuple_bytes()
-        dist_ship = sum(
-            self._survivors(n1, leg) * rehash_tuple + header for leg in range(1, k)
-        )
-        semi_ship = sum(
-            cost.digest_bytes(self._survivors(n1, leg)) + header for leg in range(1, k)
-        )
-        filter_bytes = BloomFilter.with_capacity(max(1, n1), fp).size_bytes
-        candidates = [
-            int(round(self._survivors(n1, leg) + ordered[1] * fp
-                      * self.config.join_selectivity ** (leg - 2)))
-            for leg in range(2, k + 1)
-        ]
-        bloom_ship = (
-            filter_bytes + header
-            + sum(cost.digest_bytes(c) + header for c in candidates)
-        )
-        # Memory-pressure term (0 when unbudgeted): the chain strategies
-        # run one SHJ per downstream site — arriving entries probe/build
-        # against the local list, and any excess over the row budget
-        # spills. The Bloom chain's probe and verify stages hold no join
-        # build state, so only stages 3..k pay — with filter false
-        # positives inflating their arriving counts.
-        chain_spill = sum(
-            self._spill_bytes(self._survivors(n1, leg), ordered[leg])
-            for leg in range(1, k)
-        )
-        bloom_spill = sum(
-            self._spill_bytes(arriving, local)
-            for arriving, local in zip(candidates[: k - 2], ordered[2:])
-        )
-
-        def _detail(base: str, spill: int) -> str:
-            return f"{base} + spill {spill}B" if spill else base
-
-        results = {
-            JoinStrategy.DISTRIBUTED_JOIN: CostEstimate(
-                JoinStrategy.DISTRIBUTED_JOIN,
-                plan + dist_ship + chain_spill,
-                _detail(f"plan {plan}B + framed tuples {dist_ship}B", chain_spill),
-                spill_bytes=chain_spill,
-            ),
-            JoinStrategy.SEMI_JOIN: CostEstimate(
-                JoinStrategy.SEMI_JOIN,
-                plan + semi_ship + chain_spill,
-                _detail(f"plan {plan}B + key digests {semi_ship}B", chain_spill),
-                spill_bytes=chain_spill,
-            ),
-            JoinStrategy.BLOOM_JOIN: CostEstimate(
-                JoinStrategy.BLOOM_JOIN,
-                plan + bloom_ship + bloom_spill,
-                _detail(
-                    f"plan {plan}B + filter {filter_bytes}B + candidate digests",
-                    bloom_spill,
-                ),
-                spill_bytes=bloom_spill,
-            ),
-        }
-        ic_available = (
-            self._inverted_cache_usable(sizes)
-            if inverted_cache is None
-            else inverted_cache
-        )
-        if ic_available:
-            ic_plan = self._plan_cost(1)
-            results[JoinStrategy.INVERTED_CACHE] = CostEstimate(
-                JoinStrategy.INVERTED_CACHE, ic_plan, f"plan {ic_plan}B, no shipping"
-            )
-        return results
-
-    def _inverted_cache_usable(self, sizes: dict[str, int]) -> bool:
-        """Coverage probe: see :func:`inverted_cache_covers`."""
-        return inverted_cache_covers(self.catalog, sizes)
-
-    def choose(
+    def pick(
         self, sizes: dict[str, int], inverted_cache: bool | None = None
-    ) -> JoinStrategy:
-        """The cheapest executable strategy for these posting sizes."""
-        priced = self.estimates(sizes, inverted_cache=inverted_cache)
+    ) -> CostEstimate:
+        """The cheapest executable strategy's estimate for these posting
+        sizes — the one pricing pass a plan keeps."""
         winner = min(
-            priced.values(),
+            self.estimates(sizes, inverted_cache=inverted_cache).values(),
             key=lambda e: (e.bytes, _PREFERENCE.index(e.strategy)),
         )
         if self.metrics is not None:
             self._handles_for(winner.strategy.name)[0].add(1)
-        return winner.strategy
+        return winner
 
-    def observe_actual(
-        self, strategy: JoinStrategy, predicted_bytes: int, actual_bytes: int
-    ) -> None:
-        """Record how one executed query's bytes compared to the estimate.
+    def observe_actual(self, estimate: CostEstimate, actual_bytes: int) -> None:
+        """Record how one executed query's bytes compared to its estimate.
 
-        ``predicted_bytes`` is the model's *differential* cost (plan
-        dissemination + inter-site shipping); ``actual_bytes`` is the
-        query's full metered total, which also includes the
-        strategy-invariant answer and Item-fetch legs the model excludes —
-        so the error ratio runs above 1.0 by that shared constant. The
-        signal to watch is the per-strategy drift of the ratio, not its
-        absolute level.
+        The prediction is the estimate's ``wire_bytes`` — plan
+        dissemination plus inter-site shipping, no site-local spill bytes;
+        ``actual_bytes`` is the query's full metered total, which also
+        includes the strategy-invariant answer and Item-fetch legs the
+        model excludes, so the ratio sits somewhat above 1.0 (about
+        1.09 on the benchmark's budgeted Bloom joins). The signal to watch
+        is the per-strategy drift of the ratio, not its absolute level.
         """
         if self.metrics is None:
             return
-        _, predicted, actual, error_ratio = self._handles_for(strategy.name)
-        predicted.add(predicted_bytes)
+        _, predicted, actual, error_ratio = self._handles_for(estimate.strategy.name)
+        predicted.add(estimate.wire_bytes)
         actual.add(actual_bytes)
-        if predicted_bytes > 0:
-            error_ratio.observe(actual_bytes / predicted_bytes)
+        if estimate.wire_bytes > 0:
+            error_ratio.observe(actual_bytes / estimate.wire_bytes)

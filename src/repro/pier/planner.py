@@ -12,8 +12,8 @@ batches for rare terms, so the first answer leaves quickly; larger
 batches for popular terms, amortising per-message headers) and — when
 asked to choose — the **strategy**: construct the planner with a
 :class:`~repro.pier.optimizer.CostBasedOptimizer` and ``strategy=None``
-plans price DISTRIBUTED_JOIN, SEMI_JOIN, BLOOM_JOIN and INVERTED_CACHE
-from the same posting statistics and take the cheapest.
+plans price all four strategies' step lists from the same posting
+statistics and take the cheapest.
 """
 
 from __future__ import annotations
@@ -22,7 +22,14 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import PlanError
 from repro.pier.catalog import Catalog
-from repro.pier.query import DistributedPlan, JoinStrategy, PlanStage
+from repro.pier.query import (
+    POSTING_TABLE,
+    DistributedPlan,
+    JoinStrategy,
+    Op,
+    PlanStage,
+    plan_steps,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.pier.optimizer import CostBasedOptimizer
@@ -38,7 +45,7 @@ class KeywordPlanner:
     def __init__(
         self,
         catalog: Catalog,
-        posting_table: str = "Inverted",
+        posting_table: str = POSTING_TABLE,
         optimizer: "CostBasedOptimizer | None" = None,
     ):
         self.catalog = catalog
@@ -73,19 +80,6 @@ class KeywordPlanner:
         power = 1 << (root - 1).bit_length()
         return max(MIN_BATCH_SIZE, min(MAX_BATCH_SIZE, power))
 
-    def choose_strategy(self, sizes: dict[str, int]) -> JoinStrategy:
-        """Cheapest of the four strategies under the optimizer's byte-cost
-        model, from posting-size statistics.
-
-        Raises :class:`~repro.common.errors.PlanError` on a planner built
-        without an optimizer — there is nothing to price with.
-        """
-        if self.optimizer is None:
-            raise PlanError(
-                "choosing a strategy needs a planner built with an optimizer"
-            )
-        return self.optimizer.choose(sizes)
-
     def plan(
         self,
         keywords: list[str],
@@ -100,11 +94,11 @@ class KeywordPlanner:
         remotely (the rest become local substring filters), and picking the
         rarest term minimises the rows the filters must consider.
 
-        ``strategy=None`` asks the planner to choose a strategy from its
-        posting-size statistics (:meth:`choose_strategy`), which needs an
-        optimizer. The semi-join and Bloom-join strategies reuse the
-        distributed join's stage chain (same sites, same smallest-first
-        order); only what ships between the sites differs.
+        ``strategy=None`` asks the optimizer for the cheapest strategy
+        (without one, :class:`~repro.common.errors.PlanError`: nothing to
+        price with). With an optimizer the plan keeps the estimate it was
+        priced at — one pricing pass per plan. Every join strategy runs
+        the same smallest-first stage chain; only what ships differs.
         """
         if not keywords:
             raise PlanError("keyword query needs at least one term")
@@ -112,35 +106,40 @@ class KeywordPlanner:
         sizes: dict[str, int] | None = None
         if order_by_size or strategy is None:
             sizes = {keyword: self.posting_size(keyword) for keyword in unique}
+        estimate = None
         if strategy is None:
-            strategy = self.choose_strategy(sizes)
+            if self.optimizer is None:
+                raise PlanError(
+                    "choosing a strategy needs a planner built with an optimizer"
+                )
+            estimate = self.optimizer.pick(sizes)
+            strategy = estimate.strategy
+        elif self.optimizer is not None and sizes is not None:
+            estimate = self.optimizer.estimates(sizes).get(strategy)
         if order_by_size:
             unique.sort(key=lambda keyword: (sizes[keyword], keyword))
-        table = (
-            "InvertedCache" if strategy is JoinStrategy.INVERTED_CACHE else self.posting_table
-        )
-        handle = self.catalog.table(table)
-        stages = [PlanStage(keyword=keyword, site=handle.host_of(keyword)) for keyword in unique]
-        if strategy is JoinStrategy.INVERTED_CACHE:
-            # Only the first site executes; remaining terms are substring
-            # filters applied there (Figure 3).
-            stages = stages[:1] + [PlanStage(keyword=stage.keyword, site=stages[0].site) for stage in stages[1:]]
-        predicted_bytes: int | None = None
-        if self.optimizer is not None and sizes is not None:
-            estimate = self.optimizer.estimates(sizes).get(strategy)
-            if estimate is not None:
-                predicted_bytes = estimate.bytes
+        # The plan legs lead the step list, one per stage they reach, and
+        # the scan follows them; a stage no leg reaches runs at the first
+        # site (the InvertedCache plan's substring filters, Figure 3).
+        steps = plan_steps(strategy, len(unique))
+        legs = next(index for index, step in enumerate(steps) if step.op == Op.SCAN)
+        table = steps[legs].table
+        handle = self.catalog.table(self.posting_table if table == POSTING_TABLE else table)
+        sites = [handle.host_of(keyword) for keyword in unique]
+        stages = [
+            PlanStage(keyword=keyword, site=site if index < legs else sites[0])
+            for index, (keyword, site) in enumerate(zip(unique, sites))
+        ]
         return DistributedPlan(
             keywords=tuple(unique),
             stages=stages,
             strategy=strategy,
             query_node=query_node,
             batch_size=self.choose_batch_size(sizes) if sizes else None,
-            posting_sizes=sizes,
             bloom_fp_rate=(
                 self.optimizer.config.bloom_fp_rate
                 if self.optimizer is not None
                 else DistributedPlan.bloom_fp_rate
             ),
-            predicted_bytes=predicted_bytes,
+            estimate=estimate,
         )

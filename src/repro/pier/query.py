@@ -1,57 +1,182 @@
-"""Distributed query plans and execution statistics.
+"""Distributed query plans, the step list each one runs as, and
+execution statistics.
 
 A keyword query over ``k`` terms becomes a :class:`DistributedPlan` with
 one :class:`PlanStage` per term. Stages are ordered (the planner decides
 the order); stage ``i`` executes at the DHT node hosting term ``i``'s
 posting list, receiving the surviving tuples from stage ``i-1``.
+
+What each site does is the plan's **step list**, :func:`plan_steps`: a
+pure, memoised function of ``(strategy, k)`` to a flat tuple of
+:class:`Step` over stage indices, and the one place a strategy is
+spelled out — the dataflow runtime (:mod:`repro.pier.dataflow`)
+interprets it and the optimizer (:mod:`repro.pier.optimizer`) prices it.
+It runs the plan legs first, then a scan, the site-local steps after
+it, and alternating ship/operator steps down to the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.common.units import CostModel
+    from repro.pier.optimizer import CostEstimate
+
+#: the posting table every chain strategy scans and joins against
+POSTING_TABLE = "Inverted"
+#: the full-text table the InvertedCache strategy scans
+CACHE_TABLE = "InvertedCache"
+#: the stage index a step uses for the query node
+QUERY_NODE = -1
 
 
 class JoinStrategy(Enum):
     """Query-processing strategies: Section 3.2's two plus the PIER
     lineage's bandwidth-saving join rewrites (cost-picked by
-    :mod:`repro.pier.optimizer`).
+    :mod:`repro.pier.optimizer`). Each is a step list (:func:`plan_steps`;
+    ``i`` runs over stages ``1..k-1``):
 
-    Strategy matrix — what ships between sites, and when each wins:
+    * ``DISTRIBUTED_JOIN`` — scan 0; ship *rehash* ``i-1 → i`` (framed
+      posting tuples, ~531 B/entry) and key-join at ``i``; ship *answer*.
+      Wins single-term queries, where nothing ships.
+    * ``SEMI_JOIN`` — the same chain over a distinct-key scan and *semi*
+      edges (packed fileID digests, ~20 B/entry). Wins rare∧very-popular
+      mixes, where Bloom false positives on the huge list would dominate.
+    * ``BLOOM_JOIN`` — distinct-key scan 0 and Bloom build; ship *filter*
+      ``0 → 1`` (~1.2 B/entry at 1% FP) and Bloom probe at 1; *digest*
+      edges and key-joins on to ``k-1``; a *digest* return leg ``k-1 → 0``
+      that lengthens the critical path; Bloom verify at 0, where false
+      positives die; ship *answer*. Wins comparable list sizes.
+    * ``INVERTED_CACHE`` — one plan leg; scan 0 of the InvertedCache
+      table, a substring filter per other term, ship *answer*: nothing
+      ships between sites. Wins very popular terms once published.
 
-    ===================  ==============================  =======================
-    strategy             bytes shipped site-to-site      when it wins
-    ===================  ==============================  =======================
-    DISTRIBUTED_JOIN     full framed posting tuples      single-term queries
-                         (~531 B/entry)                  (nothing ships at all)
-    SEMI_JOIN            packed fileID digests           rare∧very-popular mixes
-                         (~20 B/entry)                   (digest of the rare
-                                                         list is tiny; Bloom FP
-                                                         traffic on the huge
-                                                         list would dominate)
-    BLOOM_JOIN           one Bloom filter (~1.2 B/entry  multi-term queries with
-                         at 1% FP) + digests of the      comparable list sizes
-                         *probable* matches only         (even the rarest list
-                                                         is worth compressing)
-    INVERTED_CACHE       nothing (single-site            very popular terms —
-                         substring filtering)            when the InvertedCache
-                                                         table was published
-    ===================  ==============================  =======================
+    Every chain starts with one plan leg per stage (query node → 0 → 1 →
+    ...), and a one-stage semi or Bloom plan runs the distributed join's
+    steps.
     """
 
-    #: Distributed symmetric-hash-join over Inverted posting lists (Fig. 2).
-    DISTRIBUTED_JOIN = "distributed_join"
-    #: Single-site substring filtering over InvertedCache tuples (Fig. 3).
-    INVERTED_CACHE = "inverted_cache"
-    #: Symmetric semi-join: ship packed fileID digests down the chain
-    #: instead of framed posting tuples; payloads (Item tuples) are
-    #: fetched second, only for surviving fileIDs.
+    DISTRIBUTED_JOIN = "distributed_join"  # Figure 2
+    INVERTED_CACHE = "inverted_cache"  # Figure 3
     SEMI_JOIN = "semi_join"
-    #: Bloom join: ship a Bloom filter built from the rarest posting list,
-    #: then digests of only the *probable* matches; the filter site
-    #: verifies candidates exactly, so false positives cost bytes but can
-    #: never change the answer set.
     BLOOM_JOIN = "bloom_join"
+
+
+class Edge:
+    """What a ship step carries; each constant is its traffic category.
+    The plan and filter legs ship one payload each (the serialized plan;
+    one Bloom filter standing for the whole scanned list), the others
+    stream tuples: framed posting tuples, packed fileID digests, digests
+    of probable matches, answer tuples straight to the query node. Plain
+    strings, like :class:`Op`: the runtime reads them on every query, and
+    on CPython 3.11 an ``Enum`` member read costs ~4x a class attribute."""
+
+    PLAN = "pier.query"
+    REHASH = "pier.rehash"
+    SEMI = "pier.semijoin"
+    FILTER = "pier.bloom.filter"
+    DIGEST = "pier.bloom.digest"
+    ANSWER = "pier.answer"
+
+
+def edge_tuple_bytes(edge: str, cost: "CostModel") -> int:
+    """Wire bytes of one tuple on a streaming edge."""
+    if edge == Edge.REHASH:
+        return cost.rehash_tuple_bytes()
+    if edge == Edge.ANSWER:
+        return cost.tuple_bytes(cost.fileid_bytes)
+    return cost.digest_bytes(1)
+
+
+class Op:
+    """The operation of one :class:`Step`. A scan reads the stage's
+    posting list; a ship charges and delivers a stream between two sites;
+    a key-join intersects arriving keys with the stage's posting list (an
+    SHJ); the Bloom build makes a filter of the scanned keys, the Bloom
+    probe keeps the stage's keys that pass it, and the Bloom verify keeps
+    the arriving candidates the filter was built from; a substring filter
+    keeps scanned rows whose full text holds another stage's keyword."""
+
+    SCAN = "scan"
+    SHIP = "ship"
+    JOIN = "key-join"
+    BLOOM_BUILD = "bloom build"
+    BLOOM_PROBE = "bloom probe"
+    BLOOM_VERIFY = "bloom verify"
+    FILTER = "substring filter"
+    ANSWER = "answer"
+
+
+class Step(NamedTuple):
+    """One step of a plan, at a stage index (:data:`QUERY_NODE` for the
+    query node)."""
+
+    op: str  # an :class:`Op`
+    stage: int
+    #: ship: the target stage; substring filter: the needle's stage
+    to: int = QUERY_NODE
+    #: ship: an :class:`Edge`
+    edge: str | None = None
+    #: scan: the table read, whether it keeps one row per distinct key,
+    #: and the columns it offers (every other step offers bare keys)
+    table: str = POSTING_TABLE
+    distinct: bool = False
+    columns: tuple[str, ...] = ("fileID",)
+    #: ship: the leg adds its hops to the critical path when it carries
+    #: anything (it runs after the dissemination chain)
+    extends_path: bool = False
+
+
+def _ship(edge: str, source: int, target: int, **extra) -> Step:
+    return Step(Op.SHIP, source, target, edge, **extra)
+
+
+@cache
+def plan_steps(strategy: JoinStrategy, k: int) -> tuple[Step, ...]:
+    """The step list of ``strategy`` over ``k`` stages (see
+    :class:`JoinStrategy` for each list). The only place that branches on
+    the strategy: the runtime interprets this list and the optimizer
+    prices it."""
+    if strategy is JoinStrategy.INVERTED_CACHE:
+        return (
+            _ship(Edge.PLAN, QUERY_NODE, 0),
+            Step(Op.SCAN, 0, table=CACHE_TABLE, distinct=True),
+            *(Step(Op.FILTER, 0, to=index) for index in range(1, k)),
+            _ship(Edge.ANSWER, 0, QUERY_NODE),
+            Step(Op.ANSWER, QUERY_NODE),
+        )
+    if k == 1:
+        # Nothing to intersect: the scan answers with whole posting rows.
+        strategy = JoinStrategy.DISTRIBUTED_JOIN
+    steps = [_ship(Edge.PLAN, index - 1 if index else QUERY_NODE, index) for index in range(k)]
+    if strategy is JoinStrategy.BLOOM_JOIN:
+        steps += [
+            Step(Op.SCAN, 0, distinct=True),
+            Step(Op.BLOOM_BUILD, 0),
+            _ship(Edge.FILTER, 0, 1),
+            Step(Op.BLOOM_PROBE, 1),
+        ]
+        for index in range(2, k):
+            steps += [_ship(Edge.DIGEST, index - 1, index), Step(Op.JOIN, index)]
+        steps += [
+            _ship(Edge.DIGEST, k - 1, 0, extends_path=True),
+            Step(Op.BLOOM_VERIFY, 0),
+            _ship(Edge.ANSWER, 0, QUERY_NODE),
+        ]
+    else:
+        semi = strategy is JoinStrategy.SEMI_JOIN
+        columns = ("fileID",) if k > 1 else ("keyword", "fileID")
+        steps.append(Step(Op.SCAN, 0, distinct=semi, columns=columns))
+        for index in range(1, k):
+            edge = Edge.SEMI if semi else Edge.REHASH
+            steps += [_ship(edge, index - 1, index), Step(Op.JOIN, index)]
+        steps.append(_ship(Edge.ANSWER, k - 1, QUERY_NODE))
+    steps.append(Step(Op.ANSWER, QUERY_NODE))
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -73,27 +198,20 @@ class DistributedPlan:
     #: exchange batch size chosen by the planner from posting-size stats
     #: (None = the executing runtime's default)
     batch_size: int | None = None
-    #: per-keyword posting-list sizes the planner observed, when it probed
-    posting_sizes: dict[str, int] | None = None
     #: target false-positive rate for the Bloom join's filter (ignored by
     #: the other strategies)
     bloom_fp_rate: float = 0.01
-    #: the optimizer's differential byte estimate for the chosen strategy,
-    #: when a cost-based optimizer priced this plan (observability only —
-    #: execution never reads it)
-    predicted_bytes: int | None = None
+    #: the optimizer's price of this plan, when a cost-based optimizer
+    #: priced it (observability only — execution never reads it)
+    estimate: "CostEstimate | None" = None
 
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError("a plan needs at least one stage")
 
     @property
-    def first_site(self) -> int:
-        return self.stages[0].site
-
-    @property
-    def last_site(self) -> int:
-        return self.stages[-1].site
+    def steps(self) -> tuple[Step, ...]:
+        return plan_steps(self.strategy, len(self.stages))
 
 
 @dataclass

@@ -139,10 +139,8 @@ class SearchEngine:
         synchronous path above and by the hybrid engine when a race's
         dataflow drains.
         """
-        if self.optimizer is not None and plan.predicted_bytes is not None:
-            self.optimizer.observe_actual(
-                plan.strategy, plan.predicted_bytes, stats.bytes
-            )
+        if self.optimizer is not None and plan.estimate is not None:
+            self.optimizer.observe_actual(plan.estimate, stats.bytes)
 
     @staticmethod
     def finalize(plan: DistributedPlan, items: list[Row], stats: QueryStats) -> SearchResult:

@@ -39,12 +39,18 @@ and one per partition a routed run touched, nothing buffered — and
 hashes of every key at a time, with no memo. ``tests/test_pier_spill.py``
 and ``tests/test_common_bloom.py`` hold the per-partition flush and the
 per-shape masks to them.
+
+:func:`reference_estimates` is the cost-based optimizer's closed-form
+byte model: one sum per strategy over the legs of a ``k``-term chain,
+written without any step list. ``tests/test_pier_steps.py`` holds the
+step-by-step pricer to it, strategy by strategy.
 """
 
 import hashlib
 import math
 from bisect import bisect_left
 
+from repro.common.bloom import BloomFilter
 from repro.common.errors import DhtError
 from repro.common.ids import KEY_BITS, KEY_SPACE, in_interval, ring_distance
 from repro.dht.keyspace import finger_start
@@ -54,6 +60,7 @@ from repro.net.messages import DirectMessage, RoutedMessage
 from repro.pier.catalog import table_key
 from repro.pier.dataflow import _DhtSpillSink
 from repro.pier.operators import SpillSink
+from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import PublishReceipt
 from repro.piersearch.tokenizer import extract_keywords
 
@@ -167,6 +174,80 @@ def reference_bloom_bits(items, num_bits, num_hashes):
             bits |= 1 << h1 % num_bits
             h1 += h2
     return bits
+
+
+def reference_estimates(optimizer, sizes, inverted_cache):
+    """``{strategy: (bytes, spill_bytes)}`` for the strategies
+    ``optimizer`` would price, summed per strategy in closed form.
+
+    For sizes ``n1 <= ... <= nk``: ``k`` plan legs for every chain
+    strategy and one for the InvertedCache plan; leg ``i`` carries
+    ``s_i = n1 * sigma^(i-1)`` survivors (framed tuples or digests), or
+    for the Bloom join a filter for ``n1`` keys and then
+    ``c_i = s_i + n2 * fp * sigma^(i-2)`` candidate digests, the last of
+    them back to the filter site; every leg pays one header per hop. Each
+    join site of a chain pays the spill of its arriving survivors against
+    its local list; the Bloom chain's probe and verify sites pay none.
+    """
+    cost = optimizer.cost_model
+    config = optimizer.config
+    sigma = config.join_selectivity
+    fp = config.bloom_fp_rate
+    hops = optimizer.hop_estimate()
+    header = cost.header_bytes * hops
+
+    def plan_cost(legs):
+        return legs * cost.routed_bytes(cost.query_plan_bytes, hops)
+
+    def survivors(n1, leg):
+        return int(round(n1 * sigma ** (leg - 1)))
+
+    def spill_bytes(arriving, local):
+        budget = config.memory_budget
+        if budget is None:
+            return 0
+        resident = arriving + local
+        excess = resident - budget
+        if excess <= 0:
+            return 0
+        reread = arriving * excess / resident
+        return int(round((excess + reread) * cost.spill_tuple_bytes()))
+
+    ordered = sorted(sizes.values())
+    k = len(ordered)
+    if k < 2:
+        return {JoinStrategy.DISTRIBUTED_JOIN: (plan_cost(1), 0)}
+    n1 = ordered[0]
+    plan = plan_cost(k)
+    dist_ship = sum(
+        survivors(n1, leg) * cost.rehash_tuple_bytes() + header for leg in range(1, k)
+    )
+    semi_ship = sum(
+        cost.digest_bytes(survivors(n1, leg)) + header for leg in range(1, k)
+    )
+    filter_bytes = BloomFilter.with_capacity(max(1, n1), fp).size_bytes
+    candidates = [
+        int(round(survivors(n1, leg) + ordered[1] * fp * sigma ** (leg - 2)))
+        for leg in range(2, k + 1)
+    ]
+    bloom_ship = (
+        filter_bytes + header + sum(cost.digest_bytes(c) + header for c in candidates)
+    )
+    chain_spill = sum(
+        spill_bytes(survivors(n1, leg), ordered[leg]) for leg in range(1, k)
+    )
+    bloom_spill = sum(
+        spill_bytes(arriving, local)
+        for arriving, local in zip(candidates[: k - 2], ordered[2:])
+    )
+    priced = {
+        JoinStrategy.DISTRIBUTED_JOIN: (plan + dist_ship + chain_spill, chain_spill),
+        JoinStrategy.SEMI_JOIN: (plan + semi_ship + chain_spill, chain_spill),
+        JoinStrategy.BLOOM_JOIN: (plan + bloom_ship + bloom_spill, bloom_spill),
+    }
+    if inverted_cache:
+        priced[JoinStrategy.INVERTED_CACHE] = (plan_cost(1), 0)
+    return priced
 
 
 def reference_owner(sorted_ids, key):

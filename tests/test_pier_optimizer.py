@@ -81,7 +81,7 @@ class TestCostModel:
         optimizer = CostBasedOptimizer(catalog)
         priced = optimizer.estimates({"alpha": 50})
         assert set(priced) == {JoinStrategy.DISTRIBUTED_JOIN}
-        assert optimizer.choose({"alpha": 50}) is JoinStrategy.DISTRIBUTED_JOIN
+        assert optimizer.pick({"alpha": 50}).strategy is JoinStrategy.DISTRIBUTED_JOIN
 
     def test_all_join_strategies_priced_for_multi_term(self):
         network, catalog = build_world(popular=5, rare=2, overlap=1)
@@ -157,7 +157,6 @@ class TestMemoryPressurePricing:
         explicit = self.make(memory_budget=None).estimates(self.SIZES)
         for strategy, estimate in free.items():
             assert estimate.spill_bytes == 0
-            assert "spill" not in estimate.detail
             assert explicit[strategy].bytes == estimate.bytes
 
     def test_spill_term_is_additive_and_included(self):
@@ -169,7 +168,7 @@ class TestMemoryPressurePricing:
         for strategy in chains:
             estimate = tight[strategy]
             assert estimate.spill_bytes > 0
-            assert "spill" in estimate.detail
+            assert estimate.wire_bytes == free[strategy].wire_bytes
             assert estimate.bytes == free[strategy].bytes + estimate.spill_bytes
         # Ample budget: nothing overflows, pricing matches unbudgeted.
         ample = self.make(memory_budget=10_000).estimates(self.SIZES)
@@ -195,8 +194,8 @@ class TestMemoryPressurePricing:
         a semi-join pick to the Bloom join."""
         free = self.make()
         tight = self.make(memory_budget=32)
-        assert free.choose(self.SIZES) is JoinStrategy.SEMI_JOIN
-        assert tight.choose(self.SIZES) is JoinStrategy.BLOOM_JOIN
+        assert free.pick(self.SIZES).strategy is JoinStrategy.SEMI_JOIN
+        assert tight.pick(self.SIZES).strategy is JoinStrategy.BLOOM_JOIN
         assert (
             tight.estimates(self.SIZES)[JoinStrategy.BLOOM_JOIN].spill_bytes == 0
         )
@@ -223,7 +222,7 @@ class TestGoldenChoices:
         for case in payload["cases"]:
             sizes = case["sizes"]
             ic = case["inverted_cache"]
-            choice = optimizer.choose(sizes, inverted_cache=ic)
+            choice = optimizer.pick(sizes, inverted_cache=ic).strategy
             assert choice.value == case["choice"], (
                 f"strategy choice drifted for {sizes} (ic={ic}): "
                 f"golden {case['choice']}, got {choice.value} — if the "
@@ -379,7 +378,7 @@ class TestOptimizedSearchEngine:
             keyword: catalog.posting_size("Inverted", keyword)
             for keyword in plan.keywords
         }
-        assert plan.strategy is engine.optimizer.choose(sizes)
+        assert plan.strategy is engine.optimizer.pick(sizes).strategy
         assert plan.strategy in (JoinStrategy.SEMI_JOIN, JoinStrategy.BLOOM_JOIN)
 
     def test_optimized_results_match_distributed_join(self):

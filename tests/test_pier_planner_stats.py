@@ -92,8 +92,9 @@ class TestBatchSizeChoice:
         network, catalog, _ = world
         planner = KeywordPlanner(catalog)
         plan = planner.plan(["nebula", "quasar"], network.random_node_id())
-        assert plan.batch_size is not None
-        assert plan.posting_sizes == {"nebula": 3, "quasar": 2}
+        # The sizes it observed pick the batch size and the stage order.
+        assert plan.batch_size == planner.choose_batch_size({"nebula": 3, "quasar": 2})
+        assert plan.keywords == ("quasar", "nebula")
 
 
 class TestStrategyChoice:

@@ -1,0 +1,204 @@
+"""One step list per strategy, executed and priced as the same list.
+
+:func:`repro.pier.query.plan_steps` spells each join strategy out once;
+the dataflow runtime interprets the list and the cost-based optimizer
+prices it. Two differentials keep both readers honest:
+
+* the edges a running dataflow actually ships over — every plan leg it
+  charges and every ``ship_batch`` call, as (category, source stage,
+  target stage) — are the list's ship steps, in order, for every
+  strategy, chain length and batching;
+* the step-by-step price equals the closed-form per-strategy sums of
+  :func:`oracle.reference_estimates`, byte for byte.
+"""
+
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dht.network import DhtNetwork
+from repro.pier.catalog import Catalog
+from repro.pier.dataflow import DataflowConfig, DataflowExecutor, _QueryRun
+from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
+from repro.pier.planner import KeywordPlanner
+from repro.pier.query import QUERY_NODE, Edge, JoinStrategy, Op, plan_steps
+from repro.piersearch.publisher import Publisher
+from repro.piersearch.search import SearchEngine
+
+from oracle import reference_estimates
+
+PIER = Path(__file__).resolve().parent.parent / "src" / "repro" / "pier"
+TERMS = ["amber", "birch", "cedar", "dune", "ember"]
+
+
+class TestStepLists:
+    def test_memoised_and_immutable(self):
+        for strategy in JoinStrategy:
+            steps = plan_steps(strategy, 3)
+            assert isinstance(steps, tuple)
+            assert plan_steps(strategy, 3) is steps
+
+    def test_one_stage_semi_and_bloom_run_the_distributed_join(self):
+        join = plan_steps(JoinStrategy.DISTRIBUTED_JOIN, 1)
+        assert plan_steps(JoinStrategy.SEMI_JOIN, 1) == join
+        assert plan_steps(JoinStrategy.BLOOM_JOIN, 1) == join
+
+    def test_only_the_bloom_return_leg_extends_the_path(self):
+        for strategy in JoinStrategy:
+            for k in range(1, 6):
+                flagged = [s for s in plan_steps(strategy, k) if s.extends_path]
+                if strategy is JoinStrategy.BLOOM_JOIN and k > 1:
+                    assert flagged == [
+                        s for s in plan_steps(strategy, k)
+                        if s.op == Op.SHIP and s.stage == k - 1 and s.to == 0
+                    ]
+                else:
+                    assert flagged == []
+
+    def test_strategy_branches_live_in_the_step_builder(self):
+        """The runtime never names a strategy member, and the optimizer
+        only in its tie-break order."""
+        member = re.compile(r"JoinStrategy\.[A-Z_]+")
+        assert member.findall((PIER / "dataflow.py").read_text()) == []
+        assert len(member.findall((PIER / "optimizer.py").read_text())) == len(
+            JoinStrategy
+        )
+
+
+def build_world():
+    """Every term in a dozen files, each also alone in a few more, with
+    the InvertedCache table published beside the Inverted one."""
+    network = DhtNetwork(rng=3)
+    network.populate(64)
+    catalog = Catalog(network)
+    publishers = [
+        Publisher(network, catalog),
+        Publisher(network, catalog, inverted_cache=True),
+    ]
+    files = [" ".join(TERMS) + f" all{index:02d}.mp3" for index in range(12)]
+    for position, term in enumerate(TERMS):
+        files += [f"{term} solo{index:02d}.mp3" for index in range(position + 2)]
+    for index, name in enumerate(files):
+        for publisher in publishers:
+            publisher.publish_file(name, 1000 + index, f"10.0.0.{index}", 6346)
+    return network, catalog
+
+
+@pytest.fixture(scope="module")
+def world():
+    return build_world()
+
+
+def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size):
+    """(plan, the distinct (category, source stage, target stage) of every
+    plan leg and ``ship_batch`` call the query made, in first-use order)."""
+    table = "InvertedCache" if strategy is JoinStrategy.INVERTED_CACHE else "Inverted"
+    planner = KeywordPlanner(catalog, posting_table=table)
+    sites = {planner.catalog.table(table).host_of(term) for term in TERMS[:k]}
+    query_node = next(node for node in sorted(network.nodes) if node not in sites)
+    plan = replace(
+        planner.plan(TERMS[:k], query_node, strategy=strategy), batch_size=batch_size
+    )
+    stage_of = {query_node: QUERY_NODE}
+    for index, stage in enumerate(plan.stages):
+        stage_of.setdefault(stage.site, index)
+    if strategy is not JoinStrategy.INVERTED_CACHE:
+        assert len(stage_of) == k + 1, "the world must host every term apart"
+
+    shipped = []
+    ship_batch = DhtNetwork.ship_batch
+    ship_plan = _QueryRun._ship_plan
+
+    def recording(net, source, target, payload_bytes, category="", direct=False):
+        shipped.append((category, stage_of[source], stage_of[target]))
+        return ship_batch(net, source, target, payload_bytes, category, direct)
+
+    def recording_plan(run, source, target):
+        shipped.append((Edge.PLAN, stage_of[source], stage_of[target]))
+        return ship_plan(run, source, target)
+
+    monkeypatch.setattr(DhtNetwork, "ship_batch", recording)
+    monkeypatch.setattr(_QueryRun, "_ship_plan", recording_plan)
+    flow = DataflowExecutor(
+        network, catalog, config=DataflowConfig(batch_size=batch_size), rng=1
+    )
+    rows, _ = flow.execute(plan, fetch_items=False)
+    monkeypatch.undo()
+    assert rows, "every edge must carry something"
+    return plan, list(dict.fromkeys(shipped))
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, None])
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("strategy", list(JoinStrategy))
+def test_dataflow_ships_exactly_the_listed_edges(
+    monkeypatch, world, strategy, k, batch_size
+):
+    plan, shipped = shipped_edges(monkeypatch, *world, strategy, k, batch_size)
+    assert shipped == [
+        (step.edge, step.stage, step.to)
+        for step in plan.steps
+        if step.op == Op.SHIP
+    ]
+
+
+class TestPricingDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=5_000), min_size=1, max_size=6),
+        memory_budget=st.sampled_from([None, 8, 32, 10_000]),
+        bloom_fp_rate=st.floats(min_value=0.001, max_value=0.5),
+        join_selectivity=st.floats(min_value=0.01, max_value=1.0),
+        hop_estimate=st.integers(min_value=1, max_value=8),
+        inverted_cache=st.booleans(),
+    )
+    def test_step_prices_equal_the_closed_form_sums(
+        self, sizes, memory_budget, bloom_fp_rate, join_selectivity, hop_estimate,
+        inverted_cache,
+    ):
+        optimizer = CostBasedOptimizer(
+            PRICING_CATALOG,
+            config=OptimizerConfig(
+                bloom_fp_rate=bloom_fp_rate,
+                join_selectivity=join_selectivity,
+                hop_estimate=hop_estimate,
+                memory_budget=memory_budget,
+            ),
+        )
+        named = {f"t{index}": size for index, size in enumerate(sizes)}
+        priced = optimizer.estimates(named, inverted_cache=inverted_cache)
+        got = {s: (e.bytes, e.spill_bytes) for s, e in priced.items()}
+        assert got == reference_estimates(optimizer, named, inverted_cache)
+        for estimate in priced.values():
+            assert type(estimate.bytes) is int and type(estimate.spill_bytes) is int
+            assert estimate.bytes == estimate.wire_bytes + estimate.spill_bytes
+
+
+def _pricing_catalog():
+    network = DhtNetwork(rng=0)
+    network.populate(8)
+    return Catalog(network)
+
+
+PRICING_CATALOG = _pricing_catalog()
+
+
+def test_a_planned_query_is_priced_once(monkeypatch, world):
+    network, catalog = world
+    engine = SearchEngine(network, catalog, optimizer=True)
+    calls = []
+    estimates = CostBasedOptimizer.estimates
+
+    def counting(optimizer, *args, **kwargs):
+        calls.append(args)
+        return estimates(optimizer, *args, **kwargs)
+
+    monkeypatch.setattr(CostBasedOptimizer, "estimates", counting)
+    for k in range(1, 6):
+        plan = engine.prepare(TERMS[:k])
+        assert plan.estimate.strategy is plan.strategy
+        assert plan.steps == plan_steps(plan.strategy, k)
+    assert len(calls) == 5
