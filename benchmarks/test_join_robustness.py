@@ -1,26 +1,27 @@
 """Join-robustness regression suite: tight memory must not cliff.
 
-``BENCH_join.json`` (repository root) records the skew × budget sweep of
-the memory-adaptive partitioned hybrid hash join against the
-all-or-nothing spill it replaced (policy ``"all"``: frozen rows, recorded
-while that policy still existed and never re-measured), next to the
-bounds CI enforces: at the skewed floor alpha, the partitioned join's
-worst *operating-budget* point must keep at least half of paired
-unlimited-memory throughput, each budget step must degrade smoothly, and
-at the far-undersized cliff budget the recorded all-or-nothing eviction
-churn must dwarf the partitioned join's.
+``BENCH_join.json`` (repository root) is frozen history: the skew ×
+budget sweep of the partitioned symmetric hash join (spilling both sides
+into temp tuples, the join a site's stored-list build replaced) against
+the all-or-nothing spill before it (policy ``"all"``), recorded while
+each still existed and never re-measured, next to the bounds CI enforces
+on it: at the skewed floor alpha, the partitioned join's worst
+*operating-budget* point keeps at least half of paired unlimited-memory
+throughput, each budget step degrades smoothly, and at the far-undersized
+cliff budget the all-or-nothing eviction churn dwarfs the partitioned
+join's. Its columns are the old join's (spilled rows, restores, role
+reversals), so the artifact is read with its own layout.
 
 Wall-clock ratios are measured against an unlimited run interleaved in
 the same timing window (best-of-N both sides), which cancels
-machine-level drift but not a shared host's noise: the budget-64 point
-reads 0.495-0.572 of unlimited across fresh runs, straddling the 0.5
-floor. So the throughput floor, the step-retention bound and the cliff
-contrast gate the committed artifact only, and a fresh sweep is gated on
-what is exact — the spill metrics (spilled rows, probe re-reads,
-evictions, role reversals) are fully deterministic, so the
-reproducibility pin asserts on the partitioned points to the digit. The live host-time
-gate for this path is ``conj_optimizer``'s ``host_us_per_op`` in
-``bench/``.
+machine-level drift but not a shared host's noise. So the throughput
+floor, the step-retention bound and the cliff contrast gate the
+committed artifact only, and a fresh sweep is gated on what is exact:
+its answers (``run`` asserts them), the optimizer's strategy shift, and
+the spill metrics (probe reads, re-read bytes, evictions), which are
+fully deterministic, so two fresh sweeps agree to the digit. The live
+host-time gate for this path is ``conj_optimizer``'s ``host_us_per_op``
+in ``bench/``.
 
 Everything here is slow-marked via the benchmarks conftest.
 """
@@ -47,6 +48,7 @@ OPERATING_BUDGETS = tuple(b for b in BUDGETS if b is not None)
 
 
 def _points_from_artifact(payload, alpha):
+    """The frozen artifact's throughput points, in its own column layout."""
     points = {}
     for row in payload["rows"]:
         if row[0] == "throughput" and row[1] == alpha:
@@ -56,8 +58,6 @@ def _points_from_artifact(payload, alpha):
                 "spilled_per_query": row[6],
                 "reads_per_query": row[7],
                 "evictions": row[8],
-                "restores": row[9],
-                "role_reversals": row[10],
             }
     return points
 
@@ -127,46 +127,26 @@ def test_measured_sweep_no_cliff():
 
     ``run`` itself asserts every budgeted answer set equals the
     unlimited-memory reference and runs the strategy x runtime
-    equivalence matrix; on top of that role reversal and the
-    optimizer's strategy shift are exact. The sweep's fresh host-time
-    ratios are not gated (see the module docstring), so one timing
-    round is enough.
+    equivalence matrix; on top of that the optimizer's strategy shift is
+    exact, and the tightest budget evicts and re-reads. The sweep's
+    fresh host-time ratios are not gated (see the module docstring), so
+    one timing round is enough.
     """
     result = run(SMALL_SCALE, alphas=(FLOOR_ALPHA,), rounds=1)
-    points = sweep_by_point(result, FLOOR_ALPHA)
-    # Skew makes the build sides asymmetric enough that the partitioned
-    # join flips its eviction victim side at least once.
-    assert points[("partitioned", CLIFF_BUDGET)]["role_reversals"] > 0
+    cliff = sweep_by_point(result, FLOOR_ALPHA)[("partitioned", CLIFF_BUDGET)]
+    assert cliff["evictions"] > 0 and cliff["reads_per_query"] > 0
     shifts = [row for row in result.rows if row[0] == "optimizer" and row[6]]
     assert shifts, "no optimizer strategy shift under tight budget"
 
 
-def test_spill_metrics_reproduce_artifact():
-    """Spill accounting is deterministic: a fresh sweep's per-point
-    spill metrics must match the committed artifact exactly (the
-    artifact records the same scale and seeds). The artifact's frozen
-    ``"all"`` rows have no fresh counterpart and are skipped."""
-    payload = json.loads(BENCH_PATH.read_text())
-    assert payload["scale"] == SMALL_SCALE.name
-    result = run(SMALL_SCALE, rounds=1)
-    deterministic = (
-        "spilled_per_query",
-        "reads_per_query",
-        "evictions",
-        "restores",
-        "role_reversals",
-    )
+def test_spill_metrics_reproduce_across_runs():
+    """Spill accounting is deterministic: two fresh sweeps' per-point
+    probe reads, re-read bytes and evictions agree exactly."""
+    first, second = (run(SMALL_SCALE, rounds=1) for _ in range(2))
+    deterministic = ("reads_per_query", "reread_bytes_per_query", "evictions")
     for alpha in (0.8, 1.1):
-        recorded = {
-            point: fields
-            for point, fields in _points_from_artifact(payload, alpha).items()
-            if point[0] != "all"
-        }
-        measured = sweep_by_point(result, alpha)
-        assert measured.keys() == recorded.keys()
+        measured, again = sweep_by_point(first, alpha), sweep_by_point(second, alpha)
+        assert measured.keys() == again.keys()
         for point, fields in measured.items():
             for name in deterministic:
-                assert fields[name] == recorded[point][name], (
-                    f"alpha={alpha} {point}: {name} measured "
-                    f"{fields[name]} != recorded {recorded[point][name]}"
-                )
+                assert fields[name] == again[point][name], (alpha, point, name)

@@ -1,5 +1,5 @@
-"""Micro-benchmarks for the substrates: DHT routing, flooding, SHJ,
-publishing. These time the primitives every experiment is built from."""
+"""Micro-benchmarks for the substrates: DHT routing, flooding, the
+stored-list hash join, publishing. These time the primitives every experiment is built from."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.dht.network import DhtNetwork
 from repro.gnutella.flooding import flood
 from repro.gnutella.topology import TopologyConfig, build_topology
 from repro.pier.catalog import Catalog
-from repro.pier.operators import SymmetricHashJoin
+from repro.pier.operators import StoredHashJoin
 from repro.piersearch.publisher import Publisher
 
 
@@ -52,16 +52,16 @@ def test_flood_800_ultrapeers(benchmark):
     assert len(result.visited) > 100
 
 
-def test_symmetric_hash_join_10k(benchmark):
-    keys = [i % 2000 for i in range(10_000)]
+def test_stored_hash_join_10k(benchmark):
+    stored = list(range(0, 20_000, 2))
+    arriving = list(range(10_000))
 
     def join():
-        shj = SymmetricHashJoin()
-        shj.insert_keys("right", keys)
-        return sum(shj.insert_keys("left", keys))
+        site = StoredHashJoin(stored, memory_budget=2_000)
+        return sum(len(site.probe(arriving[i : i + 64])) for i in range(0, 10_000, 64))
 
     count = benchmark(join)
-    assert count == 50_000  # 2000 keys x 5 x 5 matches
+    assert count == 5_000  # the even arrivals
 
 
 def test_publisher_throughput(benchmark):

@@ -93,14 +93,15 @@ class CostModel:
         return self.tuple_bytes(self.fileid_bytes + 12)
 
     def spill_tuple_bytes(self) -> int:
-        """Storage size of one join build row parked in the spill store.
+        """Size of one join build row a probe re-reads from the site's store.
 
-        A memory-budgeted join evicts build partitions to the site-local
-        DHT temp-tuple store: a serialized single-column tuple, framed
-        like any stored tuple but with no routing header (the put is
-        local, so spilling costs storage and re-read work — never wire
-        bytes). The executor, the streaming dataflow, and the optimizer's
-        memory-pressure pricer must all charge this one figure.
+        A memory-budgeted join evicts build partitions, which stay in the
+        site's local store; a probe landing in one scans its rows back:
+        a serialized single-column tuple, framed like any stored tuple but
+        with no routing header (the read is local, so spilling costs
+        re-read work — never wire bytes). The streaming dataflow and the
+        optimizer's memory-pressure pricer must both charge this one
+        figure.
         """
         return self.tuple_bytes(self.fileid_bytes)
 

@@ -806,10 +806,8 @@ class DhtNetwork:
     # Local-store boundary
     #
     # The public surface for everything outside repro.dht that needs a
-    # node's storage: replica placement (repro.cache.replication), PIER
-    # temp-tuple stashes (the dataflow's spill sinks, which write a
-    # partition's keys at a time through put_local_many), and catalog
-    # scans. Nothing outside this package touches DhtNode internals —
+    # node's storage: replica placement (repro.cache.replication) and
+    # catalog scans. Nothing outside this package touches DhtNode internals —
     # tests/test_boundary_lint.py enforces it — which is what lets the
     # storage backend move behind a transport without engine rewrites.
     # ------------------------------------------------------------------
@@ -826,21 +824,6 @@ class DhtNetwork:
         if node is None:
             raise NodeNotFoundError(f"unknown node {node_id:x}")
         node.store.put(key, value, identity=identity)
-
-    def put_local_many(self, node_id: int, key: int, entries) -> None:
-        """Write ``(identity, value)`` pairs under one key of ``node_id``'s
-        store, in order (no messages charged).
-
-        The set-at-a-time :meth:`put_local`: one node lookup and one
-        bucket lookup per call, which is how a join's spill sink surfaces
-        a partition's keys. ``entries`` may be any iterable, consumed
-        once — the sink passes ``zip(identities, keys)`` and each value is
-        the bare join key, not a row.
-        """
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise NodeNotFoundError(f"unknown node {node_id:x}")
-        node.store.put_many(key, entries)
 
     def remove_local(self, node_id: int, key: int, missing_ok: bool = True) -> int:
         """Drop every value under ``key`` at ``node_id``; returns count."""

@@ -1,8 +1,7 @@
 """Per-node key/value storage.
 
 A DHT node stores a multimap from 160-bit keys to opaque values. PIER uses
-this for base tuples (Item, Inverted, InvertedCache) and for temporary
-state created during query execution. Values are kept insertion-ordered
+this for its base tuples (Item, Inverted, InvertedCache). Values are kept insertion-ordered
 and deduplicated by equality, mirroring set semantics of a relation with a
 primary key.
 """
@@ -42,23 +41,6 @@ class LocalStore:
             return False
         bucket[handle] = value
         return True
-
-    def put_many(self, key: int, entries) -> int:
-        """Store ``(identity, value)`` pairs under ``key``, in order.
-
-        The set-at-a-time form of :meth:`put` — one bucket lookup for the
-        whole run (a join's spill sink surfaces a partition's keys through
-        it, as bare ``(sequence number, join key)`` pairs). ``entries`` is
-        any iterable, consumed once. Returns how many values were new.
-        """
-        bucket = self._data.setdefault(key, {})
-        stored = 0
-        for identity, value in entries:
-            handle = identity if identity is not None else value
-            if handle not in bucket:
-                bucket[handle] = value
-                stored += 1
-        return stored
 
     def get(self, key: int) -> list[Any]:
         """All values stored under ``key`` (empty list if none)."""

@@ -1,24 +1,25 @@
 """Extension: memory-adaptive join robustness under skew × budget.
 
-A symmetric hash join that can't hold its build state can fail two ways.
-An all-or-nothing spill flushes *both* build sides wholesale the moment
-one row exceeds the budget — after which every probe pays a spill-store
-read, however rare its key. The partitioned hybrid hash join (the one
-:class:`~repro.pier.operators.SymmetricHashJoin` implements) evicts only
-its largest hash partitions, so probes into never-spilled partitions stay
-free and throughput degrades smoothly as the budget tightens. The
-all-or-nothing policy is gone from the code; the rows it recorded
-(policy ``"all"`` in ``BENCH_join.json``) stay in the artifact as the
-historical baseline the partitioned rows are read against.
+A join site that can't hold its build state can fail two ways. An
+all-or-nothing spill flushes the whole build the moment one row exceeds
+the budget — after which every probe pays a spill-store read, however
+rare its key. A join site here builds once on the posting list it stores
+(:class:`~repro.pier.operators.StoredHashJoin`) and evicts only its
+largest hash partitions, which stay in the site's store, so probes into
+resident partitions stay free and throughput degrades smoothly as the
+budget tightens. The all-or-nothing policy, and the symmetric join that
+spilled both sides into temp tuples after it, are gone from the code;
+the rows they recorded (policies ``"all"`` and ``"partitioned"`` in
+``BENCH_join.json``, whose spilled/restore/role-reversal columns no
+longer exist) stay in the artifact as frozen history.
 
-This experiment sweeps the partitioned join:
+This experiment sweeps the partitioned build:
 
 * **Throughput sweep** — replayed multi-keyword conjunctions run
   pipelined under Zipf-skewed posting lists, for every (skew, budget)
-  point; wall-clock queries/sec, spill/re-read volume, partition
-  evictions/restores and role reversals are recorded per point, and
-  every budgeted answer set is asserted equal to the unlimited-memory
-  reference. Each point's throughput ratio is measured against an
+  point; wall-clock queries/sec, probe reads, re-read bytes and
+  partition evictions are recorded per point, and every budgeted answer
+  set is asserted equal to the unlimited-memory reference. Each point's throughput ratio is measured against an
   unlimited-memory run interleaved in the *same* timing window
   (best-of-N both sides), so machine-level drift cancels; the spill
   metrics are deterministic and bit-stable across runs. Budgets in
@@ -142,7 +143,7 @@ def run(
         rows.append(
             (
                 "throughput", alpha, "unlimited", 0,
-                round(len(plans) / best_unlimited, 1), 1.0, 0, 0, 0, 0, 0,
+                round(len(plans) / best_unlimited, 1), 1.0, 0, 0, 0,
             )
         )
 
@@ -172,7 +173,7 @@ def run(
             fresh = DataflowExecutor(
                 world.network, world.catalog, config=config, rng=scale.seed + 7
             )
-            spilled = reads = evictions = restores = reversals = 0
+            reads = reread_bytes = evictions = 0
             for plan, reference in zip(plans, references):
                 answer, stats = fresh.execute(plan)
                 if _result_key(answer) != reference:
@@ -181,11 +182,9 @@ def run(
                         "set diverged from the unlimited-memory reference"
                     )
                 if stats.spill is not None:
-                    spilled += stats.spill.spilled_tuples
                     reads += stats.spill.spill_reads
+                    reread_bytes += stats.spill.reread_bytes
                     evictions += stats.spill.partition_evictions
-                    restores += stats.spill.partition_restores
-                    reversals += stats.spill.role_reversals
             rows.append(
                 (
                     "throughput",
@@ -194,11 +193,9 @@ def run(
                     budget,
                     round(len(plans) / best, 1),
                     round(best_paired / best, 3),
-                    spilled // len(plans),
                     reads // len(plans),
+                    reread_bytes // len(plans),
                     evictions,
-                    restores,
-                    reversals,
                 )
             )
 
@@ -230,7 +227,7 @@ def run(
                     )
             rows.append(
                 ("equivalence", alpha, scenario, TIGHT_BUDGET,
-                 len(MATRIX_STRATEGIES) * 2, 0, 0, 0, 0, 0, 0)
+                 len(MATRIX_STRATEGIES) * 2, 0, 0, 0, 0)
             )
 
         # Optimizer shift: the same posting stats priced with and without
@@ -255,8 +252,6 @@ def run(
                     int(free_pick is not tight_pick),
                     tight.spill_bytes,
                     0,
-                    0,
-                    0,
                 )
             )
     return ExperimentResult(
@@ -269,17 +264,16 @@ def run(
             "budget_rows",
             "qps_or_pick",
             "ratio_or_pick",
-            "spilled_or_shifted",
-            "reads_or_spill_bytes",
+            "reads_or_shifted",
+            "reread_bytes_or_spill_bytes",
             "evictions",
-            "restores",
-            "role_reversals",
         ],
         rows=rows,
         notes=(
             "throughput rows: wall-clock q/s per row-budget "
             "point with the ratio vs an unlimited run interleaved in the "
-            "same timing window (budget 0 = unlimited reference), "
+            "same timing window (budget 0 = unlimited reference), probe "
+            "reads and re-read bytes per query and partition evictions; "
             "answers pinned to the unbudgeted one-batch-per-edge reference; "
             "equivalence rows: strategy x batching matrix verified at the "
             "tight budget; optimizer rows: strategy pick without vs with "
@@ -299,11 +293,9 @@ def sweep_by_point(
             points[(row[2], row[3])] = {
                 "qps": row[4],
                 "ratio": row[5],
-                "spilled_per_query": row[6],
-                "reads_per_query": row[7],
+                "reads_per_query": row[6],
+                "reread_bytes_per_query": row[7],
                 "evictions": row[8],
-                "restores": row[9],
-                "role_reversals": row[10],
             }
     return points
 
@@ -320,8 +312,9 @@ def record(
 
     Pass an already-computed ``result`` to record it without re-running
     the sweep (the benchmark suite asserts on the exact execution it
-    records); otherwise the sweep runs here. Re-recording over the
-    committed artifact drops its frozen ``"all"`` baseline rows.
+    records); otherwise the sweep runs here. The committed artifact is
+    frozen history, recorded by the symmetric join with its old columns;
+    re-recording over it drops its ``"all"`` baseline rows.
     """
     if result is None:
         result = run(scale, alphas=alphas, repeats=repeats, rounds=rounds)

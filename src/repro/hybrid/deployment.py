@@ -85,7 +85,7 @@ class DeploymentConfig:
     #: exchange batch size override (None = planner's per-plan choice)
     batch_size: int | None = None
     #: per-site join memory budget in *rows* (None = unbounded, no
-    #: spilling); also fed to the cost optimizer's memory-pressure pricer
+    #: eviction); also fed to the cost optimizer's memory-pressure pricer
     memory_budget: int | None = None
     #: virtual time between churn steps on the private DHT (0 = no churn)
     churn_interval: float = 0.0

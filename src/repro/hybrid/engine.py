@@ -85,7 +85,7 @@ class RaceConfig:
     #: falling back to the dataflow default)
     batch_size: int | None = None
     #: per-site join memory budget in *rows* (not bytes); overflowing
-    #: build partitions spill to the DHT temp store
+    #: build partitions stay in the site's store and are re-read by probes
     memory_budget: int | None = None
     #: stop each re-query after this many answer tuples, cancelling
     #: upstream in-flight batches (None = drain the full join)
@@ -198,9 +198,6 @@ class HybridQueryEngine:
         entry = self._dataflows.get(key)
         if entry is not None and entry[0] is search_engine:
             return entry[1]
-        # Engines on a sharded kernel share one DHT; namespace temp keys
-        # by shard so concurrent queries cannot collide on temp slots.
-        shard_id = getattr(self.sim, "shard_id", None)
         dataflow = DataflowExecutor(
             search_engine.network,
             search_engine.catalog,
@@ -213,7 +210,6 @@ class HybridQueryEngine:
             rng=self.rng,
             tracer=self.tracer,
             metrics=self._wired_metrics,
-            temp_namespace="" if shard_id is None else f"shard{shard_id}|",
         )
         self._dataflows[key] = (search_engine, dataflow)
         return dataflow

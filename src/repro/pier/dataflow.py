@@ -15,14 +15,17 @@ the sites of a keyword chain:
 * Every batch is a scheduled event in **virtual time** on a
   :class:`~repro.sim.engine.Simulator`: a send event charges the batch's
   wire bytes (:meth:`DhtNetwork.ship_batch`) and draws per-hop latencies
-  for its arrival; the receiving site probes its incremental
-  :class:`~repro.pier.operators.SymmetricHashJoin` and immediately
-  forwards new survivors downstream. The first answer therefore reaches
-  the query node while upstream batches are still in flight —
-  first-answer latency is a property of the *pipeline*, not the join.
-* Joins optionally run under a **memory budget**: overflowing build state
-  spills into the site's DHT temp-tuple store (the same store PIER uses
-  for all temporary tuples) and probes re-read the spilled partitions.
+  for its arrival; the receiving site probes the
+  :class:`~repro.pier.operators.StoredHashJoin` it built once on its own
+  posting list and immediately forwards new survivors downstream. The
+  first answer therefore reaches the query node while upstream batches
+  are still in flight — first-answer latency is a property of the
+  *pipeline*, not the join.
+* Joins optionally run under a **memory budget**: a site whose list
+  overflows it evicts build partitions, which stay where they are stored
+  (nothing is written), and each arriving batch is charged a re-read of
+  the evicted partitions its keys land in. Spill is site-local: it
+  schedules nothing and ships nothing.
 * The query node supports **early termination**: once ``stop_after``
   answer tuples have arrived, every in-flight and queued upstream batch
   is cancelled through a :class:`~repro.sim.engine.EventGroup`, saving
@@ -55,24 +58,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable
 
 from repro.common.bloom import bloom_for_keys
 from repro.common.errors import DhtError
-from repro.common.ids import hash_key
 from repro.common.rng import make_rng
 from repro.common.units import CostModel
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.operators import (
-    NUM_SPILL_PARTITIONS,
-    SpillSink,
-    SubstringFilter,
-    SymmetricHashJoin,
-)
+from repro.pier.operators import NUM_SPILL_PARTITIONS, StoredHashJoin, SubstringFilter
 from repro.pier.rows import RowBatch
 from repro.pier.query import (
     POSTING_TABLE,
@@ -84,7 +80,6 @@ from repro.pier.query import (
     SpillStats,
     Step,
     edge_tuple_bytes,
-    spill_stats_from_join,
 )
 from repro.pier.schema import Row
 from repro.sim.engine import EventGroup, Simulator
@@ -105,21 +100,6 @@ _STAGES = {
 }
 
 
-def temp_ring_key(
-    query_id: int, stage_index: int, tag: str = "", namespace: str = ""
-) -> int:
-    """Ring key of a query's temporary tuples at one stage.
-
-    Keyed ``__temp__|q|s``; ``tag`` distinguishes extra streams such as
-    join spill partitions. ``namespace`` isolates executors that share
-    one DHT — per-executor query counters restart at zero, so concurrent
-    queries from e.g. two shard engines would otherwise collide on temp
-    slots.
-    """
-    suffix = f"|{tag}" if tag else ""
-    return hash_key(f"__temp__|{namespace}q{query_id}|s{stage_index}{suffix}")
-
-
 @dataclass(frozen=True)
 class DataflowConfig:
     """Knobs of the streaming runtime."""
@@ -134,10 +114,12 @@ class DataflowConfig:
     #: virtual time between consecutive batch sends on one exchange edge
     #: (models serialising a batch onto the first hop)
     send_interval: float = 0.15
-    #: max *rows* (not bytes) a join site holds in memory before spilling
-    #: build partitions to the DHT temp-tuple store (None = unbounded)
+    #: max *rows* (not bytes) of its stored posting list a join site
+    #: builds in memory (None = unbounded). Over it, whole build partitions
+    #: are evicted; they stay in the site's store and every arriving batch
+    #: re-reads the evicted partitions its keys land in
     memory_budget: int | None = None
-    #: hash-partition fan-out of each budgeted join's build state
+    #: hash-partition fan-out of each budgeted join's build
     spill_partitions: int = NUM_SPILL_PARTITIONS
 
 
@@ -216,7 +198,6 @@ class DataflowExecutor:
         rng=None,
         tracer=None,
         metrics=None,
-        temp_namespace: str = "",
     ):
         self.network = network
         self.catalog = catalog
@@ -225,10 +206,6 @@ class DataflowExecutor:
         self.config = config or DataflowConfig()
         self.rng = make_rng(rng)
         self._query_counter = 0
-        #: temp-key namespace — executors sharing one DHT (e.g. one per
-        #: ring shard) must not collide on ``__temp__`` slots, since each
-        #: restarts its query counter at zero
-        self.temp_namespace = temp_namespace
         #: observability hooks (:mod:`repro.obs`); both default to None and
         #: every call site guards on that, so the disabled path costs one
         #: branch — never an allocation
@@ -310,182 +287,6 @@ class DataflowExecutor:
 # ----------------------------------------------------------------------
 # Internal runtime
 # ----------------------------------------------------------------------
-
-
-class _DhtSpillSink(SpillSink):
-    """Join spill partitions parked in the executing site's DHT temp store.
-
-    Probes and restores are served from the base sink's in-memory
-    partition index. The copy in the site's store — one temp ring key per
-    (side, partition), tag ``spill-{side}-p{pid}`` — is the *externally
-    observable* surface of the PIER temp-tuple contract (what tests
-    inspect): removed when its partition restores, leftovers released
-    with the query's other temp keys. A partition surfaces one bare join
-    key per *distinct* key, in arrival order, under its ``_seq`` identity
-    (multiplicities stay in the index; the column is named once, by the
-    sink and the tag, so a spilled key costs no dict; a ring handoff
-    re-files a moved value under the key itself, as unique). An eviction
-    (``write_counts``) or a routed run (``route_counts``) takes its fresh
-    keys' identities at once but only *buffers* them per ``(side, pid)``;
-    the join's :meth:`flush` at the end of the call writes each touched
-    partition with one :meth:`DhtNetwork.put_local_many`, in first-touch
-    order, and a partition restored within the call drops its buffer. So
-    at every event boundary the store holds exactly what one write per
-    eviction and per routed run would have left. The ``operator.spill.*``
-    counters and the ``join.spill`` span event are fed once per eviction
-    or routed run. Rows spilled after the site churned out get no DHT copy
-    (``orphan_rows``, ``operator.spill.orphan_rows``) and live only in the
-    base sink until teardown. Like the base sink, this models spill
-    *accounting*, not a real memory saving.
-    """
-
-    def __init__(self, run: "_QueryRun", site: int, stage_index: int, column: str):
-        super().__init__(column, row_bytes=run.executor.cost_model.spill_tuple_bytes())
-        self.run = run
-        self.site = site
-        self.stage_index = stage_index
-        self._network = run.executor.network
-        self._ring_keys: dict[tuple[str, int], int] = {}
-        #: monotone per-sink sequence used as the DHT value identity —
-        #: unique across both sides, so a partition that re-spills after
-        #: a restore never collides
-        self._seq = 0
-        #: this call's surfaced ``(seq, key)`` entries not yet written:
-        #: side -> pid -> entries, plus ``(ring key, entries)`` in the
-        #: order the call first touched each partition (a restore empties
-        #: and unlinks its entries; a re-eviction opens new ones)
-        self._pending: dict[str, dict[int, list[tuple[int, Any]]]] = {
-            "left": {},
-            "right": {},
-        }
-        self._touched: list[tuple[int, list[tuple[int, Any]]]] = []
-        # Spill accounting runs on every eviction and routed run —
-        # resolve the span and metric counters once instead of attribute
-        # hops and a string-keyed registry lookup each time.
-        self._span = run.span
-        names = ("rows", "bytes", "orphan_rows", "restored_rows")
-        metrics = run.metrics
-        (
-            self._rows_counter,
-            self._bytes_counter,
-            self._orphan_counter,
-            self._restored_counter,
-        ) = [metrics.counter(f"operator.spill.{n}") if metrics else None for n in names]
-
-    def ring_key(self, side: str, pid: int) -> int:
-        key = self._ring_keys.get((side, pid))
-        if key is None:
-            key = temp_ring_key(
-                self.run.query_id,
-                self.stage_index,
-                f"spill-{side}-p{pid}",
-                namespace=self.run.executor.temp_namespace,
-            )
-            self._ring_keys[(side, pid)] = key
-            # Registration is idempotent and release tolerates missing
-            # keys, so registering at creation (rather than per write)
-            # is safe even for a partition that never lands a DHT copy.
-            self.run.register_temp_key(self.site, key)
-        return key
-
-    def _site_alive(self) -> bool:
-        return self.site in self._network.nodes
-
-    def _account_orphans(self, rows: int) -> None:
-        # Site churned out mid-query: no DHT copy exists, the rows stay
-        # only in the base in-memory sink until the run is torn down.
-        self.orphan_rows += rows
-        if self._orphan_counter is not None:
-            self._orphan_counter.add(rows)
-
-    def _open(self, side: str, pid: int) -> list[tuple[int, Any]]:
-        """Start buffering ``(side, pid)``'s surfaced entries for this call."""
-        entries: list[tuple[int, Any]] = []
-        self._pending[side][pid] = entries
-        self._touched.append((self.ring_key(side, pid), entries))
-        return entries
-
-    def route_counts(
-        self, side: str, routed: list[tuple[int, Any]]
-    ) -> list[tuple[int, Any]]:
-        if self._span is not None:
-            self._span.event(
-                "join.spill",
-                side=side,
-                partitions=sorted({pid for pid, _ in routed}),
-                rows=len(routed),
-                site=self.site,
-            )
-        if self._rows_counter is not None:
-            self._rows_counter.add(len(routed))
-            self._bytes_counter.add(len(routed) * self.row_bytes)
-        fresh = super().route_counts(side, routed)
-        # Only a key new to its partition is surfaced — multiplicity
-        # bumps stay in the compact index. Identities follow ``fresh``
-        # order across the partitions the run touched.
-        if not self._site_alive():
-            self._account_orphans(len(routed))
-        elif fresh:
-            pending = self._pending[side]
-            seq = self._seq
-            for pid, key in fresh:
-                entries = pending.get(pid)
-                if entries is None:
-                    entries = self._open(side, pid)
-                entries.append((seq, key))
-                seq += 1
-            self._seq = seq
-        return fresh
-
-    def write_counts(
-        self, side: str, pid: int, mapping: dict[Any, int], rows: int
-    ) -> None:
-        if rows:
-            if self._span is not None:
-                self._span.event(
-                    "join.spill",
-                    side=side,
-                    partitions=[pid],
-                    rows=rows,
-                    site=self.site,
-                )
-            if self._rows_counter is not None:
-                self._rows_counter.add(rows)
-                self._bytes_counter.add(rows * self.row_bytes)
-        # One surfaced key per *distinct* key, in arrival order: the
-        # evicted mapping is keyed by exactly those. Nothing is parked
-        # under ``pid``, so nothing of it is pending either.
-        if not self._site_alive():
-            self._account_orphans(rows)
-        elif mapping:
-            seq = self._seq
-            self._seq = seq + len(mapping)
-            self._open(side, pid).extend(zip(range(seq, self._seq), mapping))
-        super().write_counts(side, pid, mapping, rows)
-
-    def take_counts(self, side: str, pid: int) -> dict[Any, int]:
-        entries = self._pending[side].pop(pid, None)
-        if entries is not None:
-            entries.clear()
-        if (side, pid) in self._ring_keys and self._site_alive():
-            self._network.remove_local(
-                self.site, self._ring_keys[(side, pid)], missing_ok=True
-            )
-        if self._restored_counter is not None:
-            self._restored_counter.add(self.partition_rows(side, pid))
-        return super().take_counts(side, pid)
-
-    def flush(self) -> None:
-        touched = self._touched
-        if not touched:
-            return
-        put_local_many = self._network.put_local_many
-        for ring_key, entries in touched:
-            if entries:
-                put_local_many(self.site, ring_key, entries)
-        self._touched = []
-        self._pending["left"].clear()
-        self._pending["right"].clear()
 
 
 class _Exchange:
@@ -727,10 +528,6 @@ class _QueryRun:
         self.max_fetch_hops = 0
         self.outstanding_fetches = 0
         self.answers_done = False
-        self._temp_keys: set[tuple[int, int]] = set()
-        #: ring membership when the run began: unchanged at release means
-        #: no temp tuple can have moved off its site
-        self._membership_at_start = executor.network.membership_version
 
     @property
     def pipeline(self) -> PipelineStats:
@@ -995,7 +792,6 @@ class _QueryRun:
         if self.fetch_items and self.answer_tuples > 0:
             self.stats.critical_path_hops += self.max_fetch_hops + 1
         self._aggregate_spill_stats()
-        self._release_temp_keys()
         if self.span is not None:
             for span in self._stage_spans:
                 span.finish()  # idempotent: closes only never-drained stages
@@ -1004,7 +800,6 @@ class _QueryRun:
                 messages=self.stats.messages,
                 results=self.stats.results,
                 batches=self.pipeline.batches_shipped,
-                spilled_tuples=self.pipeline.spilled_tuples,
                 early_terminated=self.pipeline.early_terminated,
             )
         if self.metrics is not None:
@@ -1030,7 +825,6 @@ class _QueryRun:
         self.pipeline.completion_time = self.sim.now - self.submitted_at
         self.group.cancel()
         self._aggregate_spill_stats()
-        self._release_temp_keys()
         if self.span is not None:
             for span in self._stage_spans:
                 span.finish()
@@ -1044,7 +838,7 @@ class _QueryRun:
     def _teardown(self) -> None:
         """Drop everything only an in-flight query needs.
 
-        Edges, stages and sinks all point back at the run, so a finished
+        Edges and stages all point back at the run, so a finished
         run is a reference cycle until these lists go; dropping them lets
         the whole chain (edge -> stage -> edge ...) die by reference count
         the moment the query is done, collector or no collector.
@@ -1058,63 +852,24 @@ class _QueryRun:
     # -- plumbing --------------------------------------------------------
 
     def _aggregate_spill_stats(self) -> None:
-        """Fold every budgeted join's spill accounting into the stats.
-
-        Populates the legacy pipeline counters plus ``stats.spill`` —
-        runs without a memory budget keep ``stats.spill = None``.
-        """
-        spill: SpillStats | None = None
-        for join in self.joins:
-            shj = join.shj
-            if shj.spill_sink is None:
-                continue
-            self.pipeline.spilled_tuples += shj.spilled_rows
-            self.pipeline.spill_reads += shj.spill_reads
-            if spill is None:
-                spill = SpillStats()
-            spill.merge(spill_stats_from_join(shj))
-        if spill is not None:
-            self.stats.spill = spill
-            if self.metrics is not None:
-                for name, value in (
-                    ("reads", spill.spill_reads),
-                    ("reread_bytes", spill.reread_bytes),
-                    ("partition_evictions", spill.partition_evictions),
-                    ("partition_restores", spill.partition_restores),
-                    ("role_reversals", spill.role_reversals),
-                ):
-                    self.metrics.counter(f"operator.spill.{name}").add(value)
-
-    def register_temp_key(self, site: int, key: int) -> None:
-        self._temp_keys.add((site, key))
-
-    def _release_temp_keys(self) -> None:
-        """Remove this run's temp tuples from whichever store holds them.
-
-        A live site holds its temp tuples itself, unless a node joined as
-        its predecessor mid-query and claimed the keys it now owns out of
-        the site's store — and wherever later joins and leaves move such
-        a bucket, it stays with the key's owner — so once the ring has
-        changed under the run, a live site's keys are released at the
-        site and at the owner. A site that left gracefully handed
-        everything to its successor (which may have handed it on): a
-        departed site's keys are released at every live node, the rare
-        path. The spill sinks' parked state (orphan rows included) goes
-        with the joins in :meth:`_teardown`.
-        """
-        network = self.executor.network
-        nodes = network.nodes
-        churned = network.membership_version != self._membership_at_start
-        for site, key in self._temp_keys:
-            if site not in nodes:
-                holders = nodes
-            elif churned:
-                holders = (site, network.owner_of(key))
-            else:
-                holders = (site,)
-            for holder in holders:
-                network.remove_local(holder, key)
-        self._temp_keys.clear()
+        """Sum the budgeted key-joins' spill accounting into
+        ``stats.spill`` (left ``None`` without a budget or a key-join)."""
+        if self.executor.config.memory_budget is None or not self.joins:
+            return
+        spill = self.stats.spill = SpillStats()
+        for stage in self.joins:
+            join = stage.join
+            if join is not None:  # None: the stage never opened
+                spill.spill_reads += join.reads
+                spill.reread_bytes += join.reread_bytes
+                spill.partition_evictions += join.partition_evictions
+        if self.metrics is not None:
+            for name, value in (
+                ("reads", spill.spill_reads),
+                ("reread_bytes", spill.reread_bytes),
+                ("partition_evictions", spill.partition_evictions),
+            ):
+                self.metrics.counter(f"operator.spill.{name}").add(value)
 
     def _route_hops(self, origin: int, key_owner: int) -> int:
         """Overlay hops to route from ``origin`` to ``key_owner``'s id."""
@@ -1139,10 +894,10 @@ class _Stage:
     One body for all three: the first delivery opens the stage (reads the
     site's posting keys); each delivery keeps the keys that *match*, drops
     those already emitted and offers the rest downstream, incrementally
-    per batch; end-of-stream closes the output edge. A key-join matches
-    the arriving keys an incremental (possibly budgeted)
-    :class:`~repro.pier.operators.SymmetricHashJoin` finds in the site's
-    list; a Bloom probe's one delivery is the filter, and it keeps the
+    per batch; end-of-stream closes the output edge. A key-join builds a
+    (possibly budgeted) :class:`~repro.pier.operators.StoredHashJoin` on
+    the site's list when it opens and keeps the arriving keys it finds
+    there; a Bloom probe's one delivery is the filter, and it keeps the
     site's keys that pass (false positives only add digest bytes); a Bloom
     verify keeps the arriving candidates the filter was built from, so
     false positives die there.
@@ -1162,19 +917,11 @@ class _Stage:
         self.local: Any = None
         self.emitted: set[object] = set()
         self.span = None
-        self.shj: SymmetricHashJoin | None = None
+        #: a key-join's build on the site's list, once opened
+        self.join: StoredHashJoin | None = None
         #: (seconds, rows in, keys out) metric handles, when metered
         self.meters = run.hot.stage[op] if run.hot is not None else None
         if op == Op.JOIN:
-            config = run.executor.config
-            budget = config.memory_budget
-            sink = _DhtSpillSink(run, self.site, self.index, "fileID") if budget else None
-            self.shj = SymmetricHashJoin(
-                column="fileID",
-                memory_budget=budget,
-                spill_sink=sink,
-                num_partitions=config.spill_partitions,
-            )
             run.joins.insert(0, self)
 
     def _open(self) -> None:
@@ -1188,17 +935,24 @@ class _Stage:
             run.stats.per_stage_entries.append(len(rows))
             self.local = list(map(_FILE_ID, rows))
             attrs = {"site": self.site, "keyword": self.keyword}
-            if self.shj is not None:
+            if self.op == Op.JOIN:
+                executor = run.executor
+                config = executor.config
+                self.join = StoredHashJoin(
+                    self.local,
+                    memory_budget=config.memory_budget,
+                    num_partitions=config.spill_partitions,
+                    row_bytes=executor.cost_model.spill_tuple_bytes(),
+                )
+                self.local = self.join.keys
                 attrs.update(stage=self.index, build_rows=len(rows))
+                if run.hot is not None:
+                    run.hot.join_build_rows.add(len(rows))
             else:
                 attrs.update(rows=len(rows))
         if run.span is not None:
             self.span = run.span.child(f"stage.{_STAGES[self.op][0]}", **attrs)
             run._stage_spans.append(self.span)
-        if self.shj is not None:
-            if run.hot is not None:
-                run.hot.join_build_rows.add(len(self.local))
-            self.shj.insert_keys("right", self.local)
 
     def deliver(self, batch) -> None:
         """Refine one arriving batch (for a Bloom probe: the filter)."""
@@ -1219,8 +973,8 @@ class _Stage:
         else:
             # Key-only hot path: no dict per row.
             keys = [key for (key,) in batch.values]
-            if self.shj is not None:
-                matched = compress(keys, self.shj.insert_keys("left", keys))
+            if self.join is not None:
+                matched = self.join.probe(keys)
             else:
                 local = self.local
                 matched = [key for key in keys if key in local]
@@ -1243,11 +997,8 @@ class _Stage:
     def on_eos(self) -> None:
         if self.span is not None:
             summary = {_STAGES[self.op][1]: len(self.emitted)}
-            if self.shj is not None:
-                summary.update(
-                    spilled_rows=self.shj.spilled_rows,
-                    spill_reads=self.shj.spill_reads,
-                )
+            if self.join is not None:
+                summary.update(spill_reads=self.join.reads)
             self.span.finish(**summary)
         if self.run.query.done:
             return

@@ -1,8 +1,8 @@
 """Cost-based join optimizer: pick the cheapest of the four strategies.
 
-The distributed symmetric-hash join rehashes framed posting tuples (~531
-B per entry under the default :class:`~repro.common.units.CostModel`);
-the PIER lineage's answer is bandwidth-saving rewrites — the semi-join,
+The distributed hash join rehashes framed posting tuples (~531 B per
+entry under the default :class:`~repro.common.units.CostModel`); the
+PIER lineage's answer is bandwidth-saving rewrites — the semi-join,
 the Bloom join and the InvertedCache plan (see
 :class:`~repro.pier.query.JoinStrategy`). This module prices all four
 per query from the memoized :class:`~repro.pier.catalog.Catalog` posting
@@ -16,11 +16,12 @@ Per-step prices
 
 With posting sizes sorted ascending ``n1 <= ... <= nk`` (stage ``i``
 holds ``n(i+1)``), per-leg hop estimate ``h``, join selectivity ``sigma``
-(the fraction of the stream surviving each intersection) and Bloom FP
-target ``fp``, the stream reaching a step after ``j`` intersections is
-``s = round(n1 * sigma^j)``, plus — past a Bloom probe at stage ``p``,
-the ``jp``-th intersection — ``n(p+1) * fp * sigma^(j-jp)`` false
-positives:
+(the fraction of the stream surviving each intersection), Bloom FP
+target ``fp``, row budget ``M`` and exchange batch size ``b``
+(:func:`~repro.pier.planner.batch_size_for` ``n1``), the stream reaching
+a step after ``j`` intersections is ``s = round(n1 * sigma^j)``, plus —
+past a Bloom probe at stage ``p``, the ``jp``-th intersection —
+``n(p+1) * fp * sigma^(j-jp)`` false positives:
 
 =====================  ==============================================
 step                   price
@@ -31,8 +32,10 @@ ship *semi*/*digest*   ``s * fileid_bytes`` + ``h`` headers
 ship *filter*          a Bloom filter for ``n1`` keys at ``fp`` + ``h``
                        headers
 ship *answer*          0 — the same answer set under every strategy
-key-join at ``i``      spill + re-read bytes of ``s`` arriving rows
-                       against ``n(i+1)`` local ones (0 unbudgeted)
+key-join at ``i``      ``max(0, n(i+1) - M)`` evicted stored rows,
+                       re-read once per arriving batch (``ceil(s / b)``
+                       batches), at ``spill_tuple_bytes`` each; nothing
+                       is written (0 unbudgeted)
 any other step         0 — site-local, and the Bloom probe only adds
                        its false positives to the stream
 =====================  ==============================================
@@ -52,6 +55,7 @@ from dataclasses import dataclass
 from repro.common.bloom import BloomFilter
 from repro.common.units import CostModel
 from repro.pier.catalog import Catalog
+from repro.pier.planner import batch_size_for
 from repro.pier.query import (
     CACHE_TABLE,
     Edge,
@@ -107,8 +111,8 @@ class OptimizerConfig:
     hop_estimate: int | None = None
     #: per-join-site *row* budget the executing runtime will apply
     #: (None = unbounded). When set, each strategy is additionally priced
-    #: for the spill + re-read bytes its join stages are expected to pay
-    #: — memory pressure becomes part of strategy choice.
+    #: for the re-read bytes its join stages are expected to pay —
+    #: memory pressure becomes part of strategy choice.
     memory_budget: int | None = None
 
 
@@ -119,8 +123,8 @@ class CostEstimate:
     strategy: JoinStrategy
     #: plan dissemination plus inter-site shipping
     wire_bytes: int
-    #: expected spill + re-read bytes under the configured memory budget
-    #: (0 when unbudgeted)
+    #: expected site-local re-read bytes under the configured memory
+    #: budget (0 when unbudgeted)
     spill_bytes: int
 
     @property
@@ -163,6 +167,7 @@ class CostBasedOptimizer:
                 self.metrics.counter("optimizer.picks", labels=labels),
                 self.metrics.counter("optimizer.predicted_bytes", labels=labels),
                 self.metrics.counter("optimizer.actual_bytes", labels=labels),
+                self.metrics.counter("optimizer.predicted_spill_bytes", labels=labels),
                 self.metrics.histogram(
                     "optimizer.bytes_error_ratio", labels=labels, reservoir_size=4096
                 ),
@@ -180,26 +185,21 @@ class CostBasedOptimizer:
         live = len(self.catalog.network.nodes)
         return max(1, math.ceil(math.log2(live)) if live > 1 else 1)
 
-    def _spill_bytes(self, arriving: int, local: int) -> int:
-        """Expected spill + re-read bytes of one budgeted join stage.
+    def _spill_bytes(self, arriving: int, local: int, batch: int) -> int:
+        """Expected re-read bytes of one budgeted key-join.
 
-        A join site holds ``local`` build entries plus the ``arriving``
-        probe-side entries; the excess over the row budget is evicted
-        once (spilled bytes) and arriving probes re-read spilled
-        partitions roughly in proportion to the evicted fraction of the
-        build state (re-read bytes). Both are priced at
-        :meth:`~repro.common.units.CostModel.spill_tuple_bytes` — local
-        storage cost, not wire cost, but cost all the same.
+        The site builds on its ``local`` stored rows; past the row budget
+        ``local - budget`` of them are evicted — written nowhere, they
+        stay in the site's store — and each arriving batch of up to
+        ``batch`` rows re-reads them once. Priced at
+        :meth:`~repro.common.units.CostModel.spill_tuple_bytes` per row:
+        local work, not wire cost, but cost all the same.
         """
         budget = self.config.memory_budget
-        if budget is None:
+        if budget is None or local <= budget:
             return 0
-        resident = arriving + local
-        excess = resident - budget
-        if excess <= 0:
-            return 0
-        reread = arriving * excess / resident
-        return int(round((excess + reread) * self.cost_model.spill_tuple_bytes()))
+        batches = -(-arriving // batch)
+        return (local - budget) * batches * self.cost_model.spill_tuple_bytes()
 
     def estimates(
         self, sizes: dict[str, int], inverted_cache: bool | None = None
@@ -235,6 +235,7 @@ class CostBasedOptimizer:
         sigma = self.config.join_selectivity
         fp = self.config.bloom_fp_rate
         rarest = ordered[0] if ordered else 0
+        batch = batch_size_for(rarest)
         joins = 0  # intersections the stream has passed
         false_hits = 0.0  # Bloom false positives let through, at the probe
         probed = 0  # ``joins`` right after the Bloom probe
@@ -254,7 +255,7 @@ class CostBasedOptimizer:
                 if false_hits:
                     arriving = int(round(arriving + false_hits * sigma ** (joins - probed)))
                 if op == Op.JOIN:
-                    spill += self._spill_bytes(arriving, ordered[step.stage])
+                    spill += self._spill_bytes(arriving, ordered[step.stage], batch)
                     joins += 1
                 else:
                     wire += arriving * edge_tuple_bytes(edge, cost) + header
@@ -283,11 +284,18 @@ class CostBasedOptimizer:
         model excludes, so the ratio sits somewhat above 1.0 (about
         1.09 on the benchmark's budgeted Bloom joins). The signal to watch
         is the per-strategy drift of the ratio, not its absolute level.
+        The estimate's ``spill_bytes`` is summed as
+        ``optimizer.predicted_spill_bytes``, beside the re-read bytes the
+        joins actually paid (``operator.spill.reread_bytes``, fed by the
+        dataflow), so the registry holds both sides of the spill error.
         """
         if self.metrics is None:
             return
-        _, predicted, actual, error_ratio = self._handles_for(estimate.strategy.name)
+        _, predicted, actual, predicted_spill, error_ratio = self._handles_for(
+            estimate.strategy.name
+        )
         predicted.add(estimate.wire_bytes)
+        predicted_spill.add(estimate.spill_bytes)
         actual.add(actual_bytes)
         if estimate.wire_bytes > 0:
             error_ratio.observe(actual_bytes / estimate.wire_bytes)

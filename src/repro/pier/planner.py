@@ -39,6 +39,25 @@ MIN_BATCH_SIZE = 4
 MAX_BATCH_SIZE = 256
 
 
+def batch_size_for(smallest: int) -> int:
+    """Exchange batch size of a plan whose smallest posting list holds
+    ``smallest`` entries.
+
+    The tuples actually shipped are bounded by the smallest list (the
+    first join stage), so the batch size scales with it: roughly its
+    square root, clamped to [MIN_BATCH_SIZE, MAX_BATCH_SIZE] and rounded
+    up to a power of two. Rare terms get small batches (first answer
+    leaves after a handful of tuples); popular terms get large ones
+    (fewer per-message headers). The optimizer prices a budgeted join's
+    re-reads per batch of this size.
+    """
+    if smallest <= 0:
+        return MIN_BATCH_SIZE
+    root = max(1, int(smallest**0.5))
+    power = 1 << (root - 1).bit_length()
+    return max(MIN_BATCH_SIZE, min(MAX_BATCH_SIZE, power))
+
+
 class KeywordPlanner:
     """Builds distributed plans for conjunctive keyword queries."""
 
@@ -64,21 +83,9 @@ class KeywordPlanner:
         return self.catalog.posting_size(self.posting_table, keyword)
 
     def choose_batch_size(self, sizes: dict[str, int]) -> int:
-        """Exchange batch size from posting-size statistics.
-
-        The tuples actually shipped are bounded by the *smallest* posting
-        list (the first join stage), so the batch size scales with it:
-        roughly its square root, clamped to [MIN_BATCH_SIZE,
-        MAX_BATCH_SIZE] and rounded up to a power of two. Rare terms get
-        small batches (first answer leaves after a handful of tuples);
-        popular terms get large ones (fewer per-message headers).
-        """
-        smallest = min(sizes.values(), default=0)
-        if smallest <= 0:
-            return MIN_BATCH_SIZE
-        root = max(1, int(smallest**0.5))
-        power = 1 << (root - 1).bit_length()
-        return max(MIN_BATCH_SIZE, min(MAX_BATCH_SIZE, power))
+        """Exchange batch size from posting-size statistics
+        (:func:`batch_size_for` the smallest list)."""
+        return batch_size_for(min(sizes.values(), default=0))
 
     def plan(
         self,

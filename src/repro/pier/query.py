@@ -95,11 +95,12 @@ def edge_tuple_bytes(edge: str, cost: "CostModel") -> int:
 class Op:
     """The operation of one :class:`Step`. A scan reads the stage's
     posting list; a ship charges and delivers a stream between two sites;
-    a key-join intersects arriving keys with the stage's posting list (an
-    SHJ); the Bloom build makes a filter of the scanned keys, the Bloom
-    probe keeps the stage's keys that pass it, and the Bloom verify keeps
-    the arriving candidates the filter was built from; a substring filter
-    keeps scanned rows whose full text holds another stage's keyword."""
+    a key-join intersects arriving keys with the stage's posting list (a
+    hash join built once on that stored list); the Bloom build makes a
+    filter of the scanned keys, the Bloom probe keeps the stage's keys
+    that pass it, and the Bloom verify keeps the arriving candidates the
+    filter was built from; a substring filter keeps scanned rows whose
+    full text holds another stage's keyword."""
 
     SCAN = "scan"
     SHIP = "ship"
@@ -216,60 +217,25 @@ class DistributedPlan:
 
 @dataclass
 class SpillStats:
-    """Memory-budgeted join accounting, aggregated across a query's joins.
+    """Memory-budgeted join accounting, summed over a query's key-joins.
 
     Present on ``QueryStats.spill`` only when the execution ran under a
-    join ``memory_budget`` (which counts *rows*, not bytes); unbudgeted
-    runs carry ``None``. Byte figures are priced at
-    :meth:`repro.common.units.CostModel.spill_tuple_bytes` per logical
-    row — spills land in the site-local DHT temp-tuple store, so they
-    cost storage and re-read work but never wire bytes.
+    join ``memory_budget`` (which counts *rows*, not bytes) and the plan
+    has a key-join; otherwise ``None``. A join site builds on the posting
+    list it stores (:class:`~repro.pier.operators.StoredHashJoin`), so an
+    evicted build partition writes nothing — its rows stay in the site's
+    store — and what a budget costs is re-reading them: site-local work
+    priced at :meth:`repro.common.units.CostModel.spill_tuple_bytes` per
+    row, never wire bytes.
     """
 
-    #: join build rows parked in spill partitions (cumulative)
-    spilled_tuples: int = 0
-    #: probe-time sink reads — only probes into *spilled* partitions count
+    #: probe-time reads — one per evicted partition an arriving batch's
+    #: keys land in
     spill_reads: int = 0
-    #: bytes written to spill storage (spilled_tuples × spill tuple size)
-    spilled_bytes: int = 0
-    #: bytes re-read from spill storage by probes
+    #: bytes those reads scan: the evicted partitions' stored rows
     reread_bytes: int = 0
-    #: whole-partition evictions (the spill granularity)
+    #: build partitions evicted to fit the budget
     partition_evictions: int = 0
-    #: whole-partition restores back into memory after budget freed up
-    partition_restores: int = 0
-    #: eviction-side flips — the "small" build side outgrew the other
-    role_reversals: int = 0
-    #: rows spilled after their site churned out, parked in the base
-    #: in-memory sink instead of the DHT temp store
-    orphan_rows: int = 0
-
-    def merge(self, other: "SpillStats") -> None:
-        """Accumulate another join's (or shard's) spill accounting."""
-        self.spilled_tuples += other.spilled_tuples
-        self.spill_reads += other.spill_reads
-        self.spilled_bytes += other.spilled_bytes
-        self.reread_bytes += other.reread_bytes
-        self.partition_evictions += other.partition_evictions
-        self.partition_restores += other.partition_restores
-        self.role_reversals += other.role_reversals
-        self.orphan_rows += other.orphan_rows
-
-
-def spill_stats_from_join(join) -> SpillStats:
-    """Snapshot one :class:`~repro.pier.operators.SymmetricHashJoin`'s
-    spill accounting (duck-typed so this module need not import the
-    operator layer)."""
-    return SpillStats(
-        spilled_tuples=join.spilled_rows,
-        spill_reads=join.spill_reads,
-        spilled_bytes=join.spilled_bytes,
-        reread_bytes=join.reread_bytes,
-        partition_evictions=join.partition_evictions,
-        partition_restores=join.partition_restores,
-        role_reversals=join.role_reversals,
-        orphan_rows=join.spill_sink.orphan_rows if join.spill_sink else 0,
-    )
 
 
 @dataclass
@@ -286,10 +252,6 @@ class PipelineStats:
     batches_shipped: int = 0
     #: batches cancelled by early termination before send or processing
     batches_cancelled: int = 0
-    #: join build rows spilled to the DHT temp-tuple store
-    spilled_tuples: int = 0
-    #: probe-time re-reads of spilled partitions
-    spill_reads: int = 0
     #: virtual time the first answer tuple reached the query node
     first_answer_time: float | None = None
     #: virtual time the pipeline fully drained (or was cancelled)

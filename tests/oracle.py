@@ -6,8 +6,7 @@ no plan, no operators, no messages, no virtual time — so the answer of
 any strategy at any batching can be checked against it.
 :func:`nested_loop_join` is the same idea one level down: the equi-join
 of two row lists by comparing every pair, with no hash table to get
-wrong; :func:`reference_match_counts` replays a symmetric join's
-arrivals through it, which is what the key-multiset join is held to.
+wrong; a join site's matches are held to it.
 
 The DHT references are the routing layer's definitions written out the
 slow way: :func:`reference_fingers` looks all 160 finger starts up,
@@ -32,12 +31,12 @@ row validated, keyed, routed, copied and charged on its own, one typed
 message per charge. ``tests/test_publish_batch.py`` holds the compiled
 plan and the batch put to it.
 
-:class:`ReferenceSpillSink` is the dataflow's DHT-backed spill sink
-writing its store surface the moment it changes — one write per eviction
-and one per partition a routed run touched, nothing buffered — and
-:func:`reference_bloom_bits` is a Bloom filter's bit array built the k
-hashes of every key at a time, with no memo. ``tests/test_pier_spill.py``
-and ``tests/test_common_bloom.py`` hold the per-partition flush and the
+:func:`reference_stored_join` is a join site's budgeted build and its
+probes by definition — partition counts, largest-first eviction, and
+per-batch reads and scanned rows, with no memo and no running totals —
+and :func:`reference_bloom_bits` is a Bloom filter's bit array built the
+k hashes of every key at a time, with no memo. ``tests/test_pier_spill.py``
+and ``tests/test_common_bloom.py`` hold the stored-list join and the
 per-shape masks to them.
 
 :func:`reference_estimates` is the cost-based optimizer's closed-form
@@ -58,8 +57,8 @@ from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
 from repro.net.messages import DirectMessage, RoutedMessage
 from repro.pier.catalog import table_key
-from repro.pier.dataflow import _DhtSpillSink
-from repro.pier.operators import SpillSink
+from repro.pier.operators import spill_partition
+from repro.pier.planner import batch_size_for
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import PublishReceipt
 from repro.piersearch.tokenizer import extract_keywords
@@ -93,73 +92,35 @@ def nested_loop_join(left, right, column):
     return [{**l, **r} for l in left for r in right if l[column] == r[column]]
 
 
-def reference_match_counts(moves, column="k"):
-    """Per-arrival match counts of a symmetric join fed ``(side, key)``
-    arrivals: each arrival nested-loop joined with the other side's
-    earlier arrivals."""
-    seen = {"left": [], "right": []}
-    counts = []
-    for side, key in moves:
-        row = {column: key}
-        other = seen["right" if side == "left" else "left"]
-        counts.append(len(nested_loop_join([row], other, column)))
-        seen[side].append(row)
-    return counts
+def reference_stored_join(stored, batches, budget, fan_out):
+    """A join site built on its ``stored`` keys and probed by ``batches``.
 
-
-class ReferenceSpillSink(_DhtSpillSink):
-    """The DHT-backed spill sink with an unbuffered surface.
-
-    Same constructor, counters, span events and parked index as the
-    production sink; only the store writes differ: an eviction writes its
-    partition's keys at once, a routed run writes each partition it
-    touched at once, and a restore removes the bucket — so :meth:`flush`
-    has nothing to do.
+    Returns ``(matched, evicted, reads, reread_rows)``: per batch, its keys
+    found in ``stored``; ``{partition: stored rows}`` of the partitions a
+    ``budget``-row build evicts, in eviction order (while more than
+    ``budget`` rows are held, the partition holding the most goes, ties
+    to the lowest id); and, summed over the batches, one read and one scan
+    of an evicted partition's rows per evicted partition a batch's keys
+    land in.
     """
-
-    def _mark(self, side, partitions, rows):
-        if self._span is not None:
-            self._span.event(
-                "join.spill", side=side, partitions=partitions, rows=rows, site=self.site
-            )
-        if self._rows_counter is not None:
-            self._rows_counter.add(rows)
-            self._bytes_counter.add(rows * self.row_bytes)
-
-    def route_counts(self, side, routed):
-        self._mark(side, sorted({pid for pid, _ in routed}), len(routed))
-        fresh = SpillSink.route_counts(self, side, routed)
-        if not self._site_alive():
-            self._account_orphans(len(routed))
-        elif fresh:
-            by_partition = {}
-            for seq, (pid, key) in enumerate(fresh, self._seq):
-                by_partition.setdefault(pid, []).append((seq, key))
-            self._seq += len(fresh)
-            for pid, entries in by_partition.items():
-                self._network.put_local_many(self.site, self.ring_key(side, pid), entries)
-        return fresh
-
-    def write_counts(self, side, pid, mapping, rows):
-        if rows:
-            self._mark(side, [pid], rows)
-        if not self._site_alive():
-            self._account_orphans(rows)
-        elif mapping:
-            entries = list(zip(range(self._seq, self._seq + len(mapping)), mapping))
-            self._seq += len(mapping)
-            self._network.put_local_many(self.site, self.ring_key(side, pid), entries)
-        SpillSink.write_counts(self, side, pid, mapping, rows)
-
-    def take_counts(self, side, pid):
-        if (side, pid) in self._ring_keys and self._site_alive():
-            self._network.remove_local(self.site, self._ring_keys[(side, pid)])
-        if self._restored_counter is not None:
-            self._restored_counter.add(self.partition_rows(side, pid))
-        return SpillSink.take_counts(self, side, pid)
-
-    def flush(self):
-        pass
+    rows = [
+        sum(1 for key in stored if spill_partition(key, fan_out) == pid)
+        for pid in range(fan_out)
+    ]
+    evicted = {}
+    while budget is not None and len(stored) - sum(evicted.values()) > budget:
+        held = [pid for pid in range(fan_out) if pid not in evicted]
+        largest = max(rows[pid] for pid in held)
+        pid = min(pid for pid in held if rows[pid] == largest)
+        evicted[pid] = rows[pid]
+    matched, reads, reread_rows = [], 0, 0
+    for batch in batches:
+        matched.append([key for key in batch if key in stored])
+        for pid in evicted:
+            if any(spill_partition(key, fan_out) == pid for key in batch):
+                reads += 1
+                reread_rows += evicted[pid]
+    return matched, evicted, reads, reread_rows
 
 
 def reference_bloom_bits(items, num_bits, num_hashes):
@@ -186,8 +147,10 @@ def reference_estimates(optimizer, sizes, inverted_cache):
     for the Bloom join a filter for ``n1`` keys and then
     ``c_i = s_i + n2 * fp * sigma^(i-2)`` candidate digests, the last of
     them back to the filter site; every leg pays one header per hop. Each
-    join site of a chain pays the spill of its arriving survivors against
-    its local list; the Bloom chain's probe and verify sites pay none.
+    join site of a chain evicts its stored rows past the budget and
+    re-reads them once per arriving batch (survivors in batches of the
+    planner's size for ``n1``); the Bloom chain's probe and verify sites
+    pay none.
     """
     cost = optimizer.cost_model
     config = optimizer.config
@@ -202,22 +165,19 @@ def reference_estimates(optimizer, sizes, inverted_cache):
     def survivors(n1, leg):
         return int(round(n1 * sigma ** (leg - 1)))
 
-    def spill_bytes(arriving, local):
-        budget = config.memory_budget
-        if budget is None:
-            return 0
-        resident = arriving + local
-        excess = resident - budget
-        if excess <= 0:
-            return 0
-        reread = arriving * excess / resident
-        return int(round((excess + reread) * cost.spill_tuple_bytes()))
-
     ordered = sorted(sizes.values())
     k = len(ordered)
     if k < 2:
         return {JoinStrategy.DISTRIBUTED_JOIN: (plan_cost(1), 0)}
     n1 = ordered[0]
+
+    def spill_bytes(arriving, local):
+        budget = config.memory_budget
+        if budget is None or local <= budget:
+            return 0
+        batches = math.ceil(arriving / batch_size_for(n1))
+        return (local - budget) * batches * cost.spill_tuple_bytes()
+
     plan = plan_cost(k)
     dist_ship = sum(
         survivors(n1, leg) * cost.rehash_tuple_bytes() + header for leg in range(1, k)

@@ -132,13 +132,22 @@ def test_deleted_path_selectors_stay_deleted():
     import inspect
 
     from repro.dht.network import DhtNetwork
-    from repro.pier.dataflow import DataflowConfig
-    from repro.pier.operators import SymmetricHashJoin
+    from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+    from repro.pier.operators import StoredHashJoin
 
     exposed = (
         set(inspect.signature(DhtNetwork.__init__).parameters)
-        | set(inspect.signature(SymmetricHashJoin.__init__).parameters)
+        | set(inspect.signature(StoredHashJoin.__init__).parameters)
+        | set(inspect.signature(DataflowExecutor.__init__).parameters)
         | {field.name for field in dataclasses.fields(DataflowConfig)}
     )
-    gone = {"spill_policy", "lazy_routing", "route_cache", "left", "right"}
+    gone = {
+        "spill_policy",
+        "lazy_routing",
+        "route_cache",
+        "left",
+        "right",
+        "spill_sink",
+        "temp_namespace",
+    }
     assert not exposed & gone

@@ -129,29 +129,6 @@ class TestDataPath:
         network.put("b", 2)
         assert network.total_stored() == 2
 
-    def test_put_local_many_equals_repeated_put_local(self):
-        network = DhtNetwork(rng=3)
-        first, second = (node.node_id for node in network.populate(2))
-        entries = [(seq, {"fileID": f"f{seq}"}) for seq in range(5)]
-        for identity, value in entries:
-            network.put_local(first, 42, value, identity=identity)
-        network.put_local_many(second, 42, entries)
-        assert network.get_local(second, 42) == network.get_local(first, 42)
-        assert network.meter.bytes == 0  # local writes charge nothing
-
-    def test_put_local_many_on_departed_node(self):
-        """Same contract as ``put_local``: a departed node raises and
-        nothing is stored."""
-        network = DhtNetwork(rng=3)
-        gone = network.populate(4)[0].node_id
-        network.remove_node(gone, graceful=False)
-        entries = [(0, "a"), (1, "b")]
-        with pytest.raises(NodeNotFoundError):
-            network.put_local_many(gone, 42, entries)
-        with pytest.raises(NodeNotFoundError):
-            network.put_local(gone, 42, "a", identity=0)
-        assert network.total_stored() == 0
-
 
 class TestDeparture:
     def test_graceful_leave_hands_off_keys(self):

@@ -32,16 +32,6 @@ class TestLocalStore:
         store.put(1, row2, identity=("x", "f1"))
         assert len(store.get(1)) == 1
 
-    def test_put_many_equals_repeated_put(self):
-        entries = [(0, {"k": "a"}), (1, {"k": "b"}), (0, {"k": "dup"}), (None, "v")]
-        one_by_one, bulk = LocalStore(), LocalStore()
-        stored = sum(
-            one_by_one.put(7, value, identity=identity) for identity, value in entries
-        )
-        assert bulk.put_many(7, entries) == stored == 3
-        assert bulk.get(7) == one_by_one.get(7) == [{"k": "a"}, {"k": "b"}, "v"]
-        assert bulk.put_many(7, entries) == 0  # all known now
-
     def test_remove_key(self):
         store = LocalStore()
         store.put(1, "a")

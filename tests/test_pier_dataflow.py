@@ -5,15 +5,15 @@ import pytest
 from repro.common.errors import DhtError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor, temp_ring_key
-from repro.pier.operators import SpillSink, SymmetricHashJoin
+from repro.pier import dataflow
+from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.piersearch.publisher import Publisher
 from repro.sim.engine import Simulator
 
-from oracle import oracle_items, reference_match_counts
+from oracle import oracle_items, reference_stored_join
 
 WORDS = ["nebula", "quasar", "aurora", "meteor"]
 
@@ -38,27 +38,9 @@ def plan_for(network, catalog, terms, batch_size=None):
     return plan
 
 
-def spill_ring_keys(query_id=1, partitions=8, stages=4):
-    """Every ring key a budgeted query's spill sinks could use: one per
-    (stage, side, partition) under the ``spill-{side}-p{pid}`` tag."""
-    return {
-        temp_ring_key(query_id, stage, f"spill-{side}-p{pid}")
-        for stage in range(stages)
-        for side in ("left", "right")
-        for pid in range(partitions)
-    }
-
-
-def stored_spill_keys(network, query_id=1):
-    """The spill ring keys some live node holds a value under, mapped to
-    how many values the network holds there."""
-    spill_keys = spill_ring_keys(query_id)
-    stored = {}
-    for node in network.nodes.values():
-        for ring_key, values in node.store.items():
-            if ring_key in spill_keys and values:
-                stored[ring_key] = stored.get(ring_key, 0) + len(values)
-    return stored
+def stored_values(network):
+    """``(node, ring key) -> value count`` over every store in the network."""
+    return {(node, key): len(values) for node, key, values in network.stored_items()}
 
 
 class TestPipelinedExecution:
@@ -132,10 +114,13 @@ class TestMemoryBudgetSpill:
         rows, stats = budgeted.execute(plan)
         key = lambda rs: sorted((r["fileID"], r["ipAddress"]) for r in rs)
         assert key(rows) == key(rows_ref)
-        assert stats.pipeline.spilled_tuples > 0
-        assert stats.pipeline.spill_reads > 0
+        assert stats.spill.partition_evictions > 0
+        assert stats.spill.spill_reads > 0
 
-    def test_spill_state_surfaces_per_partition_and_is_released(self):
+    def test_a_budgeted_query_stores_no_temp_tuple(self):
+        """Evicted build partitions stay where the site stores them: at no
+        event of a spilling query does any store hold a value it did not
+        hold before the query."""
         network, catalog = build_world(num_files=40)
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
         budgeted = DataflowExecutor(
@@ -144,36 +129,26 @@ class TestMemoryBudgetSpill:
             config=DataflowConfig(batch_size=4, memory_budget=3),
             rng=11,
         )
-        seen_mid_run = set()
+        before = stored_values(network)
         query = budgeted.submit(plan)
-
-        def snapshot():
-            seen_mid_run.update(stored_spill_keys(network))
-            if not query.done:
-                budgeted.sim.schedule(0.5, snapshot)
-
-        budgeted.sim.schedule(0.5, snapshot)
-        budgeted.sim.run()
+        while budgeted.sim.step():
+            assert stored_values(network) == before
         assert query.done and query.error is None
-        # The spill surface was really there mid-run, under the
-        # per-partition temp-tuple tags...
-        assert query.stats.pipeline.spilled_tuples > 0
-        assert seen_mid_run
-        # ...and completion released every one of those keys.
-        assert stored_spill_keys(network) == {}
+        assert query.stats.spill.partition_evictions > 0
+        assert query.stats.spill.spill_reads > 0
 
     @pytest.mark.parametrize(
         "terms", [["nebula", "quasar"], ["nebula", "quasar", "aurora"]]
     )
-    def test_batching_changes_no_spill_stat_and_no_surfaced_tuple(self, terms):
-        """The DHT-sink twin of the operator-level chunking property: the
-        join sites see the same key order whatever the exchange batch
-        size (zero jitter keeps arrivals in send order), so the spill
-        statistics and the ``spill-{side}-p{pid}`` tuples in the sites'
-        stores — order included — cannot depend on how the stream was
-        cut into ``insert_keys`` calls."""
+    def test_batching_moves_reads_never_evictions(self, terms):
+        """A join site evicts from the list it stores before the first
+        batch arrives, so no batching moves an eviction. Reads are
+        charged per arriving batch by design: with zero jitter the join
+        sites see the same key order at every batch size, and each batch
+        of a coarser cut is a run of whole finer batches, so reads and
+        re-read bytes only fall as batches grow."""
         network, catalog = build_world(num_files=60)
-        runs = {}
+        runs = []
         for batch_size in (1, 2, 16, None):
             plan = plan_for(network, catalog, terms, batch_size=batch_size)
             budgeted = DataflowExecutor(
@@ -184,102 +159,74 @@ class TestMemoryBudgetSpill:
                 ),
                 rng=11,
             )
+            runs.append(budgeted.execute(plan)[1].spill)
+        assert len({spill.partition_evictions for spill in runs}) == 1
+        assert runs[0].partition_evictions > 0
+        for finer, coarser in zip(runs, runs[1:]):
+            assert finer.spill_reads >= coarser.spill_reads
+            assert finer.reread_bytes >= coarser.reread_bytes
+        assert runs[-1].spill_reads > 0
 
-            def surface():
-                # Surfaced values are the bare join keys (fileIDs).
-                return [
-                    (stage, side, pid, keys)
-                    for stage, planned in enumerate(plan.stages)
-                    for side in ("left", "right")
-                    for pid in range(8)
-                    if (
-                        keys := network.get_local(
-                            planned.site,
-                            temp_ring_key(1, stage, f"spill-{side}-p{pid}"),
-                        )
-                    )
-                ]
+    @pytest.mark.parametrize("batch_size", [1, 4, None])
+    def test_each_join_site_accounts_as_the_reference(self, monkeypatch, batch_size):
+        """Every join site of a budgeted three-term query, held to
+        ``tests/oracle.py``'s written-out reference over the list it
+        stores and the batches it was actually probed with."""
+        sites = []
+        init, probe = dataflow.StoredHashJoin.__init__, dataflow.StoredHashJoin.probe
 
-            query = budgeted.submit(plan)
-            last_mid_query = []
+        def recording_init(join, keys, **kwargs):
+            init(join, keys, **kwargs)
+            sites.append((join, list(keys), []))
 
-            def snapshot():
-                # The final sample before completion sees every join
-                # drained: the answer's own hop outlasts the 0.05 s step.
-                if not query.done:
-                    last_mid_query[:] = surface()
-                    budgeted.sim.schedule(0.05, snapshot)
+        def recording_probe(join, keys):
+            next(batches for j, _, batches in sites if j is join).append(list(keys))
+            return probe(join, keys)
 
-            budgeted.sim.schedule(0.05, snapshot)
-            budgeted.sim.run()
-            assert query.done and query.error is None
-            assert surface() == []  # released on completion
-            runs[batch_size] = (query.stats.spill, last_mid_query)
-        reference_spill, reference_surface = runs[None]
-        assert reference_spill.spilled_tuples > 0 and reference_surface
-        for batch_size, (spill, mid_query) in runs.items():
-            assert spill == reference_spill, batch_size
-            assert mid_query == reference_surface, batch_size
-
-    def test_one_join_spill_event_per_eviction_and_per_routed_run(self, monkeypatch):
-        """A traced budgeted query marks each eviction and each *run* of
-        keys routed into spilled partitions with one ``join.spill`` event
-        (not one per routed row), both in one shape, and the events' rows
-        add up to the ``operator.spill.rows`` counter."""
-        routed_runs = []
-        route_counts = SpillSink.route_counts
-
-        def counting(sink, side, routed):
-            routed_runs.append(len(routed))
-            return route_counts(sink, side, routed)
-
-        monkeypatch.setattr(SpillSink, "route_counts", counting)
+        monkeypatch.setattr(dataflow.StoredHashJoin, "__init__", recording_init)
+        monkeypatch.setattr(dataflow.StoredHashJoin, "probe", recording_probe)
         network, catalog = build_world(num_files=60)
-        plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
-        tracer, metrics = Tracer(), MetricsRegistry()
+        plan = plan_for(network, catalog, ["nebula", "quasar", "aurora"], batch_size)
         budgeted = DataflowExecutor(
             network,
             catalog,
-            config=DataflowConfig(batch_size=4, memory_budget=3, hop_jitter=0.0),
+            config=DataflowConfig(batch_size=batch_size, memory_budget=5),
             rng=11,
-            tracer=tracer,
-            metrics=metrics,
         )
-        tracer.bind_clock(lambda: budgeted.sim.now)
         _, stats = budgeted.execute(plan)
-        events = [span.attrs for span in tracer.spans if span.name == "join.spill"]
-        assert stats.spill.partition_evictions
-        assert sum(routed_runs) > len(routed_runs)  # some run has many rows
-        assert len(events) == stats.spill.partition_evictions + len(routed_runs)
-        assert all(
-            sorted(event) == ["partitions", "rows", "side", "site"]
-            and event["partitions"] == sorted(set(event["partitions"]))
-            for event in events
-        )
-        spilled = metrics.counter("operator.spill.rows").value
-        assert sum(event["rows"] for event in events) == spilled
-        assert spilled == stats.spill.spilled_tuples > len(events)
+        assert len(sites) == 2
+        row_bytes = budgeted.cost_model.spill_tuple_bytes()
+        totals = [0, 0, 0]
+        for join, stored, batches in sites:
+            _, evicted, reads, reread_rows = reference_stored_join(
+                stored, batches, 5, budgeted.config.spill_partitions
+            )
+            assert join.evicted == evicted
+            assert (join.reads, join.reread_bytes) == (reads, reread_rows * row_bytes)
+            totals = [a + b for a, b in zip(totals, (reads, reread_rows, len(evicted)))]
+        spill = stats.spill
+        assert [spill.spill_reads, spill.reread_bytes // row_bytes, spill.partition_evictions] == totals
+        assert totals[0] > 0
 
     def _run_budgeted_with_kill(self, kill, batch_size=2):
         """Submit a budgeted two-term query and run ``kill(network,
-        plan)`` at t=4.1 — after the join stages have spilled (the spill
-        trace for this seeded world starts just before t=4.0) but while
-        build batches are still arriving."""
+        plan)`` at t=4.1, while batches are still arriving at the join
+        site; returns the query and whether every store left holds only
+        values it held before the query."""
         network, catalog = build_world(num_files=40)
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=batch_size)
-        metrics = MetricsRegistry()
         budgeted = DataflowExecutor(
             network,
             catalog,
             config=DataflowConfig(batch_size=batch_size, memory_budget=3),
             rng=11,
-            metrics=metrics,
         )
+        before = stored_values(network)
         query = budgeted.submit(plan)
         budgeted.sim.schedule(4.1, lambda: kill(network, plan))
         budgeted.sim.run()
-        leftover = set(stored_spill_keys(network))
-        return query, metrics, leftover
+        after = stored_values(network)
+        return query, after.items() <= before.items()
 
     @staticmethod
     def _kill_join_sites(network, plan):
@@ -287,71 +234,25 @@ class TestMemoryBudgetSpill:
             if stage.site in network.nodes and network.size > 1:
                 network.remove_node(stage.site, graceful=False)
 
-    def test_orphan_rows_labelled_and_released_after_site_churn(self):
-        """Regression: rows spilled after their site churned out used to
-        land in the in-memory sink with no accounting distinction. They
-        must surface as the ``operator.spill.orphan_rows`` metric and be
-        released with the query's other temp state."""
-        query, metrics, leftover = self._run_budgeted_with_kill(
-            self._kill_join_sites
-        )
-        assert query.done
-        assert metrics.counter("operator.spill.rows").value > 0
-        assert metrics.counter("operator.spill.orphan_rows").value > 0
-        assert leftover == set()
-
-    @pytest.mark.parametrize(
-        "batch_size, spilled_rows, orphan_rows", [(1, 27, 7), (2, 28, 2)]
-    )
-    def test_orphan_count_pinned_to_the_single_put_path(
-        self, batch_size, spilled_rows, orphan_rows
-    ):
-        """A run of keys surfaced through ``put_local_many`` on a departed
-        site counts one orphan per *row*, exactly as the per-row
-        ``put_local`` did: the expected numbers were recorded on the
-        parent commit's tuple-at-a-time path."""
-        query, metrics, leftover = self._run_budgeted_with_kill(
-            self._kill_join_sites, batch_size
-        )
-        assert query.done
-        assert metrics.counter("operator.spill.rows").value == spilled_rows
-        assert metrics.counter("operator.spill.orphan_rows").value == orphan_rows
-        assert query.stats.spill.orphan_rows == orphan_rows
-        assert leftover == set()
-
     @staticmethod
     def _collapse(network, plan):
         for node_id in list(network.nodes):
             if network.size > 1:
                 network.remove_node(node_id, graceful=False)
 
-    def test_spill_state_released_on_pipeline_failure(self):
-        """A query that *fails* mid-spill must release its spill surface
-        exactly like a completing one."""
-        query, metrics, leftover = self._run_budgeted_with_kill(self._collapse)
-        assert query.done and query.error is not None
-        assert metrics.counter("operator.spill.rows").value > 0
-        assert metrics.counter("operator.spill.orphan_rows").value > 0
-        assert leftover == set()
+    @pytest.mark.parametrize("batch_size", [1, 2, 16, None])
+    def test_losing_the_join_site_leaves_nothing_stored(self, batch_size):
+        """The old sink parked rows spilled after their site churned out
+        as orphans, to be released later; now nothing is ever written, so
+        a join site lost mid-query leaves nothing behind anywhere."""
+        query, unchanged = self._run_budgeted_with_kill(self._kill_join_sites, batch_size)
+        assert query.done and unchanged
 
     @pytest.mark.parametrize("batch_size", [1, 16, None])
-    def test_spill_state_released_on_failure_at_any_batching(self, batch_size):
-        query, metrics, leftover = self._run_budgeted_with_kill(
-            self._collapse, batch_size
-        )
+    def test_a_failed_budgeted_query_leaves_nothing_stored(self, batch_size):
+        query, unchanged = self._run_budgeted_with_kill(self._collapse, batch_size)
         assert query.done and query.error is not None
-        assert metrics.counter("operator.spill.rows").value > 0
-        assert leftover == set()
-
-    def test_incremental_shj_spills_and_matches(self):
-        moves = [
-            (side, index % 3) for index in range(9) for side in ("left", "right")
-        ]
-        bounded = SymmetricHashJoin("k", memory_budget=4, spill_sink=SpillSink("k"))
-        counts = [bounded.insert_keys(side, (key,))[0] for side, key in moves]
-        assert counts == reference_match_counts(moves)
-        assert bounded.spilled_rows > 0
-        assert bounded.spill_reads > 0
+        assert unchanged
 
 
 class TestFailureHandling:

@@ -1,6 +1,6 @@
 """Unit tests for the local physical operators."""
 
-from repro.pier.operators import Scan, SubstringFilter, SymmetricHashJoin
+from repro.pier.operators import Scan, StoredHashJoin, SubstringFilter
 
 from oracle import nested_loop_join
 
@@ -10,17 +10,9 @@ def rows_of(values):
 
 
 def join_size(left, right):
-    """Matches completed when ``right`` is built and ``left`` probes it —
-    and, a symmetric join giving both the same, the other way round."""
-
-    def probe(build_side, build, probe_side, keys):
-        join = SymmetricHashJoin(column="k")
-        join.insert_keys(build_side, build)
-        return sum(join.insert_keys(probe_side, keys))
-
-    size = probe("right", right, "left", left)
-    assert size == probe("left", left, "right", right)
-    return size
+    """Arriving ``left`` keys the site built on ``right`` keeps — the rows
+    of the nested-loop join of ``left`` with ``right``'s distinct keys."""
+    return len(StoredHashJoin(right).probe(left))
 
 
 class TestScan:
@@ -65,9 +57,8 @@ class TestSubstringFilter:
 
 
 class TestHashJoin:
-    """Fixed equi-join sizes, from the production join on key multisets
-    and from the nested-loop reference the differential tests compare it
-    with."""
+    """Fixed equi-join sizes, from the production join and from the
+    nested-loop reference the differential tests compare it with."""
 
     def test_basic_join(self):
         left, right = [1], [1, 2]
@@ -85,26 +76,23 @@ class TestHashJoin:
             assert nested_loop_join(rows_of(left), rows_of(right), "k") == []
 
 
-class TestSymmetricHashJoin:
+class TestStoredHashJoin:
     def test_same_result_as_nested_loop_reference(self):
         left, right = list(range(10)), list(range(5, 15))
-        join = SymmetricHashJoin(column="k")
-        join.insert_keys("right", right)
-        matched = [
-            key for key, count in zip(left, join.insert_keys("left", left)) if count
-        ]
+        matched = StoredHashJoin(right).probe(left)
         reference = nested_loop_join(rows_of(left), rows_of(right), "k")
         assert rows_of(matched) == reference
 
     def test_streams_with_unbalanced_inputs(self):
         assert join_size([1], list(range(100))) == 1
+        assert join_size(list(range(100)), [1]) == 1
 
-    def test_peak_table_sizes_tracked(self):
-        join = SymmetricHashJoin(column="k")
-        join.insert_keys("left", range(10))
-        join.insert_keys("right", range(10))
-        assert join.peak_left_table == 10
-        assert join.peak_right_table == 10
+    def test_duplicate_stored_keys_match_once(self):
+        """A stage forwards the key of a match, so a key stored twice
+        keeps an arrival once: the semi-join, not the product."""
+        assert join_size([1, 1], [1, 1]) == 2
 
-    def test_duplicate_join_keys(self):
-        assert join_size([1, 1], [1, 1]) == 4
+    def test_probes_are_independent_calls(self):
+        site = StoredHashJoin([1, 2, 3])
+        assert site.probe([3, 4]) == [3]
+        assert site.probe([1, 3]) == [1, 3]

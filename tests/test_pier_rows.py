@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.pier.operators import SpillSink, SymmetricHashJoin
 from repro.pier.rows import RowBatch
 
 
@@ -37,32 +36,3 @@ class TestRowBatch:
         batch = RowBatch(("fileID",), [])
         assert len(batch) == 0
         assert not batch.to_rows()
-
-
-class TestKeyOnlyJoin:
-    def test_key_inserts_count_matches_symmetrically(self):
-        shj = SymmetricHashJoin(column="k")
-        assert shj.insert_left_key("a") == 0
-        assert shj.insert_right_key("a") == 1
-        assert shj.insert_right_key("a") == 1
-        assert shj.insert_left_key("a") == 2  # both right copies match
-        assert shj.insert_left_key("b") == 0
-
-    def test_key_mode_spills_and_reads_back(self):
-        shj = SymmetricHashJoin(column="k", memory_budget=2, spill_sink=SpillSink("k"))
-        for key in ("a", "b", "c"):
-            shj.insert_right_key(key)
-        assert shj.spilled_rows > 0
-        # Probes still see spilled right-side keys, exactly once each.
-        assert shj.insert_left_key("a") == 1
-        assert shj.insert_left_key("c") == 1
-        assert shj.insert_left_key("zz") == 0
-        assert shj.spill_reads > 0
-
-    def test_peaks_track_in_memory_rows_in_key_mode(self):
-        shj = SymmetricHashJoin(column="k")
-        for index in range(5):
-            shj.insert_right_key(index)
-        shj.insert_left_key(0)
-        assert shj.peak_right_table == 5
-        assert shj.peak_left_table == 1

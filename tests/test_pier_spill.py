@@ -1,14 +1,16 @@
-"""Unit tests for the partitioned hybrid hash join's spill machinery.
+"""Unit and differential tests for a join site's memory-budgeted build.
 
-Covers the memory-adaptive core of :class:`SymmetricHashJoin`: largest-
-partition eviction, the per-partition spilled index that keeps
-never-spilled probes free of sink reads, stay-spilled routing, role
-reversal, incremental restore when the budget frees up, the compact
-``(key, count)`` spill representation, and — in two interpreters with
-different string-hash salts — that eviction surfaces a partition's keys
-in arrival order. Answers are held to ``tests/oracle.py``'s nested-loop
-reference on key multisets, and the DHT sink's once-per-partition
-surface to its unbuffered ``ReferenceSpillSink`` after every call.
+A join site builds once on the posting list it stores
+(:class:`StoredHashJoin`). Under a row budget it evicts whole partitions
+of that list — the largest first, ties to the lowest partition id —
+writes nothing (the rows are still in the site's store), and charges each
+probe call one read and one scan of a partition's rows for every evicted
+partition the call's keys land in. Covered here: the eviction rule and
+its edges, the per-call accounting, a hypothesis differential against
+``tests/oracle.py``'s written-out ``reference_stored_join`` and
+``nested_loop_join`` over key multisets × budget × fan-out × arbitrary
+batch cuts, and — in interpreters with different string-hash salts —
+that a budgeted query's evictions and reads do not move.
 """
 
 import json
@@ -16,25 +18,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dht.network import DhtNetwork
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
-from repro.pier.dataflow import _DhtSpillSink
-from repro.pier.operators import (
-    NUM_SPILL_PARTITIONS,
-    SpillSink,
-    SymmetricHashJoin,
-    spill_partition,
-)
-from repro.pier.query import spill_stats_from_join
+from repro.pier.operators import NUM_SPILL_PARTITIONS, StoredHashJoin, spill_partition
 
-from oracle import ReferenceSpillSink, reference_match_counts
+from oracle import nested_loop_join, reference_stored_join
+
+ROW_BYTES = 512
 
 
 def keys_in_partition(pid, num_partitions, count, start=0):
@@ -47,523 +40,194 @@ def keys_in_partition(pid, num_partitions, count, start=0):
     return found
 
 
-def make_join(budget, partitions=4):
-    return SymmetricHashJoin(
-        column="k", memory_budget=budget, num_partitions=partitions
+def make_join(stored, budget, partitions=4):
+    return StoredHashJoin(
+        stored, memory_budget=budget, num_partitions=partitions, row_bytes=ROW_BYTES
     )
 
 
 class TestPartitionedEviction:
     def test_overflow_evicts_only_the_largest_partition(self):
-        join = make_join(budget=8)
         big = keys_in_partition(0, 4, 6)
         small = keys_in_partition(1, 4, 3)
-        join.insert_keys("left", big + small)
-        # 9 rows against a budget of 8: exactly one eviction, and it
-        # takes the 6-row partition, leaving the 3-row one resident.
-        assert join.partition_evictions == 1
-        assert join.spilled_partitions["left"] == {0}
-        assert join.spilled_rows == 6
-        assert join._in_memory["left"] == 3
+        # 9 rows against a budget of 8: one eviction, and it takes the
+        # 6-row partition, leaving the 3-row one resident.
+        join = make_join(big + small, budget=8)
+        assert join.evicted == {0: 6}
+        assert (join.partition_evictions, join.resident_rows) == (1, 3)
 
-    def test_budgeted_join_below_budget_never_tracks_or_spills(self):
-        join = make_join(budget=100)
-        join.insert_keys("left", keys_in_partition(0, 4, 10))
-        assert join.spilled_rows == 0
-        # Partition bookkeeping is lazy: it only switches on at the
-        # first overflow, so pre-spill inserts stay near-free.
-        assert join._tracking is False
+    def test_eviction_goes_on_until_the_rest_fits(self):
+        join = make_join(keys_in_partition(0, 4, 6) + keys_in_partition(1, 4, 3), budget=2)
+        assert list(join.evicted.items()) == [(0, 6), (1, 3)]
+        assert join.resident_rows == 0
+
+    def test_ties_go_to_the_lowest_partition_id(self):
+        stored = keys_in_partition(3, 4, 4) + keys_in_partition(1, 4, 4)
+        assert make_join(stored, budget=5).evicted == {1: 4}
+
+    def test_a_duplicated_stored_key_counts_once_per_row(self):
+        hot, cold = keys_in_partition(0, 4, 2)
+        join = make_join([hot] * 7 + [cold] + keys_in_partition(1, 4, 1), budget=8)
+        assert join.evicted == {0: 8}
+
+    def test_within_budget_or_unbudgeted_evicts_nothing(self):
+        stored = keys_in_partition(0, 4, 10)
+        for join in (make_join(stored, budget=10), make_join(stored, budget=None)):
+            assert (join.evicted, join.resident_rows) == ({}, 10)
+            join.probe(stored)
+            assert (join.reads, join.reread_bytes) == (0, 0)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            make_join(budget=0)
+            make_join([1], budget=0)
         with pytest.raises(ValueError):
-            SymmetricHashJoin(column="k", num_partitions=0)
-        with pytest.raises(ValueError):
-            make_join(budget=4).set_memory_budget(0)
+            StoredHashJoin([1], num_partitions=0)
 
 
-class TestSpilledIndexGatesReads:
-    def test_never_spilled_probes_cost_zero_sink_reads(self):
-        """Regression: before the partitioned rework, the first spill
-        made *every* subsequent probe call into the sink."""
-        join = make_join(budget=8)
-        join.insert_keys("left", keys_in_partition(0, 4, 6))
-        resident = keys_in_partition(1, 4, 3)
-        join.insert_keys("left", resident)
-        assert join.spilled_rows > 0
-        # Probe only keys of the resident partition: matches come out of
-        # memory, the sink is never consulted.
-        for key in resident:
-            assert join.insert_right_key(key) == 1
-        assert join.spill_reads == 0
+class TestProbeAccounting:
+    def setup_method(self):
+        self.spilled = keys_in_partition(0, 4, 6)
+        self.resident = keys_in_partition(1, 4, 3)
+        self.join = make_join(self.spilled + self.resident, budget=8)
 
-    def test_spilled_partition_probe_reads_sink(self):
-        join = make_join(budget=8)
-        spilled_keys = keys_in_partition(0, 4, 6)
-        join.insert_keys("left", spilled_keys)
-        join.insert_keys("left", keys_in_partition(1, 4, 3))
-        assert join.insert_right_key(spilled_keys[0]) == 1
-        assert join.spill_reads == 1
+    def test_probes_into_resident_partitions_read_nothing(self):
+        assert self.join.probe(self.resident) == self.resident
+        assert (self.join.reads, self.join.reread_bytes) == (0, 0)
 
+    def test_a_call_reads_each_evicted_partition_it_touches_once(self):
+        """Three keys of the evicted partition in one call: one read, one
+        scan of its six stored rows."""
+        assert self.join.probe(self.spilled[:3]) == self.spilled[:3]
+        assert (self.join.reads, self.join.reread_bytes) == (1, 6 * ROW_BYTES)
 
-class TestStaySpilled:
-    def test_later_rows_for_spilled_partition_route_to_sink(self):
-        join = make_join(budget=8)
-        keys = keys_in_partition(0, 4, 6)
-        join.insert_keys("left", keys)
-        join.insert_keys("left", keys_in_partition(1, 4, 3))
-        assert join.spilled_partitions["left"] == {0}
-        resident_before = join._in_memory["left"]
-        spilled_before = join.spilled_rows
-        late = keys_in_partition(0, 4, 1, start=10_000)[0]
-        join.insert_left_key(late)
-        # The spilled partition stayed spilled: the late row went
-        # straight to the sink instead of refilling memory.
-        assert join._in_memory["left"] == resident_before
-        assert join.spilled_rows == spilled_before + 1
-        # ...and it is still joinable.
-        assert join.insert_right_key(late) == 1
+    def test_a_miss_in_an_evicted_partition_still_scans_it(self):
+        """Nothing but a scan tells a key is not in an evicted partition."""
+        absent = keys_in_partition(0, 4, 1, start=10_000)
+        assert self.join.probe(absent) == []
+        assert self.join.reads == 1
 
-    def test_refilling_partition_is_evicted_exactly_once(self):
-        """Sixteen keys of one partition against a budget of four: the
-        partition spills once and the rest of it routes to the sink (an
-        all-or-nothing flush would refill and reflush, again and again)."""
-        join = make_join(budget=4)
-        join.insert_keys("left", keys_in_partition(0, 4, 16))
-        assert join.partition_evictions == 1
+    def test_reads_are_per_call(self):
+        for key in self.spilled[:3]:
+            self.join.probe([key])
+        assert (self.join.reads, self.join.reread_bytes) == (3, 18 * ROW_BYTES)
+
+    def test_the_budget_never_changes_a_match(self):
+        arriving = self.spilled[::2] + self.resident + [10_001, 10_002]
+        free = StoredHashJoin(self.spilled + self.resident)
+        assert self.join.probe(arriving) == free.probe(arriving)
 
 
-class TestRoleReversal:
-    def test_victim_side_flip_is_counted(self):
-        join = make_join(budget=6)
-        join.insert_keys("left", keys_in_partition(0, 4, 5))
-        join.insert_keys("right", keys_in_partition(1, 4, 3, start=1000))
-        assert join.role_reversals == 0
-        # The right side now outgrows the left mid-stream: the next
-        # eviction flips the victim side.
-        join.insert_keys("right", keys_in_partition(2, 4, 9, start=2000))
-        assert join.role_reversals >= 1
-        assert join.spilled_partitions["right"]
+def cut(keys, cuts):
+    """``keys`` split before every index in ``cuts`` (one batch if none)."""
+    bounds = [0] + sorted(c for c in cuts if 0 < c < len(keys)) + [len(keys)]
+    return [keys[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
-class TestRestore:
-    def test_loosening_budget_restores_partitions(self):
-        join = make_join(budget=8)
-        keys = keys_in_partition(0, 4, 6)
-        join.insert_keys("left", keys)
-        join.insert_keys("left", keys_in_partition(1, 4, 3))
-        assert join.spilled_partitions["left"] == {0}
-        join.set_memory_budget(64)
-        assert join.partition_restores == 1
-        assert join.spilled_partitions["left"] == set()
-        assert join.spill_sink.partition_rows("left", 0) == 0
-        # Restored rows match from memory again, without sink reads.
-        assert join.insert_right_key(keys[0]) == 1
-        assert join.spill_reads == 0
-
-    def test_lifting_budget_restores_everything(self):
-        join = make_join(budget=4)
-        join.insert_keys("left", keys_in_partition(0, 4, 4))
-        join.insert_keys("right", keys_in_partition(1, 4, 4, start=500))
-        assert join.spilled_rows > 0
-        join.set_memory_budget(None)
-        assert join.spilled_partitions == {"left": set(), "right": set()}
-        assert not join.spill_sink.has_spilled("left")
-        assert not join.spill_sink.has_spilled("right")
-        assert join.memory_budget is None
-
-    def test_restore_hysteresis_never_triggers_eviction(self):
-        """A restore fits in half the slack, so restoring can never push
-        the join back over budget (no evict/restore ping-pong)."""
-        join = make_join(budget=8)
-        join.insert_keys("left", keys_in_partition(0, 4, 6))
-        join.insert_keys("left", keys_in_partition(1, 4, 3))
-        evictions = join.partition_evictions
-        join.set_memory_budget(9)  # slack 6: the 6-row partition stays out
-        assert join.partition_restores == 0
-        join.set_memory_budget(15)  # slack 12: now it fits in half
-        assert join.partition_restores == 1
-        assert join.partition_evictions == evictions
-
-    def test_tightening_budget_on_unbudgeted_join_spills(self):
-        join = SymmetricHashJoin(column="k")
-        assert join.spill_sink is None
-        join.insert_keys("left", keys_in_partition(0, NUM_SPILL_PARTITIONS, 6))
-        join.set_memory_budget(4)
-        assert join.spill_sink is not None
-        assert join.spilled_rows > 0
-        assert join._in_memory["left"] <= 4
-
-
-class TestKeysModeCompactSpill:
-    def test_eviction_spills_one_entry_per_distinct_key(self):
-        """Regression: keys-mode spill used to materialise one
-        ``{column: key}`` dict per *multiplicity*."""
-        join = make_join(budget=8)
-        hot, cold = keys_in_partition(0, 4, 2)
-        for _ in range(7):
-            join.insert_left_key(hot)
-        join.insert_left_key(cold)
-        for key in keys_in_partition(1, 4, 1, start=100):
-            join.insert_left_key(key)
-        assert join.spilled_partitions["left"] == {0}
-        assert join.spilled_rows == 8  # accounting still counts rows
-        # The sink holds the compact (key, count) form: two entries.
-        counts = join.spill_sink.take_counts("left", 0)
-        assert counts == {hot: 7, cold: 1}
-
-    def test_spilled_counts_still_match(self):
-        join = make_join(budget=8)
-        hot = keys_in_partition(0, 4, 1)[0]
-        for _ in range(7):
-            join.insert_left_key(hot)
-        for key in keys_in_partition(1, 4, 2, start=100):
-            join.insert_left_key(key)
-        assert join.spilled_partitions["left"] == {0}
-        assert join.insert_right_key(hot) == 7
-        assert join.spill_reads == 1
-
-    def test_keys_mode_budgeted_matches_unbudgeted(self):
-        keys = [k % 5 for k in range(40)]
-        free = SymmetricHashJoin(column="k")
-        tight = make_join(budget=3)
-        for key in keys:
-            assert tight.insert_left_key(key) == free.insert_left_key(key)
-            assert tight.insert_right_key(key + 1) == free.insert_right_key(key + 1)
-        assert tight.spilled_rows > 0
-
-
-class TestIteratorEquivalence:
-    def test_partitioned_budgeted_matches_unbudgeted(self):
-        """Both inputs interleaved round-robin, one key per call: every
-        arrival completes the matches the nested-loop reference gives
-        it, under any budget."""
-        moves = [
-            (side, index % modulus)
-            for index in range(30)
-            for side, modulus in (("left", 7), ("right", 5))
-        ]
-        expected = reference_match_counts(moves)
-        assert sum(expected) == 132  # sum over keys of left x right multiplicity
-        for budget in (None, 1, 2, 5, 17):
-            join = SymmetricHashJoin(
-                "k",
-                memory_budget=budget,
-                spill_sink=SpillSink("k") if budget else None,
-                num_partitions=4,
-            )
-            counts = [join.insert_keys(side, (key,))[0] for side, key in moves]
-            assert counts == expected, budget
-            assert (join.spilled_rows > 0) == (budget is not None)
-
-
-class SinkRun:
-    """The slice of a dataflow query run a DHT spill sink reads."""
-
-    query_id = 1
-
-    def __init__(self, network):
-        self.executor = SimpleNamespace(
-            network=network, cost_model=network.cost_model, temp_namespace=""
-        )
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer()
-        self.span = self.tracer.begin("query")
-        self.temp_keys = []
-
-    def register_temp_key(self, site, key):
-        self.temp_keys.append((site, key))
-
-
-def twin_joins(budget, fan_out):
-    """The same budgeted join twice, on twin networks: over the buffered
-    production sink and over the unbuffered reference."""
-    twins = []
-    for sink_class in (_DhtSpillSink, ReferenceSpillSink):
-        network = DhtNetwork(rng=3)
-        network.populate(6)
-        run = SinkRun(network)
-        sink = sink_class(run, min(network.nodes), 1, "fileID")
-        join = SymmetricHashJoin(
-            "fileID", memory_budget=budget, spill_sink=sink, num_partitions=fan_out
-        )
-        twins.append((network, run, join))
-    return twins
-
-
-def observed(network, run, join):
-    """Everything the two sinks must agree on after a join call: every
-    store's buckets with identities, values and order, the sink's
-    sequence and index, spill statistics, counters and span events."""
-    sink = join.spill_sink
-    return {
-        "stores": [
-            (node_id, [(key, list(bucket.items())) for key, bucket in node.store._data.items()])
-            for node_id, node in sorted(network.nodes.items())
-        ],
-        "seq": sink._seq,
-        "ring_keys": sink._ring_keys,
-        "temp_keys": run.temp_keys,
-        "parked": sink._counts,
-        "totals": sink._part_totals,
-        "stats": spill_stats_from_join(join),
-        "restored_rows": sink.restored_rows,
-        "spilled": join.spilled_partitions,
-        "in_memory": join._in_memory,
-        "counters": {
-            name: run.metrics.counter(f"operator.spill.{name}").value
-            for name in ("rows", "bytes", "orphan_rows", "restored_rows")
-        },
-        "events": [span.attrs for span in run.tracer.spans if span.name == "join.spill"],
-    }
-
-
-def surfaced(network, join):
-    """``(pid, [key, ...])`` of every left partition's bucket at the site."""
-    sink = join.spill_sink
-    store = network.nodes[sink.site].store
-    return [
-        (pid, store.get(key))
-        for (side, pid), key in sorted(sink._ring_keys.items())
-        if side == "left" and store.get(key)
-    ]
-
-
-file_keys = st.integers(0, 23).map(lambda n: f"file{n:02d}")
-sink_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("insert"),
-            st.sampled_from(["left", "right"]),
-            st.lists(file_keys, max_size=14),
-        ),
-        st.tuples(st.just("budget"), st.one_of(st.none(), st.integers(1, 16))),
-        st.tuples(st.just("depart"), st.booleans()),
-    ),
-    max_size=24,
+join_keys = st.one_of(
+    st.integers(0, 39), st.integers(0, 39).map(lambda n: f"file{n:02d}")
 )
+key_multisets = st.lists(join_keys, max_size=80)
 
 
-def departure_ops(graceful):
-    """Spill, lose the site, spill on (orphans), then lift the budget."""
-    files = [f"file{n:02d}" for n in range(24)]
-    return [
-        ("insert", "left", files[:12]),
-        ("depart", graceful),
-        ("insert", "left", files[6:18]),
-        ("insert", "right", files[::2]),
-        ("budget", None),
-    ]
-
-
-class TestSurfaceDifferential:
-    """The buffered sink writes each partition once per join call; the
-    store must read exactly as if every eviction and routed run had
-    written at once."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(ops=sink_ops, budget=st.integers(1, 12), fan_out=st.sampled_from([1, 2, 4, 8]))
-    # The right call evicts a left partition (pending), then the larger
-    # right partition, whose slack restores the left one in the same call.
-    @example(
-        ops=[
-            ("insert", "left", ["file00", "file00", "file04", "file04"]),
-            ("insert", "right", ["file00"] * 5),
-        ],
-        budget=6,
-        fan_out=2,
+class TestReferenceDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stored=key_multisets,
+        arriving=key_multisets,
+        budget=st.sampled_from([None, 1, 8, 32]),
+        fan_out=st.sampled_from([1, 2, 4, NUM_SPILL_PARTITIONS]),
+        cuts=st.sets(st.integers(1, 79)),
     )
-    # The site leaves with spilled buckets — handed to its successor, or
-    # lost — and the join keeps spilling (orphans) and restoring.
-    @example(ops=departure_ops(graceful=True), budget=4, fan_out=4)
-    @example(ops=departure_ops(graceful=False), budget=4, fan_out=4)
-    def test_once_per_partition_surface_equals_the_unbuffered_one(
-        self, ops, budget, fan_out
+    # Two partitions of three rows each against a budget of three: the tie
+    # goes to the lower id, and only that partition goes.
+    @example(
+        stored=[0, 1, 2, 3, 4, 5], arriving=[5, 6], budget=3, fan_out=2, cuts=set()
+    )
+    def test_matches_and_accounting_equal_the_references(
+        self, stored, arriving, budget, fan_out, cuts
     ):
-        """Random key runs, tightened, loosened and lifted budgets, and a
-        site that leaves (gracefully: its buckets move to the successor;
-        or not: later spills are orphans) — after every call the two
-        twins agree on everything :func:`observed` reads."""
-        twins = twin_joins(budget, fan_out)
-        for op in ops:
-            results = []
-            for network, run, join in twins:
-                if op[0] == "insert":
-                    results.append(join.insert_keys(op[1], op[2]))
-                elif op[0] == "budget":
-                    join.set_memory_budget(op[1])
-                elif join.spill_sink.site in network.nodes:
-                    network.remove_node(join.spill_sink.site, graceful=op[1])
-            assert results[:1] == results[1:]
-            assert observed(*twins[0]) == observed(*twins[1]), op
-
-    def test_a_partition_restored_within_the_call_that_spilled_it(self):
-        """One right-side call evicts left partition 0 (its keys go
-        pending), then evicts a bigger right partition and so has the
-        slack to restore left partition 0: the pending keys are dropped
-        and nothing of it is left in the store — as the unbuffered sink
-        wrote and then removed them."""
-        twins = twin_joins(budget=10, fan_out=8)
-        left = [keys_in_partition(pid, 8, 1, start=100)[0] for pid in range(6)]
-        right = keys_in_partition(7, 8, 6, start=500)
-        for network, run, join in twins:
-            join.insert_keys("left", left)
-            join.insert_keys("right", right[:4])
-            assert join.partition_evictions == 0
-            join.insert_keys("right", right[4:])
-            # left p0 out, then right p7 out, then left p0 back in
-            assert (join.partition_evictions, join.partition_restores) == (2, 1)
-            assert join.spilled_partitions == {"left": set(), "right": {7}}
-            assert join.role_reversals == 1
-            assert surfaced(network, join) == []
-        assert observed(*twins[0]) == observed(*twins[1])
-
-    def test_tightening_the_budget_surfaces_before_the_call_returns(self):
-        """``set_memory_budget`` evicts without an insert: its own flush
-        writes the evicted partitions, with no later call to do it."""
-        twins = twin_joins(budget=64, fan_out=4)
-        keys = keys_in_partition(0, 4, 3) + keys_in_partition(1, 4, 5)
-        for network, run, join in twins:
-            join.insert_keys("left", keys)
-            join.set_memory_budget(1)
-            assert surfaced(network, join) == [(0, keys[:3]), (1, keys[3:])]
-        assert observed(*twins[0]) == observed(*twins[1])
-
-    def test_a_join_call_writes_each_partition_once(self, monkeypatch):
-        """Sixteen keys of one partition under budget 4, in one call: the
-        fifth evicts the partition and the last eleven route into it —
-        one store write for all of it, where the unbuffered sink makes
-        two (the eviction, then the routed run)."""
-        puts = []
-        put_local_many = DhtNetwork.put_local_many
-
-        def recording(network, node_id, key, entries):
-            puts.append(key)
-            return put_local_many(network, node_id, key, entries)
-
-        monkeypatch.setattr(DhtNetwork, "put_local_many", recording)
-        keys = keys_in_partition(0, 4, 16)
-        for (network, run, join), writes in zip(twin_joins(budget=4, fan_out=4), (1, 2)):
-            puts.clear()
-            join.insert_keys("left", keys)
-            assert join.partition_evictions == 1
-            assert puts == [join.spill_sink.ring_key("left", 0)] * writes
-            assert surfaced(network, join) == [(0, keys)]
+        """Each batch keeps the rows the nested-loop join of the batch
+        with the stored list's distinct keys gives, and evictions, reads
+        and re-read bytes are the written-out reference's. Evictions are
+        a function of the stored list alone, so no cut moves them; reads
+        are charged per probe call by design, so a cut moves them — never
+        below one call over the whole stream."""
+        batches = cut(arriving, cuts)
+        join = make_join(stored, budget, fan_out)
+        matched = [join.probe(batch) for batch in batches]
+        distinct = [{"k": key} for key in dict.fromkeys(stored)]
+        for batch, kept in zip(batches, matched):
+            rows = nested_loop_join([{"k": key} for key in batch], distinct, "k")
+            assert kept == [row["k"] for row in rows]
+        expected, evicted, reads, reread_rows = reference_stored_join(
+            stored, batches, budget, fan_out
+        )
+        assert matched == expected
+        assert list(join.evicted.items()) == list(evicted.items())
+        assert (join.reads, join.reread_bytes) == (reads, reread_rows * ROW_BYTES)
+        assert join.resident_rows == len(stored) - sum(evicted.values())
+        if budget is not None:
+            assert join.resident_rows <= budget
+        whole = make_join(stored, budget, fan_out)
+        whole.probe(arriving)
+        assert whole.evicted == join.evicted
+        assert whole.reads <= join.reads
 
 
-#: One budgeted two-term query over str fileIDs, sampled until it
-#: completes: the last ``spill-{side}-p{pid}`` buckets seen in the join
-#: sites' stores, as ``[stage, side, pid, [[identity, fileID], ...]]``
-#: (the stored value *is* the fileID — the sink surfaces bare join keys),
-#: then the run's ``SpillStats`` and ``operator.spill.*`` counters.
-SURFACE_SCRIPT = """
+#: One budgeted two-term query over str fileIDs, batched and drained:
+#: the partitions its join site evicted, its ``SpillStats`` and its
+#: answer count.
+EVICTION_SCRIPT = """
 import dataclasses, json
-from repro.obs.metrics import MetricsRegistry
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor, temp_ring_key
+from repro.pier import dataflow
+from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from test_pier_dataflow import build_world, plan_for
 
+evicted = []
+init = dataflow.StoredHashJoin.__init__
+
+def recording(join, *args, **kwargs):
+    init(join, *args, **kwargs)
+    evicted.append(list(join.evicted.items()))
+
+dataflow.StoredHashJoin.__init__ = recording
 network, catalog = build_world(num_files=60)
 plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
-metrics = MetricsRegistry()
 flow = DataflowExecutor(
     network,
     catalog,
     config=DataflowConfig(batch_size=4, memory_budget=3, hop_jitter=0.0),
     rng=11,
-    metrics=metrics,
 )
-query = flow.submit(plan)
-surface = []
-
-def snapshot():
-    if query.done:
-        return
-    surface[:] = [
-        [stage, side, pid, [[seq, key] for seq, key in bucket.items()]]
-        for stage, planned in enumerate(plan.stages)
-        for side in ("left", "right")
-        for pid in range(8)
-        if (
-            bucket := network.nodes[planned.site].store._data.get(
-                temp_ring_key(1, stage, f"spill-{side}-p{pid}")
-            )
-        )
-    ]
-    flow.sim.schedule(0.05, snapshot)
-
-flow.sim.schedule(0.05, snapshot)
-flow.sim.run()
-assert query.done and query.error is None
-counters = {
-    name: metrics.counter(f"operator.spill.{name}").value
-    for name in ("rows", "bytes", "orphan_rows", "restored_rows")
-}
-print(json.dumps([surface, dataclasses.asdict(query.stats.spill), counters]))
+rows, stats = flow.execute(plan)
+print(json.dumps([evicted, dataclasses.asdict(stats.spill), len(rows)]))
 """
-
-#: What that script printed on the commit *before* the surface went from
-#: one ``{"fileID": key}`` dict per key to the bare key (fileIDs cut to
-#: their first eight hex digits): same identities, same keys, same order,
-#: same entry count per bucket — checked against the old path, not
-#: against the new one's own output.
-PARENT_SURFACE = [
-    [1, "left", 0, [[27, "afb9ee54"], [33, "5536f21e"], [42, "2d769160"]]],
-    [1, "left", 2, [[28, "c7877dab"], [30, "89201e89"], [34, "247d7f40"], [36, "5a55d1bb"]]],
-    [1, "left", 3, [[26, "3a7b7fff"], [37, "276e6d37"]]],
-    [1, "left", 4, [[43, "3d67d3d3"]]],
-    [1, "left", 5, [[29, "478c610a"], [35, "8095717c"], [38, "624ac17a"]]],
-    [1, "left", 7, [[31, "0b3defa1"], [32, "c4b68424"], [39, "f3fbd226"], [40, "370b628e"], [41, "956002fb"]]],
-    [1, "right", 0, [[0, "a309f75c"], [1, "72b280e3"], [4, "9448359a"], [9, "5536f21e"], [10, "1542658d"], [19, "92e95236"]]],
-    [1, "right", 2, [[5, "89201e89"], [8, "70743dfd"], [12, "9b886d96"], [13, "5a55d1bb"], [18, "f8fffc2c"], [22, "5b236026"], [23, "a5d837d8"]]],
-    [1, "right", 4, [[6, "cd61f85c"], [7, "1d789e9e"], [11, "0350b034"]]],
-    [1, "right", 5, [[14, "478c610a"], [15, "aeafd084"], [20, "624ac17a"]]],
-    [1, "right", 6, [[16, "a0165433"], [17, "59c6bd72"], [25, "5222800f"]]],
-    [1, "right", 7, [[2, "bed9edb4"], [3, "12ffda2b"], [21, "3cd744b1"], [24, "370b628e"]]],
-]
-PARENT_SPILL_STATS = {
-    "spilled_tuples": 44,
-    "spill_reads": 17,
-    "spilled_bytes": 22528,
-    "reread_bytes": 3584,
-    "partition_evictions": 12,
-    "partition_restores": 0,
-    "role_reversals": 1,
-    "orphan_rows": 0,
-}
-PARENT_SPILL_COUNTERS = {
-    "rows": 44, "bytes": 22528, "orphan_rows": 0, "restored_rows": 0,
-}
 
 
 class TestEvictionOrder:
-    def test_spill_surface_is_independent_of_the_string_hash_salt(self):
-        """Eviction walks a partition in arrival order, so the keys a
-        budgeted join surfaces in its site's store — and the identities
-        they are stored under — are the same in two interpreters whose
-        ``str`` hashes differ, and the same the per-key-dict surface of
-        the parent commit held."""
+    def test_evictions_and_reads_are_independent_of_the_string_hash_salt(self):
+        """Partitions hash fileIDs with CRC32, not the salted ``str``
+        hash, so the partitions a budgeted query evicts, and the reads its
+        probes pay, are the same in interpreters whose hashes differ."""
         root = Path(__file__).resolve().parent.parent
         outputs = []
-        for salt in ("0", "1"):
+        for salt in ("0", "1", "2"):
             env = dict(
                 os.environ,
                 PYTHONHASHSEED=salt,
                 PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]),
             )
             done = subprocess.run(
-                [sys.executable, "-c", SURFACE_SCRIPT],
+                [sys.executable, "-c", EVICTION_SCRIPT],
                 env=env,
                 capture_output=True,
                 text=True,
                 check=True,
             )
             outputs.append(json.loads(done.stdout))
-        assert outputs[0] == outputs[1]
-        surface, spill_stats, counters = outputs[0]
-        assert [
-            [stage, side, pid, [[seq, key[:8]] for seq, key in bucket]]
-            for stage, side, pid, bucket in surface
-        ] == PARENT_SURFACE
-        assert spill_stats == PARENT_SPILL_STATS
-        assert counters == PARENT_SPILL_COUNTERS
+        assert outputs[0] == outputs[1] == outputs[2]
+        evicted, spill, answers = outputs[0]
+        assert answers > 0
+        assert len(evicted) == 1 and evicted[0]
+        assert spill["partition_evictions"] == len(evicted[0])
+        assert spill["spill_reads"] > 0 and spill["reread_bytes"] > 0

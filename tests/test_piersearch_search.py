@@ -93,10 +93,12 @@ class TestSearch:
 
     def test_memory_budget_bounds_the_blocking_search(self, search_env):
         """The budget reaches the engine's own executor, not only the
-        optimizer's pricing: a tight one spills join state site-locally,
-        and the answer and the wire bytes stay the unbudgeted ones."""
+        optimizer's pricing: under a tight one the join site evicts and
+        re-reads its own stored rows, writing no temp tuple, and the
+        answer and the wire bytes stay the unbudgeted ones."""
         network, catalog = search_env
         node = network.random_node_id()
+        stored = sorted(network.stored_items())
         free, tight = (
             SearchEngine(network, catalog, memory_budget=budget).search(
                 ["britney", "toxic"],
@@ -108,4 +110,6 @@ class TestSearch:
         assert sorted(tight.filenames) == sorted(free.filenames) != []
         assert tight.stats.bytes == free.stats.bytes
         assert free.stats.spill is None
-        assert tight.stats.spill.spilled_tuples > 0
+        assert tight.stats.spill.partition_evictions > 0
+        assert tight.stats.spill.spill_reads > 0
+        assert sorted(network.stored_items()) == stored

@@ -9,7 +9,7 @@ from repro.common.ids import KEY_SPACE, hash_key, in_interval, ring_distance
 from repro.dht.ring import Ring
 from repro.metrics.cdf import discrete_cdf, fraction_at_most
 from repro.model.analytical import SystemParameters, pf_gnutella, pf_hybrid
-from repro.pier.operators import SymmetricHashJoin
+from repro.pier.operators import StoredHashJoin
 from repro.piersearch.tokenizer import extract_keywords, tokenize
 
 from oracle import nested_loop_join
@@ -53,16 +53,12 @@ class TestJoinProperties:
 
     @given(left=row_lists, right=row_lists)
     @settings(max_examples=50)
-    def test_shj_equals_nested_loop_reference(self, left, right):
-        shj = SymmetricHashJoin(column="k")
-        shj.insert_keys("right", right)
-        matched = [
-            {"k": key}
-            for key, count in zip(left, shj.insert_keys("left", left))
-            for _ in range(count)
-        ]
+    def test_stored_join_equals_nested_loop_reference(self, left, right):
+        """The arrivals a site built on ``right`` keeps are the nested-loop
+        join of ``left`` with ``right``'s distinct keys, in arrival order."""
+        matched = [{"k": key} for key in StoredHashJoin(right).probe(left)]
         reference = nested_loop_join(
-            [{"k": v} for v in left], [{"k": v} for v in right], "k"
+            [{"k": v} for v in left], [{"k": v} for v in dict.fromkeys(right)], "k"
         )
         assert matched == reference
 
@@ -76,9 +72,9 @@ class TestJoinProperties:
         left_rows = [{"k": v} for v in left]
         right_rows = [{"k": v} for v in right]
         assert len(nested_loop_join(left_rows, right_rows, "k")) == expected
-        shj = SymmetricHashJoin(column="k")
-        shj.insert_keys("left", left)
-        assert sum(shj.insert_keys("right", right)) == expected
+        # A site keeps each arrival once, however often its key is stored.
+        kept = sum(lc[k] for k in lc if k in rc)
+        assert len(StoredHashJoin(right).probe(left)) == kept
 
 
 class TestTokenizerProperties:

@@ -98,7 +98,6 @@ def run_dataflow_matrix(seed: int, num_shards: int):
                 batch_size=None, hop_latency=HOP_LATENCY, hop_jitter=HOP_JITTER
             ),
             rng=spawn_rng(root, f"dataflow.shard.{shard_id}"),
-            temp_namespace=f"shard{shard_id}|",
         )
         for shard_id in range(num_shards)
     ]
@@ -150,8 +149,7 @@ def run_hybrid_races(seed: int, num_shards: int):
     """Submit every query up front; resolve them in one windowed drain.
 
     Queries from different shards interleave in virtual time — this is
-    the regime where temp-key namespacing and window safety actually
-    matter. No churn, no result cache: every compared quantity is
+    the regime where window safety actually matters. No churn, no result cache: every compared quantity is
     draw-independent.
     """
     rng, network, catalog = build_world(seed)
@@ -210,14 +208,3 @@ def test_hybrid_races_identical_across_shard_counts(seed):
         else:
             assert outcome[0] == reference[0], f"digest diverged at {num_shards} shards"
             assert outcome[1] == reference[1], f"meter diverged at {num_shards} shards"
-
-
-def test_sharded_engines_use_distinct_temp_namespaces():
-    _, network, catalog = build_world(1)
-    kernel = ShardedSimulator(2, lookahead=LOOKAHEAD, seed=1)
-    engines = build_sharded_engines(kernel, network, seed=1)
-    search_engine = SearchEngine(network, catalog)
-    namespaces = {
-        engine._dataflow_for(search_engine).temp_namespace for engine in engines
-    }
-    assert namespaces == {"shard0|", "shard1|"}
