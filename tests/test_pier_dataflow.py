@@ -8,6 +8,7 @@ from repro.pier.catalog import Catalog
 from repro.pier import dataflow
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.planner import KeywordPlanner
+from repro.pier.query import JoinStrategy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.piersearch.publisher import Publisher
@@ -248,11 +249,77 @@ class TestMemoryBudgetSpill:
         query, unchanged = self._run_budgeted_with_kill(self._kill_join_sites, batch_size)
         assert query.done and unchanged
 
+    def test_spill_state_released_on_pipeline_failure(self):
+        """A query that *fails* after its join site evicted leaves nothing
+        stored anywhere, exactly like a completing one, and its
+        accounting still holds what the site paid before the failure."""
+        query, unchanged = self._run_budgeted_with_kill(self._collapse)
+        assert query.done and query.error is not None
+        assert unchanged
+        assert query.stats.spill.partition_evictions > 0
+        assert query.stats.spill.spill_reads > 0
+
     @pytest.mark.parametrize("batch_size", [1, 16, None])
-    def test_a_failed_budgeted_query_leaves_nothing_stored(self, batch_size):
+    def test_spill_state_released_on_failure_at_any_batching(self, batch_size):
         query, unchanged = self._run_budgeted_with_kill(self._collapse, batch_size)
         assert query.done and query.error is not None
         assert unchanged
+
+    def test_spill_stats_equal_the_registry_and_the_join_spans(self):
+        """A traced, metered budgeted query reports its spill once in
+        ``SpillStats``, once in the ``operator.spill.*`` counters and
+        per join site on the ``stage.join`` spans, and all three agree."""
+        network, catalog = build_world(num_files=60)
+        plan = plan_for(network, catalog, ["nebula", "quasar", "aurora"], batch_size=2)
+        tracer, metrics = Tracer(), MetricsRegistry()
+        budgeted = DataflowExecutor(
+            network,
+            catalog,
+            config=DataflowConfig(batch_size=2, memory_budget=4),
+            rng=11,
+            tracer=tracer,
+            metrics=metrics,
+        )
+        tracer.bind_clock(lambda: budgeted.sim.now)
+        _, stats = budgeted.execute(plan)
+        spill = stats.spill
+        assert spill.partition_evictions > 0 and spill.spill_reads > 0
+        counter = lambda name: metrics.counter(f"operator.spill.{name}").value
+        assert counter("reads") == spill.spill_reads
+        assert counter("reread_bytes") == spill.reread_bytes
+        assert counter("partition_evictions") == spill.partition_evictions
+        joins = [span.attrs for span in tracer.spans if span.name == "stage.join"]
+        assert len(joins) == 2
+        assert sum(attrs["spill_reads"] for attrs in joins) == spill.spill_reads
+        assert [attrs["build_rows"] for attrs in joins] == stats.per_stage_entries[1:]
+
+    def test_an_unbudgeted_query_reports_no_spill(self):
+        network, catalog = build_world(num_files=60)
+        plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=2)
+        metrics = MetricsRegistry()
+        free = DataflowExecutor(network, catalog, rng=11, metrics=metrics)
+        rows, stats = free.execute(plan)
+        assert rows and stats.spill is None
+        assert not [name for name in metrics.counters if name.startswith("operator.spill")]
+
+    def test_a_budgeted_two_term_bloom_join_builds_nothing(self):
+        """A two-term Bloom join has no key-join site: its probe site
+        filters its own list and its verify site the candidates, so a
+        memory budget evicts nothing and changes no answer."""
+        network, catalog = build_world(num_files=60)
+        plan = KeywordPlanner(catalog).plan(
+            ["nebula", "quasar"], network.random_node_id(), strategy=JoinStrategy.BLOOM_JOIN
+        )
+        plan.batch_size = 2
+        free = DataflowExecutor(network, catalog, rng=11)
+        budgeted = DataflowExecutor(
+            network, catalog, config=DataflowConfig(memory_budget=1), rng=11
+        )
+        (rows_free, stats_free), (rows, stats) = free.execute(plan), budgeted.execute(plan)
+        key = lambda rs: sorted((r["fileID"], r["ipAddress"]) for r in rs)
+        assert rows and key(rows) == key(rows_free)
+        assert stats.spill is None
+        assert stats.bytes == stats_free.bytes
 
 
 class TestFailureHandling:

@@ -1,21 +1,25 @@
-"""A finished query costs nothing: no cycle and no retained bytes.
+"""A finished query costs nothing: no cycle, no retained bytes, no temp tuple.
 
-Two things nothing else in the suite would notice, both checked without
+Three things nothing else in the suite would notice, all checked without
 a stopwatch and with the cyclic collector *off* (the benchmark drains
 with ``gc`` disabled, and a long-lived engine cannot count on a gen-2
 pass): a run, its edges and its join stages are freed by reference
-count the moment the query completes, fails or terminates early; and the
+count the moment the query completes, fails or terminates early; the
 bytes a drained world still holds per finished query stay under a
-recorded ceiling.
+recorded ceiling; and a spilling query leaves no value in any store —
+also when its join site leaves gracefully mid-query, or a node joins as
+the site's predecessor and claims the list the site builds on.
 """
 
 import gc
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 
 from repro.pier import dataflow
+from repro.pier.catalog import table_key
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 
 from test_pier_call_budget import QUERIES, budgeted_bloom_world
@@ -68,7 +72,7 @@ def spill_world(**submit):
         config=DataflowConfig(batch_size=4, memory_budget=3, hop_jitter=0.0),
         rng=11,
     )
-    return network, flow, flow.submit(plan, **submit)
+    return network, plan, flow, flow.submit(plan, **submit)
 
 
 def collapse(network):
@@ -77,22 +81,54 @@ def collapse(network):
             network.remove_node(node_id, graceful=False)
 
 
-ENDINGS = ["complete", "fail", "stop_after"]
+def stored_by_key(network):
+    """Values held under each ring key, summed over every store: churn
+    moves a value between stores, never between keys."""
+    totals = Counter()
+    for _, key, values in network.stored_items():
+        totals[key] += len(values)
+    return +totals
 
 
-def run_to_its_end(ending):
-    """Drive one spilling query to ``ending``, stopping the simulator at
-    the event that finished it (later events stay queued)."""
-    submit = {"stop_after": 1} if ending == "stop_after" else {}
-    network, flow, query = spill_world(**submit)
-    # Until the join site has opened (both stages read their lists).
-    while len(query.stats.per_stage_entries) < 2:
+def step_until(flow, query, condition, check=lambda: None):
+    """Advance event by event to the first instant ``condition()`` holds,
+    calling ``check()`` after every event."""
+    while not condition():
         assert not query.done and flow.sim.step()
+        check()
+
+
+ENDINGS = ["complete", "fail", "stop_after"]
+CHURN = ["stays", "leaves", "gains-predecessor"]
+
+
+def run_to_its_end(ending, churn="stays", check=lambda network: None):
+    """Drive one spilling query to ``ending``, stopping the simulator at
+    the event that finished it (later events stay queued). Once the join
+    site has opened (both stages read their lists), ``churn`` strikes it:
+    it leaves gracefully, handing its store to its successor, or a node
+    joins right on the ring key of the list it built on and claims it.
+    ``check(network)`` runs once before the first event and after every
+    event."""
+    submit = {"stop_after": 1} if ending == "stop_after" else {}
+    network, plan, flow, query = spill_world(**submit)
+    check(network)
+    opened = lambda: len(query.stats.per_stage_entries) >= 2
+    step_until(flow, query, opened, lambda: check(network))
+    site, before = plan.stages[1].site, stored_by_key(network)
+    if churn == "leaves":
+        network.remove_node(site, graceful=True)
+        assert stored_by_key(network) == before  # handed over, not dropped
+    elif churn == "gains-predecessor":
+        key = table_key("Inverted", plan.stages[1].keyword)
+        assert network.local_contains(site, key) and key != site
+        network.create_node(key)
+        assert network.local_contains(key, key)  # claimed by the newcomer
+        assert stored_by_key(network) == before
     if ending == "fail":
         collapse(network)
-    while not query.done:
-        assert flow.sim.step()
-    return query
+    step_until(flow, query, lambda: query.done, lambda: check(network))
+    return network, query
 
 
 class TestFreedByRefcount:
@@ -105,7 +141,7 @@ class TestFreedByRefcount:
         cancelled event drops its callback, so nothing — not even a
         cancelled batch still sitting in the event heap — keeps a
         finished query's dataflow alive."""
-        query = run_to_its_end(ending)
+        _, query = run_to_its_end(ending)
         assert (query.error is not None) == (ending == "fail")
         assert query.pipeline.early_terminated == (ending == "stop_after")
         assert query.stats.spill.partition_evictions > 0
@@ -132,3 +168,31 @@ class TestFreedByRefcount:
         finally:
             tracemalloc.stop()
         assert retained < RETAINED_BYTES_PER_QUERY_CEILING, retained
+
+
+class TestTempTuplesReleased:
+    @pytest.mark.parametrize("churn", CHURN)
+    @pytest.mark.parametrize("ending", ENDINGS)
+    def test_no_store_holds_a_finished_runs_temp_tuples(self, ending, churn):
+        """A join site used to copy its evicted partitions into temp tuples
+        in its own store and release them when the query ended — and a
+        site that left gracefully handed them to a successor that release
+        never looked at. Now an evicted partition stays where the site
+        stores it, so at no event of the run, through any churn of its
+        join site and however it ends, does any ring key hold a value it
+        did not hold before the query (ungraceful failures only take
+        values away)."""
+        baseline = {}
+
+        def nothing_written(network):
+            now = stored_by_key(network)
+            if not baseline:
+                baseline.update(now)
+            assert all(baseline.get(key, 0) >= count for key, count in now.items())
+
+        network, query = run_to_its_end(ending, churn, check=nothing_written)
+        assert query.done
+        assert query.stats.spill.partition_evictions > 0
+        nothing_written(network)
+        if ending != "fail":
+            assert stored_by_key(network) == baseline

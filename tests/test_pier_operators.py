@@ -96,3 +96,10 @@ class TestStoredHashJoin:
         site = StoredHashJoin([1, 2, 3])
         assert site.probe([3, 4]) == [3]
         assert site.probe([1, 3]) == [1, 3]
+
+    def test_an_int_and_its_string_form_are_different_keys(self):
+        """Keys match by equality, never by their printed form — also when
+        the budget has evicted the partitions they land in."""
+        for budget in (None, 1):
+            site = StoredHashJoin([1, "2"], memory_budget=budget)
+            assert site.probe(["1", 2, 1, "2"]) == [1, "2"]

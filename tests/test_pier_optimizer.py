@@ -19,8 +19,9 @@ from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.obs.metrics import MetricsRegistry
 from repro.pier.optimizer import CostBasedOptimizer, CostEstimate, OptimizerConfig
-from repro.pier.planner import KeywordPlanner
+from repro.pier.planner import KeywordPlanner, batch_size_for
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
@@ -185,6 +186,49 @@ class TestMemoryPressurePricing:
             for b in budgets
         ]
         assert spills == sorted(spills)
+
+    def test_a_stored_list_at_the_budget_prices_no_spill(self):
+        """The join site evicts only the rows past the budget: a list that
+        fits prices nothing, and one row over prices that one row re-read
+        once per arriving batch."""
+        sizes = {"rarex": 10, "popular": 32}
+        at = self.make(memory_budget=32).estimates(sizes)[JoinStrategy.SEMI_JOIN]
+        over = self.make(memory_budget=31).estimates(sizes)[JoinStrategy.SEMI_JOIN]
+        assert at.spill_bytes == 0
+        batches = math.ceil(10 / batch_size_for(10))
+        row_bytes = over.spill_bytes // batches
+        assert over.spill_bytes == batches * row_bytes > 0
+        assert row_bytes == self.make().cost_model.spill_tuple_bytes()
+        assert over.wire_bytes == at.wire_bytes
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [JoinStrategy.DISTRIBUTED_JOIN, JoinStrategy.SEMI_JOIN, JoinStrategy.BLOOM_JOIN],
+        ids=lambda s: s.value,
+    )
+    def test_observe_actual_records_both_sides_of_the_error(self, strategy):
+        """Each observed query adds its estimate's wire bytes, its
+        predicted spill bytes and its metered bytes under the strategy's
+        label, so the registry can compare each prediction with what the
+        query paid."""
+        network, catalog = build_world(popular=5, rare=2, overlap=1)
+        metrics = MetricsRegistry()
+        optimizer = CostBasedOptimizer(
+            catalog,
+            config=OptimizerConfig(hop_estimate=4, memory_budget=32),
+            metrics=metrics,
+        )
+        estimate = optimizer.estimates(self.SIZES)[strategy]
+        for actual in (1_000, 3_000):
+            optimizer.observe_actual(estimate, actual)
+        labels = {"strategy": strategy.name}
+        value = lambda name: metrics.counter(f"optimizer.{name}", labels=labels).value
+        assert value("predicted_bytes") == 2 * estimate.wire_bytes
+        assert value("predicted_spill_bytes") == 2 * estimate.spill_bytes
+        assert value("actual_bytes") == 4_000
+        assert (estimate.spill_bytes > 0) == (strategy is not JoinStrategy.BLOOM_JOIN)
+        errors = metrics.histogram("optimizer.bytes_error_ratio", labels=labels)
+        assert errors.count == 2
 
     def test_tight_budget_flips_pick_to_bloom(self):
         """The shift the ``ext_join`` sweep records: on a two-term
@@ -415,16 +459,18 @@ class TestOptimizedSearchEngine:
 
 
 class TestEngineRacePath:
-    def test_race_executes_optimizer_chosen_plan(self):
-        """The hybrid engine's DHT re-query runs the cost-picked strategy
-        through the shared exchange dataflow and still wins the race."""
+    @staticmethod
+    def race_world(optimizer, config, metrics=None):
+        """A hybrid ultrapeer over a 32-node DHT holding 40 "klorena"
+        files, 6 of them also "montia"; returns ``(dht, search engine,
+        hybrid, engine, simulator)``."""
         dht = DhtNetwork(rng=41)
         nodes = dht.populate(32)
         catalog = Catalog(dht)
         publisher = Publisher(dht, catalog)
-        search = SearchEngine(dht, catalog, optimizer=True)
+        search = SearchEngine(dht, catalog, optimizer=optimizer)
         sim = Simulator()
-        engine = HybridQueryEngine(sim, dht, config=RaceConfig(retry_backoff=0.5), rng=5)
+        engine = HybridQueryEngine(sim, dht, config=config, rng=5, metrics=metrics)
         hybrid = HybridUltrapeer(
             ultrapeer_id=1,
             dht_node_id=nodes[0].node_id,
@@ -438,7 +484,15 @@ class TestEngineRacePath:
                 f"klorena{both} track{index:03d}.mp3", 100 + index,
                 f"10.0.0.{index}", 6346,
             )
-        plan = search.prepare(["montia", "klorena"], query_node=nodes[0].node_id)
+        return dht, search, hybrid, engine, sim
+
+    def test_race_executes_optimizer_chosen_plan(self):
+        """The hybrid engine's DHT re-query runs the cost-picked strategy
+        through the shared exchange dataflow and still wins the race."""
+        dht, search, hybrid, engine, sim = self.race_world(
+            True, RaceConfig(retry_backoff=0.5)
+        )
+        plan = search.prepare(["montia", "klorena"], query_node=hybrid.dht_node_id)
         assert plan.strategy in (JoinStrategy.SEMI_JOIN, JoinStrategy.BLOOM_JOIN)
         race = hybrid.handle_leaf_query_simulated(
             engine, ["montia", "klorena"], [math.inf], stop_ttl=3
@@ -448,3 +502,23 @@ class TestEngineRacePath:
         assert race.outcome.used_pier
         assert race.outcome.pier_results == 6
         assert race.outcome.pier_latency > 0.0
+
+    def test_budgeted_race_evicts_at_the_site_and_writes_nothing(self):
+        """``RaceConfig.memory_budget`` reaches the race path's dataflow:
+        the distributed join's site evicts partitions of the list it
+        stores and re-reads them, the race still answers in full, and no
+        store holds anything it did not hold before the race."""
+        metrics = MetricsRegistry()
+        dht, _, hybrid, engine, sim = self.race_world(
+            None, RaceConfig(retry_backoff=0.5, memory_budget=1), metrics
+        )
+        stored = sorted(dht.stored_items())
+        race = hybrid.handle_leaf_query_simulated(
+            engine, ["montia", "klorena"], [math.inf], stop_ttl=3
+        )
+        sim.run()
+        assert race.done and race.outcome.used_pier
+        assert race.outcome.pier_results == 6
+        assert metrics.counter("operator.spill.partition_evictions").value > 0
+        assert metrics.counter("operator.spill.reads").value > 0
+        assert sorted(dht.stored_items()) == stored

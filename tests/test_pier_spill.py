@@ -77,6 +77,36 @@ class TestPartitionedEviction:
             join.probe(stored)
             assert (join.reads, join.reread_bytes) == (0, 0)
 
+    def test_budgeted_join_below_budget_never_tracks_or_spills(self, monkeypatch):
+        """Partitioning is lazy: a list within its budget never has a
+        key's partition computed, neither at the build nor at a probe, so
+        a budget that is never reached costs nothing."""
+
+        def untracked(join, keys):
+            raise AssertionError("partitioned a list within its budget")
+
+        monkeypatch.setattr(StoredHashJoin, "_partitions", untracked)
+        stored = keys_in_partition(0, 4, 10)
+        join = make_join(stored, budget=100)
+        assert join.probe(stored + [10_001]) == stored
+        assert (join.partition_evictions, join.reads) == (0, 0)
+
+    def test_one_partition_fan_out_evicts_the_whole_list(self):
+        """With a single partition there is nothing to choose: a list over
+        budget goes out whole, and every probe call that brings a key
+        scans all of it once."""
+        join = make_join(list(range(5)), budget=4, partitions=1)
+        assert (join.evicted, join.resident_rows) == ({0: 5}, 0)
+        assert join.probe([3, 99]) == [3]
+        assert join.probe([99]) == []
+        assert (join.reads, join.reread_bytes) == (2, 10 * ROW_BYTES)
+
+    def test_an_empty_stored_list_evicts_and_matches_nothing(self):
+        join = make_join([], budget=1)
+        assert (join.evicted, join.resident_rows) == ({}, 0)
+        assert join.probe([1, "file01"]) == []
+        assert join.reads == 0
+
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             make_join([1], budget=0)
@@ -84,22 +114,34 @@ class TestPartitionedEviction:
             StoredHashJoin([1], num_partitions=0)
 
 
-class TestProbeAccounting:
+class OnePartitionEvicted:
+    """A nine-row list under a budget of eight: partition 0's six rows
+    are evicted, partition 1's three stay resident."""
+
     def setup_method(self):
         self.spilled = keys_in_partition(0, 4, 6)
         self.resident = keys_in_partition(1, 4, 3)
         self.join = make_join(self.spilled + self.resident, budget=8)
 
-    def test_probes_into_resident_partitions_read_nothing(self):
+
+class TestSpilledIndexGatesReads(OnePartitionEvicted):
+    """Only the evicted partitions a probe call lands in are read."""
+
+    def test_never_spilled_probes_cost_zero_sink_reads(self):
+        """Probes that only land in resident partitions match from memory
+        and read nothing, however many partitions were evicted."""
+        assert self.join.evicted == {0: 6}
         assert self.join.probe(self.resident) == self.resident
         assert (self.join.reads, self.join.reread_bytes) == (0, 0)
 
-    def test_a_call_reads_each_evicted_partition_it_touches_once(self):
+    def test_spilled_partition_probe_reads_sink(self):
         """Three keys of the evicted partition in one call: one read, one
         scan of its six stored rows."""
         assert self.join.probe(self.spilled[:3]) == self.spilled[:3]
         assert (self.join.reads, self.join.reread_bytes) == (1, 6 * ROW_BYTES)
 
+
+class TestProbeAccounting(OnePartitionEvicted):
     def test_a_miss_in_an_evicted_partition_still_scans_it(self):
         """Nothing but a scan tells a key is not in an evicted partition."""
         absent = keys_in_partition(0, 4, 1, start=10_000)
@@ -111,10 +153,63 @@ class TestProbeAccounting:
             self.join.probe([key])
         assert (self.join.reads, self.join.reread_bytes) == (3, 18 * ROW_BYTES)
 
-    def test_the_budget_never_changes_a_match(self):
-        arriving = self.spilled[::2] + self.resident + [10_001, 10_002]
-        free = StoredHashJoin(self.spilled + self.resident)
-        assert self.join.probe(arriving) == free.probe(arriving)
+    def test_an_empty_probe_reads_nothing(self):
+        assert self.join.probe([]) == []
+        assert (self.join.reads, self.join.reread_bytes) == (0, 0)
+
+
+class TestStaySpilled:
+    def test_refilling_partition_is_evicted_exactly_once(self):
+        """Sixteen keys of one partition against a budget of four: the
+        partition is evicted once, at the build, and however many probes
+        land in it afterwards it is only ever re-read, never refilled and
+        evicted again (an all-or-nothing flush would reflush it)."""
+        keys = keys_in_partition(0, 4, 16)
+        join = make_join(keys, budget=4)
+        for key in keys:
+            assert join.probe([key]) == [key]
+        assert (join.partition_evictions, join.resident_rows) == (1, 0)
+        assert (join.reads, join.reread_bytes) == (16, 16 * 16 * ROW_BYTES)
+
+
+class TestKeysModeCompactSpill:
+    """An evicted partition is kept as its row count alone: its keys stay
+    in the site's store, and the count prices the scan that finds them."""
+
+    def test_spilled_counts_still_match(self):
+        hot = keys_in_partition(0, 4, 1)[0]
+        join = make_join([hot] * 7 + keys_in_partition(1, 4, 2, start=100), budget=8)
+        assert join.evicted == {0: 7}
+        # A site keeps an arrival once, however often its list holds it;
+        # the scan still reads all seven rows.
+        assert join.probe([hot]) == [hot]
+        assert (join.reads, join.reread_bytes) == (1, 7 * ROW_BYTES)
+
+    def test_keys_mode_budgeted_matches_unbudgeted(self):
+        stored = [k % 5 for k in range(40)]
+        free, tight = StoredHashJoin(stored), make_join(stored, budget=3)
+        for key in range(40):
+            assert tight.probe([key % 7]) == free.probe([key % 7])
+        assert tight.partition_evictions > 0 and tight.reads > 0
+
+
+class TestIteratorEquivalence:
+    def test_partitioned_budgeted_matches_unbudgeted(self):
+        """Thirty arrivals over seven keys, one per call, against a list of
+        five keys six times over: every call keeps what the nested-loop
+        join gives it, under any budget, and only a budget evicts."""
+        stored = [index % 5 for index in range(30)]
+        arriving = [index % 7 for index in range(30)]
+        distinct = [{"k": key} for key in dict.fromkeys(stored)]
+        expected = [
+            [row["k"] for row in nested_loop_join([{"k": key}], distinct, "k")]
+            for key in arriving
+        ]
+        assert sum(map(len, expected)) == 22  # arrivals with a key below 5
+        for budget in (None, 1, 2, 5, 17):
+            join = make_join(stored, budget)
+            assert [join.probe([key]) for key in arriving] == expected, budget
+            assert (join.partition_evictions > 0) == (budget is not None)
 
 
 def cut(keys, cuts):

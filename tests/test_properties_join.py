@@ -1,29 +1,165 @@
 """Property suite: a memory budget must never change a join's answers.
 
-The operator-level differential of the budgeted join — matches against
-the nested-loop reference, evictions and reads against the written-out
-``reference_stored_join``, over arbitrary batch cuts — lives in
-``tests/test_pier_spill.py``. This suite lifts the guarantee to whole
-plans on the dataflow: a budgeted run answers exactly as
-``tests/oracle.py``'s plan-free reference and ships exactly the
-unbudgeted run's wire bytes, with accounting that ties re-read bytes to
-whole evicted rows.
+Pins the core guarantee of a join site's budgeted build
+(:class:`StoredHashJoin`) — evicting partitions of the stored list trades
+memory for re-reads and nothing else — across partition fan-outs,
+collision-rich key multisets and arbitrary arrival sequences, against the
+unbudgeted build and ``tests/oracle.py``'s nested-loop reference, plus
+the accounting invariants that tie re-read bytes to whole stored rows.
+It also pins **chunking invariance**: how an arrival sequence is cut
+into probe calls moves no match and no eviction, and moves reads only
+the one way (a finer cut never reads less). The written-out accounting
+differential lives in ``tests/test_pier_spill.py``. This suite lifts the
+guarantee to whole plans on the dataflow: a budgeted run answers exactly
+as ``tests/oracle.py``'s plan-free reference and ships exactly the
+unbudgeted run's wire bytes.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.operators import StoredHashJoin
 from repro.pier.planner import KeywordPlanner
 from repro.piersearch.publisher import Publisher
 
-from oracle import oracle_items
+from oracle import nested_loop_join, oracle_items, reference_stored_join
 
 WORDS = ["nebula", "quasar", "aurora", "meteor"]
+
+#: key multisets over a small, collision-rich key space — small keys
+#: maximise duplicate multiplicities and partition collisions, which is
+#: where eviction bookkeeping can go wrong
+key_lists = st.lists(st.integers(0, 9), max_size=60)
+
+budgets = st.integers(min_value=1, max_value=12)
+fan_outs = st.sampled_from([1, 2, 4, 8])
+
+ROW_BYTES = 512
+
+
+def make_budgeted(stored, budget, fan_out):
+    return StoredHashJoin(
+        stored, memory_budget=budget, num_partitions=fan_out, row_bytes=ROW_BYTES
+    )
+
+
+def assert_accounting_invariants(join, stored, budget):
+    """Eviction and re-read accounting is consistent in rows and bytes."""
+    assert join.resident_rows + sum(join.evicted.values()) == len(stored)
+    assert join.resident_rows <= budget
+    assert all(rows > 0 for rows in join.evicted.values())
+    # A read scans one whole evicted partition: re-read bytes are a whole
+    # number of stored rows, at least one per read.
+    assert join.reread_bytes % ROW_BYTES == 0
+    assert join.reread_bytes >= join.reads * ROW_BYTES
+    assert (join.reads > 0) <= (join.partition_evictions > 0)
+
+
+def probe_in_cuts(join, keys, cuts):
+    """Probe ``keys`` in one call per run between the indices in
+    ``cuts``; the matches, flattened."""
+    bounds = [0] + sorted(c for c in cuts if 0 < c < len(keys)) + [len(keys)]
+    matched = []
+    for start, end in zip(bounds, bounds[1:]):
+        matched.extend(join.probe(keys[start:end]))
+    return matched
+
+
+class TestOperatorEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(stored=key_lists, arriving=key_lists, budget=budgets, fan_out=fan_outs)
+    def test_budgeted_matches_nested_loop_reference(
+        self, stored, arriving, budget, fan_out
+    ):
+        """Each arrival, probed alone, keeps exactly the rows the
+        nested-loop join of it with the stored list's distinct keys
+        gives, evicted partition or not."""
+        tight = make_budgeted(stored, budget, fan_out)
+        distinct = [{"k": key} for key in dict.fromkeys(stored)]
+        for key in arriving:
+            rows = nested_loop_join([{"k": key}], distinct, "k")
+            assert tight.probe([key]) == [row["k"] for row in rows]
+        assert_accounting_invariants(tight, stored, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stored=key_lists, arriving=key_lists, budget=budgets, fan_out=fan_outs)
+    def test_keys_mode_budgeted_matches_unbudgeted(
+        self, stored, arriving, budget, fan_out
+    ):
+        free = StoredHashJoin(stored)
+        tight = make_budgeted(stored, budget, fan_out)
+        assert tight.probe(arriving) == free.probe(arriving)
+        for key in arriving:
+            assert tight.probe([key]) == free.probe([key])
+        assert (free.reads, free.partition_evictions) == (0, 0)
+        assert (tight.partition_evictions > 0) == (len(stored) > budget)
+        assert_accounting_invariants(tight, stored, budget)
+
+
+class TestChunkingInvariance:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        stored=st.lists(st.integers(0, 39), max_size=80),
+        arriving=st.lists(st.integers(0, 39), min_size=1, max_size=80),
+        spread=st.integers(min_value=1, max_value=40),
+        budget=budgets,
+        fan_out=fan_outs,
+        cuts=st.sets(st.integers(1, 79)),
+    )
+    def test_any_split_of_a_key_sequence_spills_identically(
+        self, stored, arriving, spread, budget, fan_out, cuts
+    ):
+        """One call for the whole sequence, one call per key, and any split
+        in between are the same join: equal matches, evictions and
+        resident rows. Reads are charged per call, so a finer cut reads
+        at least as much as the coarser one it refines — the whole
+        sequence least, one key per call most. ``spread`` folds the key
+        space, so a small one is heavy skew (1 = a single hot key)."""
+        stored = [key % spread for key in stored]
+        arriving = [key % spread for key in arriving]
+        per_key = make_budgeted(stored, budget, fan_out)
+        reference = probe_in_cuts(per_key, arriving, range(len(arriving)))
+        bulk = make_budgeted(stored, budget, fan_out)
+        split = make_budgeted(stored, budget, fan_out)
+        assert probe_in_cuts(bulk, arriving, ()) == reference
+        assert probe_in_cuts(split, arriving, cuts) == reference
+        for join in (bulk, split):
+            assert list(join.evicted.items()) == list(per_key.evicted.items())
+            assert join.resident_rows == per_key.resident_rows
+            assert_accounting_invariants(join, stored, budget)
+        assert bulk.reads <= split.reads <= per_key.reads
+        assert bulk.reread_bytes <= split.reread_bytes <= per_key.reread_bytes
+        # The budget never changes an answer, whatever the split.
+        assert probe_in_cuts(StoredHashJoin(stored), arriving, cuts) == reference
+
+    @pytest.mark.parametrize("per_call", [128, 1], ids=["bulk", "per-key"])
+    def test_pinned_numbers_of_the_per_key_path(self, per_call):
+        """Regression pin: 128 distinct keys built under budget 32 over 8
+        partitions, then a 32-key probe (16 hits, 16 misses) in one call
+        or one call per key. Six partitions go, largest first and ties to
+        the lowest id, leaving two of 15 rows; the numbers also equal
+        ``reference_stored_join``'s."""
+        keys = [f"file{i:04d}" for i in range(128)]
+        probe = keys[::8] + [f"miss{i:04d}" for i in range(16)]
+        join = make_budgeted(keys, 32, 8)
+        batches = [probe[i : i + per_call] for i in range(0, len(probe), per_call)]
+        assert [key for batch in batches for key in join.probe(batch)] == keys[::8]
+        evicted = [(2, 17), (3, 17), (4, 17), (5, 17), (0, 15), (1, 15)]
+        assert list(join.evicted.items()) == evicted
+        assert (join.partition_evictions, join.resident_rows) == (6, 30)
+        reads, reread_rows = {128: (6, 98), 1: (24, 394)}[per_call]
+        assert (join.reads, join.reread_bytes) == (reads, reread_rows * ROW_BYTES)
+        assert reference_stored_join(keys, batches, 32, 8)[1:] == (
+            dict(evicted),
+            reads,
+            reread_rows,
+        )
 
 
 def build_world(seed, num_files=30, nodes=20):

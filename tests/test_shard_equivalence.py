@@ -4,8 +4,9 @@ The determinism contract of the ring-sharded kernel (repro.sim.shard):
 for the same seed, running the query workload on one shard or on four
 yields identical answer sets, identical draw-independent QueryStats
 (bytes, messages, posting entries, critical-path hops), and identical
-bandwidth-meter totals — across the full join-strategy matrix and for
-both the standalone dataflow runtime and the hybrid race engine.
+bandwidth-meter totals — across the full join-strategy matrix, with and
+without a join memory budget, and for both the standalone dataflow
+runtime and the hybrid race engine.
 Latency *draws* may differ (each shard engine owns an RNG stream), so
 only draw-independent quantities are compared.
 """
@@ -81,12 +82,15 @@ def plan_for(catalog, strategy, terms, query_node):
 # ----------------------------------------------------------------------
 
 
-def run_dataflow_matrix(seed: int, num_shards: int):
+def run_dataflow_matrix(seed: int, num_shards: int, memory_budget: int | None = None):
     """Every strategy on every query, executed on the owning shard.
 
     Returns (digest of draw-independent per-query facts, meter totals).
+    With a ``memory_budget`` each fact also carries the query's spill
+    accounting, and every store must end the matrix as it began it.
     """
     rng, network, catalog = build_world(seed)
+    stored = sorted(network.stored_items())
     kernel = ShardedSimulator(num_shards, lookahead=LOOKAHEAD, seed=seed)
     root = make_rng(seed + 17)
     executors = [
@@ -95,7 +99,10 @@ def run_dataflow_matrix(seed: int, num_shards: int):
             catalog,
             sim=kernel.shard(shard_id),
             config=DataflowConfig(
-                batch_size=None, hop_latency=HOP_LATENCY, hop_jitter=HOP_JITTER
+                batch_size=None,
+                hop_latency=HOP_LATENCY,
+                hop_jitter=HOP_JITTER,
+                memory_budget=memory_budget,
             ),
             rng=spawn_rng(root, f"dataflow.shard.{shard_id}"),
         )
@@ -109,18 +116,26 @@ def run_dataflow_matrix(seed: int, num_shards: int):
         for strategy in ALL_STRATEGIES:
             plan = plan_for(catalog, strategy, terms, query_node)
             rows, stats = executor.execute(plan)
-            digest.append(
-                (
-                    tuple(sorted(terms)),
-                    strategy.name,
-                    tuple(map(tuple, result_key(rows))),
-                    stats.bytes,
-                    stats.messages,
-                    stats.posting_entries_shipped,
-                    stats.critical_path_hops,
-                    tuple(stats.per_stage_entries),
-                )
+            fact = (
+                tuple(sorted(terms)),
+                strategy.name,
+                tuple(map(tuple, result_key(rows))),
+                stats.bytes,
+                stats.messages,
+                stats.posting_entries_shipped,
+                stats.critical_path_hops,
+                tuple(stats.per_stage_entries),
             )
+            if memory_budget is not None:
+                spill = stats.spill
+                fact += (
+                    None
+                    if spill is None
+                    else (spill.partition_evictions, spill.spill_reads, spill.reread_bytes),
+                )
+            digest.append(fact)
+    if memory_budget is not None:
+        assert sorted(network.stored_items()) == stored
     return digest, (network.meter.messages, network.meter.bytes)
 
 
@@ -138,6 +153,20 @@ def test_dataflow_matrix_identical_across_shard_counts(seed):
 
 def test_dataflow_matrix_reruns_bit_identical():
     assert run_dataflow_matrix(3, 4) == run_dataflow_matrix(3, 4)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_budgeted_dataflow_matrix_identical_across_shard_counts(seed):
+    """Under a join-row budget the shards still agree on every fact, spill
+    accounting included. Join sites evict within the list they store and
+    write nothing, so engines on different shards share no temp state and
+    need no namespace of their own: every store ends as it began."""
+    single, sharded = (
+        run_dataflow_matrix(seed, num_shards, memory_budget=2)
+        for num_shards in SHARD_COUNTS
+    )
+    assert sharded == single
+    assert any(fact[-1] and fact[-1][0] > 0 for fact in single[0])
 
 
 # ----------------------------------------------------------------------
