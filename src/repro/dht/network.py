@@ -19,19 +19,9 @@ from repro.common.rng import make_rng
 from repro.common.units import BandwidthMeter, CostModel, DEFAULT_COST_MODEL
 from repro.dht.node import OWNS, DhtNode
 from repro.dht.ring import COMPACT_SHIFT, Ring, RingCell, RingSnapshot
-from repro.net.messages import DirectMessage, RoutedMessage
 from repro.net.transport import InProcessTransport, Transport
 
 MAX_HOPS_FACTOR = 4  # routing gives up after 4*log2(N)+8 hops
-
-
-@dataclass(frozen=True)
-class BatchShipment:
-    """Wire cost of one shipped tuple batch (see :meth:`DhtNetwork.ship_batch`)."""
-
-    hops: int
-    messages: int
-    bytes: int
 
 
 @dataclass
@@ -99,9 +89,9 @@ class DhtNetwork:
         #: hand-assigned table lasts until the next stabilize, no longer)
         self._stabilize_serial = 0
         self.meter = BandwidthMeter()
-        #: every cross-node byte flows through this boundary (typed
-        #: messages, charged to the meter); swap it to re-target the same
-        #: overlay at a different backend — see :mod:`repro.net.transport`
+        #: every cross-node byte is charged through this boundary, priced
+        #: by ``cost_model``; swap it to re-target the same overlay at a
+        #: different backend — see :mod:`repro.net.transport`
         self.transport = transport or InProcessTransport(self.meter, self.cost_model)
         self._stale = False
         #: bumped on every join/leave; cheap epoch stamp for caches (e.g.
@@ -178,15 +168,7 @@ class DhtNetwork:
                     moved += 1
                 source.store.remove_key(key)
             if moved:
-                self.transport.deliver(
-                    DirectMessage(
-                        source=successor_id,
-                        target=node_id,
-                        payload_bytes=self.cost_model.tuple_bytes(0),
-                        category="dht.handoff",
-                        copies=moved,
-                    )
-                )
+                self._charge_handoff(moved)
         return node
 
     def _random_id(self) -> int:
@@ -249,15 +231,7 @@ class DhtNetwork:
                     target.store.put(key, value, identity=_identity(value))
                     moved += 1
             if moved:
-                self.transport.deliver(
-                    DirectMessage(
-                        source=node_id,
-                        target=successor,
-                        payload_bytes=self.cost_model.tuple_bytes(0),
-                        category="dht.handoff",
-                        copies=moved,
-                    )
-                )
+                self._charge_handoff(moved)
         node.alive = False
         for key in list(self._replica_sets):
             holders = [nid for nid in self._replica_sets[key] if nid != node_id]
@@ -267,6 +241,14 @@ class DhtNetwork:
                 self.unregister_replicas(key)
         if self.removal_listener is not None:
             self.removal_listener(node_id)
+
+    def _charge_handoff(self, moved: int) -> None:
+        """One direct message per handed-off value, each a framed empty
+        tuple."""
+        cost = self.cost_model
+        self.transport.charge(
+            "dht.handoff", moved, moved * cost.message_bytes(cost.tuple_bytes(0))
+        )
 
     def stabilize(self) -> None:
         """Refresh every node's routing state from the current ring.
@@ -411,22 +393,34 @@ class DhtNetwork:
         result always names a node that actually owns ``key`` — a dead-end
         is an error, never an answer from the wrong node.
         """
-        self._ensure_stable()
+        path = self._checked_route(key, origin)
+        return LookupResult(key=key % KEY_SPACE, owner=path[-1], path=list(path))
+
+    def route_hops(self, key: int, origin: int | None = None) -> int:
+        """Overlay hops :meth:`lookup` would take: the same route, the same
+        checks and route-cache counters, and no result object."""
+        return len(self._checked_route(key, origin)) - 1
+
+    def _checked_route(self, key: int, origin: int | None) -> tuple[int, ...]:
+        """The body of :meth:`lookup`, :meth:`route_hops` and
+        :meth:`ship_batch`: stabilize, check membership, draw a random
+        origin when None, then route."""
+        if self._stale:
+            self.stabilize()
         if not self._ring:
             raise DhtError("empty network")
-        key %= KEY_SPACE
         if origin is None:
             origin = self.random_node_id()
         if origin not in self.nodes:
             raise NodeNotFoundError(f"unknown origin {origin:x}")
-        path = self._route(key, origin)
-        return LookupResult(key=key, owner=path[-1], path=list(path))
+        return self._route(key % KEY_SPACE, origin)
 
     def _route(self, key: int, origin: int) -> tuple[int, ...]:
         """Hop path from ``origin`` to ``key``'s owner, through the cache: the
-        one routing body under :meth:`lookup` and :meth:`put_many`, which
-        stabilize, reduce ``key`` and check ``origin`` is a member first.
-        A walk that raises is neither cached nor counted."""
+        one routing body under :meth:`lookup`, :meth:`route_hops` and
+        :meth:`put_many`, which stabilize, reduce ``key`` and check
+        ``origin`` is a member first. A walk that raises is neither cached
+        nor counted."""
         if self._route_cache_epoch != self.membership_version:
             self._route_cache.clear()
             self._route_cache_epoch = self.membership_version
@@ -584,13 +578,14 @@ class DhtNetwork:
         payload_bytes: int,
         category: str = "pier.exchange",
         direct: bool = False,
-    ) -> "BatchShipment":
-        """Ship one tuple batch from node ``source`` to node ``target``.
+    ) -> tuple[int, int, int]:
+        """Ship one tuple batch from node ``source`` to node ``target``:
+        charge it, and return its ``(hops, messages, bytes)``.
 
         The streaming-exchange primitive: a payload costs the same
         however it is batched over an edge, so a query split into batches
         pays the same per-payload cost and only the per-message overhead
-        scales with the batch count.
+        scales with the batch count. Each batch is one transport charge.
 
         * ``direct=False`` (rehash traffic): the batch routes through the
           DHT — one message per overlay hop, payload charged once plus a
@@ -602,28 +597,15 @@ class DhtNetwork:
         Raises :class:`DhtError` when routing to ``target`` breaks (the
         caller — an in-flight dataflow — decides whether to retry).
         """
+        cost = self.cost_model
         if direct:
             hops = 0 if source == target else 1
-            delivery = self.transport.deliver(
-                DirectMessage(
-                    source=source,
-                    target=target,
-                    payload_bytes=payload_bytes,
-                    category=category,
-                )
-            )
+            messages, byte_count = 1, cost.message_bytes(payload_bytes)
         else:
-            hops = 0 if source == target else self.lookup(target, origin=source).hops
-            delivery = self.transport.deliver(
-                RoutedMessage(
-                    source=source,
-                    target=target,
-                    payload_bytes=payload_bytes,
-                    category=category,
-                    hops=hops,
-                )
-            )
-        return BatchShipment(hops=hops, messages=delivery.messages, bytes=delivery.bytes)
+            hops = 0 if source == target else len(self._checked_route(target, source)) - 1
+            messages, byte_count = hops or 1, cost.routed_bytes(payload_bytes, hops)
+        self.transport.charge(category, messages, byte_count)
+        return hops, messages, byte_count
 
     def put(
         self,
@@ -749,15 +731,7 @@ class DhtNetwork:
             # Stale replica registration: serve from the owner instead.
             result = self.lookup(key, origin)
             values = self.nodes[result.owner].store.get(key)
-        self.transport.deliver(
-            RoutedMessage(
-                source=result.path[0] if result.path else result.owner,
-                target=result.owner,
-                payload_bytes=0,
-                category=category,
-                hops=result.hops,
-            )
-        )
+        self._charge_get(category, result.hops)
         if not values:
             raise KeyNotFoundError(f"no values under key {key:x}")
         return values
@@ -782,18 +756,14 @@ class DhtNetwork:
             # Stale replica registration: re-route to the ring owner.
             result = yield from self.iter_lookup(key, origin)
             values = self.nodes[result.owner].store.get(key)
-        self.transport.deliver(
-            RoutedMessage(
-                source=result.path[0] if result.path else result.owner,
-                target=result.owner,
-                payload_bytes=0,
-                category=category,
-                hops=result.hops,
-            )
-        )
+        self._charge_get(category, result.hops)
         if not values:
             raise KeyNotFoundError(f"no values under key {key:x}")
         return values, result
+
+    def _charge_get(self, category: str, hops: int) -> None:
+        """A read's request: an empty payload routed over ``hops`` hops."""
+        self.transport.charge(category, hops or 1, self.cost_model.routed_bytes(0, hops))
 
     def get_local(self, node_id: int, key: int) -> list[Any]:
         """Read a node's local store directly (no messages)."""

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 from repro.gnutella.index import UltrapeerIndex
 from repro.gnutella.topology import Topology
-from repro.net import FloodMessage, Transport
+from repro.net import Transport
 from repro.workload.library import SharedFile
 
-#: transport category for query edges (one FloodMessage per forwarded copy)
+#: transport category for query edges (one message per forwarded copy)
 FLOOD_CATEGORY = "gnutella.query"
 
 #: recent-frequency above which a query counts as popular enough to
@@ -81,9 +81,10 @@ def flood(
     query discard it (but the message was still sent and is counted).
 
     When a ``transport`` is supplied, every forwarded edge — duplicates
-    included, since the sender pays for them regardless — is delivered as
-    a :class:`~repro.net.FloodMessage` of ``payload_bytes``, so flood
-    overhead lands on the same bandwidth meter as DHT and PIER traffic.
+    included, since the sender pays for them regardless — is charged to it
+    as one framed message of ``payload_bytes`` (one charge per flood), so
+    flood overhead lands on the same bandwidth meter as DHT and PIER
+    traffic.
     """
     if ttl < 0:
         raise ValueError(f"ttl must be >= 0, got {ttl}")
@@ -103,16 +104,6 @@ def flood(
                 if neighbor == parent:
                     continue
                 result.messages += 1
-                if transport is not None:
-                    transport.deliver(
-                        FloodMessage(
-                            source=node,
-                            target=neighbor,
-                            payload_bytes=payload_bytes,
-                            category=FLOOD_CATEGORY,
-                            hop=hop,
-                        )
-                    )
                 if neighbor in result.visited:
                     continue  # duplicate: dropped by receiver
                 result.visited.add(neighbor)
@@ -123,6 +114,10 @@ def flood(
         result.messages_by_hop.append(result.messages)
         if not frontier:
             break
+    if transport is not None and result.messages:
+        edges = result.messages
+        framed = transport.cost_model.message_bytes(payload_bytes)
+        transport.charge(FLOOD_CATEGORY, edges, edges * framed)
     return result
 
 

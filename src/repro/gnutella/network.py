@@ -44,7 +44,7 @@ class GnutellaNetwork:
         self.latency_model = latency_model or GnutellaLatencyModel()
         self.rng = make_rng(rng)
         #: optional repro.net transport; when set, every flood edge is
-        #: delivered as a FloodMessage of ``query_bytes`` on it
+        #: charged to it as one message of ``query_bytes``
         self.transport = transport
         self.query_bytes = query_bytes
         #: resolves a query's filenames once for the whole network

@@ -615,8 +615,8 @@ class HybridQueryEngine:
             race.on_done(race)
 
     def _hop_delay(self) -> float:
-        return self.dht.transport.hop_delay(
-            self.rng, self.config.dht_hop_latency, self.config.hop_jitter
+        return self.dht.transport.hop_delays(
+            self.rng, self.config.dht_hop_latency, self.config.hop_jitter, 1
         )
 
     # ------------------------------------------------------------------

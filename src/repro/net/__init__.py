@@ -1,25 +1,14 @@
 """repro.net — the explicit communication boundary between nodes.
 
-Typed messages (:mod:`repro.net.messages`) plus transports that charge
-their wire cost and time their delivery (:mod:`repro.net.transport`).
+Transports that charge wire costs and time overlay hops
+(:mod:`repro.net.transport`), and a wrapper that degrades the link
+(:mod:`repro.net.faults`).
 """
 
-from repro.net.messages import (
-    Delivery,
-    DirectMessage,
-    FloodMessage,
-    NetMessage,
-    RoutedMessage,
-)
 from repro.net.faults import FaultInjectingTransport
 from repro.net.transport import InProcessTransport, Transport, draw_hop_delay
 
 __all__ = [
-    "Delivery",
-    "DirectMessage",
-    "FloodMessage",
-    "NetMessage",
-    "RoutedMessage",
     "FaultInjectingTransport",
     "InProcessTransport",
     "Transport",

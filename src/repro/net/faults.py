@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 
-from repro.net.messages import Delivery, NetMessage
 from repro.net.transport import Transport
 
 
@@ -56,18 +55,21 @@ class FaultInjectingTransport(Transport):
 
     # -- Transport interface (byte path delegates untouched) -----------
 
-    def deliver(self, message: NetMessage) -> Delivery:
-        return self.inner.deliver(message)
-
     def charge(self, category: str, messages: int, byte_count: int) -> None:
         self.inner.charge(category, messages, byte_count)
 
-    def hop_delay(self, rng: random.Random, mean: float, jitter: float) -> float:
-        delay = self.inner.hop_delay(rng, mean, jitter)
-        if self._delay_multiplier != 1.0:
-            self.degraded_draws += 1
-            delay *= self._delay_multiplier
-        return delay
+    def hop_delays(self, rng: random.Random, mean: float, jitter: float, hops: int) -> float:
+        multiplier = self._delay_multiplier
+        if multiplier == 1.0:
+            return self.inner.hop_delays(rng, mean, jitter, hops)
+        # Scale each draw, then add: the stretched sum is the one the
+        # per-draw path always produced, to the last bit.
+        self.degraded_draws += hops
+        draw = self.inner.hop_delays
+        total = 0.0
+        for _ in range(hops):
+            total += draw(rng, mean, jitter, 1) * multiplier
+        return total
 
     def min_hop_delay(self, mean: float, jitter: float) -> float:
         return self.inner.min_hop_delay(mean, jitter)

@@ -1,15 +1,19 @@
 """The transport boundary: where bytes and latency cross node lines.
 
 Every subsystem that used to poke the bandwidth meter (or draw per-hop
-latencies) inline now funnels through a :class:`Transport`:
+latencies) inline now funnels through a :class:`Transport`. The
+transport takes no typed messages: a caller prices its own traffic with
+the shared :class:`~repro.common.units.CostModel` (``routed_bytes`` for a
+DHT-routed payload, ``message_bytes`` per direct or flood message) and
+hands the total to :meth:`Transport.charge`, one call per batch:
 
-* :class:`~repro.dht.network.DhtNetwork` delivers its routed gets, key
-  handoffs, and exchange batch shipments here, and charges each put
-  batch's routed and replica-copy costs here once per category;
+* :class:`~repro.dht.network.DhtNetwork` charges its routed gets, key
+  handoffs and exchange batch shipments here, and each put batch's
+  routed and replica-copy costs once per category;
 * the PIER dataflow charges its dissemination and answer legs here and
-  draws its per-hop batch latencies from :meth:`Transport.hop_delay`;
-* Gnutella flooding can deliver each forward edge as a
-  :class:`~repro.net.messages.FloodMessage`.
+  draws a batch's per-hop latencies, all of them in one
+  :meth:`Transport.hop_delays` call;
+* Gnutella flooding charges each flood's forwarded edges here.
 
 The point of the indirection is that *parallelism and distribution become
 configuration*: the in-process backend below reproduces today's inline
@@ -17,7 +21,7 @@ accounting byte-for-byte (pinned by the golden stats digests), while a
 sharded kernel or a real-network backend only needs to swap the transport
 — no engine rewrites. The sharded simulator's conservative-lookahead
 synchronization (:mod:`repro.sim.shard`) leans on the same boundary: the
-minimum value :meth:`hop_delay` can return is the lookahead window.
+minimum value one hop draw can take is the lookahead window.
 """
 
 from __future__ import annotations
@@ -25,13 +29,6 @@ from __future__ import annotations
 import random
 
 from repro.common.units import BandwidthMeter, CostModel
-from repro.net.messages import (
-    Delivery,
-    DirectMessage,
-    FloodMessage,
-    NetMessage,
-    RoutedMessage,
-)
 
 
 def draw_hop_delay(rng: random.Random, mean: float, jitter: float) -> float:
@@ -39,10 +36,11 @@ def draw_hop_delay(rng: random.Random, mean: float, jitter: float) -> float:
 
     The single source of truth for overlay hop timing — the hybrid
     engine's walk steps and the dataflow's batch transits draw from this
-    exact distribution, so the two layers cannot silently diverge. With
-    ``jitter <= 0`` the draw is deterministic and costs no RNG state,
-    which also gives the minimum possible value ``mean * (1 - jitter)``
-    used as the sharded kernel's conservative lookahead.
+    exact distribution (through :meth:`Transport.hop_delays`), so the two
+    layers cannot silently diverge. With ``jitter <= 0`` the draw is
+    deterministic and costs no RNG state, which also gives the minimum
+    possible value ``mean * (1 - jitter)`` used as the sharded kernel's
+    conservative lookahead.
     """
     if jitter <= 0:
         return mean
@@ -50,27 +48,41 @@ def draw_hop_delay(rng: random.Random, mean: float, jitter: float) -> float:
 
 
 class Transport:
-    """Interface: deliver typed messages, charging a wire-cost model.
+    """Interface: charge wire costs and time overlay hops.
 
-    ``deliver`` assesses and charges the wire cost of one typed message;
-    ``charge`` is the low-level primitive behind it, exposed for call
-    sites that already computed their exact cost (the dataflow's plan
-    dissemination and Item fetches, whose request and response legs do
-    not reduce to one message shape).
+    A backend exposes the ``meter`` it charges and the ``cost_model``
+    callers price their traffic with.
     """
-
-    def deliver(self, message: NetMessage) -> Delivery:
-        raise NotImplementedError
 
     def charge(self, category: str, messages: int, byte_count: int) -> None:
         raise NotImplementedError
 
-    def hop_delay(self, rng: random.Random, mean: float, jitter: float) -> float:
-        """Draw one overlay-hop latency (see :func:`draw_hop_delay`)."""
-        return draw_hop_delay(rng, mean, jitter)
+    def hop_delays(self, rng: random.Random, mean: float, jitter: float, hops: int) -> float:
+        """Virtual seconds ``hops`` overlay hops take: the sum of ``hops``
+        :func:`draw_hop_delay` draws, in one call.
+
+        Each draw is ``low + span * rng.random()``, which is what
+        ``random.uniform`` computes (3.10–3.12), so the RNG stream and
+        every draw are bit-identical to ``hops`` :func:`draw_hop_delay`
+        calls. The sum is added left to right from ``0.0``: Python 3.12's
+        float ``sum()`` compensates its rounding (Neumaier) and 3.10/3.11's
+        does not, so summing with ``sum()`` made virtual times, and every
+        digest built on them, differ between interpreters.
+        """
+        total = 0.0
+        if jitter <= 0:
+            for _ in range(hops):
+                total += mean
+            return total
+        low = mean * (1 - jitter)
+        span = mean * (1 + jitter) - low
+        draw = rng.random
+        for _ in range(hops):
+            total += low + span * draw()
+        return total
 
     def min_hop_delay(self, mean: float, jitter: float) -> float:
-        """Smallest latency :meth:`hop_delay` can return — the safe
+        """Smallest latency one hop draw can take — the safe
         conservative-lookahead horizon for cross-shard synchronization."""
         return mean * (1 - max(0.0, jitter))
 
@@ -78,34 +90,15 @@ class Transport:
 class InProcessTransport(Transport):
     """The in-process backend: same-address-space delivery.
 
-    Behavior-identical to the pre-boundary inline code: each delivery
-    charges the bound :class:`BandwidthMeter` exactly what the caller
-    used to charge directly, and nothing else happens — state mutation
-    stays with the caller, which already holds the destination object.
+    Behavior-identical to the pre-boundary inline code: each charge lands
+    on the bound :class:`BandwidthMeter` exactly as the caller used to
+    charge it directly, and nothing else happens — state mutation stays
+    with the caller, which already holds the destination object.
     """
 
     def __init__(self, meter: BandwidthMeter, cost_model: CostModel):
         self.meter = meter
         self.cost_model = cost_model
-
-    def deliver(self, message: NetMessage) -> Delivery:
-        if isinstance(message, RoutedMessage):
-            messages = max(1, message.hops)
-            byte_count = self.cost_model.routed_bytes(
-                message.payload_bytes, message.hops
-            )
-        elif isinstance(message, DirectMessage):
-            messages = message.copies
-            byte_count = messages * self.cost_model.message_bytes(
-                message.payload_bytes
-            )
-        elif isinstance(message, FloodMessage):
-            messages = 1
-            byte_count = self.cost_model.message_bytes(message.payload_bytes)
-        else:
-            raise TypeError(f"unknown message type {type(message).__name__}")
-        self.meter.charge(message.category, messages, byte_count)
-        return Delivery(messages=messages, bytes=byte_count)
 
     def charge(self, category: str, messages: int, byte_count: int) -> None:
         self.meter.charge(category, messages, byte_count)

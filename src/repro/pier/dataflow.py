@@ -13,14 +13,16 @@ the sites of a keyword chain:
   local steps (substring filters, the Bloom build) run when the plan
   reaches the first site.
 * Every batch is a scheduled event in **virtual time** on a
-  :class:`~repro.sim.engine.Simulator`: a send event charges the batch's
-  wire bytes (:meth:`DhtNetwork.ship_batch`) and draws per-hop latencies
-  for its arrival; the receiving site probes the
-  :class:`~repro.pier.operators.StoredHashJoin` it built once on its own
-  posting list and immediately forwards new survivors downstream. The
-  first answer therefore reaches the query node while upstream batches
-  are still in flight — first-answer latency is a property of the
-  *pipeline*, not the join.
+  :class:`~repro.sim.engine.Simulator`: a send event ships the batch in
+  one call (:meth:`DhtNetwork.ship_batch` routes it, charges its wire
+  bytes and returns its ``(hops, messages, bytes)``; nothing else is
+  built per batch) and draws all its per-hop latencies in one more
+  (:meth:`~repro.net.transport.Transport.hop_delays`). The receiving
+  site probes the :class:`~repro.pier.operators.StoredHashJoin` it built
+  once on its own posting list and immediately forwards new survivors
+  downstream. The first answer therefore reaches the query node while
+  upstream batches are still in flight — first-answer latency is a
+  property of the *pipeline*, not the join.
 * Joins optionally run under a **memory budget**: a site whose list
   overflows it evicts build partitions, which stay where they are stored
   (nothing is written), and each arriving batch is charged a re-read of
@@ -274,15 +276,6 @@ class DataflowExecutor:
         run.start()
         return run.query
 
-    # ------------------------------------------------------------------
-    # Shared draws
-    # ------------------------------------------------------------------
-
-    def hop_delay(self) -> float:
-        return self.network.transport.hop_delay(
-            self.rng, self.config.hop_latency, self.config.hop_jitter
-        )
-
 
 # ----------------------------------------------------------------------
 # Internal runtime
@@ -382,28 +375,30 @@ class _Exchange:
 
     def _send_head(self) -> None:
         batch = self._queue.popleft()
+        tuples = len(batch)
         run = self.run
         try:
-            shipment = run.executor.network.ship_batch(
+            hops, messages, byte_count = run.executor.network.ship_batch(
                 self.source_site,
                 self.target_site,
-                len(batch) * self.per_tuple_bytes,
-                category=self.category,
-                direct=self.answer,
+                tuples * self.per_tuple_bytes,
+                self.category,
+                self.answer,
             )
         except DhtError as error:
             run.fail(error)
             return
-        run.stats.messages += shipment.messages
-        run.stats.bytes += shipment.bytes
-        run.pipeline.batches_shipped += 1
+        stats = run.stats
+        stats.messages += messages
+        stats.bytes += byte_count
+        stats.pipeline.batches_shipped += 1
         self.batches_sent += 1
-        self.tuples_sent += len(batch)
-        if not self.answer:
-            run.stats.posting_entries_shipped += len(batch)
-        hops = 1 if self.answer else shipment.hops
-        delay = run.delay(hops)
-        arrival = max(run.sim.now + delay, self.ready_time)
+        self.tuples_sent += tuples
+        if self.answer:
+            hops = 1  # an answer takes its one direct hop even to itself
+        else:
+            stats.posting_entries_shipped += tuples
+        arrival = max(run.sim.now + run.delay(hops), self.ready_time)
         self._last_arrival = max(self._last_arrival, arrival)
         if run.span is not None and run.span.recording:
             # A batch span covers send -> arrival; the end timestamp is
@@ -417,16 +412,16 @@ class _Exchange:
                 arrival,
                 {
                     "category": self.category,
-                    "tuples": len(batch),
-                    "bytes": shipment.bytes,
+                    "tuples": tuples,
+                    "bytes": byte_count,
                     "hops": hops,
                 },
             )
         if self._m_batches is not None:
             self._m_batches.add(1)
-            self._m_tuples.add(len(batch))
+            self._m_tuples.add(tuples)
             self._m_transit.observe(arrival - run.sim.now)
-        run.group.schedule_at(arrival, lambda batch=batch: self._arrive(batch))
+        run.group.schedule_at(arrival, partial(self._arrive, batch))
         if self._queue:
             run.group.schedule(run.executor.config.send_interval, self._send_head)
         else:
@@ -644,21 +639,18 @@ class _QueryRun:
 
     def _ship_filter(self, step: Step, deliver, ready_time: float, bloom) -> None:
         try:
-            shipment = self.executor.network.ship_batch(
-                self.sites[step.stage],
-                self.sites[step.to],
-                bloom.size_bytes,
-                category=step.edge,
+            hops, messages, byte_count = self.executor.network.ship_batch(
+                self.sites[step.stage], self.sites[step.to], bloom.size_bytes, step.edge
             )
         except DhtError as error:
             self.fail(error)
             return
-        self.stats.messages += shipment.messages
-        self.stats.bytes += shipment.bytes
+        self.stats.messages += messages
+        self.stats.bytes += byte_count
         self.stats.filter_bytes += bloom.size_bytes
         self.pipeline.batches_shipped += 1
-        arrival = max(self.sim.now + self.delay(shipment.hops), ready_time)
-        self.group.schedule_at(arrival, lambda: deliver(bloom))
+        arrival = max(self.sim.now + self.delay(hops), ready_time)
+        self.group.schedule_at(arrival, partial(deliver, bloom))
 
     # -- answers ---------------------------------------------------------
 
@@ -762,7 +754,7 @@ class _QueryRun:
             return
         cost = self.executor.cost_model
         self._charge("pier.answer", 1, cost.message_bytes(0))
-        self.group.schedule(self.executor.hop_delay(), self._answers_finished)
+        self.group.schedule(self.delay(1), self._answers_finished)
 
     # -- termination -----------------------------------------------------
 
@@ -875,12 +867,16 @@ class _QueryRun:
         """Overlay hops to route from ``origin`` to ``key_owner``'s id."""
         if origin == key_owner:
             return 0
-        return self.executor.network.lookup(key_owner, origin=origin).hops
+        return self.executor.network.route_hops(key_owner, origin)
 
     def delay(self, hops: int) -> float:
-        """Virtual seconds ``hops`` overlay hops take (one draw per hop)."""
-        hop_delay = self.executor.hop_delay
-        return sum([hop_delay() for _ in range(hops)])
+        """Virtual seconds ``hops`` overlay hops take (one draw per hop,
+        summed left to right by the transport)."""
+        executor = self.executor
+        config = executor.config
+        return executor.network.transport.hop_delays(
+            executor.rng, config.hop_latency, config.hop_jitter, hops
+        )
 
     def _charge(self, category: str, messages: int, byte_count: int) -> None:
         self.stats.messages += messages

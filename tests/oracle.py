@@ -55,7 +55,6 @@ from repro.common.ids import KEY_BITS, KEY_SPACE, in_interval, ring_distance
 from repro.dht.keyspace import finger_start
 from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
-from repro.net.messages import DirectMessage, RoutedMessage
 from repro.pier.catalog import table_key
 from repro.pier.operators import spill_partition
 from repro.pier.planner import batch_size_for
@@ -320,10 +319,11 @@ def reference_publish(publisher, filename, filesize, ip_address, port, origin=No
     Item tuple first, then one posting per keyword; per tuple: validate,
     hash ``table|index value`` to the ring key, route it with
     ``network.lookup`` (which stabilizes, draws the origin when None and
-    goes through the route cache), store at the owner and deliver the
-    routed message, copy to the owner's ``replication - 1`` successors
-    and deliver one direct message for them, copy to the key's registered
-    replica holders and deliver theirs as ``cache.replicate``, and move
+    goes through the route cache), store at the owner and charge the
+    routed message (one per hop, at least one; the payload once plus a
+    header per hop), copy to the owner's ``replication - 1`` successors
+    and charge one framed message per copy, copy to the key's registered
+    replica holders and charge theirs as ``cache.replicate``, and move
     the catalog's publish version by one. A routing failure propagates
     with the earlier tuples stored and charged. Returns the receipt.
     """
@@ -356,16 +356,8 @@ def reference_publish(publisher, filename, filesize, ip_address, port, origin=No
         result = network.lookup(key, origin)
         owner = result.owner
         network.put_local(owner, key, row, identity=identity)
-        deliveries = [
-            network.transport.deliver(
-                RoutedMessage(
-                    source=result.path[0],
-                    target=owner,
-                    payload_bytes=payload_bytes,
-                    category=category,
-                    hops=result.hops,
-                )
-            )
+        charges = [
+            (category, max(1, result.hops), costs.routed_bytes(payload_bytes, result.hops))
         ]
         successors = network.successors_of(owner)[: network.replication - 1]
         registered = [
@@ -377,20 +369,13 @@ def reference_publish(publisher, filename, filesize, ip_address, port, origin=No
             for node_id in holders:
                 network.put_local(node_id, key, row, identity=identity)
             if holders:
-                deliveries.append(
-                    network.transport.deliver(
-                        DirectMessage(
-                            source=owner,
-                            target=holders[0],
-                            payload_bytes=payload_bytes,
-                            category=charged_as,
-                            copies=len(holders),
-                        )
-                    )
-                )
+                copies = len(holders)
+                charges.append((charged_as, copies, copies * costs.message_bytes(payload_bytes)))
         catalog._note_publish(1)
-        messages += sum(delivery.messages for delivery in deliveries)
-        byte_count += sum(delivery.bytes for delivery in deliveries)
+        for charged_as, count, size in charges:
+            network.transport.charge(charged_as, count, size)
+            messages += count
+            byte_count += size
     return PublishReceipt(
         file_id=file_id,
         keywords=keywords,

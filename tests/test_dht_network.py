@@ -461,3 +461,52 @@ class TestRouteCache:
         again = network.ship_batch(source, target, 512)
         assert again == first
         assert network.route_cache_hits >= 1
+
+    def test_route_hops_is_lookup_without_the_result(self):
+        network, twin = self._network(), self._network()
+        for index in range(40):
+            key = hash_key(f"hops-{index}")
+            origin = sorted(network.nodes)[index % network.size]
+            assert network.route_hops(key, origin) == twin.lookup(key, origin).hops
+        assert (network.route_cache_hits, network.route_cache_misses) == (
+            twin.route_cache_hits,
+            twin.route_cache_misses,
+        )
+        with pytest.raises(NodeNotFoundError):
+            network.route_hops(5, origin=999999999999)
+
+
+class TestShipBatch:
+    @pytest.fixture
+    def network(self):
+        network = DhtNetwork(rng=77)
+        network.populate(24)
+        return network
+
+    def test_routed_batch_charges_one_message_per_hop_and_a_header_each(self, network):
+        source = network.random_node_id()
+        target = max(network.nodes, key=lambda node: network.route_hops(node, source))
+        hops = network.route_hops(target, source)
+        assert hops >= 2
+        shipped = network.ship_batch(source, target, 512, category="exchange")
+        cost = network.cost_model
+        assert shipped == (hops, hops, cost.routed_bytes(512, hops))
+        charged = network.meter.by_category["exchange"]
+        assert (charged.messages, charged.bytes) == shipped[1:]
+
+    def test_batch_to_itself_costs_one_local_delivery(self, network):
+        source = network.random_node_id()
+        routed = network.ship_batch(source, source, 100)
+        direct = network.ship_batch(source, source, 100, direct=True)
+        cost = network.cost_model
+        assert routed == (0, 1, cost.routed_bytes(100, 0))
+        assert direct == (0, 1, cost.message_bytes(100))
+
+    def test_direct_batch_is_one_framed_message(self, network):
+        source = network.random_node_id()
+        target = next(node for node in network.nodes if node != source)
+        lookups = network.route_cache_hits + network.route_cache_misses
+        shipped = network.ship_batch(source, target, 64, category="answer", direct=True)
+        assert shipped == (1, 1, network.cost_model.message_bytes(64))
+        # an answer bypasses DHT routing: the route cache never sees it
+        assert network.route_cache_hits + network.route_cache_misses == lookups

@@ -1,9 +1,9 @@
 """Unit tests for the repro.net transport boundary.
 
-The in-process backend must charge exactly what the pre-boundary inline
-code charged — these tests pin that contract message type by message
-type, plus the latency-draw and lookahead helpers the sharded kernel
-depends on.
+The in-process backend must charge exactly what its callers price, and
+draw overlay-hop latencies exactly as ``random.uniform`` one hop at a
+time would — these tests pin the charge primitive, the batched draw and
+the lookahead helper the sharded kernel depends on.
 """
 
 from __future__ import annotations
@@ -11,63 +11,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.units import BandwidthMeter, CostModel
-from repro.net import (
-    Delivery,
-    DirectMessage,
-    FloodMessage,
-    InProcessTransport,
-    NetMessage,
-    RoutedMessage,
-    draw_hop_delay,
-)
+from repro.gnutella.flooding import FLOOD_CATEGORY, flood
+from repro.net import FaultInjectingTransport, InProcessTransport, draw_hop_delay
 
 
 @pytest.fixture
 def transport() -> InProcessTransport:
     return InProcessTransport(BandwidthMeter(), CostModel())
-
-
-def test_routed_message_charges_hops_and_framing(transport):
-    cost = transport.cost_model
-    delivery = transport.deliver(
-        RoutedMessage(source=1, target=2, payload_bytes=100, category="put", hops=4)
-    )
-    assert delivery == Delivery(messages=4, bytes=cost.routed_bytes(100, 4))
-    assert transport.meter.messages == 4
-    assert transport.meter.bytes == cost.routed_bytes(100, 4)
-    assert transport.meter.by_category["put"].messages == 4
-
-
-def test_routed_message_zero_hops_still_costs_one_message(transport):
-    delivery = transport.deliver(
-        RoutedMessage(source=1, target=1, payload_bytes=10, category="put", hops=0)
-    )
-    assert delivery.messages == 1
-    assert delivery.bytes == transport.cost_model.routed_bytes(10, 0)
-
-
-def test_direct_message_charges_per_copy(transport):
-    cost = transport.cost_model
-    delivery = transport.deliver(
-        DirectMessage(source=1, target=2, payload_bytes=50, category="replica", copies=3)
-    )
-    assert delivery == Delivery(messages=3, bytes=3 * cost.message_bytes(50))
-    assert transport.meter.by_category["replica"].bytes == 3 * cost.message_bytes(50)
-
-
-def test_flood_message_is_one_framed_message(transport):
-    cost = transport.cost_model
-    delivery = transport.deliver(
-        FloodMessage(source=7, target=8, payload_bytes=30, category="gnutella.query", hop=2)
-    )
-    assert delivery == Delivery(messages=1, bytes=cost.message_bytes(30))
-
-
-def test_unknown_message_type_rejected(transport):
-    with pytest.raises(TypeError):
-        transport.deliver(NetMessage(source=1, target=2, payload_bytes=1, category="x"))
 
 
 def test_charge_passthrough_hits_meter(transport):
@@ -77,44 +30,81 @@ def test_charge_passthrough_hits_meter(transport):
     assert transport.meter.by_category["custom"].messages == 5
 
 
-def test_deliveries_accumulate_on_shared_meter(transport):
-    transport.deliver(RoutedMessage(source=1, target=2, payload_bytes=10, category="a", hops=2))
-    transport.deliver(DirectMessage(source=2, target=3, payload_bytes=10, category="b", copies=2))
-    cost = transport.cost_model
-    assert transport.meter.messages == 4
-    assert transport.meter.bytes == cost.routed_bytes(10, 2) + 2 * cost.message_bytes(10)
+def test_charges_accumulate_on_shared_meter(transport):
+    transport.charge("a", 2, 100)
+    transport.charge("b", 2, 140)
+    transport.charge("a", 1, 10)
+    assert transport.meter.messages == 5
+    assert transport.meter.bytes == 250
+    assert transport.meter.by_category["a"].bytes == 110
 
 
-def test_hop_delay_matches_inline_draw():
+def test_flood_charges_one_framed_message_per_forwarded_edge(transport):
+    # A triangle: from 0, hop 1 sends 0->1 and 0->2, hop 2 sends the two
+    # duplicates 1->2 and 2->1 (each forwards to every neighbour but its
+    # parent), and nothing new is reached, so the flood stops there.
+    class Triangle:
+        neighbors = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
+
+    result = flood(Triangle(), {}, 0, ["x"], ttl=3, transport=transport, payload_bytes=30)
+    assert result.messages == 4
+    charged = transport.meter.by_category[FLOOD_CATEGORY]
+    assert (charged.messages, charged.bytes) == (4, 4 * transport.cost_model.message_bytes(30))
+
+
+def test_hop_delays_matches_inline_uniform_draws(transport):
     """Transport draws must replay the exact pre-boundary RNG sequence."""
     mean, jitter = 0.05, 0.2
     a, b = random.Random(42), random.Random(42)
-    transport = InProcessTransport(BandwidthMeter(), CostModel())
     for _ in range(100):
         expected = a.uniform(mean * (1 - jitter), mean * (1 + jitter))
-        assert transport.hop_delay(b, mean, jitter) == expected
+        assert transport.hop_delays(b, mean, jitter, 1) == expected
 
 
-def test_hop_delay_zero_jitter_is_deterministic_and_burns_no_rng():
+def test_hop_delay_zero_jitter_is_deterministic_and_burns_no_rng(transport):
     rng = random.Random(7)
     state = rng.getstate()
     assert draw_hop_delay(rng, 0.08, 0.0) == 0.08
+    assert transport.hop_delays(rng, 0.08, 0.0, 3) == 0.08 + 0.08 + 0.08
     assert rng.getstate() == state
 
 
-def test_min_hop_delay_bounds_draws():
-    transport = InProcessTransport(BandwidthMeter(), CostModel())
+def test_min_hop_delay_bounds_draws(transport):
     rng = random.Random(3)
     mean, jitter = 0.05, 0.3
     floor = transport.min_hop_delay(mean, jitter)
     assert floor == pytest.approx(mean * (1 - jitter))
     for _ in range(500):
-        assert transport.hop_delay(rng, mean, jitter) >= floor
+        assert transport.hop_delays(rng, mean, jitter, 1) >= floor
     # negative jitter never raises the floor above the mean
     assert transport.min_hop_delay(mean, -1.0) == mean
 
 
-def test_messages_are_frozen():
-    message = RoutedMessage(source=1, target=2, payload_bytes=3, category="x", hops=1)
-    with pytest.raises(Exception):
-        message.hops = 2
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mean=st.floats(0.01, 10.0),
+    jitter=st.one_of(st.floats(-1.0, 0.0), st.floats(0.01, 0.99)),
+    hops=st.integers(0, 12),
+    multiplier=st.floats(1.0, 8.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_hop_delays_equals_a_left_to_right_sum_of_single_draws(
+    seed, mean, jitter, hops, multiplier
+):
+    inner = InProcessTransport(BandwidthMeter(), CostModel())
+    batched, twin = random.Random(seed), random.Random(seed)
+    expected = 0.0
+    for _ in range(hops):
+        expected += draw_hop_delay(twin, mean, jitter)
+    assert inner.hop_delays(batched, mean, jitter, hops) == expected
+    assert batched.getstate() == twin.getstate()
+
+    faulty = FaultInjectingTransport(inner)
+    faulty.set_delay_multiplier(multiplier)
+    degraded = 0 if multiplier == 1.0 else hops
+    stretched = 0.0
+    for _ in range(hops):
+        stretched += draw_hop_delay(twin, mean, jitter) * multiplier
+    assert faulty.hop_delays(batched, mean, jitter, hops) == stretched
+    assert batched.getstate() == twin.getstate()
+    assert faulty.degraded_draws == degraded

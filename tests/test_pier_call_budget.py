@@ -5,10 +5,12 @@ builds one key set on the list it stores (plus, over budget, one
 partition count per stored key, through the shared memo), each arriving
 batch costs one membership pass and one partition lookup per key, and a
 Bloom key costs one memo lookup and one OR or masked compare (its mask is
-built once per filter shape). Nothing about that shows in an answer or a
-byte count, so a regression to per-key calls would pass every other
-test. This one counts *function calls* — deterministic, no timing — over
-a small Bloom-join world and holds them under a recorded ceiling.
+built once per filter shape). A shipped batch is one routing-and-charge
+call and one hop-delay draw call, with no message object built. Nothing
+about that shows in an answer or a byte count, so a regression to
+per-key calls would pass every other test. This one counts *function
+calls* — deterministic, no timing — over a small Bloom-join world and a
+batched key-join world, and holds them under recorded ceilings.
 """
 
 import cProfile
@@ -17,6 +19,7 @@ import random
 
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
+from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
@@ -27,11 +30,19 @@ QUERIES = 24
 #: Primitive calls per query (built-in calls included), recorded on
 #: CPython 3.11: 5,734 on the per-key path, 3,563 when the bulk path
 #: landed, 2,771 with the symmetric join and its buffered DHT spill sink
-#: (the last commit that had them), and 1,459 once a join site built on
-#: its stored list and wrote no spill. The ceiling leaves ~15 % headroom
-#: for interpreter versions and unrelated bookkeeping; the symmetric
-#: join overshoots it by more than half.
-CALLS_PER_QUERY_CEILING = 1_680
+#: (the last commit that had them), 1,459 once a join site built on its
+#: stored list and wrote no spill, and 1,370 once a batch shipped in one
+#: call. The ceiling leaves ~15 % headroom for interpreter versions and
+#: unrelated bookkeeping; the symmetric join overshoots it by more than
+#: half.
+CALLS_PER_QUERY_CEILING = 1_570
+#: Primitive calls per shipped batch of a two-term key join at two tuples
+#: a batch, recorded on CPython 3.11: 69.3 while each batch built a
+#: lookup result, a typed message, a delivery record and a shipment
+#: record and drew each hop's delay through four frames (3.12: 67.1),
+#: 57.5 once it shipped in one call and drew all its hops in another
+#: (3.12: 54.9).
+CALLS_PER_BATCH_CEILING = 63
 
 
 def terms_of(index):
@@ -74,3 +85,28 @@ def test_budgeted_bloom_conjunctions_stay_set_at_a_time():
         assert result.stats.spill.partition_evictions > 0
     calls_per_query = pstats.Stats(profile).prim_calls / QUERIES
     assert calls_per_query < CALLS_PER_QUERY_CEILING, calls_per_query
+
+
+def test_a_shipped_batch_costs_one_call_and_one_draw():
+    engine, queries = budgeted_bloom_world()
+    network, catalog = engine.network, engine.catalog
+    flow = DataflowExecutor(network, catalog, config=DataflowConfig(batch_size=2), rng=3)
+    nodes = sorted(network.nodes)
+    plans = [
+        engine.planner.plan(
+            terms[:2], nodes[index % len(nodes)], strategy=JoinStrategy.DISTRIBUTED_JOIN
+        )
+        for index, terms in enumerate(queries)
+    ]
+    flow.execute(plans[0], fetch_items=False)  # route cache and memo fills
+
+    profile = cProfile.Profile()
+    profile.enable()
+    results = [flow.execute(plan, fetch_items=False) for plan in plans]
+    profile.disable()
+
+    batches = sum(stats.pipeline.batches_shipped for _, stats in results)
+    assert all(rows for rows, _ in results)
+    assert batches > 10 * QUERIES  # the entries ship two at a time
+    calls_per_batch = pstats.Stats(profile).prim_calls / batches
+    assert calls_per_batch < CALLS_PER_BATCH_CEILING, calls_per_batch

@@ -5,7 +5,7 @@
 charging each category once per file; the hybrid QRS path reuses a plan
 across every ultrapeer that snoops the file. None of that may show: the
 property below drives the production path and ``oracle.reference_publish``
-— the same file a tuple at a time, one typed message per charge — over
+— the same file a tuple at a time, one charge per message leg — over
 twin worlds and holds every store, the meter, the route-cache counters,
 the network RNG, the catalog's statistics epoch and each receipt equal
 after every step.
