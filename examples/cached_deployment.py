@@ -68,10 +68,11 @@ def act_two() -> None:
     for terms in stream:
         key = query_key(terms.split())
         popularity.observe(key)
-        if cache.get(terms.split()) is None:
-            cache.put(terms.split(), [f"{terms}.mp3"], cost_bytes=20_000)
-    print(f"popular query cached         : {'beatles help'.split() in cache}")
-    print(f"one-off rejected by admission: {'obscure demo tape'.split() not in cache}")
+        if cache.get(key) is None:
+            cache.put(key, [f"{terms}.mp3"], cost_bytes=20_000)
+    popular, one_off = query_key(["beatles", "help"]), query_key(["obscure demo tape"])
+    print(f"popular query cached         : {popular in cache}")
+    print(f"one-off rejected by admission: {one_off not in cache}")
     print(
         f"stats: hits={cache.stats.hits} misses={cache.stats.misses} "
         f"rejections={cache.stats.rejections} "

@@ -14,15 +14,17 @@ the bandwidth numbers experiments report. Eviction is pluggable (LRU,
 LFU, or TTL/oldest-first), expiry is wall-clock (virtual time via an
 injected ``clock``), and admission can be gated on a popularity predicate
 so one-off tail queries do not wash the budget out.
+
+Entries are keyed by :func:`~repro.cache.popularity.query_key` and the
+cache never tokenises: callers normalise a query once and pass the key.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.cache.popularity import query_key
 from repro.common.units import CostModel, DEFAULT_COST_MODEL
 
 EVICTION_POLICIES = ("lru", "lfu", "ttl")
@@ -136,10 +138,9 @@ class QueryResultCache:
     # Lookup / insert
     # ------------------------------------------------------------------
 
-    def get(self, terms: Sequence[str]) -> CachedResult | None:
-        """Cached answer for ``terms``, or None. Counts a hit or a miss."""
+    def get(self, key: tuple[str, ...]) -> CachedResult | None:
+        """Cached answer for query ``key``, or None. Counts a hit or a miss."""
         now = self._tick()
-        key = query_key(terms)
         entry = self._entries.get(key)
         if entry is not None and self._expired(entry, now):
             self._drop(key)
@@ -157,19 +158,18 @@ class QueryResultCache:
 
     def put(
         self,
-        terms: Sequence[str],
+        key: tuple[str, ...],
         filenames: Sequence[str],
         cost_bytes: int,
         result_count: int | None = None,
     ) -> bool:
-        """Cache the answer to ``terms``; returns True if it was stored.
+        """Cache the answer to query ``key``; returns True if it was stored.
 
         ``cost_bytes`` is what executing the query cost on the wire (the
         savings a future hit realises); ``filenames`` is the answer
         payload whose size is charged against the budget.
         """
         now = self._tick()
-        key = query_key(terms)
         if not key:
             return False  # nothing indexable to key on
         if self.admission is not None and not self.admission(key):
@@ -197,9 +197,9 @@ class QueryResultCache:
         self.stats.insertions += 1
         return True
 
-    def peek(self, terms: Sequence[str]) -> CachedResult | None:
+    def peek(self, key: tuple[str, ...]) -> CachedResult | None:
         """Read an entry without touching stats, recency, or expiry."""
-        return self._entries.get(query_key(terms))
+        return self._entries.get(key)
 
     def entries(self) -> Iterator[CachedResult]:
         """Iterate live entries (no side effects)."""
@@ -209,9 +209,8 @@ class QueryResultCache:
     # Invalidation
     # ------------------------------------------------------------------
 
-    def invalidate(self, terms: Sequence[str]) -> bool:
+    def invalidate(self, key: tuple[str, ...]) -> bool:
         """Drop one entry (e.g. after a publish changes its answer)."""
-        key = query_key(terms)
         if key not in self._entries:
             return False
         self._drop(key)
@@ -265,7 +264,5 @@ class QueryResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, terms: object) -> bool:
-        if not isinstance(terms, (list, tuple)):
-            return False
-        return query_key(terms) in self._entries
+    def __contains__(self, key: object) -> bool:
+        return key in self._entries

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.cache.popularity import PopularityEstimator, query_key
+from repro.cache.popularity import PopularityEstimator
 from repro.cache.replication import AdaptiveReplicationController, ReplicationConfig
 from repro.cache.results import QueryResultCache
 from repro.common.rng import make_rng

@@ -26,7 +26,6 @@ from repro.cache.results import QueryResultCache
 from repro.common.rng import make_rng, spawn_rng
 from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
-from repro.gnutella.latency import GnutellaLatencyModel
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.gnutella.measurement import ContentMatcher, bfs_depths, dynamic_stop_ttl
 from repro.gnutella.network import GnutellaNetwork

@@ -34,6 +34,9 @@ rather than priced (the paper's closed-form equations live in
   final answer set.
 
 Wire costs are charged exactly once, by the dataflow's batch sends.
+One key per race: :meth:`HybridQueryEngine.submit` normalises the query
+once (:func:`~repro.cache.popularity.query_key`) for popularity, cache
+and the zero-answer check, which alone derives the posting keys from it.
 """
 
 from __future__ import annotations
@@ -43,18 +46,19 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.cache.popularity import query_key
 from repro.common.errors import DhtError, PlanError
-from repro.common.ids import hash_key
 from repro.common.rng import make_rng
 from repro.dht.network import DhtNetwork
 from repro.gnutella.latency import GnutellaLatencyModel
 from repro.hybrid.ultrapeer import HybridQueryOutcome, HybridUltrapeer
 from repro.obs.metrics import MetricsRegistry
+from repro.pier.catalog import table_key
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, DataflowQuery
 from repro.pier.query import DistributedPlan
-from repro.piersearch.tokenizer import extract_keywords
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
+from repro.sim.stats import Counter as MetricCounter
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,8 @@ class QueryRace:
     outcome: HybridQueryOutcome
     submitted_at: float
     stop_ttl: int
+    #: the query's ``query_key``, computed once at submission
+    key: tuple[str, ...] = ()
     #: gnutella results that have arrived so far in virtual time
     gnutella_arrived: int = 0
     #: DHT re-query attempts started (0 = never re-queried)
@@ -111,10 +117,6 @@ class QueryRace:
     #: resolution to tell an honestly-empty answer from one that may have
     #: lost data to mid-race churn
     membership_epoch: int = 0
-    #: DHT keys of this query's posting lists (table-qualified, the keys
-    #: the walk actually reads) — checked against suspect ranges when a
-    #: zero-result answer resolves
-    posting_keys: tuple[int, ...] = ()
     #: posting-join matches the executed plan produced (entries surviving
     #: the last posting stage). Matches with zero final results mean the
     #: Item rows themselves are gone — loss the posting keys alone cannot
@@ -180,6 +182,9 @@ class HybridQueryEngine:
         #: recoveries fire on rare paths only, so the always-on cost is
         #: negligible); pass a shared registry to merge with other layers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: registry series resolved once each, on first use
+        self._counters: dict[tuple[str, str, str], MetricCounter] = {}
+        self._latency_histogram = None
         #: only a caller-supplied registry is wired into the dataflow's
         #: per-batch hot path — with no opt-in the dataflow runs unmetered
         self._wired_metrics = metrics
@@ -214,6 +219,14 @@ class HybridQueryEngine:
         self._dataflows[key] = (search_engine, dataflow)
         return dataflow
 
+    def _counter(self, name: str, label: str = "", value: str = "") -> MetricCounter:
+        """The registry's ``name{label=value}`` series, looked up once."""
+        key = (name, label, value)
+        if key not in self._counters:
+            labels = {label: value} if label else None
+            self._counters[key] = self.metrics.counter(name, labels=labels)
+        return self._counters[key]
+
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
@@ -240,20 +253,12 @@ class HybridQueryEngine:
             gnutella_results=sum(reachable.values()),
             gnutella_latency=math.inf,
         )
-        engine = hybrid.search_engine
-        posting_table = (
-            "InvertedCache" if engine.inverted_cache else engine.planner.posting_table
-        )
         race = QueryRace(
             outcome=outcome,
             submitted_at=self.sim.now,
             stop_ttl=stop_ttl,
+            key=query_key(terms),
             membership_epoch=self.dht.membership_version,
-            posting_keys=tuple(
-                hash_key(f"{posting_table}|{keyword}")
-                for term in terms
-                for keyword in extract_keywords(term)
-            ),
             on_done=on_done,
         )
         if self.tracer is not None:
@@ -263,7 +268,7 @@ class HybridQueryEngine:
                 stop_ttl=stop_ttl,
                 reachable_replicas=outcome.gnutella_results,
             )
-        self.metrics.counter("hybrid.races").add(1)
+        self._counter("hybrid.races").add(1)
         self.races.append(race)
         self.inflight += 1
         self.peak_inflight = max(self.peak_inflight, self.inflight)
@@ -304,14 +309,13 @@ class HybridQueryEngine:
             self._finish(race)
             return
         race.outcome.used_pier = True
-        terms = list(race.outcome.terms)
-        entry = hybrid.cache_lookup(terms)
+        entry = hybrid.cache_lookup(race.key)
         if entry is not None:
             outcome = race.outcome
             outcome.cache_hit = True
             outcome.pier_results = entry.result_count
             outcome.saved_bytes = entry.cost_bytes
-            self.metrics.counter("hybrid.cache_hits").add(1)
+            self._counter("hybrid.cache_hits").add(1)
             if race.span is not None:
                 race.span.event(
                     "cache.hit", results=entry.result_count, saved_bytes=entry.cost_bytes
@@ -339,7 +343,7 @@ class HybridQueryEngine:
             return
         race.pier_failed = True
         self._mark_degraded(race, "deadline")
-        self.metrics.counter("hybrid.requery_deadline_exceeded").add(1)
+        self._counter("hybrid.requery_deadline_exceeded").add(1)
         self._finish(race)
 
     def _mark_degraded(self, race: QueryRace, reason: str) -> None:
@@ -347,7 +351,7 @@ class HybridQueryEngine:
             return
         race.outcome.degraded = True
         race.outcome.degraded_reason = reason
-        self.metrics.counter("hybrid.degraded", labels={"reason": reason}).add(1)
+        self._counter("hybrid.degraded", "reason", reason).add(1)
         if race.span is not None and race.span.recording:
             race.span.event("race.degraded", reason=reason)
 
@@ -355,7 +359,7 @@ class HybridQueryEngine:
         if race.done:
             return
         race.pier_attempts += 1
-        self.metrics.counter("hybrid.requery_attempts").add(1)
+        self._counter("hybrid.requery_attempts").add(1)
         try:
             query_node = hybrid.dht_node_id
             if query_node not in self.dht.nodes:
@@ -371,7 +375,7 @@ class HybridQueryEngine:
             self._finish(race)
             return
         except DhtError:
-            self.metrics.counter("hybrid.dht_dead_ends").add(1)
+            self._counter("hybrid.dht_dead_ends").add(1)
             self._retry(race, hybrid)
             return
         targets: list[int] = []
@@ -418,9 +422,7 @@ class HybridQueryEngine:
                     result = stop.value
                     race.route_retries += result.retries
                     if result.retries:
-                        self.metrics.counter("hybrid.churn_recoveries").add(
-                            result.retries
-                        )
+                        self._counter("hybrid.churn_recoveries").add(result.retries)
                     if walk.span is not None and walk.span.recording:
                         walk.span.event(
                             "dht.lookup",
@@ -434,7 +436,7 @@ class HybridQueryEngine:
                     walk.gen = None
         except DhtError:
             # The route broke mid-walk beyond successor-list repair.
-            self.metrics.counter("hybrid.dht_dead_ends").add(1)
+            self._counter("hybrid.dht_dead_ends").add(1)
             if walk.span is not None:
                 walk.span.finish(error="DhtError", hops=walk.hops)
             self._retry(race, walk.hybrid)
@@ -489,12 +491,12 @@ class HybridQueryEngine:
             outcome.pier_latency = outcome.pier_completion_latency
         # Runs even when the race already resolved on its first answer
         # batch: the final result count was not known until now.
-        self._flag_untrusted_zero(race)
+        self._flag_untrusted_zero(race, walk.hybrid.search_engine)
         if not query.pipeline.early_terminated and not outcome.degraded:
             # A stop_after run is a deliberately truncated answer set and
             # a degraded answer may have lost data to churn: never let
             # either poison the shared result cache.
-            walk.hybrid.cache_store(list(outcome.terms), result)
+            walk.hybrid.cache_store(race.key, result)
         self._finish(race)
 
     def _on_pipeline_error(
@@ -518,17 +520,17 @@ class HybridQueryEngine:
                 outcome.pier_completion_latency = self.sim.now - race.submitted_at
             self._mark_degraded(race, "partial-answer")
             return
-        self.metrics.counter("hybrid.dht_dead_ends").add(1)
+        self._counter("hybrid.dht_dead_ends").add(1)
         self._retry(race, walk.hybrid)
 
     def _retry(self, race: QueryRace, hybrid: HybridUltrapeer) -> None:
         if race.pier_attempts >= self.config.max_requery_attempts:
             race.pier_failed = True
             self._mark_degraded(race, "requery-abandoned")
-            self.metrics.counter("hybrid.pier_abandoned").add(1)
+            self._counter("hybrid.pier_abandoned").add(1)
             self._finish(race)
             return
-        self.metrics.counter("hybrid.requery_retries").add(1)
+        self._counter("hybrid.requery_retries").add(1)
         self.sim.schedule(
             self.config.retry_backoff, lambda: self._start_requery(race, hybrid)
         )
@@ -538,7 +540,7 @@ class HybridQueryEngine:
         race.outcome.pier_completion_latency = race.outcome.pier_latency
         self._finish(race)
 
-    def _flag_untrusted_zero(self, race: QueryRace) -> None:
+    def _flag_untrusted_zero(self, race: QueryRace, search: SearchEngine) -> None:
         """Degrade a zero-result answer that cannot be trusted as empty.
 
         Runs where the *final* PIER result count is known (the pipeline
@@ -559,7 +561,8 @@ class HybridQueryEngine:
             or outcome.degraded
         ):
             return
-        suspect_posting = any(self.dht.is_suspect(key) for key in race.posting_keys)
+        table = "InvertedCache" if search.inverted_cache else search.planner.posting_table
+        suspect_posting = any(self.dht.is_suspect(table_key(table, k)) for k in race.key)
         # Join matches with zero final results mean the matched Item rows
         # are gone from the ring — loss the posting keys cannot prove.
         lost_items = race.join_matches > 0
@@ -595,11 +598,13 @@ class HybridQueryEngine:
             if outcome.used_pier and not race.pier_failed
             else "none"
         )
-        self.metrics.counter("hybrid.winner", labels={"source": winner}).add(1)
+        self._counter("hybrid.winner", "source", winner).add(1)
         if not math.isinf(race.first_result_latency):
-            self.metrics.histogram(
-                "hybrid.first_result_latency", reservoir_size=4096
-            ).observe(race.first_result_latency)
+            if self._latency_histogram is None:
+                self._latency_histogram = self.metrics.histogram(
+                    "hybrid.first_result_latency", reservoir_size=4096
+                )
+            self._latency_histogram.observe(race.first_result_latency)
         if race.span is not None:
             race.span.finish(
                 winner=winner,

@@ -205,9 +205,9 @@ class HybridUltrapeer:
             gnutella_results=gnutella_results,
             gnutella_latency=gnutella_latency,
         )
-        cache_key = query_key(terms)
-        if self.popularity is not None and cache_key:
-            self.popularity.observe(cache_key)
+        key = query_key(terms)
+        if self.popularity is not None and key:
+            self.popularity.observe(key)
         if self.metrics is not None:
             self.metrics.counter("ultrapeer.leaf_queries").add(1)
         if not timed_out:
@@ -216,7 +216,7 @@ class HybridUltrapeer:
         outcome.used_pier = True
         if self.metrics is not None:
             self.metrics.counter("ultrapeer.pier_requeries").add(1)
-        entry = self.cache_lookup(terms)
+        entry = self.cache_lookup(key)
         if entry is not None:
             # Served from the ultrapeer's own cache: no plan shipped,
             # no posting lists touched, answer latency is local.
@@ -241,7 +241,7 @@ class HybridUltrapeer:
         pier_time = result.stats.critical_path_hops * self.dht_hop_latency
         outcome.pier_latency = self.gnutella_timeout + pier_time
         outcome.pier_completion_latency = outcome.pier_latency
-        self.cache_store(terms, result)
+        self.cache_store(key, result)
         self.outcomes.append(outcome)
         return outcome
 
@@ -261,10 +261,9 @@ class HybridUltrapeer:
         hop-by-hop DHT walk; the returned race's outcome (also appended
         to :attr:`outcomes`) is final once the simulator drains.
         """
-        cache_key = query_key(terms)
-        if self.popularity is not None and cache_key:
-            self.popularity.observe(cache_key)
         race = engine.submit(self, terms, match_depths, stop_ttl)
+        if self.popularity is not None and race.key:
+            self.popularity.observe(race.key)
         self.outcomes.append(race.outcome)
         return race
 
@@ -272,18 +271,18 @@ class HybridUltrapeer:
     # Result-cache hooks (shared by both query paths)
     # ------------------------------------------------------------------
 
-    def cache_lookup(self, terms: list[str]):
+    def cache_lookup(self, key: tuple[str, ...]):
         """Consult the shared result cache; None on miss or when disabled."""
-        if self.result_cache is None or not query_key(terms):
+        if self.result_cache is None or not key:
             return None
-        return self.result_cache.get(terms)
+        return self.result_cache.get(key)
 
-    def cache_store(self, terms: list[str], result: SearchResult) -> None:
+    def cache_store(self, key: tuple[str, ...], result: SearchResult) -> None:
         """Offer a freshly executed answer to the result cache."""
-        if self.result_cache is None or not query_key(terms):
+        if self.result_cache is None or not key:
             return
         self.result_cache.put(
-            terms,
+            key,
             result.filenames,
             cost_bytes=result.stats.bytes,
             result_count=len(result),

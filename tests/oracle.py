@@ -39,6 +39,11 @@ k hashes of every key at a time, with no memo. ``tests/test_pier_spill.py``
 and ``tests/test_common_bloom.py`` hold the stored-list join and the
 per-shape masks to them.
 
+:func:`reference_posting_keys` is the ring keys of a leaf query's posting
+lists derived term by term, each term tokenised on its own, as a race did
+before it carried one normalised key. ``tests/test_hybrid_query_key.py``
+holds the keys the hybrid engine's zero-answer check reads to it.
+
 :func:`reference_estimates` is the cost-based optimizer's closed-form
 byte model: one sum per strategy over the legs of a ``k``-term chain,
 written without any step list. ``tests/test_pier_steps.py`` holds the
@@ -80,6 +85,19 @@ def oracle_items(catalog, terms):
         for item in stored("Item", file_id)
     ]
     return [i for i in items if keywords <= set(extract_keywords(i["filename"]))]
+
+
+def reference_posting_keys(table, terms):
+    """Ring keys of the ``table`` posting lists a query on ``terms`` reads.
+
+    Each term is tokenised on its own and every keyword hashed in term
+    order, duplicates kept: SHA-1 of ``"<table>|<keyword>"`` as an integer.
+    """
+    return tuple(
+        int.from_bytes(hashlib.sha1(f"{table}|{keyword}".encode("utf-8")).digest(), "big")
+        for term in terms
+        for keyword in extract_keywords(term)
+    )
 
 
 def nested_loop_join(left, right, column):

@@ -21,6 +21,9 @@ class TestQueryKey:
     def test_multi_word_terms_split(self):
         assert query_key(["free bird skynyrd"]) == ("bird", "free", "skynyrd")
 
+    def test_case_and_order_share_one_key(self):
+        assert query_key(["Help", "Beatles"]) == query_key(["beatles", "help"])
+
 
 class TestSpaceSaving:
     def test_exact_below_capacity(self):

@@ -408,7 +408,7 @@ class TestPipelinedRaces:
         )
         sim.run()
         assert first.outcome.pier_results >= 1  # truncated answer delivered...
-        assert hybrid.cache_lookup(["montia", "klorena"]) is None  # ...not cached
+        assert hybrid.cache_lookup(first.key) is None  # ...not cached
         second = hybrid.handle_leaf_query_simulated(
             engine, ["montia", "klorena"], [math.inf], 3
         )

@@ -1,0 +1,199 @@
+"""The hybrid engine's registry series, pinned over a fixed race matrix.
+
+The engine resolves each counter and its latency histogram once, on first
+use, and keeps the handle. A handle resolved under the wrong name or
+label, or a series created before the race that first feeds it, would
+still let every answer come out right; this test catches both by pinning
+the registry snapshot after each phase of a fixed matrix — a flood win,
+PIER answers, a stop-word query, cache hits, a degraded zero answer,
+re-query walks that recover from churn or retry, and a re-query abandoned
+after its retries — against the snapshots the engine produced when it
+looked every series up by name on each use.
+"""
+
+import math
+
+from repro.cache.results import QueryResultCache
+from repro.common.ids import hash_key
+from repro.dht.network import DhtNetwork
+from repro.hybrid.engine import HybridQueryEngine, RaceConfig
+from repro.hybrid.ultrapeer import HybridUltrapeer
+from repro.pier.catalog import Catalog
+from repro.piersearch.publisher import Publisher
+from repro.piersearch.search import SearchEngine
+from repro.sim.engine import Simulator
+
+TIMEOUT = 30.0
+
+
+def run_matrix():
+    """Registry snapshots (``MetricsRegistry.to_json``) before any race
+    and after each phase of the matrix."""
+    dht = DhtNetwork(rng=41)
+    nodes = dht.populate(32)
+    catalog = Catalog(dht)
+    publisher = Publisher(dht, catalog)
+    names = ["rare montia klorena.mp3", "rare zentor quillet.mp3"]
+    names += [f"rare walker{index}.mp3" for index in range(8)]
+    for name in names:
+        publisher.publish_file(filename=name, filesize=100, ip_address="10.0.0.1", port=6346)
+    sim = Simulator()
+    engine = HybridQueryEngine(sim, dht, config=RaceConfig(retry_backoff=0.5), rng=5)
+    hybrid = HybridUltrapeer(
+        ultrapeer_id=1,
+        dht_node_id=nodes[0].node_id,
+        publisher=publisher,
+        search_engine=SearchEngine(dht, catalog),
+        gnutella_timeout=TIMEOUT,
+        result_cache=QueryResultCache(
+            1 << 20, clock=lambda: sim.now, cost_model=dht.cost_model
+        ),
+    )
+
+    def race(terms, depths=(math.inf,)):
+        hybrid.handle_leaf_query_simulated(engine, list(terms), list(depths), 3)
+
+    snapshots = [engine.metrics.to_json()]
+    # 1. the flood answers in time
+    race(["popular"], depths=(1.0, 2.0))
+    sim.run()
+    snapshots.append(engine.metrics.to_json())
+    # 2. PIER answers two rare queries; a stop-word query cannot re-query
+    race(["Montia", "klorena"])
+    race(["zentor"])
+    race(["the"])
+    sim.run()
+    snapshots.append(engine.metrics.to_json())
+    # 3. both rare answers come from the cache; a zero answer whose posting
+    # list's owner died without a handoff is degraded
+    race(["klorena", "montia"])
+    race(["Zentor!"])
+    race(["absentword"])
+    lost = hash_key("Inverted|absentword")
+    sim.schedule(TIMEOUT - 0.01, lambda: dht.remove_node(dht.owner_of(lost), graceful=False))
+    sim.run()
+    snapshots.append(engine.metrics.to_json())
+    # 4. nodes leave while eight re-query walks are in flight
+    for index in range(8):
+        race([f"walker{index}"])
+    start = sim.now
+    for step in range(1, 7):
+        sim.schedule_at(
+            start + TIMEOUT + step * 0.8,
+            lambda: dht.remove_node(dht.random_node_id(), graceful=True),
+        )
+    sim.run()
+    snapshots.append(engine.metrics.to_json())
+    # 5. the ring empties under a re-query: every retry dead-ends
+    race(["quillet"])
+
+    def empty_ring():
+        for node_id in list(dht.nodes):
+            dht.remove_node(node_id, graceful=False)
+
+    sim.schedule(TIMEOUT - 0.01, empty_ring)
+    sim.run()
+    snapshots.append(engine.metrics.to_json())
+    return snapshots
+
+
+#: the latency histogram after the one flood win (7 s)
+ONE_FLOOD_WIN = {
+    "count": 1,
+    "sum": 7.0,
+    "mean": 7.0,
+    "min": 7.0,
+    "max": 7.0,
+    "quantiles": {"0.5": 7.0, "0.9": 7.0, "0.99": 7.0},
+}
+
+#: ... and after two cache hits (timeout + cache latency)
+FLOOD_AND_TWO_CACHE_HITS = {
+    "count": 3,
+    "sum": 67.1,
+    "mean": 22.366666666666664,
+    "min": 7.0,
+    "max": 30.049999999999997,
+    "quantiles": {
+        "0.5": 30.049999999999997,
+        "0.9": 30.049999999999997,
+        "0.99": 30.049999999999997,
+    },
+}
+
+#: Recorded on the engine that looked every series up by name on each use
+#: (CPython 3.11). No PIER-answered race reaches the latency histogram: it
+#: resolves on its first answer batch, before its result count is known.
+EXPECTED = [
+    {"counters": {}, "gauges": {}, "histograms": {}},
+    {
+        "counters": {
+            "hybrid.races": 1,
+            'hybrid.winner{source="gnutella"}': 1,
+        },
+        "gauges": {},
+        "histograms": {"hybrid.first_result_latency": ONE_FLOOD_WIN},
+    },
+    {
+        "counters": {
+            "hybrid.races": 4,
+            "hybrid.requery_attempts": 3,
+            'hybrid.winner{source="gnutella"}': 1,
+            'hybrid.winner{source="pier"}': 3,
+        },
+        "gauges": {},
+        "histograms": {"hybrid.first_result_latency": ONE_FLOOD_WIN},
+    },
+    {
+        "counters": {
+            "hybrid.cache_hits": 2,
+            'hybrid.degraded{reason="suspect-range"}': 1,
+            "hybrid.races": 7,
+            "hybrid.requery_attempts": 4,
+            'hybrid.winner{source="cache"}': 2,
+            'hybrid.winner{source="gnutella"}': 1,
+            'hybrid.winner{source="pier"}': 4,
+        },
+        "gauges": {},
+        "histograms": {"hybrid.first_result_latency": FLOOD_AND_TWO_CACHE_HITS},
+    },
+    {
+        "counters": {
+            "hybrid.cache_hits": 2,
+            "hybrid.churn_recoveries": 4,
+            'hybrid.degraded{reason="suspect-range"}': 1,
+            "hybrid.dht_dead_ends": 13,
+            "hybrid.races": 15,
+            "hybrid.requery_attempts": 25,
+            "hybrid.requery_retries": 13,
+            'hybrid.winner{source="cache"}': 2,
+            'hybrid.winner{source="gnutella"}': 1,
+            'hybrid.winner{source="pier"}': 12,
+        },
+        "gauges": {},
+        "histograms": {"hybrid.first_result_latency": FLOOD_AND_TWO_CACHE_HITS},
+    },
+    {
+        "counters": {
+            "hybrid.cache_hits": 2,
+            "hybrid.churn_recoveries": 4,
+            'hybrid.degraded{reason="requery-abandoned"}': 1,
+            'hybrid.degraded{reason="suspect-range"}': 1,
+            "hybrid.dht_dead_ends": 16,
+            "hybrid.pier_abandoned": 1,
+            "hybrid.races": 16,
+            "hybrid.requery_attempts": 28,
+            "hybrid.requery_retries": 15,
+            'hybrid.winner{source="cache"}': 2,
+            'hybrid.winner{source="gnutella"}': 1,
+            'hybrid.winner{source="none"}': 1,
+            'hybrid.winner{source="pier"}': 12,
+        },
+        "gauges": {},
+        "histograms": {"hybrid.first_result_latency": FLOOD_AND_TWO_CACHE_HITS},
+    },
+]
+
+
+def test_registry_series_match_the_per_use_lookups():
+    assert run_matrix() == EXPECTED

@@ -66,9 +66,9 @@ class TestNetworkCollector:
 class TestCacheAndSimCollectors:
     def test_cache_gauges(self):
         cache = QueryResultCache(budget_bytes=4096)
-        cache.put(["montia"], ["a.mp3"], cost_bytes=100, result_count=1)
-        cache.get(["montia"])
-        cache.get(["missing"])
+        cache.put(("montia",), ["a.mp3"], cost_bytes=100, result_count=1)
+        cache.get(("montia",))
+        cache.get(("missing",))
         registry = MetricsRegistry()
         collect_cache(registry, cache)
         assert registry.gauge("cache.hits").value == 1
