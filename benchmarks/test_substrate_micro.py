@@ -8,7 +8,7 @@ from repro.dht.network import DhtNetwork
 from repro.gnutella.flooding import flood
 from repro.gnutella.topology import TopologyConfig, build_topology
 from repro.pier.catalog import Catalog
-from repro.pier.operators import StoredHashJoin
+from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.piersearch.publisher import Publisher
 
 
@@ -57,7 +57,7 @@ def test_stored_hash_join_10k(benchmark):
     arriving = list(range(10_000))
 
     def join():
-        site = StoredHashJoin(stored, memory_budget=2_000)
+        site = JoinProbe(StoredHashJoin(stored, memory_budget=2_000))
         return sum(len(site.probe(arriving[i : i + 64])) for i in range(0, 10_000, 64))
 
     count = benchmark(join)

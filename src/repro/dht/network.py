@@ -772,6 +772,16 @@ class DhtNetwork:
             raise NodeNotFoundError(f"unknown node {node_id:x}")
         return node.store.get(key)
 
+    def local_view(self, node_id: int, key: int, build: Callable[[list[Any]], Any]) -> Any:
+        """``build(get_local(node_id, key))``, memoised at that node until a
+        write changes its values under ``key`` (see
+        :meth:`~repro.dht.storage.LocalStore.view`; no messages). Shared
+        by every reader, so read-only."""
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise NodeNotFoundError(f"unknown node {node_id:x}")
+        return node.store.view(key, build)
+
     # ------------------------------------------------------------------
     # Local-store boundary
     #

@@ -4,11 +4,16 @@ A DHT node stores a multimap from 160-bit keys to opaque values. PIER uses
 this for its base tuples (Item, Inverted, InvertedCache). Values are kept insertion-ordered
 and deduplicated by equality, mirroring set semantics of a relation with a
 primary key.
+
+A store also memoises *views*: a value derived from one key's stored
+values by a ``build`` callable (:meth:`LocalStore.view`), kept until a write
+changes that key's values. A PIER join site derives its join state from
+the posting list it stores this way, once per version of the list.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterator
 
 
 class LocalStore:
@@ -18,16 +23,23 @@ class LocalStore:
     replication controller to make replica copies age out without a
     network round trip (the replica holder drops them locally).
 
-    Slotted, with the expiry map allocated lazily: most stores in a
-    large simulated network never see an expiry, so at a million peers
-    the per-node cost is one object plus one dict.
+    Slotted, with the expiry map and the view memo allocated lazily: most
+    stores in a large simulated network never see an expiry or a view, so
+    at a million peers the per-node cost is one object plus one dict.
+
+    The view memo holds one entry per key per ``build`` callable, built
+    once per version of the key's values: every write that changes them — a
+    :meth:`put` that stores a new value, :meth:`remove_key`,
+    :meth:`purge_expired`, :meth:`clear` — drops the key's entries, and a
+    duplicate :meth:`put`, which stores nothing, keeps them.
     """
 
-    __slots__ = ("_data", "_expiry")
+    __slots__ = ("_data", "_expiry", "_views")
 
     def __init__(self) -> None:
         self._data: dict[int, dict[Hashable, Any]] = {}
         self._expiry: dict[int, float] | None = None
+        self._views: dict[int, dict[Callable, Any]] | None = None
 
     def put(self, key: int, value: Any, identity: Hashable | None = None) -> bool:
         """Store ``value`` under ``key``.
@@ -40,6 +52,9 @@ class LocalStore:
         if handle in bucket:
             return False
         bucket[handle] = value
+        views = self._views
+        if views:
+            views.pop(key, None)
         return True
 
     def get(self, key: int) -> list[Any]:
@@ -49,10 +64,36 @@ class LocalStore:
             return []
         return list(bucket.values())
 
+    def view(self, key: int, build: Callable[[list[Any]], Any]) -> Any:
+        """``build(values under key)``, memoised until a write changes them.
+
+        The value is shared by every caller until then, so it must be
+        treated as read-only. A key with no values is not memoised: its
+        view is built fresh on each call, so reads of absent keys leave
+        nothing behind.
+        """
+        views = self._views
+        entry = views.get(key) if views is not None else None
+        if entry is not None:
+            value = entry.get(build)
+            if value is not None:
+                return value
+        values = self.get(key)
+        value = build(values)
+        if values:
+            if views is None:
+                views = self._views = {}
+            if entry is None:
+                entry = views[key] = {}
+            entry[build] = value
+        return value
+
     def remove_key(self, key: int) -> int:
         """Drop all values under ``key``; returns how many were removed."""
         if self._expiry is not None:
             self._expiry.pop(key, None)
+        if self._views is not None:
+            self._views.pop(key, None)
         bucket = self._data.pop(key, None)
         return len(bucket) if bucket else 0
 
@@ -93,3 +134,4 @@ class LocalStore:
     def clear(self) -> None:
         self._data.clear()
         self._expiry = None
+        self._views = None

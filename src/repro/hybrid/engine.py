@@ -124,6 +124,8 @@ class QueryRace:
     join_matches: int = 0
     done: bool = False
     finished_at: float | None = None
+    #: the first-result latency reached ``hybrid.first_result_latency``
+    latency_observed: bool = False
     #: invoked exactly once when the race resolves
     on_done: Callable[["QueryRace"], None] | None = None
     #: root trace span of this race, when the engine carries a tracer
@@ -497,6 +499,10 @@ class HybridQueryEngine:
             # a degraded answer may have lost data to churn: never let
             # either poison the shared result cache.
             walk.hybrid.cache_store(race.key, result)
+        if race.done and not race.latency_observed:
+            # Resolved on its first answer batch: only now is the PIER
+            # result count, and so the first-result latency, known.
+            self._observe_first_result(race)
         self._finish(race)
 
     def _on_pipeline_error(
@@ -518,6 +524,8 @@ class HybridQueryEngine:
                 outcome.pier_results = len(result)
                 outcome.pier_bytes = query.stats.bytes
                 outcome.pier_completion_latency = self.sim.now - race.submitted_at
+                if not race.latency_observed:
+                    self._observe_first_result(race)
             self._mark_degraded(race, "partial-answer")
             return
         self._counter("hybrid.dht_dead_ends").add(1)
@@ -599,12 +607,7 @@ class HybridQueryEngine:
             else "none"
         )
         self._counter("hybrid.winner", "source", winner).add(1)
-        if not math.isinf(race.first_result_latency):
-            if self._latency_histogram is None:
-                self._latency_histogram = self.metrics.histogram(
-                    "hybrid.first_result_latency", reservoir_size=4096
-                )
-            self._latency_histogram.observe(race.first_result_latency)
+        self._observe_first_result(race)
         if race.span is not None:
             race.span.finish(
                 winner=winner,
@@ -618,6 +621,21 @@ class HybridQueryEngine:
             )
         if race.on_done is not None:
             race.on_done(race)
+
+    def _observe_first_result(self, race: QueryRace) -> None:
+        """Feed a resolved race's first-result latency to the histogram,
+        once, as soon as it is known: at resolution for a flood win or a
+        cache hit, and for a PIER answer when its result count arrives
+        (the race resolved on its first answer batch, before it)."""
+        latency = race.outcome.first_result_latency
+        if math.isinf(latency):
+            return
+        race.latency_observed = True
+        if self._latency_histogram is None:
+            self._latency_histogram = self.metrics.histogram(
+                "hybrid.first_result_latency", reservoir_size=4096
+            )
+        self._latency_histogram.observe(latency)
 
     def _hop_delay(self) -> float:
         return self.dht.transport.hop_delays(

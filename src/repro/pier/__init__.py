@@ -4,8 +4,9 @@ This package reproduces the slice of PIER [Huebsch et al., VLDB 2003] that
 PIERSearch exercises: relational schemas and tuples, a catalog of DHT-
 indexed tables (with memoized per-epoch posting statistics), local
 physical operators (scan / select / project / substring filter / a
-hash join built once on a site's stored posting list, with an optional
-memory budget whose evicted partitions stay in the site's store),
+hash join built once per version of a site's stored posting list, with
+an optional memory budget whose evicted partitions stay in the site's
+store),
 and one execution runtime: the streaming exchange dataflow
 (:mod:`repro.pier.dataflow`) that ships tuple batches between sites as
 events in virtual time, charging every shipped tuple to the bandwidth
@@ -35,7 +36,7 @@ INVERTED_CACHE     nothing (single-site substring    whenever that table
 from repro.pier.schema import Row, Schema, row_identity
 from repro.pier.rows import RowBatch
 from repro.pier.catalog import Catalog, TableHandle
-from repro.pier.operators import Operator, Scan, StoredHashJoin, SubstringFilter
+from repro.pier.operators import JoinProbe, Operator, Scan, StoredHashJoin, SubstringFilter
 from repro.pier.query import DistributedPlan, PipelineStats, PlanStage, QueryStats
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, DataflowQuery
 from repro.pier.optimizer import CostBasedOptimizer, CostEstimate, OptimizerConfig
@@ -52,6 +53,7 @@ __all__ = [
     "Scan",
     "SubstringFilter",
     "StoredHashJoin",
+    "JoinProbe",
     "DistributedPlan",
     "PlanStage",
     "QueryStats",

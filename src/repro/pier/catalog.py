@@ -71,6 +71,13 @@ class TableHandle:
         key = table_key(self.schema.name, index_value)
         return self.network.get_local(node_id, key)
 
+    def view_local(self, node_id: int, index_value: Any, build: Callable[[list[Row]], Any]) -> Any:
+        """``build`` over the rows at a specific node, read without network
+        messages and memoised there until a write changes those rows
+        (:meth:`DhtNetwork.local_view`)."""
+        key = table_key(self.schema.name, index_value)
+        return self.network.local_view(node_id, key, build)
+
     def host_of(self, index_value: Any) -> int:
         """The DHT node that should serve reads of this index value.
 

@@ -18,11 +18,18 @@ the sites of a keyword chain:
   bytes and returns its ``(hops, messages, bytes)``; nothing else is
   built per batch) and draws all its per-hop latencies in one more
   (:meth:`~repro.net.transport.Transport.hop_delays`). The receiving
-  site probes the :class:`~repro.pier.operators.StoredHashJoin` it built
-  once on its own posting list and immediately forwards new survivors
+  site probes the :class:`~repro.pier.operators.StoredHashJoin` built on
+  its own posting list and immediately forwards new survivors
   downstream. The first answer therefore reaches the query node while
   upstream batches are still in flight — first-answer latency is a
   property of the *pipeline*, not the join.
+* A site reads its posting list as a
+  :class:`~repro.pier.operators.StoredList`, the store's memoised view of
+  that list (:meth:`~repro.pier.catalog.TableHandle.view_local`): the
+  join build, the Bloom filter and the Bloom probe's matches are made
+  once per version of the stored list and shared by every query until a
+  write changes it; a query keeps only its own probe accounting
+  (:class:`~repro.pier.operators.JoinProbe`).
 * Joins optionally run under a **memory budget**: a site whose list
   overflows it evicts build partitions, which stay where they are stored
   (nothing is written), and each arriving batch is charged a re-read of
@@ -64,13 +71,17 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable
 
-from repro.common.bloom import bloom_for_keys
 from repro.common.errors import DhtError
 from repro.common.rng import make_rng
 from repro.common.units import CostModel
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.operators import NUM_SPILL_PARTITIONS, StoredHashJoin, SubstringFilter
+from repro.pier.operators import (
+    NUM_SPILL_PARTITIONS,
+    JoinProbe,
+    StoredList,
+    SubstringFilter,
+)
 from repro.pier.rows import RowBatch
 from repro.pier.query import (
     POSTING_TABLE,
@@ -612,10 +623,11 @@ class _QueryRun:
         stage = self.plan.stages[scan.stage]
         try:
             table = self.executor.catalog.table(scan.table)
-            rows = table.fetch_local(stage.site, stage.keyword)
+            view = table.view_local(stage.site, stage.keyword, StoredList)
         except DhtError as error:
             self.fail(error)
             return
+        rows = view.rows
         self.stats.per_stage_entries.append(len(rows))
         for step in local[1:]:
             if step.op == Op.FILTER:
@@ -626,14 +638,16 @@ class _QueryRun:
             out.offer(list(map(itemgetter(*scan.columns), rows)))
             out.close()
             return
-        keys = map(_FILE_ID, rows)
-        if scan.distinct:
-            keys = dict.fromkeys(keys)
         if local[-1].op == Op.BLOOM_BUILD:
-            keys = list(keys)
-            self.filter_keys = set(keys)
-            out(bloom_for_keys(keys, self.plan.bloom_fp_rate))
+            self.filter_keys = view.key_set
+            out(view.bloom(self.plan.bloom_fp_rate))
             return
+        if rows is view.rows:
+            keys = view.distinct if scan.distinct else view.ids
+        else:  # filtered for this query's other terms
+            keys = map(_FILE_ID, rows)
+            if scan.distinct:
+                keys = dict.fromkeys(keys)
         out.offer(list(zip(keys)))  # one-column value tuples
         out.close()
 
@@ -854,7 +868,7 @@ class _QueryRun:
             if join is not None:  # None: the stage never opened
                 spill.spill_reads += join.reads
                 spill.reread_bytes += join.reread_bytes
-                spill.partition_evictions += join.partition_evictions
+                spill.partition_evictions += join.build.partition_evictions
         if self.metrics is not None:
             for name, value in (
                 ("reads", spill.spill_reads),
@@ -888,15 +902,18 @@ class _Stage:
     """One per-site operator step — key-join, Bloom probe or Bloom verify.
 
     One body for all three: the first delivery opens the stage (reads the
-    site's posting keys); each delivery keeps the keys that *match*, drops
-    those already emitted and offers the rest downstream, incrementally
-    per batch; end-of-stream closes the output edge. A key-join builds a
-    (possibly budgeted) :class:`~repro.pier.operators.StoredHashJoin` on
-    the site's list when it opens and keeps the arriving keys it finds
-    there; a Bloom probe's one delivery is the filter, and it keeps the
-    site's keys that pass (false positives only add digest bytes); a Bloom
-    verify keeps the arriving candidates the filter was built from, so
-    false positives die there.
+    site's posting list as its :class:`~repro.pier.operators.StoredList`);
+    each delivery keeps the keys that *match*, drops those already
+    emitted and offers the rest downstream, incrementally per batch;
+    end-of-stream closes the output edge. A key-join probes the (possibly
+    budgeted) :class:`~repro.pier.operators.StoredHashJoin` built once per
+    stored list version — reused, not rebuilt, while the list is
+    unchanged — through its own :class:`~repro.pier.operators.JoinProbe`
+    (this query's reads), and keeps the arriving keys it finds there; a
+    Bloom probe's one delivery is the filter, and it keeps the site's keys
+    that pass (false positives only add digest bytes; the matches are
+    memoised per filter on the list); a Bloom verify keeps the arriving
+    candidates the filter was built from, so false positives die there.
     """
 
     def __init__(self, run: _QueryRun, step: Step, out: _Exchange):
@@ -909,12 +926,13 @@ class _Stage:
         self.site = run.sites[index]
         self.keyword = run.plan.stages[index].keyword
         self.out = out
-        #: the site's keys to match against, once opened
+        #: once opened: the site's list (key-join, Bloom probe) or the
+        #: filter site's key set (Bloom verify)
         self.local: Any = None
         self.emitted: set[object] = set()
         self.span = None
-        #: a key-join's build on the site's list, once opened
-        self.join: StoredHashJoin | None = None
+        #: a key-join's probe of the build on the site's list, once opened
+        self.join: JoinProbe | None = None
         #: (seconds, rows in, keys out) metric handles, when metered
         self.meters = run.hot.stage[op] if run.hot is not None else None
         if op == Op.JOIN:
@@ -927,25 +945,26 @@ class _Stage:
             attrs: dict[str, Any] = {}
         else:
             table = run.executor.catalog.table(POSTING_TABLE)
-            rows = table.fetch_local(self.site, self.keyword)
-            run.stats.per_stage_entries.append(len(rows))
-            self.local = list(map(_FILE_ID, rows))
+            view = self.local = table.view_local(self.site, self.keyword, StoredList)
+            rows = len(view.rows)
+            run.stats.per_stage_entries.append(rows)
             attrs = {"site": self.site, "keyword": self.keyword}
             if self.op == Op.JOIN:
                 executor = run.executor
                 config = executor.config
-                self.join = StoredHashJoin(
-                    self.local,
-                    memory_budget=config.memory_budget,
-                    num_partitions=config.spill_partitions,
-                    row_bytes=executor.cost_model.spill_tuple_bytes(),
+                self.join = JoinProbe(
+                    view.join(
+                        config.memory_budget,
+                        config.spill_partitions,
+                        executor.cost_model.spill_tuple_bytes(),
+                    )
                 )
-                self.local = self.join.keys
-                attrs.update(stage=self.index, build_rows=len(rows))
+                # The stored rows joined against, whether built now or reused.
+                attrs.update(stage=self.index, build_rows=rows)
                 if run.hot is not None:
-                    run.hot.join_build_rows.add(len(rows))
+                    run.hot.join_build_rows.add(rows)
             else:
-                attrs.update(rows=len(rows))
+                attrs.update(rows=rows)
         if run.span is not None:
             self.span = run.span.child(f"stage.{_STAGES[self.op][0]}", **attrs)
             run._stage_spans.append(self.span)
@@ -964,11 +983,12 @@ class _Stage:
         meters = self.meters
         started = perf_counter() if meters is not None else 0.0
         if self.probe:
-            keys = self.local
-            matched = batch.matching(keys)
+            rows_in = len(self.local.rows)
+            matched = self.local.bloom_matches(batch)
         else:
             # Key-only hot path: no dict per row.
             keys = [key for (key,) in batch.values]
+            rows_in = len(keys)
             if self.join is not None:
                 matched = self.join.probe(keys)
             else:
@@ -983,7 +1003,7 @@ class _Stage:
         if meters is not None:
             seconds, rows_counter, keys_counter = meters
             seconds.observe(perf_counter() - started)
-            rows_counter.add(len(keys))
+            rows_counter.add(rows_in)
             keys_counter.add(len(survivors))
         if survivors:
             self.out.offer(survivors)

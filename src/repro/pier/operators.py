@@ -3,19 +3,27 @@
 These are the node-local building blocks of PIER query plans. ``Scan``
 and ``SubstringFilter`` are iterator operators over row streams (the
 InvertedCache stage filters cached full text with them);
-:class:`StoredHashJoin` is the one join — built once on the posting list
-a site stores, probed by each arriving batch of bare join keys, with a
-partitioned, memory-budgeted build whose evicted partitions stay in the
-site's store. The dataflow runtime composes them per site; shipping
-between sites is the runtime's job, so everything here is purely local.
+:class:`StoredHashJoin` is the one join — built on the posting list a
+site stores, probed by each arriving batch of bare join keys through a
+per-query :class:`JoinProbe`, with a partitioned, memory-budgeted build
+whose evicted partitions stay in the site's store. A
+:class:`StoredList` is one version of a stored posting list and holds
+what queries derive from it — the build, the Bloom filter, the Bloom
+probe results — so each is made once per version, not once per query.
+The dataflow runtime composes them per site; shipping between sites is
+the runtime's job, so everything here is purely local.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 from zlib import crc32
 
+from repro.common.bloom import BloomFilter, bloom_for_keys
 from repro.pier.schema import Row
+
+_FILE_ID = itemgetter("fileID")
 
 #: default hash-partition fan-out of a memory-budgeted join's build state
 NUM_SPILL_PARTITIONS = 8
@@ -108,30 +116,32 @@ class SubstringFilter(Operator):
 
 
 class StoredHashJoin:
-    """Hash join of arriving join keys against the list a site stores.
+    """A join site's build on the posting list it stores: shared, read-only.
 
     In PIER's keyword join (Section 3.2) the surviving tuples of one term
     ship to the next term's site and are joined there against the posting
     list that site stores — a relation fully materialised before the
-    first tuple arrives. So the stored list is the build side, built once
-    here, and the arrivals are the probe side, streamed through it a
-    batch at a time: :meth:`probe` keeps the arriving keys the list holds,
-    in arrival order (a stage forwards only the key of a match, so this is
-    the semi-join of the arrivals with the list). Arriving keys are never
-    held, so they never need memory and never spill.
+    first tuple arrives. So the stored list is the build side, and the
+    arrivals are the probe side, streamed through it a batch at a time by
+    a :class:`JoinProbe`. Arriving keys are never held, so they never need
+    memory and never spill.
+
+    The build depends on the stored list alone, so it is built once per
+    stored list version (:meth:`StoredList.join`) and shared, unchanged,
+    by every query that joins against that version; each query probes it
+    through its own :class:`JoinProbe`, which holds that query's reads.
 
     With ``memory_budget`` set, the build holds at most that many rows
     (not bytes), hash-partitioned by :func:`spill_partition`. A list over
     budget evicts whole partitions — the largest first, ties to the lowest
     partition id — until the rest fits, and writes nothing: an evicted
-    partition's rows are still in the site's store. Each :meth:`probe`
-    call then pays, for every evicted partition its keys land in, one read
-    (``reads``) and a scan of that partition's rows (``reread_bytes``,
-    ``row_bytes`` per row). Evictions depend on the stored list alone;
-    reads are per call, so how the arrivals are cut into batches moves
-    them, never a match. Membership is answered from the key set built
-    here whatever the budget: the budget prices memory pressure, it saves
-    no real memory.
+    partition's rows are still in the site's store. A probe then pays,
+    for every evicted partition its keys land in, one read and a scan of
+    that partition's rows (``row_bytes`` per row; see :class:`JoinProbe`).
+    Evictions depend on the stored list alone; reads are per probe call,
+    so how the arrivals are cut into batches moves them, never a match.
+    Membership is answered from the key set whatever the budget: the
+    budget prices memory pressure, it saves no real memory.
     """
 
     def __init__(
@@ -140,6 +150,7 @@ class StoredHashJoin:
         memory_budget: int | None = None,
         num_partitions: int = NUM_SPILL_PARTITIONS,
         row_bytes: int = 0,
+        key_set: set | None = None,
     ):
         if memory_budget is not None and memory_budget < 1:
             raise ValueError(f"memory_budget must be >= 1, got {memory_budget}")
@@ -148,14 +159,13 @@ class StoredHashJoin:
         self.num_partitions = num_partitions
         #: bytes charged per stored row a probe re-reads (accounting only)
         self.row_bytes = row_bytes
-        #: the stored list's join keys
-        self.keys = set(keys)
+        #: the stored list's join keys (``key_set``, when the caller
+        #: already holds them as a set: it is shared, never copied)
+        self.keys = set(keys) if key_set is None else key_set
         #: evicted partition id -> its stored rows, in eviction order
         self.evicted: dict[int, int] = {}
         #: stored rows the build holds in memory
         self.resident_rows = len(keys)
-        self.reads = 0
-        self.reread_bytes = 0
         #: direct handle on the shared key→partition memo
         self._pid_memo = _partition_memo_for(num_partitions)
         if memory_budget is not None and len(keys) > memory_budget:
@@ -183,14 +193,134 @@ class StoredHashJoin:
             ]
         return pids
 
+
+class JoinProbe:
+    """One query's probes of a shared :class:`StoredHashJoin`, with that
+    query's accounting.
+
+    :meth:`probe` keeps the arriving keys the stored list holds, in
+    arrival order (a stage forwards only the key of a match, so this is
+    the semi-join of the arrivals with the list), and each call pays one
+    read (``reads``) and a scan of the partition's stored rows
+    (``reread_bytes``) for every evicted partition its keys land in.
+    """
+
+    __slots__ = ("build", "reads", "reread_bytes")
+
+    def __init__(self, build: StoredHashJoin):
+        self.build = build
+        self.reads = 0
+        self.reread_bytes = 0
+
     def probe(self, keys: list) -> list:
         """The arriving ``keys`` the stored list holds, in order; charges a
         read and a partition scan per evicted partition they land in."""
-        evicted = self.evicted
+        build = self.build
+        evicted = build.evicted
         if evicted:
-            touched = evicted.keys() & set(self._partitions(keys))
+            touched = evicted.keys() & set(build._partitions(keys))
             if touched:
                 self.reads += len(touched)
-                self.reread_bytes += sum(map(evicted.__getitem__, touched)) * self.row_bytes
-        stored = self.keys
+                self.reread_bytes += sum(map(evicted.__getitem__, touched)) * build.row_bytes
+        stored = build.keys
         return [key for key in keys if key in stored]
+
+
+#: bound on one stored list's memo of Bloom probe results (one entry per
+#: filter it was probed with); cleared wholesale when full — a result is
+#: recomputed from the filter and the list, so dropping is always safe
+BLOOM_PROBE_MEMO_MAX = 64
+
+
+class StoredList:
+    """One version of a posting list a site stores, and what a query
+    derives from it.
+
+    Built by the store's view memo (:meth:`repro.dht.network.DhtNetwork.local_view`)
+    on the list's rows, once per version of the list: any write that
+    changes the list drops it, and the next read builds a new one. Until
+    then every query that scans, joins against or probes the list shares
+    it, so it is read-only. It holds ``rows`` and their join keys
+    (fileIDs) in stored order, ``ids``; every other piece is built on
+    first use:
+
+    * ``key_set`` — the ids as a set, shared with every join build;
+    * ``distinct`` — the distinct ids, in stored order (insertion order,
+      never a set's, so it does not move with the string-hash salt);
+    * :meth:`join` — the :class:`StoredHashJoin` build per ``(budget,
+      fan-out, row bytes)``;
+    * :meth:`bloom` — the Bloom filter of the distinct ids per FP rate;
+    * :meth:`bloom_matches` — the ids a filter may contain, per filter
+      (a filter is never changed once built, so the filter object itself
+      is the key), bounded by :data:`BLOOM_PROBE_MEMO_MAX`.
+    """
+
+    __slots__ = ("rows", "ids", "_key_set", "_distinct", "_joins", "_blooms", "_bloom_hits")
+
+    def __init__(self, rows: list[Row]):
+        #: the stored rows, in stored order
+        self.rows = rows
+        self.ids = list(map(_FILE_ID, rows))
+        self._key_set: set | None = None
+        self._distinct: list | None = None
+        self._joins: dict[tuple, StoredHashJoin] | None = None
+        self._blooms: dict[float, BloomFilter] | None = None
+        self._bloom_hits: dict[BloomFilter, list] | None = None
+
+    @property
+    def key_set(self) -> set:
+        keys = self._key_set
+        if keys is None:
+            keys = self._key_set = set(self.ids)
+        return keys
+
+    @property
+    def distinct(self) -> list:
+        distinct = self._distinct
+        if distinct is None:
+            distinct = self._distinct = list(dict.fromkeys(self.ids))
+        return distinct
+
+    def join(
+        self, memory_budget: int | None, num_partitions: int, row_bytes: int
+    ) -> StoredHashJoin:
+        """The join build on this list under one budget configuration."""
+        joins = self._joins
+        if joins is None:
+            joins = self._joins = {}
+        config = (memory_budget, num_partitions, row_bytes)
+        build = joins.get(config)
+        if build is None:
+            build = joins[config] = StoredHashJoin(
+                self.ids,
+                memory_budget=memory_budget,
+                num_partitions=num_partitions,
+                row_bytes=row_bytes,
+                key_set=self.key_set,
+            )
+        return build
+
+    def bloom(self, false_positive_rate: float) -> BloomFilter:
+        """The Bloom filter of this list's distinct ids at one FP rate."""
+        blooms = self._blooms
+        if blooms is None:
+            blooms = self._blooms = {}
+        bloom = blooms.get(false_positive_rate)
+        if bloom is None:
+            bloom = blooms[false_positive_rate] = bloom_for_keys(
+                self.distinct, false_positive_rate
+            )
+        return bloom
+
+    def bloom_matches(self, bloom: BloomFilter) -> list:
+        """The ids ``bloom`` may contain, in stored order
+        (:meth:`BloomFilter.matching` over :attr:`ids`)."""
+        hits = self._bloom_hits
+        if hits is None:
+            hits = self._bloom_hits = {}
+        found = hits.get(bloom)
+        if found is None:
+            if len(hits) >= BLOOM_PROBE_MEMO_MAX:
+                hits.clear()
+            found = hits[bloom] = bloom.matching(self.ids)
+        return found

@@ -45,6 +45,11 @@ Ship steps sum to an estimate's ``wire_bytes`` and key-joins to its
 (:data:`LOCAL_BYTE_WEIGHT`). Ties break toward the simpler strategy, and
 a single-term query always takes the distributed join — nothing ships
 when there is nothing to intersect.
+
+The prices depend only on the sorted sizes and ``h`` (the rest is the
+optimizer's fixed configuration), so each such size profile is priced
+once per optimizer and memoised (:data:`PRICE_MEMO_MAX`); only the
+InvertedCache strategy's availability is checked per query.
 """
 
 from __future__ import annotations
@@ -96,6 +101,11 @@ _PREFERENCE = (
 #: what one site-local byte (a spilled or re-read join row) weighs against
 #: one wire byte when strategies are compared: at par
 LOCAL_BYTE_WEIGHT = 1
+
+#: bound on an optimizer's memo of priced size profiles; cleared wholesale
+#: when full (a price is recomputed from the profile, so dropping is
+#: always safe)
+PRICE_MEMO_MAX = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -158,6 +168,10 @@ class CostBasedOptimizer:
         #: per-strategy metric handles, resolved once (label encoding is
         #: too costly to repeat on every pick/observation)
         self._strategy_handles: dict = {}
+        #: (sorted sizes, hop estimate) -> ((estimate, needs the
+        #: InvertedCache table), ...) per candidate strategy, in preference
+        #: order
+        self._prices: dict[tuple, tuple[tuple[CostEstimate, bool], ...]] = {}
 
     def _handles_for(self, strategy_name: str):
         handles = self._strategy_handles.get(strategy_name)
@@ -213,19 +227,34 @@ class CostBasedOptimizer:
         choices on a canonical table without publishing a corpus.
         """
         ordered = sorted(sizes.values())
-        # Nothing to intersect: only the simplest strategy is priced.
-        candidates = _PREFERENCE if len(ordered) > 1 else _PREFERENCE[:1]
+        profile = (tuple(ordered), self.hop_estimate())
+        prices = self._prices.get(profile)
+        if prices is None:
+            prices = self._price_profile(ordered)
+            if len(self._prices) >= PRICE_MEMO_MAX:
+                self._prices.clear()
+            self._prices[profile] = prices
         priced = {}
-        for strategy in candidates:
-            steps = plan_steps(strategy, max(1, len(ordered)))
-            if any(step.table == CACHE_TABLE for step in steps):
+        for estimate, needs_cache in prices:
+            if needs_cache:
                 if inverted_cache is None:
                     inverted_cache = inverted_cache_covers(self.catalog, sizes)
                 if not inverted_cache:
                     continue
-            wire, spill = self._price(steps, ordered)
-            priced[strategy] = CostEstimate(strategy, wire, spill)
+            priced[estimate.strategy] = estimate
         return priced
+
+    def _price_profile(self, ordered: list[int]) -> tuple[tuple[CostEstimate, bool], ...]:
+        """Every candidate strategy's estimate for one sorted size profile,
+        with whether it needs the InvertedCache table."""
+        # Nothing to intersect: only the simplest strategy is priced.
+        candidates = _PREFERENCE if len(ordered) > 1 else _PREFERENCE[:1]
+        prices = []
+        for strategy in candidates:
+            steps = plan_steps(strategy, max(1, len(ordered)))
+            needs_cache = any(step.table == CACHE_TABLE for step in steps)
+            prices.append((CostEstimate(strategy, *self._price(steps, ordered)), needs_cache))
+        return tuple(prices)
 
     def _price(self, steps: tuple[Step, ...], ordered: list[int]) -> tuple[int, int]:
         """(wire bytes, spill bytes) of one step list, priced step by step

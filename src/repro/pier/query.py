@@ -96,7 +96,8 @@ class Op:
     """The operation of one :class:`Step`. A scan reads the stage's
     posting list; a ship charges and delivers a stream between two sites;
     a key-join intersects arriving keys with the stage's posting list (a
-    hash join built once on that stored list); the Bloom build makes a
+    hash join built once per version of that stored list); the Bloom
+    build makes a
     filter of the scanned keys, the Bloom probe keeps the stage's keys
     that pass it, and the Bloom verify keeps the arriving candidates the
     filter was built from; a substring filter keeps scanned rows whose

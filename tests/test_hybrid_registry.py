@@ -8,10 +8,14 @@ the registry snapshot after each phase of a fixed matrix — a flood win,
 PIER answers, a stop-word query, cache hits, a degraded zero answer,
 re-query walks that recover from churn or retry, and a re-query abandoned
 after its retries — against the snapshots the engine produced when it
-looked every series up by name on each use.
+looked every series up by name on each use, with every answered race's
+first-result latency in the histogram exactly once (a PIER answer's too,
+though its race resolves before its result count is known).
 """
 
 import math
+
+import pytest
 
 from repro.cache.results import QueryResultCache
 from repro.common.ids import hash_key
@@ -28,7 +32,7 @@ TIMEOUT = 30.0
 
 def run_matrix():
     """Registry snapshots (``MetricsRegistry.to_json``) before any race
-    and after each phase of the matrix."""
+    and after each phase of the matrix, and the races."""
     dht = DhtNetwork(rng=41)
     nodes = dht.populate(32)
     catalog = Catalog(dht)
@@ -94,7 +98,7 @@ def run_matrix():
     sim.schedule(TIMEOUT - 0.01, empty_ring)
     sim.run()
     snapshots.append(engine.metrics.to_json())
-    return snapshots
+    return snapshots, engine.races
 
 
 #: the latency histogram after the one flood win (7 s)
@@ -107,23 +111,53 @@ ONE_FLOOD_WIN = {
     "quantiles": {"0.5": 7.0, "0.9": 7.0, "0.99": 7.0},
 }
 
-#: ... and after two cache hits (timeout + cache latency)
-FLOOD_AND_TWO_CACHE_HITS = {
+#: ... and after two PIER answers (timeout + walk + pipeline)
+FLOOD_AND_TWO_PIER_ANSWERS = {
     "count": 3,
-    "sum": 67.1,
-    "mean": 22.366666666666664,
+    "sum": 82.09202922953473,
+    "mean": 27.364009743178244,
     "min": 7.0,
-    "max": 30.049999999999997,
+    "max": 37.81897425102785,
     "quantiles": {
-        "0.5": 30.049999999999997,
-        "0.9": 30.049999999999997,
-        "0.99": 30.049999999999997,
+        "0.5": 37.27305497850688,
+        "0.9": 37.81897425102785,
+        "0.99": 37.81897425102785,
     },
 }
 
-#: Recorded on the engine that looked every series up by name on each use
-#: (CPython 3.11). No PIER-answered race reaches the latency histogram: it
-#: resolves on its first answer batch, before its result count is known.
+#: ... and after two cache hits (timeout + cache latency)
+PLUS_TWO_CACHE_HITS = {
+    "count": 5,
+    "sum": 142.19202922953474,
+    "mean": 28.43840584590695,
+    "min": 7.0,
+    "max": 37.81897425102785,
+    "quantiles": {
+        "0.5": 30.049999999999997,
+        "0.9": 37.81897425102785,
+        "0.99": 37.81897425102785,
+    },
+}
+
+#: ... and after the eight walks, each answered by PIER
+PLUS_EIGHT_WALKS = {
+    "count": 13,
+    "sum": 483.4826093527177,
+    "mean": 37.19096995020905,
+    "min": 7.0,
+    "max": 46.59557244128642,
+    "quantiles": {
+        "0.5": 39.0897625517503,
+        "0.9": 44.99834774375431,
+        "0.99": 46.59557244128642,
+    },
+}
+
+#: Recorded on CPython 3.11; the counters are the ones the engine produced
+#: when it looked every series up by name on each use. Before PIER answers
+#: were observed, the histogram held the flood win and the two cache hits
+#: only: a PIER race resolves on its first answer batch, before its result
+#: count is known, and was never observed after.
 EXPECTED = [
     {"counters": {}, "gauges": {}, "histograms": {}},
     {
@@ -142,7 +176,7 @@ EXPECTED = [
             'hybrid.winner{source="pier"}': 3,
         },
         "gauges": {},
-        "histograms": {"hybrid.first_result_latency": ONE_FLOOD_WIN},
+        "histograms": {"hybrid.first_result_latency": FLOOD_AND_TWO_PIER_ANSWERS},
     },
     {
         "counters": {
@@ -155,7 +189,7 @@ EXPECTED = [
             'hybrid.winner{source="pier"}': 4,
         },
         "gauges": {},
-        "histograms": {"hybrid.first_result_latency": FLOOD_AND_TWO_CACHE_HITS},
+        "histograms": {"hybrid.first_result_latency": PLUS_TWO_CACHE_HITS},
     },
     {
         "counters": {
@@ -171,7 +205,7 @@ EXPECTED = [
             'hybrid.winner{source="pier"}': 12,
         },
         "gauges": {},
-        "histograms": {"hybrid.first_result_latency": FLOOD_AND_TWO_CACHE_HITS},
+        "histograms": {"hybrid.first_result_latency": PLUS_EIGHT_WALKS},
     },
     {
         "counters": {
@@ -190,10 +224,25 @@ EXPECTED = [
             'hybrid.winner{source="pier"}': 12,
         },
         "gauges": {},
-        "histograms": {"hybrid.first_result_latency": FLOOD_AND_TWO_CACHE_HITS},
+        "histograms": {"hybrid.first_result_latency": PLUS_EIGHT_WALKS},
     },
 ]
 
 
 def test_registry_series_match_the_per_use_lookups():
-    assert run_matrix() == EXPECTED
+    assert run_matrix()[0] == EXPECTED
+
+
+def test_every_answered_race_is_observed_once():
+    """The histogram holds exactly the finite first-result latencies of
+    the resolved races — flood wins, cache hits and PIER answers alike."""
+    snapshots, races = run_matrix()
+    answered = [
+        race for race in races if race.done and not math.isinf(race.first_result_latency)
+    ]
+    assert [race for race in races if race.latency_observed] == answered
+    latencies = [race.first_result_latency for race in answered]
+    histogram = snapshots[-1]["histograms"]["hybrid.first_result_latency"]
+    assert histogram["count"] == len(latencies) == 13
+    assert (histogram["min"], histogram["max"]) == (min(latencies), max(latencies))
+    assert histogram["sum"] == pytest.approx(sum(latencies))

@@ -5,21 +5,28 @@ builds one key set on the list it stores (plus, over budget, one
 partition count per stored key, through the shared memo), each arriving
 batch costs one membership pass and one partition lookup per key, and a
 Bloom key costs one memo lookup and one OR or masked compare (its mask is
-built once per filter shape). A shipped batch is one routing-and-charge
-call and one hop-delay draw call, with no message object built. Nothing
-about that shows in an answer or a byte count, so a regression to
-per-key calls would pass every other test. This one counts *function
-calls* — deterministic, no timing — over a small Bloom-join world and a
-batched key-join world, and holds them under recorded ceilings.
+built once per filter shape). That build, the Bloom filter and a Bloom
+probe's matches are made once per version of the stored list, and a
+size profile is priced once, so a replayed query makes none of them. A
+shipped batch is one routing-and-charge call and one hop-delay draw
+call, with no message object built. Nothing about that shows in an
+answer or a byte count, so a regression to per-key calls, or to
+per-query builds, would pass every other test. This one counts
+*function calls* — deterministic, no timing — over a small Bloom-join
+world and a batched key-join world, and holds them under recorded
+ceilings and, for the builds, filters and pricings, to exact counts.
 """
 
 import cProfile
 import pstats
 import random
 
+from repro.common.bloom import bloom_for_keys
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.operators import StoredHashJoin
+from repro.pier.optimizer import CostBasedOptimizer
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
@@ -31,11 +38,14 @@ QUERIES = 24
 #: CPython 3.11: 5,734 on the per-key path, 3,563 when the bulk path
 #: landed, 2,771 with the symmetric join and its buffered DHT spill sink
 #: (the last commit that had them), 1,459 once a join site built on its
-#: stored list and wrote no spill, and 1,370 once a batch shipped in one
-#: call. The ceiling leaves ~15 % headroom for interpreter versions and
-#: unrelated bookkeeping; the symmetric join overshoots it by more than
-#: half.
-CALLS_PER_QUERY_CEILING = 1_570
+#: stored list and wrote no spill, 1,370 once a batch shipped in one call
+#: (1,357 once a leaf query was normalised once), and 1,073 once a join
+#: site kept its list's build, Bloom filter and Bloom probe results until
+#: the list changed and a size profile was priced once (893 on a second
+#: pass over the same queries). The ceiling leaves ~20 % headroom for
+#: interpreter versions and unrelated bookkeeping; per-query builds and
+#: pricings overshoot it, and the symmetric join by more than double.
+CALLS_PER_QUERY_CEILING = 1_300
 #: Primitive calls per shipped batch of a two-term key join at two tuples
 #: a batch, recorded on CPython 3.11: 69.3 while each batch built a
 #: lookup result, a typed message, a delivery record and a shipment
@@ -85,6 +95,43 @@ def test_budgeted_bloom_conjunctions_stay_set_at_a_time():
         assert result.stats.spill.partition_evictions > 0
     calls_per_query = pstats.Stats(profile).prim_calls / QUERIES
     assert calls_per_query < CALLS_PER_QUERY_CEILING, calls_per_query
+
+
+def calls_to(profile, function):
+    """How many times ``profile`` saw ``function`` called."""
+    code = function.__code__
+    entry = pstats.Stats(profile).stats.get(
+        (code.co_filename, code.co_firstlineno, code.co_name)
+    )
+    return entry[1] if entry else 0
+
+
+def test_a_replay_builds_filters_and_prices_nothing():
+    """Join builds, Bloom filters and strategy pricings per pass over the
+    24 queries: once the first pass has met every stored list and size
+    profile, a second builds, filters and prices nothing. Recorded on the
+    commit that memoised them; per query they were 48, 24 and 72 a pass
+    (two join sites and one filter per query, three strategies priced)."""
+    engine, queries = budgeted_bloom_world()
+    engine.search(queries[0])  # its lists and size profile are met here
+    passes = []
+    for _ in range(2):
+        profile = cProfile.Profile()
+        profile.enable()
+        for terms in queries:
+            engine.search(terms)
+        profile.disable()
+        passes.append(
+            [
+                calls_to(profile, function)
+                for function in (
+                    StoredHashJoin.__init__,
+                    bloom_for_keys,
+                    CostBasedOptimizer._price,
+                )
+            ]
+        )
+    assert passes == [[6, 3, 0], [0, 0, 0]]
 
 
 def test_a_shipped_batch_costs_one_call_and_one_draw():

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import DhtError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier import dataflow
+from repro.pier import operators
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
@@ -15,6 +15,7 @@ from repro.piersearch.publisher import Publisher
 from repro.sim.engine import Simulator
 
 from oracle import oracle_items, reference_stored_join
+from test_pier_call_budget import budgeted_bloom_world
 
 WORDS = ["nebula", "quasar", "aurora", "meteor"]
 
@@ -172,20 +173,29 @@ class TestMemoryBudgetSpill:
     def test_each_join_site_accounts_as_the_reference(self, monkeypatch, batch_size):
         """Every join site of a budgeted three-term query, held to
         ``tests/oracle.py``'s written-out reference over the list it
-        stores and the batches it was actually probed with."""
-        sites = []
-        init, probe = dataflow.StoredHashJoin.__init__, dataflow.StoredHashJoin.probe
+        stores and the batches it was actually probed with: the build's
+        evictions, and the reads and re-read bytes of the site's probe."""
+        sites = {}  # JoinProbe -> (the stored keys of its build, its batches)
+        stored_of = {}  # StoredHashJoin -> the stored keys it was built on
+        join, init = operators.StoredList.join, operators.JoinProbe.__init__
+        probe = operators.JoinProbe.probe
 
-        def recording_init(join, keys, **kwargs):
-            init(join, keys, **kwargs)
-            sites.append((join, list(keys), []))
+        def recording_join(view, *config):
+            build = join(view, *config)
+            stored_of[build] = list(view.ids)
+            return build
 
-        def recording_probe(join, keys):
-            next(batches for j, _, batches in sites if j is join).append(list(keys))
-            return probe(join, keys)
+        def recording_init(handle, build):
+            init(handle, build)
+            sites[handle] = (stored_of[build], [])
 
-        monkeypatch.setattr(dataflow.StoredHashJoin, "__init__", recording_init)
-        monkeypatch.setattr(dataflow.StoredHashJoin, "probe", recording_probe)
+        def recording_probe(handle, keys):
+            sites[handle][1].append(list(keys))
+            return probe(handle, keys)
+
+        monkeypatch.setattr(operators.StoredList, "join", recording_join)
+        monkeypatch.setattr(operators.JoinProbe, "__init__", recording_init)
+        monkeypatch.setattr(operators.JoinProbe, "probe", recording_probe)
         network, catalog = build_world(num_files=60)
         plan = plan_for(network, catalog, ["nebula", "quasar", "aurora"], batch_size)
         budgeted = DataflowExecutor(
@@ -196,17 +206,26 @@ class TestMemoryBudgetSpill:
         )
         _, stats = budgeted.execute(plan)
         assert len(sites) == 2
+        postings = catalog.table("Inverted")
+        assert sorted(stored for stored, _ in sites.values()) == sorted(
+            [row["fileID"] for row in postings.fetch_local(stage.site, stage.keyword)]
+            for stage in plan.stages[1:]
+        )
         row_bytes = budgeted.cost_model.spill_tuple_bytes()
         totals = [0, 0, 0]
-        for join, stored, batches in sites:
+        for handle, (stored, batches) in sites.items():
             _, evicted, reads, reread_rows = reference_stored_join(
                 stored, batches, 5, budgeted.config.spill_partitions
             )
-            assert join.evicted == evicted
-            assert (join.reads, join.reread_bytes) == (reads, reread_rows * row_bytes)
+            assert handle.build.evicted == evicted
+            assert (handle.reads, handle.reread_bytes) == (reads, reread_rows * row_bytes)
             totals = [a + b for a, b in zip(totals, (reads, reread_rows, len(evicted)))]
         spill = stats.spill
-        assert [spill.spill_reads, spill.reread_bytes // row_bytes, spill.partition_evictions] == totals
+        assert [
+            spill.spill_reads,
+            spill.reread_bytes // row_bytes,
+            spill.partition_evictions,
+        ] == totals
         assert totals[0] > 0
 
     def _run_budgeted_with_kill(self, kill, batch_size=2):
@@ -401,3 +420,83 @@ class TestNoFetchRowShapeParity:
         assert self.shape_key(rows) == self.shape_key(
             {"fileID": file_id} for file_id in expected
         )
+
+
+class TestStoredListsAcrossWrites:
+    """A site's join state is built once per version of its stored list:
+    a repeated query reuses it all, and after a write only the site whose
+    list changed builds again — and answers from the new list."""
+
+    def counted_search(self, monkeypatch, engine, terms):
+        """``engine.search(terms)`` and how many stored-list views, Bloom
+        filters and join builds it made."""
+        made = {"views": 0, "filters": 0, "builds": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                made[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                operators.StoredList,
+                "__init__",
+                counting("views", operators.StoredList.__init__),
+            )
+            patch.setattr(
+                operators, "bloom_for_keys", counting("filters", operators.bloom_for_keys)
+            )
+            patch.setattr(
+                operators.StoredHashJoin,
+                "__init__",
+                counting("builds", operators.StoredHashJoin.__init__),
+            )
+            result = engine.search(terms)
+        assert result.stats.strategy is JoinStrategy.BLOOM_JOIN
+        assert result.stats.spill.partition_evictions > 0
+        return sorted(item["fileID"] for item in result.items), made
+
+    def test_a_write_rebuilds_only_the_touched_site(self, monkeypatch):
+        engine, _ = budgeted_bloom_world()
+        catalog = engine.catalog
+        terms = ["alpha00", "beta00", "gamma00", "delta00"]
+        # A fresh file in three of the four lists; "alpha00" sorts first,
+        # so its list stays the filter site however the writes size it.
+        name = "alpha00 beta00 gamma00 delta00 fresh.mp3"
+        file_id = "f" * 40
+        catalog.table("Item").publish(
+            {
+                "fileID": file_id,
+                "filename": name,
+                "filesize": 1,
+                "ipAddress": "10.0.9.9",
+                "port": 6346,
+            }
+        )
+        postings = catalog.table("Inverted")
+        for keyword in terms[1:]:
+            postings.publish({"keyword": keyword, "fileID": file_id})
+
+        def oracle():
+            return sorted(item["fileID"] for item in oracle_items(catalog, terms))
+
+        first, made = self.counted_search(monkeypatch, engine, terms)
+        assert first == oracle() and file_id not in first
+        assert made == {"views": 4, "filters": 1, "builds": 2}
+        again, made = self.counted_search(monkeypatch, engine, terms)
+        assert again == first
+        assert made == {"views": 0, "filters": 0, "builds": 0}
+        # The filter site's list gains the file: that site alone builds a
+        # new view and filter; the probe and join sites reuse theirs.
+        postings.publish({"keyword": "alpha00", "fileID": file_id})
+        second, made = self.counted_search(monkeypatch, engine, terms)
+        assert second == oracle() == sorted(first + [file_id])
+        assert made == {"views": 1, "filters": 1, "builds": 0}
+        # The last join site's list gains a row no other list holds: that
+        # site alone builds a new view and join build.
+        postings.publish({"keyword": "gamma00", "fileID": "e" * 40})
+        third, made = self.counted_search(monkeypatch, engine, terms)
+        assert third == oracle() == second
+        assert made == {"views": 1, "filters": 0, "builds": 1}

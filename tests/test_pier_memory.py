@@ -4,23 +4,30 @@ Three things nothing else in the suite would notice, all checked without
 a stopwatch and with the cyclic collector *off* (the benchmark drains
 with ``gc`` disabled, and a long-lived engine cannot count on a gen-2
 pass): a run, its edges and its join stages are freed by reference
-count the moment the query completes, fails or terminates early; the
-bytes a drained world still holds per finished query stay under a
+count the moment the query completes, fails or terminates early — the
+stored-list views a run reads outlive it, so none may reach back to it;
+the bytes a drained world still holds per finished query stay under a
 recorded ceiling; and a spilling query leaves no value in any store —
 also when its join site leaves gracefully mid-query, or a node joins as
-the site's predecessor and claims the list the site builds on.
+the site's predecessor and claims the list the site builds on. The
+memos a query fills across queries — a stored list's Bloom probe
+results, the optimizer's prices — are bounded, and a bound small enough
+to clear on almost every use changes no answer and no price.
 """
 
 import gc
+import random
 import tracemalloc
 import weakref
 from collections import Counter
 
 import pytest
 
-from repro.pier import dataflow
+from repro.pier import dataflow, operators, optimizer
 from repro.pier.catalog import table_key
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.operators import StoredList
+from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 
 from test_pier_call_budget import QUERIES, budgeted_bloom_world
 from test_pier_dataflow import build_world, plan_for
@@ -196,3 +203,41 @@ class TestTempTuplesReleased:
         nothing_written(network)
         if ending != "fail":
             assert stored_by_key(network) == baseline
+
+
+class TestMemosBounded:
+    def replay(self):
+        """Each query of the Bloom-join world twice: (answer, bytes, spill)
+        per search, and the world's catalog."""
+        engine, queries = budgeted_bloom_world()
+        results = [engine.search(terms) for terms in queries + queries]
+        answers = [
+            (sorted(item["fileID"] for item in found.items), found.stats.bytes, found.stats.spill)
+            for found in results
+        ]
+        return answers, engine.catalog, queries
+
+    def test_a_one_entry_bloom_probe_memo_changes_no_answer(self, monkeypatch):
+        reference, _, _ = self.replay()
+        monkeypatch.setattr(operators, "BLOOM_PROBE_MEMO_MAX", 1)
+        answers, catalog, queries = self.replay()
+        assert answers == reference
+        postings = catalog.table("Inverted")
+        for keyword in {term for terms in queries for term in terms}:
+            view = postings.view_local(postings.host_of(keyword), keyword, StoredList)
+            assert len(view._bloom_hits or ()) <= 1
+
+    def test_a_two_entry_price_memo_prices_as_fresh_optimizers_do(self, monkeypatch):
+        _, catalog, _ = self.replay()
+        config = OptimizerConfig(memory_budget=32)
+        rng = random.Random(4)
+        profiles = [
+            {f"t{index}": rng.choice((0, 5, 64, 300)) for index in range(rng.randint(1, 4))}
+            for _ in range(40)
+        ]
+        fresh = [CostBasedOptimizer(catalog, config=config).estimates(sizes) for sizes in profiles]
+        monkeypatch.setattr(optimizer, "PRICE_MEMO_MAX", 2)
+        memoised = CostBasedOptimizer(catalog, config=config)
+        for sizes, expected in zip(profiles, fresh):
+            assert memoised.estimates(sizes) == expected
+            assert len(memoised._prices) <= 2

@@ -1,6 +1,6 @@
 """Unit tests for the local physical operators."""
 
-from repro.pier.operators import Scan, StoredHashJoin, SubstringFilter
+from repro.pier.operators import JoinProbe, Scan, StoredHashJoin, SubstringFilter
 
 from oracle import nested_loop_join
 
@@ -12,7 +12,7 @@ def rows_of(values):
 def join_size(left, right):
     """Arriving ``left`` keys the site built on ``right`` keeps — the rows
     of the nested-loop join of ``left`` with ``right``'s distinct keys."""
-    return len(StoredHashJoin(right).probe(left))
+    return len(JoinProbe(StoredHashJoin(right)).probe(left))
 
 
 class TestScan:
@@ -79,7 +79,7 @@ class TestHashJoin:
 class TestStoredHashJoin:
     def test_same_result_as_nested_loop_reference(self):
         left, right = list(range(10)), list(range(5, 15))
-        matched = StoredHashJoin(right).probe(left)
+        matched = JoinProbe(StoredHashJoin(right)).probe(left)
         reference = nested_loop_join(rows_of(left), rows_of(right), "k")
         assert rows_of(matched) == reference
 
@@ -93,7 +93,7 @@ class TestStoredHashJoin:
         assert join_size([1, 1], [1, 1]) == 2
 
     def test_probes_are_independent_calls(self):
-        site = StoredHashJoin([1, 2, 3])
+        site = JoinProbe(StoredHashJoin([1, 2, 3]))
         assert site.probe([3, 4]) == [3]
         assert site.probe([1, 3]) == [1, 3]
 
@@ -101,5 +101,5 @@ class TestStoredHashJoin:
         """Keys match by equality, never by their printed form — also when
         the budget has evicted the partitions they land in."""
         for budget in (None, 1):
-            site = StoredHashJoin([1, "2"], memory_budget=budget)
+            site = JoinProbe(StoredHashJoin([1, "2"], memory_budget=budget))
             assert site.probe(["1", 2, 1, "2"]) == [1, "2"]

@@ -3,7 +3,7 @@ join a stage runs over its keys."""
 
 import pytest
 
-from repro.pier.operators import StoredHashJoin
+from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.pier.rows import RowBatch
 
 
@@ -45,8 +45,8 @@ class TestKeyOnlyJoin:
     probe returns the arriving keys it holds, no row dict on either side."""
 
     def test_key_mode_spills_and_reads_back(self):
-        join = StoredHashJoin(["a", "b", "c"], memory_budget=2)
-        assert join.partition_evictions > 0
+        join = JoinProbe(StoredHashJoin(["a", "b", "c"], memory_budget=2))
+        assert join.build.partition_evictions > 0
         # Probes still see evicted keys, each kept once.
         assert join.probe(["a", "c", "zz", "a"]) == ["a", "c", "a"]
         assert join.reads > 0
@@ -55,9 +55,9 @@ class TestKeyOnlyJoin:
         """The build is the site's whole list, held once: its resident
         rows are the peak, and a probe never adds to them."""
         free = StoredHashJoin(list(range(5)))
-        free.probe([0, 7])
+        JoinProbe(free).probe([0, 7])
         assert free.resident_rows == 5
         tight = StoredHashJoin(list(range(5)), memory_budget=2, num_partitions=5)
-        tight.probe(list(range(10)))
+        JoinProbe(tight).probe(list(range(10)))
         assert tight.resident_rows <= 2
         assert tight.resident_rows + sum(tight.evicted.values()) == 5

@@ -3,14 +3,15 @@
 A join site builds once on the posting list it stores
 (:class:`StoredHashJoin`). Under a row budget it evicts whole partitions
 of that list — the largest first, ties to the lowest partition id —
-writes nothing (the rows are still in the site's store), and charges each
-probe call one read and one scan of a partition's rows for every evicted
-partition the call's keys land in. Covered here: the eviction rule and
-its edges, the per-call accounting, a hypothesis differential against
-``tests/oracle.py``'s written-out ``reference_stored_join`` and
-``nested_loop_join`` over key multisets × budget × fan-out × arbitrary
-batch cuts, and — in interpreters with different string-hash salts —
-that a budgeted query's evictions and reads do not move.
+writes nothing (the rows are still in the site's store), and a query's
+probe (:class:`JoinProbe`) charges each call one read and one scan of a
+partition's rows for every evicted partition the call's keys land in.
+Covered here: the eviction rule and its edges, the per-call accounting,
+a hypothesis differential against ``tests/oracle.py``'s written-out
+``reference_stored_join`` and ``nested_loop_join`` over key multisets ×
+budget × fan-out × arbitrary batch cuts, and — in interpreters with
+different string-hash salts — that a budgeted query's evictions and
+reads do not move.
 """
 
 import json
@@ -23,7 +24,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.pier.operators import NUM_SPILL_PARTITIONS, StoredHashJoin, spill_partition
+from repro.pier.operators import (
+    NUM_SPILL_PARTITIONS,
+    JoinProbe,
+    StoredHashJoin,
+    spill_partition,
+)
 
 from oracle import nested_loop_join, reference_stored_join
 
@@ -41,8 +47,11 @@ def keys_in_partition(pid, num_partitions, count, start=0):
 
 
 def make_join(stored, budget, partitions=4):
-    return StoredHashJoin(
-        stored, memory_budget=budget, num_partitions=partitions, row_bytes=ROW_BYTES
+    """One query's probe of a build on ``stored``."""
+    return JoinProbe(
+        StoredHashJoin(
+            stored, memory_budget=budget, num_partitions=partitions, row_bytes=ROW_BYTES
+        )
     )
 
 
@@ -53,27 +62,27 @@ class TestPartitionedEviction:
         # 9 rows against a budget of 8: one eviction, and it takes the
         # 6-row partition, leaving the 3-row one resident.
         join = make_join(big + small, budget=8)
-        assert join.evicted == {0: 6}
-        assert (join.partition_evictions, join.resident_rows) == (1, 3)
+        assert join.build.evicted == {0: 6}
+        assert (join.build.partition_evictions, join.build.resident_rows) == (1, 3)
 
     def test_eviction_goes_on_until_the_rest_fits(self):
         join = make_join(keys_in_partition(0, 4, 6) + keys_in_partition(1, 4, 3), budget=2)
-        assert list(join.evicted.items()) == [(0, 6), (1, 3)]
-        assert join.resident_rows == 0
+        assert list(join.build.evicted.items()) == [(0, 6), (1, 3)]
+        assert join.build.resident_rows == 0
 
     def test_ties_go_to_the_lowest_partition_id(self):
         stored = keys_in_partition(3, 4, 4) + keys_in_partition(1, 4, 4)
-        assert make_join(stored, budget=5).evicted == {1: 4}
+        assert make_join(stored, budget=5).build.evicted == {1: 4}
 
     def test_a_duplicated_stored_key_counts_once_per_row(self):
         hot, cold = keys_in_partition(0, 4, 2)
         join = make_join([hot] * 7 + [cold] + keys_in_partition(1, 4, 1), budget=8)
-        assert join.evicted == {0: 8}
+        assert join.build.evicted == {0: 8}
 
     def test_within_budget_or_unbudgeted_evicts_nothing(self):
         stored = keys_in_partition(0, 4, 10)
         for join in (make_join(stored, budget=10), make_join(stored, budget=None)):
-            assert (join.evicted, join.resident_rows) == ({}, 10)
+            assert (join.build.evicted, join.build.resident_rows) == ({}, 10)
             join.probe(stored)
             assert (join.reads, join.reread_bytes) == (0, 0)
 
@@ -89,21 +98,21 @@ class TestPartitionedEviction:
         stored = keys_in_partition(0, 4, 10)
         join = make_join(stored, budget=100)
         assert join.probe(stored + [10_001]) == stored
-        assert (join.partition_evictions, join.reads) == (0, 0)
+        assert (join.build.partition_evictions, join.reads) == (0, 0)
 
     def test_one_partition_fan_out_evicts_the_whole_list(self):
         """With a single partition there is nothing to choose: a list over
         budget goes out whole, and every probe call that brings a key
         scans all of it once."""
         join = make_join(list(range(5)), budget=4, partitions=1)
-        assert (join.evicted, join.resident_rows) == ({0: 5}, 0)
+        assert (join.build.evicted, join.build.resident_rows) == ({0: 5}, 0)
         assert join.probe([3, 99]) == [3]
         assert join.probe([99]) == []
         assert (join.reads, join.reread_bytes) == (2, 10 * ROW_BYTES)
 
     def test_an_empty_stored_list_evicts_and_matches_nothing(self):
         join = make_join([], budget=1)
-        assert (join.evicted, join.resident_rows) == ({}, 0)
+        assert (join.build.evicted, join.build.resident_rows) == ({}, 0)
         assert join.probe([1, "file01"]) == []
         assert join.reads == 0
 
@@ -130,7 +139,7 @@ class TestSpilledIndexGatesReads(OnePartitionEvicted):
     def test_never_spilled_probes_cost_zero_sink_reads(self):
         """Probes that only land in resident partitions match from memory
         and read nothing, however many partitions were evicted."""
-        assert self.join.evicted == {0: 6}
+        assert self.join.build.evicted == {0: 6}
         assert self.join.probe(self.resident) == self.resident
         assert (self.join.reads, self.join.reread_bytes) == (0, 0)
 
@@ -168,7 +177,7 @@ class TestStaySpilled:
         join = make_join(keys, budget=4)
         for key in keys:
             assert join.probe([key]) == [key]
-        assert (join.partition_evictions, join.resident_rows) == (1, 0)
+        assert (join.build.partition_evictions, join.build.resident_rows) == (1, 0)
         assert (join.reads, join.reread_bytes) == (16, 16 * 16 * ROW_BYTES)
 
 
@@ -179,7 +188,7 @@ class TestKeysModeCompactSpill:
     def test_spilled_counts_still_match(self):
         hot = keys_in_partition(0, 4, 1)[0]
         join = make_join([hot] * 7 + keys_in_partition(1, 4, 2, start=100), budget=8)
-        assert join.evicted == {0: 7}
+        assert join.build.evicted == {0: 7}
         # A site keeps an arrival once, however often its list holds it;
         # the scan still reads all seven rows.
         assert join.probe([hot]) == [hot]
@@ -187,10 +196,10 @@ class TestKeysModeCompactSpill:
 
     def test_keys_mode_budgeted_matches_unbudgeted(self):
         stored = [k % 5 for k in range(40)]
-        free, tight = StoredHashJoin(stored), make_join(stored, budget=3)
+        free, tight = JoinProbe(StoredHashJoin(stored)), make_join(stored, budget=3)
         for key in range(40):
             assert tight.probe([key % 7]) == free.probe([key % 7])
-        assert tight.partition_evictions > 0 and tight.reads > 0
+        assert tight.build.partition_evictions > 0 and tight.reads > 0
 
 
 class TestIteratorEquivalence:
@@ -209,7 +218,7 @@ class TestIteratorEquivalence:
         for budget in (None, 1, 2, 5, 17):
             join = make_join(stored, budget)
             assert [join.probe([key]) for key in arriving] == expected, budget
-            assert (join.partition_evictions > 0) == (budget is not None)
+            assert (join.build.partition_evictions > 0) == (budget is not None)
 
 
 def cut(keys, cuts):
@@ -258,14 +267,14 @@ class TestReferenceDifferential:
             stored, batches, budget, fan_out
         )
         assert matched == expected
-        assert list(join.evicted.items()) == list(evicted.items())
+        assert list(join.build.evicted.items()) == list(evicted.items())
         assert (join.reads, join.reread_bytes) == (reads, reread_rows * ROW_BYTES)
-        assert join.resident_rows == len(stored) - sum(evicted.values())
+        assert join.build.resident_rows == len(stored) - sum(evicted.values())
         if budget is not None:
-            assert join.resident_rows <= budget
+            assert join.build.resident_rows <= budget
         whole = make_join(stored, budget, fan_out)
         whole.probe(arriving)
-        assert whole.evicted == join.evicted
+        assert whole.build.evicted == join.build.evicted
         assert whole.reads <= join.reads
 
 
@@ -274,18 +283,18 @@ class TestReferenceDifferential:
 #: answer count.
 EVICTION_SCRIPT = """
 import dataclasses, json
-from repro.pier import dataflow
+from repro.pier import operators
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from test_pier_dataflow import build_world, plan_for
 
 evicted = []
-init = dataflow.StoredHashJoin.__init__
+init = operators.StoredHashJoin.__init__
 
 def recording(join, *args, **kwargs):
     init(join, *args, **kwargs)
     evicted.append(list(join.evicted.items()))
 
-dataflow.StoredHashJoin.__init__ = recording
+operators.StoredHashJoin.__init__ = recording
 network, catalog = build_world(num_files=60)
 plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
 flow = DataflowExecutor(

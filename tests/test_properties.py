@@ -9,7 +9,7 @@ from repro.common.ids import KEY_SPACE, hash_key, in_interval, ring_distance
 from repro.dht.ring import Ring
 from repro.metrics.cdf import discrete_cdf, fraction_at_most
 from repro.model.analytical import SystemParameters, pf_gnutella, pf_hybrid
-from repro.pier.operators import StoredHashJoin
+from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.piersearch.tokenizer import extract_keywords, tokenize
 
 from oracle import nested_loop_join
@@ -56,7 +56,7 @@ class TestJoinProperties:
     def test_stored_join_equals_nested_loop_reference(self, left, right):
         """The arrivals a site built on ``right`` keeps are the nested-loop
         join of ``left`` with ``right``'s distinct keys, in arrival order."""
-        matched = [{"k": key} for key in StoredHashJoin(right).probe(left)]
+        matched = [{"k": key} for key in JoinProbe(StoredHashJoin(right)).probe(left)]
         reference = nested_loop_join(
             [{"k": v} for v in left], [{"k": v} for v in dict.fromkeys(right)], "k"
         )
@@ -74,7 +74,7 @@ class TestJoinProperties:
         assert len(nested_loop_join(left_rows, right_rows, "k")) == expected
         # A site keeps each arrival once, however often its key is stored.
         kept = sum(lc[k] for k in lc if k in rc)
-        assert len(StoredHashJoin(right).probe(left)) == kept
+        assert len(JoinProbe(StoredHashJoin(right)).probe(left)) == kept
 
 
 class TestTokenizerProperties:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
-from repro.pier.operators import StoredHashJoin
+from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.pier.planner import KeywordPlanner
 from repro.piersearch.publisher import Publisher
 
@@ -44,21 +44,24 @@ ROW_BYTES = 512
 
 
 def make_budgeted(stored, budget, fan_out):
-    return StoredHashJoin(
-        stored, memory_budget=budget, num_partitions=fan_out, row_bytes=ROW_BYTES
+    """One query's probe of a budgeted build on ``stored``."""
+    return JoinProbe(
+        StoredHashJoin(
+            stored, memory_budget=budget, num_partitions=fan_out, row_bytes=ROW_BYTES
+        )
     )
 
 
 def assert_accounting_invariants(join, stored, budget):
     """Eviction and re-read accounting is consistent in rows and bytes."""
-    assert join.resident_rows + sum(join.evicted.values()) == len(stored)
-    assert join.resident_rows <= budget
-    assert all(rows > 0 for rows in join.evicted.values())
+    assert join.build.resident_rows + sum(join.build.evicted.values()) == len(stored)
+    assert join.build.resident_rows <= budget
+    assert all(rows > 0 for rows in join.build.evicted.values())
     # A read scans one whole evicted partition: re-read bytes are a whole
     # number of stored rows, at least one per read.
     assert join.reread_bytes % ROW_BYTES == 0
     assert join.reread_bytes >= join.reads * ROW_BYTES
-    assert (join.reads > 0) <= (join.partition_evictions > 0)
+    assert (join.reads > 0) <= (join.build.partition_evictions > 0)
 
 
 def probe_in_cuts(join, keys, cuts):
@@ -92,13 +95,13 @@ class TestOperatorEquivalence:
     def test_keys_mode_budgeted_matches_unbudgeted(
         self, stored, arriving, budget, fan_out
     ):
-        free = StoredHashJoin(stored)
+        free = JoinProbe(StoredHashJoin(stored))
         tight = make_budgeted(stored, budget, fan_out)
         assert tight.probe(arriving) == free.probe(arriving)
         for key in arriving:
             assert tight.probe([key]) == free.probe([key])
-        assert (free.reads, free.partition_evictions) == (0, 0)
-        assert (tight.partition_evictions > 0) == (len(stored) > budget)
+        assert (free.reads, free.build.partition_evictions) == (0, 0)
+        assert (tight.build.partition_evictions > 0) == (len(stored) > budget)
         assert_accounting_invariants(tight, stored, budget)
 
 
@@ -130,13 +133,13 @@ class TestChunkingInvariance:
         assert probe_in_cuts(bulk, arriving, ()) == reference
         assert probe_in_cuts(split, arriving, cuts) == reference
         for join in (bulk, split):
-            assert list(join.evicted.items()) == list(per_key.evicted.items())
-            assert join.resident_rows == per_key.resident_rows
+            assert list(join.build.evicted.items()) == list(per_key.build.evicted.items())
+            assert join.build.resident_rows == per_key.build.resident_rows
             assert_accounting_invariants(join, stored, budget)
         assert bulk.reads <= split.reads <= per_key.reads
         assert bulk.reread_bytes <= split.reread_bytes <= per_key.reread_bytes
         # The budget never changes an answer, whatever the split.
-        assert probe_in_cuts(StoredHashJoin(stored), arriving, cuts) == reference
+        assert probe_in_cuts(JoinProbe(StoredHashJoin(stored)), arriving, cuts) == reference
 
     @pytest.mark.parametrize("per_call", [128, 1], ids=["bulk", "per-key"])
     def test_pinned_numbers_of_the_per_key_path(self, per_call):
@@ -151,8 +154,8 @@ class TestChunkingInvariance:
         batches = [probe[i : i + per_call] for i in range(0, len(probe), per_call)]
         assert [key for batch in batches for key in join.probe(batch)] == keys[::8]
         evicted = [(2, 17), (3, 17), (4, 17), (5, 17), (0, 15), (1, 15)]
-        assert list(join.evicted.items()) == evicted
-        assert (join.partition_evictions, join.resident_rows) == (6, 30)
+        assert list(join.build.evicted.items()) == evicted
+        assert (join.build.partition_evictions, join.build.resident_rows) == (6, 30)
         reads, reread_rows = {128: (6, 98), 1: (24, 394)}[per_call]
         assert (join.reads, join.reread_bytes) == (reads, reread_rows * ROW_BYTES)
         assert reference_stored_join(keys, batches, 32, 8)[1:] == (
