@@ -136,7 +136,7 @@ def test_bench_shard_artifact_process_speedup_when_multicore():
         )
 
 
-#: peak-RSS ceiling for the 300k-peer smoke: the compact representation
+#: peak-RSS ceiling for the 300k-peer smoke: the sorted-list ring
 #: measures ~210 B/peer (~60 MB of ring state at 300k) plus interpreter
 #: baseline; 1 GiB is an order-of-magnitude backstop that still fails
 #: fast if eager routing or unslotted nodes sneak back in (which cost
@@ -149,7 +149,7 @@ from repro.dht.network import DhtNetwork
 from repro.dht.ring import bytes_per_peer
 from repro.experiments.ext_shard import ShardScenario, run_scenario
 
-network = DhtNetwork(rng=3, compact_ids=True)
+network = DhtNetwork(rng=3)
 network.populate(300_000)
 per_peer = bytes_per_peer(network)
 scenario = ShardScenario(num_peers=300_000, num_chains=800, hops_per_chain=150)
@@ -161,7 +161,7 @@ print(f"{peak} {per_peer} {report.processed}")
 
 @pytest.mark.slow
 def test_300k_peer_smoke_stays_under_rss_ceiling():
-    """Hard memory gate: building a 300k-peer compact DHT *and* running
+    """Hard memory gate: building a 300k-peer DHT *and* running
     a 300k-peer sharded workload must keep peak RSS under 1 GiB.
 
     Runs in a fresh interpreter so ``ru_maxrss`` measures exactly this

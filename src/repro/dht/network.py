@@ -18,7 +18,7 @@ from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.common.rng import make_rng
 from repro.common.units import BandwidthMeter, CostModel, DEFAULT_COST_MODEL
 from repro.dht.node import OWNS, DhtNode
-from repro.dht.ring import COMPACT_SHIFT, Ring, RingCell, RingSnapshot
+from repro.dht.ring import Ring, RingCell, RingSnapshot
 from repro.net.transport import InProcessTransport, Transport
 
 MAX_HOPS_FACTOR = 4  # routing gives up after 4*log2(N)+8 hops
@@ -67,7 +67,6 @@ class DhtNetwork:
         cost_model: CostModel | None = None,
         rng: random.Random | int | None = None,
         transport: Transport | None = None,
-        compact_ids: bool = False,
     ):
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
@@ -76,11 +75,7 @@ class DhtNetwork:
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.rng = make_rng(rng)
         self.nodes: dict[int, DhtNode] = {}
-        #: random node ids restricted to multiples of 2**96 so the ring
-        #: packs into a sorted ``array('Q')`` — 8 bytes/peer membership
-        #: (see :mod:`repro.dht.ring`); identical routing semantics
-        self.compact_ids = compact_ids
-        self._ring = Ring(compact=compact_ids)  # sorted node ids
+        self._ring = Ring()  # sorted node ids
         #: the latest stabilize snapshot, shared with every node: fingers,
         #: successors and predecessor are derived from it on first use
         self._ring_cell = RingCell()
@@ -95,7 +90,7 @@ class DhtNetwork:
         self.transport = transport or InProcessTransport(self.meter, self.cost_model)
         self._stale = False
         #: bumped on every join/leave; cheap epoch stamp for caches (e.g.
-        #: the catalog's posting-size statistics) that must not survive churn
+        #: the route cache) that must not survive churn
         self.membership_version = 0
         # --- epoch-stamped route cache ---------------------------------
         #: memoizes :meth:`lookup` paths between membership changes (see
@@ -172,8 +167,6 @@ class DhtNetwork:
         return node
 
     def _random_id(self) -> int:
-        if self.compact_ids:
-            return self.rng.getrandbits(64) << COMPACT_SHIFT
         return self.rng.getrandbits(160)
 
     def populate(self, count: int) -> list[DhtNode]:

@@ -3,9 +3,11 @@
 The paper's hybrid design absorbs popular queries cheaply by flooding and
 rare ones via the DHT, but re-executes every repeated query from scratch.
 This experiment measures what the :mod:`repro.cache` subsystem buys:
-hybrid ultrapeers answer timed-out leaf queries through PIERSearch, with
-a byte-budgeted result cache (and the adaptive replication controller) in
-front of the DHT.
+a hybrid ultrapeer races each leaf query on the hybrid query engine, every
+one times out on Gnutella and re-queries through PIERSearch, with a
+byte-budgeted result cache (and the adaptive replication controller) in
+front of the DHT. The simulator drains after each query, so queries run
+one after another and each sees the cache its predecessors left.
 
 Sweeps the cache byte budget against the Zipf skew of query repetition
 and reports, per cell: hit rate, per-query PIER bandwidth, bandwidth
@@ -17,7 +19,6 @@ keys the replication controller spread across successor nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.cache.popularity import PopularityEstimator
@@ -27,11 +28,13 @@ from repro.common.rng import make_rng
 from repro.common.zipf import ZipfSampler
 from repro.dht.network import DhtNetwork
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, get_library
+from repro.hybrid.engine import HybridQueryEngine
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
 from repro.piersearch.tokenizer import extract_keywords
+from repro.sim.engine import Simulator
 
 BUDGETS_KB = (0, 32, 128)
 ALPHAS = (0.6, 1.1)
@@ -130,7 +133,7 @@ def _measure(
     nodes = dht.populate(num_nodes)
     catalog = Catalog(dht)
     publisher = Publisher(dht, catalog, inverted_cache=False)
-    engine = SearchEngine(dht, catalog, inverted_cache=False)
+    search = SearchEngine(dht, catalog, inverted_cache=False)
 
     # Publish a slice of the content library (one replica per item) and
     # derive the query population from the published filenames, so every
@@ -166,17 +169,21 @@ def _measure(
         ultrapeer_id=0,
         dht_node_id=nodes[0].node_id,
         publisher=publisher,
-        search_engine=engine,
+        search_engine=search,
         result_cache=cache,
         popularity=popularity,
     )
+    sim = Simulator()
+    races = HybridQueryEngine(sim, dht, rng=seed + 2)
 
-    # Zipf-skewed repetition over the query population: every query times
-    # out on Gnutella, so each one exercises the cached PIER path.
+    # Zipf-skewed repetition over the query population: no replica is in
+    # flood reach, so every query times out on Gnutella and exercises the
+    # cached PIER path.
     sampler = ZipfSampler(len(population), alpha, rng=rng)
     for _ in range(num_queries):
         terms = population[sampler.sample() - 1]
-        hybrid.handle_leaf_query(list(terms), gnutella_results=0, gnutella_latency=math.inf)
+        hybrid.handle_leaf_query_simulated(races, list(terms), [], stop_ttl=3)
+        sim.run()
 
     cell.outcomes = hybrid.outcomes
     cell.queries = num_queries
@@ -191,7 +198,7 @@ def _measure(
         # (Runs after the bandwidth numbers above are frozen, so the audit
         # searches do not pollute the measurement.)
         for entry in cache.entries():
-            fresh = engine.search(list(entry.key), query_node=nodes[0].node_id)
+            fresh = search.search(list(entry.key), query_node=nodes[0].node_id)
             if sorted(fresh.filenames) != sorted(entry.filenames):
                 cell.recall_mismatches += entry.hits
     return cell

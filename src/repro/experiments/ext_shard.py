@@ -26,9 +26,9 @@ at scale and proves it changes nothing:
   than heap scheduling, so sharding is never a wall-clock loss even
   sequentially). The recorded speedup column is aggregate capacity
   relative to the single-shard rate.
-* **Memory capacity**: alongside the kernel workload, a compact-mode
-  :class:`~repro.dht.network.DhtNetwork` is built at the same peer
-  count and its routing-state bytes-per-peer recorded
+* **Memory capacity**: alongside the kernel workload, a
+  :class:`~repro.dht.network.DhtNetwork` is built at the same peer count
+  and its routing-state bytes-per-peer recorded
   (:func:`repro.dht.ring.bytes_per_peer`) — the artifact pins that one
   million peers' ring state fits in well under 1 KB per peer.
 
@@ -221,10 +221,10 @@ def run_scenario(
 
 
 def measure_dht_capacity(num_peers: int) -> dict:
-    """Build a compact-mode DHT at ``num_peers`` and cost its ring state.
+    """Build a DHT at ``num_peers`` and cost its ring state.
 
-    Constructs a real :class:`~repro.dht.network.DhtNetwork` (compact
-    ids), stabilized once, and reports construction time
+    Constructs a real :class:`~repro.dht.network.DhtNetwork`, stabilized
+    once, and reports construction time
     plus deep-measured routing-state bytes per peer — the memory half of
     the million-peer capacity story.
     """
@@ -232,13 +232,12 @@ def measure_dht_capacity(num_peers: int) -> dict:
     from repro.dht.ring import bytes_per_peer, ring_state_bytes
 
     start = time.perf_counter()
-    network = DhtNetwork(rng=7, compact_ids=True)
+    network = DhtNetwork(rng=7)
     network.populate(num_peers)
     construct_seconds = time.perf_counter() - start
     state_bytes = ring_state_bytes(network)
     return {
         "num_peers": num_peers,
-        "compact_ids": True,
         "construct_seconds": construct_seconds,
         "ring_state_bytes": state_bytes,
         "bytes_per_peer": bytes_per_peer(network),
@@ -358,7 +357,7 @@ def run(scale: PaperScale = PAPER_SCALE, num_shards: int = 4) -> ExperimentResul
             "the sum of per-shard busy-time drain rates (concurrent capacity); "
             "wall rate is the sequential round-robin drain on this machine "
             "(ratio >= 1 vs the single-shard baseline); dht_bytes_per_peer is "
-            "deep-measured compact-ring routing state at the same peer count; "
+            "deep-measured ring routing state at the same peer count; "
             "determinism_ok=1 means the 1-shard and sharded digests matched"
         ),
     )
@@ -398,7 +397,7 @@ def record(
             "process.wall_speedup_vs_baseline is enforced only when cpu_count "
             "on both the recording and checking machine is >= "
             "floors.process_speedup_min_cores. dht_capacity deep-measures "
-            "compact-ring routing state bytes per peer at the same scale."
+            "ring routing state bytes per peer at the same scale."
         ),
         "dht_capacity": measure_dht_capacity(RECORD_SCENARIO.num_peers),
         **sample,

@@ -67,8 +67,8 @@ class RaceConfig:
 
     Per-ultrapeer policy (the Gnutella timeout and the cache-hit
     latency) lives on :class:`HybridUltrapeer` itself; the engine reads
-    it from the submitting ultrapeer so both query paths share one
-    source of truth.
+    it from the submitting ultrapeer. The DHT hop latency lives here
+    only: it prices the re-query walk and the dataflow's batch hops.
     """
 
     #: mean one-way per-hop latency on the DHT overlay (seconds)
@@ -663,54 +663,3 @@ class HybridQueryEngine:
         if self.sim.now <= 0:
             return 0.0
         return self.completed / self.sim.now
-
-
-# ----------------------------------------------------------------------
-# Ring-sharded deployment
-# ----------------------------------------------------------------------
-
-
-def build_sharded_engines(
-    kernel,
-    dht: DhtNetwork,
-    latency_model: GnutellaLatencyModel | None = None,
-    config: RaceConfig | None = None,
-    seed: int = 0,
-    tracer=None,
-    metrics=None,
-) -> list["HybridQueryEngine"]:
-    """One hybrid engine per region shard of a sharded kernel.
-
-    Each engine runs on its shard's clock view
-    (:class:`~repro.sim.shard.ShardView` quacks like a ``Simulator``), so
-    races submitted to different shards drain under the kernel's
-    conservative-lookahead windows while sharing one DHT. Engine RNGs are
-    spawned from ``seed`` with shard-stable labels: shard ``i``'s draw
-    stream is the same whether the kernel has 1 shard or N.
-
-    Route queries with :func:`engine_for_node` — ultrapeers map to shards
-    by the ring position of their DHT node id, the same partition the
-    kernel uses for keys.
-    """
-    from repro.common.rng import spawn_rng
-
-    root = make_rng(seed)
-    return [
-        HybridQueryEngine(
-            kernel.shard(shard_id),
-            dht,
-            latency_model=latency_model,
-            config=config,
-            rng=spawn_rng(root, f"engine.shard.{shard_id}"),
-            tracer=tracer,
-            metrics=metrics,
-        )
-        for shard_id in range(kernel.num_shards)
-    ]
-
-
-def engine_for_node(engines: list["HybridQueryEngine"], node_id: int) -> "HybridQueryEngine":
-    """The shard engine owning ``node_id``'s ring region."""
-    from repro.sim.shard import shard_of_key
-
-    return engines[shard_of_key(node_id, len(engines))]

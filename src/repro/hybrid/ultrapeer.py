@@ -8,15 +8,12 @@ and hands them to the PIERSearch client for publishing into the DHT.
 Leaf queries that return nothing from Gnutella within a timeout are
 re-issued through PIERSearch.
 
-Two query paths coexist. :meth:`HybridUltrapeer.handle_leaf_query` is the
-closed-form path (precomputed Gnutella latency, a blocking PIERSearch
-call priced as critical path hops x hop latency).
-:meth:`HybridUltrapeer.handle_leaf_query_simulated` instead *runs the
-race* on the hybrid query engine (:mod:`repro.hybrid.engine`): Gnutella
-result arrivals, the re-query timeout, and every DHT routing hop become
-simulator events in virtual time, so concurrent queries overlap, churn
-breaks routes mid-query, and whichever source delivers first wins for
-real.
+A leaf query runs as a race on the hybrid query engine
+(:mod:`repro.hybrid.engine`, entered through
+:meth:`HybridUltrapeer.handle_leaf_query_simulated`): Gnutella result
+arrivals, the re-query timeout, and every DHT routing hop are simulator
+events in virtual time, so concurrent queries overlap, churn breaks routes
+mid-query, and whichever source delivers first wins for real.
 """
 
 from __future__ import annotations
@@ -25,9 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cache.popularity import PopularityEstimator, query_key
+from repro.cache.popularity import PopularityEstimator
 from repro.cache.results import QueryResultCache
-from repro.common.errors import PlanError
 from repro.piersearch.publisher import PublishReceipt, Publisher
 from repro.piersearch.search import SearchEngine, SearchResult
 from repro.workload.library import SharedFile
@@ -37,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 QRS_RESULT_SIZE_THRESHOLD = 20
 DEFAULT_GNUTELLA_TIMEOUT = 30.0
-DEFAULT_DHT_HOP_LATENCY = 1.2
 #: time to serve a leaf from the local result cache (no overlay hops)
 DEFAULT_CACHE_LATENCY = 0.05
 
@@ -53,8 +48,8 @@ class HybridQueryOutcome:
     pier_results: int = 0
     pier_latency: float = 0.0
     #: virtual time until PIER's pipeline fully drained (races resolve at
-    #: the first answer batch, so this is >= pier_latency; the closed-form
-    #: path and cache hits set it equal to pier_latency)
+    #: the first answer batch, so this is >= pier_latency; cache hits set
+    #: it equal to pier_latency)
     pier_completion_latency: float = 0.0
     pier_bytes: int = 0
     #: PIER answer served from the ultrapeer's result cache
@@ -102,7 +97,6 @@ class HybridUltrapeer:
         search_engine: SearchEngine,
         qrs_threshold: int = QRS_RESULT_SIZE_THRESHOLD,
         gnutella_timeout: float = DEFAULT_GNUTELLA_TIMEOUT,
-        dht_hop_latency: float = DEFAULT_DHT_HOP_LATENCY,
         result_cache: QueryResultCache | None = None,
         popularity: PopularityEstimator | None = None,
         cache_latency: float = DEFAULT_CACHE_LATENCY,
@@ -114,7 +108,6 @@ class HybridUltrapeer:
         self.search_engine = search_engine
         self.qrs_threshold = qrs_threshold
         self.gnutella_timeout = gnutella_timeout
-        self.dht_hop_latency = dht_hop_latency
         #: optional (possibly shared) query-result cache consulted before
         #: re-issuing a timed-out leaf query through PIERSearch
         self.result_cache = result_cache
@@ -122,7 +115,7 @@ class HybridUltrapeer:
         self.popularity = popularity
         self.cache_latency = cache_latency
         #: optional (usually shared) :class:`repro.obs.metrics.MetricsRegistry`
-        #: — QRS publish volume and closed-form query-path counters
+        #: — QRS publish volume
         self.metrics = metrics
         self.receipts: list[PublishReceipt] = []
         self._published_keys: set[tuple] = set()
@@ -183,68 +176,6 @@ class HybridUltrapeer:
     # Hybrid query path
     # ------------------------------------------------------------------
 
-    def handle_leaf_query(
-        self,
-        terms: list[str],
-        gnutella_results: int,
-        gnutella_latency: float,
-    ) -> HybridQueryOutcome:
-        """Apply the hybrid policy to one leaf query.
-
-        The Gnutella attempt has already happened (its result count and
-        first-result latency are inputs); if it produced nothing within
-        the timeout, the query is re-issued through PIERSearch. PIER's
-        first-result latency is its critical-path hop count times the DHT
-        hop latency.
-        """
-        # The re-query fires when nothing arrived within the timeout; any
-        # late Gnutella results still count toward the final answer set.
-        timed_out = gnutella_results == 0 or gnutella_latency > self.gnutella_timeout
-        outcome = HybridQueryOutcome(
-            terms=tuple(terms),
-            gnutella_results=gnutella_results,
-            gnutella_latency=gnutella_latency,
-        )
-        key = query_key(terms)
-        if self.popularity is not None and key:
-            self.popularity.observe(key)
-        if self.metrics is not None:
-            self.metrics.counter("ultrapeer.leaf_queries").add(1)
-        if not timed_out:
-            self.outcomes.append(outcome)
-            return outcome
-        outcome.used_pier = True
-        if self.metrics is not None:
-            self.metrics.counter("ultrapeer.pier_requeries").add(1)
-        entry = self.cache_lookup(key)
-        if entry is not None:
-            # Served from the ultrapeer's own cache: no plan shipped,
-            # no posting lists touched, answer latency is local.
-            outcome.cache_hit = True
-            outcome.pier_results = entry.result_count
-            outcome.saved_bytes = entry.cost_bytes
-            if self.metrics is not None:
-                self.metrics.counter("ultrapeer.cache_hits").add(1)
-            outcome.pier_latency = self.gnutella_timeout + self.cache_latency
-            outcome.pier_completion_latency = outcome.pier_latency
-            self.outcomes.append(outcome)
-            return outcome
-        try:
-            result = self.search_engine.search(terms, query_node=self.dht_node_id)
-        except PlanError:
-            # Only a query with no indexable terms cannot be re-issued;
-            # anything else (routing faults, schema bugs) must propagate.
-            self.outcomes.append(outcome)
-            return outcome
-        outcome.pier_results = len(result)
-        outcome.pier_bytes = result.stats.bytes
-        pier_time = result.stats.critical_path_hops * self.dht_hop_latency
-        outcome.pier_latency = self.gnutella_timeout + pier_time
-        outcome.pier_completion_latency = outcome.pier_latency
-        self.cache_store(key, result)
-        self.outcomes.append(outcome)
-        return outcome
-
     def handle_leaf_query_simulated(
         self,
         engine: "HybridQueryEngine",
@@ -268,7 +199,7 @@ class HybridUltrapeer:
         return race
 
     # ------------------------------------------------------------------
-    # Result-cache hooks (shared by both query paths)
+    # Result-cache hooks (the engine's re-query path)
     # ------------------------------------------------------------------
 
     def cache_lookup(self, key: tuple[str, ...]):

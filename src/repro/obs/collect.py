@@ -16,13 +16,6 @@ from typing import Any
 from repro.obs.metrics import MetricsRegistry
 
 
-def _shard_now(shard: Any) -> float:
-    """Clock of one shard: a live Simulator's ``now`` or a report's
-    ``final_time`` (ShardReport rows from a finished run)."""
-    now = getattr(shard, "now", None)
-    return now if now is not None else getattr(shard, "final_time", 0.0)
-
-
 def collect_network(registry: MetricsRegistry, network: Any, prefix: str = "dht") -> None:
     """DHT-wide gauges: per-message-type bandwidth, route cache, churn."""
     registry.gauge(f"{prefix}.nodes").set(len(network.nodes))
@@ -68,65 +61,40 @@ def collect_cache(registry: MetricsRegistry, cache: Any, prefix: str = "cache") 
 def collect_simulator(registry: MetricsRegistry, sim: Any, prefix: str = "sim") -> None:
     """Engine gauges: virtual clock, lifetime events, queue depth.
 
-    Accepts a plain :class:`~repro.sim.engine.Simulator`, a
-    :class:`~repro.sim.shard.ShardedSimulator`, a finished
-    :class:`~repro.sim.shard.ShardRunReport`, or any iterable of
-    simulators (e.g. one per shard). The aggregate gauges are always
-    emitted under ``prefix``; sharded inputs additionally get one
-    labelled series per shard — clock, queue depth, busy seconds, and
-    (process backend) IPC serialize/deserialize time — so dashboards see
-    both the whole kernel and where each region's wall time went.
+    Accepts a live :class:`~repro.sim.engine.Simulator` or a finished
+    :class:`~repro.sim.shard.ShardRunReport`. A report has no queue; it
+    adds the run's shard count, windows, wall seconds and cross-shard
+    messages, and one labelled series per shard — clock, events, busy
+    seconds and (process backend) IPC serialize/deserialize time — so
+    dashboards see both the whole run and where each region's wall time
+    went.
     """
     shards = getattr(sim, "shards", None)
-    if shards is None and not hasattr(sim, "now"):
-        shards = list(sim)  # bare iterable of simulators
-    if shards is not None:
-        registry.gauge(f"{prefix}.virtual_now").set(
-            max((_shard_now(s) for s in shards), default=0.0)
-        )
-        registry.gauge(f"{prefix}.events_processed").set(sum(s.processed for s in shards))
-        pending = getattr(sim, "pending", None)
-        if pending is None:
-            pending = sum(getattr(s, "pending", 0) for s in shards)
-        registry.gauge(f"{prefix}.events_pending").set(pending)
-        registry.gauge(f"{prefix}.shards").set(len(shards))
-        windows = getattr(sim, "windows", None)
-        if windows is not None:
-            registry.gauge(f"{prefix}.windows").set(windows)
-        wall = getattr(sim, "wall_seconds", None)
-        if wall is not None:
-            registry.gauge(f"{prefix}.wall_seconds").set(wall)
-            registry.gauge(f"{prefix}.cross_messages").set(
-                getattr(sim, "cross_messages", 0)
-            )
-        busy_by_shard = getattr(sim, "busy_seconds", None)
-        for shard_id, shard in enumerate(shards):
-            labels = {"shard": str(shard_id)}
-            registry.gauge(f"{prefix}.shard.virtual_now", labels=labels).set(
-                _shard_now(shard)
-            )
-            registry.gauge(f"{prefix}.shard.events_processed", labels=labels).set(
-                shard.processed
-            )
-            registry.gauge(f"{prefix}.shard.events_pending", labels=labels).set(
-                getattr(shard, "pending", 0)
-            )
-            busy = getattr(shard, "busy_seconds", None)
-            if busy is None and busy_by_shard is not None:
-                busy = busy_by_shard[shard_id]
-            if busy is not None:
-                registry.gauge(f"{prefix}.shard.busy_seconds", labels=labels).set(busy)
-            for phase in ("serialize", "deserialize"):
-                seconds = getattr(shard, f"ipc_{phase}_seconds", None)
-                if seconds is not None:
-                    registry.gauge(
-                        f"{prefix}.shard.ipc_seconds",
-                        labels={"shard": str(shard_id), "phase": phase},
-                    ).set(seconds)
+    if shards is None:
+        registry.gauge(f"{prefix}.virtual_now").set(sim.now)
+        registry.gauge(f"{prefix}.events_processed").set(sim.processed)
+        registry.gauge(f"{prefix}.events_pending").set(sim.pending)
         return
-    registry.gauge(f"{prefix}.virtual_now").set(sim.now)
+    registry.gauge(f"{prefix}.virtual_now").set(sim.final_time)
     registry.gauge(f"{prefix}.events_processed").set(sim.processed)
-    registry.gauge(f"{prefix}.events_pending").set(sim.pending)
+    registry.gauge(f"{prefix}.shards").set(sim.num_shards)
+    registry.gauge(f"{prefix}.windows").set(sim.windows)
+    registry.gauge(f"{prefix}.wall_seconds").set(sim.wall_seconds)
+    registry.gauge(f"{prefix}.cross_messages").set(sim.cross_messages)
+    for shard in shards:
+        labels = {"shard": str(shard.shard_id)}
+        registry.gauge(f"{prefix}.shard.virtual_now", labels=labels).set(shard.final_time)
+        registry.gauge(f"{prefix}.shard.events_processed", labels=labels).set(
+            shard.processed
+        )
+        registry.gauge(f"{prefix}.shard.busy_seconds", labels=labels).set(
+            shard.busy_seconds
+        )
+        for phase in ("serialize", "deserialize"):
+            registry.gauge(
+                f"{prefix}.shard.ipc_seconds",
+                labels={**labels, "phase": phase},
+            ).set(getattr(shard, f"ipc_{phase}_seconds"))
 
 
 def collect_all(
@@ -137,9 +105,8 @@ def collect_all(
 ) -> MetricsRegistry:
     """One-call scrape of every standard subsystem; returns the registry.
 
-    ``sim`` may be a single simulator, a sharded simulator, or an
-    iterable of per-shard simulators — :func:`collect_simulator` merges
-    multi-shard inputs into aggregate plus per-shard labelled gauges.
+    ``sim`` may be a simulator or a finished sharded run's report
+    (:func:`collect_simulator`).
     """
     if network is not None:
         collect_network(registry, network)

@@ -9,11 +9,12 @@ DHT itself as its index structure (Section 3.1 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from repro.common.errors import KeyNotFoundError, SchemaError
 from repro.common.ids import hash_key
 from repro.dht.network import DhtNetwork
+from repro.pier.operators import StoredList
 from repro.pier.schema import Row, Schema, row_identity
 
 
@@ -33,8 +34,6 @@ class TableHandle:
 
     schema: Schema
     network: DhtNetwork
-    #: the owning catalog's :meth:`Catalog.publish`
-    publish_entries: Callable[[Sequence[PublishEntry], int | None], tuple[int, int]]
 
     def entry(self, row: Row, payload_bytes: int = 0, category: str | None = None) -> PublishEntry:
         """Validate ``row`` and resolve where and as what it is stored."""
@@ -55,8 +54,8 @@ class TableHandle:
         payload_bytes: int = 0,
         category: str | None = None,
     ) -> tuple[int, int]:
-        """Validate and publish ``row``: the one-entry :meth:`Catalog.publish`."""
-        return self.publish_entries((self.entry(row, payload_bytes, category),), origin)
+        """Validate and publish ``row``: the one-entry :meth:`DhtNetwork.put_many`."""
+        return self.network.put_many((self.entry(row, payload_bytes, category),), origin)
 
     def fetch(self, index_value: Any, origin: int | None = None) -> list[Row]:
         """All rows with the given index value; empty list when none exist."""
@@ -113,73 +112,40 @@ class TableHandle:
 class Catalog:
     """Registry of the tables available to the query processor.
 
-    Besides table registration the catalog memoizes **per-epoch posting
-    statistics**: :meth:`posting_size` probes the ring owner once per
-    (table, key) and serves every subsequent planner probe from cache
-    until the epoch changes. An epoch is the pair (publishes seen by this
-    catalog, DHT membership version) — any publish or any churn event
-    invalidates the whole cache, so statistics can go stale for at most
-    zero events. Replaying a 70k-query workload plans from cache instead
-    of re-probing the same keywords thousands of times.
+    Besides table registration the catalog answers the planner's
+    **posting statistics**: :meth:`posting_size` reads the length of the
+    ring owner's :class:`~repro.pier.operators.StoredList` view of the
+    list — the store's memo that the dataflow's join sites read too,
+    dropped by any write that changes the list. A repeated probe builds
+    nothing, and a publish or a churn handoff that changes a list
+    changes its size at the next probe, with no epoch of its own.
     """
 
     def __init__(self, network: DhtNetwork):
         self.network = network
         self._tables: dict[str, TableHandle] = {}
-        self._publish_version = 0
-        self._stats_epoch: tuple[int, int] | None = None
-        self._posting_sizes: dict[tuple[str, Any], int] = {}
-        #: ring-owner probes actually performed (tests pin the memo rate)
-        self.stats_probes = 0
 
     def register(self, schema: Schema) -> TableHandle:
         if schema.name in self._tables:
             raise SchemaError(f"table {schema.name!r} already registered")
-        handle = TableHandle(schema, self.network, publish_entries=self.publish)
+        handle = TableHandle(schema, self.network)
         self._tables[schema.name] = handle
         return handle
-
-    # -- per-epoch posting statistics ----------------------------------
-
-    def publish(
-        self, entries: Sequence[PublishEntry], origin: int | None = None
-    ) -> tuple[int, int]:
-        """Publish compiled entries (:meth:`TableHandle.entry`) as one routed
-        batch from ``origin``; returns the ``(messages, bytes)`` charged.
-
-        Each tuple moves the statistics epoch by one. A batch that fails
-        midway has stored the tuples before the failure, so it moves the
-        epoch by the whole batch: the memo is only ever flushed early.
-        """
-        try:
-            return self.network.put_many(entries, origin)
-        finally:
-            self._note_publish(len(entries))
-
-    def _note_publish(self, count: int) -> None:
-        self._publish_version += count
 
     def posting_size(self, table: str, index_value: Any) -> int:
         """Stored-tuple count under ``index_value`` at its ring owner.
 
-        Memoized per epoch. The probe reads the ring owner directly (not
-        the replica-aware serving node) so statistics gathering neither
-        counts as a data read nor advances the replica rotation — the
-        same contract the planner's un-memoized probe had.
+        The probe reads the ring owner directly (not the replica-aware
+        serving node) so statistics gathering neither counts as a data
+        read nor advances the replica rotation.
         """
-        epoch = (self._publish_version, self.network.membership_version)
-        if epoch != self._stats_epoch:
-            self._posting_sizes.clear()
-            self._stats_epoch = epoch
-        cache_key = (table, index_value)
-        size = self._posting_sizes.get(cache_key)
-        if size is None:
-            handle = self.table(table)
-            owner = self.network.owner_of(table_key(table, index_value))
-            size = len(handle.fetch_local(owner, index_value))
-            self._posting_sizes[cache_key] = size
-            self.stats_probes += 1
-        return size
+        self.table(table)  # unknown tables raise
+        network = self.network
+        key = table_key(table, index_value)
+        owner = network.owner_of(key)
+        if not network.local_contains(owner, key):
+            return 0  # an absent list has no view to keep
+        return len(network.local_view(owner, key, StoredList).ids)
 
     def table(self, name: str) -> TableHandle:
         if name not in self._tables:

@@ -76,9 +76,9 @@ class KeywordPlanner:
         """Size of ``keyword``'s posting list at its hosting node.
 
         PIER keeps per-key statistics at the hosting node; the planner
-        learns them through :meth:`Catalog.posting_size`, which memoizes
-        the probe per epoch (invalidated by any publish or churn event),
-        so replanning a replayed workload stops re-probing the ring.
+        learns them through :meth:`Catalog.posting_size`, which reads the
+        owner's memoised view of the list, so replanning a replayed
+        workload builds nothing until a write changes the list.
         """
         return self.catalog.posting_size(self.posting_table, keyword)
 

@@ -136,7 +136,7 @@ class Publisher:
             (key, dict(row), identity, payload_bytes, category)
             for key, row, identity, payload_bytes, category in plan.entries
         ]
-        messages, byte_count = self.catalog.publish(entries, origin)
+        messages, byte_count = self.network.put_many(entries, origin)
         self.published_files += 1
         self.published_bytes += byte_count
         return PublishReceipt(

@@ -13,7 +13,6 @@ from repro.sim.shard import (
     ShardContext,
     ShardProgram,
     ShardRunReport,
-    ShardedSimulator,
     run_sharded,
     shard_of_key,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ShardContext",
     "ShardProgram",
     "ShardRunReport",
-    "ShardedSimulator",
     "run_sharded",
     "shard_of_key",
     "UniformLatencyModel",

@@ -25,10 +25,9 @@ synchronizes them with the classic conservative-lookahead protocol
   synchronization per lookahead of virtual time.
 * **Determinism.** Shard RNGs are spawned from one seed with stable
   labels; shards drain each window in pinned order ``0..S-1``; and the
-  cross-shard outbox is merged in sorted ``(arrival, src_shard, seq)``
-  order before delivery, so re-runs (and different backends) schedule
-  identical FIFO-tied sequences. The same program run at 1 shard and at
-  N shards sees identical per-shard event streams.
+  cross-shard messages are merged in sorted ``(arrival, src_shard, seq)``
+  order before delivery, so re-runs and the two backends schedule
+  identical FIFO-tied sequences.
 * **The IPC batching invariant (process backend).** Each window costs
   exactly one round trip per *stepped* shard: the parent sends every
   pending inbound block together with the drain bound, and the worker
@@ -40,15 +39,14 @@ synchronizes them with the classic conservative-lookahead protocol
   inbound by ``(arrival, src_shard, position-within-block)`` reproduces
   the global ``(arrival, src_shard, seq)`` merge order bit-for-bit.
 
-Two layers are exposed. :class:`ShardedSimulator` is the in-process
-kernel: real :class:`Simulator` instances, arbitrary callbacks, usable
-anywhere a ``Simulator`` is (each shard view quacks like one). On top,
-:func:`run_sharded` executes a picklable :class:`ShardProgram` under a
-chosen backend — ``round_robin`` (sequential, measures per-shard busy
-time so aggregate capacity is still meaningful on one core) or
-``process`` (one persistent OS process per shard, true parallelism on
-multi-core hosts; cross-shard messages travel as packed pickle blocks
-over pipes).
+A sharded run is a picklable :class:`ShardProgram` per shard, executed by
+:func:`run_sharded` under a chosen backend: ``round_robin`` (sequential,
+measures per-shard busy time so aggregate capacity is still meaningful on
+one core) or ``process`` (one persistent OS process per shard, true
+parallelism on multi-core hosts; cross-shard messages travel as packed
+pickle blocks over pipes). A program talks to other shards only through
+``ShardContext.send`` payloads, so nothing it holds ever has to cross a
+pipe.
 """
 
 from __future__ import annotations
@@ -64,11 +62,9 @@ from typing import Any, Callable
 from repro.common.errors import ShardWorkerError
 from repro.common.ids import KEY_SPACE
 from repro.common.rng import make_rng, spawn_rng
-from repro.sim.engine import Event, EventGroup, Simulator
+from repro.sim.engine import Event, Simulator
 
 __all__ = [
-    "ShardedSimulator",
-    "ShardView",
     "ShardContext",
     "ShardProgram",
     "ShardReport",
@@ -127,244 +123,6 @@ def _plan_bounds(
             bound = until
         bounds.append(bound)
     return bounds
-
-
-@dataclass(frozen=True)
-class _CrossShardEvent:
-    """One in-flight cross-shard message (kernel layer: a callback)."""
-
-    arrival: float
-    src_shard: int
-    seq: int
-    dst_shard: int
-    callback: Callable[[], None]
-
-    @property
-    def order(self) -> tuple[float, int, int]:
-        return (self.arrival, self.src_shard, self.seq)
-
-
-class ShardView:
-    """One shard's clock, presented with the :class:`Simulator` surface.
-
-    Subsystems built against ``Simulator`` (the hybrid engine, the PIER
-    dataflow, obs collectors) can hold a view instead and never know the
-    kernel is sharded. Scheduling is local to the shard; crossing shards
-    goes through :meth:`send`, which enforces the lookahead invariant.
-    """
-
-    def __init__(self, parent: "ShardedSimulator", shard_id: int):
-        self.parent = parent
-        self.shard_id = shard_id
-        self.sim = parent.shards[shard_id]
-        self.rng = parent.rngs[shard_id]
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        return self.sim.schedule(delay, callback)
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        return self.sim.schedule_at(time, callback)
-
-    def group(self) -> EventGroup:
-        return self.sim.group()
-
-    @property
-    def pending(self) -> int:
-        return self.sim.pending
-
-    @property
-    def processed(self) -> int:
-        return self.sim.processed
-
-    def send(self, dst_shard: int, delay: float, callback: Callable[[], None]) -> None:
-        """Deliver ``callback`` on ``dst_shard`` after ``delay``."""
-        self.parent.send(self.shard_id, dst_shard, delay, callback)
-
-    def run(self, until: float | None = None) -> int:
-        """Drain the *whole* kernel (windowed), not just this shard.
-
-        Events on one shard may depend on cross-shard messages, so a
-        lone-shard drain could deadlock; synchronous callers (e.g.
-        ``DataflowExecutor.execute``) get the safe aggregate drain.
-        """
-        return self.parent.run(until=until)
-
-
-class ShardedSimulator:
-    """In-process sharded kernel: S event loops under one windowed drain.
-
-    Drop-in for a :class:`Simulator` at the aggregate level (``now``,
-    ``pending``, ``processed``, ``run``), with :meth:`shard` handing out
-    per-shard views. With ``num_shards=1`` the window machinery
-    short-circuits to a plain drain — the honest baseline the speedup
-    and determinism checks compare against.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        lookahead: float,
-        seed: int | random.Random | None = 0,
-    ):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if num_shards > 1 and lookahead <= 0:
-            raise ValueError(
-                f"lookahead must be positive with {num_shards} shards, got {lookahead}"
-            )
-        self.num_shards = num_shards
-        self.lookahead = lookahead
-        root = make_rng(seed)
-        self.rngs = [spawn_rng(root, f"shard.{i}") for i in range(num_shards)]
-        self.shards = [Simulator() for _ in range(num_shards)]
-        self._views = [ShardView(self, i) for i in range(num_shards)]
-        self._outbox: list[_CrossShardEvent] = []
-        self._next_msg_seq = 0
-        #: wall-clock seconds each shard spent draining its windows
-        self.busy_seconds = [0.0] * num_shards
-        #: completed synchronization windows
-        self.windows = 0
-
-    # ------------------------------------------------------------------
-    # Aggregate Simulator surface
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Frontier virtual time (the furthest-ahead shard clock)."""
-        return max(shard.now for shard in self.shards)
-
-    @property
-    def pending(self) -> int:
-        """Live events across all shards plus in-flight cross-shard messages."""
-        return sum(shard.pending for shard in self.shards) + len(self._outbox)
-
-    @property
-    def processed(self) -> int:
-        """Total events processed across all shards."""
-        return sum(shard.processed for shard in self.shards)
-
-    def shard(self, shard_id: int) -> ShardView:
-        return self._views[shard_id]
-
-    def shard_for_key(self, key: int) -> ShardView:
-        return self._views[shard_of_key(key, self.num_shards)]
-
-    def attach_profiler(self, profiler, shard_id: int | None = None) -> None:
-        """Install a :class:`~repro.obs.profile.Profiler` on shard loops.
-
-        With ``shard_id`` the profiler samples that one shard's event
-        callbacks; without it every shard samples into the same profiler
-        (its aggregation is by callback key, so per-shard attribution
-        uses one profiler per shard). Pass ``None`` as the profiler to
-        detach.
-        """
-        targets = self.shards if shard_id is None else [self.shards[shard_id]]
-        for sim in targets:
-            sim.profiler = profiler
-
-    # ------------------------------------------------------------------
-    # Cross-shard messaging
-    # ------------------------------------------------------------------
-
-    def send(
-        self, src_shard: int, dst_shard: int, delay: float, callback: Callable[[], None]
-    ) -> None:
-        """Schedule ``callback`` on ``dst_shard`` after ``delay``.
-
-        Same-shard sends are ordinary local scheduling. Cross-shard sends
-        must respect the lookahead invariant (``delay >= lookahead``) —
-        it is what makes the synchronization windows safe — and are held
-        in the outbox until the next window boundary, where they merge in
-        pinned ``(arrival, src_shard, seq)`` order.
-        """
-        if src_shard == dst_shard:
-            self.shards[src_shard].schedule(delay, callback)
-            return
-        if delay < self.lookahead:
-            raise ValueError(
-                f"cross-shard delay {delay} violates lookahead {self.lookahead}"
-            )
-        arrival = self.shards[src_shard].now + delay
-        self._outbox.append(
-            _CrossShardEvent(arrival, src_shard, self._next_msg_seq, dst_shard, callback)
-        )
-        self._next_msg_seq += 1
-
-    def _deliver_outbox(self) -> None:
-        if not self._outbox:
-            return
-        self._outbox.sort(key=lambda m: m.order)
-        for message in self._outbox:
-            self.shards[message.dst_shard].schedule_at(message.arrival, message.callback)
-        self._outbox.clear()
-
-    def _next_event_time(self) -> float:
-        """Earliest queued-event time across shards (inf when all idle).
-
-        Peeks raw heap tops; a cancelled corpse at the top only makes the
-        estimate *earlier* than the true next live event, which shrinks
-        the window — conservative, never unsafe.
-        """
-        t_min = _INF
-        for shard in self.shards:
-            if shard._queue:
-                top = shard._queue[0][0]
-                if top < t_min:
-                    t_min = top
-        return t_min
-
-    # ------------------------------------------------------------------
-    # Windowed drain
-    # ------------------------------------------------------------------
-
-    def run(self, until: float | None = None) -> int:
-        """Drain all shards in conservative-lookahead windows.
-
-        Returns events processed by this call. Stops when every shard is
-        idle and no messages are in flight, or when virtual time would
-        pass ``until`` (shard clocks then rest exactly at ``until``,
-        matching :meth:`Simulator.run` semantics).
-        """
-        perf = _time.perf_counter
-        processed = 0
-        if self.num_shards == 1:
-            # Plain drain: no windows, no barrier overhead — the honest
-            # single-shard baseline.
-            self._deliver_outbox()
-            shard = self.shards[0]
-            start = perf()
-            processed = shard.run(until=until)
-            self.busy_seconds[0] += perf() - start
-            return processed
-        shards = self.shards
-        busy = self.busy_seconds
-        lookahead = self.lookahead
-        while True:
-            self._deliver_outbox()
-            tops = [s._queue[0][0] if s._queue else _INF for s in shards]
-            t_min = min(tops)
-            if t_min == _INF:
-                break
-            if until is not None and t_min > until:
-                for shard in shards:
-                    if shard.now < until:
-                        shard.now = until
-                break
-            bounds = _plan_bounds(tops, lookahead, until)
-            for shard_id in range(self.num_shards):  # pinned order
-                if tops[shard_id] == _INF:
-                    continue
-                shard = shards[shard_id]
-                start = perf()
-                processed += shard.run(until=bounds[shard_id])
-                busy[shard_id] += perf() - start
-            self.windows += 1
-        return processed
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +424,8 @@ def _process_worker(conn, factory, shard_id, num_shards, lookahead, seed) -> Non
     order, with a unique int prefix keeping payloads out of
     comparisons.
 
-    ``("stop", until)`` answers with the final report. Any exception is
+    ``("stop", park_at)`` parks the clock at ``park_at`` (None: leave it)
+    and answers with the final report. Any exception is
     reported as ``("error", text)`` so the parent can raise a clean
     :class:`ShardWorkerError` instead of hanging on a dead pipe.
     """
@@ -890,6 +649,9 @@ def _run_process(
                 if min_arrival < pending_min[dst]:
                     pending_min[dst] = min_arrival
                 total_messages += count
+        # Clocks park at ``until`` only when it cut the run short, as in
+        # the round-robin backend (a run that drains first keeps its clocks).
+        park_at = None
         while True:
             effective = [
                 tops[i] if tops[i] < pending_min[i] else pending_min[i]
@@ -899,8 +661,15 @@ def _run_process(
             if t_min == _INF:
                 break
             if until is not None and t_min > until:
+                park_at = until
                 break
-            bounds = _plan_bounds(effective, lookahead, until)
+            if num_shards == 1:
+                # Every send loops back: one step drains the shard, and
+                # lookahead may be 0 (the planned bound would then never
+                # pass the first event).
+                bounds = [until]
+            else:
+                bounds = _plan_bounds(effective, lookahead, until)
             stepped = []
             for shard_id in range(num_shards):
                 if effective[shard_id] == _INF:
@@ -925,7 +694,7 @@ def _run_process(
                     total_messages += count
             report.windows += 1
         for shard_id in range(num_shards):
-            pool.send(shard_id, ("stop", until))
+            pool.send(shard_id, ("stop", park_at))
         for shard_id in range(num_shards):
             reply = pool.recv(shard_id)
             report.shards.append(

@@ -341,8 +341,8 @@ def reference_publish(publisher, filename, filesize, ip_address, port, origin=No
     routed message (one per hop, at least one; the payload once plus a
     header per hop), copy to the owner's ``replication - 1`` successors
     and charge one framed message per copy, copy to the key's registered
-    replica holders and charge theirs as ``cache.replicate``, and move
-    the catalog's publish version by one. A routing failure propagates
+    replica holders and charge theirs as ``cache.replicate``. A routing
+    failure propagates
     with the earlier tuples stored and charged. Returns the receipt.
     """
     network, catalog, costs = publisher.network, publisher.catalog, publisher.cost_model
@@ -389,7 +389,6 @@ def reference_publish(publisher, filename, filesize, ip_address, port, origin=No
             if holders:
                 copies = len(holders)
                 charges.append((charged_as, copies, copies * costs.message_bytes(payload_bytes)))
-        catalog._note_publish(1)
         for charged_as, count, size in charges:
             network.transport.charge(charged_as, count, size)
             messages += count

@@ -1,14 +1,13 @@
-"""Sharding must be invisible: 1-shard and N-shard runs agree exactly.
+"""Reruns of the strategy matrix are bit-identical, and budgeted join
+sites leave every store as they found it.
 
-The determinism contract of the ring-sharded kernel (repro.sim.shard):
-for the same seed, running the query workload on one shard or on four
-yields identical answer sets, identical draw-independent QueryStats
-(bytes, messages, posting entries, critical-path hops), and identical
-bandwidth-meter totals — across the full join-strategy matrix, with and
-without a join memory budget, and for both the standalone dataflow
-runtime and the hybrid race engine.
-Latency *draws* may differ (each shard engine owns an RNG stream), so
-only draw-independent quantities are compared.
+For a seeded world the full join-strategy matrix (every strategy on
+every query, with and without a join memory budget) runs on one
+simulator through the standalone dataflow runtime, and a batch of hybrid
+races runs through the race engine. A rerun from the same seed repeats
+every answer, byte, message, hop count, spill count and first-result
+latency exactly; under a budget, some join site evicts and no store gains
+or loses a value.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ import random
 
 import pytest
 
-from repro.common.rng import make_rng, spawn_rng
 from repro.dht.network import DhtNetwork
-from repro.hybrid.engine import RaceConfig, build_sharded_engines, engine_for_node
+from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
@@ -27,7 +25,7 @@ from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
-from repro.sim.shard import ShardedSimulator, shard_of_key
+from repro.sim.engine import Simulator
 
 VOCABULARY = [
     "nebula", "quasar", "aurora", "meteor", "eclipse",
@@ -36,13 +34,8 @@ VOCABULARY = [
 
 ALL_STRATEGIES = tuple(JoinStrategy)
 
-#: cross-shard lookahead: the minimum hop-latency draw at the defaults
-#: used below (mean 1.2, jitter 0.35)
 HOP_LATENCY = 1.2
 HOP_JITTER = 0.35
-LOOKAHEAD = HOP_LATENCY * (1 - HOP_JITTER)
-
-SHARD_COUNTS = (1, 4)
 
 
 def build_world(seed: int):
@@ -82,37 +75,31 @@ def plan_for(catalog, strategy, terms, query_node):
 # ----------------------------------------------------------------------
 
 
-def run_dataflow_matrix(seed: int, num_shards: int, memory_budget: int | None = None):
-    """Every strategy on every query, executed on the owning shard.
+def run_dataflow_matrix(seed: int, memory_budget: int | None = None):
+    """Every strategy on every query, on one simulator.
 
-    Returns (digest of draw-independent per-query facts, meter totals).
-    With a ``memory_budget`` each fact also carries the query's spill
-    accounting, and every store must end the matrix as it began it.
+    Returns (per-query facts, meter totals). With a ``memory_budget`` each
+    fact also carries the query's spill accounting, and every store must
+    end the matrix as it began it.
     """
     rng, network, catalog = build_world(seed)
     stored = sorted(network.stored_items())
-    kernel = ShardedSimulator(num_shards, lookahead=LOOKAHEAD, seed=seed)
-    root = make_rng(seed + 17)
-    executors = [
-        DataflowExecutor(
-            network,
-            catalog,
-            sim=kernel.shard(shard_id),
-            config=DataflowConfig(
-                batch_size=None,
-                hop_latency=HOP_LATENCY,
-                hop_jitter=HOP_JITTER,
-                memory_budget=memory_budget,
-            ),
-            rng=spawn_rng(root, f"dataflow.shard.{shard_id}"),
-        )
-        for shard_id in range(num_shards)
-    ]
+    executor = DataflowExecutor(
+        network,
+        catalog,
+        sim=Simulator(),
+        config=DataflowConfig(
+            batch_size=None,
+            hop_latency=HOP_LATENCY,
+            hop_jitter=HOP_JITTER,
+            memory_budget=memory_budget,
+        ),
+        rng=seed + 17,
+    )
     digest = []
     for _ in range(3):
         terms = rng.sample(VOCABULARY, rng.randint(1, 4))
         query_node = network.random_node_id()
-        executor = executors[shard_of_key(query_node, num_shards)]
         for strategy in ALL_STRATEGIES:
             plan = plan_for(catalog, strategy, terms, query_node)
             rows, stats = executor.execute(plan)
@@ -139,56 +126,39 @@ def run_dataflow_matrix(seed: int, num_shards: int, memory_budget: int | None = 
     return digest, (network.meter.messages, network.meter.bytes)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_dataflow_matrix_identical_across_shard_counts(seed):
-    reference = None
-    for num_shards in SHARD_COUNTS:
-        outcome = run_dataflow_matrix(seed, num_shards)
-        if reference is None:
-            reference = outcome
-        else:
-            assert outcome[0] == reference[0], f"digest diverged at {num_shards} shards"
-            assert outcome[1] == reference[1], f"meter diverged at {num_shards} shards"
-
-
 def test_dataflow_matrix_reruns_bit_identical():
-    assert run_dataflow_matrix(3, 4) == run_dataflow_matrix(3, 4)
+    assert run_dataflow_matrix(3) == run_dataflow_matrix(3)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_budgeted_dataflow_matrix_identical_across_shard_counts(seed):
-    """Under a join-row budget the shards still agree on every fact, spill
-    accounting included. Join sites evict within the list they store and
-    write nothing, so engines on different shards share no temp state and
-    need no namespace of their own: every store ends as it began."""
-    single, sharded = (
-        run_dataflow_matrix(seed, num_shards, memory_budget=2)
-        for num_shards in SHARD_COUNTS
-    )
-    assert sharded == single
-    assert any(fact[-1] and fact[-1][0] > 0 for fact in single[0])
+def test_budgeted_dataflow_matrix_leaves_every_store_unchanged(seed):
+    """Under a join-row budget some join site evicts, yet every store ends
+    as it began: a site evicts within the list it stores and writes
+    nothing. A rerun repeats every fact, spill accounting included."""
+    first = run_dataflow_matrix(seed, memory_budget=2)
+    assert first == run_dataflow_matrix(seed, memory_budget=2)
+    assert any(fact[-1] and fact[-1][0] > 0 for fact in first[0])
 
 
 # ----------------------------------------------------------------------
-# Hybrid race engine, queries interleaving across shards in one drain
+# Hybrid race engine, queries interleaving in one drain
 # ----------------------------------------------------------------------
 
 
-def run_hybrid_races(seed: int, num_shards: int):
-    """Submit every query up front; resolve them in one windowed drain.
+def run_hybrid_races(seed: int):
+    """Submit every query up front; resolve them in one drain.
 
-    Queries from different shards interleave in virtual time — this is
-    the regime where window safety actually matters. No churn, no result cache: every compared quantity is
-    draw-independent.
+    Queries from six ultrapeers interleave in virtual time. No churn, no
+    result cache.
     """
     rng, network, catalog = build_world(seed)
     search_engine = SearchEngine(network, catalog)
-    kernel = ShardedSimulator(num_shards, lookahead=LOOKAHEAD, seed=seed)
-    engines = build_sharded_engines(
-        kernel,
+    sim = Simulator()
+    engine = HybridQueryEngine(
+        sim,
         network,
         config=RaceConfig(dht_hop_latency=HOP_LATENCY, hop_jitter=HOP_JITTER),
-        seed=seed,
+        rng=seed,
     )
     node_ids = sorted(network.nodes)
     hybrids = [
@@ -205,12 +175,11 @@ def run_hybrid_races(seed: int, num_shards: int):
     for position in range(8):
         terms = rng.sample(VOCABULARY, rng.randint(1, 3))
         hybrid = hybrids[position % len(hybrids)]
-        engine = engine_for_node(engines, hybrid.dht_node_id)
         # zero Gnutella results forces the PIER re-query every time
         races.append(
             (terms, hybrid.handle_leaf_query_simulated(engine, terms, [], 3))
         )
-    kernel.run()
+    sim.run()
     digest = []
     for terms, race in races:
         outcome = race.outcome
@@ -221,19 +190,16 @@ def run_hybrid_races(seed: int, num_shards: int):
                 outcome.pier_results,
                 outcome.pier_bytes,
                 outcome.total_results,
+                outcome.pier_latency,
+                outcome.pier_completion_latency,
             )
         )
-    assert all(engine.all_done for engine in engines)
+    assert engine.all_done
     return digest, (network.meter.messages, network.meter.bytes)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_hybrid_races_identical_across_shard_counts(seed):
-    reference = None
-    for num_shards in SHARD_COUNTS:
-        outcome = run_hybrid_races(seed, num_shards)
-        if reference is None:
-            reference = outcome
-        else:
-            assert outcome[0] == reference[0], f"digest diverged at {num_shards} shards"
-            assert outcome[1] == reference[1], f"meter diverged at {num_shards} shards"
+def test_hybrid_races_rerun_bit_identical(seed):
+    first = run_hybrid_races(seed)
+    assert first == run_hybrid_races(seed)
+    assert all(used_pier for _, used_pier, *_ in first[0])

@@ -1,19 +1,20 @@
-"""Property suite: compact array-backed ring == full-width list ring ==
-the routing tables' written-out definition.
+"""Property suite: the sorted-list ring == the routing tables'
+written-out definition.
 
-The compact ring (``array('Q')`` words) and the list ring (full-width
-ids) must be observationally identical: same owners, same lookup paths,
-same successor lists and fingers, same metered bytes — under any
-interleaving of joins, departures, stabilizes, and lookups. Hypothesis
-drives randomized churn schedules over both configurations in lockstep
-and compares every observable after every step; whenever the rings are
-freshly stabilized, every node's snapshot-derived tables are also held
-to the definition in ``tests/oracle.py`` (``reference_fingers``: all 160
-finger starts looked up, one by one).
+Ring primitives are held to their definitions over a sorted id list:
+the owner is the first id clockwise from the key, successors and the
+predecessor are the clockwise neighbours, and fingers are what
+``tests/oracle.py``'s ``reference_fingers`` gives (all 160 finger starts
+looked up, one by one). Hypothesis drives randomized churn schedules —
+joins, graceful and abrupt departures, stabilizes and lookups — and
+whenever the ring is freshly stabilized every node's snapshot-derived
+tables must equal that definition. Bulk population (the million-peer
+fast path) must agree with a network grown node by node from the same
+ids.
 
 A construction-only extrapolation test pins the memory claim: deep
-bytes-per-peer measured at 50k compact peers is per-peer-constant by
-construction (8-byte ring words, slotted nodes, lazy tables), so the
+bytes-per-peer measured at 50k peers is per-peer-constant by
+construction (one list cell per id, slotted nodes, lazy tables), so the
 measured figure extrapolates to the million-peer ceiling recorded in
 ``BENCH_shard.json``.
 """
@@ -25,57 +26,45 @@ from hypothesis import given, settings, strategies as st
 from oracle import reference_fingers
 from repro.common.ids import KEY_SPACE
 from repro.dht.network import DhtNetwork
-from repro.dht.ring import COMPACT_SHIFT, Ring, bytes_per_peer
+from repro.dht.ring import Ring, bytes_per_peer
 
-#: compact ids are 64-bit words shifted into the top of the keyspace;
-#: drawing small words keeps examples readable while covering wrap-around
-words = st.integers(min_value=0, max_value=(1 << 64) - 1)
 keys = st.integers(min_value=0, max_value=KEY_SPACE - 1)
 
 
 # ----------------------------------------------------------------------
-# Ring primitives: array('Q') backing vs full-width list backing
+# Ring primitives against their definitions
 # ----------------------------------------------------------------------
 
 
-class TestRingBackingEquivalence:
-    @given(ids=st.lists(words, min_size=1, max_size=40, unique=True), key=keys)
+class TestRingPrimitives:
+    @given(ids=st.lists(keys, min_size=1, max_size=40, unique=True), key=keys)
     @settings(max_examples=100)
-    def test_responsible_matches(self, ids, key):
-        full = [w << COMPACT_SHIFT for w in ids]
-        compact = Ring(compact=True, ids=full)
-        plain = Ring(compact=False, ids=full)
-        assert compact.responsible(key) == plain.responsible(key)
+    def test_responsible_is_first_id_clockwise(self, ids, key):
+        ring = Ring(ids=ids)
+        clockwise = [node for node in sorted(ids) if node >= key]
+        assert ring.responsible(key) == (clockwise[0] if clockwise else min(ids))
+        assert list(ring) == sorted(ids) and len(ring) == len(ids)
+        assert all(node in ring for node in ids)
 
     @given(
-        ids=st.lists(words, min_size=1, max_size=40, unique=True),
+        ids=st.lists(keys, min_size=1, max_size=40, unique=True),
         probe=st.integers(min_value=0, max_value=39),
         count=st.integers(min_value=1, max_value=10),
     )
     @settings(max_examples=100)
-    def test_successors_predecessor_fingers_match(self, ids, probe, count):
-        full = [w << COMPACT_SHIFT for w in ids]
-        compact = Ring(compact=True, ids=full)
-        plain = Ring(compact=False, ids=full)
-        node = full[probe % len(full)]
-        assert compact.successor_list(node, count) == plain.successor_list(node, count)
-        assert compact.predecessor_of(node) == plain.predecessor_of(node)
-        assert compact.fingers_of(node) == plain.fingers_of(node)
-
-    @given(ids=st.lists(words, min_size=0, max_size=30, unique=True))
-    @settings(max_examples=100)
-    def test_sequence_surface_matches(self, ids):
-        full = [w << COMPACT_SHIFT for w in ids]
-        compact = Ring(compact=True, ids=full)
-        plain = Ring(compact=False, ids=full)
-        assert list(compact) == list(plain) == sorted(full)
-        assert len(compact) == len(plain)
-        for node in full:
-            assert (node in compact) == (node in plain) is True
+    def test_neighbours_and_fingers_match_definition(self, ids, probe, count):
+        members = sorted(ids)
+        ring = Ring(ids=ids)
+        position = probe % len(members)
+        node = members[position]
+        clockwise = members[position + 1 :] + members[:position]
+        assert ring.successor_list(node, count) == clockwise[:count]
+        assert ring.predecessor_of(node) == (clockwise[-1] if clockwise else None)
+        assert ring.fingers_of(node) == reference_fingers(members, node)
 
 
 # ----------------------------------------------------------------------
-# Network-level churn: compact vs list ring in lockstep, and vs definition
+# Network-level churn against the definition
 # ----------------------------------------------------------------------
 
 #: one churn step: join a new peer, remove a live one (gracefully or
@@ -83,7 +72,7 @@ class TestRingBackingEquivalence:
 #: origin. Indices are resolved modulo the current population so every
 #: generated schedule is valid.
 churn_ops = st.one_of(
-    st.tuples(st.just("join"), words),
+    st.tuples(st.just("join"), keys),
     st.tuples(st.just("leave"), st.integers(min_value=0, max_value=10 ** 6)),
     st.tuples(st.just("crash"), st.integers(min_value=0, max_value=10 ** 6)),
     st.tuples(st.just("stabilize"), st.just(0)),
@@ -91,91 +80,76 @@ churn_ops = st.one_of(
 )
 
 
-def _build_pair() -> tuple[DhtNetwork, DhtNetwork]:
-    compact = DhtNetwork(rng=5, compact_ids=True)
-    reference = DhtNetwork(rng=5, compact_ids=False)
-    return compact, reference
-
-
-def _assert_same_observables(
-    compact: DhtNetwork, reference: DhtNetwork, stabilized: bool
-) -> None:
-    """Both rings agree on everything; ``stabilized`` says no membership
-    change has landed since the last stabilize, so the tables must also
-    equal their definition over the current membership."""
-    members = sorted(compact.nodes)
-    assert members == sorted(reference.nodes)
-    assert compact.meter.bytes == reference.meter.bytes
-    assert compact.meter.messages == reference.meter.messages
+def _assert_tables_match_definition(network: DhtNetwork) -> None:
+    """Every node's tables equal their definition over the membership
+    (call only when no membership change has landed since a stabilize)."""
+    members = sorted(network.nodes)
     for position, node_id in enumerate(members):
-        packed = compact.nodes[node_id]
-        plain = reference.nodes[node_id]
-        assert packed.fingers == plain.fingers, f"fingers diverge at {node_id:#x}"
-        assert packed.successors == plain.successors
-        assert packed.predecessor == plain.predecessor
-        if stabilized:
-            assert plain.fingers == reference_fingers(members, node_id)
-            clockwise = members[position + 1 :] + members[:position]
-            assert plain.successors == clockwise[: plain.successor_count]
-            assert plain.predecessor == (clockwise[-1] if clockwise else None)
+        node = network.nodes[node_id]
+        assert node.fingers == reference_fingers(members, node_id)
+        clockwise = members[position + 1 :] + members[:position]
+        assert node.successors == clockwise[: node.successor_count]
+        assert node.predecessor == (clockwise[-1] if clockwise else None)
 
 
 class TestNetworkChurnEquivalence:
     @given(ops=st.lists(churn_ops, min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
-    def test_interleaved_churn_is_observationally_identical(self, ops):
-        compact, reference = _build_pair()
+    def test_interleaved_churn_keeps_tables_at_their_definition(self, ops):
+        network = DhtNetwork(rng=5)
         live: list[int] = []
-        stabilized = False
         for op, value in ops:
+            stabilized = False
             if op == "join":
-                node_id = (value << COMPACT_SHIFT) % KEY_SPACE
-                if node_id in compact.nodes:
+                if value in network.nodes:
                     continue
-                compact.create_node(node_id)
-                reference.create_node(node_id)
-                live.append(node_id)
-                stabilized = False
+                network.create_node(value)
+                live.append(value)
             elif op in ("leave", "crash"):
                 if len(live) <= 1:
                     continue
                 node_id = live.pop(value % len(live))
-                graceful = op == "leave"
-                compact.remove_node(node_id, graceful=graceful)
-                reference.remove_node(node_id, graceful=graceful)
-                stabilized = False
+                network.remove_node(node_id, graceful=op == "leave")
             elif op == "stabilize":
-                compact.stabilize()
-                reference.stabilize()
+                network.stabilize()
                 stabilized = True
             elif op == "lookup":
                 if not live:
                     continue
                 origin = live[value % len(live)]
-                a = compact.lookup(value, origin=origin)
-                b = reference.lookup(value, origin=origin)
-                assert a.owner == b.owner
-                assert a.path == b.path, "lookup paths diverged"
-                assert a.hops == b.hops
+                result = network.lookup(value, origin=origin)
+                assert result.owner == network.owner_of(value)
+                assert result.path[0] == origin and result.path[-1] == result.owner
                 stabilized = True  # lookup() stabilizes a stale ring first
-            _assert_same_observables(compact, reference, stabilized)
+            assert sorted(network.nodes) == sorted(live)
+            if stabilized:
+                _assert_tables_match_definition(network)
 
     @given(count=st.integers(min_value=1, max_value=60), key=keys)
     @settings(max_examples=25, deadline=None)
     def test_populate_then_lookup_matches(self, count, key):
         """Bulk population (the million-peer fast path) must agree with
         a reference network grown node-by-node from the same ids."""
-        compact, reference = _build_pair()
-        ids = [node.node_id for node in compact.populate(count)]
+        bulk, reference = DhtNetwork(rng=5), DhtNetwork(rng=5)
+        ids = [node.node_id for node in bulk.populate(count)]
         for node_id in ids:
             reference.create_node(node_id)
         reference.stabilize()
-        assert compact.owner_of(key) == reference.owner_of(key)
+        assert bulk.owner_of(key) == reference.owner_of(key)
         origin = ids[key % count]
-        a = compact.lookup(key, origin=origin)
+        a = bulk.lookup(key, origin=origin)
         b = reference.lookup(key, origin=origin)
         assert (a.owner, a.path) == (b.owner, b.path)
-        _assert_same_observables(compact, reference, stabilized=True)
+        assert (bulk.meter.bytes, bulk.meter.messages) == (
+            reference.meter.bytes,
+            reference.meter.messages,
+        )
+        for node_id in ids:
+            packed, grown = bulk.nodes[node_id], reference.nodes[node_id]
+            assert packed.fingers == grown.fingers
+            assert packed.successors == grown.successors
+            assert packed.predecessor == grown.predecessor
+        _assert_tables_match_definition(bulk)
 
 
 # ----------------------------------------------------------------------
@@ -184,16 +158,16 @@ class TestNetworkChurnEquivalence:
 
 
 def test_million_peer_bytes_per_peer_ceiling_by_extrapolation():
-    """Deep-measured routing bytes per peer at 50k compact peers must
-    clear the 1 KB/peer million-peer ceiling with margin.
+    """Deep-measured routing bytes per peer at 50k peers must clear the
+    1 KB/peer million-peer ceiling with margin.
 
-    Per-peer cost is constant by construction — an 8-byte ring word, a
-    slotted node, unmaterialized tables — so a 50k sample
-    extrapolates linearly; the recorded ``BENCH_shard.json`` pins the
-    actual 1M measurement (~210 B/peer) and this test keeps the
-    regression signal cheap enough for every CI run.
+    Per-peer cost is constant by construction — one list cell pointing at
+    the id the nodes dict already holds, a slotted node, unmaterialized
+    tables — so a 50k sample extrapolates linearly; the recorded
+    ``BENCH_shard.json`` pins the actual 1M measurement (~210 B/peer) and
+    this test keeps the regression signal cheap enough for every CI run.
     """
-    network = DhtNetwork(rng=13, compact_ids=True)
+    network = DhtNetwork(rng=13)
     network.populate(50_000)
     per_peer = bytes_per_peer(network)
     assert per_peer <= 1024.0, f"{per_peer:.0f} B/peer at 50k, ceiling 1024"

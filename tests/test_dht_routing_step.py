@@ -23,9 +23,12 @@ from repro.common.errors import DhtError
 from repro.common.ids import KEY_SPACE, in_interval, ring_distance
 from repro.dht.network import DhtNetwork
 from repro.dht.node import OWNS, DhtNode
-from repro.dht.ring import COMPACT_SHIFT, Ring, RingCell, RingSnapshot
+from repro.dht.ring import Ring, RingCell, RingSnapshot
 
 WORD_SPACE = 1 << 64
+#: 64-bit words shifted into the top of the keyspace: sparse ids whose low
+#: 96 bits are zero, so most keys fall strictly between two members
+WORD_SHIFT = 96
 ID_BITS = (4, 8, 20, 64, 160)
 RING_SIZES = (1, 2, 3, 4, 5, 7, 10, 16, 33, 100, 250, 500)
 
@@ -69,26 +72,24 @@ class TestFingerTables:
 
     @given(cluster=id_clusters(max_bits=64), far=st.integers(0, KEY_SPACE - 1))
     @settings(max_examples=120, deadline=None)
-    def test_compact_ring_matches_definition(self, cluster, far):
+    def test_word_aligned_ring_matches_definition(self, cluster, far):
         words, probe_words = cluster
-        ids = [word << COMPACT_SHIFT for word in words]
-        probes = [word << COMPACT_SHIFT for word in probe_words]
-        compact, plain = Ring(compact=True, ids=ids), Ring(ids=ids)
+        ids = [word << WORD_SHIFT for word in words]
+        probes = [word << WORD_SHIFT for word in probe_words]
+        ring = Ring(ids=ids)
         # ``far`` is (almost surely) not a multiple of 2**96: a
-        # non-member id between two compact words.
+        # non-member id between two word-aligned members.
         for node_id in ids[:6] + ids[-2:] + probes + [far]:
-            expected = reference_fingers(ids, node_id)
-            assert compact.fingers_of(node_id) == expected
-            assert plain.fingers_of(node_id) == expected
+            assert ring.fingers_of(node_id) == reference_fingers(ids, node_id)
 
     @pytest.mark.parametrize("bits", ID_BITS)
     def test_every_ring_size_up_to_500(self, bits):
         """Seeded sweep over ring sizes 1 … 500 in each id width — as
-        full-width ids on a list ring and, where they fit a word, shifted
-        onto a compact one: every member (a sample of them on the big
-        rings) and a few non-members."""
+        full-width ids and, where they fit a word, shifted to the top of
+        the keyspace: every member (a sample of them on the big rings)
+        and a few non-members."""
         rng = random.Random(bits)
-        layouts = [(KEY_SPACE, 0)] + ([(WORD_SPACE, COMPACT_SHIFT)] if bits <= 64 else [])
+        layouts = [(KEY_SPACE, 0)] + ([(WORD_SPACE, WORD_SHIFT)] if bits <= 64 else [])
         for size in RING_SIZES:
             if size > 1 << bits:
                 continue
@@ -100,17 +101,13 @@ class TestFingerTables:
                     else [rng.getrandbits(bits) for _ in range(size)]
                 )
                 ids = [i << shift for i in clustered(space, bits, base, smalls)]
-                rings = [Ring(ids=ids)]
-                if shift:
-                    rings.append(Ring(compact=True, ids=ids))
+                ring = Ring(ids=ids)
                 members = ids if len(ids) <= 40 else rng.sample(ids, 40)
                 strangers = [
                     ((base + rng.getrandbits(bits)) % space) << shift for _ in range(4)
                 ] + [rng.getrandbits(160)]
                 for node_id in members + strangers:
-                    expected = reference_fingers(ids, node_id)
-                    for ring in rings:
-                        assert ring.fingers_of(node_id) == expected
+                    assert ring.fingers_of(node_id) == reference_fingers(ids, node_id)
 
 
 # ----------------------------------------------------------------------
@@ -231,15 +228,15 @@ class TestCompiledTableInvalidation:
     )
     @settings(max_examples=100, deadline=None)
     def test_snapshot_version_change(self, words, joiner, key):
-        ids = [word << COMPACT_SHIFT for word in words]
-        ring, cell = Ring(compact=True, ids=ids), RingCell()
+        ids = [word << WORD_SHIFT for word in words]
+        ring, cell = Ring(ids=ids), RingCell()
         nodes = [DhtNode(node_id, ring_cell=cell) for node_id in ids]
         cell.snapshot = RingSnapshot(1, ring)
         for node in nodes:
             assert node.fingers == reference_fingers(sorted(ids), node.node_id)
             assert_step_matches(node, key)
         ring.discard(ids[0])
-        new_id = joiner << COMPACT_SHIFT
+        new_id = joiner << WORD_SHIFT
         if new_id not in ring:
             ring.add(new_id)
         newcomer = DhtNode(new_id, ring_cell=cell)
@@ -259,8 +256,8 @@ class TestCompiledTableInvalidation:
     def test_setter_invalidates_after_the_pre_assignment_refresh(self):
         """An assignment first materialises the other tables from the
         current snapshot; the compiled table must reflect both."""
-        ids = [word << COMPACT_SHIFT for word in (10, 20, 30, 40)]
-        ring, cell = Ring(compact=True, ids=ids), RingCell()
+        ids = [word << WORD_SHIFT for word in (10, 20, 30, 40)]
+        ring, cell = Ring(ids=ids), RingCell()
         node = DhtNode(ids[0], ring_cell=cell)
         cell.snapshot = RingSnapshot(1, ring)
         key = ids[2] + 1
@@ -298,7 +295,7 @@ walk_ops = st.one_of(
 def apply_membership(network: DhtNetwork, op) -> None:
     kind, value = op
     if kind == "join":
-        node_id = value << COMPACT_SHIFT
+        node_id = value << WORD_SHIFT
         if node_id not in network.nodes:
             network.create_node(node_id)
     elif kind in ("leave", "crash"):
@@ -353,17 +350,16 @@ def assert_walks_agree(network: DhtNetwork, key: int, origin: int, between) -> N
 
 
 class TestWalksUnderChurn:
-    @pytest.mark.parametrize("compact_ids", [True, False], ids=["compact", "list"])
     @given(
         start=st.integers(min_value=1, max_value=24),
         ops=st.lists(st.one_of(membership_ops, walk_ops), min_size=1, max_size=24),
     )
     @settings(max_examples=40, deadline=None)
-    def test_lookup_and_iter_lookup_follow_the_reference(self, compact_ids, start, ops):
-        network = DhtNetwork(rng=3, compact_ids=compact_ids)
+    def test_lookup_and_iter_lookup_follow_the_reference(self, start, ops):
+        network = DhtNetwork(rng=3)
         seed = random.Random(start)
         for _ in range(start):
-            network.create_node(seed.getrandbits(64) << COMPACT_SHIFT)
+            network.create_node(seed.getrandbits(64) << WORD_SHIFT)
         network.stabilize()
         for op in ops:
             if op[0] == "lookup":

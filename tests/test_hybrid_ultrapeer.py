@@ -1,33 +1,59 @@
-"""Tests for the hybrid ultrapeer's proxy and re-query logic."""
+"""Tests for the hybrid ultrapeer's proxy and re-query policy.
 
-import math
+The policy tests run each leaf query as a race on the hybrid query
+engine and drain the simulator, so every answer is final when read.
+Under the default Gnutella latency model a replica one overlay hop away
+answers at 7 s, two hops at 25 s and three at 48 s, against the
+ultrapeer's 30 s re-query timeout.
+"""
 
 import pytest
 
 from repro.dht.network import DhtNetwork
+from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
+from repro.sim.engine import Simulator
 from repro.workload.library import SharedFile
+
+
+def build(**extra):
+    """A hybrid ultrapeer on a 16-node ring, and ``ask(terms, depths,
+    stop_ttl)``: one leaf query raced to the end on its own engine."""
+    network = DhtNetwork(rng=41)
+    nodes = network.populate(16)
+    catalog = Catalog(network)
+    hybrid = HybridUltrapeer(
+        ultrapeer_id=1,
+        dht_node_id=nodes[0].node_id,
+        publisher=Publisher(network, catalog),
+        search_engine=SearchEngine(network, catalog),
+        qrs_threshold=5,
+        gnutella_timeout=30.0,
+        **extra,
+    )
+    sim = Simulator()
+    engine = HybridQueryEngine(sim, network, config=RaceConfig(dht_hop_latency=1.0), rng=41)
+
+    def ask(terms, depths=(), stop_ttl=3):
+        race = hybrid.handle_leaf_query_simulated(engine, list(terms), list(depths), stop_ttl)
+        sim.run()
+        assert race.done
+        return race.outcome
+
+    return hybrid, ask
 
 
 @pytest.fixture()
 def hybrid():
-    network = DhtNetwork(rng=41)
-    nodes = network.populate(16)
-    catalog = Catalog(network)
-    publisher = Publisher(network, catalog)
-    engine = SearchEngine(network, catalog)
-    return HybridUltrapeer(
-        ultrapeer_id=1,
-        dht_node_id=nodes[0].node_id,
-        publisher=publisher,
-        search_engine=engine,
-        qrs_threshold=5,
-        gnutella_timeout=30.0,
-        dht_hop_latency=1.0,
-    )
+    return build()[0]
+
+
+@pytest.fixture()
+def leaf():
+    return build()
 
 
 def shared(name, node=7):
@@ -59,75 +85,75 @@ class TestQrsPublishing:
 
 
 class TestHybridQueryPath:
-    def test_gnutella_success_skips_pier(self, hybrid):
-        outcome = hybrid.handle_leaf_query(["whatever"], 12, 8.0)
+    def test_gnutella_success_skips_pier(self, leaf):
+        hybrid, ask = leaf
+        outcome = ask(["whatever"], [1.0] * 12)
         assert not outcome.used_pier
         assert outcome.total_results == 12
-        assert outcome.first_result_latency == 8.0
+        assert outcome.first_result_latency == 7.0
 
-    def test_zero_results_triggers_pier(self, hybrid):
+    def test_zero_results_triggers_pier(self, leaf):
+        hybrid, ask = leaf
         hybrid.observe_query_results([shared("rare montia klorena.mp3")])
-        outcome = hybrid.handle_leaf_query(["montia"], 0, math.inf)
+        outcome = ask(["montia"])
         assert outcome.used_pier
         assert outcome.pier_results == 1
         assert outcome.pier_latency > hybrid.gnutella_timeout
         assert outcome.first_result_latency == outcome.pier_latency
 
-    def test_slow_gnutella_triggers_pier_but_keeps_results(self, hybrid):
-        outcome = hybrid.handle_leaf_query(["whatever"], 2, 45.0)
+    def test_slow_gnutella_triggers_pier_but_keeps_results(self, leaf):
+        hybrid, ask = leaf
+        outcome = ask(["whatever"], [3.0, 3.0])
         assert outcome.used_pier
         assert outcome.gnutella_results == 2
+        assert outcome.gnutella_latency == 48.0
         assert outcome.total_results >= 2
 
-    def test_first_result_latency_picks_faster_source(self, hybrid):
+    def test_first_result_latency_picks_faster_source(self, leaf):
+        hybrid, ask = leaf
         hybrid.observe_query_results([shared("rare montia klorena.mp3")])
-        outcome = hybrid.handle_leaf_query(["montia"], 1, 90.0)
+        outcome = ask(["montia"], [3.0])
         assert outcome.used_pier
-        assert outcome.first_result_latency < 90.0
+        assert outcome.pier_results == 1
+        assert outcome.first_result_latency == outcome.pier_latency < 48.0
 
-    def test_unanswerable_query_stays_empty(self, hybrid):
-        outcome = hybrid.handle_leaf_query(["nothinghere"], 0, math.inf)
+    def test_unanswerable_query_stays_empty(self, leaf):
+        hybrid, ask = leaf
+        outcome = ask(["nothinghere"])
         assert outcome.used_pier
         assert outcome.total_results == 0
-        assert math.isinf(outcome.first_result_latency)
+        assert outcome.first_result_latency == float("inf")
 
-    def test_stop_word_query_cannot_requery(self, hybrid):
-        outcome = hybrid.handle_leaf_query(["the"], 0, math.inf)
+    def test_stop_word_query_cannot_requery(self, leaf):
+        hybrid, ask = leaf
+        outcome = ask(["the"])
+        assert outcome.used_pier
         assert outcome.pier_results == 0
+        assert outcome.pier_bytes == 0
 
-    def test_outcomes_recorded(self, hybrid):
-        hybrid.handle_leaf_query(["a1"], 3, 5.0)
-        hybrid.handle_leaf_query(["b2"], 0, math.inf)
+    def test_outcomes_recorded(self, leaf):
+        hybrid, ask = leaf
+        ask(["a1"], [1.0] * 3)
+        ask(["b2"])
         assert len(hybrid.outcomes) == 2
 
 
 class TestResultCache:
     @pytest.fixture()
-    def cached_hybrid(self):
+    def cached(self):
         from repro.cache.popularity import PopularityEstimator
         from repro.cache.results import QueryResultCache
 
-        network = DhtNetwork(rng=41)
-        nodes = network.populate(16)
-        catalog = Catalog(network)
-        publisher = Publisher(network, catalog)
-        engine = SearchEngine(network, catalog)
-        return HybridUltrapeer(
-            ultrapeer_id=1,
-            dht_node_id=nodes[0].node_id,
-            publisher=publisher,
-            search_engine=engine,
-            qrs_threshold=5,
-            gnutella_timeout=30.0,
-            dht_hop_latency=1.0,
+        return build(
             result_cache=QueryResultCache(budget_bytes=64 * 1024),
             popularity=PopularityEstimator(),
         )
 
-    def test_repeat_query_served_from_cache(self, cached_hybrid):
-        cached_hybrid.observe_query_results([shared("rare montia klorena.mp3")])
-        first = cached_hybrid.handle_leaf_query(["montia"], 0, math.inf)
-        second = cached_hybrid.handle_leaf_query(["montia"], 0, math.inf)
+    def test_repeat_query_served_from_cache(self, cached):
+        hybrid, ask = cached
+        hybrid.observe_query_results([shared("rare montia klorena.mp3")])
+        first = ask(["montia"])
+        second = ask(["montia"])
         assert not first.cache_hit and second.cache_hit
         # zero recall loss: the cached answer matches the executed one
         assert second.pier_results == first.pier_results
@@ -135,29 +161,36 @@ class TestResultCache:
         assert second.pier_bytes == 0
         assert second.saved_bytes == first.pier_bytes > 0
 
-    def test_cache_hit_is_faster_than_execution(self, cached_hybrid):
-        cached_hybrid.observe_query_results([shared("rare montia klorena.mp3")])
-        first = cached_hybrid.handle_leaf_query(["montia"], 0, math.inf)
-        second = cached_hybrid.handle_leaf_query(["montia"], 0, math.inf)
+    def test_cache_hit_is_faster_than_execution(self, cached):
+        hybrid, ask = cached
+        hybrid.observe_query_results([shared("rare montia klorena.mp3")])
+        first = ask(["montia"])
+        second = ask(["montia"])
+        expected = hybrid.gnutella_timeout + hybrid.cache_latency
+        assert second.pier_latency == pytest.approx(expected)
         assert second.pier_latency < first.pier_latency
 
-    def test_term_order_shares_cache_entry(self, cached_hybrid):
-        cached_hybrid.observe_query_results([shared("rare montia klorena.mp3")])
-        cached_hybrid.handle_leaf_query(["montia", "klorena"], 0, math.inf)
-        reordered = cached_hybrid.handle_leaf_query(["klorena", "montia"], 0, math.inf)
+    def test_term_order_shares_cache_entry(self, cached):
+        hybrid, ask = cached
+        hybrid.observe_query_results([shared("rare montia klorena.mp3")])
+        ask(["montia", "klorena"])
+        reordered = ask(["klorena", "montia"])
         assert reordered.cache_hit
 
-    def test_gnutella_success_bypasses_cache(self, cached_hybrid):
-        cached_hybrid.handle_leaf_query(["montia"], 4, 2.0)
-        assert cached_hybrid.result_cache.stats.lookups == 0
+    def test_gnutella_success_bypasses_cache(self, cached):
+        hybrid, ask = cached
+        ask(["montia"], [1.0] * 4)
+        assert hybrid.result_cache.stats.lookups == 0
 
-    def test_popularity_observes_all_queries(self, cached_hybrid):
+    def test_popularity_observes_all_queries(self, cached):
         from repro.cache.popularity import query_key
 
-        cached_hybrid.handle_leaf_query(["montia"], 4, 2.0)
-        cached_hybrid.handle_leaf_query(["montia"], 0, math.inf)
-        assert cached_hybrid.popularity.recent_count(query_key(["montia"])) == 2
+        hybrid, ask = cached
+        ask(["montia"], [1.0] * 4)
+        ask(["montia"])
+        assert hybrid.popularity.recent_count(query_key(["montia"])) == 2
 
-    def test_stop_word_query_not_cached(self, cached_hybrid):
-        cached_hybrid.handle_leaf_query(["the"], 0, math.inf)
-        assert len(cached_hybrid.result_cache) == 0
+    def test_stop_word_query_not_cached(self, cached):
+        hybrid, ask = cached
+        ask(["the"])
+        assert len(hybrid.result_cache) == 0

@@ -10,7 +10,6 @@ from repro.obs.collect import (
 )
 from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.sim.engine import Simulator
-from repro.sim.shard import ShardedSimulator
 
 
 def small_network():
@@ -87,34 +86,29 @@ class TestCacheAndSimCollectors:
         assert registry.gauge("sim.events_processed").value == 1
         assert registry.gauge("sim.events_pending").value == 1
 
-    def test_sharded_simulator_gauges(self):
-        kernel = ShardedSimulator(num_shards=2, lookahead=0.05)
-        kernel.shard(0).schedule(1.0, lambda: None)
-        kernel.shard(1).schedule(2.0, lambda: None)
-        kernel.shard(1).schedule(3.0, lambda: None)
-        kernel.run(until=2.5)
-        registry = MetricsRegistry()
-        collect_simulator(registry, kernel)
-        assert registry.gauge("sim.virtual_now").value == 2.5
-        assert registry.gauge("sim.events_processed").value == 2
-        assert registry.gauge("sim.events_pending").value == 1
-        assert registry.gauge("sim.shards").value == 2
-        assert registry.gauge(
-            "sim.shard.events_processed", labels={"shard": "0"}
-        ).value == 1
-        assert registry.gauge(
-            "sim.shard.events_pending", labels={"shard": "1"}
-        ).value == 1
+    def test_round_robin_run_report_gauges(self):
+        """A finished run_sharded report: aggregate gauges plus one
+        labelled series per shard, busy seconds included."""
+        from repro.sim.shard import ShardProgram, run_sharded
 
-    def test_sharded_simulator_busy_seconds_labelled(self):
-        kernel = ShardedSimulator(num_shards=2, lookahead=0.05)
-        kernel.shard(0).schedule(1.0, lambda: None)
-        kernel.run()
+        class Tick(ShardProgram):
+            def start(self, ctx):
+                ctx.schedule(1.0 + ctx.shard_id, lambda: None)
+
+        report = run_sharded(lambda shard_id, num_shards, rng: Tick(), 2, 0.05)
         registry = MetricsRegistry()
-        collect_simulator(registry, kernel)
+        collect_simulator(registry, report)
+        assert registry.gauge("sim.virtual_now").value == 2.0
+        assert registry.gauge("sim.events_processed").value == 2
+        assert registry.gauge("sim.shards").value == 2
+        assert registry.gauge("sim.windows").value == report.windows
         for shard in ("0", "1"):
-            gauge = registry.gauge("sim.shard.busy_seconds", labels={"shard": shard})
-            assert gauge.value >= 0.0
+            labels = {"shard": shard}
+            assert registry.gauge("sim.shard.events_processed", labels=labels).value == 1
+            assert registry.gauge("sim.shard.busy_seconds", labels=labels).value >= 0.0
+        assert (
+            registry.gauge("sim.shard.virtual_now", labels={"shard": "1"}).value == 2.0
+        )
 
     def test_shard_run_report_gauges_with_ipc_series(self):
         """A finished ShardRunReport scrapes like a live kernel: aggregate
@@ -148,7 +142,6 @@ class TestCacheAndSimCollectors:
         collect_simulator(registry, report)
         assert registry.gauge("sim.virtual_now").value == 3.0
         assert registry.gauge("sim.events_processed").value == 150
-        assert registry.gauge("sim.events_pending").value == 0
         assert registry.gauge("sim.shards").value == 2
         assert registry.gauge("sim.windows").value == 7
         assert registry.gauge("sim.wall_seconds").value == 1.5
@@ -170,18 +163,6 @@ class TestCacheAndSimCollectors:
             == 0.03
         )
         validate_prometheus(registry.to_prometheus())
-
-    def test_iterable_of_simulators_aggregates(self):
-        sims = [Simulator(), Simulator()]
-        sims[0].schedule(1.0, lambda: None)
-        sims[1].schedule(2.0, lambda: None)
-        sims[0].run()
-        registry = MetricsRegistry()
-        collect_simulator(registry, sims)
-        assert registry.gauge("sim.virtual_now").value == 1.0
-        assert registry.gauge("sim.events_processed").value == 1
-        assert registry.gauge("sim.events_pending").value == 1
-        assert registry.gauge("sim.shards").value == 2
 
 
 class TestCollectAll:

@@ -147,49 +147,3 @@ class TestSimulatorHook:
             return order
 
         assert run(True) == run(False) == [1.0, 2.0, 3.0]
-
-
-class TestShardedProfilerAttachment:
-    """Profilers attach per shard through the sharded kernel."""
-
-    def test_attach_profiler_to_one_shard(self):
-        from repro.sim.shard import ShardedSimulator
-
-        kernel = ShardedSimulator(num_shards=2, lookahead=0.05)
-        profiler = Profiler(sample_every=1)
-        kernel.attach_profiler(profiler, shard_id=0)
-        kernel.shard(0).schedule(0.1, lambda: None)
-        kernel.shard(1).schedule(0.2, lambda: None)
-        kernel.run()
-        # only shard 0's events sampled: its simulator carries the profiler
-        assert profiler.calls == 1
-        assert kernel.shards[0].profiler is profiler
-        assert kernel.shards[1].profiler is None
-
-    def test_attach_profiler_to_all_shards_and_detach(self):
-        from repro.sim.shard import ShardedSimulator
-
-        kernel = ShardedSimulator(num_shards=3, lookahead=0.05)
-        profiler = Profiler(sample_every=1)
-        kernel.attach_profiler(profiler)
-        for shard_id in range(3):
-            kernel.shard(shard_id).schedule(0.1 * (shard_id + 1), lambda: None)
-        kernel.run()
-        assert profiler.calls == 3
-        assert profiler.sampled_calls == 3
-        kernel.attach_profiler(None)
-        assert all(sim.profiler is None for sim in kernel.shards)
-
-    def test_per_shard_profilers_attribute_separately(self):
-        from repro.sim.shard import ShardedSimulator
-
-        kernel = ShardedSimulator(num_shards=2, lookahead=0.05)
-        profilers = [Profiler(sample_every=1), Profiler(sample_every=1)]
-        for shard_id, profiler in enumerate(profilers):
-            kernel.attach_profiler(profiler, shard_id=shard_id)
-        kernel.shard(0).schedule(0.1, lambda: None)
-        kernel.shard(0).schedule(0.2, lambda: None)
-        kernel.shard(1).schedule(0.3, lambda: None)
-        kernel.run()
-        assert profilers[0].calls == 2
-        assert profilers[1].calls == 1

@@ -1,10 +1,16 @@
-"""Tests for memoized catalog statistics and planner batch/strategy choice."""
+"""Tests for catalog posting statistics and planner batch/strategy choice.
+
+A posting size is the length of the ring owner's memoised
+``StoredList`` view of the list: a repeated probe builds nothing, and a
+write that changes the list changes the size.
+"""
 
 import pytest
 
 from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
-from repro.pier.catalog import Catalog
+from repro.pier.catalog import Catalog, table_key
+from repro.pier.operators import StoredList
 from repro.pier.planner import KeywordPlanner, MAX_BATCH_SIZE, MIN_BATCH_SIZE
 from repro.piersearch.publisher import Publisher
 
@@ -26,14 +32,27 @@ def world():
     return network, catalog, publisher
 
 
+@pytest.fixture()
+def builds(monkeypatch):
+    """Counts every StoredList the store builds (the memo key is unchanged)."""
+    built = []
+    original = StoredList.__init__
+
+    def counting(self, rows):
+        built.append(len(rows))
+        original(self, rows)
+
+    monkeypatch.setattr(StoredList, "__init__", counting)
+    return built
+
+
 class TestMemoizedPostingStats:
-    def test_replanning_probes_once_per_keyword(self, world):
+    def test_replanning_probes_once_per_keyword(self, world, builds):
         network, catalog, _ = world
         planner = KeywordPlanner(catalog)
-        before = catalog.stats_probes
         for _ in range(25):
             planner.plan(["nebula", "quasar"], network.random_node_id())
-        assert catalog.stats_probes == before + 2  # one probe per keyword, ever
+        assert sorted(builds) == [2, 3]  # one view per keyword, ever
 
     def test_sizes_match_unmemoized_probe(self, world):
         network, catalog, _ = world
@@ -42,33 +61,48 @@ class TestMemoizedPostingStats:
         assert planner.posting_size("quasar") == 2
         assert planner.posting_size("aurora") == 1
         assert planner.posting_size("missing") == 0
+        for keyword in ("nebula", "quasar", "aurora"):
+            key = table_key("Inverted", keyword)
+            stored = network.get_local(network.owner_of(key), key)
+            assert planner.posting_size(keyword) == len(stored)
 
-    def test_publish_invalidates(self, world):
+    def test_probe_shares_the_join_sites_view(self, world, builds):
+        network, catalog, _ = world
+        KeywordPlanner(catalog).posting_size("nebula")
+        handle = catalog.table("Inverted")
+        view = handle.view_local(handle.host_of("nebula"), "nebula", StoredList)
+        assert len(view.ids) == 3
+        assert builds == [3]
+
+    def test_publish_invalidates(self, world, builds):
         network, catalog, publisher = world
         planner = KeywordPlanner(catalog)
         assert planner.posting_size("quasar") == 2
         publisher.publish_file("nebula quasar four.mp3", 100, "1.0.0.4", 6346)
         assert planner.posting_size("quasar") == 3
+        assert builds == [2, 3]
 
     def test_churn_invalidates(self, world):
         network, catalog, _ = world
         planner = KeywordPlanner(catalog)
+        key = table_key("Inverted", "nebula")
         size = planner.posting_size("nebula")
-        probes = catalog.stats_probes
-        # A join/leave changes key ownership: the cache must re-probe.
-        network.remove_node(network.random_node_id(), graceful=True)
+        # The owner leaves: its successor takes the list over and serves
+        # the size; a crash of the new owner loses it (no handoff).
+        network.remove_node(network.owner_of(key), graceful=True)
         network.stabilize()
-        assert planner.posting_size("nebula") == size  # graceful handoff
-        assert catalog.stats_probes == probes + 1
+        assert planner.posting_size("nebula") == size
+        network.remove_node(network.owner_of(key), graceful=False)
+        network.stabilize()
+        assert planner.posting_size("nebula") < size
 
-    def test_cache_hit_does_not_reprobe(self, world):
+    def test_cache_hit_does_not_reprobe(self, world, builds):
         network, catalog, _ = world
         planner = KeywordPlanner(catalog)
         planner.posting_size("nebula")
-        probes = catalog.stats_probes
         for _ in range(10):
             planner.posting_size("nebula")
-        assert catalog.stats_probes == probes
+        assert builds == [3]
 
 
 class TestBatchSizeChoice:

@@ -9,7 +9,6 @@ either backend.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 
@@ -20,7 +19,6 @@ from repro.sim.shard import (
     ShardContext,
     ShardProgram,
     ShardWorkerError,
-    ShardedSimulator,
     run_sharded,
     shard_of_key,
 )
@@ -56,112 +54,233 @@ def test_shard_of_key_rejects_bad_shard_count():
 
 
 # ----------------------------------------------------------------------
-# ShardedSimulator (kernel layer)
+# Kernel invariants, held by both backends of run_sharded
 # ----------------------------------------------------------------------
 
-
-def test_single_shard_is_plain_drain():
-    kernel = ShardedSimulator(num_shards=1, lookahead=0.0)
-    fired = []
-    view = kernel.shard(0)
-    view.schedule(1.0, lambda: fired.append(view.now))
-    view.schedule(2.0, lambda: fired.append(view.now))
-    assert kernel.run() == 2
-    assert fired == [1.0, 2.0]
-    assert kernel.pending == 0
-    assert kernel.processed == 2
+BACKENDS = ("round_robin", "process")
 
 
-def test_cross_shard_message_below_lookahead_rejected():
-    kernel = ShardedSimulator(num_shards=2, lookahead=LOOKAHEAD)
-    with pytest.raises(ValueError):
-        kernel.send(0, 1, LOOKAHEAD / 2, lambda: None)
+class Ticks(ShardProgram):
+    """Local events only: each shard fires at ``times`` and records when."""
+
+    def __init__(self, times):
+        self.times = times
+        self.fired: list[float] = []
+
+    def start(self, ctx: ShardContext) -> None:
+        for at in self.times:
+            ctx.schedule(at, lambda c=ctx: self.fired.append(c.now))
+
+    def on_message(self, ctx: ShardContext, payload) -> None:  # pragma: no cover
+        raise AssertionError("no messages in this program")
+
+    def digest(self):
+        return self.fired
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_single_shard_is_plain_drain(backend):
+    report = run_sharded(
+        lambda shard_id, num_shards, rng: Ticks((1.0, 2.0)),
+        num_shards=1,
+        lookahead=0.0,
+        backend=backend,
+    )
+    assert report.processed == 2
+    assert report.digests() == [[1.0, 2.0]]
 
 
 def test_positive_lookahead_required_for_multiple_shards():
     with pytest.raises(ValueError):
-        ShardedSimulator(num_shards=2, lookahead=0.0)
+        run_sharded(_token_factory, num_shards=2, lookahead=0.0)
 
 
-def test_cross_shard_delivery_lands_at_send_time_plus_delay():
-    kernel = ShardedSimulator(num_shards=2, lookahead=LOOKAHEAD)
-    arrivals = []
-    view0, view1 = kernel.shard(0), kernel.shard(1)
-    view0.schedule(0.1, lambda: view0.send(1, LOOKAHEAD, lambda: arrivals.append(view1.now)))
-    kernel.run()
-    assert arrivals == [pytest.approx(0.1 + LOOKAHEAD)]
+class Bouncer(ShardProgram):
+    """Ping-pong chains across every shard, local and cross-shard hops
+    mixed, each payload carrying the arrival time its sender computed.
 
+    A message delivered into the receiver's past shows as a clock that
+    runs backwards, or as a delivery time other than that arrival.
+    """
 
-def test_no_shard_ever_receives_a_message_in_its_past():
-    """Ping-pong chains across 4 shards: arrivals are never in the past."""
-    kernel = ShardedSimulator(num_shards=4, lookahead=LOOKAHEAD, seed=7)
-    violations = []
-    deliveries = []
+    def __init__(self, shard_id: int, num_shards: int, hops: int = 40):
+        self.shard_id = shard_id
+        self.num_shards = num_shards
+        self.hops = hops
+        self.last = 0.0
+        self.violations: list[tuple[float, float]] = []
+        self.deliveries = 0
 
-    def bounce(dst: int, hops_left: int, sent_at: float, arrival: float):
-        view = kernel.shard(dst)
-        if view.now > arrival + 1e-12:
-            violations.append((dst, view.now, arrival))
-        deliveries.append((round(view.now, 9), dst))
+    def start(self, ctx: ShardContext) -> None:
+        at = 0.01 * (self.shard_id + 1)
+        ctx.schedule(at, lambda: self._bounce(ctx, at, self.hops))
+
+    def _bounce(self, ctx: ShardContext, arrival: float, hops_left: int) -> None:
+        now = ctx.now
+        if now < self.last or abs(now - arrival) > 1e-9:
+            self.violations.append((now, arrival))
+        self.last = now
+        self.deliveries += 1
         if hops_left <= 0:
             return
-        rng = view.rng
-        nxt = rng.randrange(4)
-        delay = LOOKAHEAD + rng.random() * 0.02 if nxt != dst else rng.random() * 0.01
-        send_time = view.now
-        view.send(
-            nxt,
-            delay,
-            lambda d=nxt, h=hops_left - 1, s=send_time, a=send_time + delay: bounce(d, h, s, a),
+        rng = ctx.rng
+        dst = rng.randrange(self.num_shards)
+        if dst == self.shard_id:
+            delay = rng.random() * 0.01
+        else:
+            delay = LOOKAHEAD + rng.random() * 0.02
+        ctx.send(dst, delay, (now + delay, hops_left - 1))
+
+    def on_message(self, ctx: ShardContext, payload) -> None:
+        self._bounce(ctx, *payload)
+
+    def digest(self):
+        return self.violations, self.deliveries
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_no_shard_ever_receives_a_message_in_its_past(backend):
+    report = run_sharded(
+        lambda shard_id, num_shards, rng: Bouncer(shard_id, num_shards),
+        num_shards=4,
+        lookahead=LOOKAHEAD,
+        seed=7,
+        backend=backend,
+    )
+    assert all(violations == [] for violations, _ in report.digests())
+    assert sum(deliveries for _, deliveries in report.digests()) == 4 * 41
+    assert report.windows > 1  # the chains really did cross windows
+
+
+class OneSend(ShardProgram):
+    """Shard ``src`` sends one payload to ``dst`` at ``at`` after ``delay``;
+    every shard records when what it receives lands."""
+
+    def __init__(self, shard_id: int, src: int, dst: int, at: float, delay: float):
+        self.shard_id = shard_id
+        self.send = (src, dst, at, delay)
+        self.received: list[tuple[float, str]] = []
+
+    def start(self, ctx: ShardContext) -> None:
+        src, dst, at, delay = self.send
+        if self.shard_id == src:
+            ctx.schedule(at, lambda: ctx.send(dst, delay, f"from{src}"))
+
+    def on_message(self, ctx: ShardContext, payload) -> None:
+        self.received.append((ctx.now, payload))
+
+    def digest(self):
+        return self.received
+
+
+def _one_send(src, dst, at, delay):
+    return lambda shard_id, num_shards, rng: OneSend(shard_id, src, dst, at, delay)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cross_shard_delivery_lands_at_send_time_plus_delay(backend):
+    report = run_sharded(
+        _one_send(0, 1, 0.1, LOOKAHEAD), num_shards=2, lookahead=LOOKAHEAD, backend=backend
+    )
+    assert report.digests() == [[], [(0.1 + LOOKAHEAD, "from0")]]
+    assert report.cross_messages == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cross_shard_message_below_lookahead_rejected(backend):
+    expected = ValueError if backend == "round_robin" else ShardWorkerError
+    with pytest.raises(expected, match="violates lookahead"):
+        run_sharded(
+            _one_send(0, 1, 0.1, LOOKAHEAD / 2),
+            num_shards=2,
+            lookahead=LOOKAHEAD,
+            backend=backend,
         )
 
-    for shard_id in range(4):
-        view = kernel.shard(shard_id)
-        start_at = 0.01 * (shard_id + 1)
-        view.schedule(start_at, lambda d=shard_id, a=start_at: bounce(d, 40, 0.0, a))
-    kernel.run()
-    assert not violations
-    assert len(deliveries) == 4 * 41
-    assert kernel.windows > 1  # the chains really did cross windows
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_same_shard_send_bypasses_lookahead(backend):
+    report = run_sharded(
+        _one_send(1, 1, 0.0, 0.001), num_shards=2, lookahead=LOOKAHEAD, backend=backend
+    )
+    assert report.digests() == [[], [(0.001, "from1")]]
+    assert report.cross_messages == 0
 
 
-def test_kernel_run_until_parks_all_clocks_at_until():
-    kernel = ShardedSimulator(num_shards=2, lookahead=LOOKAHEAD)
-    fired = []
-    kernel.shard(0).schedule(10.0, lambda: fired.append("late"))
-    kernel.run(until=1.0)
-    assert fired == []
-    assert all(shard.now == 1.0 for shard in kernel.shards)
-    assert kernel.pending == 1
-    kernel.run()
-    assert fired == ["late"]
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_until_parks_all_clocks_at_until(backend):
+    """A run cut short by ``until`` rests every clock exactly there."""
+    report = run_sharded(
+        lambda shard_id, num_shards, rng: Ticks((10.0,) if shard_id == 0 else ()),
+        num_shards=2,
+        lookahead=LOOKAHEAD,
+        until=1.0,
+        backend=backend,
+    )
+    assert report.processed == 0
+    assert report.digests() == [[], []]
+    assert [s.final_time for s in report.shards] == [1.0, 1.0]
 
 
-def test_same_shard_send_bypasses_lookahead():
-    kernel = ShardedSimulator(num_shards=2, lookahead=LOOKAHEAD)
-    fired = []
-    view = kernel.shard(1)
-    view.schedule(0.0, lambda: view.send(1, 0.001, lambda: fired.append(view.now)))
-    kernel.run()
-    assert fired == [pytest.approx(0.001)]
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_drained_before_until_keeps_its_clocks(backend):
+    """``until`` past the last event parks nothing (Simulator.run's rule)."""
+    report = run_sharded(
+        lambda shard_id, num_shards, rng: Ticks((0.5,) if shard_id == 0 else ()),
+        num_shards=2,
+        lookahead=LOOKAHEAD,
+        until=1.0,
+        backend=backend,
+    )
+    assert report.digests() == [[0.5], []]
+    assert [s.final_time for s in report.shards] == [0.5, 0.0]
 
 
-def test_kernel_deterministic_merge_order():
-    """Simultaneous cross-shard arrivals merge by (arrival, src, seq)."""
+class TiedSends(ShardProgram):
+    """Shards 1 and 2 send to shard 0 so that everything arrives at once:
+    shard 2 sends first in virtual time, shard 1 sends two in a row."""
 
-    def build():
-        kernel = ShardedSimulator(num_shards=3, lookahead=LOOKAHEAD)
-        order = []
-        # shards 1 and 2 both send to shard 0, arriving at the same time
-        kernel.shard(2).schedule(0.0, lambda: kernel.send(2, 0, LOOKAHEAD, lambda: order.append("from2")))
-        kernel.shard(1).schedule(0.0, lambda: kernel.send(1, 0, LOOKAHEAD, lambda: order.append("from1")))
-        kernel.run()
-        return order
+    ARRIVAL = 0.01 + LOOKAHEAD
 
-    first, second = build(), build()
-    assert first == second
-    # src-shard order breaks the arrival tie, not send order
-    assert first == ["from1", "from2"]
+    def __init__(self, shard_id: int):
+        self.shard_id = shard_id
+        self.order: list[str] = []
+
+    def start(self, ctx: ShardContext) -> None:
+        if self.shard_id == 2:
+            ctx.schedule(0.0, lambda: ctx.send(0, self.ARRIVAL, "from2"))
+        elif self.shard_id == 1:
+            ctx.schedule(0.01, lambda: self._pair(ctx))
+
+    def _pair(self, ctx: ShardContext) -> None:
+        ctx.send(0, LOOKAHEAD, "from1a")
+        ctx.send(0, LOOKAHEAD, "from1b")
+
+    def on_message(self, ctx: ShardContext, payload) -> None:
+        self.order.append((ctx.now, payload))
+
+    def digest(self):
+        return self.order
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_deterministic_merge_order(backend):
+    """Tied cross-shard arrivals merge by (arrival, src, seq): the source
+    shard breaks the tie, not the send time, and one source keeps its
+    send order."""
+
+    def run():
+        return run_sharded(
+            lambda shard_id, num_shards, rng: TiedSends(shard_id),
+            num_shards=3,
+            lookahead=LOOKAHEAD,
+            backend=backend,
+        ).digests()
+
+    first = run()
+    assert first == run()
+    assert [payload for _, payload in first[0]] == ["from1a", "from1b", "from2"]
+    assert {at for at, _ in first[0]} == {TiedSends.ARRIVAL}
 
 
 # ----------------------------------------------------------------------

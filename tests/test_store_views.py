@@ -80,7 +80,7 @@ class StoreViews(RuleBasedStateMachine):
         """A routed, replicated batch; repeats in it, or rows already
         stored, are duplicates that store nothing."""
         entries = [self.postings.entry(posting(keyword, index)) for index in indexes]
-        self.catalog.publish(entries)
+        self.network.put_many(entries)
 
     @rule(pick=picks, keyword=keywords, index=file_indexes)
     def put_local(self, pick, keyword, index):
@@ -139,12 +139,12 @@ def test_a_view_is_shared_until_a_write_changes_its_list():
     key = table_key("Inverted", "nebula")
     node = network.owner_of(key)
     entries = [postings.entry(posting("nebula", index)) for index in range(3)]
-    catalog.publish(entries)
+    network.put_many(entries)
     view = network.local_view(node, key, StoredList)
     assert network.local_view(node, key, StoredList) is view
-    catalog.publish(entries[:1])  # a duplicate stores nothing
+    network.put_many(entries[:1])  # a duplicate stores nothing
     assert network.local_view(node, key, StoredList) is view
-    catalog.publish([postings.entry(posting("nebula", 7))])
+    network.put_many([postings.entry(posting("nebula", 7))])
     newer = network.local_view(node, key, StoredList)
     assert newer is not view and newer.ids[-1] == "file07"
     network.remove_local(node, key)
