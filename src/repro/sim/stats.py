@@ -70,7 +70,8 @@ class Histogram:
         if value > self._max:
             self._max = value
         size = self.reservoir_size
-        if size is None or len(self.samples) < size:
+        # The reservoir holds min(count - 1, size) samples before this one.
+        if size is None or self._count <= size:
             self.samples.append(value)
         else:
             # Algorithm R: keep each of the first n samples with prob size/n.

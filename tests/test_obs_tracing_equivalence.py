@@ -144,32 +144,114 @@ class TestObservationIsFree:
         assert tracer.to_jsonl().count("\n") == len(tracer.spans)
 
 
-class TestHybridRaceSpanTree:
-    def test_race_tree_nests_walks_and_dataflow(self):
-        dht = DhtNetwork(rng=41)
-        nodes = dht.populate(32)
-        catalog = Catalog(dht)
-        publisher = Publisher(dht, catalog)
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        search = SearchEngine(dht, catalog, tracer=tracer, metrics=metrics)
-        sim = Simulator()
-        tracer.bind_clock(lambda: sim.now)
-        engine = HybridQueryEngine(
-            sim, dht, config=RaceConfig(batch_size=2), rng=5,
-            tracer=tracer, metrics=metrics,
+class CountingRegistry(MetricsRegistry):
+    """A registry that logs every series lookup by name."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lookups: list[str] = []
+
+    def counter(self, name, labels=None):
+        self.lookups.append(name)
+        return super().counter(name, labels)
+
+    def histogram(self, name, labels=None, reservoir_size=None, seed=0):
+        self.lookups.append(name)
+        return super().histogram(name, labels, reservoir_size, seed)
+
+
+class TestMeteredDataflow:
+    def test_completions_count_through_handles_resolved_once(self):
+        from test_dataflow_equivalence import build_world, plan_for
+
+        rng, network, catalog = build_world(0)
+        metrics = CountingRegistry()
+        executor = DataflowExecutor(
+            network, catalog, sim=Simulator(), config=DataflowConfig(batch_size=2),
+            rng=0, metrics=metrics,
         )
-        hybrid = HybridUltrapeer(
-            1, nodes[0].node_id, publisher, search, gnutella_timeout=5.0
+        query_node = network.random_node_id()
+        plans = [
+            plan_for(catalog, strategy, PINNED_TERMS, query_node)
+            for strategy in JoinStrategy
+        ]
+        for plan in plans:
+            executor.execute(plan)
+        warm = len(metrics.lookups)
+        for plan in plans:
+            executor.execute(plan)
+        # Every series the second pass touches was resolved by the first.
+        assert len(metrics.lookups) == warm
+        runs = 2 * len(plans)
+        assert metrics.counter("dataflow.queries").value == runs
+        by_strategy = {
+            key: counter.value
+            for key, counter in metrics.counters.items()
+            if key.startswith("dataflow.strategy{")
+        }
+        assert len(by_strategy) == len(JoinStrategy)
+        assert set(by_strategy.values()) == {2}
+        assert metrics.histogram("dataflow.completion_vtime").count == runs
+
+
+def run_hybrid_races(tracer: Tracer, metrics: MetricsRegistry, races: int = 6):
+    """Drain ``races`` two-term races through one hybrid ultrapeer."""
+    dht = DhtNetwork(rng=41)
+    nodes = dht.populate(32)
+    catalog = Catalog(dht)
+    publisher = Publisher(dht, catalog)
+    search = SearchEngine(dht, catalog, tracer=tracer, metrics=metrics)
+    sim = Simulator()
+    tracer.bind_clock(lambda: sim.now)
+    engine = HybridQueryEngine(
+        sim, dht, config=RaceConfig(batch_size=2), rng=5,
+        tracer=tracer, metrics=metrics,
+    )
+    hybrid = HybridUltrapeer(
+        1, nodes[0].node_id, publisher, search, gnutella_timeout=5.0
+    )
+    for index in range(10):
+        publisher.publish_file(
+            f"montia klorena track{index:03d}.mp3", 1000, "10.0.0.1", 6346
         )
-        for index in range(10):
-            publisher.publish_file(
-                f"montia klorena track{index:03d}.mp3", 1000, "10.0.0.1", 6346
-            )
-        race = hybrid.handle_leaf_query_simulated(
+    for _ in range(races):
+        hybrid.handle_leaf_query_simulated(
             engine, ["montia", "klorena"], [math.inf], 3
         )
-        sim.run()
+    sim.run()
+    assert engine.completed == races
+    return engine
+
+
+class TestHeadSampledTraces:
+    def test_sampled_races_keep_their_full_trees(self):
+        full = Tracer()
+        run_hybrid_races(full, MetricsRegistry())
+        sampled = Tracer(sample_every=4)
+        run_hybrid_races(sampled, MetricsRegistry())
+        assert [root.tree() for root in sampled.roots] == [
+            root.tree() for root in full.roots[::4]
+        ]
+
+    def test_unsampled_races_record_no_spans(self):
+        tracer = Tracer(sample_every=4)
+        run_hybrid_races(tracer, MetricsRegistry())
+        assert [root.name for root in tracer.roots] == ["hybrid.race"] * 2
+
+        def descendants(span):
+            yield span
+            for child in span.children:
+                yield from descendants(child)
+
+        recorded = [span for root in tracer.roots for span in descendants(root)]
+        assert len(recorded) == len(tracer.spans)
+        assert any(span.name == "exchange.batch" for span in recorded)
+
+
+class TestHybridRaceSpanTree:
+    def test_race_tree_nests_walks_and_dataflow(self):
+        tracer = Tracer()
+        (race,) = run_hybrid_races(tracer, MetricsRegistry(), races=1).races
         assert race.done
         (root,) = tracer.roots
         assert root.name == "hybrid.race" and root.finished

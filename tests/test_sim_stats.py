@@ -88,6 +88,16 @@ class TestReservoirHistogram:
         assert hist.minimum == 0.0 and hist.maximum == 9999.0
         assert hist.mean == pytest.approx(4999.5)
 
+    def test_fills_in_arrival_order_then_holds_its_size(self):
+        hist = Histogram("lat", reservoir_size=8, seed=1)
+        for value in range(8):
+            hist.observe(float(value))
+        assert hist.samples == [float(v) for v in range(8)]
+        for value in range(8, 200):
+            hist.observe(float(value))
+            assert len(hist.samples) == 8
+        assert hist.count == 200
+
     def test_seeded_reservoir_is_deterministic(self):
         def build(seed):
             hist = Histogram("lat", reservoir_size=32, seed=seed)
