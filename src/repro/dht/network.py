@@ -638,7 +638,10 @@ class DhtNetwork:
         and charged once per category when the batch ends, first seen
         first; ``(messages, bytes)`` is their total. If routing fails
         midway the :class:`DhtError` propagates with the entries before it
-        stored and charged and the failing one neither.
+        stored and charged and the failing one neither. An entry reads
+        only the copies it makes: at ``replication=1`` the owner's
+        successor list is never read, and with no replica set registered
+        anywhere no key is looked up in them.
         """
         self._ensure_stable()
         ring, nodes = self._ring, self.nodes
@@ -663,7 +666,7 @@ class DhtNetwork:
                 charge[0] += hops or 1  # a self-owned key is one local delivery
                 charge[1] += routed_bytes(payload_bytes, hops)
                 # Replicate to successors of the owner (one direct hop each).
-                replicas = owner.successors[:successor_copies]
+                replicas = owner.successors[:successor_copies] if successor_copies else ()
                 for replica_id in replicas:
                     nodes[replica_id].store.put(key, value, identity=identity)
                 if replicas:
@@ -672,7 +675,7 @@ class DhtNetwork:
                 # Keep adaptively-placed replicas coherent: they are registered
                 # as serveable copies, so a publish must reach them too or
                 # rotated reads would silently miss the new value.
-                registered = replica_sets.get(key)
+                registered = replica_sets.get(key) if replica_sets else None
                 if not registered:
                     continue
                 holders = [

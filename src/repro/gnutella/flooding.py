@@ -85,6 +85,11 @@ def flood(
     as one framed message of ``payload_bytes`` (one charge per flood), so
     flood overhead lands on the same bandwidth meter as DHT and PIER
     traffic.
+
+    An ultrapeer answers only through its entry in ``indexes``, so an
+    empty map floods for the horizon alone: the same ``visited`` (in the
+    same order), messages and per-hop curves, no matches, and no index
+    scanned.
     """
     if ttl < 0:
         raise ValueError(f"ttl must be >= 0, got {ttl}")

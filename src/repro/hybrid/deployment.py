@@ -27,6 +27,7 @@ from repro.common.rng import make_rng, spawn_rng
 from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
+from repro.gnutella.flooding import flood
 from repro.gnutella.measurement import ContentMatcher, bfs_depths, dynamic_stop_ttl
 from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.topology import TopologyConfig
@@ -347,12 +348,12 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
         stop_ttl = dynamic_stop_ttl(
             match_depths, config.desired_results, config.client_max_ttl
         )
-        gnutella_count = sum(1 for depth in match_depths if depth <= stop_ttl)
         race = hybrid.handle_leaf_query_simulated(
             engine, list(query.terms), match_depths, stop_ttl
         )
         report.outcomes.append(race.outcome)
-        gnutella_zero += 1 if gnutella_count == 0 else 0
+        # The race counted the replicas within stop_ttl when it was submitted.
+        gnutella_zero += 1 if race.outcome.gnutella_results == 0 else 0
         oracle_zero += 1 if not match_depths else 0
 
     # Leaf queries arrive as simulator events, one every query_interval of
@@ -406,25 +407,25 @@ def _observe_background_query(
     query,
     config: DeploymentConfig,
 ) -> None:
-    """One background query: hybrid ultrapeers on its path snoop results.
+    """One background query from ultrapeer ``origin``: hybrid ultrapeers on
+    its path snoop results.
 
     A hybrid ultrapeer sees the results of queries it forwarded. The
     flood's visited set is the set of forwarding ultrapeers, so every
     hybrid ultrapeer inside the (TTL-limited) horizon observes the result
-    set and applies the QRS rule.
+    set and applies the QRS rule. The flood runs over an empty index map,
+    for its horizon alone: the result set is worked out once, below, from
+    the network's replica host table, so no visited ultrapeer's index is
+    asked. The deployment's network has no transport to charge.
     """
-    flood_result = gnutella.flood_query(origin, list(query.terms), ttl=2)
-    observers = [
-        hybrid_by_ultrapeer[up]
-        for up in flood_result.visited
-        if up in hybrid_by_ultrapeer
-    ]
+    horizon = flood(gnutella.topology, {}, origin, [], ttl=2).visited
+    observers = [hybrid_by_ultrapeer[up] for up in horizon if up in hybrid_by_ultrapeer]
     if not observers:
         return
     names = matcher.matching_filenames(list(query.terms))
     # The snooped result stream is what came back through the flood: the
     # replicas whose hosting ultrapeers the flood reached.
-    depths = gnutella.replica_depths(names, dict.fromkeys(flood_result.visited, 0))
+    depths = gnutella.replica_depths(names, dict.fromkeys(horizon, 0))
     visible = [
         file for file, depth in zip(matcher.replicas(names), depths) if depth == 0
     ]

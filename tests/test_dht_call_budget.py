@@ -35,9 +35,10 @@ VOCABULARY = 600
 #: on CPython 3.11 when a file became one compiled plan and one batch put:
 #: 559 per file, against 656 on the put-per-tuple path it replaced (the
 #: same world, the commit before) and 1,743 on the scan-per-hop path
-#: before that. Nearly every put here is a route-cache miss, so most of
-#: what is left is the walk; the ceiling sits just under the per-tuple
-#: path's count, ~15 % above the recorded one.
+#: before that; 540 since a put skips the replica-set probe while no key
+#: has one registered. Nearly every put here is a route-cache miss, so
+#: most of what is left is the walk; the ceiling sits just under the
+#: per-tuple path's count.
 CALLS_PER_FILE_CEILING = 640
 #: The route cache's counters for this world, identical before and after
 #: the routing step changed: the step made a miss cheap, it did not touch

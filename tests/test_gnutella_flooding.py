@@ -1,12 +1,15 @@
 """Tests for TTL flooding, the content index, and dynamic querying."""
 
+import random
+
 import pytest
 
 from repro.gnutella.dynamic import dynamic_query
 from repro.gnutella.flooding import flood
 from repro.gnutella.index import UltrapeerIndex
-from repro.gnutella.topology import Topology
-from repro.workload.library import SharedFile
+from repro.gnutella.network import GnutellaNetwork
+from repro.gnutella.topology import Topology, TopologyConfig
+from repro.workload.library import ContentLibrary, SharedFile
 
 
 def line_topology(n=6):
@@ -138,6 +141,37 @@ class TestFlood:
         topo = line_topology(3)
         result = flood(topo, {}, 0, ["x"], ttl=10)
         assert result.visited == {0, 1, 2}
+
+
+class TestHorizonFlood:
+    """A flood over an empty index map (what the Section 7 snoop runs) is
+    the matching flood minus its matches: same horizon, same order, same
+    messages and per-hop curves."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_index_free_flood_equals_matching_flood(self, seed):
+        library = ContentLibrary.generate(
+            num_items=120, vocabulary_size=200, max_replicas=40, rng=seed
+        )
+        config = TopologyConfig(num_ultrapeers=60, num_leaves=240, seed=seed + 1)
+        network = GnutellaNetwork.build(library, config, rng=seed + 2)
+        topology = network.topology
+        rng = random.Random(seed)
+        filenames = sorted(network.placement.replicas_by_filename)
+        answered = 0
+        for origin in rng.sample(topology.ultrapeers, 8):
+            terms = rng.choice(filenames).split()[:2]
+            for ttl in range(4):
+                matching = flood(topology, network.indexes, origin, terms, ttl)
+                horizon = flood(topology, {}, origin, terms, ttl)
+                assert list(horizon.visited) == list(matching.visited)
+                assert horizon.messages == matching.messages
+                assert horizon.visited_by_hop == matching.visited_by_hop
+                assert horizon.messages_by_hop == matching.messages_by_hop
+                assert horizon.matches == []
+                answered += matching.num_results > 0
+        # The matching side found something, so the two really differ in work.
+        assert answered
 
 
 class TestDynamicQuery:
