@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import sec7_deployment
 from repro.experiments.common import SMALL_SCALE
+from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def test_sec7_timeout_ablation(reports):
     pier_outcomes = [o for o in shj.outcomes if o.used_pier and o.pier_results > 0]
     if not pier_outcomes:
         pytest.skip("no PIER-answered queries in this run")
-    pier_exec = [o.pier_latency - shj.config.gnutella_timeout for o in pier_outcomes]
+    pier_exec = [o.pier_latency - DEFAULT_GNUTELLA_TIMEOUT for o in pier_outcomes]
     for timeout in (10.0, 30.0, 60.0):
         latencies = [timeout + exec_time for exec_time in pier_exec]
         assert mean(latencies) == pytest.approx(timeout + mean(pier_exec))

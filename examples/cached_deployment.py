@@ -35,9 +35,7 @@ def act_one() -> None:
     cached = run_deployment(
         replace(
             base,
-            cache_budget_bytes=256 * 1024,  # 256 KB shared result cache
-            cache_policy="lru",
-            cache_admission_min=1,
+            cache_budget_bytes=256 * 1024,  # 256 KB shared LRU result cache
             hot_read_threshold=16,  # replicate posting keys read 16x recently
         )
     )

@@ -33,7 +33,6 @@ def main() -> None:
         num_items=1200,
         num_background_queries=500,
         num_test_queries=300,
-        gnutella_timeout=30.0,
         seed=2004,
     )
     print(

@@ -21,20 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.popularity import PopularityEstimator
-from repro.cache.replication import AdaptiveReplicationController, ReplicationConfig
-from repro.cache.results import QueryResultCache
 from repro.common.rng import make_rng
 from repro.common.zipf import ZipfSampler
 from repro.dht.network import DhtNetwork
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, get_library
-from repro.hybrid.engine import HybridQueryEngine
-from repro.hybrid.ultrapeer import HybridUltrapeer
-from repro.pier.catalog import Catalog
-from repro.piersearch.publisher import Publisher
-from repro.piersearch.search import SearchEngine
+from repro.hybrid.world import build_world
 from repro.piersearch.tokenizer import extract_keywords
-from repro.sim.engine import Simulator
 
 BUDGETS_KB = (0, 32, 128)
 ALPHAS = (0.6, 1.1)
@@ -130,10 +122,15 @@ def _measure(
     """One sweep cell: fresh overlay, Zipf query stream, cached ultrapeer."""
     rng = make_rng(seed + int(alpha * 100) * 7 + budget_kb)
     dht = DhtNetwork(rng=seed + 1)
-    nodes = dht.populate(num_nodes)
-    catalog = Catalog(dht)
-    publisher = Publisher(dht, catalog, inverted_cache=False)
-    search = SearchEngine(dht, catalog, inverted_cache=False)
+    dht.populate(num_nodes)
+    world = build_world(
+        dht,
+        [0],
+        rng=seed + 2,
+        cache_budget_bytes=budget_kb * 1024,
+        hot_read_threshold=HOT_READ_THRESHOLD,
+    )
+    nodes, hybrid = world.nodes, world.hybrids[0]
 
     # Publish a slice of the content library (one replica per item) and
     # derive the query population from the published filenames, so every
@@ -143,7 +140,7 @@ def _measure(
         keywords = extract_keywords(item.filename)
         if not keywords:
             continue
-        publisher.publish_file(
+        world.publisher.publish_file(
             filename=item.filename,
             filesize=item.filesize,
             ip_address=f"10.0.{index // 256}.{index % 256}",
@@ -153,28 +150,7 @@ def _measure(
         population.append(keywords[: min(2, len(keywords))])
 
     cell = _CellResult(population=len(population))
-    cache = None
-    popularity = PopularityEstimator(capacity=128, window=max(64, num_queries // 2))
-    if budget_kb > 0:
-        cache = QueryResultCache(
-            budget_kb * 1024,
-            policy="lru",
-            cost_model=dht.cost_model,
-        )
-    controller = AdaptiveReplicationController(
-        dht,
-        ReplicationConfig(hot_read_threshold=HOT_READ_THRESHOLD, extra_replicas=2),
-    )
-    hybrid = HybridUltrapeer(
-        ultrapeer_id=0,
-        dht_node_id=nodes[0].node_id,
-        publisher=publisher,
-        search_engine=search,
-        result_cache=cache,
-        popularity=popularity,
-    )
-    sim = Simulator()
-    races = HybridQueryEngine(sim, dht, rng=seed + 2)
+    cache, controller = world.cache, world.controller
 
     # Zipf-skewed repetition over the query population: no replica is in
     # flood reach, so every query times out on Gnutella and exercises the
@@ -182,8 +158,8 @@ def _measure(
     sampler = ZipfSampler(len(population), alpha, rng=rng)
     for _ in range(num_queries):
         terms = population[sampler.sample() - 1]
-        hybrid.handle_leaf_query_simulated(races, list(terms), [], stop_ttl=3)
-        sim.run()
+        hybrid.handle_leaf_query_simulated(world.engine, list(terms), [], stop_ttl=3)
+        world.sim.run()
 
     cell.outcomes = hybrid.outcomes
     cell.queries = num_queries
@@ -198,7 +174,7 @@ def _measure(
         # (Runs after the bandwidth numbers above are frozen, so the audit
         # searches do not pollute the measurement.)
         for entry in cache.entries():
-            fresh = search.search(list(entry.key), query_node=nodes[0].node_id)
+            fresh = world.search.search(list(entry.key), query_node=nodes[0].node_id)
             if sorted(fresh.filenames) != sorted(entry.filenames):
                 cell.recall_mismatches += entry.hits
     return cell

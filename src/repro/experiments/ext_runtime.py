@@ -115,48 +115,30 @@ def build_dataflow_scale(
 
     ``tracer``/``metrics`` wire the observability layer through the whole
     stack (``ext_obs`` measures its overhead on exactly this scenario); a
-    tracer passed without a clock is bound to the scenario's simulator.
+    passed tracer is bound to the scenario's simulator.
     """
     import math
 
     from repro.common.rng import make_rng
     from repro.dht.churn import ChurnProcess
     from repro.dht.network import DhtNetwork
-    from repro.hybrid.engine import HybridQueryEngine, RaceConfig
-    from repro.hybrid.ultrapeer import HybridUltrapeer
-    from repro.pier.catalog import Catalog
-    from repro.piersearch.publisher import Publisher
-    from repro.piersearch.search import SearchEngine
+    from repro.hybrid.engine import RaceConfig
+    from repro.hybrid.world import build_world
 
-    num_nodes, num_files, submit_window, timeout = 64, 200, 50.0, 30.0
+    num_nodes, num_files, submit_window = 64, 200, 50.0
     dht = DhtNetwork(rng=17)
-    nodes = dht.populate(num_nodes)
-    catalog = Catalog(dht)
-    publisher = Publisher(dht, catalog)
-    search = SearchEngine(dht, catalog, tracer=tracer, metrics=metrics)
-    sim = Simulator()
-    if tracer is not None:
-        tracer.bind_clock(lambda: sim.now)
-    engine = HybridQueryEngine(
-        sim,
+    dht.populate(num_nodes)
+    world = build_world(
         dht,
-        config=RaceConfig(retry_backoff=1.0, batch_size=2),
+        range(8),
+        race_config=RaceConfig(retry_backoff=1.0, batch_size=2),
         rng=7,
         tracer=tracer,
         metrics=metrics,
     )
-    hybrids = [
-        HybridUltrapeer(
-            ultrapeer_id=index,
-            dht_node_id=node.node_id,
-            publisher=publisher,
-            search_engine=search,
-            gnutella_timeout=timeout,
-        )
-        for index, node in enumerate(nodes[:8])
-    ]
+    sim, engine, hybrids, nodes = world.sim, world.engine, world.hybrids, world.nodes
     for index in range(num_files):
-        publisher.publish_file(
+        world.publisher.publish_file(
             filename=f"rare nebula group{index % 25:02d} track{index:04d}.mp3",
             filesize=4096 + index,
             ip_address=f"10.1.{index // 250}.{index % 250}",

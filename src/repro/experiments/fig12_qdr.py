@@ -15,6 +15,7 @@ import math
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
 from repro.experiments.fig07_latency import CDF_PERCENTILES, get_event_report
 from repro.experiments.fig11_qr import HORIZONS, build_trace_model
+from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT
 from repro.metrics.cdf import quantile
 
 
@@ -70,7 +71,7 @@ def run_cdf(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
         notes=(
             f"event-driven races: flooding won {len(flood_won)} and the DHT "
             f"won {len(dht_won)} of {answered} answered queries; rare "
-            f"answers land just past the {report.config.gnutella_timeout:.0f}s "
+            f"answers land just past the {DEFAULT_GNUTELLA_TIMEOUT:.0f}s "
             "timeout instead of never (DHT wins resolve at the first answer "
             "batch of the pipelined dataflow, not at full-join completion)"
         ),

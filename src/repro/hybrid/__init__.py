@@ -5,8 +5,9 @@ identifying rare items worth publishing into the DHT (Perfect, Random,
 QRS, TF, TPF, SAM); :mod:`repro.hybrid.ultrapeer` is the hybrid
 LimeWire/PIERSearch ultrapeer of Figure 17; :mod:`repro.hybrid.engine`
 races Gnutella flooding against the DHT re-query as scheduled events in
-virtual time; and :mod:`repro.hybrid.deployment` reproduces the 50-node
-PlanetLab deployment experiment on that engine.
+virtual time; :mod:`repro.hybrid.world` wires that stack onto a DHT in
+one place; and :mod:`repro.hybrid.deployment` reproduces the 50-node
+PlanetLab deployment experiment on such a world.
 """
 
 from repro.hybrid.rare_items import (
@@ -22,6 +23,7 @@ from repro.hybrid.rare_items import (
 )
 from repro.hybrid.ultrapeer import HybridQueryOutcome, HybridUltrapeer
 from repro.hybrid.engine import HybridQueryEngine, QueryRace, RaceConfig
+from repro.hybrid.world import HybridWorld, build_world
 from repro.hybrid.deployment import DeploymentConfig, DeploymentReport, run_deployment
 
 __all__ = [
@@ -41,5 +43,7 @@ __all__ = [
     "HybridQueryOutcome",
     "DeploymentConfig",
     "DeploymentReport",
+    "HybridWorld",
+    "build_world",
     "run_deployment",
 ]

@@ -9,6 +9,11 @@ each one runs as a virtual-time race on the hybrid query engine
 (:mod:`repro.hybrid.engine`), flood arrivals against the hop-by-hop DHT
 re-query and its streaming dataflow.
 
+:func:`build_deployment` builds the Gnutella network, both query
+workloads and the hybrid world (:func:`repro.hybrid.world.build_world`)
+without running anything; :meth:`Deployment.run` drives the warm-up and
+the test phase, then reduces the drained races into the report.
+
 Reported quantities mirror Section 7: publish bandwidth per file, PIER
 first-result latency (with and without InvertedCache), per-query
 bandwidth, and the reduction in queries that receive no results.
@@ -17,27 +22,38 @@ bandwidth, and the reduction in queries that receive no results.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from statistics import mean
 
-from repro.cache.popularity import PopularityEstimator, query_key
-from repro.cache.replication import AdaptiveReplicationController, ReplicationConfig
-from repro.cache.results import QueryResultCache
 from repro.common.rng import make_rng, spawn_rng
 from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
-from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.gnutella.flooding import flood
 from repro.gnutella.measurement import ContentMatcher, bfs_depths, dynamic_stop_ttl
 from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.topology import TopologyConfig
-from repro.hybrid.ultrapeer import HybridQueryOutcome, HybridUltrapeer
-from repro.pier.catalog import Catalog
-from repro.piersearch.publisher import Publisher
-from repro.piersearch.search import SearchEngine
-from repro.sim.engine import Simulator
+from repro.hybrid.ultrapeer import (
+    DEFAULT_GNUTELLA_TIMEOUT,
+    HybridQueryOutcome,
+    HybridUltrapeer,
+)
+from repro.hybrid.world import HybridWorld, build_world
 from repro.workload.library import ContentLibrary
-from repro.workload.queries import generate_workload
+from repro.workload.queries import QueryWorkload, generate_workload
+
+
+#: clients deepen to TTL 3 here: on the down-scaled overlay that covers
+#: a comparable fraction of ultrapeers to a real client's deep flood
+CLIENT_MAX_TTL = 3
+#: results a leaf client wants before its dynamic query stops deepening
+DESIRED_RESULTS = 150
+#: virtual time between test-phase leaf queries
+QUERY_INTERVAL = 1.0
+#: the run's RNG streams, spawned up front in this order: every spawn
+#: draws from the seed's stream, so the order fixes each stream's bits
+STREAMS = ("library", "gnutella", "dht", "background", "origins", "test",
+           "testorigin", "engine", "churn")
 
 
 @dataclass(frozen=True)
@@ -51,42 +67,13 @@ class DeploymentConfig:
     num_background_queries: int = 600
     num_test_queries: int = 400
     inverted_cache: bool = False
-    #: price all four join strategies (distributed/semi/Bloom join,
-    #: InvertedCache) per re-query with the cost-based optimizer and run
-    #: the cheapest; False keeps the fixed per-deployment strategy
-    cost_optimizer: bool = False
-    qrs_threshold: int = 20
-    gnutella_timeout: float = 30.0
-    #: clients deepen to TTL 3 here: on the down-scaled overlay that covers
-    #: a comparable fraction of ultrapeers to a real client's deep flood
-    client_max_ttl: int = 3
-    desired_results: int = 150
     seed: int = 0
-    # --- repro.cache subsystem (0 budget = disabled, matching the paper) --
+    # --- repro.cache subsystem (0 = disabled, matching the paper) -----
     #: byte budget of the shared ultrapeer result cache
     cache_budget_bytes: int = 0
-    cache_policy: str = "lru"
-    #: result entries expire after this much virtual time (None = never)
-    cache_ttl: float | None = None
-    #: recent sightings a query needs before its answer is admitted
-    cache_admission_min: int = 1
     #: recent read-target resolutions of one DHT key — about one per plan
     #: stage or item fetch touching it — that make it hot (0 = replication off)
     hot_read_threshold: int = 0
-    #: replicas placed per hot key beyond the natural owner
-    replication_extra: int = 2
-    #: virtual time between test-phase leaf queries
-    query_interval: float = 1.0
-    # --- hybrid query engine (repro.hybrid.engine) --------------------
-    #: mean one-way DHT hop latency used by the engine's draws
-    dht_hop_latency: float = 1.2
-    #: fractional jitter of each per-hop latency draw
-    hop_jitter: float = 0.35
-    #: exchange batch size override (None = planner's per-plan choice)
-    batch_size: int | None = None
-    #: per-site join memory budget in *rows* (None = unbounded, no
-    #: eviction); also fed to the cost optimizer's memory-pressure pricer
-    memory_budget: int | None = None
     #: virtual time between churn steps on the private DHT (0 = no churn)
     churn_interval: float = 0.0
     #: churn steps applied during the test phase
@@ -182,26 +169,142 @@ class DeploymentReport:
         return mean(latencies) if latencies else math.inf
 
 
-def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
-    """Run the full Section 7 experiment and return the report."""
-    config = config or DeploymentConfig()
-    if config.cost_optimizer and config.inverted_cache:
-        # An InvertedCache deployment has already fixed its strategy (and
-        # prepaid the bandwidth at publish time); silently ignoring the
-        # optimizer would report numbers from a configuration that never
-        # ran the four-way choice.
-        raise ValueError(
-            "cost_optimizer=True requires inverted_cache=False: the "
-            "optimizer prices strategies against the Inverted index"
-        )
-    rng = make_rng(config.seed)
+@dataclass
+class Deployment:
+    """A built Section 7 deployment: the hybrid world plus its Gnutella side.
 
-    # --- Assemble the Gnutella network with content -------------------
+    Nothing has run yet; :meth:`run` drives the warm-up and the test phase
+    and reduces the resolved races into a :class:`DeploymentReport`.
+    """
+
+    config: DeploymentConfig
+    world: HybridWorld
+    gnutella: GnutellaNetwork
+    #: forwarded traffic the hybrid ultrapeers snoop during the warm-up
+    background: QueryWorkload
+    #: leaf queries of hybrid ultrapeers, one per ``QUERY_INTERVAL``
+    test: QueryWorkload
+    streams: dict[str, random.Random]
+
+    def run(self) -> DeploymentReport:
+        return self.reduce(self.drive())
+
+    def drive(self) -> int:
+        """Run the warm-up, then the test phase until the simulator drains.
+
+        Returns how many test queries match no replica anywhere in the
+        network (the oracle's no-result count).
+        """
+        config, world, gnutella = self.config, self.world, self.gnutella
+        hybrid_by_ultrapeer = {hybrid.ultrapeer_id: hybrid for hybrid in world.hybrids}
+        matcher = ContentMatcher(gnutella)
+
+        # --- Warm-up: hybrid ultrapeers snoop background traffic ------
+        origin_rng = self.streams["origins"]
+        for query in self.background:
+            origin = origin_rng.choice(gnutella.topology.ultrapeers)
+            _observe_background_query(
+                gnutella, matcher, hybrid_by_ultrapeer, origin, query
+            )
+
+        # --- Test phase: leaf queries of hybrid ultrapeers ------------
+        sim, engine, hybrids = world.sim, world.engine, world.hybrids
+        if config.churn_interval > 0 and config.churn_steps > 0:
+            churn = ChurnProcess(
+                world.dht,
+                rng=self.streams["churn"],
+                failure_fraction=config.churn_failure_fraction,
+            )
+            churn.schedule(sim, config.churn_interval, config.churn_steps)
+        depths_cache: dict[int, dict[int, int]] = {}
+        test_rng = self.streams["testorigin"]
+        unanswerable = 0
+
+        def run_test_query(query) -> None:
+            nonlocal unanswerable
+            hybrid = test_rng.choice(hybrids)
+            depths = depths_cache.get(hybrid.ultrapeer_id)
+            if depths is None:
+                depths = bfs_depths(gnutella, hybrid.ultrapeer_id)
+                depths_cache[hybrid.ultrapeer_id] = depths
+            match_depths = gnutella.replica_depths(
+                matcher.matching_filenames(list(query.terms)), depths
+            )
+            stop_ttl = dynamic_stop_ttl(match_depths, DESIRED_RESULTS, CLIENT_MAX_TTL)
+            hybrid.handle_leaf_query_simulated(
+                engine, list(query.terms), match_depths, stop_ttl
+            )
+            unanswerable += 1 if not match_depths else 0
+
+        # Leaf queries arrive as simulator events, one every QUERY_INTERVAL
+        # of virtual time — this is the clock the cache's TTLs, the
+        # replication controller's expiries, churn, and the races run on.
+        for position, query in enumerate(self.test):
+            sim.schedule_at(
+                position * QUERY_INTERVAL,
+                lambda query=query: run_test_query(query),
+            )
+        sim.run()
+        return unanswerable
+
+    def reduce(self, unanswerable: int) -> DeploymentReport:
+        """Aggregate the drained races into the Section 7 report.
+
+        Outcomes are final only once the simulator drains (races resolve
+        long after submission), so every per-query aggregate is derived
+        here, in one pass.
+        """
+        config, world = self.config, self.world
+        engine, hybrids = world.engine, world.hybrids
+        report = DeploymentReport(config=config)
+        report.outcomes = [race.outcome for race in engine.races]
+        n = len(self.test)
+        gnutella_zero = hybrid_zero = 0
+        for outcome in report.outcomes:
+            # The race counted the replicas within stop_ttl when it was
+            # submitted.
+            if outcome.gnutella_results == 0:
+                gnutella_zero += 1
+            if outcome.total_results == 0:
+                hybrid_zero += 1
+            if outcome.used_pier:
+                if not outcome.cache_hit:
+                    report.pier_query_bytes.append(outcome.pier_bytes)
+                if outcome.pier_results > 0:
+                    report.pier_first_result_latencies.append(
+                        outcome.pier_latency - DEFAULT_GNUTELLA_TIMEOUT
+                    )
+        report.peak_inflight = engine.peak_inflight
+        report.route_retries = sum(race.route_retries for race in engine.races)
+        report.pier_abandoned = sum(1 for race in engine.races if race.pier_failed)
+        report.gnutella_no_result_fraction = gnutella_zero / n
+        report.hybrid_no_result_fraction = hybrid_zero / n
+        report.oracle_no_result_fraction = unanswerable / n
+        report.files_published = sum(hybrid.files_published for hybrid in hybrids)
+        report.publish_bytes = sum(hybrid.publish_bytes for hybrid in hybrids)
+        if world.cache is not None:
+            report.cache_hits = world.cache.stats.hits
+            report.cache_misses = world.cache.stats.misses
+            report.cache_bytes_saved = world.cache.stats.bytes_saved
+        if world.controller is not None:
+            report.replicated_keys = world.controller.stats.replicated_keys
+            world.controller.detach()
+        return report
+
+
+def build_deployment(config: DeploymentConfig | None = None) -> Deployment:
+    """Build the Gnutella network, its 50 hybrid ultrapeers over a private
+    DHT, and both query workloads; nothing is run."""
+    config = config or DeploymentConfig()
+    rng = make_rng(config.seed)
+    streams = {label: spawn_rng(rng, label) for label in STREAMS}
+
+    # --- The Gnutella network with content ----------------------------
     library = ContentLibrary.generate(
         num_items=config.num_items,
         alpha=0.6,
         max_replicas=max(50, config.num_items // 6),
-        rng=spawn_rng(rng, "library"),
+        rng=streams["library"],
     )
     topology_config = TopologyConfig(
         num_ultrapeers=config.num_ultrapeers,
@@ -209,194 +312,40 @@ def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
         new_client_fraction=0.0,
         seed=config.seed + 1,
     )
-    gnutella = GnutellaNetwork.build(
-        library, topology_config, rng=spawn_rng(rng, "gnutella")
-    )
+    gnutella = GnutellaNetwork.build(library, topology_config, rng=streams["gnutella"])
 
     # --- The hybrid overlay: 50 ultrapeers with a private DHT ---------
     hybrid_ids = gnutella.random_ultrapeers(config.num_hybrid)
-    dht = DhtNetwork(rng=spawn_rng(rng, "dht"))
-    dht_nodes = dht.populate(config.num_hybrid)
-    catalog = Catalog(dht)
-    publisher = Publisher(dht, catalog, inverted_cache=config.inverted_cache)
-    search_engine = SearchEngine(
+    dht = DhtNetwork(rng=streams["dht"])
+    dht.populate(config.num_hybrid)
+    # The result cache is shared by all hybrid ultrapeers (they form one
+    # overlay tier).
+    world = build_world(
         dht,
-        catalog,
+        hybrid_ids,
         inverted_cache=config.inverted_cache,
-        optimizer=config.cost_optimizer,
-        memory_budget=config.memory_budget,
+        latency_model=gnutella.latency_model,
+        rng=streams["engine"],
+        cache_budget_bytes=config.cache_budget_bytes,
+        hot_read_threshold=config.hot_read_threshold,
+    )
+    def workload(size: int, stream: str) -> QueryWorkload:
+        return generate_workload(
+            library, size, rare_boost=0.30, popularity_exponent=0.75,
+            max_terms=2, rng=streams[stream],
+        )
+
+    return Deployment(
+        config, world, gnutella,
+        background=workload(config.num_background_queries, "background"),
+        test=workload(config.num_test_queries, "test"),
+        streams=streams,
     )
 
-    # --- The repro.cache subsystem (off unless configured) ------------
-    # The result cache and popularity stream are shared by all hybrid
-    # ultrapeers (they form one overlay tier); virtual time comes from the
-    # event engine that drives the test phase.
-    sim = Simulator()
-    result_cache: QueryResultCache | None = None
-    popularity: PopularityEstimator | None = None
-    controller: AdaptiveReplicationController | None = None
-    if config.cache_budget_bytes > 0:
-        popularity = PopularityEstimator(
-            capacity=128, window=max(64, config.num_test_queries)
-        )
-        admission = None
-        if config.cache_admission_min > 1:
-            minimum, estimator = config.cache_admission_min, popularity
-            admission = lambda key: estimator.recent_count(key) >= minimum  # noqa: E731
-        result_cache = QueryResultCache(
-            config.cache_budget_bytes,
-            policy=config.cache_policy,
-            ttl=config.cache_ttl,
-            clock=lambda: sim.now,
-            cost_model=dht.cost_model,
-            admission=admission,
-        )
-    if config.hot_read_threshold > 0:
-        controller = AdaptiveReplicationController(
-            dht,
-            ReplicationConfig(
-                hot_read_threshold=config.hot_read_threshold,
-                extra_replicas=config.replication_extra,
-            ),
-            clock=lambda: sim.now,
-        )
 
-    hybrids = [
-        HybridUltrapeer(
-            ultrapeer_id=ultrapeer,
-            dht_node_id=node.node_id,
-            publisher=publisher,
-            search_engine=search_engine,
-            qrs_threshold=config.qrs_threshold,
-            gnutella_timeout=config.gnutella_timeout,
-            result_cache=result_cache,
-            popularity=popularity,
-        )
-        for ultrapeer, node in zip(hybrid_ids, dht_nodes)
-    ]
-    hybrid_by_ultrapeer = {hybrid.ultrapeer_id: hybrid for hybrid in hybrids}
-
-    matcher = ContentMatcher(gnutella)
-    latency_model = gnutella.latency_model
-
-    # --- Warm-up: hybrid ultrapeers snoop background traffic ----------
-    background = generate_workload(
-        library,
-        config.num_background_queries,
-        rare_boost=0.30,
-        popularity_exponent=0.75,
-        max_terms=2,
-        rng=spawn_rng(rng, "background"),
-    )
-    origin_rng = spawn_rng(rng, "origins")
-    for query in background:
-        origin = origin_rng.choice(gnutella.topology.ultrapeers)
-        if popularity is not None:
-            # Hybrid ultrapeers snoop forwarded queries, so background
-            # traffic warms the popularity view the cache admits against.
-            key = query_key(query.terms)
-            if key:
-                popularity.observe(key)
-        _observe_background_query(
-            gnutella, matcher, hybrid_by_ultrapeer, origin, query, config
-        )
-
-    # --- Test phase: leaf queries of hybrid ultrapeers ----------------
-    test = generate_workload(
-        library,
-        config.num_test_queries,
-        rare_boost=0.30,
-        popularity_exponent=0.75,
-        max_terms=2,
-        rng=spawn_rng(rng, "test"),
-    )
-    report = DeploymentReport(config=config)
-    depths_cache: dict[int, dict[int, int]] = {}
-    test_rng = spawn_rng(rng, "testorigin")
-    gnutella_zero = oracle_zero = 0
-
-    engine = HybridQueryEngine(
-        sim,
-        dht,
-        latency_model=latency_model,
-        config=RaceConfig(
-            dht_hop_latency=config.dht_hop_latency,
-            hop_jitter=config.hop_jitter,
-            batch_size=config.batch_size,
-            memory_budget=config.memory_budget,
-        ),
-        rng=spawn_rng(rng, "engine"),
-    )
-    if config.churn_interval > 0 and config.churn_steps > 0:
-        churn = ChurnProcess(
-            dht,
-            rng=spawn_rng(rng, "churn"),
-            failure_fraction=config.churn_failure_fraction,
-        )
-        churn.schedule(sim, config.churn_interval, config.churn_steps)
-
-    def run_test_query(query) -> None:
-        nonlocal gnutella_zero, oracle_zero
-        hybrid = test_rng.choice(hybrids)
-        depths = depths_cache.get(hybrid.ultrapeer_id)
-        if depths is None:
-            depths = bfs_depths(gnutella, hybrid.ultrapeer_id)
-            depths_cache[hybrid.ultrapeer_id] = depths
-        match_depths = gnutella.replica_depths(
-            matcher.matching_filenames(list(query.terms)), depths
-        )
-        stop_ttl = dynamic_stop_ttl(
-            match_depths, config.desired_results, config.client_max_ttl
-        )
-        race = hybrid.handle_leaf_query_simulated(
-            engine, list(query.terms), match_depths, stop_ttl
-        )
-        report.outcomes.append(race.outcome)
-        # The race counted the replicas within stop_ttl when it was submitted.
-        gnutella_zero += 1 if race.outcome.gnutella_results == 0 else 0
-        oracle_zero += 1 if not match_depths else 0
-
-    # Leaf queries arrive as simulator events, one every query_interval of
-    # virtual time — this is the clock the cache's TTLs, the replication
-    # controller's expiries, churn, and the races run on.
-    for position, query in enumerate(test):
-        sim.schedule_at(
-            position * config.query_interval,
-            lambda query=query: run_test_query(query),
-        )
-    sim.run()
-
-    # Outcomes are final only once the simulator drains (races resolve
-    # long after submission), so derive the per-query aggregates in a
-    # single post-run pass.
-    n = len(test)
-    hybrid_zero = 0
-    for outcome in report.outcomes:
-        if outcome.total_results == 0:
-            hybrid_zero += 1
-        if outcome.used_pier:
-            if not outcome.cache_hit:
-                report.pier_query_bytes.append(outcome.pier_bytes)
-            if outcome.pier_results > 0:
-                report.pier_first_result_latencies.append(
-                    outcome.pier_latency - config.gnutella_timeout
-                )
-    report.peak_inflight = engine.peak_inflight
-    report.route_retries = sum(race.route_retries for race in engine.races)
-    report.pier_abandoned = sum(1 for race in engine.races if race.pier_failed)
-    report.gnutella_no_result_fraction = gnutella_zero / n
-    report.hybrid_no_result_fraction = hybrid_zero / n
-    report.oracle_no_result_fraction = oracle_zero / n
-    report.files_published = sum(hybrid.files_published for hybrid in hybrids)
-    report.publish_bytes = sum(hybrid.publish_bytes for hybrid in hybrids)
-    if result_cache is not None:
-        report.cache_hits = result_cache.stats.hits
-        report.cache_misses = result_cache.stats.misses
-        report.cache_bytes_saved = result_cache.stats.bytes_saved
-    if controller is not None:
-        report.replicated_keys = controller.stats.replicated_keys
-        controller.detach()
-    return report
+def run_deployment(config: DeploymentConfig | None = None) -> DeploymentReport:
+    """Run the full Section 7 experiment and return the report."""
+    return build_deployment(config).run()
 
 
 def _observe_background_query(
@@ -405,7 +354,6 @@ def _observe_background_query(
     hybrid_by_ultrapeer: dict[int, HybridUltrapeer],
     origin: int,
     query,
-    config: DeploymentConfig,
 ) -> None:
     """One background query from ultrapeer ``origin``: hybrid ultrapeers on
     its path snoop results.

@@ -35,8 +35,8 @@ rather than priced (the paper's closed-form equations live in
 
 Wire costs are charged exactly once, by the dataflow's batch sends.
 One key per race: :meth:`HybridQueryEngine.submit` normalises the query
-once (:func:`~repro.cache.popularity.query_key`) for popularity, cache
-and the zero-answer check, which alone derives the posting keys from it.
+once (:func:`~repro.cache.popularity.query_key`) for the cache and the
+zero-answer check, which alone derives the posting keys from it.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cache.popularity import PopularityEstimator
 from repro.cache.results import QueryResultCache
 from repro.piersearch.publisher import PublishReceipt, Publisher
 from repro.piersearch.search import SearchEngine, SearchResult
@@ -98,7 +97,6 @@ class HybridUltrapeer:
         qrs_threshold: int = QRS_RESULT_SIZE_THRESHOLD,
         gnutella_timeout: float = DEFAULT_GNUTELLA_TIMEOUT,
         result_cache: QueryResultCache | None = None,
-        popularity: PopularityEstimator | None = None,
         cache_latency: float = DEFAULT_CACHE_LATENCY,
         metrics=None,
     ):
@@ -111,8 +109,6 @@ class HybridUltrapeer:
         #: optional (possibly shared) query-result cache consulted before
         #: re-issuing a timed-out leaf query through PIERSearch
         self.result_cache = result_cache
-        #: optional (possibly shared) popularity stream fed by leaf queries
-        self.popularity = popularity
         self.cache_latency = cache_latency
         #: optional (usually shared) :class:`repro.obs.metrics.MetricsRegistry`
         #: — QRS publish volume
@@ -193,8 +189,6 @@ class HybridUltrapeer:
         to :attr:`outcomes`) is final once the simulator drains.
         """
         race = engine.submit(self, terms, match_depths, stop_ttl)
-        if self.popularity is not None and race.key:
-            self.popularity.observe(race.key)
         self.outcomes.append(race.outcome)
         return race
 

@@ -1,0 +1,111 @@
+"""One hybrid world: the race stack of Section 7, wired in one place.
+
+:func:`build_world` wires hybrid ultrapeers, a catalog, a publisher, a
+search engine, the race engine and the optional result cache and hot-key
+replication onto a DHT the caller has built and
+populated (worlds differ there: RNG stream, replication, a fault-injecting
+transport). It decides three things for every caller: the i-th hybrid
+ultrapeer sits on the i-th DHT node; the cache, the replication
+controller and a passed tracer read the world's virtual clock; one
+``metrics``/``tracer`` reaches the search engine, the race engine and
+every ultrapeer. Nothing is published and nothing is scheduled.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+from repro.cache.replication import AdaptiveReplicationController, ReplicationConfig
+from repro.cache.results import QueryResultCache
+from repro.dht.network import DhtNetwork
+from repro.gnutella.latency import GnutellaLatencyModel
+from repro.hybrid.engine import HybridQueryEngine, RaceConfig
+from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT, HybridUltrapeer
+from repro.pier.catalog import Catalog
+from repro.piersearch.publisher import Publisher
+from repro.piersearch.search import SearchEngine
+from repro.sim.engine import Simulator
+
+@dataclass
+class HybridWorld:
+    """Everything a leaf query touches, built once by :func:`build_world`."""
+
+    sim: Simulator
+    dht: DhtNetwork
+    #: the DHT's nodes in join order; ``hybrids[i]`` sits on ``nodes[i]``
+    nodes: list
+    catalog: Catalog
+    publisher: Publisher
+    search: SearchEngine
+    engine: HybridQueryEngine
+    hybrids: list[HybridUltrapeer]
+    #: shared result cache (None when the budget is 0)
+    cache: QueryResultCache | None
+    #: adaptive replication of hot posting keys (None when off)
+    controller: AdaptiveReplicationController | None
+
+
+def build_world(
+    dht: DhtNetwork,
+    ultrapeer_ids: Sequence[int],
+    *,
+    gnutella_timeout: float = DEFAULT_GNUTELLA_TIMEOUT,
+    inverted_cache: bool = False,
+    optimizer: bool = False,
+    race_config: RaceConfig | None = None,
+    latency_model: GnutellaLatencyModel | None = None,
+    rng=None,
+    cache_budget_bytes: int = 0,
+    hot_read_threshold: int = 0,
+    tracer=None,
+    metrics=None,
+) -> HybridWorld:
+    """Wire the hybrid stack onto the populated ``dht``.
+
+    One hybrid ultrapeer is built per entry of ``ultrapeer_ids``, on the
+    DHT node of the same position. ``rng`` seeds the race engine's latency
+    draws. A positive ``cache_budget_bytes`` adds the shared result cache;
+    a positive ``hot_read_threshold`` attaches the replication controller.
+    """
+    nodes = list(dht.nodes.values())
+    if len(ultrapeer_ids) > len(nodes):
+        raise ValueError(
+            f"{len(ultrapeer_ids)} hybrids need as many DHT nodes, not {len(nodes)}"
+        )
+    sim = Simulator()
+    if tracer is not None:
+        tracer.bind_clock(lambda: sim.now)
+    catalog = Catalog(dht)
+    publisher = Publisher(dht, catalog, inverted_cache=inverted_cache)
+    search = SearchEngine(
+        dht, catalog, inverted_cache=inverted_cache, optimizer=optimizer,
+        tracer=tracer, metrics=metrics,
+    )
+    engine = HybridQueryEngine(
+        sim, dht, latency_model=latency_model, config=race_config, rng=rng,
+        tracer=tracer, metrics=metrics,
+    )
+    cache = controller = None
+    if cache_budget_bytes > 0:
+        cache = QueryResultCache(
+            cache_budget_bytes, clock=lambda: sim.now, cost_model=dht.cost_model
+        )
+    if hot_read_threshold > 0:
+        controller = AdaptiveReplicationController(
+            dht,
+            ReplicationConfig(hot_read_threshold=hot_read_threshold),
+            clock=lambda: sim.now,
+        )
+    hybrids = [
+        HybridUltrapeer(
+            ultrapeer, node.node_id, publisher, search,
+            gnutella_timeout=gnutella_timeout, result_cache=cache,
+            metrics=metrics,
+        )
+        for ultrapeer, node in zip(ultrapeer_ids, nodes)
+    ]
+    return HybridWorld(
+        sim, dht, nodes, catalog, publisher, search, engine, hybrids,
+        cache, controller,
+    )

@@ -8,8 +8,9 @@ Two stages, both deterministic:
   and every fault event. The schedule carries a SHA-256 digest over the
   canonical event encoding (``float.hex`` timestamps), so two runs of
   the same seed can assert bit-for-bit schedule identity.
-* :class:`ScenarioRunner` builds the world (DHT + fault-injecting
-  transport + hybrid ultrapeers + event-driven query engine), replays
+* :class:`ScenarioRunner` builds the world (a DHT behind a
+  fault-injecting transport, with the hybrid stack wired on it by
+  :func:`repro.hybrid.world.build_world`), replays
   the schedule through the virtual-time simulator, and reduces the
   resolved races into a :class:`ScenarioReport` with recall / latency /
   bandwidth SLO measurements, published into the obs metrics registry
@@ -29,18 +30,15 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from statistics import mean
+from typing import Callable
 
-from repro.cache.results import QueryResultCache
 from repro.common.rng import make_rng, spawn_rng
 from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
-from repro.hybrid.engine import HybridQueryEngine, QueryRace, RaceConfig
-from repro.hybrid.ultrapeer import HybridUltrapeer
+from repro.hybrid.engine import QueryRace, RaceConfig
+from repro.hybrid.world import HybridWorld, build_world
 from repro.net.faults import FaultInjectingTransport
 from repro.obs.metrics import MetricsRegistry
-from repro.pier.catalog import Catalog
-from repro.piersearch.publisher import Publisher
-from repro.piersearch.search import SearchEngine
 from repro.scenario.arrivals import generate_arrivals
 from repro.scenario.injectors import PartitionInjector, RegionalFailureInjector
 from repro.scenario.spec import ScenarioSpec
@@ -50,7 +48,6 @@ from repro.scenario.workloads import (
     ScenarioItem,
     build_corpus,
 )
-from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)
@@ -231,15 +228,9 @@ class ScenarioRunner:
         self.spec = spec
         self.schedule = compile_schedule(spec)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # World state, populated by run() and kept for inspection.
-        self.sim: Simulator | None = None
-        self.dht: DhtNetwork | None = None
-        self.engine: HybridQueryEngine | None = None
-        self.churn: ChurnProcess | None = None
-        self.partition: PartitionInjector | None = None
-        self.regional: RegionalFailureInjector | None = None
+        #: the hybrid world, built by run() and kept for inspection
+        self.world: HybridWorld | None = None
         self.corpus: list[ScenarioItem] = []
-        self.hybrids: list[HybridUltrapeer] = []
         #: (event, race) per query, in submission order
         self.records: list[tuple[ScenarioEvent, QueryRace]] = []
 
@@ -247,22 +238,22 @@ class ScenarioRunner:
     # World construction
     # ------------------------------------------------------------------
 
-    def _build_world(self):
+    def _build_world(self) -> tuple[ChurnProcess, dict[str, Callable[[], object]]]:
+        """Build ``self.world`` and ``self.corpus``; return the churn
+        process and the fault each non-query event kind fires."""
         spec = self.spec
         rng = make_rng(spec.seed)
         dht = DhtNetwork(rng=spawn_rng(rng, "dht"), replication=spec.replication)
         # Every byte still flows through the inner transport; the wrapper
         # only adds the scenario's delay-stretch surface.
         dht.transport = FaultInjectingTransport(dht.transport)
-        nodes = dht.populate(spec.num_nodes)
-        catalog = Catalog(dht)
-        publisher = Publisher(dht, catalog)
-        search = SearchEngine(dht, catalog, optimizer=spec.optimizer)
-        sim = Simulator()
-        engine = HybridQueryEngine(
-            sim,
+        dht.populate(spec.num_nodes)
+        world = self.world = build_world(
             dht,
-            config=RaceConfig(
+            range(spec.num_ultrapeers),
+            gnutella_timeout=spec.gnutella_timeout,
+            optimizer=spec.optimizer,
+            race_config=RaceConfig(
                 dht_hop_latency=spec.dht_hop_latency,
                 hop_jitter=spec.hop_jitter,
                 max_requery_attempts=spec.max_requery_attempts,
@@ -270,38 +261,21 @@ class ScenarioRunner:
                 requery_deadline=spec.requery_deadline,
             ),
             rng=spawn_rng(rng, "engine"),
+            cache_budget_bytes=spec.cache_budget_bytes,
             metrics=self.metrics,
         )
-        cache = None
-        if spec.cache_budget_bytes > 0:
-            cache = QueryResultCache(
-                spec.cache_budget_bytes,
-                clock=lambda: sim.now,
-                cost_model=dht.cost_model,
-            )
-        hybrids = [
-            HybridUltrapeer(
-                ultrapeer_id=index,
-                dht_node_id=nodes[index].node_id,
-                publisher=publisher,
-                search_engine=search,
-                gnutella_timeout=spec.gnutella_timeout,
-                result_cache=cache,
-            )
-            for index in range(spec.num_ultrapeers)
-        ]
         self.corpus = build_corpus(
             spec.workload, spec.num_files, spawn_rng(rng, "corpus")
         )
         for item in self.corpus:
             if not item.published:
                 continue  # free riders: their hosts index nothing
-            publisher.publish_file(
+            world.publisher.publish_file(
                 filename=item.filename,
                 filesize=4096 + item.index,
                 ip_address=f"10.1.{item.index // 256}.{item.index % 256}",
                 port=6346,
-                origin=nodes[item.index % spec.num_nodes].node_id,
+                origin=world.nodes[item.index % spec.num_nodes].node_id,
             )
         churn = ChurnProcess(
             dht,
@@ -320,56 +294,50 @@ class ScenarioRunner:
             fraction=spec.churn.fraction,
             failure_fraction=spec.churn.failure_fraction,
         )
-        self.sim, self.dht, self.engine = sim, dht, engine
-        self.churn, self.partition, self.regional = churn, partition, regional
-        self.cache = cache
-        self.search, self.publisher, self.hybrids = search, publisher, hybrids
-        return hybrids
+        faults = {
+            "churn": lambda: churn.churn_step(
+                joins=spec.churn.joins,
+                leaves=spec.churn.leaves,
+                stabilize=spec.churn.stabilize,
+            ),
+            "regional": regional.fire,
+            "partition": partition.partition,
+            "heal": partition.heal,
+        }
+        return churn, faults
 
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
 
-    def _dispatch(self, event: ScenarioEvent, hybrids: list[HybridUltrapeer]) -> None:
-        spec = self.spec
-        if event.kind == "query":
-            hybrid = hybrids[event.ultrapeer]
-            if event.item < 0:
-                terms, depths = list(POPULAR_TERMS), list(POPULAR_DEPTHS)
-            else:
-                terms = list(self.corpus[event.item].terms)
-                depths = [math.inf]
-            race = hybrid.handle_leaf_query_simulated(
-                self.engine, terms, depths, stop_ttl=spec.stop_ttl
-            )
-            self.records.append((event, race))
-        elif event.kind == "churn":
-            self.churn.churn_step(
-                joins=spec.churn.joins,
-                leaves=spec.churn.leaves,
-                stabilize=spec.churn.stabilize,
-            )
-        elif event.kind == "regional":
-            self.regional.fire()
-        elif event.kind == "partition":
-            self.partition.partition()
-        elif event.kind == "heal":
-            self.partition.heal()
+    def _submit(self, event: ScenarioEvent) -> None:
+        hybrid = self.world.hybrids[event.ultrapeer]
+        if event.item < 0:
+            terms, depths = list(POPULAR_TERMS), list(POPULAR_DEPTHS)
+        else:
+            terms = list(self.corpus[event.item].terms)
+            depths = [math.inf]
+        race = hybrid.handle_leaf_query_simulated(
+            self.world.engine, terms, depths, stop_ttl=self.spec.stop_ttl
+        )
+        self.records.append((event, race))
 
     def run(self) -> ScenarioReport:
-        hybrids = self._build_world()
+        churn, faults = self._build_world()
+        sim = self.world.sim
         for event in self.schedule.events:
-            self.sim.schedule_at(
-                event.at, lambda event=event: self._dispatch(event, hybrids)
-            )
-        self.sim.run()
-        return self._reduce()
+            if event.kind == "query":
+                sim.schedule_at(event.at, lambda event=event: self._submit(event))
+            else:
+                sim.schedule_at(event.at, faults[event.kind])
+        sim.run()
+        return self._reduce(churn)
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
 
-    def _reduce(self) -> ScenarioReport:
+    def _reduce(self, churn: ChurnProcess) -> ScenarioReport:
         spec = self.spec
         report = ScenarioReport(
             name=spec.name, seed=spec.seed, schedule_digest=self.schedule.digest
@@ -419,10 +387,10 @@ class ScenarioRunner:
         )
         if requeried:
             report.cache_hit_rate = report.cache_hits / requeried
-        report.churn_joins = self.churn.stats.joins
-        report.churn_leaves = self.churn.stats.leaves
-        report.churn_failures = self.churn.stats.failures
-        report.suspect_ranges = len(self.dht.suspect_ranges)
+        report.churn_joins = churn.stats.joins
+        report.churn_leaves = churn.stats.leaves
+        report.churn_failures = churn.stats.failures
+        report.suspect_ranges = len(self.world.dht.suspect_ranges)
         self._evaluate_slo(report)
         self._publish_metrics(report)
         return report

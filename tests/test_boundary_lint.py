@@ -1,4 +1,5 @@
-"""Boundary lint: nothing outside ``repro.dht`` pokes node internals.
+"""Boundary lint: nothing outside ``repro.dht`` pokes node internals, and
+the hybrid race stack is wired in one place.
 
 The PR that introduced :mod:`repro.net` moved every cross-node
 interaction — routed puts/gets, replica copies, temp-key stashing,
@@ -7,6 +8,11 @@ public API and its transport. This AST-level lint keeps it that way: a
 regression that reaches into ``DhtNode`` objects, per-node ``.store``
 local storage, or the raw bandwidth meter from outside the owning
 package fails here with the offending file and line.
+
+The same walk holds the world builder's monopoly: inside ``src/repro``
+only :mod:`repro.hybrid.world` constructs a ``HybridQueryEngine`` or a
+``HybridUltrapeer``, so the stack's pairing, clock and obs wiring cannot
+drift apart again at a hand-wired site.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ METER_CHARGERS = ("repro/net/", "repro/common/units.py")
 FORBIDDEN_ATTRS = {"store", "successors"}
 #: imports that bypass the DhtNetwork facade
 FORBIDDEN_IMPORTS = {"repro.dht.node", "repro.dht.storage"}
+#: the one module allowed to construct the race stack
+WORLD_BUILDER = ("repro/hybrid/world.py",)
+#: classes only the world builder constructs
+WORLD_CLASSES = {"HybridQueryEngine", "HybridUltrapeer"}
 
 
 def _module_files() -> list[Path]:
@@ -43,12 +53,26 @@ def _exempt(path: Path, prefixes: tuple[str, ...]) -> bool:
     return any(rel.startswith(p.removeprefix("repro/")) for p in prefixes)
 
 
+def _constructs_world_class(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in WORLD_CLASSES
+
+
 def _violations_in(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     out: list[str] = []
     check_internals = not _exempt(path, DHT_INTERNAL)
     check_meter = not _exempt(path, METER_CHARGERS)
+    check_world = not _exempt(path, WORLD_BUILDER)
     for node in ast.walk(tree):
+        if check_world and _constructs_world_class(node):
+            out.append(
+                f"{_relative(path)}:{node.lineno}: constructs the race stack "
+                "by hand — build it with repro.hybrid.world.build_world"
+            )
         if check_internals and isinstance(node, ast.Attribute):
             if node.attr in FORBIDDEN_ATTRS:
                 out.append(
@@ -98,6 +122,8 @@ def test_lint_actually_detects_violations():
         "import_from": "from repro.dht.storage import LocalStore\n",
         "import": "import repro.dht.node\n",
         "meter": "def f(net):\n    net.meter.charge('x', 1, 2)\n",
+        "engine": "def f(sim, dht):\n    return HybridQueryEngine(sim, dht)\n",
+        "ultrapeer": "def f(m):\n    return m.HybridUltrapeer(1, 2, None, None)\n",
     }
     probe = SRC / "pier" / "_lint_probe.py"  # virtual path outside exemptions
     for name, code in snippets.items():
@@ -120,10 +146,14 @@ def test_lint_actually_detects_violations():
                 and node.func.value.attr == "meter"
             ):
                 hits.append(node)
+            if _constructs_world_class(node):
+                hits.append(node)
         assert hits, f"lint failed to flag the {name!r} pattern"
     assert not _exempt(probe, DHT_INTERNAL)
     assert _exempt(SRC / "dht" / "network.py", DHT_INTERNAL)
     assert _exempt(SRC / "net" / "transport.py", METER_CHARGERS)
+    assert _exempt(SRC / "hybrid" / "world.py", WORLD_BUILDER)
+    assert not _exempt(SRC / "hybrid" / "deployment.py", WORLD_BUILDER)
 
 
 def test_deleted_path_selectors_stay_deleted():

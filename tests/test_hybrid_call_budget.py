@@ -1,11 +1,11 @@
 """Guard the leaf-query path against normalising a query more than once.
 
 A leaf query is tokenised into its :func:`~repro.cache.popularity.query_key`
-once, when its race is submitted; the popularity stream, the result cache
-and the zero-answer check all read that key, and the table-qualified
-posting keys are hashed only when a PIER answer comes back empty. The
-engine's registry series are resolved once each. None of that shows in an
-answer or a byte count, so this test counts *function calls* under
+once, when its race is submitted; the result cache and the zero-answer
+check both read that key, and the table-qualified posting keys are hashed
+only when a PIER answer comes back empty. The engine's registry series
+are resolved once each. None of that shows in an answer or a byte count,
+so this test counts *function calls* under
 ``cProfile`` — deterministic, no timing — over a small cached world of
 Zipf-repeated two-term queries, where most races are answered by the cache
 and the rest re-query through PIER.
@@ -17,7 +17,6 @@ import pstats
 import random
 
 from repro.cache import popularity
-from repro.cache.popularity import PopularityEstimator
 from repro.cache.results import QueryResultCache
 from repro.common import ids
 from repro.dht.network import DhtNetwork
@@ -66,7 +65,6 @@ def cached_world():
         result_cache=QueryResultCache(
             1 << 20, clock=lambda: sim.now, cost_model=dht.cost_model
         ),
-        popularity=PopularityEstimator(),
     )
     distinct = [[f"Montia{index}", f"klorena{index}!"] for index in range(DISTINCT)]
     weights = [1 / rank for rank in range(1, DISTINCT + 1)]

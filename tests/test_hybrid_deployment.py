@@ -4,9 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-import repro.hybrid.deployment as deployment
-from repro.hybrid.deployment import DeploymentConfig, run_deployment
-from repro.pier.catalog import Catalog
+from repro.hybrid.deployment import DeploymentConfig, build_deployment, run_deployment
+from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT
 
 from oracle import oracle_items
 
@@ -49,7 +48,7 @@ class TestDeploymentOutcomes:
         assert 2.0 < report.mean_pier_latency < 30.0
 
     def test_rare_query_latency_includes_timeout(self, report):
-        assert report.mean_hybrid_latency_rare > report.config.gnutella_timeout
+        assert report.mean_hybrid_latency_rare > DEFAULT_GNUTELLA_TIMEOUT
 
     def test_outcome_count_matches_test_queries(self, report):
         assert len(report.outcomes) == report.config.num_test_queries
@@ -75,25 +74,19 @@ class TestEventDrivenRace:
     def event_report(self, small_config):
         return run_deployment(small_config)
 
-    def test_race_results_agree_with_oracle(self, small_config, monkeypatch):
+    def test_race_results_agree_with_oracle(self, small_config):
         """The engine decides *when* answers arrive, never *what* they
         are: each re-query returns what the published index holds."""
-        catalogs = []
-
-        def recording_catalog(dht):
-            catalogs.append(Catalog(dht))
-            return catalogs[-1]
-
-        monkeypatch.setattr(deployment, "Catalog", recording_catalog)
-        report = run_deployment(small_config)
-        (catalog,) = catalogs
+        built = build_deployment(small_config)
+        report = built.run()
+        catalog = built.world.catalog
         assert any(outcome.pier_results for outcome in report.outcomes)
         for outcome in report.outcomes:
             # The re-query fires exactly when the flood is empty-handed
             # at the timeout; late flood results still count.
             timed_out = (
                 outcome.gnutella_results == 0
-                or outcome.gnutella_latency > small_config.gnutella_timeout
+                or outcome.gnutella_latency > DEFAULT_GNUTELLA_TIMEOUT
             )
             assert outcome.used_pier == timed_out
             expected = len(oracle_items(catalog, outcome.terms)) if timed_out else 0
@@ -103,14 +96,14 @@ class TestEventDrivenRace:
         # 1 s submit interval against a 30 s timeout: races must overlap.
         assert event_report.peak_inflight > 10
 
-    def test_pier_latencies_exceed_timeout(self, small_config, event_report):
+    def test_pier_latencies_exceed_timeout(self, event_report):
         answered = [
             outcome
             for outcome in event_report.outcomes
             if outcome.used_pier and outcome.pier_results > 0
         ]
         for outcome in answered:
-            assert outcome.pier_latency > small_config.gnutella_timeout
+            assert outcome.pier_latency > DEFAULT_GNUTELLA_TIMEOUT
 
     def test_churn_mid_run_keeps_deployment_whole(self, small_config):
         churned = run_deployment(

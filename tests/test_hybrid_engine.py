@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.cache.popularity import PopularityEstimator
 from repro.cache.results import QueryResultCache
 from repro.dht.network import DhtNetwork
 from repro.gnutella.latency import GnutellaLatencyModel
@@ -136,7 +135,6 @@ class TestCacheIntegration:
             search_engine=search,
             gnutella_timeout=TIMEOUT,
             result_cache=QueryResultCache(budget_bytes=64 * 1024),
-            popularity=PopularityEstimator(),
         )
         return sim, engine, hybrid
 

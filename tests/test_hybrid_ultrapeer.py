@@ -141,13 +141,9 @@ class TestHybridQueryPath:
 class TestResultCache:
     @pytest.fixture()
     def cached(self):
-        from repro.cache.popularity import PopularityEstimator
         from repro.cache.results import QueryResultCache
 
-        return build(
-            result_cache=QueryResultCache(budget_bytes=64 * 1024),
-            popularity=PopularityEstimator(),
-        )
+        return build(result_cache=QueryResultCache(budget_bytes=64 * 1024))
 
     def test_repeat_query_served_from_cache(self, cached):
         hybrid, ask = cached
@@ -181,14 +177,6 @@ class TestResultCache:
         hybrid, ask = cached
         ask(["montia"], [1.0] * 4)
         assert hybrid.result_cache.stats.lookups == 0
-
-    def test_popularity_observes_all_queries(self, cached):
-        from repro.cache.popularity import query_key
-
-        hybrid, ask = cached
-        ask(["montia"], [1.0] * 4)
-        ask(["montia"])
-        assert hybrid.popularity.recent_count(query_key(["montia"])) == 2
 
     def test_stop_word_query_not_cached(self, cached):
         hybrid, ask = cached

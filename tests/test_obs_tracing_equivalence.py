@@ -19,15 +19,12 @@ import math
 from pathlib import Path
 
 from repro.dht.network import DhtNetwork
-from repro.hybrid.engine import HybridQueryEngine, RaceConfig
-from repro.hybrid.ultrapeer import HybridUltrapeer
+from repro.hybrid.engine import RaceConfig
+from repro.hybrid.world import build_world
 from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.obs.trace import Tracer, validate_chrome_trace
-from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.query import JoinStrategy
-from repro.piersearch.publisher import Publisher
-from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "span_tree.json"
@@ -197,28 +194,27 @@ class TestMeteredDataflow:
 def run_hybrid_races(tracer: Tracer, metrics: MetricsRegistry, races: int = 6):
     """Drain ``races`` two-term races through one hybrid ultrapeer."""
     dht = DhtNetwork(rng=41)
-    nodes = dht.populate(32)
-    catalog = Catalog(dht)
-    publisher = Publisher(dht, catalog)
-    search = SearchEngine(dht, catalog, tracer=tracer, metrics=metrics)
-    sim = Simulator()
-    tracer.bind_clock(lambda: sim.now)
-    engine = HybridQueryEngine(
-        sim, dht, config=RaceConfig(batch_size=2), rng=5,
-        tracer=tracer, metrics=metrics,
-    )
-    hybrid = HybridUltrapeer(
-        1, nodes[0].node_id, publisher, search, gnutella_timeout=5.0
+    dht.populate(32)
+    world = build_world(
+        dht,
+        [1],
+        gnutella_timeout=5.0,
+        race_config=RaceConfig(batch_size=2),
+        rng=5,
+        tracer=tracer,
+        metrics=metrics,
     )
     for index in range(10):
-        publisher.publish_file(
+        world.publisher.publish_file(
             f"montia klorena track{index:03d}.mp3", 1000, "10.0.0.1", 6346
         )
+    (hybrid,) = world.hybrids
+    engine = world.engine
     for _ in range(races):
         hybrid.handle_leaf_query_simulated(
             engine, ["montia", "klorena"], [math.inf], 3
         )
-    sim.run()
+    world.sim.run()
     assert engine.completed == races
     return engine
 

@@ -438,17 +438,6 @@ class TestOptimizedSearchEngine:
         assert result_key(fast.items) == result_key(slow.items)
         assert fast.stats.bytes < slow.stats.bytes
 
-    def test_deployment_rejects_optimizer_with_inverted_cache(self):
-        """The two knobs conflict (the optimizer prices against the
-        Inverted index); silently ignoring one would report numbers from
-        a configuration that never ran."""
-        from repro.hybrid.deployment import DeploymentConfig, run_deployment
-
-        with pytest.raises(ValueError, match="cost_optimizer"):
-            run_deployment(
-                DeploymentConfig(inverted_cache=True, cost_optimizer=True)
-            )
-
     def test_explicit_strategy_still_honoured(self):
         network, catalog = build_world(seed=5, popular=40, rare=6, overlap=2)
         engine = SearchEngine(network, catalog, optimizer=True)

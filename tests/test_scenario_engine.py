@@ -146,8 +146,9 @@ def test_metrics_published_per_scenario():
 
 def test_runner_keeps_world_for_inspection():
     runner = ScenarioRunner(tiny())
+    assert runner.world is None
     runner.run()
-    assert runner.dht is not None and runner.dht.size > 0
-    assert runner.engine is not None
+    assert runner.world.dht.size > 0
+    assert runner.world.engine.completed == len(runner.records)
     assert len(runner.records) > 0
     assert runner.corpus

@@ -17,12 +17,8 @@ import random
 from pathlib import Path
 
 from repro.dht.network import DhtNetwork
-from repro.hybrid.engine import HybridQueryEngine, RaceConfig
-from repro.hybrid.ultrapeer import HybridUltrapeer
-from repro.pier.catalog import Catalog
-from repro.piersearch.publisher import Publisher
-from repro.piersearch.search import SearchEngine
-from repro.sim.engine import Simulator
+from repro.hybrid.engine import RaceConfig
+from repro.hybrid.world import build_world
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "virtual_times.json"
 
@@ -44,31 +40,27 @@ def race_times() -> dict:
         for batch_size in BATCH_SIZES:
             rng = random.Random(seed)
             dht = DhtNetwork(rng=seed)
-            nodes = dht.populate(NUM_NODES)
-            catalog = Catalog(dht)
-            publisher = Publisher(dht, catalog)
+            dht.populate(NUM_NODES)
+            # The recorded race runs from the hybrid on DHT node ``seed``.
+            world = build_world(
+                dht,
+                range(seed + 1),
+                gnutella_timeout=GNUTELLA_TIMEOUT,
+                race_config=RaceConfig(batch_size=batch_size),
+                rng=seed,
+            )
             for index in range(40):
                 words = rng.sample(VOCABULARY, rng.randint(2, 4))
                 name = " ".join(words) + f" take{index:03d}.mp3"
-                publisher.publish_file(name, 1000 + index, f"10.0.0.{index}", 6346)
-            sim = Simulator()
-            engine = HybridQueryEngine(
-                sim, dht, config=RaceConfig(batch_size=batch_size), rng=seed
-            )
-            hybrid = HybridUltrapeer(
-                ultrapeer_id=1,
-                dht_node_id=nodes[seed].node_id,
-                publisher=publisher,
-                search_engine=SearchEngine(dht, catalog),
-                gnutella_timeout=GNUTELLA_TIMEOUT,
-            )
+                world.publisher.publish_file(name, 1000 + index, f"10.0.0.{index}", 6346)
+            hybrid, engine = world.hybrids[seed], world.engine
             races = [
                 hybrid.handle_leaf_query_simulated(
                     engine, rng.sample(VOCABULARY, rng.randint(2, 3)), [math.inf], stop_ttl=3
                 )
                 for _ in range(QUERIES_PER_WORLD)
             ]
-            sim.run()
+            world.sim.run()
             for index, race in enumerate(races):
                 outcome = race.outcome
                 times[f"s{seed}|b{batch_size}|{index}|{'+'.join(outcome.terms)}"] = [
