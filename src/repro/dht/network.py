@@ -18,7 +18,7 @@ from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.common.rng import make_rng
 from repro.common.units import BandwidthMeter, CostModel, DEFAULT_COST_MODEL
 from repro.dht.node import OWNS, DhtNode
-from repro.dht.ring import Ring, RingCell, RingSnapshot
+from repro.dht.ring import DEFAULT_SUCCESSOR_COUNT, Ring, RingCell, RingSnapshot
 from repro.net.transport import InProcessTransport, Transport
 
 MAX_HOPS_FACTOR = 4  # routing gives up after 4*log2(N)+8 hops
@@ -63,7 +63,7 @@ class DhtNetwork:
     def __init__(
         self,
         replication: int = 1,
-        successor_count: int = 8,
+        successor_count: int = DEFAULT_SUCCESSOR_COUNT,
         cost_model: CostModel | None = None,
         rng: random.Random | int | None = None,
         transport: Transport | None = None,
@@ -71,14 +71,13 @@ class DhtNetwork:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.replication = replication
-        self.successor_count = max(successor_count, replication)
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.rng = make_rng(rng)
         self.nodes: dict[int, DhtNode] = {}
         self._ring = Ring()  # sorted node ids
         #: the latest stabilize snapshot, shared with every node: fingers,
         #: successors and predecessor are derived from it on first use
-        self._ring_cell = RingCell()
+        self._ring_cell = RingCell(max(successor_count, replication))
         #: bumped once per stabilize call: snapshot versions must move on
         #: *every* stabilize, not only when membership changed (a
         #: hand-assigned table lasts until the next stabilize, no longer)
@@ -134,9 +133,7 @@ class DhtNetwork:
             node_id = self._random_id()
         if node_id in self.nodes:
             raise DhtError(f"node id {node_id:x} already present")
-        node = DhtNode(
-            node_id, successor_count=self.successor_count, ring_cell=self._ring_cell
-        )
+        node = DhtNode(node_id, ring_cell=self._ring_cell)
         self._ring.add(node_id)
         self.nodes[node_id] = node
         self._stale = True
@@ -185,10 +182,7 @@ class DhtNetwork:
             if len(set(node_ids)) != count:
                 raise DhtError("duplicate random node id during populate")
             cell = self._ring_cell
-            self.nodes = {
-                nid: DhtNode(nid, successor_count=self.successor_count, ring_cell=cell)
-                for nid in node_ids
-            }
+            self.nodes = {nid: DhtNode(nid, ring_cell=cell) for nid in node_ids}
             self._ring.bulk_load(node_ids)
             self.membership_version += count
             self._stale = True
@@ -225,7 +219,6 @@ class DhtNetwork:
                     moved += 1
             if moved:
                 self._charge_handoff(moved)
-        node.alive = False
         for key in list(self._replica_sets):
             holders = [nid for nid in self._replica_sets[key] if nid != node_id]
             if holders:
@@ -246,9 +239,10 @@ class DhtNetwork:
     def stabilize(self) -> None:
         """Refresh every node's routing state from the current ring.
 
-        Publishes one immutable ring snapshot — an O(n) copy — and nodes
-        derive their tables from it on first use (pinned to the
-        written-out finger definition in tests/test_dht_ring_equivalence.py).
+        Publishes one immutable ring snapshot — O(1): it shares the ring's
+        list, which the next join or leave copies — and nodes derive
+        their tables from it on first use (pinned to the written-out
+        finger definition in tests/test_dht_ring_equivalence.py).
         """
         self._stabilize_serial += 1
         self._ring_cell.snapshot = RingSnapshot(self._stabilize_serial, self._ring)
@@ -261,6 +255,11 @@ class DhtNetwork:
     @property
     def size(self) -> int:
         return len(self._ring)
+
+    @property
+    def successor_count(self) -> int:
+        """Successor-list length of every node: at least ``replication``."""
+        return self._ring_cell.successor_count
 
     def random_node_id(self) -> int:
         if not self._ring:

@@ -5,11 +5,16 @@ n + 2^i for each i) and a short successor list for fault tolerance.
 Routing decisions use exclusively this local state, so measured hop counts
 are honest Chord hop counts, not artifacts of global knowledge.
 
-The node is slotted and lazy so a million of them fit in RAM: fingers,
-successors, and predecessor are derived on first use from the network's
-published :class:`~repro.dht.ring.RingSnapshot` (keyed by the snapshot
-version), and the local store is only allocated when something is stored.
-A standalone node (no snapshot cell) has exactly the tables assigned to it.
+The node is slotted and lazy so a million of them fit in RAM. It has six
+slots — ``node_id``, ``_ring_cell``, ``_routed_version``, ``_compiled``,
+``_tables`` and ``_store`` — and an idle one fills only the first two:
+fingers, successors, and predecessor are derived on first use from the
+network's published :class:`~repro.dht.ring.RingSnapshot` (keyed by the
+snapshot version) and held together as one ``_tables`` tuple, and the
+local store is only allocated when something is stored. The successor
+list length is the network's, read from the shared
+:class:`~repro.dht.ring.RingCell`. A standalone node (no cell) has
+exactly the tables assigned to it.
 
 **One routing step.** Every hop of every lookup is one call to
 :meth:`DhtNode.route`: "do I own ``key``, else who is next, else dead
@@ -30,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.common.ids import KEY_SPACE
+from repro.dht.ring import DEFAULT_SUCCESSOR_COUNT
 from repro.dht.storage import LocalStore
 
 #: :meth:`DhtNode.route`'s answer when the node itself owns the key — no
@@ -39,31 +45,27 @@ OWNS = -1
 #: ``(foreign, offsets, hops, fallback)`` — see :meth:`DhtNode._compile`
 _Compiled = tuple[int, list[int], list[int], int | None]
 
+#: ``(fingers, successors, predecessor)``; None stands for "never set"
+_Tables = tuple[list[int] | None, list[int] | None, int | None]
+
+#: the tables of a node that has none yet
+_NO_TABLES: _Tables = (None, None, None)
+
 
 class DhtNode:
     """State of one DHT node: id, fingers, successors, and local storage."""
 
     __slots__ = (
         "node_id",
-        "successor_count",
-        "alive",
-        "_fingers",
-        "_successors",
-        "_predecessor",
-        "_store",
         "_ring_cell",
         "_routed_version",
         "_compiled",
+        "_tables",
+        "_store",
     )
 
-    def __init__(self, node_id: int, successor_count: int = 8, ring_cell=None):
+    def __init__(self, node_id: int, ring_cell=None):
         self.node_id = node_id
-        self.successor_count = successor_count
-        self.alive = True
-        self._fingers: list[int] | None = None
-        self._successors: list[int] | None = None
-        self._predecessor: int | None = None
-        self._store: LocalStore | None = None
         #: shared slot holding the network's latest stabilize snapshot
         #: (None for standalone nodes, whose tables are assigned by hand)
         self._ring_cell = ring_cell
@@ -78,6 +80,16 @@ class DhtNode:
         #: the tables compiled for :meth:`route` (see :meth:`_compile`);
         #: None until the node first routes and after every table change
         self._compiled: _Compiled | None = None
+        #: ``(fingers, successors, predecessor)``, None until derived
+        #: from a snapshot or assigned
+        self._tables: _Tables | None = None
+        self._store: LocalStore | None = None
+
+    @property
+    def successor_count(self) -> int:
+        """Successor-list length: the network's, or the default when standalone."""
+        cell = self._ring_cell
+        return DEFAULT_SUCCESSOR_COUNT if cell is None else cell.successor_count
 
     # -- storage (lazy) ------------------------------------------------
 
@@ -104,50 +116,58 @@ class DhtNode:
         snapshot = cell.snapshot
         if snapshot is None or snapshot.version == self._routed_version:
             return
-        if not snapshot.contains(self.node_id):
+        node_id = self.node_id
+        if not snapshot.contains(node_id):
             return
-        self._fingers = snapshot.fingers_of(self.node_id)
-        self._successors = snapshot.successors_of(self.node_id, self.successor_count)
-        self._predecessor = snapshot.predecessor_of(self.node_id)
+        self._tables = (
+            snapshot.fingers_of(node_id),
+            snapshot.successors_of(node_id, cell.successor_count),
+            snapshot.predecessor_of(node_id),
+        )
         self._routed_version = snapshot.version
+        self._compiled = None
+
+    def _assign(self, index: int, value) -> None:
+        """Replace one of the three tables.
+
+        Materializes the other two from the current snapshot first, so an
+        explicit assignment sticks (and only it) until the next stabilize.
+        """
+        self._refresh()
+        tables = list(self._tables or _NO_TABLES)
+        tables[index] = value
+        self._tables = tuple(tables)
         self._compiled = None
 
     @property
     def fingers(self) -> list[int]:
         """fingers[i] = successor(node_id + 2^i), consecutive dups dropped."""
         self._refresh()
-        return self._fingers if self._fingers is not None else []
+        fingers = (self._tables or _NO_TABLES)[0]
+        return fingers if fingers is not None else []
 
     @fingers.setter
     def fingers(self, value: list[int]) -> None:
-        # Materialize the other tables from the current snapshot first so
-        # an explicit assignment sticks (and only it) until the next
-        # stabilize.
-        self._refresh()
-        self._fingers = value
-        self._compiled = None
+        self._assign(0, value)
 
     @property
     def successors(self) -> list[int]:
         self._refresh()
-        return self._successors if self._successors is not None else []
+        successors = (self._tables or _NO_TABLES)[1]
+        return successors if successors is not None else []
 
     @successors.setter
     def successors(self, value: list[int]) -> None:
-        self._refresh()
-        self._successors = value
-        self._compiled = None
+        self._assign(1, value)
 
     @property
     def predecessor(self) -> int | None:
         self._refresh()
-        return self._predecessor
+        return (self._tables or _NO_TABLES)[2]
 
     @predecessor.setter
     def predecessor(self, value: int | None) -> None:
-        self._refresh()
-        self._predecessor = value
-        self._compiled = None
+        self._assign(2, value)
 
     # -- the routing step ----------------------------------------------
 
@@ -166,14 +186,14 @@ class DhtNode:
         precedes the key, None when there is no successor at all.
         """
         node_id = self.node_id
-        successors = self._successors or []
+        fingers, successors, predecessor = self._tables or _NO_TABLES
+        successors = successors or []
         by_offset: dict[int, int] = {}
-        for candidate in (self._fingers or []) + successors:
+        for candidate in (fingers or []) + successors:
             offset = (candidate - node_id) % KEY_SPACE
             if offset:
                 by_offset.setdefault(offset, candidate)
         offsets = sorted(by_offset)
-        predecessor = self._predecessor
         compiled = self._compiled = (
             0 if predecessor is None else (predecessor - node_id) % KEY_SPACE,
             offsets,

@@ -7,16 +7,21 @@ Two pieces that make million-peer rings affordable:
   objects the network's ``nodes`` dict holds, so membership costs one
   8-byte pointer per peer.
 
-* :class:`RingSnapshot` — an immutable copy of the ring published by
-  ``DhtNetwork.stabilize``. Per-node routing (see
-  :class:`repro.dht.node.DhtNode`) derives fingers/successors/predecessor
-  from the snapshot on first use instead of materializing tables for
-  every node on every stabilize (a finger table is O(log N) owner
-  bisects, see :func:`repro.dht.keyspace.finger_table`). Because the
-  snapshot is frozen at stabilize time, stale-table churn semantics are
-  preserved exactly: nodes that joined after the snapshot see empty
-  tables until the next stabilize, and departed nodes linger in
-  survivors' tables.
+* :class:`RingSnapshot` — the ring's membership as ``DhtNetwork.stabilize``
+  published it. Per-node routing (see :class:`repro.dht.node.DhtNode`)
+  derives fingers/successors/predecessor from the snapshot on first use
+  instead of materializing tables for every node on every stabilize (a
+  finger table is O(log N) owner bisects, see
+  :func:`repro.dht.keyspace.finger_table`).
+
+**Copy-on-write.** A snapshot shares the ring's sorted list instead of
+copying it, so a stabilize is O(1) and a network holds one backing list
+until membership next changes. The ring copies its list on the first
+``add``/``discard``/``bulk_load`` after a snapshot took it, so a
+published snapshot never sees a later join or leave: stale-table churn
+semantics are preserved exactly — nodes that joined after the snapshot
+see empty tables until the next stabilize, and departed nodes linger in
+survivors' tables.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from typing import Iterable, Iterator
 from repro.common.ids import KEY_SPACE
 from repro.dht.keyspace import finger_table
 
+#: successor-list length of a node with no network to set one
+DEFAULT_SUCCESSOR_COUNT = 8
+
 
 class Ring:
     """Sorted membership ring of full-width node ids.
@@ -36,10 +44,13 @@ class Ring:
     bisect primitives the network needs.
     """
 
-    __slots__ = ("_ids",)
+    __slots__ = ("_ids", "_shared")
 
     def __init__(self, ids: Iterable[int] = ()):
         self._ids = sorted(ids)
+        #: True while a :meth:`frozen` view holds ``_ids``: the next
+        #: mutation copies the list first
+        self._shared = False
 
     # -- sequence surface ------------------------------------------------
 
@@ -58,13 +69,32 @@ class Ring:
 
     # -- mutation ------------------------------------------------------
 
+    def frozen(self) -> Ring:
+        """A read-only view of the current membership, sharing the list.
+
+        The ring copies its list before its next mutation, so the view
+        keeps this membership for as long as it lives.
+        """
+        view = Ring.__new__(Ring)
+        view._ids = self._ids
+        view._shared = True  # never mutated; set so a stray write copies
+        self._shared = True
+        return view
+
+    def _owned(self) -> list[int]:
+        """The backing list, copied first if a frozen view shares it."""
+        if self._shared:
+            self._ids = self._ids.copy()
+            self._shared = False
+        return self._ids
+
     def add(self, node_id: int) -> None:
-        bisect.insort(self._ids, node_id)
+        bisect.insort(self._owned(), node_id)
 
     def discard(self, node_id: int) -> None:
         index = self.index_of(node_id)
         if index < len(self._ids) and self._ids[index] == node_id:
-            del self._ids[index]
+            del self._owned()[index]
 
     def bulk_load(self, ids: Iterable[int]) -> None:
         """Replace the membership with ``ids``, sorting once.
@@ -73,6 +103,7 @@ class Ring:
         n insorts (which is O(n^2) in list moves at a million peers).
         """
         self._ids = sorted(ids)
+        self._shared = False
 
     # -- bisect primitives ----------------------------------------------
 
@@ -129,15 +160,16 @@ class RingSnapshot:
     """Immutable ring membership published by one stabilize round.
 
     Shared by every node in the network: routing reads fingers,
-    successors, and predecessor out of the snapshot keyed by ``version``,
-    so one O(n) copy per stabilize replaces n full finger rebuilds.
+    successors, and predecessor out of the snapshot keyed by ``version``.
+    It holds a :meth:`Ring.frozen` view, so publishing one costs O(1) and
+    the ring pays the O(n) copy only if membership changes afterwards.
     """
 
     __slots__ = ("version", "_ring")
 
     def __init__(self, version: int, ring: Ring):
         self.version = version
-        self._ring = Ring(ids=ring)
+        self._ring = ring.frozen()
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -163,13 +195,16 @@ class RingCell:
 
     Nodes keep a reference to the cell (not to any particular snapshot),
     so publishing a new snapshot is a single attribute store and nodes
-    lazily notice the version change on their next routing read.
+    lazily notice the version change on their next routing read. The
+    cell also carries the network's successor-list length, a constant
+    every node reads when it derives its tables.
     """
 
-    __slots__ = ("snapshot",)
+    __slots__ = ("snapshot", "successor_count")
 
-    def __init__(self) -> None:
+    def __init__(self, successor_count: int = DEFAULT_SUCCESSOR_COUNT) -> None:
         self.snapshot: RingSnapshot | None = None
+        self.successor_count = successor_count
 
 
 def ring_state_bytes(network) -> int:
@@ -177,25 +212,32 @@ def ring_state_bytes(network) -> int:
 
     Counts what scales with membership: the nodes dict, each
     :class:`~repro.dht.node.DhtNode` (plus its id int, any materialized
-    routing lists and, once the node has routed, the table compiled from
-    them), the sorted ring backing, and the published snapshot backing.
-    Stored data is excluded — this is the *ring state* figure the
-    capacity plan divides by peer count.
+    routing tables and, once the node has routed, the table compiled from
+    them), the sorted ring backing, and the published snapshot — whose
+    backing is counted only when it is not the ring's own list (see
+    :meth:`Ring.frozen`). Stored data is excluded — this is the *ring
+    state* figure the capacity plan divides by peer count.
     """
     getsizeof = sys.getsizeof
     total = getsizeof(network.nodes)
     ring = network._ring
     total += getsizeof(ring) + ring.backing_bytes()
-    cell = getattr(network, "_ring_cell", None)
-    if cell is not None and cell.snapshot is not None:
-        total += getsizeof(cell.snapshot) + cell.snapshot.backing_bytes()
+    snapshot = network._ring_cell.snapshot
+    if snapshot is not None:
+        total += getsizeof(snapshot) + getsizeof(snapshot._ring)
+        if snapshot._ring._ids is not ring._ids:
+            total += snapshot.backing_bytes()
     for node_id, node in network.nodes.items():
         total += getsizeof(node) + getsizeof(node_id)
-        for table in (node._fingers, node._successors):
-            if table is not None:
-                # Entry ids are counted once via the nodes dict; only the
-                # list cells themselves are new weight.
-                total += getsizeof(table)
+        tables = node._tables
+        if tables is not None:
+            # Entry ids are counted once via the nodes dict; only the
+            # tuple and list cells themselves are new weight.
+            fingers, successors, _ = tables
+            total += getsizeof(tables)
+            for table in (fingers, successors):
+                if table is not None:
+                    total += getsizeof(table)
         compiled = node._compiled
         if compiled is not None:
             _, offsets, hops, _ = compiled

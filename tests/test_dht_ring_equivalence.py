@@ -10,7 +10,10 @@ joins, graceful and abrupt departures, stabilizes and lookups — and
 whenever the ring is freshly stabilized every node's snapshot-derived
 tables must equal that definition. Bulk population (the million-peer
 fast path) must agree with a network grown node by node from the same
-ids.
+ids. The published snapshot shares the ring's list until the next join
+or leave copies it, and must stay frozen at its stabilize: between two
+stabilizes every member's tables equal the definition over the *last
+stabilized* membership.
 
 A construction-only extrapolation test pins the memory claim: deep
 bytes-per-peer measured at 50k peers is per-peer-constant by
@@ -21,12 +24,14 @@ measured figure extrapolates to the million-peer ceiling recorded in
 
 from __future__ import annotations
 
+import sys
+
 from hypothesis import given, settings, strategies as st
 
 from oracle import reference_fingers
 from repro.common.ids import KEY_SPACE
 from repro.dht.network import DhtNetwork
-from repro.dht.ring import Ring, bytes_per_peer
+from repro.dht.ring import Ring, bytes_per_peer, ring_state_bytes
 
 keys = st.integers(min_value=0, max_value=KEY_SPACE - 1)
 
@@ -153,23 +158,126 @@ class TestNetworkChurnEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Memory ceiling: bytes/peer measured at 50k, extrapolated to 1M
+# Copy-on-write snapshots: frozen at their stabilize
+# ----------------------------------------------------------------------
+
+#: one step between stabilizes: join a new peer, remove a live one
+#: (gracefully or abruptly), hand-assign a live peer's fingers, or
+#: stabilize. Indices are resolved modulo the current population.
+cow_ops = st.one_of(
+    st.tuples(st.just("join"), keys),
+    st.tuples(st.just("leave"), st.integers(min_value=0, max_value=10 ** 6)),
+    st.tuples(st.just("crash"), st.integers(min_value=0, max_value=10 ** 6)),
+    st.tuples(st.just("assign"), st.integers(min_value=0, max_value=10 ** 6)),
+    st.tuples(st.just("stabilize"), st.just(0)),
+)
+
+
+class TestCopyOnWriteSnapshot:
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 16),
+        start=st.integers(min_value=1, max_value=12),
+        ops=st.lists(cow_ops, min_size=1, max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_snapshot_stays_at_the_last_stabilized_membership(self, seed, start, ops):
+        network = DhtNetwork(rng=seed)
+        network.populate(start)
+        stabilized = sorted(network.nodes)
+        #: ids that joined since the last stabilize (never in its tables)
+        joined: set[int] = set()
+        #: hand-assigned fingers, which last until the next stabilize
+        assigned: dict[int, list[int]] = {}
+        for op, value in ops:
+            live = sorted(network.nodes)
+            if op == "join":
+                if value in network.nodes:
+                    continue
+                network.create_node(value)
+                joined.add(value)
+            elif op in ("leave", "crash"):
+                if len(live) <= 1:
+                    continue
+                node_id = live[value % len(live)]
+                network.remove_node(node_id, graceful=op == "leave")
+                assigned.pop(node_id, None)
+            elif op == "assign":
+                node_id = live[value % len(live)]
+                table = [live[(value + 1) % len(live)]]
+                network.nodes[node_id].fingers = table
+                assigned[node_id] = table
+            else:
+                network.stabilize()
+                stabilized = sorted(network.nodes)
+                joined.clear()
+                assigned.clear()
+            snapshot = network._ring_cell.snapshot
+            assert list(snapshot._ring) == stabilized
+            assert list(network._ring) == sorted(network.nodes)
+            for node_id, node in network.nodes.items():
+                if node_id in joined:
+                    fingers, successors, predecessor = [], [], None
+                else:
+                    position = stabilized.index(node_id)
+                    clockwise = stabilized[position + 1 :] + stabilized[:position]
+                    fingers = reference_fingers(stabilized, node_id)
+                    successors = clockwise[: node.successor_count]
+                    predecessor = clockwise[-1] if clockwise else None
+                assert node.fingers == assigned.get(node_id, fingers)
+                assert node.successors == successors
+                assert node.predecessor == predecessor
+
+
+# ----------------------------------------------------------------------
+# Memory: one shared backing, and bytes/peer measured at 50k
 # ----------------------------------------------------------------------
 
 
+def _idle_ring_bytes(network: DhtNetwork, backings: list[list[int]]) -> int:
+    """``ring_state_bytes`` written out for a network of idle nodes whose
+    ring and snapshot hold ``backings`` between them."""
+    getsizeof = sys.getsizeof
+    snapshot = network._ring_cell.snapshot
+    total = getsizeof(network.nodes) + getsizeof(network._ring)
+    total += getsizeof(snapshot) + getsizeof(snapshot._ring)
+    total += sum(map(getsizeof, backings))
+    for node_id, node in network.nodes.items():
+        assert node._tables is None and node._compiled is None
+        total += getsizeof(node) + getsizeof(node_id)
+    return total
+
+
+def test_ring_and_snapshot_count_one_backing_until_membership_moves():
+    network = DhtNetwork(rng=17)
+    network.populate(500)
+    ring = network._ring
+    snapshot = network._ring_cell.snapshot
+    assert ring_state_bytes(network) == _idle_ring_bytes(network, [ring._ids])
+    network.create_node()
+    assert snapshot._ring._ids is not ring._ids
+    assert ring_state_bytes(network) == _idle_ring_bytes(
+        network, [ring._ids, snapshot._ring._ids]
+    )
+    network.stabilize()
+    assert ring_state_bytes(network) == _idle_ring_bytes(network, [ring._ids])
+
+
 def test_million_peer_bytes_per_peer_ceiling_by_extrapolation():
-    """Deep-measured routing bytes per peer at 50k peers must clear the
-    1 KB/peer million-peer ceiling with margin.
+    """Deep-measured routing bytes per peer at 50k peers must stay at or
+    under 200 B, and an idle node at or under 80 B.
 
     Per-peer cost is constant by construction — one list cell pointing at
-    the id the nodes dict already holds, a slotted node, unmaterialized
-    tables — so a 50k sample extrapolates linearly; the recorded
-    ``BENCH_shard.json`` pins the actual 1M measurement (~210 B/peer) and
-    this test keeps the regression signal cheap enough for every CI run.
+    the id the nodes dict already holds (shared with the published
+    snapshot), a six-slot node, unmaterialized tables — so a 50k sample
+    (~188 B/peer) extrapolates linearly; the recorded ``BENCH_shard.json``
+    pins a 1M measurement and this test keeps the regression signal
+    cheap enough for every CI run.
     """
     network = DhtNetwork(rng=13)
     network.populate(50_000)
     per_peer = bytes_per_peer(network)
-    assert per_peer <= 1024.0, f"{per_peer:.0f} B/peer at 50k, ceiling 1024"
+    assert per_peer <= 200.0, f"{per_peer:.1f} B/peer at 50k, ceiling 200"
+    idle = next(iter(network.nodes.values()))
+    assert sys.getsizeof(idle) <= 80, f"an idle node costs {sys.getsizeof(idle)} B"
     projected_1m_gib = per_peer * 1_000_000 / (1 << 30)
     assert projected_1m_gib < 1.0, "a million peers must fit in under 1 GiB of ring state"
