@@ -136,10 +136,10 @@ def test_bench_shard_artifact_process_speedup_when_multicore():
         )
 
 
-#: peak-RSS ceiling for the 300k-peer smoke: the sorted-list ring with
-#: six-slot nodes and a shared snapshot measures ~171 B/peer (~51 MB of
-#: ring state at 300k; the smoke peaks at ~80 MB with its chains) plus
-#: interpreter baseline; 1 GiB is an order-of-magnitude backstop that
+#: peak-RSS ceiling for the 300k-peer smoke: an idle peer is its id in the
+#: sorted ring plus a join-order cell, ~65 B/peer (~19 MB of ring state at
+#: 300k with no node built; the smoke peaks at ~44 MB with its chains)
+#: plus interpreter baseline; 1 GiB is an order-of-magnitude backstop that
 #: still fails fast if eager routing or unslotted nodes sneak back in
 #: (which cost several GiB at this scale).
 RSS_CEILING_BYTES = 1 << 30

@@ -96,7 +96,7 @@ class ChurnProcess:
         """
         if count <= 0:
             return []
-        ring = sorted(self.network.nodes)
+        ring = self.network.member_ids()
         count = min(count, len(ring) - 1)
         if count <= 0:
             return []

@@ -5,9 +5,17 @@ n + 2^i for each i) and a short successor list for fault tolerance.
 Routing decisions use exclusively this local state, so measured hop counts
 are honest Chord hop counts, not artifacts of global knowledge.
 
-The node is slotted and lazy so a million of them fit in RAM. It has six
-slots — ``node_id``, ``_ring_cell``, ``_routed_version``, ``_compiled``,
-``_tables`` and ``_store`` — and an idle one fills only the first two:
+A network builds a node only for a peer something uses: one that routes,
+stores, receives a handoff, or that a caller asks for (see
+:class:`repro.dht.network.DhtNetwork`); an idle peer is only its id in the
+ring. A node the network builds at join is pinned to the snapshot version
+already published (see ``_routed_version``); one it builds later for an
+older member starts unpinned, because it joined before the snapshot that
+lists it and must derive its tables from that snapshot.
+
+The node is slotted and lazy. It has six slots — ``node_id``,
+``_ring_cell``, ``_routed_version``, ``_compiled``, ``_tables`` and
+``_store`` — and an idle one fills only the first two:
 fingers, successors, and predecessor are derived on first use from the
 network's published :class:`~repro.dht.ring.RingSnapshot` (keyed by the
 snapshot version) and held together as one ``_tables`` tuple, and the

@@ -3,9 +3,13 @@
 Two pieces that make million-peer rings affordable:
 
 * :class:`Ring` — the network's sorted membership: a plain sorted list of
-  the full-width 160-bit node ids. The list cells point at the same int
-  objects the network's ``nodes`` dict holds, so membership costs one
-  8-byte pointer per peer.
+  the full-width 160-bit node ids. It is the source of truth for who is a
+  member: an idle peer is its id here plus one cell of the network's
+  join-order list, and no :class:`~repro.dht.node.DhtNode` exists for it
+  until something routes through it, stores on it, hands data to it or
+  asks for it (see :class:`repro.dht.network.DhtNetwork`). The two lists
+  point at the same int objects, so membership costs the id plus two
+  8-byte pointers per peer.
 
 * :class:`RingSnapshot` — the ring's membership as ``DhtNetwork.stabilize``
   published it. Per-node routing (see :class:`repro.dht.node.DhtNode`)
@@ -96,13 +100,14 @@ class Ring:
         if index < len(self._ids) and self._ids[index] == node_id:
             del self._owned()[index]
 
-    def bulk_load(self, ids: Iterable[int]) -> None:
-        """Replace the membership with ``ids``, sorting once.
+    def bulk_load(self, sorted_ids: list[int]) -> None:
+        """Adopt ``sorted_ids`` (sorted and distinct) as the membership.
 
-        The fast path behind ``DhtNetwork.populate``: one sort instead of
-        n insorts (which is O(n^2) in list moves at a million peers).
+        The fast path behind ``DhtNetwork.populate``, which sorts once
+        instead of n insorts (O(n^2) in list moves at a million peers) and
+        hands the sorted list over without a copy.
         """
-        self._ids = sorted(ids)
+        self._ids = sorted_ids
         self._shared = False
 
     # -- bisect primitives ----------------------------------------------
@@ -210,29 +215,32 @@ class RingCell:
 def ring_state_bytes(network) -> int:
     """Deep heap-byte accounting for a network's ring + routing state.
 
-    Counts what scales with membership: the nodes dict, each
-    :class:`~repro.dht.node.DhtNode` (plus its id int, any materialized
+    Counts what scales with membership: the sorted ring backing, the
+    join-order list, every member's id int once, the dict of built nodes
+    and each :class:`~repro.dht.node.DhtNode` in it (plus any materialized
     routing tables and, once the node has routed, the table compiled from
-    them), the sorted ring backing, and the published snapshot — whose
-    backing is counted only when it is not the ring's own list (see
-    :meth:`Ring.frozen`). Stored data is excluded — this is the *ring
-    state* figure the capacity plan divides by peer count.
+    them), and the published snapshot — whose backing is counted only when
+    it is not the ring's own list (see :meth:`Ring.frozen`). Stored data
+    is excluded — this is the *ring state* figure the capacity plan
+    divides by peer count. It reads only what exists: it builds no node.
     """
     getsizeof = sys.getsizeof
-    total = getsizeof(network.nodes)
     ring = network._ring
-    total += getsizeof(ring) + ring.backing_bytes()
+    total = getsizeof(ring) + ring.backing_bytes()
+    total += getsizeof(network._order) + sum(map(getsizeof, ring._ids))
     snapshot = network._ring_cell.snapshot
     if snapshot is not None:
         total += getsizeof(snapshot) + getsizeof(snapshot._ring)
         if snapshot._ring._ids is not ring._ids:
             total += snapshot.backing_bytes()
-    for node_id, node in network.nodes.items():
-        total += getsizeof(node) + getsizeof(node_id)
+    built = network._built
+    total += getsizeof(built)
+    for node in built.values():
+        total += getsizeof(node)
         tables = node._tables
         if tables is not None:
-            # Entry ids are counted once via the nodes dict; only the
-            # tuple and list cells themselves are new weight.
+            # Entry ids are counted once via the ring; only the tuple and
+            # list cells themselves are new weight.
             fingers, successors, _ = tables
             total += getsizeof(tables)
             for table in (fingers, successors):
@@ -249,5 +257,5 @@ def ring_state_bytes(network) -> int:
 
 def bytes_per_peer(network) -> float:
     """``ring_state_bytes`` divided by membership size."""
-    size = len(network.nodes)
+    size = len(network._ring)
     return ring_state_bytes(network) / size if size else 0.0

@@ -93,7 +93,7 @@ class PartitionInjector:
         """Sever the arc; returns the severed node ids (ring order)."""
         if self.partitioned:
             raise RuntimeError("already partitioned")
-        ring = sorted(self.network.nodes)
+        ring = self.network.member_ids()
         count = max(1, min(int(len(ring) * self.fraction), len(ring) - 1))
         start = self.rng.randrange(len(ring))
         arc = [ring[(start + offset) % len(ring)] for offset in range(count)]

@@ -1,0 +1,259 @@
+"""State machine: ``DhtNetwork`` membership against a plain join-order list.
+
+A member is its id in the ring; its node is built only when something
+uses it. Hypothesis drives bulk populates, joins (fresh ids and rejoins of
+departed ones), graceful leaves, crashes, regional leaves, stabilizes,
+puts, reads, lookups and local-store probes, and after every step holds
+the network to an oracle that knows nothing of nodes: a join-order list of
+member ids, and the set of ``(key, value)`` pairs put and not lost.
+
+* ``list(dht.nodes)`` is the join order, and ``len``/``in`` agree with it;
+  only members are ever built.
+* Every pair the oracle holds is stored on some member, and nothing else
+  is; a read of a key outside every suspect range returns exactly its
+  pairs.
+* A lookup's owner is ``reference_owner`` over the members, and its path
+  is ``reference_iter_lookup``'s, both before stabilizing (the
+  hop-by-hop walk over stale tables) and after (the cached route).
+* A graceful leave lands each of its values on its successor exactly once
+  and charges one handoff message per value; a crash loses exactly the
+  pairs no other member holds, each inside the crashed node's suspect
+  range or one already suspect.
+* Probing a local store builds no node.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from oracle import reference_iter_lookup, reference_owner
+from repro.common.errors import DhtError, KeyNotFoundError
+from repro.common.ids import KEY_SPACE, hash_key, in_interval
+from repro.dht.churn import ChurnProcess
+from repro.dht.network import DhtNetwork
+
+#: a small key pool, so puts, reads and handoffs keep meeting each other
+KEYS = [hash_key(f"key-{index}") for index in range(12)]
+keys = st.sampled_from(KEYS) | st.integers(min_value=0, max_value=KEY_SPACE - 1)
+values = st.integers(min_value=0, max_value=5)
+picks = st.integers(min_value=0, max_value=1 << 16)
+
+
+def _run(walk):
+    """Drive a lookup generator to its return value, or its error text."""
+    try:
+        while True:
+            next(walk)
+    except StopIteration as stop:
+        return stop.value
+    except DhtError as error:
+        return str(error)
+
+
+class MembershipMachine(RuleBasedStateMachine):
+    @initialize(
+        seed=st.integers(min_value=0, max_value=1 << 16), replication=st.sampled_from([1, 2])
+    )
+    def build(self, seed, replication):
+        self.dht = DhtNetwork(rng=seed, replication=replication, successor_count=3)
+        self.churn = ChurnProcess(self.dht, rng=seed + 1)
+        self.order: list[int] = []
+        self.departed: list[int] = []
+        self.pairs: set[tuple[int, int]] = set()
+
+    # -- helpers ---------------------------------------------------------
+
+    def _member(self, pick: int) -> int:
+        return self.order[pick % len(self.order)]
+
+    def _holders(self) -> dict[tuple[int, int], set[int]]:
+        holders: dict[tuple[int, int], set[int]] = {}
+        for node_id, key, stored in self.dht.stored_items():
+            for value in stored:
+                holders.setdefault((key, value), set()).add(node_id)
+        return holders
+
+    def _depart(self, victims: list[tuple[int, bool]], remove) -> None:
+        """Apply ``remove`` (which removes ``victims``) and move the oracle:
+        a pair every holder of which crashed is lost, inside a suspect
+        range; nothing else changes."""
+        holders = self._holders()
+        members = sorted(self.order)
+        crashed = {node_id for node_id, graceful in victims if not graceful}
+        was_suspect = {key: self.dht.is_suspect(key) for key, _ in holders}
+        remove()
+        for node_id, _ in victims:
+            self.order.remove(node_id)
+            self.departed.append(node_id)
+        lost = {pair for pair, held_by in holders.items() if held_by <= crashed}
+        self.pairs -= lost
+        for key, _ in lost:
+            assert self.dht.is_suspect(key)
+            assert was_suspect[key] or any(
+                in_interval(key, members[members.index(node_id) - 1], node_id, inclusive_end=True)
+                for node_id in crashed
+            )
+
+    # -- membership ------------------------------------------------------
+
+    @precondition(lambda self: not self.order)
+    @rule(count=st.integers(min_value=1, max_value=24))
+    def populate(self, count):
+        twin = random.Random()
+        twin.setstate(self.dht.rng.getstate())
+        drawn = [twin.getrandbits(160) for _ in range(count)]
+        version = self.dht.membership_version
+        joined = self.dht.populate(count)
+        assert len(joined) == count and not self.dht._built
+        assert self.dht.membership_version == version + count
+        self.order.extend(drawn)
+        assert joined[-1].node_id == drawn[-1]  # builds that one node
+
+    @rule(rejoin=st.booleans(), pick=picks)
+    def create_node(self, rejoin, pick):
+        node_id = None
+        if rejoin and self.departed:
+            node_id = self.departed.pop(pick % len(self.departed))
+        node = self.dht.create_node(node_id)
+        assert node_id is None or node.node_id == node_id
+        assert self.dht._built[node.node_id] is node
+        self.order.append(node.node_id)
+
+    @precondition(lambda self: len(self.order) > 1)
+    @rule(pick=picks)
+    def leave_gracefully(self, pick):
+        dht, victim = self.dht, self._member(pick)
+        handed = list(dht.stored_items(victim))
+        before = dht.meter.by_category.get("dht.handoff")
+        self._depart([(victim, True)], lambda: dht.remove_node(victim, graceful=True))
+        successor = reference_owner(sorted(self.order), victim)
+        for _, key, stored in handed:
+            landed = dht.get_local(successor, key)
+            assert all(landed.count(value) == 1 for value in stored)
+        moved = sum(len(stored) for _, _, stored in handed)
+        after = dht.meter.by_category.get("dht.handoff")
+        assert (after.messages if after else 0) - (before.messages if before else 0) == moved
+
+    @precondition(lambda self: len(self.order) > 1)
+    @rule(pick=picks)
+    def crash(self, pick):
+        dht, victim = self.dht, self._member(pick)
+        self._depart([(victim, False)], lambda: dht.remove_node(victim, graceful=False))
+
+    @precondition(lambda self: len(self.order) > 2)
+    @rule(count=st.integers(min_value=1, max_value=4), start=keys, stabilize=st.booleans())
+    def regional_leave(self, count, start, stabilize):
+        # The arc by definition: ``count`` members clockwise from the owner
+        # of ``start``, each graceful on the churn RNG's next draw.
+        twin = random.Random()
+        twin.setstate(self.churn.rng.getstate())
+        ring = sorted(self.order)
+        index = ring.index(reference_owner(ring, start))
+        arc = [ring[(index + offset) % len(ring)] for offset in range(min(count, len(ring) - 1))]
+        victims = [(node_id, twin.random() >= 0.5) for node_id in arc]
+        result = []
+
+        def remove():
+            result.extend(
+                self.churn.regional_leave(
+                    count, start_key=start, failure_fraction=0.5, stabilize=stabilize
+                )
+            )
+
+        self._depart(victims, remove)
+        assert result == victims
+
+    @rule()
+    def stabilize(self):
+        self.dht.stabilize()
+
+    # -- data path -------------------------------------------------------
+
+    @precondition(lambda self: self.order)
+    @rule(
+        entries=st.lists(st.tuples(keys, values), min_size=1, max_size=4),
+        pick=picks,
+        routed=st.booleans(),
+    )
+    def put(self, entries, pick, routed):
+        origin = self._member(pick) if routed else None
+        if len(entries) == 1:
+            key, value = entries[0]
+            self.dht.put_raw(key, value, origin=origin, identity=value)
+        else:
+            batch = [(key % KEY_SPACE, value, value, 0, "dht.put") for key, value in entries]
+            self.dht.put_many(batch, origin=origin)
+        self.pairs.update((key % KEY_SPACE, value) for key, value in entries)
+
+    @precondition(lambda self: self.order)
+    @rule(key=keys, pick=picks)
+    def get_raw(self, key, pick):
+        key %= KEY_SPACE
+        expected = {value for pair_key, value in self.pairs if pair_key == key}
+        try:
+            got = self.dht.get_raw(key, origin=self._member(pick))
+        except KeyNotFoundError:
+            got = []
+        assert len(got) == len(set(got)) and set(got) <= expected
+        if not self.dht.is_suspect(key):
+            assert set(got) == expected
+
+    @precondition(lambda self: self.order)
+    @rule(key=keys, pick=picks)
+    def lookup(self, key, pick):
+        dht, origin = self.dht, self._member(pick)
+        # Over whatever tables exist now: the hop-by-hop walk.
+        walked = _run(dht.iter_lookup(key, origin))
+        reference = _run(reference_iter_lookup(dht, key, origin))
+        if isinstance(walked, str):
+            assert walked == reference
+        else:
+            assert (walked.owner, walked.path, walked.retries) == reference
+        # After stabilizing (lookup does it): the cached route.
+        result = dht.lookup(key, origin)
+        owner, path, _ = _run(reference_iter_lookup(dht, key, origin))
+        assert result.owner == owner == reference_owner(sorted(self.order), key)
+        assert result.path == path
+
+    @precondition(lambda self: self.order)
+    @rule(key=keys, pick=picks)
+    def local_contains(self, key, pick):
+        node_id = self._member(pick)
+        built = set(self.dht._built)
+        key %= KEY_SPACE
+        held = any(stored == key for _, stored, _ in self.dht.stored_items(node_id))
+        assert self.dht.local_contains(node_id, key) == held
+        assert self.dht.get_local(node_id, key) == [] or held
+        assert set(self.dht._built) == built
+
+    # -- invariants ------------------------------------------------------
+
+    @invariant()
+    def membership_matches_join_order(self):
+        dht, order = self.dht, self.order
+        assert list(dht.nodes) == order
+        assert len(dht.nodes) == len(order) == dht.size
+        assert all(node_id in dht.nodes for node_id in order)
+        assert not any(node_id in dht.nodes for node_id in self.departed)
+        assert dht.member_ids() == sorted(order)
+        assert set(dht._built) <= set(order)
+
+    @invariant()
+    def stored_pairs_match_oracle(self):
+        assert set(self._holders()) == self.pairs
+
+
+MembershipMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestMembershipMachine = MembershipMachine.TestCase

@@ -1,6 +1,7 @@
 """Unit and integration tests for the Chord-style DHT network."""
 
 import math
+import random
 
 import pytest
 
@@ -25,6 +26,24 @@ class TestMembership:
         node = network.create_node()
         with pytest.raises(DhtError):
             network.create_node(node.node_id)
+
+    def test_populate_rejects_a_duplicate_id_and_publishes_nothing(self):
+        class RepeatingRandom(random.Random):
+            """Draws ids 1, 2, 3, ... but repeats the third as the fifth."""
+
+            def __init__(self):
+                super().__init__(0)
+                self.draws = iter([1, 2, 3, 4, 3, 6])
+
+            def getrandbits(self, k):
+                return next(self.draws)
+
+        network = DhtNetwork(rng=RepeatingRandom())
+        with pytest.raises(DhtError, match="duplicate"):
+            network.populate(6)
+        assert len(network.nodes) == 0 and list(network.nodes) == []
+        assert network.membership_version == 0
+        assert network._ring_cell.snapshot is None
 
     def test_remove_unknown_node_rejected(self):
         network = DhtNetwork(rng=1)

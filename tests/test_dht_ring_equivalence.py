@@ -17,20 +17,26 @@ stabilized* membership.
 
 A construction-only extrapolation test pins the memory claim: deep
 bytes-per-peer measured at 50k peers is per-peer-constant by
-construction (one list cell per id, slotted nodes, lazy tables), so the
-measured figure extrapolates to the million-peer ceiling recorded in
-``BENCH_shard.json``.
+construction (an idle peer is its id and two list cells, and no node),
+so the measured figure extrapolates to the million-peer ceiling recorded
+in ``BENCH_shard.json``. Membership reads and the accounting build no
+node, and a fresh-interpreter 300k-peer populate pins peak RSS growth.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from oracle import reference_fingers
-from repro.common.ids import KEY_SPACE
+from repro.common.ids import KEY_SPACE, hash_key
 from repro.dht.network import DhtNetwork
+from repro.dht.node import DhtNode
 from repro.dht.ring import Ring, bytes_per_peer, ring_state_bytes
 
 keys = st.integers(min_value=0, max_value=KEY_SPACE - 1)
@@ -234,16 +240,18 @@ class TestCopyOnWriteSnapshot:
 
 
 def _idle_ring_bytes(network: DhtNetwork, backings: list[list[int]]) -> int:
-    """``ring_state_bytes`` written out for a network of idle nodes whose
-    ring and snapshot hold ``backings`` between them."""
+    """``ring_state_bytes`` written out for a network whose built nodes are
+    all idle and whose ring and snapshot hold ``backings`` between them."""
     getsizeof = sys.getsizeof
     snapshot = network._ring_cell.snapshot
-    total = getsizeof(network.nodes) + getsizeof(network._ring)
+    total = getsizeof(network._ring) + getsizeof(network._order)
     total += getsizeof(snapshot) + getsizeof(snapshot._ring)
     total += sum(map(getsizeof, backings))
-    for node_id, node in network.nodes.items():
+    total += sum(getsizeof(node_id) for node_id in network._ring)
+    total += getsizeof(network._built)
+    for node in network._built.values():
         assert node._tables is None and node._compiled is None
-        total += getsizeof(node) + getsizeof(node_id)
+        total += getsizeof(node)
     return total
 
 
@@ -262,22 +270,79 @@ def test_ring_and_snapshot_count_one_backing_until_membership_moves():
     assert ring_state_bytes(network) == _idle_ring_bytes(network, [ring._ids])
 
 
+def _live_dht_nodes() -> int:
+    """How many :class:`DhtNode` objects exist in this process."""
+    gc.collect()
+    return sum(type(obj) is DhtNode for obj in gc.get_objects())
+
+
+def test_membership_reads_and_accounting_build_no_node():
+    """An idle peer is its id: populating, measuring and asking who is a
+    member builds no node, and a lookup builds exactly its path."""
+    before = _live_dht_nodes()
+    network = DhtNetwork(rng=13)
+    network.populate(50_000)
+    assert bytes_per_peer(network) > 0
+    assert len(network.nodes) == 50_000
+    member = network.random_node_id()
+    assert member in network.nodes and member + 1 not in network.nodes
+    assert network.member_ids() == sorted(network.nodes)
+    assert not network._built and _live_dht_nodes() == before
+    result = network.lookup(hash_key("one lookup"), origin=member)
+    assert set(network._built) == set(result.path)
+    assert _live_dht_nodes() == before + len(set(result.path))
+
+
 def test_million_peer_bytes_per_peer_ceiling_by_extrapolation():
     """Deep-measured routing bytes per peer at 50k peers must stay at or
-    under 200 B, and an idle node at or under 80 B.
+    under 80 B, and a built node with no tables at or under 80 B.
 
-    Per-peer cost is constant by construction — one list cell pointing at
-    the id the nodes dict already holds (shared with the published
-    snapshot), a six-slot node, unmaterialized tables — so a 50k sample
-    (~188 B/peer) extrapolates linearly; the recorded ``BENCH_shard.json``
-    pins a 1M measurement and this test keeps the regression signal
-    cheap enough for every CI run.
+    An idle peer is its id: a 48 B int, one cell of the sorted ring and
+    one of the join-order list, and no node at all (~65 B/peer). That is
+    constant per peer, so a 50k sample extrapolates linearly; the
+    recorded ``BENCH_shard.json`` pins a 1M measurement and this test
+    keeps the regression signal cheap enough for every CI run.
     """
     network = DhtNetwork(rng=13)
     network.populate(50_000)
     per_peer = bytes_per_peer(network)
-    assert per_peer <= 200.0, f"{per_peer:.1f} B/peer at 50k, ceiling 200"
+    assert per_peer <= 80.0, f"{per_peer:.1f} B/peer at 50k, ceiling 80"
     idle = next(iter(network.nodes.values()))
     assert sys.getsizeof(idle) <= 80, f"an idle node costs {sys.getsizeof(idle)} B"
     projected_1m_gib = per_peer * 1_000_000 / (1 << 30)
     assert projected_1m_gib < 1.0, "a million peers must fit in under 1 GiB of ring state"
+
+
+#: grows ``ru_maxrss`` (KiB on Linux) by what a 300k-peer populate costs
+_POPULATE_RSS_SCRIPT = """
+import resource
+from repro.dht.network import DhtNetwork
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+before = maxrss()
+network = DhtNetwork(rng=3)
+network.populate(300_000)
+print(maxrss() - before, len(network.nodes))
+"""
+
+
+def test_populate_300k_grows_peak_rss_by_at_most_32_mib():
+    """Memory pin: a 300k-peer populate, in a fresh interpreter so the
+    high-water mark is its own, may grow peak RSS by at most 32 MiB (an
+    idle peer is ~65 B of ring state plus the build's transient sort)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", _POPULATE_RSS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    grown_kib, members = map(int, result.stdout.split())
+    assert members == 300_000
+    assert grown_kib <= 32 * 1024, f"populate(300_000) grew peak RSS by {grown_kib} KiB"
