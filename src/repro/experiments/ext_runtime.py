@@ -63,33 +63,27 @@ def kernel_workload(num_events: int = 200_000, seed: int = 7) -> tuple[int, floa
     """Run the kernel microbench; returns (events scheduled, wall seconds).
 
     The workload mirrors the deployment simulation's usage profile: 1/4
-    of events are scheduled through cancellable groups, 1/16 are
-    individually cancelled, eight groups are mass-cancelled, and
-    ``pending`` is polled every 1024 schedules (the in-flight gauge the
-    scale benchmarks read). Delays are precomputed so the timed region is
-    engine work, not RNG work.
+    of events are scheduled through cancellable groups, eight of the 32
+    groups are mass-cancelled (the engine cancels by group only, as a
+    query's early termination does), and ``pending`` is polled every 1024
+    schedules (the in-flight gauge the scale benchmarks read). Delays are
+    precomputed so the timed region is engine work, not RNG work.
     """
     rng = random.Random(seed)
     delays = [rng.random() * 10.0 for _ in range(num_events)]
     sim = Simulator()
     groups = [sim.group() for _ in range(32)]
-    cancellable = []
     start = time.perf_counter()
     for index in range(num_events):
         delay = delays[index]
         if index & 3 == 0:
             # Quotient-indexed so all 32 groups fill (index & 31 would
             # leave every group with non-zero low bits empty).
-            event = groups[(index >> 2) & 31].schedule(delay, _noop)
+            groups[(index >> 2) & 31].schedule(delay, _noop)
         else:
-            event = sim.schedule(delay, _noop)
-        if index & 7 == 0 and event is not None:
-            cancellable.append(event)
+            sim.schedule(delay, _noop)
         if index & 1023 == 0:
             assert sim.pending >= 0
-    for index, event in enumerate(cancellable):
-        if index & 1 == 0:
-            event.cancel()
     for group in groups[:8]:
         group.cancel()
     sim.run(until=5.0)

@@ -5,7 +5,6 @@ Usage::
     repro-experiments                  # run everything at paper scale
     repro-experiments --scale small    # quick pass
     repro-experiments --only fig05 fig07
-    repro-experiments --only fig07 --profile   # hot-callback report after runs
 """
 
 from __future__ import annotations
@@ -84,33 +83,15 @@ def main(argv: list[str] | None = None) -> int:
         "--only", nargs="*", choices=sorted(EXPERIMENTS), default=None,
         help="run only the named experiments",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="sample event-loop callbacks (1 in 97) and print the hot-span "
-        "report after all experiments finish",
-    )
     args = parser.parse_args(argv)
     scale = common.PAPER_SCALE if args.scale == "paper" else common.SMALL_SCALE
     names = args.only or sorted(EXPERIMENTS)
-    profiler = None
-    if args.profile:
-        from repro.obs.profile import Profiler, install
-
-        profiler = Profiler(sample_every=97)
-        install(profiler)
-    try:
-        for name in names:
-            start = time.perf_counter()
-            result = EXPERIMENTS[name](scale)
-            elapsed = time.perf_counter() - start
-            print(result.format_table())
-            print(f"[{name} completed in {elapsed:.1f}s]\n")
-    finally:
-        if profiler is not None:
-            from repro.obs.profile import install
-
-            install(None)
-            print(profiler.format_report())
+    for name in names:
+        start = time.perf_counter()
+        result = EXPERIMENTS[name](scale)
+        elapsed = time.perf_counter() - start
+        print(result.format_table())
+        print(f"[{name} completed in {elapsed:.1f}s]\n")
     return 0
 
 

@@ -2,12 +2,14 @@
 
 The PlanetLab deployment in the paper is replaced by a deterministic
 discrete-event simulator: :class:`~repro.sim.engine.Simulator` provides a
-virtual clock and event queue, :mod:`repro.sim.latency` draws per-hop
+virtual clock and event queue, whose events are cancelled only in bulk,
+through an :class:`~repro.sim.engine.EventGroup` (one query's in-flight
+dataflow), :mod:`repro.sim.latency` draws per-hop
 wide-area delays, and :mod:`repro.sim.stats` holds the counter, gauge and
 histogram primitives the metrics registry (:mod:`repro.obs.metrics`) groups.
 """
 
-from repro.sim.engine import Event, EventGroup, Simulator
+from repro.sim.engine import EventGroup, Simulator
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.shard import (
     ShardContext,
@@ -19,7 +21,6 @@ from repro.sim.shard import (
 from repro.sim.stats import Counter, Gauge, Histogram
 
 __all__ = [
-    "Event",
     "EventGroup",
     "Simulator",
     "ShardContext",

@@ -62,7 +62,7 @@ from typing import Any, Callable
 from repro.common.errors import ShardWorkerError
 from repro.common.ids import KEY_SPACE
 from repro.common.rng import make_rng, spawn_rng
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 __all__ = [
     "ShardContext",
@@ -167,8 +167,8 @@ class ShardContext:
     def now(self) -> float:
         return self.sim.now
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        return self.sim.schedule(delay, callback)
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        self.sim.schedule(delay, callback)
 
     def send(self, dst_shard: int, delay: float, payload: Any) -> None:
         """Send ``payload`` to ``dst_shard``; local sends loop back."""
@@ -305,7 +305,7 @@ def _run_round_robin(
     # Per-destination inboxes of (arrival, src, seq, payload), kept
     # sorted; indexes[d] marks the consumed prefix. Inbox entries fire
     # through Simulator.run_with_inbox — the bulk path that skips
-    # per-message Event/heap/closure costs — so seq (globally unique,
+    # per-message heap-entry/closure costs — so seq (globally unique,
     # assigned in pinned drain order) both pins the (arrival, src_shard,
     # seq) merge order and keeps payloads out of tuple comparisons.
     inboxes: list[list[tuple[float, int, int, Any]]] = [[] for _ in range(num_shards)]

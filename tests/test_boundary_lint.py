@@ -157,13 +157,25 @@ def test_lint_actually_detects_violations():
 
 
 def test_deleted_path_selectors_stay_deleted():
-    """One path per job: no constructor or config field selects a twin."""
+    """One path per job: no constructor or config field selects a twin,
+    the kernel cancels by group only (no per-event handle), and where
+    wall time goes is cProfile's job, not a hook in the event loop."""
     import dataclasses
+    import importlib
     import inspect
+
+    import pytest
 
     from repro.dht.network import DhtNetwork
     from repro.pier.dataflow import DataflowConfig, DataflowExecutor
     from repro.pier.operators import StoredHashJoin
+    from repro.sim import engine
+
+    for name in ("Event", "install_profiler", "Process", "run_callbacks"):
+        assert not hasattr(engine, name), name
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.obs.profile")
+    assert engine.Simulator().schedule(0, lambda: None) is None
 
     exposed = (
         set(inspect.signature(DhtNetwork.__init__).parameters)

@@ -2,8 +2,8 @@
 
 Three invariants the perf work must never bend:
 
-* **Group-cancel semantics** — whatever interleaving of scheduling,
-  individual cancels, partial draining, and group cancellation happens,
+* **Group-cancel semantics** — whatever interleaving of loose and
+  grouped scheduling, partial draining, and group cancellation happens,
   a cancelled group never fires another callback, ``pending`` counters
   stay exact, and cancelling is idempotent.
 * **Route-cache transparency** — with churn interleaved at arbitrary
@@ -34,12 +34,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "runtime_stats_digest.json
 # EventGroup cancellation semantics
 # ----------------------------------------------------------------------
 
-#: one program step: (action, delay-ish operand)
+#: one program step: (action, operand) — the operand is a delay for the
+#: schedules, an event budget for ``drain_some``, and picks one of three
+#: groups for ``schedule_grouped``/``cancel_group``
 group_ops = st.lists(
     st.tuples(
-        st.sampled_from(
-            ["schedule", "schedule_grouped", "cancel_last", "drain_some", "cancel_group"]
-        ),
+        st.sampled_from(["schedule", "schedule_grouped", "drain_some", "cancel_group"]),
         st.integers(min_value=0, max_value=12),
     ),
     min_size=1,
@@ -52,66 +52,63 @@ class TestGroupCancelProperties:
     @settings(max_examples=60)
     def test_cancelled_groups_never_fire_and_counters_stay_exact(self, ops):
         sim = Simulator()
-        group = sim.group()
-        fired: list[str] = []
-        live_loose: list = []
-        live_grouped: list = []
+        groups = [sim.group() for _ in range(3)]
+        fired: list[int | None] = []
+        fired_at_cancel: dict[int, int] = {}
 
         for action, operand in ops:
+            which = operand % 3
+            group = groups[which]
             if action == "schedule":
-                live_loose.append(
-                    sim.schedule(float(operand), lambda: fired.append("loose"))
-                )
+                sim.schedule(float(operand), lambda: fired.append(None))
             elif action == "schedule_grouped":
-                event = group.schedule(
-                    float(operand), lambda: fired.append("grouped")
-                )
-                if group.cancelled:
-                    assert event is None
-                else:
-                    live_grouped.append(event)
-            elif action == "cancel_last":
-                for pool in (live_grouped, live_loose):
-                    if pool:
-                        pool[-1].cancel()
-                        pool[-1].cancel()  # idempotent: second is a no-op
-                        break
+                before = group.pending
+                group.schedule(float(operand), lambda which=which: fired.append(which))
+                assert group.pending == before + (not group.cancelled)
             elif action == "drain_some":
                 sim.run(max_events=operand)
             elif action == "cancel_group":
-                group.cancel()
+                live = group.pending
+                assert group.cancel() == live
+                assert group.cancel() == 0  # idempotent: second is a no-op
                 assert group.pending == 0
+                fired_at_cancel.setdefault(which, fired.count(which))
 
             # The maintained counter always matches a ground-truth count
-            # of pending entries in the heap.
+            # of heap entries that will still fire: ungrouped ones, and
+            # grouped ones whose group still holds their seq.
             ground_truth = sum(
-                1 for entry in sim._queue if entry[2]._state == 0
+                1
+                for _, seq, _, owner in sim._queue
+                if owner is None or seq in owner._callbacks
             )
             assert sim.pending == ground_truth
+            assert sim.pending >= sum(group.pending for group in groups)
 
-        grouped_fired_before_cancel = fired.count("grouped")
-        cancelled = group.cancelled
         sim.run()
-        if cancelled:
-            # Nothing of the group fires after its cancellation.
-            assert fired.count("grouped") == grouped_fired_before_cancel
+        for which, count in fired_at_cancel.items():
+            # Nothing of a group fires after its cancellation.
+            assert fired.count(which) == count
         assert sim.pending == 0
-        assert group.pending == 0
+        assert all(group.pending == 0 for group in groups)
 
-    @given(delays=st.lists(st.floats(min_value=0.0, max_value=9.0), min_size=1, max_size=30))
+    @given(
+        delays=st.lists(st.floats(min_value=0.0, max_value=9.0), min_size=1, max_size=30)
+    )
     @settings(max_examples=40)
     def test_group_cancel_reports_exactly_the_live_remainder(self, delays):
         sim = Simulator()
-        group = sim.group()
+        group, other = sim.group(), sim.group()
         for delay in delays:
             group.schedule(delay, lambda: None)
-        fired = sim.run(max_events=len(delays) // 2)
-        direct = 0
-        for event in list(group._events.values())[::3]:
-            event.cancel()
-            direct += 1
-        assert group.cancel() == len(delays) - fired - direct
-        assert group.schedule(1.0, lambda: None) is None
+            other.schedule(delay, lambda: None)
+        fired = sim.run(max_events=len(delays))
+        live_in_other = other.pending
+        assert group.cancel() == 2 * len(delays) - fired - live_in_other
+        group.schedule(1.0, lambda: None)  # refused: the group is cancelled
+        assert group.pending == 0
+        assert other.pending == live_in_other
+        assert sim.run() == live_in_other
 
 
 # ----------------------------------------------------------------------

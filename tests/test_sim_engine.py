@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -90,10 +92,11 @@ class TestRunControl:
 
     def test_cancelled_events_skipped(self):
         sim = Simulator()
+        group = sim.group()
         fired = []
-        event = sim.schedule(1.0, lambda: fired.append("cancelled"))
+        group.schedule(1.0, lambda: fired.append("cancelled"))
         sim.schedule(2.0, lambda: fired.append("kept"))
-        event.cancel()
+        group.cancel()
         sim.run()
         assert fired == ["kept"]
 
@@ -111,25 +114,30 @@ class TestRunControl:
 class TestEdgeCases:
     def test_cancel_after_pop_is_harmless(self):
         sim = Simulator()
+        group = sim.group()
         fired = []
-        event = sim.schedule(1.0, lambda: fired.append("once"))
+        group.schedule(1.0, lambda: fired.append("once"))
         sim.run()
-        event.cancel()  # already popped and executed: must be a no-op
+        assert group.cancel() == 0  # already popped and executed: a no-op
         sim.run()
         assert fired == ["once"]
         assert sim.pending == 0
 
     def test_cancel_during_own_callback(self):
         sim = Simulator()
+        group = sim.group()
         fired = []
 
         def self_cancelling():
             fired.append(sim.now)
-            event.cancel()  # popped already; engine must not crash
+            # popped already: only the later sibling is left to cancel
+            assert group.cancel() == 1
 
-        event = sim.schedule(1.0, self_cancelling)
+        group.schedule(1.0, self_cancelling)
+        group.schedule(2.0, lambda: fired.append("sibling"))
         sim.run()
         assert fired == [1.0]
+        assert sim.pending == 0
 
     def test_fifo_ties_among_many(self):
         sim = Simulator()
@@ -141,13 +149,12 @@ class TestEdgeCases:
 
     def test_fifo_ties_with_interleaved_cancellation(self):
         sim = Simulator()
+        doomed = sim.group()
         fired = []
-        events = [
-            sim.schedule(5.0, lambda index=index: fired.append(index))
-            for index in range(5)
-        ]
-        events[1].cancel()
-        events[3].cancel()
+        for index in range(5):
+            owner = doomed if index in (1, 3) else sim
+            owner.schedule(5.0, lambda index=index: fired.append(index))
+        doomed.cancel()
         sim.run()
         assert fired == [0, 2, 4]
 
@@ -183,93 +190,126 @@ class TestEdgeCases:
 
     def test_pending_excludes_cancelled(self):
         sim = Simulator()
-        kept = sim.schedule(1.0, lambda: None)
-        cancelled = sim.schedule(2.0, lambda: None)
-        cancelled.cancel()
+        kept, doomed = sim.group(), sim.group()
+        kept.schedule(1.0, lambda: None)
+        doomed.schedule(2.0, lambda: None)
+        doomed.cancel()
         assert sim.pending == 1
-        assert kept.cancelled is False
+        assert kept.cancelled is False and kept.pending == 1
+
+
+def live_entries(sim):
+    """Ground truth for ``pending``: heap entries that will still fire —
+    ungrouped ones, and grouped ones whose group still holds their seq."""
+    return sum(
+        1
+        for _, seq, _, group in sim._queue
+        if group is None or seq in group._callbacks
+    )
 
 
 class TestPendingCounter:
-    """``pending`` is a maintained counter now — it must stay exact
-    through every combination of fire, cancel, and group-cancel."""
+    """``pending`` is a maintained counter — it must stay exact through
+    every combination of fire and group-cancel."""
 
     def test_pending_tracks_cancel_heavy_group_workload(self):
         sim = Simulator()
         groups = [sim.group() for _ in range(4)]
-        events = []
         for index in range(100):
-            event = groups[index % 4].schedule(float(index % 13) + 1.0, lambda: None)
-            events.append(event)
-        loose = [sim.schedule(float(i) + 0.5, lambda: None) for i in range(20)]
-        assert sim.pending == 120
-        # Individually cancel a third of the group events…
-        for event in events[::3]:
-            event.cancel()
-        cancelled = len(events[::3])
-        assert sim.pending == 120 - cancelled
-        # …then mass-cancel one whole group; no double counting for the
-        # members that were already individually cancelled.
-        survivors_in_group = sum(
-            1 for i, e in enumerate(events) if i % 4 == 0 and not e.cancelled
-        )
+            groups[index % 4].schedule(float(index % 13) + 1.0, lambda: None)
+        for i in range(20):
+            sim.schedule(float(i) + 0.5, lambda: None)
+        assert sim.pending == 120 == live_entries(sim)
+        # Fire a few, then mass-cancel one whole group: only the members
+        # it still holds are counted, never the ones that already fired.
+        assert sim.run(max_events=30) == 30
+        survivors_in_group = groups[0].pending
+        assert 0 < survivors_in_group < 25
         assert groups[0].cancel() == survivors_in_group
-        expected = 120 - cancelled - survivors_in_group
-        assert sim.pending == expected
-        # Fire a few and re-check, then drain completely.
+        expected = 90 - survivors_in_group
+        assert sim.pending == expected == live_entries(sim)
+        # Fire a few more and re-check, then drain completely.
         fired = sim.run(max_events=7)
         assert fired == 7
-        assert sim.pending == expected - 7
+        assert sim.pending == expected - 7 == live_entries(sim)
         sim.run()
         assert sim.pending == 0
-        assert len(loose) == 20  # keep handles alive until the end
+        assert all(group.pending == 0 for group in groups)
 
     def test_double_cancel_decrements_once(self):
         sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.pending == 1
-
-    def test_cancel_inside_group_keeps_group_pending_exact(self):
-        sim = Simulator()
         group = sim.group()
-        doomed = group.schedule(1.0, lambda: None)
-        group.schedule(2.0, lambda: None)
-        doomed.cancel()
-        assert group.pending == 1  # directly-cancelled events leave the group
+        group.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
         assert group.cancel() == 1
+        assert group.cancel() == 0
+        assert sim.pending == 1 == live_entries(sim)
+
+    def test_cancel_leaves_other_groups_pending_exact(self):
+        sim = Simulator()
+        doomed, kept = sim.group(), sim.group()
+        doomed.schedule(1.0, lambda: None)
+        kept.schedule(1.0, lambda: None)
+        kept.schedule(2.0, lambda: None)
+        assert doomed.cancel() == 1
+        assert kept.pending == 2
+        assert kept.cancel() == 2
+        assert sim.pending == 0 == live_entries(sim)
 
 
 class TestHeapCompaction:
     def test_mass_cancellation_compacts_the_heap(self):
         sim = Simulator()
-        events = [sim.schedule(float(i), lambda: None) for i in range(1000)]
-        for event in events[:900]:
-            event.cancel()
+        doomed = sim.group()
+        for i in range(900):
+            doomed.schedule(float(i), lambda: None)
+        for i in range(100):
+            sim.schedule(float(i), lambda: None)
+        assert doomed.cancel() == 900
         # The heap must not keep ~900 corpses around: compaction kicks in
         # once cancelled entries outnumber live ones.
         assert len(sim._queue) <= 200
-        assert sim.pending == 100
+        assert sim.pending == 100 == live_entries(sim)
         assert sim.run() == 100
 
     def test_compaction_during_run_keeps_draining(self):
         """Cancelling en masse from inside a callback (the early-termination
         pattern) must not detach the heap the running loop is draining."""
         sim = Simulator()
+        doomed = sim.group()
         fired = []
-        doomed = [sim.schedule(5.0 + i, lambda i=i: fired.append(i)) for i in range(300)]
+        for i in range(300):
+            doomed.schedule(5.0 + i, lambda i=i: fired.append(i))
 
         def terminate():
-            for event in doomed:
-                event.cancel()
+            doomed.cancel()
             sim.schedule(1.0, lambda: fired.append("after-compaction"))
 
         sim.schedule(1.0, terminate)
         sim.run()
         assert fired == ["after-compaction"]
         assert sim.pending == 0
+
+    def test_cancel_drops_callbacks_while_corpses_stay_queued(self):
+        """A cancelled entry can sit in the heap for a long time: it must
+        not keep its callback, or whatever that closes over, alive."""
+
+        class Batch:
+            def __call__(self):
+                raise AssertionError("a cancelled batch fired")
+
+        sim = Simulator()
+        group = sim.group()
+        batch = Batch()
+        alive = weakref.ref(batch)
+        group.schedule(1.0, batch)
+        del batch
+        assert alive() is not None  # the group holds it while pending
+        group.cancel()
+        assert len(sim._queue) == 1  # too few corpses to compact
+        assert alive() is None
+        assert sim.run() == 0
+        assert sim._queue == []
 
 
 class TestEventGroup:
