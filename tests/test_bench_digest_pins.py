@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from check_bench_digests import PINNED, moved_digests
+from check_bench_digests import PINNED, main, moved_digests
 
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -39,3 +39,14 @@ def test_only_quick_seed_1_results_compare():
         moved_digests([dict(result, seed=2)])
     with pytest.raises(ValueError):
         moved_digests([dict(result, quick=False)])
+
+
+def test_main_exits_nonzero_and_prints_each_moved_workload(tmp_path, capsys):
+    pinned = json.loads(PINNED.read_text())
+    path = tmp_path / "quick.json"
+    path.write_text(json.dumps(quick_results(pinned)))
+    assert main([str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    path.write_text(json.dumps(quick_results(dict(pinned, conj_optimizer="0" * 64))))
+    assert main([str(path)]) == 1
+    assert capsys.readouterr().out.startswith("conj_optimizer: digest 000")

@@ -5,7 +5,8 @@ Three invariants the perf work must never bend:
 * **Group-cancel semantics** — whatever interleaving of loose and
   grouped scheduling, partial draining, and group cancellation happens,
   a cancelled group never fires another callback, ``pending`` counters
-  stay exact, and cancelling is idempotent.
+  stay exact, cancelling is idempotent, and the sharded inbox merge
+  fires exactly the live events in ``(time, inbox first, seq)`` order.
 * **Route-cache transparency** — with churn interleaved at arbitrary
   points, every lookup the network serves, direct or inside a put or a
   get, from the cache or not, is the walk the uncached reference walker
@@ -109,6 +110,47 @@ class TestGroupCancelProperties:
         assert group.pending == 0
         assert other.pending == live_in_other
         assert sim.run() == live_in_other
+
+    @given(
+        heap=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 2)), min_size=0, max_size=40
+        ),
+        arrivals=st.lists(st.integers(0, 8), min_size=0, max_size=20),
+        doomed=st.sets(st.integers(1, 2)),
+        until=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    @settings(max_examples=60)
+    def test_run_with_inbox_is_the_sorted_merge_of_live_events(
+        self, heap, arrivals, doomed, until
+    ):
+        """``run_with_inbox`` fires exactly the live heap events and the
+        inbox arrivals up to ``until``, in ``(time, inbox first, seq)``
+        order — the reference is one sort of both."""
+        sim = Simulator()
+        groups = {1: sim.group(), 2: sim.group()}
+        fired = []
+        expected = []
+        for seq, (time, owner) in enumerate(heap):
+            target = sim if owner == 0 else groups[owner]
+            target.schedule(float(time), lambda seq=seq: fired.append(("heap", seq)))
+            if owner not in doomed:
+                expected.append((time, 1, seq, ("heap", seq)))
+        for which in doomed:
+            groups[which].cancel()
+        inbox = [(float(time), index) for index, time in enumerate(sorted(arrivals))]
+        for time, index in inbox:
+            expected.append((time, 0, index, ("inbox", index)))
+        due = sorted(entry for entry in expected if until is None or entry[0] <= until)
+
+        processed, index = sim.run_with_inbox(
+            inbox, 0, lambda index: fired.append(("inbox", index)), until
+        )
+        assert fired == [event for *_, event in due]
+        assert processed == len(due)
+        assert index == sum(1 for _, from_heap, _, _ in due if not from_heap)
+        assert sim.pending == sum(
+            1 for _, from_heap, _, _ in expected if from_heap
+        ) - sum(1 for _, from_heap, _, _ in due if from_heap)
 
 
 # ----------------------------------------------------------------------

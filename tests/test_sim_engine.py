@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import _COMPACT_MIN, Simulator
 
 
 class TestScheduling:
@@ -109,6 +109,38 @@ class TestRunControl:
 
     def test_empty_run_returns_zero(self):
         assert Simulator().run() == 0
+
+    def test_max_events_counts_fired_events_not_corpses(self):
+        sim = Simulator()
+        doomed = sim.group()
+        fired = []
+        for index in range(6):
+            owner = doomed if index % 2 else sim
+            owner.schedule(float(index), lambda index=index: fired.append(index))
+        doomed.cancel()
+        assert sim.run(max_events=2) == 2
+        assert fired == [0, 2]
+        assert sim.pending == 1
+
+    def test_step_fires_the_next_live_event_past_corpses(self):
+        sim = Simulator()
+        doomed = sim.group()
+        fired = []
+        doomed.schedule(1.0, lambda: fired.append("corpse"))
+        sim.schedule(2.0, lambda: fired.append("live"))
+        doomed.cancel()
+        assert sim.step() is True
+        assert fired == ["live"] and sim.now == 2.0
+
+    def test_step_over_only_corpses_reports_empty_and_drains_them(self):
+        sim = Simulator()
+        doomed = sim.group()
+        for delay in (1.0, 2.0):
+            doomed.schedule(delay, lambda: None)
+        doomed.cancel()
+        assert sim.step() is False
+        assert sim._queue == [] and sim._cancelled_in_heap == 0
+        assert sim.now == 0.0
 
 
 class TestEdgeCases:
@@ -312,6 +344,54 @@ class TestHeapCompaction:
         assert sim._queue == []
 
 
+    def test_no_compaction_at_the_threshold(self):
+        sim = Simulator()
+        doomed = sim.group()
+        for i in range(_COMPACT_MIN):
+            doomed.schedule(float(i), lambda: None)
+        doomed.cancel()
+        assert len(sim._queue) == _COMPACT_MIN
+        assert sim._cancelled_in_heap == _COMPACT_MIN
+        assert sim.run() == 0
+        assert sim._cancelled_in_heap == 0
+
+    def test_one_corpse_past_the_threshold_compacts(self):
+        sim = Simulator()
+        doomed = sim.group()
+        for i in range(_COMPACT_MIN + 1):
+            doomed.schedule(float(i), lambda: None)
+        sim.schedule(0.5, lambda: None)
+        doomed.cancel()
+        assert len(sim._queue) == 1
+        assert sim._cancelled_in_heap == 0
+        assert sim.pending == 1 == live_entries(sim)
+
+    def test_no_compaction_while_live_entries_dominate(self):
+        sim = Simulator()
+        doomed = sim.group()
+        for i in range(2 * _COMPACT_MIN):
+            doomed.schedule(float(i), lambda: None)
+        for i in range(2 * _COMPACT_MIN):
+            sim.schedule(float(i), lambda: None)
+        doomed.cancel()
+        assert len(sim._queue) == 4 * _COMPACT_MIN
+        assert sim.pending == 2 * _COMPACT_MIN == live_entries(sim)
+
+    def test_compaction_keeps_time_then_fifo_order_among_survivors(self):
+        sim = Simulator()
+        doomed, kept = sim.group(), sim.group()
+        fired = []
+        times = [float(-index % 7) for index in range(5 * _COMPACT_MIN)]
+        for index, time in enumerate(times):
+            owner = (sim, kept, doomed, doomed, doomed)[index % 5]
+            owner.schedule(time, lambda index=index: fired.append(index))
+        doomed.cancel()
+        assert len(sim._queue) == 2 * _COMPACT_MIN  # compacted
+        sim.run()
+        survivors = [index for index in range(len(times)) if index % 5 < 2]
+        assert fired == sorted(survivors, key=lambda index: (times[index], index))
+
+
 class TestEventGroup:
     def test_cancel_kills_only_pending_events(self):
         sim = Simulator()
@@ -373,3 +453,182 @@ class TestEventGroup:
         group.schedule(1.0, reschedule)
         sim.run()
         assert fired == []
+
+
+class TestEventRecords:
+    """A heap entry is a plain ``(time, seq, callback, group)`` tuple; a
+    grouped entry's callback lives only in its group."""
+
+    def test_ungrouped_entry_holds_its_callback(self):
+        sim = Simulator()
+
+        def callback():
+            pass
+
+        sim.schedule(1.5, callback)
+        assert sim._queue == [(1.5, 0, callback, None)]
+
+    def test_grouped_entry_holds_only_its_group(self):
+        sim = Simulator()
+        group = sim.group()
+
+        def callback():
+            pass
+
+        group.schedule(1.5, callback)
+        [(time, seq, held, owner)] = sim._queue
+        assert (time, held, owner) == (1.5, None, group)
+        assert group._callbacks == {seq: callback}
+
+    def test_no_schedule_call_returns_a_handle(self):
+        sim = Simulator()
+        group = sim.group()
+        assert sim.schedule(1.0, lambda: None) is None
+        assert sim.schedule_at(2.0, lambda: None) is None
+        assert group.schedule(1.0, lambda: None) is None
+        assert group.schedule_at(2.0, lambda: None) is None
+        assert sim.pending == 4
+
+    def test_a_fired_grouped_callback_is_released(self):
+        class Batch:
+            def __call__(self):
+                pass
+
+        sim = Simulator()
+        group = sim.group()
+        batch = Batch()
+        alive = weakref.ref(batch)
+        group.schedule(1.0, batch)
+        del batch
+        assert sim.run() == 1
+        assert group.pending == 0
+        assert alive() is None
+
+    def test_a_firing_callback_is_no_longer_pending(self):
+        sim = Simulator()
+        group = sim.group()
+        seen = []
+        group.schedule(1.0, lambda: seen.append((group.pending, sim.pending)))
+        group.schedule(2.0, lambda: None)
+        sim.run(max_events=1)
+        assert seen == [(1, 1)]
+
+    def test_a_raising_callback_leaves_the_counters_exact(self):
+        sim = Simulator()
+        group = sim.group()
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        group.schedule(1.0, boom)
+        group.schedule(2.0, lambda: fired.append("next"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert group.pending == 1
+        assert sim.pending == 1 == live_entries(sim)
+        assert sim.run() == 1
+        assert fired == ["next"]
+
+
+def deliver_into(fired):
+    return lambda payload: fired.append(payload)
+
+
+class TestRunWithInbox:
+    """The sharded backends' bulk path: a pre-sorted inbox merged with
+    the heap, with the heap's group semantics intact."""
+
+    def test_inbox_and_heap_interleave_in_time_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(("heap", sim.now)))
+        sim.schedule(3.0, lambda: fired.append(("heap", sim.now)))
+        inbox = [(0.5, "a"), (2.0, "b"), (4.0, "c")]
+
+        def handler(payload):
+            fired.append((payload, sim.now))
+
+        assert sim.run_with_inbox(inbox, 0, handler) == (5, 3)
+        assert fired == [
+            ("a", 0.5),
+            ("heap", 1.0),
+            ("b", 2.0),
+            ("heap", 3.0),
+            ("c", 4.0),
+        ]
+        assert sim.processed == 5
+
+    def test_inbox_entry_fires_before_a_tied_heap_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("heap"))
+        sim.run_with_inbox([(1.0, "inbox")], 0, deliver_into(fired))
+        assert fired == ["inbox", "heap"]
+
+    def test_payload_is_the_last_field_and_start_skips_the_prefix(self):
+        sim = Simulator()
+        fired = []
+        inbox = [(1.0, 0, "consumed"), (2.0, 1, "x"), (3.0, 2, "y")]
+        assert sim.run_with_inbox(inbox, 1, deliver_into(fired)) == (2, 3)
+        assert fired == ["x", "y"]
+
+    def test_until_stops_both_sources_and_resumes_from_the_index(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(6.0, lambda: fired.append("heap"))
+        inbox = [(1.0, "a"), (5.0, "b"), (7.0, "c")]
+        handler = deliver_into(fired)
+        processed, index = sim.run_with_inbox(inbox, 0, handler, until=4.0)
+        assert (processed, index, sim.now) == (1, 1, 4.0)
+        processed, index = sim.run_with_inbox(inbox, index, handler, until=6.5)
+        assert (processed, index, sim.now) == (2, 2, 6.5)
+        assert sim.run_with_inbox(inbox, index, handler) == (1, 3)
+        assert fired == ["a", "b", "heap", "c"]
+        assert sim.pending == 0
+
+    def test_cancelled_group_entries_are_skipped_and_not_counted(self):
+        sim = Simulator()
+        doomed, kept = sim.group(), sim.group()
+        fired = []
+        doomed.schedule(1.0, lambda: fired.append("doomed"))
+        kept.schedule(2.0, lambda: fired.append("kept"))
+        doomed.schedule(3.0, lambda: fired.append("doomed"))
+        assert doomed.cancel() == 2
+        assert sim.run_with_inbox([(2.5, "inbox")], 0, deliver_into(fired)) == (2, 1)
+        assert fired == ["kept", "inbox"]
+        assert sim.pending == 0 and sim._cancelled_in_heap == 0
+        assert kept.pending == 0
+
+    def test_a_handler_can_cancel_a_group_mid_drain(self):
+        sim = Simulator()
+        doomed = sim.group()
+        fired = []
+        for i in range(3 * _COMPACT_MIN):
+            doomed.schedule(2.0 + i, lambda: fired.append("doomed"))
+
+        def handler(payload):
+            fired.append(payload)
+            doomed.cancel()  # compacts the heap the loop is draining
+            sim.schedule(1.0, lambda: fired.append("after"))
+
+        assert sim.run_with_inbox([(1.0, "stop"), (5.0, "late")], 0, handler) == (4, 2)
+        assert fired == ["stop", "after", "late", "after"]
+        assert sim.pending == 0
+
+    def test_an_empty_inbox_drains_the_heap_like_run(self):
+        def build():
+            sim = Simulator()
+            group = sim.group()
+            fired = []
+            for index in range(12):
+                owner = group if index % 3 == 0 else sim
+                owner.schedule(float(index % 4), lambda index=index: fired.append(index))
+            return sim, fired
+
+        via_run, run_fired = build()
+        via_inbox, inbox_fired = build()
+        via_run.run()
+        assert via_inbox.run_with_inbox([], 0, deliver_into([])) == (12, 0)
+        assert inbox_fired == run_fired
+        assert via_inbox.now == via_run.now
