@@ -146,6 +146,15 @@ class DhtNetwork:
     served because any membership change moves the epoch and flushes the
     cache. The hop-by-hop :meth:`iter_lookup` walk is deliberately *not*
     cached: it exists to observe churn mid-walk.
+
+    The same invariant covers the hop counts :meth:`route_hops` and a
+    routed :meth:`ship_batch` return: each is memoised per ``(origin,
+    key)`` beside the path it was measured on, under the same epoch
+    stamp, flushed by the same membership change, and read only after
+    the same lazy stabilize that precedes every routed read. A memo hit
+    stands for the route-cache hit that call would have made and counts
+    as one, so ``route_cache_hits`` and ``route_cache_misses`` read the
+    same with or without it.
     """
 
     def __init__(
@@ -189,6 +198,9 @@ class DhtNetwork:
         #: memoizes :meth:`lookup` paths between membership changes (see
         #: the route cache invariant in the class docstring)
         self._route_cache: dict[tuple[int, int, bool], tuple[int, ...]] = {}
+        #: hop counts of :meth:`route_hops` and routed :meth:`ship_batch`
+        #: by ``(origin, key)``, flushed with the route cache
+        self._hop_cache: dict[tuple[int, int], int] = {}
         self._route_cache_epoch = -1
         self.route_cache_hits = 0
         self.route_cache_misses = 0
@@ -515,13 +527,29 @@ class DhtNetwork:
 
     def route_hops(self, key: int, origin: int | None = None) -> int:
         """Overlay hops :meth:`lookup` would take: the same route, the same
-        checks and route-cache counters, and no result object."""
-        return len(self._checked_route(key, origin)) - 1
+        checks and route-cache counters, and no result object.
+
+        The count is memoised per ``(origin, key)`` in the route cache's
+        epoch, and read only after the lazy stabilize: a memo hit stands
+        for the route-cache hit the same call would have made, and counts
+        as one (see the route cache invariant in the class docstring).
+        """
+        if self._stale:
+            self.stabilize()
+        if origin is None:
+            origin = self.random_node_id()  # raises on an empty network
+        if self._route_cache_epoch == self.membership_version:
+            hops = self._hop_cache.get((origin, key))
+            if hops is not None:
+                self.route_cache_hits += 1
+                return hops
+        hops = self._hop_cache[origin, key] = len(self._checked_route(key, origin)) - 1
+        return hops
 
     def _checked_route(self, key: int, origin: int | None) -> tuple[int, ...]:
-        """The body of :meth:`lookup`, :meth:`route_hops` and
-        :meth:`ship_batch`: stabilize, check membership, draw a random
-        origin when None, then route."""
+        """The body of :meth:`lookup`, and of :meth:`route_hops` on a memo
+        miss: stabilize, check membership, draw a random origin when None,
+        then route."""
         if self._stale:
             self.stabilize()
         if not self._ring:
@@ -540,6 +568,7 @@ class DhtNetwork:
         nor counted."""
         if self._route_cache_epoch != self.membership_version:
             self._route_cache.clear()
+            self._hop_cache.clear()
             self._route_cache_epoch = self.membership_version
         owner = self._ring.responsible(key)
         cache_key = (origin, owner, key == owner)
@@ -721,7 +750,7 @@ class DhtNetwork:
             hops = 0 if source == target else 1
             messages, byte_count = 1, cost.message_bytes(payload_bytes)
         else:
-            hops = 0 if source == target else len(self._checked_route(target, source)) - 1
+            hops = 0 if source == target else self.route_hops(target, source)
             messages, byte_count = hops or 1, cost.routed_bytes(payload_bytes, hops)
         self.transport.charge(category, messages, byte_count)
         return hops, messages, byte_count

@@ -35,15 +35,16 @@ rather than priced (the paper's closed-form equations live in
 
 Wire costs are charged exactly once, by the dataflow's batch sends.
 One key per race: :meth:`HybridQueryEngine.submit` normalises the query
-once (:func:`~repro.cache.popularity.query_key`) for the cache and the
-zero-answer check, which alone derives the posting keys from it.
+once (:func:`~repro.cache.popularity.query_key`) for the cache, the
+re-query's plan and the zero-answer check, which alone derives the
+posting keys from it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cache.popularity import query_key
@@ -53,7 +54,6 @@ from repro.dht.network import DhtNetwork
 from repro.gnutella.latency import GnutellaLatencyModel
 from repro.hybrid.ultrapeer import HybridQueryOutcome, HybridUltrapeer
 from repro.obs.metrics import MetricsRegistry
-from repro.pier.catalog import table_key
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, DataflowQuery
 from repro.pier.query import DistributedPlan
 from repro.piersearch.search import SearchEngine
@@ -138,8 +138,13 @@ class QueryRace:
 
 @dataclass
 class _Walk:
-    """State of one in-progress hop-by-hop plan-dissemination walk."""
+    """State of one in-progress hop-by-hop plan-dissemination walk.
 
+    The walk is its own hop callback: calling it takes the next hop, so a
+    walk schedules itself once per hop and builds no closure per hop.
+    """
+
+    engine: HybridQueryEngine = field(repr=False)
     race: QueryRace
     hybrid: HybridUltrapeer
     plan: DistributedPlan
@@ -151,6 +156,9 @@ class _Walk:
     hops: int = 0
     #: "requery.attempt" span covering this walk, when tracing is on
     span: object = None
+
+    def __call__(self) -> None:
+        self.engine._step_walk(self)
 
 
 class HybridQueryEngine:
@@ -369,9 +377,7 @@ class HybridQueryEngine:
                 # anywhere (raises DhtError when the ring is empty, which
                 # must resolve the race, not escape the simulator).
                 query_node = self.dht.random_node_id()
-            plan = hybrid.search_engine.prepare(
-                list(race.outcome.terms), query_node=query_node
-            )
+            plan = hybrid.search_engine.prepare_keywords(race.key, query_node=query_node)
         except PlanError:
             # No indexable terms: the re-query cannot be issued at all.
             self._finish(race)
@@ -387,7 +393,12 @@ class HybridQueryEngine:
                 targets.append(stage.site)
                 previous = stage.site
         walk = _Walk(
-            race=race, hybrid=hybrid, plan=plan, targets=targets, origin=plan.query_node
+            engine=self,
+            race=race,
+            hybrid=hybrid,
+            plan=plan,
+            targets=targets,
+            origin=plan.query_node,
         )
         if race.span is not None:
             walk.span = race.span.child(
@@ -443,7 +454,7 @@ class HybridQueryEngine:
                 walk.span.finish(error="DhtError", hops=walk.hops)
             self._retry(race, walk.hybrid)
             return
-        self.sim.schedule(self._hop_delay(), lambda: self._step_walk(walk))
+        self.sim.schedule(self._hop_delay(), walk)
 
     def _execute(self, walk: _Walk) -> None:
         """Chain fully routed: run the plan, then deliver the answer(s).
@@ -570,7 +581,8 @@ class HybridQueryEngine:
         ):
             return
         table = "InvertedCache" if search.inverted_cache else search.planner.posting_table
-        suspect_posting = any(self.dht.is_suspect(table_key(table, k)) for k in race.key)
+        handle = search.catalog.table(table)
+        suspect_posting = any(self.dht.is_suspect(handle.ring_key(k)) for k in race.key)
         # Join matches with zero final results mean the matched Item rows
         # are gone from the ring — loss the posting keys cannot prove.
         lost_items = race.join_matches > 0

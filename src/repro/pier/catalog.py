@@ -8,7 +8,7 @@ DHT itself as its index structure (Section 3.1 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.common.errors import KeyNotFoundError, SchemaError
@@ -30,10 +30,34 @@ PublishEntry = tuple[int, Row, tuple, int, str]
 
 @dataclass
 class TableHandle:
-    """One registered table: schema plus publish/fetch helpers."""
+    """One registered table: schema plus publish/fetch helpers.
+
+    Every read resolves its index value through :meth:`ring_key`, which
+    hashes a value once per handle and keeps the key: a table's ring keys
+    never change, and the handle lives as long as its catalog, so a
+    keyword read by every query of a world is hashed once in that world.
+    The write path (:meth:`entry`) hashes without keeping anything, so a
+    table keyed by unique ids (Item, by fileID) keeps no entry per
+    published file — only one per id a query has fetched.
+    """
 
     schema: Schema
     network: DhtNetwork
+    #: ring key per resolved str index value (see :meth:`ring_key`)
+    _ring_keys: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+
+    def ring_key(self, index_value: Any) -> int:
+        """:func:`table_key` of ``index_value``, hashed once per handle.
+
+        Only ``str`` values are kept: equal strings format equal, which
+        equal values of mixed types (``1``, ``1.0``, ``True``) do not.
+        """
+        key = self._ring_keys.get(index_value)
+        if key is None:
+            key = hash_key(f"{self.schema.name}|{index_value}")  # table_key, inlined
+            if type(index_value) is str:
+                self._ring_keys[index_value] = key
+        return key
 
     def entry(self, row: Row, payload_bytes: int = 0, category: str | None = None) -> PublishEntry:
         """Validate ``row`` and resolve where and as what it is stored."""
@@ -59,7 +83,7 @@ class TableHandle:
 
     def fetch(self, index_value: Any, origin: int | None = None) -> list[Row]:
         """All rows with the given index value; empty list when none exist."""
-        key = table_key(self.schema.name, index_value)
+        key = self.ring_key(index_value)
         try:
             return self.network.get_raw(key, origin=origin, category=f"fetch.{self.schema.name}")
         except KeyNotFoundError:
@@ -67,15 +91,13 @@ class TableHandle:
 
     def fetch_local(self, node_id: int, index_value: Any) -> list[Row]:
         """Rows at a specific node, read without network messages."""
-        key = table_key(self.schema.name, index_value)
-        return self.network.get_local(node_id, key)
+        return self.network.get_local(node_id, self.ring_key(index_value))
 
     def view_local(self, node_id: int, index_value: Any, build: Callable[[list[Row]], Any]) -> Any:
         """``build`` over the rows at a specific node, read without network
         messages and memoised there until a write changes those rows
         (:meth:`DhtNetwork.local_view`)."""
-        key = table_key(self.schema.name, index_value)
-        return self.network.local_view(node_id, key, build)
+        return self.network.local_view(node_id, self.ring_key(index_value), build)
 
     def host_of(self, index_value: Any) -> int:
         """The DHT node that should serve reads of this index value.
@@ -86,7 +108,7 @@ class TableHandle:
         is reported to the network's read listener, which is how hot
         posting-list keys are detected in the first place.
         """
-        return self.network.serving_node(table_key(self.schema.name, index_value))
+        return self.network.serving_node(self.ring_key(index_value))
 
     def scan_all(self) -> Iterator[Row]:
         """Iterate every stored row of this table across all nodes.
@@ -139,9 +161,8 @@ class Catalog:
         serving node) so statistics gathering neither counts as a data
         read nor advances the replica rotation.
         """
-        self.table(table)  # unknown tables raise
+        key = self.table(table).ring_key(index_value)  # unknown tables raise
         network = self.network
-        key = table_key(table, index_value)
         owner = network.owner_of(key)
         if not network.local_contains(owner, key):
             return 0  # an absent list has no view to keep

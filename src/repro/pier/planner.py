@@ -18,6 +18,7 @@ statistics and take the cheapest.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.common.errors import PlanError
@@ -89,7 +90,7 @@ class KeywordPlanner:
 
     def plan(
         self,
-        keywords: list[str],
+        keywords: Sequence[str],
         query_node: int,
         strategy: JoinStrategy | None = JoinStrategy.DISTRIBUTED_JOIN,
         order_by_size: bool = True,

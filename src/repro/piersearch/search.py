@@ -11,6 +11,7 @@ and submits it to a dataflow on its own shared simulator.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.common.errors import PlanError
@@ -92,22 +93,40 @@ class SearchEngine:
 
         ``terms`` are normalised with the same tokenizer used at publish
         time, so stop words in the query are ignored (a query that is all
-        stop words raises :class:`~repro.common.errors.PlanError`). The
-        hybrid query engine uses this to learn the keyword-site chain it
-        must route hop by hop before executing.
+        stop words raises :class:`~repro.common.errors.PlanError`). A
+        caller that already holds the normalised keywords — the hybrid
+        query engine, whose race carries its
+        :func:`~repro.cache.popularity.query_key` — plans them with
+        :meth:`prepare_keywords` and skips the tokenizer: the planner
+        dedupes and orders the keywords itself, so both build the same
+        plan.
         """
         normalised: list[str] = []
         for term in terms:
             normalised.extend(extract_keywords(term))
         if not normalised:
             raise PlanError(f"query {terms!r} contains no indexable keyword")
+        return self.prepare_keywords(normalised, query_node, strategy)
+
+    def prepare_keywords(
+        self,
+        keywords: Sequence[str],
+        query_node: int | None = None,
+        strategy: JoinStrategy | None = None,
+    ) -> DistributedPlan:
+        """:meth:`prepare` for already-normalised ``keywords`` (tokens the
+        publisher indexes, as :func:`extract_keywords` yields them). The
+        hybrid query engine uses this to learn the keyword-site chain it
+        must route hop by hop before executing."""
+        if not keywords:
+            raise PlanError("query contains no indexable keyword")
         if query_node is None:
             query_node = self.network.random_node_id()
         if strategy is None:
             if self.optimizer is not None and not self.inverted_cache:
                 # Cost-based choice: the planner prices all four
                 # strategies from its posting statistics.
-                return self.planner.plan(normalised, query_node, strategy=None)
+                return self.planner.plan(keywords, query_node, strategy=None)
             strategy = (
                 JoinStrategy.INVERTED_CACHE
                 if self.inverted_cache
@@ -117,7 +136,7 @@ class SearchEngine:
             planner = KeywordPlanner(self.catalog, posting_table="InvertedCache")
         else:
             planner = self.planner
-        return planner.plan(normalised, query_node, strategy=strategy)
+        return planner.plan(keywords, query_node, strategy=strategy)
 
     def execute_plan(self, plan: DistributedPlan) -> SearchResult:
         """Execute an already-prepared plan. See :meth:`search`.

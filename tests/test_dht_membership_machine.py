@@ -15,6 +15,11 @@ member ids, and the set of ``(key, value)`` pairs put and not lost.
 * A lookup's owner is ``reference_owner`` over the members, and its path
   is ``reference_iter_lookup``'s, both before stabilizing (the
   hop-by-hop walk over stale tables) and after (the cached route).
+* ``route_hops`` and a routed ``ship_batch`` between members count the
+  reference path's hops after stabilizing; a repeat in the same epoch
+  reads the memo, unchanged and counted as one route-cache hit, and a
+  join flushes it (the next call is a miss on the new ring). Every
+  routed call moves the route-cache counters by exactly one.
 * A graceful leave lands each of its values on its successor exactly once
   and charges one handoff message per value; a crash loses exactly the
   pairs no other member holds, each inside the crashed node's suspect
@@ -224,6 +229,46 @@ class MembershipMachine(RuleBasedStateMachine):
         owner, path, _ = _run(reference_iter_lookup(dht, key, origin))
         assert result.owner == owner == reference_owner(sorted(self.order), key)
         assert result.path == path
+
+    @precondition(lambda self: self.order)
+    @rule(pick=picks, target_pick=picks, join=st.booleans())
+    def route_hops_and_ship_batch(self, pick, target_pick, join):
+        dht = self.dht
+        first, second = self._member(pick), self._member(target_pick)
+
+        def counted(origin, target, ship=False):
+            """The hops of ``route_hops`` (or a routed ``ship_batch``) from
+            ``origin`` to ``target``, checked against the reference path,
+            and whether the call was a route-cache hit. A call that routes
+            moves the counters by exactly one; a batch to itself by none."""
+            hits, misses = dht.route_cache_hits, dht.route_cache_misses
+            if ship:
+                hops = dht.ship_batch(origin, target, 64)[0]
+            else:
+                hops = dht.route_hops(target, origin)
+            moved = (dht.route_cache_hits - hits, dht.route_cache_misses - misses)
+            routed = not ship or origin != target
+            assert moved in (((1, 0), (0, 1)) if routed else ((0, 0),))
+            _, path, _ = _run(reference_iter_lookup(dht, target, origin))
+            assert hops == len(path) - 1
+            return hops, moved == (1, 0)
+
+        # Each direction: the first call of the epoch (after the lazy
+        # stabilize), then the same pair again, a memo hit, unchanged and
+        # counted as a hit, and a batch over it.
+        pairs = ((first, second), (second, first))
+        for origin, target in pairs:
+            hops, _ = counted(origin, target)
+            assert counted(origin, target) == (hops, True)
+            assert counted(origin, target, ship=True) == (hops, origin != target)
+        if join:
+            # A join moves the epoch and flushes the memo with the route
+            # cache: each pair's next call is a miss, routed on the new ring.
+            self.order.append(dht.create_node().node_id)
+            for index, (origin, target) in enumerate(pairs):
+                hops, hit = counted(origin, target)
+                assert hit == (index == 1 and first == second)
+                assert counted(origin, target, ship=True) == (hops, origin != target)
 
     @precondition(lambda self: self.order)
     @rule(key=keys, pick=picks)
