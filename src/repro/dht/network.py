@@ -781,7 +781,9 @@ class DhtNetwork:
         entry = (key % KEY_SPACE, value, identity, payload_bytes, category)
         return self.put_many((entry,), origin)
 
-    def put_many(self, entries, origin: int | None = None) -> tuple[int, int]:
+    def put_many(
+        self, entries, origin: int | None = None, copy: Callable[[Any], Any] | None = None
+    ) -> tuple[int, int]:
         """*The* put body: route, store and price a batch of tuples, in order.
 
         ``entries`` are ``(reduced ring key, value, identity, payload_bytes,
@@ -797,6 +799,14 @@ class DhtNetwork:
         only the copies it makes: at ``replication=1`` the owner's
         successor list is never read, and with no replica set registered
         anywhere no key is looked up in them.
+
+        With ``copy`` each entry's value is a template and its identity is
+        required: the stores that lack that identity share one
+        ``copy(value)``, made only if some store takes it, and a store
+        that holds it already gets nothing (as a plain put would store
+        nothing there). A caller that puts the same values again (a
+        republished plan) copies only what is new; the price is the same
+        either way.
         """
         self._ensure_stable()
         ring, built = self._ring, self._built
@@ -814,38 +824,47 @@ class DhtNetwork:
             for key, value, identity, payload_bytes, category in entries:
                 path = route(key, choice(ring) if origin is None else origin)
                 owner_id = path[-1]
-                owner = built[owner_id]
-                owner.store.put(key, value, identity=identity)
                 hops = len(path) - 1
-                charge = charges.setdefault(category, [0, 0])
+                charge = charges.get(category)
+                if charge is None:
+                    charge = charges[category] = [0, 0]
                 charge[0] += hops or 1  # a self-owned key is one local delivery
                 charge[1] += routed_bytes(payload_bytes, hops)
+                targets = (owner_id,)
                 # Replicate to successors of the owner (one direct hop each).
-                replicas = owner.successors[:successor_copies] if successor_copies else ()
-                for replica_id in replicas:
-                    built[replica_id].store.put(key, value, identity=identity)
-                if replicas:
-                    charge[0] += len(replicas)
-                    charge[1] += len(replicas) * message_bytes(payload_bytes)
+                if successor_copies:
+                    replicas = built[owner_id].successors[:successor_copies]
+                    if replicas:
+                        targets += tuple(replicas)
+                        charge[0] += len(replicas)
+                        charge[1] += len(replicas) * message_bytes(payload_bytes)
                 # Keep adaptively-placed replicas coherent: they are registered
                 # as serveable copies, so a publish must reach them too or
                 # rotated reads would silently miss the new value.
                 registered = replica_sets.get(key) if replica_sets else None
-                if not registered:
+                if registered:
+                    holders = tuple(
+                        node_id
+                        for node_id in registered
+                        if node_id not in targets and (node_id in built or node_id in ring)
+                    )
+                    if holders:
+                        targets += holders
+                        charge = charges.setdefault("cache.replicate", [0, 0])
+                        charge[0] += len(holders)
+                        charge[1] += len(holders) * message_bytes(payload_bytes)
+                if copy is None:
+                    for node_id in targets:
+                        built[node_id].store.put(key, value, identity=identity)
                     continue
-                holders = [
-                    node_id
-                    for node_id in registered
-                    if node_id != owner_id
-                    and node_id not in replicas
-                    and (node_id in built or node_id in ring)
-                ]
-                for node_id in holders:
-                    built[node_id].store.put(key, value, identity=identity)
-                if holders:
-                    charge = charges.setdefault("cache.replicate", [0, 0])
-                    charge[0] += len(holders)
-                    charge[1] += len(holders) * message_bytes(payload_bytes)
+                shared = None
+                for node_id in targets:
+                    store = built[node_id].store
+                    if shared is None:
+                        if store.holds(key, identity):
+                            continue
+                        shared = copy(value)
+                    store.put(key, shared, identity=identity)
         finally:
             total_messages = total_bytes = 0
             for category, (messages, byte_count) in charges.items():

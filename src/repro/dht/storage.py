@@ -57,6 +57,12 @@ class LocalStore:
             views.pop(key, None)
         return True
 
+    def holds(self, key: int, identity: Hashable) -> bool:
+        """Whether a value under ``key`` has the dedup handle ``identity``:
+        whether :meth:`put` with it would store nothing."""
+        bucket = self._data.get(key)
+        return bucket is not None and identity in bucket
+
     def get(self, key: int) -> list[Any]:
         """All values stored under ``key`` (empty list if none)."""
         bucket = self._data.get(key)

@@ -17,6 +17,8 @@ from repro.workload.library import SharedFile
 
 #: a term inside more tokens than this is left to the substring check
 UNSELECTIVE_TOKENS = 50
+#: a term whose token scan is not memoised yet
+_UNSCANNED = object()
 
 
 class FilenameMatcher:
@@ -25,7 +27,10 @@ class FilenameMatcher:
     A filename matches when it contains every term, case-folded, as a
     substring. A token index narrows the candidates and the substring test
     verifies them, so the answer equals scanning every name. Answers are
-    memoized per lowered-term tuple until a new filename is learnt.
+    memoized per lowered-term tuple, and each term's token scan (the
+    union of the postings of the tokens containing it) per term, so a
+    term shared by many queries scans the tokens once; both memos are
+    cleared when a new filename is learnt.
 
     No terms is an empty conjunction: *every* filename matches, which is
     what ``ContentMatcher.matching_filenames([])`` returns and what
@@ -39,6 +44,8 @@ class FilenameMatcher:
         self._known: set[str] = set()
         self._token_index: dict[str, list[int]] = {}
         self._memo: dict[tuple[str, ...], tuple[tuple[str, ...], frozenset[str]]] = {}
+        #: lowered term -> its token scan (see :meth:`_scan_term`)
+        self._term_scans: dict[str, tuple[int, ...] | None] = {}
 
     def add(self, filename: str) -> None:
         if filename in self._known:
@@ -49,6 +56,7 @@ class FilenameMatcher:
         self._names.append(filename)
         self._lowered.append(filename.lower())
         self._memo.clear()
+        self._term_scans.clear()
 
     def match(self, terms: Sequence[str]) -> tuple[str, ...]:
         """Matching filenames, in the order they were added."""
@@ -67,20 +75,33 @@ class FilenameMatcher:
         return resolved
 
     def _scan(self, lowered: tuple[str, ...]) -> list[int]:
-        best: set[int] | None = None
+        best: tuple[int, ...] | None = None
+        scans = self._term_scans
         for term in lowered:
-            if tokenize(term) != [term]:
-                continue  # empty, or may straddle tokens: the index cannot place it
-            postings = [rows for token, rows in self._token_index.items() if term in token]
-            if not postings:
-                return []  # no token contains this term anywhere
-            if len(postings) > UNSELECTIVE_TOKENS:
+            union = scans.get(term, _UNSCANNED)
+            if union is _UNSCANNED:
+                union = scans[term] = self._scan_term(term)
+            if union is None:
                 continue
-            union = set().union(*postings)
+            if not union:
+                return []  # no token contains this term anywhere
             if best is None or len(union) < len(best):
                 best = union
-        candidates = range(len(self._names)) if best is None else sorted(best)
+        candidates = range(len(self._names)) if best is None else best
         return [p for p in candidates if all(term in self._lowered[p] for term in lowered)]
+
+    def _scan_term(self, term: str) -> tuple[int, ...] | None:
+        """The positions, ascending, of the names with a token containing
+        ``term`` (none when no token does), or None when the index cannot
+        narrow by it: the term is empty, may straddle tokens, or sits
+        inside more than ``UNSELECTIVE_TOKENS`` tokens. Kept for every
+        query until :meth:`add`."""
+        if tokenize(term) != [term]:
+            return None
+        postings = [rows for token, rows in self._token_index.items() if term in token]
+        if len(postings) > UNSELECTIVE_TOKENS:
+            return None
+        return tuple(sorted(set().union(*postings)))
 
 
 class UltrapeerIndex:

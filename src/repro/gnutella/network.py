@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
+from collections.abc import Container
+from itertools import compress, repeat
 
 from repro.common.rng import make_rng
 from repro.gnutella.dynamic import (
@@ -116,6 +117,29 @@ class GnutellaNetwork:
             for row, host in others:
                 depths[start + row] = min(depths[start + row], depth_of(host, math.inf))
         return depths
+
+    def replicas_hosted_by(
+        self, filenames: list[str], ultrapeers: Container[int], limit: int
+    ) -> list[SharedFile]:
+        """The replicas of ``filenames`` that some ultrapeer in
+        ``ultrapeers`` indexes, filename by filename in placement order
+        (those whose :meth:`replica_depths` over a depth map of
+        ``ultrapeers`` is finite), cut short after the filename that
+        brings the count to ``limit``. A list shorter than ``limit`` is
+        the full list; any other is a prefix of it."""
+        placed = self.placement.replicas_by_filename
+        hosted = ultrapeers.__contains__
+        found: list[SharedFile] = []
+        for filename in filenames:
+            first, others = self._replica_hosts[filename]
+            seen = list(map(hosted, first))
+            for row, host in others:
+                if host in ultrapeers:
+                    seen[row] = True
+            found.extend(compress(placed[filename], seen))
+            if len(found) >= limit:
+                break
+        return found
 
     # ------------------------------------------------------------------
     # Query interface

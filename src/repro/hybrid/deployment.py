@@ -362,9 +362,12 @@ def _observe_background_query(
     flood's visited set is the set of forwarding ultrapeers, so every
     hybrid ultrapeer inside the (TTL-limited) horizon observes the result
     set and applies the QRS rule. The flood runs over an empty index map,
-    for its horizon alone: the result set is worked out once, below, from
-    the network's replica host table, so no visited ultrapeer's index is
-    asked. The deployment's network has no transport to charge.
+    for its horizon alone: the result set is read once, below, from the
+    network's replica host table, so no visited ultrapeer's index is
+    asked. It is read only up to the largest QRS threshold among the
+    observers: a result set that long is dropped by every one of them,
+    so the rest of it is never built. The deployment's network has no
+    transport to charge.
     """
     horizon = flood(gnutella.topology, {}, origin, [], ttl=2).visited
     observers = [hybrid_by_ultrapeer[up] for up in horizon if up in hybrid_by_ultrapeer]
@@ -373,9 +376,7 @@ def _observe_background_query(
     names = matcher.matching_filenames(list(query.terms))
     # The snooped result stream is what came back through the flood: the
     # replicas whose hosting ultrapeers the flood reached.
-    depths = gnutella.replica_depths(names, dict.fromkeys(horizon, 0))
-    visible = [
-        file for file, depth in zip(matcher.replicas(names), depths) if depth == 0
-    ]
+    threshold = max(hybrid.qrs_threshold for hybrid in observers)
+    visible = gnutella.replicas_hosted_by(names, horizon, threshold)
     for hybrid in observers:
         hybrid.observe_query_results(visible)

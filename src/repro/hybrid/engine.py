@@ -255,9 +255,12 @@ class HybridQueryEngine:
         from the querying ultrapeer (``inf`` for unreachable ones); only
         replicas within ``stop_ttl`` produce arrival events.
         """
-        reachable = Counter(
-            max(1, int(depth)) for depth in match_depths if depth <= stop_ttl
-        )
+        # hop -> replicas arriving with its round, counted per distinct depth
+        reachable: dict[int, int] = {}
+        for depth, count in Counter(match_depths).items():
+            if depth <= stop_ttl:
+                hop = max(1, int(depth))
+                reachable[hop] = reachable.get(hop, 0) + count
         outcome = HybridQueryOutcome(
             terms=tuple(terms),
             gnutella_results=sum(reachable.values()),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Hashable, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 from repro.common.units import CostModel
 from repro.dht.network import DhtNetwork
@@ -128,21 +128,26 @@ class Publisher:
     def publish_plan(self, plan: PublishPlan, origin: int | None = None) -> PublishReceipt:
         """Publish a compiled file from ``origin``; returns the receipt.
 
-        Each publish stores row objects of its own: a key handoff dedups
+        Rows are copied on store: a store that lacks a row's identity gets
+        a fresh copy of the plan's row (the owner, its successors and any
+        registered holders of one put share that copy), and a store that
+        holds it already gets nothing, so republishing a plan copies only
+        what is new. The copies keep publishes apart: a key handoff dedups
         the rows it moves by object identity, so publishes sharing a row
         would merge on a node that inherits both.
         """
-        entries = [
-            (key, dict(row), identity, payload_bytes, category)
-            for key, row, identity, payload_bytes, category in plan.entries
-        ]
-        messages, byte_count = self.network.put_many(entries, origin)
+        return self._publish(plan, origin, copy=dict.copy)
+
+    def _publish(
+        self, plan: PublishPlan, origin: int | None, copy: Callable[[Row], Row] | None
+    ) -> PublishReceipt:
+        messages, byte_count = self.network.put_many(plan.entries, origin, copy=copy)
         self.published_files += 1
         self.published_bytes += byte_count
         return PublishReceipt(
             file_id=plan.file_id,
             keywords=plan.keywords,
-            tuples_published=len(entries),
+            tuples_published=len(plan.entries),
             bytes=byte_count,
             messages=messages,
         )
@@ -155,8 +160,11 @@ class Publisher:
         port: int,
         origin: int | None = None,
     ) -> PublishReceipt:
-        """Publish one shared file; returns the receipt with costs."""
-        return self.publish_plan(self.plan_file(filename, filesize, ip_address, port), origin)
+        """Publish one shared file; returns the receipt with costs.
+
+        The plan is compiled for this publish alone, so its rows are
+        stored as they are, not copied."""
+        return self._publish(self.plan_file(filename, filesize, ip_address, port), origin, None)
 
     @property
     def average_bytes_per_file(self) -> float:

@@ -22,7 +22,9 @@ The Gnutella references are the content plane written out the slow way:
 :func:`reference_replica_depths` and :func:`reference_stop_ttl` are the
 per-replica ``min`` and the per-TTL recount the production helpers
 replaced, and :func:`reference_replay` runs a union-of-k replay from
-them. ``tests/test_gnutella_matcher.py`` holds production to all four.
+them. :func:`reference_snoop` is a warm-up snoop's whole result set, built
+the way the deployment built it before it stopped at the QRS threshold.
+``tests/test_gnutella_matcher.py`` holds production to all five.
 :func:`reference_attach_leaves` is leaf attachment with a fresh candidate
 list per connection (``tests/test_gnutella_topology.py``).
 
@@ -437,6 +439,18 @@ def reference_replica_depths(replicas, hosts, depth_map):
         )
         for file in replicas
     ]
+
+
+def reference_snoop(network, names, horizon):
+    """Every replica of ``names`` some ultrapeer in ``horizon`` indexes,
+    filename by filename in placement order: the replicas at depth 0 when
+    each ultrapeer of the horizon is at depth 0, read off
+    ``network.replica_depths`` and zipped with the replicas."""
+    replicas = [
+        replica for name in names for replica in network.placement.replicas_by_filename[name]
+    ]
+    depths = network.replica_depths(names, dict.fromkeys(horizon, 0))
+    return [file for file, depth in zip(replicas, depths) if depth == 0]
 
 
 def reference_stop_ttl(depths, desired_results, max_ttl):

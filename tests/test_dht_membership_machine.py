@@ -21,9 +21,15 @@ member ids, and the set of ``(key, value)`` pairs put and not lost.
   join flushes it (the next call is a miss on the new ring). Every
   routed call moves the route-cache counters by exactly one.
 * A graceful leave lands each of its values on its successor exactly once
-  and charges one handoff message per value; a crash loses exactly the
+  (a published row under its own object, as the handoff dedups rows) and
+  charges one handoff message per value; a crash loses exactly the
   pairs no other member holds, each inside the crashed node's suspect
   range or one already suspect.
+* Re-publishing a compiled file from a random member changes the stores
+  as a plain-dict model of them says (each of the owner and its
+  successors that lacks a row's identity gets one copy of the row, shared
+  by all of them and never the plan's own; nothing else changes) and
+  moves the meter by the reference price of the reference walk's hops.
 * Probing a local store builds no node.
 """
 
@@ -46,12 +52,17 @@ from repro.common.errors import DhtError, KeyNotFoundError
 from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
+from repro.pier.catalog import Catalog
+from repro.piersearch.publisher import Publisher
 
 #: a small key pool, so puts, reads and handoffs keep meeting each other
 KEYS = [hash_key(f"key-{index}") for index in range(12)]
 keys = st.sampled_from(KEYS) | st.integers(min_value=0, max_value=KEY_SPACE - 1)
 values = st.integers(min_value=0, max_value=5)
 picks = st.integers(min_value=0, max_value=1 << 16)
+#: files a member re-publishes: an Item row and a posting row per word,
+#: the words shared so postings of different files meet on one key
+FILES = [("alpha beta.mp3", 1000), ("beta gamma.mp3", 2000), ("alpha.mp3", 3000)]
 
 
 def _run(walk):
@@ -65,6 +76,18 @@ def _run(walk):
         return str(error)
 
 
+class _Copy:
+    """The model's mark for a row a store lacked: it gets a copy of ``row``."""
+
+    def __init__(self, row: dict):
+        self.row = row
+
+
+def _hashable(value):
+    """A stored value as a set member: a published row by its items."""
+    return tuple(sorted(value.items())) if isinstance(value, dict) else value
+
+
 class MembershipMachine(RuleBasedStateMachine):
     @initialize(
         seed=st.integers(min_value=0, max_value=1 << 16), replication=st.sampled_from([1, 2])
@@ -74,7 +97,11 @@ class MembershipMachine(RuleBasedStateMachine):
         self.churn = ChurnProcess(self.dht, rng=seed + 1)
         self.order: list[int] = []
         self.departed: list[int] = []
-        self.pairs: set[tuple[int, int]] = set()
+        self.pairs: set[tuple[int, object]] = set()
+        self.publisher = Publisher(self.dht, Catalog(self.dht))
+        self.plans = [
+            self.publisher.plan_file(name, size, "10.0.0.1", 6346) for name, size in FILES
+        ]
 
     # -- helpers ---------------------------------------------------------
 
@@ -85,8 +112,16 @@ class MembershipMachine(RuleBasedStateMachine):
         holders: dict[tuple[int, int], set[int]] = {}
         for node_id, key, stored in self.dht.stored_items():
             for value in stored:
-                holders.setdefault((key, value), set()).add(node_id)
+                holders.setdefault((key, _hashable(value)), set()).add(node_id)
         return holders
+
+    def _buckets(self) -> dict[int, dict[int, dict]]:
+        """Every store as plain dicts: node -> key -> {dedup handle: value}."""
+        return {
+            node_id: {key: dict(bucket) for key, bucket in node._store._data.items() if bucket}
+            for node_id, node in self.dht._built.items()
+            if node._store is not None
+        }
 
     def _depart(self, victims: list[tuple[int, bool]], remove) -> None:
         """Apply ``remove`` (which removes ``victims``) and move the oracle:
@@ -142,9 +177,16 @@ class MembershipMachine(RuleBasedStateMachine):
         before = dht.meter.by_category.get("dht.handoff")
         self._depart([(victim, True)], lambda: dht.remove_node(victim, graceful=True))
         successor = reference_owner(sorted(self.order), victim)
+        buckets = self._buckets().get(successor, {})
         for _, key, stored in handed:
             landed = dht.get_local(successor, key)
-            assert all(landed.count(value) == 1 for value in stored)
+            for value in stored:
+                if isinstance(value, dict):
+                    # a row is re-keyed by its object, so equal rows (a
+                    # republish beside a handed-off one) stay apart
+                    assert buckets[key][id(value)] is value
+                else:
+                    assert landed.count(value) == 1
         moved = sum(len(stored) for _, _, stored in handed)
         after = dht.meter.by_category.get("dht.handoff")
         assert (after.messages if after else 0) - (before.messages if before else 0) == moved
@@ -199,6 +241,52 @@ class MembershipMachine(RuleBasedStateMachine):
             batch = [(key % KEY_SPACE, value, value, 0, "dht.put") for key, value in entries]
             self.dht.put_many(batch, origin=origin)
         self.pairs.update((key % KEY_SPACE, value) for key, value in entries)
+
+    @precondition(lambda self: self.order)
+    @rule(index=st.integers(min_value=0, max_value=len(FILES) - 1), pick=picks)
+    def republish(self, index, pick):
+        dht, plan, origin = self.dht, self.plans[index], self._member(pick)
+        model, meter = self._buckets(), dht.meter
+        before = meter.messages, meter.bytes
+        receipt = self.publisher.publish_plan(plan, origin)
+        # The model: route each row along the reference walk (the put
+        # stabilized first), price it, and give it to the owner and the
+        # members after it wherever its identity is missing.
+        ring, cost = sorted(self.order), dht.cost_model
+        messages = byte_count = 0
+        for key, row, identity, payload_bytes, _ in plan.entries:
+            _, path, _ = _run(reference_iter_lookup(dht, key, origin))
+            hops, start = len(path) - 1, ring.index(path[-1])
+            copies = min(dht.replication, len(ring)) - 1
+            messages += max(1, hops) + copies
+            byte_count += cost.routed_bytes(payload_bytes, hops)
+            byte_count += copies * cost.message_bytes(payload_bytes)
+            mark = _Copy(row)  # one per row, however many stores lack it
+            for step in range(copies + 1):
+                bucket = model.setdefault(ring[(start + step) % len(ring)], {})
+                bucket.setdefault(key, {}).setdefault(identity, mark)
+            self.pairs.add((key, _hashable(row)))
+        assert (receipt.messages, receipt.bytes) == (messages, byte_count)
+        assert (meter.messages - before[0], meter.bytes - before[1]) == (messages, byte_count)
+        # The stores: the model's handles everywhere; a value the model
+        # kept is the very object it was; a row's copies are one object,
+        # equal to the plan's row and not it.
+        after = self._buckets()
+        assert {node: keyed.keys() for node, keyed in after.items()} == {
+            node: keyed.keys() for node, keyed in model.items()
+        }
+        shared: dict[int, set[int]] = {}
+        for node_id, keyed in model.items():
+            for key, bucket in keyed.items():
+                assert after[node_id][key].keys() == bucket.keys()
+                for identity, value in bucket.items():
+                    stored = after[node_id][key][identity]
+                    if isinstance(value, _Copy):
+                        assert stored == value.row and stored is not value.row
+                        shared.setdefault(id(value), set()).add(id(stored))
+                    else:
+                        assert stored is value
+        assert all(len(objects) == 1 for objects in shared.values())
 
     @precondition(lambda self: self.order)
     @rule(key=keys, pick=picks)

@@ -2,9 +2,10 @@
 
 One :class:`FilenameMatcher` answers "which filenames match" for a whole
 network, every :class:`UltrapeerIndex` filters its own files by that
-answer, and :meth:`GnutellaNetwork.replica_depths` reads one per-replica
-host table. All of it is an index-and-memo shortcut for plain scans, so
-each piece is held — order included — to the scan written out in
+answer, and :meth:`GnutellaNetwork.replica_depths` and
+:meth:`GnutellaNetwork.replicas_hosted_by` read one per-replica host
+table. All of it is an index-and-memo shortcut for plain scans, so each
+piece is held — order included — to the scan written out in
 ``tests/oracle.py``.
 """
 
@@ -18,6 +19,7 @@ from oracle import (
     reference_hosts,
     reference_replay,
     reference_replica_depths,
+    reference_snoop,
     reference_stop_ttl,
     substring_scan,
 )
@@ -184,6 +186,20 @@ def test_file_added_after_a_memoized_query_is_found():
     assert len(index.match(["klorena"])) == 1
 
 
+def test_term_scan_memoised_by_one_query_sees_a_name_learnt_later():
+    """A term's token scan is kept per term, across queries, so it must go
+    with the per-query memo when ``add`` learns a name: here a term
+    scanned as absent and one scanned as present both meet a later name
+    through queries that never ran before it."""
+    matcher = matcher_over(["darel montia.mp3"])
+    assert list(matcher.match(["darel", "klore"])) == []  # "klore": absent
+    assert list(matcher.match(["montia", "darel"])) == ["darel montia.mp3"]
+    matcher.add("Klorena darel.avi")
+    assert list(matcher.match(["klore"])) == ["Klorena darel.avi"]
+    assert list(matcher.match(["DAREL"])) == ["darel montia.mp3", "Klorena darel.avi"]
+    assert list(matcher.match(["darel", "klore"])) == ["Klorena darel.avi"]
+
+
 def test_shared_matcher_learns_from_any_index_of_the_network():
     network = line_network({0: ["darel montia.mp3"], 1: ["unrelated.mp3"]})
     contents = ContentMatcher(network)
@@ -218,6 +234,49 @@ def test_replica_depths_equal_generator_min_form():
         assert network.replica_depths(names, depth_map) == expected
     assert network.replica_depths(names, full) == [3, 2, math.inf, 0, 3, 1, math.inf]
     assert network.replica_depths([], full) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    files_by_node=placements,
+    query=terms,
+    horizon=st.sets(st.sampled_from([0, 1, 2, 3, 42])),
+    threshold=st.integers(0, 12),
+)
+def test_thresholded_snoop_equals_the_full_snoop_below_its_threshold(
+    files_by_node, query, horizon, threshold
+):
+    """The warm-up snoop reads the replicas inside a flood's horizon only
+    up to the QRS threshold. Leaf 10 has one parent, leaf 11 two (its
+    second host is one of the table's ``others`` rows) and leaf 12 none
+    (its first host is ``None``); 42 is no ultrapeer at all."""
+    network = line_network(files_by_node, {10: [0], 11: [1, 3], 12: []})
+    names = ContentMatcher(network).matching_filenames(query)
+    full = [id(file) for file in reference_snoop(network, names, horizon)]
+    cut = [id(file) for file in network.replicas_hosted_by(names, horizon, threshold)]
+    if len(cut) < threshold:
+        assert cut == full
+    else:
+        assert len(full) >= threshold and cut == full[: len(cut)]
+    every = network.replicas_hosted_by(names, horizon, len(full) + 1)
+    assert [id(file) for file in every] == full
+
+
+def test_thresholded_snoop_stops_at_the_filename_that_reaches_it():
+    network = line_network(
+        {0: ["a.mp3", "b.mp3"], 3: ["a.mp3"], 11: ["a.mp3", "c.mp3"], 12: ["a.mp3"]},
+        {11: [2, 3], 12: []},
+    )
+    names = ["a.mp3", "b.mp3", "c.mp3"]
+    replicas = network.placement.replicas_by_filename
+    a, b, c = (replicas[name] for name in names)
+    # a.mp3 at 0, 3, 11 (through its second parent, 3) and 12 (no parent)
+    assert network.replicas_hosted_by(names, {0, 3}, 99) == [a[0], a[1], a[2], b[0], c[0]]
+    assert network.replicas_hosted_by(names, {0, 3}, 3) == [a[0], a[1], a[2]]
+    assert network.replicas_hosted_by(names, {0, 3}, 4) == [a[0], a[1], a[2], b[0]]
+    assert network.replicas_hosted_by(names, {2}, 99) == [a[2], c[0]]
+    assert network.replicas_hosted_by(names, set(), 99) == []
+    assert network.replicas_hosted_by([], {0}, 0) == []
 
 
 depth = st.one_of(

@@ -11,6 +11,13 @@ the network RNG, the posting sizes the planner reads and each receipt
 equal after every step. Each posting size is probed after every step and
 read from the owner's memoised view of the list, so it must follow
 every publish, handoff and departure.
+
+A republished plan copies a row only where a store lacks its identity,
+and the stores one put reaches share that copy; the reference makes a
+fresh row per publish and offers it to every store. So the stores must
+also hold the same *objects* in the same pattern — which stored rows are
+one object — as the reference's, and the tests at the bottom pin the
+cases by name.
 """
 
 import pytest
@@ -79,7 +86,19 @@ class World:
             "route_cache": (network.route_cache_hits, network.route_cache_misses),
             "rng": network.rng.getstate(),
             "posting_sizes": self.posting_sizes(),
+            "row_objects": self.row_objects(),
         }
+
+    def row_objects(self) -> list[int]:
+        """Each stored value, in ``stored_items`` order, as the position at
+        which its object first appears: equal lists mean the same values
+        are one object on both sides."""
+        first: dict[int, int] = {}
+        return [
+            first.setdefault(id(value), len(first))
+            for _, _, values in self.network.stored_items()
+            for value in values
+        ]
 
     def posting_sizes(self) -> list[int]:
         """What the planner reads for every word of ``FILES``, checked
@@ -252,3 +271,72 @@ class TestMidFileFailure:
         assert hybrid.publish_file(self.FILE) is True
         assert hybrid.files_published == 1
         assert hybrid.publish_file(self.FILE) is False
+
+
+def holders_of(world: World, key: int) -> dict[int, list[dict]]:
+    """node -> the rows it stores under ``key``, for every node storing any."""
+    return {
+        node_id: values for node_id, stored, values in world.network.stored_items()
+        if stored == key
+    }
+
+
+class TestCopyOnStore:
+    """A republished plan copies only what a store lacks."""
+
+    @given(
+        seed=st.integers(0, 500),
+        replication=st.integers(1, 3),
+        inverted_cache=st.booleans(),
+        index=st.integers(0, len(FILES) - 1),
+        selectors=st.lists(st.integers(0, 23), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_row_object_per_identity_per_node(
+        self, seed, replication, inverted_cache, index, selectors
+    ):
+        """Republishing one plan from N origins: the first publish copies
+        each row once for the owner and its successors, which share the
+        copy, and every later one stores nothing; each publish is priced
+        as the reference prices it."""
+        batch = World(seed, replication, inverted_cache)
+        reference = World(seed, replication, inverted_cache)
+        file = FILES[index]
+        plan = batch.publisher.plan_file(*details(file))
+        for selector in selectors:
+            origin = batch.member(selector)
+            receipt = batch.publisher.publish_plan(plan, origin)
+            assert receipt == reference_publish(reference.publisher, *details(file), origin=origin)
+            assert batch.state() == reference.state()
+        for key, row, _, _, _ in plan.entries:
+            holders = holders_of(batch, key)
+            assert len(holders) == replication  # the owner and its successors
+            assert all(values == [row] for values in holders.values())
+            (copy,) = {id(values[0]) for values in holders.values()}
+            assert copy != id(row)  # the plan's own row is never stored
+
+    def test_a_republish_after_a_graceful_leave_stores_a_fresh_object(self):
+        """A handoff re-keys the rows it moves by object, so the heir lacks
+        the plan's identity and the next publish copies the row again."""
+        batch, reference = World(5, 1, False), World(5, 1, False)
+        file = FILES[1]
+        key = posting_key(batch, file)
+        owner = batch.network.owner_of(key)
+        origin = next(node for node in sorted(batch.network.nodes) if node != owner)
+        plan = batch.publisher.plan_file(*details(file))
+        batch.publisher.publish_plan(plan, origin)
+        reference_publish(reference.publisher, *details(file), origin=origin)
+        (first,) = holders_of(batch, key)[owner]
+        for world in (batch, reference):
+            world.network.remove_node(owner, graceful=True)
+        receipt = batch.publisher.publish_plan(plan, origin)
+        assert receipt == reference_publish(reference.publisher, *details(file), origin=origin)
+        assert batch.state() == reference.state()
+        heir = batch.network.owner_of(key)
+        handed, fresh = holders_of(batch, key)[heir]
+        assert handed is first and fresh == first
+        assert fresh is not first and fresh is not plan.entries[1][1]
+        # and once more: the heir holds the identity now, so nothing is copied
+        batch.publisher.publish_plan(plan, origin)
+        assert holders_of(batch, key)[heir] == [handed, fresh]
+        assert [id(row) for row in holders_of(batch, key)[heir]] == [id(handed), id(fresh)]
