@@ -155,6 +155,14 @@ class DhtNetwork:
     stands for the route-cache hit that call would have made and counts
     as one, so ``route_cache_hits`` and ``route_cache_misses`` read the
     same with or without it.
+
+    It covers where a put stores, too: :meth:`put_many` keeps each
+    owner's targets — the owner and its first ``replication - 1``
+    successors, read from the tables the same stabilize derived — beside
+    the paths, flushed by the same membership change under the same
+    stamp. Registered replica holders are not kept there:
+    :meth:`register_replicas` changes them without moving the epoch, so
+    each put reads them afresh.
     """
 
     def __init__(
@@ -201,6 +209,9 @@ class DhtNetwork:
         #: hop counts of :meth:`route_hops` and routed :meth:`ship_batch`
         #: by ``(origin, key)``, flushed with the route cache
         self._hop_cache: dict[tuple[int, int], int] = {}
+        #: :meth:`put_many`'s store targets by owner (the owner, then its
+        #: successor copies), flushed with the route cache
+        self._targets: dict[int, tuple[int, ...]] = {}
         self._route_cache_epoch = -1
         self.route_cache_hits = 0
         self.route_cache_misses = 0
@@ -393,9 +404,10 @@ class DhtNetwork:
         return self._ring_cell.successor_count
 
     def random_node_id(self) -> int:
-        if not self._ring:
+        ids = self._ring.ids
+        if not ids:
             raise DhtError("empty network")
-        return self.rng.choice(self._ring)
+        return self.rng.choice(ids)
 
     def member_ids(self) -> list[int]:
         """Every member's id in ring order (a copy of the sorted ring)."""
@@ -565,10 +577,12 @@ class DhtNetwork:
         one routing body under :meth:`lookup`, :meth:`route_hops` and
         :meth:`put_many`, which stabilize, reduce ``key`` and check
         ``origin`` is a member first. A walk that raises is neither cached
-        nor counted."""
+        nor counted. A new epoch flushes every memo the route cache
+        invariant covers."""
         if self._route_cache_epoch != self.membership_version:
             self._route_cache.clear()
             self._hop_cache.clear()
+            self._targets.clear()
             self._route_cache_epoch = self.membership_version
         owner = self._ring.responsible(key)
         cache_key = (origin, owner, key == owner)
@@ -590,7 +604,7 @@ class DhtNetwork:
         node's compiled table (one bisect), so a route-cache miss costs a
         handful of table lookups rather than a scan per hop.
         """
-        max_hops = MAX_HOPS_FACTOR * max(1, self.size).bit_length() + 8
+        max_hops = MAX_HOPS_FACTOR * max(1, len(self._ring.ids)).bit_length() + 8
         built = self._built
         current = origin
         path = [current]
@@ -796,9 +810,10 @@ class DhtNetwork:
         first; ``(messages, bytes)`` is their total. If routing fails
         midway the :class:`DhtError` propagates with the entries before it
         stored and charged and the failing one neither. An entry reads
-        only the copies it makes: at ``replication=1`` the owner's
-        successor list is never read, and with no replica set registered
-        anywhere no key is looked up in them.
+        only the copies it makes: an owner's targets are read once per
+        route-cache epoch (see the class docstring), at ``replication=1``
+        the owner's successor list is never read, and with no replica set
+        registered anywhere no key is looked up in them.
 
         With ``copy`` each entry's value is a template and its identity is
         required: the stores that lack that identity share one
@@ -814,15 +829,16 @@ class DhtNetwork:
             raise DhtError("empty network")
         if origin is not None and origin not in built and origin not in ring:
             raise NodeNotFoundError(f"unknown origin {origin:x}")
-        route, choice = self._route, self.rng.choice
+        route, choice, ids = self._route, self.rng.choice, ring.ids
         successor_copies = self.replication - 1
+        owner_targets = self._targets
         replica_sets = self._replica_sets
         routed_bytes = self.cost_model.routed_bytes
         message_bytes = self.cost_model.message_bytes
         charges: dict[str, list[int]] = {}  # category -> [messages, bytes]
         try:
             for key, value, identity, payload_bytes, category in entries:
-                path = route(key, choice(ring) if origin is None else origin)
+                path = route(key, choice(ids) if origin is None else origin)
                 owner_id = path[-1]
                 hops = len(path) - 1
                 charge = charges.get(category)
@@ -830,14 +846,18 @@ class DhtNetwork:
                     charge = charges[category] = [0, 0]
                 charge[0] += hops or 1  # a self-owned key is one local delivery
                 charge[1] += routed_bytes(payload_bytes, hops)
-                targets = (owner_id,)
-                # Replicate to successors of the owner (one direct hop each).
-                if successor_copies:
-                    replicas = built[owner_id].successors[:successor_copies]
-                    if replicas:
-                        targets += tuple(replicas)
-                        charge[0] += len(replicas)
-                        charge[1] += len(replicas) * message_bytes(payload_bytes)
+                # The owner, then its successors (one direct hop each):
+                # read once per owner per epoch, after the route flushed.
+                targets = owner_targets.get(owner_id)
+                if targets is None:
+                    targets = (owner_id,)
+                    if successor_copies:
+                        targets += tuple(built[owner_id].successors[:successor_copies])
+                    owner_targets[owner_id] = targets
+                copies = len(targets) - 1
+                if copies:
+                    charge[0] += copies
+                    charge[1] += copies * message_bytes(payload_bytes)
                 # Keep adaptively-placed replicas coherent: they are registered
                 # as serveable copies, so a publish must reach them too or
                 # rotated reads would silently miss the new value.

@@ -71,6 +71,15 @@ class Ring:
         index = self.index_of(node_id)
         return index < len(self._ids) and self._ids[index] == node_id
 
+    @property
+    def ids(self) -> list[int]:
+        """The sorted backing list itself, for C-level ``len``, indexing and
+        ``rng.choice`` in hot loops. Read-only, and valid only until the
+        next :meth:`add`, :meth:`discard` or :meth:`bulk_load`: unlike a
+        :meth:`frozen` view it is not copy-on-write, so a mutation may
+        change it in place or leave it stale."""
+        return self._ids
+
     # -- mutation ------------------------------------------------------
 
     def frozen(self) -> Ring:

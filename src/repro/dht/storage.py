@@ -47,7 +47,9 @@ class LocalStore:
         ``identity`` is the dedup handle (defaults to the value itself,
         which must then be hashable). Returns True if the value was new.
         """
-        bucket = self._data.setdefault(key, {})
+        bucket = self._data.get(key)
+        if bucket is None:
+            bucket = self._data[key] = {}
         handle = identity if identity is not None else value
         if handle in bucket:
             return False

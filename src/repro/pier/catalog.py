@@ -36,7 +36,10 @@ class TableHandle:
     hashes a value once per handle and keeps the key: a table's ring keys
     never change, and the handle lives as long as its catalog, so a
     keyword read by every query of a world is hashed once in that world.
-    The write path (:meth:`entry`) hashes without keeping anything, so a
+    The write path (:meth:`entry`) goes through the same memo when the
+    index value names a list of rows (Inverted and InvertedCache, by
+    keyword: a posting list that reads keep anyway), and hashes without
+    keeping anything when the index value is the whole primary key, so a
     table keyed by unique ids (Item, by fileID) keeps no entry per
     published file — only one per id a query has fetched.
     """
@@ -45,6 +48,16 @@ class TableHandle:
     network: DhtNetwork
     #: ring key per resolved str index value (see :meth:`ring_key`)
     _ring_keys: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    #: whether :meth:`entry` keeps its keys: the index value is not the
+    #: whole primary key, so many rows share it
+    _keep_write_keys: bool = field(init=False, repr=False, compare=False)
+    #: :meth:`entry`'s default category, ``publish.<table>``
+    _category: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        schema = self.schema
+        self._keep_write_keys = schema.key != (schema.index_column,)
+        self._category = f"publish.{schema.name}"
 
     def ring_key(self, index_value: Any) -> int:
         """:func:`table_key` of ``index_value``, hashed once per handle.
@@ -63,12 +76,17 @@ class TableHandle:
         """Validate ``row`` and resolve where and as what it is stored."""
         schema = self.schema
         schema.validate(row)
+        index_value = row[schema.index_column]
+        if self._keep_write_keys:
+            key = self.ring_key(index_value)
+        else:
+            key = hash_key(f"{schema.name}|{index_value}")  # table_key, inlined
         return (
-            table_key(schema.name, schema.index_value(row)),
+            key,
             row,
             row_identity(schema, row),
             payload_bytes,
-            category or f"publish.{schema.name}",
+            category or self._category,
         )
 
     def publish(

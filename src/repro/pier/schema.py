@@ -82,7 +82,7 @@ class Schema:
 
 def row_identity(schema: Schema, row: Row) -> tuple:
     """Stable dedup handle for a row: (table name, primary-key values)."""
-    return (schema.name,) + schema.key_of(row)
+    return (schema.name, *map(row.__getitem__, schema.key))
 
 
 # ---------------------------------------------------------------------------

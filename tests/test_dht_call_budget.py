@@ -36,10 +36,14 @@ VOCABULARY = 600
 #: 559 per file, against 656 on the put-per-tuple path it replaced (the
 #: same world, the commit before) and 1,743 on the scan-per-hop path
 #: before that; 540 since a put skips the replica-set probe while no key
-#: has one registered. Nearly every put here is a route-cache miss, so
-#: most of what is left is the walk; the ceiling sits just under the
-#: per-tuple path's count.
-CALLS_PER_FILE_CEILING = 640
+#: has one registered; 473 (468 on 3.10, 469 on 3.12) since a put reads
+#: each owner's targets once per route-cache epoch, draws its origin from
+#: the ring's list and resolves a keyword's key through the handle's
+#: memo. Nearly every put here is a route-cache miss, so most of what is
+#: left is the walk; the ceiling sits just under the count of the path
+#: each step replaced (640 under the per-tuple path's 656, now 530 under
+#: 540), so a return to it fails.
+CALLS_PER_FILE_CEILING = 530
 #: The route cache's counters for this world, identical before and after
 #: the routing step changed: the step made a miss cheap, it did not touch
 #: what counts as one.

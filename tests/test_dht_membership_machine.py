@@ -30,6 +30,18 @@ member ids, and the set of ``(key, value)`` pairs put and not lost.
   successors that lacks a row's identity gets one copy of the row, shared
   by all of them and never the plan's own; nothing else changes) and
   moves the meter by the reference price of the reference walk's hops.
+* Registering replica holders for a key (a random subset of members)
+  reaches later puts: through joins, leaves and crashes, a put of that
+  key lands on every live registered holder, and those that are neither
+  the owner nor one of its successor copies are charged as
+  ``cache.replicate`` at the reference price, one framed message each. A
+  read of the key is served in rotation by the owner and the live
+  holders, and returns only pairs the oracle holds: all of them from the
+  owner outside suspect ranges, a holder's own values from a holder.
+* The snapshot the last stabilize published, and a ``Ring.frozen`` view
+  of the ring taken while the ring still held that membership, list
+  exactly that membership after every later join, leave, crash and
+  regional leave: the ring copies its list before it changes it.
 * Probing a local store builds no node.
 """
 
@@ -102,6 +114,14 @@ class MembershipMachine(RuleBasedStateMachine):
         self.plans = [
             self.publisher.plan_file(name, size, "10.0.0.1", 6346) for name, size in FILES
         ]
+        #: the model of registered replica holders and each key's rotation
+        self.replicas: dict[int, list[int]] = {}
+        self.cursors: dict[int, int] = {}
+        #: ``(key, serving node)`` per read resolution since the last clear
+        self.served: list[tuple[int, int]] = []
+        self.dht.read_listener = lambda key, node_id: self.served.append((key, node_id))
+        #: (snapshot, frozen view, sorted members) as the last stabilize left them
+        self.published = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -114,6 +134,21 @@ class MembershipMachine(RuleBasedStateMachine):
             for value in stored:
                 holders.setdefault((key, _hashable(value)), set()).add(node_id)
         return holders
+
+    def _extra_holders(self, key: int) -> list[int]:
+        """The registered holders of ``key`` a put copies to beyond the
+        owner and its ``replication - 1`` successors (the put stabilized
+        first, so those are the members after the owner)."""
+        holders = self.replicas.get(key, ())
+        ring = sorted(self.order)
+        start = ring.index(reference_owner(ring, key))
+        copies = min(self.dht.replication, len(ring))
+        targets = {ring[(start + step) % len(ring)] for step in range(copies)}
+        return [holder for holder in holders if holder not in targets]
+
+    def _replicated(self) -> tuple[int, int]:
+        charged = self.dht.meter.by_category.get("cache.replicate")
+        return (charged.messages, charged.bytes) if charged else (0, 0)
 
     def _buckets(self) -> dict[int, dict[int, dict]]:
         """Every store as plain dicts: node -> key -> {dedup handle: value}."""
@@ -135,6 +170,12 @@ class MembershipMachine(RuleBasedStateMachine):
         for node_id, _ in victims:
             self.order.remove(node_id)
             self.departed.append(node_id)
+            for key in list(self.replicas):
+                kept = [holder for holder in self.replicas[key] if holder != node_id]
+                if kept:
+                    self.replicas[key] = kept
+                else:
+                    del self.replicas[key], self.cursors[key]
         lost = {pair for pair, held_by in holders.items() if held_by <= crashed}
         self.pairs -= lost
         for key, _ in lost:
@@ -233,14 +274,37 @@ class MembershipMachine(RuleBasedStateMachine):
         routed=st.booleans(),
     )
     def put(self, entries, pick, routed):
+        dht = self.dht
         origin = self._member(pick) if routed else None
+        before = self._replicated()
         if len(entries) == 1:
             key, value = entries[0]
-            self.dht.put_raw(key, value, origin=origin, identity=value)
+            dht.put_raw(key, value, origin=origin, identity=value)
         else:
             batch = [(key % KEY_SPACE, value, value, 0, "dht.put") for key, value in entries]
-            self.dht.put_many(batch, origin=origin)
-        self.pairs.update((key % KEY_SPACE, value) for key, value in entries)
+            dht.put_many(batch, origin=origin)
+        entries = [(key % KEY_SPACE, value) for key, value in entries]
+        self.pairs.update(entries)
+        # Registered holders: every live one holds the value, and each
+        # beyond the owner's own copies costs one framed empty payload.
+        copies = sum(len(self._extra_holders(key)) for key, _ in entries)
+        after = self._replicated()
+        assert (after[0] - before[0], after[1] - before[1]) == (
+            copies,
+            copies * dht.cost_model.message_bytes(0),
+        )
+        for key, value in entries:
+            for holder in self.replicas.get(key, ()):
+                assert value in dht.get_local(holder, key)
+
+    @precondition(lambda self: self.order)
+    @rule(key=st.sampled_from(KEYS), chosen=st.lists(picks, min_size=1, max_size=4))
+    def register_replicas(self, key, chosen):
+        holders = list(dict.fromkeys(self._member(pick) for pick in chosen))
+        self.dht.register_replicas(key, holders)
+        assert self.dht.replica_nodes(key) == holders
+        self.replicas[key] = holders
+        self.cursors.setdefault(key, 0)
 
     @precondition(lambda self: self.order)
     @rule(index=st.integers(min_value=0, max_value=len(FILES) - 1), pick=picks)
@@ -291,14 +355,27 @@ class MembershipMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.order)
     @rule(key=keys, pick=picks)
     def get_raw(self, key, pick):
+        dht = self.dht
         key %= KEY_SPACE
         expected = {value for pair_key, value in self.pairs if pair_key == key}
+        self.served.clear()
         try:
-            got = self.dht.get_raw(key, origin=self._member(pick))
+            got = dht.get_raw(key, origin=self._member(pick))
         except KeyNotFoundError:
             got = []
         assert len(got) == len(set(got)) and set(got) <= expected
-        if not self.dht.is_suspect(key):
+        # The read rotates over the owner and the live registered holders.
+        owner = reference_owner(sorted(self.order), key)
+        choices = [owner] + [holder for holder in self.replicas.get(key, ()) if holder != owner]
+        cursor = self.cursors.get(key, 0)
+        if key in self.cursors:
+            self.cursors[key] = (cursor + 1) % len(choices)
+        served = choices[cursor % len(choices)]
+        assert self.served == [(key, served)]
+        held = dht.get_local(served, key)
+        if served != owner and held:
+            assert got == held  # a holder answers with its own copies
+        elif not dht.is_suspect(key):
             assert set(got) == expected
 
     @precondition(lambda self: self.order)
@@ -380,6 +457,20 @@ class MembershipMachine(RuleBasedStateMachine):
         assert not any(node_id in dht.nodes for node_id in self.departed)
         assert dht.member_ids() == sorted(order)
         assert set(dht._built) <= set(order)
+
+    @invariant()
+    def published_snapshot_keeps_its_membership(self):
+        dht = self.dht
+        snapshot = dht._ring_cell.snapshot
+        fresh = self.published is None or snapshot is not self.published[0]
+        if snapshot is not None and fresh and not dht._stale:
+            # No join or leave since this stabilize: the ring still holds
+            # its membership, so a frozen view taken now is taken "then".
+            self.published = (snapshot, dht._ring.frozen(), sorted(self.order))
+        if self.published is not None:
+            snapshot, view, members = self.published
+            assert list(snapshot._ring) == list(view) == members
+            assert len(snapshot) == len(members)
 
     @invariant()
     def stored_pairs_match_oracle(self):

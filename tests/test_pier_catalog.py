@@ -9,6 +9,7 @@ from repro.pier.catalog import Catalog, table_key
 from repro.pier.schema import INVERTED_SCHEMA, ITEM_SCHEMA
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
+from repro.piersearch.tokenizer import extract_keywords
 
 
 @pytest.fixture()
@@ -111,24 +112,44 @@ def _memo(catalog, table):
     return dict(catalog.table(table)._ring_keys)
 
 
+def _published_keywords(files):
+    """Every keyword ``_searched_world(files)`` publishes a posting under."""
+    return {
+        keyword
+        for index in range(files)
+        for keyword in extract_keywords(f"common rare{index % 4} take{index}.mp3")
+    }
+
+
 class TestRingKeyMemo:
     """A handle keeps the ring key of each str index value a read has
-    resolved, for as long as its catalog lives; writes keep nothing."""
+    resolved, or a write has stored a posting list under, for as long as
+    its catalog lives. A write keeps no key whose index value is the whole
+    primary key: Item keeps one key per fileID a query fetched, never one
+    per published file."""
 
-    def test_publishing_keeps_no_key(self):
-        network, catalog, publisher, _ = _searched_world(8)
-        assert _memo(catalog, "Item") == _memo(catalog, "Inverted") == {}
+    def test_writes_keep_each_keyword_and_no_item_key(self):
+        _, catalog, _, _ = _searched_world(8)
+        assert _memo(catalog, "Item") == {}
+        inverted = _memo(catalog, "Inverted")
+        assert set(inverted) == _published_keywords(8)
+        for keyword, key in inverted.items():
+            assert key == hash_key(f"Inverted|{keyword}")
 
-    def test_reads_keep_the_hashed_key_and_publishes_add_none(self):
-        network, catalog, publisher, search = _searched_world(8)
+    def test_reads_add_fetched_ids_and_publishes_add_only_new_keywords(self):
+        _, catalog, publisher, search = _searched_world(8)
+        written = _memo(catalog, "Inverted")
         assert len(search.search(["Common", "rare1"])) == 2
-        inverted, items = _memo(catalog, "Inverted"), _memo(catalog, "Item")
-        assert set(inverted) == {"common", "rare1"}
+        items = _memo(catalog, "Item")
         assert len(items) == 2  # the two answers' fileIDs
+        assert _memo(catalog, "Inverted") == written  # both words were published
         for index in range(8, 8 + 32):
             publisher.publish_file(f"common other take{index}.mp3", index, "10.0.0.2", 1)
         assert _memo(catalog, "Item") == items
-        assert _memo(catalog, "Inverted") == inverted
+        inverted = _memo(catalog, "Inverted")
+        assert set(inverted) - set(written) == {"other"} | {
+            f"take{index}" for index in range(8, 8 + 32)
+        }
         for table in ("Inverted", "Item"):
             for value, key in _memo(catalog, table).items():
                 assert key == hash_key(f"{table}|{value}")
@@ -136,10 +157,13 @@ class TestRingKeyMemo:
     def test_a_second_world_starts_empty(self):
         first, first_catalog, _, search = _searched_world(8)
         search.search(["common", "rare2"])
-        assert _memo(first_catalog, "Inverted") and first._hop_cache
-        second, catalog, _, _ = _searched_world(8)
+        assert _memo(first_catalog, "Item") and first._hop_cache
+        second, catalog, _, _ = _searched_world(0)
         assert _memo(catalog, "Inverted") == _memo(catalog, "Item") == {}
-        assert second._hop_cache == {}
+        assert second._hop_cache == second._targets == {}
+        _, catalog, _, _ = _searched_world(2)
+        assert set(_memo(catalog, "Inverted")) == _published_keywords(2)
+        assert _memo(catalog, "Item") == {}
 
     def test_a_non_str_value_is_hashed_every_time(self, catalog):
         handle = catalog.table("Inverted")

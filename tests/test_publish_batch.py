@@ -340,3 +340,82 @@ class TestCopyOnStore:
         batch.publisher.publish_plan(plan, origin)
         assert holders_of(batch, key)[heir] == [handed, fresh]
         assert [id(row) for row in holders_of(batch, key)[heir]] == [id(handed), id(fresh)]
+
+
+class TestTargetsMemo:
+    """A put reads its owner's targets (the owner and its successor
+    copies) once per route-cache epoch, and its registered replica
+    holders on every put: a membership change must reach the next put's
+    copies, and so must a registration that moves no epoch."""
+
+    def twins(self, file):
+        """Twin worlds at ``replication=2``, ``file`` published in both
+        from one origin, neither the key's owner nor its successor;
+        returns the worlds, the origin and the file's first posting key."""
+        batch, reference = World(5, 2, False), World(5, 2, False)
+        key = posting_key(batch, file)
+        owner = batch.network.owner_of(key)
+        targets = (owner, self.successor(batch, owner))
+        origin = next(node for node in sorted(batch.network.nodes) if node not in targets)
+        batch.publisher.publish_file(*details(file), origin=origin)
+        reference_publish(reference.publisher, *details(file), origin=origin)
+        return (batch, reference), origin, key
+
+    def publish_second(self, worlds, origin):
+        """Publish ``FILES[0]``, which shares ``FILES[1]``'s first keyword,
+        in both worlds; returns its row under that keyword."""
+        batch, reference = worlds
+        receipt = batch.publisher.publish_file(*details(FILES[0]), origin=origin)
+        assert receipt == reference_publish(reference.publisher, *details(FILES[0]), origin=origin)
+        assert batch.state() == reference.state()
+        plan = batch.publisher.plan_file(*details(FILES[0]))
+        return plan.entries[1][1]
+
+    @staticmethod
+    def successor(world: World, node_id: int) -> int:
+        ring = sorted(world.network.nodes)
+        return ring[(ring.index(node_id) + 1) % len(ring)]
+
+    def test_a_put_after_the_successor_leaves_copies_to_the_new_one(self):
+        worlds, origin, key = self.twins(FILES[1])
+        batch = worlds[0]
+        owner = batch.network.owner_of(key)
+        leaving = self.successor(batch, owner)
+        for world in worlds:
+            world.network.remove_node(leaving, graceful=True)
+        row = self.publish_second(worlds, origin)
+        heir = self.successor(batch, owner)
+        assert heir != leaving
+        assert row in batch.network.get_local(heir, key)
+        assert set(holders_of(batch, key)) == {owner, heir}
+
+    def test_a_put_after_a_join_copies_to_the_joiner(self):
+        worlds, origin, key = self.twins(FILES[1])
+        batch = worlds[0]
+        owner = batch.network.owner_of(key)
+        old_successor = self.successor(batch, owner)
+        joiner = owner + 1  # between the owner and its successor
+        assert joiner < old_successor
+        for world in worlds:
+            world.network.create_node(joiner)
+        row = self.publish_second(worlds, origin)
+        assert batch.network.owner_of(key) == owner
+        assert row in batch.network.get_local(joiner, key)
+        assert row not in batch.network.get_local(old_successor, key)
+
+    def test_a_registration_between_two_puts_of_one_epoch_reaches_the_holder(self):
+        worlds, origin, key = self.twins(FILES[1])
+        batch = worlds[0]
+        owner = batch.network.owner_of(key)
+        holder = next(
+            node
+            for node in sorted(batch.network.nodes)
+            if node not in (owner, self.successor(batch, owner))
+        )
+        version = batch.network.membership_version
+        for world in worlds:
+            world.network.register_replicas(key, [holder])
+        row = self.publish_second(worlds, origin)
+        assert batch.network.membership_version == version  # one epoch throughout
+        assert batch.network.get_local(holder, key) == [row]
+        assert batch.network.meter.by_category["cache.replicate"].messages == 1
