@@ -24,7 +24,6 @@ from repro.experiments import (
     ext_optimizer,
     ext_runtime,
     ext_scenario,
-    ext_shard,
     fig04_replication,
     fig05_result_cdf,
     fig06_union_cdf,
@@ -69,7 +68,6 @@ EXPERIMENTS = {
     "ext-optimizer": ext_optimizer.run,
     "ext-runtime": ext_runtime.run,
     "ext-scenario": ext_scenario.run,
-    "ext-shard": ext_shard.run,
 }
 
 

@@ -59,42 +59,10 @@ def collect_cache(registry: MetricsRegistry, cache: Any, prefix: str = "cache") 
 
 
 def collect_simulator(registry: MetricsRegistry, sim: Any, prefix: str = "sim") -> None:
-    """Engine gauges: virtual clock, lifetime events, queue depth.
-
-    Accepts a live :class:`~repro.sim.engine.Simulator` or a finished
-    :class:`~repro.sim.shard.ShardRunReport`. A report has no queue; it
-    adds the run's shard count, windows, wall seconds and cross-shard
-    messages, and one labelled series per shard — clock, events, busy
-    seconds and (process backend) IPC serialize/deserialize time — so
-    dashboards see both the whole run and where each region's wall time
-    went.
-    """
-    shards = getattr(sim, "shards", None)
-    if shards is None:
-        registry.gauge(f"{prefix}.virtual_now").set(sim.now)
-        registry.gauge(f"{prefix}.events_processed").set(sim.processed)
-        registry.gauge(f"{prefix}.events_pending").set(sim.pending)
-        return
-    registry.gauge(f"{prefix}.virtual_now").set(sim.final_time)
+    """Engine gauges: virtual clock, lifetime events, queue depth."""
+    registry.gauge(f"{prefix}.virtual_now").set(sim.now)
     registry.gauge(f"{prefix}.events_processed").set(sim.processed)
-    registry.gauge(f"{prefix}.shards").set(sim.num_shards)
-    registry.gauge(f"{prefix}.windows").set(sim.windows)
-    registry.gauge(f"{prefix}.wall_seconds").set(sim.wall_seconds)
-    registry.gauge(f"{prefix}.cross_messages").set(sim.cross_messages)
-    for shard in shards:
-        labels = {"shard": str(shard.shard_id)}
-        registry.gauge(f"{prefix}.shard.virtual_now", labels=labels).set(shard.final_time)
-        registry.gauge(f"{prefix}.shard.events_processed", labels=labels).set(
-            shard.processed
-        )
-        registry.gauge(f"{prefix}.shard.busy_seconds", labels=labels).set(
-            shard.busy_seconds
-        )
-        for phase in ("serialize", "deserialize"):
-            registry.gauge(
-                f"{prefix}.shard.ipc_seconds",
-                labels={**labels, "phase": phase},
-            ).set(getattr(shard, f"ipc_{phase}_seconds"))
+    registry.gauge(f"{prefix}.events_pending").set(sim.pending)
 
 
 def collect_all(
@@ -103,11 +71,7 @@ def collect_all(
     sim: Any = None,
     caches: dict[str, Any] | None = None,
 ) -> MetricsRegistry:
-    """One-call scrape of every standard subsystem; returns the registry.
-
-    ``sim`` may be a simulator or a finished sharded run's report
-    (:func:`collect_simulator`).
-    """
+    """One-call scrape of every standard subsystem; returns the registry."""
     if network is not None:
         collect_network(registry, network)
     if sim is not None:

@@ -21,12 +21,6 @@ from repro.scenario.engine import (
 )
 from repro.scenario.injectors import PartitionInjector, RegionalFailureInjector
 from repro.scenario.presets import HOSTILE_MATRIX, SCENARIOS, SMOKE
-from repro.scenario.shardprog import (
-    ScheduleReplayProgram,
-    merged_digest,
-    replay_factory,
-    run_schedule_replay,
-)
 from repro.scenario.spec import (
     ArrivalSpec,
     ChurnSpec,
@@ -51,15 +45,11 @@ __all__ = [
     "ScenarioReport",
     "ScenarioRunner",
     "ScenarioSpec",
-    "ScheduleReplayProgram",
     "SloCheck",
     "SloSpec",
     "WorkloadSpec",
     "build_corpus",
     "compile_schedule",
     "generate_arrivals",
-    "merged_digest",
-    "replay_factory",
     "run_scenario",
-    "run_schedule_replay",
 ]

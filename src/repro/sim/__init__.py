@@ -11,23 +11,11 @@ histogram primitives the metrics registry (:mod:`repro.obs.metrics`) groups.
 
 from repro.sim.engine import EventGroup, Simulator
 from repro.sim.latency import UniformLatencyModel
-from repro.sim.shard import (
-    ShardContext,
-    ShardProgram,
-    ShardRunReport,
-    run_sharded,
-    shard_of_key,
-)
 from repro.sim.stats import Counter, Gauge, Histogram
 
 __all__ = [
     "EventGroup",
     "Simulator",
-    "ShardContext",
-    "ShardProgram",
-    "ShardRunReport",
-    "run_sharded",
-    "shard_of_key",
     "UniformLatencyModel",
     "Counter",
     "Gauge",

@@ -1,11 +1,9 @@
-"""Ring-sharded simulation kernel with conservative-lookahead windows.
+"""Sharded simulation kernel with conservative-lookahead windows.
 
-The single-heap :class:`~repro.sim.engine.Simulator` processes one event
-at a time; at hundreds of thousands of peers the heap becomes the whole
-story. This module partitions the identifier ring into ``num_shards``
-contiguous *region shards*, each running its own private event loop, and
-synchronizes them with the classic conservative-lookahead protocol
-(Chandy/Misra/Bryant in windowed form):
+This module runs ``num_shards`` shards, each its own private event loop,
+synchronized with the classic conservative-lookahead protocol
+(Chandy/Misra/Bryant in windowed form). The benchmark's ``shard_ring``
+workload is its only program.
 
 * **The invariant.** Every cross-shard interaction is a message with
   delay ``>= lookahead`` — the minimum latency the
@@ -41,10 +39,9 @@ synchronizes them with the classic conservative-lookahead protocol
 
 A sharded run is a picklable :class:`ShardProgram` per shard, executed by
 :func:`run_sharded` under a chosen backend: ``round_robin`` (sequential,
-measures per-shard busy time so aggregate capacity is still meaningful on
-one core) or ``process`` (one persistent OS process per shard, true
-parallelism on multi-core hosts; cross-shard messages travel as packed
-pickle blocks over pipes). A program talks to other shards only through
+measuring per-shard busy time) or ``process`` (one persistent OS process
+per shard; cross-shard messages travel as packed pickle blocks over
+pipes). A program talks to other shards only through
 ``ShardContext.send`` payloads, so nothing it holds ever has to cross a
 pipe.
 """
@@ -60,7 +57,6 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.common.errors import ShardWorkerError
-from repro.common.ids import KEY_SPACE
 from repro.common.rng import make_rng, spawn_rng
 from repro.sim.engine import Simulator
 
@@ -71,38 +67,20 @@ __all__ = [
     "ShardRunReport",
     "ShardWorkerError",
     "run_sharded",
-    "shard_of_key",
 ]
 
 _INF = math.inf
 
 
-def shard_of_key(key: int, num_shards: int) -> int:
-    """Region shard owning ring position ``key`` (contiguous partition).
-
-    The ring ``[0, KEY_SPACE)`` splits into ``num_shards`` equal arcs;
-    a DHT node (or stored key) belongs to the arc containing its id.
-    Contiguity matters: Chord-style routing and successor replication
-    mostly touch ring-adjacent nodes, so region sharding keeps the bulk
-    of traffic intra-shard.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    return (key % KEY_SPACE) * num_shards // KEY_SPACE
-
-
-def _plan_bounds(
-    tops: list[float], lookahead: float, until: float | None
-) -> list[float]:
+def _plan_bounds(tops: list[float], lookahead: float) -> list[float]:
     """Exclusive per-shard drain bounds for one synchronization window.
 
     ``tops[i]`` is shard i's effective next-event time (``inf`` when it
     has nothing pending). Shard i may run strictly before
     ``min(min_{j != i} tops[j], tops[i] + lookahead) + lookahead`` — see
-    the module docstring for why that is safe — clamped to ``until``.
-    The exclusive end is realized with ``nextafter`` because
-    :meth:`Simulator.run` treats its ``until`` inclusively and a message
-    may arrive exactly at the bound.
+    the module docstring for why that is safe. The exclusive end is
+    realized with ``nextafter`` because :meth:`Simulator.run` treats its
+    ``until`` inclusively and a message may arrive exactly at the bound.
     """
     lowest = second = _INF
     lowest_at = -1
@@ -118,10 +96,7 @@ def _plan_bounds(
     for index, top in enumerate(tops):
         others = second if index == lowest_at else lowest
         limit = others if others < top + lookahead else top + lookahead
-        bound = nextafter(limit + lookahead, -_INF)
-        if until is not None and until < bound:
-            bound = until
-        bounds.append(bound)
+        bounds.append(nextafter(limit + lookahead, -_INF))
     return bounds
 
 
@@ -209,31 +184,19 @@ class ShardProgram:
 class ShardReport:
     """One shard's outcome: events drained, wall-clock busy time, digest."""
 
-    shard_id: int
     processed: int
     busy_seconds: float
-    final_time: float
     digest: Any = None
     #: process backend only: wall seconds this shard's worker spent
     #: packing outbound message blocks / unpacking inbound ones
     ipc_serialize_seconds: float = 0.0
     ipc_deserialize_seconds: float = 0.0
 
-    @property
-    def events_per_second(self) -> float:
-        """Events per second of *busy* time (this shard's drain rate)."""
-        if self.busy_seconds <= 0:
-            return 0.0
-        return self.processed / self.busy_seconds
-
 
 @dataclass
 class ShardRunReport:
     """Aggregate outcome of :func:`run_sharded`."""
 
-    num_shards: int
-    backend: str
-    lookahead: float
     shards: list[ShardReport] = field(default_factory=list)
     windows: int = 0
     wall_seconds: float = 0.0
@@ -242,28 +205,6 @@ class ShardRunReport:
     @property
     def processed(self) -> int:
         return sum(s.processed for s in self.shards)
-
-    @property
-    def final_time(self) -> float:
-        return max((s.final_time for s in self.shards), default=0.0)
-
-    @property
-    def aggregate_events_per_second(self) -> float:
-        """Sum of per-shard busy-time drain rates.
-
-        This is the kernel's *capacity*: what the shard set sustains when
-        every shard drains concurrently. Under the sequential round-robin
-        backend shards time-share one core, so wall-clock throughput is
-        ``processed / wall_seconds`` instead — both are reported and the
-        benchmark records both.
-        """
-        return sum(s.events_per_second for s in self.shards)
-
-    @property
-    def wall_events_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.processed / self.wall_seconds
 
     @property
     def ipc_serialize_seconds(self) -> float:
@@ -282,7 +223,6 @@ def _run_round_robin(
     num_shards: int,
     lookahead: float,
     seed: int,
-    until: float | None,
 ) -> ShardRunReport:
     root = make_rng(seed)
     contexts: list[ShardContext] = []
@@ -294,7 +234,7 @@ def _run_round_robin(
         ctx.bind(program)
         contexts.append(ctx)
         programs.append(program)
-    report = ShardRunReport(num_shards=num_shards, backend="round_robin", lookahead=lookahead)
+    report = ShardRunReport()
     perf = _time.perf_counter
     wall_start = perf()
     busy = [0.0] * num_shards
@@ -347,15 +287,10 @@ def _run_round_robin(
         t_min = min(tops)
         if t_min == _INF:
             break
-        if until is not None and t_min > until:
-            for sim in sims:
-                if sim.now < until:
-                    sim.now = until
-            break
         if num_shards == 1:
             start = perf()
             _, indexes[0] = sims[0].run_with_inbox(
-                inboxes[0], indexes[0], handlers[0], until
+                inboxes[0], indexes[0], handlers[0], None
             )
             busy[0] += perf() - start
             collect(0)
@@ -363,7 +298,7 @@ def _run_round_robin(
             if not fresh[0]:
                 break
             continue
-        bounds = _plan_bounds(tops, lookahead, until)
+        bounds = _plan_bounds(tops, lookahead)
         for shard_id in range(num_shards):  # pinned order
             if tops[shard_id] == _INF:
                 continue
@@ -379,13 +314,11 @@ def _run_round_robin(
         report.windows += 1
     report.wall_seconds = perf() - wall_start
     report.cross_messages = msg_seq
-    for shard_id, (ctx, program) in enumerate(zip(contexts, programs)):
+    for ctx, program, shard_busy in zip(contexts, programs, busy):
         report.shards.append(
             ShardReport(
-                shard_id=shard_id,
                 processed=ctx.sim.processed,
-                busy_seconds=busy[shard_id],
-                final_time=ctx.sim.now,
+                busy_seconds=shard_busy,
                 digest=program.digest(),
             )
         )
@@ -424,8 +357,7 @@ def _process_worker(conn, factory, shard_id, num_shards, lookahead, seed) -> Non
     order, with a unique int prefix keeping payloads out of
     comparisons.
 
-    ``("stop", park_at)`` parks the clock at ``park_at`` (None: leave it)
-    and answers with the final report. Any exception is
+    ``("stop",)`` answers with the final report. Any exception is
     reported as ``("error", text)`` so the parent can raise a clean
     :class:`ShardWorkerError` instead of hanging on a dead pipe.
     """
@@ -509,15 +441,11 @@ def _process_worker(conn, factory, shard_id, num_shards, lookahead, seed) -> Non
                 busy += perf() - start
                 conn.send(("out", pack_outgoing(), next_top()))
             elif op == "stop":
-                final_until = command[1]
-                if final_until is not None and sim.now < final_until:
-                    sim.now = final_until
                 conn.send(
                     (
                         "report",
                         sim.processed,
                         busy,
-                        sim.now,
                         program.digest(),
                         serialize,
                         deserialize,
@@ -624,9 +552,8 @@ def _run_process(
     num_shards: int,
     lookahead: float,
     seed: int,
-    until: float | None,
 ) -> ShardRunReport:
-    report = ShardRunReport(num_shards=num_shards, backend="process", lookahead=lookahead)
+    report = ShardRunReport()
     perf = _time.perf_counter
     wall_start = perf()
     total_messages = 0
@@ -649,9 +576,6 @@ def _run_process(
                 if min_arrival < pending_min[dst]:
                     pending_min[dst] = min_arrival
                 total_messages += count
-        # Clocks park at ``until`` only when it cut the run short, as in
-        # the round-robin backend (a run that drains first keeps its clocks).
-        park_at = None
         while True:
             effective = [
                 tops[i] if tops[i] < pending_min[i] else pending_min[i]
@@ -660,16 +584,13 @@ def _run_process(
             t_min = min(effective)
             if t_min == _INF:
                 break
-            if until is not None and t_min > until:
-                park_at = until
-                break
             if num_shards == 1:
                 # Every send loops back: one step drains the shard, and
                 # lookahead may be 0 (the planned bound would then never
                 # pass the first event).
-                bounds = [until]
+                bounds = [None]
             else:
-                bounds = _plan_bounds(effective, lookahead, until)
+                bounds = _plan_bounds(effective, lookahead)
             stepped = []
             for shard_id in range(num_shards):
                 if effective[shard_id] == _INF:
@@ -694,18 +615,16 @@ def _run_process(
                     total_messages += count
             report.windows += 1
         for shard_id in range(num_shards):
-            pool.send(shard_id, ("stop", park_at))
+            pool.send(shard_id, ("stop",))
         for shard_id in range(num_shards):
             reply = pool.recv(shard_id)
             report.shards.append(
                 ShardReport(
-                    shard_id=shard_id,
                     processed=reply[1],
                     busy_seconds=reply[2],
-                    final_time=reply[3],
-                    digest=reply[4],
-                    ipc_serialize_seconds=reply[5],
-                    ipc_deserialize_seconds=reply[6],
+                    digest=reply[3],
+                    ipc_serialize_seconds=reply[4],
+                    ipc_deserialize_seconds=reply[5],
                 )
             )
     report.wall_seconds = perf() - wall_start
@@ -719,7 +638,6 @@ def run_sharded(
     lookahead: float,
     seed: int = 0,
     backend: str = "round_robin",
-    until: float | None = None,
 ) -> ShardRunReport:
     """Run one :class:`ShardProgram` per shard to completion.
 
@@ -728,11 +646,9 @@ def run_sharded(
     labels regardless of backend, so ``round_robin`` and ``process``
     runs of the same program are bit-identical. The ``process`` backend
     forks one persistent worker per shard (POSIX only) and exchanges
-    packed message blocks over pipes — one round trip per window; use it
-    on multi-core hosts, and ``round_robin`` everywhere else — the
-    report's per-shard busy rates make the two comparable. A worker that
-    dies or raises mid-run surfaces as :class:`ShardWorkerError` after
-    every other worker has been torn down.
+    packed message blocks over pipes — one round trip per window. A
+    worker that dies or raises mid-run surfaces as
+    :class:`ShardWorkerError` after every other worker has been torn down.
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -741,7 +657,7 @@ def run_sharded(
             f"lookahead must be positive with {num_shards} shards, got {lookahead}"
         )
     if backend == "round_robin":
-        return _run_round_robin(factory, num_shards, lookahead, seed, until)
+        return _run_round_robin(factory, num_shards, lookahead, seed)
     if backend == "process":
-        return _run_process(factory, num_shards, lookahead, seed, until)
+        return _run_process(factory, num_shards, lookahead, seed)
     raise ValueError(f"unknown backend {backend!r} (round_robin or process)")

@@ -13,6 +13,10 @@ The same walk holds the world builder's monopoly: inside ``src/repro``
 only :mod:`repro.hybrid.world` constructs a ``HybridQueryEngine`` or a
 ``HybridUltrapeer``, so the stack's pairing, clock and obs wiring cannot
 drift apart again at a hand-wired site.
+
+And the sharded kernel gains no consumer: only ``repro.sim`` itself may
+import :mod:`repro.sim.shard`, whose one program is the benchmark's
+``shard_ring`` workload.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ FORBIDDEN_IMPORTS = {"repro.dht.node", "repro.dht.storage"}
 WORLD_BUILDER = ("repro/hybrid/world.py",)
 #: classes only the world builder constructs
 WORLD_CLASSES = {"HybridQueryEngine", "HybridUltrapeer"}
+#: the only package allowed to import the sharded kernel
+SHARD_KERNEL = ("repro/sim/",)
 
 
 def _module_files() -> list[Path]:
@@ -61,13 +67,31 @@ def _constructs_world_class(node: ast.AST) -> bool:
     return name in WORLD_CLASSES
 
 
+def _imports_shard_kernel(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "repro.sim.shard" for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        if node.module == "repro.sim.shard":
+            return True
+        return node.module == "repro.sim" and any(
+            alias.name == "shard" for alias in node.names
+        )
+    return False
+
+
 def _violations_in(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     out: list[str] = []
     check_internals = not _exempt(path, DHT_INTERNAL)
     check_meter = not _exempt(path, METER_CHARGERS)
     check_world = not _exempt(path, WORLD_BUILDER)
+    check_shard = not _exempt(path, SHARD_KERNEL)
     for node in ast.walk(tree):
+        if check_shard and _imports_shard_kernel(node):
+            out.append(
+                f"{_relative(path)}:{node.lineno}: imports repro.sim.shard — "
+                "the sharded kernel takes no consumer outside repro.sim"
+            )
         if check_world and _constructs_world_class(node):
             out.append(
                 f"{_relative(path)}:{node.lineno}: constructs the race stack "
@@ -124,6 +148,9 @@ def test_lint_actually_detects_violations():
         "meter": "def f(net):\n    net.meter.charge('x', 1, 2)\n",
         "engine": "def f(sim, dht):\n    return HybridQueryEngine(sim, dht)\n",
         "ultrapeer": "def f(m):\n    return m.HybridUltrapeer(1, 2, None, None)\n",
+        "shard_from": "from repro.sim.shard import run_sharded\n",
+        "shard_import": "import repro.sim.shard as kernel\n",
+        "shard_module": "from repro.sim import engine, shard\n",
     }
     probe = SRC / "pier" / "_lint_probe.py"  # virtual path outside exemptions
     for name, code in snippets.items():
@@ -146,14 +173,18 @@ def test_lint_actually_detects_violations():
                 and node.func.value.attr == "meter"
             ):
                 hits.append(node)
-            if _constructs_world_class(node):
+            if _constructs_world_class(node) or _imports_shard_kernel(node):
                 hits.append(node)
         assert hits, f"lint failed to flag the {name!r} pattern"
+    sim_imports = "import repro.sim\nfrom repro.sim import engine\n"
+    assert not any(map(_imports_shard_kernel, ast.walk(ast.parse(sim_imports))))
     assert not _exempt(probe, DHT_INTERNAL)
     assert _exempt(SRC / "dht" / "network.py", DHT_INTERNAL)
     assert _exempt(SRC / "net" / "transport.py", METER_CHARGERS)
     assert _exempt(SRC / "hybrid" / "world.py", WORLD_BUILDER)
     assert not _exempt(SRC / "hybrid" / "deployment.py", WORLD_BUILDER)
+    assert _exempt(SRC / "sim" / "__init__.py", SHARD_KERNEL)
+    assert not _exempt(SRC / "scenario" / "engine.py", SHARD_KERNEL)
 
 
 def test_deleted_path_selectors_stay_deleted():

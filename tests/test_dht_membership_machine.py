@@ -43,6 +43,12 @@ member ids, and the set of ``(key, value)`` pairs put and not lost.
   exactly that membership after every later join, leave, crash and
   regional leave: the ring copies its list before it changes it.
 * Probing a local store builds no node.
+* A ``StoredList`` view of a published key is transparent: after any
+  sequence of puts, handoffs, crashes, republishes and replica
+  registrations, ``local_view(node, key, StoredList)`` lists the same ids
+  as a ``StoredList`` built fresh from ``get_local(node, key)``, and a
+  view built before a write that changed the key's values at that node
+  is never returned after it.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
+from repro.pier.operators import StoredList
 from repro.piersearch.publisher import Publisher
 
 #: a small key pool, so puts, reads and handoffs keep meeting each other
@@ -122,6 +129,10 @@ class MembershipMachine(RuleBasedStateMachine):
         self.dht.read_listener = lambda key, node_id: self.served.append((key, node_id))
         #: (snapshot, frozen view, sorted members) as the last stabilize left them
         self.published = None
+        #: the keys the plans publish rows under: the only keys a view reads
+        self.view_keys = sorted({entry[0] for plan in self.plans for entry in plan.entries})
+        #: (node, key) -> (the last view read there, the values it was built on)
+        self.views: dict[tuple[int, int], tuple[StoredList, list]] = {}
 
     # -- helpers ---------------------------------------------------------
 
@@ -446,6 +457,17 @@ class MembershipMachine(RuleBasedStateMachine):
         assert self.dht.get_local(node_id, key) == [] or held
         assert set(self.dht._built) == built
 
+    @precondition(lambda self: self.order)
+    @rule(pick=picks)
+    def local_view(self, pick):
+        # Every published key, at its owner and at one more member: the
+        # views the invariant below then re-reads after each later step.
+        ring = sorted(self.order)
+        for key in self.view_keys:
+            for node_id in {reference_owner(ring, key), self._member(pick)}:
+                view = self.dht.local_view(node_id, key, StoredList)
+                self.views[(node_id, key)] = (view, self.dht.get_local(node_id, key))
+
     # -- invariants ------------------------------------------------------
 
     @invariant()
@@ -471,6 +493,22 @@ class MembershipMachine(RuleBasedStateMachine):
             snapshot, view, members = self.published
             assert list(snapshot._ring) == list(view) == members
             assert len(snapshot) == len(members)
+
+    @invariant()
+    def stored_list_views_are_fresh(self):
+        dht = self.dht
+        for (node_id, key), (view, values) in list(self.views.items()):
+            if node_id not in dht.nodes:
+                del self.views[(node_id, key)]
+                continue
+            stored = dht.get_local(node_id, key)
+            current = dht.local_view(node_id, key, StoredList)
+            assert current.ids == StoredList(stored).ids
+            unchanged = len(stored) == len(values) and all(
+                now is then for now, then in zip(stored, values)
+            )
+            assert unchanged or current is not view
+            self.views[(node_id, key)] = (current, stored)
 
     @invariant()
     def stored_pairs_match_oracle(self):

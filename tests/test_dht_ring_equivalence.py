@@ -18,8 +18,8 @@ stabilized* membership.
 A construction-only extrapolation test pins the memory claim: deep
 bytes-per-peer measured at 50k peers is per-peer-constant by
 construction (an idle peer is its id and two list cells, and no node),
-so the measured figure extrapolates to the million-peer ceiling recorded
-in ``BENCH_shard.json``. Membership reads and the accounting build no
+so the measured figure extrapolates to a million peers (the README's
+capacity table measures 64.4 B/peer at 1M). Membership reads and the accounting build no
 node, and a fresh-interpreter 300k-peer populate pins peak RSS growth.
 """
 
@@ -299,8 +299,8 @@ def test_million_peer_bytes_per_peer_ceiling_by_extrapolation():
 
     An idle peer is its id: a 48 B int, one cell of the sorted ring and
     one of the join-order list, and no node at all (~65 B/peer). That is
-    constant per peer, so a 50k sample extrapolates linearly; the
-    recorded ``BENCH_shard.json`` pins a 1M measurement and this test
+    constant per peer, so a 50k sample extrapolates linearly to the 1M
+    figure in the README's capacity table (64.4 B/peer), and this test
     keeps the regression signal cheap enough for every CI run.
     """
     network = DhtNetwork(rng=13)

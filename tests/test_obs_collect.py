@@ -86,84 +86,6 @@ class TestCacheAndSimCollectors:
         assert registry.gauge("sim.events_processed").value == 1
         assert registry.gauge("sim.events_pending").value == 1
 
-    def test_round_robin_run_report_gauges(self):
-        """A finished run_sharded report: aggregate gauges plus one
-        labelled series per shard, busy seconds included."""
-        from repro.sim.shard import ShardProgram, run_sharded
-
-        class Tick(ShardProgram):
-            def start(self, ctx):
-                ctx.schedule(1.0 + ctx.shard_id, lambda: None)
-
-        report = run_sharded(lambda shard_id, num_shards, rng: Tick(), 2, 0.05)
-        registry = MetricsRegistry()
-        collect_simulator(registry, report)
-        assert registry.gauge("sim.virtual_now").value == 2.0
-        assert registry.gauge("sim.events_processed").value == 2
-        assert registry.gauge("sim.shards").value == 2
-        assert registry.gauge("sim.windows").value == report.windows
-        for shard in ("0", "1"):
-            labels = {"shard": shard}
-            assert registry.gauge("sim.shard.events_processed", labels=labels).value == 1
-            assert registry.gauge("sim.shard.busy_seconds", labels=labels).value >= 0.0
-        assert (
-            registry.gauge("sim.shard.virtual_now", labels={"shard": "1"}).value == 2.0
-        )
-
-    def test_shard_run_report_gauges_with_ipc_series(self):
-        """A finished ShardRunReport scrapes like a live kernel: aggregate
-        plus per-shard series, with IPC serialize/deserialize time as
-        labelled gauges (the process backend's wall-time breakdown)."""
-        from repro.sim.shard import ShardReport, ShardRunReport
-
-        report = ShardRunReport(num_shards=2, backend="process", lookahead=0.05)
-        report.windows = 7
-        report.wall_seconds = 1.5
-        report.cross_messages = 40
-        report.shards = [
-            ShardReport(
-                shard_id=0,
-                processed=100,
-                busy_seconds=0.5,
-                final_time=3.0,
-                ipc_serialize_seconds=0.02,
-                ipc_deserialize_seconds=0.01,
-            ),
-            ShardReport(
-                shard_id=1,
-                processed=50,
-                busy_seconds=0.25,
-                final_time=2.0,
-                ipc_serialize_seconds=0.04,
-                ipc_deserialize_seconds=0.03,
-            ),
-        ]
-        registry = MetricsRegistry()
-        collect_simulator(registry, report)
-        assert registry.gauge("sim.virtual_now").value == 3.0
-        assert registry.gauge("sim.events_processed").value == 150
-        assert registry.gauge("sim.shards").value == 2
-        assert registry.gauge("sim.windows").value == 7
-        assert registry.gauge("sim.wall_seconds").value == 1.5
-        assert registry.gauge("sim.cross_messages").value == 40
-        assert (
-            registry.gauge("sim.shard.busy_seconds", labels={"shard": "1"}).value
-            == 0.25
-        )
-        assert (
-            registry.gauge(
-                "sim.shard.ipc_seconds", labels={"shard": "0", "phase": "serialize"}
-            ).value
-            == 0.02
-        )
-        assert (
-            registry.gauge(
-                "sim.shard.ipc_seconds", labels={"shard": "1", "phase": "deserialize"}
-            ).value
-            == 0.03
-        )
-        validate_prometheus(registry.to_prometheus())
-
 
 class TestCollectAll:
     def test_one_call_scrape_exports_validly(self):

@@ -14,43 +14,14 @@ import os
 
 import pytest
 
-from repro.common.ids import KEY_SPACE
 from repro.sim.shard import (
     ShardContext,
     ShardProgram,
     ShardWorkerError,
     run_sharded,
-    shard_of_key,
 )
 
 LOOKAHEAD = 0.05
-
-
-# ----------------------------------------------------------------------
-# shard_of_key
-# ----------------------------------------------------------------------
-
-
-def test_shard_of_key_partitions_ring_contiguously():
-    assert shard_of_key(0, 4) == 0
-    assert shard_of_key(KEY_SPACE - 1, 4) == 3
-    assert shard_of_key(KEY_SPACE // 2, 4) == 2
-    # one shard: everything maps to 0
-    assert shard_of_key(KEY_SPACE - 1, 1) == 0
-
-
-def test_shard_of_key_covers_all_shards_evenly():
-    counts = [0] * 8
-    samples = 4096
-    for i in range(samples):
-        counts[shard_of_key(i * (KEY_SPACE // samples), 8)] += 1
-    assert min(counts) > 0
-    assert max(counts) - min(counts) <= samples // 8
-
-
-def test_shard_of_key_rejects_bad_shard_count():
-    with pytest.raises(ValueError):
-        shard_of_key(1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -207,35 +178,6 @@ def test_same_shard_send_bypasses_lookahead(backend):
     assert report.cross_messages == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_until_parks_all_clocks_at_until(backend):
-    """A run cut short by ``until`` rests every clock exactly there."""
-    report = run_sharded(
-        lambda shard_id, num_shards, rng: Ticks((10.0,) if shard_id == 0 else ()),
-        num_shards=2,
-        lookahead=LOOKAHEAD,
-        until=1.0,
-        backend=backend,
-    )
-    assert report.processed == 0
-    assert report.digests() == [[], []]
-    assert [s.final_time for s in report.shards] == [1.0, 1.0]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_drained_before_until_keeps_its_clocks(backend):
-    """``until`` past the last event parks nothing (Simulator.run's rule)."""
-    report = run_sharded(
-        lambda shard_id, num_shards, rng: Ticks((0.5,) if shard_id == 0 else ()),
-        num_shards=2,
-        lookahead=LOOKAHEAD,
-        until=1.0,
-        backend=backend,
-    )
-    assert report.digests() == [[0.5], []]
-    assert [s.final_time for s in report.shards] == [0.5, 0.0]
-
-
 class TiedSends(ShardProgram):
     """Shards 1 and 2 send to shard 0 so that everything arrives at once:
     shard 2 sends first in virtual time, shard 1 sends two in a row."""
@@ -331,15 +273,12 @@ def _token_factory(shard_id: int, num_shards: int, rng) -> TokenRing:
 
 def test_run_sharded_round_robin_completes_ring():
     report = run_sharded(_token_factory, num_shards=4, lookahead=0.05, seed=3)
-    assert report.backend == "round_robin"
-    assert report.num_shards == 4
     # 3 tokens per shard, each visiting 26 stops
     assert report.processed == 4 * 3 * 26
     assert report.cross_messages == 4 * 3 * 25
     assert report.windows > 1
     assert len(report.shards) == 4
     assert all(s.processed > 0 for s in report.shards)
-    assert report.final_time > 0
 
 
 def test_run_sharded_is_deterministic_across_runs():
@@ -355,13 +294,6 @@ def test_run_sharded_seed_changes_execution():
     assert a.digests() != b.digests()
 
 
-def test_run_sharded_until_stops_early():
-    full = run_sharded(_token_factory, num_shards=2, lookahead=0.05, seed=5)
-    cut = run_sharded(_token_factory, num_shards=2, lookahead=0.05, seed=5, until=0.3)
-    assert cut.processed < full.processed
-    assert cut.final_time <= 0.3 + 1e-9
-
-
 @pytest.mark.slow
 def test_process_backend_matches_round_robin():
     """Fork-per-shard execution is bit-identical to the sequential drain."""
@@ -369,7 +301,6 @@ def test_process_backend_matches_round_robin():
     forked = run_sharded(
         _token_factory, num_shards=2, lookahead=0.05, seed=9, backend="process"
     )
-    assert forked.backend == "process"
     assert forked.digests() == sequential.digests()
     assert forked.processed == sequential.processed
     assert forked.cross_messages == sequential.cross_messages
@@ -378,15 +309,6 @@ def test_process_backend_matches_round_robin():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         run_sharded(_token_factory, num_shards=2, lookahead=0.05, backend="threads")
-
-
-def test_report_rates_are_consistent():
-    report = run_sharded(_token_factory, num_shards=4, lookahead=0.05, seed=3)
-    assert report.aggregate_events_per_second >= 0
-    assert report.wall_events_per_second > 0
-    assert report.wall_seconds > 0
-    for shard in report.shards:
-        assert shard.events_per_second >= 0
 
 
 class StartSender(ShardProgram):
