@@ -24,6 +24,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: modules allowed to touch DhtNode / LocalStore internals
@@ -67,16 +69,24 @@ def _constructs_world_class(node: ast.AST) -> bool:
     return name in WORLD_CLASSES
 
 
-def _imports_shard_kernel(node: ast.AST) -> bool:
+def _imports_shard_kernel(node: ast.AST, package: str = "") -> bool:
+    """Whether ``node`` imports :mod:`repro.sim.shard`; a relative import
+    is resolved against ``package``, the importing module's package."""
     if isinstance(node, ast.Import):
         return any(alias.name == "repro.sim.shard" for alias in node.names)
-    if isinstance(node, ast.ImportFrom) and node.level == 0:
-        if node.module == "repro.sim.shard":
-            return True
-        return node.module == "repro.sim" and any(
-            alias.name == "shard" for alias in node.names
-        )
-    return False
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = node.module or ""
+    if node.level:
+        base = package.rsplit(".", node.level - 1)[0] if package else ""
+        module = f"{base}.{module}" if module else base
+    if module == "repro.sim.shard":
+        return True
+    return module == "repro.sim" and any(alias.name == "shard" for alias in node.names)
+
+
+def _package_of(path: Path) -> str:
+    return ".".join(path.relative_to(SRC.parent).parts[:-1])
 
 
 def _violations_in(path: Path) -> list[str]:
@@ -86,8 +96,9 @@ def _violations_in(path: Path) -> list[str]:
     check_meter = not _exempt(path, METER_CHARGERS)
     check_world = not _exempt(path, WORLD_BUILDER)
     check_shard = not _exempt(path, SHARD_KERNEL)
+    package = _package_of(path)
     for node in ast.walk(tree):
-        if check_shard and _imports_shard_kernel(node):
+        if check_shard and _imports_shard_kernel(node, package):
             out.append(
                 f"{_relative(path)}:{node.lineno}: imports repro.sim.shard — "
                 "the sharded kernel takes no consumer outside repro.sim"
@@ -187,6 +198,27 @@ def test_lint_actually_detects_violations():
     assert not _exempt(SRC / "scenario" / "engine.py", SHARD_KERNEL)
 
 
+@pytest.mark.parametrize(
+    "code, module, flagged",
+    [
+        ("from ..sim import shard\n", "scenario/engine.py", True),
+        ("from ..sim.shard import run_sharded\n", "scenario/engine.py", True),
+        ("from ...sim import shard\n", "pier/ops/probe.py", True),
+        ("from .shard import run_sharded\n", "sim/__init__.py", True),
+        ("from ..sim import engine\n", "scenario/engine.py", False),
+        ("from .shard import run_sharded\n", "scenario/__init__.py", False),
+        ("from .. import sim\n", "scenario/engine.py", False),
+    ],
+)
+def test_shard_rule_resolves_relative_imports(code, module, flagged):
+    """A relative import names the kernel through its importer's package:
+    ``from ..sim import shard`` in ``repro/scenario`` is the kernel, while
+    ``from .shard import ...`` there is a sibling module."""
+    package = _package_of(SRC / module)
+    hits = [node for node in ast.walk(ast.parse(code)) if _imports_shard_kernel(node, package)]
+    assert bool(hits) is flagged
+
+
 def test_deleted_path_selectors_stay_deleted():
     """One path per job: no constructor or config field selects a twin,
     the kernel cancels by group only (no per-event handle), and where
@@ -194,8 +226,6 @@ def test_deleted_path_selectors_stay_deleted():
     import dataclasses
     import importlib
     import inspect
-
-    import pytest
 
     from repro.dht.network import DhtNetwork
     from repro.pier.dataflow import DataflowConfig, DataflowExecutor

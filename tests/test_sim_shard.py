@@ -311,6 +311,81 @@ def test_unknown_backend_rejected():
         run_sharded(_token_factory, num_shards=2, lookahead=0.05, backend="threads")
 
 
+@pytest.mark.parametrize("num_shards", [0, -1])
+def test_shard_count_below_one_rejected(num_shards):
+    with pytest.raises(ValueError, match="num_shards"):
+        run_sharded(_token_factory, num_shards=num_shards, lookahead=0.05)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_report_accounts_for_every_shard(backend):
+    """One ShardReport per shard, in shard order: the counts add up to the
+    run's, and no shard was busy longer than the run took."""
+    report = run_sharded(
+        _token_factory, num_shards=3, lookahead=0.05, seed=5, backend=backend
+    )
+    assert len(report.shards) == 3
+    assert report.processed == sum(s.processed for s in report.shards) == 3 * 3 * 26
+    assert report.cross_messages == 3 * 3 * 25
+    assert report.wall_seconds > 0
+    for shard in report.shards:
+        assert 0 <= shard.busy_seconds <= report.wall_seconds
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_program_with_no_events_runs_no_window(backend):
+    report = run_sharded(
+        lambda shard_id, num_shards, rng: Ticks(()),
+        num_shards=2,
+        lookahead=LOOKAHEAD,
+        backend=backend,
+    )
+    assert report.processed == 0
+    assert report.windows == 0
+    assert report.cross_messages == 0
+    assert report.digests() == [[], []]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_idle_shards_process_nothing(backend):
+    """Only shard 0 has work: the others report no events and an empty
+    digest, and the busy shard still drains everything."""
+    report = run_sharded(
+        lambda shard_id, num_shards, rng: Ticks((1.0, 2.0) if shard_id == 0 else ()),
+        num_shards=3,
+        lookahead=LOOKAHEAD,
+        backend=backend,
+    )
+    assert report.digests() == [[1.0, 2.0], [], []]
+    assert [s.processed for s in report.shards] == [2, 0, 0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_single_shard_loopback_needs_no_lookahead(backend):
+    """With one shard every send loops back, so lookahead may be zero."""
+    report = run_sharded(
+        _one_send(0, 0, 0.1, 0.0), num_shards=1, lookahead=0.0, backend=backend
+    )
+    assert report.digests() == [[(0.1, "from0")]]
+    assert report.cross_messages == 0
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_backends_agree_on_digests_and_windows(num_shards):
+    """Both backends plan the same windows over the same messages, so the
+    counters the benchmark reports match as well as the digests."""
+    sequential = run_sharded(_token_factory, num_shards, lookahead=0.05, seed=9)
+    forked = run_sharded(
+        _token_factory, num_shards, lookahead=0.05, seed=9, backend="process"
+    )
+    assert forked.digests() == sequential.digests()
+    assert forked.windows == sequential.windows > 1
+    assert forked.cross_messages == sequential.cross_messages
+    assert [s.processed for s in forked.shards] == [
+        s.processed for s in sequential.shards
+    ]
+
+
 class StartSender(ShardProgram):
     """Sends cross-shard during ``start()`` — exercising the handshake
     path that ships setup-time messages before the first window."""

@@ -16,6 +16,7 @@ at every live node and posting key to a view built fresh from
 ``get_local``.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -149,3 +150,74 @@ def test_a_view_is_shared_until_a_write_changes_its_list():
     assert newer is not view and newer.ids[-1] == "file07"
     network.remove_local(node, key)
     assert network.local_view(node, key, StoredList).rows == []
+
+
+def _put_new_row(network, postings, key, owner, successor):
+    _, row, identity, _, _ = postings.entry(posting("nebula", 5))
+    network.put_local(owner, key, row, identity)
+    return owner
+
+
+def _remove_key(network, postings, key, owner, successor):
+    network.remove_local(owner, key)
+    return owner
+
+
+def _expire_and_purge(network, postings, key, owner, successor):
+    network.set_local_expiry(owner, key, 1.0)
+    network.purge_expired_local(owner, 2.0)
+    return owner
+
+
+def _join_claims_key(network, postings, key, owner, successor):
+    network.create_node(key)  # the newcomer owns the key: owner hands it over
+    return owner
+
+
+def _graceful_leave(network, postings, key, owner, successor):
+    network.remove_node(owner, graceful=True)  # successor takes owner's rows
+    return successor
+
+
+def _routed_put(network, postings, key, owner, successor):
+    network.put_many([postings.entry(posting("nebula", 6))])
+    return owner
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        _put_new_row,
+        _remove_key,
+        _expire_and_purge,
+        _join_claims_key,
+        _graceful_leave,
+        _routed_put,
+    ],
+    ids=lambda write: write.__name__.strip("_"),
+)
+def test_each_kind_of_write_drops_the_view_it_changes(write):
+    """The owner and its successor each hold a memoised view of the key;
+    after one write, the node whose list it changed serves a new view
+    that equals a fresh one."""
+    network = DhtNetwork(rng=3)
+    network.populate(4)
+    catalog = Catalog(network)
+    Publisher(network, catalog)
+    postings = catalog.table("Inverted")
+    key = table_key("Inverted", "nebula")
+    owner = network.owner_of(key)
+    members = sorted(network.nodes)
+    successor = members[(members.index(owner) + 1) % len(members)]
+    for node, indexes in ((owner, range(3)), (successor, (9,))):
+        for index in indexes:
+            _, row, identity, _, _ = postings.entry(posting("nebula", index))
+            network.put_local(node, key, row, identity)
+    before = {node: network.local_view(node, key, StoredList) for node in (owner, successor)}
+    assert network.local_view(owner, key, StoredList) is before[owner]
+    changed = write(network, postings, key, owner, successor)
+    current = network.local_view(changed, key, StoredList)
+    fresh = StoredList(network.get_local(changed, key))
+    assert current is not before[changed]
+    assert derived(current) == derived(fresh)
+    assert current.ids != before[changed].ids
