@@ -41,7 +41,9 @@ def main() -> None:
         )
 
     # 3. Search with the distributed-join strategy (Figure 2).
-    engine = SearchEngine(network, catalog)
+    engine = SearchEngine(
+        network, catalog, strategy=JoinStrategy.DISTRIBUTED_JOIN
+    )
     for terms in (["toxic"], ["britney", "toxic"], ["distributed", "tables"]):
         result = engine.search(terms)
         print(f"\nquery {terms} -> {len(result)} results")
@@ -54,7 +56,9 @@ def main() -> None:
 
     # 4. The same query with the InvertedCache option (Figure 3):
     #    answered at a single site, no posting entries shipped.
-    cached_engine = SearchEngine(network, catalog, inverted_cache=True)
+    cached_engine = SearchEngine(
+        network, catalog, strategy=JoinStrategy.INVERTED_CACHE
+    )
     result = cached_engine.search(["britney", "toxic"])
     print(
         f"\nInvertedCache query ['britney', 'toxic'] -> {len(result)} results, "

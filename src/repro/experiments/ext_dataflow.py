@@ -25,6 +25,7 @@ from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, 
 from repro.experiments.sec5_posting import build_indexed_corpus
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.planner import KeywordPlanner
+from repro.pier.query import JoinStrategy
 
 BATCH_SIZES = (1, 16, 64, 256)
 
@@ -49,7 +50,13 @@ def run(
     plans = []
     for query in queries:
         try:
-            plans.append(planner.plan(list(query.terms), network.random_node_id()))
+            plans.append(
+                planner.plan(
+                    list(query.terms),
+                    network.random_node_id(),
+                    strategy=JoinStrategy.DISTRIBUTED_JOIN,
+                )
+            )
         except PlanError:
             continue
 

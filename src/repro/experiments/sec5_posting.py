@@ -68,7 +68,10 @@ def build_indexed_corpus(
 
 def run(scale: PaperScale = PAPER_SCALE, max_queries: int = 200) -> ExperimentResult:
     network, catalog, _ = build_indexed_corpus(scale)
-    engine = SearchEngine(network, catalog)
+    # Section 5 replays the paper's Figure 2 plan.
+    engine = SearchEngine(
+        network, catalog, strategy=JoinStrategy.DISTRIBUTED_JOIN
+    )
     workload = get_workload(scale)
 
     shipped_small: list[int] = []

@@ -39,6 +39,7 @@ from repro.hybrid.ultrapeer import (
     HybridUltrapeer,
 )
 from repro.hybrid.world import HybridWorld, build_world
+from repro.pier.query import JoinStrategy
 from repro.workload.library import ContentLibrary
 from repro.workload.queries import QueryWorkload, generate_workload
 
@@ -66,6 +67,8 @@ class DeploymentConfig:
     num_items: int = 1500
     num_background_queries: int = 600
     num_test_queries: int = 400
+    #: the paper's two plans: Figure 3's InvertedCache scan when set,
+    #: else Figure 2's distributed join
     inverted_cache: bool = False
     seed: int = 0
     # --- repro.cache subsystem (0 = disabled, matching the paper) -----
@@ -323,7 +326,11 @@ def build_deployment(config: DeploymentConfig | None = None) -> Deployment:
     world = build_world(
         dht,
         hybrid_ids,
-        inverted_cache=config.inverted_cache,
+        strategy=(
+            JoinStrategy.INVERTED_CACHE
+            if config.inverted_cache
+            else JoinStrategy.DISTRIBUTED_JOIN
+        ),
         latency_model=gnutella.latency_model,
         rng=streams["engine"],
         cache_budget_bytes=config.cache_budget_bytes,

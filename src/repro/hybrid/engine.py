@@ -23,12 +23,14 @@ rather than priced (the paper's closed-form equations live in
   the race resolves at the *first answer batch* while upstream batches
   are still in flight — a DHT answer wins mid-join, and
   ``pier_completion_latency`` records when the pipeline actually drained.
-  When the submitting ultrapeer's
-  :class:`~repro.piersearch.search.SearchEngine` carries a cost-based
-  optimizer (:mod:`repro.pier.optimizer`), each re-query races with the
-  cheapest of the four join strategies — semi-join digest streams and
-  Bloom-join candidate streams pipeline through the same exchange
-  dataflow as the distributed join.
+  The join strategy is the submitting ultrapeer's
+  :class:`~repro.piersearch.search.SearchEngine`'s: the one it names
+  (the Section 7 deployment names Figure 2's distributed join, or
+  Figure 3's InvertedCache), else the cheapest of the four when it
+  carries a cost-based optimizer (:mod:`repro.pier.optimizer`), else the
+  semi-join, which ships packed fileID digests where the distributed
+  join ships framed posting tuples, to the same answers. Every chain
+  pipelines through the same exchange dataflow.
 * **Resolution** — whichever source delivers first in virtual time wins
   the first-result latency; late Gnutella arrivals still count toward the
   final answer set.
@@ -55,7 +57,7 @@ from repro.gnutella.latency import GnutellaLatencyModel
 from repro.hybrid.ultrapeer import HybridQueryOutcome, HybridUltrapeer
 from repro.obs.metrics import MetricsRegistry
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, DataflowQuery
-from repro.pier.query import DistributedPlan
+from repro.pier.query import CACHE_TABLE, DistributedPlan, JoinStrategy
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
 from repro.sim.stats import Counter as MetricCounter
@@ -583,7 +585,11 @@ class HybridQueryEngine:
             or outcome.degraded
         ):
             return
-        table = "InvertedCache" if search.inverted_cache else search.planner.posting_table
+        table = (
+            CACHE_TABLE
+            if search.strategy is JoinStrategy.INVERTED_CACHE
+            else search.planner.posting_table
+        )
         handle = search.catalog.table(table)
         suspect_posting = any(self.dht.is_suspect(handle.ring_key(k)) for k in race.key)
         # Join matches with zero final results mean the matched Item rows

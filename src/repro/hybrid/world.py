@@ -23,6 +23,7 @@ from repro.gnutella.latency import GnutellaLatencyModel
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT, HybridUltrapeer
 from repro.pier.catalog import Catalog
+from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
@@ -51,7 +52,7 @@ def build_world(
     ultrapeer_ids: Sequence[int],
     *,
     gnutella_timeout: float = DEFAULT_GNUTELLA_TIMEOUT,
-    inverted_cache: bool = False,
+    strategy: JoinStrategy | None = None,
     optimizer: bool = False,
     race_config: RaceConfig | None = None,
     latency_model: GnutellaLatencyModel | None = None,
@@ -65,7 +66,10 @@ def build_world(
 
     One hybrid ultrapeer is built per entry of ``ultrapeer_ids``, on the
     DHT node of the same position. ``rng`` seeds the race engine's latency
-    draws. A positive ``cache_budget_bytes`` adds the shared result cache;
+    draws. ``strategy`` is the search engine's join strategy (``None``:
+    the optimizer's pick, else the semi-join); ``INVERTED_CACHE`` also
+    makes the publisher publish that table. A positive
+    ``cache_budget_bytes`` adds the shared result cache;
     a positive ``hot_read_threshold`` attaches the replication controller.
     """
     nodes = list(dht.nodes.values())
@@ -77,9 +81,11 @@ def build_world(
     if tracer is not None:
         tracer.bind_clock(lambda: sim.now)
     catalog = Catalog(dht)
-    publisher = Publisher(dht, catalog, inverted_cache=inverted_cache)
+    publisher = Publisher(
+        dht, catalog, inverted_cache=strategy is JoinStrategy.INVERTED_CACHE
+    )
     search = SearchEngine(
-        dht, catalog, inverted_cache=inverted_cache, optimizer=optimizer,
+        dht, catalog, strategy=strategy, optimizer=optimizer,
         tracer=tracer, metrics=metrics,
     )
     engine = HybridQueryEngine(

@@ -21,10 +21,14 @@ optimizer (:mod:`repro.pier.optimizer`) from memoized posting statistics
 =================  ================================  =====================
 strategy           bytes shipped site-to-site        when it wins
 =================  ================================  =====================
-DISTRIBUTED_JOIN   framed posting tuples             single-term queries
-                   (~531 B/entry)
+DISTRIBUTED_JOIN   framed posting tuples             single-term queries;
+                   (~531 B/entry)                    the paper's Figure 2,
+                                                     named by Sections 5
+                                                     and 7
 SEMI_JOIN          packed fileID digests             rare∧very-popular
-                   (~20 B/entry)                     term mixes
+                   (~20 B/entry)                     term mixes; the
+                                                     default chain when
+                                                     no optimizer prices
 BLOOM_JOIN         Bloom filter of the rarest list   comparable/large
                    (~1.2 B/entry) + probable-match   posting lists
                    digests, verified at the source

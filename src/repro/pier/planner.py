@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 from repro.common.errors import PlanError
 from repro.pier.catalog import Catalog
 from repro.pier.query import (
+    DEFAULT_STRATEGY,
     POSTING_TABLE,
     DistributedPlan,
     JoinStrategy,
@@ -92,7 +93,7 @@ class KeywordPlanner:
         self,
         keywords: Sequence[str],
         query_node: int,
-        strategy: JoinStrategy | None = JoinStrategy.DISTRIBUTED_JOIN,
+        strategy: JoinStrategy | None = DEFAULT_STRATEGY,
         order_by_size: bool = True,
     ) -> DistributedPlan:
         """Build the plan for a conjunctive query over ``keywords``.
@@ -102,6 +103,8 @@ class KeywordPlanner:
         remotely (the rest become local substring filters), and picking the
         rarest term minimises the rows the filters must consider.
 
+        ``strategy`` defaults to :data:`~repro.pier.query.DEFAULT_STRATEGY`,
+        the semi-join; a Figure 2 replay names ``DISTRIBUTED_JOIN``.
         ``strategy=None`` asks the optimizer for the cheapest strategy
         (without one, :class:`~repro.common.errors.PlanError`: nothing to
         price with). With an optimizer the plan keeps the estimate it was

@@ -42,10 +42,16 @@ class JoinStrategy(Enum):
 
     * ``DISTRIBUTED_JOIN`` — scan 0; ship *rehash* ``i-1 → i`` (framed
       posting tuples, ~531 B/entry) and key-join at ``i``; ship *answer*.
-      Wins single-term queries, where nothing ships.
+      The paper's Figure 2 plan: Section 5's posting-entry replay and the
+      Section 7 deployment name it. Wins single-term queries, where
+      nothing ships.
     * ``SEMI_JOIN`` — the same chain over a distinct-key scan and *semi*
-      edges (packed fileID digests, ~20 B/entry). Wins rare∧very-popular
-      mixes, where Bloom false positives on the huge list would dominate.
+      edges (packed fileID digests, ~20 B/entry): the same answers for a
+      fraction of the bytes, each distinct fileID shipped once, so it is
+      :data:`DEFAULT_STRATEGY`, the chain a hybrid race runs when the
+      caller names no strategy and attaches no optimizer. Wins
+      rare∧very-popular mixes, where Bloom false positives on the huge
+      list would dominate.
     * ``BLOOM_JOIN`` — distinct-key scan 0 and Bloom build; ship *filter*
       ``0 → 1`` (~1.2 B/entry at 1% FP) and Bloom probe at 1; *digest*
       edges and key-joins on to ``k-1``; a *digest* return leg ``k-1 → 0``
@@ -64,6 +70,12 @@ class JoinStrategy(Enum):
     INVERTED_CACHE = "inverted_cache"  # Figure 3
     SEMI_JOIN = "semi_join"
     BLOOM_JOIN = "bloom_join"
+
+
+#: the strategy a plan runs when its caller names none and no optimizer
+#: prices one: the key-join chain shipping fileID digests, never framed
+#: posting tuples (for ``k = 1`` it runs the distributed join's steps)
+DEFAULT_STRATEGY = JoinStrategy.SEMI_JOIN
 
 
 class Edge:

@@ -20,7 +20,7 @@ from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
-from repro.pier.query import DistributedPlan, JoinStrategy, QueryStats
+from repro.pier.query import DEFAULT_STRATEGY, DistributedPlan, JoinStrategy, QueryStats
 from repro.pier.schema import Row
 from repro.piersearch.tokenizer import extract_keywords
 
@@ -42,13 +42,22 @@ class SearchResult:
 
 
 class SearchEngine:
-    """Executes keyword queries against the published index."""
+    """Executes keyword queries against the published index.
+
+    ``strategy`` is the join strategy every query runs unless it names
+    its own. ``None`` (the default) lets an attached optimizer price all
+    four per query and otherwise runs
+    :data:`~repro.pier.query.DEFAULT_STRATEGY`, the semi-join. A caller
+    that reproduces one of the paper's plans names it: Section 5's replay
+    and the Section 7 deployment run ``DISTRIBUTED_JOIN`` (Figure 2), and
+    ``INVERTED_CACHE`` (Figure 3) reads the InvertedCache table.
+    """
 
     def __init__(
         self,
         network: DhtNetwork,
         catalog: Catalog,
-        inverted_cache: bool = False,
+        strategy: JoinStrategy | None = None,
         optimizer: CostBasedOptimizer | bool | None = None,
         memory_budget: int | None = None,
         tracer=None,
@@ -56,14 +65,13 @@ class SearchEngine:
     ):
         self.network = network
         self.catalog = catalog
-        self.inverted_cache = inverted_cache
+        self.strategy = strategy
         self.tracer = tracer
         self.metrics = metrics
         #: ``True`` builds a default cost-based optimizer; with one
-        #: attached, ``strategy=None`` queries price all four join
-        #: strategies and execute the cheapest. The optimizer targets
-        #: Inverted-index deployments — an InvertedCache deployment has
-        #: already made its strategy choice, so it is ignored there.
+        #: attached and no ``strategy``, queries price all four join
+        #: strategies and execute the cheapest. A named ``strategy`` is a
+        #: choice already made, so the optimizer only prices it.
         #: ``memory_budget`` (join rows per site, not bytes) bounds the
         #: executor's join state and makes the default optimizer price the
         #: expected spill + re-read bytes.
@@ -122,16 +130,13 @@ class SearchEngine:
             raise PlanError("query contains no indexable keyword")
         if query_node is None:
             query_node = self.network.random_node_id()
+        strategy = strategy or self.strategy
         if strategy is None:
-            if self.optimizer is not None and not self.inverted_cache:
+            if self.optimizer is not None:
                 # Cost-based choice: the planner prices all four
                 # strategies from its posting statistics.
                 return self.planner.plan(keywords, query_node, strategy=None)
-            strategy = (
-                JoinStrategy.INVERTED_CACHE
-                if self.inverted_cache
-                else JoinStrategy.DISTRIBUTED_JOIN
-            )
+            strategy = DEFAULT_STRATEGY
         if strategy is JoinStrategy.INVERTED_CACHE:
             planner = KeywordPlanner(self.catalog, posting_table="InvertedCache")
         else:

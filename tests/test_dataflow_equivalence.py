@@ -92,10 +92,12 @@ def test_strategy_matrix_equivalence(seed):
     for terms in queries_for(rng):
         query_node = network.random_node_id()
         reference = result_key(oracle_items(catalog, terms))
+        shipped = {}
         for strategy in ALL_STRATEGIES:
             plan = plan_for(catalog, strategy, terms, query_node)
             rows_stage, stats_stage = stage_granular.execute(plan)
             rows_batched, stats_batched = batched.execute(plan)
+            shipped[strategy] = (stats_stage, stats_batched)
 
             # One answer set across the whole matrix — every strategy,
             # every batching, always.
@@ -116,6 +118,14 @@ def test_strategy_matrix_equivalence(seed):
             extra = stats_batched.bytes - stats_stage.bytes
             assert extra >= 0
             assert extra % header == 0
+
+        # The semi-join is the distributed join's chain over fileID
+        # digests: the same posting entries, never more bytes.
+        for semi, distributed in zip(
+            shipped[JoinStrategy.SEMI_JOIN], shipped[JoinStrategy.DISTRIBUTED_JOIN]
+        ):
+            assert semi.posting_entries_shipped == distributed.posting_entries_shipped
+            assert semi.bytes <= distributed.bytes
 
 
 def test_equivalence_holds_for_results_across_batch_sizes():

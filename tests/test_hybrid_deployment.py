@@ -1,11 +1,16 @@
 """Integration tests for the Section 7 deployment simulation."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
+from repro.dht.network import DhtNetwork
+from repro.hybrid import deployment
 from repro.hybrid.deployment import DeploymentConfig, build_deployment, run_deployment
 from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT
+from repro.hybrid.world import build_world
+from repro.obs.metrics import MetricsRegistry
 
 from oracle import oracle_items
 
@@ -22,6 +27,19 @@ def report():
             num_test_queries=200,
             seed=7,
         )
+    )
+
+
+@pytest.fixture(scope="module")
+def small_config():
+    return DeploymentConfig(
+        num_ultrapeers=200,
+        num_leaves=800,
+        num_hybrid=15,
+        num_items=300,
+        num_background_queries=100,
+        num_test_queries=80,
+        seed=11,
     )
 
 
@@ -57,18 +75,6 @@ class TestDeploymentOutcomes:
 class TestEventDrivenRace:
     """Every leaf query of the deployment is a virtual-time race on the
     hybrid query engine."""
-
-    @pytest.fixture(scope="class")
-    def small_config(self):
-        return DeploymentConfig(
-            num_ultrapeers=200,
-            num_leaves=800,
-            num_hybrid=15,
-            num_items=300,
-            num_background_queries=100,
-            num_test_queries=80,
-            seed=11,
-        )
 
     @pytest.fixture(scope="class")
     def event_report(self, small_config):
@@ -147,6 +153,62 @@ class TestInvertedCacheVariant:
         assert a.files_published == b.files_published
         assert a.gnutella_no_result_fraction == b.gnutella_no_result_fraction
         assert a.hybrid_no_result_fraction == b.hybrid_no_result_fraction
+
+
+def executed_strategies(metrics):
+    """{strategy name: plans executed} from the ``dataflow.strategy``
+    counters."""
+    prefix = 'dataflow.strategy{strategy="'
+    return {
+        key[len(prefix):-2]: counter.value
+        for key, counter in metrics.counters.items()
+        if key.startswith(prefix) and counter.value
+    }
+
+
+class TestPaperPlans:
+    """The deployment runs the paper's two plans by name; a world that
+    names none runs the semi-join."""
+
+    @staticmethod
+    def run_metered(monkeypatch, config):
+        """(report, strategies executed) of one run whose world carries a
+        metrics registry."""
+        metrics = MetricsRegistry()
+        build = deployment.build_world
+        monkeypatch.setattr(
+            deployment,
+            "build_world",
+            lambda *args, **kwargs: build(*args, metrics=metrics, **kwargs),
+        )
+        report = run_deployment(config)
+        monkeypatch.undo()
+        return report, executed_strategies(metrics)
+
+    def test_default_deployment_runs_the_distributed_join(self, monkeypatch, small_config):
+        report, executed = self.run_metered(monkeypatch, small_config)
+        assert any(len(o.terms) > 1 and o.used_pier for o in report.outcomes)
+        assert list(executed) == ["DISTRIBUTED_JOIN"]
+
+    def test_inverted_cache_deployment_runs_the_cache_scan(self, monkeypatch, small_config):
+        report, executed = self.run_metered(
+            monkeypatch, replace(small_config, inverted_cache=True)
+        )
+        assert any(len(o.terms) > 1 and o.used_pier for o in report.outcomes)
+        assert list(executed) == ["INVERTED_CACHE"]
+
+    def test_default_world_runs_the_semi_join(self):
+        dht = DhtNetwork(rng=3)
+        dht.populate(16)
+        metrics = MetricsRegistry()
+        world = build_world(dht, range(2), gnutella_timeout=1.0, rng=5, metrics=metrics)
+        world.publisher.publish_file("montia klorena take.mp3", 1000, "10.0.0.1", 6346)
+        race = world.hybrids[1].handle_leaf_query_simulated(
+            world.engine, ["montia", "klorena"], [math.inf], stop_ttl=3
+        )
+        world.sim.run()
+        assert race.outcome.pier_results == 1
+        assert executed_strategies(metrics) == {"SEMI_JOIN": 1}
 
 
 class TestCachedDeployment:

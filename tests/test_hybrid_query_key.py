@@ -23,6 +23,7 @@ from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import HybridQueryEngine
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
+from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
@@ -43,7 +44,7 @@ TERM_LISTS = st.one_of(
 
 
 @lru_cache(maxsize=None)
-def hybrid_for(inverted_cache):
+def hybrid_for(strategy):
     dht = DhtNetwork(rng=3)
     nodes = dht.populate(8)
     catalog = Catalog(dht)
@@ -51,7 +52,7 @@ def hybrid_for(inverted_cache):
         ultrapeer_id=1,
         dht_node_id=nodes[0].node_id,
         publisher=Publisher(dht, catalog),
-        search_engine=SearchEngine(dht, catalog, inverted_cache=inverted_cache),
+        search_engine=SearchEngine(dht, catalog, strategy=strategy),
     )
 
 
@@ -79,17 +80,17 @@ def keys_read_by_zero_answer_check(hybrid, terms):
 
 
 @pytest.mark.parametrize(
-    "inverted_cache, table", [(False, "Inverted"), (True, "InvertedCache")]
+    "strategy, table", [(None, "Inverted"), (JoinStrategy.INVERTED_CACHE, "InvertedCache")]
 )
 @settings(max_examples=150, deadline=None)
 @given(terms=TERM_LISTS)
-def test_zero_answer_reads_the_reference_posting_keys(inverted_cache, table, terms):
-    race, read = keys_read_by_zero_answer_check(hybrid_for(inverted_cache), terms)
+def test_zero_answer_reads_the_reference_posting_keys(strategy, table, terms):
+    race, read = keys_read_by_zero_answer_check(hybrid_for(strategy), terms)
     assert race.key == query_key(terms)
     assert sorted(read) == sorted(set(reference_posting_keys(table, terms)))
 
 
 def test_stop_words_only_read_no_posting_key():
-    race, read = keys_read_by_zero_answer_check(hybrid_for(False), ["The", "of MP3"])
+    race, read = keys_read_by_zero_answer_check(hybrid_for(None), ["The", "of MP3"])
     assert race.key == ()
     assert read == [] == list(reference_posting_keys("Inverted", ["The", "of MP3"]))

@@ -175,6 +175,11 @@ class TestPricingDifferential:
         for estimate in priced.values():
             assert type(estimate.bytes) is int and type(estimate.spill_bytes) is int
             assert estimate.bytes == estimate.wire_bytes + estimate.spill_bytes
+        # The default chain never prices above Figure 2's: the same steps
+        # over fileID digests, budgeted or not.
+        if len(sizes) >= 2:
+            semi = priced[JoinStrategy.SEMI_JOIN].bytes
+            assert semi <= priced[JoinStrategy.DISTRIBUTED_JOIN].bytes
 
 
 def _pricing_catalog():

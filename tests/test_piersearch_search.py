@@ -72,7 +72,7 @@ class TestSearch:
     def test_inverted_cache_engine_same_answers(self, search_env):
         network, catalog = search_env
         plain = SearchEngine(network, catalog)
-        cached = SearchEngine(network, catalog, inverted_cache=True)
+        cached = SearchEngine(network, catalog, strategy=JoinStrategy.INVERTED_CACHE)
         for terms in (["toxic"], ["britney", "toxic"], ["obscure"]):
             a = sorted(plain.search(terms).filenames)
             b = sorted(cached.search(terms).filenames)
@@ -80,7 +80,7 @@ class TestSearch:
 
     def test_strategy_override(self, search_env):
         network, catalog = search_env
-        engine = SearchEngine(network, catalog, inverted_cache=True)
+        engine = SearchEngine(network, catalog, strategy=JoinStrategy.INVERTED_CACHE)
         result = engine.search(["toxic"], strategy=JoinStrategy.INVERTED_CACHE)
         assert result.stats.strategy is JoinStrategy.INVERTED_CACHE
 
