@@ -1,18 +1,17 @@
 """Integration tests for the Section 7 deployment simulation."""
 
-import math
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from repro.dht.network import DhtNetwork
 from repro.hybrid import deployment
 from repro.hybrid.deployment import DeploymentConfig, build_deployment, run_deployment
 from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT
-from repro.hybrid.world import build_world
 from repro.obs.metrics import MetricsRegistry
 
 from oracle import oracle_items
+from test_hybrid_world import executed_strategies
 
 
 @pytest.fixture(scope="module")
@@ -27,19 +26,6 @@ def report():
             num_test_queries=200,
             seed=7,
         )
-    )
-
-
-@pytest.fixture(scope="module")
-def small_config():
-    return DeploymentConfig(
-        num_ultrapeers=200,
-        num_leaves=800,
-        num_hybrid=15,
-        num_items=300,
-        num_background_queries=100,
-        num_test_queries=80,
-        seed=11,
     )
 
 
@@ -75,6 +61,18 @@ class TestDeploymentOutcomes:
 class TestEventDrivenRace:
     """Every leaf query of the deployment is a virtual-time race on the
     hybrid query engine."""
+
+    @pytest.fixture(scope="class")
+    def small_config(self):
+        return DeploymentConfig(
+            num_ultrapeers=200,
+            num_leaves=800,
+            num_hybrid=15,
+            num_items=300,
+            num_background_queries=100,
+            num_test_queries=80,
+            seed=11,
+        )
 
     @pytest.fixture(scope="class")
     def event_report(self, small_config):
@@ -119,8 +117,25 @@ class TestEventDrivenRace:
         assert churned.peak_inflight > 1
 
 
+def run_metered(config):
+    """(report, {strategy name: plans executed}) of one deployment whose
+    world carries a metrics registry. A build that no longer goes through
+    ``deployment.build_world`` leaves the counters empty, so the callers'
+    equality checks fail rather than pass unmetered."""
+    metrics = MetricsRegistry()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            deployment, "build_world", partial(deployment.build_world, metrics=metrics)
+        )
+        report = run_deployment(config)
+    return report, executed_strategies(metrics)
+
+
 class TestInvertedCacheVariant:
     def test_cache_cheaper_queries_pricier_publish(self):
+        """The deployment runs the paper's two plans by name: Figure 2's
+        distributed join by default, Figure 3's InvertedCache scan when
+        asked; never the engine's own default, the semi-join."""
         config = DeploymentConfig(
             num_ultrapeers=300,
             num_leaves=1200,
@@ -130,10 +145,12 @@ class TestInvertedCacheVariant:
             num_test_queries=120,
             seed=8,
         )
-        shj = run_deployment(config)
-        from dataclasses import replace
-
-        cache = run_deployment(replace(config, inverted_cache=True))
+        shj, shj_plans = run_metered(config)
+        cache, cache_plans = run_metered(replace(config, inverted_cache=True))
+        for report in (shj, cache):
+            assert any(len(o.terms) > 1 and o.used_pier for o in report.outcomes)
+        assert list(shj_plans) == ["DISTRIBUTED_JOIN"]
+        assert list(cache_plans) == ["INVERTED_CACHE"]
         assert cache.publish_kb_per_file > shj.publish_kb_per_file
         if cache.pier_query_bytes and shj.pier_query_bytes:
             assert cache.mean_pier_query_kb < shj.mean_pier_query_kb
@@ -153,62 +170,6 @@ class TestInvertedCacheVariant:
         assert a.files_published == b.files_published
         assert a.gnutella_no_result_fraction == b.gnutella_no_result_fraction
         assert a.hybrid_no_result_fraction == b.hybrid_no_result_fraction
-
-
-def executed_strategies(metrics):
-    """{strategy name: plans executed} from the ``dataflow.strategy``
-    counters."""
-    prefix = 'dataflow.strategy{strategy="'
-    return {
-        key[len(prefix):-2]: counter.value
-        for key, counter in metrics.counters.items()
-        if key.startswith(prefix) and counter.value
-    }
-
-
-class TestPaperPlans:
-    """The deployment runs the paper's two plans by name; a world that
-    names none runs the semi-join."""
-
-    @staticmethod
-    def run_metered(monkeypatch, config):
-        """(report, strategies executed) of one run whose world carries a
-        metrics registry."""
-        metrics = MetricsRegistry()
-        build = deployment.build_world
-        monkeypatch.setattr(
-            deployment,
-            "build_world",
-            lambda *args, **kwargs: build(*args, metrics=metrics, **kwargs),
-        )
-        report = run_deployment(config)
-        monkeypatch.undo()
-        return report, executed_strategies(metrics)
-
-    def test_default_deployment_runs_the_distributed_join(self, monkeypatch, small_config):
-        report, executed = self.run_metered(monkeypatch, small_config)
-        assert any(len(o.terms) > 1 and o.used_pier for o in report.outcomes)
-        assert list(executed) == ["DISTRIBUTED_JOIN"]
-
-    def test_inverted_cache_deployment_runs_the_cache_scan(self, monkeypatch, small_config):
-        report, executed = self.run_metered(
-            monkeypatch, replace(small_config, inverted_cache=True)
-        )
-        assert any(len(o.terms) > 1 and o.used_pier for o in report.outcomes)
-        assert list(executed) == ["INVERTED_CACHE"]
-
-    def test_default_world_runs_the_semi_join(self):
-        dht = DhtNetwork(rng=3)
-        dht.populate(16)
-        metrics = MetricsRegistry()
-        world = build_world(dht, range(2), gnutella_timeout=1.0, rng=5, metrics=metrics)
-        world.publisher.publish_file("montia klorena take.mp3", 1000, "10.0.0.1", 6346)
-        race = world.hybrids[1].handle_leaf_query_simulated(
-            world.engine, ["montia", "klorena"], [math.inf], stop_ttl=3
-        )
-        world.sim.run()
-        assert race.outcome.pier_results == 1
-        assert executed_strategies(metrics) == {"SEMI_JOIN": 1}
 
 
 class TestCachedDeployment:

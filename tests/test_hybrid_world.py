@@ -12,8 +12,19 @@ import pytest
 
 from repro.dht.network import DhtNetwork
 from repro.hybrid.world import build_world
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, split_series_key
 from repro.obs.trace import Tracer
+
+
+def executed_strategies(metrics: MetricsRegistry) -> dict[str, int]:
+    """{strategy name: plans executed} from the ``dataflow.strategy``
+    counters."""
+    executed = {}
+    for key, counter in metrics.counters.items():
+        name, labels = split_series_key(key)
+        if name == "dataflow.strategy" and counter.value:
+            executed[labels["strategy"]] = counter.value
+    return executed
 
 
 def populated_dht(nodes: int = 16) -> DhtNetwork:
@@ -76,7 +87,11 @@ def test_cache_and_replication_are_off_by_default():
 
 
 def test_world_races_a_published_file():
-    world = build_world(populated_dht(), range(2), gnutella_timeout=1.0, rng=5)
+    """A world that names no strategy races with the semi-join."""
+    metrics = MetricsRegistry()
+    world = build_world(
+        populated_dht(), range(2), gnutella_timeout=1.0, rng=5, metrics=metrics
+    )
     world.publisher.publish_file("montia klorena take.mp3", 1000, "10.0.0.1", 6346)
     race = world.hybrids[1].handle_leaf_query_simulated(
         world.engine, ["montia", "klorena"], [math.inf], stop_ttl=3
@@ -84,3 +99,4 @@ def test_world_races_a_published_file():
     world.sim.run()
     assert race.done and race.outcome.pier_results == 1
     assert world.engine.completed == 1
+    assert executed_strategies(metrics) == {"SEMI_JOIN": 1}

@@ -35,7 +35,10 @@ def build_world(num_files=30, seed=13, nodes=24):
 
 
 def plan_for(network, catalog, terms, batch_size=None):
-    plan = KeywordPlanner(catalog).plan(terms, network.random_node_id())
+    """The Figure 2 plan (rehash edges, key-joins) over ``terms``."""
+    plan = KeywordPlanner(catalog).plan(
+        terms, network.random_node_id(), strategy=JoinStrategy.DISTRIBUTED_JOIN
+    )
     plan.batch_size = batch_size
     return plan
 
@@ -381,7 +384,11 @@ class TestEmptyStreams:
         network, catalog = build_world()
         # "montia" never appears in this corpus.
         planner = KeywordPlanner(catalog)
-        plan = planner.plan(["montia", "nebula"], network.random_node_id())
+        plan = planner.plan(
+            ["montia", "nebula"],
+            network.random_node_id(),
+            strategy=JoinStrategy.DISTRIBUTED_JOIN,
+        )
         dataflow = DataflowExecutor(network, catalog, rng=7)
         rows, stats = dataflow.execute(plan)
         assert rows == []

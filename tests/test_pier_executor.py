@@ -73,7 +73,12 @@ class TestPlanner:
 class TestDistributedJoin:
     def run_query(self, engine_env, terms, **kwargs):
         network, _, planner, executor = engine_env
-        plan = planner.plan(terms, network.random_node_id(), **kwargs)
+        plan = planner.plan(
+            terms,
+            network.random_node_id(),
+            strategy=JoinStrategy.DISTRIBUTED_JOIN,
+            **kwargs,
+        )
         return executor.execute(plan)
 
     def test_single_term(self, engine_env):
@@ -132,7 +137,9 @@ class TestInvertedCache:
     def test_same_answers_as_distributed_join(self, engine_env):
         network, catalog, planner, executor = engine_env
         for terms in (["toxic"], ["britney", "toxic"], ["obscure", "demo"]):
-            plan = planner.plan(terms, network.random_node_id())
+            plan = planner.plan(
+                terms, network.random_node_id(), strategy=JoinStrategy.DISTRIBUTED_JOIN
+            )
             join_rows, _ = executor.execute(plan)
             cache_rows, _ = self.run_query(engine_env, terms)
             assert {r["fileID"] for r in join_rows} == {
@@ -145,7 +152,11 @@ class TestInvertedCache:
 
     def test_cheaper_than_distributed_join_for_multiterm(self, engine_env):
         network, _, planner, executor = engine_env
-        plan = planner.plan(["britney", "spears"], network.random_node_id())
+        plan = planner.plan(
+            ["britney", "spears"],
+            network.random_node_id(),
+            strategy=JoinStrategy.DISTRIBUTED_JOIN,
+        )
         _, join_stats = executor.execute(plan, fetch_items=False)
         cache_planner = KeywordPlanner(engine_env[1], posting_table="InvertedCache")
         cache_plan = cache_planner.plan(

@@ -26,6 +26,7 @@ from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.pier.planner import KeywordPlanner
+from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 
 from oracle import nested_loop_join, oracle_items, reference_stored_join
@@ -190,7 +191,9 @@ class TestRuntimeEquivalence:
     def test_budget_changes_no_answer_and_no_wire_byte(self, seed, budget):
         network, catalog = build_world(seed)
         plan = KeywordPlanner(catalog).plan(
-            ["nebula", "quasar"], network.random_node_id()
+            ["nebula", "quasar"],
+            network.random_node_id(),
+            strategy=JoinStrategy.DISTRIBUTED_JOIN,
         )
         plan.batch_size = None
         unbudgeted = DataflowExecutor(
