@@ -3,8 +3,8 @@
 Three acts:
 
 1. Run the Section 7 partial deployment twice — stock, then with the
-   query-result cache and adaptive replication enabled — and compare the
-   PIER bandwidth both runs spent on re-issued leaf queries.
+   query-result cache enabled — and compare the PIER bandwidth both runs
+   spent on re-issued leaf queries.
 2. Peek inside the cache machinery: the space-saving popularity sketch
    and the byte-budgeted eviction at work.
 3. Show the popularity estimator trimming flood TTLs (partial flooding):
@@ -32,13 +32,8 @@ def act_one() -> None:
         seed=2004,
     )
     stock = run_deployment(base)
-    cached = run_deployment(
-        replace(
-            base,
-            cache_budget_bytes=256 * 1024,  # 256 KB shared LRU result cache
-            hot_read_threshold=16,  # replicate posting keys read 16x recently
-        )
-    )
+    # a 256 KB shared LRU result cache
+    cached = run_deployment(replace(base, cache_budget_bytes=256 * 1024))
     stock_kb = sum(stock.pier_query_bytes) / 1024
     cached_kb = sum(cached.pier_query_bytes) / 1024
     print(f"PIER bytes, stock run        : {stock_kb:8.1f} KB")
@@ -46,7 +41,6 @@ def act_one() -> None:
     print(f"cache hits / misses          : {cached.cache_hits} / {cached.cache_misses}")
     print(f"hit rate                     : {cached.cache_hit_rate:.1%}")
     print(f"bytes saved by hits          : {cached.cache_bytes_saved / 1024:.1f} KB")
-    print(f"hot posting keys replicated  : {cached.replicated_keys}")
     print(
         "no-result fraction unchanged : "
         f"{stock.hybrid_no_result_fraction:.3f} -> {cached.hybrid_no_result_fraction:.3f}"

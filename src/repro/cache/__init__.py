@@ -1,4 +1,4 @@
-"""Query-result caching and adaptive replication (extension subsystem).
+"""Query-result caching (extension subsystem).
 
 The paper's hybrid design wins because popular queries are absorbed
 cheaply by flooding while rare ones go to the DHT. This package grows the
@@ -10,9 +10,6 @@ machinery that makes the popular mass get *cheaper with load*:
 * :mod:`repro.cache.popularity` — a streaming query-popularity estimator
   (space-saving top-k plus a sliding window) feeding cache admission and
   the partial-flooding TTL in :mod:`repro.gnutella.flooding`.
-* :mod:`repro.cache.replication` — an adaptive replication controller that
-  detects hot posting-list keys in the DHT and replicates them across
-  successor nodes to spread read load, with TTL/churn-aware invalidation.
 """
 
 from repro.cache.popularity import (
@@ -21,21 +18,13 @@ from repro.cache.popularity import (
     SpaceSavingCounter,
     query_key,
 )
-from repro.cache.replication import (
-    AdaptiveReplicationController,
-    ReplicationConfig,
-    ReplicationStats,
-)
 from repro.cache.results import CachedResult, CacheStats, QueryResultCache
 
 __all__ = [
-    "AdaptiveReplicationController",
     "CachedResult",
     "CacheStats",
     "PopularityEstimator",
     "QueryResultCache",
-    "ReplicationConfig",
-    "ReplicationStats",
     "SlidingWindowCounter",
     "SpaceSavingCounter",
     "query_key",

@@ -13,8 +13,8 @@ Two complementary sketches feed the caching subsystem:
   hits should stop influencing decisions.
 
 :class:`PopularityEstimator` combines both behind one ``observe`` call and
-is shared by the result cache (admission), the hybrid ultrapeer (query
-snooping) and the adaptive replication controller (hot-key detection).
+is shared by the result cache (admission) and the hybrid ultrapeer
+(query snooping).
 """
 
 from __future__ import annotations
@@ -140,8 +140,7 @@ class PopularityEstimator:
     ``capacity`` bounds the space-saving table; ``window`` sets how many
     recent observations the recency view covers. Both views see every
     ``observe`` call, so one estimator can simultaneously drive cache
-    admission (recent counts), partial-flooding TTLs (recent frequency)
-    and hot-key replication (sustained read rates).
+    admission (recent counts) and partial-flooding TTLs (recent frequency).
     """
 
     capacity: int = 64

@@ -160,9 +160,7 @@ class DhtNetwork:
     owner's targets — the owner and its first ``replication - 1``
     successors, read from the tables the same stabilize derived — beside
     the paths, flushed by the same membership change under the same
-    stamp. Registered replica holders are not kept there:
-    :meth:`register_replicas` changes them without moving the epoch, so
-    each put reads them afresh.
+    stamp.
     """
 
     def __init__(
@@ -218,13 +216,6 @@ class DhtNetwork:
         #: mid-walk churn recoveries: lookups that routed around a
         #: departed node (resume-from-last-live or successor fallback)
         self.route_repairs = 0
-        # --- replica-aware read path (repro.cache.replication) --------
-        #: called as (key, serving_node) on every read-target resolution
-        self.read_listener: Callable[[int, int], None] | None = None
-        #: called with the node id on every membership removal
-        self.removal_listener: Callable[[int], None] | None = None
-        self._replica_sets: dict[int, list[int]] = {}
-        self._replica_cursor: dict[int, int] = {}
         # --- suspect ranges (graceful degradation) ---------------------
         #: key intervals ``(predecessor, failed_node]`` whose owner died
         #: abruptly — its slice changed hands with *no* handoff, so an
@@ -361,14 +352,6 @@ class DhtNetwork:
                     moved += 1
             if moved:
                 self._charge_handoff(moved)
-        for key in list(self._replica_sets):
-            holders = [nid for nid in self._replica_sets[key] if nid != node_id]
-            if holders:
-                self._replica_sets[key] = holders
-            else:
-                self.unregister_replicas(key)
-        if self.removal_listener is not None:
-            self.removal_listener(node_id)
 
     def _charge_handoff(self, moved: int) -> None:
         """One direct message per handed-off value, each a framed empty
@@ -469,55 +452,6 @@ class DhtNetwork:
         if not len(self._ring):
             raise DhtError("empty network")
         return self._ring.responsible(key)
-
-    # ------------------------------------------------------------------
-    # Replica-aware reads (driven by repro.cache.replication)
-    # ------------------------------------------------------------------
-
-    def register_replicas(self, key: int, node_ids: list[int]) -> None:
-        """Declare that ``node_ids`` hold serveable copies of ``key``.
-
-        Reads of ``key`` then rotate round-robin over the owner and these
-        replicas, spreading a hot key's load across the successor set.
-        """
-        key %= KEY_SPACE
-        holders = [node_id for node_id in node_ids if self._is_member(node_id)]
-        if holders:
-            self._replica_sets[key] = holders
-            self._replica_cursor.setdefault(key, 0)
-
-    def unregister_replicas(self, key: int) -> list[int]:
-        """Forget ``key``'s replica set; returns the former holders."""
-        key %= KEY_SPACE
-        self._replica_cursor.pop(key, None)
-        return self._replica_sets.pop(key, [])
-
-    def replica_nodes(self, key: int) -> list[int]:
-        """Currently registered replica holders for ``key``."""
-        return list(self._replica_sets.get(key % KEY_SPACE, ()))
-
-    def serving_node(self, key: int, notify: bool = True) -> int:
-        """The node that should answer the next read of ``key``.
-
-        Without registered replicas this is the ring owner (the classic
-        DHT read path). With replicas it rotates round-robin over owner +
-        replicas. Every resolution is reported to ``read_listener`` — the
-        hook the adaptive replication controller uses to find hot keys.
-        """
-        key %= KEY_SPACE
-        owner = self.owner_of(key)
-        replicas = self._replica_sets.get(key)
-        target = owner
-        if replicas:
-            choices = [owner] + [
-                nid for nid in replicas if nid != owner and self._is_member(nid)
-            ]
-            cursor = self._replica_cursor.get(key, 0)
-            target = choices[cursor % len(choices)]
-            self._replica_cursor[key] = (cursor + 1) % len(choices)
-        if notify and self.read_listener is not None:
-            self.read_listener(key, target)
-        return target
 
     def lookup(self, key: int, origin: int | None = None) -> LookupResult:
         """Route ``key`` from ``origin`` to its owner using local state only.
@@ -801,19 +735,17 @@ class DhtNetwork:
         """*The* put body: route, store and price a batch of tuples, in order.
 
         ``entries`` are ``(reduced ring key, value, identity, payload_bytes,
-        category)``. Each routes from ``origin`` (None: a random member,
-        drawn per entry) through the route cache and is stored on the
-        key's owner, on the owner's ``replication - 1`` successors and on
-        the key's registered replica holders, for one message per routing
-        hop plus one per copy, each carrying the payload. Costs are summed
-        and charged once per category when the batch ends, first seen
-        first; ``(messages, bytes)`` is their total. If routing fails
-        midway the :class:`DhtError` propagates with the entries before it
-        stored and charged and the failing one neither. An entry reads
-        only the copies it makes: an owner's targets are read once per
-        route-cache epoch (see the class docstring), at ``replication=1``
-        the owner's successor list is never read, and with no replica set
-        registered anywhere no key is looked up in them.
+        category)``. Each routes from ``origin`` (None: a random member, drawn
+        per entry) through the route cache and is stored on the key's owner
+        and on the owner's ``replication - 1`` successors, for one message per
+        routing hop plus one per copy, each carrying the payload. Costs are
+        summed and charged once per category when the batch ends, first seen
+        first; ``(messages, bytes)`` is their total. If routing fails midway
+        the :class:`DhtError` propagates with the entries before it stored and
+        charged and the failing one neither. An entry reads only the copies it
+        makes: an owner's targets are read once per route-cache epoch (see the
+        class docstring) and at ``replication=1`` the owner's successor list
+        is never read.
 
         With ``copy`` each entry's value is a template and its identity is
         required: the stores that lack that identity share one
@@ -832,7 +764,6 @@ class DhtNetwork:
         route, choice, ids = self._route, self.rng.choice, ring.ids
         successor_copies = self.replication - 1
         owner_targets = self._targets
-        replica_sets = self._replica_sets
         routed_bytes = self.cost_model.routed_bytes
         message_bytes = self.cost_model.message_bytes
         charges: dict[str, list[int]] = {}  # category -> [messages, bytes]
@@ -858,21 +789,6 @@ class DhtNetwork:
                 if copies:
                     charge[0] += copies
                     charge[1] += copies * message_bytes(payload_bytes)
-                # Keep adaptively-placed replicas coherent: they are registered
-                # as serveable copies, so a publish must reach them too or
-                # rotated reads would silently miss the new value.
-                registered = replica_sets.get(key) if replica_sets else None
-                if registered:
-                    holders = tuple(
-                        node_id
-                        for node_id in registered
-                        if node_id not in targets and (node_id in built or node_id in ring)
-                    )
-                    if holders:
-                        targets += holders
-                        charge = charges.setdefault("cache.replicate", [0, 0])
-                        charge[0] += len(holders)
-                        charge[1] += len(holders) * message_bytes(payload_bytes)
                 if copy is None:
                     for node_id in targets:
                         built[node_id].store.put(key, value, identity=identity)
@@ -907,51 +823,14 @@ class DhtNetwork:
         return self.get_raw(key, origin, category)
 
     def get_raw(self, key: int, origin: int | None = None, category: str = "dht.get") -> list[Any]:
-        """Fetch by raw ring key. See :meth:`get`.
-
-        Replica-aware: when a replica set is registered for ``key`` the
-        read routes to the next holder in rotation instead of always
-        hitting the owner (falling back to the owner if the chosen
-        replica lost its copy).
-        """
+        """Fetch by raw ring key from its owner. See :meth:`get`."""
         key %= KEY_SPACE
-        self._ensure_stable()
-        target = self.serving_node(key)
-        result = self.lookup(target if target != self.owner_of(key) else key, origin)
+        result = self.lookup(key, origin)
         values = self._built[result.owner].store.get(key)
-        if not values and result.owner != self.owner_of(key):
-            # Stale replica registration: serve from the owner instead.
-            result = self.lookup(key, origin)
-            values = self._built[result.owner].store.get(key)
         self._charge_get(category, result.hops)
         if not values:
             raise KeyNotFoundError(f"no values under key {key:x}")
         return values
-
-    def iter_get_raw(self, key: int, origin: int | None = None, category: str = "dht.get"):
-        """Event-driven variant of :meth:`get_raw`: yields each routing hop.
-
-        Replica-aware like :meth:`get_raw`, including the stale-replica
-        owner fallback (which re-routes and therefore costs extra yielded
-        hops). ``(values, result)`` is the generator's return value
-        (``StopIteration.value``). Raises :class:`KeyNotFoundError` when
-        nothing is stored under ``key`` and :class:`DhtError` when routing
-        breaks beyond repair mid-walk.
-        """
-        key %= KEY_SPACE
-        target = self.serving_node(key)
-        result = yield from self.iter_lookup(
-            target if target != self.owner_of(key) else key, origin
-        )
-        values = self._built[result.owner].store.get(key)
-        if not values and result.owner != self.owner_of(key):
-            # Stale replica registration: re-route to the ring owner.
-            result = yield from self.iter_lookup(key, origin)
-            values = self._built[result.owner].store.get(key)
-        self._charge_get(category, result.hops)
-        if not values:
-            raise KeyNotFoundError(f"no values under key {key:x}")
-        return values, result
 
     def _charge_get(self, category: str, hops: int) -> None:
         """A read's request: an empty payload routed over ``hops`` hops."""
@@ -992,8 +871,8 @@ class DhtNetwork:
     # Local-store boundary
     #
     # The public surface for everything outside repro.dht that needs a
-    # node's storage: replica placement (repro.cache.replication) and
-    # catalog scans. Nothing outside this package touches DhtNode internals —
+    # node's storage: fault injection (repro.scenario) and catalog scans.
+    # Nothing outside this package touches DhtNode internals —
     # tests/test_boundary_lint.py enforces it — which is what lets the
     # storage backend move behind a transport without engine rewrites.
     # A read of a member with no built node builds nothing.
@@ -1023,22 +902,6 @@ class DhtNetwork:
         """Whether ``node_id`` currently holds any value under ``key``."""
         node = self._built.get(node_id)
         return node is not None and node.store.contains(key)
-
-    def set_local_expiry(self, node_id: int, key: int, expires_at: float) -> None:
-        """Stamp ``key``'s values at ``node_id`` with an expiry time."""
-        node = self._built.get(node_id)
-        if node is None:
-            self._require_member(node_id)
-            return  # no values to stamp
-        node.store.set_expiry(key, expires_at)
-
-    def purge_expired_local(self, node_id: int, now: float) -> int:
-        """Run ``node_id``'s local TTL sweep; returns purged count (0 if
-        the node has departed)."""
-        node = self._built.get(node_id)
-        if node is None:
-            return 0
-        return len(node.store.purge_expired(now))
 
     def stored_items(self, node_id: int | None = None):
         """Iterate ``(node_id, key, values)`` over local stores.

@@ -19,26 +19,21 @@ from typing import Any, Callable, Hashable, Iterator
 class LocalStore:
     """Multimap store on one DHT node, deduplicated per key.
 
-    Keys can carry an optional expiry time, used by the adaptive
-    replication controller to make replica copies age out without a
-    network round trip (the replica holder drops them locally).
-
-    Slotted, with the expiry map and the view memo allocated lazily: most
-    stores in a large simulated network never see an expiry or a view, so
-    at a million peers the per-node cost is one object plus one dict.
+    Slotted, with the view memo allocated lazily: most stores in a large
+    simulated network never see a view, so at a million peers the
+    per-node cost is one object plus one dict.
 
     The view memo holds one entry per key per ``build`` callable, built
     once per version of the key's values: every write that changes them — a
-    :meth:`put` that stores a new value, :meth:`remove_key`,
-    :meth:`purge_expired`, :meth:`clear` — drops the key's entries, and a
-    duplicate :meth:`put`, which stores nothing, keeps them.
+    :meth:`put` that stores a new value, :meth:`remove_key`, :meth:`clear`
+    — drops the key's entries, and a duplicate :meth:`put`, which stores
+    nothing, keeps them.
     """
 
-    __slots__ = ("_data", "_expiry", "_views")
+    __slots__ = ("_data", "_views")
 
     def __init__(self) -> None:
         self._data: dict[int, dict[Hashable, Any]] = {}
-        self._expiry: dict[int, float] | None = None
         self._views: dict[int, dict[Callable, Any]] | None = None
 
     def put(self, key: int, value: Any, identity: Hashable | None = None) -> bool:
@@ -98,32 +93,10 @@ class LocalStore:
 
     def remove_key(self, key: int) -> int:
         """Drop all values under ``key``; returns how many were removed."""
-        if self._expiry is not None:
-            self._expiry.pop(key, None)
         if self._views is not None:
             self._views.pop(key, None)
         bucket = self._data.pop(key, None)
         return len(bucket) if bucket else 0
-
-    def set_expiry(self, key: int, expires_at: float) -> None:
-        """Mark ``key`` to be dropped by ``purge_expired`` at ``expires_at``."""
-        if key in self._data:
-            if self._expiry is None:
-                self._expiry = {}
-            self._expiry[key] = expires_at
-
-    def expiry_of(self, key: int) -> float | None:
-        """When ``key`` expires, or None if it has no expiry."""
-        return self._expiry.get(key) if self._expiry is not None else None
-
-    def purge_expired(self, now: float) -> list[int]:
-        """Drop every key whose expiry is <= ``now``; returns those keys."""
-        if not self._expiry:
-            return []
-        expired = [key for key, at in self._expiry.items() if at <= now]
-        for key in expired:
-            self.remove_key(key)
-        return expired
 
     def contains(self, key: int) -> bool:
         return key in self._data and bool(self._data[key])
@@ -141,5 +114,4 @@ class LocalStore:
 
     def clear(self) -> None:
         self._data.clear()
-        self._expiry = None
         self._views = None

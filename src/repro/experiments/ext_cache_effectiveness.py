@@ -5,16 +5,15 @@ rare ones via the DHT, but re-executes every repeated query from scratch.
 This experiment measures what the :mod:`repro.cache` subsystem buys:
 a hybrid ultrapeer races each leaf query on the hybrid query engine, every
 one times out on Gnutella and re-queries through PIERSearch, with a
-byte-budgeted result cache (and the adaptive replication controller) in
-front of the DHT. The simulator drains after each query, so queries run
-one after another and each sees the cache its predecessors left.
+byte-budgeted result cache in front of the DHT. The simulator drains
+after each query, so queries run one after another and each sees the
+cache its predecessors left.
 
 Sweeps the cache byte budget against the Zipf skew of query repetition
 and reports, per cell: hit rate, per-query PIER bandwidth, bandwidth
 saved versus the uncached baseline (budget 0 at the same skew), the
 recall delta of cached answers versus fresh re-execution (must be zero —
-content is static between publish rounds), and how many hot posting-list
-keys the replication controller spread across successor nodes.
+content is static between publish rounds).
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ from repro.piersearch.tokenizer import extract_keywords
 BUDGETS_KB = (0, 32, 128)
 ALPHAS = (0.6, 1.1)
 
-#: reads within the window that make a posting-list key hot
-HOT_READ_THRESHOLD = 24
-
 
 @dataclass
 class _CellResult:
@@ -44,8 +40,6 @@ class _CellResult:
     queries: int = 0
     recall_mismatches: int = 0
     hits: int = 0
-    replicated_keys: int = 0
-    serve_skew: float = 0.0
     population: int = 0
     outcomes: list = field(default_factory=list)
 
@@ -87,7 +81,6 @@ def run(
                     cell.pier_bytes / cell.queries / 1024,
                     saved_pct,
                     recall_delta,
-                    cell.replicated_keys,
                 )
             )
     return ExperimentResult(
@@ -100,7 +93,6 @@ def run(
             "kb_per_query",
             "bandwidth_saved_pct",
             "recall_delta",
-            "hot_keys_replicated",
         ],
         rows=rows,
         notes=(
@@ -128,7 +120,6 @@ def _measure(
         [0],
         rng=seed + 2,
         cache_budget_bytes=budget_kb * 1024,
-        hot_read_threshold=HOT_READ_THRESHOLD,
     )
     nodes, hybrid = world.nodes, world.hybrids[0]
 
@@ -150,7 +141,7 @@ def _measure(
         population.append(keywords[: min(2, len(keywords))])
 
     cell = _CellResult(population=len(population))
-    cache, controller = world.cache, world.controller
+    cache = world.cache
 
     # Zipf-skewed repetition over the query population: no replica is in
     # flood reach, so every query times out on Gnutella and exercises the
@@ -164,9 +155,6 @@ def _measure(
     cell.outcomes = hybrid.outcomes
     cell.queries = num_queries
     cell.pier_bytes = sum(outcome.pier_bytes for outcome in hybrid.outcomes)
-    cell.replicated_keys = controller.stats.replicated_keys
-    cell.serve_skew = controller.serve_skew()
-    controller.detach()
     if cache is not None:
         cell.hits = cache.stats.hits
         cell.hit_rate = cache.stats.hit_rate

@@ -74,9 +74,6 @@ class DeploymentConfig:
     # --- repro.cache subsystem (0 = disabled, matching the paper) -----
     #: byte budget of the shared ultrapeer result cache
     cache_budget_bytes: int = 0
-    #: recent read-target resolutions of one DHT key — about one per plan
-    #: stage or item fetch touching it — that make it hot (0 = replication off)
-    hot_read_threshold: int = 0
     #: virtual time between churn steps on the private DHT (0 = no churn)
     churn_interval: float = 0.0
     #: churn steps applied during the test phase
@@ -106,8 +103,6 @@ class DeploymentReport:
     cache_misses: int = 0
     #: wire bytes cache hits avoided re-spending
     cache_bytes_saved: int = 0
-    #: hot posting-list keys the replication controller spread out
-    replicated_keys: int = 0
     # --- hybrid query engine -----------------------------------------
     #: most leaf queries simultaneously in flight in virtual time
     peak_inflight: int = 0
@@ -240,8 +235,8 @@ class Deployment:
             unanswerable += 1 if not match_depths else 0
 
         # Leaf queries arrive as simulator events, one every QUERY_INTERVAL
-        # of virtual time — this is the clock the cache's TTLs, the
-        # replication controller's expiries, churn, and the races run on.
+        # of virtual time — this is the clock the cache's TTLs, churn and
+        # the races run on.
         for position, query in enumerate(self.test):
             sim.schedule_at(
                 position * QUERY_INTERVAL,
@@ -289,9 +284,6 @@ class Deployment:
             report.cache_hits = world.cache.stats.hits
             report.cache_misses = world.cache.stats.misses
             report.cache_bytes_saved = world.cache.stats.bytes_saved
-        if world.controller is not None:
-            report.replicated_keys = world.controller.stats.replicated_keys
-            world.controller.detach()
         return report
 
 
@@ -334,7 +326,6 @@ def build_deployment(config: DeploymentConfig | None = None) -> Deployment:
         latency_model=gnutella.latency_model,
         rng=streams["engine"],
         cache_budget_bytes=config.cache_budget_bytes,
-        hot_read_threshold=config.hot_read_threshold,
     )
     def workload(size: int, stream: str) -> QueryWorkload:
         return generate_workload(

@@ -1,12 +1,11 @@
 """One hybrid world: the race stack of Section 7, wired in one place.
 
 :func:`build_world` wires hybrid ultrapeers, a catalog, a publisher, a
-search engine, the race engine and the optional result cache and hot-key
-replication onto a DHT the caller has built and
-populated (worlds differ there: RNG stream, replication, a fault-injecting
-transport). It decides three things for every caller: the i-th hybrid
-ultrapeer sits on the i-th DHT node; the cache, the replication
-controller and a passed tracer read the world's virtual clock; one
+search engine, the race engine and the optional result cache onto a DHT
+the caller has built and populated (worlds differ there: RNG stream,
+replication, a fault-injecting transport). It decides three things for
+every caller: the i-th hybrid ultrapeer sits on the i-th DHT node; the
+cache and a passed tracer read the world's virtual clock; one
 ``metrics``/``tracer`` reaches the search engine, the race engine and
 every ultrapeer. Nothing is published and nothing is scheduled.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.cache.replication import AdaptiveReplicationController, ReplicationConfig
 from repro.cache.results import QueryResultCache
 from repro.dht.network import DhtNetwork
 from repro.gnutella.latency import GnutellaLatencyModel
@@ -43,8 +41,6 @@ class HybridWorld:
     hybrids: list[HybridUltrapeer]
     #: shared result cache (None when the budget is 0)
     cache: QueryResultCache | None
-    #: adaptive replication of hot posting keys (None when off)
-    controller: AdaptiveReplicationController | None
 
 
 def build_world(
@@ -58,7 +54,6 @@ def build_world(
     latency_model: GnutellaLatencyModel | None = None,
     rng=None,
     cache_budget_bytes: int = 0,
-    hot_read_threshold: int = 0,
     tracer=None,
     metrics=None,
 ) -> HybridWorld:
@@ -69,8 +64,7 @@ def build_world(
     draws. ``strategy`` is the search engine's join strategy (``None``:
     the optimizer's pick, else the semi-join); ``INVERTED_CACHE`` also
     makes the publisher publish that table. A positive
-    ``cache_budget_bytes`` adds the shared result cache;
-    a positive ``hot_read_threshold`` attaches the replication controller.
+    ``cache_budget_bytes`` adds the shared result cache.
     """
     nodes = list(dht.nodes.values())
     if len(ultrapeer_ids) > len(nodes):
@@ -92,16 +86,10 @@ def build_world(
         sim, dht, latency_model=latency_model, config=race_config, rng=rng,
         tracer=tracer, metrics=metrics,
     )
-    cache = controller = None
+    cache = None
     if cache_budget_bytes > 0:
         cache = QueryResultCache(
             cache_budget_bytes, clock=lambda: sim.now, cost_model=dht.cost_model
-        )
-    if hot_read_threshold > 0:
-        controller = AdaptiveReplicationController(
-            dht,
-            ReplicationConfig(hot_read_threshold=hot_read_threshold),
-            clock=lambda: sim.now,
         )
     hybrids = [
         HybridUltrapeer(
@@ -112,6 +100,5 @@ def build_world(
         for ultrapeer, node in zip(ultrapeer_ids, nodes)
     ]
     return HybridWorld(
-        sim, dht, nodes, catalog, publisher, search, engine, hybrids,
-        cache, controller,
+        sim, dht, nodes, catalog, publisher, search, engine, hybrids, cache
     )

@@ -118,15 +118,8 @@ class TableHandle:
         return self.network.local_view(node_id, self.ring_key(index_value), build)
 
     def host_of(self, index_value: Any) -> int:
-        """The DHT node that should serve reads of this index value.
-
-        Replica-aware: normally the ring owner, but when the adaptive
-        replication controller has spread a hot key over the owner's
-        successors, reads rotate across the replica set. Each resolution
-        is reported to the network's read listener, which is how hot
-        posting-list keys are detected in the first place.
-        """
-        return self.network.serving_node(self.ring_key(index_value))
+        """The DHT node that serves reads of this index value: its ring owner."""
+        return self.network.owner_of(self.ring_key(index_value))
 
     def scan_all(self) -> Iterator[Row]:
         """Iterate every stored row of this table across all nodes.
@@ -173,12 +166,8 @@ class Catalog:
         return handle
 
     def posting_size(self, table: str, index_value: Any) -> int:
-        """Stored-tuple count under ``index_value`` at its ring owner.
-
-        The probe reads the ring owner directly (not the replica-aware
-        serving node) so statistics gathering neither counts as a data
-        read nor advances the replica rotation.
-        """
+        """Stored-tuple count under ``index_value`` at its ring owner,
+        read locally: statistics gathering charges no data read."""
         key = self.table(table).ring_key(index_value)  # unknown tables raise
         network = self.network
         owner = network.owner_of(key)

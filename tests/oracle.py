@@ -342,9 +342,7 @@ def reference_publish(publisher, filename, filesize, ip_address, port, origin=No
     goes through the route cache), store at the owner and charge the
     routed message (one per hop, at least one; the payload once plus a
     header per hop), copy to the owner's ``replication - 1`` successors
-    and charge one framed message per copy, copy to the key's registered
-    replica holders and charge theirs as ``cache.replicate``. A routing
-    failure propagates
+    and charge one framed message per copy. A routing failure propagates
     with the earlier tuples stored and charged. Returns the receipt.
     """
     network, catalog, costs = publisher.network, publisher.catalog, publisher.cost_model
@@ -380,17 +378,11 @@ def reference_publish(publisher, filename, filesize, ip_address, port, origin=No
             (category, max(1, result.hops), costs.routed_bytes(payload_bytes, result.hops))
         ]
         successors = network.successors_of(owner)[: network.replication - 1]
-        registered = [
-            node_id
-            for node_id in network.replica_nodes(key)
-            if node_id in network.nodes and node_id != owner and node_id not in successors
-        ]
-        for holders, charged_as in ((successors, category), (registered, "cache.replicate")):
-            for node_id in holders:
-                network.put_local(node_id, key, row, identity=identity)
-            if holders:
-                copies = len(holders)
-                charges.append((charged_as, copies, copies * costs.message_bytes(payload_bytes)))
+        for node_id in successors:
+            network.put_local(node_id, key, row, identity=identity)
+        if successors:
+            copies = len(successors)
+            charges.append((category, copies, copies * costs.message_bytes(payload_bytes)))
         for charged_as, count, size in charges:
             network.transport.charge(charged_as, count, size)
             messages += count

@@ -10,8 +10,10 @@ member ids, and the set of ``(key, value)`` pairs put and not lost.
 * ``list(dht.nodes)`` is the join order, and ``len``/``in`` agree with it;
   only members are ever built.
 * Every pair the oracle holds is stored on some member, and nothing else
-  is; a read of a key outside every suspect range returns exactly its
-  pairs.
+  is; a put lands each value on its key's owner.
+* A read of a key is served by its ring owner: it returns exactly the
+  owner's local values, which outside every suspect range are exactly
+  the key's pairs.
 * A lookup's owner is ``reference_owner`` over the members, and its path
   is ``reference_iter_lookup``'s, both before stabilizing (the
   hop-by-hop walk over stale tables) and after (the cached route).
@@ -30,22 +32,14 @@ member ids, and the set of ``(key, value)`` pairs put and not lost.
   successors that lacks a row's identity gets one copy of the row, shared
   by all of them and never the plan's own; nothing else changes) and
   moves the meter by the reference price of the reference walk's hops.
-* Registering replica holders for a key (a random subset of members)
-  reaches later puts: through joins, leaves and crashes, a put of that
-  key lands on every live registered holder, and those that are neither
-  the owner nor one of its successor copies are charged as
-  ``cache.replicate`` at the reference price, one framed message each. A
-  read of the key is served in rotation by the owner and the live
-  holders, and returns only pairs the oracle holds: all of them from the
-  owner outside suspect ranges, a holder's own values from a holder.
 * The snapshot the last stabilize published, and a ``Ring.frozen`` view
   of the ring taken while the ring still held that membership, list
   exactly that membership after every later join, leave, crash and
   regional leave: the ring copies its list before it changes it.
 * Probing a local store builds no node.
 * A ``StoredList`` view of a published key is transparent: after any
-  sequence of puts, handoffs, crashes, republishes and replica
-  registrations, ``local_view(node, key, StoredList)`` lists the same ids
+  sequence of puts, handoffs, crashes and republishes,
+  ``local_view(node, key, StoredList)`` lists the same ids
   as a ``StoredList`` built fresh from ``get_local(node, key)``, and a
   view built before a write that changed the key's values at that node
   is never returned after it.
@@ -121,12 +115,6 @@ class MembershipMachine(RuleBasedStateMachine):
         self.plans = [
             self.publisher.plan_file(name, size, "10.0.0.1", 6346) for name, size in FILES
         ]
-        #: the model of registered replica holders and each key's rotation
-        self.replicas: dict[int, list[int]] = {}
-        self.cursors: dict[int, int] = {}
-        #: ``(key, serving node)`` per read resolution since the last clear
-        self.served: list[tuple[int, int]] = []
-        self.dht.read_listener = lambda key, node_id: self.served.append((key, node_id))
         #: (snapshot, frozen view, sorted members) as the last stabilize left them
         self.published = None
         #: the keys the plans publish rows under: the only keys a view reads
@@ -145,21 +133,6 @@ class MembershipMachine(RuleBasedStateMachine):
             for value in stored:
                 holders.setdefault((key, _hashable(value)), set()).add(node_id)
         return holders
-
-    def _extra_holders(self, key: int) -> list[int]:
-        """The registered holders of ``key`` a put copies to beyond the
-        owner and its ``replication - 1`` successors (the put stabilized
-        first, so those are the members after the owner)."""
-        holders = self.replicas.get(key, ())
-        ring = sorted(self.order)
-        start = ring.index(reference_owner(ring, key))
-        copies = min(self.dht.replication, len(ring))
-        targets = {ring[(start + step) % len(ring)] for step in range(copies)}
-        return [holder for holder in holders if holder not in targets]
-
-    def _replicated(self) -> tuple[int, int]:
-        charged = self.dht.meter.by_category.get("cache.replicate")
-        return (charged.messages, charged.bytes) if charged else (0, 0)
 
     def _buckets(self) -> dict[int, dict[int, dict]]:
         """Every store as plain dicts: node -> key -> {dedup handle: value}."""
@@ -181,12 +154,6 @@ class MembershipMachine(RuleBasedStateMachine):
         for node_id, _ in victims:
             self.order.remove(node_id)
             self.departed.append(node_id)
-            for key in list(self.replicas):
-                kept = [holder for holder in self.replicas[key] if holder != node_id]
-                if kept:
-                    self.replicas[key] = kept
-                else:
-                    del self.replicas[key], self.cursors[key]
         lost = {pair for pair, held_by in holders.items() if held_by <= crashed}
         self.pairs -= lost
         for key, _ in lost:
@@ -287,7 +254,6 @@ class MembershipMachine(RuleBasedStateMachine):
     def put(self, entries, pick, routed):
         dht = self.dht
         origin = self._member(pick) if routed else None
-        before = self._replicated()
         if len(entries) == 1:
             key, value = entries[0]
             dht.put_raw(key, value, origin=origin, identity=value)
@@ -296,26 +262,9 @@ class MembershipMachine(RuleBasedStateMachine):
             dht.put_many(batch, origin=origin)
         entries = [(key % KEY_SPACE, value) for key, value in entries]
         self.pairs.update(entries)
-        # Registered holders: every live one holds the value, and each
-        # beyond the owner's own copies costs one framed empty payload.
-        copies = sum(len(self._extra_holders(key)) for key, _ in entries)
-        after = self._replicated()
-        assert (after[0] - before[0], after[1] - before[1]) == (
-            copies,
-            copies * dht.cost_model.message_bytes(0),
-        )
+        ring = sorted(self.order)
         for key, value in entries:
-            for holder in self.replicas.get(key, ()):
-                assert value in dht.get_local(holder, key)
-
-    @precondition(lambda self: self.order)
-    @rule(key=st.sampled_from(KEYS), chosen=st.lists(picks, min_size=1, max_size=4))
-    def register_replicas(self, key, chosen):
-        holders = list(dict.fromkeys(self._member(pick) for pick in chosen))
-        self.dht.register_replicas(key, holders)
-        assert self.dht.replica_nodes(key) == holders
-        self.replicas[key] = holders
-        self.cursors.setdefault(key, 0)
+            assert value in dht.get_local(reference_owner(ring, key), key)
 
     @precondition(lambda self: self.order)
     @rule(index=st.integers(min_value=0, max_value=len(FILES) - 1), pick=picks)
@@ -369,24 +318,14 @@ class MembershipMachine(RuleBasedStateMachine):
         dht = self.dht
         key %= KEY_SPACE
         expected = {value for pair_key, value in self.pairs if pair_key == key}
-        self.served.clear()
         try:
             got = dht.get_raw(key, origin=self._member(pick))
         except KeyNotFoundError:
             got = []
+        # The ring owner answers, with its own values and no one else's.
+        assert got == dht.get_local(reference_owner(sorted(self.order), key), key)
         assert len(got) == len(set(got)) and set(got) <= expected
-        # The read rotates over the owner and the live registered holders.
-        owner = reference_owner(sorted(self.order), key)
-        choices = [owner] + [holder for holder in self.replicas.get(key, ()) if holder != owner]
-        cursor = self.cursors.get(key, 0)
-        if key in self.cursors:
-            self.cursors[key] = (cursor + 1) % len(choices)
-        served = choices[cursor % len(choices)]
-        assert self.served == [(key, served)]
-        held = dht.get_local(served, key)
-        if served != owner and held:
-            assert got == held  # a holder answers with its own copies
-        elif not dht.is_suspect(key):
+        if not dht.is_suspect(key):
             assert set(got) == expected
 
     @precondition(lambda self: self.order)

@@ -313,77 +313,6 @@ class TestIterLookup:
         assert result.retries >= 1
         assert network.nodes[result.owner].owns(key)
 
-    def test_iter_get_raw_returns_values_and_hops(self):
-        network = DhtNetwork(rng=29)
-        network.populate(32)
-        network.put("walked", "v")
-        gen = network.iter_get_raw(hash_key("walked"))
-        hops = []
-        try:
-            while True:
-                hops.append(next(gen))
-        except StopIteration as stop:
-            values, result = stop.value
-        assert values == ["v"]
-        assert hops[-1] == result.owner
-        assert len(hops) == len(result.path)
-
-
-class TestReplicaRotationUnderChurn:
-    def _replicated(self):
-        network = DhtNetwork(rng=37)
-        network.populate(32)
-        network.put("hot", "v")
-        key = hash_key("hot")
-        owner = network.owner_of(key)
-        replicas = [n for n in network.nodes if n != owner][:2]
-        for replica in replicas:
-            network.nodes[replica].store.put(key, "v", identity="v")
-        network.register_replicas(key, replicas)
-        return network, key, owner, replicas
-
-    def test_rotation_covers_owner_and_replicas(self):
-        network, key, owner, replicas = self._replicated()
-        served = {network.serving_node(key, notify=False) for _ in range(6)}
-        assert served == {owner, *replicas}
-
-    def test_remove_node_shrinks_rotation(self):
-        """After a replica holder departs, the cursor must keep rotating
-        over the survivors and never name the departed node."""
-        network, key, owner, replicas = self._replicated()
-        # Advance the cursor to the end of the rotation first.
-        for _ in range(len(replicas)):
-            network.serving_node(key, notify=False)
-        network.remove_node(replicas[0], graceful=True)
-        served = [network.serving_node(key, notify=False) for _ in range(6)]
-        assert replicas[0] not in served
-        assert set(served) <= {owner, replicas[1]}
-
-    def test_removing_last_replica_unregisters_key(self):
-        network, key, owner, replicas = self._replicated()
-        for replica in replicas:
-            network.remove_node(replica, graceful=True)
-        assert network.replica_nodes(key) == []
-        served = {network.serving_node(key, notify=False) for _ in range(4)}
-        assert served == {network.owner_of(key)}
-
-    def test_stale_replica_falls_back_to_owner(self):
-        """A registered replica that lost its copy must not serve a miss."""
-        network, key, owner, replicas = self._replicated()
-        for replica in replicas:
-            network.nodes[replica].store.remove_key(key)
-        for _ in range(4):
-            assert network.get_raw(key) == ["v"]
-
-    def test_stale_replica_fallback_after_churn_shrinks_set(self):
-        network, key, owner, replicas = self._replicated()
-        # One replica churns out entirely, the other goes stale.
-        network.remove_node(replicas[0], graceful=False)
-        network.stabilize()
-        network.nodes[replicas[1]].store.remove_key(key)
-        for _ in range(4):
-            assert network.get_raw(key) == ["v"]
-
 
 def _drive(gen):
     hops = []

@@ -195,13 +195,7 @@ class TestCachedDeployment:
     def cached(self, config):
         from dataclasses import replace
 
-        return run_deployment(
-            replace(
-                config,
-                cache_budget_bytes=256 * 1024,
-                hot_read_threshold=12,
-            )
-        )
+        return run_deployment(replace(config, cache_budget_bytes=256 * 1024))
 
     def test_cache_disabled_by_default(self, stock):
         assert stock.cache_hits == stock.cache_misses == 0

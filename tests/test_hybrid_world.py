@@ -69,21 +69,18 @@ def test_passed_tracer_reads_the_world_clock():
     assert tracer.begin("probe").start == 12.5
 
 
-def test_cache_and_replication_read_the_simulator_clock():
-    world = build_world(
-        populated_dht(), range(3), cache_budget_bytes=4096, hot_read_threshold=8
-    )
+def test_cache_reads_the_simulator_clock():
+    world = build_world(populated_dht(), range(3), cache_budget_bytes=4096)
     assert all(hybrid.result_cache is world.cache for hybrid in world.hybrids)
     world.sim.schedule_at(7.25, lambda: None)
     world.sim.run()
-    assert world.cache.now() == world.controller.now() == world.sim.now == 7.25
-    assert world.dht.read_listener == world.controller.record_read
+    assert world.cache.now() == world.sim.now == 7.25
 
 
-def test_cache_and_replication_are_off_by_default():
+def test_cache_is_off_by_default():
     world = build_world(populated_dht(), range(3))
-    assert world.cache is world.controller is None
-    assert world.dht.read_listener is None
+    assert world.cache is None
+    assert all(hybrid.result_cache is None for hybrid in world.hybrids)
 
 
 def test_world_races_a_published_file():

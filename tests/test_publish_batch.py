@@ -136,7 +136,6 @@ steps = st.lists(
             st.booleans(),
         ),
         st.tuples(st.just("churn"), st.booleans()),
-        st.tuples(st.just("replicate"), st.integers(0, len(FILES) - 1), st.integers(0, 23)),
         st.tuples(st.just("depart"), st.integers(0, len(FILES) - 1), st.integers(0, 23)),
     ),
     min_size=3,
@@ -173,13 +172,6 @@ class TestBatchEqualsPerTuple:
             elif step[0] == "churn":
                 for world in (batch, reference):
                     world.churn.churn_step(joins=1, leaves=1, stabilize=step[1])
-            elif step[0] == "replicate":
-                # Registered holders beyond the successor copies: the
-                # ``cache.replicate`` leg of every later put under the key.
-                _, index, selector = step
-                for world in (batch, reference):
-                    holders = [world.member(selector + offset) for offset in (0, 5, 11)]
-                    world.network.register_replicas(posting_key(world, FILES[index]), holders)
             else:
                 # A publish from an origin that has left: nothing happens.
                 _, index, selector = step
@@ -344,9 +336,8 @@ class TestCopyOnStore:
 
 class TestTargetsMemo:
     """A put reads its owner's targets (the owner and its successor
-    copies) once per route-cache epoch, and its registered replica
-    holders on every put: a membership change must reach the next put's
-    copies, and so must a registration that moves no epoch."""
+    copies) once per route-cache epoch: a membership change must reach
+    the next put's copies."""
 
     def twins(self, file):
         """Twin worlds at ``replication=2``, ``file`` published in both
@@ -402,20 +393,3 @@ class TestTargetsMemo:
         assert batch.network.owner_of(key) == owner
         assert row in batch.network.get_local(joiner, key)
         assert row not in batch.network.get_local(old_successor, key)
-
-    def test_a_registration_between_two_puts_of_one_epoch_reaches_the_holder(self):
-        worlds, origin, key = self.twins(FILES[1])
-        batch = worlds[0]
-        owner = batch.network.owner_of(key)
-        holder = next(
-            node
-            for node in sorted(batch.network.nodes)
-            if node not in (owner, self.successor(batch, owner))
-        )
-        version = batch.network.membership_version
-        for world in worlds:
-            world.network.register_replicas(key, [holder])
-        row = self.publish_second(worlds, origin)
-        assert batch.network.membership_version == version  # one epoch throughout
-        assert batch.network.get_local(holder, key) == [row]
-        assert batch.network.meter.by_category["cache.replicate"].messages == 1

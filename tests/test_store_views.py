@@ -9,9 +9,9 @@ A missed invalidation would go on answering from a list the store no
 longer holds, and no answer test would notice unless its query happened
 to read that key after that write. This state machine drives every kind
 of write a store sees — routed, replicated publishes of new rows and of
-duplicates, direct local writes and removals, expiry and its purge, a
-joining node claiming keys from its successor, a graceful leave handing
-its store over, and a crash — and after each one holds the memoised view
+duplicates, direct local writes and removals, a joining node claiming
+keys from its successor, a graceful leave handing its store over, and a
+crash — and after each one holds the memoised view
 at every live node and posting key to a view built fresh from
 ``get_local``.
 """
@@ -70,7 +70,6 @@ class StoreViews(RuleBasedStateMachine):
         self.catalog = Catalog(self.network)
         Publisher(self.network, self.catalog)
         self.postings = self.catalog.table("Inverted")
-        self.now = 0.0
 
     def node(self, pick):
         members = sorted(self.network.nodes)
@@ -91,13 +90,6 @@ class StoreViews(RuleBasedStateMachine):
     @rule(pick=picks, keyword=keywords)
     def remove_local(self, pick, keyword):
         self.network.remove_local(self.node(pick), table_key("Inverted", keyword))
-
-    @rule(pick=picks, keyword=keywords)
-    def expire_and_purge(self, pick, keyword):
-        node = self.node(pick)
-        self.now += 1.0
-        self.network.set_local_expiry(node, table_key("Inverted", keyword), self.now)
-        self.network.purge_expired_local(node, self.now)
 
     @rule(at=st.one_of(keywords.map(lambda keyword: table_key("Inverted", keyword)), picks))
     def create_node(self, at):
@@ -163,12 +155,6 @@ def _remove_key(network, postings, key, owner, successor):
     return owner
 
 
-def _expire_and_purge(network, postings, key, owner, successor):
-    network.set_local_expiry(owner, key, 1.0)
-    network.purge_expired_local(owner, 2.0)
-    return owner
-
-
 def _join_claims_key(network, postings, key, owner, successor):
     network.create_node(key)  # the newcomer owns the key: owner hands it over
     return owner
@@ -189,7 +175,6 @@ def _routed_put(network, postings, key, owner, successor):
     [
         _put_new_row,
         _remove_key,
-        _expire_and_purge,
         _join_claims_key,
         _graceful_leave,
         _routed_put,
