@@ -1,195 +1,133 @@
-"""Unit tests for adaptive replication of hot DHT keys."""
+"""Replication of DHT keys with one read path.
+
+A publish stores a key on its ring owner and on the owner's first
+``replication - 1`` successors; a read goes to the owner. No read places
+a copy, however hot the key: the successor copies a publish made are the
+only ones, and they are what carries a key through its owner's failure.
+"""
 
 import pytest
 
-from repro.cache.replication import AdaptiveReplicationController, ReplicationConfig
+from repro.common.errors import KeyNotFoundError
 from repro.common.ids import hash_key
 from repro.dht.network import DhtNetwork
 
 
-def build_network(num_nodes: int = 32, seed: int = 900) -> DhtNetwork:
-    network = DhtNetwork(rng=seed)
+def build_network(num_nodes: int = 32, seed: int = 900, replication: int = 1) -> DhtNetwork:
+    network = DhtNetwork(replication=replication, rng=seed)
     network.populate(num_nodes)
     return network
 
 
-def hot_config(**kwargs) -> ReplicationConfig:
-    kwargs.setdefault("hot_read_threshold", 4)
-    kwargs.setdefault("extra_replicas", 2)
-    return ReplicationConfig(**kwargs)
+def holders(network: DhtNetwork, key: int) -> list[int]:
+    return sorted(node_id for node_id in network.nodes if network.local_contains(node_id, key))
 
 
 class TestHotKeyDetection:
+    """Reads detect nothing: a key keeps the copies its publish made."""
+
     def test_cold_keys_stay_unreplicated(self):
         network = build_network()
-        controller = AdaptiveReplicationController(network, hot_config())
         network.put("cold-key", "value")
-        network.get("cold-key")
-        assert controller.stats.replicated_keys == 0
-        assert network.replica_nodes(hash_key("cold-key")) == []
-
-    def test_hot_key_gets_replicated(self):
-        network = build_network()
-        controller = AdaptiveReplicationController(network, hot_config())
-        network.put("hot-key", "value")
-        for _ in range(6):
-            network.get("hot-key")
-        key = hash_key("hot-key")
-        assert controller.stats.replicated_keys == 1
-        replicas = network.replica_nodes(key)
-        assert len(replicas) == 2
-        # replicas live on the owner's successors and hold real copies
-        owner = network.nodes[network.owner_of(key)]
-        assert all(node_id in owner.successors for node_id in replicas)
-        assert all(network.nodes[node_id].store.get(key) == ["value"] for node_id in replicas)
-
-    def test_reads_rotate_over_replica_set(self):
-        network = build_network()
-        controller = AdaptiveReplicationController(network, hot_config())
-        network.put("hot-key", "value")
+        key = hash_key("cold-key")
         for _ in range(20):
-            assert network.get("hot-key") == ["value"]
-        served = {
-            node_id
-            for node_id, count in controller.serve_counts.items()
-            if count > 0 and network.nodes[node_id].store.contains(hash_key("hot-key"))
-        }
-        # owner + 2 replicas all took a share of the reads
-        assert len(served) == 3
+            assert network.get("cold-key") == ["value"]
+        assert holders(network, key) == [network.owner_of(key)]
+        assert set(network.meter.by_category) == {"dht.put", "dht.get"}
 
     def test_replication_charges_bandwidth(self):
-        network = build_network()
-        AdaptiveReplicationController(network, hot_config())
-        network.put("hot-key", "value")
-        for _ in range(6):
-            network.get("hot-key")
-        assert "cache.replicate" in network.meter.by_category
-        assert network.meter.by_category["cache.replicate"].messages == 2
+        # Same seed, same ring: the replicated put pays the unreplicated
+        # one's route plus one direct message per successor copy, and
+        # the reads, which go to the owner only, pay the same.
+        single = build_network()
+        triple = build_network(replication=3)
+        assert sorted(single.nodes) == sorted(triple.nodes)
+        origin = sorted(single.nodes)[0]
+        for network in (single, triple):
+            network.put("hot-key", "value", origin=origin, payload_bytes=100)
+            for _ in range(6):
+                network.get("hot-key", origin=origin)
+        put_1, put_3 = (n.meter.by_category["dht.put"] for n in (single, triple))
+        assert put_3.messages == put_1.messages + 2
+        assert put_3.bytes == put_1.bytes + 2 * triple.cost_model.message_bytes(100)
+        get_1, get_3 = (n.meter.by_category["dht.get"] for n in (single, triple))
+        assert (get_3.messages, get_3.bytes) == (get_1.messages, get_1.bytes)
 
 
 class TestInvalidation:
-    def test_ttl_expiry_drops_fresh_copies(self):
-        clock = {"now": 0.0}
-        network = build_network()
-        controller = AdaptiveReplicationController(
-            network,
-            hot_config(replica_ttl=50.0),
-            clock=lambda: clock["now"],
-        )
-        network.put("hot-key", "value")
-        for _ in range(6):
-            network.get("hot-key")
-        key = hash_key("hot-key")
-        assert network.replica_nodes(key)
-        clock["now"] = 100.0
-        assert controller.expire() == 1
-        assert network.replica_nodes(key) == []
-        # the copies the controller created are gone; the owner's is not
-        owner_id = network.owner_of(key)
-        holders = [
-            node_id
-            for node_id, node in network.nodes.items()
-            if node.store.contains(key)
-        ]
-        assert holders == [owner_id]
-        assert controller.stats.expired == 1
-
     def test_invalidate_preserves_natural_replicas(self):
-        # With network-level replication the successors already held the
-        # key before the controller touched it; invalidation must not
-        # destroy those natural copies.
-        network = DhtNetwork(replication=3, rng=901)
-        network.populate(32)
-        controller = AdaptiveReplicationController(network, hot_config(extra_replicas=2))
+        # Dropping the owner's copy drops that copy only: the successors
+        # keep theirs, and the read, which asks the owner, misses.
+        network = build_network(replication=3, seed=901)
         network.put("hot-key", "value")
         key = hash_key("hot-key")
-        holders_before = [
-            node_id for node_id, node in network.nodes.items() if node.store.contains(key)
-        ]
-        for _ in range(6):
+        owner = network.owner_of(key)
+        successors = network.successors_of(owner)[:2]
+        assert holders(network, key) == sorted([owner, *successors])
+        assert network.remove_local(owner, key) == 1
+        assert holders(network, key) == sorted(successors)
+        for successor in successors:
+            assert network.get_local(successor, key) == ["value"]
+        with pytest.raises(KeyNotFoundError):
             network.get("hot-key")
-        controller.invalidate(key)
-        holders_after = [
-            node_id for node_id, node in network.nodes.items() if node.store.contains(key)
-        ]
-        assert sorted(holders_after) == sorted(holders_before)
 
     def test_churn_prunes_replica_sets(self):
-        network = build_network()
-        controller = AdaptiveReplicationController(network, hot_config(extra_replicas=1))
-        network.put("hot-key", "value")
-        for _ in range(6):
-            network.get("hot-key")
+        # A successor that fails leaves the key's copy set: the next put
+        # stores on the owner and its successors as they are now.
+        network = build_network(replication=3)
+        network.put("hot-key", "first")
         key = hash_key("hot-key")
-        (replica,) = network.replica_nodes(key)
-        network.remove_node(replica, graceful=False)
-        assert network.replica_nodes(key) == []
-        assert controller.stats.churn_drops == 1
-        # key still served by the owner after the replica died
-        assert network.get("hot-key") == ["value"]
+        owner = network.owner_of(key)
+        dead = network.successors_of(owner)[0]
+        network.remove_node(dead, graceful=False)
+        network.put("hot-key", "second")
+        assert network.owner_of(key) == owner
+        targets = [owner, *network.successors_of(owner)[:2]]
+        assert dead not in targets
+        second = [node for node in network.nodes if "second" in network.get_local(node, key)]
+        assert sorted(second) == sorted(targets)
+        assert sorted(network.get("hot-key")) == ["first", "second"]
 
     def test_owner_failure_survived_via_replicas(self):
-        network = build_network()
-        AdaptiveReplicationController(network, hot_config())
+        network = build_network(replication=3)
         network.put("hot-key", "value")
-        for _ in range(6):
-            network.get("hot-key")
         key = hash_key("hot-key")
         owner_before = network.owner_of(key)
+        first_successor = network.successors_of(owner_before)[0]
         network.remove_node(owner_before, graceful=False)
         network.stabilize()
-        # the new owner is the old owner's first successor, which holds a
-        # controller-placed copy: the hot key never became unavailable
+        # the new owner is the old owner's first successor, which holds
+        # the publish's copy: the key never became unavailable
+        assert network.owner_of(key) == first_successor
+        assert network.get_local(first_successor, key) == ["value"]
         assert network.get("hot-key") == ["value"]
 
 
 class TestConfig:
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            ReplicationConfig(hot_read_threshold=0)
-        with pytest.raises(ValueError):
-            ReplicationConfig(extra_replicas=0)
-        with pytest.raises(ValueError):
-            ReplicationConfig(replica_ttl=0)
-
-    def test_detach_stops_observing(self):
-        network = build_network()
-        controller = AdaptiveReplicationController(network, hot_config())
-        controller.detach()
-        network.put("hot-key", "value")
-        for _ in range(6):
-            network.get("hot-key")
-        assert controller.stats.reads == 0
-
-    def test_serve_skew_even_after_replication(self):
-        network = build_network()
-        controller = AdaptiveReplicationController(network, hot_config())
-        network.put("hot-key", "value")
-        for _ in range(31):
-            network.get("hot-key")
-        # 30 reads spread over 3 servers (owner + 2 replicas) after the
-        # 4th read triggered placement: skew well below a single hot spot
-        assert controller.serve_skew() < 2.0
+        for replication in (0, -1):
+            with pytest.raises(ValueError):
+                DhtNetwork(replication=replication)
 
 
 class TestWriteCoherence:
     def test_publish_after_replication_reaches_replicas(self):
-        network = build_network()
-        AdaptiveReplicationController(network, hot_config())
+        network = build_network(replication=3)
         network.put("hot-key", "first")
-        for _ in range(6):
-            network.get("hot-key")
         key = hash_key("hot-key")
-        assert network.replica_nodes(key)
+        copies = holders(network, key)
+        assert len(copies) == 3
         network.put("hot-key", "second")
-        # every rotated read (owner + both replicas) sees both values
-        for _ in range(6):
-            assert sorted(network.get("hot-key")) == ["first", "second"]
+        assert holders(network, key) == copies
+        for node_id in copies:
+            assert sorted(network.get_local(node_id, key)) == ["first", "second"]
+        assert sorted(network.get("hot-key")) == ["first", "second"]
 
     def test_publish_to_unreplicated_key_unchanged(self):
         network = build_network()
-        AdaptiveReplicationController(network, hot_config())
         network.put("cold-key", "only")
         network.put("cold-key", "pair")
+        key = hash_key("cold-key")
         assert sorted(network.get("cold-key")) == ["only", "pair"]
+        assert holders(network, key) == [network.owner_of(key)]
         assert "cache.replicate" not in network.meter.by_category

@@ -314,6 +314,173 @@ class TestIterLookup:
         assert network.nodes[result.owner].owns(key)
 
 
+class TestReplicaRotationUnderChurn:
+    """Reads do not rotate: the owner serves every read, so a successor
+    copy that goes stale or churns out never answers one."""
+
+    def _replicated(self):
+        network = DhtNetwork(replication=3, rng=37)
+        network.populate(32)
+        network.put("hot", "v")
+        key = hash_key("hot")
+        owner = network.owner_of(key)
+        replicas = network.successors_of(owner)[:2]
+        assert all(network.get_local(replica, key) == ["v"] for replica in replicas)
+        return network, key, owner, replicas
+
+    def test_stale_replica_falls_back_to_owner(self):
+        """A successor copy that lost its values must not serve a miss."""
+        network, key, owner, replicas = self._replicated()
+        for replica in replicas:
+            network.remove_local(replica, key)
+        for _ in range(4):
+            assert network.get_raw(key) == ["v"]
+
+    def test_stale_replica_fallback_after_churn_shrinks_set(self):
+        network, key, owner, replicas = self._replicated()
+        # One replica churns out entirely, the other goes stale.
+        network.remove_node(replicas[0], graceful=False)
+        network.stabilize()
+        network.remove_local(replicas[1], key)
+        assert network.owner_of(key) == owner
+        for _ in range(4):
+            assert network.get_raw(key) == ["v"]
+
+
+class TestOwnerReads:
+    """A read is one lookup of the key's owner, one read of the owner's
+    store and one charge: no other node answers, and nothing is written."""
+
+    def _network(self, replication=3, seed=41):
+        network = DhtNetwork(replication=replication, rng=seed)
+        network.populate(32)
+        return network
+
+    def test_read_returns_the_owners_values_only(self):
+        network = self._network()
+        network.put("song", "published")
+        key = hash_key("song")
+        successor = network.successors_of(network.owner_of(key))[0]
+        network.put_local(successor, key, "successor-only")
+        assert network.get("song") == ["published"]
+
+    def test_a_value_held_off_the_owner_is_not_found(self):
+        network = self._network()
+        key = hash_key("elsewhere")
+        owner = network.owner_of(key)
+        for node_id in network.successors_of(owner)[:2]:
+            network.put_local(node_id, key, "copy")
+        with pytest.raises(KeyNotFoundError):
+            network.get_raw(key)
+
+    def test_read_equals_the_owners_local_store(self):
+        network = self._network()
+        for i in range(30):
+            network.put(f"item-{i % 10}", i)
+        for i in range(10):
+            key = hash_key(f"item-{i}")
+            assert network.get_raw(key) == network.get_local(network.owner_of(key), key)
+
+    def test_read_charges_one_routed_request(self):
+        network = self._network()
+        network.put("song", "v")
+        key = hash_key("song")
+        origin = max(network.nodes, key=lambda node: network.lookup(key, node).hops)
+        hops = network.lookup(key, origin).hops
+        assert hops >= 1
+        network.get_raw(key, origin)
+        cost = network.meter.by_category["dht.get"]
+        assert cost.messages == hops
+        assert cost.bytes == network.cost_model.routed_bytes(0, hops)
+
+    def test_self_owned_read_is_one_local_delivery(self):
+        network = self._network()
+        network.put("song", "v")
+        key = hash_key("song")
+        network.get_raw(key, network.owner_of(key))
+        cost = network.meter.by_category["dht.get"]
+        assert cost.messages == 1
+        assert cost.bytes == network.cost_model.routed_bytes(0, 0)
+
+    def test_read_charges_its_named_category(self):
+        network = self._network()
+        network.put("song", "v")
+        assert network.get("song", category="pier.fetch") == ["v"]
+        assert network.meter.by_category["pier.fetch"].messages >= 1
+        assert "dht.get" not in network.meter.by_category
+
+    def test_a_miss_still_pays_its_request(self):
+        network = self._network()
+        with pytest.raises(KeyNotFoundError):
+            network.get("missing")
+        assert network.meter.by_category["dht.get"].messages >= 1
+
+    def test_reads_store_nothing(self):
+        network = self._network()
+        for i in range(5):
+            network.put(f"k{i}", i)
+        before = sorted((node, key, tuple(values)) for node, key, values in network.stored_items())
+        version = network.membership_version
+        for _ in range(20):
+            for i in range(5):
+                network.get(f"k{i}")
+        after = sorted((node, key, tuple(values)) for node, key, values in network.stored_items())
+        assert after == before
+        assert network.membership_version == version
+
+    def test_every_origin_reads_the_same_values(self):
+        network = self._network()
+        network.put("song", "a")
+        network.put("song", "b")
+        key = hash_key("song")
+        answers = {tuple(sorted(network.get_raw(key, origin))) for origin in network.nodes}
+        assert answers == {("a", "b")}
+
+    def test_read_follows_a_graceful_owner_leave(self):
+        network = self._network(replication=1)
+        network.put("song", "v")
+        key = hash_key("song")
+        owner = network.owner_of(key)
+        successor = network.successors_of(owner)[0]
+        network.remove_node(owner, graceful=True)
+        assert network.owner_of(key) == successor
+        assert network.get_raw(key) == ["v"]
+        assert network.get_local(successor, key) == ["v"]
+
+    def test_read_follows_a_join_that_claims_the_key(self):
+        network = self._network(replication=1)
+        network.put("song", "v")
+        key = hash_key("song")
+        old_owner = network.owner_of(key)
+        network.create_node(key)
+        assert network.owner_of(key) == key
+        assert network.get_raw(key) == ["v"]
+        assert network.get_local(old_owner, key) == []
+
+    def test_an_owner_crash_without_copies_reads_as_a_suspect_miss(self):
+        network = self._network(replication=1)
+        network.put("fragile", "v")
+        key = hash_key("fragile")
+        network.remove_node(network.owner_of(key), graceful=False)
+        assert network.is_suspect(key)
+        with pytest.raises(KeyNotFoundError):
+            network.get_raw(key)
+
+    def test_a_repeated_read_replays_its_cached_route_at_the_same_price(self):
+        network = self._network()
+        network.put("song", "v")
+        key = hash_key("song")
+        origin = sorted(network.nodes)[0]
+        network.get_raw(key, origin)
+        first = network.meter.by_category["dht.get"]
+        messages, byte_count = first.messages, first.bytes
+        hits = network.route_cache_hits
+        network.get_raw(key, origin)
+        second = network.meter.by_category["dht.get"]
+        assert network.route_cache_hits == hits + 1
+        assert (second.messages, second.bytes) == (2 * messages, 2 * byte_count)
+
+
 def _drive(gen):
     hops = []
     try:

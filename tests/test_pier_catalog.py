@@ -65,6 +65,20 @@ class TestPublishFetch:
         host = handle.host_of("shared")
         assert len(handle.fetch_local(host, "shared")) == 5
 
+    def test_host_is_the_ring_owner_through_churn(self, catalog):
+        """Reads of a value are served by its ring owner, before and after
+        that owner leaves."""
+        handle = catalog.table("Inverted")
+        network = catalog.network
+        handle.publish({"keyword": "moving", "fileID": "f1"})
+        host = handle.host_of("moving")
+        assert host == network.owner_of(handle.ring_key("moving"))
+        network.remove_node(host, graceful=True)
+        new_host = handle.host_of("moving")
+        assert new_host != host
+        assert new_host == network.owner_of(handle.ring_key("moving"))
+        assert handle.fetch_local(new_host, "moving") == handle.fetch("moving")
+
     def test_publish_validates_schema(self, catalog):
         with pytest.raises(SchemaError):
             catalog.table("Inverted").publish({"keyword": "only"})
