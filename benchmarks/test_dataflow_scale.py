@@ -3,7 +3,7 @@
 Every leaf query races Gnutella against a *pipelined* DHT re-query: after
 the hop-by-hop walk, posting-list tuple batches flow site-to-site as
 simulator events and the race resolves at the first answer batch. The
-whole batch of queries is submitted within a 50 s virtual window against
+whole batch of queries is submitted within a 48 s virtual window against
 a 30 s timeout, so thousands of dataflows are simultaneously in flight
 while churn (including non-stabilizing steps) removes nodes under them.
 

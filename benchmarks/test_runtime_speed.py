@@ -78,7 +78,8 @@ def test_kernel_microbench(benchmark):
 
 def test_dataflow_scale_workload_is_live(benchmark):
     """The ext-runtime scenario completes every query with the route cache
-    doing real work (hits dominate misses under repeated exchanges)."""
+    doing real work (hits dominate misses: walks, plan legs and Item
+    fetches repeat their routes)."""
     sample = benchmark(dataflow_scale_workload, 500, False)
     assert sample["queries"] == 500
     assert sample["route_cache_hits"] > sample["route_cache_misses"]

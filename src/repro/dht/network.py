@@ -147,14 +147,13 @@ class DhtNetwork:
     cache. The hop-by-hop :meth:`iter_lookup` walk is deliberately *not*
     cached: it exists to observe churn mid-walk.
 
-    The same invariant covers the hop counts :meth:`route_hops` and a
-    routed :meth:`ship_batch` return: each is memoised per ``(origin,
-    key)`` beside the path it was measured on, under the same epoch
-    stamp, flushed by the same membership change, and read only after
-    the same lazy stabilize that precedes every routed read. A memo hit
-    stands for the route-cache hit that call would have made and counts
-    as one, so ``route_cache_hits`` and ``route_cache_misses`` read the
-    same with or without it.
+    The same invariant covers the hop counts :meth:`route_hops` returns:
+    each is memoised per ``(origin, key)`` beside the path it was
+    measured on, under the same epoch stamp, flushed by the same
+    membership change, and read only after the same lazy stabilize that
+    precedes every routed read. A memo hit stands for the route-cache hit
+    that call would have made and counts as one, so ``route_cache_hits``
+    and ``route_cache_misses`` read the same with or without it.
 
     It covers where a put stores, too: :meth:`put_many` keeps each
     owner's targets — the owner and its first ``replication - 1``
@@ -204,8 +203,8 @@ class DhtNetwork:
         #: memoizes :meth:`lookup` paths between membership changes (see
         #: the route cache invariant in the class docstring)
         self._route_cache: dict[tuple[int, int, bool], tuple[int, ...]] = {}
-        #: hop counts of :meth:`route_hops` and routed :meth:`ship_batch`
-        #: by ``(origin, key)``, flushed with the route cache
+        #: hop counts of :meth:`route_hops` by ``(origin, key)``, flushed
+        #: with the route cache
         self._hop_cache: dict[tuple[int, int], int] = {}
         #: :meth:`put_many`'s store targets by owner (the owner, then its
         #: successor copies), flushed with the route cache
@@ -668,40 +667,28 @@ class DhtNetwork:
     # ------------------------------------------------------------------
 
     def ship_batch(
-        self,
-        source: int,
-        target: int,
-        payload_bytes: int,
-        category: str = "pier.exchange",
-        direct: bool = False,
+        self, source: int, target: int, payload_bytes: int, category: str = "pier.exchange"
     ) -> tuple[int, int, int]:
-        """Ship one tuple batch from node ``source`` to node ``target``:
-        charge it, and return its ``(hops, messages, bytes)``.
+        """Ship one tuple batch from node ``source`` straight to node
+        ``target``: charge it, and return its ``(hops, messages, bytes)``.
 
-        The streaming-exchange primitive: a payload costs the same
-        however it is batched over an edge, so a query split into batches
-        pays the same per-payload cost and only the per-message overhead
-        scales with the batch count. Each batch is one transport charge.
+        The streaming-exchange primitive. The plan leg that reached
+        ``target`` already looked its address up, so a batch is one
+        direct message (:meth:`CostModel.message_bytes`) of one hop, or
+        zero hops to the same node, and never routes: a DHT application
+        looks an owner up once and then sends to it direct. A payload
+        costs the same however an edge batches it; only the per-message
+        header scales with the batch count.
 
-        * ``direct=False`` (rehash traffic): the batch routes through the
-          DHT — one message per overlay hop, payload charged once plus a
-          header per hop (:meth:`CostModel.routed_bytes`).
-        * ``direct=True`` (query answers): one direct hop back to the
-          query node, bypassing DHT routing, exactly like PIER's answer
-          path.
-
-        Raises :class:`DhtError` when routing to ``target`` breaks (the
-        caller — an in-flight dataflow — decides whether to retry).
+        Raises :class:`NodeNotFoundError`, charging nothing, when either
+        end has left the ring (the caller, an in-flight dataflow, fails
+        and its race decides whether to re-plan).
         """
-        cost = self.cost_model
-        if direct:
-            hops = 0 if source == target else 1
-            messages, byte_count = 1, cost.message_bytes(payload_bytes)
-        else:
-            hops = 0 if source == target else self.route_hops(target, source)
-            messages, byte_count = hops or 1, cost.routed_bytes(payload_bytes, hops)
-        self.transport.charge(category, messages, byte_count)
-        return hops, messages, byte_count
+        if not (self._is_member(source) and self._is_member(target)):
+            raise NodeNotFoundError(f"batch end departed: {source:x} -> {target:x}")
+        byte_count = self.cost_model.message_bytes(payload_bytes)
+        self.transport.charge(category, 1, byte_count)
+        return (0 if source == target else 1), 1, byte_count
 
     def put(
         self,

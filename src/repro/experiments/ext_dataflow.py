@@ -3,8 +3,8 @@
 The streaming exchange runtime ships posting-list tuples in fixed-size
 batches. Small batches get the first tuple through the join pipeline —
 and therefore the first answer to the query node — after a handful of
-tuples; but every batch pays its per-message routing headers, so halving
-the batch size roughly doubles the header overhead on the same payload.
+tuples; but every batch pays its own message header, so halving the
+batch size roughly doubles the header overhead on the same payload.
 This experiment sweeps batch size over the same multi-term query replay
 and reports both ends of that trade-off, plus the unbatched baseline (one
 batch per edge, the fewest headers) the totals are compared against.
@@ -119,7 +119,7 @@ def run(
         notes=(
             f"{len(queries)} multi-term replayed queries ({answered} with "
             f"answers); unbatched baseline {unbatched_bytes / 1024:.1f} KB; smaller "
-            "batches answer sooner but pay more routing headers"
+            "batches answer sooner but pay more message headers"
         ),
     )
 

@@ -119,7 +119,7 @@ def build_dataflow_scale(
     from repro.hybrid.engine import RaceConfig
     from repro.hybrid.world import build_world
 
-    num_nodes, num_files, submit_window = 64, 200, 50.0
+    num_nodes, num_files, submit_window = 64, 200, 48.0
     dht = DhtNetwork(rng=17)
     dht.populate(num_nodes)
     world = build_world(

@@ -14,10 +14,12 @@ the sites of a keyword chain:
   reaches the first site.
 * Every batch is a scheduled event in **virtual time** on a
   :class:`~repro.sim.engine.Simulator`: a send event ships the batch in
-  one call (:meth:`DhtNetwork.ship_batch` routes it, charges its wire
-  bytes and returns its ``(hops, messages, bytes)``; nothing else is
-  built per batch) and draws all its per-hop latencies in one more
-  (:meth:`~repro.net.transport.Transport.hop_delays`). The receiving
+  one call (:meth:`DhtNetwork.ship_batch` sends it direct to the site
+  its plan leg routed to, charges its wire bytes and returns its
+  ``(hops, messages, bytes)``; nothing else is built per batch) and
+  draws its hop latency in one more
+  (:meth:`~repro.net.transport.Transport.hop_delays`). A batch whose
+  site has left the ring fails the run instead. The receiving
   site probes the :class:`~repro.pier.operators.StoredHashJoin` built on
   its own posting list and immediately forwards new survivors
   downstream. The first answer therefore reaches the query node while
@@ -46,8 +48,8 @@ the sites of a keyword chain:
   between them by pricing the same lists).
 
 Byte accounting is per payload: a batch pays its tuples once plus one
-routing header per hop, so a stage split into ``k`` batches costs exactly
-``k-1`` extra header units per hop over shipping it whole — the
+message header, so a stage split into ``k`` batches costs exactly
+``k-1`` extra headers over shipping it whole — the
 batch-size sweep in ``BENCH_dataflow.json`` measures that latency/bytes
 trade-off. ``batch_size=None`` ships one batch per edge, the cheapest
 accounting and the one the blocking
@@ -118,7 +120,7 @@ class DataflowConfig:
     """Knobs of the streaming runtime."""
 
     #: tuples per exchange batch (None = one batch per edge: the fewest
-    #: routing headers, and no first answer before the join drains)
+    #: message headers, and no first answer before the join drains)
     batch_size: int | None = DEFAULT_BATCH_SIZE
     #: mean one-way per-hop latency of an overlay hop (virtual seconds)
     hop_latency: float = 1.2
@@ -404,11 +406,7 @@ class _Exchange:
         run = self.run
         try:
             hops, messages, byte_count = run.executor.network.ship_batch(
-                self.source_site,
-                self.target_site,
-                tuples * self.per_tuple_bytes,
-                self.category,
-                self.answer,
+                self.source_site, self.target_site, tuples * self.per_tuple_bytes, self.category
             )
         except DhtError as error:
             run.fail(error)
@@ -622,16 +620,13 @@ class _QueryRun:
         """Open one ship step into ``target``; returns what ``feeder``
         offers to."""
         if step.edge == Edge.FILTER:
-            # One routed message carrying the bit array: it stands for the
+            # One direct message carrying the bit array: it stands for the
             # whole scanned list, but ships no entries.
             return partial(self._ship_filter, step, target[0], ready[step.to])
         edge = _Exchange(self, step, feeder, target, ready)
         self.exchanges.append(edge)
         if step.extends_path:
-            try:
-                edge.path_hops = self._route_hops(edge.source_site, edge.target_site)
-            except DhtError:
-                pass  # stats only; the send itself re-routes
+            edge.path_hops = int(edge.source_site != edge.target_site)  # one direct hop
         return edge
 
     def _scan(self, local: tuple[Step, ...], out) -> None:

@@ -40,6 +40,16 @@ any other step         0 — site-local, and the Bloom probe only adds
                        its false positives to the stream
 =====================  ==============================================
 
+Only the plan leg routes. Every other ship step's batches go direct to
+the site the plan leg resolved, one header each
+(:meth:`~repro.dht.network.DhtNetwork.ship_batch`), so their ``h``
+headers per edge stand in for one header per batch. Pricing one header
+per edge moved chosen plans and raised ``pier.optimizer_byte_err`` on
+the ``--quick`` ``conj_optimizer`` bench from 0.055 to 0.234. With the
+prices kept, that row reads 0.012, but only because two errors cancel,
+not because the prices are right. Re-pricing belongs with the observed
+selectivity of ROADMAP item 6(b).
+
 Ship steps sum to an estimate's ``wire_bytes`` and key-joins to its
 ``spill_bytes``; strategies are compared on their weighted sum
 (:data:`LOCAL_BYTE_WEIGHT`). Ties break toward the simpler strategy, and

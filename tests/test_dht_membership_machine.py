@@ -17,11 +17,14 @@ member ids, and the set of ``(key, value)`` pairs put and not lost.
 * A lookup's owner is ``reference_owner`` over the members, and its path
   is ``reference_iter_lookup``'s, both before stabilizing (the
   hop-by-hop walk over stale tables) and after (the cached route).
-* ``route_hops`` and a routed ``ship_batch`` between members count the
-  reference path's hops after stabilizing; a repeat in the same epoch
-  reads the memo, unchanged and counted as one route-cache hit, and a
-  join flushes it (the next call is a miss on the new ring). Every
-  routed call moves the route-cache counters by exactly one.
+* ``route_hops`` between members counts the reference path's hops
+  after stabilizing; a repeat in the same epoch reads the memo, unchanged
+  and counted as one route-cache hit, and a join flushes it (the next
+  call is a miss on the new ring). Every call moves the route-cache
+  counters by exactly one.
+* ``ship_batch`` between members is one direct message of one hop (none
+  to itself) that moves no route-cache counter, before and after a join;
+  with a departed end it raises ``NodeNotFoundError`` and charges nothing.
 * A graceful leave lands each of its values on its successor exactly once
   (a published row under its own object, as the handoff dedups rows) and
   charges one handoff message per value; a crash loses exactly the
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -60,7 +64,7 @@ from hypothesis.stateful import (
 )
 
 from oracle import reference_iter_lookup, reference_owner
-from repro.common.errors import DhtError, KeyNotFoundError
+from repro.common.errors import DhtError, KeyNotFoundError, NodeNotFoundError
 from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
@@ -346,27 +350,34 @@ class MembershipMachine(RuleBasedStateMachine):
         assert result.path == path
 
     @precondition(lambda self: self.order)
-    @rule(pick=picks, target_pick=picks, join=st.booleans())
-    def route_hops_and_ship_batch(self, pick, target_pick, join):
+    @rule(pick=picks, target_pick=picks, join=st.booleans(), gone_pick=picks)
+    def route_hops_and_ship_batch(self, pick, target_pick, join, gone_pick):
         dht = self.dht
         first, second = self._member(pick), self._member(target_pick)
 
-        def counted(origin, target, ship=False):
-            """The hops of ``route_hops`` (or a routed ``ship_batch``) from
-            ``origin`` to ``target``, checked against the reference path,
-            and whether the call was a route-cache hit. A call that routes
-            moves the counters by exactly one; a batch to itself by none."""
+        def counted(origin, target):
+            """The hops of ``route_hops`` from ``origin`` to ``target``,
+            checked against the reference path, and whether the call was a
+            route-cache hit. Every call moves the counters by exactly one."""
             hits, misses = dht.route_cache_hits, dht.route_cache_misses
-            if ship:
-                hops = dht.ship_batch(origin, target, 64)[0]
-            else:
-                hops = dht.route_hops(target, origin)
+            hops = dht.route_hops(target, origin)
             moved = (dht.route_cache_hits - hits, dht.route_cache_misses - misses)
-            routed = not ship or origin != target
-            assert moved in (((1, 0), (0, 1)) if routed else ((0, 0),))
+            assert moved in ((1, 0), (0, 1))
             _, path, _ = _run(reference_iter_lookup(dht, target, origin))
             assert hops == len(path) - 1
             return hops, moved == (1, 0)
+
+        def shipped(origin, target):
+            """A batch between two members: one direct message of one hop
+            (none to itself), charged once, and no route looked up."""
+            counters = (dht.route_cache_hits, dht.route_cache_misses)
+            before = dht.meter.snapshot()
+            result = dht.ship_batch(origin, target, 64)
+            price = dht.cost_model.message_bytes(64)
+            assert result == (int(origin != target), 1, price)
+            assert (dht.route_cache_hits, dht.route_cache_misses) == counters
+            after = dht.meter.snapshot()
+            assert (after.messages - before.messages, after.bytes - before.bytes) == (1, price)
 
         # Each direction: the first call of the epoch (after the lazy
         # stabilize), then the same pair again, a memo hit, unchanged and
@@ -375,7 +386,7 @@ class MembershipMachine(RuleBasedStateMachine):
         for origin, target in pairs:
             hops, _ = counted(origin, target)
             assert counted(origin, target) == (hops, True)
-            assert counted(origin, target, ship=True) == (hops, origin != target)
+            shipped(origin, target)
         if join:
             # A join moves the epoch and flushes the memo with the route
             # cache: each pair's next call is a miss, routed on the new ring.
@@ -383,7 +394,15 @@ class MembershipMachine(RuleBasedStateMachine):
             for index, (origin, target) in enumerate(pairs):
                 hops, hit = counted(origin, target)
                 assert hit == (index == 1 and first == second)
-                assert counted(origin, target, ship=True) == (hops, origin != target)
+                shipped(origin, target)
+        if self.departed:
+            # A batch with a departed end raises and charges nothing.
+            gone = self.departed[gone_pick % len(self.departed)]
+            before = dht.meter.snapshot()
+            for origin, target in ((gone, first), (first, gone)):
+                with pytest.raises(NodeNotFoundError):
+                    dht.ship_batch(origin, target, 64)
+            assert dht.meter.snapshot() == before
 
     @precondition(lambda self: self.order)
     @rule(key=keys, pick=picks)

@@ -568,15 +568,6 @@ class TestRouteCache:
         assert all(node_id in network.nodes for node_id in result.path)
         assert result.owner == network.owner_of(key)
 
-    def test_ship_batch_same_pair_costs_identical_bytes(self):
-        network = self._network()
-        source = network.random_node_id()
-        target = next(n for n in network.nodes if n != source)
-        first = network.ship_batch(source, target, 512)
-        again = network.ship_batch(source, target, 512)
-        assert again == first
-        assert network.route_cache_hits >= 1
-
     def test_route_hops_is_lookup_without_the_result(self):
         network, twin = self._network(), self._network()
         for index in range(40):
@@ -598,30 +589,31 @@ class TestShipBatch:
         network.populate(24)
         return network
 
-    def test_routed_batch_charges_one_message_per_hop_and_a_header_each(self, network):
+    def test_batch_between_live_members_is_one_direct_message(self, network):
         source = network.random_node_id()
         target = max(network.nodes, key=lambda node: network.route_hops(node, source))
-        hops = network.route_hops(target, source)
-        assert hops >= 2
+        assert network.route_hops(target, source) >= 2
+        counters = (network.route_cache_hits, network.route_cache_misses)
         shipped = network.ship_batch(source, target, 512, category="exchange")
-        cost = network.cost_model
-        assert shipped == (hops, hops, cost.routed_bytes(512, hops))
+        # However far apart on the ring: one framed message of one hop,
+        # and no route looked up (the plan leg already resolved the site)
+        assert shipped == (1, 1, network.cost_model.message_bytes(512))
         charged = network.meter.by_category["exchange"]
         assert (charged.messages, charged.bytes) == shipped[1:]
+        assert (network.route_cache_hits, network.route_cache_misses) == counters
 
-    def test_batch_to_itself_costs_one_local_delivery(self, network):
+    def test_batch_to_itself_is_one_local_delivery(self, network):
         source = network.random_node_id()
-        routed = network.ship_batch(source, source, 100)
-        direct = network.ship_batch(source, source, 100, direct=True)
-        cost = network.cost_model
-        assert routed == (0, 1, cost.routed_bytes(100, 0))
-        assert direct == (0, 1, cost.message_bytes(100))
+        shipped = network.ship_batch(source, source, 100)
+        assert shipped == (0, 1, network.cost_model.message_bytes(100))
 
-    def test_direct_batch_is_one_framed_message(self, network):
-        source = network.random_node_id()
-        target = next(node for node in network.nodes if node != source)
-        lookups = network.route_cache_hits + network.route_cache_misses
-        shipped = network.ship_batch(source, target, 64, category="answer", direct=True)
-        assert shipped == (1, 1, network.cost_model.message_bytes(64))
-        # an answer bypasses DHT routing: the route cache never sees it
-        assert network.route_cache_hits + network.route_cache_misses == lookups
+    @pytest.mark.parametrize("departed_end", ["source", "target"])
+    def test_batch_with_a_departed_end_raises_and_charges_nothing(
+        self, network, departed_end
+    ):
+        source, target = sorted(network.nodes)[:2]
+        network.remove_node(source if departed_end == "source" else target, graceful=True)
+        before = (network.meter.snapshot(), dict(network.meter.by_category))
+        with pytest.raises(NodeNotFoundError):
+            network.ship_batch(source, target, 64)
+        assert (network.meter.snapshot(), network.meter.by_category) == before

@@ -8,8 +8,8 @@ Bloom key costs one memo lookup and one OR or masked compare (its mask is
 built once per filter shape). That build, the Bloom filter and a Bloom
 probe's matches are made once per version of the stored list, and a
 size profile is priced once, so a replayed query makes none of them. A
-shipped batch is one routing-and-charge call and one hop-delay draw
-call, with no message object built. Nothing about that shows in an
+shipped batch is one check-and-charge call and one hop-delay draw call,
+with no message object built. Nothing about that shows in an
 answer or a byte count, so a regression to per-key calls, or to
 per-query builds, would pass every other test. This one counts
 *function calls* — deterministic, no timing — over a small Bloom-join

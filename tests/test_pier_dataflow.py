@@ -1,14 +1,18 @@
 """Unit tests for the streaming exchange dataflow runtime."""
 
+import math
+
 import pytest
 
-from repro.common.errors import DhtError
+from repro.common.errors import DhtError, NodeNotFoundError
 from repro.dht.network import DhtNetwork
+from repro.hybrid.engine import RaceConfig
+from repro.hybrid.world import build_world as build_hybrid_world
 from repro.pier.catalog import Catalog
 from repro.pier import operators
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.pier.planner import KeywordPlanner
-from repro.pier.query import JoinStrategy
+from repro.pier.query import Edge, JoinStrategy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.piersearch.publisher import Publisher
@@ -377,6 +381,77 @@ class TestFailureHandling:
         dataflow = DataflowExecutor(network, catalog, rng=7)
         with pytest.raises(DhtError):
             dataflow.execute(plan)
+
+
+class TestDepartedJoinSite:
+    """A batch goes direct to the site its plan leg resolved. When that
+    site leaves the ring between two batches, the next send fails the run
+    and charges nothing; the race re-plans onto the list's new owner."""
+
+    TERMS = ["nebula", "quasar"]
+
+    @staticmethod
+    def leave_after_first_batch(monkeypatch, network, edge):
+        """Patch ``network.ship_batch`` so the target of the first batch on
+        ``edge`` leaves gracefully right after that batch is charged;
+        returns the categories of every batch charged."""
+        ship = network.ship_batch
+        shipped = []
+
+        def shipping(source, target, payload_bytes, category):
+            result = ship(source, target, payload_bytes, category)
+            shipped.append(category)
+            if category == edge and shipped.count(edge) == 1:
+                network.remove_node(target, graceful=True)
+            return result
+
+        monkeypatch.setattr(network, "ship_batch", shipping)
+        return shipped
+
+    def test_the_next_batch_fails_the_run_before_it_is_charged(self, monkeypatch):
+        network, catalog = build_world(num_files=60)
+        plan = KeywordPlanner(catalog).plan(self.TERMS, network.random_node_id())
+        assert plan.strategy is JoinStrategy.SEMI_JOIN
+        plan.batch_size = 1
+        dataflow = DataflowExecutor(
+            network, catalog, config=DataflowConfig(batch_size=1), rng=7
+        )
+        shipped = self.leave_after_first_batch(monkeypatch, network, Edge.SEMI)
+        before = network.meter.snapshot()
+        handoff = network.meter.by_category.get("dht.handoff")
+        query = dataflow.submit(plan)
+        dataflow.sim.run()
+        assert isinstance(query.error, NodeNotFoundError)
+        # One semi-join batch charged, none after it; the join stage never
+        # received a batch (it would have read its list on the first).
+        assert shipped == [Edge.SEMI]
+        assert network.meter.by_category[Edge.SEMI].messages == 1
+        assert len(query.stats.per_stage_entries) == 1
+        # Everything the query charged, and nothing else but the handoff.
+        handed = network.meter.by_category["dht.handoff"].bytes - (
+            handoff.bytes if handoff is not None else 0
+        )
+        assert query.stats.bytes == network.meter.bytes - before.bytes - handed
+
+    def test_a_race_replans_around_the_departed_site_and_resolves_once(self, monkeypatch):
+        network, catalog = build_world(num_files=60)
+        world = build_hybrid_world(
+            network, range(8), gnutella_timeout=1.0,
+            race_config=RaceConfig(batch_size=1), rng=5,
+        )
+        expected = len(oracle_items(world.catalog, self.TERMS))
+        assert expected > 0
+        inverted = world.catalog.table("Inverted")
+        sites = {inverted.host_of(term) for term in self.TERMS}
+        hybrid = next(h for h in world.hybrids if h.dht_node_id not in sites)
+        shipped = self.leave_after_first_batch(monkeypatch, network, Edge.SEMI)
+        done = []
+        race = world.engine.submit(hybrid, self.TERMS, [math.inf], 3, on_done=done.append)
+        world.sim.run()
+        assert done == [race] and world.engine.completed == 1
+        assert race.pier_attempts == 2
+        assert race.outcome.pier_results == expected
+        assert Edge.ANSWER in shipped
 
 
 class TestEmptyStreams:

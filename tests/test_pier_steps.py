@@ -112,9 +112,9 @@ def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size):
     ship_batch = DhtNetwork.ship_batch
     ship_plan = _QueryRun._ship_plan
 
-    def recording(net, source, target, payload_bytes, category="", direct=False):
+    def recording(net, source, target, payload_bytes, category=""):
         shipped.append((category, stage_of[source], stage_of[target]))
-        return ship_batch(net, source, target, payload_bytes, category, direct)
+        return ship_batch(net, source, target, payload_bytes, category)
 
     def recording_plan(run, source, target):
         shipped.append((Edge.PLAN, stage_of[source], stage_of[target]))

@@ -6,10 +6,10 @@ normalised keywords (its race already carries them as ``QueryRace.key``)
 and the overlay hops between two sites. So a table handle hashes a value
 once (:meth:`~repro.pier.catalog.TableHandle.ring_key`), the engine plans
 from the race's key instead of tokenising the terms again, and
-:meth:`~repro.dht.network.DhtNetwork.route_hops` and a routed
-``ship_batch`` read a hop count memoised per ``(origin, key)`` in the
-route cache's epoch. None of that shows in an answer, a byte count or a
-simulated time, so this test counts *function calls* under ``cProfile`` —
+:meth:`~repro.dht.network.DhtNetwork.route_hops` reads a hop count
+memoised per ``(origin, key)`` in the route cache's epoch. None of that
+shows in an answer, a byte count or a simulated time, so this test
+counts *function calls* under ``cProfile`` —
 deterministic, no timing — over a small conjunctive world whose every
 flood misses, so each race re-queries through PIER, and holds them under
 recorded ceilings. It pins the route cache's counters too, so the saving
@@ -42,15 +42,18 @@ QUERIES = 48
 #: keyword and of each answered fileID), 6.2 extractions (the race's
 #: ``query_key`` and the answer's conjunctive re-check) and 1,276.0 calls
 #: (3.10: 1,279.3, 3.12: 1,262.8; one process in three read ~3 more on
-#: 3.11). Each ceiling sits just above the second count and below the
-#: first.
+#: 3.11). With exchange batches sent direct: 2.4 hashes, 6.2 extractions
+#: and 1,249.7 calls on 3.11. Each ceiling sits just above the second
+#: count and below the first.
 HASHES_PER_QUERY_CEILING = 3
 KEYWORD_EXTRACTIONS_PER_QUERY_CEILING = 7
 CALLS_PER_QUERY_CEILING = 1_330
-#: The route cache's counters over the same run, identical before and
-#: after: the memo made a hit cheaper, it did not change what is one.
-ROUTE_CACHE_HITS = 451
-ROUTE_CACHE_MISSES = 109
+#: The route cache's counters over the same run, identical with and
+#: without the hop memo: the memo made a hit cheaper, it did not change
+#: what is one. Exchange batches go direct to the site their plan leg
+#: resolved and look no route up.
+ROUTE_CACHE_HITS = 188
+ROUTE_CACHE_MISSES = 98
 
 
 def terms_of(index):

@@ -26,7 +26,7 @@ VOCABULARY = ["nebula", "quasar", "aurora", "meteor", "eclipse", "klorena", "mon
 SEEDS = (0, 1, 2, 3)
 BATCH_SIZES = (1, 3)
 QUERIES_PER_WORLD = 8
-#: large enough that posting batches cross several overlay hops
+#: large enough that plan legs and re-query walks cross several overlay hops
 NUM_NODES = 128
 #: the flood gives up early, so the race times stay small and a last-bit
 #: difference in one transit's sum survives into them
