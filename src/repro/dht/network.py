@@ -22,6 +22,7 @@ from repro.common.rng import make_rng
 from repro.common.units import BandwidthMeter, CostModel, DEFAULT_COST_MODEL
 from repro.dht.node import OWNS, DhtNode
 from repro.dht.ring import DEFAULT_SUCCESSOR_COUNT, Ring, RingCell, RingSnapshot
+from repro.dht.storage import LocalStore
 from repro.net.transport import InProcessTransport, Transport
 
 MAX_HOPS_FACTOR = 4  # routing gives up after 4*log2(N)+8 hops
@@ -231,10 +232,12 @@ class DhtNetwork:
     def create_node(self, node_id: int | None = None) -> DhtNode:
         """Add a node with ``node_id`` (random if omitted) to the ring.
 
-        Chord join semantics: the new node's successor hands over the
-        slice of keys the newcomer now owns (charged as ``dht.handoff``),
-        so stored data stays reachable when joins land mid-run — without
-        this, every join would silently orphan the slice it takes over.
+        Chord join semantics: the new node's successor syncs the slice of
+        keys the newcomer now owns to it (one :meth:`_hand_off`, charged
+        as ``dht.handoff``), so stored data stays reachable when joins
+        land mid-run. At ``replication`` 1 the slice moves; above it the
+        successor keeps its copies, as it is now the newcomer's first
+        successor and so in each claimed key's replica set.
         """
         if node_id is None:
             node_id = self._random_id()
@@ -253,25 +256,17 @@ class DhtNetwork:
             successor_id = self._ring[(index + 1) % len(self._ring)]
             predecessor_id = self._ring[index - 1]
             source = self._built.get(successor_id)
-        if source is not None:
-            moved = 0
+        if source is not None and source._store is not None:
             source_store = source._store
-            claimed = (
-                [
-                    key
-                    for key in list(source_store.keys())
-                    if in_interval(key, predecessor_id, node_id, inclusive_end=True)
-                ]
-                if source_store is not None
-                else []
-            )
-            for key in claimed:
-                for value in source.store.get(key):
-                    node.store.put(key, value, identity=_identity(value))
-                    moved += 1
-                source.store.remove_key(key)
-            if moved:
-                self._charge_handoff(moved)
+            claimed = [
+                key
+                for key in source_store.keys()
+                if in_interval(key, predecessor_id, node_id, inclusive_end=True)
+            ]
+            self._hand_off(source_store, node, claimed)
+            if self.replication == 1:
+                for key in claimed:
+                    source_store.remove_key(key)
         return node
 
     def _random_id(self) -> int:
@@ -320,8 +315,8 @@ class DhtNetwork:
         return nodes
 
     def remove_node(self, node_id: int, graceful: bool = True) -> None:
-        """Remove a node. A graceful leave hands its keys to the successor
-        (one direct message per stored value, charged as ``dht.handoff``
+        """Remove a node. A graceful leave syncs its whole store to its
+        successor (one :meth:`_hand_off`, charged as ``dht.handoff``
         maintenance bandwidth); an ungraceful failure loses any data not
         replicated elsewhere.
 
@@ -342,23 +337,31 @@ class DhtNetwork:
         self._stale = True
         self.membership_version += 1
         if graceful and len(self._ring) and node is not None and node._store:
-            successor = self._ring.responsible(node_id)
-            target = self._built[successor]
-            moved = 0
-            for key, values in node.store.items():
-                for value in values:
-                    target.store.put(key, value, identity=_identity(value))
-                    moved += 1
-            if moved:
-                self._charge_handoff(moved)
+            heir = self._built[self._ring.responsible(node_id)]
+            self._hand_off(node._store, heir, list(node._store.keys()))
 
-    def _charge_handoff(self, moved: int) -> None:
-        """One direct message per handed-off value, each a framed empty
-        tuple."""
+    def _hand_off(self, source: LocalStore, heir: DhtNode, keys: list[int]) -> None:
+        """Sync the rows ``source`` holds under ``keys`` to ``heir``.
+
+        Each row lands under its own dedup handle, so a row the heir holds
+        already (a replica, or an equal republished row) stores nothing.
+        The price is one digest message naming a handle per offered row,
+        then one message carrying the rows the heir lacked, if any; a sync
+        that offers nothing charges nothing.
+        """
+        if not keys:
+            return
+        store, offered, new = heir.store, 0, 0
+        for key in keys:
+            for handle, value in source.pairs(key):
+                offered += 1
+                new += store.put(key, value, identity=handle)
         cost = self.cost_model
-        self.transport.charge(
-            "dht.handoff", moved, moved * cost.message_bytes(cost.tuple_bytes(0))
-        )
+        messages, byte_count = 1, cost.message_bytes(cost.digest_bytes(offered))
+        if new:
+            messages += 1
+            byte_count += cost.message_bytes(new * cost.tuple_bytes(0))
+        self.transport.charge("dht.handoff", messages, byte_count)
 
     def stabilize(self) -> None:
         """Refresh every node's routing state from the current ring.
@@ -923,11 +926,3 @@ class DhtNetwork:
             len(node._store) for node in self._built.values() if node._store is not None
         )
 
-
-def _identity(value: Any) -> Hashable:
-    """Best-effort dedup handle for replica handoff."""
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return id(value)

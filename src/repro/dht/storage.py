@@ -104,6 +104,12 @@ class LocalStore:
     def keys(self) -> Iterator[int]:
         return iter(self._data.keys())
 
+    def pairs(self, key: int) -> Iterator[tuple[Hashable, Any]]:
+        """The ``(dedup handle, value)`` pairs under ``key``, in insertion
+        order: a handoff stores each value on the heir under its handle."""
+        bucket = self._data.get(key)
+        return iter(bucket.items()) if bucket else iter(())
+
     def items(self) -> Iterator[tuple[int, list[Any]]]:
         for key, bucket in self._data.items():
             yield key, list(bucket.values())

@@ -10,8 +10,9 @@ and reports both ends of that trade-off, plus the unbatched baseline (one
 batch per edge, the fewest headers) the totals are compared against.
 
 ``python -m repro.experiments.ext_dataflow`` records the sweep into
-``BENCH_dataflow.json`` at the repository root (the bench artifact the
-CI smoke run re-derives a single point of).
+``BENCH_dataflow.json`` at the repository root;
+``tests/test_dataflow_artifact.py`` re-derives the whole artifact and
+holds it equal to the committed file, byte for byte.
 """
 
 from __future__ import annotations

@@ -129,12 +129,11 @@ class Publisher:
         """Publish a compiled file from ``origin``; returns the receipt.
 
         Rows are copied on store: a store that lacks a row's identity gets
-        a fresh copy of the plan's row (the owner, its successors and any
-        registered holders of one put share that copy), and a store that
-        holds it already gets nothing, so republishing a plan copies only
-        what is new. The copies keep publishes apart: a key handoff dedups
-        the rows it moves by object identity, so publishes sharing a row
-        would merge on a node that inherits both.
+        a fresh copy of the plan's row (the owner and its successors share
+        one copy per put), and a store that holds it already gets nothing,
+        so republishing a plan copies only what is new and no store holds
+        the plan's own row. A key handoff dedups the rows it moves by the
+        same identity, so an heir that holds a row stores nothing for it.
         """
         return self._publish(plan, origin, copy=dict.copy)
 

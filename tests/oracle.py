@@ -33,6 +33,12 @@ row validated, keyed, routed, copied and charged on its own, one typed
 message per charge. ``tests/test_publish_batch.py`` holds the compiled
 plan and the batch put to it.
 
+:func:`reference_handoff_price` is one churn handoff's price by
+definition: a digest of one fileID-sized handle per offered row, then the
+rows the heir lacked, each a framed empty tuple, one header per message.
+``tests/test_dht_membership_machine.py`` and
+``tests/test_churn_regional.py`` hold the ``dht.handoff`` meter to it.
+
 :func:`reference_stored_join` is a join site's budgeted build and its
 probes by definition — partition counts, largest-first eviction, and
 per-batch reads and scanned rows, with no memo and no running totals —
@@ -331,6 +337,19 @@ def reference_iter_lookup(network, key, origin):
         key=key,
         path=path,
     )
+
+
+def reference_handoff_price(cost_model, offered, new):
+    """``(messages, bytes)`` of one handoff sync offering ``offered`` rows,
+    ``new`` of them new at the heir: nothing if nothing is offered."""
+    messages = byte_count = 0
+    if offered:
+        messages += 1
+        byte_count += cost_model.header_bytes + offered * cost_model.fileid_bytes
+    if new:
+        messages += 1
+        byte_count += cost_model.header_bytes + new * cost_model.tuple_bytes(0)
+    return messages, byte_count
 
 
 def reference_publish(publisher, filename, filesize, ip_address, port, origin=None):

@@ -2,10 +2,13 @@
 
 ``regional_leave`` removes its arc in *reverse* ring order. These tests
 pin the two properties that ordering buys: every handed-off value is
-released (and charged) exactly once, and a graceful victim's keys can
-never be swallowed by an abrupt neighbour later in the same arc.
+offered (and charged) exactly once, straight to the arc's live successor,
+and a graceful victim's keys can never be swallowed by an abrupt
+neighbour later in the same arc. A handoff is one sync: a digest naming
+each offered row, then the rows the heir lacked.
 """
 
+from oracle import reference_handoff_price
 from repro.common.errors import KeyNotFoundError
 from repro.common.rng import make_rng
 from repro.common.units import MessageCost
@@ -38,8 +41,22 @@ def stored_values(network, node_id):
     ]
 
 
-def handoff_messages(network):
-    return network.meter.by_category.get("dht.handoff", MessageCost(0, 0)).messages
+def handoff_cost(network):
+    return network.meter.by_category.get("dht.handoff", MessageCost(0, 0))
+
+
+def charged_since(network, before):
+    after = handoff_cost(network)
+    return MessageCost(after.messages - before.messages, after.bytes - before.bytes)
+
+
+def exactly_once_price(network, arc):
+    """Each victim syncs its own values, all new, to the arc's heir."""
+    price = MessageCost(0, 0)
+    for node in arc:
+        held = len(stored_values(network, node))
+        price += MessageCost(*reference_handoff_price(network.cost_model, held, held))
+    return price
 
 
 def test_graceful_regional_leave_hands_off_each_value_exactly_once():
@@ -47,14 +64,22 @@ def test_graceful_regional_leave_hands_off_each_value_exactly_once():
     arc = arc_nodes(network)
     stored = sum(len(stored_values(network, node)) for node in arc)
     assert stored > 0
-    before = handoff_messages(network)
+    heir = sorted(network.nodes)[4 + ARC]
+    landing = stored_values(network, heir) + [
+        pair for node in arc for pair in stored_values(network, node)
+    ]
+    expected = exactly_once_price(network, arc)
+    # Two messages per victim holding anything: its digest and its rows.
+    assert expected.messages == 2 * sum(1 for node in arc if stored_values(network, node))
+    before = handoff_cost(network)
     churn = ChurnProcess(network, make_rng(1), failure_fraction=0.0)
     victims = churn.regional_leave(ARC, start_key=arc[0])
     assert [node for node, _ in victims] == arc
     assert all(graceful for _, graceful in victims)
-    # One handoff message per stored value: no victim-to-victim cascade.
-    assert handoff_messages(network) - before == stored
-    # Nothing lost, nothing suspect.
+    # One sync per victim, straight to the heir: no victim-to-victim cascade.
+    assert charged_since(network, before) == expected
+    # Each value lands on the heir exactly once; nothing lost, nothing suspect.
+    assert sorted(stored_values(network, heir)) == sorted(landing)
     assert not network.suspect_ranges
     for i in range(NUM_KEYS):
         assert f"v-{i}" in network.get_raw(hash_key(f"k-{i}"))
@@ -64,24 +89,27 @@ def test_forward_order_removal_would_cascade_handoffs():
     """The regression baseline: front-to-back removal re-hands keys."""
     network = build()
     arc = arc_nodes(network)
-    stored = sum(len(stored_values(network, node)) for node in arc)
-    before = handoff_messages(network)
+    expected = exactly_once_price(network, arc)
+    before = handoff_cost(network)
     for node in arc:
         network.remove_node(node, graceful=True)
     network.stabilize()
-    # Keys cascade victim-to-victim, so the same departure set charges
-    # strictly more handoff traffic than the exactly-once reverse order.
-    assert handoff_messages(network) - before > stored
+    # Keys cascade victim-to-victim: a sync per victim, each re-offering and
+    # re-sending the values handed to it, so the same departure set
+    # charges strictly more handoff bytes than the exactly-once order.
+    charged = charged_since(network, before)
+    assert charged.messages >= expected.messages
+    assert charged.bytes > expected.bytes
 
 
 def test_abrupt_regional_failure_hands_off_nothing_but_marks_suspects():
     network = build()
     arc = arc_nodes(network)
-    before = handoff_messages(network)
+    before = handoff_cost(network)
     churn = ChurnProcess(network, make_rng(1))
     victims = churn.regional_leave(ARC, start_key=arc[0], failure_fraction=1.0)
     assert all(not graceful for _, graceful in victims)
-    assert handoff_messages(network) == before
+    assert handoff_cost(network) == before
     assert network.suspect_ranges
 
 

@@ -25,11 +25,18 @@ member ids, and the set of ``(key, value)`` pairs put and not lost.
 * ``ship_batch`` between members is one direct message of one hop (none
   to itself) that moves no route-cache counter, before and after a join;
   with a departed end it raises ``NodeNotFoundError`` and charges nothing.
-* A graceful leave lands each of its values on its successor exactly once
-  (a published row under its own object, as the handoff dedups rows) and
-  charges one handoff message per value; a crash loses exactly the
-  pairs no other member holds, each inside the crashed node's suspect
-  range or one already suspect.
+* A handoff is one sync: a digest message naming each offered row, then
+  one message carrying the rows the heir lacked (none if it lacked none;
+  nothing at all for an empty handoff). Each row lands on the heir under
+  its own dedup handle, so a row the heir held already stores nothing.
+* A graceful leave syncs each of its values to its successor, and the
+  successor's store becomes its old store plus each value it lacked; a
+  crash loses exactly the pairs no other member holds, each inside the
+  crashed node's suspect range or one already suspect.
+* A join syncs the slice the newcomer claims from its successor. At
+  replication 1 the slice moves; above it the successor still holds
+  every claimed row, as it is now the newcomer's first successor.
+* No store holds two equal values under one key.
 * Re-publishing a compiled file from a random member changes the stores
   as a plain-dict model of them says (each of the owner and its
   successors that lacks a row's identity gets one copy of the row, shared
@@ -63,7 +70,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from oracle import reference_iter_lookup, reference_owner
+from oracle import reference_handoff_price, reference_iter_lookup, reference_owner
 from repro.common.errors import DhtError, KeyNotFoundError, NodeNotFoundError
 from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.dht.churn import ChurnProcess
@@ -146,6 +153,27 @@ class MembershipMachine(RuleBasedStateMachine):
             if node._store is not None
         }
 
+    def _assert_sync_charged(self, before, offered: int, new: int) -> None:
+        """The handoff meter moved, since ``before``, by the reference
+        price of one sync offering ``offered`` rows, ``new`` of them new."""
+        after = self.dht.meter.by_category.get("dht.handoff")
+        moved = tuple(
+            (getattr(after, field) if after else 0) - (getattr(before, field) if before else 0)
+            for field in ("messages", "bytes")
+        )
+        assert moved == reference_handoff_price(self.dht.cost_model, offered, new)
+
+    @staticmethod
+    def _assert_same_store(got: dict[int, dict], expected: dict[int, dict]) -> None:
+        """Two stores (key -> {dedup handle: value}) hold the same handles,
+        each with the very same object."""
+        assert {key: bucket.keys() for key, bucket in got.items()} == {
+            key: bucket.keys() for key, bucket in expected.items()
+        }
+        for key, bucket in expected.items():
+            for handle, value in bucket.items():
+                assert got[key][handle] is value
+
     def _depart(self, victims: list[tuple[int, bool]], remove) -> None:
         """Apply ``remove`` (which removes ``victims``) and move the oracle:
         a pair every holder of which crashed is lost, inside a suspect
@@ -184,35 +212,57 @@ class MembershipMachine(RuleBasedStateMachine):
 
     @rule(rejoin=st.booleans(), pick=picks)
     def create_node(self, rejoin, pick):
+        dht = self.dht
         node_id = None
         if rejoin and self.departed:
             node_id = self.departed.pop(pick % len(self.departed))
-        node = self.dht.create_node(node_id)
+        before, charged = self._buckets(), dht.meter.by_category.get("dht.handoff")
+        node = dht.create_node(node_id)
         assert node_id is None or node.node_id == node_id
-        assert self.dht._built[node.node_id] is node
+        assert dht._built[node.node_id] is node
         self.order.append(node.node_id)
+        ring = sorted(self.order)
+        index = ring.index(node.node_id)
+        successor = ring[(index + 1) % len(ring)]
+        held = before.get(successor, {}) if successor != node.node_id else {}
+        claimed = {
+            key: bucket
+            for key, bucket in held.items()
+            if in_interval(key, ring[index - 1], node.node_id, inclusive_end=True)
+        }
+        after = self._buckets()
+        # The newcomer holds the claimed slice, each row under its handle
+        # and as the same object, and nothing else.
+        self._assert_same_store(after.get(node.node_id, {}), claimed)
+        if dht.replication > 1:
+            # The successor keeps its copies: it is in the replica set.
+            self._assert_same_store(after.get(successor, {}), held)
+        else:
+            kept = {key: bucket for key, bucket in held.items() if key not in claimed}
+            self._assert_same_store(after.get(successor, {}), kept)
+        offered = sum(len(bucket) for bucket in claimed.values())
+        self._assert_sync_charged(charged, offered, offered)
 
     @precondition(lambda self: len(self.order) > 1)
     @rule(pick=picks)
     def leave_gracefully(self, pick):
         dht, victim = self.dht, self._member(pick)
-        handed = list(dht.stored_items(victim))
-        before = dht.meter.by_category.get("dht.handoff")
+        before, charged = self._buckets(), dht.meter.by_category.get("dht.handoff")
         self._depart([(victim, True)], lambda: dht.remove_node(victim, graceful=True))
         successor = reference_owner(sorted(self.order), victim)
-        buckets = self._buckets().get(successor, {})
-        for _, key, stored in handed:
-            landed = dht.get_local(successor, key)
-            for value in stored:
-                if isinstance(value, dict):
-                    # a row is re-keyed by its object, so equal rows (a
-                    # republish beside a handed-off one) stay apart
-                    assert buckets[key][id(value)] is value
-                else:
-                    assert landed.count(value) == 1
-        moved = sum(len(stored) for _, _, stored in handed)
-        after = dht.meter.by_category.get("dht.handoff")
-        assert (after.messages if after else 0) - (before.messages if before else 0) == moved
+        # The heir's store: what it held, plus each handed value it lacked,
+        # under the value's own handle.
+        expected = {key: dict(bucket) for key, bucket in before.get(successor, {}).items()}
+        offered = new = 0
+        for key, bucket in before.get(victim, {}).items():
+            for handle, value in bucket.items():
+                offered += 1
+                kept = expected.setdefault(key, {})
+                if handle not in kept:
+                    kept[handle] = value
+                    new += 1
+        self._assert_same_store(self._buckets().get(successor, {}), expected)
+        self._assert_sync_charged(charged, offered, new)
 
     @precondition(lambda self: len(self.order) > 1)
     @rule(pick=picks)
@@ -467,6 +517,11 @@ class MembershipMachine(RuleBasedStateMachine):
             )
             assert unchanged or current is not view
             self.views[(node_id, key)] = (current, stored)
+
+    @invariant()
+    def no_store_holds_two_equal_values_under_a_key(self):
+        for node_id, key, stored in self.dht.stored_items():
+            assert len({_hashable(value) for value in stored}) == len(stored), (node_id, key)
 
     @invariant()
     def stored_pairs_match_oracle(self):

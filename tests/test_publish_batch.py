@@ -192,27 +192,32 @@ class TestBatchEqualsPerTuple:
         assert not reference.publisher.plans
 
 
-def test_republished_rows_stay_apart_across_two_handoffs():
-    """A handoff dedups rows by object identity. Two ultrapeers publish
-    one file around a join that takes its posting key over; when the
-    joiner leaves again its successor inherits both publishes' rows, and
-    a plan reused without fresh row objects would merge them."""
+def test_a_republished_row_lands_once_across_two_handoffs():
+    """A handoff carries each row's dedup handle. Two ultrapeers publish
+    one file around a join that takes its posting key over: the joiner
+    holds the first publish's row under its identity, so the second
+    stores nothing there, and when the joiner leaves again its successor
+    holds the row once."""
     batch, reference = World(3, 1, False), World(3, 1, False)
     file = FILES[3]
     key = posting_key(batch, file)
     first, second = batch.member(0), batch.member(1)
     batch.hybrid_at(first).publish_file(file)
     reference_publish(reference.publisher, *details(file), origin=first)
+    (row,) = batch.network.get_local(batch.network.owner_of(key), key)
     for world in (batch, reference):
         world.network.create_node(key)  # a node at the key itself owns it
+    assert holders_of(batch, key) == {key: [row]}  # moved, at replication 1
     batch.hybrid_at(second).publish_file(file)
     reference_publish(reference.publisher, *details(file), origin=second)
+    assert holders_of(batch, key) == {key: [row]}
     for world in (batch, reference):
         world.network.remove_node(key, graceful=True)
     assert len(batch.publisher.plans) == 1
     assert batch.state() == reference.state()
     heir = batch.network.owner_of(key)
-    assert len(batch.network.get_local(heir, key)) == 2
+    (landed,) = batch.network.get_local(heir, key)
+    assert landed is row
 
 
 class TestMidFileFailure:
@@ -307,9 +312,10 @@ class TestCopyOnStore:
             (copy,) = {id(values[0]) for values in holders.values()}
             assert copy != id(row)  # the plan's own row is never stored
 
-    def test_a_republish_after_a_graceful_leave_stores_a_fresh_object(self):
-        """A handoff re-keys the rows it moves by object, so the heir lacks
-        the plan's identity and the next publish copies the row again."""
+    def test_a_republish_after_a_graceful_leave_copies_nothing(self):
+        """A handoff stores each row it moves under the row's own handle,
+        so the heir holds the plan's identity and the next publish of the
+        plan copies nothing."""
         batch, reference = World(5, 1, False), World(5, 1, False)
         file = FILES[1]
         key = posting_key(batch, file)
@@ -321,17 +327,13 @@ class TestCopyOnStore:
         (first,) = holders_of(batch, key)[owner]
         for world in (batch, reference):
             world.network.remove_node(owner, graceful=True)
+        heir = batch.network.owner_of(key)
+        assert batch.network.local_contains(heir, key)
         receipt = batch.publisher.publish_plan(plan, origin)
         assert receipt == reference_publish(reference.publisher, *details(file), origin=origin)
         assert batch.state() == reference.state()
-        heir = batch.network.owner_of(key)
-        handed, fresh = holders_of(batch, key)[heir]
-        assert handed is first and fresh == first
-        assert fresh is not first and fresh is not plan.entries[1][1]
-        # and once more: the heir holds the identity now, so nothing is copied
-        batch.publisher.publish_plan(plan, origin)
-        assert holders_of(batch, key)[heir] == [handed, fresh]
-        assert [id(row) for row in holders_of(batch, key)[heir]] == [id(handed), id(fresh)]
+        (handed,) = holders_of(batch, key)[heir]
+        assert handed is first and handed is not plan.entries[1][1]
 
 
 class TestTargetsMemo:

@@ -94,7 +94,7 @@ class StoreViews(RuleBasedStateMachine):
     @rule(at=st.one_of(keywords.map(lambda keyword: table_key("Inverted", keyword)), picks))
     def create_node(self, at):
         """A node joining right on a posting key claims that list from its
-        successor (the handoff removes it there)."""
+        successor (at replication 2 the successor keeps its copy)."""
         if at not in self.network.nodes:
             self.network.create_node(at)
 
