@@ -104,4 +104,4 @@ def test_engine_1k_concurrent_races_under_churn(benchmark):
     assert len(flood_answered) >= NUM_QUERIES // 4
     # Throughput is pinned: the run must not stretch virtual time beyond
     # the submit window + timeout + a bounded re-query tail.
-    assert engine.throughput() > 10.0
+    assert engine.completed / engine.sim.now > 10.0

@@ -1,4 +1,4 @@
-"""Byte-budgeted query-result cache for hybrid ultrapeers.
+"""Byte-budgeted LRU query-result cache for hybrid ultrapeers.
 
 A hybrid ultrapeer that re-issues timed-out leaf queries through
 PIERSearch pays ~20 KB per distributed-join query (Section 7). Popular
@@ -10,27 +10,39 @@ behaviour the hybrid design is built around.
 The cache is budgeted in *bytes*, not entries: entry footprints are
 estimated with the same :class:`~repro.common.units.CostModel` the rest of
 the system charges wire costs with, so the budget is commensurable with
-the bandwidth numbers experiments report. Eviction is pluggable (LRU,
-LFU, or TTL/oldest-first), expiry is wall-clock (virtual time via an
-injected ``clock``), and admission can be gated on a popularity predicate
-so one-off tail queries do not wash the budget out.
+the bandwidth numbers experiments report. When the budget overflows the
+least recently used entry goes; entries never expire and every answer
+that fits is admitted.
 
-Entries are keyed by :func:`~repro.cache.popularity.query_key` and the
-cache never tokenises: callers normalise a query once and pass the key.
+Entries are keyed by :func:`query_key` and the cache never tokenises:
+callers normalise a query once and pass the key.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.common.units import CostModel, DEFAULT_COST_MODEL
-
-EVICTION_POLICIES = ("lru", "lfu", "ttl")
+from repro.piersearch.tokenizer import extract_keywords
 
 #: bookkeeping bytes per cache entry (key, counters, timestamps)
 ENTRY_OVERHEAD_BYTES = 96
+
+
+def query_key(terms: Iterable[str]) -> tuple[str, ...]:
+    """Canonical cache key for a conjunctive keyword query.
+
+    Terms are tokenized exactly as the publisher and search engine do, then
+    deduplicated and sorted — conjunctive semantics make term order
+    irrelevant, so "foo bar" and "bar foo" share one cache entry. Queries
+    with no indexable keyword map to the empty tuple (never cached).
+    """
+    keywords: set[str] = set()
+    for term in terms:
+        keywords.update(extract_keywords(term))
+    return tuple(sorted(keywords))
 
 
 @dataclass
@@ -58,8 +70,6 @@ class CacheStats:
     insertions: int = 0
     rejections: int = 0
     evictions: int = 0
-    expirations: int = 0
-    invalidations: int = 0
     #: wire bytes that hits avoided re-spending
     bytes_saved: int = 0
 
@@ -75,47 +85,26 @@ class CacheStats:
 
 
 class QueryResultCache:
-    """Byte-budgeted result cache with pluggable eviction.
+    """Byte-budgeted result cache with least-recently-used eviction.
 
-    ``policy`` selects the eviction victim when the budget overflows:
-
-    * ``"lru"`` — least recently used entry.
-    * ``"lfu"`` — fewest hits (ties broken by least recent use).
-    * ``"ttl"`` — oldest entry (FIFO by creation time).
-
-    Independent of the policy, a ``ttl`` makes entries expire ``ttl`` time
-    units after creation. Time comes from ``clock`` (e.g. a simulator's
-    virtual clock); without one, a logical clock ticks once per operation
-    so TTLs are expressed in cache operations.
-
-    ``admission`` (if given) is consulted before caching a new answer:
-    return False to reject — the hook where a popularity estimator keeps
-    one-off tail queries from evicting proven-popular entries.
+    Time comes from ``clock`` (e.g. a simulator's virtual clock) and only
+    stamps each entry's ``created_at`` and ``last_access``; without one, a
+    logical clock ticks once per operation.
     """
 
     def __init__(
         self,
         budget_bytes: int,
-        policy: str = "lru",
-        ttl: float | None = None,
         clock: Callable[[], float] | None = None,
         cost_model: CostModel | None = None,
-        admission: Callable[[tuple[str, ...]], bool] | None = None,
     ):
         if budget_bytes < 1:
             raise ValueError(f"budget_bytes must be >= 1, got {budget_bytes}")
-        if policy not in EVICTION_POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; pick one of {EVICTION_POLICIES}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
         self.budget_bytes = budget_bytes
-        self.policy = policy
-        self.ttl = ttl
         self.cost_model = cost_model or DEFAULT_COST_MODEL
-        self.admission = admission
         self._clock = clock
         self._ticks = 0.0
-        #: insertion/recency-ordered entries (most recently used last)
+        #: entries in recency order (most recently used last)
         self._entries: OrderedDict[tuple[str, ...], CachedResult] = OrderedDict()
         self.used_bytes = 0
         self.stats = CacheStats()
@@ -142,10 +131,6 @@ class QueryResultCache:
         """Cached answer for query ``key``, or None. Counts a hit or a miss."""
         now = self._tick()
         entry = self._entries.get(key)
-        if entry is not None and self._expired(entry, now):
-            self._drop(key)
-            self.stats.expirations += 1
-            entry = None
         if entry is None:
             self.stats.misses += 1
             return None
@@ -172,9 +157,6 @@ class QueryResultCache:
         now = self._tick()
         if not key:
             return False  # nothing indexable to key on
-        if self.admission is not None and not self.admission(key):
-            self.stats.rejections += 1
-            return False
         footprint = self.entry_footprint(filenames)
         if footprint > self.budget_bytes:
             self.stats.rejections += 1
@@ -182,7 +164,8 @@ class QueryResultCache:
         if key in self._entries:
             self._drop(key)  # refresh: replace the stale entry
         while self.used_bytes + footprint > self.budget_bytes and self._entries:
-            self._evict(now)
+            self._drop(next(iter(self._entries)))
+            self.stats.evictions += 1
         entry = CachedResult(
             key=key,
             filenames=tuple(filenames),
@@ -197,40 +180,9 @@ class QueryResultCache:
         self.stats.insertions += 1
         return True
 
-    def peek(self, key: tuple[str, ...]) -> CachedResult | None:
-        """Read an entry without touching stats, recency, or expiry."""
-        return self._entries.get(key)
-
     def entries(self) -> Iterator[CachedResult]:
         """Iterate live entries (no side effects)."""
         return iter(self._entries.values())
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-
-    def invalidate(self, key: tuple[str, ...]) -> bool:
-        """Drop one entry (e.g. after a publish changes its answer)."""
-        if key not in self._entries:
-            return False
-        self._drop(key)
-        self.stats.invalidations += 1
-        return True
-
-    def purge_expired(self) -> int:
-        """Drop every entry past its TTL; returns how many were dropped."""
-        if self.ttl is None:
-            return 0
-        now = self.now()
-        expired = [key for key, entry in self._entries.items() if self._expired(entry, now)]
-        for key in expired:
-            self._drop(key)
-        self.stats.expirations += len(expired)
-        return len(expired)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.used_bytes = 0
 
     # ------------------------------------------------------------------
     # Internals
@@ -241,25 +193,9 @@ class QueryResultCache:
         payload = sum(self.cost_model.item_tuple_bytes(name) for name in filenames)
         return ENTRY_OVERHEAD_BYTES + payload
 
-    def _expired(self, entry: CachedResult, now: float) -> bool:
-        return self.ttl is not None and now - entry.created_at >= self.ttl
-
     def _drop(self, key: tuple[str, ...]) -> None:
         entry = self._entries.pop(key)
         self.used_bytes -= entry.entry_bytes
-
-    def _evict(self, now: float) -> None:
-        if self.policy == "lru":
-            victim = next(iter(self._entries))
-        elif self.policy == "lfu":
-            victim = min(
-                self._entries,
-                key=lambda k: (self._entries[k].hits, self._entries[k].last_access),
-            )
-        else:  # ttl: oldest first
-            victim = min(self._entries, key=lambda k: self._entries[k].created_at)
-        self._drop(victim)
-        self.stats.evictions += 1
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -49,8 +49,3 @@ def in_interval(value: int, start: int, end: int, inclusive_end: bool = True) ->
     if inclusive_end:
         return 0 < dist_value <= dist_end
     return 0 < dist_value < dist_end
-
-
-def format_id(value: int, digits: int = 10) -> str:
-    """Short hex rendering of a ring id, for logs and repr()s."""
-    return f"{value:040x}"[:digits]

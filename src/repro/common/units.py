@@ -29,9 +29,6 @@ class MessageCost:
     def __add__(self, other: "MessageCost") -> "MessageCost":
         return MessageCost(self.messages + other.messages, self.bytes + other.bytes)
 
-    def scaled(self, factor: int) -> "MessageCost":
-        return MessageCost(self.messages * factor, self.bytes * factor)
-
     @property
     def kilobytes(self) -> float:
         return self.bytes / BYTES_PER_KB
@@ -152,13 +149,5 @@ class BandwidthMeter:
             byte_count += previous.bytes
         by_category[category] = MessageCost(messages, byte_count)
 
-    def charge_cost(self, category: str, cost: MessageCost) -> None:
-        self.charge(category, cost.messages, cost.bytes)
-
     def snapshot(self) -> MessageCost:
         return MessageCost(self.messages, self.bytes)
-
-    def reset(self) -> None:
-        self.messages = 0
-        self.bytes = 0
-        self.by_category.clear()

@@ -13,7 +13,6 @@ import bisect
 import itertools
 import math
 import random
-from collections.abc import Sequence
 
 from repro.common.rng import make_rng
 
@@ -54,12 +53,6 @@ class ZipfSampler:
     def sample_many(self, count: int) -> list[int]:
         """Draw ``count`` independent ranks."""
         return [self.sample() for _ in range(count)]
-
-    def probability(self, rank: int) -> float:
-        """Exact probability of drawing ``rank``."""
-        if not 1 <= rank <= self.n:
-            raise ValueError(f"rank {rank} outside [1, {self.n}]")
-        return (1.0 / rank**self.alpha) / self._total
 
 
 def calibrate_power_law_alpha(
@@ -137,18 +130,3 @@ def sample_power_law_int(
         hi = maximum**a
         value = (lo + u * (hi - lo)) ** (1.0 / a)
     return max(minimum, min(maximum, int(round(value))))
-
-
-def empirical_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Return (value, fraction <= value) pairs for plotting CDFs."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    points: list[tuple[float, float]] = []
-    for index, value in enumerate(ordered, start=1):
-        if points and points[-1][0] == value:
-            points[-1] = (value, index / n)
-        else:
-            points.append((value, index / n))
-    return points

@@ -121,11 +121,6 @@ class ChurnProcess:
             self.network.stabilize()
         return victims
 
-    def run_session_churn(self, turnover_fraction: float) -> None:
-        """Replace ``turnover_fraction`` of the network (size preserved)."""
-        count = int(self.network.size * turnover_fraction)
-        self.churn_step(joins=count, leaves=count)
-
     def schedule(
         self,
         sim: Simulator,

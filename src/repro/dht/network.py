@@ -439,12 +439,6 @@ class DhtNetwork:
         ]
         return before - len(self._suspect_ranges)
 
-    def clear_all_suspects(self) -> int:
-        """Drop every suspect interval; returns how many there were."""
-        count = len(self._suspect_ranges)
-        self._suspect_ranges = []
-        return count
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
@@ -878,16 +872,6 @@ class DhtNetwork:
         """Write directly into ``node_id``'s store (no messages charged)."""
         self._node(node_id).store.put(key, value, identity=identity)
 
-    def remove_local(self, node_id: int, key: int, missing_ok: bool = True) -> int:
-        """Drop every value under ``key`` at ``node_id``; returns count."""
-        node = self._built.get(node_id)
-        if node is None:
-            if not missing_ok:
-                self._require_member(node_id)
-            return 0
-        store = node._store  # a node that never stored has nothing to drop
-        return store.remove_key(key) if store is not None else 0
-
     def local_contains(self, node_id: int, key: int) -> bool:
         """Whether ``node_id`` currently holds any value under ``key``."""
         node = self._built.get(node_id)
@@ -918,11 +902,3 @@ class DhtNetwork:
     def successors_of(self, node_id: int) -> list[int]:
         """The node's current successor list (copy), for replica placement."""
         return list(self._node(node_id).successors)
-
-    def total_stored(self) -> int:
-        # _store stays None until a node stores something (and an unbuilt
-        # member has none); skipping those keeps this scan allocation-free.
-        return sum(
-            len(node._store) for node in self._built.values() if node._store is not None
-        )
-

@@ -240,13 +240,6 @@ class DhtNode:
         index = bisect_right(offsets, distance)
         return hops[index - 1] if index else fallback
 
-    def owns(self, key: int) -> bool:
-        """True if this node is responsible for ``key``.
-
-        A node owns the interval (predecessor, self].
-        """
-        return self.route(key) == OWNS
-
     def closest_preceding(self, key: int) -> int | None:
         """Best next hop for ``key`` among this node's routing entries.
 

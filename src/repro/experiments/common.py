@@ -121,20 +121,6 @@ def get_campaign(scale: PaperScale = PAPER_SCALE) -> MeasurementCampaign:
     return _campaign_cache[scale.name]
 
 
-def clear_caches() -> None:
-    """Drop cached fixtures (tests use this to force rebuilds)."""
-    _library_cache.clear()
-    _network_cache.clear()
-    _workload_cache.clear()
-    _campaign_cache.clear()
-    # Downstream per-experiment caches (imported lazily: those modules
-    # import this one).
-    from repro.experiments import fig07_latency, sec7_deployment
-
-    fig07_latency._event_report_cache.clear()
-    sec7_deployment._report_cache.clear()
-
-
 @dataclass
 class ExperimentResult:
     """A reproduced table/figure, ready to print."""

@@ -31,11 +31,6 @@ class CrawlResult:
     api_calls: int = 0
     non_responders: int = 0
 
-    @property
-    def estimated_network_size(self) -> int:
-        """Lower-bound estimate of network size, as in the paper."""
-        return len(self.discovered_ultrapeers) + len(self.discovered_leaves)
-
 
 def crawl(
     topology: Topology,

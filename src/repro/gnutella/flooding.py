@@ -10,7 +10,6 @@ quantifies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.gnutella.index import UltrapeerIndex
@@ -20,10 +19,6 @@ from repro.workload.library import SharedFile
 
 #: transport category for query edges (one message per forwarded copy)
 FLOOD_CATEGORY = "gnutella.query"
-
-#: recent-frequency above which a query counts as popular enough to
-#: flood shallower (roughly: one in fifty recent queries)
-DEFAULT_POPULAR_FREQUENCY = 0.02
 
 
 @dataclass(frozen=True)
@@ -124,76 +119,6 @@ def flood(
         framed = transport.cost_model.message_bytes(payload_bytes)
         transport.charge(FLOOD_CATEGORY, edges, edges * framed)
     return result
-
-
-def popularity_stop_ttl(
-    frequency: float,
-    max_ttl: int,
-    popular_frequency: float = DEFAULT_POPULAR_FREQUENCY,
-    min_ttl: int = 1,
-) -> int:
-    """Partial-flooding TTL for a query with recent ``frequency``.
-
-    The paper's hybrid premise: popular content is so widely replicated
-    that shallow floods already find it, so deep floods on popular queries
-    pay pure duplicate-message overhead (Figure 8's diminishing returns).
-    Queries at or below ``popular_frequency`` keep the full ``max_ttl``;
-    above it the TTL shrinks by one hop per doubling of frequency, never
-    below ``min_ttl``.
-    """
-    if max_ttl < 0:
-        raise ValueError(f"max_ttl must be >= 0, got {max_ttl}")
-    if not 0.0 < popular_frequency <= 1.0:
-        raise ValueError(f"popular_frequency must be in (0,1], got {popular_frequency}")
-    min_ttl = max(0, min(min_ttl, max_ttl))
-    if frequency <= popular_frequency or max_ttl <= min_ttl:
-        return max_ttl
-    shrink = int(math.log2(frequency / popular_frequency)) + 1
-    return max(min_ttl, max_ttl - shrink)
-
-
-def adaptive_flood(
-    topology: Topology,
-    indexes: dict[int, UltrapeerIndex],
-    origin: int,
-    terms: list[str],
-    estimator,
-    max_ttl: int,
-    popular_frequency: float = DEFAULT_POPULAR_FREQUENCY,
-    min_ttl: int = 1,
-    key: tuple | None = None,
-    transport: Transport | None = None,
-    payload_bytes: int = 0,
-) -> FloodResult:
-    """Flood with a TTL scaled down by the query's observed popularity.
-
-    ``estimator`` is a :class:`~repro.cache.popularity.PopularityEstimator`
-    (anything with ``observe``/``frequency`` works). The query is observed
-    *after* its TTL is chosen, so the first sighting floods at full depth
-    and repeats get progressively cheaper. The default key is
-    :func:`~repro.cache.popularity.query_key` of the terms — the same
-    canonical form the result cache uses — so one estimator can be shared
-    between flooding and caching without splitting a query's popularity;
-    queries with no indexable keyword fall back to the sorted lowercase
-    term tuple so they are still tracked.
-    """
-    if key is None:
-        from repro.cache.popularity import query_key
-
-        key = query_key(terms) or tuple(sorted(term.lower() for term in terms))
-    ttl = popularity_stop_ttl(
-        estimator.frequency(key), max_ttl, popular_frequency, min_ttl
-    )
-    estimator.observe(key)
-    return flood(
-        topology,
-        indexes,
-        origin,
-        terms,
-        ttl,
-        transport=transport,
-        payload_bytes=payload_bytes,
-    )
 
 
 def _record_matches(

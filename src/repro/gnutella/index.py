@@ -116,9 +116,6 @@ class UltrapeerIndex:
         self._filenames: set[str] = set()
         self._matcher = FilenameMatcher() if matcher is None else matcher
 
-    def add_file(self, file: SharedFile) -> None:
-        self.add_files([file])
-
     def add_files(self, files: list[SharedFile]) -> None:
         self._files.extend(files)
         for file in files:

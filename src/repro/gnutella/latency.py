@@ -76,10 +76,3 @@ class GnutellaLatencyModel:
         round_index, hop = located
         start = self.round_start(result, round_index)
         return start + 2 * max(1, hop) * self.hop_time
-
-    def completion_latency(self, result: DynamicQueryResult) -> float:
-        """Seconds until the final round finished."""
-        if not result.rounds:
-            return self.initial_overhead
-        last = len(result.rounds) - 1
-        return self.round_start(result, last) + 2 * result.rounds[last].ttl * self.hop_time

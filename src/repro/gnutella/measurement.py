@@ -27,7 +27,6 @@ from repro.gnutella.latency import GnutellaLatencyModel
 from repro.gnutella.network import GnutellaNetwork
 from repro.workload.library import SharedFile
 from repro.workload.queries import Query, QueryWorkload
-from repro.workload.trace import QueryObservation, TraceBundle
 
 DEFAULT_UNION_KS = (5, 15, 25, 30)
 
@@ -89,22 +88,6 @@ class MeasurementCampaign:
     desired_results: int
     max_ttl: int
 
-    def result_size_cdf(self, union_k: int | None = None) -> list[tuple[int, float]]:
-        """CDF points of result-set size (single-node or union-of-k)."""
-        sizes = [
-            replay.union_results_by_k[union_k] if union_k else replay.single_results
-            for replay in self.replays
-        ]
-        sizes.sort()
-        n = len(sizes)
-        points: list[tuple[int, float]] = []
-        for index, size in enumerate(sizes, start=1):
-            if points and points[-1][0] == size:
-                points[-1] = (size, index / n)
-            else:
-                points.append((size, index / n))
-        return points
-
     def fraction_with_at_most(self, threshold: int, union_k: int | None = None) -> float:
         """Fraction of queries returning <= ``threshold`` results."""
         if not self.replays:
@@ -128,32 +111,6 @@ class MeasurementCampaign:
             <= threshold
         )
         return count / len(self.replays)
-
-    def to_trace_bundle(self, replica_distribution: dict[str, int]) -> TraceBundle:
-        """Package the campaign as a persistable trace."""
-        max_k = max(self.replays[0].union_results_by_k) if self.replays else 0
-        observations = [
-            QueryObservation(
-                query_id=replay.query.query_id,
-                terms=replay.query.terms,
-                results_single=replay.single_results,
-                results_union=replay.union_results_by_k.get(max_k, replay.single_results),
-                distinct_single=replay.single_distinct,
-                distinct_union=replay.union_distinct_by_k.get(max_k, replay.single_distinct),
-                average_replication=replay.average_replication,
-                first_result_latency=replay.first_result_latency,
-            )
-            for replay in self.replays
-        ]
-        return TraceBundle(
-            replica_distribution=dict(replica_distribution),
-            observations=observations,
-            metadata={
-                "vantages": len(self.vantages),
-                "desired_results": self.desired_results,
-                "max_ttl": self.max_ttl,
-            },
-        )
 
 
 def replay_campaign(

@@ -183,16 +183,6 @@ class GnutellaNetwork:
     # BrowseHost and bookkeeping
     # ------------------------------------------------------------------
 
-    def browse_host(self, node: int) -> list[SharedFile]:
-        """A node's shared file list (Gnutella's BrowseHost API)."""
-        if self.placement is None:
-            return []
-        return self.placement.files_at(node)
-
-    def files_reachable_from(self, ultrapeer: int) -> list[SharedFile]:
-        """Files the ultrapeer indexes: its own plus its leaves'."""
-        return self.indexes[ultrapeer].files
-
     def all_results_for(self, terms: list[str]) -> list[SharedFile]:
         """Oracle: every matching replica in the whole network.
 

@@ -37,7 +37,7 @@ rather than priced (the paper's closed-form equations live in
 
 Wire costs are charged exactly once, by the dataflow's batch sends.
 One key per race: :meth:`HybridQueryEngine.submit` normalises the query
-once (:func:`~repro.cache.popularity.query_key`) for the cache, the
+once (:func:`~repro.cache.results.query_key`) for the cache, the
 re-query's plan and the zero-answer check, which alone derives the
 posting keys from it.
 """
@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.cache.popularity import query_key
+from repro.cache.results import query_key
 from repro.common.errors import DhtError, PlanError
 from repro.common.rng import make_rng
 from repro.dht.network import DhtNetwork
@@ -662,25 +662,3 @@ class HybridQueryEngine:
         return self.dht.transport.hop_delays(
             self.rng, self.config.dht_hop_latency, self.config.hop_jitter, 1
         )
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-
-    @property
-    def all_done(self) -> bool:
-        return self.inflight == 0
-
-    def first_result_latencies(self) -> list[float]:
-        """Finite simulated first-result latencies of resolved races."""
-        return [
-            race.first_result_latency
-            for race in self.races
-            if race.done and not math.isinf(race.first_result_latency)
-        ]
-
-    def throughput(self) -> float:
-        """Resolved races per unit of virtual time."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.completed / self.sim.now

@@ -41,13 +41,6 @@ class RareItemScheme:
     def rarity_scores(self, filenames: list[str]) -> dict[str, float]:
         raise NotImplementedError
 
-    def published_at_threshold(
-        self, filenames: list[str], threshold: float
-    ) -> set[str]:
-        """Items whose rarity estimate is at or below ``threshold``."""
-        scores = self.rarity_scores(filenames)
-        return {name for name in filenames if scores.get(name, math.inf) <= threshold}
-
 
 def published_for_budget(
     scores: dict[str, float],

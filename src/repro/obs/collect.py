@@ -47,8 +47,6 @@ def collect_cache(registry: MetricsRegistry, cache: Any, prefix: str = "cache") 
         "insertions",
         "rejections",
         "evictions",
-        "expirations",
-        "invalidations",
         "bytes_saved",
     ):
         registry.gauge(f"{prefix}.{name}").set(getattr(stats, name))

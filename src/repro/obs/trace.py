@@ -3,16 +3,14 @@
 Spans open and close at *simulator* timestamps (the tracer is handed a
 clock callable, usually ``lambda: sim.now``), carry a parent link and
 free-form ``key: value`` attributes, and nest into a tree per root. The
-tree exports three ways:
+tree exports two ways:
 
 * :meth:`Tracer.to_chrome_trace` — Chrome ``trace_event`` JSON (complete
   ``"ph": "X"`` events, microsecond timestamps) loadable in
   ``chrome://tracing`` or Perfetto; each root span gets its own track
   (``tid``) so concurrent queries render as separate lanes.
-* :meth:`Tracer.to_jsonl` — one flat JSON object per span, in creation
-  order, for ad-hoc ``jq``/pandas digestion.
-* :meth:`Span.tree` / :meth:`Tracer.forest` — nested dicts, used by the
-  golden-file span-tree pin in the tests.
+* :meth:`Span.tree` — nested dicts, used by the golden-file span-tree
+  pin in the tests.
 
 Instrumented code guards every call site with ``if tracer is not None``
 so the disabled path costs a single predictable branch. For scale runs,
@@ -25,7 +23,7 @@ detail.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 #: keys every Chrome trace_event complete event must carry
 _CHROME_REQUIRED = ("name", "ph", "ts", "dur", "pid", "tid")
@@ -82,14 +80,6 @@ class Span:
         if self._children is None:
             self._children = []
         return self._children
-
-    def annotate(self, **attrs: Any) -> "Span":
-        """Attach key:value attributes; later values win."""
-        if self._attrs is None:
-            self._attrs = attrs
-        else:
-            self._attrs.update(attrs)
-        return self
 
     def child(self, name: str, at: float | None = None, **attrs: Any) -> "Span":
         """Open a child span under this one."""
@@ -160,9 +150,6 @@ class _NullSpan(Span):
 
     __slots__ = ()
     recording = False
-
-    def annotate(self, **attrs: Any) -> "Span":
-        return self
 
     def child(self, name: str, at: float | None = None, **attrs: Any) -> "Span":
         return self
@@ -300,10 +287,6 @@ class Tracer:
 
     # -- exports -----------------------------------------------------------
 
-    def forest(self) -> list[dict[str, Any]]:
-        """Nested trees for every root span, in creation order."""
-        return [root.tree() for root in self.roots]
-
     def to_chrome_trace(self) -> dict[str, Any]:
         """Chrome ``trace_event`` JSON: one complete event per span.
 
@@ -331,31 +314,6 @@ class Tracer:
                 }
             )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def to_jsonl(self) -> str:
-        """Flat JSONL: one span per line, creation order, parent by id."""
-        lines = []
-        for span in self.spans:
-            lines.append(
-                json.dumps(
-                    {
-                        "id": span.span_id,
-                        "parent": span.parent.span_id if span.parent else None,
-                        "name": span.name,
-                        "start": span.start,
-                        "end": span.end,
-                        "attrs": _jsonable(span._attrs or {}),
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def iter_spans(self, name: str | None = None) -> Iterator[Span]:
-        """All spans, optionally filtered by name."""
-        for span in self.spans:
-            if name is None or span.name == name:
-                yield span
 
 
 def _jsonable(attrs: dict[str, Any]) -> dict[str, Any]:

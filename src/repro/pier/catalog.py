@@ -9,7 +9,7 @@ DHT itself as its index structure (Section 3.1 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.common.errors import KeyNotFoundError, SchemaError
 from repro.common.ids import hash_key
@@ -120,26 +120,6 @@ class TableHandle:
     def host_of(self, index_value: Any) -> int:
         """The DHT node that serves reads of this index value: its ring owner."""
         return self.network.owner_of(self.ring_key(index_value))
-
-    def scan_all(self) -> Iterator[Row]:
-        """Iterate every stored row of this table across all nodes.
-
-        An oracle-style full scan, used by tests and statistics gathering;
-        not part of the query data path (PIER never ships full tables).
-        Replicas stored on successor nodes are deduplicated.
-        """
-        seen: set[tuple] = set()
-        for _, _, values in self.network.stored_items():
-            for value in values:
-                if not isinstance(value, dict):
-                    continue
-                if value.keys() != self.schema.column_set:
-                    continue
-                identity = row_identity(self.schema, value)
-                if identity in seen:
-                    continue
-                seen.add(identity)
-                yield value
 
 
 class Catalog:

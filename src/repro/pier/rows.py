@@ -14,7 +14,7 @@ byte-identical to the dict-shipping one.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.pier.schema import Row
 
@@ -44,11 +44,6 @@ class RowBatch:
     def __init__(self, columns: tuple[str, ...], values: list[tuple]):
         self.columns = columns
         self.values = values
-
-    @classmethod
-    def from_rows(cls, columns: tuple[str, ...], rows: Iterable[Row]) -> "RowBatch":
-        """Pack dict rows down to value tuples under a shared schema."""
-        return cls(columns, [tuple(row[column] for column in columns) for row in rows])
 
     def column(self, name: str) -> list[Any]:
         """All values of one column, in row order."""

@@ -9,7 +9,7 @@ the tuple (the "publishing key" in the paper's terminology).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any
 
 from repro.common.errors import SchemaError
 
@@ -70,10 +70,6 @@ class Schema:
                     f"column {column!r} of {self.name!r} holds unhashable {value!r}"
                 ) from None
         return row
-
-    def key_of(self, row: Row) -> tuple[Hashable, ...]:
-        """Primary-key values of ``row``."""
-        return tuple(row[column] for column in self.key)
 
     def index_value(self, row: Row) -> Any:
         """Value of the DHT publishing key for ``row``."""

@@ -104,7 +104,7 @@ class SearchEngine:
         stop words raises :class:`~repro.common.errors.PlanError`). A
         caller that already holds the normalised keywords — the hybrid
         query engine, whose race carries its
-        :func:`~repro.cache.popularity.query_key` — plans them with
+        :func:`~repro.cache.results.query_key` — plans them with
         :meth:`prepare_keywords` and skips the tokenizer: the planner
         dedupes and orders the keywords itself, so both build the same
         plan.

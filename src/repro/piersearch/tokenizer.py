@@ -49,14 +49,3 @@ def extract_keywords(filename: str) -> list[str]:
         seen.add(token)
         keywords.append(token)
     return keywords
-
-
-def matches_query(filename: str, terms: list[str]) -> bool:
-    """Conjunctive keyword match: every term must appear in the filename.
-
-    Gnutella servents match query terms against filenames with substring
-    semantics per token; we use the same rule everywhere so the Gnutella
-    simulator and PIERSearch return identical answer sets for a corpus.
-    """
-    haystack = filename.lower()
-    return all(term.lower() in haystack for term in terms)

@@ -85,10 +85,6 @@ class PartitionInjector:
         #: arc membership and store snapshots of the current partition
         self._snapshots: list[tuple[int, list[tuple[int, list]]]] = []
 
-    @property
-    def severed_nodes(self) -> list[int]:
-        return [node_id for node_id, _ in self._snapshots]
-
     def partition(self) -> list[int]:
         """Sever the arc; returns the severed node ids (ring order)."""
         if self.partitioned:

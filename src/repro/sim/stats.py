@@ -126,17 +126,3 @@ class Histogram:
         ordered = sorted(self.samples)
         rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
         return ordered[rank]
-
-    def cdf_points(self) -> list[tuple[float, float]]:
-        """(value, fraction <= value) pairs, for plotting."""
-        if not self.samples:
-            return []
-        ordered = sorted(self.samples)
-        n = len(ordered)
-        points: list[tuple[float, float]] = []
-        for index, value in enumerate(ordered, start=1):
-            if points and points[-1][0] == value:
-                points[-1] = (value, index / n)
-            else:
-                points.append((value, index / n))
-        return points

@@ -73,10 +73,6 @@ class Vocabulary:
             chosen.append(term)
         return chosen
 
-    def rank_of(self, term: str) -> int:
-        """1-based popularity rank of ``term``."""
-        return self.terms.index(term) + 1
-
     def sample_tail_terms(self, count: int, head_skip: float = 0.25) -> list[str]:
         """Draw ``count`` distinct terms uniformly from the unpopular tail.
 
@@ -139,6 +135,3 @@ class FilenameGenerator:
                 self._used.add(name)
                 return name
         raise RuntimeError("could not generate a unique filename; vocabulary too small")
-
-    def generate_many(self, count: int) -> list[str]:
-        return [self.generate() for _ in range(count)]

@@ -65,19 +65,9 @@ class Placement:
     files_by_node: dict[int, list[SharedFile]] = field(default_factory=dict)
     replicas_by_filename: dict[str, list[SharedFile]] = field(default_factory=dict)
 
-    def files_at(self, node_id: int) -> list[SharedFile]:
-        return self.files_by_node.get(node_id, [])
-
-    def replication_of(self, filename: str) -> int:
-        return len(self.replicas_by_filename.get(filename, ()))
-
     @property
     def total_replicas(self) -> int:
         return sum(len(files) for files in self.files_by_node.values())
-
-    @property
-    def distinct_items(self) -> int:
-        return len(self.replicas_by_filename)
 
 
 class ContentLibrary:

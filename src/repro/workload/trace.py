@@ -48,20 +48,6 @@ class TraceBundle:
     def num_queries(self) -> int:
         return len(self.observations)
 
-    def no_result_fraction_single(self) -> float:
-        """Fraction of queries with zero single-node results."""
-        if not self.observations:
-            return 0.0
-        empty = sum(1 for obs in self.observations if obs.results_single == 0)
-        return empty / len(self.observations)
-
-    def no_result_fraction_union(self) -> float:
-        """Fraction of queries with zero union results (truly unanswerable)."""
-        if not self.observations:
-            return 0.0
-        empty = sum(1 for obs in self.observations if obs.results_union == 0)
-        return empty / len(self.observations)
-
 
 def save_trace(bundle: TraceBundle, path: str | Path) -> None:
     """Serialise ``bundle`` to JSON at ``path``."""

@@ -27,6 +27,9 @@ the way the deployment built it before it stopped at the QRS threshold.
 ``tests/test_gnutella_matcher.py`` holds production to all five.
 :func:`reference_attach_leaves` is leaf attachment with a fresh candidate
 list per connection (``tests/test_gnutella_topology.py``).
+:func:`reference_flood` is a TTL flood counted from hop distances and
+degrees rather than sent message by message
+(``tests/test_gnutella_flooding.py``).
 
 :func:`reference_publish` is publishing one file a tuple at a time: each
 row validated, keyed, routed, copied and charged on its own, one typed
@@ -51,6 +54,11 @@ per-shape masks to them.
 lists derived term by term, each term tokenised on its own, as a race did
 before it carried one normalised key. ``tests/test_hybrid_query_key.py``
 holds the keys the hybrid engine's zero-answer check reads to it.
+
+:class:`ReferenceLru` is the result cache's contract as a list scan:
+entries in use order, the least recently used dropped first, an answer
+larger than the whole budget refused before anything is dropped.
+``tests/test_cache_results.py`` holds ``QueryResultCache`` to it.
 
 :func:`reference_estimates` is the cost-based optimizer's closed-form
 byte model: one sum per strategy over the legs of a ``k``-term chain,
@@ -233,6 +241,51 @@ def reference_estimates(optimizer, sizes, inverted_cache):
     if inverted_cache:
         priced[JoinStrategy.INVERTED_CACHE] = (plan_cost(1), 0)
     return priced
+
+
+class ReferenceLru:
+    """A byte-budgeted LRU cache kept as a plain list of
+    ``[key, footprint, cost_bytes]`` in use order (least recent first)."""
+
+    def __init__(self, budget_bytes):
+        self.budget_bytes = budget_bytes
+        self.entries = []
+        self.hits = self.misses = self.insertions = 0
+        self.rejections = self.evictions = self.bytes_saved = 0
+
+    def _find(self, key):
+        return next((i for i, entry in enumerate(self.entries) if entry[0] == key), None)
+
+    def get(self, key):
+        index = self._find(key)
+        if index is None:
+            self.misses += 1
+            return False
+        entry = self.entries.pop(index)
+        self.entries.append(entry)
+        self.hits += 1
+        self.bytes_saved += entry[2]
+        return True
+
+    def put(self, key, footprint, cost_bytes):
+        if not key:
+            return False
+        if footprint > self.budget_bytes:
+            self.rejections += 1
+            return False
+        index = self._find(key)
+        if index is not None:
+            self.entries.pop(index)
+        while sum(entry[1] for entry in self.entries) + footprint > self.budget_bytes:
+            self.entries.pop(0)
+            self.evictions += 1
+        self.entries.append([key, footprint, cost_bytes])
+        self.insertions += 1
+        return True
+
+    @property
+    def used_bytes(self):
+        return sum(entry[1] for entry in self.entries)
 
 
 def reference_owner(sorted_ids, key):
@@ -462,6 +515,47 @@ def reference_snoop(network, names, horizon):
     ]
     depths = network.replica_depths(names, dict.fromkeys(horizon, 0))
     return [file for file, depth in zip(replicas, depths) if depth == 0]
+
+
+def reference_flood(topology, indexes, origin, terms, ttl):
+    """A TTL flood by definition, as ``(visited, messages, visited_by_hop,
+    messages_by_hop, matches)``.
+
+    A node is reached at its hop distance from ``origin`` when that is at
+    most ``ttl``. Every node reached before the last hop sends one
+    message to each neighbour but the one it first heard from (the origin
+    to all of them), duplicates included. The per-hop curves stop after
+    the first hop that reaches nobody new. ``matches`` is the sorted
+    ``(filename, node_id, hop)`` of every file a reached node indexes
+    that contains every term.
+    """
+    distance = {origin: 0}
+    for hop in range(1, ttl + 1):
+        for node in topology.ultrapeers:
+            if node not in distance and any(
+                distance.get(neighbor) == hop - 1 for neighbor in topology.neighbors[node]
+            ):
+                distance[node] = hop
+    farthest = max(distance.values())
+    last_hop = min(ttl, farthest + 1)
+
+    def sent_by(node):
+        return len(topology.neighbors[node]) - (node != origin)
+
+    visited_by_hop = [
+        sum(1 for d in distance.values() if d <= hop) for hop in range(last_hop + 1)
+    ]
+    messages_by_hop = [
+        sum(sent_by(node) for node, d in distance.items() if d < hop)
+        for hop in range(last_hop + 1)
+    ]
+    matches = sorted(
+        (file.filename, file.node_id, distance[node])
+        for node, index in indexes.items()
+        if node in distance and terms
+        for file in substring_scan(index.files, terms, name=lambda f: f.filename)
+    )
+    return set(distance), messages_by_hop[-1], visited_by_hop, messages_by_hop, matches
 
 
 def reference_stop_ttl(depths, desired_results, max_ttl):

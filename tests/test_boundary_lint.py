@@ -17,16 +17,23 @@ drift apart again at a hand-wired site.
 And the sharded kernel gains no consumer: only ``repro.sim`` itself may
 import :mod:`repro.sim.shard`, whose one program is the benchmark's
 ``shard_ring`` workload.
+
+Finally, nothing under ``src/repro`` is dead: every function, method and
+class defined there is named by some code under ``src/``, ``bench/`` or
+``examples/``, or is one of the few test instruments listed, with a
+reason, in :data:`TEST_INSTRUMENTS`.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = SRC.parent.parent
 
 #: modules allowed to touch DhtNode / LocalStore internals
 DHT_INTERNAL = ("repro/dht/",)
@@ -44,6 +51,29 @@ WORLD_BUILDER = ("repro/hybrid/world.py",)
 WORLD_CLASSES = {"HybridQueryEngine", "HybridUltrapeer"}
 #: the only package allowed to import the sharded kernel
 SHARD_KERNEL = ("repro/sim/",)
+#: directories whose code counts as a caller of a ``src/repro`` definition
+#: (their ``tests`` folders excepted: a test is not a caller)
+CALLER_ROOTS = ("src", "bench", "examples")
+#: definitions only tests reach, kept because they measure behaviour
+#: that stays; one reason each
+TEST_INSTRUMENTS = {
+    "all_results_for": "the recall oracle: every matching replica in the network",
+    "add_local_files": "builds a QrpUltrapeerIndex, which only the QRP tests use",
+    "attach_leaf": "builds a QrpUltrapeerIndex, which only the QRP tests use",
+    "closest_preceding": "the routing-step differential reads a node's next-hop choice",
+    "compressed_bytes": "the compressed-TF test compares the filter's footprint with the table's",
+    "connected_ultrapeer_count": "the topology tests check the overlay is one component",
+    "estimated_false_positive_rate": "the Bloom tests bound a filter's fill-implied FP rate",
+    "exact_bytes": "the compressed-TF test compares the filter's footprint with the table's",
+    "final_ttl": "the dynamic-querying tests read the deepest TTL a query reached",
+    "first_successor": "the routing-step differential reads a node's fallback hop",
+    "flood_query": "the end-to-end and network tests flood a built network",
+    "matching_replicas": "the matcher tests hold it equal to a substring scan",
+    "observe_result_set": "feeds QueryResultsSizeScheme, which only the rare-item tests use",
+    "sample_many": "the Zipf tests draw in bulk to check the distribution's shape",
+    "sweep_by_point": "the join-robustness benchmark reads ext-join rows by (policy, budget)",
+    "table_key": "the posting-key formula tests derive keys with, apart from ring_key's memo",
+}
 
 
 def _module_files() -> list[Path]:
@@ -222,7 +252,9 @@ def test_shard_rule_resolves_relative_imports(code, module, flagged):
 def test_deleted_path_selectors_stay_deleted():
     """One path per job: no constructor or config field selects a twin,
     the kernel cancels by group only (no per-event handle), and where
-    wall time goes is cProfile's job, not a hook in the event loop."""
+    wall time goes is cProfile's job, not a hook in the event loop. The
+    result cache is LRU only, with no TTL or admission gate, and nothing
+    estimates query popularity or shrinks a flood's TTL."""
     import dataclasses
     import importlib
     import inspect
@@ -254,3 +286,118 @@ def test_deleted_path_selectors_stay_deleted():
         "temp_namespace",
     }
     assert not exposed & gone
+
+    import repro.gnutella.flooding as flooding
+    from repro.cache.results import QueryResultCache
+
+    cache_options = set(inspect.signature(QueryResultCache.__init__).parameters)
+    assert not cache_options & {"policy", "ttl", "admission"}
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.cache.popularity")
+    for name in ("adaptive_flood", "popularity_stop_ttl"):
+        assert not hasattr(flooding, name), name
+
+
+def _referenced_names(trees: Iterable[ast.AST]) -> set[str]:
+    """Every identifier the code names: ``Name`` ids, ``Attribute``
+    attrs and imported names (last dotted part, and any ``as`` alias).
+    Comments and strings are not identifiers, so they call nothing."""
+    names: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+                if node.asname:
+                    names.add(node.asname)
+    return names
+
+
+def _definitions(tree: ast.AST) -> Iterator[tuple[str, int]]:
+    """``(name, line)`` of every function, method and class in ``tree``;
+    dunders are called by the language, not by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno
+
+
+def _caller_trees() -> list[ast.AST]:
+    paths = [
+        path
+        for root in CALLER_ROOTS
+        for path in sorted((REPO / root).rglob("*.py"))
+        if "tests" not in path.relative_to(REPO).parts
+    ]
+    assert paths, f"no callers under {REPO}"
+    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+
+
+def _uncalled(referenced: set[str]) -> list[str]:
+    out = []
+    for path in _module_files():
+        for name, line in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            if name not in referenced:
+                out.append(f"{_relative(path)}:{line}: {name}")
+    return out
+
+
+def test_every_src_definition_has_a_caller():
+    """Nothing under ``src/repro`` is defined for tests alone, beyond the
+    instruments in :data:`TEST_INSTRUMENTS`.
+
+    The rule matches names, not bindings, so it cannot see a collision:
+    a dead ``QueryResultCache.clear`` would pass because ``dict.clear``
+    is called elsewhere. It also counts a package ``__init__`` re-export
+    as a caller.
+    """
+    referenced = _referenced_names(_caller_trees()) | set(TEST_INSTRUMENTS)
+    dead = _uncalled(referenced)
+    assert not dead, (
+        "defined but named by nothing under src/, bench/ or examples/ — "
+        "delete it, or list it in TEST_INSTRUMENTS with a reason:\n" + "\n".join(dead)
+    )
+
+
+def test_every_test_instrument_is_defined_and_uncalled():
+    """An allowlist entry whose definition is gone, or that some caller
+    now names, is stale and must go."""
+    defined = {
+        name
+        for path in _module_files()
+        for name, _ in _definitions(ast.parse(path.read_text()))
+    }
+    assert set(TEST_INSTRUMENTS) <= defined, sorted(set(TEST_INSTRUMENTS) - defined)
+    called = _referenced_names(_caller_trees()) & set(TEST_INSTRUMENTS)
+    assert not called, sorted(called)
+    assert all(reason.strip() for reason in TEST_INSTRUMENTS.values())
+
+
+@pytest.mark.parametrize(
+    "caller, dead",
+    [
+        ("helper()\n", set()),
+        ("obj.helper\n", set()),
+        ("from lib import helper\n", set()),
+        ("from lib import helper as h\n", set()),
+        ("import lib.helper\n", set()),
+        ("# helper() is called elsewhere\n", {"helper"}),
+        ("print('helper')\n", {"helper"}),
+        ("def helper():\n    pass\n", {"helper"}),
+        ("", {"helper"}),
+    ],
+    ids=[
+        "call", "attribute", "import-from", "import-as", "dotted-import",
+        "comment", "string", "redefinition", "uncalled",
+    ],
+)
+def test_dead_code_rule_reads_identifiers_not_text(caller, dead):
+    """A name called, read as an attribute or imported counts; a name
+    that appears only in a comment, a string or another definition does
+    not; a dunder is never reported."""
+    module = ast.parse("def helper():\n    pass\n\n\ndef __getattr__(name):\n    return name\n")
+    referenced = _referenced_names([ast.parse(caller)])
+    assert {name for name, _ in _definitions(module)} - referenced == dead

@@ -8,7 +8,6 @@ only ones, and they are what carries a key through its owner's failure.
 
 import pytest
 
-from repro.common.errors import KeyNotFoundError
 from repro.common.ids import hash_key
 from repro.dht.network import DhtNetwork
 
@@ -55,22 +54,6 @@ class TestHotKeyDetection:
 
 
 class TestInvalidation:
-    def test_invalidate_preserves_natural_replicas(self):
-        # Dropping the owner's copy drops that copy only: the successors
-        # keep theirs, and the read, which asks the owner, misses.
-        network = build_network(replication=3, seed=901)
-        network.put("hot-key", "value")
-        key = hash_key("hot-key")
-        owner = network.owner_of(key)
-        successors = network.successors_of(owner)[:2]
-        assert holders(network, key) == sorted([owner, *successors])
-        assert network.remove_local(owner, key) == 1
-        assert holders(network, key) == sorted(successors)
-        for successor in successors:
-            assert network.get_local(successor, key) == ["value"]
-        with pytest.raises(KeyNotFoundError):
-            network.get("hot-key")
-
     def test_churn_prunes_replica_sets(self):
         # A successor that fails leaves the key's copy set: the next put
         # stores on the owner and its successors as they are now.

@@ -5,7 +5,6 @@ import pytest
 from repro.common.ids import (
     KEY_BITS,
     KEY_SPACE,
-    format_id,
     hash_key,
     hash_to_int,
     in_interval,
@@ -71,11 +70,3 @@ class TestInInterval:
 
     def test_values_reduced_modulo_keyspace(self):
         assert in_interval(KEY_SPACE + 5, 3, 8)
-
-
-class TestFormatId:
-    def test_prefix_length(self):
-        assert len(format_id(12345, digits=10)) == 10
-
-    def test_is_hex(self):
-        int(format_id(hash_key("x")), 16)

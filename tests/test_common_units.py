@@ -15,9 +15,6 @@ class TestMessageCost:
         total = MessageCost(1, 100) + MessageCost(2, 50)
         assert total == MessageCost(3, 150)
 
-    def test_scaled(self):
-        assert MessageCost(2, 10).scaled(3) == MessageCost(6, 30)
-
     def test_kilobytes(self):
         assert MessageCost(1, 2048).kilobytes == 2.0
 
@@ -75,16 +72,3 @@ class TestBandwidthMeter:
         meter.charge("x", 1, 10)
         meter.charge("x", 1, 20)
         assert meter.by_category["x"] == MessageCost(2, 30)
-
-    def test_charge_cost_object(self):
-        meter = BandwidthMeter()
-        meter.charge_cost("x", MessageCost(4, 400))
-        assert meter.snapshot() == MessageCost(4, 400)
-
-    def test_reset(self):
-        meter = BandwidthMeter()
-        meter.charge("x", 1, 10)
-        meter.reset()
-        assert meter.messages == 0
-        assert meter.bytes == 0
-        assert not meter.by_category

@@ -7,7 +7,6 @@ import pytest
 from repro.common.zipf import (
     ZipfSampler,
     calibrate_power_law_alpha,
-    empirical_cdf,
     long_tail_replica_counts,
     sample_power_law_int,
     zipf_weights,
@@ -46,18 +45,6 @@ class TestZipfSampler:
         counts = {rank: draws.count(rank) for rank in (1, 10, 40)}
         assert counts[1] > counts[10] > counts[40]
 
-    def test_probability_sums_to_one(self):
-        sampler = ZipfSampler(20)
-        total = sum(sampler.probability(rank) for rank in range(1, 21))
-        assert abs(total - 1.0) < 1e-9
-
-    def test_probability_rejects_out_of_range(self):
-        sampler = ZipfSampler(20)
-        with pytest.raises(ValueError):
-            sampler.probability(0)
-        with pytest.raises(ValueError):
-            sampler.probability(21)
-
     def test_default_rng_is_deterministic(self):
         """rng=None routes through make_rng: traces regenerate bit-for-bit."""
         a = ZipfSampler(100).sample_many(50)
@@ -86,6 +73,8 @@ class TestCalibratePowerLawAlpha:
             calibrate_power_law_alpha(0.0, 500)
         with pytest.raises(ValueError):
             calibrate_power_law_alpha(1.0, 500)
+        with pytest.raises(ValueError, match="max_value"):
+            calibrate_power_law_alpha(0.5, max_value=1)
 
 
 class TestLongTailReplicaCounts:
@@ -145,17 +134,3 @@ class TestSamplePowerLawInt:
             sample_power_law_int(random.Random(11), 0, 10)
         with pytest.raises(ValueError):
             sample_power_law_int(random.Random(11), 10, 5)
-
-
-class TestEmpiricalCdf:
-    def test_empty(self):
-        assert empirical_cdf([]) == []
-
-    def test_reaches_one(self):
-        points = empirical_cdf([3, 1, 2])
-        assert points[-1][1] == 1.0
-
-    def test_deduplicates_values(self):
-        points = empirical_cdf([1, 1, 2])
-        assert [value for value, _ in points] == [1, 2]
-        assert points[0][1] == pytest.approx(2 / 3)

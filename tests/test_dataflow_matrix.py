@@ -194,7 +194,7 @@ def run_hybrid_races(seed: int):
                 outcome.pier_completion_latency,
             )
         )
-    assert engine.all_done
+    assert engine.inflight == 0
     return digest, (network.meter.messages, network.meter.bytes)
 
 

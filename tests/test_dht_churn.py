@@ -52,7 +52,7 @@ class TestChurnStep:
         network.populate(64)
         network.put("sticky", "v")
         churn = ChurnProcess(network, rng=4, failure_fraction=0.5)
-        churn.run_session_churn(0.1)
+        churn.churn_step(joins=6, leaves=6)  # a tenth of the network turns over
         assert network.get("sticky") == ["v"]
 
     def test_never_removes_last_node(self):

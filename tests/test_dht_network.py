@@ -141,12 +141,12 @@ class TestDataPath:
         ]
         assert len(holders) == 3
 
-    def test_total_stored(self):
+    def test_stored_items_counts_every_value(self):
         network = DhtNetwork(rng=3)
         network.populate(8)
         network.put("a", 1)
         network.put("b", 2)
-        assert network.total_stored() == 2
+        assert sum(len(values) for _, _, values in network.stored_items()) == 2
 
 
 class TestDeparture:
@@ -214,11 +214,11 @@ class TestDeparture:
         network.populate(16)
         for i in range(40):
             network.put(f"item-{i}", i)
-        stored_before = network.total_stored()
+        stored_before = sum(len(values) for _, _, values in network.stored_items())
         for _ in range(8):
             network.create_node()
         network.stabilize()
-        assert network.total_stored() == stored_before
+        assert sum(len(values) for _, _, values in network.stored_items()) == stored_before
         for i in range(40):
             assert network.get(f"item-{i}") == [i]
 
@@ -255,7 +255,7 @@ class TestDeadEndRegression:
         for i in range(60):
             key = hash_key(f"own-{i}")
             result = network.lookup(key)
-            assert network.nodes[result.owner].owns(key)
+            assert network.owner_of(key) == result.owner
 
 
 class TestIterLookup:
@@ -291,7 +291,7 @@ class TestIterLookup:
         network.remove_node(victim, graceful=False)
         result = _result_of(gen)
         assert result.owner in network.nodes
-        assert network.nodes[result.owner].owns(key)
+        assert network.owner_of(key) == result.owner
 
     def test_stale_finger_falls_back_to_successors(self):
         network = DhtNetwork(rng=27)
@@ -311,7 +311,7 @@ class TestIterLookup:
         network.remove_node(planned[1], graceful=False)
         result = _result_of(gen)
         assert result.retries >= 1
-        assert network.nodes[result.owner].owns(key)
+        assert network.owner_of(key) == result.owner
 
 
 class TestReplicaRotationUnderChurn:
@@ -329,10 +329,11 @@ class TestReplicaRotationUnderChurn:
         return network, key, owner, replicas
 
     def test_stale_replica_falls_back_to_owner(self):
-        """A successor copy that lost its values must not serve a miss."""
+        """A successor copy that diverged from the owner's must not serve
+        a read."""
         network, key, owner, replicas = self._replicated()
         for replica in replicas:
-            network.remove_local(replica, key)
+            network.put_local(replica, key, "stale")
         for _ in range(4):
             assert network.get_raw(key) == ["v"]
 
@@ -341,7 +342,7 @@ class TestReplicaRotationUnderChurn:
         # One replica churns out entirely, the other goes stale.
         network.remove_node(replicas[0], graceful=False)
         network.stabilize()
-        network.remove_local(replicas[1], key)
+        network.put_local(replicas[1], key, "stale")
         assert network.owner_of(key) == owner
         for _ in range(4):
             assert network.get_raw(key) == ["v"]
@@ -617,3 +618,20 @@ class TestShipBatch:
         with pytest.raises(NodeNotFoundError):
             network.ship_batch(source, target, 64)
         assert (network.meter.snapshot(), network.meter.by_category) == before
+
+
+class TestBoundaries:
+    def test_successor_lists_cover_the_replica_set(self):
+        assert DhtNetwork(replication=6, successor_count=2).successor_count == 6
+        assert DhtNetwork(replication=2, successor_count=5).successor_count == 5
+
+    def test_an_empty_network_refuses_a_put(self):
+        with pytest.raises(DhtError, match="empty network"):
+            DhtNetwork(rng=1).put("orphan", "value")
+
+    def test_an_unknown_node_has_no_successors(self):
+        network = DhtNetwork(rng=2)
+        network.populate(4)
+        absent = next(i for i in range(1, 100) if i not in network.nodes)
+        with pytest.raises(NodeNotFoundError):
+            network.successors_of(absent)

@@ -2,6 +2,7 @@
 
 from repro.common.ids import KEY_SPACE
 from repro.dht.network import DhtNetwork
+from repro.dht.node import OWNS
 
 
 def make_ring(ids):
@@ -15,22 +16,22 @@ def make_ring(ids):
 class TestOwnership:
     def test_single_node_owns_all(self):
         nodes = make_ring([100])
-        assert nodes[100].owns(5)
-        assert nodes[100].owns(KEY_SPACE - 1)
+        assert nodes[100].route(5) == OWNS
+        assert nodes[100].route(KEY_SPACE - 1) == OWNS
 
     def test_ownership_interval(self):
         nodes = make_ring([100, 200, 300])
-        assert nodes[200].owns(150)
-        assert nodes[200].owns(200)
-        assert not nodes[200].owns(250)
-        assert not nodes[200].owns(100)
+        assert nodes[200].route(150) == OWNS
+        assert nodes[200].route(200) == OWNS
+        assert nodes[200].route(250) != OWNS
+        assert nodes[200].route(100) != OWNS
 
     def test_wraparound_ownership(self):
         nodes = make_ring([100, 200, 300])
         # node 100 owns (300, 100]: wraps through zero.
-        assert nodes[100].owns(50)
-        assert nodes[100].owns(350)
-        assert nodes[100].owns(100)
+        assert nodes[100].route(50) == OWNS
+        assert nodes[100].route(350) == OWNS
+        assert nodes[100].route(100) == OWNS
 
 
 class TestRoutingState:

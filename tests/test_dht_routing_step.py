@@ -172,7 +172,7 @@ class TestRoutingStep:
             node.successors[0] if node.successors else None
         )
         for probe in probe_keys(node, key):
-            assert node.owns(probe) == (
+            assert (node.route(probe) == OWNS) == (
                 predecessor is None or in_interval(probe, predecessor, node_id)
             )
             closer = [

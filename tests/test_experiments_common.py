@@ -34,7 +34,7 @@ class TestCaching:
     def test_network_cached_and_bound_to_library(self):
         network = get_network(SMALL_SCALE)
         assert network is get_network(SMALL_SCALE)
-        assert network.placement.distinct_items == SMALL_SCALE.num_items
+        assert len(network.placement.replicas_by_filename) == SMALL_SCALE.num_items
 
     def test_workload_size(self):
         assert len(get_workload(SMALL_SCALE)) == SMALL_SCALE.num_queries

@@ -22,10 +22,6 @@ class TestCrawl:
         result = crawl(topology, seeds=topology.ultrapeers[:5])
         assert len(result.discovered_leaves) == 800
 
-    def test_estimated_size(self, topology):
-        result = crawl(topology, seeds=topology.ultrapeers[:5])
-        assert result.estimated_network_size == 1000
-
     def test_api_calls_bounded_by_ultrapeers(self, topology):
         result = crawl(topology, seeds=topology.ultrapeers[:5])
         assert result.api_calls <= 200
@@ -33,12 +29,13 @@ class TestCrawl:
     def test_nonresponders_make_estimate_lower_bound(self, topology):
         full = crawl(topology, seeds=topology.ultrapeers[:5])
         partial = crawl(topology, seeds=topology.ultrapeers[:5], response_rate=0.5, rng=3)
-        assert partial.estimated_network_size <= full.estimated_network_size
+        found = [len(r.discovered_ultrapeers) + len(r.discovered_leaves) for r in (partial, full)]
+        assert found[0] <= found[1]
         assert partial.non_responders > 0
 
     def test_seed_must_be_ultrapeer(self, topology):
         result = crawl(topology, seeds=[topology.leaves[0]])
-        assert result.estimated_network_size == 0
+        assert not result.discovered_ultrapeers and not result.discovered_leaves
 
     def test_bad_response_rate_rejected(self, topology):
         with pytest.raises(ValueError):
@@ -76,3 +73,12 @@ class TestFloodOverheadCurve:
     def test_requires_origins(self, topology):
         with pytest.raises(ValueError):
             flood_overhead_curve(topology, origins=[])
+
+
+class TestCrawlSeeds:
+    def test_a_seed_listed_twice_is_contacted_once(self, topology):
+        seed = topology.ultrapeers[0]
+        once = crawl(topology, seeds=[seed])
+        twice = crawl(topology, seeds=[seed, seed])
+        assert twice.api_calls == once.api_calls == 200
+        assert twice.discovered_leaves == once.discovered_leaves

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from oracle import reference_flood
+from repro.common.units import BandwidthMeter, CostModel
 from repro.gnutella.dynamic import dynamic_query
-from repro.gnutella.flooding import flood
+from repro.gnutella.flooding import FLOOD_CATEGORY, flood
 from repro.gnutella.index import UltrapeerIndex
 from repro.gnutella.network import GnutellaNetwork
-from repro.gnutella.topology import Topology, TopologyConfig
+from repro.gnutella.topology import Topology, TopologyConfig, build_topology
+from repro.net.transport import InProcessTransport
 from repro.workload.library import ContentLibrary, SharedFile
 
 
@@ -38,12 +41,35 @@ def cycle_topology(n=6):
     )
 
 
+def star_topology(n=6):
+    """Ultrapeer 0 linked to every other one, no other links."""
+    neighbors = {0: list(range(1, n)), **{i: [0] for i in range(1, n)}}
+    return Topology(
+        ultrapeers=list(range(n)),
+        leaves=[],
+        neighbors=neighbors,
+        leaf_parents={},
+        ultrapeer_leaves={i: [] for i in range(n)},
+    )
+
+
+def complete_topology(n=5):
+    neighbors = {i: [j for j in range(n) if j != i] for i in range(n)}
+    return Topology(
+        ultrapeers=list(range(n)),
+        leaves=[],
+        neighbors=neighbors,
+        leaf_parents={},
+        ultrapeer_leaves={i: [] for i in range(n)},
+    )
+
+
 def index_with(files_by_node):
     indexes = {}
     for node, filenames in files_by_node.items():
         index = UltrapeerIndex()
         for filename in filenames:
-            index.add_file(SharedFile(filename=filename, filesize=1, node_id=node))
+            index.add_files([SharedFile(filename=filename, filesize=1, node_id=node)])
         indexes[node] = index
     return indexes
 
@@ -51,24 +77,24 @@ def index_with(files_by_node):
 class TestUltrapeerIndex:
     def test_match_conjunctive_substring(self):
         index = UltrapeerIndex()
-        index.add_file(SharedFile("britney spears - toxic.mp3", 1, 1))
-        index.add_file(SharedFile("britney spears - lucky.mp3", 1, 1))
+        index.add_files([SharedFile("britney spears - toxic.mp3", 1, 1)])
+        index.add_files([SharedFile("britney spears - lucky.mp3", 1, 1)])
         assert len(index.match(["britney", "toxic"])) == 1
         assert len(index.match(["britney"])) == 2
 
     def test_match_partial_token(self):
         index = UltrapeerIndex()
-        index.add_file(SharedFile("toxic.mp3", 1, 1))
+        index.add_files([SharedFile("toxic.mp3", 1, 1)])
         assert len(index.match(["toxi"])) == 1
 
     def test_no_match(self):
         index = UltrapeerIndex()
-        index.add_file(SharedFile("something.mp3", 1, 1))
+        index.add_files([SharedFile("something.mp3", 1, 1)])
         assert index.match(["absent"]) == []
 
     def test_empty_terms(self):
         index = UltrapeerIndex()
-        index.add_file(SharedFile("x.mp3", 1, 1))
+        index.add_files([SharedFile("x.mp3", 1, 1)])
         assert index.match([]) == []
 
     def test_matches_equal_full_scan(self):
@@ -81,7 +107,7 @@ class TestUltrapeerIndex:
             "unrelated thing.mp3",
         ]
         for i, name in enumerate(names):
-            index.add_file(SharedFile(name, 1, i))
+            index.add_files([SharedFile(name, 1, i)])
         for terms in (["darel"], ["klore"], ["darel", "klorena"], ["velid"]):
             expected = [
                 f for f in index.files
@@ -141,6 +167,56 @@ class TestFlood:
         topo = line_topology(3)
         result = flood(topo, {}, 0, ["x"], ttl=10)
         assert result.visited == {0, 1, 2}
+
+
+FLOOD_TOPOLOGIES = {
+    "line": lambda: line_topology(7),
+    "cycle": lambda: cycle_topology(8),
+    "star": lambda: star_topology(6),
+    "complete": lambda: complete_topology(5),
+    "random-1": lambda: build_topology(TopologyConfig(num_ultrapeers=40, num_leaves=40, seed=1)),
+    "random-2": lambda: build_topology(TopologyConfig(num_ultrapeers=40, num_leaves=40, seed=2)),
+}
+
+
+class TestFloodReference:
+    """A flood equals :func:`oracle.reference_flood`, which counts it from
+    hop distances and degrees: the nodes reached, every message
+    (duplicates included), both per-hop curves, each match at its hop,
+    and one transport charge of every message at the framed size."""
+
+    @pytest.mark.parametrize("ttl", [1, 3])
+    @pytest.mark.parametrize("shape", sorted(FLOOD_TOPOLOGIES))
+    def test_flood_equals_reference(self, shape, ttl):
+        topo = FLOOD_TOPOLOGIES[shape]()
+        rng = random.Random(f"{shape}|{ttl}")
+        words = ("alpha beta", "alpha gamma", "beta gamma", "delta")
+        indexes = index_with({
+            node: [f"{rng.choice(words)} {node}.mp3" for _ in range(rng.randint(0, 2))]
+            for node in topo.ultrapeers
+        })
+        origin = rng.choice(topo.ultrapeers)
+        model = CostModel()
+        transport = InProcessTransport(BandwidthMeter(), model)
+        result = flood(
+            topo, indexes, origin, ["alpha"], ttl, transport=transport, payload_bytes=40
+        )
+        visited, messages, visited_by_hop, messages_by_hop, matches = reference_flood(
+            topo, indexes, origin, ["alpha"], ttl
+        )
+        assert result.visited == visited
+        assert result.messages == messages
+        assert result.visited_by_hop == visited_by_hop
+        assert result.messages_by_hop == messages_by_hop
+        found = sorted((m.file.filename, m.file.node_id, m.hop) for m in result.matches)
+        assert found == matches
+        charged = transport.meter.by_category.get(FLOOD_CATEGORY)
+        if messages:
+            assert (charged.messages, charged.bytes) == (
+                messages, messages * model.message_bytes(40)
+            )
+        else:
+            assert charged is None
 
 
 class TestHorizonFlood:
@@ -224,56 +300,15 @@ class TestDynamicQuery:
             dynamic_query(line_topology(), {}, 0, ["x"], desired_results=0)
 
 
-class TestPartialFlooding:
-    def test_rare_queries_keep_full_ttl(self):
-        from repro.gnutella.flooding import popularity_stop_ttl
+class TestFloodResult:
+    def test_results_are_the_matched_files_in_visit_order(self):
+        topo = line_topology(5)
+        indexes = index_with({3: ["rare one.mp3"], 1: ["rare two.mp3", "other.mp3"]})
+        result = flood(topo, indexes, 0, ["rare"], ttl=4)
+        assert [file.filename for file in result.results()] == ["rare two.mp3", "rare one.mp3"]
+        assert [match.hop for match in result.matches] == [1, 3]
 
-        assert popularity_stop_ttl(0.0, 4) == 4
-        assert popularity_stop_ttl(0.02, 4) == 4
-
-    def test_popular_queries_flood_shallower(self):
-        from repro.gnutella.flooding import popularity_stop_ttl
-
-        ttl_warm = popularity_stop_ttl(0.05, 4)
-        ttl_hot = popularity_stop_ttl(0.5, 4)
-        assert ttl_hot < ttl_warm < 4
-        assert ttl_hot >= 1  # never below min_ttl
-
-    def test_ttl_monotone_in_frequency(self):
-        from repro.gnutella.flooding import popularity_stop_ttl
-
-        ttls = [popularity_stop_ttl(f / 100, 6) for f in range(1, 100)]
-        assert all(a >= b for a, b in zip(ttls, ttls[1:]))
-
-    def test_rejects_bad_arguments(self):
-        from repro.gnutella.flooding import popularity_stop_ttl
-
-        with pytest.raises(ValueError):
-            popularity_stop_ttl(0.5, -1)
-        with pytest.raises(ValueError):
-            popularity_stop_ttl(0.5, 4, popular_frequency=0.0)
-
-    def test_adaptive_flood_gets_cheaper_with_repetition(self):
-        from repro.cache.popularity import PopularityEstimator
-        from repro.gnutella.flooding import adaptive_flood
-
-        topo = line_topology(8)
-        estimator = PopularityEstimator(window=50)
-        first = adaptive_flood(topo, {}, 0, ["hot", "song"], estimator, max_ttl=5)
-        assert first.ttl == 5  # never seen: full horizon
-        for _ in range(20):
-            result = adaptive_flood(topo, {}, 0, ["hot", "song"], estimator, max_ttl=5)
-        assert result.ttl < first.ttl
-        assert result.messages < first.messages
-
-    def test_adaptive_flood_still_finds_nearby_content(self):
-        from repro.cache.popularity import PopularityEstimator
-        from repro.gnutella.flooding import adaptive_flood
-
-        topo = line_topology(8)
-        indexes = index_with({1: ["hot song.mp3"]})
-        estimator = PopularityEstimator(window=50)
-        for _ in range(20):
-            result = adaptive_flood(topo, indexes, 0, ["hot", "song"], estimator, max_ttl=5)
-        # shallow flood still reaches the popular (nearby) replica
-        assert result.num_results == 1
+    def test_an_index_counts_its_files(self):
+        index = UltrapeerIndex()
+        index.add_files([SharedFile("a.mp3", 1, 1), SharedFile("a.mp3", 1, 2)])
+        assert len(index) == 2

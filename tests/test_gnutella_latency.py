@@ -52,13 +52,6 @@ class TestRoundArithmetic:
         result = dynamic_query(topo, {}, 0, ["absent"], desired_results=1, max_ttl=2)
         assert math.isinf(model.first_result_latency(result))
 
-    def test_completion_latency_covers_last_round(self, model):
-        topo = line_topology(5)
-        result = dynamic_query(topo, {}, 0, ["x"], desired_results=9, max_ttl=3)
-        assert model.completion_latency(result) >= model.round_start(
-            result, len(result.rounds) - 1
-        )
-
 
 class TestClosedFormEquivalence:
     def test_matches_full_simulation(self, model):

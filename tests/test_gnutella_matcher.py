@@ -175,10 +175,10 @@ def test_empty_query_answers_are_pinned_per_caller():
 
 def test_file_added_after_a_memoized_query_is_found():
     index = UltrapeerIndex()
-    index.add_file(SharedFile("darel montia.mp3", 1, 1))
+    index.add_files([SharedFile("darel montia.mp3", 1, 1)])
     assert [f.filename for f in index.match(["darel"])] == ["darel montia.mp3"]
     assert index.match(["klorena"]) == []
-    index.add_file(SharedFile("Klorena darel.avi", 1, 2))
+    index.add_files([SharedFile("Klorena darel.avi", 1, 2)])
     assert [f.filename for f in index.match(["darel"])] == [
         "darel montia.mp3",
         "Klorena darel.avi",
@@ -206,7 +206,7 @@ def test_shared_matcher_learns_from_any_index_of_the_network():
     assert network.indexes[1].match(["darel"]) == []
     assert len(contents.matching_replicas(["darel"])) == 1
     late = SharedFile("late darel.mp3", 1, 1)
-    network.indexes[1].add_file(late)
+    network.indexes[1].add_files([late])
     assert network.indexes[1].match(["darel"]) == [late]
     assert len(network.indexes[0].match(["darel"])) == 1
     # the campaign's view stays the placement's

@@ -119,28 +119,9 @@ class TestCampaignStatistics:
     def test_fraction_at_most_monotone_in_threshold(self, campaign):
         assert campaign.fraction_with_at_most(0) <= campaign.fraction_with_at_most(10)
 
-    def test_cdf_well_formed(self, campaign):
-        points = campaign.result_size_cdf()
-        values = [v for v, _ in points]
-        fractions = [f for _, f in points]
-        assert values == sorted(values)
-        assert fractions[-1] == pytest.approx(1.0)
-
     def test_latency_infinite_iff_no_single_results(self, campaign):
         for replay in campaign.replays:
             if replay.single_results == 0:
                 assert math.isinf(replay.first_result_latency)
             else:
                 assert not math.isinf(replay.first_result_latency)
-
-    def test_trace_bundle_roundtrip(self, env, campaign, tmp_path):
-        from repro.workload.trace import load_trace, save_trace
-
-        library, _, _ = env
-        bundle = campaign.to_trace_bundle(library.replica_distribution())
-        path = tmp_path / "trace.json"
-        save_trace(bundle, path)
-        loaded = load_trace(path)
-        assert loaded.num_queries == bundle.num_queries
-        assert loaded.replica_distribution == bundle.replica_distribution
-        assert loaded.observations[0] == bundle.observations[0]

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.gnutella.measurement import ContentMatcher
 from repro.gnutella.network import GnutellaNetwork
-from repro.gnutella.topology import TopologyConfig
+from repro.gnutella.topology import TopologyConfig, build_topology
 from repro.workload.library import ContentLibrary
 
 
@@ -24,7 +25,7 @@ class TestContentPlacement:
     def test_leaf_files_indexed_at_parent(self, gnutella):
         placement = gnutella.placement
         for leaf in gnutella.topology.leaves[:50]:
-            files = placement.files_at(leaf)
+            files = placement.files_by_node.get(leaf, [])
             if not files:
                 continue
             parent = gnutella.topology.leaf_parents[leaf][0]
@@ -38,7 +39,7 @@ class TestContentPlacement:
     def test_ultrapeer_files_indexed_locally(self, gnutella):
         placement = gnutella.placement
         for up in gnutella.topology.ultrapeers:
-            files = placement.files_at(up)
+            files = placement.files_by_node.get(up, [])
             if files:
                 indexed = {f.result_key for f in gnutella.indexes[up].files}
                 assert files[0].result_key in indexed
@@ -86,11 +87,6 @@ class TestQueries:
         found = {m.file.result_key for m in flood_result.matches}
         assert found == oracle
 
-    def test_browse_host(self, gnutella):
-        placement = gnutella.placement
-        node = next(iter(placement.files_by_node))
-        assert gnutella.browse_host(node) == placement.files_at(node)
-
     def test_random_ultrapeers_distinct(self, gnutella):
         sample = gnutella.random_ultrapeers(10)
         assert len(sample) == len(set(sample)) == 10
@@ -101,3 +97,18 @@ class TestQueries:
     def test_latency_model_attached(self, gnutella):
         result = gnutella.query(gnutella.topology.leaves[0], ["zzznothing"], max_ttl=1)
         assert gnutella.first_result_latency(result) == float("inf")
+
+
+class TestWithoutPlacement:
+    """A network built from a bare topology carries no content."""
+
+    @pytest.fixture()
+    def bare(self):
+        return GnutellaNetwork(build_topology(TopologyConfig(num_ultrapeers=10, num_leaves=10)))
+
+    def test_the_oracle_finds_nothing(self, bare):
+        assert bare.all_results_for(["anything"]) == []
+
+    def test_a_content_matcher_needs_a_placement(self, bare):
+        with pytest.raises(ValueError, match="no content placement"):
+            ContentMatcher(bare)

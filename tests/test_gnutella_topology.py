@@ -1,5 +1,7 @@
 """Tests for Gnutella topology generation."""
 
+import random
+
 import pytest
 
 from oracle import reference_attach_leaves
@@ -140,3 +142,24 @@ class TestAttachLeavesReference:
         built = build_topology(config)
         monkeypatch.setattr(topology_module, "_attach_leaves", reference_attach_leaves)
         assert build_topology(config) == built
+
+
+class TestEnsureConnected:
+    def test_stray_components_are_bridged_to_the_largest(self):
+        """Three components (sizes 3, 2, 1) end as one, with one new
+        symmetric link per stray component and no other change."""
+        neighbors = {0: [1], 1: [0, 2], 2: [1], 3: [4], 4: [3], 5: []}
+        before = {node: set(links) for node, links in neighbors.items()}
+        topology_module._ensure_connected(list(neighbors), neighbors, random.Random(3))
+        added = {
+            frozenset((node, other))
+            for node, links in neighbors.items()
+            for other in set(links) - before[node]
+        }
+        assert len(added) == 2
+        assert all(node in neighbors[other] for node, other in map(tuple, added))
+        shape = Topology(
+            ultrapeers=list(neighbors), leaves=[], neighbors=neighbors,
+            leaf_parents={}, ultrapeer_leaves={node: [] for node in neighbors},
+        )
+        assert shape.connected_ultrapeer_count() == 6

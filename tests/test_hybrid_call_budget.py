@@ -1,6 +1,6 @@
 """Guard the leaf-query path against normalising a query more than once.
 
-A leaf query is tokenised into its :func:`~repro.cache.popularity.query_key`
+A leaf query is tokenised into its :func:`~repro.cache.results.query_key`
 once, when its race is submitted; the result cache and the zero-answer
 check both read that key, and the table-qualified posting keys are hashed
 only when a PIER answer comes back empty. The engine's registry series
@@ -16,8 +16,7 @@ import math
 import pstats
 import random
 
-from repro.cache import popularity
-from repro.cache.results import QueryResultCache
+from repro.cache.results import QueryResultCache, query_key
 from repro.common import ids
 from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import HybridQueryEngine
@@ -122,5 +121,5 @@ def test_one_query_key_per_race_and_no_posting_hash_on_a_hit():
     measured = engine.races[len(distinct):]
     assert all(race.outcome.cache_hit for race in measured)
     stats = pstats.Stats(profile)
-    assert calls_to(stats, popularity.query_key) == RACES
+    assert calls_to(stats, query_key) == RACES
     assert calls_to(stats, ids.hash_key) == 0

@@ -272,7 +272,7 @@ class TestConcurrencyAccounting:
         sim.run()
         assert engine.peak_inflight == 5
         assert engine.completed == 5
-        assert engine.all_done
+        assert engine.inflight == 0
 
     def test_deterministic_given_seeds(self):
         def build_and_run():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import reference_posting_keys
-from repro.cache.popularity import query_key
+from repro.cache.results import query_key
 from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import HybridQueryEngine
 from repro.hybrid.ultrapeer import HybridUltrapeer

@@ -30,14 +30,6 @@ class TestPerfectScheme:
         assert scores["alpha beta - gamma.mp3"] == 1.0
         assert scores["theta iota - lamda.mp3"] == 60.0
 
-    def test_published_at_threshold(self):
-        published = PerfectScheme(REPLICATION).published_at_threshold(FILENAMES, 2)
-        assert published == {
-            "alpha beta - gamma.mp3",
-            "alpha beta - delta.mp3",
-            "epsilon zeta - eta.mp3",
-        }
-
 
 class TestRandomScheme:
     def test_scores_in_unit_interval(self):
@@ -60,12 +52,6 @@ class TestQrsScheme:
         assert scores["b"] == 3.0
         assert "z" not in scores  # never observed -> unscored
 
-    def test_unseen_items_not_published(self):
-        scheme = QueryResultsSizeScheme()
-        scheme.observe_result_set(["a"])
-        published = scheme.published_at_threshold(["a", "z"], threshold=5)
-        assert published == {"a"}
-
 
 class TestTermFrequencyScheme:
     def test_rare_term_gives_low_score(self):
@@ -73,6 +59,12 @@ class TestTermFrequencyScheme:
         scheme.observe_corpus(REPLICATION)
         scores = scheme.rarity_scores(FILENAMES)
         assert scores["alpha beta - gamma.mp3"] < scores["theta iota - kappa.mp3"]
+
+    def test_a_filename_of_stop_words_gets_no_score(self):
+        scheme = TermFrequencyScheme()
+        scheme.observe_corpus(REPLICATION)
+        scores = scheme.rarity_scores(["the of.mp3", "alpha beta - gamma.mp3"])
+        assert list(scores) == ["alpha beta - gamma.mp3"]
 
     def test_weighting_by_replicas(self):
         scheme = TermFrequencyScheme()

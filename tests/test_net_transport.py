@@ -108,3 +108,20 @@ def test_hop_delays_equals_a_left_to_right_sum_of_single_draws(
     assert faulty.hop_delays(batched, mean, jitter, hops) == stretched
     assert batched.getstate() == twin.getstate()
     assert faulty.degraded_draws == degraded
+
+
+def test_a_fault_wrapper_refuses_to_shrink_hop_delays(transport):
+    faulty = FaultInjectingTransport(transport)
+    with pytest.raises(ValueError, match=">= 1"):
+        faulty.set_delay_multiplier(0.5)
+    assert faulty.delay_multiplier == 1.0
+
+
+def test_a_fault_wrapper_charges_and_prices_through_its_inner_transport(transport):
+    faulty = FaultInjectingTransport(transport)
+    faulty.charge("dht.get", 2, 300)
+    assert faulty.meter is transport.meter
+    assert transport.meter.by_category["dht.get"].bytes == 300
+    assert faulty.cost_model is transport.cost_model
+    faulty.set_delay_multiplier(4.0)
+    assert faulty.min_hop_delay(0.1, 0.05) == transport.min_hop_delay(0.1, 0.05)

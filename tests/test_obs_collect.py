@@ -1,6 +1,8 @@
 """Tests for the pull-based subsystem collectors (repro.obs.collect)."""
 
-from repro.cache.results import QueryResultCache
+import dataclasses
+
+from repro.cache.results import CacheStats, QueryResultCache
 from repro.dht.network import DhtNetwork
 from repro.obs.collect import (
     collect_all,
@@ -74,6 +76,22 @@ class TestCacheAndSimCollectors:
         assert registry.gauge("cache.misses").value == 1
         assert registry.gauge("cache.entries").value == 1
         assert registry.gauge("cache.budget_bytes").value == 4096
+
+    def test_cache_gauges_are_every_counter_plus_occupancy(self):
+        """One gauge per ``CacheStats`` field, then the hit ratio and the
+        occupancy: nothing for a counter the cache does not keep."""
+        cache = QueryResultCache(budget_bytes=4096)
+        cache.put(("montia",), ["a.mp3"], cost_bytes=100)
+        cache.put(("toolarge",), ["b" * 5000 + ".mp3"], cost_bytes=100)
+        registry = MetricsRegistry()
+        collect_cache(registry, cache, prefix="c")
+        counters = [field.name for field in dataclasses.fields(CacheStats)]
+        assert list(registry.gauges) == [
+            *(f"c.{name}" for name in counters),
+            "c.hit_ratio", "c.entries", "c.used_bytes", "c.budget_bytes",
+        ]
+        assert registry.gauge("c.rejections").value == 1
+        assert registry.gauge("c.used_bytes").value == cache.used_bytes
 
     def test_simulator_gauges(self):
         sim = Simulator()

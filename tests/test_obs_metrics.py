@@ -159,3 +159,7 @@ class TestValidator:
     def test_rejects_bad_comment(self):
         with pytest.raises(ValueError, match="malformed comment"):
             validate_prometheus("# TYPE name mystery\n")
+
+
+def test_blank_lines_between_families_are_valid():
+    validate_prometheus("# TYPE a gauge\na 1\n\n   \n# TYPE b gauge\nb 2\n")

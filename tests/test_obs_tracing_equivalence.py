@@ -55,7 +55,7 @@ def traced_span_forest() -> dict:
             tracer=tracer,
         )
         executor.execute(plan)
-        forests[f"{strategy.name}|pipelined"] = tracer.forest()
+        forests[f"{strategy.name}|pipelined"] = [root.tree() for root in tracer.roots]
     return forests
 
 
@@ -138,7 +138,6 @@ class TestObservationIsFree:
         executor.execute(plan)
         validate_chrome_trace(tracer.to_chrome_trace())
         validate_prometheus(metrics.to_prometheus())
-        assert tracer.to_jsonl().count("\n") == len(tracer.spans)
 
 
 class CountingRegistry(MetricsRegistry):

@@ -90,25 +90,6 @@ class TestPublishFetch:
         handle.publish(dict(row))
         assert len(handle.fetch("dup")) == 1
 
-    def test_scan_all_iterates_unique_rows(self, catalog):
-        handle = catalog.table("Inverted")
-        for i in range(7):
-            handle.publish({"keyword": f"k{i}", "fileID": "f"})
-        assert len(list(handle.scan_all())) == 7
-
-    def test_scan_all_distinguishes_tables(self, catalog):
-        catalog.table("Inverted").publish({"keyword": "k", "fileID": "f"})
-        catalog.table("Item").publish(
-            {
-                "fileID": "f",
-                "filename": "x.mp3",
-                "filesize": 1,
-                "ipAddress": "1.1.1.1",
-                "port": 1,
-            }
-        )
-        assert len(list(catalog.table("Item").scan_all())) == 1
-
 
 def _searched_world(files):
     """(network, catalog, publisher, search) over ``files`` distinct files

@@ -1,5 +1,8 @@
 """Unit tests for the local physical operators."""
 
+from zlib import crc32
+
+from repro.pier import operators
 from repro.pier.operators import JoinProbe, Scan, StoredHashJoin, SubstringFilter
 
 from oracle import nested_loop_join
@@ -103,3 +106,15 @@ class TestStoredHashJoin:
         for budget in (None, 1):
             site = JoinProbe(StoredHashJoin([1, "2"], memory_budget=budget))
             assert site.probe(["1", 2, 1, "2"]) == [1, "2"]
+
+
+def test_partition_ids_hold_after_the_memo_is_cleared(monkeypatch):
+    """The per-fan-out memo is bounded: when it fills it is dropped, and
+    every key still lands in the partition its CRC32 names."""
+    monkeypatch.setattr(operators, "_partition_memos", {})
+    monkeypatch.setattr(operators, "_PARTITION_MEMO_MAX", 4)
+    keys = [f"file{index:02d}" for index in range(10)]
+    expected = [crc32(key.encode()) % 8 for key in keys]
+    assert [operators.spill_partition(key, 8) for key in keys] == expected
+    assert len(operators._partition_memos[8]) <= 4
+    assert [operators.spill_partition(key, 8) for key in keys] == expected

@@ -20,7 +20,12 @@ from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor
 from repro.obs.metrics import MetricsRegistry
-from repro.pier.optimizer import CostBasedOptimizer, CostEstimate, OptimizerConfig
+from repro.pier.optimizer import (
+    CostBasedOptimizer,
+    CostEstimate,
+    OptimizerConfig,
+    inverted_cache_covers,
+)
 from repro.pier.planner import KeywordPlanner, batch_size_for
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
@@ -511,3 +516,9 @@ class TestEngineRacePath:
         assert metrics.counter("operator.spill.partition_evictions").value > 0
         assert metrics.counter("operator.spill.reads").value > 0
         assert sorted(dht.stored_items()) == stored
+
+
+def test_inverted_cache_needs_its_table_registered():
+    """Without an InvertedCache table the strategy is never offered."""
+    catalog = Catalog(DhtNetwork(rng=1))
+    assert not inverted_cache_covers(catalog, {"rare": 0, "common": 40})

@@ -15,16 +15,6 @@ class TestRowBatch:
         assert batch.column("fileID") == ["a", "b", "c"]
         assert batch.to_rows() == [{"fileID": "a"}, {"fileID": "b"}, {"fileID": "c"}]
 
-    def test_from_rows_packs_in_schema_order(self):
-        rows = [{"keyword": "k", "fileID": "f1"}, {"keyword": "k", "fileID": "f2"}]
-        batch = RowBatch.from_rows(("fileID", "keyword"), rows)
-        assert batch.values == [("f1", "k"), ("f2", "k")]
-        assert batch.column("keyword") == ["k", "k"]
-        assert batch.to_rows() == [
-            {"fileID": "f1", "keyword": "k"},
-            {"fileID": "f2", "keyword": "k"},
-        ]
-
     def test_iteration_yields_value_tuples(self):
         batch = RowBatch(("fileID",), [("x",), ("y",)])
         assert [key for (key,) in batch] == ["x", "y"]

@@ -57,10 +57,6 @@ class TestValidation:
 
 
 class TestKeyAndIdentity:
-    def test_key_of(self):
-        row = {"keyword": "x", "fileID": "f"}
-        assert INVERTED_SCHEMA.key_of(row) == ("x", "f")
-
     def test_index_value(self):
         row = {"keyword": "x", "fileID": "f"}
         assert INVERTED_SCHEMA.index_value(row) == "x"

@@ -24,7 +24,7 @@ from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, _QueryRun
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
-from repro.pier.query import QUERY_NODE, Edge, JoinStrategy, Op, plan_steps
+from repro.pier.query import QUERY_NODE, DistributedPlan, Edge, JoinStrategy, Op, plan_steps
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
 
@@ -207,3 +207,8 @@ def test_a_planned_query_is_priced_once(monkeypatch, world):
         assert plan.estimate.strategy is plan.strategy
         assert plan.steps == plan_steps(plan.strategy, k)
     assert len(calls) == 5
+
+
+def test_a_plan_needs_a_stage():
+    with pytest.raises(ValueError, match="at least one stage"):
+        DistributedPlan(keywords=(), stages=[], strategy=JoinStrategy.SEMI_JOIN, query_node=1)

@@ -3,7 +3,6 @@
 from repro.piersearch.tokenizer import (
     STOP_WORDS,
     extract_keywords,
-    matches_query,
     tokenize,
 )
 
@@ -39,22 +38,6 @@ class TestExtractKeywords:
 
     def test_all_stopwords_yields_empty(self):
         assert extract_keywords("the of and.mp3") == []
-
-
-class TestMatchesQuery:
-    def test_conjunctive(self):
-        assert matches_query("britney spears - toxic.mp3", ["britney", "toxic"])
-        assert not matches_query("britney spears - lucky.mp3", ["britney", "toxic"])
-
-    def test_case_insensitive(self):
-        assert matches_query("Britney - Toxic.mp3", ["TOXIC"])
-
-    def test_substring_semantics(self):
-        # Gnutella matches per-token substrings; 'toxi' matches 'toxic'.
-        assert matches_query("toxic.mp3", ["toxi"])
-
-    def test_empty_terms_match_everything(self):
-        assert matches_query("anything.mp3", [])
 
 
 class TestStopWords:

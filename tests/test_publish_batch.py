@@ -255,7 +255,7 @@ class TestMidFileFailure:
         meter = batch.network.meter
         assert list(meter.by_category) == ["publish.Item", "publish.Inverted"]
         # owner + one successor copy each
-        assert batch.network.total_stored() == 4
+        assert sum(len(values) for _, _, values in batch.network.stored_items()) == 4
         assert batch.publisher.published_files == 0
 
     def test_hybrid_offers_the_file_again_after_a_failed_publish(self):

@@ -50,7 +50,7 @@ def test_partition_severs_arc_and_heal_restores_everything():
     assert len(arc) == NUM_NODES // 4
     assert network.size == NUM_NODES - len(arc)
     assert injector.partitioned
-    assert injector.severed_nodes == arc
+    assert all(node not in network.nodes for node in arc)
     # Abrupt removal leaves suspect ranges; survivor hops are stretched.
     assert network.suspect_ranges
     assert network.transport.delay_multiplier == 3.0
@@ -121,3 +121,17 @@ def test_regional_graceful_variant_loses_nothing():
     assert all(graceful for _, graceful in injector.victims)
     assert not network.suspect_ranges
     assert readable(network, keys) == NUM_KEYS
+
+
+def test_heal_restores_values_a_store_cannot_hash():
+    """A severed node's unhashable values come back under a handle of
+    their own, since the value cannot be its own identity."""
+    network, _ = build_network()
+    key = hash_key("listed")
+    for node_id in network.member_ids():
+        network.put_local(node_id, key, ["row", node_id], identity=("listed", node_id))
+    injector = PartitionInjector(network, network.transport, make_rng(3), fraction=0.25)
+    arc = injector.partition()
+    injector.heal()
+    for node_id in arc:
+        assert ["row", node_id] in network.get_local(node_id, key)

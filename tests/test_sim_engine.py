@@ -632,3 +632,18 @@ class TestRunWithInbox:
         assert via_inbox.run_with_inbox([], 0, deliver_into([])) == (12, 0)
         assert inbox_fired == run_fired
         assert via_inbox.now == via_run.now
+
+
+class TestEventGroupBounds:
+    def test_a_group_rejects_a_negative_delay(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="into the past"):
+            sim.group().schedule(-0.5, lambda: None)
+
+    def test_a_group_rejects_an_absolute_time_in_the_past(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError, match="into the past"):
+            sim.group().schedule_at(1.0, lambda: None)
+        assert sim.pending == 0

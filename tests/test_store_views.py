@@ -9,7 +9,7 @@ A missed invalidation would go on answering from a list the store no
 longer holds, and no answer test would notice unless its query happened
 to read that key after that write. This state machine drives every kind
 of write a store sees — routed, replicated publishes of new rows and of
-duplicates, direct local writes and removals, a joining node claiming
+duplicates, direct local writes, a joining node claiming
 keys from its successor, a graceful leave handing its store over, and a
 crash — and after each one holds the memoised view
 at every live node and posting key to a view built fresh from
@@ -87,10 +87,6 @@ class StoreViews(RuleBasedStateMachine):
         _, row, identity, _, _ = self.postings.entry(posting(keyword, index))
         self.network.put_local(self.node(pick), table_key("Inverted", keyword), row, identity)
 
-    @rule(pick=picks, keyword=keywords)
-    def remove_local(self, pick, keyword):
-        self.network.remove_local(self.node(pick), table_key("Inverted", keyword))
-
     @rule(at=st.one_of(keywords.map(lambda keyword: table_key("Inverted", keyword)), picks))
     def create_node(self, at):
         """A node joining right on a posting key claims that list from its
@@ -140,18 +136,13 @@ def test_a_view_is_shared_until_a_write_changes_its_list():
     network.put_many([postings.entry(posting("nebula", 7))])
     newer = network.local_view(node, key, StoredList)
     assert newer is not view and newer.ids[-1] == "file07"
-    network.remove_local(node, key)
+    network.create_node(key)  # a newcomer claims the key: the list moves off
     assert network.local_view(node, key, StoredList).rows == []
 
 
 def _put_new_row(network, postings, key, owner, successor):
     _, row, identity, _, _ = postings.entry(posting("nebula", 5))
     network.put_local(owner, key, row, identity)
-    return owner
-
-
-def _remove_key(network, postings, key, owner, successor):
-    network.remove_local(owner, key)
     return owner
 
 
@@ -174,7 +165,6 @@ def _routed_put(network, postings, key, owner, successor):
     "write",
     [
         _put_new_row,
-        _remove_key,
         _join_claims_key,
         _graceful_leave,
         _routed_put,

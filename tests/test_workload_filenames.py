@@ -36,9 +36,6 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             vocabulary.sample_terms(501)
 
-    def test_rank_of(self, vocabulary):
-        assert vocabulary.rank_of(vocabulary.terms[0]) == 1
-
     def test_sample_tail_terms_avoid_head(self, vocabulary):
         head = set(vocabulary.terms[:125])
         for _ in range(50):
@@ -52,7 +49,7 @@ class TestVocabulary:
 class TestFilenameGenerator:
     def test_unique_filenames(self, vocabulary):
         generator = FilenameGenerator(vocabulary, rng=72)
-        names = generator.generate_many(500)
+        names = [generator.generate() for _ in range(500)]
         assert len(set(names)) == 500
 
     def test_has_extension(self, vocabulary):
@@ -83,3 +80,22 @@ class TestFilenameGenerator:
             generator.generate_with_prefix(["alpha", "beta"]) for _ in range(50)
         }
         assert len(names) == 50
+
+
+class TestExhaustion:
+    def test_too_many_tail_terms_rejected(self):
+        vocabulary = Vocabulary(10, rng=1)
+        with pytest.raises(ValueError, match="tail terms"):
+            vocabulary.sample_tail_terms(9)  # the tail past a 25 % head is 8
+
+    def test_a_tiny_vocabulary_runs_out_of_names(self):
+        generator = FilenameGenerator(Vocabulary(10, rng=1), min_terms=1, max_terms=1, rng=2)
+        with pytest.raises(RuntimeError, match="vocabulary too small"):
+            for _ in range(200):
+                generator.generate()
+
+    def test_a_prefix_family_runs_out_of_names(self):
+        generator = FilenameGenerator(Vocabulary(10, rng=1), rng=2)
+        with pytest.raises(RuntimeError, match="vocabulary too small"):
+            for _ in range(200):
+                generator.generate_with_prefix(["darel"], extra_terms=1)

@@ -72,7 +72,7 @@ class TestPlacement:
         nodes = list(range(500))
         placement = small_library.place(nodes, rng=82)
         for item in small_library.items:
-            assert placement.replication_of(item.filename) == item.replication
+            assert len(placement.replicas_by_filename[item.filename]) == item.replication
 
     def test_no_node_holds_two_replicas_of_one_item(self, small_library):
         placement = small_library.place(list(range(500)), rng=82)
@@ -83,11 +83,7 @@ class TestPlacement:
     def test_placement_totals(self, small_library):
         placement = small_library.place(list(range(500)), rng=82)
         assert placement.total_replicas == small_library.total_replicas
-        assert placement.distinct_items == 400
-
-    def test_files_at_unknown_node_empty(self, small_library):
-        placement = small_library.place(list(range(500)), rng=82)
-        assert placement.files_at(10**9) == []
+        assert len(placement.replicas_by_filename) == 400
 
     def test_rejects_empty_node_list(self, small_library):
         with pytest.raises(WorkloadError):

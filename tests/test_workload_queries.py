@@ -1,10 +1,12 @@
 """Tests for query workload generation."""
 
+import random
+
 import pytest
 
 from repro.common.errors import WorkloadError
-from repro.workload.library import ContentLibrary
-from repro.workload.queries import QueryWorkload, generate_workload
+from repro.workload.library import CatalogItem, ContentLibrary
+from repro.workload.queries import QueryWorkload, _query_for_item, generate_workload
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +79,9 @@ class TestGenerateWorkload:
         workload = generate_workload(library, 5, rng=100)
         query = workload.queries[0]
         assert str(query) == " ".join(query.terms)
+
+
+def test_an_item_without_keywords_cannot_be_queried():
+    item = CatalogItem(index=0, filename="the of - mp3.mp3", filesize=1, replication=1)
+    with pytest.raises(WorkloadError, match="no indexable keywords"):
+        _query_for_item(0, item, max_terms=3, rng=random.Random(1))

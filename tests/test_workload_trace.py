@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.workload.trace import (
     QueryObservation,
     TraceBundle,
@@ -29,21 +27,6 @@ class TestTraceBundle:
     def test_num_queries(self):
         bundle = TraceBundle(observations=[observation(0), observation(1)])
         assert bundle.num_queries == 2
-
-    def test_no_result_fractions(self):
-        bundle = TraceBundle(
-            observations=[
-                observation(0, single=0, union=0),
-                observation(1, single=0, union=3),
-                observation(2, single=5, union=8),
-            ]
-        )
-        assert bundle.no_result_fraction_single() == pytest.approx(2 / 3)
-        assert bundle.no_result_fraction_union() == pytest.approx(1 / 3)
-
-    def test_empty_bundle_fractions(self):
-        assert TraceBundle().no_result_fraction_single() == 0.0
-        assert TraceBundle().no_result_fraction_union() == 0.0
 
 
 class TestPersistence:
