@@ -659,8 +659,8 @@ class DhtNetwork:
     # Data path
     #
     # Writes all go through put_many (put/put_raw are its one-entry
-    # forms): the only place a tuple is stored on owner + successors +
-    # registered replicas, and the only place a put is priced.
+    # forms): the only place a tuple is stored on its owner and the
+    # owner's successor copies, and the only place a put is priced.
     # ------------------------------------------------------------------
 
     def ship_batch(

@@ -13,6 +13,7 @@ network do not rebuild it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.gnutella.measurement import MeasurementCampaign, replay_campaign
@@ -158,3 +159,19 @@ def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}" if abs(cell) < 100 else f"{cell:.1f}"
     return str(cell)
+
+
+def quantile(values: Sequence[float], q: float) -> float:
+    """The ``q``-quantile (0..1) of a sample, by linear interpolation."""
+    if not values:
+        raise ValueError("quantile of an empty sample")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0,1], got {q}")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = position - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction

@@ -65,7 +65,7 @@ def kernel_workload(num_events: int = 200_000, seed: int = 7) -> tuple[int, floa
     The workload mirrors the deployment simulation's usage profile: 1/4
     of events are scheduled through cancellable groups, eight of the 32
     groups are mass-cancelled (the engine cancels by group only, as a
-    query's early termination does), and ``pending`` is polled every 1024
+    failed query's teardown does), and ``pending`` is polled every 1024
     schedules (the in-flight gauge the scale benchmarks read). Delays are
     precomputed so the timed region is engine work, not RNG work.
     """

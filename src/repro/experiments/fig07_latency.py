@@ -16,9 +16,14 @@ from __future__ import annotations
 import math
 from statistics import mean
 
-from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, get_campaign
+from repro.experiments.common import (
+    ExperimentResult,
+    PaperScale,
+    PAPER_SCALE,
+    get_campaign,
+    quantile,
+)
 from repro.hybrid.deployment import DeploymentConfig, DeploymentReport, run_deployment
-from repro.metrics.cdf import quantile
 
 BUCKETS = [(1, 1), (2, 5), (6, 10), (11, 25), (26, 50), (51, 150), (151, 10**9)]
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
+from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, quantile
 from repro.experiments.fig07_latency import CDF_PERCENTILES, get_event_report
 from repro.experiments.fig11_qr import HORIZONS, build_trace_model
 from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT
-from repro.metrics.cdf import quantile
 
 
 def run(scale: PaperScale = PAPER_SCALE, max_threshold: int = 10) -> ExperimentResult:

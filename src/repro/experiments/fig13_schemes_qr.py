@@ -5,9 +5,9 @@ for each budget (fraction of items published), each scheme publishes the
 items it estimates rarest, and we measure the hybrid's average recall at
 a 5% search horizon — the paper's setting for Figure 13.
 
-The QRS scheme is trained but reported separately in the deployment
-experiment, matching the paper (which omitted QRS from this comparison
-for lack of training queries).
+QRS is not compared, matching the paper (which omitted it for lack of
+training queries): it runs only as the Section 7 deployment's publish
+rule, :meth:`repro.hybrid.ultrapeer.HybridUltrapeer.observe_query_results`.
 """
 
 from __future__ import annotations

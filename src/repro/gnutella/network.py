@@ -2,8 +2,7 @@
 
 Glues topology, content placement, per-ultrapeer indexes, flooding,
 dynamic querying and the latency model into one object experiments can
-drive. Also provides BrowseHost (fetching a neighbour's file list), which
-the hybrid ultrapeer uses to gather file information (Section 7).
+drive.
 
 The network owns the content plane everything above it reads: the one
 filename matcher its indexes share, and each replica's hosting ultrapeers.

@@ -1,19 +1,19 @@
 """The hybrid search infrastructure (Sections 5 and 7).
 
-:mod:`repro.hybrid.rare_items` implements the localized schemes for
-identifying rare items worth publishing into the DHT (Perfect, Random,
-QRS, TF, TPF, SAM); :mod:`repro.hybrid.ultrapeer` is the hybrid
-LimeWire/PIERSearch ultrapeer of Figure 17; :mod:`repro.hybrid.engine`
-races Gnutella flooding against the DHT re-query as scheduled events in
-virtual time; :mod:`repro.hybrid.world` wires that stack onto a DHT in
-one place; and :mod:`repro.hybrid.deployment` reproduces the 50-node
-PlanetLab deployment experiment on such a world.
+:mod:`repro.hybrid.rare_items` implements the localized schemes that
+Figures 13-15 compare for identifying rare items worth publishing into
+the DHT (Perfect, Random, TF, TPF, SAM); :mod:`repro.hybrid.ultrapeer`
+is the hybrid LimeWire/PIERSearch ultrapeer of Figure 17, which runs the
+deployment's one scheme, QRS, on each flood's result set;
+:mod:`repro.hybrid.engine` races Gnutella flooding against the DHT
+re-query as scheduled events in virtual time; :mod:`repro.hybrid.world`
+wires that stack onto a DHT in one place; and
+:mod:`repro.hybrid.deployment` reproduces the 50-node PlanetLab
+deployment experiment on such a world.
 """
 
 from repro.hybrid.rare_items import (
-    CompressedTermFrequencyScheme,
     PerfectScheme,
-    QueryResultsSizeScheme,
     RandomScheme,
     RareItemScheme,
     SamplingScheme,
@@ -31,10 +31,8 @@ __all__ = [
     "QueryRace",
     "RaceConfig",
     "RareItemScheme",
-    "CompressedTermFrequencyScheme",
     "PerfectScheme",
     "RandomScheme",
-    "QueryResultsSizeScheme",
     "TermFrequencyScheme",
     "TermPairFrequencyScheme",
     "SamplingScheme",

@@ -93,9 +93,6 @@ class RaceConfig:
     #: per-site join memory budget in *rows* (not bytes); overflowing
     #: build partitions stay in the site's store and are re-read by probes
     memory_budget: int | None = None
-    #: stop each re-query after this many answer tuples, cancelling
-    #: upstream in-flight batches (None = drain the full join)
-    stop_after: int | None = None
 
 
 @dataclass
@@ -475,7 +472,6 @@ class HybridQueryEngine:
             walk.plan.batch_size = self.config.batch_size
         self._dataflow_for(walk.hybrid.search_engine).submit(
             walk.plan,
-            stop_after=self.config.stop_after,
             on_first_answer=lambda query: self._on_first_answer_batch(race),
             on_complete=lambda query: self._on_pipeline_complete(race, walk, query),
             on_error=lambda query, error: self._on_pipeline_error(race, walk, query),
@@ -510,10 +506,9 @@ class HybridQueryEngine:
         # Runs even when the race already resolved on its first answer
         # batch: the final result count was not known until now.
         self._flag_untrusted_zero(race, walk.hybrid.search_engine)
-        if not query.pipeline.early_terminated and not outcome.degraded:
-            # A stop_after run is a deliberately truncated answer set and
-            # a degraded answer may have lost data to churn: never let
-            # either poison the shared result cache.
+        if not outcome.degraded:
+            # A degraded answer may have lost data to churn: never let it
+            # poison the shared result cache.
             walk.hybrid.cache_store(race.key, result)
         if race.done and not race.latency_observed:
             # Resolved on its first answer batch: only now is the PIER

@@ -10,10 +10,6 @@ Schemes:
 
 * **Perfect** — oracle: score = true replica count. Upper bound.
 * **Random** — score is random noise. Lower bound.
-* **QRS** (Query Results Size) — score = smallest observed result-set
-  size among queries that returned the item; items never seen in any
-  result set are unscored and never published (the weakness the paper
-  notes).
 * **TF** (Term Frequency) — score = the item's minimum term frequency,
   over term statistics gathered from observed results traffic.
 * **TPF** (Term Pair Frequency) — like TF but over adjacent ordered term
@@ -21,6 +17,10 @@ Schemes:
 * **SAM** (Sampling) — score = a lower-bound replica count estimated by
   sampling a fraction of nodes. SAM(100%) equals Perfect and SAM(0%)
   degenerates to Random, exactly as Figure 15's legend indicates.
+
+QRS (Query Results Size), the scheme the Section 7 deployment runs, is
+not scored here: it is a publish rule applied to each flood's result set
+as it arrives, :meth:`repro.hybrid.ultrapeer.HybridUltrapeer.observe_query_results`.
 """
 
 from __future__ import annotations
@@ -88,35 +88,6 @@ class RandomScheme(RareItemScheme):
 
     def rarity_scores(self, filenames: list[str]) -> dict[str, float]:
         return {name: self.rng.random() for name in filenames}
-
-
-class QueryResultsSizeScheme(RareItemScheme):
-    """QRS: cache elements of small result sets.
-
-    Trained by observing (result-set size, filenames in the set) pairs
-    from queries the node forwarded. The score of an item is the smallest
-    result set it has appeared in; unseen items never get published.
-    """
-
-    name = "QRS"
-
-    def __init__(self) -> None:
-        self._best_size: dict[str, int] = {}
-
-    def observe_result_set(self, filenames: list[str]) -> None:
-        """Record one query's result set (list of matched filenames)."""
-        size = len(filenames)
-        for name in set(filenames):
-            previous = self._best_size.get(name)
-            if previous is None or size < previous:
-                self._best_size[name] = size
-
-    def rarity_scores(self, filenames: list[str]) -> dict[str, float]:
-        return {
-            name: float(self._best_size[name])
-            for name in filenames
-            if name in self._best_size
-        }
 
 
 class TermFrequencyScheme(RareItemScheme):
@@ -191,83 +162,6 @@ class TermPairFrequencyScheme(RareItemScheme):
                 # Single-term filenames have no pairs; fall back to unscored.
                 continue
             scores[name] = float(min(self.pair_counts.get(pair, 0) for pair in pairs))
-        return scores
-
-
-class CompressedTermFrequencyScheme(RareItemScheme):
-    """TF with Bloom-compressed term statistics (Section 6.3's suggestion).
-
-    Instead of a full term -> count table, stores only a Bloom filter of
-    the *frequent* terms (count above the compression threshold). An item
-    is rare if any of its terms misses the filter. False positives make
-    the scheme err toward "popular" (missing some rare items), never the
-    other way; the memory footprint shrinks by an order of magnitude.
-
-    Because the compressed statistic is binary, rarity scores are 0 (has
-    an infrequent term) or 1 (all terms look frequent): budgeted
-    publishing degrades gracefully to random *within* each class.
-    """
-
-    name = "TF-bloom"
-
-    def __init__(self, frequency_threshold: int, false_positive_rate: float = 0.01):
-        if frequency_threshold < 1:
-            raise ValueError(
-                f"frequency_threshold must be >= 1, got {frequency_threshold}"
-            )
-        self.frequency_threshold = frequency_threshold
-        self.false_positive_rate = false_positive_rate
-        self._exact = TermFrequencyScheme()
-        self._bloom = None
-
-    def observe_filename(self, filename: str, weight: int = 1) -> None:
-        self._exact.observe_filename(filename, weight)
-        self._bloom = None  # invalidate; rebuilt lazily
-
-    def observe_corpus(self, replication: dict[str, int]) -> None:
-        self._exact.observe_corpus(replication)
-        self._bloom = None
-
-    def _frequent_terms(self) -> list[str]:
-        return [
-            term
-            for term, count in self._exact.term_counts.items()
-            if count > self.frequency_threshold
-        ]
-
-    def compress(self):
-        """Freeze the statistics into the Bloom filter; returns it."""
-        from repro.common.bloom import BloomFilter
-
-        frequent = self._frequent_terms()
-        bloom = BloomFilter.with_capacity(
-            max(1, len(frequent)), self.false_positive_rate
-        )
-        bloom.update(frequent)
-        self._bloom = bloom
-        return bloom
-
-    @property
-    def compressed_bytes(self) -> int:
-        if self._bloom is None:
-            self.compress()
-        return self._bloom.size_bytes
-
-    @property
-    def exact_bytes(self) -> int:
-        """Approximate footprint of the uncompressed term table."""
-        return sum(len(term) + 8 for term in self._exact.term_counts)
-
-    def rarity_scores(self, filenames: list[str]) -> dict[str, float]:
-        if self._bloom is None:
-            self.compress()
-        scores: dict[str, float] = {}
-        for name in filenames:
-            keywords = extract_keywords(name)
-            if not keywords:
-                continue
-            has_rare_term = any(term not in self._bloom for term in keywords)
-            scores[name] = 0.0 if has_rare_term else 1.0
         return scores
 
 

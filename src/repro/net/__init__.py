@@ -6,11 +6,10 @@ Transports that charge wire costs and time overlay hops
 """
 
 from repro.net.faults import FaultInjectingTransport
-from repro.net.transport import InProcessTransport, Transport, draw_hop_delay
+from repro.net.transport import InProcessTransport, Transport
 
 __all__ = [
     "FaultInjectingTransport",
     "InProcessTransport",
     "Transport",
-    "draw_hop_delay",
 ]

@@ -31,22 +31,6 @@ import random
 from repro.common.units import BandwidthMeter, CostModel
 
 
-def draw_hop_delay(rng: random.Random, mean: float, jitter: float) -> float:
-    """One per-hop latency draw: ``U[mean*(1-j), mean*(1+j)]``.
-
-    The single source of truth for overlay hop timing — the hybrid
-    engine's walk steps and the dataflow's batch transits draw from this
-    exact distribution (through :meth:`Transport.hop_delays`), so the two
-    layers cannot silently diverge. With ``jitter <= 0`` the draw is
-    deterministic and costs no RNG state, which also gives the minimum
-    possible value ``mean * (1 - jitter)`` used as the sharded kernel's
-    conservative lookahead.
-    """
-    if jitter <= 0:
-        return mean
-    return rng.uniform(mean * (1 - jitter), mean * (1 + jitter))
-
-
 class Transport:
     """Interface: charge wire costs and time overlay hops.
 
@@ -58,13 +42,16 @@ class Transport:
         raise NotImplementedError
 
     def hop_delays(self, rng: random.Random, mean: float, jitter: float, hops: int) -> float:
-        """Virtual seconds ``hops`` overlay hops take: the sum of ``hops``
-        :func:`draw_hop_delay` draws, in one call.
+        """Virtual seconds ``hops`` overlay hops take, in one call: the
+        sum of ``hops`` draws from ``U[mean*(1-j), mean*(1+j)]``.
 
-        Each draw is ``low + span * rng.random()``, which is what
-        ``random.uniform`` computes (3.10–3.12), so the RNG stream and
-        every draw are bit-identical to ``hops`` :func:`draw_hop_delay`
-        calls. The sum is added left to right from ``0.0``: Python 3.12's
+        The one source of overlay hop timing: the hybrid engine's walk
+        steps and the dataflow's batch transits both draw here. Each draw
+        is ``low + span * rng.random()``, which is what ``random.uniform``
+        computes (3.10–3.12), so the RNG stream and every draw are
+        bit-identical to ``hops`` ``random.uniform`` calls. With
+        ``jitter <= 0`` every hop takes ``mean`` and no RNG state is
+        spent. The sum is added left to right from ``0.0``: Python 3.12's
         float ``sum()`` compensates its rounding (Neumaier) and 3.10/3.11's
         does not, so summing with ``sum()`` made virtual times, and every
         digest built on them, differ between interpreters.

@@ -3,11 +3,10 @@
 This package reproduces the slice of PIER [Huebsch et al., VLDB 2003] that
 PIERSearch exercises: relational schemas and tuples, a catalog of DHT-
 indexed tables (with memoized per-epoch posting statistics), local
-physical operators (scan / select / project / substring filter / a
-hash join built once per version of a site's stored posting list, with
-an optional memory budget whose evicted partitions stay in the site's
-store),
-and one execution runtime: the streaming exchange dataflow
+physical operators (a substring filter, and a hash join built once per
+version of a site's stored posting list, with an optional memory budget
+whose evicted partitions stay in the site's store), and one execution
+runtime: the streaming exchange dataflow
 (:mod:`repro.pier.dataflow`) that ships tuple batches between sites as
 events in virtual time, charging every shipped tuple to the bandwidth
 meter. A blocking caller drains it with one batch per edge; the hybrid
@@ -40,7 +39,7 @@ INVERTED_CACHE     nothing (single-site substring    whenever that table
 from repro.pier.schema import Row, Schema, row_identity
 from repro.pier.rows import RowBatch
 from repro.pier.catalog import Catalog, TableHandle
-from repro.pier.operators import JoinProbe, Operator, Scan, StoredHashJoin, SubstringFilter
+from repro.pier.operators import JoinProbe, Operator, StoredHashJoin, SubstringFilter
 from repro.pier.query import DistributedPlan, PipelineStats, PlanStage, QueryStats
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, DataflowQuery
 from repro.pier.optimizer import CostBasedOptimizer, CostEstimate, OptimizerConfig
@@ -54,7 +53,6 @@ __all__ = [
     "Catalog",
     "TableHandle",
     "Operator",
-    "Scan",
     "SubstringFilter",
     "StoredHashJoin",
     "JoinProbe",

@@ -37,10 +37,9 @@ the sites of a keyword chain:
   (nothing is written), and each arriving batch is charged a re-read of
   the evicted partitions its keys land in. Spill is site-local: it
   schedules nothing and ships nothing.
-* The query node supports **early termination**: once ``stop_after``
-  answer tuples have arrived, every in-flight and queued upstream batch
-  is cancelled through a :class:`~repro.sim.engine.EventGroup`, saving
-  the bytes those batches would have shipped.
+* Every event a query schedules belongs to its
+  :class:`~repro.sim.engine.EventGroup`, so a failed query (a site that
+  left the ring) cancels all of its in-flight and queued batches at once.
 * Nothing here branches on the strategy: the distributed join, the
   semi-join, the Bloom join (filter forward, probable-match digests, a
   verification leg back to the filter site) and the InvertedCache plan
@@ -104,6 +103,9 @@ _FILE_ID = itemgetter("fileID")
 #: default tuples per exchange batch when neither the plan nor the
 #: executor's config picks one
 DEFAULT_BATCH_SIZE = 64
+#: virtual time between consecutive batch sends on one exchange edge
+#: (models serialising a batch onto the first hop)
+SEND_INTERVAL = 0.15
 
 #: the per-site operator steps (each run by one :class:`_Stage`): name
 #: (span ``stage.<name>``, metrics ``operator.<name>.*``), the span
@@ -126,25 +128,19 @@ class DataflowConfig:
     hop_latency: float = 1.2
     #: fractional spread of each hop draw: U[mean*(1-j), mean*(1+j)]
     hop_jitter: float = 0.35
-    #: virtual time between consecutive batch sends on one exchange edge
-    #: (models serialising a batch onto the first hop)
-    send_interval: float = 0.15
     #: max *rows* (not bytes) of its stored posting list a join site
     #: builds in memory (None = unbounded). Over it, whole build partitions
     #: are evicted; they stay in the site's store and every arriving batch
     #: re-reads the evicted partitions its keys land in
     memory_budget: int | None = None
-    #: hash-partition fan-out of each budgeted join's build
-    spill_partitions: int = NUM_SPILL_PARTITIONS
 
 
 class DataflowQuery:
     """One pipelined query in flight; completed once ``done`` is set."""
 
-    def __init__(self, plan: DistributedPlan, stats: QueryStats, stop_after: int | None):
+    def __init__(self, plan: DistributedPlan, stats: QueryStats):
         self.plan = plan
         self.stats = stats
-        self.stop_after = stop_after
         self.rows: list[Row] = []
         self.done = False
         #: what failed the query, if anything. Stored *without* its
@@ -250,7 +246,6 @@ class DataflowExecutor:
         self,
         plan: DistributedPlan,
         fetch_items: bool = True,
-        stop_after: int | None = None,
     ) -> tuple[list[Row], QueryStats]:
         """Run ``plan`` to completion on this executor's simulator.
 
@@ -262,7 +257,7 @@ class DataflowExecutor:
         its :attr:`DataflowQuery.error` from here, so the traceback
         starts at this call, not at the DHT operation that failed.
         """
-        query = self.submit(plan, fetch_items=fetch_items, stop_after=stop_after)
+        query = self.submit(plan, fetch_items=fetch_items)
         self.sim.run()
         if query.error is not None:
             raise query.error
@@ -272,7 +267,6 @@ class DataflowExecutor:
         self,
         plan: DistributedPlan,
         fetch_items: bool = True,
-        stop_after: int | None = None,
         on_first_answer: Callable[[DataflowQuery], None] | None = None,
         on_complete: Callable[[DataflowQuery], None] | None = None,
         on_error: Callable[[DataflowQuery, DhtError], None] | None = None,
@@ -293,7 +287,6 @@ class DataflowExecutor:
             plan,
             query_id=self._query_counter,
             fetch_items=fetch_items,
-            stop_after=stop_after,
             on_first_answer=on_first_answer,
             on_complete=on_complete,
             on_error=on_error,
@@ -314,7 +307,7 @@ class _Exchange:
 
     Buffers offered value tuples (one per row, under the edge's fixed
     ``columns`` schema — see :class:`~repro.pier.rows.RowBatch`) into
-    fixed-size batches, paces sends ``send_interval`` apart, charges each
+    fixed-size batches, paces sends :data:`SEND_INTERVAL` apart, charges each
     batch on send, and delivers a free end-of-stream control event after
     the last data arrival (the marker piggybacks on the final batch, so
     it costs no extra bytes). An answer edge goes straight to the query
@@ -447,14 +440,13 @@ class _Exchange:
             self._m_transit.observe(arrival - run.sim.now)
         run.group.schedule_at(arrival, partial(self._arrive, batch))
         if self._queue:
-            run.group.schedule(run.executor.config.send_interval, self._send_head)
+            run.group.schedule(SEND_INTERVAL, self._send_head)
         else:
             self._sending = False
             if self._closed:
                 self._finish_stream()
 
     def _arrive(self, batch: list[tuple]) -> None:
-        self.run.batches_delivered += 1
         self.deliver(RowBatch(self.columns, batch))
 
     # -- end of stream ---------------------------------------------------
@@ -475,10 +467,6 @@ class _Exchange:
             max(self.run.sim.now, self._last_arrival), self.deliver_eos
         )
 
-    @property
-    def unsent_batches(self) -> int:
-        return len(self._queue) + (1 if self._buffer else 0)
-
 
 class _QueryRun:
     """Everything one pipelined query owns while in flight.
@@ -494,7 +482,6 @@ class _QueryRun:
         plan: DistributedPlan,
         query_id: int,
         fetch_items: bool,
-        stop_after: int | None,
         on_first_answer,
         on_complete,
         on_error,
@@ -535,7 +522,7 @@ class _QueryRun:
             keywords=plan.keywords,
             pipeline=PipelineStats(batch_size=self.batch_size),
         )
-        self.query = DataflowQuery(plan, self.stats, stop_after)
+        self.query = DataflowQuery(plan, self.stats)
         self.submitted_at = executor.sim.now
         #: the node a step at each stage index runs at (the query node
         #: last, at :data:`~repro.pier.query.QUERY_NODE`)
@@ -546,7 +533,6 @@ class _QueryRun:
         #: the keys the Bloom build step built its filter from (what a
         #: Bloom verify step checks candidates against)
         self.filter_keys: set | None = None
-        self.batches_delivered = 0
         self.answer_tuples = 0
         self.max_fetch_hops = 0
         self.outstanding_fetches = 0
@@ -744,12 +730,6 @@ class _QueryRun:
                 self.span.event("first_answer", tuples=answer_count)
             if self.on_first_answer is not None:
                 self.on_first_answer(self.query)
-        if (
-            self.query.stop_after is not None
-            and self.answer_tuples >= self.query.stop_after
-        ):
-            self._terminate_early()
-            return
         self._maybe_complete()
 
     def _answers_finished(self) -> None:
@@ -786,14 +766,6 @@ class _QueryRun:
 
     # -- termination -----------------------------------------------------
 
-    def _terminate_early(self) -> None:
-        in_flight = sum(e.batches_sent for e in self.exchanges) - self.batches_delivered
-        queued = sum(e.unsent_batches for e in self.exchanges)
-        self.pipeline.batches_cancelled = max(0, in_flight) + queued
-        self.pipeline.early_terminated = True
-        self.group.cancel()
-        self.complete()
-
     def complete(self) -> None:
         if self.query.done:
             return
@@ -820,7 +792,6 @@ class _QueryRun:
                 messages=self.stats.messages,
                 results=self.stats.results,
                 batches=self.pipeline.batches_shipped,
-                early_terminated=self.pipeline.early_terminated,
             )
         if self.hot is not None:
             queries, by_strategy, completion = self.hot.completion(self.plan.strategy)
@@ -966,7 +937,7 @@ class _Stage:
                 self.join = JoinProbe(
                     view.join(
                         config.memory_budget,
-                        config.spill_partitions,
+                        NUM_SPILL_PARTITIONS,
                         executor.cost_model.spill_tuple_bytes(),
                     )
                 )

@@ -1,8 +1,8 @@
 """Local physical operators.
 
-These are the node-local building blocks of PIER query plans. ``Scan``
-and ``SubstringFilter`` are iterator operators over row streams (the
-InvertedCache stage filters cached full text with them);
+These are the node-local building blocks of PIER query plans.
+``SubstringFilter`` is an iterator operator over a row stream (the
+InvertedCache stage filters cached full text with it);
 :class:`StoredHashJoin` is the one join — built on the posting list a
 site stores, probed by each arriving batch of bare join keys through a
 per-query :class:`JoinProbe`, with a partitioned, memory-budgeted build
@@ -79,19 +79,6 @@ class Operator:
         return list(self)
 
 
-class Scan(Operator):
-    """Leaf operator over an already-materialised list of rows."""
-
-    def __init__(self, rows: Iterable[Row]):
-        self._rows = list(rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
 class SubstringFilter(Operator):
     """Keep rows whose ``column`` contains ``needle`` as a substring.
 
@@ -100,7 +87,9 @@ class SubstringFilter(Operator):
     with substring selection instead of distributed joins.
     """
 
-    def __init__(self, child: Operator, column: str, needle: str, case_sensitive: bool = False):
+    def __init__(
+        self, child: Iterable[Row], column: str, needle: str, case_sensitive: bool = False
+    ):
         self.child = child
         self.column = column
         self.needle = needle if case_sensitive else needle.lower()

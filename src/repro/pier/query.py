@@ -263,14 +263,10 @@ class PipelineStats:
     batch_size: int | None = None
     #: batches actually sent over exchange edges (rehash + answer)
     batches_shipped: int = 0
-    #: batches cancelled by early termination before send or processing
-    batches_cancelled: int = 0
     #: virtual time the first answer tuple reached the query node
     first_answer_time: float | None = None
-    #: virtual time the pipeline fully drained (or was cancelled)
+    #: virtual time the pipeline fully drained (or failed)
     completion_time: float | None = None
-    #: stop_after fired: upstream in-flight batches were cancelled
-    early_terminated: bool = False
 
 
 @dataclass

@@ -49,6 +49,10 @@ from repro.scenario.workloads import (
     build_corpus,
 )
 
+#: hard wall (virtual seconds) on each re-query phase of a scenario race:
+#: a partition-stretched walk ends degraded instead of waiting forever
+REQUERY_DEADLINE = 60.0
+
 
 @dataclass(frozen=True)
 class ScenarioEvent:
@@ -253,13 +257,7 @@ class ScenarioRunner:
             range(spec.num_ultrapeers),
             gnutella_timeout=spec.gnutella_timeout,
             optimizer=spec.optimizer,
-            race_config=RaceConfig(
-                dht_hop_latency=spec.dht_hop_latency,
-                hop_jitter=spec.hop_jitter,
-                max_requery_attempts=spec.max_requery_attempts,
-                retry_backoff=spec.retry_backoff,
-                requery_deadline=spec.requery_deadline,
-            ),
+            race_config=RaceConfig(requery_deadline=REQUERY_DEADLINE),
             rng=spawn_rng(rng, "engine"),
             cache_budget_bytes=spec.cache_budget_bytes,
             metrics=self.metrics,

@@ -268,12 +268,6 @@ class ScenarioSpec:
     cache_budget_bytes: int = 0
     #: price each re-query with the cost-based optimizer
     optimizer: bool = False
-    dht_hop_latency: float = 1.2
-    hop_jitter: float = 0.35
-    max_requery_attempts: int = 3
-    retry_backoff: float = 2.0
-    #: hard wall on each re-query phase (None = wait forever)
-    requery_deadline: float | None = 60.0
 
     def validate(self) -> None:
         if not self.name:
@@ -294,10 +288,6 @@ class ScenarioSpec:
         if self.gnutella_timeout <= 0:
             raise ScenarioError(
                 f"gnutella_timeout must be > 0, got {self.gnutella_timeout}"
-            )
-        if self.requery_deadline is not None and self.requery_deadline <= 0:
-            raise ScenarioError(
-                f"requery_deadline must be > 0 or None, got {self.requery_deadline}"
             )
         self.arrival.validate()
         self.churn.validate(self.duration)

@@ -21,7 +21,7 @@ The engine keeps two O(1) counters alongside the heap: the number of
 :attr:`Simulator.pending`, and the number of corpses still sitting in the
 heap. Corpses are skipped lazily when popped; when they outnumber the
 live ones the heap is compacted in one pass so a cancel-heavy workload
-(e.g. mass early termination of pipelined queries) cannot leave the heap
+(e.g. many pipelined queries failing at once) cannot leave the heap
 dominated by them.
 """
 
@@ -231,7 +231,7 @@ class EventGroup:
     """A cancellable set of scheduled events.
 
     Groups model one logical activity's in-flight work — e.g. every batch
-    of a pipelined query — so early termination can cancel *all* of it in
+    of a pipelined query — so a failed query can cancel *all* of it in
     one call. The group holds its pending callbacks keyed by heap seq;
     the engine pops each as it fires, and :meth:`cancel` clears the rest
     so the engine skips their heap entries. A cancelled group silently

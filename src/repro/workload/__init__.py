@@ -7,19 +7,12 @@ regenerates the *distributions* the analyses consume: a term vocabulary
 with Zipf-skewed frequencies (:mod:`repro.workload.filenames`), a content
 library with long-tailed replication (:mod:`repro.workload.library`), a
 query workload correlated with content popularity
-(:mod:`repro.workload.queries`), and trace record types with save/load
-(:mod:`repro.workload.trace`). DESIGN.md documents the substitution.
+(:mod:`repro.workload.queries`). DESIGN.md documents the substitution.
 """
 
 from repro.workload.filenames import FilenameGenerator, Vocabulary
 from repro.workload.library import CatalogItem, ContentLibrary, Placement, SharedFile
 from repro.workload.queries import Query, QueryWorkload, generate_workload
-from repro.workload.trace import (
-    QueryObservation,
-    TraceBundle,
-    load_trace,
-    save_trace,
-)
 
 __all__ = [
     "FilenameGenerator",
@@ -31,8 +24,4 @@ __all__ = [
     "Query",
     "QueryWorkload",
     "generate_workload",
-    "QueryObservation",
-    "TraceBundle",
-    "load_trace",
-    "save_trace",
 ]

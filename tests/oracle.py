@@ -60,6 +60,11 @@ entries in use order, the least recently used dropped first, an answer
 larger than the whole budget refused before anything is dropped.
 ``tests/test_cache_results.py`` holds ``QueryResultCache`` to it.
 
+:func:`reference_hop_delay` is one overlay hop's latency drawn on its
+own with ``random.uniform``. ``tests/test_net_transport.py`` holds
+``Transport.hop_delays``, the batched draw every hop takes, to a
+left-to-right ``+=`` of these draws.
+
 :func:`reference_estimates` is the cost-based optimizer's closed-form
 byte model: one sum per strategy over the legs of a ``k``-term chain,
 written without any step list. ``tests/test_pier_steps.py`` holds the
@@ -82,6 +87,14 @@ from repro.pier.planner import batch_size_for
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import PublishReceipt
 from repro.piersearch.tokenizer import extract_keywords
+
+
+def reference_hop_delay(rng, mean, jitter):
+    """One per-hop latency draw: ``U[mean*(1-j), mean*(1+j)]``, and
+    ``mean`` with no RNG state spent when ``jitter <= 0``."""
+    if jitter <= 0:
+        return mean
+    return rng.uniform(mean * (1 - jitter), mean * (1 + jitter))
 
 
 def oracle_items(catalog, terms):

@@ -21,7 +21,9 @@ import :mod:`repro.sim.shard`, whose one program is the benchmark's
 Finally, nothing under ``src/repro`` is dead: every function, method and
 class defined there is named by some code under ``src/``, ``bench/`` or
 ``examples/``, or is one of the few test instruments listed, with a
-reason, in :data:`TEST_INSTRUMENTS`.
+reason, in :data:`TEST_INSTRUMENTS`. A package ``__init__``'s re-export
+names a definition without using it, so it is not a caller; every name a
+package exports must still be one it binds.
 """
 
 from __future__ import annotations
@@ -58,21 +60,19 @@ CALLER_ROOTS = ("src", "bench", "examples")
 #: that stays; one reason each
 TEST_INSTRUMENTS = {
     "all_results_for": "the recall oracle: every matching replica in the network",
-    "add_local_files": "builds a QrpUltrapeerIndex, which only the QRP tests use",
-    "attach_leaf": "builds a QrpUltrapeerIndex, which only the QRP tests use",
     "closest_preceding": "the routing-step differential reads a node's next-hop choice",
-    "compressed_bytes": "the compressed-TF test compares the filter's footprint with the table's",
     "connected_ultrapeer_count": "the topology tests check the overlay is one component",
     "estimated_false_positive_rate": "the Bloom tests bound a filter's fill-implied FP rate",
-    "exact_bytes": "the compressed-TF test compares the filter's footprint with the table's",
     "final_ttl": "the dynamic-querying tests read the deepest TTL a query reached",
     "first_successor": "the routing-step differential reads a node's fallback hop",
     "flood_query": "the end-to-end and network tests flood a built network",
+    "hybrid_overall_cost": "the paper's Equation (4), held to its closed form by the model tests",
     "matching_replicas": "the matcher tests hold it equal to a substring scan",
-    "observe_result_set": "feeds QueryResultsSizeScheme, which only the rare-item tests use",
+    "pf_hybrid": "the paper's Equation (1), held to its closed form by the model tests",
     "sample_many": "the Zipf tests draw in bulk to check the distribution's shape",
     "sweep_by_point": "the join-robustness benchmark reads ext-join rows by (policy, budget)",
     "table_key": "the posting-key formula tests derive keys with, apart from ring_key's memo",
+    "total_publishing_cost": "the paper's Equation (5), held to its closed form by the model tests",
 }
 
 
@@ -254,14 +254,21 @@ def test_deleted_path_selectors_stay_deleted():
     the kernel cancels by group only (no per-event handle), and where
     wall time goes is cProfile's job, not a hook in the event loop. The
     result cache is LRU only, with no TTL or admission gate, and nothing
-    estimates query popularity or shrinks a flood's TTL."""
+    estimates query popularity or shrinks a flood's TTL. A re-query
+    drains its whole join (no early termination), batch pacing and the
+    spill fan-out are constants, and a scenario races with the engine's
+    own timing knobs. QRP leaf filters, trace files and the recall/CDF
+    package are gone."""
     import dataclasses
     import importlib
     import inspect
 
     from repro.dht.network import DhtNetwork
+    from repro.hybrid.engine import RaceConfig
     from repro.pier.dataflow import DataflowConfig, DataflowExecutor
     from repro.pier.operators import StoredHashJoin
+    from repro.pier.query import PipelineStats
+    from repro.scenario.spec import ScenarioSpec
     from repro.sim import engine
 
     for name in ("Event", "install_profiler", "Process", "run_callbacks"):
@@ -274,7 +281,11 @@ def test_deleted_path_selectors_stay_deleted():
         set(inspect.signature(DhtNetwork.__init__).parameters)
         | set(inspect.signature(StoredHashJoin.__init__).parameters)
         | set(inspect.signature(DataflowExecutor.__init__).parameters)
+        | set(inspect.signature(DataflowExecutor.execute).parameters)
+        | set(inspect.signature(DataflowExecutor.submit).parameters)
         | {field.name for field in dataclasses.fields(DataflowConfig)}
+        | {field.name for field in dataclasses.fields(RaceConfig)}
+        | {field.name for field in dataclasses.fields(PipelineStats)}
     )
     gone = {
         "spill_policy",
@@ -284,8 +295,21 @@ def test_deleted_path_selectors_stay_deleted():
         "right",
         "spill_sink",
         "temp_namespace",
+        "stop_after",
+        "early_terminated",
+        "batches_cancelled",
+        "send_interval",
+        "spill_partitions",
     }
     assert not exposed & gone
+    # The race's timing knobs live on RaceConfig alone.
+    assert not {field.name for field in dataclasses.fields(ScenarioSpec)} & {
+        "dht_hop_latency",
+        "hop_jitter",
+        "max_requery_attempts",
+        "retry_backoff",
+        "requery_deadline",
+    }
 
     import repro.gnutella.flooding as flooding
     from repro.cache.results import QueryResultCache
@@ -296,6 +320,9 @@ def test_deleted_path_selectors_stay_deleted():
         importlib.import_module("repro.cache.popularity")
     for name in ("adaptive_flood", "popularity_stop_ttl"):
         assert not hasattr(flooding, name), name
+    for module in ("repro.metrics", "repro.gnutella.qrp", "repro.workload.trace"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
 
 def _referenced_names(trees: Iterable[ast.AST]) -> set[str]:
@@ -325,6 +352,19 @@ def _definitions(tree: ast.AST) -> Iterator[tuple[str, int]]:
                 yield node.name, node.lineno
 
 
+def _caller_tree(source: str, filename: str) -> ast.AST:
+    """The AST of one caller module. A package ``__init__.py``'s
+    top-level imports are dropped: a re-export (``from .mod import
+    helper``, with ``helper`` in ``__all__``) names a definition without
+    using it, so it calls nothing."""
+    tree = ast.parse(source, filename=filename)
+    if Path(filename).name == "__init__.py":
+        tree.body = [
+            node for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+    return tree
+
+
 def _caller_trees() -> list[ast.AST]:
     paths = [
         path
@@ -333,7 +373,7 @@ def _caller_trees() -> list[ast.AST]:
         if "tests" not in path.relative_to(REPO).parts
     ]
     assert paths, f"no callers under {REPO}"
-    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    return [_caller_tree(path.read_text(), str(path)) for path in paths]
 
 
 def _uncalled(referenced: set[str]) -> list[str]:
@@ -351,8 +391,8 @@ def test_every_src_definition_has_a_caller():
 
     The rule matches names, not bindings, so it cannot see a collision:
     a dead ``QueryResultCache.clear`` would pass because ``dict.clear``
-    is called elsewhere. It also counts a package ``__init__`` re-export
-    as a caller.
+    is called elsewhere. A package ``__init__`` re-export is not a
+    caller: a name only re-exported is reported.
     """
     referenced = _referenced_names(_caller_trees()) | set(TEST_INSTRUMENTS)
     dead = _uncalled(referenced)
@@ -401,3 +441,58 @@ def test_dead_code_rule_reads_identifiers_not_text(caller, dead):
     module = ast.parse("def helper():\n    pass\n\n\ndef __getattr__(name):\n    return name\n")
     referenced = _referenced_names([ast.parse(caller)])
     assert {name for name, _ in _definitions(module)} - referenced == dead
+
+
+@pytest.mark.parametrize(
+    "caller, filename, dead",
+    [
+        ("from .mod import helper\n", "pkg/__init__.py", {"helper"}),
+        ("from pkg.mod import helper as h\n", "pkg/__init__.py", {"helper"}),
+        ("import pkg.helper\n", "pkg/__init__.py", {"helper"}),
+        ('__all__ = ["helper"]\n', "pkg/__init__.py", {"helper"}),
+        ('from .mod import helper\n\n__all__ = ["helper"]\n', "pkg/__init__.py", {"helper"}),
+        ("from .mod import helper\n\nhelper()\n", "pkg/__init__.py", set()),
+        ("def setup():\n    from .mod import helper\n", "pkg/__init__.py", set()),
+        ("from .mod import helper\n", "pkg/user.py", set()),
+    ],
+    ids=[
+        "init-reexport", "init-reexport-as", "init-dotted-import", "init-all-string",
+        "init-reexport-and-all", "init-call", "init-function-import", "module-import",
+    ],
+)
+def test_a_package_reexport_is_not_a_caller(caller, filename, dead):
+    """A package ``__init__`` that imports a name to re-export it, or
+    lists it in ``__all__``, uses nothing; a call there, an import inside
+    a function there, or an import in any other module still counts."""
+    module = ast.parse("def helper():\n    pass\n")
+    referenced = _referenced_names([_caller_tree(caller, filename)])
+    assert {name for name, _ in _definitions(module)} - referenced == dead
+
+
+def _package_exports() -> dict[str, list[str]]:
+    """``__all__`` of every package under ``src/repro``, by package."""
+    exports = {}
+    for path in sorted(SRC.rglob("__init__.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                exports[_package_of(path)] = ast.literal_eval(node.value)
+    return exports
+
+
+EXPORTS = _package_exports()
+
+
+@pytest.mark.parametrize("package", sorted(EXPORTS))
+def test_every_package_export_is_bound(package):
+    """Each name a package lists in ``__all__`` is an attribute of the
+    imported package, and listed once, so deleting a definition cannot
+    leave its export behind."""
+    import importlib
+
+    module, names = importlib.import_module(package), EXPORTS[package]
+    assert len(names) == len(set(names)), package
+    missing = [name for name in names if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names what it does not bind: {missing}"

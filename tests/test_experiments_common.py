@@ -1,6 +1,7 @@
 """Tests for experiment configuration, caching and result tables."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.experiments.common import (
     ExperimentResult,
@@ -10,6 +11,7 @@ from repro.experiments.common import (
     get_library,
     get_network,
     get_workload,
+    quantile,
 )
 
 
@@ -74,3 +76,46 @@ class TestExperimentResult:
     def test_format_empty_rows(self):
         result = ExperimentResult("id", "t", ["v"], [])
         assert "id" in result.format_table()
+
+
+class TestQuantile:
+    """The latency percentiles fig07 and fig12 print."""
+
+    def test_interpolates_between_neighbours(self):
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
+        assert quantile([0.0, 10.0], 0.25) == pytest.approx(2.5)
+
+    def test_reads_the_sample_sorted(self):
+        assert quantile([4.0, 1.0, 3.0, 2.0], 1 / 3) == pytest.approx(2.0)
+
+    def test_endpoints_are_min_and_max(self):
+        values = [7.0, 3.0, 9.0, 5.0]
+        assert quantile(values, 0.0) == 3.0
+        assert quantile(values, 1.0) == 9.0
+
+    def test_one_sample_is_every_quantile(self):
+        for q in (0.0, 0.5, 1.0):
+            assert quantile([42.0], q) == 42.0
+
+    def test_rejects_an_empty_sample(self):
+        with pytest.raises(ValueError, match="empty"):
+            quantile([], 0.5)
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01])
+    def test_rejects_q_outside_the_unit_interval(self, q):
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            quantile([1.0, 2.0], q)
+
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        q1=st.floats(0.0, 1.0),
+        q2=st.floats(0.0, 1.0),
+    )
+    def test_monotone_in_q_and_within_the_sample(self, values, q1, q2):
+        """Up to the rounding of ``a*(1-f) + b*f`` (an ulp or so)."""
+        low, high = sorted((q1, q2))
+        slack = 1e-12 * max(1.0, max(map(abs, values)))
+        at_low, at_high = quantile(values, low), quantile(values, high)
+        assert min(values) - slack <= at_low <= at_high + slack
+        assert at_high <= max(values) + slack
+

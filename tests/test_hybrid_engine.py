@@ -340,23 +340,23 @@ class TestPipelinedRaces:
         assert race.outcome.pier_results == len(blocking) > 1
         assert race.outcome.pier_bytes == blocking.stats.bytes
 
-    def test_stop_after_bounds_answers(self):
-        sim, _, engine, hybrid = self.build(
-            config=RaceConfig(batch_size=1, stop_after=1)
-        )
+    def test_a_race_won_mid_join_caches_the_whole_answer(self):
+        """The race resolves on the first answer batch, but the pipeline
+        drains every edge, so what the cache keeps is the full answer."""
+        sim, _, engine, hybrid = self.build(config=RaceConfig(batch_size=1))
+        hybrid.result_cache = QueryResultCache(budget_bytes=64 * 1024)
         race = hybrid.handle_leaf_query_simulated(
             engine, ["montia", "klorena"], [math.inf], 3
         )
         sim.run()
-        assert race.done
-        assert race.outcome.pier_results >= 1
-        full = self.build(config=RaceConfig(batch_size=1))
-        sim2, _, engine2, hybrid2 = full
-        race2 = hybrid2.handle_leaf_query_simulated(
-            engine2, ["montia", "klorena"], [math.inf], 3
+        outcome = race.outcome
+        assert outcome.pier_latency < outcome.pier_completion_latency
+        blocking = hybrid.search_engine.search(
+            ["montia", "klorena"], query_node=hybrid.dht_node_id
         )
-        sim2.run()
-        assert race.outcome.pier_results < race2.outcome.pier_results
+        cached = hybrid.cache_lookup(race.key)
+        assert cached.result_count == outcome.pier_results == len(blocking) > 1
+        assert sorted(cached.filenames) == sorted(blocking.filenames)
 
     def test_races_with_dataflow_survive_churn(self):
         sim, dht, engine, hybrid = self.build(
@@ -383,32 +383,3 @@ class TestPipelinedRaces:
             metrics.counter("hybrid.requery_retries").value
             + metrics.counter("hybrid.pier_abandoned").value
         )
-
-    def test_early_terminated_answers_never_cached(self):
-        dht = DhtNetwork(rng=41)
-        nodes = dht.populate(32)
-        catalog = Catalog(dht)
-        publisher = Publisher(dht, catalog)
-        search = SearchEngine(dht, catalog)
-        sim = Simulator()
-        engine = HybridQueryEngine(
-            sim, dht, config=RaceConfig(batch_size=1, stop_after=1), rng=5
-        )
-        hybrid = HybridUltrapeer(
-            1, nodes[0].node_id, publisher, search,
-            gnutella_timeout=TIMEOUT,
-            result_cache=QueryResultCache(budget_bytes=64 * 1024),
-        )
-        for index in range(20):
-            publish(hybrid, f"montia klorena track{index:02d}.mp3")
-        first = hybrid.handle_leaf_query_simulated(
-            engine, ["montia", "klorena"], [math.inf], 3
-        )
-        sim.run()
-        assert first.outcome.pier_results >= 1  # truncated answer delivered...
-        assert hybrid.cache_lookup(first.key) is None  # ...not cached
-        second = hybrid.handle_leaf_query_simulated(
-            engine, ["montia", "klorena"], [math.inf], 3
-        )
-        sim.run()
-        assert not second.outcome.cache_hit

@@ -6,7 +6,6 @@ import pytest
 
 from repro.hybrid.rare_items import (
     PerfectScheme,
-    QueryResultsSizeScheme,
     RandomScheme,
     SamplingScheme,
     TermFrequencyScheme,
@@ -40,17 +39,6 @@ class TestRandomScheme:
         assert RandomScheme(rng=2).rarity_scores(FILENAMES) == RandomScheme(
             rng=2
         ).rarity_scores(FILENAMES)
-
-
-class TestQrsScheme:
-    def test_scores_smallest_observed_set(self):
-        scheme = QueryResultsSizeScheme()
-        scheme.observe_result_set(["a", "b", "c"])
-        scheme.observe_result_set(["a"])
-        scores = scheme.rarity_scores(["a", "b", "z"])
-        assert scores["a"] == 1.0
-        assert scores["b"] == 3.0
-        assert "z" not in scores  # never observed -> unscored
 
 
 class TestTermFrequencyScheme:

@@ -11,7 +11,8 @@ import pytest
 
 from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
-from repro.hybrid.ultrapeer import HybridUltrapeer
+from repro.hybrid.ultrapeer import QRS_RESULT_SIZE_THRESHOLD, HybridUltrapeer
+from repro.obs.metrics import MetricsRegistry
 from repro.pier.catalog import Catalog
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
@@ -82,6 +83,65 @@ class TestQrsPublishing:
     def test_publish_bytes_accumulate(self, hybrid):
         hybrid.observe_query_results([shared("rare montia klorena.mp3")])
         assert hybrid.publish_bytes > 0
+
+    @pytest.mark.parametrize("size, published", [(1, 1), (4, 4), (5, 0), (6, 0)])
+    def test_a_set_below_the_threshold_is_published_whole(self, hybrid, size, published):
+        """QRS with threshold 5: a set of 1-4 results is rare and every
+        file in it is published; a set of 5 or more is not."""
+        results = [shared(f"track {i} of {size}.mp3", node=i) for i in range(size)]
+        assert hybrid.observe_query_results(results) == published
+        assert hybrid.files_published == published
+
+    def test_the_deployment_threshold_is_twenty_results(self):
+        """Section 7's QRS rule: a result set of fewer than 20 is rare."""
+        first = build()[0]
+        hybrid = HybridUltrapeer(
+            ultrapeer_id=2,
+            dht_node_id=first.dht_node_id,
+            publisher=first.publisher,
+            search_engine=first.search_engine,
+        )
+        assert hybrid.qrs_threshold == QRS_RESULT_SIZE_THRESHOLD == 20
+        popular = [shared(f"track {i}.mp3", node=i) for i in range(20)]
+        assert hybrid.observe_query_results(popular) == 0
+        assert hybrid.observe_query_results(popular[:19]) == 19
+
+    def test_a_file_seen_in_a_large_set_is_published_from_a_small_one(self, hybrid):
+        """A file's smallest result set decides: seen first among popular
+        answers it stays unpublished until a small set carries it."""
+        rare = shared("rare montia klorena.mp3")
+        popular = [shared(f"popular track {i}.mp3", node=i) for i in range(5)]
+        assert hybrid.observe_query_results(popular + [rare]) == 0
+        assert hybrid.observe_query_results([rare]) == 1
+        assert hybrid.observe_query_results(popular + [rare]) == 0
+        assert hybrid.files_published == 1
+
+    def test_replicas_of_one_name_are_published_apiece(self, hybrid):
+        """A result is a (filename, host, size) replica, so two hosts of
+        one filename are two publishes."""
+        results = [shared("rare song.mp3", node=1), shared("rare song.mp3", node=2)]
+        assert hybrid.observe_query_results(results) == 2
+
+    def test_ultrapeers_sharing_a_publisher_compile_one_plan(self):
+        first = build()[0]
+        second = HybridUltrapeer(
+            ultrapeer_id=2,
+            dht_node_id=first.dht_node_id,
+            publisher=first.publisher,
+            search_engine=first.search_engine,
+            qrs_threshold=5,
+        )
+        file = shared("rare montia klorena.mp3")
+        assert first.observe_query_results([file]) == 1
+        assert second.observe_query_results([file]) == 1
+        assert list(first.publisher.plans) == [file.result_key]
+
+    def test_publish_metrics_match_the_receipts(self):
+        metrics = MetricsRegistry()
+        hybrid = build(metrics=metrics)[0]
+        hybrid.observe_query_results([shared("rare montia klorena.mp3"), shared("rare b.mp3")])
+        assert metrics.counter("ultrapeer.qrs_published").value == 2
+        assert metrics.counter("ultrapeer.qrs_publish_bytes").value == hybrid.publish_bytes
 
 
 class TestHybridQueryPath:

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.units import BandwidthMeter, CostModel
 from repro.gnutella.flooding import FLOOD_CATEGORY, flood
-from repro.net import FaultInjectingTransport, InProcessTransport, draw_hop_delay
+from repro.net import FaultInjectingTransport, InProcessTransport
+
+from oracle import reference_hop_delay
 
 
 @pytest.fixture
@@ -64,7 +66,7 @@ def test_hop_delays_matches_inline_uniform_draws(transport):
 def test_hop_delay_zero_jitter_is_deterministic_and_burns_no_rng(transport):
     rng = random.Random(7)
     state = rng.getstate()
-    assert draw_hop_delay(rng, 0.08, 0.0) == 0.08
+    assert reference_hop_delay(rng, 0.08, 0.0) == 0.08
     assert transport.hop_delays(rng, 0.08, 0.0, 3) == 0.08 + 0.08 + 0.08
     assert rng.getstate() == state
 
@@ -95,7 +97,7 @@ def test_hop_delays_equals_a_left_to_right_sum_of_single_draws(
     batched, twin = random.Random(seed), random.Random(seed)
     expected = 0.0
     for _ in range(hops):
-        expected += draw_hop_delay(twin, mean, jitter)
+        expected += reference_hop_delay(twin, mean, jitter)
     assert inner.hop_delays(batched, mean, jitter, hops) == expected
     assert batched.getstate() == twin.getstate()
 
@@ -104,7 +106,7 @@ def test_hop_delays_equals_a_left_to_right_sum_of_single_draws(
     degraded = 0 if multiplier == 1.0 else hops
     stretched = 0.0
     for _ in range(hops):
-        stretched += draw_hop_delay(twin, mean, jitter) * multiplier
+        stretched += reference_hop_delay(twin, mean, jitter) * multiplier
     assert faulty.hop_delays(batched, mean, jitter, hops) == stretched
     assert batched.getstate() == twin.getstate()
     assert faulty.degraded_draws == degraded

@@ -10,7 +10,7 @@ from repro.hybrid.engine import RaceConfig
 from repro.hybrid.world import build_world as build_hybrid_world
 from repro.pier.catalog import Catalog
 from repro.pier import operators
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import SEND_INTERVAL, DataflowConfig, DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import Edge, JoinStrategy
 from repro.obs.metrics import MetricsRegistry
@@ -80,32 +80,64 @@ class TestPipelinedExecution:
         assert pipeline.first_answer_time < pipeline.completion_time
 
 
-class TestEarlyTermination:
-    def test_stop_after_cancels_upstream_and_saves_bytes(self):
+class TestDrainsWholeJoin:
+    def test_a_submitted_query_runs_on_past_its_first_answer(self):
+        """No early stop: a submitted query's answer grows after its first
+        batch and ends equal to the blocking run of the same plan."""
         network, catalog = build_world(num_files=60)
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=1)
-        # Slow pacing keeps upstream batches queued when the first answer
-        # lands, so cancellation has something to cancel.
-        config = DataflowConfig(batch_size=1, send_interval=1.0)
-        full = DataflowExecutor(network, catalog, config=config, rng=7)
-        rows_full, stats_full = full.execute(plan)
-        assert len(rows_full) > 1
-        stopped = DataflowExecutor(network, catalog, config=config, rng=7)
-        rows_stopped, stats_stopped = stopped.execute(plan, stop_after=1)
-        pipeline = stats_stopped.pipeline
-        assert pipeline.early_terminated
-        assert pipeline.batches_cancelled > 0
-        assert stats_stopped.bytes < stats_full.bytes
-        assert len(rows_stopped) >= 1
+        config = DataflowConfig(batch_size=1)
+        blocking_rows, blocking_stats = DataflowExecutor(
+            network, catalog, config=config, rng=7
+        ).execute(plan)
+        dataflow = DataflowExecutor(network, catalog, config=config, rng=7)
+        at_first = []
+        query = dataflow.submit(plan, on_first_answer=lambda q: at_first.append(len(q.rows)))
+        dataflow.sim.run()
+        assert query.done and query.error is None
+        assert 0 < at_first[0] < len(query.rows)
+        key = lambda rows: sorted((r["fileID"], r["ipAddress"]) for r in rows)
+        assert key(query.rows) == key(blocking_rows)
+        assert query.stats.bytes == blocking_stats.bytes
+        assert query.pipeline.batches_shipped == blocking_stats.pipeline.batches_shipped
 
-    def test_stop_after_larger_than_results_drains_normally(self):
-        network, catalog = build_world()
-        plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=2)
-        dataflow = DataflowExecutor(network, catalog, rng=7)
-        rows, stats = dataflow.execute(plan, stop_after=10_000)
-        assert not stats.pipeline.early_terminated
-        assert stats.pipeline.batches_cancelled == 0
+
+class TestSendPacing:
+    @pytest.mark.parametrize(
+        "strategy, edge",
+        [(JoinStrategy.DISTRIBUTED_JOIN, Edge.REHASH), (JoinStrategy.SEMI_JOIN, Edge.SEMI)],
+        ids=["rehash", "semijoin"],
+    )
+    def test_batches_on_one_edge_leave_send_interval_apart(self, strategy, edge):
+        """A scan offers its whole list at once, so the queue of the edge
+        it feeds never drains early: each batch leaves ``SEND_INTERVAL``
+        after the one before it."""
+        network, catalog = build_world(num_files=60)
+        plan = KeywordPlanner(catalog).plan(
+            ["nebula", "quasar"], network.random_node_id(), strategy=strategy
+        )
+        plan.batch_size = 1
+        dataflow = DataflowExecutor(
+            network, catalog, config=DataflowConfig(batch_size=1), rng=7
+        )
+        sends = {}
+        ship = network.ship_batch
+
+        def recording_ship(source, target, payload_bytes, category):
+            sends.setdefault((source, target, category), []).append(dataflow.sim.now)
+            return ship(source, target, payload_bytes, category)
+
+        network.ship_batch = recording_ship
+        rows, _ = dataflow.execute(plan)
         assert rows
+        first, second = plan.stages[0].site, plan.stages[1].site
+        times = sends[(first, second, edge)]
+        assert len(times) == len(
+            catalog.table("Inverted").fetch_local(first, plan.stages[0].keyword)
+        )
+        assert len(times) > 2
+        for earlier, later in zip(times, times[1:]):
+            assert later == earlier + SEND_INTERVAL
 
 
 class TestMemoryBudgetSpill:
@@ -222,7 +254,7 @@ class TestMemoryBudgetSpill:
         totals = [0, 0, 0]
         for handle, (stored, batches) in sites.items():
             _, evicted, reads, reread_rows = reference_stored_join(
-                stored, batches, 5, budgeted.config.spill_partitions
+                stored, batches, 5, operators.NUM_SPILL_PARTITIONS
             )
             assert handle.build.evicted == evicted
             assert (handle.reads, handle.reread_bytes) == (reads, reread_rows * row_bytes)

@@ -2,8 +2,10 @@
 
 from zlib import crc32
 
+from hypothesis import given, strategies as st
+
 from repro.pier import operators
-from repro.pier.operators import JoinProbe, Scan, StoredHashJoin, SubstringFilter
+from repro.pier.operators import JoinProbe, StoredHashJoin, SubstringFilter
 
 from oracle import nested_loop_join
 
@@ -18,33 +20,43 @@ def join_size(left, right):
     return len(JoinProbe(StoredHashJoin(right)).probe(left))
 
 
-class TestScan:
-    def test_yields_rows(self):
-        assert Scan(rows_of([1, 2])).rows() == rows_of([1, 2])
-
-    def test_len(self):
-        assert len(Scan(rows_of([1, 2, 3]))) == 3
-
-    def test_reiterable(self):
-        scan = Scan(rows_of([1]))
-        assert scan.rows() == scan.rows()
-
-
 class TestSubstringFilter:
+    """The filter reads a plain row list, as the InvertedCache stage
+    hands it the rows its site scanned."""
+
     def test_case_insensitive_by_default(self):
         rows = [{"fulltext": "Britney Spears - Toxic.mp3"}]
-        assert SubstringFilter(Scan(rows), "fulltext", "TOXIC").rows() == rows
+        assert SubstringFilter(rows, "fulltext", "TOXIC").rows() == rows
 
     def test_case_sensitive_option(self):
         rows = [{"fulltext": "Toxic"}]
-        out = SubstringFilter(
-            Scan(rows), "fulltext", "toxic", case_sensitive=True
-        ).rows()
+        out = SubstringFilter(rows, "fulltext", "toxic", case_sensitive=True).rows()
         assert out == []
 
     def test_no_match(self):
         rows = [{"fulltext": "something"}]
-        assert SubstringFilter(Scan(rows), "fulltext", "absent").rows() == []
+        assert SubstringFilter(rows, "fulltext", "absent").rows() == []
+
+    def test_empty_row_list(self):
+        assert SubstringFilter([], "fulltext", "toxic").rows() == []
+
+    def test_keeps_matching_rows_in_order(self):
+        rows = [
+            {"fulltext": "b toxic", "fileID": "2"},
+            {"fulltext": "lucky", "fileID": "3"},
+            {"fulltext": "a TOXIC", "fileID": "1"},
+        ]
+        out = SubstringFilter(rows, "fulltext", "toxic").rows()
+        assert [row["fileID"] for row in out] == ["2", "1"]
+
+    def test_reads_its_row_list_again_on_each_pass(self):
+        rows = [{"fulltext": "toxic"}, {"fulltext": "lucky"}]
+        op = SubstringFilter(rows, "fulltext", "toxic")
+        assert op.rows() == op.rows() == [{"fulltext": "toxic"}]
+
+    def test_matches_a_non_string_column_by_its_text(self):
+        rows = [{"fulltext": 2004}, {"fulltext": 1999}]
+        assert SubstringFilter(rows, "fulltext", "200").rows() == [{"fulltext": 2004}]
 
     def test_chained_filters_conjunctive(self):
         rows = [
@@ -52,11 +64,20 @@ class TestSubstringFilter:
             {"fulltext": "britney lucky"},
         ]
         op = SubstringFilter(
-            SubstringFilter(Scan(rows), "fulltext", "britney"),
+            SubstringFilter(rows, "fulltext", "britney"),
             "fulltext",
             "toxic",
         )
         assert op.rows() == [{"fulltext": "britney toxic"}]
+
+    @given(
+        texts=st.lists(st.text(alphabet="abAB ", max_size=6), max_size=12),
+        needle=st.text(alphabet="abAB", min_size=1, max_size=3),
+    )
+    def test_equals_a_case_folded_substring_scan(self, texts, needle):
+        rows = [{"fulltext": text} for text in texts]
+        expected = [row for row in rows if needle.lower() in row["fulltext"].lower()]
+        assert SubstringFilter(rows, "fulltext", needle).rows() == expected
 
 
 class TestHashJoin:

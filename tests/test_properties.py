@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.ids import KEY_SPACE, hash_key, in_interval, ring_distance
 from repro.dht.ring import Ring
-from repro.metrics.cdf import discrete_cdf, fraction_at_most
 from repro.model.analytical import SystemParameters, pf_gnutella, pf_hybrid
 from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.piersearch.tokenizer import extract_keywords, tokenize
@@ -125,23 +124,6 @@ class TestModelProperties:
         horizon = n // 2
         params = SystemParameters(n=n, n_horizon=horizon)
         assert math.isclose(pf_gnutella(1, params), horizon / n, rel_tol=1e-9)
-
-
-class TestCdfProperties:
-    @given(values=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=60))
-    def test_cdf_monotone_and_complete(self, values):
-        points = discrete_cdf(values)
-        fractions = [f for _, f in points]
-        assert fractions == sorted(fractions)
-        assert math.isclose(fractions[-1], 1.0)
-
-    @given(
-        values=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=60),
-        threshold=st.integers(min_value=-60, max_value=60),
-    )
-    def test_fraction_at_most_matches_count(self, values, threshold):
-        expected = sum(1 for v in values if v <= threshold) / len(values)
-        assert fraction_at_most(values, threshold) == expected
 
 
 class TestDhtProperties:

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from repro.hybrid.engine import RaceConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.scenario import (
     ArrivalSpec,
@@ -13,6 +14,7 @@ from repro.scenario import (
     compile_schedule,
     run_scenario,
 )
+from repro.scenario.engine import REQUERY_DEADLINE
 from repro.scenario.presets import SMOKE
 
 
@@ -152,3 +154,12 @@ def test_runner_keeps_world_for_inspection():
     assert runner.world.engine.completed == len(runner.records)
     assert len(runner.records) > 0
     assert runner.corpus
+
+
+def test_races_run_under_the_sixty_second_requery_deadline():
+    """Every scenario races with the engine's default knobs but one: a
+    re-query phase ends degraded after ``REQUERY_DEADLINE`` virtual s."""
+    runner = ScenarioRunner(tiny())
+    runner.run()
+    assert REQUERY_DEADLINE == 60.0
+    assert runner.world.engine.config == RaceConfig(requery_deadline=60.0)

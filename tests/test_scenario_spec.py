@@ -116,13 +116,8 @@ def test_bad_slo_rejected(slo):
         {"num_ultrapeers": 999},
         {"replication": 0},
         {"gnutella_timeout": 0.0},
-        {"requery_deadline": 0.0},
     ],
 )
 def test_bad_scenario_fields_rejected(overrides):
     with pytest.raises(ScenarioError):
         spec(**overrides).validate()
-
-
-def test_requery_deadline_none_allowed():
-    spec(requery_deadline=None).validate()
