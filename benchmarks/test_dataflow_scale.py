@@ -14,13 +14,11 @@ share), answer coverage, and throughput.
 ``test_dataflow_smoke`` is the single-iteration CI smoke variant.
 
 The scenario itself (corpus, seeds, churn schedule, query mix) lives in
-:func:`repro.experiments.ext_runtime.build_dataflow_scale` — the same
-construction the ``ext-runtime`` experiment times for
-``BENCH_runtime.json``, so the throughput pinned here and the recorded
-runtime baseline always measure the same workload.
+:func:`repro.experiments.ext_obs.build_dataflow_scale` — the same
+construction the observability overhead gate traces.
 """
 
-from repro.experiments.ext_runtime import build_dataflow_scale
+from repro.experiments.ext_obs import build_dataflow_scale
 
 NUM_QUERIES = 5000
 
@@ -66,3 +64,23 @@ def test_dataflow_smoke():
     """One small iteration of the same pipeline (CI smoke)."""
     engine, dht, _ = _build_and_run(num_queries=250, churn=False)
     _check(engine, 250, min_peak=200)
+
+
+def test_route_cache_does_real_work():
+    """Without churn every query completes, and the route cache hits more
+    than it misses: walks, plan legs and Item fetches repeat their
+    routes."""
+    engine, dht, _ = _build_and_run(num_queries=500, churn=False)
+    assert engine.completed == 500 and engine.inflight == 0
+    assert dht.route_cache_hits > dht.route_cache_misses
+
+
+def test_scenario_is_seeded():
+    """Two builds of the scenario drain to the same races: every outcome
+    and the kernel's event count agree."""
+    runs = []
+    for _ in range(2):
+        sim, engine, _, _ = build_dataflow_scale(200, churn=True)
+        sim.run()
+        runs.append((sim.processed, [race.outcome for race in engine.races]))
+    assert runs[0] == runs[1]

@@ -1,6 +1,6 @@
 """Bench fig08: flooding overhead on a crawled topology.
 
-Also contains the dynamic-querying ablation DESIGN.md calls out: how many
+Also contains the dynamic-querying ablation: how many
 messages iterative deepening wastes versus a single fixed-TTL flood.
 """
 

@@ -1,40 +1,24 @@
 """Observability-cost regression suite: watching must stay cheap.
 
-``BENCH_obs.json`` (repository root) records what the tracing/metrics
-layer costs on the dataflow-scale scenario — head-sampled span trees
-(1-in-8 races kept in full) plus the unified metrics registry — next to
-the bound CI enforces: tracing on must stay within 10% of tracing off.
-These tests check the committed artifact, re-measure the ratio on a
-small slice, and run the traced smoke that validates both exporters
-against their formats.
+Tracing on (head-sampled span trees, 1-in-8 races kept in full, plus
+the unified metrics registry) must stay within 10% of tracing off on the
+dataflow-scale scenario. These tests re-measure that ratio on a small
+slice, pin the counts a traced pair records, and run the traced smoke
+that validates both exporters against their formats. ``python3 -m bench
+--trace 1`` reports the traced cost end to end as ``obs.trace_overhead``.
 
 Everything here is slow-marked via the benchmarks conftest; CI runs the
-three tests explicitly in its observability step.
+tests explicitly in its observability step.
 """
 
-import json
-from pathlib import Path
-
-from repro.experiments.ext_obs import MAX_OVERHEAD_FRACTION, traced_vs_untraced
-from repro.experiments.ext_runtime import build_dataflow_scale
+from repro.experiments.ext_obs import (
+    MAX_OVERHEAD_FRACTION,
+    build_dataflow_scale,
+    traced_vs_untraced,
+)
 from repro.obs.collect import collect_all
 from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.obs.trace import Tracer, validate_chrome_trace
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
-
-
-def test_bench_obs_artifact_within_bound():
-    """The committed artifact must record overhead under the 10% bound."""
-    payload = json.loads(BENCH_PATH.read_text())
-    rows = {row[0]: row[1] for row in payload["rows"]}
-    bound = payload["bounds"]["max_overhead_fraction"]
-    assert bound == MAX_OVERHEAD_FRACTION
-    assert rows["overhead_fraction"] < bound, (
-        f"recorded tracing-on overhead {rows['overhead_fraction']:.1%} "
-        f"exceeds the {bound:.0%} bound"
-    )
-    assert rows["spans_recorded"] > 0 and rows["metric_series"] > 0
 
 
 def test_measured_overhead_within_bound():
@@ -50,6 +34,14 @@ def test_measured_overhead_within_bound():
     assert best < MAX_OVERHEAD_FRACTION, (
         f"tracing-on overhead at {best:.1%}, bound {MAX_OVERHEAD_FRACTION:.0%}"
     )
+
+
+def test_traced_pair_counts_are_exact():
+    """A traced pair's span and metric-series counts are a function of
+    the scenario alone, so they are pinned; the pair itself asserts zero
+    drift and valid exports."""
+    pair = traced_vs_untraced(200)
+    assert (pair["spans"], pair["metric_series"]) == (75, 54)
 
 
 def test_traced_smoke_exports_validate():

@@ -1,9 +1,10 @@
 """Bench the cost-based optimizer: the strategy sweep at small scale.
 
 Runs the ext-optimizer selectivity x Zipf x keyword-count grid (every
-scenario replayed under all four strategies, unbatched and batched), records
-the sweep into ``BENCH_optimizer.json`` at the repository root, and pins
-the qualitative shape the optimizer exists for:
+scenario replayed under all four strategies, unbatched and batched),
+records the sweep and holds the record byte-equal to the committed
+``BENCH_optimizer.json`` at the repository root, and pins the
+qualitative shape the optimizer exists for:
 
 * answer sets are identical across strategies on every replayed query
   (enforced inside the sweep itself — it raises on divergence);
@@ -23,16 +24,12 @@ import pytest
 from repro.experiments import ext_optimizer
 from repro.experiments.common import SMALL_SCALE
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_optimizer.json"
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    result = ext_optimizer.run(SMALL_SCALE)
-    ext_optimizer.record(
-        REPO_ROOT / "BENCH_optimizer.json", SMALL_SCALE, result=result
-    )
-    return result
+    return ext_optimizer.run(SMALL_SCALE)
 
 
 def _by_scenario(result):
@@ -74,12 +71,14 @@ def test_optimizer_pick_never_loses_to_distributed_join(sweep):
         ), f"{alpha}/{scenario}: pick {picked[0]} costs more than the baseline"
 
 
-def test_bench_artifact_recorded(sweep):
-    artifact = REPO_ROOT / "BENCH_optimizer.json"
-    assert artifact.exists()
-    payload = artifact.read_text()
-    assert '"ext-optimizer"' in payload
-    assert '"semi_join"' in payload and '"bloom_join"' in payload
+def test_bench_artifact_recorded(sweep, tmp_path):
+    """The sweep is a pure function of the code: recording it gives the
+    committed artifact byte for byte. A change that moves a row
+    re-records it with ``python -m repro.experiments.ext_optimizer``."""
+    recorded = ext_optimizer.record(
+        tmp_path / "BENCH_optimizer.json", SMALL_SCALE, result=sweep
+    )
+    assert recorded.read_text() == ARTIFACT.read_text()
 
 
 def test_optimizer_smoke(benchmark):

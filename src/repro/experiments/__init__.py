@@ -2,8 +2,9 @@
 
 Every module exposes ``run(scale) -> ExperimentResult``; the runner
 (:mod:`repro.experiments.runner`) executes all of them and prints the
-tables that EXPERIMENTS.md records. See DESIGN.md for the experiment
-index mapping figures to modules.
+tables. The module names carry the figure or section they reproduce
+(``fig04``–``fig15``, ``sec4``/``sec5``/``sec7``; ``ext_*`` go beyond the
+paper), as README.md's architecture map lists.
 """
 
 from repro.experiments.common import (

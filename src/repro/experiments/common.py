@@ -1,7 +1,7 @@
 """Shared experiment configuration and cached fixtures.
 
 ``PAPER_SCALE`` is the down-scaled configuration whose summary statistics
-were calibrated against the paper's trace (see EXPERIMENTS.md):
+were calibrated against the paper's trace:
 2,000 degree-6 ultrapeers + 8,000 leaves stand in for the ~100,000-node
 network, with a content library whose replica distribution pins the
 paper's reported 23% singleton fraction. ``SMALL_SCALE`` is a faster

@@ -1,50 +1,112 @@
-"""Extension: what observation costs — tracing/metrics overhead.
+"""What observation costs: tracing/metrics overhead, and the scenario
+it is priced on.
 
 The observability layer (:mod:`repro.obs`) promises to be free when
-disabled and cheap when enabled. This experiment prices both claims on
-the dataflow-scale scenario (the same 5k-pipelined-queries-under-churn
-construction as ``ext_runtime`` and ``benchmarks/test_dataflow_scale.py``):
+disabled and cheap when enabled. :func:`traced_vs_untraced` prices the
+second claim on the dataflow-scale scenario (:func:`build_dataflow_scale`,
+the same construction ``benchmarks/test_dataflow_scale.py`` runs):
 
-* run the scenario **untraced** (tracer and metrics both ``None`` — the
-  production configuration the ``BENCH_runtime.json`` floors guard);
+* run the scenario **untraced** (tracer and metrics both ``None``);
 * run it **traced** in the scale configuration — the full metrics
   registry plus head-sampled tracing (``Tracer(sample_every=8)``: every
   8th race keeps its complete span tree, the standard way production
-  tracers bound their cost) — and compare wall clock against the bound
-  CI enforces (<10%);
-* also run **full-fidelity** tracing (every race traced, the
-  configuration the golden-tree and equivalence tests use) and record
-  its cost for transparency;
-* assert **zero drift**: every traced run must produce race outcomes
+  tracers bound their cost) — and compare host CPU time against the
+  bound ``benchmarks/test_obs_overhead.py`` enforces (<10%);
+* assert **zero drift**: the traced run must produce race outcomes
   identical to the untraced one — observation must never change what it
   observes.
 
-``python -m repro.experiments.ext_obs`` records the measurements into
-``BENCH_obs.json`` at the repository root together with the CI bound
-``benchmarks/test_obs_overhead.py`` enforces on the scale configuration.
+Host time is measured as ``bench/`` measures it, in process CPU seconds;
+``python3 -m bench --trace 1`` reports the traced cost end to end as
+``obs.trace_overhead``.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import math
 import time
-from pathlib import Path
 
-from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
-from repro.experiments.ext_runtime import build_dataflow_scale
+from repro.common.rng import make_rng
+from repro.dht.churn import ChurnProcess
+from repro.dht.network import DhtNetwork
+from repro.hybrid.engine import RaceConfig
+from repro.hybrid.world import build_world
 from repro.obs.collect import collect_all
 from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.obs.trace import Tracer, validate_chrome_trace
 
-#: CI bound on the traced/untraced wall-clock ratio for the scale
+#: bound on the traced/untraced host-time ratio for the scale
 #: tracing configuration (see benchmarks/test_obs_overhead.py)
 MAX_OVERHEAD_FRACTION = 0.10
 
 #: head-sampling rate of the scale configuration: every Nth race keeps
 #: its complete span tree
 SCALE_SAMPLE_EVERY = 8
+
+
+def build_dataflow_scale(
+    num_queries: int = 5000, churn: bool = True, tracer=None, metrics=None
+):
+    """Construct the dataflow-scale scenario: thousands of pipelined
+    queries racing Gnutella under churn, all scheduled on one shared
+    virtual clock and ready to drain.
+
+    The single source of truth for the scenario —
+    ``benchmarks/test_dataflow_scale.py`` runs this exact construction
+    (same seeds, corpus, churn schedule, and query mix), and so does
+    :func:`traced_vs_untraced`. Returns ``(sim, engine, dht,
+    churn_process)`` with nothing run yet; ``sim.run()`` drains it.
+
+    ``tracer``/``metrics`` wire the observability layer through the whole
+    stack; a passed tracer is bound to the scenario's simulator.
+    """
+    num_nodes, num_files, submit_window = 64, 200, 48.0
+    dht = DhtNetwork(rng=17)
+    dht.populate(num_nodes)
+    world = build_world(
+        dht,
+        range(8),
+        race_config=RaceConfig(retry_backoff=1.0, batch_size=2),
+        rng=7,
+        tracer=tracer,
+        metrics=metrics,
+    )
+    sim, engine, hybrids, nodes = world.sim, world.engine, world.hybrids, world.nodes
+    for index in range(num_files):
+        world.publisher.publish_file(
+            filename=f"rare nebula group{index % 25:02d} track{index:04d}.mp3",
+            filesize=4096 + index,
+            ip_address=f"10.1.{index // 250}.{index % 250}",
+            port=6346,
+            origin=nodes[index % num_nodes].node_id,
+        )
+    process = None
+    if churn:
+        # Departures land while thousands of dataflows are in flight;
+        # every other schedule leaves tables unstabilized so walks and
+        # batch sends hit stale fingers.
+        process = ChurnProcess(dht, rng=29, failure_fraction=0.4)
+        process.schedule(sim, interval=6.0, steps=10, stabilize=True)
+        process.schedule(sim, interval=9.0, steps=6, stabilize=False)
+    rng = make_rng(23)
+    window = submit_window * (num_queries / 5000)
+    for index in range(num_queries):
+        hybrid = hybrids[index % len(hybrids)]
+        if index % 4 == 0:
+            terms = ["popular", "hit"]
+            depths = [1.0, 2.0, 2.0]
+        else:
+            group = rng.randrange(25)
+            terms = [f"group{group:02d}", "nebula"]
+            depths = [math.inf]
+        sim.schedule_at(
+            index * (window / num_queries),
+            lambda hybrid=hybrid, terms=terms, depths=depths: (
+                hybrid.handle_leaf_query_simulated(engine, terms, depths, stop_ttl=3)
+            ),
+        )
+    return sim, engine, dht, process
 
 
 def _outcome_digest(engine) -> list[tuple]:
@@ -73,34 +135,34 @@ def _outcome_digest(engine) -> list[tuple]:
 
 
 def _timed_run(num_queries: int, tracer=None, metrics=None):
-    """Build + drain the scenario once; returns (wall, digest, sim, dht).
+    """Build + drain the scenario once; returns (CPU seconds, digest,
+    sim, dht).
 
     Collects first, so neither half of a pair inherits the other's
     garbage: in a large heap one full collection costs ~20 % of a run.
     """
     gc.collect()
-    start = time.perf_counter()
+    start = time.process_time()
     sim, engine, dht, _ = build_dataflow_scale(
         num_queries, tracer=tracer, metrics=metrics
     )
     sim.run()
-    wall = time.perf_counter() - start
-    return wall, _outcome_digest(engine), sim, dht
+    seconds = time.process_time() - start
+    return seconds, _outcome_digest(engine), sim, dht
 
 
-def traced_vs_untraced(
-    num_queries: int = 5000, sample_every: int = SCALE_SAMPLE_EVERY
-) -> dict:
-    """One paired measurement: untraced, then traced at ``sample_every``.
+def traced_vs_untraced(num_queries: int = 5000) -> dict:
+    """One paired measurement: untraced, then traced at
+    ``SCALE_SAMPLE_EVERY``.
 
     Pairing the runs back to back keeps the ratio meaningful on noisy
     machines — both halves see the same machine state.
     """
-    untraced_wall, untraced_digest, _, _ = _timed_run(num_queries)
+    untraced_seconds, untraced_digest, _, _ = _timed_run(num_queries)
 
-    tracer = Tracer(sample_every=sample_every)
+    tracer = Tracer(sample_every=SCALE_SAMPLE_EVERY)
     metrics = MetricsRegistry()
-    traced_wall, traced_digest, sim, dht = _timed_run(
+    traced_seconds, traced_digest, sim, dht = _timed_run(
         num_queries, tracer=tracer, metrics=metrics
     )
     if traced_digest != untraced_digest:
@@ -110,98 +172,16 @@ def traced_vs_untraced(
 
     # Scrape-time collectors and the exporters run outside the timed
     # region (a scrape is not per-event work), but their output must be
-    # structurally valid — this is the traced smoke CI validates.
+    # structurally valid.
     collect_all(metrics, network=dht, sim=sim)
     tracer.finish_open()
-    prometheus = metrics.to_prometheus()
-    validate_prometheus(prometheus)
-    chrome = tracer.to_chrome_trace()
-    validate_chrome_trace(chrome)
+    validate_prometheus(metrics.to_prometheus())
+    validate_chrome_trace(tracer.to_chrome_trace())
 
     return {
-        "queries": float(num_queries),
-        "sample_every": float(sample_every),
-        "untraced_wall_seconds": untraced_wall,
-        "traced_wall_seconds": traced_wall,
-        "untraced_queries_per_sec": num_queries / untraced_wall,
-        "traced_queries_per_sec": num_queries / traced_wall,
-        "overhead_fraction": traced_wall / untraced_wall - 1.0,
-        "spans": float(len(tracer)),
-        "metric_series": float(
+        "overhead_fraction": traced_seconds / untraced_seconds - 1.0,
+        "spans": len(tracer),
+        "metric_series": (
             len(metrics.counters) + len(metrics.gauges) + len(metrics.histograms)
         ),
-        "prometheus_lines": float(len(prometheus.splitlines())),
-        "trace_events": float(len(chrome["traceEvents"])),
     }
-
-
-def run(
-    scale: PaperScale = PAPER_SCALE,
-    repeats: int = 3,
-    num_queries: int | None = None,
-) -> ExperimentResult:
-    """Best-of-``repeats`` paired overhead measurement (min ratio: least
-    machine noise), for both the scale and full-fidelity configurations."""
-    queries = num_queries or (5000 if scale.name == "paper" else 1000)
-    sampled: dict | None = None
-    full: dict | None = None
-    for _ in range(repeats):
-        sample = traced_vs_untraced(queries)
-        if sampled is None or sample["overhead_fraction"] < sampled["overhead_fraction"]:
-            sampled = sample
-        sample = traced_vs_untraced(queries, sample_every=1)
-        if full is None or sample["overhead_fraction"] < full["overhead_fraction"]:
-            full = sample
-    rows = [
-        ("untraced_queries_per_sec", sampled["untraced_queries_per_sec"]),
-        ("traced_queries_per_sec", sampled["traced_queries_per_sec"]),
-        ("overhead_fraction", sampled["overhead_fraction"]),
-        ("overhead_bound", MAX_OVERHEAD_FRACTION),
-        ("sample_every", float(SCALE_SAMPLE_EVERY)),
-        ("spans_recorded", sampled["spans"]),
-        ("metric_series", sampled["metric_series"]),
-        ("trace_events", sampled["trace_events"]),
-        ("overhead_fraction_full", full["overhead_fraction"]),
-        ("spans_recorded_full", full["spans"]),
-    ]
-    return ExperimentResult(
-        experiment_id="ext-obs",
-        title="Observability overhead: dataflow-scale scenario, tracing on vs off",
-        columns=["metric", "value"],
-        rows=rows,
-        notes=(
-            f"{int(sampled['queries'])} pipelined queries under churn, paired "
-            f"runs, best of {repeats}; the bounded scale configuration head-"
-            f"samples 1-in-{SCALE_SAMPLE_EVERY} races (complete span tree per "
-            "kept race) with the full metrics registry always on; the _full "
-            "rows trace every race (the golden-tree/equivalence test "
-            "configuration); all traced runs produced race outcomes identical "
-            "to untraced (drift assertion); exporters validated against the "
-            "Prometheus text grammar and the Chrome trace_event schema"
-        ),
-    )
-
-
-def record(
-    path: str | Path = "BENCH_obs.json",
-    repeats: int = 3,
-    num_queries: int = 5000,
-) -> Path:
-    """Measure and persist the bench artifact with the CI overhead bound."""
-    result = run(PAPER_SCALE, repeats=repeats, num_queries=num_queries)
-    payload = {
-        "experiment": result.experiment_id,
-        "title": result.title,
-        "columns": result.columns,
-        "rows": [list(row) for row in result.rows],
-        "bounds": {"max_overhead_fraction": MAX_OVERHEAD_FRACTION},
-        "notes": result.notes,
-    }
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2) + "\n")
-    return target
-
-
-if __name__ == "__main__":
-    recorded = record()
-    print(recorded.read_text())

@@ -77,6 +77,6 @@ def run(
         rows=rows,
         notes=(
             "informed schemes beat Random in the low-budget regime the paper "
-            "targets; see EXPERIMENTS.md for high-budget caveats"
+            "targets"
         ),
     )

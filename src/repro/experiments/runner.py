@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.experiments import common
 from repro.experiments import (
@@ -20,9 +19,7 @@ from repro.experiments import (
     ext_dataflow,
     ext_horizon_load,
     ext_join,
-    ext_obs,
     ext_optimizer,
-    ext_runtime,
     ext_scenario,
     fig04_replication,
     fig05_result_cdf,
@@ -64,9 +61,7 @@ EXPERIMENTS = {
     "ext-churn": ext_churn.run,
     "ext-cache": ext_cache_effectiveness.run,
     "ext-dataflow": ext_dataflow.run,
-    "ext-obs": ext_obs.run,
     "ext-optimizer": ext_optimizer.run,
-    "ext-runtime": ext_runtime.run,
     "ext-scenario": ext_scenario.run,
 }
 
@@ -85,11 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     scale = common.PAPER_SCALE if args.scale == "paper" else common.SMALL_SCALE
     names = args.only or sorted(EXPERIMENTS)
     for name in names:
-        start = time.perf_counter()
-        result = EXPERIMENTS[name](scale)
-        elapsed = time.perf_counter() - start
-        print(result.format_table())
-        print(f"[{name} completed in {elapsed:.1f}s]\n")
+        print(EXPERIMENTS[name](scale).format_table())
+        print()
     return 0
 
 

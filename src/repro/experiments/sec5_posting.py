@@ -7,7 +7,7 @@ results ship ~7x fewer posting-list entries than the average query.
 We publish the corpus (every replica) into a DHT, replay the workload
 through PIERSearch's distributed-join path, and compare the mean entries
 shipped for small-result queries against the overall mean. Also reports
-the smaller-list-first vs naive-order ablation called out in DESIGN.md,
+the smaller-list-first vs naive-order ablation,
 and the streaming-runtime ablation: the same multi-term queries run again
 on the pipelined dataflow, which must ship the identical entry count
 while its first answer leaves before the join drains.

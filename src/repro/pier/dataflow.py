@@ -78,7 +78,6 @@ from repro.common.units import CostModel
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.operators import (
-    NUM_SPILL_PARTITIONS,
     JoinProbe,
     StoredList,
     SubstringFilter,
@@ -936,9 +935,7 @@ class _Stage:
                 config = executor.config
                 self.join = JoinProbe(
                     view.join(
-                        config.memory_budget,
-                        NUM_SPILL_PARTITIONS,
-                        executor.cost_model.spill_tuple_bytes(),
+                        config.memory_budget, executor.cost_model.spill_tuple_bytes()
                     )
                 )
                 # The stored rows joined against, whether built now or reused.

@@ -25,24 +25,19 @@ from repro.pier.schema import Row
 
 _FILE_ID = itemgetter("fileID")
 
-#: default hash-partition fan-out of a memory-budgeted join's build state
+#: hash-partition fan-out of a memory-budgeted join's build state
 NUM_SPILL_PARTITIONS = 8
 
 
-#: cross-query memos for :func:`spill_partition`, one per fan-out: a
-#: corpus re-uses the same join keys (fileIDs) across every query, so
-#: the hash runs once per distinct key process-wide. Bounded — cleared
-#: wholesale when full (the hash is pure, so dropping is always safe).
-_partition_memos: dict[int, dict[Any, int]] = {}
+#: cross-query memo for :func:`spill_partition`: a corpus re-uses the
+#: same join keys (fileIDs) across every query, so the hash runs once per
+#: distinct key process-wide. Bounded — cleared wholesale when full (the
+#: hash is pure, so dropping is always safe).
+_partition_memo: dict[Any, int] = {}
 _PARTITION_MEMO_MAX = 1 << 16
 
 
-def _partition_memo_for(num_partitions: int) -> dict[Any, int]:
-    """The shared key→partition memo for one fan-out value."""
-    return _partition_memos.setdefault(num_partitions, {})
-
-
-def spill_partition(key: Any, num_partitions: int) -> int:
+def spill_partition(key: Any) -> int:
     """Hash partition of a join key, shared by the build and its probes.
 
     Deliberately *not* Python's builtin ``hash``: string hashing is
@@ -53,15 +48,15 @@ def spill_partition(key: Any, num_partitions: int) -> int:
     anything else falls back to CRC32 over the ``str()`` form, memoised
     per distinct key, which is likewise stable everywhere.
     """
-    memo = _partition_memos.setdefault(num_partitions, {})
+    memo = _partition_memo
     pid = memo.get(key)
     if pid is None:
         if type(key) is int:
             pid = (
                 (key * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF) >> 32
-            ) % num_partitions
+            ) % NUM_SPILL_PARTITIONS
         else:
-            pid = crc32(str(key).encode()) % num_partitions
+            pid = crc32(str(key).encode()) % NUM_SPILL_PARTITIONS
         if len(memo) >= _PARTITION_MEMO_MAX:
             memo.clear()
         memo[key] = pid
@@ -137,15 +132,11 @@ class StoredHashJoin:
         self,
         keys: Sequence[Any],
         memory_budget: int | None = None,
-        num_partitions: int = NUM_SPILL_PARTITIONS,
         row_bytes: int = 0,
         key_set: set | None = None,
     ):
         if memory_budget is not None and memory_budget < 1:
             raise ValueError(f"memory_budget must be >= 1, got {memory_budget}")
-        if num_partitions < 1:
-            raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
-        self.num_partitions = num_partitions
         #: bytes charged per stored row a probe re-reads (accounting only)
         self.row_bytes = row_bytes
         #: the stored list's join keys (``key_set``, when the caller
@@ -155,14 +146,12 @@ class StoredHashJoin:
         self.evicted: dict[int, int] = {}
         #: stored rows the build holds in memory
         self.resident_rows = len(keys)
-        #: direct handle on the shared key→partition memo
-        self._pid_memo = _partition_memo_for(num_partitions)
         if memory_budget is not None and len(keys) > memory_budget:
-            rows = [0] * num_partitions
+            rows = [0] * NUM_SPILL_PARTITIONS
             for pid in self._partitions(keys):
                 rows[pid] += 1
             while self.resident_rows > memory_budget:
-                pid = max(range(num_partitions), key=rows.__getitem__)
+                pid = max(range(NUM_SPILL_PARTITIONS), key=rows.__getitem__)
                 self.evicted[pid] = rows[pid]
                 self.resident_rows -= rows[pid]
                 rows[pid] = 0
@@ -173,11 +162,10 @@ class StoredHashJoin:
 
     def _partitions(self, keys: Sequence[Any]) -> list[int]:
         """Each key's partition, read through the shared memo."""
-        pids = list(map(self._pid_memo.get, keys))
+        pids = list(map(_partition_memo.get, keys))
         if None in pids:
-            fan_out = self.num_partitions
             pids = [
-                spill_partition(key, fan_out) if pid is None else pid
+                spill_partition(key) if pid is None else pid
                 for key, pid in zip(keys, pids)
             ]
         return pids
@@ -236,8 +224,8 @@ class StoredList:
     * ``key_set`` — the ids as a set, shared with every join build;
     * ``distinct`` — the distinct ids, in stored order (insertion order,
       never a set's, so it does not move with the string-hash salt);
-    * :meth:`join` — the :class:`StoredHashJoin` build per ``(budget,
-      fan-out, row bytes)``;
+    * :meth:`join` — the :class:`StoredHashJoin` build per ``(budget, row
+      bytes)``;
     * :meth:`bloom` — the Bloom filter of the distinct ids per FP rate;
     * :meth:`bloom_matches` — the ids a filter may contain, per filter
       (a filter is never changed once built, so the filter object itself
@@ -270,20 +258,17 @@ class StoredList:
             distinct = self._distinct = list(dict.fromkeys(self.ids))
         return distinct
 
-    def join(
-        self, memory_budget: int | None, num_partitions: int, row_bytes: int
-    ) -> StoredHashJoin:
+    def join(self, memory_budget: int | None, row_bytes: int) -> StoredHashJoin:
         """The join build on this list under one budget configuration."""
         joins = self._joins
         if joins is None:
             joins = self._joins = {}
-        config = (memory_budget, num_partitions, row_bytes)
+        config = (memory_budget, row_bytes)
         build = joins.get(config)
         if build is None:
             build = joins[config] = StoredHashJoin(
                 self.ids,
                 memory_budget=memory_budget,
-                num_partitions=num_partitions,
                 row_bytes=row_bytes,
                 key_set=self.key_set,
             )

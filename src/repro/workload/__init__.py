@@ -7,7 +7,7 @@ regenerates the *distributions* the analyses consume: a term vocabulary
 with Zipf-skewed frequencies (:mod:`repro.workload.filenames`), a content
 library with long-tailed replication (:mod:`repro.workload.library`), a
 query workload correlated with content popularity
-(:mod:`repro.workload.queries`). DESIGN.md documents the substitution.
+(:mod:`repro.workload.queries`).
 """
 
 from repro.workload.filenames import FilenameGenerator, Vocabulary

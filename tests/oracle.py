@@ -82,7 +82,7 @@ from repro.dht.keyspace import finger_start
 from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
 from repro.pier.catalog import table_key
-from repro.pier.operators import spill_partition
+from repro.pier.operators import NUM_SPILL_PARTITIONS, spill_partition
 from repro.pier.planner import batch_size_for
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import PublishReceipt
@@ -138,7 +138,7 @@ def nested_loop_join(left, right, column):
     return [{**l, **r} for l in left for r in right if l[column] == r[column]]
 
 
-def reference_stored_join(stored, batches, budget, fan_out):
+def reference_stored_join(stored, batches, budget):
     """A join site built on its ``stored`` keys and probed by ``batches``.
 
     Returns ``(matched, evicted, reads, reread_rows)``: per batch, its keys
@@ -149,8 +149,9 @@ def reference_stored_join(stored, batches, budget, fan_out):
     of an evicted partition's rows per evicted partition a batch's keys
     land in.
     """
+    fan_out = NUM_SPILL_PARTITIONS
     rows = [
-        sum(1 for key in stored if spill_partition(key, fan_out) == pid)
+        sum(1 for key in stored if spill_partition(key) == pid)
         for pid in range(fan_out)
     ]
     evicted = {}
@@ -163,7 +164,7 @@ def reference_stored_join(stored, batches, budget, fan_out):
     for batch in batches:
         matched.append([key for key in batch if key in stored])
         for pid in evicted:
-            if any(spill_partition(key, fan_out) == pid for key in batch):
+            if any(spill_partition(key) == pid for key in batch):
                 reads += 1
                 reread_rows += evicted[pid]
     return matched, evicted, reads, reread_rows

@@ -70,9 +70,10 @@ TEST_INSTRUMENTS = {
     "matching_replicas": "the matcher tests hold it equal to a substring scan",
     "pf_hybrid": "the paper's Equation (1), held to its closed form by the model tests",
     "sample_many": "the Zipf tests draw in bulk to check the distribution's shape",
-    "sweep_by_point": "the join-robustness benchmark reads ext-join rows by (policy, budget)",
+    "sweep_by_point": "the join-robustness tests read ext-join's spill rows by (policy, budget)",
     "table_key": "the posting-key formula tests derive keys with, apart from ring_key's memo",
     "total_publishing_cost": "the paper's Equation (5), held to its closed form by the model tests",
+    "traced_vs_untraced": "the observability benchmark's live gate prices tracing on the scale scenario",
 }
 
 
@@ -266,7 +267,7 @@ def test_deleted_path_selectors_stay_deleted():
     from repro.dht.network import DhtNetwork
     from repro.hybrid.engine import RaceConfig
     from repro.pier.dataflow import DataflowConfig, DataflowExecutor
-    from repro.pier.operators import StoredHashJoin
+    from repro.pier.operators import StoredHashJoin, StoredList
     from repro.pier.query import PipelineStats
     from repro.scenario.spec import ScenarioSpec
     from repro.sim import engine
@@ -280,6 +281,7 @@ def test_deleted_path_selectors_stay_deleted():
     exposed = (
         set(inspect.signature(DhtNetwork.__init__).parameters)
         | set(inspect.signature(StoredHashJoin.__init__).parameters)
+        | set(inspect.signature(StoredList.join).parameters)
         | set(inspect.signature(DataflowExecutor.__init__).parameters)
         | set(inspect.signature(DataflowExecutor.execute).parameters)
         | set(inspect.signature(DataflowExecutor.submit).parameters)
@@ -300,6 +302,7 @@ def test_deleted_path_selectors_stay_deleted():
         "batches_cancelled",
         "send_interval",
         "spill_partitions",
+        "num_partitions",
     }
     assert not exposed & gone
     # The race's timing knobs live on RaceConfig alone.

@@ -22,7 +22,7 @@ class TestScales:
 
     def test_paper_scale_matches_calibration(self):
         # These values were calibrated against the paper's summary stats
-        # (EXPERIMENTS.md); changing them silently would invalidate it.
+        # (23% singletons); changing them silently would invalidate it.
         assert PAPER_SCALE.num_ultrapeers == 2000
         assert PAPER_SCALE.rare_boost == pytest.approx(0.44)
         assert PAPER_SCALE.max_ttl == 4

@@ -253,9 +253,7 @@ class TestMemoryBudgetSpill:
         row_bytes = budgeted.cost_model.spill_tuple_bytes()
         totals = [0, 0, 0]
         for handle, (stored, batches) in sites.items():
-            _, evicted, reads, reread_rows = reference_stored_join(
-                stored, batches, 5, operators.NUM_SPILL_PARTITIONS
-            )
+            _, evicted, reads, reread_rows = reference_stored_join(stored, batches, 5)
             assert handle.build.evicted == evicted
             assert (handle.reads, handle.reread_bytes) == (reads, reread_rows * row_bytes)
             totals = [a + b for a, b in zip(totals, (reads, reread_rows, len(evicted)))]

@@ -5,7 +5,7 @@ from zlib import crc32
 from hypothesis import given, strategies as st
 
 from repro.pier import operators
-from repro.pier.operators import JoinProbe, StoredHashJoin, SubstringFilter
+from repro.pier.operators import JoinProbe, StoredHashJoin, StoredList, SubstringFilter
 
 from oracle import nested_loop_join
 
@@ -130,12 +130,41 @@ class TestStoredHashJoin:
 
 
 def test_partition_ids_hold_after_the_memo_is_cleared(monkeypatch):
-    """The per-fan-out memo is bounded: when it fills it is dropped, and
+    """The partition memo is bounded: when it fills it is dropped, and
     every key still lands in the partition its CRC32 names."""
-    monkeypatch.setattr(operators, "_partition_memos", {})
+    monkeypatch.setattr(operators, "_partition_memo", {})
     monkeypatch.setattr(operators, "_PARTITION_MEMO_MAX", 4)
     keys = [f"file{index:02d}" for index in range(10)]
-    expected = [crc32(key.encode()) % 8 for key in keys]
-    assert [operators.spill_partition(key, 8) for key in keys] == expected
-    assert len(operators._partition_memos[8]) <= 4
-    assert [operators.spill_partition(key, 8) for key in keys] == expected
+    expected = [crc32(key.encode()) % operators.NUM_SPILL_PARTITIONS for key in keys]
+    assert [operators.spill_partition(key) for key in keys] == expected
+    assert len(operators._partition_memo) <= 4
+    assert [operators.spill_partition(key) for key in keys] == expected
+
+
+def test_a_stored_list_keeps_one_build_per_budget_and_row_bytes():
+    """A view's join build is memoised on ``(budget, row bytes)``: the
+    same pair returns the same build, another pair a new one."""
+    view = StoredList([{"fileID": f"file{index:02d}"} for index in range(12)])
+    build = view.join(3, 16)
+    assert view.join(3, 16) is build
+    assert view.join(4, 16) is not build and view.join(3, 32) is not build
+    assert build.keys is view.key_set
+
+
+def test_every_build_shares_one_partition_memo(monkeypatch):
+    """Partition ids are hashed once per distinct key process-wide: a
+    second build on the same keys, under another budget, hashes none."""
+    monkeypatch.setattr(operators, "_partition_memo", {})
+    hashed = []
+
+    def counting_crc32(data):
+        hashed.append(data)
+        return crc32(data)
+
+    monkeypatch.setattr(operators, "crc32", counting_crc32)
+    keys = [f"file{index:02d}" for index in range(20)]
+    StoredHashJoin(keys, memory_budget=4)
+    assert len(hashed) == 20
+    StoredHashJoin(keys, memory_budget=8)
+    assert len(hashed) == 20
+    assert set(operators._partition_memo) == set(keys)

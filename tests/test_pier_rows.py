@@ -47,7 +47,7 @@ class TestKeyOnlyJoin:
         free = StoredHashJoin(list(range(5)))
         JoinProbe(free).probe([0, 7])
         assert free.resident_rows == 5
-        tight = StoredHashJoin(list(range(5)), memory_budget=2, num_partitions=5)
+        tight = StoredHashJoin(list(range(5)), memory_budget=2)
         JoinProbe(tight).probe(list(range(10)))
         assert tight.resident_rows <= 2
         assert tight.resident_rows + sum(tight.evicted.values()) == 5

@@ -9,7 +9,7 @@ partition's rows for every evicted partition the call's keys land in.
 Covered here: the eviction rule and its edges, the per-call accounting,
 a hypothesis differential against ``tests/oracle.py``'s written-out
 ``reference_stored_join`` and ``nested_loop_join`` over key multisets ×
-budget × fan-out × arbitrary batch cuts, and — in interpreters with
+budget × arbitrary batch cuts, and — in interpreters with
 different string-hash salts — that a budgeted query's evictions and
 reads do not move.
 """
@@ -24,41 +24,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.pier.operators import (
-    NUM_SPILL_PARTITIONS,
-    JoinProbe,
-    StoredHashJoin,
-    spill_partition,
-)
+from repro.pier.operators import JoinProbe, StoredHashJoin, spill_partition
 
 from oracle import nested_loop_join, reference_stored_join
 
 ROW_BYTES = 512
 
 
-def keys_in_partition(pid, num_partitions, count, start=0):
+def keys_in_partition(pid, count, start=0):
     """The first ``count`` int keys >= ``start`` hashing to ``pid``."""
     found, key = [], start
     while len(found) < count:
-        if spill_partition(key, num_partitions) == pid:
+        if spill_partition(key) == pid:
             found.append(key)
         key += 1
     return found
 
 
-def make_join(stored, budget, partitions=4):
+def make_join(stored, budget):
     """One query's probe of a build on ``stored``."""
-    return JoinProbe(
-        StoredHashJoin(
-            stored, memory_budget=budget, num_partitions=partitions, row_bytes=ROW_BYTES
-        )
-    )
+    return JoinProbe(StoredHashJoin(stored, memory_budget=budget, row_bytes=ROW_BYTES))
 
 
 class TestPartitionedEviction:
     def test_overflow_evicts_only_the_largest_partition(self):
-        big = keys_in_partition(0, 4, 6)
-        small = keys_in_partition(1, 4, 3)
+        big = keys_in_partition(0, 6)
+        small = keys_in_partition(1, 3)
         # 9 rows against a budget of 8: one eviction, and it takes the
         # 6-row partition, leaving the 3-row one resident.
         join = make_join(big + small, budget=8)
@@ -66,21 +57,21 @@ class TestPartitionedEviction:
         assert (join.build.partition_evictions, join.build.resident_rows) == (1, 3)
 
     def test_eviction_goes_on_until_the_rest_fits(self):
-        join = make_join(keys_in_partition(0, 4, 6) + keys_in_partition(1, 4, 3), budget=2)
+        join = make_join(keys_in_partition(0, 6) + keys_in_partition(1, 3), budget=2)
         assert list(join.build.evicted.items()) == [(0, 6), (1, 3)]
         assert join.build.resident_rows == 0
 
     def test_ties_go_to_the_lowest_partition_id(self):
-        stored = keys_in_partition(3, 4, 4) + keys_in_partition(1, 4, 4)
+        stored = keys_in_partition(3, 4) + keys_in_partition(1, 4)
         assert make_join(stored, budget=5).build.evicted == {1: 4}
 
     def test_a_duplicated_stored_key_counts_once_per_row(self):
-        hot, cold = keys_in_partition(0, 4, 2)
-        join = make_join([hot] * 7 + [cold] + keys_in_partition(1, 4, 1), budget=8)
+        hot, cold = keys_in_partition(0, 2)
+        join = make_join([hot] * 7 + [cold] + keys_in_partition(1, 1), budget=8)
         assert join.build.evicted == {0: 8}
 
     def test_within_budget_or_unbudgeted_evicts_nothing(self):
-        stored = keys_in_partition(0, 4, 10)
+        stored = keys_in_partition(0, 10)
         for join in (make_join(stored, budget=10), make_join(stored, budget=None)):
             assert (join.build.evicted, join.build.resident_rows) == ({}, 10)
             join.probe(stored)
@@ -95,19 +86,21 @@ class TestPartitionedEviction:
             raise AssertionError("partitioned a list within its budget")
 
         monkeypatch.setattr(StoredHashJoin, "_partitions", untracked)
-        stored = keys_in_partition(0, 4, 10)
+        stored = keys_in_partition(0, 10)
         join = make_join(stored, budget=100)
         assert join.probe(stored + [10_001]) == stored
         assert (join.build.partition_evictions, join.reads) == (0, 0)
 
-    def test_one_partition_fan_out_evicts_the_whole_list(self):
-        """With a single partition there is nothing to choose: a list over
-        budget goes out whole, and every probe call that brings a key
-        scans all of it once."""
-        join = make_join(list(range(5)), budget=4, partitions=1)
+    def test_a_list_in_one_partition_goes_out_whole(self):
+        """With every key in one partition there is nothing to choose: a
+        list over budget goes out whole, and every probe call that brings
+        a key landing there scans all of it once."""
+        stored = keys_in_partition(0, 5)
+        absent = keys_in_partition(0, 1, start=10_000)[0]
+        join = make_join(stored, budget=4)
         assert (join.build.evicted, join.build.resident_rows) == ({0: 5}, 0)
-        assert join.probe([3, 99]) == [3]
-        assert join.probe([99]) == []
+        assert join.probe([stored[3], absent]) == [stored[3]]
+        assert join.probe([absent]) == []
         assert (join.reads, join.reread_bytes) == (2, 10 * ROW_BYTES)
 
     def test_an_empty_stored_list_evicts_and_matches_nothing(self):
@@ -119,8 +112,6 @@ class TestPartitionedEviction:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             make_join([1], budget=0)
-        with pytest.raises(ValueError):
-            StoredHashJoin([1], num_partitions=0)
 
 
 class OnePartitionEvicted:
@@ -128,8 +119,8 @@ class OnePartitionEvicted:
     are evicted, partition 1's three stay resident."""
 
     def setup_method(self):
-        self.spilled = keys_in_partition(0, 4, 6)
-        self.resident = keys_in_partition(1, 4, 3)
+        self.spilled = keys_in_partition(0, 6)
+        self.resident = keys_in_partition(1, 3)
         self.join = make_join(self.spilled + self.resident, budget=8)
 
 
@@ -153,7 +144,7 @@ class TestSpilledIndexGatesReads(OnePartitionEvicted):
 class TestProbeAccounting(OnePartitionEvicted):
     def test_a_miss_in_an_evicted_partition_still_scans_it(self):
         """Nothing but a scan tells a key is not in an evicted partition."""
-        absent = keys_in_partition(0, 4, 1, start=10_000)
+        absent = keys_in_partition(0, 1, start=10_000)
         assert self.join.probe(absent) == []
         assert self.join.reads == 1
 
@@ -173,7 +164,7 @@ class TestStaySpilled:
         partition is evicted once, at the build, and however many probes
         land in it afterwards it is only ever re-read, never refilled and
         evicted again (an all-or-nothing flush would reflush it)."""
-        keys = keys_in_partition(0, 4, 16)
+        keys = keys_in_partition(0, 16)
         join = make_join(keys, budget=4)
         for key in keys:
             assert join.probe([key]) == [key]
@@ -186,8 +177,8 @@ class TestKeysModeCompactSpill:
     in the site's store, and the count prices the scan that finds them."""
 
     def test_spilled_counts_still_match(self):
-        hot = keys_in_partition(0, 4, 1)[0]
-        join = make_join([hot] * 7 + keys_in_partition(1, 4, 2, start=100), budget=8)
+        hot = keys_in_partition(0, 1)[0]
+        join = make_join([hot] * 7 + keys_in_partition(1, 2, start=100), budget=8)
         assert join.build.evicted == {0: 7}
         # A site keeps an arrival once, however often its list holds it;
         # the scan still reads all seven rows.
@@ -239,16 +230,18 @@ class TestReferenceDifferential:
         stored=key_multisets,
         arriving=key_multisets,
         budget=st.sampled_from([None, 1, 8, 32]),
-        fan_out=st.sampled_from([1, 2, 4, NUM_SPILL_PARTITIONS]),
         cuts=st.sets(st.integers(1, 79)),
     )
     # Two partitions of three rows each against a budget of three: the tie
     # goes to the lower id, and only that partition goes.
     @example(
-        stored=[0, 1, 2, 3, 4, 5], arriving=[5, 6], budget=3, fan_out=2, cuts=set()
+        stored=keys_in_partition(5, 3) + keys_in_partition(2, 3),
+        arriving=keys_in_partition(5, 1) + keys_in_partition(2, 1, start=10_000),
+        budget=3,
+        cuts=set(),
     )
     def test_matches_and_accounting_equal_the_references(
-        self, stored, arriving, budget, fan_out, cuts
+        self, stored, arriving, budget, cuts
     ):
         """Each batch keeps the rows the nested-loop join of the batch
         with the stored list's distinct keys gives, and evictions, reads
@@ -257,14 +250,14 @@ class TestReferenceDifferential:
         are charged per probe call by design, so a cut moves them — never
         below one call over the whole stream."""
         batches = cut(arriving, cuts)
-        join = make_join(stored, budget, fan_out)
+        join = make_join(stored, budget)
         matched = [join.probe(batch) for batch in batches]
         distinct = [{"k": key} for key in dict.fromkeys(stored)]
         for batch, kept in zip(batches, matched):
             rows = nested_loop_join([{"k": key} for key in batch], distinct, "k")
             assert kept == [row["k"] for row in rows]
         expected, evicted, reads, reread_rows = reference_stored_join(
-            stored, batches, budget, fan_out
+            stored, batches, budget
         )
         assert matched == expected
         assert list(join.build.evicted.items()) == list(evicted.items())
@@ -272,7 +265,7 @@ class TestReferenceDifferential:
         assert join.build.resident_rows == len(stored) - sum(evicted.values())
         if budget is not None:
             assert join.build.resident_rows <= budget
-        whole = make_join(stored, budget, fan_out)
+        whole = make_join(stored, budget)
         whole.probe(arriving)
         assert whole.build.evicted == join.build.evicted
         assert whole.reads <= join.reads

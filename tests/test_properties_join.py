@@ -2,7 +2,7 @@
 
 Pins the core guarantee of a join site's budgeted build
 (:class:`StoredHashJoin`) — evicting partitions of the stored list trades
-memory for re-reads and nothing else — across partition fan-outs,
+memory for re-reads and nothing else — across budgets,
 collision-rich key multisets and arbitrary arrival sequences, against the
 unbudgeted build and ``tests/oracle.py``'s nested-loop reference, plus
 the accounting invariants that tie re-read bytes to whole stored rows.
@@ -39,18 +39,13 @@ WORDS = ["nebula", "quasar", "aurora", "meteor"]
 key_lists = st.lists(st.integers(0, 9), max_size=60)
 
 budgets = st.integers(min_value=1, max_value=12)
-fan_outs = st.sampled_from([1, 2, 4, 8])
 
 ROW_BYTES = 512
 
 
-def make_budgeted(stored, budget, fan_out):
+def make_budgeted(stored, budget):
     """One query's probe of a budgeted build on ``stored``."""
-    return JoinProbe(
-        StoredHashJoin(
-            stored, memory_budget=budget, num_partitions=fan_out, row_bytes=ROW_BYTES
-        )
-    )
+    return JoinProbe(StoredHashJoin(stored, memory_budget=budget, row_bytes=ROW_BYTES))
 
 
 def assert_accounting_invariants(join, stored, budget):
@@ -77,14 +72,14 @@ def probe_in_cuts(join, keys, cuts):
 
 class TestOperatorEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(stored=key_lists, arriving=key_lists, budget=budgets, fan_out=fan_outs)
+    @given(stored=key_lists, arriving=key_lists, budget=budgets)
     def test_budgeted_matches_nested_loop_reference(
-        self, stored, arriving, budget, fan_out
+        self, stored, arriving, budget
     ):
         """Each arrival, probed alone, keeps exactly the rows the
         nested-loop join of it with the stored list's distinct keys
         gives, evicted partition or not."""
-        tight = make_budgeted(stored, budget, fan_out)
+        tight = make_budgeted(stored, budget)
         distinct = [{"k": key} for key in dict.fromkeys(stored)]
         for key in arriving:
             rows = nested_loop_join([{"k": key}], distinct, "k")
@@ -92,12 +87,12 @@ class TestOperatorEquivalence:
         assert_accounting_invariants(tight, stored, budget)
 
     @settings(max_examples=60, deadline=None)
-    @given(stored=key_lists, arriving=key_lists, budget=budgets, fan_out=fan_outs)
+    @given(stored=key_lists, arriving=key_lists, budget=budgets)
     def test_keys_mode_budgeted_matches_unbudgeted(
-        self, stored, arriving, budget, fan_out
+        self, stored, arriving, budget
     ):
         free = JoinProbe(StoredHashJoin(stored))
-        tight = make_budgeted(stored, budget, fan_out)
+        tight = make_budgeted(stored, budget)
         assert tight.probe(arriving) == free.probe(arriving)
         for key in arriving:
             assert tight.probe([key]) == free.probe([key])
@@ -113,11 +108,10 @@ class TestChunkingInvariance:
         arriving=st.lists(st.integers(0, 39), min_size=1, max_size=80),
         spread=st.integers(min_value=1, max_value=40),
         budget=budgets,
-        fan_out=fan_outs,
         cuts=st.sets(st.integers(1, 79)),
     )
     def test_any_split_of_a_key_sequence_spills_identically(
-        self, stored, arriving, spread, budget, fan_out, cuts
+        self, stored, arriving, spread, budget, cuts
     ):
         """One call for the whole sequence, one call per key, and any split
         in between are the same join: equal matches, evictions and
@@ -127,10 +121,10 @@ class TestChunkingInvariance:
         space, so a small one is heavy skew (1 = a single hot key)."""
         stored = [key % spread for key in stored]
         arriving = [key % spread for key in arriving]
-        per_key = make_budgeted(stored, budget, fan_out)
+        per_key = make_budgeted(stored, budget)
         reference = probe_in_cuts(per_key, arriving, range(len(arriving)))
-        bulk = make_budgeted(stored, budget, fan_out)
-        split = make_budgeted(stored, budget, fan_out)
+        bulk = make_budgeted(stored, budget)
+        split = make_budgeted(stored, budget)
         assert probe_in_cuts(bulk, arriving, ()) == reference
         assert probe_in_cuts(split, arriving, cuts) == reference
         for join in (bulk, split):
@@ -151,7 +145,7 @@ class TestChunkingInvariance:
         ``reference_stored_join``'s."""
         keys = [f"file{i:04d}" for i in range(128)]
         probe = keys[::8] + [f"miss{i:04d}" for i in range(16)]
-        join = make_budgeted(keys, 32, 8)
+        join = make_budgeted(keys, 32)
         batches = [probe[i : i + per_call] for i in range(0, len(probe), per_call)]
         assert [key for batch in batches for key in join.probe(batch)] == keys[::8]
         evicted = [(2, 17), (3, 17), (4, 17), (5, 17), (0, 15), (1, 15)]
@@ -159,7 +153,7 @@ class TestChunkingInvariance:
         assert (join.build.partition_evictions, join.build.resident_rows) == (6, 30)
         reads, reread_rows = {128: (6, 98), 1: (24, 394)}[per_call]
         assert (join.reads, join.reread_bytes) == (reads, reread_rows * ROW_BYTES)
-        assert reference_stored_join(keys, batches, 32, 8)[1:] == (
+        assert reference_stored_join(keys, batches, 32)[1:] == (
             dict(evicted),
             reads,
             reread_rows,

@@ -17,9 +17,13 @@ class TestRegistry:
     def test_extension_experiments_registered(self):
         for extension in (
             "ext-horizon", "ext-churn", "ext-cache", "ext-dataflow",
-            "ext-optimizer", "ext-runtime",
+            "ext-join", "ext-optimizer", "ext-scenario",
         ):
             assert extension in EXPERIMENTS
+
+    def test_host_time_sweeps_are_not_experiments(self):
+        """Host time is measured by ``python3 -m bench`` alone."""
+        assert not {"ext-obs", "ext-runtime"} & set(EXPERIMENTS)
 
 
 class TestMain:
@@ -34,6 +38,16 @@ class TestMain:
         assert main(["--scale", "small", "--only", "fig09", "fig10"]) == 0
         out = capsys.readouterr().out
         assert "fig09" in out and "fig10" in out
+
+    def test_output_depends_only_on_the_code(self, capsys):
+        """Two runs print the same bytes: no wall-clock line."""
+        outputs = []
+        for _ in range(2):
+            assert main(["--scale", "small", "--only", "fig09", "sec4"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "== fig09" in outputs[0] and "== sec4" in outputs[0]
+        assert "completed in" not in outputs[0]
 
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

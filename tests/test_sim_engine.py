@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine."""
 
+import random
 import weakref
 
 import pytest
@@ -267,6 +268,28 @@ class TestPendingCounter:
         sim.run()
         assert sim.pending == 0
         assert all(group.pending == 0 for group in groups)
+
+    def test_mixed_group_cancel_workload_counts_exactly(self):
+        """The deployment's usage mix: a quarter of the events go through
+        32 groups, eight groups are mass-cancelled, and the run stops at
+        a horizon before draining. Every count stays exact throughout."""
+        rng = random.Random(7)
+        sim = Simulator()
+        groups = [sim.group() for _ in range(32)]
+        for index in range(16_384):
+            delay = rng.random() * 10.0
+            if index & 3 == 0:
+                groups[(index >> 2) & 31].schedule(delay, lambda: None)
+            else:
+                sim.schedule(delay, lambda: None)
+        assert [group.pending for group in groups] == [128] * 32
+        cancelled = sum(group.cancel() for group in groups[:8])
+        assert cancelled == 8 * 128
+        assert sim.pending == 16_384 - cancelled == live_entries(sim)
+        early = sim.run(until=5.0)
+        assert sim.pending == 16_384 - cancelled - early == live_entries(sim)
+        assert early + sim.run() == 16_384 - cancelled == sim.processed
+        assert sim.pending == 0
 
     def test_double_cancel_decrements_once(self):
         sim = Simulator()

@@ -29,8 +29,8 @@ from repro.piersearch.publisher import Publisher
 
 KEYWORDS = ("nebula", "quasar", "aurora")
 FILES = 12
-#: one budgeted build configuration: (row budget, fan-out, row bytes)
-BUDGET = (3, 4, 16)
+#: one budgeted build configuration: (row budget, row bytes)
+BUDGET = (3, 16)
 FP_RATE = 0.05
 #: a filter from another site, probed against every list
 PROBE_FILTER = bloom_for_keys([f"file{index:02d}" for index in range(0, FILES, 2)], FP_RATE)
