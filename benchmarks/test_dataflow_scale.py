@@ -55,7 +55,10 @@ def _check(engine, num_queries, min_peak):
 
 def test_dataflow_5k_concurrent_pipelined_queries_under_churn(benchmark):
     engine, dht, churn = benchmark(_build_and_run)
-    _check(engine, NUM_QUERIES, min_peak=4000)
+    # 4,046 races peaked in flight while every answer took a leg to the
+    # query node, 3,964 since the semi-join fetches from its last join
+    # site: each race resolves one hop sooner, so fewer overlap.
+    _check(engine, NUM_QUERIES, min_peak=3900)
     assert churn.stats.leaves + churn.stats.failures >= 12
     assert engine.completed / engine.sim.now > 25.0
 

@@ -41,7 +41,10 @@ def test_traced_pair_counts_are_exact():
     the scenario alone, so they are pinned; the pair itself asserts zero
     drift and valid exports."""
     pair = traced_vs_untraced(200)
-    assert (pair["spans"], pair["metric_series"]) == (75, 54)
+    # 54 series while every plan shipped an answer leg: the semi-join's
+    # fetch at its last join site left no ``pier.answer`` batch or tuple
+    # series in this scenario.
+    assert (pair["spans"], pair["metric_series"]) == (75, 52)
 
 
 def test_traced_smoke_exports_validate():

@@ -8,10 +8,17 @@ the sites of a keyword chain:
   interpreted by :meth:`_QueryRun.start`: the plan legs are charged front
   to back, then one back-to-front loop opens every **exchange edge**
   (a ship step) and every per-site stage (a key-join, Bloom probe or
-  Bloom verify step — one :class:`_Stage` body for all three), so each
-  step's output exists before the step feeding it. The scan and its
-  local steps (substring filters, the Bloom build) run when the plan
-  reaches the first site.
+  Bloom verify step — one :class:`_Stage` body for all three) and the
+  fetch step (:class:`_Fetch`), so each step's output exists before the
+  step feeding it. The scan and its local steps (substring filters, the
+  Bloom build) run when the plan reaches the first site.
+* The fetch step runs where the step list puts it: at the query node
+  after an answer edge (the distributed join and the InvertedCache plan,
+  the paper's Figures 2 and 3), or at the site whose operator produced
+  the matches (the semi-join's last join site, the Bloom join's verify
+  site), which then ships no answer leg. Either way each matched fileID
+  costs one routed request to its Item's host and one reply from there
+  straight to the query node.
 * Every batch is a scheduled event in **virtual time** on a
   :class:`~repro.sim.engine.Simulator`: a send event ships the batch in
   one call (:meth:`DhtNetwork.ship_batch` sends it direct to the site
@@ -57,10 +64,10 @@ returns the whole answer has no first-answer time to optimise).
 
 In-memory, exchange batches are **compact**: a shared schema tuple plus
 one value tuple per row (:class:`repro.pier.rows.RowBatch`), converted to
-dict rows only at query-result boundaries (answer delivery and Item
-fetches). Wire costs are ``per_tuple_bytes * len(batch)`` either way, so
-the representation never shows up in the accounting — only in wall-clock
-speed.
+dict rows only at query-result boundaries (answer delivery without Item
+fetches, and the Item tuples a fetch returns). Wire costs are
+``per_tuple_bytes * len(batch)`` either way, so the representation never
+shows up in the accounting — only in wall-clock speed.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable
 
-from repro.common.errors import DhtError
+from repro.common.errors import DhtError, NodeNotFoundError
 from repro.common.rng import make_rng
 from repro.common.units import CostModel
 from repro.dht.network import DhtNetwork
@@ -93,6 +100,7 @@ from repro.pier.query import (
     SpillStats,
     Step,
     edge_tuple_bytes,
+    plan_steps,
 )
 from repro.pier.schema import Row
 from repro.sim.engine import EventGroup, Simulator
@@ -309,10 +317,11 @@ class _Exchange:
     fixed-size batches, paces sends :data:`SEND_INTERVAL` apart, charges each
     batch on send, and delivers a free end-of-stream control event after
     the last data arrival (the marker piggybacks on the final batch, so
-    it costs no extra bytes). An answer edge goes straight to the query
-    node and streams eagerly — every offer ships at once, since batching
-    answers only delays what the user is waiting for — and ships no
-    posting entries.
+    it costs no extra bytes). An answer edge — the distributed join's and
+    the InvertedCache plan's, or any plan's run without Item fetches —
+    goes straight to the query node and streams eagerly — every offer
+    ships at once, since batching answers only delays what the user is
+    waiting for — and ships no posting entries.
     """
 
     def __init__(
@@ -410,7 +419,7 @@ class _Exchange:
         self.batches_sent += 1
         self.tuples_sent += tuples
         if self.answer:
-            hops = 1  # an answer takes its one direct hop even to itself
+            hops = run.answer_hops = 1  # one direct hop, even to itself
         else:
             stats.posting_entries_shipped += tuples
         arrival = max(run.sim.now + run.delay(hops), self.ready_time)
@@ -465,6 +474,52 @@ class _Exchange:
         self.run.group.schedule_at(
             max(self.run.sim.now, self._last_arrival), self.deliver_eos
         )
+
+
+class _Fetch:
+    """One fetch step: the Item tuples of every key that reaches it.
+
+    Fed by an answer edge at the query node (:meth:`deliver`, one
+    :class:`~repro.pier.rows.RowBatch` per arrival) or by the operator at
+    the site holding the matches (:meth:`offer`, value tuples), it fetches
+    each offer at once from the step's site: one routed request per
+    fileID, and one reply from the Item's host straight to the query node
+    (:meth:`_QueryRun._fetch_items`). End-of-stream rides the last reply;
+    a stream that closes without a key sends the query node its one empty
+    answer message instead.
+    """
+
+    def __init__(self, run: "_QueryRun", step: Step):
+        self.run = run
+        self.origin = run.sites[step.stage]
+        self.keys = 0
+
+    def deliver(self, batch: RowBatch) -> None:
+        self._fetch(batch.column("fileID"))
+
+    def offer(self, values: list[tuple]) -> None:
+        self._fetch([key for (key,) in values])
+
+    def _fetch(self, file_ids: list) -> None:
+        run = self.run
+        if run.query.done:
+            return
+        try:
+            items, hops = run._fetch_items(self.origin, file_ids)
+        except DhtError as error:
+            run.fail(error)
+            return
+        self.keys += len(file_ids)
+        run.outstanding_fetches += 1
+        run.group.schedule(
+            run.delay(hops + 1), partial(run._finish_fetch, items, len(file_ids))
+        )
+
+    def close(self) -> None:
+        if self.keys:
+            self.run._answers_finished()
+        else:
+            self.run._finalize_empty()
 
 
 class _QueryRun:
@@ -533,6 +588,8 @@ class _QueryRun:
         #: Bloom verify step checks candidates against)
         self.filter_keys: set | None = None
         self.answer_tuples = 0
+        #: 1 once an answer leg (answer batches or the empty answer) shipped
+        self.answer_hops = 0
         self.max_fetch_hops = 0
         self.outstanding_fetches = 0
         self.answers_done = False
@@ -549,7 +606,9 @@ class _QueryRun:
         front (each step's output exists before the step feeding it), and
         schedule the scan and its site-local steps for when the plan
         reaches their site."""
-        steps = self.plan.steps
+        steps = plan_steps(
+            self.plan.strategy, len(self.plan.stages), self.fetch_items
+        )
         try:
             ready = self._disseminate(steps)
         except DhtError as error:
@@ -567,6 +626,9 @@ class _QueryRun:
             elif op in _STAGES:
                 stage = _Stage(self, step, out)
                 target = (stage.deliver, stage.on_eos)
+            elif op == Op.FETCH:
+                out = fetch = _Fetch(self, step)
+                target = (fetch.deliver, fetch.close)
             elif op == Op.ANSWER:
                 target = (self._deliver_answer, self._answers_finished)
             elif op == Op.SCAN:
@@ -668,43 +730,36 @@ class _QueryRun:
     # -- answers ---------------------------------------------------------
 
     def _deliver_answer(self, batch: RowBatch) -> None:
-        if self.query.done:
-            return
-        if not self.fetch_items:
-            # Query-result boundary: the only place answer tuples become
-            # dict rows when Item fetching is off.
-            self._results_ready(batch.to_rows(), len(batch))
-            return
-        try:
-            items, fetch_hops = self._fetch_items(batch.column("fileID"))
-        except DhtError as error:
-            self.fail(error)
-            return
-        self.outstanding_fetches += 1
-        self.group.schedule(
-            self.delay(fetch_hops + 1),
-            lambda items=items, count=len(batch): self._finish_fetch(items, count),
-        )
+        # Query-result boundary: the only place answer tuples become dict
+        # rows when Item fetching is off.
+        self._results_ready(batch.to_rows(), len(batch))
 
     def _finish_fetch(self, items: list[Row], answer_count: int) -> None:
         self.outstanding_fetches -= 1
         self._results_ready(items, answer_count)
 
-    def _fetch_items(self, file_ids: list) -> tuple[list[Row], int]:
-        """Fetch the Item tuples of one answer batch, charging every message.
+    def _fetch_items(self, origin: int, file_ids: list) -> tuple[list[Row], int]:
+        """Fetch the Item tuples of ``file_ids`` from ``origin``, charging
+        every message: one routed request per fileID to its Item's host,
+        and one reply from there straight to the query node.
 
         Takes bare fileID values (compact batches never materialise
         fileID dicts). Returns (item rows, max routing hops across the
         parallel fetches — the one that bounds the batch's latency).
+        Raises :class:`NodeNotFoundError`, charging nothing, when the
+        query node the replies go to has left the ring.
         """
-        cost = self.executor.cost_model
-        items = self.executor.catalog.table("Item")
+        executor = self.executor
         query_node = self.plan.query_node
+        if query_node not in executor.network.nodes:
+            raise NodeNotFoundError(f"query node departed: {query_node:x}")
+        cost = executor.cost_model
+        items = executor.catalog.table("Item")
         results: list[Row] = []
         batch_max_hops = 0
         for file_id in file_ids:
             host = items.host_of(file_id)
-            hops = self._route_hops(query_node, host)
+            hops = self._route_hops(origin, host)
             batch_max_hops = max(batch_max_hops, hops)
             request_bytes = cost.routed_bytes(cost.fileid_bytes, hops)
             fetched = items.fetch_local(host, file_id)
@@ -761,6 +816,7 @@ class _QueryRun:
             return
         cost = self.executor.cost_model
         self._charge("pier.answer", 1, cost.message_bytes(0))
+        self.answer_hops = 1
         self.group.schedule(self.delay(1), self._answers_finished)
 
     # -- termination -----------------------------------------------------
@@ -772,10 +828,11 @@ class _QueryRun:
         self.pipeline.completion_time = self.sim.now - self.submitted_at
         self.stats.results = len(self.query.rows)
         self.stats.join_matches = self.answer_tuples
-        # The answer hop, plus any leg (the Bloom join's verification leg
-        # back to the filter site) that lengthens the data path beyond the
-        # dissemination chain, when it carried anything.
-        hops = self.stats.chain_hops + 1
+        # The answer hop when an answer leg shipped, plus any leg (the
+        # Bloom join's verification leg back to the filter site) that
+        # lengthens the data path beyond the dissemination chain, when it
+        # carried anything, plus the slowest fetch and its reply.
+        hops = self.stats.chain_hops + self.answer_hops
         for edge in self.exchanges:
             if edge.batches_sent:
                 hops += edge.path_hops
@@ -897,7 +954,7 @@ class _Stage:
     candidates the filter was built from, so false positives die there.
     """
 
-    def __init__(self, run: _QueryRun, step: Step, out: _Exchange):
+    def __init__(self, run: _QueryRun, step: Step, out: "_Exchange | _Fetch"):
         op, index = step.op, step.stage
         self.run = run
         self.op = op

@@ -19,9 +19,10 @@ holds ``n(i+1)``), per-leg hop estimate ``h``, join selectivity ``sigma``
 (the fraction of the stream surviving each intersection), Bloom FP
 target ``fp``, row budget ``M`` and exchange batch size ``b``
 (:func:`~repro.pier.planner.batch_size_for` ``n1``), the stream reaching
-a step after ``j`` intersections is ``s = round(n1 * sigma^j)``, plus —
-past a Bloom probe at stage ``p``, the ``jp``-th intersection —
-``n(p+1) * fp * sigma^(j-jp)`` false positives:
+a step after ``j`` intersections (key-joins, Bloom probes and substring
+filters) is ``s = round(n1 * sigma^j)``, plus — past a Bloom probe at
+stage ``p``, the ``jp``-th intersection — ``n(p+1) * fp * sigma^(j-jp)``
+false positives:
 
 =====================  ==============================================
 step                   price
@@ -31,11 +32,16 @@ ship *rehash*          ``s * tuple_bytes(fileid + 12)`` + ``h`` headers
 ship *semi*/*digest*   ``s * fileid_bytes`` + ``h`` headers
 ship *filter*          a Bloom filter for ``n1`` keys at ``fp`` + ``h``
                        headers
-ship *answer*          0 — the same answer set under every strategy
+ship *answer*          ``s * tuple_bytes(fileid)`` + ``h`` headers; only
+                       the distributed join and the InvertedCache plan
+                       ship one (the rewrites fetch where their matches
+                       are)
 key-join at ``i``      ``max(0, n(i+1) - M)`` evicted stored rows,
                        re-read once per arriving batch (``ceil(s / b)``
                        batches), at ``spill_tuple_bytes`` each; nothing
                        is written (0 unbudgeted)
+fetch                  0 — one request and one reply per answer,
+                       wherever the step sits
 any other step         0 — site-local, and the Bloom probe only adds
                        its false positives to the stream
 =====================  ==============================================
@@ -289,7 +295,9 @@ class CostBasedOptimizer:
                 false_hits = ordered[step.stage] * fp
                 joins += 1
                 probed = joins
-            elif op == Op.JOIN or (op == Op.SHIP and edge != Edge.ANSWER):
+            elif op == Op.FILTER:
+                joins += 1
+            elif op == Op.JOIN or op == Op.SHIP:
                 arriving = int(round(rarest * sigma**joins))
                 if false_hits:
                     arriving = int(round(arriving + false_hits * sigma ** (joins - probed)))
@@ -317,12 +325,14 @@ class CostBasedOptimizer:
         """Record how one executed query's bytes compared to its estimate.
 
         The prediction is the estimate's ``wire_bytes`` — plan
-        dissemination plus inter-site shipping, no site-local spill bytes;
-        ``actual_bytes`` is the query's full metered total, which also
-        includes the strategy-invariant answer and Item-fetch legs the
-        model excludes, so the ratio sits somewhat above 1.0 (about
-        1.09 on the benchmark's budgeted Bloom joins). The signal to watch
-        is the per-strategy drift of the ratio, not its absolute level.
+        dissemination, inter-site shipping and (for the distributed join
+        and the InvertedCache plan) the answer leg, no site-local spill
+        bytes; ``actual_bytes`` is the query's full metered total, which
+        also includes the Item fetches (one request and one reply per
+        answer under every strategy) and any empty answer message the
+        model excludes, so the ratio sits somewhat above 1.0. The signal
+        to watch is the per-strategy drift of the ratio, not its absolute
+        level.
         The estimate's ``spill_bytes`` is summed as
         ``optimizer.predicted_spill_bytes``, beside the re-read bytes the
         joins actually paid (``operator.spill.reread_bytes``, fed by the

@@ -7,12 +7,13 @@ the order); stage ``i`` executes at the DHT node hosting term ``i``'s
 posting list, receiving the surviving tuples from stage ``i-1``.
 
 What each site does is the plan's **step list**, :func:`plan_steps`: a
-pure, memoised function of ``(strategy, k)`` to a flat tuple of
-:class:`Step` over stage indices, and the one place a strategy is
-spelled out — the dataflow runtime (:mod:`repro.pier.dataflow`)
+pure, memoised function of ``(strategy, k, fetch_items)`` to a flat
+tuple of :class:`Step` over stage indices, and the one place a strategy
+is spelled out — the dataflow runtime (:mod:`repro.pier.dataflow`)
 interprets it and the optimizer (:mod:`repro.pier.optimizer`) prices it.
 It runs the plan legs first, then a scan, the site-local steps after
-it, and alternating ship/operator steps down to the answer.
+it, and alternating ship/operator steps down to the Item fetch and the
+answer.
 """
 
 from __future__ import annotations
@@ -41,13 +42,15 @@ class JoinStrategy(Enum):
     ``i`` runs over stages ``1..k-1``):
 
     * ``DISTRIBUTED_JOIN`` — scan 0; ship *rehash* ``i-1 → i`` (framed
-      posting tuples, ~531 B/entry) and key-join at ``i``; ship *answer*.
+      posting tuples, ~531 B/entry) and key-join at ``i``; ship *answer*
+      (framed answer tuples, 512 B each) and fetch at the query node.
       The paper's Figure 2 plan: Section 5's posting-entry replay and the
       Section 7 deployment name it. Wins single-term queries, where
-      nothing ships.
+      nothing ships between sites.
     * ``SEMI_JOIN`` — the same chain over a distinct-key scan and *semi*
-      edges (packed fileID digests, ~20 B/entry): the same answers for a
-      fraction of the bytes, each distinct fileID shipped once, so it is
+      edges (packed fileID digests, ~20 B/entry), and a fetch at the last
+      join site: the same answers for a fraction of the bytes, each
+      distinct fileID shipped once and no answer leg, so it is
       :data:`DEFAULT_STRATEGY`, the chain a hybrid race runs when the
       caller names no strategy and attaches no optimizer. Wins
       rare∧very-popular mixes, where Bloom false positives on the huge
@@ -56,14 +59,18 @@ class JoinStrategy(Enum):
       ``0 → 1`` (~1.2 B/entry at 1% FP) and Bloom probe at 1; *digest*
       edges and key-joins on to ``k-1``; a *digest* return leg ``k-1 → 0``
       that lengthens the critical path; Bloom verify at 0, where false
-      positives die; ship *answer*. Wins comparable list sizes.
+      positives die; fetch at 0. Wins comparable list sizes.
     * ``INVERTED_CACHE`` — one plan leg; scan 0 of the InvertedCache
-      table, a substring filter per other term, ship *answer*: nothing
-      ships between sites. Wins very popular terms once published.
+      table, a substring filter per other term, ship *answer* and fetch at
+      the query node: nothing ships between sites. Wins very popular
+      terms once published.
 
     Every chain starts with one plan leg per stage (query node → 0 → 1 →
     ...), and a one-stage semi or Bloom plan runs the distributed join's
-    steps.
+    steps. A fetch step routes one request per matched fileID to the
+    host of its Item tuple, which replies straight to the query node; a
+    plan run without Item fetches ships its answer keys to the query node
+    instead, whatever its strategy.
     """
 
     DISTRIBUTED_JOIN = "distributed_join"  # Figure 2
@@ -122,6 +129,7 @@ class Op:
     BLOOM_PROBE = "bloom probe"
     BLOOM_VERIFY = "bloom verify"
     FILTER = "substring filter"
+    FETCH = "fetch"
     ANSWER = "answer"
 
 
@@ -131,7 +139,8 @@ class Step(NamedTuple):
 
     op: str  # an :class:`Op`
     stage: int
-    #: ship: the target stage; substring filter: the needle's stage
+    #: ship: the target stage; substring filter: the needle's stage;
+    #: fetch: where the Item replies go
     to: int = QUERY_NODE
     #: ship: an :class:`Edge`
     edge: str | None = None
@@ -149,19 +158,32 @@ def _ship(edge: str, source: int, target: int, **extra) -> Step:
     return Step(Op.SHIP, source, target, edge, **extra)
 
 
+def _answer(stage: int, fetch_here: bool, fetch_items: bool) -> list[Step]:
+    """The tail from the stage holding the matches: a fetch there when
+    ``fetch_here``, or else an answer leg to the query node (fetching
+    there when ``fetch_items``)."""
+    if fetch_items and fetch_here:
+        return [Step(Op.FETCH, stage), Step(Op.ANSWER, QUERY_NODE)]
+    tail = [_ship(Edge.ANSWER, stage, QUERY_NODE)]
+    if fetch_items:
+        tail.append(Step(Op.FETCH, QUERY_NODE))
+    return tail + [Step(Op.ANSWER, QUERY_NODE)]
+
+
 @cache
-def plan_steps(strategy: JoinStrategy, k: int) -> tuple[Step, ...]:
+def plan_steps(
+    strategy: JoinStrategy, k: int, fetch_items: bool = True
+) -> tuple[Step, ...]:
     """The step list of ``strategy`` over ``k`` stages (see
-    :class:`JoinStrategy` for each list). The only place that branches on
-    the strategy: the runtime interprets this list and the optimizer
-    prices it."""
+    :class:`JoinStrategy` for each list), with or without its Item fetch.
+    The only place that branches on the strategy: the runtime interprets
+    this list and the optimizer prices it."""
     if strategy is JoinStrategy.INVERTED_CACHE:
         return (
             _ship(Edge.PLAN, QUERY_NODE, 0),
             Step(Op.SCAN, 0, table=CACHE_TABLE, distinct=True),
             *(Step(Op.FILTER, 0, to=index) for index in range(1, k)),
-            _ship(Edge.ANSWER, 0, QUERY_NODE),
-            Step(Op.ANSWER, QUERY_NODE),
+            *_answer(0, False, fetch_items),
         )
     if k == 1:
         # Nothing to intersect: the scan answers with whole posting rows.
@@ -179,7 +201,7 @@ def plan_steps(strategy: JoinStrategy, k: int) -> tuple[Step, ...]:
         steps += [
             _ship(Edge.DIGEST, k - 1, 0, extends_path=True),
             Step(Op.BLOOM_VERIFY, 0),
-            _ship(Edge.ANSWER, 0, QUERY_NODE),
+            *_answer(0, True, fetch_items),
         ]
     else:
         semi = strategy is JoinStrategy.SEMI_JOIN
@@ -188,8 +210,7 @@ def plan_steps(strategy: JoinStrategy, k: int) -> tuple[Step, ...]:
         for index in range(1, k):
             edge = Edge.SEMI if semi else Edge.REHASH
             steps += [_ship(edge, index - 1, index), Step(Op.JOIN, index)]
-        steps.append(_ship(Edge.ANSWER, k - 1, QUERY_NODE))
-    steps.append(Step(Op.ANSWER, QUERY_NODE))
+        steps += _answer(k - 1, semi, fetch_items)
     return tuple(steps)
 
 
@@ -222,10 +243,6 @@ class DistributedPlan:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError("a plan needs at least one stage")
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return plan_steps(self.strategy, len(self.stages))
 
 
 @dataclass

@@ -193,11 +193,15 @@ def reference_estimates(optimizer, sizes, inverted_cache):
     ``s_i = n1 * sigma^(i-1)`` survivors (framed tuples or digests), or
     for the Bloom join a filter for ``n1`` keys and then
     ``c_i = s_i + n2 * fp * sigma^(i-2)`` candidate digests, the last of
-    them back to the filter site; every leg pays one header per hop. Each
-    join site of a chain evicts its stored rows past the budget and
-    re-reads them once per arriving batch (survivors in batches of the
-    planner's size for ``n1``); the Bloom chain's probe and verify sites
-    pay none.
+    them back to the filter site; every leg pays one header per hop. The
+    distributed join and the InvertedCache plan also ship their
+    ``s_k`` answers to the query node as framed ``tuple_bytes(fileid)``
+    tuples plus one header per hop (the substring filters intersect like
+    joins); the rewrites fetch where their matches are and ship no
+    answer leg. Each join site of a chain evicts its stored rows past the
+    budget and re-reads them once per arriving batch (survivors in
+    batches of the planner's size for ``n1``); the Bloom chain's probe and
+    verify sites pay none.
     """
     cost = optimizer.cost_model
     config = optimizer.config
@@ -214,9 +218,10 @@ def reference_estimates(optimizer, sizes, inverted_cache):
 
     ordered = sorted(sizes.values())
     k = len(ordered)
-    if k < 2:
-        return {JoinStrategy.DISTRIBUTED_JOIN: (plan_cost(1), 0)}
     n1 = ordered[0]
+    answer_ship = survivors(n1, k) * cost.tuple_bytes(cost.fileid_bytes) + header
+    if k < 2:
+        return {JoinStrategy.DISTRIBUTED_JOIN: (plan_cost(1) + answer_ship, 0)}
 
     def spill_bytes(arriving, local):
         budget = config.memory_budget
@@ -248,12 +253,14 @@ def reference_estimates(optimizer, sizes, inverted_cache):
         for arriving, local in zip(candidates[: k - 2], ordered[2:])
     )
     priced = {
-        JoinStrategy.DISTRIBUTED_JOIN: (plan + dist_ship + chain_spill, chain_spill),
+        JoinStrategy.DISTRIBUTED_JOIN: (
+            plan + dist_ship + answer_ship + chain_spill, chain_spill
+        ),
         JoinStrategy.SEMI_JOIN: (plan + semi_ship + chain_spill, chain_spill),
         JoinStrategy.BLOOM_JOIN: (plan + bloom_ship + bloom_spill, bloom_spill),
     }
     if inverted_cache:
-        priced[JoinStrategy.INVERTED_CACHE] = (plan_cost(1), 0)
+        priced[JoinStrategy.INVERTED_CACHE] = (plan_cost(1) + answer_ship, 0)
     return priced
 
 

@@ -133,16 +133,23 @@ def test_suspect_posting_key_degrades_zero_answer():
     assert dht.is_suspect(posting_key)
 
 
-def test_lost_item_rows_degrade_zero_answer():
-    """Posting join matches but the Item tuples are gone: flagged loss."""
+@pytest.mark.parametrize(
+    "terms",
+    [("montia",), ("montia", "rare")],
+    ids=["answer-leg", "semi-join-fetch"],
+)
+def test_lost_item_rows_degrade_zero_answer(terms):
+    """Posting join matches but the Item tuples are gone: flagged loss,
+    whether the query node fetches after an answer leg (one term) or the
+    semi-join's last join site fetches (two terms)."""
     sim, dht, engine, hybrid = build_world()
     name = "rare montia klorena.mp3"
     publish(hybrid, name)
     file_id = compute_file_id(name, 100, "10.0.0.1", 6346)
     item_key = hash_key(f"Item|{file_id}")
-    posting_key = hash_key("Inverted|montia")
-    assert dht.owner_of(item_key) != dht.owner_of(posting_key)
-    race = rare_query(engine, hybrid)
+    for term in terms:
+        assert dht.owner_of(item_key) != dht.owner_of(hash_key(f"Inverted|{term}"))
+    race = rare_query(engine, hybrid, terms)
     sim.schedule(
         TIMEOUT - 0.01,
         lambda: dht.remove_node(dht.owner_of(item_key), graceful=False),

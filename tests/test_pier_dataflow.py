@@ -5,12 +5,13 @@ import math
 import pytest
 
 from repro.common.errors import DhtError, NodeNotFoundError
+from repro.common.units import MessageCost
 from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import RaceConfig
 from repro.hybrid.world import build_world as build_hybrid_world
 from repro.pier.catalog import Catalog
 from repro.pier import operators
-from repro.pier.dataflow import SEND_INTERVAL, DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import SEND_INTERVAL, DataflowConfig, DataflowExecutor, _QueryRun
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import Edge, JoinStrategy
 from repro.obs.metrics import MetricsRegistry
@@ -481,7 +482,133 @@ class TestDepartedJoinSite:
         assert done == [race] and world.engine.completed == 1
         assert race.pier_attempts == 2
         assert race.outcome.pier_results == expected
-        assert Edge.ANSWER in shipped
+        # The re-planned semi-join fetched its Items from its last join
+        # site: no answer leg shipped.
+        assert Edge.ANSWER not in shipped
+        assert network.meter.by_category["pier.item_fetch"].messages >= expected
+
+
+def one_match_world():
+    """(network, catalog, query node, the one matching fileID): two terms
+    that share one file, each also alone in others, with both posting
+    sites, the match's Item host and the query node four distinct nodes."""
+    network = DhtNetwork(rng=13)
+    network.populate(24)
+    catalog = Catalog(network)
+    publisher = Publisher(network, catalog)
+    names = ["nebula quasar both.mp3"]
+    names += [f"nebula solo{index}.mp3" for index in range(3)]
+    names += [f"quasar solo{index}.mp3" for index in range(4)]
+    for index, name in enumerate(names):
+        publisher.publish_file(name, 1000 + index, f"10.0.0.{index}", 6346)
+    (match,) = oracle_items(catalog, ["nebula", "quasar"])
+    inverted, items = catalog.table("Inverted"), catalog.table("Item")
+    busy = {inverted.host_of("nebula"), inverted.host_of("quasar")}
+    busy.add(items.host_of(match["fileID"]))
+    assert len(busy) == 3, "the world must host the sites and the Item apart"
+    query_node = next(node for node in sorted(network.nodes) if node not in busy)
+    return network, catalog, query_node, match["fileID"]
+
+
+class TestFetchAtTheAnswerSite:
+    """The semi-join fetches each match's Item from its last join site:
+    no answer leg, one routed request from there and one reply to the
+    query node. The distributed join (Figure 2) keeps its answer leg and
+    fetches at the query node."""
+
+    TERMS = ["nebula", "quasar"]
+
+    def run(self, network, catalog, query_node, strategy, monkeypatch):
+        """(plan, rows, stats, the meter's (messages, bytes) per category
+        the query moved, and the origin and fileIDs of each fetch)."""
+        plan = KeywordPlanner(catalog).plan(self.TERMS, query_node, strategy=strategy)
+        origins = []
+        fetch = _QueryRun._fetch_items
+
+        def recording(run, origin, file_ids):
+            origins.append((origin, list(file_ids)))
+            return fetch(run, origin, file_ids)
+
+        monkeypatch.setattr(_QueryRun, "_fetch_items", recording)
+        before = dict(network.meter.by_category)
+        rows, stats = DataflowExecutor(network, catalog, rng=7).execute(plan)
+        monkeypatch.undo()
+        delta = {}
+        for category, cost in network.meter.by_category.items():
+            old = before.get(category, MessageCost(0, 0))
+            if cost.bytes != old.bytes:
+                delta[category] = (cost.messages - old.messages, cost.bytes - old.bytes)
+        return plan, rows, stats, delta, origins
+
+    def test_a_semi_join_fetches_from_its_last_join_site(self, monkeypatch):
+        network, catalog, query_node, file_id = one_match_world()
+        plan, rows, stats, delta, origins = self.run(
+            network, catalog, query_node, JoinStrategy.SEMI_JOIN, monkeypatch
+        )
+        assert [row["fileID"] for row in rows] == [file_id]
+        last_site = plan.stages[-1].site
+        assert origins == [(last_site, [file_id])]
+        assert Edge.ANSWER not in delta
+        # One routed request from the last join site, one direct reply.
+        cost = network.cost_model
+        items = catalog.table("Item")
+        host = items.host_of(file_id)
+        hops = network.route_hops(host, last_site)
+        reply = sum(cost.item_tuple_bytes(row["filename"]) for row in rows)
+        assert delta["pier.item_fetch"] == (
+            max(1, hops) + 1,
+            cost.routed_bytes(cost.fileid_bytes, hops) + cost.message_bytes(reply),
+        )
+        # Every byte the query reports was metered, and nothing else.
+        assert stats.bytes == sum(moved for _, moved in delta.values())
+        assert stats.messages == sum(count for count, _ in delta.values())
+        assert stats.critical_path_hops == stats.chain_hops + hops + 1
+
+    def test_the_distributed_join_keeps_its_answer_leg(self, monkeypatch):
+        network, catalog, query_node, file_id = one_match_world()
+        plan, rows, stats, delta, origins = self.run(
+            network, catalog, query_node, JoinStrategy.DISTRIBUTED_JOIN, monkeypatch
+        )
+        assert [row["fileID"] for row in rows] == [file_id]
+        assert origins == [(query_node, [file_id])]
+        cost = network.cost_model
+        answer = cost.tuple_bytes(cost.fileid_bytes)
+        assert delta[Edge.ANSWER] == (1, cost.message_bytes(answer))
+        assert stats.bytes == sum(moved for _, moved in delta.values())
+        hops = network.route_hops(catalog.table("Item").host_of(file_id), query_node)
+        assert stats.critical_path_hops == stats.chain_hops + 1 + hops + 1
+
+    def test_an_item_reply_to_a_departed_query_node_fails_the_run(self, monkeypatch):
+        """The query node leaves right after the semi-join batch is
+        charged: the last join site's fetch fails the run before it
+        charges anything, as an answer batch to that node would."""
+        network, catalog, query_node, _ = one_match_world()
+        plan = KeywordPlanner(catalog).plan(self.TERMS, query_node)
+        assert plan.strategy is JoinStrategy.SEMI_JOIN
+        ship = network.ship_batch
+
+        def shipping(source, target, payload_bytes, category):
+            result = ship(source, target, payload_bytes, category)
+            if category == Edge.SEMI:
+                network.remove_node(query_node, graceful=True)
+            return result
+
+        monkeypatch.setattr(network, "ship_batch", shipping)
+        before = network.meter.snapshot()
+        handoff = network.meter.by_category.get("dht.handoff")
+        dataflow = DataflowExecutor(network, catalog, rng=7)
+        query = dataflow.submit(plan)
+        dataflow.sim.run()
+        assert isinstance(query.error, NodeNotFoundError)
+        assert "pier.item_fetch" not in network.meter.by_category
+        assert Edge.ANSWER not in network.meter.by_category
+        # The join site read its list: the semi batch landed before the
+        # fetch failed.
+        assert len(query.stats.per_stage_entries) == 2
+        handed = network.meter.by_category["dht.handoff"].bytes - (
+            handoff.bytes if handoff is not None else 0
+        )
+        assert query.stats.bytes == network.meter.bytes - before.bytes - handed
 
 
 class TestEmptyStreams:

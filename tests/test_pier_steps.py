@@ -6,8 +6,9 @@ prices it. Two differentials keep both readers honest:
 
 * the edges a running dataflow actually ships over — every plan leg it
   charges and every ``ship_batch`` call, as (category, source stage,
-  target stage) — are the list's ship steps, in order, for every
-  strategy, chain length and batching;
+  target stage), and the site every Item fetch starts from — are the
+  list's ship and fetch steps, in order, for every strategy, chain
+  length and batching, with Item fetches and without;
 * the step-by-step price equals the closed-form per-strategy sums of
   :func:`oracle.reference_estimates`, byte for byte.
 """
@@ -24,7 +25,15 @@ from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowConfig, DataflowExecutor, _QueryRun
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
-from repro.pier.query import QUERY_NODE, DistributedPlan, Edge, JoinStrategy, Op, plan_steps
+from repro.pier.query import (
+    QUERY_NODE,
+    DistributedPlan,
+    Edge,
+    JoinStrategy,
+    Op,
+    Step,
+    plan_steps,
+)
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
 
@@ -57,6 +66,38 @@ class TestStepLists:
                     ]
                 else:
                     assert flagged == []
+
+    @pytest.mark.parametrize("strategy", list(JoinStrategy))
+    def test_the_fetch_step_sits_where_the_matches_are(self, strategy):
+        """The distributed join and the InvertedCache plan ship their
+        answers and fetch at the query node (Figures 2 and 3); the
+        rewrites fetch at the site whose operator produced the matches
+        and ship no answer leg. Without Item fetches every strategy ships
+        its answer keys to the query node."""
+        for k in range(1, 6):
+            rewrite = k > 1 and strategy in (
+                JoinStrategy.SEMI_JOIN, JoinStrategy.BLOOM_JOIN
+            )
+            # The stage holding the matches: the chain's last join site,
+            # the Bloom verify site, or the one site a cache plan scans.
+            matches = k - 1
+            if strategy in (JoinStrategy.BLOOM_JOIN, JoinStrategy.INVERTED_CACHE):
+                matches = 0
+            fetching = plan_steps(strategy, k)
+            answers = [(s.stage, s.to) for s in fetching if s.edge == Edge.ANSWER]
+            fetches = [s for s in fetching if s.op == Op.FETCH]
+            if rewrite:
+                assert answers == []
+                assert fetches == [Step(Op.FETCH, matches, QUERY_NODE)]
+            else:
+                assert answers == [(matches, QUERY_NODE)]
+                assert fetches == [Step(Op.FETCH, QUERY_NODE, QUERY_NODE)]
+            bare = plan_steps(strategy, k, fetch_items=False)
+            assert [s for s in bare if s.op == Op.FETCH] == []
+            assert [(s.stage, s.to) for s in bare if s.edge == Edge.ANSWER] == [
+                (matches, QUERY_NODE)
+            ]
+            assert fetching[-1] == bare[-1] == Step(Op.ANSWER, QUERY_NODE)
 
     def test_strategy_branches_live_in_the_step_builder(self):
         """The runtime never names a strategy member, and the optimizer
@@ -92,9 +133,10 @@ def world():
     return build_world()
 
 
-def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size):
+def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size, fetch_items):
     """(plan, the distinct (category, source stage, target stage) of every
-    plan leg and ``ship_batch`` call the query made, in first-use order)."""
+    plan leg and ``ship_batch`` call the query made, and (fetch, origin
+    stage, query node) of every Item fetch, in first-use order)."""
     table = "InvertedCache" if strategy is JoinStrategy.INVERTED_CACHE else "Inverted"
     planner = KeywordPlanner(catalog, posting_table=table)
     sites = {planner.catalog.table(table).host_of(term) for term in TERMS[:k]}
@@ -111,6 +153,7 @@ def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size):
     shipped = []
     ship_batch = DhtNetwork.ship_batch
     ship_plan = _QueryRun._ship_plan
+    fetch = _QueryRun._fetch_items
 
     def recording(net, source, target, payload_bytes, category=""):
         shipped.append((category, stage_of[source], stage_of[target]))
@@ -120,28 +163,36 @@ def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size):
         shipped.append((Edge.PLAN, stage_of[source], stage_of[target]))
         return ship_plan(run, source, target)
 
+    def recording_fetch(run, origin, file_ids):
+        shipped.append((Op.FETCH, stage_of[origin], QUERY_NODE))
+        return fetch(run, origin, file_ids)
+
     monkeypatch.setattr(DhtNetwork, "ship_batch", recording)
     monkeypatch.setattr(_QueryRun, "_ship_plan", recording_plan)
+    monkeypatch.setattr(_QueryRun, "_fetch_items", recording_fetch)
     flow = DataflowExecutor(
         network, catalog, config=DataflowConfig(batch_size=batch_size), rng=1
     )
-    rows, _ = flow.execute(plan, fetch_items=False)
+    rows, _ = flow.execute(plan, fetch_items=fetch_items)
     monkeypatch.undo()
     assert rows, "every edge must carry something"
     return plan, list(dict.fromkeys(shipped))
 
 
+@pytest.mark.parametrize("fetch_items", [False, True])
 @pytest.mark.parametrize("batch_size", [1, 4, None])
 @pytest.mark.parametrize("k", range(1, 6))
 @pytest.mark.parametrize("strategy", list(JoinStrategy))
 def test_dataflow_ships_exactly_the_listed_edges(
-    monkeypatch, world, strategy, k, batch_size
+    monkeypatch, world, strategy, k, batch_size, fetch_items
 ):
-    plan, shipped = shipped_edges(monkeypatch, *world, strategy, k, batch_size)
+    plan, shipped = shipped_edges(
+        monkeypatch, *world, strategy, k, batch_size, fetch_items
+    )
     assert shipped == [
-        (step.edge, step.stage, step.to)
-        for step in plan.steps
-        if step.op == Op.SHIP
+        (step.edge or step.op, step.stage, step.to)
+        for step in plan_steps(plan.strategy, k, fetch_items)
+        if step.op in (Op.SHIP, Op.FETCH)
     ]
 
 
@@ -205,7 +256,6 @@ def test_a_planned_query_is_priced_once(monkeypatch, world):
     for k in range(1, 6):
         plan = engine.prepare(TERMS[:k])
         assert plan.estimate.strategy is plan.strategy
-        assert plan.steps == plan_steps(plan.strategy, k)
     assert len(calls) == 5
 
 

@@ -43,17 +43,22 @@ QUERIES = 48
 #: ``query_key`` and the answer's conjunctive re-check) and 1,276.0 calls
 #: (3.10: 1,279.3, 3.12: 1,262.8; one process in three read ~3 more on
 #: 3.11). With exchange batches sent direct: 2.4 hashes, 6.2 extractions
-#: and 1,249.7 calls on 3.11. Each ceiling sits just above the second
-#: count and below the first.
+#: and 1,249.7 calls on 3.11. With the semi-join's and the Bloom join's
+#: Item fetches sent from the site holding the matches (no answer leg):
+#: 2.4 hashes, 6.2 extractions and 1,197.6 calls (3.10: 1,197.6, 3.12:
+#: 1,181.2). Each ceiling sits just above the second count and below
+#: the first.
 HASHES_PER_QUERY_CEILING = 3
 KEYWORD_EXTRACTIONS_PER_QUERY_CEILING = 7
 CALLS_PER_QUERY_CEILING = 1_330
 #: The route cache's counters over the same run, identical with and
 #: without the hop memo: the memo made a hit cheaper, it did not change
 #: what is one. Exchange batches go direct to the site their plan leg
-#: resolved and look no route up.
-ROUTE_CACHE_HITS = 188
-ROUTE_CACHE_MISSES = 98
+#: resolved and look no route up. A rewrite's Item fetches route from the
+#: site holding its matches, not from the query node (188 hits and 98
+#: misses when every fetch started at the query node).
+ROUTE_CACHE_HITS = 194
+ROUTE_CACHE_MISSES = 92
 
 
 def terms_of(index):
