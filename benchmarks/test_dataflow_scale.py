@@ -2,10 +2,11 @@
 
 Every leaf query races Gnutella against a *pipelined* DHT re-query: after
 the hop-by-hop walk, posting-list tuple batches flow site-to-site as
-simulator events and the race resolves at the first answer batch. The
-whole batch of queries is submitted within a 48 s virtual window against
-a 30 s timeout, so thousands of dataflows are simultaneously in flight
-while churn (including non-stabilizing steps) removes nodes under them.
+simulator events and the race resolves at the first Item reply to reach
+the query node. The whole batch of queries is submitted within a 47 s
+virtual window against a 30 s timeout, so thousands of dataflows are
+simultaneously in flight while churn (including non-stabilizing steps)
+removes nodes under them.
 
 Pins at scale: liveness (every race resolves), pipelining (first answer
 never later than pipeline completion, strictly earlier for a measurable
@@ -55,10 +56,7 @@ def _check(engine, num_queries, min_peak):
 
 def test_dataflow_5k_concurrent_pipelined_queries_under_churn(benchmark):
     engine, dht, churn = benchmark(_build_and_run)
-    # 4,046 races peaked in flight while every answer took a leg to the
-    # query node, 3,964 since the semi-join fetches from its last join
-    # site: each race resolves one hop sooner, so fewer overlap.
-    _check(engine, NUM_QUERIES, min_peak=3900)
+    _check(engine, NUM_QUERIES, min_peak=4000)
     assert churn.stats.leaves + churn.stats.failures >= 12
     assert engine.completed / engine.sim.now > 25.0
 

@@ -61,7 +61,7 @@ def build_dataflow_scale(
     ``tracer``/``metrics`` wire the observability layer through the whole
     stack; a passed tracer is bound to the scenario's simulator.
     """
-    num_nodes, num_files, submit_window = 64, 200, 48.0
+    num_nodes, num_files, submit_window = 64, 200, 47.0
     dht = DhtNetwork(rng=17)
     dht.populate(num_nodes)
     world = build_world(

@@ -477,13 +477,13 @@ class _Exchange:
 
 
 class _Fetch:
-    """One fetch step: the Item tuples of every key that reaches it.
+    """One fetch step: the Item tuples of every fileID that reaches it.
 
-    Fed by an answer edge at the query node (:meth:`deliver`, one
-    :class:`~repro.pier.rows.RowBatch` per arrival) or by the operator at
-    the site holding the matches (:meth:`offer`, value tuples), it fetches
-    each offer at once from the step's site: one routed request per
-    fileID, and one reply from the Item's host straight to the query node
+    Fed by an answer edge at the query node or by the operator at the
+    site holding the matches (each unpacks its own fileIDs), it fetches
+    every list it is handed at once from the step's site: one routed
+    request per fileID, and one reply from the Item's host straight to
+    the step's ``to`` site, the query node
     (:meth:`_QueryRun._fetch_items`). End-of-stream rides the last reply;
     a stream that closes without a key sends the query node its one empty
     answer message instead.
@@ -492,20 +492,15 @@ class _Fetch:
     def __init__(self, run: "_QueryRun", step: Step):
         self.run = run
         self.origin = run.sites[step.stage]
+        self.reply_to = run.sites[step.to]
         self.keys = 0
 
-    def deliver(self, batch: RowBatch) -> None:
-        self._fetch(batch.column("fileID"))
-
-    def offer(self, values: list[tuple]) -> None:
-        self._fetch([key for (key,) in values])
-
-    def _fetch(self, file_ids: list) -> None:
+    def fetch(self, file_ids: list) -> None:
         run = self.run
         if run.query.done:
             return
         try:
-            items, hops = run._fetch_items(self.origin, file_ids)
+            items, hops = run._fetch_items(self.origin, self.reply_to, file_ids)
         except DhtError as error:
             run.fail(error)
             return
@@ -615,7 +610,7 @@ class _QueryRun:
             self.fail(error)
             return
         target: Any = None  # (deliver, end-of-stream) of the next step
-        out: Any = None  # what the step being opened feeds
+        out: Any = None  # (offer, close) of what the step being opened feeds
         local_end = len(steps)
         for position in range(len(steps) - 1, len(ready) - 1, -1):
             step = steps[position]
@@ -627,8 +622,11 @@ class _QueryRun:
                 stage = _Stage(self, step, out)
                 target = (stage.deliver, stage.on_eos)
             elif op == Op.FETCH:
-                out = fetch = _Fetch(self, step)
-                target = (fetch.deliver, fetch.close)
+                fetch = _Fetch(self, step)
+                # Each feeder unpacks its own fileIDs: an answer edge's
+                # row batches, or a stage's one-key value tuples.
+                target = (lambda batch: fetch.fetch(batch.column("fileID")), fetch.close)
+                out = (lambda values: fetch.fetch([key for (key,) in values]), fetch.close)
             elif op == Op.ANSWER:
                 target = (self._deliver_answer, self._answers_finished)
             elif op == Op.SCAN:
@@ -664,17 +662,17 @@ class _QueryRun:
         return hops
 
     def _open_edge(self, step: Step, feeder: Step, target: tuple, ready: list[float]):
-        """Open one ship step into ``target``; returns what ``feeder``
-        offers to."""
+        """Open one ship step into ``target``; returns the (offer, close)
+        that ``feeder`` feeds."""
         if step.edge == Edge.FILTER:
             # One direct message carrying the bit array: it stands for the
             # whole scanned list, but ships no entries.
-            return partial(self._ship_filter, step, target[0], ready[step.to])
+            return partial(self._ship_filter, step, target[0], ready[step.to]), None
         edge = _Exchange(self, step, feeder, target, ready)
         self.exchanges.append(edge)
         if step.extends_path:
             edge.path_hops = int(edge.source_site != edge.target_site)  # one direct hop
-        return edge
+        return edge.offer, edge.close
 
     def _scan(self, local: tuple[Step, ...], out) -> None:
         """Run a scan step and the site-local steps after it: substring
@@ -689,6 +687,7 @@ class _QueryRun:
             self.fail(error)
             return
         rows = view.rows
+        offer, close = out
         self.stats.per_stage_entries.append(len(rows))
         for step in local[1:]:
             if step.op == Op.FILTER:
@@ -696,12 +695,12 @@ class _QueryRun:
                 rows = SubstringFilter(rows, column="fulltext", needle=needle)
         if len(scan.columns) > 1:
             # Whole posting tuples, straight to the answer edge.
-            out.offer(list(map(itemgetter(*scan.columns), rows)))
-            out.close()
+            offer(list(map(itemgetter(*scan.columns), rows)))
+            close()
             return
         if local[-1].op == Op.BLOOM_BUILD:
             self.filter_keys = view.key_set
-            out(view.bloom(self.plan.bloom_fp_rate))
+            offer(view.bloom(self.plan.bloom_fp_rate))
             return
         if rows is view.rows:
             keys = view.distinct if scan.distinct else view.ids
@@ -709,8 +708,8 @@ class _QueryRun:
             keys = map(_FILE_ID, rows)
             if scan.distinct:
                 keys = dict.fromkeys(keys)
-        out.offer(list(zip(keys)))  # one-column value tuples
-        out.close()
+        offer(list(zip(keys)))  # one-column value tuples
+        close()
 
     def _ship_filter(self, step: Step, deliver, ready_time: float, bloom) -> None:
         try:
@@ -738,21 +737,22 @@ class _QueryRun:
         self.outstanding_fetches -= 1
         self._results_ready(items, answer_count)
 
-    def _fetch_items(self, origin: int, file_ids: list) -> tuple[list[Row], int]:
+    def _fetch_items(
+        self, origin: int, reply_to: int, file_ids: list
+    ) -> tuple[list[Row], int]:
         """Fetch the Item tuples of ``file_ids`` from ``origin``, charging
         every message: one routed request per fileID to its Item's host,
-        and one reply from there straight to the query node.
+        and one reply from there straight to ``reply_to``.
 
         Takes bare fileID values (compact batches never materialise
         fileID dicts). Returns (item rows, max routing hops across the
         parallel fetches — the one that bounds the batch's latency).
         Raises :class:`NodeNotFoundError`, charging nothing, when the
-        query node the replies go to has left the ring.
+        node the replies go to has left the ring.
         """
         executor = self.executor
-        query_node = self.plan.query_node
-        if query_node not in executor.network.nodes:
-            raise NodeNotFoundError(f"query node departed: {query_node:x}")
+        if reply_to not in executor.network.nodes:
+            raise NodeNotFoundError(f"reply target departed: {reply_to:x}")
         cost = executor.cost_model
         items = executor.catalog.table("Item")
         results: list[Row] = []
@@ -954,7 +954,7 @@ class _Stage:
     candidates the filter was built from, so false positives die there.
     """
 
-    def __init__(self, run: _QueryRun, step: Step, out: "_Exchange | _Fetch"):
+    def __init__(self, run: _QueryRun, step: Step, out: tuple):
         op, index = step.op, step.stage
         self.run = run
         self.op = op
@@ -963,7 +963,8 @@ class _Stage:
         self.index = index
         self.site = run.sites[index]
         self.keyword = run.plan.stages[index].keyword
-        self.out = out
+        #: (offer, close) of the step this stage feeds
+        self.offer, self.close_out = out
         #: once opened: the site's list (key-join, Bloom probe) or the
         #: filter site's key set (Bloom verify)
         self.local: Any = None
@@ -1042,7 +1043,7 @@ class _Stage:
             rows_counter.value += rows_in
             keys_counter.value += len(survivors)
         if survivors:
-            self.out.offer(survivors)
+            self.offer(survivors)
         if self.probe:
             self.on_eos()  # the filter was the probe's whole input
 
@@ -1054,4 +1055,4 @@ class _Stage:
             self.span.finish(**summary)
         if self.run.query.done:
             return
-        self.out.close()
+        self.close_out()

@@ -525,9 +525,10 @@ class TestFetchAtTheAnswerSite:
         origins = []
         fetch = _QueryRun._fetch_items
 
-        def recording(run, origin, file_ids):
+        def recording(run, origin, reply_to, file_ids):
+            assert reply_to == query_node
             origins.append((origin, list(file_ids)))
-            return fetch(run, origin, file_ids)
+            return fetch(run, origin, reply_to, file_ids)
 
         monkeypatch.setattr(_QueryRun, "_fetch_items", recording)
         before = dict(network.meter.by_category)

@@ -136,7 +136,7 @@ def world():
 def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size, fetch_items):
     """(plan, the distinct (category, source stage, target stage) of every
     plan leg and ``ship_batch`` call the query made, and (fetch, origin
-    stage, query node) of every Item fetch, in first-use order)."""
+    stage, reply stage) of every Item fetch, in first-use order)."""
     table = "InvertedCache" if strategy is JoinStrategy.INVERTED_CACHE else "Inverted"
     planner = KeywordPlanner(catalog, posting_table=table)
     sites = {planner.catalog.table(table).host_of(term) for term in TERMS[:k]}
@@ -163,9 +163,9 @@ def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size, fetch_
         shipped.append((Edge.PLAN, stage_of[source], stage_of[target]))
         return ship_plan(run, source, target)
 
-    def recording_fetch(run, origin, file_ids):
-        shipped.append((Op.FETCH, stage_of[origin], QUERY_NODE))
-        return fetch(run, origin, file_ids)
+    def recording_fetch(run, origin, reply_to, file_ids):
+        shipped.append((Op.FETCH, stage_of[origin], stage_of[reply_to]))
+        return fetch(run, origin, reply_to, file_ids)
 
     monkeypatch.setattr(DhtNetwork, "ship_batch", recording)
     monkeypatch.setattr(_QueryRun, "_ship_plan", recording_plan)
