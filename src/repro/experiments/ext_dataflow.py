@@ -24,7 +24,7 @@ from statistics import mean
 from repro.common.errors import PlanError
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, SMALL_SCALE, get_workload
 from repro.experiments.sec5_posting import build_indexed_corpus
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 
@@ -38,9 +38,7 @@ def run(
 ) -> ExperimentResult:
     network, catalog, _ = build_indexed_corpus(scale)
     planner = KeywordPlanner(catalog)
-    unbatched = DataflowExecutor(
-        network, catalog, config=DataflowConfig(batch_size=None)
-    )
+    unbatched = DataflowExecutor(network, catalog)
 
     queries = [
         query for query in list(get_workload(scale)) if len(query.terms) > 1
@@ -71,12 +69,7 @@ def run(
 
     result_rows = []
     for batch_size in batch_sizes:
-        dataflow = DataflowExecutor(
-            network,
-            catalog,
-            config=DataflowConfig(batch_size=batch_size),
-            rng=scale.seed + 23,
-        )
+        dataflow = DataflowExecutor(network, catalog, rng=scale.seed + 23)
         firsts: list[float] = []
         completions: list[float] = []
         total_bytes = 0

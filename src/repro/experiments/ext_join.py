@@ -22,7 +22,7 @@ function of the code (host time is ``bench/``'s to measure:
   are largest.
 * **Equivalence matrix** — each scenario additionally runs every
   joining strategy unbudgeted with one batch per edge and tightly
-  budgeted in batches of 16, and asserts identical answers.
+  budgeted in the planner's batch size, and asserts identical answers.
 * **Optimizer shift** — each scenario's posting sizes are priced with
   and without the optimizer's memory-pressure term; rows record where
   tight budgets flip the strategy choice (e.g. toward the Bloom join,
@@ -35,7 +35,7 @@ from dataclasses import replace
 
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
 from repro.experiments.ext_optimizer import build_zipf_world, _result_key
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.query import JoinStrategy
 
@@ -72,9 +72,7 @@ def run(
             alpha, num_files=num_files, vocab_size=120, num_nodes=48,
             seed=scale.seed + int(alpha * 10),
         )
-        unbatched = DataflowExecutor(
-            world.network, world.catalog, config=DataflowConfig(batch_size=None)
-        )
+        unbatched = DataflowExecutor(world.network, world.catalog)
 
         # One fixed plan list per alpha: every sweep point replays the
         # same conjunctions against the same reference answer sets.
@@ -95,10 +93,7 @@ def run(
             # A fresh executor per point, so each point's accounting
             # starts from the same RNG position.
             flow = DataflowExecutor(
-                world.network,
-                world.catalog,
-                config=DataflowConfig(batch_size=16, memory_budget=budget),
-                rng=scale.seed + 7,
+                world.network, world.catalog, memory_budget=budget, rng=scale.seed + 7
             )
             reads = reread_bytes = evictions = 0
             for plan, reference in zip(plans, references):
@@ -126,10 +121,7 @@ def run(
 
         # Strategy × batching equivalence matrix at the tight budget.
         tight = DataflowExecutor(
-            world.network,
-            world.catalog,
-            config=DataflowConfig(batch_size=16, memory_budget=TIGHT_BUDGET),
-            rng=scale.seed + 9,
+            world.network, world.catalog, memory_budget=TIGHT_BUDGET, rng=scale.seed + 9
         )
         for scenario, terms in world.queries.items():
             node = world.network.random_node_id()

@@ -32,7 +32,7 @@ from statistics import mean
 from repro.dht.network import DhtNetwork
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, SMALL_SCALE
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.optimizer import CostBasedOptimizer
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
@@ -61,7 +61,6 @@ class _World:
     network: DhtNetwork
     catalog: Catalog
     planner: KeywordPlanner
-    cache_planner: KeywordPlanner
     optimizer: CostBasedOptimizer
     queries: dict[str, list[str]]
 
@@ -113,7 +112,6 @@ def build_zipf_world(
         network=network,
         catalog=catalog,
         planner=KeywordPlanner(catalog, optimizer=optimizer),
-        cache_planner=KeywordPlanner(catalog, posting_table="InvertedCache"),
         optimizer=optimizer,
         queries=queries,
     )
@@ -136,13 +134,8 @@ def run(
             alpha, num_files=num_files, vocab_size=vocab, num_nodes=48,
             seed=scale.seed + int(alpha * 10),
         )
-        unbatched = DataflowExecutor(
-            world.network, world.catalog, config=DataflowConfig(batch_size=None)
-        )
-        dataflow = DataflowExecutor(
-            world.network, world.catalog,
-            config=DataflowConfig(batch_size=16), rng=scale.seed + 5,
-        )
+        unbatched = DataflowExecutor(world.network, world.catalog)
+        dataflow = DataflowExecutor(world.network, world.catalog, rng=scale.seed + 5)
         for scenario, terms in world.queries.items():
             sizes = {t: world.catalog.posting_size("Inverted", t) for t in terms}
             pick = world.optimizer.pick(sizes, inverted_cache=False).strategy
@@ -152,17 +145,12 @@ def run(
             baseline_bytes = None
             reference = None
             for strategy in STRATEGIES:
-                planner = (
-                    world.cache_planner
-                    if strategy is JoinStrategy.INVERTED_CACHE
-                    else world.planner
-                )
                 total_bytes = 0
                 total_entries = 0
                 firsts: list[float] = []
                 completions: list[float] = []
                 for node in query_nodes:
-                    plan = planner.plan(terms, node, strategy=strategy)
+                    plan = world.planner.plan(terms, node, strategy=strategy)
                     answer, stats = unbatched.execute(
                         replace(plan, batch_size=None)
                     )

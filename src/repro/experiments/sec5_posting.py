@@ -25,7 +25,7 @@ from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, get_library, get_workload
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
@@ -80,9 +80,7 @@ def run(scale: PaperScale = PAPER_SCALE, max_queries: int = 200) -> ExperimentRe
     shipped_pipelined: list[int] = []
     first_vs_complete: list[float] = []
     planner = KeywordPlanner(catalog)
-    unbatched = DataflowExecutor(
-        network, catalog, config=DataflowConfig(batch_size=None)
-    )
+    unbatched = DataflowExecutor(network, catalog)
     dataflow = DataflowExecutor(network, catalog, rng=scale.seed + 22)
     for query in list(workload)[:max_queries]:
         try:

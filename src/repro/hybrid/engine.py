@@ -54,31 +54,30 @@ from repro.common.errors import DhtError, PlanError
 from repro.common.rng import make_rng
 from repro.dht.network import DhtNetwork
 from repro.gnutella.latency import GnutellaLatencyModel
-from repro.hybrid.ultrapeer import HybridQueryOutcome, HybridUltrapeer
+from repro.hybrid.ultrapeer import DEFAULT_CACHE_LATENCY, HybridQueryOutcome, HybridUltrapeer
 from repro.obs.metrics import MetricsRegistry
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor, DataflowQuery
-from repro.pier.query import CACHE_TABLE, DistributedPlan, JoinStrategy
+from repro.pier.dataflow import DataflowExecutor, DataflowQuery
+from repro.pier.query import CACHE_TABLE, POSTING_TABLE, DistributedPlan, JoinStrategy
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
 from repro.sim.stats import Counter as MetricCounter
 
 
+#: re-query attempts before the DHT side of the race is abandoned
+MAX_REQUERY_ATTEMPTS = 3
+
+
 @dataclass(frozen=True)
 class RaceConfig:
-    """Engine-level timing knobs for the simulated race.
+    """Engine-level knobs of the simulated race.
 
-    Per-ultrapeer policy (the Gnutella timeout and the cache-hit
-    latency) lives on :class:`HybridUltrapeer` itself; the engine reads
-    it from the submitting ultrapeer. The DHT hop latency lives here
-    only: it prices the re-query walk and the dataflow's batch hops.
+    The Gnutella timeout is per ultrapeer: it lives on
+    :class:`HybridUltrapeer`, and the engine reads it from the submitting
+    ultrapeer. A DHT hop's latency belongs to the overlay: the re-query
+    walk and the dataflow's batch hops both draw it from the DHT's
+    transport (:meth:`~repro.net.transport.Transport.hop_delays`).
     """
 
-    #: mean one-way per-hop latency on the DHT overlay (seconds)
-    dht_hop_latency: float = 1.2
-    #: fractional spread of each hop draw: U[mean*(1-j), mean*(1+j)]
-    hop_jitter: float = 0.35
-    #: re-query attempts before the DHT side of the race is abandoned
-    max_requery_attempts: int = 3
     #: virtual time between a broken route and the next attempt
     retry_backoff: float = 2.0
     #: hard wall on the whole re-query phase (walks + retries + pipeline),
@@ -87,8 +86,7 @@ class RaceConfig:
     #: partition-stretched walk indefinitely. None = no deadline (the
     #: pre-hardening behaviour).
     requery_deadline: float | None = None
-    #: exchange batch size override (None = the plan's planner choice,
-    #: falling back to the dataflow default)
+    #: exchange batch size override (None = the plan's planner choice)
     batch_size: int | None = None
     #: per-site join memory budget in *rows* (not bytes); overflowing
     #: build partitions stay in the site's store and are re-read by probes
@@ -216,11 +214,7 @@ class HybridQueryEngine:
             search_engine.network,
             search_engine.catalog,
             sim=self.sim,
-            config=DataflowConfig(
-                hop_latency=self.config.dht_hop_latency,
-                hop_jitter=self.config.hop_jitter,
-                memory_budget=self.config.memory_budget,
-            ),
+            memory_budget=self.config.memory_budget,
             rng=self.rng,
             tracer=self.tracer,
             metrics=self._wired_metrics,
@@ -333,7 +327,7 @@ class HybridQueryEngine:
                     "cache.hit", results=entry.result_count, saved_bytes=entry.cost_bytes
                 )
             self.sim.schedule(
-                hybrid.cache_latency, lambda: self._complete_cache_hit(race)
+                DEFAULT_CACHE_LATENCY, lambda: self._complete_cache_hit(race)
             )
             return
         if self.config.requery_deadline is not None:
@@ -456,7 +450,7 @@ class HybridQueryEngine:
                 walk.span.finish(error="DhtError", hops=walk.hops)
             self._retry(race, walk.hybrid)
             return
-        self.sim.schedule(self._hop_delay(), walk)
+        self.sim.schedule(self.dht.transport.hop_delays(self.rng, 1), walk)
 
     def _execute(self, walk: _Walk) -> None:
         """Chain fully routed: run the plan, then deliver the answer(s).
@@ -543,7 +537,7 @@ class HybridQueryEngine:
         self._retry(race, walk.hybrid)
 
     def _retry(self, race: QueryRace, hybrid: HybridUltrapeer) -> None:
-        if race.pier_attempts >= self.config.max_requery_attempts:
+        if race.pier_attempts >= MAX_REQUERY_ATTEMPTS:
             race.pier_failed = True
             self._mark_degraded(race, "requery-abandoned")
             self._counter("hybrid.pier_abandoned").add(1)
@@ -583,7 +577,7 @@ class HybridQueryEngine:
         table = (
             CACHE_TABLE
             if search.strategy is JoinStrategy.INVERTED_CACHE
-            else search.planner.posting_table
+            else POSTING_TABLE
         )
         handle = search.catalog.table(table)
         suspect_posting = any(self.dht.is_suspect(handle.ring_key(k)) for k in race.key)
@@ -652,8 +646,3 @@ class HybridQueryEngine:
                 "hybrid.first_result_latency", reservoir_size=4096
             )
         self._latency_histogram.observe(latency)
-
-    def _hop_delay(self) -> float:
-        return self.dht.transport.hop_delays(
-            self.rng, self.config.dht_hop_latency, self.config.hop_jitter, 1
-        )

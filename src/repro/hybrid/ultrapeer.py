@@ -97,7 +97,6 @@ class HybridUltrapeer:
         qrs_threshold: int = QRS_RESULT_SIZE_THRESHOLD,
         gnutella_timeout: float = DEFAULT_GNUTELLA_TIMEOUT,
         result_cache: QueryResultCache | None = None,
-        cache_latency: float = DEFAULT_CACHE_LATENCY,
         metrics=None,
     ):
         self.ultrapeer_id = ultrapeer_id
@@ -109,7 +108,6 @@ class HybridUltrapeer:
         #: optional (possibly shared) query-result cache consulted before
         #: re-issuing a timed-out leaf query through PIERSearch
         self.result_cache = result_cache
-        self.cache_latency = cache_latency
         #: optional (usually shared) :class:`repro.obs.metrics.MetricsRegistry`
         #: — QRS publish volume
         self.metrics = metrics

@@ -8,11 +8,8 @@ A network partition (or regional congestion) is, to the survivors, a
 
 * ``set_delay_multiplier(m)`` stretches every per-hop latency draw by
   ``m`` while active (``m >= 1``). Byte accounting is untouched — a slow
-  partition-era message costs the same wire bytes as a fast one — and
-  min-latency stays honest for the sharded kernel: the conservative
-  lookahead derives from :meth:`min_hop_delay`, which reports the
-  *unstretched* minimum, so stretched draws can only land later than the
-  lookahead promises, never earlier.
+  partition-era message costs the same wire bytes as a fast one — and a
+  stretched draw only ever lands later than the undisturbed one.
 * Draw replay stays bit-for-bit reproducible: the wrapper consumes the
   inner transport's draw stream unchanged and scales the result, so runs
   with the injector disabled see the identical RNG sequence.
@@ -44,8 +41,8 @@ class FaultInjectingTransport(Transport):
         """Stretch subsequent hop-latency draws by ``multiplier`` (>= 1)."""
         if multiplier < 1.0:
             raise ValueError(
-                f"delay multiplier must be >= 1 (shrinking hop delays would "
-                f"break the sharded kernel's lookahead), got {multiplier}"
+                f"delay multiplier must be >= 1 (a degraded link is never "
+                f"faster than the undisturbed one), got {multiplier}"
             )
         self._delay_multiplier = multiplier
 
@@ -58,21 +55,18 @@ class FaultInjectingTransport(Transport):
     def charge(self, category: str, messages: int, byte_count: int) -> None:
         self.inner.charge(category, messages, byte_count)
 
-    def hop_delays(self, rng: random.Random, mean: float, jitter: float, hops: int) -> float:
+    def hop_delays(self, rng: random.Random, hops: int) -> float:
         multiplier = self._delay_multiplier
         if multiplier == 1.0:
-            return self.inner.hop_delays(rng, mean, jitter, hops)
+            return self.inner.hop_delays(rng, hops)
         # Scale each draw, then add: the stretched sum is the one the
         # per-draw path always produced, to the last bit.
         self.degraded_draws += hops
         draw = self.inner.hop_delays
         total = 0.0
         for _ in range(hops):
-            total += draw(rng, mean, jitter, 1) * multiplier
+            total += draw(rng, 1) * multiplier
         return total
-
-    def min_hop_delay(self, mean: float, jitter: float) -> float:
-        return self.inner.min_hop_delay(mean, jitter)
 
     # -- passthroughs some call sites read off the in-process backend --
 

@@ -19,9 +19,9 @@ The point of the indirection is that *parallelism and distribution become
 configuration*: the in-process backend below reproduces today's inline
 accounting byte-for-byte (pinned by the golden stats digests), while a
 sharded kernel or a real-network backend only needs to swap the transport
-— no engine rewrites. The sharded simulator's conservative-lookahead
-synchronization (:mod:`repro.sim.shard`) leans on the same boundary: the
-minimum value one hop draw can take is the lookahead window.
+— no engine rewrites. Hop timing belongs to the transport too: every
+overlay hop, whoever takes it, is one draw from ``U[HOP_LATENCY*(1-j),
+HOP_LATENCY*(1+j)]`` with ``j = HOP_JITTER``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from __future__ import annotations
 import random
 
 from repro.common.units import BandwidthMeter, CostModel
+
+#: mean one-way latency of one DHT overlay hop (virtual seconds)
+HOP_LATENCY = 1.2
+#: fractional spread of each hop draw around :data:`HOP_LATENCY`
+HOP_JITTER = 0.35
 
 
 class Transport:
@@ -41,37 +46,28 @@ class Transport:
     def charge(self, category: str, messages: int, byte_count: int) -> None:
         raise NotImplementedError
 
-    def hop_delays(self, rng: random.Random, mean: float, jitter: float, hops: int) -> float:
+    def hop_delays(self, rng: random.Random, hops: int) -> float:
         """Virtual seconds ``hops`` overlay hops take, in one call: the
-        sum of ``hops`` draws from ``U[mean*(1-j), mean*(1+j)]``.
+        sum of ``hops`` draws from ``U[HOP_LATENCY*(1-HOP_JITTER),
+        HOP_LATENCY*(1+HOP_JITTER)]``.
 
         The one source of overlay hop timing: the hybrid engine's walk
         steps and the dataflow's batch transits both draw here. Each draw
         is ``low + span * rng.random()``, which is what ``random.uniform``
         computes (3.10–3.12), so the RNG stream and every draw are
-        bit-identical to ``hops`` ``random.uniform`` calls. With
-        ``jitter <= 0`` every hop takes ``mean`` and no RNG state is
-        spent. The sum is added left to right from ``0.0``: Python 3.12's
-        float ``sum()`` compensates its rounding (Neumaier) and 3.10/3.11's
-        does not, so summing with ``sum()`` made virtual times, and every
-        digest built on them, differ between interpreters.
+        bit-identical to ``hops`` ``random.uniform`` calls. The sum is
+        added left to right from ``0.0``: Python 3.12's float ``sum()``
+        compensates its rounding (Neumaier) and 3.10/3.11's does not, so
+        summing with ``sum()`` made virtual times, and every digest built
+        on them, differ between interpreters.
         """
+        low = HOP_LATENCY * (1 - HOP_JITTER)
+        span = HOP_LATENCY * (1 + HOP_JITTER) - low
         total = 0.0
-        if jitter <= 0:
-            for _ in range(hops):
-                total += mean
-            return total
-        low = mean * (1 - jitter)
-        span = mean * (1 + jitter) - low
         draw = rng.random
         for _ in range(hops):
             total += low + span * draw()
         return total
-
-    def min_hop_delay(self, mean: float, jitter: float) -> float:
-        """Smallest latency one hop draw can take — the safe
-        conservative-lookahead horizon for cross-shard synchronization."""
-        return mean * (1 - max(0.0, jitter))
 
 
 class InProcessTransport(Transport):

@@ -41,7 +41,7 @@ from repro.pier.rows import RowBatch
 from repro.pier.catalog import Catalog, TableHandle
 from repro.pier.operators import JoinProbe, Operator, StoredHashJoin, SubstringFilter
 from repro.pier.query import DistributedPlan, PipelineStats, PlanStage, QueryStats
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor, DataflowQuery
+from repro.pier.dataflow import DataflowExecutor, DataflowQuery
 from repro.pier.optimizer import CostBasedOptimizer, CostEstimate, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
 
@@ -60,7 +60,6 @@ __all__ = [
     "PlanStage",
     "QueryStats",
     "PipelineStats",
-    "DataflowConfig",
     "DataflowExecutor",
     "DataflowQuery",
     "CostBasedOptimizer",

@@ -57,8 +57,9 @@ Byte accounting is per payload: a batch pays its tuples once plus one
 message header, so a stage split into ``k`` batches costs exactly
 ``k-1`` extra headers over shipping it whole — the
 batch-size sweep in ``BENCH_dataflow.json`` measures that latency/bytes
-trade-off. ``batch_size=None`` ships one batch per edge, the cheapest
-accounting and the one the blocking
+trade-off. The plan's ``batch_size`` is the only batch size (the
+planner sizes it from posting statistics); ``None`` ships one batch per
+edge, the cheapest accounting and the one the blocking
 :meth:`repro.piersearch.search.SearchEngine.search` uses (a call that
 returns the whole answer has no first-answer time to optimise).
 
@@ -73,7 +74,6 @@ shows up in the accounting — only in wall-clock speed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from time import perf_counter
@@ -81,7 +81,6 @@ from typing import Any, Callable
 
 from repro.common.errors import DhtError, NodeNotFoundError
 from repro.common.rng import make_rng
-from repro.common.units import CostModel
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.operators import (
@@ -107,9 +106,6 @@ from repro.sim.engine import EventGroup, Simulator
 
 _FILE_ID = itemgetter("fileID")
 
-#: default tuples per exchange batch when neither the plan nor the
-#: executor's config picks one
-DEFAULT_BATCH_SIZE = 64
 #: virtual time between consecutive batch sends on one exchange edge
 #: (models serialising a batch onto the first hop)
 SEND_INTERVAL = 0.15
@@ -122,24 +118,6 @@ _STAGES = {
     Op.BLOOM_PROBE: ("bloom_probe", "candidates", "rows", "candidates"),
     Op.BLOOM_VERIFY: ("bloom_verify", "verified", "rows", "survivors"),
 }
-
-
-@dataclass(frozen=True)
-class DataflowConfig:
-    """Knobs of the streaming runtime."""
-
-    #: tuples per exchange batch (None = one batch per edge: the fewest
-    #: message headers, and no first answer before the join drains)
-    batch_size: int | None = DEFAULT_BATCH_SIZE
-    #: mean one-way per-hop latency of an overlay hop (virtual seconds)
-    hop_latency: float = 1.2
-    #: fractional spread of each hop draw: U[mean*(1-j), mean*(1+j)]
-    hop_jitter: float = 0.35
-    #: max *rows* (not bytes) of its stored posting list a join site
-    #: builds in memory (None = unbounded). Over it, whole build partitions
-    #: are evicted; they stay in the site's store and every arriving batch
-    #: re-reads the evicted partitions its keys land in
-    memory_budget: int | None = None
 
 
 class DataflowQuery:
@@ -225,8 +203,7 @@ class DataflowExecutor:
         network: DhtNetwork,
         catalog: Catalog,
         sim: Simulator | None = None,
-        cost_model: CostModel | None = None,
-        config: DataflowConfig | None = None,
+        memory_budget: int | None = None,
         rng=None,
         tracer=None,
         metrics=None,
@@ -234,8 +211,12 @@ class DataflowExecutor:
         self.network = network
         self.catalog = catalog
         self.sim = sim or Simulator()
-        self.cost_model = cost_model or network.cost_model
-        self.config = config or DataflowConfig()
+        self.cost_model = network.cost_model
+        #: max *rows* (not bytes) of its stored posting list a join site
+        #: builds in memory (None = unbounded). Over it, whole build
+        #: partitions are evicted; they stay in the site's store and every
+        #: arriving batch re-reads the evicted partitions its keys land in
+        self.memory_budget = memory_budget
         self.rng = make_rng(rng)
         self._query_counter = 0
         #: observability hooks (:mod:`repro.obs`); both default to None and
@@ -563,9 +544,7 @@ class _QueryRun:
                 self.span = span
         self._stage_spans: list = []
         self.group = executor.sim.group()
-        self.batch_size = (
-            plan.batch_size if plan.batch_size is not None else executor.config.batch_size
-        )
+        self.batch_size = plan.batch_size
         self.stats = QueryStats(
             strategy=plan.strategy,
             keywords=plan.keywords,
@@ -898,7 +877,7 @@ class _QueryRun:
     def _aggregate_spill_stats(self) -> None:
         """Sum the budgeted key-joins' spill accounting into
         ``stats.spill`` (left ``None`` without a budget or a key-join)."""
-        if self.executor.config.memory_budget is None or not self.joins:
+        if self.executor.memory_budget is None or not self.joins:
             return
         spill = self.stats.spill = SpillStats()
         for stage in self.joins:
@@ -925,10 +904,7 @@ class _QueryRun:
         """Virtual seconds ``hops`` overlay hops take (one draw per hop,
         summed left to right by the transport)."""
         executor = self.executor
-        config = executor.config
-        return executor.network.transport.hop_delays(
-            executor.rng, config.hop_latency, config.hop_jitter, hops
-        )
+        return executor.network.transport.hop_delays(executor.rng, hops)
 
     def _charge(self, category: str, messages: int, byte_count: int) -> None:
         self.stats.messages += messages
@@ -990,11 +966,8 @@ class _Stage:
             attrs = {"site": self.site, "keyword": self.keyword}
             if self.op == Op.JOIN:
                 executor = run.executor
-                config = executor.config
                 self.join = JoinProbe(
-                    view.join(
-                        config.memory_budget, executor.cost_model.spill_tuple_bytes()
-                    )
+                    view.join(executor.memory_budget, executor.cost_model.spill_tuple_bytes())
                 )
                 # The stored rows joined against, whether built now or reused.
                 attrs.update(stage=self.index, build_rows=rows)

@@ -66,23 +66,14 @@ class KeywordPlanner:
     def __init__(
         self,
         catalog: Catalog,
-        posting_table: str = POSTING_TABLE,
         optimizer: "CostBasedOptimizer | None" = None,
     ):
         self.catalog = catalog
-        self.posting_table = posting_table
         #: prices the four strategies for ``strategy=None`` plans
         self.optimizer = optimizer
 
-    def posting_size(self, keyword: str) -> int:
-        """Size of ``keyword``'s posting list at its hosting node.
-
-        PIER keeps per-key statistics at the hosting node; the planner
-        learns them through :meth:`Catalog.posting_size`, which reads the
-        owner's memoised view of the list, so replanning a replayed
-        workload builds nothing until a write changes the list.
-        """
-        return self.catalog.posting_size(self.posting_table, keyword)
+    def _sizes(self, table: str, keywords: list[str]) -> dict[str, int]:
+        return {keyword: self.catalog.posting_size(table, keyword) for keyword in keywords}
 
     def choose_batch_size(self, sizes: dict[str, int]) -> int:
         """Exchange batch size from posting-size statistics
@@ -103,6 +94,13 @@ class KeywordPlanner:
         remotely (the rest become local substring filters), and picking the
         rarest term minimises the rows the filters must consider.
 
+        Sizes are the posting statistics PIER keeps at each list's hosting
+        node, read through :meth:`Catalog.posting_size` (the owner's
+        memoised view, so replanning a replayed workload builds nothing
+        until a write changes a list). A named strategy's stages are sized
+        from the table its scan step names; ``strategy=None`` prices the
+        Inverted lists, the table every strategy's sizes are priced from.
+
         ``strategy`` defaults to :data:`~repro.pier.query.DEFAULT_STRATEGY`,
         the semi-join; a Figure 2 replay names ``DISTRIBUTED_JOIN``.
         ``strategy=None`` asks the optimizer for the cheapest strategy
@@ -115,27 +113,28 @@ class KeywordPlanner:
             raise PlanError("keyword query needs at least one term")
         unique = list(dict.fromkeys(keywords))  # dedupe, keep order
         sizes: dict[str, int] | None = None
-        if order_by_size or strategy is None:
-            sizes = {keyword: self.posting_size(keyword) for keyword in unique}
         estimate = None
         if strategy is None:
             if self.optimizer is None:
                 raise PlanError(
                     "choosing a strategy needs a planner built with an optimizer"
                 )
+            sizes = self._sizes(POSTING_TABLE, unique)
             estimate = self.optimizer.pick(sizes)
             strategy = estimate.strategy
-        elif self.optimizer is not None and sizes is not None:
-            estimate = self.optimizer.estimates(sizes).get(strategy)
-        if order_by_size:
-            unique.sort(key=lambda keyword: (sizes[keyword], keyword))
         # The plan legs lead the step list, one per stage they reach, and
         # the scan follows them; a stage no leg reaches runs at the first
         # site (the InvertedCache plan's substring filters, Figure 3).
         steps = plan_steps(strategy, len(unique))
         legs = next(index for index, step in enumerate(steps) if step.op == Op.SCAN)
         table = steps[legs].table
-        handle = self.catalog.table(self.posting_table if table == POSTING_TABLE else table)
+        if sizes is None and order_by_size:
+            sizes = self._sizes(table, unique)
+            if self.optimizer is not None:
+                estimate = self.optimizer.estimates(sizes).get(strategy)
+        if order_by_size:
+            unique.sort(key=lambda keyword: (sizes[keyword], keyword))
+        handle = self.catalog.table(table)
         sites = [handle.host_of(keyword) for keyword in unique]
         stages = [
             PlanStage(keyword=keyword, site=site if index < legs else sites[0])

@@ -230,8 +230,8 @@ class DistributedPlan:
     stages: list[PlanStage]
     strategy: JoinStrategy
     query_node: int
-    #: exchange batch size chosen by the planner from posting-size stats
-    #: (None = the executing runtime's default)
+    #: tuples per exchange batch, chosen by the planner from posting-size
+    #: stats — the only batch size (None = one batch per edge)
     batch_size: int | None = None
     #: target false-positive rate for the Bloom join's filter (ignored by
     #: the other strategies)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import DEFAULT_STRATEGY, DistributedPlan, JoinStrategy, QueryStats
@@ -84,11 +84,7 @@ class SearchEngine:
         self.optimizer = optimizer or None
         self.planner = KeywordPlanner(catalog, optimizer=self.optimizer)
         self.executor = DataflowExecutor(
-            network,
-            catalog,
-            config=DataflowConfig(batch_size=None, memory_budget=memory_budget),
-            tracer=tracer,
-            metrics=metrics,
+            network, catalog, memory_budget=memory_budget, tracer=tracer, metrics=metrics
         )
 
     def prepare(
@@ -131,17 +127,11 @@ class SearchEngine:
         if query_node is None:
             query_node = self.network.random_node_id()
         strategy = strategy or self.strategy
-        if strategy is None:
-            if self.optimizer is not None:
-                # Cost-based choice: the planner prices all four
-                # strategies from its posting statistics.
-                return self.planner.plan(keywords, query_node, strategy=None)
+        if strategy is None and self.optimizer is None:
             strategy = DEFAULT_STRATEGY
-        if strategy is JoinStrategy.INVERTED_CACHE:
-            planner = KeywordPlanner(self.catalog, posting_table="InvertedCache")
-        else:
-            planner = self.planner
-        return planner.plan(keywords, query_node, strategy=strategy)
+        # None left here is the cost-based choice: the planner prices all
+        # four strategies from its posting statistics.
+        return self.planner.plan(keywords, query_node, strategy=strategy)
 
     def execute_plan(self, plan: DistributedPlan) -> SearchResult:
         """Execute an already-prepared plan. See :meth:`search`.

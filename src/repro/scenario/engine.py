@@ -137,12 +137,6 @@ class SloCheck:
     op: str
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "value": self.value, "bound": self.bound,
-            "op": self.op, "ok": self.ok,
-        }
-
 
 @dataclass
 class ScenarioReport:
@@ -184,36 +178,6 @@ class ScenarioReport:
     suspect_ranges: int = 0
     slo_checks: list[SloCheck] = field(default_factory=list)
     passed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "schedule_digest": self.schedule_digest,
-            "queries": self.queries,
-            "popular_queries": self.popular_queries,
-            "rare_queries": self.rare_queries,
-            "rare_published": self.rare_published,
-            "answered_rare": self.answered_rare,
-            "recall": self.recall,
-            "coverage": self.coverage,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "query_kb_mean": self.query_kb_mean,
-            "silent_loss": self.silent_loss,
-            "degraded": self.degraded,
-            "degraded_fraction": self.degraded_fraction,
-            "abandoned": self.abandoned,
-            "route_retries": self.route_retries,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "churn_joins": self.churn_joins,
-            "churn_leaves": self.churn_leaves,
-            "churn_failures": self.churn_failures,
-            "suspect_ranges": self.suspect_ranges,
-            "slo": [check.to_dict() for check in self.slo_checks],
-            "passed": self.passed,
-        }
 
 
 def _percentile(values: list[float], q: float) -> float:

@@ -6,10 +6,10 @@ synchronized with the classic conservative-lookahead protocol
 workload is its only program.
 
 * **The invariant.** Every cross-shard interaction is a message with
-  delay ``>= lookahead`` — the minimum latency the
-  :class:`~repro.net.Transport` can draw for an inter-region hop
-  (:meth:`~repro.net.Transport.min_hop_delay`). Intra-shard work may use
-  any delay.
+  delay ``>= lookahead`` — the minimum latency the program's own
+  inter-region hops can take, which it passes in (``shard_ring``'s
+  cross-region hops never draw less than its ``LOOKAHEAD``), and which
+  :meth:`ShardContext.send` enforces. Intra-shard work may use any delay.
 * **The window.** Let ``t_i`` be shard ``i``'s next pending time
   (folding in the arrival times of any in-flight messages destined to
   it). Shard ``i`` may safely process every event strictly before

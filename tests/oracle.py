@@ -63,7 +63,9 @@ larger than the whole budget refused before anything is dropped.
 :func:`reference_hop_delay` is one overlay hop's latency drawn on its
 own with ``random.uniform``. ``tests/test_net_transport.py`` holds
 ``Transport.hop_delays``, the batched draw every hop takes, to a
-left-to-right ``+=`` of these draws.
+left-to-right ``+=`` of these draws. :class:`SteadyHopTransport` is the
+fake a test installs when it needs exact virtual times: every hop takes
+one fixed latency and spends no RNG state.
 
 :func:`reference_estimates` is the cost-based optimizer's closed-form
 byte model: one sum per strategy over the legs of a ``k``-term chain,
@@ -81,6 +83,7 @@ from repro.common.ids import KEY_BITS, KEY_SPACE, in_interval, ring_distance
 from repro.dht.keyspace import finger_start
 from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
+from repro.net.transport import HOP_JITTER, HOP_LATENCY, InProcessTransport
 from repro.pier.catalog import table_key
 from repro.pier.operators import NUM_SPILL_PARTITIONS, spill_partition
 from repro.pier.planner import batch_size_for
@@ -89,12 +92,33 @@ from repro.piersearch.publisher import PublishReceipt
 from repro.piersearch.tokenizer import extract_keywords
 
 
-def reference_hop_delay(rng, mean, jitter):
-    """One per-hop latency draw: ``U[mean*(1-j), mean*(1+j)]``, and
-    ``mean`` with no RNG state spent when ``jitter <= 0``."""
-    if jitter <= 0:
-        return mean
-    return rng.uniform(mean * (1 - jitter), mean * (1 + jitter))
+def reference_hop_delay(rng):
+    """One per-hop latency draw: ``U[HOP_LATENCY*(1-j), HOP_LATENCY*(1+j)]``
+    with ``j = HOP_JITTER``."""
+    return rng.uniform(HOP_LATENCY * (1 - HOP_JITTER), HOP_LATENCY * (1 + HOP_JITTER))
+
+
+class SteadyHopTransport(InProcessTransport):
+    """An in-process transport whose every overlay hop takes exactly
+    ``hop`` seconds: ``hops`` hops add ``hop`` left to right from ``0.0``
+    and spend no RNG state. Install it on a network with
+    :func:`steady_hops`."""
+
+    def __init__(self, network, hop):
+        super().__init__(network.meter, network.cost_model)
+        self.hop = hop
+
+    def hop_delays(self, rng, hops):
+        total = 0.0
+        for _ in range(hops):
+            total += self.hop
+        return total
+
+
+def steady_hops(network, hop=HOP_LATENCY):
+    """Give ``network`` a :class:`SteadyHopTransport`; returns ``network``."""
+    network.transport = SteadyHopTransport(network, hop)
+    return network
 
 
 def oracle_items(catalog, terms):

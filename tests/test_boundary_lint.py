@@ -74,6 +74,7 @@ TEST_INSTRUMENTS = {
     "table_key": "the posting-key formula tests derive keys with, apart from ring_key's memo",
     "total_publishing_cost": "the paper's Equation (5), held to its closed form by the model tests",
     "traced_vs_untraced": "the observability benchmark's live gate prices tracing on the scale scenario",
+    "tree": "the span-tree golden pins a traced query's span forest as nested dicts",
 }
 
 
@@ -258,16 +259,23 @@ def test_deleted_path_selectors_stay_deleted():
     estimates query popularity or shrinks a flood's TTL. A re-query
     drains its whole join (no early termination), batch pacing and the
     spill fan-out are constants, and a scenario races with the engine's
-    own timing knobs. QRP leaf filters, trace files and the recall/CDF
-    package are gone."""
+    own knobs. Each query-path setting has one owner: the plan sizes its
+    batches, the transport times a hop, the executor takes its memory
+    budget and nothing else, and a plan's scan table comes from its step
+    list. QRP leaf filters, trace files and the recall/CDF package are
+    gone."""
     import dataclasses
     import importlib
     import inspect
 
     from repro.dht.network import DhtNetwork
     from repro.hybrid.engine import RaceConfig
-    from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+    from repro.hybrid.ultrapeer import HybridUltrapeer
+    from repro.net import FaultInjectingTransport, Transport
+    from repro.pier import dataflow
+    from repro.pier.dataflow import DataflowExecutor
     from repro.pier.operators import StoredHashJoin, StoredList
+    from repro.pier.planner import KeywordPlanner
     from repro.pier.query import PipelineStats
     from repro.scenario.spec import ScenarioSpec
     from repro.sim import engine
@@ -285,7 +293,9 @@ def test_deleted_path_selectors_stay_deleted():
         | set(inspect.signature(DataflowExecutor.__init__).parameters)
         | set(inspect.signature(DataflowExecutor.execute).parameters)
         | set(inspect.signature(DataflowExecutor.submit).parameters)
-        | {field.name for field in dataclasses.fields(DataflowConfig)}
+        | set(inspect.signature(HybridUltrapeer.__init__).parameters)
+        | set(inspect.signature(KeywordPlanner.__init__).parameters)
+        | set(inspect.signature(Transport.hop_delays).parameters)
         | {field.name for field in dataclasses.fields(RaceConfig)}
         | {field.name for field in dataclasses.fields(PipelineStats)}
     )
@@ -303,8 +313,22 @@ def test_deleted_path_selectors_stay_deleted():
         "send_interval",
         "spill_partitions",
         "num_partitions",
+        "dht_hop_latency",
+        "hop_jitter",
+        "max_requery_attempts",
+        "cache_latency",
+        "posting_table",
+        "mean",
+        "jitter",
     }
     assert not exposed & gone
+    assert list(inspect.signature(DataflowExecutor.__init__).parameters) == [
+        "self", "network", "catalog", "sim", "memory_budget", "rng", "tracer", "metrics",
+    ]
+    for name in ("DataflowConfig", "DEFAULT_BATCH_SIZE"):
+        assert not hasattr(dataflow, name), name
+    for transport in (Transport, FaultInjectingTransport):
+        assert not hasattr(transport, "min_hop_delay"), transport
     # The race's timing knobs live on RaceConfig alone.
     assert not {field.name for field in dataclasses.fields(ScenarioSpec)} & {
         "dht_hop_latency",
@@ -331,18 +355,28 @@ def test_deleted_path_selectors_stay_deleted():
 def _referenced_names(trees: Iterable[ast.AST]) -> set[str]:
     """Every identifier the code names: ``Name`` ids, ``Attribute``
     attrs and imported names (last dotted part, and any ``as`` alias).
-    Comments and strings are not identifiers, so they call nothing."""
+    Comments and strings are not identifiers, so they call nothing, and a
+    name used only inside a definition of the same name (a delegate
+    calling its namesake, a recursive call) calls nothing either."""
     names: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            found = [node.id]
+        elif isinstance(node, ast.Attribute):
+            found = [node.attr]
+        elif isinstance(node, ast.alias):
+            found = [node.name.rpartition(".")[2], node.asname]
+        else:
+            found = []
+        names.update(name for name in found if name and name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
     for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-                if node.asname:
-                    names.add(node.asname)
+        visit(tree, frozenset())
     return names
 
 
@@ -430,17 +464,22 @@ def test_every_test_instrument_is_defined_and_uncalled():
         ("# helper() is called elsewhere\n", {"helper"}),
         ("print('helper')\n", {"helper"}),
         ("def helper():\n    pass\n", {"helper"}),
+        ("def helper():\n    return helper()\n", {"helper"}),
+        ("class Box:\n    def helper(self):\n        return self.inner.helper()\n", {"helper"}),
+        ("def helper():\n    pass\n\n\ndef other():\n    return helper()\n", set()),
         ("", {"helper"}),
     ],
     ids=[
         "call", "attribute", "import-from", "import-as", "dotted-import",
-        "comment", "string", "redefinition", "uncalled",
+        "comment", "string", "redefinition", "self-reference", "delegate",
+        "another-definition-calls", "uncalled",
     ],
 )
 def test_dead_code_rule_reads_identifiers_not_text(caller, dead):
     """A name called, read as an attribute or imported counts; a name
-    that appears only in a comment, a string or another definition does
-    not; a dunder is never reported."""
+    that appears only in a comment, a string, another definition's name
+    or inside a definition of the same name does not; a dunder is never
+    reported."""
     module = ast.parse("def helper():\n    pass\n\n\ndef __getattr__(name):\n    return name\n")
     referenced = _referenced_names([ast.parse(caller)])
     assert {name for name, _ in _definitions(module)} - referenced == dead

@@ -13,12 +13,13 @@ pinned by ``tests/golden/runtime_stats_digest.json``.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
@@ -69,12 +70,8 @@ def queries_for(rng: random.Random, count: int = 3):
 
 
 def plan_for(catalog, strategy, terms, query_node):
-    table = (
-        "InvertedCache" if strategy is JoinStrategy.INVERTED_CACHE else "Inverted"
-    )
-    planner = KeywordPlanner(catalog, posting_table=table)
-    plan = planner.plan(terms, query_node, strategy=strategy)
-    plan.batch_size = None  # the executor config decides the batching
+    plan = KeywordPlanner(catalog).plan(terms, query_node, strategy=strategy)
+    plan.batch_size = None  # each test sizes the batches itself
     return plan
 
 
@@ -82,12 +79,8 @@ def plan_for(catalog, strategy, terms, query_node):
 def test_strategy_matrix_equivalence(seed):
     """4 strategies x 2 batchings: one answer set, reconciled accounting."""
     rng, network, catalog = build_world(seed)
-    stage_granular = DataflowExecutor(
-        network, catalog, config=DataflowConfig(batch_size=None), rng=seed
-    )
-    batched = DataflowExecutor(
-        network, catalog, config=DataflowConfig(batch_size=2), rng=seed
-    )
+    stage_granular = DataflowExecutor(network, catalog, rng=seed)
+    batched = DataflowExecutor(network, catalog, rng=seed)
     header = network.cost_model.header_bytes
     for terms in queries_for(rng):
         query_node = network.random_node_id()
@@ -96,7 +89,7 @@ def test_strategy_matrix_equivalence(seed):
         for strategy in ALL_STRATEGIES:
             plan = plan_for(catalog, strategy, terms, query_node)
             rows_stage, stats_stage = stage_granular.execute(plan)
-            rows_batched, stats_batched = batched.execute(plan)
+            rows_batched, stats_batched = batched.execute(replace(plan, batch_size=2))
             shipped[strategy] = (stats_stage, stats_batched)
 
             # One answer set across the whole matrix — every strategy,
@@ -140,10 +133,8 @@ def test_equivalence_holds_for_results_across_batch_sizes():
     for strategy in ALL_STRATEGIES:
         plan = plan_for(catalog, strategy, ["nebula", "quasar"], query_node)
         for batch_size in (1, 2, 7, 64, None):
-            dataflow = DataflowExecutor(
-                network, catalog, config=DataflowConfig(batch_size=batch_size), rng=9
-            )
-            rows, stats = dataflow.execute(plan)
+            dataflow = DataflowExecutor(network, catalog, rng=9)
+            rows, stats = dataflow.execute(replace(plan, batch_size=batch_size))
             assert result_key(rows) == reference
             assert stats.pipeline.batch_size == batch_size
             assert stats.strategy is strategy

@@ -17,10 +17,10 @@ import random
 import pytest
 
 from repro.dht.network import DhtNetwork
-from repro.hybrid.engine import HybridQueryEngine, RaceConfig
+from repro.hybrid.engine import HybridQueryEngine
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
@@ -33,9 +33,6 @@ VOCABULARY = [
 ]
 
 ALL_STRATEGIES = tuple(JoinStrategy)
-
-HOP_LATENCY = 1.2
-HOP_JITTER = 0.35
 
 
 def build_world(seed: int):
@@ -61,11 +58,7 @@ def result_key(rows):
 
 
 def plan_for(catalog, strategy, terms, query_node):
-    table = (
-        "InvertedCache" if strategy is JoinStrategy.INVERTED_CACHE else "Inverted"
-    )
-    planner = KeywordPlanner(catalog, posting_table=table)
-    plan = planner.plan(terms, query_node, strategy=strategy)
+    plan = KeywordPlanner(catalog).plan(terms, query_node, strategy=strategy)
     plan.batch_size = None
     return plan
 
@@ -85,16 +78,7 @@ def run_dataflow_matrix(seed: int, memory_budget: int | None = None):
     rng, network, catalog = build_world(seed)
     stored = sorted(network.stored_items())
     executor = DataflowExecutor(
-        network,
-        catalog,
-        sim=Simulator(),
-        config=DataflowConfig(
-            batch_size=None,
-            hop_latency=HOP_LATENCY,
-            hop_jitter=HOP_JITTER,
-            memory_budget=memory_budget,
-        ),
-        rng=seed + 17,
+        network, catalog, sim=Simulator(), memory_budget=memory_budget, rng=seed + 17
     )
     digest = []
     for _ in range(3):
@@ -154,12 +138,7 @@ def run_hybrid_races(seed: int):
     rng, network, catalog = build_world(seed)
     search_engine = SearchEngine(network, catalog)
     sim = Simulator()
-    engine = HybridQueryEngine(
-        sim,
-        network,
-        config=RaceConfig(dht_hop_latency=HOP_LATENCY, hop_jitter=HOP_JITTER),
-        rng=seed,
-    )
+    engine = HybridQueryEngine(sim, network, rng=seed)
     node_ids = sorted(network.nodes)
     hybrids = [
         HybridUltrapeer(

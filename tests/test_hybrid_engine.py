@@ -7,8 +7,9 @@ import pytest
 from repro.cache.results import QueryResultCache
 from repro.dht.network import DhtNetwork
 from repro.gnutella.latency import GnutellaLatencyModel
-from repro.hybrid.engine import HybridQueryEngine, RaceConfig
-from repro.hybrid.ultrapeer import HybridUltrapeer
+from repro.hybrid.engine import MAX_REQUERY_ATTEMPTS, HybridQueryEngine, RaceConfig
+from repro.hybrid.ultrapeer import DEFAULT_CACHE_LATENCY, HybridUltrapeer
+from repro.net.transport import HOP_JITTER, HOP_LATENCY
 from repro.pier.catalog import Catalog
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
@@ -113,8 +114,7 @@ class TestDhtSide:
         race = hybrid.handle_leaf_query_simulated(engine, ["montia"], [math.inf], stop_ttl=3)
         sim.run()
         # At least one hop draw past the timeout, bounded by the jitter.
-        config = engine.config
-        minimum = TIMEOUT + config.dht_hop_latency * (1 - config.hop_jitter)
+        minimum = TIMEOUT + HOP_LATENCY * (1 - HOP_JITTER)
         assert race.outcome.pier_latency >= minimum
 
 
@@ -149,7 +149,7 @@ class TestCacheIntegration:
         assert second.outcome.pier_results == first.outcome.pier_results
         assert second.outcome.saved_bytes == first.outcome.pier_bytes > 0
         assert second.outcome.pier_latency == pytest.approx(
-            TIMEOUT + hybrid.cache_latency
+            TIMEOUT + DEFAULT_CACHE_LATENCY
         )
         assert second.outcome.pier_latency < first.outcome.pier_latency
 
@@ -232,7 +232,7 @@ class TestChurnDuringQueries:
         sim.schedule(TIMEOUT - 0.01, nuke)
         sim.run()
         assert race.done and race.pier_failed
-        attempts = engine.config.max_requery_attempts
+        attempts = MAX_REQUERY_ATTEMPTS
         assert race.pier_attempts == attempts
         metrics = engine.metrics
         assert metrics.counter("hybrid.requery_attempts").value == attempts

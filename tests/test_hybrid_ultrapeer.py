@@ -10,8 +10,12 @@ ultrapeer's 30 s re-query timeout.
 import pytest
 
 from repro.dht.network import DhtNetwork
-from repro.hybrid.engine import HybridQueryEngine, RaceConfig
-from repro.hybrid.ultrapeer import QRS_RESULT_SIZE_THRESHOLD, HybridUltrapeer
+from repro.hybrid.engine import HybridQueryEngine
+from repro.hybrid.ultrapeer import (
+    DEFAULT_CACHE_LATENCY,
+    QRS_RESULT_SIZE_THRESHOLD,
+    HybridUltrapeer,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.pier.catalog import Catalog
 from repro.piersearch.publisher import Publisher
@@ -19,11 +23,13 @@ from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
 from repro.workload.library import SharedFile
 
+from oracle import steady_hops
+
 
 def build(**extra):
     """A hybrid ultrapeer on a 16-node ring, and ``ask(terms, depths,
     stop_ttl)``: one leaf query raced to the end on its own engine."""
-    network = DhtNetwork(rng=41)
+    network = steady_hops(DhtNetwork(rng=41), hop=1.0)
     nodes = network.populate(16)
     catalog = Catalog(network)
     hybrid = HybridUltrapeer(
@@ -36,7 +42,7 @@ def build(**extra):
         **extra,
     )
     sim = Simulator()
-    engine = HybridQueryEngine(sim, network, config=RaceConfig(dht_hop_latency=1.0), rng=41)
+    engine = HybridQueryEngine(sim, network, rng=41)
 
     def ask(terms, depths=(), stop_ttl=3):
         race = hybrid.handle_leaf_query_simulated(engine, list(terms), list(depths), stop_ttl)
@@ -222,7 +228,7 @@ class TestResultCache:
         hybrid.observe_query_results([shared("rare montia klorena.mp3")])
         first = ask(["montia"])
         second = ask(["montia"])
-        expected = hybrid.gnutella_timeout + hybrid.cache_latency
+        expected = hybrid.gnutella_timeout + DEFAULT_CACHE_LATENCY
         assert second.pier_latency == pytest.approx(expected)
         assert second.pier_latency < first.pier_latency
 

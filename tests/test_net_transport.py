@@ -3,7 +3,7 @@
 The in-process backend must charge exactly what its callers price, and
 draw overlay-hop latencies exactly as ``random.uniform`` one hop at a
 time would — these tests pin the charge primitive, the batched draw and
-the lookahead helper the sharded kernel depends on.
+the steady-hop fake other tests time their hops with.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import BandwidthMeter, CostModel
+from repro.dht.network import DhtNetwork
 from repro.gnutella.flooding import FLOOD_CATEGORY, flood
 from repro.net import FaultInjectingTransport, InProcessTransport
+from repro.net.transport import HOP_JITTER, HOP_LATENCY
 
-from oracle import reference_hop_delay
+from oracle import reference_hop_delay, steady_hops
 
 
 @pytest.fixture
@@ -56,49 +58,40 @@ def test_flood_charges_one_framed_message_per_forwarded_edge(transport):
 
 def test_hop_delays_matches_inline_uniform_draws(transport):
     """Transport draws must replay the exact pre-boundary RNG sequence."""
-    mean, jitter = 0.05, 0.2
     a, b = random.Random(42), random.Random(42)
     for _ in range(100):
-        expected = a.uniform(mean * (1 - jitter), mean * (1 + jitter))
-        assert transport.hop_delays(b, mean, jitter, 1) == expected
+        expected = a.uniform(HOP_LATENCY * (1 - HOP_JITTER), HOP_LATENCY * (1 + HOP_JITTER))
+        assert transport.hop_delays(b, 1) == expected
 
 
-def test_hop_delay_zero_jitter_is_deterministic_and_burns_no_rng(transport):
+def test_a_steady_hop_transport_adds_its_hop_left_to_right_and_burns_no_rng():
+    """The fake tests install for exact virtual times: every hop takes
+    ``hop``, summed left to right from ``0.0``, and no RNG state moves."""
+    network = steady_hops(DhtNetwork(rng=1), hop=0.08)
     rng = random.Random(7)
     state = rng.getstate()
-    assert reference_hop_delay(rng, 0.08, 0.0) == 0.08
-    assert transport.hop_delays(rng, 0.08, 0.0, 3) == 0.08 + 0.08 + 0.08
+    for hops in range(8):
+        expected = 0.0
+        for _ in range(hops):
+            expected += 0.08
+        assert network.transport.hop_delays(rng, hops) == expected
+    assert network.transport.hop_delays(rng, 3) == 0.08 + 0.08 + 0.08
     assert rng.getstate() == state
-
-
-def test_min_hop_delay_bounds_draws(transport):
-    rng = random.Random(3)
-    mean, jitter = 0.05, 0.3
-    floor = transport.min_hop_delay(mean, jitter)
-    assert floor == pytest.approx(mean * (1 - jitter))
-    for _ in range(500):
-        assert transport.hop_delays(rng, mean, jitter, 1) >= floor
-    # negative jitter never raises the floor above the mean
-    assert transport.min_hop_delay(mean, -1.0) == mean
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    mean=st.floats(0.01, 10.0),
-    jitter=st.one_of(st.floats(-1.0, 0.0), st.floats(0.01, 0.99)),
     hops=st.integers(0, 12),
     multiplier=st.floats(1.0, 8.0),
 )
 @settings(max_examples=300, deadline=None)
-def test_hop_delays_equals_a_left_to_right_sum_of_single_draws(
-    seed, mean, jitter, hops, multiplier
-):
+def test_hop_delays_equals_a_left_to_right_sum_of_single_draws(seed, hops, multiplier):
     inner = InProcessTransport(BandwidthMeter(), CostModel())
     batched, twin = random.Random(seed), random.Random(seed)
     expected = 0.0
     for _ in range(hops):
-        expected += reference_hop_delay(twin, mean, jitter)
-    assert inner.hop_delays(batched, mean, jitter, hops) == expected
+        expected += reference_hop_delay(twin)
+    assert inner.hop_delays(batched, hops) == expected
     assert batched.getstate() == twin.getstate()
 
     faulty = FaultInjectingTransport(inner)
@@ -106,8 +99,8 @@ def test_hop_delays_equals_a_left_to_right_sum_of_single_draws(
     degraded = 0 if multiplier == 1.0 else hops
     stretched = 0.0
     for _ in range(hops):
-        stretched += reference_hop_delay(twin, mean, jitter) * multiplier
-    assert faulty.hop_delays(batched, mean, jitter, hops) == stretched
+        stretched += reference_hop_delay(twin) * multiplier
+    assert faulty.hop_delays(batched, hops) == stretched
     assert batched.getstate() == twin.getstate()
     assert faulty.degraded_draws == degraded
 
@@ -125,5 +118,3 @@ def test_a_fault_wrapper_charges_and_prices_through_its_inner_transport(transpor
     assert faulty.meter is transport.meter
     assert transport.meter.by_category["dht.get"].bytes == 300
     assert faulty.cost_model is transport.cost_model
-    faulty.set_delay_multiplier(4.0)
-    assert faulty.min_hop_delay(0.1, 0.05) == transport.min_hop_delay(0.1, 0.05)

@@ -16,6 +16,7 @@ Two guarantees the tracing/metrics layer must keep forever:
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from repro.dht.network import DhtNetwork
@@ -23,7 +24,7 @@ from repro.hybrid.engine import RaceConfig
 from repro.hybrid.world import build_world
 from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.obs.trace import Tracer, validate_chrome_trace
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.query import JoinStrategy
 from repro.sim.engine import Simulator
 
@@ -43,17 +44,10 @@ def traced_span_forest() -> dict:
     for strategy in PINNED_STRATEGIES:
         rng, network, catalog = build_world(0)
         query_node = network.random_node_id()
-        plan = plan_for(catalog, strategy, PINNED_TERMS, query_node)
+        plan = replace(plan_for(catalog, strategy, PINNED_TERMS, query_node), batch_size=2)
         sim = Simulator()
         tracer = Tracer(clock=lambda: sim.now)
-        executor = DataflowExecutor(
-            network,
-            catalog,
-            sim=sim,
-            config=DataflowConfig(batch_size=2),
-            rng=0,
-            tracer=tracer,
-        )
+        executor = DataflowExecutor(network, catalog, sim=sim, rng=0, tracer=tracer)
         executor.execute(plan)
         forests[f"{strategy.name}|pipelined"] = [root.tree() for root in tracer.roots]
     return forests
@@ -79,29 +73,19 @@ def matrix_digest(traced: bool, seeds=(0, 3)) -> dict:
             metrics = MetricsRegistry()
         else:
             sim, tracer, metrics = Simulator(), None, None
-        unbatched = DataflowExecutor(
-            network,
-            catalog,
-            sim=sim,
-            config=DataflowConfig(batch_size=None),
-            tracer=tracer,
-            metrics=metrics,
-        )
+        unbatched = DataflowExecutor(network, catalog, sim=sim, tracer=tracer, metrics=metrics)
         batched = DataflowExecutor(
-            network,
-            catalog,
-            sim=sim,
-            config=DataflowConfig(batch_size=2),
-            rng=seed,
-            tracer=tracer,
-            metrics=metrics,
+            network, catalog, sim=sim, rng=seed, tracer=tracer, metrics=metrics
         )
         for terms in queries_for(rng):
             query_node = network.random_node_id()
             for strategy in JoinStrategy:
                 plan = plan_for(catalog, strategy, terms, query_node)
-                for tag, executor in (("unbatched", unbatched), ("pipelined", batched)):
-                    rows, stats = executor.execute(plan)
+                for tag, executor, batch_size in (
+                    ("unbatched", unbatched, None),
+                    ("pipelined", batched, 2),
+                ):
+                    rows, stats = executor.execute(replace(plan, batch_size=batch_size))
                     name = f"s{seed}|{'+'.join(terms)}|{strategy.name}|{tag}"
                     payload[name] = {
                         "bytes": stats.bytes,
@@ -129,12 +113,12 @@ class TestObservationIsFree:
         tracer = Tracer(clock=lambda: sim.now)
         metrics = MetricsRegistry()
         executor = DataflowExecutor(
-            network, catalog, sim=sim, config=DataflowConfig(batch_size=2),
-            rng=0, tracer=tracer, metrics=metrics,
+            network, catalog, sim=sim, rng=0, tracer=tracer, metrics=metrics
         )
         plan = plan_for(
             catalog, JoinStrategy.SEMI_JOIN, PINNED_TERMS, network.random_node_id()
         )
+        plan.batch_size = 2
         executor.execute(plan)
         validate_chrome_trace(tracer.to_chrome_trace())
         validate_prometheus(metrics.to_prometheus())
@@ -162,13 +146,10 @@ class TestMeteredDataflow:
 
         rng, network, catalog = build_world(0)
         metrics = CountingRegistry()
-        executor = DataflowExecutor(
-            network, catalog, sim=Simulator(), config=DataflowConfig(batch_size=2),
-            rng=0, metrics=metrics,
-        )
+        executor = DataflowExecutor(network, catalog, sim=Simulator(), rng=0, metrics=metrics)
         query_node = network.random_node_id()
         plans = [
-            plan_for(catalog, strategy, PINNED_TERMS, query_node)
+            replace(plan_for(catalog, strategy, PINNED_TERMS, query_node), batch_size=2)
             for strategy in JoinStrategy
         ]
         for plan in plans:

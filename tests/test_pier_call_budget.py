@@ -24,7 +24,7 @@ import random
 from repro.common.bloom import bloom_for_keys
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.operators import StoredHashJoin
 from repro.pier.optimizer import CostBasedOptimizer
 from repro.pier.query import JoinStrategy
@@ -137,7 +137,7 @@ def test_a_replay_builds_filters_and_prices_nothing():
 def test_a_shipped_batch_costs_one_call_and_one_draw():
     engine, queries = budgeted_bloom_world()
     network, catalog = engine.network, engine.catalog
-    flow = DataflowExecutor(network, catalog, config=DataflowConfig(batch_size=2), rng=3)
+    flow = DataflowExecutor(network, catalog, rng=3)
     nodes = sorted(network.nodes)
     plans = [
         engine.planner.plan(
@@ -154,6 +154,6 @@ def test_a_shipped_batch_costs_one_call_and_one_draw():
 
     batches = sum(stats.pipeline.batches_shipped for _, stats in results)
     assert all(rows for rows, _ in results)
-    assert batches > 10 * QUERIES  # the entries ship two at a time
+    assert batches > 10 * QUERIES  # the planner ships 64-entry lists 8 at a time
     calls_per_batch = pstats.Stats(profile).prim_calls / batches
     assert calls_per_batch < CALLS_PER_BATCH_CEILING, calls_per_batch

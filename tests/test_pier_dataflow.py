@@ -1,6 +1,7 @@
 """Unit tests for the streaming exchange dataflow runtime."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.hybrid.engine import RaceConfig
 from repro.hybrid.world import build_world as build_hybrid_world
 from repro.pier.catalog import Catalog
 from repro.pier import operators
-from repro.pier.dataflow import SEND_INTERVAL, DataflowConfig, DataflowExecutor, _QueryRun
+from repro.pier.dataflow import SEND_INTERVAL, DataflowExecutor, _QueryRun
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import Edge, JoinStrategy
 from repro.obs.metrics import MetricsRegistry
@@ -19,7 +20,7 @@ from repro.obs.trace import Tracer
 from repro.piersearch.publisher import Publisher
 from repro.sim.engine import Simulator
 
-from oracle import oracle_items, reference_stored_join
+from oracle import oracle_items, reference_stored_join, steady_hops
 from test_pier_call_budget import budgeted_bloom_world
 
 WORDS = ["nebula", "quasar", "aurora", "meteor"]
@@ -57,23 +58,17 @@ class TestPipelinedExecution:
     def test_batches_shipped_scale_with_batch_size(self):
         network, catalog = build_world()
         plan = plan_for(network, catalog, ["nebula", "quasar"])
-        few = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=None), rng=3
-        )
-        many = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=1), rng=3
-        )
+        few = DataflowExecutor(network, catalog, rng=3)
+        many = DataflowExecutor(network, catalog, rng=3)
         _, stats_few = few.execute(plan)
-        _, stats_many = many.execute(plan)
+        _, stats_many = many.execute(replace(plan, batch_size=1))
         assert stats_many.pipeline.batches_shipped > stats_few.pipeline.batches_shipped
         assert stats_few.pipeline.batches_shipped >= 2  # rehash + answers
 
     def test_first_answer_strictly_before_completion_when_batched(self):
         network, catalog = build_world()
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=1)
-        dataflow = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=1), rng=3
-        )
+        dataflow = DataflowExecutor(network, catalog, rng=3)
         rows, stats = dataflow.execute(plan)
         assert len(rows) > 1
         pipeline = stats.pipeline
@@ -87,11 +82,8 @@ class TestDrainsWholeJoin:
         batch and ends equal to the blocking run of the same plan."""
         network, catalog = build_world(num_files=60)
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=1)
-        config = DataflowConfig(batch_size=1)
-        blocking_rows, blocking_stats = DataflowExecutor(
-            network, catalog, config=config, rng=7
-        ).execute(plan)
-        dataflow = DataflowExecutor(network, catalog, config=config, rng=7)
+        blocking_rows, blocking_stats = DataflowExecutor(network, catalog, rng=7).execute(plan)
+        dataflow = DataflowExecutor(network, catalog, rng=7)
         at_first = []
         query = dataflow.submit(plan, on_first_answer=lambda q: at_first.append(len(q.rows)))
         dataflow.sim.run()
@@ -118,9 +110,7 @@ class TestSendPacing:
             ["nebula", "quasar"], network.random_node_id(), strategy=strategy
         )
         plan.batch_size = 1
-        dataflow = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=1), rng=7
-        )
+        dataflow = DataflowExecutor(network, catalog, rng=7)
         sends = {}
         ship = network.ship_batch
 
@@ -147,12 +137,7 @@ class TestMemoryBudgetSpill:
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
         unbounded = DataflowExecutor(network, catalog, rng=11)
         rows_ref, _ = unbounded.execute(plan)
-        budgeted = DataflowExecutor(
-            network,
-            catalog,
-            config=DataflowConfig(batch_size=4, memory_budget=3),
-            rng=11,
-        )
+        budgeted = DataflowExecutor(network, catalog, memory_budget=3, rng=11)
         rows, stats = budgeted.execute(plan)
         key = lambda rs: sorted((r["fileID"], r["ipAddress"]) for r in rs)
         assert key(rows) == key(rows_ref)
@@ -165,12 +150,7 @@ class TestMemoryBudgetSpill:
         hold before the query."""
         network, catalog = build_world(num_files=40)
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
-        budgeted = DataflowExecutor(
-            network,
-            catalog,
-            config=DataflowConfig(batch_size=4, memory_budget=3),
-            rng=11,
-        )
+        budgeted = DataflowExecutor(network, catalog, memory_budget=3, rng=11)
         before = stored_values(network)
         query = budgeted.submit(plan)
         while budgeted.sim.step():
@@ -185,22 +165,16 @@ class TestMemoryBudgetSpill:
     def test_batching_moves_reads_never_evictions(self, terms):
         """A join site evicts from the list it stores before the first
         batch arrives, so no batching moves an eviction. Reads are
-        charged per arriving batch by design: with zero jitter the join
+        charged per arriving batch by design: with steady hops the join
         sites see the same key order at every batch size, and each batch
         of a coarser cut is a run of whole finer batches, so reads and
         re-read bytes only fall as batches grow."""
         network, catalog = build_world(num_files=60)
+        steady_hops(network)
         runs = []
         for batch_size in (1, 2, 16, None):
             plan = plan_for(network, catalog, terms, batch_size=batch_size)
-            budgeted = DataflowExecutor(
-                network,
-                catalog,
-                config=DataflowConfig(
-                    batch_size=batch_size, memory_budget=3, hop_jitter=0.0
-                ),
-                rng=11,
-            )
+            budgeted = DataflowExecutor(network, catalog, memory_budget=3, rng=11)
             runs.append(budgeted.execute(plan)[1].spill)
         assert len({spill.partition_evictions for spill in runs}) == 1
         assert runs[0].partition_evictions > 0
@@ -238,12 +212,7 @@ class TestMemoryBudgetSpill:
         monkeypatch.setattr(operators.JoinProbe, "probe", recording_probe)
         network, catalog = build_world(num_files=60)
         plan = plan_for(network, catalog, ["nebula", "quasar", "aurora"], batch_size)
-        budgeted = DataflowExecutor(
-            network,
-            catalog,
-            config=DataflowConfig(batch_size=batch_size, memory_budget=5),
-            rng=11,
-        )
+        budgeted = DataflowExecutor(network, catalog, memory_budget=5, rng=11)
         _, stats = budgeted.execute(plan)
         assert len(sites) == 2
         postings = catalog.table("Inverted")
@@ -273,12 +242,7 @@ class TestMemoryBudgetSpill:
         values it held before the query."""
         network, catalog = build_world(num_files=40)
         plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=batch_size)
-        budgeted = DataflowExecutor(
-            network,
-            catalog,
-            config=DataflowConfig(batch_size=batch_size, memory_budget=3),
-            rng=11,
-        )
+        budgeted = DataflowExecutor(network, catalog, memory_budget=3, rng=11)
         before = stored_values(network)
         query = budgeted.submit(plan)
         budgeted.sim.schedule(4.1, lambda: kill(network, plan))
@@ -330,12 +294,7 @@ class TestMemoryBudgetSpill:
         plan = plan_for(network, catalog, ["nebula", "quasar", "aurora"], batch_size=2)
         tracer, metrics = Tracer(), MetricsRegistry()
         budgeted = DataflowExecutor(
-            network,
-            catalog,
-            config=DataflowConfig(batch_size=2, memory_budget=4),
-            rng=11,
-            tracer=tracer,
-            metrics=metrics,
+            network, catalog, memory_budget=4, rng=11, tracer=tracer, metrics=metrics
         )
         tracer.bind_clock(lambda: budgeted.sim.now)
         _, stats = budgeted.execute(plan)
@@ -369,9 +328,7 @@ class TestMemoryBudgetSpill:
         )
         plan.batch_size = 2
         free = DataflowExecutor(network, catalog, rng=11)
-        budgeted = DataflowExecutor(
-            network, catalog, config=DataflowConfig(memory_budget=1), rng=11
-        )
+        budgeted = DataflowExecutor(network, catalog, memory_budget=1, rng=11)
         (rows_free, stats_free), (rows, stats) = free.execute(plan), budgeted.execute(plan)
         key = lambda rs: sorted((r["fileID"], r["ipAddress"]) for r in rs)
         assert rows and key(rows) == key(rows_free)
@@ -404,7 +361,7 @@ class TestFailureHandling:
 
     def test_execute_raises_on_broken_plan_site(self):
         network, catalog = build_world()
-        plan = plan_for(network, catalog, ["nebula", "quasar"])
+        plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=64)
         for stage in plan.stages:
             if stage.site in network.nodes:
                 network.remove_node(stage.site, graceful=False)
@@ -444,9 +401,7 @@ class TestDepartedJoinSite:
         plan = KeywordPlanner(catalog).plan(self.TERMS, network.random_node_id())
         assert plan.strategy is JoinStrategy.SEMI_JOIN
         plan.batch_size = 1
-        dataflow = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=1), rng=7
-        )
+        dataflow = DataflowExecutor(network, catalog, rng=7)
         shipped = self.leave_after_first_batch(monkeypatch, network, Edge.SEMI)
         before = network.meter.snapshot()
         handoff = network.meter.by_category.get("dht.handoff")
@@ -641,7 +596,7 @@ class TestNoFetchRowShapeParity:
 
     def test_single_stage_returns_full_posting_rows(self):
         network, catalog = build_world()
-        plan = plan_for(network, catalog, ["nebula"])
+        plan = plan_for(network, catalog, ["nebula"], batch_size=64)
         dataflow = DataflowExecutor(network, catalog, rng=5)
         rows, _ = dataflow.execute(plan, fetch_items=False)
         stage = plan.stages[0]

@@ -127,8 +127,7 @@ class TestDistributedJoin:
 
 class TestInvertedCache:
     def run_query(self, engine_env, terms):
-        network, _, _, executor = engine_env
-        planner = KeywordPlanner(engine_env[1], posting_table="InvertedCache")
+        network, _, planner, executor = engine_env
         plan = planner.plan(
             terms, network.random_node_id(), strategy=JoinStrategy.INVERTED_CACHE
         )
@@ -158,8 +157,7 @@ class TestInvertedCache:
             strategy=JoinStrategy.DISTRIBUTED_JOIN,
         )
         _, join_stats = executor.execute(plan, fetch_items=False)
-        cache_planner = KeywordPlanner(engine_env[1], posting_table="InvertedCache")
-        cache_plan = cache_planner.plan(
+        cache_plan = planner.plan(
             ["britney", "spears"],
             network.random_node_id(),
             strategy=JoinStrategy.INVERTED_CACHE,

@@ -25,11 +25,12 @@ import pytest
 
 from repro.pier import dataflow, operators, optimizer
 from repro.pier.catalog import table_key
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.operators import StoredList
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 
 from test_pier_call_budget import QUERIES, budgeted_bloom_world
+from oracle import steady_hops
 from test_pier_dataflow import build_world, plan_for
 
 #: Bytes still allocated per finished query after the Bloom-join world of
@@ -72,13 +73,9 @@ def spill_world():
     """A budgeted two-term query whose join site evicts, submitted but not
     yet drained."""
     network, catalog = build_world(num_files=60)
+    steady_hops(network)
     plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
-    flow = DataflowExecutor(
-        network,
-        catalog,
-        config=DataflowConfig(batch_size=4, memory_budget=3, hop_jitter=0.0),
-        rng=11,
-    )
+    flow = DataflowExecutor(network, catalog, memory_budget=3, rng=11)
     return network, plan, flow, flow.submit(plan)
 
 

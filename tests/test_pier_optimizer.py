@@ -9,6 +9,7 @@ search engine and the hybrid engine's race path.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.obs.metrics import MetricsRegistry
 from repro.pier.optimizer import (
     CostBasedOptimizer,
@@ -323,12 +324,8 @@ class TestBloomJoinProperties:
     )
     def test_batched_bloom_matches_unbatched_for_any_fp(self, seed, fp_rate):
         network, catalog = build_world(seed=seed, nodes=16, popular=30, rare=6, overlap=2)
-        unbatched = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=None), rng=seed
-        )
-        batched = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=3), rng=seed
-        )
+        unbatched = DataflowExecutor(network, catalog, rng=seed)
+        batched = DataflowExecutor(network, catalog, rng=seed)
         planner = KeywordPlanner(catalog)
         plan = planner.plan(
             ["rarex", "popular"], network.random_node_id(),
@@ -337,7 +334,7 @@ class TestBloomJoinProperties:
         plan.batch_size = None
         plan.bloom_fp_rate = fp_rate
         rows_whole, stats_whole = unbatched.execute(plan)
-        rows_split, stats_split = batched.execute(plan)
+        rows_split, stats_split = batched.execute(replace(plan, batch_size=3))
         assert result_key(rows_split) == result_key(rows_whole)
         assert stats_split.filter_bytes == stats_whole.filter_bytes
         assert stats_split.posting_entries_shipped == stats_whole.posting_entries_shipped
@@ -384,25 +381,11 @@ class TestByteAccountingInvariant:
         network, catalog = build_world(
             seed=11, popular=60, rare=9, overlap=4, with_cache=True
         )
-        executors = {
-            "stage": lambda: DataflowExecutor(
-                network, catalog, config=DataflowConfig(batch_size=None), rng=2
-            ),
-            "batched": lambda: DataflowExecutor(
-                network, catalog, config=DataflowConfig(batch_size=3), rng=2
-            ),
-        }
-        executor = executors[runtime]()
-        table = (
-            "InvertedCache"
-            if strategy is JoinStrategy.INVERTED_CACHE
-            else "Inverted"
-        )
-        planner = KeywordPlanner(catalog, posting_table=table)
-        plan = planner.plan(
+        executor = DataflowExecutor(network, catalog, rng=2)
+        plan = KeywordPlanner(catalog).plan(
             ["rarex", "popular"], network.random_node_id(), strategy=strategy
         )
-        plan.batch_size = None
+        plan.batch_size = {"stage": None, "batched": 3}[runtime]
         before = network.meter.snapshot()
         rows, stats = executor.execute(plan)
         after = network.meter.snapshot()

@@ -12,6 +12,7 @@ from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog, table_key
 from repro.pier.operators import StoredList
 from repro.pier.planner import KeywordPlanner, MAX_BATCH_SIZE, MIN_BATCH_SIZE
+from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 
 FILES = [
@@ -30,6 +31,11 @@ def world():
     for name, ip in FILES:
         publisher.publish_file(name, 100, ip, 6346)
     return network, catalog, publisher
+
+
+def size(catalog, keyword):
+    """The Inverted posting size the planner sizes a join stage with."""
+    return catalog.posting_size("Inverted", keyword)
 
 
 @pytest.fixture()
@@ -56,19 +62,18 @@ class TestMemoizedPostingStats:
 
     def test_sizes_match_unmemoized_probe(self, world):
         network, catalog, _ = world
-        planner = KeywordPlanner(catalog)
-        assert planner.posting_size("nebula") == 3
-        assert planner.posting_size("quasar") == 2
-        assert planner.posting_size("aurora") == 1
-        assert planner.posting_size("missing") == 0
+        assert size(catalog, "nebula") == 3
+        assert size(catalog, "quasar") == 2
+        assert size(catalog, "aurora") == 1
+        assert size(catalog, "missing") == 0
         for keyword in ("nebula", "quasar", "aurora"):
             key = table_key("Inverted", keyword)
             stored = network.get_local(network.owner_of(key), key)
-            assert planner.posting_size(keyword) == len(stored)
+            assert size(catalog, keyword) == len(stored)
 
     def test_probe_shares_the_join_sites_view(self, world, builds):
         network, catalog, _ = world
-        KeywordPlanner(catalog).posting_size("nebula")
+        size(catalog, "nebula")
         handle = catalog.table("Inverted")
         view = handle.view_local(handle.host_of("nebula"), "nebula", StoredList)
         assert len(view.ids) == 3
@@ -76,32 +81,29 @@ class TestMemoizedPostingStats:
 
     def test_publish_invalidates(self, world, builds):
         network, catalog, publisher = world
-        planner = KeywordPlanner(catalog)
-        assert planner.posting_size("quasar") == 2
+        assert size(catalog, "quasar") == 2
         publisher.publish_file("nebula quasar four.mp3", 100, "1.0.0.4", 6346)
-        assert planner.posting_size("quasar") == 3
+        assert size(catalog, "quasar") == 3
         assert builds == [2, 3]
 
     def test_churn_invalidates(self, world):
         network, catalog, _ = world
-        planner = KeywordPlanner(catalog)
         key = table_key("Inverted", "nebula")
-        size = planner.posting_size("nebula")
+        before = size(catalog, "nebula")
         # The owner leaves: its successor takes the list over and serves
         # the size; a crash of the new owner loses it (no handoff).
         network.remove_node(network.owner_of(key), graceful=True)
         network.stabilize()
-        assert planner.posting_size("nebula") == size
+        assert size(catalog, "nebula") == before
         network.remove_node(network.owner_of(key), graceful=False)
         network.stabilize()
-        assert planner.posting_size("nebula") < size
+        assert size(catalog, "nebula") < before
 
     def test_cache_hit_does_not_reprobe(self, world, builds):
         network, catalog, _ = world
-        planner = KeywordPlanner(catalog)
-        planner.posting_size("nebula")
+        size(catalog, "nebula")
         for _ in range(10):
-            planner.posting_size("nebula")
+            size(catalog, "nebula")
         assert builds == [3]
 
 
@@ -129,6 +131,29 @@ class TestBatchSizeChoice:
         # The sizes it observed pick the batch size and the stage order.
         assert plan.batch_size == planner.choose_batch_size({"nebula": 3, "quasar": 2})
         assert plan.keywords == ("quasar", "nebula")
+
+    def test_a_named_strategy_is_sized_from_the_table_it_scans(self):
+        """The InvertedCache plan orders its stages by InvertedCache
+        sizes and the join plans by Inverted sizes, from one planner."""
+        network = DhtNetwork(rng=31)
+        network.populate(24)
+        catalog = Catalog(network)
+        inverted = Publisher(network, catalog)
+        cache = Publisher(network, catalog, inverted_cache=True)
+        for index, name in enumerate(["nebula quasar one.mp3", "quasar two.mp3"]):
+            inverted.publish_file(name, 100, f"1.0.0.{index}", 6346)
+            cache.publish_file(name, 100, f"1.0.0.{index}", 6346)
+        for index in range(4):
+            inverted.publish_file(f"nebula extra{index}.mp3", 100, f"1.0.1.{index}", 6346)
+        assert [catalog.posting_size("Inverted", k) for k in ("nebula", "quasar")] == [5, 2]
+        assert [catalog.posting_size("InvertedCache", k) for k in ("nebula", "quasar")] == [1, 2]
+        planner = KeywordPlanner(catalog)
+        node = network.random_node_id()
+        join_plan = planner.plan(["nebula", "quasar"], node, strategy=JoinStrategy.DISTRIBUTED_JOIN)
+        cache_plan = planner.plan(["nebula", "quasar"], node, strategy=JoinStrategy.INVERTED_CACHE)
+        assert join_plan.keywords == ("quasar", "nebula")
+        assert cache_plan.keywords == ("nebula", "quasar")
+        assert cache_plan.stages[0].site == catalog.table("InvertedCache").host_of("nebula")
 
 
 class TestStrategyChoice:

@@ -277,7 +277,8 @@ class TestReferenceDifferential:
 EVICTION_SCRIPT = """
 import dataclasses, json
 from repro.pier import operators
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
+from oracle import steady_hops
 from test_pier_dataflow import build_world, plan_for
 
 evicted = []
@@ -289,13 +290,9 @@ def recording(join, *args, **kwargs):
 
 operators.StoredHashJoin.__init__ = recording
 network, catalog = build_world(num_files=60)
+steady_hops(network)
 plan = plan_for(network, catalog, ["nebula", "quasar"], batch_size=4)
-flow = DataflowExecutor(
-    network,
-    catalog,
-    config=DataflowConfig(batch_size=4, memory_budget=3, hop_jitter=0.0),
-    rng=11,
-)
+flow = DataflowExecutor(network, catalog, memory_budget=3, rng=11)
 rows, stats = flow.execute(plan)
 print(json.dumps([evicted, dataclasses.asdict(stats.spill), len(rows)]))
 """

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor, _QueryRun
+from repro.pier.dataflow import DataflowExecutor, _QueryRun
 from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import (
@@ -138,8 +138,8 @@ def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size, fetch_
     plan leg and ``ship_batch`` call the query made, and (fetch, origin
     stage, reply stage) of every Item fetch, in first-use order)."""
     table = "InvertedCache" if strategy is JoinStrategy.INVERTED_CACHE else "Inverted"
-    planner = KeywordPlanner(catalog, posting_table=table)
-    sites = {planner.catalog.table(table).host_of(term) for term in TERMS[:k]}
+    planner = KeywordPlanner(catalog)
+    sites = {catalog.table(table).host_of(term) for term in TERMS[:k]}
     query_node = next(node for node in sorted(network.nodes) if node not in sites)
     plan = replace(
         planner.plan(TERMS[:k], query_node, strategy=strategy), batch_size=batch_size
@@ -170,9 +170,7 @@ def shipped_edges(monkeypatch, network, catalog, strategy, k, batch_size, fetch_
     monkeypatch.setattr(DhtNetwork, "ship_batch", recording)
     monkeypatch.setattr(_QueryRun, "_ship_plan", recording_plan)
     monkeypatch.setattr(_QueryRun, "_fetch_items", recording_fetch)
-    flow = DataflowExecutor(
-        network, catalog, config=DataflowConfig(batch_size=batch_size), rng=1
-    )
+    flow = DataflowExecutor(network, catalog, rng=1)
     rows, _ = flow.execute(plan, fetch_items=fetch_items)
     monkeypatch.undo()
     assert rows, "every edge must carry something"

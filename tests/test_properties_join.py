@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
-from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+from repro.pier.dataflow import DataflowExecutor
 from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
@@ -190,16 +190,9 @@ class TestRuntimeEquivalence:
             strategy=JoinStrategy.DISTRIBUTED_JOIN,
         )
         plan.batch_size = None
-        unbudgeted = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=None), rng=seed
-        )
+        unbudgeted = DataflowExecutor(network, catalog, rng=seed)
         _, stats_free = unbudgeted.execute(plan)
-        budgeted = DataflowExecutor(
-            network,
-            catalog,
-            config=DataflowConfig(batch_size=None, memory_budget=budget),
-            rng=seed,
-        )
+        budgeted = DataflowExecutor(network, catalog, memory_budget=budget, rng=seed)
         rows_flow, stats_flow = budgeted.execute(plan)
         key = lambda rs: sorted(sorted(r.items()) for r in rs)
         assert key(rows_flow) == key(oracle_items(catalog, plan.keywords))

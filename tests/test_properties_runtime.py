@@ -240,26 +240,27 @@ def stats_digest(seeds=(0, 3)) -> dict:
     or answer sets — e.g. from a row-representation or scheduling change —
     shows up as a diff.
     """
+    from dataclasses import replace
+
     from test_dataflow_equivalence import build_world, plan_for, queries_for, result_key
 
-    from repro.pier.dataflow import DataflowConfig, DataflowExecutor
+    from repro.pier.dataflow import DataflowExecutor
     from repro.pier.query import JoinStrategy
 
     payload: dict = {}
     for seed in seeds:
         rng, network, catalog = build_world(seed)
-        unbatched = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=None)
-        )
-        batched = DataflowExecutor(
-            network, catalog, config=DataflowConfig(batch_size=2), rng=seed
-        )
+        unbatched = DataflowExecutor(network, catalog)
+        batched = DataflowExecutor(network, catalog, rng=seed)
         for terms in queries_for(rng):
             query_node = network.random_node_id()
             for strategy in JoinStrategy:
                 plan = plan_for(catalog, strategy, terms, query_node)
-                for tag, executor in (("unbatched", unbatched), ("pipelined", batched)):
-                    rows, stats = executor.execute(plan)
+                for tag, executor, batch_size in (
+                    ("unbatched", unbatched, None),
+                    ("pipelined", batched, 2),
+                ):
+                    rows, stats = executor.execute(replace(plan, batch_size=batch_size))
                     record = {
                         "bytes": stats.bytes,
                         "messages": stats.messages,

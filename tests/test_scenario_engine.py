@@ -94,7 +94,7 @@ def test_smoke_scenario_passes_its_slo_gates():
 
 def test_identical_seeds_reproduce_report_bit_for_bit():
     spec = tiny(churn=ChurnSpec(kind="uniform", interval=4.0, steps=2))
-    assert run_scenario(spec).to_dict() == run_scenario(spec).to_dict()
+    assert run_scenario(spec) == run_scenario(spec)
 
 
 def test_report_accounting_is_consistent():
