@@ -7,9 +7,10 @@ reports is a count the code fixes, so everything here is exact: ``run``
 asserts every budgeted answer set equals the unlimited-memory reference
 and runs the strategy × runtime equivalence matrix; the spill rows
 (probe reads and re-read bytes per query, partition evictions) are
-pinned at ``SMALL_SCALE``; and the optimizer's memory-pressure term must
-shift a strategy pick. Host time on this path is measured end to end by
-``bench/``'s ``conj_optimizer`` workload (``host_us_per_op``).
+pinned at ``SMALL_SCALE``. A budget prices nothing: the cost optimizer
+picks by wire bytes alone, so the sweep records no strategy pick. Host
+time on this path is measured end to end by ``bench/``'s
+``conj_optimizer`` workload (``host_us_per_op``).
 
 Everything here is slow-marked via the benchmarks conftest.
 """
@@ -68,11 +69,9 @@ def test_spill_rows_are_pinned(sweep, alpha):
 
 def test_measured_sweep_no_cliff(sweep):
     """Beyond the answer checks ``run`` makes, the tightest budget evicts
-    and re-reads, and the memory-pressure term shifts a strategy pick."""
+    and re-reads."""
     cliff = sweep_by_point(sweep, 1.1)[("partitioned", TIGHT_BUDGET)]
     assert cliff["evictions"] > 0 and cliff["reads_per_query"] > 0
-    shifts = [row for row in sweep.rows if row[0] == "optimizer" and row[4] != row[5]]
-    assert shifts, "no optimizer strategy shift under tight budget"
 
 
 def test_spill_metrics_reproduce_across_runs(sweep):

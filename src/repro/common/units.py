@@ -96,9 +96,8 @@ class CostModel:
         site's local store; a probe landing in one scans its rows back:
         a serialized single-column tuple, framed like any stored tuple but
         with no routing header (the read is local, so spilling costs
-        re-read work — never wire bytes). The streaming dataflow and the
-        optimizer's memory-pressure pricer must both charge this one
-        figure.
+        re-read work — never wire bytes, so the cost optimizer never
+        prices it). The streaming dataflow charges this figure.
         """
         return self.tuple_bytes(self.fileid_bytes)
 

@@ -23,10 +23,9 @@ function of the code (host time is ``bench/``'s to measure:
 * **Equivalence matrix** — each scenario additionally runs every
   joining strategy unbudgeted with one batch per edge and tightly
   budgeted in the planner's batch size, and asserts identical answers.
-* **Optimizer shift** — each scenario's posting sizes are priced with
-  and without the optimizer's memory-pressure term; rows record where
-  tight budgets flip the strategy choice (e.g. toward the Bloom join,
-  whose 2-term chain holds no join build state at all).
+
+A budget moves no answer, no wire byte and no strategy choice (the cost
+optimizer prices only what a plan ships), so nothing here is priced.
 """
 
 from __future__ import annotations
@@ -36,11 +35,10 @@ from dataclasses import replace
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
 from repro.experiments.ext_optimizer import build_zipf_world, _result_key
 from repro.pier.dataflow import DataflowExecutor
-from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
 from repro.pier.query import JoinStrategy
 
 #: the far-below-operating budget: the last point of the spill sweep,
-#: and the one the equivalence matrix and optimizer shift run at
+#: and the one the equivalence matrix runs at
 TIGHT_BUDGET = 32
 
 #: row budgets swept, widest first (None = the unlimited reference point)
@@ -147,27 +145,6 @@ def run(
                  len(MATRIX_STRATEGIES) * 2, 0, 0)
             )
 
-        # Optimizer shift: the same posting stats priced with and without
-        # the memory-pressure term.
-        unbudgeted = CostBasedOptimizer(world.catalog)
-        pressured = CostBasedOptimizer(
-            world.catalog, config=OptimizerConfig(memory_budget=TIGHT_BUDGET)
-        )
-        for scenario, terms in world.queries.items():
-            sizes = {t: world.catalog.posting_size("Inverted", t) for t in terms}
-            free_pick = unbudgeted.pick(sizes, inverted_cache=False).strategy
-            tight = pressured.pick(sizes, inverted_cache=False)
-            rows.append(
-                (
-                    "optimizer",
-                    alpha,
-                    scenario,
-                    TIGHT_BUDGET,
-                    free_pick.value,
-                    tight.strategy.value,
-                    tight.spill_bytes,
-                )
-            )
     return ExperimentResult(
         experiment_id="ext-join",
         title="Memory-adaptive join: skew × budget sweep, spill counts",
@@ -176,9 +153,9 @@ def run(
             "zipf_alpha",
             "policy_or_scenario",
             "budget_rows",
-            "reads_or_free_pick",
-            "reread_bytes_or_tight_pick",
-            "evictions_or_spill_bytes",
+            "reads_or_runs",
+            "reread_bytes",
+            "evictions",
         ],
         rows=rows,
         notes=(
@@ -186,9 +163,7 @@ def run(
             "partition evictions per row-budget point (budget 0 = unlimited "
             "reference), answers pinned to the unbudgeted one-batch-per-edge "
             "reference; equivalence rows: strategy x batching matrix "
-            "verified at the tight budget; optimizer rows: strategy pick "
-            "without vs with the memory-pressure term, and its predicted "
-            "spill bytes"
+            "verified at the tight budget"
         ),
     )
 

@@ -42,7 +42,7 @@ from repro.pier.catalog import Catalog, TableHandle
 from repro.pier.operators import JoinProbe, Operator, StoredHashJoin, SubstringFilter
 from repro.pier.query import DistributedPlan, PipelineStats, PlanStage, QueryStats
 from repro.pier.dataflow import DataflowExecutor, DataflowQuery
-from repro.pier.optimizer import CostBasedOptimizer, CostEstimate, OptimizerConfig
+from repro.pier.optimizer import CostBasedOptimizer, CostEstimate
 from repro.pier.planner import KeywordPlanner
 
 __all__ = [
@@ -64,6 +64,5 @@ __all__ = [
     "DataflowQuery",
     "CostBasedOptimizer",
     "CostEstimate",
-    "OptimizerConfig",
     "KeywordPlanner",
 ]

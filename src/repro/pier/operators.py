@@ -125,7 +125,7 @@ class StoredHashJoin:
     Evictions depend on the stored list alone; reads are per probe call,
     so how the arrivals are cut into batches moves them, never a match.
     Membership is answered from the key set whatever the budget: the
-    budget prices memory pressure, it saves no real memory.
+    budget counts re-reads, it saves no real memory and moves no price.
     """
 
     def __init__(

@@ -14,15 +14,23 @@ spelled out there.
 Per-step prices
 ---------------
 
+The optimizer prices what a plan ships over the network and nothing
+else: a join site's memory budget changes no answer and no wire byte
+(:class:`~repro.pier.operators.StoredHashJoin` re-reads evicted rows from
+its own store, in no virtual time), so it moves no price. It has no
+configuration. The cost model is the network's, the hop estimate ``h``
+is ``ceil(log2)`` of the live ring, the join selectivity ``sigma`` (the
+fraction of the stream surviving each intersection) is
+:data:`JOIN_SELECTIVITY`, and the Bloom FP target ``fp`` is
+:data:`~repro.pier.query.BLOOM_FP_RATE`, the rate every plan's filter is
+built at.
+
 With posting sizes sorted ascending ``n1 <= ... <= nk`` (stage ``i``
-holds ``n(i+1)``), per-leg hop estimate ``h``, join selectivity ``sigma``
-(the fraction of the stream surviving each intersection), Bloom FP
-target ``fp``, row budget ``M`` and exchange batch size ``b``
-(:func:`~repro.pier.planner.batch_size_for` ``n1``), the stream reaching
-a step after ``j`` intersections (key-joins, Bloom probes and substring
-filters) is ``s = round(n1 * sigma^j)``, plus — past a Bloom probe at
-stage ``p``, the ``jp``-th intersection — ``n(p+1) * fp * sigma^(j-jp)``
-false positives:
+holds ``n(i+1)``), the stream reaching a step after ``j``
+intersections (key-joins, Bloom probes and substring filters) is
+``s = round(n1 * sigma^j)``, plus — past a Bloom probe at stage ``p``,
+the ``jp``-th intersection — ``n(p+1) * fp * sigma^(j-jp)`` false
+positives:
 
 =====================  ==============================================
 step                   price
@@ -36,14 +44,11 @@ ship *answer*          ``s * tuple_bytes(fileid)`` + ``h`` headers; only
                        the distributed join and the InvertedCache plan
                        ship one (the rewrites fetch where their matches
                        are)
-key-join at ``i``      ``max(0, n(i+1) - M)`` evicted stored rows,
-                       re-read once per arriving batch (``ceil(s / b)``
-                       batches), at ``spill_tuple_bytes`` each; nothing
-                       is written (0 unbudgeted)
 fetch                  0 — one request and one reply per answer,
                        wherever the step sits
-any other step         0 — site-local, and the Bloom probe only adds
-                       its false positives to the stream
+any other step         0 — site-local; a key-join or substring filter
+                       only shrinks the stream and the Bloom probe only
+                       adds its false positives to it
 =====================  ==============================================
 
 Only the plan leg routes. Every other ship step's batches go direct to
@@ -53,19 +58,18 @@ headers per edge stand in for one header per batch. Pricing one header
 per edge moved chosen plans and raised ``pier.optimizer_byte_err`` on
 the ``--quick`` ``conj_optimizer`` bench from 0.055 to 0.234. With the
 prices kept, that row reads 0.012, but only because two errors cancel,
-not because the prices are right. Re-pricing belongs with the observed
-selectivity of ROADMAP item 6(b).
+not because the prices are right. Re-pricing belongs with a join
+selectivity observed per table instead of :data:`JOIN_SELECTIVITY`.
 
-Ship steps sum to an estimate's ``wire_bytes`` and key-joins to its
-``spill_bytes``; strategies are compared on their weighted sum
-(:data:`LOCAL_BYTE_WEIGHT`). Ties break toward the simpler strategy, and
-a single-term query always takes the distributed join — nothing ships
-when there is nothing to intersect.
+Ship steps sum to an estimate's ``bytes``, which strategies are compared
+on. Ties break toward the simpler strategy, and a single-term query
+always takes the distributed join — nothing ships when there is nothing
+to intersect.
 
-The prices depend only on the sorted sizes and ``h`` (the rest is the
-optimizer's fixed configuration), so each such size profile is priced
-once per optimizer and memoised (:data:`PRICE_MEMO_MAX`); only the
-InvertedCache strategy's availability is checked per query.
+The prices depend only on the sorted sizes and ``h``, so each such size
+profile is priced once per optimizer and memoised
+(:data:`PRICE_MEMO_MAX`); only the InvertedCache strategy's availability
+is checked per query.
 """
 
 from __future__ import annotations
@@ -74,10 +78,9 @@ import math
 from dataclasses import dataclass
 
 from repro.common.bloom import BloomFilter
-from repro.common.units import CostModel
 from repro.pier.catalog import Catalog
-from repro.pier.planner import batch_size_for
 from repro.pier.query import (
+    BLOOM_FP_RATE,
     CACHE_TABLE,
     Edge,
     JoinStrategy,
@@ -114,9 +117,9 @@ _PREFERENCE = (
     JoinStrategy.INVERTED_CACHE,
 )
 
-#: what one site-local byte (a spilled or re-read join row) weighs against
-#: one wire byte when strategies are compared: at par
-LOCAL_BYTE_WEIGHT = 1
+#: expected fraction of the rarest posting list surviving each
+#: additional intersection (drives the decaying survivor estimate)
+JOIN_SELECTIVITY = 0.1
 
 #: bound on an optimizer's memo of priced size profiles; cleared wholesale
 #: when full (a price is recomputed from the profile, so dropping is
@@ -125,38 +128,13 @@ PRICE_MEMO_MAX = 1 << 12
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs of the byte-cost model."""
-
-    #: target false-positive rate the Bloom join sizes its filter for
-    bloom_fp_rate: float = 0.01
-    #: expected fraction of the rarest posting list surviving each
-    #: additional join (drives the decaying survivor estimate)
-    join_selectivity: float = 0.1
-    #: overlay hops charged per routed leg (None = log2 of the live ring)
-    hop_estimate: int | None = None
-    #: per-join-site *row* budget the executing runtime will apply
-    #: (None = unbounded). When set, each strategy is additionally priced
-    #: for the re-read bytes its join stages are expected to pay —
-    #: memory pressure becomes part of strategy choice.
-    memory_budget: int | None = None
-
-
-@dataclass(frozen=True)
 class CostEstimate:
     """Predicted differential cost of one strategy for one query."""
 
     strategy: JoinStrategy
-    #: plan dissemination plus inter-site shipping
-    wire_bytes: int
-    #: expected site-local re-read bytes under the configured memory
-    #: budget (0 when unbudgeted)
-    spill_bytes: int
-
-    @property
-    def bytes(self) -> int:
-        """What :meth:`CostBasedOptimizer.pick` minimises."""
-        return self.wire_bytes + LOCAL_BYTE_WEIGHT * self.spill_bytes
+    #: plan dissemination plus inter-site shipping — what
+    #: :meth:`CostBasedOptimizer.pick` minimises
+    bytes: int
 
 
 class CostBasedOptimizer:
@@ -165,19 +143,13 @@ class CostBasedOptimizer:
     Statistics come in as the planner's per-keyword posting sizes (which
     the :class:`Catalog` memoizes per epoch, so pricing a replayed
     workload costs no extra ring probes); availability comes from the
-    catalog (the InvertedCache strategy needs its table registered).
+    catalog (the InvertedCache strategy needs its table registered), and
+    the cost model and ring size from the catalog's network.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        cost_model: CostModel | None = None,
-        config: OptimizerConfig | None = None,
-        metrics=None,
-    ):
+    def __init__(self, catalog: Catalog, metrics=None):
         self.catalog = catalog
-        self.cost_model = cost_model or catalog.network.cost_model
-        self.config = config or OptimizerConfig()
+        self.cost_model = catalog.network.cost_model
         #: optional :class:`repro.obs.metrics.MetricsRegistry` — records
         #: per-strategy pick counts and predicted-vs-actual byte error
         self.metrics = metrics
@@ -197,7 +169,6 @@ class CostBasedOptimizer:
                 self.metrics.counter("optimizer.picks", labels=labels),
                 self.metrics.counter("optimizer.predicted_bytes", labels=labels),
                 self.metrics.counter("optimizer.actual_bytes", labels=labels),
-                self.metrics.counter("optimizer.predicted_spill_bytes", labels=labels),
                 self.metrics.histogram(
                     "optimizer.bytes_error_ratio", labels=labels, reservoir_size=4096
                 ),
@@ -209,27 +180,10 @@ class CostBasedOptimizer:
     # ------------------------------------------------------------------
 
     def hop_estimate(self) -> int:
-        """Overlay hops charged per routed leg."""
-        if self.config.hop_estimate is not None:
-            return max(1, self.config.hop_estimate)
+        """Overlay hops charged per routed leg: ``ceil(log2)`` of the live
+        ring, at least 1."""
         live = len(self.catalog.network.nodes)
         return max(1, math.ceil(math.log2(live)) if live > 1 else 1)
-
-    def _spill_bytes(self, arriving: int, local: int, batch: int) -> int:
-        """Expected re-read bytes of one budgeted key-join.
-
-        The site builds on its ``local`` stored rows; past the row budget
-        ``local - budget`` of them are evicted — written nowhere, they
-        stay in the site's store — and each arriving batch of up to
-        ``batch`` rows re-reads them once. Priced at
-        :meth:`~repro.common.units.CostModel.spill_tuple_bytes` per row:
-        local work, not wire cost, but cost all the same.
-        """
-        budget = self.config.memory_budget
-        if budget is None or local <= budget:
-            return 0
-        batches = -(-arriving // batch)
-        return (local - budget) * batches * self.cost_model.spill_tuple_bytes()
 
     def estimates(
         self, sizes: dict[str, int], inverted_cache: bool | None = None
@@ -269,22 +223,21 @@ class CostBasedOptimizer:
         for strategy in candidates:
             steps = plan_steps(strategy, max(1, len(ordered)))
             needs_cache = any(step.table == CACHE_TABLE for step in steps)
-            prices.append((CostEstimate(strategy, *self._price(steps, ordered)), needs_cache))
+            prices.append((CostEstimate(strategy, self._price(steps, ordered)), needs_cache))
         return tuple(prices)
 
-    def _price(self, steps: tuple[Step, ...], ordered: list[int]) -> tuple[int, int]:
-        """(wire bytes, spill bytes) of one step list, priced step by step
-        (see the module docstring)."""
+    def _price(self, steps: tuple[Step, ...], ordered: list[int]) -> int:
+        """Wire bytes of one step list, priced step by step (see the
+        module docstring)."""
         cost = self.cost_model
         header = cost.header_bytes * self.hop_estimate()
-        sigma = self.config.join_selectivity
-        fp = self.config.bloom_fp_rate
+        sigma = JOIN_SELECTIVITY
+        fp = BLOOM_FP_RATE
         rarest = ordered[0] if ordered else 0
-        batch = batch_size_for(rarest)
         joins = 0  # intersections the stream has passed
         false_hits = 0.0  # Bloom false positives let through, at the probe
         probed = 0  # ``joins`` right after the Bloom probe
-        wire = spill = 0
+        wire = 0
         for step in steps:
             op, edge = step.op, step.edge
             if edge == Edge.PLAN:
@@ -295,18 +248,14 @@ class CostBasedOptimizer:
                 false_hits = ordered[step.stage] * fp
                 joins += 1
                 probed = joins
-            elif op == Op.FILTER:
+            elif op == Op.FILTER or op == Op.JOIN:
                 joins += 1
-            elif op == Op.JOIN or op == Op.SHIP:
+            elif op == Op.SHIP:
                 arriving = int(round(rarest * sigma**joins))
                 if false_hits:
                     arriving = int(round(arriving + false_hits * sigma ** (joins - probed)))
-                if op == Op.JOIN:
-                    spill += self._spill_bytes(arriving, ordered[step.stage], batch)
-                    joins += 1
-                else:
-                    wire += arriving * edge_tuple_bytes(edge, cost) + header
-        return wire, spill
+                wire += arriving * edge_tuple_bytes(edge, cost) + header
+        return wire
 
     def pick(
         self, sizes: dict[str, int], inverted_cache: bool | None = None
@@ -324,27 +273,19 @@ class CostBasedOptimizer:
     def observe_actual(self, estimate: CostEstimate, actual_bytes: int) -> None:
         """Record how one executed query's bytes compared to its estimate.
 
-        The prediction is the estimate's ``wire_bytes`` — plan
-        dissemination, inter-site shipping and (for the distributed join
-        and the InvertedCache plan) the answer leg, no site-local spill
-        bytes; ``actual_bytes`` is the query's full metered total, which
-        also includes the Item fetches (one request and one reply per
-        answer under every strategy) and any empty answer message the
-        model excludes, so the ratio sits somewhat above 1.0. The signal
-        to watch is the per-strategy drift of the ratio, not its absolute
-        level.
-        The estimate's ``spill_bytes`` is summed as
-        ``optimizer.predicted_spill_bytes``, beside the re-read bytes the
-        joins actually paid (``operator.spill.reread_bytes``, fed by the
-        dataflow), so the registry holds both sides of the spill error.
+        The prediction is the estimate's ``bytes`` — plan dissemination,
+        inter-site shipping and (for the distributed join and the
+        InvertedCache plan) the answer leg; ``actual_bytes`` is the
+        query's full metered total, which also includes the Item fetches
+        (one request and one reply per answer under every strategy) and
+        any empty answer message the model excludes, so the ratio sits
+        somewhat above 1.0. The signal to watch is the per-strategy drift
+        of the ratio, not its absolute level.
         """
         if self.metrics is None:
             return
-        _, predicted, actual, predicted_spill, error_ratio = self._handles_for(
-            estimate.strategy.name
-        )
-        predicted.add(estimate.wire_bytes)
-        predicted_spill.add(estimate.spill_bytes)
+        _, predicted, actual, error_ratio = self._handles_for(estimate.strategy.name)
+        predicted.add(estimate.bytes)
         actual.add(actual_bytes)
-        if estimate.wire_bytes > 0:
-            error_ratio.observe(actual_bytes / estimate.wire_bytes)
+        if estimate.bytes > 0:
+            error_ratio.observe(actual_bytes / estimate.bytes)

@@ -50,8 +50,9 @@ def batch_size_for(smallest: int) -> int:
     square root, clamped to [MIN_BATCH_SIZE, MAX_BATCH_SIZE] and rounded
     up to a power of two. Rare terms get small batches (first answer
     leaves after a handful of tuples); popular terms get large ones
-    (fewer per-message headers). The optimizer prices a budgeted join's
-    re-reads per batch of this size.
+    (fewer per-message headers). The planner is its one caller, and no
+    price reads it: the optimizer charges ``h`` headers per edge however
+    the edge is batched.
     """
     if smallest <= 0:
         return MIN_BATCH_SIZE
@@ -74,11 +75,6 @@ class KeywordPlanner:
 
     def _sizes(self, table: str, keywords: list[str]) -> dict[str, int]:
         return {keyword: self.catalog.posting_size(table, keyword) for keyword in keywords}
-
-    def choose_batch_size(self, sizes: dict[str, int]) -> int:
-        """Exchange batch size from posting-size statistics
-        (:func:`batch_size_for` the smallest list)."""
-        return batch_size_for(min(sizes.values(), default=0))
 
     def plan(
         self,
@@ -145,11 +141,6 @@ class KeywordPlanner:
             stages=stages,
             strategy=strategy,
             query_node=query_node,
-            batch_size=self.choose_batch_size(sizes) if sizes else None,
-            bloom_fp_rate=(
-                self.optimizer.config.bloom_fp_rate
-                if self.optimizer is not None
-                else DistributedPlan.bloom_fp_rate
-            ),
+            batch_size=batch_size_for(min(sizes.values())) if sizes else None,
             estimate=estimate,
         )

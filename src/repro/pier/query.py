@@ -33,6 +33,9 @@ POSTING_TABLE = "Inverted"
 CACHE_TABLE = "InvertedCache"
 #: the stage index a step uses for the query node
 QUERY_NODE = -1
+#: target false-positive rate of the Bloom join's filter: the rate a plan
+#: builds its filter at and the optimizer prices it at
+BLOOM_FP_RATE = 0.01
 
 
 class JoinStrategy(Enum):
@@ -235,7 +238,7 @@ class DistributedPlan:
     batch_size: int | None = None
     #: target false-positive rate for the Bloom join's filter (ignored by
     #: the other strategies)
-    bloom_fp_rate: float = 0.01
+    bloom_fp_rate: float = BLOOM_FP_RATE
     #: the optimizer's price of this plan, when a cost-based optimizer
     #: priced it (observability only — execution never reads it)
     estimate: "CostEstimate | None" = None

@@ -18,7 +18,7 @@ from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowExecutor
-from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
+from repro.pier.optimizer import CostBasedOptimizer
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import DEFAULT_STRATEGY, DistributedPlan, JoinStrategy, QueryStats
 from repro.pier.schema import Row
@@ -51,6 +51,9 @@ class SearchEngine:
     that reproduces one of the paper's plans names it: Section 5's replay
     and the Section 7 deployment run ``DISTRIBUTED_JOIN`` (Figure 2), and
     ``INVERTED_CACHE`` (Figure 3) reads the InvertedCache table.
+
+    The optimizer prices a plan by the bytes it ships and nothing else,
+    so a ``memory_budget`` never changes which strategy runs.
     """
 
     def __init__(
@@ -68,19 +71,15 @@ class SearchEngine:
         self.strategy = strategy
         self.tracer = tracer
         self.metrics = metrics
-        #: ``True`` builds a default cost-based optimizer; with one
-        #: attached and no ``strategy``, queries price all four join
-        #: strategies and execute the cheapest. A named ``strategy`` is a
-        #: choice already made, so the optimizer only prices it.
-        #: ``memory_budget`` (join rows per site, not bytes) bounds the
-        #: executor's join state and makes the default optimizer price the
-        #: expected spill + re-read bytes.
+        #: ``True`` builds a cost-based optimizer; with one attached and
+        #: no ``strategy``, queries price all four join strategies by the
+        #: bytes they ship and execute the cheapest. A named ``strategy``
+        #: is a choice already made, so the optimizer only prices it.
+        #: ``memory_budget`` (join rows per site, not bytes) reaches only
+        #: the executor, where it is accounting: it moves no answer, no
+        #: wire byte and no price.
         if optimizer is True:
-            optimizer = CostBasedOptimizer(
-                catalog,
-                config=OptimizerConfig(memory_budget=memory_budget),
-                metrics=metrics,
-            )
+            optimizer = CostBasedOptimizer(catalog, metrics=metrics)
         self.optimizer = optimizer or None
         self.planner = KeywordPlanner(catalog, optimizer=self.optimizer)
         self.executor = DataflowExecutor(

@@ -86,8 +86,8 @@ from repro.dht.node import OWNS
 from repro.net.transport import HOP_JITTER, HOP_LATENCY, InProcessTransport
 from repro.pier.catalog import table_key
 from repro.pier.operators import NUM_SPILL_PARTITIONS, spill_partition
-from repro.pier.planner import batch_size_for
-from repro.pier.query import JoinStrategy
+from repro.pier.optimizer import JOIN_SELECTIVITY
+from repro.pier.query import BLOOM_FP_RATE, JoinStrategy
 from repro.piersearch.publisher import PublishReceipt
 from repro.piersearch.tokenizer import extract_keywords
 
@@ -209,8 +209,8 @@ def reference_bloom_bits(items, num_bits, num_hashes):
 
 
 def reference_estimates(optimizer, sizes, inverted_cache):
-    """``{strategy: (bytes, spill_bytes)}`` for the strategies
-    ``optimizer`` would price, summed per strategy in closed form.
+    """``{strategy: bytes}`` for the strategies ``optimizer`` would price,
+    summed per strategy in closed form.
 
     For sizes ``n1 <= ... <= nk``: ``k`` plan legs for every chain
     strategy and one for the InvertedCache plan; leg ``i`` carries
@@ -222,15 +222,11 @@ def reference_estimates(optimizer, sizes, inverted_cache):
     ``s_k`` answers to the query node as framed ``tuple_bytes(fileid)``
     tuples plus one header per hop (the substring filters intersect like
     joins); the rewrites fetch where their matches are and ship no
-    answer leg. Each join site of a chain evicts its stored rows past the
-    budget and re-reads them once per arriving batch (survivors in
-    batches of the planner's size for ``n1``); the Bloom chain's probe and
-    verify sites pay none.
+    answer leg. Nothing site-local is priced.
     """
     cost = optimizer.cost_model
-    config = optimizer.config
-    sigma = config.join_selectivity
-    fp = config.bloom_fp_rate
+    sigma = JOIN_SELECTIVITY
+    fp = BLOOM_FP_RATE
     hops = optimizer.hop_estimate()
     header = cost.header_bytes * hops
 
@@ -245,14 +241,7 @@ def reference_estimates(optimizer, sizes, inverted_cache):
     n1 = ordered[0]
     answer_ship = survivors(n1, k) * cost.tuple_bytes(cost.fileid_bytes) + header
     if k < 2:
-        return {JoinStrategy.DISTRIBUTED_JOIN: (plan_cost(1) + answer_ship, 0)}
-
-    def spill_bytes(arriving, local):
-        budget = config.memory_budget
-        if budget is None or local <= budget:
-            return 0
-        batches = math.ceil(arriving / batch_size_for(n1))
-        return (local - budget) * batches * cost.spill_tuple_bytes()
+        return {JoinStrategy.DISTRIBUTED_JOIN: plan_cost(1) + answer_ship}
 
     plan = plan_cost(k)
     dist_ship = sum(
@@ -269,22 +258,13 @@ def reference_estimates(optimizer, sizes, inverted_cache):
     bloom_ship = (
         filter_bytes + header + sum(cost.digest_bytes(c) + header for c in candidates)
     )
-    chain_spill = sum(
-        spill_bytes(survivors(n1, leg), ordered[leg]) for leg in range(1, k)
-    )
-    bloom_spill = sum(
-        spill_bytes(arriving, local)
-        for arriving, local in zip(candidates[: k - 2], ordered[2:])
-    )
     priced = {
-        JoinStrategy.DISTRIBUTED_JOIN: (
-            plan + dist_ship + answer_ship + chain_spill, chain_spill
-        ),
-        JoinStrategy.SEMI_JOIN: (plan + semi_ship + chain_spill, chain_spill),
-        JoinStrategy.BLOOM_JOIN: (plan + bloom_ship + bloom_spill, bloom_spill),
+        JoinStrategy.DISTRIBUTED_JOIN: plan + dist_ship + answer_ship,
+        JoinStrategy.SEMI_JOIN: plan + semi_ship,
+        JoinStrategy.BLOOM_JOIN: plan + bloom_ship,
     }
     if inverted_cache:
-        priced[JoinStrategy.INVERTED_CACHE] = (plan_cost(1) + answer_ship, 0)
+        priced[JoinStrategy.INVERTED_CACHE] = plan_cost(1) + answer_ship
     return priced
 
 

@@ -262,8 +262,9 @@ def test_deleted_path_selectors_stay_deleted():
     own knobs. Each query-path setting has one owner: the plan sizes its
     batches, the transport times a hop, the executor takes its memory
     budget and nothing else, and a plan's scan table comes from its step
-    list. QRP leaf filters, trace files and the recall/CDF package are
-    gone."""
+    list. The cost optimizer has no configuration and prices wire bytes
+    alone: no spill term, and the Bloom FP rate has one owner. QRP leaf
+    filters, trace files and the recall/CDF package are gone."""
     import dataclasses
     import importlib
     import inspect
@@ -272,7 +273,8 @@ def test_deleted_path_selectors_stay_deleted():
     from repro.hybrid.engine import RaceConfig
     from repro.hybrid.ultrapeer import HybridUltrapeer
     from repro.net import FaultInjectingTransport, Transport
-    from repro.pier import dataflow
+    import repro.pier
+    from repro.pier import dataflow, optimizer
     from repro.pier.dataflow import DataflowExecutor
     from repro.pier.operators import StoredHashJoin, StoredList
     from repro.pier.planner import KeywordPlanner
@@ -327,6 +329,21 @@ def test_deleted_path_selectors_stay_deleted():
     ]
     for name in ("DataflowConfig", "DEFAULT_BATCH_SIZE"):
         assert not hasattr(dataflow, name), name
+    assert list(inspect.signature(optimizer.CostBasedOptimizer.__init__).parameters) == [
+        "self", "catalog", "metrics",
+    ]
+    assert [field.name for field in dataclasses.fields(optimizer.CostEstimate)] == [
+        "strategy", "bytes",
+    ]
+    for name in ("OptimizerConfig", "LOCAL_BYTE_WEIGHT"):
+        assert not hasattr(optimizer, name), name
+        assert not hasattr(repro.pier, name), name
+    for owner, name in (
+        (optimizer.CostBasedOptimizer, "_spill_bytes"),
+        (KeywordPlanner, "choose_batch_size"),
+    ):
+        assert not hasattr(owner, name), name
+    assert "predicted_spill_bytes" not in inspect.getsource(optimizer)
     for transport in (Transport, FaultInjectingTransport):
         assert not hasattr(transport, "min_hop_delay"), transport
     # The race's timing knobs live on RaceConfig alone.

@@ -298,12 +298,13 @@ class TestFig07CdfPipelining:
 
 class TestExtJoin:
     def test_reports_counts_not_host_time(self):
-        """The sweep's rows are spill counts, answer checks and strategy
-        picks: no column holds a rate or a timing ratio."""
+        """The sweep's rows are spill counts and answer checks: no column
+        holds a rate or a timing ratio, and nothing is priced (a budget
+        moves no strategy choice)."""
         from repro.experiments import ext_join
 
         result = ext_join.run(SMALL_SCALE, alphas=(1.1,))
-        assert {row[0] for row in result.rows} == {"spill", "equivalence", "optimizer"}
+        assert {row[0] for row in result.rows} == {"spill", "equivalence"}
         assert not any("qps" in column or "ratio" in column for column in result.columns)
         spill = [row for row in result.rows if row[0] == "spill"]
         assert [row[3] for row in spill] == [0, 512, 128, 64, ext_join.TIGHT_BUDGET]

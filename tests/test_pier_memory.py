@@ -27,7 +27,7 @@ from repro.pier import dataflow, operators, optimizer
 from repro.pier.catalog import table_key
 from repro.pier.dataflow import DataflowExecutor
 from repro.pier.operators import StoredList
-from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
+from repro.pier.optimizer import CostBasedOptimizer
 
 from test_pier_call_budget import QUERIES, budgeted_bloom_world
 from oracle import steady_hops
@@ -243,15 +243,14 @@ class TestMemosBounded:
 
     def test_a_two_entry_price_memo_prices_as_fresh_optimizers_do(self, monkeypatch):
         _, catalog, _ = self.replay()
-        config = OptimizerConfig(memory_budget=32)
         rng = random.Random(4)
         profiles = [
             {f"t{index}": rng.choice((0, 5, 64, 300)) for index in range(rng.randint(1, 4))}
             for _ in range(40)
         ]
-        fresh = [CostBasedOptimizer(catalog, config=config).estimates(sizes) for sizes in profiles]
+        fresh = [CostBasedOptimizer(catalog).estimates(sizes) for sizes in profiles]
         monkeypatch.setattr(optimizer, "PRICE_MEMO_MAX", 2)
-        memoised = CostBasedOptimizer(catalog, config=config)
+        memoised = CostBasedOptimizer(catalog)
         for sizes, expected in zip(profiles, fresh):
             assert memoised.estimates(sizes) == expected
             assert len(memoised._prices) <= 2

@@ -22,13 +22,13 @@ from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowExecutor
 from repro.obs.metrics import MetricsRegistry
 from repro.pier.optimizer import (
+    JOIN_SELECTIVITY,
     CostBasedOptimizer,
     CostEstimate,
-    OptimizerConfig,
     inverted_cache_covers,
 )
-from repro.pier.planner import KeywordPlanner, batch_size_for
-from repro.pier.query import JoinStrategy
+from repro.pier.planner import KeywordPlanner
+from repro.pier.query import BLOOM_FP_RATE, JoinStrategy
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
@@ -136,76 +136,14 @@ class TestCostModel:
         priced = optimizer.estimates(sizes)
         assert JoinStrategy.INVERTED_CACHE in priced
 
-    def test_hop_estimate_defaults_to_log_ring(self):
-        network, catalog = build_world(nodes=32, popular=2, rare=2, overlap=1)
-        optimizer = CostBasedOptimizer(catalog)
-        assert optimizer.hop_estimate() == math.ceil(math.log2(32))
-        fixed = CostBasedOptimizer(catalog, config=OptimizerConfig(hop_estimate=7))
-        assert fixed.hop_estimate() == 7
-
-
-class TestMemoryPressurePricing:
-    """With a row budget configured, expected spill + re-read bytes are
-    part of every strategy's price — and can flip the pick."""
-
-    SIZES = {"rarex": 10, "popular": 500}
-
-    def make(self, memory_budget=None):
-        network, catalog = build_world(popular=5, rare=2, overlap=1)
-        return CostBasedOptimizer(
-            catalog,
-            config=OptimizerConfig(hop_estimate=4, memory_budget=memory_budget),
-        )
-
-    def test_unbudgeted_pricing_is_unchanged(self):
-        """memory_budget=None (the default) must price exactly as before
-        the memory-pressure term existed: zero spill on every estimate."""
-        free = self.make().estimates(self.SIZES)
-        explicit = self.make(memory_budget=None).estimates(self.SIZES)
-        for strategy, estimate in free.items():
-            assert estimate.spill_bytes == 0
-            assert explicit[strategy].bytes == estimate.bytes
-
-    def test_spill_term_is_additive_and_included(self):
-        """A budgeted estimate is the unbudgeted wire cost plus its own
-        ``spill_bytes`` — the term is priced in, not just reported."""
-        free = self.make().estimates(self.SIZES)
-        tight = self.make(memory_budget=32).estimates(self.SIZES)
-        chains = (JoinStrategy.DISTRIBUTED_JOIN, JoinStrategy.SEMI_JOIN)
-        for strategy in chains:
-            estimate = tight[strategy]
-            assert estimate.spill_bytes > 0
-            assert estimate.wire_bytes == free[strategy].wire_bytes
-            assert estimate.bytes == free[strategy].bytes + estimate.spill_bytes
-        # Ample budget: nothing overflows, pricing matches unbudgeted.
-        ample = self.make(memory_budget=10_000).estimates(self.SIZES)
-        for strategy, estimate in ample.items():
-            assert estimate.spill_bytes == 0
-            assert estimate.bytes == free[strategy].bytes
-
-    def test_tightening_budget_never_cheapens_spill(self):
-        budgets = (10_000, 512, 128, 32, 8)
-        spills = [
-            self.make(memory_budget=b)
-            .estimates(self.SIZES)[JoinStrategy.SEMI_JOIN]
-            .spill_bytes
-            for b in budgets
-        ]
-        assert spills == sorted(spills)
-
-    def test_a_stored_list_at_the_budget_prices_no_spill(self):
-        """The join site evicts only the rows past the budget: a list that
-        fits prices nothing, and one row over prices that one row re-read
-        once per arriving batch."""
-        sizes = {"rarex": 10, "popular": 32}
-        at = self.make(memory_budget=32).estimates(sizes)[JoinStrategy.SEMI_JOIN]
-        over = self.make(memory_budget=31).estimates(sizes)[JoinStrategy.SEMI_JOIN]
-        assert at.spill_bytes == 0
-        batches = math.ceil(10 / batch_size_for(10))
-        row_bytes = over.spill_bytes // batches
-        assert over.spill_bytes == batches * row_bytes > 0
-        assert row_bytes == self.make().cost_model.spill_tuple_bytes()
-        assert over.wire_bytes == at.wire_bytes
+    @pytest.mark.parametrize("nodes", [1, 2, 16, 17, 32])
+    def test_hop_estimate_is_log_of_the_live_ring(self, nodes):
+        network = DhtNetwork(rng=0)
+        network.populate(nodes)
+        optimizer = CostBasedOptimizer(Catalog(network))
+        assert optimizer.hop_estimate() == max(1, math.ceil(math.log2(nodes)))
+        network.remove_node(network.random_node_id())
+        assert optimizer.hop_estimate() == max(1, math.ceil(math.log2(max(1, nodes - 1))))
 
     @pytest.mark.parametrize(
         "strategy",
@@ -213,41 +151,46 @@ class TestMemoryPressurePricing:
         ids=lambda s: s.value,
     )
     def test_observe_actual_records_both_sides_of_the_error(self, strategy):
-        """Each observed query adds its estimate's wire bytes, its
-        predicted spill bytes and its metered bytes under the strategy's
-        label, so the registry can compare each prediction with what the
-        query paid."""
+        """Each observed query adds its estimate's bytes and its metered
+        bytes under the strategy's label, so the registry can compare
+        each prediction with what the query paid."""
         network, catalog = build_world(popular=5, rare=2, overlap=1)
         metrics = MetricsRegistry()
-        optimizer = CostBasedOptimizer(
-            catalog,
-            config=OptimizerConfig(hop_estimate=4, memory_budget=32),
-            metrics=metrics,
-        )
-        estimate = optimizer.estimates(self.SIZES)[strategy]
+        optimizer = CostBasedOptimizer(catalog, metrics=metrics)
+        estimate = optimizer.estimates({"rarex": 10, "popular": 500})[strategy]
         for actual in (1_000, 3_000):
             optimizer.observe_actual(estimate, actual)
         labels = {"strategy": strategy.name}
         value = lambda name: metrics.counter(f"optimizer.{name}", labels=labels).value
-        assert value("predicted_bytes") == 2 * estimate.wire_bytes
-        assert value("predicted_spill_bytes") == 2 * estimate.spill_bytes
+        assert value("predicted_bytes") == 2 * estimate.bytes
         assert value("actual_bytes") == 4_000
-        assert (estimate.spill_bytes > 0) == (strategy is not JoinStrategy.BLOOM_JOIN)
         errors = metrics.histogram("optimizer.bytes_error_ratio", labels=labels)
         assert errors.count == 2
 
-    def test_tight_budget_flips_pick_to_bloom(self):
-        """The shift the ``ext_join`` sweep records: on a two-term
-        rare x popular query the chain strategies build the popular list
-        at the join site and pay its spill, while the Bloom chain's probe
-        and verify stages hold no build state — so memory pressure flips
-        a semi-join pick to the Bloom join."""
-        free = self.make()
-        tight = self.make(memory_budget=32)
-        assert free.pick(self.SIZES).strategy is JoinStrategy.SEMI_JOIN
-        assert tight.pick(self.SIZES).strategy is JoinStrategy.BLOOM_JOIN
-        assert (
-            tight.estimates(self.SIZES)[JoinStrategy.BLOOM_JOIN].spill_bytes == 0
+
+class TestBudgetPricesNothing:
+    """A join memory budget is accounting at the join site: it moves no
+    wire byte, so it moves no price and no pick."""
+
+    def test_budgeted_engine_plans_the_semi_join_for_rare_x_popular(self):
+        """The chain strategies build the popular list at the join site,
+        and a budget of 32 rows evicts most of it — yet the semi-join
+        still ships the fewest bytes, so it is what runs."""
+        network, catalog = build_world(popular=500, rare=10, overlap=3)
+        engine = SearchEngine(network, catalog, optimizer=True, memory_budget=32)
+        plan = engine.prepare(["rarex", "popular"])
+        assert {k: catalog.posting_size("Inverted", k) for k in plan.keywords} == {
+            "rarex": 10,
+            "popular": 500,
+        }
+        assert plan.strategy is JoinStrategy.SEMI_JOIN
+        assert plan.estimate == SearchEngine(network, catalog, optimizer=True).prepare(
+            ["rarex", "popular"]
+        ).estimate
+        items, stats = engine.executor.execute(plan)
+        assert stats.spill is not None and stats.spill.partition_evictions > 0
+        assert result_key(items) == result_key(
+            oracle_items(catalog, ["rarex", "popular"])
         )
 
 
@@ -259,16 +202,14 @@ class TestGoldenChoices:
     def test_golden_file_matches_cost_model(self):
         payload = json.loads(GOLDEN.read_text())
         config = payload["config"]
+        # The pinned constants are the optimizer's own, and a 16-node ring
+        # is what prices the pinned four hops per routed leg.
+        assert config["bloom_fp_rate"] == BLOOM_FP_RATE
+        assert config["join_selectivity"] == JOIN_SELECTIVITY
         network = DhtNetwork(rng=0)
-        network.populate(8)
-        optimizer = CostBasedOptimizer(
-            Catalog(network),
-            config=OptimizerConfig(
-                hop_estimate=config["hop_estimate"],
-                bloom_fp_rate=config["bloom_fp_rate"],
-                join_selectivity=config["join_selectivity"],
-            ),
-        )
+        network.populate(16)
+        optimizer = CostBasedOptimizer(Catalog(network))
+        assert optimizer.hop_estimate() == config["hop_estimate"] == 4
         for case in payload["cases"]:
             sizes = case["sizes"]
             ic = case["inverted_cache"]

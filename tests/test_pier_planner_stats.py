@@ -11,7 +11,12 @@ from repro.common.errors import PlanError
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog, table_key
 from repro.pier.operators import StoredList
-from repro.pier.planner import KeywordPlanner, MAX_BATCH_SIZE, MIN_BATCH_SIZE
+from repro.pier.planner import (
+    KeywordPlanner,
+    MAX_BATCH_SIZE,
+    MIN_BATCH_SIZE,
+    batch_size_for,
+)
 from repro.pier.query import JoinStrategy
 from repro.piersearch.publisher import Publisher
 
@@ -108,19 +113,15 @@ class TestMemoizedPostingStats:
 
 
 class TestBatchSizeChoice:
-    def test_scales_with_smallest_posting_list(self, world):
-        _, catalog, _ = world
-        planner = KeywordPlanner(catalog)
-        tiny = planner.choose_batch_size({"a": 4, "b": 10_000})
-        huge = planner.choose_batch_size({"a": 60_000})
+    def test_scales_with_smallest_posting_list(self):
+        tiny = batch_size_for(4)
+        huge = batch_size_for(60_000)
         assert MIN_BATCH_SIZE <= tiny <= huge <= MAX_BATCH_SIZE
         assert tiny < huge
 
-    def test_power_of_two_and_clamped(self, world):
-        _, catalog, _ = world
-        planner = KeywordPlanner(catalog)
+    def test_power_of_two_and_clamped(self):
         for size in (0, 1, 5, 77, 3000, 10**7):
-            batch = planner.choose_batch_size({"k": size})
+            batch = batch_size_for(size)
             assert MIN_BATCH_SIZE <= batch <= MAX_BATCH_SIZE
             assert batch & (batch - 1) == 0
 
@@ -129,7 +130,7 @@ class TestBatchSizeChoice:
         planner = KeywordPlanner(catalog)
         plan = planner.plan(["nebula", "quasar"], network.random_node_id())
         # The sizes it observed pick the batch size and the stage order.
-        assert plan.batch_size == planner.choose_batch_size({"nebula": 3, "quasar": 2})
+        assert plan.batch_size == batch_size_for(2)
         assert plan.keywords == ("quasar", "nebula")
 
     def test_a_named_strategy_is_sized_from_the_table_it_scans(self):

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog
 from repro.pier.dataflow import DataflowExecutor, _QueryRun
-from repro.pier.optimizer import CostBasedOptimizer, OptimizerConfig
+from repro.pier.optimizer import CostBasedOptimizer
 from repro.pier.planner import KeywordPlanner
 from repro.pier.query import (
     QUERY_NODE,
@@ -194,50 +194,35 @@ def test_dataflow_ships_exactly_the_listed_edges(
     ]
 
 
+def _pricing_catalog(nodes):
+    network = DhtNetwork(rng=0)
+    network.populate(nodes)
+    return Catalog(network)
+
+
+#: rings of 1 to 100 peers: hop estimates 1, 1, 3, 4, 5 and 7
+PRICING_CATALOGS = [_pricing_catalog(nodes) for nodes in (1, 2, 8, 16, 17, 100)]
+
+
 class TestPricingDifferential:
     @settings(max_examples=300, deadline=None)
     @given(
         sizes=st.lists(st.integers(min_value=0, max_value=5_000), min_size=1, max_size=6),
-        memory_budget=st.sampled_from([None, 8, 32, 10_000]),
-        bloom_fp_rate=st.floats(min_value=0.001, max_value=0.5),
-        join_selectivity=st.floats(min_value=0.01, max_value=1.0),
-        hop_estimate=st.integers(min_value=1, max_value=8),
+        catalog=st.sampled_from(PRICING_CATALOGS),
         inverted_cache=st.booleans(),
     )
-    def test_step_prices_equal_the_closed_form_sums(
-        self, sizes, memory_budget, bloom_fp_rate, join_selectivity, hop_estimate,
-        inverted_cache,
-    ):
-        optimizer = CostBasedOptimizer(
-            PRICING_CATALOG,
-            config=OptimizerConfig(
-                bloom_fp_rate=bloom_fp_rate,
-                join_selectivity=join_selectivity,
-                hop_estimate=hop_estimate,
-                memory_budget=memory_budget,
-            ),
-        )
+    def test_step_prices_equal_the_closed_form_sums(self, sizes, catalog, inverted_cache):
+        optimizer = CostBasedOptimizer(catalog)
         named = {f"t{index}": size for index, size in enumerate(sizes)}
         priced = optimizer.estimates(named, inverted_cache=inverted_cache)
-        got = {s: (e.bytes, e.spill_bytes) for s, e in priced.items()}
+        got = {s: e.bytes for s, e in priced.items()}
         assert got == reference_estimates(optimizer, named, inverted_cache)
-        for estimate in priced.values():
-            assert type(estimate.bytes) is int and type(estimate.spill_bytes) is int
-            assert estimate.bytes == estimate.wire_bytes + estimate.spill_bytes
+        assert all(type(estimate.bytes) is int for estimate in priced.values())
         # The default chain never prices above Figure 2's: the same steps
-        # over fileID digests, budgeted or not.
+        # over fileID digests.
         if len(sizes) >= 2:
             semi = priced[JoinStrategy.SEMI_JOIN].bytes
             assert semi <= priced[JoinStrategy.DISTRIBUTED_JOIN].bytes
-
-
-def _pricing_catalog():
-    network = DhtNetwork(rng=0)
-    network.populate(8)
-    return Catalog(network)
-
-
-PRICING_CATALOG = _pricing_catalog()
 
 
 def test_a_planned_query_is_priced_once(monkeypatch, world):
