@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from repro.common.ids import KEY_SPACE
+from repro.common.ids import KEY_BITS, KEY_SPACE
 from repro.common.rng import make_rng
 from repro.dht.network import DhtNetwork
 from repro.sim.engine import Simulator
@@ -53,11 +53,16 @@ class ChurnProcess:
         tables (fingers naming departed nodes) until someone stabilizes —
         the regime in-flight hop-by-hop lookups must route around via
         successor-list recovery.
+
+        Victims and joiner ids are drawn from this process's own RNG,
+        never the network's, so whatever else draws from the network
+        (a query engine re-picking a departed origin) cannot change which
+        nodes churn removes or adds.
         """
         for _ in range(leaves):
             if self.network.size <= 1:
                 break
-            victim = self.network.random_node_id()
+            victim = self.rng.choice(self.network.member_ids())
             graceful = self.rng.random() >= self.failure_fraction
             self.network.remove_node(victim, graceful=graceful)
             if graceful:
@@ -65,7 +70,10 @@ class ChurnProcess:
             else:
                 self.stats.failures += 1
         for _ in range(joins):
-            self.network.create_node()
+            node_id = self.rng.getrandbits(KEY_BITS)
+            while node_id in self.network.nodes:
+                node_id = self.rng.getrandbits(KEY_BITS)
+            self.network.create_node(node_id)
             self.stats.joins += 1
         if stabilize:
             self.network.stabilize()

@@ -46,9 +46,11 @@ VOCABULARY = 600
 CALLS_PER_FILE_CEILING = 530
 #: The route cache's counters for this world, identical before and after
 #: the routing step changed: the step made a miss cheap, it did not touch
-#: what counts as one.
-ROUTE_CACHE_HITS = 131
-ROUTE_CACHE_MISSES = 2582
+#: what counts as one. (131, 2582) while churn drew its victims and
+#: joiner ids from the network's RNG, which each put's origin draw also
+#: advances; churn's own stream removes and adds other nodes.
+ROUTE_CACHE_HITS = 119
+ROUTE_CACHE_MISSES = 2594
 
 
 def test_publishing_under_churn_stays_one_bisect_per_hop():
