@@ -1,8 +1,6 @@
-"""Bench fig11: average QR vs replica threshold, plus the union-vs-
-conditional hybrid-policy ablation."""
+"""Bench fig11: average QR vs replica threshold."""
 
 from repro.experiments import fig11_qr
-from repro.model.tradeoff import average_qr
 
 
 def test_fig11(benchmark, scale):
@@ -11,19 +9,3 @@ def test_fig11(benchmark, scale):
     for column in (1, 2, 3):
         assert one[column] > base[column] + 10.0
 
-
-def test_fig11_policy_ablation(benchmark, scale):
-    """Union policy (paper figures) vs strict re-query-on-empty policy."""
-    model = fig11_qr.build_trace_model(scale)
-    published = model.perfect_published(2)
-
-    def both_policies():
-        union = average_qr(model.queries, published, 0.05, policy="union")
-        conditional = average_qr(
-            model.queries, published, 0.05, policy="conditional"
-        )
-        return union, conditional
-
-    union, conditional = benchmark(both_policies)
-    assert union >= conditional  # the union answer set dominates
-    assert conditional > 0.05  # but the fallback still lifts recall

@@ -57,9 +57,7 @@ def test_traced_smoke_exports_validate():
     Chrome trace_event JSON, with a span tree rooted at every race."""
     tracer = Tracer()
     metrics = MetricsRegistry()
-    sim, engine, dht, _ = build_dataflow_scale(
-        200, tracer=tracer, metrics=metrics
-    )
+    sim, engine, dht, _ = build_dataflow_scale(200, True, tracer=tracer, metrics=metrics)
     sim.run()
     assert engine.completed == 200
     collect_all(metrics, network=dht, sim=sim)

@@ -75,9 +75,7 @@ def test_bench_artifact_recorded(sweep, tmp_path):
     """The sweep is a pure function of the code: recording it gives the
     committed artifact byte for byte. A change that moves a row
     re-records it with ``python -m repro.experiments.ext_optimizer``."""
-    recorded = ext_optimizer.record(
-        tmp_path / "BENCH_optimizer.json", SMALL_SCALE, result=sweep
-    )
+    recorded = ext_optimizer.record(tmp_path / "BENCH_optimizer.json", sweep)
     assert recorded.read_text() == ARTIFACT.read_text()
 
 

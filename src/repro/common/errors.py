@@ -25,14 +25,11 @@ class DhtError(ReproError):
         *,
         key: int | None = None,
         path: list[int] | None = None,
-        hops: int | None = None,
     ):
         super().__init__(message)
         self.key = key
         self.path = list(path) if path is not None else None
-        if hops is None and self.path is not None:
-            hops = max(0, len(self.path) - 1)
-        self.hops = hops
+        self.hops = max(0, len(self.path) - 1) if self.path is not None else None
 
 
 class KeyNotFoundError(DhtError):

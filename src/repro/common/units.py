@@ -34,11 +34,10 @@ class MessageCost:
         return self.bytes / BYTES_PER_KB
 
 
-@dataclass(frozen=True)
 class CostModel:
     """Byte-level cost parameters for PIER/PIERSearch messages.
 
-    Attributes mirror the artifacts the paper attributes costs to:
+    The class attributes mirror the artifacts the paper attributes costs to:
 
     * ``header_bytes`` — DHT routing + transport header per message.
     * ``serialization_overhead`` — multiplicative factor modelling Java
@@ -51,12 +50,12 @@ class CostModel:
       wire in the deployment).
     """
 
-    header_bytes: int = 60
-    serialization_overhead: float = 1.6
-    tuple_base_bytes: int = 300
-    fileid_bytes: int = 20
-    address_bytes: int = 10
-    query_plan_bytes: int = 850
+    header_bytes = 60
+    serialization_overhead = 1.6
+    tuple_base_bytes = 300
+    fileid_bytes = 20
+    address_bytes = 10
+    query_plan_bytes = 850
 
     def tuple_bytes(self, payload_bytes: int) -> int:
         """Wire size of one tuple with ``payload_bytes`` of real content."""

@@ -55,9 +55,7 @@ class ZipfSampler:
         return [self.sample() for _ in range(count)]
 
 
-def calibrate_power_law_alpha(
-    singleton_fraction: float, max_value: int, tolerance: float = 1e-6
-) -> float:
+def calibrate_power_law_alpha(singleton_fraction: float, max_value: int) -> float:
     """Exponent alpha such that P(X=1) = singleton_fraction for a discrete
     power law P(x) proportional to x**-alpha truncated at ``max_value``.
 
@@ -74,7 +72,7 @@ def calibrate_power_law_alpha(
         return sum(r**-alpha for r in range(1, max_value + 1))
 
     low, high = 0.0, 10.0
-    while high - low > tolerance:
+    while high - low > 1e-6:
         mid = (low + high) / 2
         if normaliser(mid) > target:
             low = mid  # tail still too heavy; increase alpha
@@ -83,11 +81,15 @@ def calibrate_power_law_alpha(
     return (low + high) / 2
 
 
+#: the share of distinct items with exactly one replica in the paper's
+#: trace (replica threshold 1 publishes 23% of items, Figure 10)
+SINGLETON_FRACTION = 0.23
+
+
 def long_tail_replica_counts(
     num_items: int,
     alpha: float | None = None,
     max_replicas: int = 1000,
-    singleton_fraction: float = 0.23,
     rng: random.Random | int | None = None,
 ) -> list[int]:
     """Replica count per distinct item, matching the paper's trace shape.
@@ -95,7 +97,7 @@ def long_tail_replica_counts(
     Counts are i.i.d. draws from a discrete power law ``P(R=r) ~ r**-alpha``
     truncated at ``max_replicas``. When ``alpha`` is omitted it is
     calibrated so that items with exactly one replica are
-    ``singleton_fraction`` of distinct items — the paper reports that
+    :data:`SINGLETON_FRACTION` of distinct items — the paper reports that
     publishing at replica threshold 1 publishes 23% of items (Figure 10).
 
     Returns a list of length ``num_items`` sorted descending (popular
@@ -105,7 +107,7 @@ def long_tail_replica_counts(
         raise ValueError(f"need num_items >= 1, got {num_items}")
     rng = make_rng(rng)
     if alpha is None:
-        alpha = calibrate_power_law_alpha(singleton_fraction, max_replicas)
+        alpha = calibrate_power_law_alpha(SINGLETON_FRACTION, max_replicas)
     values = list(range(1, max_replicas + 1))
     weights = [r**-alpha for r in values]
     counts = rng.choices(values, weights=weights, k=num_items)

@@ -10,10 +10,9 @@ experiments) or scheduled on a simulator clock.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 
-from repro.common.ids import KEY_BITS, KEY_SPACE
+from repro.common.ids import KEY_BITS
 from repro.common.rng import make_rng
 from repro.dht.network import DhtNetwork
 from repro.sim.engine import Simulator
@@ -81,18 +80,15 @@ class ChurnProcess:
     def regional_leave(
         self,
         count: int,
-        start_key: int | None = None,
         failure_fraction: float | None = None,
-        stabilize: bool = True,
     ) -> list[tuple[int, bool]]:
         """Correlated regional failure: a contiguous ring arc departs at once.
 
-        ``count`` ring-adjacent nodes (starting at the first node at or
-        after ``start_key``, or at a seeded random position) leave in the
-        same step; ``failure_fraction`` of them fail abruptly (defaults to
-        this process's fraction), the rest leave gracefully. At least one
-        node always survives. Returns ``(node_id, graceful)`` per victim,
-        in ring order.
+        ``count`` ring-adjacent nodes (starting at a seeded random
+        position) leave in the same step; ``failure_fraction`` of them fail
+        abruptly (defaults to this process's fraction), the rest leave
+        gracefully; then the survivors stabilize. At least one node always
+        survives. Returns ``(node_id, graceful)`` per victim, in ring order.
 
         Victims are removed in *reverse* ring order, so every graceful
         leave hands its keys directly to the arc's surviving successor —
@@ -108,10 +104,7 @@ class ChurnProcess:
         count = min(count, len(ring) - 1)
         if count <= 0:
             return []
-        if start_key is None:
-            start = self.rng.randrange(len(ring))
-        else:
-            start = bisect_left(ring, start_key % KEY_SPACE) % len(ring)
+        start = self.rng.randrange(len(ring))
         fraction = (
             self.failure_fraction if failure_fraction is None else failure_fraction
         )
@@ -125,8 +118,7 @@ class ChurnProcess:
                 self.stats.leaves += 1
             else:
                 self.stats.failures += 1
-        if stabilize:
-            self.network.stabilize()
+        self.network.stabilize()
         return victims
 
     def schedule(
@@ -134,20 +126,14 @@ class ChurnProcess:
         sim: Simulator,
         interval: float,
         steps: int,
-        joins_per_step: int = 1,
-        leaves_per_step: int = 1,
         stabilize: bool = True,
     ) -> None:
-        """Schedule periodic churn steps on a simulator clock.
+        """Schedule periodic churn steps, one join and one leave each, on a
+        simulator clock.
 
         Interleaved with an event-driven query workload this is *churn
         during queries*: departures land between the hop events of
         in-flight lookups.
         """
         for step in range(1, steps + 1):
-            sim.schedule(
-                interval * step,
-                lambda j=joins_per_step, l=leaves_per_step, s=stabilize: self.churn_step(
-                    j, l, stabilize=s
-                ),
-            )
+            sim.schedule(interval * step, lambda: self.churn_step(stabilize=stabilize))

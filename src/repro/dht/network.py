@@ -19,7 +19,7 @@ from typing import Any, Callable, Hashable, Iterator
 from repro.common.errors import DhtError, KeyNotFoundError, NodeNotFoundError
 from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.common.rng import make_rng
-from repro.common.units import BandwidthMeter, CostModel, DEFAULT_COST_MODEL
+from repro.common.units import DEFAULT_COST_MODEL, BandwidthMeter
 from repro.dht.node import OWNS, DhtNode
 from repro.dht.ring import DEFAULT_SUCCESSOR_COUNT, Ring, RingCell, RingSnapshot
 from repro.dht.storage import LocalStore
@@ -166,15 +166,12 @@ class DhtNetwork:
     def __init__(
         self,
         replication: int = 1,
-        successor_count: int = DEFAULT_SUCCESSOR_COUNT,
-        cost_model: CostModel | None = None,
         rng: random.Random | int | None = None,
-        transport: Transport | None = None,
     ):
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.replication = replication
-        self.cost_model = cost_model or DEFAULT_COST_MODEL
+        self.cost_model = DEFAULT_COST_MODEL
         self.rng = make_rng(rng)
         self._ring = Ring()  # sorted node ids: the membership
         #: member ids in join order; shared with the sequence the last
@@ -183,7 +180,7 @@ class DhtNetwork:
         self._order_shared = False
         #: the latest stabilize snapshot, shared with every node: fingers,
         #: successors and predecessor are derived from it on first use
-        self._ring_cell = RingCell(max(successor_count, replication))
+        self._ring_cell = RingCell(max(DEFAULT_SUCCESSOR_COUNT, replication))
         self._built = _BuiltNodes(self._ring, self._ring_cell)
         #: read-only membership view; see the class docstring
         self.nodes: Mapping[int, DhtNode] = _Members(self)
@@ -195,7 +192,7 @@ class DhtNetwork:
         #: every cross-node byte is charged through this boundary, priced
         #: by ``cost_model``; swap it to re-target the same overlay at a
         #: different backend — see :mod:`repro.net.transport`
-        self.transport = transport or InProcessTransport(self.meter, self.cost_model)
+        self.transport: Transport = InProcessTransport(self.meter, self.cost_model)
         self._stale = False
         #: bumped on every join/leave; cheap epoch stamp for caches (e.g.
         #: the route cache) that must not survive churn
@@ -688,30 +685,17 @@ class DhtNetwork:
         return (0 if source == target else 1), 1, byte_count
 
     def put(
-        self,
-        key_string: str,
-        value: Any,
-        origin: int | None = None,
-        payload_bytes: int = 0,
-        identity: Hashable | None = None,
-        category: str = "dht.put",
+        self, key_string: str, value: Any, identity: Hashable | None = None
     ) -> tuple[int, int]:
         """Publish ``value`` under the hash of ``key_string``. See :meth:`put_raw`."""
-        key = hash_key(key_string)
-        return self.put_raw(key, value, origin, payload_bytes, identity, category)
+        return self.put_raw(hash_key(key_string), value, identity)
 
     def put_raw(
-        self,
-        key: int,
-        value: Any,
-        origin: int | None = None,
-        payload_bytes: int = 0,
-        identity: Hashable | None = None,
-        category: str = "dht.put",
+        self, key: int, value: Any, identity: Hashable | None = None
     ) -> tuple[int, int]:
-        """Publish under an already-hashed key: the one-entry :meth:`put_many`."""
-        entry = (key % KEY_SPACE, value, identity, payload_bytes, category)
-        return self.put_many((entry,), origin)
+        """Publish under an already-hashed key from a random member, as a
+        ``dht.put`` with no payload: the one-entry :meth:`put_many`."""
+        return self.put_many(((key % KEY_SPACE, value, identity, 0, "dht.put"),))
 
     def put_many(
         self, entries, origin: int | None = None, copy: Callable[[Any], Any] | None = None
@@ -793,18 +777,12 @@ class DhtNetwork:
                 total_bytes += byte_count
         return total_messages, total_bytes
 
-    def get(
-        self,
-        key_string: str,
-        origin: int | None = None,
-        category: str = "dht.get",
-    ) -> list[Any]:
-        """Fetch all values published under ``key_string``.
+    def get(self, key_string: str, origin: int | None = None) -> list[Any]:
+        """Fetch all values published under ``key_string``, as a ``dht.get``.
 
         Raises :class:`KeyNotFoundError` when nothing is stored there.
         """
-        key = hash_key(key_string)
-        return self.get_raw(key, origin, category)
+        return self.get_raw(hash_key(key_string), origin)
 
     def get_raw(self, key: int, origin: int | None = None, category: str = "dht.get") -> list[Any]:
         """Fetch by raw ring key from its owner. See :meth:`get`."""

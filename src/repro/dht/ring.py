@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 import sys
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.common.ids import KEY_SPACE
 from repro.dht.keyspace import finger_table
@@ -50,8 +50,8 @@ class Ring:
 
     __slots__ = ("_ids", "_shared")
 
-    def __init__(self, ids: Iterable[int] = ()):
-        self._ids = sorted(ids)
+    def __init__(self) -> None:
+        self._ids: list[int] = []
         #: True while a :meth:`frozen` view holds ``_ids``: the next
         #: mutation copies the list first
         self._shared = False

@@ -37,16 +37,9 @@ class PaperScale:
     # ratios comparable to the real network at 1/50 scale)
     num_ultrapeers: int = 2000
     num_leaves: int = 8000
-    new_client_fraction: float = 0.0
-    # query workload
+    # query workload (queries of up to two terms)
     num_queries: int = 350
-    rare_boost: float = 0.44
-    popularity_exponent: float = 0.75
-    max_terms: int = 2
-    miss_fraction: float = 0.06
-    # measurement campaign (dynamic-querying clients)
-    num_vantages: int = 30
-    desired_results: int = 150
+    # measurement campaign (30 dynamic-querying clients, 150 results wanted)
     max_ttl: int = 4
     seed: int = 42
 
@@ -87,7 +80,7 @@ def get_network(scale: PaperScale = PAPER_SCALE) -> GnutellaNetwork:
         config = TopologyConfig(
             num_ultrapeers=scale.num_ultrapeers,
             num_leaves=scale.num_leaves,
-            new_client_fraction=scale.new_client_fraction,
+            new_client_fraction=0.0,
             seed=scale.seed + 1,
         )
         _network_cache[scale.name] = GnutellaNetwork.build(
@@ -101,10 +94,9 @@ def get_workload(scale: PaperScale = PAPER_SCALE) -> QueryWorkload:
         _workload_cache[scale.name] = generate_workload(
             get_library(scale),
             scale.num_queries,
-            rare_boost=scale.rare_boost,
-            popularity_exponent=scale.popularity_exponent,
-            max_terms=scale.max_terms,
-            miss_fraction=scale.miss_fraction,
+            rare_boost=0.44,
+            popularity_exponent=0.75,
+            max_terms=2,
             rng=scale.seed + 3,
         )
     return _workload_cache[scale.name]
@@ -115,8 +107,6 @@ def get_campaign(scale: PaperScale = PAPER_SCALE) -> MeasurementCampaign:
         _campaign_cache[scale.name] = replay_campaign(
             get_network(scale),
             get_workload(scale),
-            num_vantages=scale.num_vantages,
-            desired_results=scale.desired_results,
             max_ttl=scale.max_ttl,
         )
     return _campaign_cache[scale.name]
@@ -162,7 +152,12 @@ def _fmt(cell) -> str:
 
 
 def quantile(values: Sequence[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of a sample, by linear interpolation."""
+    """The ``q``-quantile (0..1) of a sample, by linear interpolation.
+
+    Not :func:`repro.sim.stats.nearest_rank`: fig07 and fig12 print the
+    percentiles of small samples between ranks, which a nearest-rank pick
+    would move to a neighbouring sample.
+    """
     if not values:
         raise ValueError("quantile of an empty sample")
     if not 0.0 <= q <= 1.0:

@@ -152,9 +152,9 @@ def _measure(
         hybrid.handle_leaf_query_simulated(world.engine, list(terms), [], stop_ttl=3)
         world.sim.run()
 
-    cell.outcomes = hybrid.outcomes
+    cell.outcomes = [race.outcome for race in world.engine.races]
     cell.queries = num_queries
-    cell.pier_bytes = sum(outcome.pier_bytes for outcome in hybrid.outcomes)
+    cell.pier_bytes = sum(outcome.pier_bytes for outcome in cell.outcomes)
     if cache is not None:
         cell.hits = cache.stats.hits
         cell.hit_rate = cache.stats.hit_rate

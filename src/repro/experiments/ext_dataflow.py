@@ -118,18 +118,13 @@ def run(
     )
 
 
-def record(
-    path: str | Path = "BENCH_dataflow.json",
-    scale: PaperScale = SMALL_SCALE,
-    batch_sizes: tuple[int, ...] = BATCH_SIZES,
-    max_queries: int = 60,
-) -> Path:
-    """Run the sweep and persist it as the bench artifact."""
-    result = run(scale, batch_sizes=batch_sizes, max_queries=max_queries)
+def record(path: str | Path) -> Path:
+    """Run the sweep at small scale and persist it as the bench artifact."""
+    result = run(SMALL_SCALE)
     payload = {
         "experiment": result.experiment_id,
         "title": result.title,
-        "scale": scale.name,
+        "scale": SMALL_SCALE.name,
         "columns": result.columns,
         "rows": [list(row) for row in result.rows],
         "notes": result.notes,
@@ -140,5 +135,5 @@ def record(
 
 
 if __name__ == "__main__":
-    recorded = record()
+    recorded = record("BENCH_dataflow.json")
     print(recorded.read_text())

@@ -45,9 +45,7 @@ MAX_OVERHEAD_FRACTION = 0.10
 SCALE_SAMPLE_EVERY = 8
 
 
-def build_dataflow_scale(
-    num_queries: int = 5000, churn: bool = True, tracer=None, metrics=None
-):
+def build_dataflow_scale(num_queries: int, churn: bool, tracer=None, metrics=None):
     """Construct the dataflow-scale scenario: thousands of pipelined
     queries racing Gnutella under churn, all scheduled on one shared
     virtual clock and ready to drain.
@@ -144,16 +142,16 @@ def _timed_run(num_queries: int, tracer=None, metrics=None):
     gc.collect()
     start = time.process_time()
     sim, engine, dht, _ = build_dataflow_scale(
-        num_queries, tracer=tracer, metrics=metrics
+        num_queries, True, tracer=tracer, metrics=metrics
     )
     sim.run()
     seconds = time.process_time() - start
     return seconds, _outcome_digest(engine), sim, dht
 
 
-def traced_vs_untraced(num_queries: int = 5000) -> dict:
-    """One paired measurement: untraced, then traced at
-    ``SCALE_SAMPLE_EVERY``.
+def traced_vs_untraced(num_queries: int) -> dict:
+    """One paired measurement over ``num_queries`` churned queries:
+    untraced, then traced at ``SCALE_SAMPLE_EVERY``.
 
     Pairing the runs back to back keeps the ratio meaningful on noisy
     machines — both halves see the same machine state.

@@ -219,25 +219,16 @@ def run(
     )
 
 
-def record(
-    path: str | Path = "BENCH_optimizer.json",
-    scale: PaperScale = SMALL_SCALE,
-    alphas: tuple[float, ...] = ZIPF_ALPHAS,
-    repeats: int = 3,
-    result: ExperimentResult | None = None,
-) -> Path:
-    """Persist the sweep as the bench artifact.
+def record(path: str | Path, result: ExperimentResult) -> Path:
+    """Persist ``result``, the small-scale sweep, as the bench artifact.
 
-    Pass an already-computed ``result`` to record it without re-running
-    the sweep (the benchmark suite asserts on the exact execution it
-    records); otherwise the sweep runs here.
+    The caller runs the sweep, so the benchmark suite records the exact
+    execution it asserts on.
     """
-    if result is None:
-        result = run(scale, alphas=alphas, repeats=repeats)
     payload = {
         "experiment": result.experiment_id,
         "title": result.title,
-        "scale": scale.name,
+        "scale": SMALL_SCALE.name,
         "columns": result.columns,
         "rows": [list(row) for row in result.rows],
         "notes": result.notes,
@@ -248,5 +239,5 @@ def record(
 
 
 if __name__ == "__main__":
-    recorded = record()
+    recorded = record("BENCH_optimizer.json", run(SMALL_SCALE))
     print(recorded.read_text())

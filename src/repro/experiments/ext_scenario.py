@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
 from repro.scenario.engine import ScenarioReport, run_scenario
 from repro.scenario.presets import HOSTILE_MATRIX, SCENARIOS
+from repro.scenario.spec import MAX_SILENT_LOSS
 
 COLUMNS = [
     "scenario",
@@ -103,34 +104,23 @@ def slo_bounds(names: tuple[str, ...] = HOSTILE_MATRIX) -> dict[str, dict]:
             "min_recall": slo.min_recall,
             "max_p95_latency": slo.max_p95_latency,
             "max_query_kb": slo.max_query_kb,
-            "max_silent_loss": slo.max_silent_loss,
+            "max_silent_loss": MAX_SILENT_LOSS,
             "max_degraded_fraction": slo.max_degraded_fraction,
             "min_cache_hit_rate": slo.min_cache_hit_rate,
         }
     return bounds
 
 
-def record(
-    path: str | Path = "BENCH_scenario.json",
-    scale: PaperScale = PAPER_SCALE,
-    names: tuple[str, ...] = HOSTILE_MATRIX,
-    result: ExperimentResult | None = None,
-) -> Path:
-    """Persist the hostile-run matrix as the bench artifact.
-
-    Pass an already-computed ``result`` to record it without re-running
-    the matrix (the benchmark suite asserts on the exact execution it
-    records); otherwise the matrix runs here.
-    """
-    if result is None:
-        result = run(scale, names=names)
+def record(path: str | Path, result: ExperimentResult) -> Path:
+    """Persist ``result``, the hostile-run matrix at paper scale, as the
+    bench artifact."""
     payload = {
         "experiment": result.experiment_id,
         "title": result.title,
-        "scale": scale.name,
+        "scale": PAPER_SCALE.name,
         "columns": result.columns,
         "rows": [list(row) for row in result.rows],
-        "bounds": slo_bounds(names),
+        "bounds": slo_bounds(HOSTILE_MATRIX),
         "notes": result.notes,
     }
     target = Path(path)
@@ -139,5 +129,5 @@ def record(
 
 
 if __name__ == "__main__":
-    recorded = record()
+    recorded = record("BENCH_scenario.json", run(PAPER_SCALE))
     print(recorded.read_text())

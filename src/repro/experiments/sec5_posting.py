@@ -33,14 +33,17 @@ from repro.piersearch.search import SearchEngine
 
 _corpus_cache: dict[str, tuple] = {}
 
+#: peers of the DHT the corpus is published into
+DHT_NODES = 64
+#: the published corpus's replica cap
+MAX_FILES = 25_000
 
-def build_indexed_corpus(
-    scale: PaperScale, dht_nodes: int = 64, max_files: int = 25_000
-):
+
+def build_indexed_corpus(scale: PaperScale):
     """A DHT with the scale's replica corpus published into it.
 
     The paper replayed its queries over a *sample* of 700,000 files; we
-    likewise cap the published corpus at ``max_files`` replicas (capping
+    likewise cap the published corpus at :data:`MAX_FILES` replicas (capping
     per item, so every distinct item keeps at least one replica and the
     long-tail shape survives subsampling).
     """
@@ -48,12 +51,12 @@ def build_indexed_corpus(
         return _corpus_cache[scale.name]
     library = get_library(scale)
     network = DhtNetwork(rng=scale.seed + 20)
-    network.populate(dht_nodes)
+    network.populate(DHT_NODES)
     catalog = Catalog(network)
     publisher = Publisher(network, catalog, inverted_cache=False)
     placement = library.place(list(range(scale.num_ultrapeers)), rng=scale.seed + 21)
     total = placement.total_replicas
-    keep_fraction = min(1.0, max_files / total) if total else 1.0
+    keep_fraction = min(1.0, MAX_FILES / total) if total else 1.0
     published = 0
     for filename, replicas in placement.replicas_by_filename.items():
         keep = max(1, int(round(len(replicas) * keep_fraction)))

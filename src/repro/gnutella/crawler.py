@@ -3,19 +3,16 @@
 The paper crawled ~100,000 Gnutella nodes in 45 minutes by recursively
 asking nodes for their neighbour lists from 30 PlanetLab ultrapeers in
 parallel. ``crawl`` reproduces that process against a simulated topology
-(with a configurable non-response rate, which is why the paper calls its
-size estimate a lower bound). ``flood_overhead_curve`` post-processes the
-crawled graph exactly as Section 4.3 does to produce Figure 8: the number
-of ultrapeers visited versus query messages sent, as the search horizon
-deepens.
+in which every contacted ultrapeer answers. ``flood_overhead_curve``
+post-processes the crawled graph exactly as Section 4.3 does to produce
+Figure 8: the number of ultrapeers visited versus query messages sent, as
+the search horizon deepens.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
-from repro.common.rng import make_rng
 from repro.gnutella.flooding import flood
 from repro.gnutella.topology import Topology
 
@@ -29,24 +26,10 @@ class CrawlResult:
     #: ultrapeer -> neighbour list as reported to the crawler
     neighbor_lists: dict[int, list[int]] = field(default_factory=dict)
     api_calls: int = 0
-    non_responders: int = 0
 
 
-def crawl(
-    topology: Topology,
-    seeds: list[int],
-    response_rate: float = 1.0,
-    rng: random.Random | int | None = None,
-) -> CrawlResult:
-    """Parallel BFS crawl from ``seeds`` using the neighbour-list API.
-
-    ``response_rate`` is the probability a contacted ultrapeer answers;
-    non-responders are discovered (someone listed them) but contribute no
-    neighbour list, making the crawl's size estimate a lower bound.
-    """
-    if not 0.0 < response_rate <= 1.0:
-        raise ValueError(f"response_rate must be in (0, 1], got {response_rate}")
-    rng = make_rng(rng)
+def crawl(topology: Topology, seeds: list[int]) -> CrawlResult:
+    """Parallel BFS crawl from ``seeds`` using the neighbour-list API."""
     result = CrawlResult()
     frontier = [seed for seed in seeds if topology.is_ultrapeer(seed)]
     result.discovered_ultrapeers.update(frontier)
@@ -58,9 +41,6 @@ def crawl(
                 continue
             contacted.add(ultrapeer)
             result.api_calls += 1
-            if rng.random() > response_rate:
-                result.non_responders += 1
-                continue
             neighbors = topology.neighbors[ultrapeer]
             result.neighbor_lists[ultrapeer] = list(neighbors)
             result.discovered_leaves.update(topology.ultrapeer_leaves.get(ultrapeer, ()))

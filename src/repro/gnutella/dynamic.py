@@ -75,25 +75,15 @@ def dynamic_query(
     terms: list[str],
     desired_results: int = DEFAULT_DESIRED_RESULTS,
     max_ttl: int = DEFAULT_MAX_TTL,
-    start_ttl: int = 1,
-    transport=None,
-    payload_bytes: int = 0,
 ) -> DynamicQueryResult:
-    """Query with iterative deepening until enough results or max TTL."""
+    """Query with iterative deepening from TTL 1 until enough results or
+    max TTL."""
     if desired_results < 1:
         raise ValueError(f"desired_results must be >= 1, got {desired_results}")
     result = DynamicQueryResult(origin=origin, terms=tuple(terms))
     distinct: set[tuple] = set()
-    for ttl in range(start_ttl, max_ttl + 1):
-        round_ = flood(
-            topology,
-            indexes,
-            origin,
-            terms,
-            ttl,
-            transport=transport,
-            payload_bytes=payload_bytes,
-        )
+    for ttl in range(1, max_ttl + 1):
+        round_ = flood(topology, indexes, origin, terms, ttl)
         result.rounds.append(round_)
         for match in round_.matches:
             distinct.add(match.file.result_key)

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.gnutella.index import UltrapeerIndex
 from repro.gnutella.topology import Topology
-from repro.net import Transport
 from repro.workload.library import SharedFile
-
-#: transport category for query edges (one message per forwarded copy)
-FLOOD_CATEGORY = "gnutella.query"
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,6 @@ def flood(
     origin: int,
     terms: list[str],
     ttl: int,
-    transport: Transport | None = None,
-    payload_bytes: int = 0,
 ) -> FloodResult:
     """Flood ``terms`` from ultrapeer ``origin`` for ``ttl`` hops.
 
@@ -74,12 +68,6 @@ def flood(
     hop, every ultrapeer that newly received the query forwards it to all
     neighbours except the one it came from; receivers that already saw the
     query discard it (but the message was still sent and is counted).
-
-    When a ``transport`` is supplied, every forwarded edge — duplicates
-    included, since the sender pays for them regardless — is charged to it
-    as one framed message of ``payload_bytes`` (one charge per flood), so
-    flood overhead lands on the same bandwidth meter as DHT and PIER
-    traffic.
 
     An ultrapeer answers only through its entry in ``indexes``, so an
     empty map floods for the horizon alone: the same ``visited`` (in the
@@ -114,10 +102,6 @@ def flood(
         result.messages_by_hop.append(result.messages)
         if not frontier:
             break
-    if transport is not None and result.messages:
-        edges = result.messages
-        framed = transport.cost_model.message_bytes(payload_bytes)
-        transport.charge(FLOOD_CATEGORY, edges, edges * framed)
     return result
 
 

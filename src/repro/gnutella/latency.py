@@ -20,21 +20,19 @@ Defaults are calibrated so the curve reproduces the paper's endpoints
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.gnutella.dynamic import DynamicQueryResult
 
 
-@dataclass(frozen=True)
 class GnutellaLatencyModel:
     """Calibrated latency constants (seconds)."""
 
     #: one-way per-hop forwarding delay at an ultrapeer
-    hop_time: float = 2.5
+    hop_time = 2.5
     #: pause between dynamic-query rounds while awaiting results
-    round_pause: float = 8.0
+    round_pause = 8.0
     #: connection setup + leaf-to-ultrapeer submission overhead
-    initial_overhead: float = 2.0
+    initial_overhead = 2.0
 
     def round_start(self, result: DynamicQueryResult, round_index: int) -> float:
         """Virtual time at which round ``round_index`` begins."""

@@ -23,12 +23,15 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from repro.gnutella.latency import GnutellaLatencyModel
 from repro.gnutella.network import GnutellaNetwork
 from repro.workload.library import SharedFile
 from repro.workload.queries import Query, QueryWorkload
 
-DEFAULT_UNION_KS = (5, 15, 25, 30)
+#: the paper's campaign: 30 vantages, each a dynamic-querying client that
+#: wants 150 results, unioned over the first k of them for each k here
+NUM_VANTAGES = 30
+DESIRED_RESULTS = 150
+UNION_KS = (5, 15, 25, 30)
 
 
 class ContentMatcher:
@@ -116,22 +119,18 @@ class MeasurementCampaign:
 def replay_campaign(
     network: GnutellaNetwork,
     workload: QueryWorkload,
-    num_vantages: int = 30,
-    desired_results: int = 150,
     max_ttl: int = 4,
-    union_ks: tuple[int, ...] = DEFAULT_UNION_KS,
-    latency_model: GnutellaLatencyModel | None = None,
 ) -> MeasurementCampaign:
-    """Replay ``workload`` from ``num_vantages`` ultrapeers and union results.
+    """Replay ``workload`` from :data:`NUM_VANTAGES` ultrapeers and union
+    results.
 
     Each vantage behaves like a dynamic-querying LimeWire client: it
     deepens its flood TTL by TTL until it has accumulated
-    ``desired_results`` results or reaches ``max_ttl``, and its result set
-    is everything found up to the stopping TTL.
+    :data:`DESIRED_RESULTS` results or reaches ``max_ttl``, and its result
+    set is everything found up to the stopping TTL.
     """
-    latency_model = latency_model or network.latency_model
-    vantages = network.random_ultrapeers(num_vantages)
-    union_ks = tuple(k for k in union_ks if k <= len(vantages)) or (len(vantages),)
+    vantages = network.random_ultrapeers(NUM_VANTAGES)
+    union_ks = tuple(k for k in UNION_KS if k <= len(vantages)) or (len(vantages),)
 
     depths = [bfs_depths(network, vantage) for vantage in vantages]
     matcher = ContentMatcher(network)
@@ -144,9 +143,7 @@ def replay_campaign(
                 matcher,
                 query,
                 depths,
-                desired_results,
                 union_ks,
-                latency_model,
                 max_ttl,
                 designated=position % len(vantages),
             )
@@ -154,7 +151,7 @@ def replay_campaign(
     return MeasurementCampaign(
         replays=replays,
         vantages=vantages,
-        desired_results=desired_results,
+        desired_results=DESIRED_RESULTS,
         max_ttl=max_ttl,
     )
 
@@ -179,9 +176,7 @@ def _replay_one(
     matcher: ContentMatcher,
     query: Query,
     depths: list[dict[int, int]],
-    desired_results: int,
     union_ks: tuple[int, ...],
-    latency_model: GnutellaLatencyModel,
     max_ttl: int,
     designated: int,
 ) -> QueryReplay:
@@ -193,7 +188,7 @@ def _replay_one(
 
     vantage_sets: list[set[int]] = []
     for vantage_depths in depths_by_vantage:
-        stop_ttl = dynamic_stop_ttl(vantage_depths, desired_results, max_ttl)
+        stop_ttl = dynamic_stop_ttl(vantage_depths, DESIRED_RESULTS, max_ttl)
         vantage_sets.append(
             {row for row, depth in enumerate(vantage_depths) if depth <= stop_ttl}
         )
@@ -216,7 +211,7 @@ def _replay_one(
     average_replication = len(running) / union_distinct if running else 0.0
 
     first_depth = min(depths_by_vantage[designated], default=math.inf)
-    latency = first_result_latency_for_depth(first_depth, latency_model, max_ttl)
+    latency = network.latency_model.arrival_for_depth(first_depth, max_ttl)
 
     return QueryReplay(
         query=query,
@@ -244,14 +239,3 @@ def dynamic_stop_ttl(depths: list[float], desired_results: int, max_ttl: int) ->
         if found >= desired_results:
             return ttl
     return max_ttl
-
-
-def first_result_latency_for_depth(
-    depth: float, latency_model: GnutellaLatencyModel, max_ttl: int
-) -> float:
-    """Latency until dynamic querying first reaches a replica at ``depth``.
-
-    Delegates to :meth:`GnutellaLatencyModel.arrival_for_depth`, the
-    round/hop closed form shared with the event-driven query engine.
-    """
-    return latency_model.arrival_for_depth(depth, max_ttl)

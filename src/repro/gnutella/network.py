@@ -35,18 +35,11 @@ class GnutellaNetwork:
     def __init__(
         self,
         topology: Topology,
-        latency_model: GnutellaLatencyModel | None = None,
         rng: random.Random | int | None = None,
-        transport=None,
-        query_bytes: int = 0,
     ):
         self.topology = topology
-        self.latency_model = latency_model or GnutellaLatencyModel()
+        self.latency_model = GnutellaLatencyModel()
         self.rng = make_rng(rng)
-        #: optional repro.net transport; when set, every flood edge is
-        #: charged to it as one message of ``query_bytes``
-        self.transport = transport
-        self.query_bytes = query_bytes
         #: resolves a query's filenames once for the whole network
         self.matcher = FilenameMatcher()
         self.indexes: dict[int, UltrapeerIndex] = {
@@ -67,14 +60,13 @@ class GnutellaNetwork:
         cls,
         library: ContentLibrary,
         config: TopologyConfig | None = None,
-        latency_model: GnutellaLatencyModel | None = None,
         rng: random.Random | int | None = None,
     ) -> "GnutellaNetwork":
         """Build topology, place ``library``'s replicas, index everything."""
         rng = make_rng(rng)
         config = config or TopologyConfig()
         topology = build_topology(config)
-        network = cls(topology, latency_model=latency_model, rng=rng)
+        network = cls(topology, rng=rng)
         placement = library.place(topology.all_nodes(), rng=rng)
         network.load_placement(placement)
         return network
@@ -146,15 +138,7 @@ class GnutellaNetwork:
 
     def flood_query(self, origin: int, terms: list[str], ttl: int) -> FloodResult:
         """Plain TTL flood from ``origin`` (a node; leaves go via parent)."""
-        return flood(
-            self.topology,
-            self.indexes,
-            self.topology.ultrapeer_of(origin),
-            terms,
-            ttl,
-            transport=self.transport,
-            payload_bytes=self.query_bytes,
-        )
+        return flood(self.topology, self.indexes, self.topology.ultrapeer_of(origin), terms, ttl)
 
     def query(
         self,
@@ -171,8 +155,6 @@ class GnutellaNetwork:
             terms,
             desired_results=desired_results,
             max_ttl=max_ttl,
-            transport=self.transport,
-            payload_bytes=self.query_bytes,
         )
 
     def first_result_latency(self, result: DynamicQueryResult) -> float:

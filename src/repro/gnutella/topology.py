@@ -21,6 +21,8 @@ from repro.common.rng import make_rng
 # Degree profiles from Section 4.1.
 NEW_PROFILE = {"neighbors": 32, "leaf_capacity": 30}
 OLD_PROFILE = {"neighbors": 6, "leaf_capacity": 75}
+#: how many ultrapeers each leaf connects to (its file list goes to each)
+LEAF_CONNECTIONS = 1
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,6 @@ class TopologyConfig:
     num_leaves: int = 5000
     #: fraction of ultrapeers running the newer LimeWire profile
     new_client_fraction: float = 0.7
-    #: how many ultrapeers each leaf connects to (file list goes to each)
-    leaf_connections: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -40,8 +40,6 @@ class TopologyConfig:
             raise ValueError("need at least 2 ultrapeers")
         if not 0.0 <= self.new_client_fraction <= 1.0:
             raise ValueError("new_client_fraction must be in [0, 1]")
-        if self.leaf_connections < 1:
-            raise ValueError("leaves must connect to at least one ultrapeer")
 
 
 @dataclass
@@ -83,12 +81,11 @@ class Topology:
             raise KeyError(f"node {node} is not in the topology")
         return parents[0]
 
-    def connected_ultrapeer_count(self, start: int | None = None) -> int:
-        """Size of the connected component containing ``start``."""
+    def connected_ultrapeer_count(self) -> int:
+        """Size of the connected component containing the first ultrapeer."""
         if not self.ultrapeers:
             return 0
-        if start is None:
-            start = self.ultrapeers[0]
+        start = self.ultrapeers[0]
         seen = {start}
         frontier = [start]
         while frontier:
@@ -114,7 +111,7 @@ def build_topology(config: TopologyConfig) -> Topology:
     neighbors = _match_stubs(ultrapeers, profiles, rng)
     _ensure_connected(ultrapeers, neighbors, rng)
     leaf_parents, ultrapeer_leaves = _attach_leaves(
-        ultrapeers, leaves, profiles, config.leaf_connections, rng
+        ultrapeers, leaves, profiles, LEAF_CONNECTIONS, rng
     )
     return Topology(
         ultrapeers=ultrapeers,

@@ -35,6 +35,7 @@ from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.topology import TopologyConfig
 from repro.hybrid.ultrapeer import (
     DEFAULT_GNUTELLA_TIMEOUT,
+    QRS_RESULT_SIZE_THRESHOLD,
     HybridQueryOutcome,
     HybridUltrapeer,
 )
@@ -323,7 +324,6 @@ def build_deployment(config: DeploymentConfig | None = None) -> Deployment:
             if config.inverted_cache
             else JoinStrategy.DISTRIBUTED_JOIN
         ),
-        latency_model=gnutella.latency_model,
         rng=streams["engine"],
         cache_budget_bytes=config.cache_budget_bytes,
     )
@@ -362,10 +362,8 @@ def _observe_background_query(
     set and applies the QRS rule. The flood runs over an empty index map,
     for its horizon alone: the result set is read once, below, from the
     network's replica host table, so no visited ultrapeer's index is
-    asked. It is read only up to the largest QRS threshold among the
-    observers: a result set that long is dropped by every one of them,
-    so the rest of it is never built. The deployment's network has no
-    transport to charge.
+    asked. It is read only up to the QRS threshold: a result set that
+    long is dropped by every observer, so the rest of it is never built.
     """
     horizon = flood(gnutella.topology, {}, origin, [], ttl=2).visited
     observers = [hybrid_by_ultrapeer[up] for up in horizon if up in hybrid_by_ultrapeer]
@@ -374,7 +372,6 @@ def _observe_background_query(
     names = matcher.matching_filenames(list(query.terms))
     # The snooped result stream is what came back through the flood: the
     # replicas whose hosting ultrapeers the flood reached.
-    threshold = max(hybrid.qrs_threshold for hybrid in observers)
-    visible = gnutella.replicas_hosted_by(names, horizon, threshold)
+    visible = gnutella.replicas_hosted_by(names, horizon, QRS_RESULT_SIZE_THRESHOLD)
     for hybrid in observers:
         hybrid.observe_query_results(visible)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.cache.results import query_key
 from repro.common.errors import DhtError, PlanError
@@ -123,8 +122,6 @@ class QueryRace:
     finished_at: float | None = None
     #: the first-result latency reached ``hybrid.first_result_latency``
     latency_observed: bool = False
-    #: invoked exactly once when the race resolves
-    on_done: Callable[["QueryRace"], None] | None = None
     #: root trace span of this race, when the engine carries a tracer
     span: object = None
 
@@ -170,7 +167,6 @@ class HybridQueryEngine:
         self,
         sim: Simulator,
         dht: DhtNetwork,
-        latency_model: GnutellaLatencyModel | None = None,
         config: RaceConfig | None = None,
         rng=None,
         tracer=None,
@@ -178,7 +174,7 @@ class HybridQueryEngine:
     ):
         self.sim = sim
         self.dht = dht
-        self.latency_model = latency_model or GnutellaLatencyModel()
+        self.latency_model = GnutellaLatencyModel()
         self.config = config or RaceConfig()
         self.rng = make_rng(rng)
         #: optional :class:`repro.obs.trace.Tracer` — when set, every race
@@ -240,7 +236,6 @@ class HybridQueryEngine:
         terms: list[str],
         match_depths: list[float],
         stop_ttl: int,
-        on_done: Callable[[QueryRace], None] | None = None,
     ) -> QueryRace:
         """Schedule one leaf query's race; it resolves as the simulator runs.
 
@@ -265,7 +260,6 @@ class HybridQueryEngine:
             stop_ttl=stop_ttl,
             key=query_key(terms),
             membership_epoch=self.dht.membership_version,
-            on_done=on_done,
         )
         if self.tracer is not None:
             race.span = self.tracer.begin(
@@ -629,8 +623,6 @@ class HybridQueryEngine:
                 gnutella_results=race.gnutella_arrived,
                 pier_results=outcome.pier_results,
             )
-        if race.on_done is not None:
-            race.on_done(race)
 
     def _observe_first_result(self, race: QueryRace) -> None:
         """Feed a resolved race's first-result latency to the histogram,

@@ -94,7 +94,6 @@ class HybridUltrapeer:
         dht_node_id: int,
         publisher: Publisher,
         search_engine: SearchEngine,
-        qrs_threshold: int = QRS_RESULT_SIZE_THRESHOLD,
         gnutella_timeout: float = DEFAULT_GNUTELLA_TIMEOUT,
         result_cache: QueryResultCache | None = None,
         metrics=None,
@@ -103,7 +102,6 @@ class HybridUltrapeer:
         self.dht_node_id = dht_node_id
         self.publisher = publisher
         self.search_engine = search_engine
-        self.qrs_threshold = qrs_threshold
         self.gnutella_timeout = gnutella_timeout
         #: optional (possibly shared) query-result cache consulted before
         #: re-issuing a timed-out leaf query through PIERSearch
@@ -113,7 +111,6 @@ class HybridUltrapeer:
         self.metrics = metrics
         self.receipts: list[PublishReceipt] = []
         self._published_keys: set[tuple] = set()
-        self.outcomes: list[HybridQueryOutcome] = []
 
     # ------------------------------------------------------------------
     # Proxy: rare-item identification and publishing (QRS)
@@ -123,10 +120,10 @@ class HybridUltrapeer:
         """Snoop one forwarded query's result set; publish if it is small.
 
         Implements the QRS rare-item scheme the deployment used: result
-        sets smaller than the threshold are treated as rare and published.
-        Returns the number of files newly published.
+        sets smaller than :data:`QRS_RESULT_SIZE_THRESHOLD` are treated as
+        rare and published. Returns the number of files newly published.
         """
-        if not results or len(results) >= self.qrs_threshold:
+        if not results or len(results) >= QRS_RESULT_SIZE_THRESHOLD:
             return 0
         published = 0
         for file in results:
@@ -183,12 +180,10 @@ class HybridUltrapeer:
         depth of every matching replica from this ultrapeer (``inf`` when
         unreachable) — and the dynamic-query stopping TTL. The engine
         schedules the result arrivals, the re-query timeout, and the
-        hop-by-hop DHT walk; the returned race's outcome (also appended
-        to :attr:`outcomes`) is final once the simulator drains.
+        hop-by-hop DHT walk; the returned race's outcome is final once the
+        simulator drains.
         """
-        race = engine.submit(self, terms, match_depths, stop_ttl)
-        self.outcomes.append(race.outcome)
-        return race
+        return engine.submit(self, terms, match_depths, stop_ttl)
 
     # ------------------------------------------------------------------
     # Result-cache hooks (the engine's re-query path)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.cache.results import QueryResultCache
 from repro.dht.network import DhtNetwork
-from repro.gnutella.latency import GnutellaLatencyModel
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT, HybridUltrapeer
 from repro.pier.catalog import Catalog
@@ -51,7 +50,6 @@ def build_world(
     strategy: JoinStrategy | None = None,
     optimizer: bool = False,
     race_config: RaceConfig | None = None,
-    latency_model: GnutellaLatencyModel | None = None,
     rng=None,
     cache_budget_bytes: int = 0,
     tracer=None,
@@ -83,7 +81,7 @@ def build_world(
         tracer=tracer, metrics=metrics,
     )
     engine = HybridQueryEngine(
-        sim, dht, latency_model=latency_model, config=race_config, rng=rng,
+        sim, dht, config=race_config, rng=rng,
         tracer=tracer, metrics=metrics,
     )
     cache = None

@@ -20,13 +20,10 @@ class SystemParameters:
         n: number of nodes in the system (``N``).
         n_horizon: distinct nodes contacted when a query floods
             (``N_horizon``, includes the query node itself).
-        dht_hops: messages for one DHT operation; the paper uses
-            ``log N``. Computed by default.
     """
 
     n: int
     n_horizon: int
-    dht_hops: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -43,8 +40,6 @@ class SystemParameters:
     @property
     def search_cost_dht(self) -> float:
         """CS_dht: cost of a DHT query, log N messages (InvertedCache)."""
-        if self.dht_hops is not None:
-            return self.dht_hops
         return math.log2(self.n) if self.n > 1 else 1.0
 
 

@@ -40,33 +40,23 @@ def average_qr(
     queries: list[QueryMatches],
     published: set[str],
     horizon_fraction: float,
-    policy: str = "union",
 ) -> float:
     """Average Query Recall of the hybrid system (Figures 11, 13, 15).
 
     Per query, Gnutella's flood finds each matching replica independently
     with probability ``h`` (the horizon fraction), and the DHT returns
-    every replica of the published matched items. Two hybrid policies:
-
-    * ``"union"`` — the result set is the union of both systems'
-      answers. This matches the paper's Figure 11 values: at replica
-      threshold 0 the recall equals the horizon fraction, and publishing
-      singletons jumps it to ~47% at a 5% horizon because small-result
-      queries' replica mass is dominated by rare items. Expected recall is
-      ``h + (1-h) * published_replicas / total``.
-    * ``"conditional"`` — the DHT is consulted only when Gnutella returned
-      nothing (the strict re-query policy of Section 6.1's model):
-      ``h + (1-h)^total * published_replicas / total``. This is cheaper
-      but loses the DHT contribution whenever the flood found anything;
-      the ablation benchmark quantifies the gap.
+    every replica of the published matched items. The result set is the
+    union of both systems' answers, which matches the paper's Figure 11
+    values: at replica threshold 0 the recall equals the horizon fraction,
+    and publishing singletons jumps it to ~47% at a 5% horizon because
+    small-result queries' replica mass is dominated by rare items.
+    Expected recall is ``h + (1-h) * published_replicas / total``.
 
     Queries with no matches are skipped, as in the paper (their recall is
     undefined).
     """
     if not 0.0 <= horizon_fraction <= 1.0:
         raise ValueError(f"horizon_fraction must be in [0,1], got {horizon_fraction}")
-    if policy not in ("union", "conditional"):
-        raise ValueError(f"policy must be 'union' or 'conditional', got {policy!r}")
     recalls: list[float] = []
     for query in queries:
         total = query.total_replicas
@@ -77,11 +67,7 @@ def average_qr(
             for filename, replicas in query.matches.items()
             if filename in published
         )
-        if policy == "union":
-            dht_weight = 1.0 - horizon_fraction
-        else:
-            dht_weight = (1.0 - horizon_fraction) ** total
-        recall = horizon_fraction + dht_weight * published_replicas / total
+        recall = horizon_fraction + (1.0 - horizon_fraction) * published_replicas / total
         recalls.append(min(1.0, recall))
     return mean(recalls) if recalls else 0.0
 

@@ -4,7 +4,7 @@ Every subsystem that used to poke the bandwidth meter (or draw per-hop
 latencies) inline now funnels through a :class:`Transport`. The
 transport takes no typed messages: a caller prices its own traffic with
 the shared :class:`~repro.common.units.CostModel` (``routed_bytes`` for a
-DHT-routed payload, ``message_bytes`` per direct or flood message) and
+DHT-routed payload, ``message_bytes`` per direct message) and
 hands the total to :meth:`Transport.charge`, one call per batch:
 
 * :class:`~repro.dht.network.DhtNetwork` charges its routed gets, key
@@ -12,8 +12,10 @@ hands the total to :meth:`Transport.charge`, one call per batch:
   routed and replica-copy costs once per category;
 * the PIER dataflow charges its dissemination and answer legs here and
   draws a batch's per-hop latencies, all of them in one
-  :meth:`Transport.hop_delays` call;
-* Gnutella flooding charges each flood's forwarded edges here.
+  :meth:`Transport.hop_delays` call.
+
+A Gnutella flood counts its messages in its ``FloodResult`` and charges
+no transport.
 
 The point of the indirection is that *parallelism and distribution become
 configuration*: the in-process backend below reproduces today's inline

@@ -11,8 +11,8 @@ no-op cheap when observability is off:
   Prometheus text-format and JSON snapshot exporters.
 
 :mod:`repro.obs.collect` holds the pull-based collectors that snapshot
-existing subsystem stats (DHT bandwidth meter, route cache, result
-cache) into a registry at scrape time, Prometheus-style, instead of
+existing subsystem stats (DHT bandwidth meter, route cache, simulator)
+into a registry at scrape time, Prometheus-style, instead of
 adding per-message bookkeeping to the hot paths.
 
 Where wall time goes is ``cProfile``'s job, not this layer's:
@@ -23,7 +23,6 @@ per-layer shares.
 
 from repro.obs.collect import (
     collect_all,
-    collect_cache,
     collect_network,
     collect_simulator,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "Span",
     "Tracer",
     "collect_all",
-    "collect_cache",
     "collect_network",
     "collect_simulator",
     "validate_chrome_trace",

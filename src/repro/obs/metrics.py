@@ -104,14 +104,11 @@ class MetricsRegistry:
         name: str,
         labels: Mapping[str, Any] | None = None,
         reservoir_size: int | None = None,
-        seed: int = 0,
     ) -> Histogram:
-        """The named histogram; the reservoir arguments apply on creation."""
+        """The named histogram; ``reservoir_size`` applies on creation."""
         key = _series_key(name, labels)
         if key not in self.histograms:
-            self.histograms[key] = Histogram(
-                key, reservoir_size=reservoir_size, seed=seed
-            )
+            self.histograms[key] = Histogram(key, reservoir_size=reservoir_size)
         return self.histograms[key]
 
     def summary(self) -> dict[str, float]:
@@ -128,8 +125,9 @@ class MetricsRegistry:
 
     # -- exporters ---------------------------------------------------------
 
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """Render every series in the Prometheus text exposition format."""
+    def to_prometheus(self) -> str:
+        """Render every series in the Prometheus text exposition format,
+        each name under the ``repro_`` prefix."""
         lines: list[str] = []
         typed: set[str] = set()
 
@@ -140,7 +138,7 @@ class MetricsRegistry:
 
         def full_name(key: str, suffix: str = "") -> tuple[str, str]:
             name, labels = split_series_key(key)
-            base = sanitize_name(f"{prefix}_{name}" if prefix else name) + suffix
+            base = sanitize_name(f"repro_{name}") + suffix
             body = ",".join(
                 f'{sanitize_name(k)}="{_escape(v)}"' for k, v in labels.items()
             )

@@ -85,9 +85,9 @@ class Span:
         """Open a child span under this one."""
         return self._tracer.begin(name, parent=self, at=at, **attrs)
 
-    def event(self, name: str, at: float | None = None, **attrs: Any) -> "Span":
-        """Record an instant (zero-duration) child marker."""
-        return self._tracer.complete(name, self, at, at, attrs or None)
+    def event(self, name: str, **attrs: Any) -> "Span":
+        """Record an instant (zero-duration) child marker at the clock's now."""
+        return self._tracer.complete(name, self, None, None, attrs or None)
 
     def complete(
         self,
@@ -154,7 +154,7 @@ class _NullSpan(Span):
     def child(self, name: str, at: float | None = None, **attrs: Any) -> "Span":
         return self
 
-    def event(self, name: str, at: float | None = None, **attrs: Any) -> "Span":
+    def event(self, name: str, **attrs: Any) -> "Span":
         return self
 
     def complete(
@@ -181,14 +181,11 @@ class Tracer:
     ['query', 'first_answer']
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        sample_every: int = 1,
-    ):
+    def __init__(self, sample_every: int = 1):
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self._clock = clock if clock is not None else _zero_clock
+        #: reads 0.0 until :meth:`bind_clock` names the simulator's clock
+        self._clock: Callable[[], float] = _zero_clock
         self.spans: list[Span] = []
         self.roots: list[Span] = []
         self._next_id = 1
@@ -273,12 +270,13 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def finish_open(self, at: float | None = None) -> int:
-        """Close every still-open span (export hygiene); returns how many."""
+    def finish_open(self) -> int:
+        """Close every still-open span at the clock's now (export hygiene);
+        returns how many."""
         closed = 0
         for span in self.spans:
             if span.end is None:
-                span.finish(at=at)
+                span.finish()
                 closed += 1
         return closed
 

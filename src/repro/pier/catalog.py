@@ -99,11 +99,12 @@ class TableHandle:
         """Validate and publish ``row``: the one-entry :meth:`DhtNetwork.put_many`."""
         return self.network.put_many((self.entry(row, payload_bytes, category),), origin)
 
-    def fetch(self, index_value: Any, origin: int | None = None) -> list[Row]:
-        """All rows with the given index value; empty list when none exist."""
+    def fetch(self, index_value: Any) -> list[Row]:
+        """All rows with the given index value, read from a random member;
+        empty list when none exist."""
         key = self.ring_key(index_value)
         try:
-            return self.network.get_raw(key, origin=origin, category=f"fetch.{self.schema.name}")
+            return self.network.get_raw(key, category=f"fetch.{self.schema.name}")
         except KeyNotFoundError:
             return []
 

@@ -90,6 +90,7 @@ from repro.pier.operators import (
 )
 from repro.pier.rows import RowBatch
 from repro.pier.query import (
+    BLOOM_FP_RATE,
     POSTING_TABLE,
     DistributedPlan,
     Edge,
@@ -679,7 +680,7 @@ class _QueryRun:
             return
         if local[-1].op == Op.BLOOM_BUILD:
             self.filter_keys = view.key_set
-            offer(view.bloom(self.plan.bloom_fp_rate))
+            offer(view.bloom(BLOOM_FP_RATE))
             return
         if rows is view.rows:
             keys = view.distinct if scan.distinct else view.ids

@@ -75,27 +75,22 @@ class Operator:
 
 
 class SubstringFilter(Operator):
-    """Keep rows whose ``column`` contains ``needle`` as a substring.
+    """Keep rows whose ``column`` contains ``needle`` as a substring,
+    ignoring case.
 
     This is the local filtering operator the InvertedCache plan (Figure 3)
     applies to the cached full text: remaining query terms are resolved
     with substring selection instead of distributed joins.
     """
 
-    def __init__(
-        self, child: Iterable[Row], column: str, needle: str, case_sensitive: bool = False
-    ):
+    def __init__(self, child: Iterable[Row], column: str, needle: str):
         self.child = child
         self.column = column
-        self.needle = needle if case_sensitive else needle.lower()
-        self.case_sensitive = case_sensitive
+        self.needle = needle.lower()
 
     def __iter__(self) -> Iterator[Row]:
         for row in self.child:
-            haystack = str(row[self.column])
-            if not self.case_sensitive:
-                haystack = haystack.lower()
-            if self.needle in haystack:
+            if self.needle in str(row[self.column]).lower():
                 yield row
 
 

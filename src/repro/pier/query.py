@@ -236,9 +236,6 @@ class DistributedPlan:
     #: tuples per exchange batch, chosen by the planner from posting-size
     #: stats — the only batch size (None = one batch per edge)
     batch_size: int | None = None
-    #: target false-positive rate for the Bloom join's filter (ignored by
-    #: the other strategies)
-    bloom_fp_rate: float = BLOOM_FP_RATE
     #: the optimizer's price of this plan, when a cost-based optimizer
     #: priced it (observability only — execution never reads it)
     estimate: "CostEstimate | None" = None

@@ -14,7 +14,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Hashable, NamedTuple
 
-from repro.common.units import CostModel
 from repro.dht.network import DhtNetwork
 from repro.pier.catalog import Catalog, PublishEntry, TableHandle
 from repro.pier.schema import (
@@ -73,12 +72,11 @@ class Publisher:
         network: DhtNetwork,
         catalog: Catalog,
         inverted_cache: bool = False,
-        cost_model: CostModel | None = None,
     ):
         self.network = network
         self.catalog = catalog
         self.inverted_cache = inverted_cache
-        self.cost_model = cost_model or network.cost_model
+        self.cost_model = network.cost_model
         self.items: TableHandle = self._ensure(ITEM_SCHEMA.name, ITEM_SCHEMA)
         self.inverted: TableHandle = self._ensure(INVERTED_SCHEMA.name, INVERTED_SCHEMA)
         self.cache: TableHandle = self._ensure(

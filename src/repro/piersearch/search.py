@@ -44,10 +44,10 @@ class SearchResult:
 class SearchEngine:
     """Executes keyword queries against the published index.
 
-    ``strategy`` is the join strategy every query runs unless it names
-    its own. ``None`` (the default) lets an attached optimizer price all
-    four per query and otherwise runs
-    :data:`~repro.pier.query.DEFAULT_STRATEGY`, the semi-join. A caller
+    ``strategy`` is the join strategy every query runs. ``None`` (the
+    default) lets an attached optimizer price all four per query and
+    otherwise runs :data:`~repro.pier.query.DEFAULT_STRATEGY`, the
+    semi-join. A caller
     that reproduces one of the paper's plans names it: Section 5's replay
     and the Section 7 deployment run ``DISTRIBUTED_JOIN`` (Figure 2), and
     ``INVERTED_CACHE`` (Figure 3) reads the InvertedCache table.
@@ -86,12 +86,7 @@ class SearchEngine:
             network, catalog, memory_budget=memory_budget, tracer=tracer, metrics=metrics
         )
 
-    def prepare(
-        self,
-        terms: list[str],
-        query_node: int | None = None,
-        strategy: JoinStrategy | None = None,
-    ) -> DistributedPlan:
+    def prepare(self, terms: list[str], query_node: int | None = None) -> DistributedPlan:
         """Normalise ``terms`` and build the plan without executing it.
 
         ``terms`` are normalised with the same tokenizer used at publish
@@ -109,13 +104,10 @@ class SearchEngine:
             normalised.extend(extract_keywords(term))
         if not normalised:
             raise PlanError(f"query {terms!r} contains no indexable keyword")
-        return self.prepare_keywords(normalised, query_node, strategy)
+        return self.prepare_keywords(normalised, query_node)
 
     def prepare_keywords(
-        self,
-        keywords: Sequence[str],
-        query_node: int | None = None,
-        strategy: JoinStrategy | None = None,
+        self, keywords: Sequence[str], query_node: int | None = None
     ) -> DistributedPlan:
         """:meth:`prepare` for already-normalised ``keywords`` (tokens the
         publisher indexes, as :func:`extract_keywords` yields them). The
@@ -125,7 +117,7 @@ class SearchEngine:
             raise PlanError("query contains no indexable keyword")
         if query_node is None:
             query_node = self.network.random_node_id()
-        strategy = strategy or self.strategy
+        strategy = self.strategy
         if strategy is None and self.optimizer is None:
             strategy = DEFAULT_STRATEGY
         # None left here is the cost-based choice: the planner prices all
@@ -170,14 +162,10 @@ class SearchEngine:
         stats.results = len(matching)
         return SearchResult(terms=plan.keywords, items=matching, stats=stats)
 
-    def search(
-        self,
-        terms: list[str],
-        query_node: int | None = None,
-        strategy: JoinStrategy | None = None,
-    ) -> SearchResult:
-        """Run a conjunctive keyword query (:meth:`prepare` + :meth:`execute_plan`)."""
-        return self.execute_plan(self.prepare(terms, query_node, strategy))
+    def search(self, terms: list[str], query_node: int | None = None) -> SearchResult:
+        """Run a conjunctive keyword query (:meth:`prepare` + :meth:`execute_plan`)
+        under the engine's own strategy."""
+        return self.execute_plan(self.prepare(terms, query_node))
 
 
 def _matches_all(filename: str, terms: list[str]) -> bool:

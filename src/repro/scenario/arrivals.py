@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.scenario.spec import ArrivalSpec
+from repro.scenario.spec import DIURNAL_AMPLITUDE, ArrivalSpec
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def _homogeneous(
 
 
 def _diurnal(spec: ArrivalSpec, duration: float, rng: random.Random) -> list[Arrival]:
-    peak = spec.rate * (1.0 + spec.diurnal_amplitude)
+    peak = spec.rate * (1.0 + DIURNAL_AMPLITUDE)
     out: list[Arrival] = []
     t = 0.0
     while True:
@@ -48,7 +48,7 @@ def _diurnal(spec: ArrivalSpec, duration: float, rng: random.Random) -> list[Arr
         if t >= duration:
             return out
         instantaneous = spec.rate * (
-            1.0 + spec.diurnal_amplitude * math.sin(2.0 * math.pi * t / spec.diurnal_period)
+            1.0 + DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / spec.diurnal_period)
         )
         if rng.random() * peak < instantaneous:
             out.append(Arrival(t))

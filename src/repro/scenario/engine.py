@@ -41,7 +41,8 @@ from repro.net.faults import FaultInjectingTransport
 from repro.obs.metrics import MetricsRegistry
 from repro.scenario.arrivals import generate_arrivals
 from repro.scenario.injectors import PartitionInjector, RegionalFailureInjector
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import MAX_SILENT_LOSS, POPULAR_FRACTION, STOP_TTL, ScenarioSpec
+from repro.sim.stats import nearest_rank
 from repro.scenario.workloads import (
     POPULAR_DEPTHS,
     POPULAR_TERMS,
@@ -96,7 +97,7 @@ def compile_schedule(spec: ScenarioSpec) -> Schedule:
                     ultrapeer=ultrapeer, flash=True,
                 )
             )
-        elif pick_rng.random() < spec.workload.popular_fraction:
+        elif pick_rng.random() < POPULAR_FRACTION:
             events.append(ScenarioEvent(arrival.at, "query", ultrapeer=ultrapeer))
         else:
             events.append(
@@ -180,22 +181,13 @@ class ScenarioReport:
     passed: bool = False
 
 
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile — deterministic, no interpolation."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 class ScenarioRunner:
     """Builds the world for one spec and replays its schedule."""
 
-    def __init__(self, spec: ScenarioSpec, metrics: MetricsRegistry | None = None):
+    def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.schedule = compile_schedule(spec)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: the hybrid world, built by run() and kept for inspection
         self.world: HybridWorld | None = None
         self.corpus: list[ScenarioItem] = []
@@ -280,7 +272,7 @@ class ScenarioRunner:
             terms = list(self.corpus[event.item].terms)
             depths = [math.inf]
         race = hybrid.handle_leaf_query_simulated(
-            self.world.engine, terms, depths, stop_ttl=self.spec.stop_ttl
+            self.world.engine, terms, depths, stop_ttl=STOP_TTL
         )
         self.records.append((event, race))
 
@@ -338,8 +330,9 @@ class ScenarioRunner:
             report.recall = report.answered_rare / report.rare_published
         if report.rare_queries:
             report.coverage = answered_all_rare / report.rare_queries
-        report.latency_p50 = _percentile(latencies, 0.50)
-        report.latency_p95 = _percentile(latencies, 0.95)
+        if latencies:
+            report.latency_p50 = nearest_rank(latencies, 0.50)
+            report.latency_p95 = nearest_rank(latencies, 0.95)
         if requery_bytes:
             report.query_kb_mean = mean(requery_bytes) / 1024
         if report.queries:
@@ -373,8 +366,8 @@ class ScenarioRunner:
                 report.query_kb_mean <= slo.max_query_kb,
             ),
             SloCheck(
-                "silent_loss", report.silent_loss, slo.max_silent_loss, "<=",
-                report.silent_loss <= slo.max_silent_loss,
+                "silent_loss", report.silent_loss, MAX_SILENT_LOSS, "<=",
+                report.silent_loss <= MAX_SILENT_LOSS,
             ),
             SloCheck(
                 "degraded_fraction", report.degraded_fraction,
@@ -407,8 +400,6 @@ class ScenarioRunner:
             self.metrics.gauge(name, labels=labels).set(value)
 
 
-def run_scenario(
-    spec: ScenarioSpec, metrics: MetricsRegistry | None = None
-) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Compile, run, and measure one scenario."""
-    return ScenarioRunner(spec, metrics=metrics).run()
+    return ScenarioRunner(spec).run()

@@ -34,6 +34,18 @@ from repro.common.errors import ScenarioError
 ARRIVAL_KINDS = ("poisson", "diurnal", "flash_crowd")
 CHURN_KINDS = ("none", "uniform", "regional", "partition")
 WORKLOAD_KINDS = ("standard", "free_riders", "query_of_death")
+#: diurnal swing as a fraction of the arrival rate (0.8 => peak 1.8x,
+#: trough 0.2x)
+DIURNAL_AMPLITUDE = 0.8
+#: fraction of leaf queries asking for popular content (answered by the
+#: Gnutella flood in-round; the rest are rare-item DHT races)
+POPULAR_FRACTION = 0.25
+#: ceiling on *silent* recall loss: published-target rare queries that
+#: returned nothing WITHOUT being flagged degraded — every loss must be
+#: explicit
+MAX_SILENT_LOSS = 0
+#: the dynamic-query stopping TTL of every scenario leaf query
+STOP_TTL = 3
 
 
 @dataclass(frozen=True)
@@ -46,8 +58,6 @@ class ArrivalSpec:
     rate: float = 2.0
     #: diurnal period of one full day-night cycle
     diurnal_period: float = 120.0
-    #: diurnal swing as a fraction of ``rate`` (0.8 => peak 1.8x, trough 0.2x)
-    diurnal_amplitude: float = 0.8
     #: flash crowd: when the spike window opens
     flash_start: float = 20.0
     #: flash crowd: how long the spike lasts
@@ -63,10 +73,6 @@ class ArrivalSpec:
             )
         if self.rate <= 0:
             raise ScenarioError(f"arrival rate must be > 0, got {self.rate}")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ScenarioError(
-                f"diurnal amplitude must be in [0,1), got {self.diurnal_amplitude}"
-            )
         if self.diurnal_period <= 0:
             raise ScenarioError(
                 f"diurnal period must be > 0, got {self.diurnal_period}"
@@ -155,9 +161,6 @@ class WorkloadSpec:
     """What the corpus and the queries look like."""
 
     kind: str = "standard"
-    #: fraction of leaf queries asking for popular content (answered by
-    #: the Gnutella flood in-round; the rest are rare-item DHT races)
-    popular_fraction: float = 0.25
     #: free_riders: fraction of corpus items nobody ever publishes —
     #: the index has nothing for them, however healthy the DHT is
     free_rider_fraction: float = 0.4
@@ -173,10 +176,6 @@ class WorkloadSpec:
             raise ScenarioError(
                 f"unknown workload kind {self.kind!r}, expected one of "
                 f"{WORKLOAD_KINDS}"
-            )
-        if not 0.0 <= self.popular_fraction < 1.0:
-            raise ScenarioError(
-                f"popular_fraction must be in [0,1), got {self.popular_fraction}"
             )
         if self.kind == "free_riders" and not 0.0 < self.free_rider_fraction < 1.0:
             raise ScenarioError(
@@ -208,10 +207,6 @@ class SloSpec:
     max_p95_latency: float = 120.0
     #: ceiling on mean per-requery wire traffic (KB, cache hits excluded)
     max_query_kb: float = 512.0
-    #: ceiling on *silent* recall loss: published-target rare queries that
-    #: returned nothing WITHOUT being flagged degraded (0 = every loss
-    #: must be explicit)
-    max_silent_loss: int = 0
     #: ceiling on the fraction of queries flagged degraded
     max_degraded_fraction: float = 1.0
     #: floor on the re-query cache hit rate (0 = not gated)
@@ -226,10 +221,6 @@ class SloSpec:
             )
         if self.max_query_kb <= 0:
             raise ScenarioError(f"max_query_kb must be > 0, got {self.max_query_kb}")
-        if self.max_silent_loss < 0:
-            raise ScenarioError(
-                f"max_silent_loss must be >= 0, got {self.max_silent_loss}"
-            )
         if not 0.0 <= self.max_degraded_fraction <= 1.0:
             raise ScenarioError(
                 "max_degraded_fraction must be in [0,1], got "
@@ -263,7 +254,6 @@ class ScenarioSpec:
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     slo: SloSpec = field(default_factory=SloSpec)
     gnutella_timeout: float = 30.0
-    stop_ttl: int = 3
     #: shared ultrapeer result-cache budget (0 = caching off)
     cache_budget_bytes: int = 0
     #: price each re-query with the cost-based optimizer

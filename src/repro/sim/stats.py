@@ -8,7 +8,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+
+def nearest_rank(values: Iterable[float], q: float) -> float:
+    """The nearest-rank ``q``-quantile of non-empty ``values``: the
+    ``ceil(q * n)``-th smallest, clamped to the sample, with no
+    interpolation."""
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))]
 
 
 @dataclass
@@ -43,20 +52,20 @@ class Histogram:
     is the right trade for experiment-sized runs (<= a few hundred
     thousand samples). Pass ``reservoir_size`` to cap retention: samples
     beyond the cap are admitted by Vitter's Algorithm R with a private
-    seeded RNG, so million-event runs hold memory constant and two runs
-    with the same seed and sample stream keep byte-identical reservoirs.
+    RNG seeded 0, so million-event runs hold memory constant and two runs
+    with the same sample stream keep byte-identical reservoirs.
     ``count``/``mean``/``minimum``/``maximum``/``total`` stay exact in
     both modes; only the quantiles become approximate once the reservoir
     overflows.
     """
 
-    def __init__(self, name: str, reservoir_size: int | None = None, seed: int = 0):
+    def __init__(self, name: str, reservoir_size: int | None = None):
         if reservoir_size is not None and reservoir_size <= 0:
             raise ValueError(f"reservoir_size must be positive, got {reservoir_size}")
         self.name = name
         self.samples: list[float] = []
         self.reservoir_size = reservoir_size
-        self._rng = random.Random(seed) if reservoir_size is not None else None
+        self._rng = random.Random(0) if reservoir_size is not None else None
         self._count = 0
         self._total = 0.0
         self._min = math.inf
@@ -123,6 +132,4 @@ class Histogram:
             raise ValueError(f"quantile must be in [0,1], got {q}")
         if not self.samples:
             return math.nan
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
+        return nearest_rank(self.samples, q)

@@ -23,6 +23,12 @@ _CODAS = ["", "", "l", "n", "r", "s", "t", "d", "m"]
 
 _EXTENSIONS = [".mp3", ".avi", ".mpg", ".zip", ".ogg"]
 
+#: Zipf exponent of term draws
+TERM_ALPHA = 1.0
+#: indexable terms per generated filename, inclusive bounds
+MIN_TERMS = 2
+MAX_TERMS = 6
+
 
 def _pseudo_word(rng: random.Random) -> str:
     """A pronounceable 2-3 syllable pseudo-word."""
@@ -36,11 +42,10 @@ def _pseudo_word(rng: random.Random) -> str:
 class Vocabulary:
     """A fixed set of distinct terms with Zipf-skewed draw frequencies."""
 
-    def __init__(self, size: int, alpha: float = 1.0, rng: random.Random | int | None = None):
+    def __init__(self, size: int, rng: random.Random | int | None = None):
         if size < 10:
             raise ValueError(f"vocabulary needs >= 10 terms, got {size}")
         self.rng = make_rng(rng)
-        self.alpha = alpha
         terms: list[str] = []
         seen: set[str] = set()
         while len(terms) < size:
@@ -50,7 +55,7 @@ class Vocabulary:
             seen.add(word)
             terms.append(word)
         self.terms = terms
-        self._sampler = ZipfSampler(size, alpha, rng=self.rng)
+        self._sampler = ZipfSampler(size, TERM_ALPHA, rng=self.rng)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -73,14 +78,13 @@ class Vocabulary:
             chosen.append(term)
         return chosen
 
-    def sample_tail_terms(self, count: int, head_skip: float = 0.25) -> list[str]:
+    def sample_tail_terms(self, count: int) -> list[str]:
         """Draw ``count`` distinct terms uniformly from the unpopular tail.
 
-        Skips the top ``head_skip`` fraction of ranks. Used to name rare
-        content: obscure sources are identified by terms that rarely
-        appear elsewhere.
+        Skips the top quarter of ranks. Used to name rare content: obscure
+        sources are identified by terms that rarely appear elsewhere.
         """
-        start = int(len(self.terms) * head_skip)
+        start = int(len(self.terms) * 0.25)
         pool = self.terms[start:]
         if count > len(pool):
             raise ValueError(f"cannot draw {count} tail terms from {len(pool)}")
@@ -90,25 +94,15 @@ class Vocabulary:
 class FilenameGenerator:
     """Builds unique filenames of 2-6 indexable terms over a vocabulary."""
 
-    def __init__(
-        self,
-        vocabulary: Vocabulary,
-        min_terms: int = 2,
-        max_terms: int = 6,
-        rng: random.Random | int | None = None,
-    ):
-        if min_terms < 1 or max_terms < min_terms:
-            raise ValueError(f"bad term bounds [{min_terms}, {max_terms}]")
+    def __init__(self, vocabulary: Vocabulary, rng: random.Random | int | None = None):
         self.vocabulary = vocabulary
-        self.min_terms = min_terms
-        self.max_terms = max_terms
         self.rng = make_rng(rng)
         self._used: set[str] = set()
 
     def generate(self) -> str:
         """One unique filename, e.g. ``"darel montia - klorena.mp3"``."""
         for _ in range(1000):
-            count = self.rng.randint(self.min_terms, self.max_terms)
+            count = self.rng.randint(MIN_TERMS, MAX_TERMS)
             terms = self.vocabulary.sample_terms(count)
             split = max(1, count // 2)
             head = " ".join(terms[:split])

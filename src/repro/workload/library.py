@@ -17,6 +17,11 @@ from repro.common.rng import make_rng
 from repro.common.zipf import long_tail_replica_counts, sample_power_law_int
 from repro.workload.filenames import FilenameGenerator, Vocabulary
 
+#: share of the rare items (one or two replicas) that belong to a family
+FAMILY_FRACTION = 0.8
+#: inclusive range of a family's size
+FAMILY_SIZE = (2, 24)
+
 
 @dataclass(frozen=True)
 class SharedFile:
@@ -88,20 +93,18 @@ class ContentLibrary:
         vocabulary_size: int = 2000,
         alpha: float | None = None,
         max_replicas: int = 400,
-        singleton_fraction: float = 0.23,
-        family_size: tuple[int, int] = (2, 24),
-        family_fraction: float = 0.8,
         rng: random.Random | int | None = None,
     ) -> "ContentLibrary":
         """Generate a library matching the paper's replica-distribution shape.
 
-        ``singleton_fraction`` pins the fraction of items with exactly one
-        replica to the paper's 23% (Figure 10 at replica threshold 1).
+        The fraction of items with exactly one replica is pinned to the
+        paper's 23% (Figure 10 at replica threshold 1).
 
-        Rare items (one or two replicas) are partly organised into
-        *families* whose filenames share a leading term pair — several
-        rare files from the same obscure source. Family sizes are drawn
-        from a small-skewed power law over the ``family_size`` range:
+        Rare items (one or two replicas) are, :data:`FAMILY_FRACTION` of
+        them, organised into *families* whose filenames share a leading
+        term pair — several rare files from the same obscure source.
+        Family sizes are drawn from a small-skewed power law over the
+        :data:`FAMILY_SIZE` range:
         many small families produce the paper's <=10-result rare queries,
         and a few large ones produce its mid-size result sets that are
         still dominated by barely-replicated files (the trace property
@@ -114,12 +117,11 @@ class ContentLibrary:
             num_items,
             alpha=alpha,
             max_replicas=max_replicas,
-            singleton_fraction=singleton_fraction,
             rng=rng,
         )
         # Decide which items are family members: a slice of the rare tail.
         rare_indexes = [i for i, count in enumerate(replica_counts) if count <= 2]
-        family_member_count = int(len(rare_indexes) * family_fraction)
+        family_member_count = int(len(rare_indexes) * FAMILY_FRACTION)
         family_members = set(rare_indexes[len(rare_indexes) - family_member_count :])
 
         items: list[CatalogItem] = []
@@ -130,7 +132,7 @@ class ContentLibrary:
                 if remaining_in_family == 0:
                     first, second = vocabulary.sample_tail_terms(2)
                     pending_family = (first, second)
-                    low, high = family_size
+                    low, high = FAMILY_SIZE
                     remaining_in_family = low + sample_power_law_int(
                         rng, 1, max(1, high - low), alpha=1.0
                     ) - 1

@@ -51,12 +51,16 @@ class QueryWorkload:
         return terms
 
 
+#: share of queries for content that exists nowhere: the paper found 6%
+#: of queries had no results even in the Union-of-30
+MISS_FRACTION = 0.06
+
+
 def generate_workload(
     library: ContentLibrary,
     num_queries: int,
     popularity_exponent: float = 0.5,
     rare_boost: float = 0.35,
-    miss_fraction: float = 0.06,
     max_terms: int = 3,
     rng: random.Random | int | None = None,
 ) -> QueryWorkload:
@@ -70,8 +74,8 @@ def generate_workload(
     requested frequently, they represent a substantial fraction of the
     query workload").
 
-    ``miss_fraction`` of queries ask for content that exists nowhere in
-    the network (terms outside every filename): the paper found 6% of
+    :data:`MISS_FRACTION` of queries ask for content that exists nowhere
+    in the network (terms outside every filename): the paper found 6% of
     queries had no results even in the Union-of-30, i.e. genuinely had no
     matches available.
     """
@@ -79,15 +83,13 @@ def generate_workload(
         raise WorkloadError(f"need at least one query, got {num_queries}")
     if not 0.0 <= rare_boost <= 1.0:
         raise WorkloadError(f"rare_boost must be in [0,1], got {rare_boost}")
-    if not 0.0 <= miss_fraction <= 1.0:
-        raise WorkloadError(f"miss_fraction must be in [0,1], got {miss_fraction}")
     rng = make_rng(rng)
     items = library.items
     weights = [item.replication**popularity_exponent for item in items]
 
     queries: list[Query] = []
     for query_id in range(num_queries):
-        if rng.random() < miss_fraction:
+        if rng.random() < MISS_FRACTION:
             queries.append(_miss_query(query_id, rng))
         elif rng.random() < rare_boost and library.family_items:
             # A tail-targeted query: the user searches for an obscure

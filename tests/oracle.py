@@ -83,6 +83,7 @@ from repro.common.ids import KEY_BITS, KEY_SPACE, in_interval, ring_distance
 from repro.dht.keyspace import finger_start
 from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
+from repro.dht.ring import Ring
 from repro.net.transport import HOP_JITTER, HOP_LATENCY, InProcessTransport
 from repro.pier.catalog import table_key
 from repro.pier.operators import NUM_SPILL_PARTITIONS, spill_partition
@@ -119,6 +120,13 @@ def steady_hops(network, hop=HOP_LATENCY):
     """Give ``network`` a :class:`SteadyHopTransport`; returns ``network``."""
     network.transport = SteadyHopTransport(network, hop)
     return network
+
+
+def ring_of(ids):
+    """A :class:`Ring` holding ``ids`` (distinct)."""
+    ring = Ring()
+    ring.bulk_load(sorted(ids))
+    return ring
 
 
 def oracle_items(catalog, terms):

@@ -24,11 +24,20 @@ class defined there is named by some code under ``src/``, ``bench/`` or
 reason, in :data:`TEST_INSTRUMENTS`. A package ``__init__``'s re-export
 names a definition without using it, so it is not a caller; every name a
 package exports must still be one it binds.
+
+And nothing under ``src/repro`` is an option no one sets: every defaulted
+parameter and every defaulted dataclass field is passed by some call
+under the same roots (by keyword, by position, through ``*``/``**``,
+``partial`` or ``dataclasses.replace``), or is listed, with a reason, in
+:data:`OPTION_EXCEPTIONS`. A value that only its default ever takes is a
+constant. Calls are matched by name, as the dead-code rule matches, so a
+namesake's call can keep an option alive, never the reverse.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -75,6 +84,12 @@ TEST_INSTRUMENTS = {
     "total_publishing_cost": "the paper's Equation (5), held to its closed form by the model tests",
     "traced_vs_untraced": "the observability benchmark's live gate prices tracing on the scale scenario",
     "tree": "the span-tree golden pins a traced query's span forest as nested dicts",
+}
+#: options no caller passes, kept configurable; ``owner.name``: one reason
+#: each, and only two kinds of reason: a deployment setting (an output
+#: path, argv) or a registry entry point
+OPTION_EXCEPTIONS = {
+    "main.argv": "deployment setting: the runner's command line, sys.argv when None",
 }
 
 
@@ -526,6 +541,301 @@ def test_a_package_reexport_is_not_a_caller(caller, filename, dead):
     module = ast.parse("def helper():\n    pass\n")
     referenced = _referenced_names([_caller_tree(caller, filename)])
     assert {name for name, _ in _definitions(module)} - referenced == dead
+
+
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    """One defaulted parameter or dataclass field: ``owner`` is the name a
+    call uses (the function, or the class for ``__init__`` and fields) and
+    ``position`` its index among a call's positional arguments (``None``
+    when it is keyword-only)."""
+
+    where: str
+    owner: str
+    name: str
+    position: int | None
+    is_field: bool = False
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_call(value: ast.expr | None) -> ast.Call | None:
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return value
+    return None
+
+
+def _dataclass_options(node: ast.ClassDef, where: str) -> Iterator[_Option]:
+    """The defaulted ``__init__`` fields of a dataclass; a
+    ``default_factory`` field is state the instance grows, not an option."""
+    position = 0
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        call = _field_call(stmt.value)
+        keywords = {k.arg: k.value for k in call.keywords} if call else {}
+        init = keywords.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        defaulted = "default" in keywords if call else stmt.value is not None
+        if defaulted:
+            yield _Option(f"{where}:{stmt.lineno}", node.name, stmt.target.id, position, True)
+        position += 1
+
+
+def _function_options(
+    node: ast.FunctionDef | ast.AsyncFunctionDef, where: str, cls: str | None
+) -> Iterator[_Option]:
+    if node.name.startswith("__") and node.name != "__init__":
+        return  # the language calls it, not a caller by name
+    owner = cls if node.name == "__init__" else node.name
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    bound = 1 if cls is not None and not static else 0
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first_default:], start=first_default):
+        yield _Option(f"{where}:{arg.lineno}", owner, arg.arg, index - bound)
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield _Option(f"{where}:{arg.lineno}", owner, arg.arg, None)
+
+
+def _options(tree: ast.AST, where: str) -> Iterator[_Option]:
+    """Every defaulted parameter and dataclass field in ``tree``."""
+
+    def visit(node: ast.AST, cls: str | None) -> Iterator[_Option]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _function_options(node, where, cls)
+            cls = None
+        elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                yield from _dataclass_options(node, where)
+            cls = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, cls)
+
+    yield from visit(tree, None)
+
+
+@dataclasses.dataclass
+class _Calls:
+    """What the callers pass, by the name they call."""
+
+    #: owner name -> (positional count before any ``*``, ``*`` used,
+    #: keywords, ``**`` used), one entry per call
+    calls: dict[str, list[tuple[int, bool, set[str], bool]]]
+    #: field names set through ``dataclasses.replace``
+    replaced: set[str]
+    #: attribute names assigned after construction
+    assigned: set[str]
+    #: names given as a dict literal's values: a registry's entries, which
+    #: are called through the registry, not by name
+    registered: set[str]
+
+
+def _callee(func: ast.expr, cls: str | None) -> str | None:
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return cls if name == "cls" else name
+
+
+def _collect_calls(trees: Iterable[ast.AST]) -> _Calls:
+    """Every call under the caller roots, matched by name as the dead-code
+    rule matches: a method call ``x.f(...)`` counts for every ``f``, and
+    ``partial(f, ...)`` is a call to ``f``."""
+    out = _Calls({}, set(), set(), set())
+
+    def record(name: str | None, args: list[ast.expr], keywords: list[ast.keyword]) -> None:
+        if name is None:
+            return
+        star = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)), None)
+        passed = {k.arg for k in keywords if k.arg is not None}
+        out.calls.setdefault(name, []).append((
+            len(args) if star is None else star,
+            star is not None,
+            passed,
+            any(k.arg is None for k in keywords),
+        ))
+        if name == "replace":
+            out.replaced.update(passed)
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call):
+            name = _callee(node.func, cls)
+            if name == "partial" and node.args:
+                record(_callee(node.args[0], cls), node.args[1:], node.keywords)
+            else:
+                record(name, node.args, node.keywords)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.assigned.add(node.attr)
+        elif isinstance(node, ast.Dict):
+            for value in node.values:
+                if isinstance(value, (ast.Name, ast.Attribute)):
+                    out.registered.add(_callee(value, None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for tree in trees:
+        visit(tree, None)
+    return out
+
+
+def _passes(call: tuple[int, bool, set[str], bool], option: _Option) -> bool:
+    """Whether one call sets ``option``: by keyword, by position, through
+    ``*`` from its slot on, or through ``**``."""
+    positional, star, keywords, double_star = call
+    if option.name in keywords or double_star:
+        return True
+    return option.position is not None and (
+        option.position < positional or (star and option.position >= positional)
+    )
+
+
+def _unpassed(options: Iterable[_Option], calls: _Calls) -> list[_Option]:
+    """The options no call sets. An option of a function reached only as
+    a value (a callback, a registry entry) is out of the rule's sight and
+    skipped, and so is a field the code assigns after construction: that
+    is state, not an option."""
+    out = []
+    for option in options:
+        if option.owner in calls.registered:
+            continue
+        if option.is_field and (option.name in calls.assigned or option.name in calls.replaced):
+            continue
+        if not any(_passes(call, option) for call in calls.calls.get(option.owner, [])):
+            out.append(option)
+    return out
+
+
+def src_options() -> list[_Option]:
+    """Every defaulted parameter and dataclass field under ``src/repro``."""
+    return [
+        option
+        for path in _module_files()
+        for option in _options(ast.parse(path.read_text()), _relative(path))
+    ]
+
+
+def unpassed_options() -> list[_Option]:
+    """What the option rule reports before its allowlist."""
+    return _unpassed(src_options(), _collect_calls(_caller_trees()))
+
+
+def test_every_option_is_passed_by_a_caller():
+    """A defaulted parameter or dataclass field that no caller under
+    ``src/``, ``bench/`` or ``examples/`` sets is a constant spelled as an
+    option: make it a constant, or list it in :data:`OPTION_EXCEPTIONS`
+    with a reason (a deployment setting or a registry entry point)."""
+    unpassed = [
+        f"{option.where}: {option.owner}({option.name}=)"
+        for option in unpassed_options()
+        if f"{option.owner}.{option.name}" not in OPTION_EXCEPTIONS
+    ]
+    assert not unpassed, (
+        "an option no caller under src/, bench/ or examples/ sets — make it "
+        "a constant, or list it in OPTION_EXCEPTIONS with a reason:\n" + "\n".join(unpassed)
+    )
+
+
+def test_every_option_exception_is_unpassed_with_one_kind_of_reason():
+    """An allowlist entry that a caller now passes, or whose option is
+    gone, is stale; each reason is a deployment setting or a registry
+    entry point, and the list stays short."""
+    unpassed = {f"{option.owner}.{option.name}" for option in unpassed_options()}
+    assert set(OPTION_EXCEPTIONS) <= unpassed, sorted(set(OPTION_EXCEPTIONS) - unpassed)
+    assert len(OPTION_EXCEPTIONS) <= 8
+    for reason in OPTION_EXCEPTIONS.values():
+        assert reason.startswith(("deployment setting: ", "registry entry point: ")), reason
+
+
+#: the module the option rule's self-check cases are judged against
+OPTION_PROBE = '''
+from dataclasses import dataclass, field
+
+
+def helper(a, b=1, *, c=2):
+    pass
+
+
+class Knob:
+    def __init__(self, size=8):
+        pass
+
+    def turn(self, angle=0.0):
+        pass
+
+    @staticmethod
+    def spin(speed=1):
+        pass
+
+    @classmethod
+    def build(cls):
+        return cls(16)
+
+
+@dataclass
+class Box:
+    x: int = 0
+    y: list = field(default_factory=list)
+    hidden: int = field(init=False, default=0)
+    z: int = field(default=3)
+'''
+
+
+#: the probe's options no call sets when the caller adds nothing
+#: (``Knob.size`` is set by ``build``'s ``cls(16)``)
+PROBE_UNPASSED = {"helper.b", "helper.c", "turn.angle", "spin.speed", "Box.x", "Box.z"}
+
+
+@pytest.mark.parametrize(
+    "caller, passed",
+    [
+        ("", set()),
+        ("helper(1)\n", set()),
+        ("helper(1, 2)\n", {"helper.b"}),
+        ("helper(1, c=3)\n", {"helper.c"}),
+        ("helper(*args)\n", {"helper.b"}),
+        ("helper(1, **options)\n", {"helper.b", "helper.c"}),
+        ("mod.helper(1, 2, c=3)\n", {"helper.b", "helper.c"}),
+        ("partial(helper, 1, 2)\n", {"helper.b"}),
+        ("# helper(1, 2, c=3)\n", set()),
+        ("print('helper(1, 2, c=3)')\n", set()),
+        ("REGISTRY = {'h': helper}\n", {"helper.b", "helper.c"}),
+        ("knob.turn(90)\n", {"turn.angle"}),
+        ("Knob.spin(3)\n", {"spin.speed"}),
+        ("Box(1)\n", {"Box.x"}),
+        ("Box(1, [], 5)\n", {"Box.x", "Box.z"}),
+        ("replace(box, z=4)\n", {"Box.z"}),
+        ("box.x = 5\nbox.z += 1\n", {"Box.x", "Box.z"}),
+    ],
+    ids=[
+        "uncalled", "default-left", "by-position", "by-keyword", "star",
+        "double-star", "attribute-call", "partial", "comment", "string",
+        "registry", "method-skips-self", "staticmethod", "dataclass-position",
+        "dataclass-all", "replace", "assigned-is-state",
+    ],
+)
+def test_option_rule_reads_calls_not_text(caller, passed):
+    """A value counts as passed by keyword, by position (``self`` skipped
+    on a method, a ``cls(...)`` call building the class), through ``*`` or
+    ``**``, through ``partial`` or ``dataclasses.replace``; a comment or a
+    string passes nothing. A function given as a registry's value is
+    exempt, and so is a field the code assigns: that is state. A
+    ``default_factory`` or ``init=False`` field is no option at all."""
+    defined = list(_options(ast.parse(OPTION_PROBE), "probe.py"))
+    calls = _collect_calls([ast.parse(OPTION_PROBE), ast.parse(caller)])
+    got = {f"{option.owner}.{option.name}" for option in _unpassed(defined, calls)}
+    assert got == PROBE_UNPASSED - passed
 
 
 def _package_exports() -> dict[str, list[str]]:

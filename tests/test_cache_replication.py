@@ -43,7 +43,7 @@ class TestHotKeyDetection:
         assert sorted(single.nodes) == sorted(triple.nodes)
         origin = sorted(single.nodes)[0]
         for network in (single, triple):
-            network.put("hot-key", "value", origin=origin, payload_bytes=100)
+            network.put_many(((hash_key("hot-key"), "value", None, 100, "dht.put"),), origin)
             for _ in range(6):
                 network.get("hot-key", origin=origin)
         put_1, put_3 = (n.meter.by_category["dht.put"] for n in (single, triple))

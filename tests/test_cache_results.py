@@ -221,7 +221,11 @@ class TestLruContract:
         assert cache.get(("a1",)).result_count == 7
 
     def test_the_cost_model_prices_the_footprint(self):
-        model = CostModel(tuple_base_bytes=40, serialization_overhead=1.0)
+        class LeanFraming(CostModel):
+            tuple_base_bytes = 40
+            serialization_overhead = 1.0
+
+        model = LeanFraming()
         cache = make_cache(cost_model=model)
         names = ["a.mp3", "longer name.mp3"]
         cache.put(("a1",), names, cost_bytes=10)

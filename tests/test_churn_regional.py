@@ -8,6 +8,8 @@ neighbour later in the same arc. A handoff is one sync: a digest naming
 each offered row, then the rows the heir lacked.
 """
 
+import random
+
 from oracle import reference_handoff_price
 from repro.common.errors import KeyNotFoundError
 from repro.common.rng import make_rng
@@ -31,6 +33,17 @@ def build(seed=5):
 def arc_nodes(network):
     ring = sorted(network.nodes)
     return ring[4 : 4 + ARC]
+
+
+def drawn_arc(churn):
+    """The arc ``churn.regional_leave(ARC)`` will take, and its heir: the
+    start is the churn RNG's next ``randrange`` over the ring."""
+    twin = random.Random()
+    twin.setstate(churn.rng.getstate())
+    ring = sorted(churn.network.nodes)
+    start = twin.randrange(len(ring))
+    arc = [ring[(start + i) % len(ring)] for i in range(ARC + 1)]
+    return arc[:ARC], arc[ARC]
 
 
 def stored_values(network, node_id):
@@ -61,10 +74,10 @@ def exactly_once_price(network, arc):
 
 def test_graceful_regional_leave_hands_off_each_value_exactly_once():
     network = build()
-    arc = arc_nodes(network)
+    churn = ChurnProcess(network, make_rng(1), failure_fraction=0.0)
+    arc, heir = drawn_arc(churn)
     stored = sum(len(stored_values(network, node)) for node in arc)
     assert stored > 0
-    heir = sorted(network.nodes)[4 + ARC]
     landing = stored_values(network, heir) + [
         pair for node in arc for pair in stored_values(network, node)
     ]
@@ -72,8 +85,7 @@ def test_graceful_regional_leave_hands_off_each_value_exactly_once():
     # Two messages per victim holding anything: its digest and its rows.
     assert expected.messages == 2 * sum(1 for node in arc if stored_values(network, node))
     before = handoff_cost(network)
-    churn = ChurnProcess(network, make_rng(1), failure_fraction=0.0)
-    victims = churn.regional_leave(ARC, start_key=arc[0])
+    victims = churn.regional_leave(ARC)
     assert [node for node, _ in victims] == arc
     assert all(graceful for _, graceful in victims)
     # One sync per victim, straight to the heir: no victim-to-victim cascade.
@@ -104,10 +116,9 @@ def test_forward_order_removal_would_cascade_handoffs():
 
 def test_abrupt_regional_failure_hands_off_nothing_but_marks_suspects():
     network = build()
-    arc = arc_nodes(network)
     before = handoff_cost(network)
     churn = ChurnProcess(network, make_rng(1))
-    victims = churn.regional_leave(ARC, start_key=arc[0], failure_fraction=1.0)
+    victims = churn.regional_leave(ARC, failure_fraction=1.0)
     assert all(not graceful for _, graceful in victims)
     assert handoff_cost(network) == before
     assert network.suspect_ranges
@@ -116,10 +127,10 @@ def test_abrupt_regional_failure_hands_off_nothing_but_marks_suspects():
 def test_graceful_victims_keys_survive_mixed_arc():
     """An abrupt victim late in the arc must not swallow graceful keys."""
     network = build()
-    arc = arc_nodes(network)
-    snapshots = {node: stored_values(network, node) for node in arc}
     churn = ChurnProcess(network, make_rng(3))
-    victims = churn.regional_leave(ARC, start_key=arc[0], failure_fraction=0.5)
+    arc, _ = drawn_arc(churn)
+    snapshots = {node: stored_values(network, node) for node in arc}
+    victims = churn.regional_leave(ARC, failure_fraction=0.5)
     kinds = {graceful for _, graceful in victims}
     assert kinds == {True, False}  # genuinely mixed arc
     for node, graceful in victims:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.units import (
     BandwidthMeter,
-    CostModel,
     DEFAULT_COST_MODEL,
     MessageCost,
 )
@@ -21,8 +20,8 @@ class TestMessageCost:
 
 class TestCostModel:
     def test_tuple_bytes_includes_overhead(self):
-        model = CostModel(tuple_base_bytes=100, serialization_overhead=2.0)
-        assert model.tuple_bytes(50) == 300
+        model = DEFAULT_COST_MODEL
+        assert model.tuple_bytes(50) == int((model.tuple_base_bytes + 50) * 1.6) == 560
 
     def test_item_tuple_grows_with_filename(self):
         short = DEFAULT_COST_MODEL.item_tuple_bytes("a.mp3")
@@ -42,12 +41,11 @@ class TestCostModel:
         )
 
     def test_routed_bytes_charges_payload_once(self):
-        model = CostModel(header_bytes=10)
-        assert model.routed_bytes(100, hops=3) == 100 + 30
+        model = DEFAULT_COST_MODEL
+        assert model.routed_bytes(100, hops=3) == 100 + 3 * model.header_bytes == 280
 
     def test_routed_bytes_minimum_one_hop(self):
-        model = CostModel(header_bytes=10)
-        assert model.routed_bytes(100, hops=0) == 110
+        assert DEFAULT_COST_MODEL.routed_bytes(100, hops=0) == 160
 
     def test_default_publish_cost_magnitude(self):
         """One file with ~4 keywords should cost a few KB, as in Section 7."""

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.common.zipf import (
+    SINGLETON_FRACTION,
     ZipfSampler,
     calibrate_power_law_alpha,
     long_tail_replica_counts,
@@ -87,9 +88,8 @@ class TestLongTailReplicaCounts:
         assert counts == sorted(counts, reverse=True)
 
     def test_singleton_fraction_near_target(self):
-        counts = long_tail_replica_counts(
-            5000, singleton_fraction=0.23, rng=random.Random(4)
-        )
+        assert SINGLETON_FRACTION == 0.23
+        counts = long_tail_replica_counts(5000, rng=random.Random(4))
         fraction = sum(1 for c in counts if c == 1) / len(counts)
         assert 0.18 < fraction < 0.28
 

@@ -89,7 +89,8 @@ class TestScheduledChurn:
         network.populate(30)
         churn = ChurnProcess(network, rng=6)
         sim = Simulator()
-        churn.schedule(sim, interval=10.0, steps=3, joins_per_step=2, leaves_per_step=2)
+        churn.schedule(sim, interval=10.0, steps=3)
         sim.run()
-        assert churn.stats.joins == 6
+        assert churn.stats.joins == 3
+        assert churn.stats.leaves + churn.stats.failures == 3
         assert sim.now == 30.0

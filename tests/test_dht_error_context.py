@@ -14,10 +14,6 @@ def test_hops_defaults_to_path_length_minus_one():
     assert err.hops == 2
 
 
-def test_explicit_hops_wins_over_path_length():
-    assert DhtError("m", path=[1, 2, 3], hops=7).hops == 7
-
-
 def test_contextless_failure_leaves_fields_none():
     err = DhtError("empty network")
     assert err.key is None and err.path is None and err.hops is None

@@ -5,15 +5,15 @@ import pytest
 
 from repro.common.ids import KEY_SPACE
 from repro.dht.keyspace import finger_start
-from repro.dht.ring import Ring
+from oracle import ring_of
 
 
 def responsible_node(ids, key):
-    return Ring(ids=ids).responsible(key)
+    return ring_of(ids).responsible(key)
 
 
 def successor_list(ids, node_id, count):
-    return Ring(ids=ids).successor_list(node_id, count)
+    return ring_of(ids).successor_list(node_id, count)
 
 
 class TestFingerStart:

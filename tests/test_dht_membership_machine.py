@@ -117,7 +117,7 @@ class MembershipMachine(RuleBasedStateMachine):
         seed=st.integers(min_value=0, max_value=1 << 16), replication=st.sampled_from([1, 2])
     )
     def build(self, seed, replication):
-        self.dht = DhtNetwork(rng=seed, replication=replication, successor_count=3)
+        self.dht = DhtNetwork(rng=seed, replication=replication)
         self.churn = ChurnProcess(self.dht, rng=seed + 1)
         self.order: list[int] = []
         self.departed: list[int] = []
@@ -271,24 +271,20 @@ class MembershipMachine(RuleBasedStateMachine):
         self._depart([(victim, False)], lambda: dht.remove_node(victim, graceful=False))
 
     @precondition(lambda self: len(self.order) > 2)
-    @rule(count=st.integers(min_value=1, max_value=4), start=keys, stabilize=st.booleans())
-    def regional_leave(self, count, start, stabilize):
-        # The arc by definition: ``count`` members clockwise from the owner
-        # of ``start``, each graceful on the churn RNG's next draw.
+    @rule(count=st.integers(min_value=1, max_value=4))
+    def regional_leave(self, count):
+        # The arc by definition: ``count`` members clockwise from the churn
+        # RNG's next ring position, each graceful on its next draw.
         twin = random.Random()
         twin.setstate(self.churn.rng.getstate())
         ring = sorted(self.order)
-        index = ring.index(reference_owner(ring, start))
+        index = twin.randrange(len(ring))
         arc = [ring[(index + offset) % len(ring)] for offset in range(min(count, len(ring) - 1))]
         victims = [(node_id, twin.random() >= 0.5) for node_id in arc]
         result = []
 
         def remove():
-            result.extend(
-                self.churn.regional_leave(
-                    count, start_key=start, failure_fraction=0.5, stabilize=stabilize
-                )
-            )
+            result.extend(self.churn.regional_leave(count, failure_fraction=0.5))
 
         self._depart(victims, remove)
         assert result == victims
@@ -308,9 +304,9 @@ class MembershipMachine(RuleBasedStateMachine):
     def put(self, entries, pick, routed):
         dht = self.dht
         origin = self._member(pick) if routed else None
-        if len(entries) == 1:
+        if len(entries) == 1 and origin is None:
             key, value = entries[0]
-            dht.put_raw(key, value, origin=origin, identity=value)
+            dht.put_raw(key, value, identity=value)
         else:
             batch = [(key % KEY_SPACE, value, value, 0, "dht.put") for key, value in entries]
             dht.put_many(batch, origin=origin)

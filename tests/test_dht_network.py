@@ -8,6 +8,7 @@ import pytest
 from repro.common.errors import DhtError, KeyNotFoundError, NodeNotFoundError
 from repro.common.ids import KEY_SPACE, hash_key
 from repro.dht.network import DhtNetwork
+from repro.dht.ring import DEFAULT_SUCCESSOR_COUNT
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ class TestDataPath:
     def test_put_get_roundtrip(self):
         network = DhtNetwork(rng=3)
         network.populate(32)
-        network.put("song", ("value", 1), payload_bytes=50)
+        network.put("song", ("value", 1))
         assert network.get("song") == [("value", 1)]
 
     def test_get_missing_key_raises(self):
@@ -127,7 +128,7 @@ class TestDataPath:
         network = DhtNetwork(rng=3)
         network.populate(32)
         before = network.meter.bytes
-        network.put("k", "v", payload_bytes=1000)
+        network.put_many(((hash_key("k"), "v", None, 1000, "dht.put"),))
         assert network.meter.bytes - before >= 1000
 
     def test_replication_places_copies(self):
@@ -406,7 +407,7 @@ class TestOwnerReads:
     def test_read_charges_its_named_category(self):
         network = self._network()
         network.put("song", "v")
-        assert network.get("song", category="pier.fetch") == ["v"]
+        assert network.get_raw(hash_key("song"), category="pier.fetch") == ["v"]
         assert network.meter.by_category["pier.fetch"].messages >= 1
         assert "dht.get" not in network.meter.by_category
 
@@ -620,10 +621,56 @@ class TestShipBatch:
         assert (network.meter.snapshot(), network.meter.by_category) == before
 
 
+class TestSuspectRepair:
+    """``clear_suspects_covering`` drops exactly the suspect intervals
+    ``(predecessor, failed]`` that hold its key and returns how many; an
+    interval that wraps past key 0 clears from either side of 0."""
+
+    @staticmethod
+    def crashed():
+        """Eight members, three crashed: the first (its slice wraps past
+        0), then the fourth and fifth, whose slices share a start."""
+        network = DhtNetwork(rng=7)
+        network.populate(8)
+        ring = sorted(network.nodes)
+        for victim in (ring[0], ring[3], ring[4]):
+            network.remove_node(victim, graceful=False)
+        wrap, first, second = (ring[-1], ring[0]), (ring[2], ring[3]), (ring[2], ring[4])
+        assert network.suspect_ranges == [wrap, first, second]
+        return network, ring, (wrap, first, second)
+
+    def test_only_the_intervals_holding_the_key_go(self):
+        network, ring, (wrap, first, second) = self.crashed()
+        assert network.clear_suspects_covering(ring[2]) == 0  # starts are open
+        assert network.clear_suspects_covering(ring[4]) == 1  # ends are closed
+        assert network.suspect_ranges == [wrap, first]
+        assert network.clear_suspects_covering(ring[4]) == 0
+
+    def test_a_key_in_two_intervals_clears_both(self):
+        network, ring, (wrap, _, _) = self.crashed()
+        assert network.clear_suspects_covering(ring[3]) == 2
+        assert network.suspect_ranges == [wrap]
+        assert not network.is_suspect(ring[3]) and network.is_suspect(0)
+
+    @pytest.mark.parametrize("side", ["above", "zero", "below", "reduced"])
+    def test_a_wrapping_interval_clears_from_either_side_of_zero(self, side):
+        network, ring, (_, first, second) = self.crashed()
+        key = {
+            "above": ring[-1] + 1,
+            "zero": 0,
+            "below": ring[0],
+            "reduced": KEY_SPACE + ring[0] // 2,
+        }[side]
+        assert network.clear_suspects_covering(key) == 1
+        assert network.suspect_ranges == [first, second]
+        assert not network.is_suspect(0)
+
+
 class TestBoundaries:
     def test_successor_lists_cover_the_replica_set(self):
-        assert DhtNetwork(replication=6, successor_count=2).successor_count == 6
-        assert DhtNetwork(replication=2, successor_count=5).successor_count == 5
+        wide = DEFAULT_SUCCESSOR_COUNT + 2
+        assert DhtNetwork(replication=wide).successor_count == wide
+        assert DhtNetwork(replication=2).successor_count == DEFAULT_SUCCESSOR_COUNT
 
     def test_an_empty_network_refuses_a_put(self):
         with pytest.raises(DhtError, match="empty network"):

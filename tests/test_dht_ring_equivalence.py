@@ -33,11 +33,11 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from oracle import reference_fingers
+from oracle import reference_fingers, ring_of
 from repro.common.ids import KEY_SPACE, hash_key
 from repro.dht.network import DhtNetwork
 from repro.dht.node import DhtNode
-from repro.dht.ring import Ring, bytes_per_peer, ring_state_bytes
+from repro.dht.ring import bytes_per_peer, ring_state_bytes
 
 keys = st.integers(min_value=0, max_value=KEY_SPACE - 1)
 
@@ -51,7 +51,7 @@ class TestRingPrimitives:
     @given(ids=st.lists(keys, min_size=1, max_size=40, unique=True), key=keys)
     @settings(max_examples=100)
     def test_responsible_is_first_id_clockwise(self, ids, key):
-        ring = Ring(ids=ids)
+        ring = ring_of(ids)
         clockwise = [node for node in sorted(ids) if node >= key]
         assert ring.responsible(key) == (clockwise[0] if clockwise else min(ids))
         assert list(ring) == sorted(ids) and len(ring) == len(ids)
@@ -65,7 +65,7 @@ class TestRingPrimitives:
     @settings(max_examples=100)
     def test_neighbours_and_fingers_match_definition(self, ids, probe, count):
         members = sorted(ids)
-        ring = Ring(ids=ids)
+        ring = ring_of(ids)
         position = probe % len(members)
         node = members[position]
         clockwise = members[position + 1 :] + members[:position]

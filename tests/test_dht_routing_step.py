@@ -18,12 +18,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import reference_fingers, reference_iter_lookup, reference_step
+from oracle import reference_fingers, reference_iter_lookup, reference_step, ring_of
 from repro.common.errors import DhtError
 from repro.common.ids import KEY_SPACE, in_interval, ring_distance
 from repro.dht.network import DhtNetwork
 from repro.dht.node import OWNS, DhtNode
-from repro.dht.ring import Ring, RingCell, RingSnapshot
+from repro.dht.ring import RingCell, RingSnapshot
 
 WORD_SPACE = 1 << 64
 #: 64-bit words shifted into the top of the keyspace: sparse ids whose low
@@ -66,7 +66,7 @@ class TestFingerTables:
     @settings(max_examples=120, deadline=None)
     def test_list_ring_matches_definition(self, cluster, far):
         ids, probes = cluster
-        ring = Ring(ids=ids)
+        ring = ring_of(ids)
         for node_id in ids[:6] + ids[-2:] + probes + [far]:
             assert ring.fingers_of(node_id) == reference_fingers(ids, node_id)
 
@@ -76,7 +76,7 @@ class TestFingerTables:
         words, probe_words = cluster
         ids = [word << WORD_SHIFT for word in words]
         probes = [word << WORD_SHIFT for word in probe_words]
-        ring = Ring(ids=ids)
+        ring = ring_of(ids)
         # ``far`` is (almost surely) not a multiple of 2**96: a
         # non-member id between two word-aligned members.
         for node_id in ids[:6] + ids[-2:] + probes + [far]:
@@ -101,7 +101,7 @@ class TestFingerTables:
                     else [rng.getrandbits(bits) for _ in range(size)]
                 )
                 ids = [i << shift for i in clustered(space, bits, base, smalls)]
-                ring = Ring(ids=ids)
+                ring = ring_of(ids)
                 members = ids if len(ids) <= 40 else rng.sample(ids, 40)
                 strangers = [
                     ((base + rng.getrandbits(bits)) % space) << shift for _ in range(4)
@@ -229,7 +229,7 @@ class TestCompiledTableInvalidation:
     @settings(max_examples=100, deadline=None)
     def test_snapshot_version_change(self, words, joiner, key):
         ids = [word << WORD_SHIFT for word in words]
-        ring, cell = Ring(ids=ids), RingCell()
+        ring, cell = ring_of(ids), RingCell()
         nodes = [DhtNode(node_id, ring_cell=cell) for node_id in ids]
         cell.snapshot = RingSnapshot(1, ring)
         for node in nodes:
@@ -257,7 +257,7 @@ class TestCompiledTableInvalidation:
         """An assignment first materialises the other tables from the
         current snapshot; the compiled table must reflect both."""
         ids = [word << WORD_SHIFT for word in (10, 20, 30, 40)]
-        ring, cell = Ring(ids=ids), RingCell()
+        ring, cell = ring_of(ids), RingCell()
         node = DhtNode(ids[0], ring_cell=cell)
         cell.snapshot = RingSnapshot(1, ring)
         key = ids[2] + 1

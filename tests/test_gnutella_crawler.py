@@ -26,20 +26,9 @@ class TestCrawl:
         result = crawl(topology, seeds=topology.ultrapeers[:5])
         assert result.api_calls <= 200
 
-    def test_nonresponders_make_estimate_lower_bound(self, topology):
-        full = crawl(topology, seeds=topology.ultrapeers[:5])
-        partial = crawl(topology, seeds=topology.ultrapeers[:5], response_rate=0.5, rng=3)
-        found = [len(r.discovered_ultrapeers) + len(r.discovered_leaves) for r in (partial, full)]
-        assert found[0] <= found[1]
-        assert partial.non_responders > 0
-
     def test_seed_must_be_ultrapeer(self, topology):
         result = crawl(topology, seeds=[topology.leaves[0]])
         assert not result.discovered_ultrapeers and not result.discovered_leaves
-
-    def test_bad_response_rate_rejected(self, topology):
-        with pytest.raises(ValueError):
-            crawl(topology, seeds=topology.ultrapeers[:1], response_rate=0.0)
 
 
 class TestFloodOverheadCurve:

@@ -5,13 +5,11 @@ import random
 import pytest
 
 from oracle import reference_flood
-from repro.common.units import BandwidthMeter, CostModel
 from repro.gnutella.dynamic import dynamic_query
-from repro.gnutella.flooding import FLOOD_CATEGORY, flood
+from repro.gnutella.flooding import flood
 from repro.gnutella.index import UltrapeerIndex
 from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.topology import Topology, TopologyConfig, build_topology
-from repro.net.transport import InProcessTransport
 from repro.workload.library import ContentLibrary, SharedFile
 
 
@@ -182,8 +180,7 @@ FLOOD_TOPOLOGIES = {
 class TestFloodReference:
     """A flood equals :func:`oracle.reference_flood`, which counts it from
     hop distances and degrees: the nodes reached, every message
-    (duplicates included), both per-hop curves, each match at its hop,
-    and one transport charge of every message at the framed size."""
+    (duplicates included), both per-hop curves and each match at its hop."""
 
     @pytest.mark.parametrize("ttl", [1, 3])
     @pytest.mark.parametrize("shape", sorted(FLOOD_TOPOLOGIES))
@@ -196,11 +193,7 @@ class TestFloodReference:
             for node in topo.ultrapeers
         })
         origin = rng.choice(topo.ultrapeers)
-        model = CostModel()
-        transport = InProcessTransport(BandwidthMeter(), model)
-        result = flood(
-            topo, indexes, origin, ["alpha"], ttl, transport=transport, payload_bytes=40
-        )
+        result = flood(topo, indexes, origin, ["alpha"], ttl)
         visited, messages, visited_by_hop, messages_by_hop, matches = reference_flood(
             topo, indexes, origin, ["alpha"], ttl
         )
@@ -210,13 +203,6 @@ class TestFloodReference:
         assert result.messages_by_hop == messages_by_hop
         found = sorted((m.file.filename, m.file.node_id, m.hop) for m in result.matches)
         assert found == matches
-        charged = transport.meter.by_category.get(FLOOD_CATEGORY)
-        if messages:
-            assert (charged.messages, charged.bytes) == (
-                messages, messages * model.message_bytes(40)
-            )
-        else:
-            assert charged is None
 
 
 class TestHorizonFlood:

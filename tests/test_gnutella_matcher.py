@@ -25,6 +25,8 @@ from oracle import (
 )
 from repro.gnutella.index import UNSELECTIVE_TOKENS, FilenameMatcher, UltrapeerIndex
 from repro.gnutella.measurement import (
+    DESIRED_RESULTS,
+    UNION_KS,
     ContentMatcher,
     bfs_depths,
     dynamic_stop_ttl,
@@ -303,8 +305,9 @@ def test_dynamic_stop_ttl_equals_per_ttl_recount(depths, desired, max_ttl):
 # ----------------------------------------------------------------------
 
 #: sha256 of ``repr((vantages, replays))`` for the world below, recorded
-#: from the commit before the shared content plane
-CAMPAIGN_DIGEST = "84f8dfc603847a85da8ec7cf2be3883c73967955235dd19d97110b41b9145772"
+#: from the campaign before its vantage count, result target and union
+#: sizes became constants (one-connection leaves, the default miss rate)
+CAMPAIGN_DIGEST = "b5b10132a813e7575447de5e935e7e1c5d57bfd6a9db80e0d6100bfa79c38077"
 
 
 @pytest.fixture(scope="module")
@@ -313,15 +316,11 @@ def campaign_world():
         num_items=120, vocabulary_size=300, max_replicas=60, rng=61
     )
     config = TopologyConfig(
-        num_ultrapeers=60, num_leaves=240, new_client_fraction=0.0,
-        leaf_connections=2, seed=62,
+        num_ultrapeers=60, num_leaves=240, new_client_fraction=0.0, seed=62,
     )
     network = GnutellaNetwork.build(library, config, rng=63)
-    workload = generate_workload(library, 60, miss_fraction=0.1, rng=64)
-    campaign = replay_campaign(
-        network, workload, num_vantages=8, desired_results=20, max_ttl=3,
-        union_ks=(2, 5, 8),
-    )
+    workload = generate_workload(library, 60, rng=64)
+    campaign = replay_campaign(network, workload, max_ttl=3)
     return network, workload, campaign
 
 
@@ -337,7 +336,7 @@ def test_campaign_equals_reference_replay(campaign_world):
     for position, (query, replay) in enumerate(zip(workload, campaign.replays)):
         designated = position % len(campaign.vantages)
         expected = reference_replay(
-            network, query, depth_maps, 20, (2, 5, 8), 3, designated
+            network, query, depth_maps, DESIRED_RESULTS, UNION_KS, 3, designated
         )
         first_depth = expected.pop("first_depth")
         for name, value in expected.items():

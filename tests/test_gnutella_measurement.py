@@ -34,7 +34,7 @@ def env():
 @pytest.fixture(scope="module")
 def campaign(env):
     _, network, workload = env
-    return replay_campaign(network, workload, num_vantages=8, max_ttl=3)
+    return replay_campaign(network, workload, max_ttl=3)
 
 
 class TestContentMatcher:

@@ -31,11 +31,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             TopologyConfig(new_client_fraction=1.5)
 
-    def test_rejects_zero_leaf_connections(self):
-        with pytest.raises(ValueError):
-            TopologyConfig(leaf_connections=0)
-
-
 class TestStructure:
     def test_counts(self, topology):
         assert len(topology.ultrapeers) == 300
@@ -136,9 +131,9 @@ class TestAttachLeavesReference:
         self, monkeypatch, seed, ultrapeers, leaves, connections
     ):
         config = TopologyConfig(
-            num_ultrapeers=ultrapeers, num_leaves=leaves, new_client_fraction=0.0,
-            leaf_connections=connections, seed=seed,
+            num_ultrapeers=ultrapeers, num_leaves=leaves, new_client_fraction=0.0, seed=seed,
         )
+        monkeypatch.setattr(topology_module, "LEAF_CONNECTIONS", connections)
         built = build_topology(config)
         monkeypatch.setattr(topology_module, "_attach_leaves", reference_attach_leaves)
         assert build_topology(config) == built

@@ -28,7 +28,8 @@ from oracle import steady_hops
 
 def build(**extra):
     """A hybrid ultrapeer on a 16-node ring, and ``ask(terms, depths,
-    stop_ttl)``: one leaf query raced to the end on its own engine."""
+    stop_ttl)``: one leaf query raced to the end on its own engine
+    (``ask.engine``)."""
     network = steady_hops(DhtNetwork(rng=41), hop=1.0)
     nodes = network.populate(16)
     catalog = Catalog(network)
@@ -37,7 +38,6 @@ def build(**extra):
         dht_node_id=nodes[0].node_id,
         publisher=Publisher(network, catalog),
         search_engine=SearchEngine(network, catalog),
-        qrs_threshold=5,
         gnutella_timeout=30.0,
         **extra,
     )
@@ -50,6 +50,7 @@ def build(**extra):
         assert race.done
         return race.outcome
 
+    ask.engine = engine
     return hybrid, ask
 
 
@@ -74,7 +75,9 @@ class TestQrsPublishing:
         assert hybrid.files_published == 1
 
     def test_large_result_set_ignored(self, hybrid):
-        results = [shared(f"popular track {i}.mp3", node=i) for i in range(6)]
+        results = [
+            shared(f"popular track {i}.mp3", node=i) for i in range(QRS_RESULT_SIZE_THRESHOLD)
+        ]
         assert hybrid.observe_query_results(results) == 0
 
     def test_empty_result_set_ignored(self, hybrid):
@@ -90,10 +93,10 @@ class TestQrsPublishing:
         hybrid.observe_query_results([shared("rare montia klorena.mp3")])
         assert hybrid.publish_bytes > 0
 
-    @pytest.mark.parametrize("size, published", [(1, 1), (4, 4), (5, 0), (6, 0)])
+    @pytest.mark.parametrize("size, published", [(1, 1), (19, 19), (20, 0), (21, 0)])
     def test_a_set_below_the_threshold_is_published_whole(self, hybrid, size, published):
-        """QRS with threshold 5: a set of 1-4 results is rare and every
-        file in it is published; a set of 5 or more is not."""
+        """QRS with threshold 20: a set of 1-19 results is rare and every
+        file in it is published; a set of 20 or more is not."""
         results = [shared(f"track {i} of {size}.mp3", node=i) for i in range(size)]
         assert hybrid.observe_query_results(results) == published
         assert hybrid.files_published == published
@@ -107,7 +110,7 @@ class TestQrsPublishing:
             publisher=first.publisher,
             search_engine=first.search_engine,
         )
-        assert hybrid.qrs_threshold == QRS_RESULT_SIZE_THRESHOLD == 20
+        assert QRS_RESULT_SIZE_THRESHOLD == 20
         popular = [shared(f"track {i}.mp3", node=i) for i in range(20)]
         assert hybrid.observe_query_results(popular) == 0
         assert hybrid.observe_query_results(popular[:19]) == 19
@@ -116,7 +119,10 @@ class TestQrsPublishing:
         """A file's smallest result set decides: seen first among popular
         answers it stays unpublished until a small set carries it."""
         rare = shared("rare montia klorena.mp3")
-        popular = [shared(f"popular track {i}.mp3", node=i) for i in range(5)]
+        popular = [
+            shared(f"popular track {i}.mp3", node=i)
+            for i in range(QRS_RESULT_SIZE_THRESHOLD - 1)
+        ]
         assert hybrid.observe_query_results(popular + [rare]) == 0
         assert hybrid.observe_query_results([rare]) == 1
         assert hybrid.observe_query_results(popular + [rare]) == 0
@@ -135,7 +141,6 @@ class TestQrsPublishing:
             dht_node_id=first.dht_node_id,
             publisher=first.publisher,
             search_engine=first.search_engine,
-            qrs_threshold=5,
         )
         file = shared("rare montia klorena.mp3")
         assert first.observe_query_results([file]) == 1
@@ -199,9 +204,8 @@ class TestHybridQueryPath:
 
     def test_outcomes_recorded(self, leaf):
         hybrid, ask = leaf
-        ask(["a1"], [1.0] * 3)
-        ask(["b2"])
-        assert len(hybrid.outcomes) == 2
+        outcomes = [ask(["a1"], [1.0] * 3), ask(["b2"])]
+        assert [race.outcome for race in ask.engine.races] == outcomes
 
 
 class TestResultCache:

@@ -36,7 +36,7 @@ def world():
         for file in files:
             publisher.publish_file(file.filename, file.filesize, file.ip_address, file.port)
     engine = SearchEngine(dht, catalog)
-    workload = generate_workload(library, 40, miss_fraction=0.1, rng=115)
+    workload = generate_workload(library, 40, rng=115)
     return library, gnutella, engine, workload
 
 

@@ -27,9 +27,6 @@ class TestSystemParameters:
     def test_search_cost_is_log_n(self, params):
         assert params.search_cost_dht == pytest.approx(math.log2(10_000))
 
-    def test_dht_hops_override(self):
-        assert SystemParameters(n=100, n_horizon=10, dht_hops=3.0).search_cost_dht == 3.0
-
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             SystemParameters(n=10, n_horizon=11)

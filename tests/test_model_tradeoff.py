@@ -48,20 +48,8 @@ class TestAverageQr:
 
     def test_union_policy_gain_proportional_to_replica_share(self):
         queries = [QueryMatches(0, {"rare": 1, "popular": 99})]
-        qr = average_qr(queries, {"rare"}, 0.1, policy="union")
+        qr = average_qr(queries, {"rare"}, 0.1)
         assert qr == pytest.approx(0.1 + 0.9 * 0.01)
-
-    def test_conditional_policy_discounts_found_queries(self):
-        queries = [QueryMatches(0, {"rare": 1, "popular": 99})]
-        union = average_qr(queries, {"rare"}, 0.1, policy="union")
-        conditional = average_qr(queries, {"rare"}, 0.1, policy="conditional")
-        assert conditional < union
-
-    def test_conditional_equals_union_for_singleton_query(self):
-        queries = [QueryMatches(0, {"rare": 1})]
-        union = average_qr(queries, {"rare"}, 0.1, policy="union")
-        conditional = average_qr(queries, {"rare"}, 0.1, policy="conditional")
-        assert conditional == pytest.approx(union)
 
     def test_skips_empty_queries(self):
         queries = [QueryMatches(0, {}), QueryMatches(1, {"rare": 1})]
@@ -70,10 +58,6 @@ class TestAverageQr:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             average_qr([], set(), 1.5)
-
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ValueError):
-            average_qr([], set(), 0.1, policy="bogus")
 
 
 class TestAverageQdr:

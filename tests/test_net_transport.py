@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.units import BandwidthMeter, CostModel
 from repro.dht.network import DhtNetwork
-from repro.gnutella.flooding import FLOOD_CATEGORY, flood
 from repro.net import FaultInjectingTransport, InProcessTransport
 from repro.net.transport import HOP_JITTER, HOP_LATENCY
 
@@ -41,19 +40,6 @@ def test_charges_accumulate_on_shared_meter(transport):
     assert transport.meter.messages == 5
     assert transport.meter.bytes == 250
     assert transport.meter.by_category["a"].bytes == 110
-
-
-def test_flood_charges_one_framed_message_per_forwarded_edge(transport):
-    # A triangle: from 0, hop 1 sends 0->1 and 0->2, hop 2 sends the two
-    # duplicates 1->2 and 2->1 (each forwards to every neighbour but its
-    # parent), and nothing new is reached, so the flood stops there.
-    class Triangle:
-        neighbors = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
-
-    result = flood(Triangle(), {}, 0, ["x"], ttl=3, transport=transport, payload_bytes=30)
-    assert result.messages == 4
-    charged = transport.meter.by_category[FLOOD_CATEGORY]
-    assert (charged.messages, charged.bytes) == (4, 4 * transport.cost_model.message_bytes(30))
 
 
 def test_hop_delays_matches_inline_uniform_draws(transport):

@@ -1,12 +1,8 @@
 """Tests for the pull-based subsystem collectors (repro.obs.collect)."""
 
-import dataclasses
-
-from repro.cache.results import CacheStats, QueryResultCache
 from repro.dht.network import DhtNetwork
 from repro.obs.collect import (
     collect_all,
-    collect_cache,
     collect_network,
     collect_simulator,
 )
@@ -64,35 +60,7 @@ class TestNetworkCollector:
         assert registry.to_json() == first
 
 
-class TestCacheAndSimCollectors:
-    def test_cache_gauges(self):
-        cache = QueryResultCache(budget_bytes=4096)
-        cache.put(("montia",), ["a.mp3"], cost_bytes=100, result_count=1)
-        cache.get(("montia",))
-        cache.get(("missing",))
-        registry = MetricsRegistry()
-        collect_cache(registry, cache)
-        assert registry.gauge("cache.hits").value == 1
-        assert registry.gauge("cache.misses").value == 1
-        assert registry.gauge("cache.entries").value == 1
-        assert registry.gauge("cache.budget_bytes").value == 4096
-
-    def test_cache_gauges_are_every_counter_plus_occupancy(self):
-        """One gauge per ``CacheStats`` field, then the hit ratio and the
-        occupancy: nothing for a counter the cache does not keep."""
-        cache = QueryResultCache(budget_bytes=4096)
-        cache.put(("montia",), ["a.mp3"], cost_bytes=100)
-        cache.put(("toolarge",), ["b" * 5000 + ".mp3"], cost_bytes=100)
-        registry = MetricsRegistry()
-        collect_cache(registry, cache, prefix="c")
-        counters = [field.name for field in dataclasses.fields(CacheStats)]
-        assert list(registry.gauges) == [
-            *(f"c.{name}" for name in counters),
-            "c.hit_ratio", "c.entries", "c.used_bytes", "c.budget_bytes",
-        ]
-        assert registry.gauge("c.rejections").value == 1
-        assert registry.gauge("c.used_bytes").value == cache.used_bytes
-
+class TestSimCollector:
     def test_simulator_gauges(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
@@ -109,11 +77,7 @@ class TestCollectAll:
     def test_one_call_scrape_exports_validly(self):
         dht = small_network()
         sim = Simulator()
-        cache = QueryResultCache(budget_bytes=1024)
-        registry = collect_all(
-            MetricsRegistry(), network=dht, sim=sim, caches={"results": cache}
-        )
-        assert registry.gauge("cache.results.entries").value == 0
+        registry = collect_all(MetricsRegistry(), network=dht, sim=sim)
         text = registry.to_prometheus()
         validate_prometheus(text)
         assert "repro_dht_nodes 8" in text

@@ -71,12 +71,12 @@ class TestPrometheusExport:
         registry = MetricsRegistry()
         histogram = registry.histogram("lat")
         histogram.extend([1.0, 2.0, 3.0, 4.0])
-        text = registry.to_prometheus(prefix="")
+        text = registry.to_prometheus()
         validate_prometheus(text)
-        assert "# TYPE lat summary" in text
-        assert 'lat{quantile="0.5"} 2.0' in text
-        assert "lat_sum 10.0" in text
-        assert "lat_count 4" in text
+        assert "# TYPE repro_lat summary" in text
+        assert 'repro_lat{quantile="0.5"} 2.0' in text
+        assert "repro_lat_sum 10.0" in text
+        assert "repro_lat_count 4" in text
 
     def test_empty_histogram_skips_quantiles_but_exports_count(self):
         registry = MetricsRegistry()

@@ -13,7 +13,7 @@ class TestSpanTree:
         tracer = Tracer()
         root = tracer.begin("race", at=0.0, terms=["montia"])
         walk = root.child("requery.attempt", at=5.0, attempt=1)
-        walk.event("dht.lookup", at=6.0, hops=3)
+        walk.event("dht.lookup", hops=3)
         walk.finish(at=7.0)
         root.finish(at=8.0, winner="pier")
         assert root.parent is None and walk.parent is root
@@ -24,7 +24,8 @@ class TestSpanTree:
 
     def test_simulator_clock_drives_timestamps(self):
         sim = Simulator()
-        tracer = Tracer(clock=lambda: sim.now)
+        tracer = Tracer()
+        tracer.bind_clock(lambda: sim.now)
         span = tracer.begin("query")
         sim.schedule(2.5, lambda: span.finish())
         sim.run()
@@ -43,7 +44,8 @@ class TestSpanTree:
     def test_events_are_instant(self):
         tracer = Tracer()
         root = tracer.begin("root", at=0.0)
-        marker = root.event("first_answer", at=3.0, tuples=2)
+        tracer.bind_clock(lambda: 3.0)
+        marker = root.event("first_answer", tuples=2)
         assert marker.start == marker.end == 3.0
         assert marker.duration == 0.0
 
@@ -57,8 +59,10 @@ class TestSpanTree:
         tracer = Tracer()
         tracer.begin("a", at=0.0)
         tracer.begin("b", at=1.0).finish(at=2.0)
-        assert tracer.finish_open(at=5.0) == 1
+        tracer.bind_clock(lambda: 5.0)
+        assert tracer.finish_open() == 1
         assert all(span.finished for span in tracer.spans)
+        assert tracer.spans[0].end == 5.0
 
     def test_complete_equals_child_plus_finish(self):
         tracer = Tracer()
@@ -71,7 +75,8 @@ class TestSpanTree:
 
     def test_complete_defaults_to_clock_instant(self):
         sim = Simulator()
-        tracer = Tracer(clock=lambda: sim.now)
+        tracer = Tracer()
+        tracer.bind_clock(lambda: sim.now)
         sim.schedule(4.0, lambda: tracer.complete("tick"))
         sim.run()
         (span,) = tracer.roots

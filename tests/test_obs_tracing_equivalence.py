@@ -46,7 +46,8 @@ def traced_span_forest() -> dict:
         query_node = network.random_node_id()
         plan = replace(plan_for(catalog, strategy, PINNED_TERMS, query_node), batch_size=2)
         sim = Simulator()
-        tracer = Tracer(clock=lambda: sim.now)
+        tracer = Tracer()
+        tracer.bind_clock(lambda: sim.now)
         executor = DataflowExecutor(network, catalog, sim=sim, rng=0, tracer=tracer)
         executor.execute(plan)
         forests[f"{strategy.name}|pipelined"] = [root.tree() for root in tracer.roots]
@@ -69,7 +70,8 @@ def matrix_digest(traced: bool, seeds=(0, 3)) -> dict:
         rng, network, catalog = build_world(seed)
         if traced:
             sim = Simulator()
-            tracer = Tracer(clock=lambda: sim.now)
+            tracer = Tracer()
+            tracer.bind_clock(lambda: sim.now)
             metrics = MetricsRegistry()
         else:
             sim, tracer, metrics = Simulator(), None, None
@@ -110,7 +112,8 @@ class TestObservationIsFree:
 
         rng, network, catalog = build_world(0)
         sim = Simulator()
-        tracer = Tracer(clock=lambda: sim.now)
+        tracer = Tracer()
+        tracer.bind_clock(lambda: sim.now)
         metrics = MetricsRegistry()
         executor = DataflowExecutor(
             network, catalog, sim=sim, rng=0, tracer=tracer, metrics=metrics
@@ -135,9 +138,9 @@ class CountingRegistry(MetricsRegistry):
         self.lookups.append(name)
         return super().counter(name, labels)
 
-    def histogram(self, name, labels=None, reservoir_size=None, seed=0):
+    def histogram(self, name, labels=None, reservoir_size=None):
         self.lookups.append(name)
-        return super().histogram(name, labels, reservoir_size, seed)
+        return super().histogram(name, labels, reservoir_size)
 
 
 class TestMeteredDataflow:

@@ -431,10 +431,9 @@ class TestDepartedJoinSite:
         sites = {inverted.host_of(term) for term in self.TERMS}
         hybrid = next(h for h in world.hybrids if h.dht_node_id not in sites)
         shipped = self.leave_after_first_batch(monkeypatch, network, Edge.SEMI)
-        done = []
-        race = world.engine.submit(hybrid, self.TERMS, [math.inf], 3, on_done=done.append)
+        race = world.engine.submit(hybrid, self.TERMS, [math.inf], 3)
         world.sim.run()
-        assert done == [race] and world.engine.completed == 1
+        assert race.done and world.engine.completed == 1
         assert race.pier_attempts == 2
         assert race.outcome.pier_results == expected
         # The re-planned semi-join fetched its Items from its last join

@@ -28,11 +28,6 @@ class TestSubstringFilter:
         rows = [{"fulltext": "Britney Spears - Toxic.mp3"}]
         assert SubstringFilter(rows, "fulltext", "TOXIC").rows() == rows
 
-    def test_case_sensitive_option(self):
-        rows = [{"fulltext": "Toxic"}]
-        out = SubstringFilter(rows, "fulltext", "toxic", case_sensitive=True).rows()
-        assert out == []
-
     def test_no_match(self):
         rows = [{"fulltext": "something"}]
         assert SubstringFilter(rows, "fulltext", "absent").rows() == []

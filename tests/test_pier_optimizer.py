@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog
+from repro.pier import dataflow
 from repro.pier.dataflow import DataflowExecutor
 from repro.obs.metrics import MetricsRegistry
 from repro.pier.optimizer import (
@@ -249,8 +251,8 @@ class TestBloomJoinProperties:
             network.random_node_id(),
             strategy=JoinStrategy.BLOOM_JOIN,
         )
-        plan.bloom_fp_rate = fp_rate
-        rows_bloom, stats = executor.execute(plan)
+        with patch.object(dataflow, "BLOOM_FP_RATE", fp_rate):
+            rows_bloom, stats = executor.execute(plan)
         assert result_key(rows_bloom) == result_key(
             oracle_items(catalog, ["rarex", "popular"])
         )
@@ -273,9 +275,9 @@ class TestBloomJoinProperties:
             strategy=JoinStrategy.BLOOM_JOIN,
         )
         plan.batch_size = None
-        plan.bloom_fp_rate = fp_rate
-        rows_whole, stats_whole = unbatched.execute(plan)
-        rows_split, stats_split = batched.execute(replace(plan, batch_size=3))
+        with patch.object(dataflow, "BLOOM_FP_RATE", fp_rate):
+            rows_whole, stats_whole = unbatched.execute(plan)
+            rows_split, stats_split = batched.execute(replace(plan, batch_size=3))
         assert result_key(rows_split) == result_key(rows_whole)
         assert stats_split.filter_bytes == stats_whole.filter_bytes
         assert stats_split.posting_entries_shipped == stats_whole.posting_entries_shipped
@@ -294,8 +296,8 @@ class TestBloomJoinProperties:
             plan = planner.plan(
                 ["rarex", "popular"], query_node, strategy=JoinStrategy.BLOOM_JOIN
             )
-            plan.bloom_fp_rate = fp_rate
-            return executor.execute(plan)
+            with patch.object(dataflow, "BLOOM_FP_RATE", fp_rate):
+                return executor.execute(plan)
 
         rows_tight, stats_tight = run(0.001)
         rows_loose, stats_loose = run(0.5)
@@ -357,22 +359,19 @@ class TestOptimizedSearchEngine:
     def test_optimized_results_match_distributed_join(self):
         network, catalog = build_world(seed=5, popular=80, rare=12, overlap=5)
         optimized = SearchEngine(network, catalog, optimizer=True)
-        baseline = SearchEngine(network, catalog)
+        baseline = SearchEngine(network, catalog, strategy=JoinStrategy.DISTRIBUTED_JOIN)
         node = network.random_node_id()
         fast = optimized.search(["rarex", "popular"], query_node=node)
-        slow = baseline.search(
-            ["rarex", "popular"], query_node=node,
-            strategy=JoinStrategy.DISTRIBUTED_JOIN,
-        )
+        slow = baseline.search(["rarex", "popular"], query_node=node)
         assert result_key(fast.items) == result_key(slow.items)
         assert fast.stats.bytes < slow.stats.bytes
 
     def test_explicit_strategy_still_honoured(self):
         network, catalog = build_world(seed=5, popular=40, rare=6, overlap=2)
-        engine = SearchEngine(network, catalog, optimizer=True)
-        plan = engine.prepare(
-            ["rarex", "popular"], strategy=JoinStrategy.DISTRIBUTED_JOIN
+        engine = SearchEngine(
+            network, catalog, strategy=JoinStrategy.DISTRIBUTED_JOIN, optimizer=True
         )
+        plan = engine.prepare(["rarex", "popular"])
         assert plan.strategy is JoinStrategy.DISTRIBUTED_JOIN
 
 

@@ -81,7 +81,7 @@ class TestSearch:
     def test_strategy_override(self, search_env):
         network, catalog = search_env
         engine = SearchEngine(network, catalog, strategy=JoinStrategy.INVERTED_CACHE)
-        result = engine.search(["toxic"], strategy=JoinStrategy.INVERTED_CACHE)
+        result = engine.search(["toxic"])
         assert result.stats.strategy is JoinStrategy.INVERTED_CACHE
 
     def test_explicit_query_node(self, search_env):
@@ -100,11 +100,9 @@ class TestSearch:
         node = network.random_node_id()
         stored = sorted(network.stored_items())
         free, tight = (
-            SearchEngine(network, catalog, memory_budget=budget).search(
-                ["britney", "toxic"],
-                query_node=node,
-                strategy=JoinStrategy.DISTRIBUTED_JOIN,
-            )
+            SearchEngine(
+                network, catalog, strategy=JoinStrategy.DISTRIBUTED_JOIN, memory_budget=budget
+            ).search(["britney", "toxic"], query_node=node)
             for budget in (None, 1)
         )
         assert sorted(tight.filenames) == sorted(free.filenames) != []

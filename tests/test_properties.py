@@ -6,12 +6,11 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.common.ids import KEY_SPACE, hash_key, in_interval, ring_distance
-from repro.dht.ring import Ring
 from repro.model.analytical import SystemParameters, pf_gnutella, pf_hybrid
 from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.piersearch.tokenizer import extract_keywords, tokenize
 
-from oracle import nested_loop_join
+from oracle import nested_loop_join, ring_of
 
 ring_points = st.integers(min_value=0, max_value=KEY_SPACE - 1)
 
@@ -37,7 +36,7 @@ class TestRingProperties:
 
     @given(ids=st.lists(ring_points, min_size=1, max_size=30, unique=True), key=ring_points)
     def test_responsible_node_is_first_clockwise(self, ids, key):
-        owner = Ring(ids=ids).responsible(key)
+        owner = ring_of(ids).responsible(key)
         assert owner in ids
         # No other node lies strictly between the key and its owner.
         for node in ids:

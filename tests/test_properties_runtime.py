@@ -178,7 +178,7 @@ def _apply(network: DhtNetwork, op, keys) -> None:
         network.lookup(keys[operand % len(keys)], origin=network.random_node_id())
     elif kind == "put":
         key = keys[operand % 12]
-        network.put_raw(key, f"v{operand}", payload_bytes=64)
+        network.put_many(((key, f"v{operand}", None, 64, "dht.put"),))
         assert f"v{operand}" in network.get_local(network.owner_of(key), key)
     elif kind == "get":
         key = keys[operand % 12]

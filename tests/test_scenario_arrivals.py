@@ -36,9 +36,7 @@ def test_different_seeds_differ():
 
 
 def test_diurnal_oscillates_about_the_mean():
-    spec = ArrivalSpec(
-        kind="diurnal", rate=2.0, diurnal_period=200.0, diurnal_amplitude=0.8
-    )
+    spec = ArrivalSpec(kind="diurnal", rate=2.0, diurnal_period=200.0)
     out = arrivals(spec, duration=2000.0)
     # Day half-cycles [0, 100) mod 200 run at up to 1.8x the trough
     # half-cycles [100, 200): the split must be visibly asymmetric.

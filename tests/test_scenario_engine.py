@@ -3,7 +3,6 @@
 import dataclasses
 
 from repro.hybrid.engine import RaceConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.scenario import (
     ArrivalSpec,
     ChurnSpec,
@@ -138,8 +137,9 @@ def test_failed_gate_reported_not_raised():
 
 
 def test_metrics_published_per_scenario():
-    metrics = MetricsRegistry()
-    report = run_scenario(tiny(), metrics=metrics)
+    runner = ScenarioRunner(tiny())
+    report = runner.run()
+    metrics = runner.metrics
     gauge = metrics.gauge("scenario.recall", labels={"scenario": "tiny"})
     assert gauge.value == report.recall
     passed = metrics.gauge("scenario.slo_passed", labels={"scenario": "tiny"})

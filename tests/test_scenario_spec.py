@@ -34,7 +34,6 @@ def test_all_presets_validate():
         ArrivalSpec(kind="bogus"),
         ArrivalSpec(rate=0.0),
         ArrivalSpec(rate=-1.0),
-        ArrivalSpec(kind="diurnal", diurnal_amplitude=1.0),
         ArrivalSpec(kind="diurnal", diurnal_period=0.0),
         ArrivalSpec(kind="flash_crowd", flash_duration=0.0),
         ArrivalSpec(kind="flash_crowd", flash_start=-1.0),
@@ -69,7 +68,6 @@ def test_bad_churn_rejected(churn):
     "workload",
     [
         WorkloadSpec(kind="bogus"),
-        WorkloadSpec(popular_fraction=1.0),
         WorkloadSpec(kind="free_riders", free_rider_fraction=0.0),
         WorkloadSpec(kind="free_riders", free_rider_fraction=1.0),
         WorkloadSpec(kind="query_of_death", qod_families=1),
@@ -95,7 +93,6 @@ def test_qod_conjunction_space_must_cover_corpus():
         SloSpec(min_recall=1.5),
         SloSpec(max_p95_latency=0.0),
         SloSpec(max_query_kb=0.0),
-        SloSpec(max_silent_loss=-1),
         SloSpec(max_degraded_fraction=2.0),
         SloSpec(min_cache_hit_rate=-0.1),
     ],

@@ -85,7 +85,7 @@ class TestReservoirHistogram:
         assert hist.mean == pytest.approx(4999.5)
 
     def test_fills_in_arrival_order_then_holds_its_size(self):
-        hist = Histogram("lat", reservoir_size=8, seed=1)
+        hist = Histogram("lat", reservoir_size=8)
         for value in range(8):
             hist.observe(float(value))
         assert hist.samples == [float(v) for v in range(8)]
@@ -95,16 +95,15 @@ class TestReservoirHistogram:
         assert hist.count == 200
 
     def test_seeded_reservoir_is_deterministic(self):
-        def build(seed):
-            hist = Histogram("lat", reservoir_size=32, seed=seed)
+        def build():
+            hist = Histogram("lat", reservoir_size=32)
             hist.extend([float(v) for v in range(5_000)])
             return list(hist.samples)
 
-        assert build(seed=7) == build(seed=7)
-        assert build(seed=7) != build(seed=8)
+        assert build() == build() != [float(v) for v in range(32)]
 
     def test_reservoir_quantiles_approximate_truth(self):
-        hist = Histogram("lat", reservoir_size=512, seed=3)
+        hist = Histogram("lat", reservoir_size=512)
         hist.extend([float(v) for v in range(20_000)])
         # Uniform stream: the reservoir median should land near 10k.
         assert hist.quantile(0.5) == pytest.approx(10_000, rel=0.15)
@@ -144,6 +143,6 @@ class TestStatsRegistry:
 
     def test_histogram_reservoir_args_apply_on_creation(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("lat", reservoir_size=16, seed=9)
+        hist = registry.histogram("lat", reservoir_size=16)
         assert registry.histogram("lat") is hist
         assert hist.reservoir_size == 16

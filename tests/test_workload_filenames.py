@@ -3,6 +3,7 @@
 import pytest
 
 from repro.piersearch.tokenizer import extract_keywords
+from repro.workload import filenames
 from repro.workload.filenames import FilenameGenerator, Vocabulary
 
 
@@ -58,16 +59,10 @@ class TestFilenameGenerator:
         assert "." in name
 
     def test_term_count_in_bounds(self, vocabulary):
-        generator = FilenameGenerator(vocabulary, min_terms=2, max_terms=6, rng=73)
+        generator = FilenameGenerator(vocabulary, rng=73)
         for _ in range(100):
             keywords = extract_keywords(generator.generate())
             assert 2 <= len(keywords) <= 6
-
-    def test_rejects_bad_bounds(self, vocabulary):
-        with pytest.raises(ValueError):
-            FilenameGenerator(vocabulary, min_terms=0)
-        with pytest.raises(ValueError):
-            FilenameGenerator(vocabulary, min_terms=5, max_terms=3)
 
     def test_generate_with_prefix(self, vocabulary):
         generator = FilenameGenerator(vocabulary, rng=74)
@@ -88,8 +83,10 @@ class TestExhaustion:
         with pytest.raises(ValueError, match="tail terms"):
             vocabulary.sample_tail_terms(9)  # the tail past a 25 % head is 8
 
-    def test_a_tiny_vocabulary_runs_out_of_names(self):
-        generator = FilenameGenerator(Vocabulary(10, rng=1), min_terms=1, max_terms=1, rng=2)
+    def test_a_tiny_vocabulary_runs_out_of_names(self, monkeypatch):
+        monkeypatch.setattr(filenames, "MIN_TERMS", 1)
+        monkeypatch.setattr(filenames, "MAX_TERMS", 1)
+        generator = FilenameGenerator(Vocabulary(10, rng=1), rng=2)
         with pytest.raises(RuntimeError, match="vocabulary too small"):
             for _ in range(200):
                 generator.generate()

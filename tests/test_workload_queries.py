@@ -22,19 +22,21 @@ class TestGenerateWorkload:
         assert len(workload) == 100
 
     def test_terms_come_from_target(self, library):
-        workload = generate_workload(library, 100, miss_fraction=0.0, rng=93)
+        workload = generate_workload(library, 100, rng=93)
         for query in workload:
+            if not query.target_filename:
+                continue  # a miss query
             target = query.target_filename.lower()
             for term in query.terms:
                 assert term in target
 
     def test_miss_queries_present(self, library):
-        workload = generate_workload(library, 300, miss_fraction=0.2, rng=94)
+        workload = generate_workload(library, 300, rng=94)
         misses = [q for q in workload if q.target_filename == ""]
-        assert 30 <= len(misses) <= 90
+        assert 5 <= len(misses) <= 40  # MISS_FRACTION of 300 is 18
 
     def test_miss_queries_match_nothing(self, library):
-        workload = generate_workload(library, 200, miss_fraction=0.5, rng=95)
+        workload = generate_workload(library, 200, rng=95)
         names = [item.filename.lower() for item in library.items]
         for query in workload:
             if query.target_filename:
@@ -44,16 +46,15 @@ class TestGenerateWorkload:
             )
 
     def test_family_queries_use_family_terms(self, library):
-        workload = generate_workload(
-            library, 200, rare_boost=1.0, miss_fraction=0.0, rng=96
-        )
+        workload = generate_workload(library, 200, rare_boost=1.0, rng=96)
         family_terms = {item.family_terms for item in library.family_items}
         family_queries = [q for q in workload if q.terms in family_terms]
-        assert len(family_queries) == 200
+        hits = [q for q in workload if q.target_filename]
+        assert len(family_queries) == len(hits) > 150
 
     def test_max_terms_respected(self, library):
         workload = generate_workload(
-            library, 100, rare_boost=0.0, miss_fraction=0.0, max_terms=2, rng=97
+            library, 100, rare_boost=0.0, max_terms=2, rng=97
         )
         assert all(len(q.terms) <= 2 for q in workload)
 
@@ -62,8 +63,6 @@ class TestGenerateWorkload:
             generate_workload(library, 0)
         with pytest.raises(WorkloadError):
             generate_workload(library, 10, rare_boost=2.0)
-        with pytest.raises(WorkloadError):
-            generate_workload(library, 10, miss_fraction=-0.1)
 
     def test_deterministic_given_seed(self, library):
         a = generate_workload(library, 50, rng=98)
