@@ -40,7 +40,7 @@ idle = bytes_per_peer(network)
 keys = random.Random(3)
 owners = set()
 for _ in range({LOOKUPS}):
-    result = network.lookup(keys.randrange(KEY_SPACE), origin=network.random_node_id())
+    result = network.lookup(keys.randrange(KEY_SPACE))
     owners.add(result.owner)
 routed = bytes_per_peer(network)
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024

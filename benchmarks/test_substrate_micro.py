@@ -3,6 +3,7 @@ stored-list hash join, publishing. These time the primitives every experiment is
 
 import pytest
 
+from repro.common.ids import hash_key
 from repro.common.rng import make_rng
 from repro.dht.network import DhtNetwork
 from repro.gnutella.flooding import flood
@@ -35,8 +36,9 @@ def test_dht_put_get(benchmark, dht):
 
     def roundtrip():
         i = next(counter)
-        dht.put(f"bench-key-{i}", i)
-        return dht.get(f"bench-key-{i}")
+        key = hash_key(f"bench-key-{i}")
+        dht.put_many(((key, i, None, 0, "dht.put"),))
+        return dht.get_raw(key)
 
     values = benchmark(roundtrip)
     assert values

@@ -17,7 +17,7 @@ from operator import eq
 from typing import Any, Callable, Hashable, Iterator
 
 from repro.common.errors import DhtError, KeyNotFoundError, NodeNotFoundError
-from repro.common.ids import KEY_SPACE, hash_key, in_interval
+from repro.common.ids import KEY_SPACE, in_interval
 from repro.common.rng import make_rng
 from repro.common.units import DEFAULT_COST_MODEL, BandwidthMeter
 from repro.dht.node import OWNS, DhtNode
@@ -446,8 +446,9 @@ class DhtNetwork:
             raise DhtError("empty network")
         return self._ring.responsible(key)
 
-    def lookup(self, key: int, origin: int | None = None) -> LookupResult:
-        """Route ``key`` from ``origin`` to its owner using local state only.
+    def lookup(self, key: int) -> LookupResult:
+        """Route ``key`` from a random member to its owner using local
+        state only.
 
         Repeated lookups of keys in the same owner region from the same
         origin replay the route cache's memoized hop path in O(1) instead
@@ -461,12 +462,13 @@ class DhtNetwork:
         result always names a node that actually owns ``key`` — a dead-end
         is an error, never an answer from the wrong node.
         """
-        path = self._checked_route(key, origin)
+        path = self._checked_route(key, None)
         return LookupResult(key=key % KEY_SPACE, owner=path[-1], path=list(path))
 
     def route_hops(self, key: int, origin: int | None = None) -> int:
-        """Overlay hops :meth:`lookup` would take: the same route, the same
-        checks and route-cache counters, and no result object.
+        """Overlay hops a :meth:`lookup` from ``origin`` (None: a random
+        member) would take: the same route, the same checks and
+        route-cache counters, and no result object.
 
         The count is memoised per ``(origin, key)`` in the route cache's
         epoch, and read only after the lazy stabilize: a memo hit stands
@@ -655,9 +657,9 @@ class DhtNetwork:
     # ------------------------------------------------------------------
     # Data path
     #
-    # Writes all go through put_many (put/put_raw are its one-entry
-    # forms): the only place a tuple is stored on its owner and the
-    # owner's successor copies, and the only place a put is priced.
+    # Writes all go through put_many: the only place a tuple is stored on
+    # its owner and the owner's successor copies, and the only place a put
+    # is priced.
     # ------------------------------------------------------------------
 
     def ship_batch(
@@ -683,19 +685,6 @@ class DhtNetwork:
         byte_count = self.cost_model.message_bytes(payload_bytes)
         self.transport.charge(category, 1, byte_count)
         return (0 if source == target else 1), 1, byte_count
-
-    def put(
-        self, key_string: str, value: Any, identity: Hashable | None = None
-    ) -> tuple[int, int]:
-        """Publish ``value`` under the hash of ``key_string``. See :meth:`put_raw`."""
-        return self.put_raw(hash_key(key_string), value, identity)
-
-    def put_raw(
-        self, key: int, value: Any, identity: Hashable | None = None
-    ) -> tuple[int, int]:
-        """Publish under an already-hashed key from a random member, as a
-        ``dht.put`` with no payload: the one-entry :meth:`put_many`."""
-        return self.put_many(((key % KEY_SPACE, value, identity, 0, "dht.put"),))
 
     def put_many(
         self, entries, origin: int | None = None, copy: Callable[[Any], Any] | None = None
@@ -777,17 +766,14 @@ class DhtNetwork:
                 total_bytes += byte_count
         return total_messages, total_bytes
 
-    def get(self, key_string: str, origin: int | None = None) -> list[Any]:
-        """Fetch all values published under ``key_string``, as a ``dht.get``.
+    def get_raw(self, key: int, category: str = "dht.get") -> list[Any]:
+        """Fetch every value under a raw ring key from its owner, routed
+        from a random member and charged to ``category``.
 
         Raises :class:`KeyNotFoundError` when nothing is stored there.
         """
-        return self.get_raw(hash_key(key_string), origin)
-
-    def get_raw(self, key: int, origin: int | None = None, category: str = "dht.get") -> list[Any]:
-        """Fetch by raw ring key from its owner. See :meth:`get`."""
         key %= KEY_SPACE
-        result = self.lookup(key, origin)
+        result = self.lookup(key)
         values = self._built[result.owner].store.get(key)
         self._charge_get(category, result.hops)
         if not values:

@@ -47,9 +47,9 @@ class GnutellaNetwork:
             for ultrapeer in topology.ultrapeers
         }
         self.placement: Placement | None = None
-        #: filename -> (each replica's first hosting ultrapeer or None, in
-        #: placement order; (replica position, further host) pairs)
-        self._replica_hosts: dict[str, tuple[list, list[tuple[int, int]]]] = {}
+        #: filename -> each replica's hosting ultrapeer (None: none), in
+        #: placement order
+        self._replica_hosts: dict[str, list[int | None]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -74,39 +74,32 @@ class GnutellaNetwork:
     def load_placement(self, placement: Placement) -> None:
         """Index every replica at the ultrapeer responsible for its node.
 
-        Leaves publish their file lists to their parent ultrapeers;
+        Leaves publish their file lists to their parent ultrapeer;
         ultrapeers index their own files locally.
         """
         self.placement = placement
         for filename in placement.replicas_by_filename:
             self.matcher.add(filename)
         for node, files in placement.files_by_node.items():
-            for ultrapeer in self._hosts_of(node):
-                self.indexes[ultrapeer].add_files(files)
+            host = self._host_of(node)
+            if host is not None:
+                self.indexes[host].add_files(files)
         for filename, replicas in placement.replicas_by_filename.items():
-            hosts = [self._hosts_of(replica.node_id) for replica in replicas]
-            self._replica_hosts[filename] = (
-                [each[0] if each else None for each in hosts],
-                [(row, up) for row, each in enumerate(hosts) for up in each[1:]],
-            )
+            self._replica_hosts[filename] = [self._host_of(replica.node_id) for replica in replicas]
 
-    def _hosts_of(self, node: int) -> tuple[int, ...]:
-        """The ultrapeers that index ``node``'s files."""
+    def _host_of(self, node: int) -> int | None:
+        """The ultrapeer that indexes ``node``'s files (None: none does)."""
         if self.topology.is_ultrapeer(node):
-            return (node,)
-        return tuple(self.topology.leaf_parents.get(node, ()))
+            return node
+        return self.topology.leaf_parent.get(node)
 
     def replica_depths(self, filenames: list[str], depth_map: dict[int, int]) -> list[float]:
-        """Per replica of ``filenames``, in placement order: the least
-        ``depth_map`` value over its hosting ultrapeers, ``inf`` with none."""
+        """Per replica of ``filenames``, in placement order: the
+        ``depth_map`` value of its hosting ultrapeer, ``inf`` with none."""
         depth_of = depth_map.get
         depths: list[float] = []
         for filename in filenames:
-            first, others = self._replica_hosts[filename]
-            start = len(depths)
-            depths.extend(map(depth_of, first, repeat(math.inf)))
-            for row, host in others:
-                depths[start + row] = min(depths[start + row], depth_of(host, math.inf))
+            depths.extend(map(depth_of, self._replica_hosts[filename], repeat(math.inf)))
         return depths
 
     def replicas_hosted_by(
@@ -122,12 +115,7 @@ class GnutellaNetwork:
         hosted = ultrapeers.__contains__
         found: list[SharedFile] = []
         for filename in filenames:
-            first, others = self._replica_hosts[filename]
-            seen = list(map(hosted, first))
-            for row, host in others:
-                if host in ultrapeers:
-                    seen[row] = True
-            found.extend(compress(placed[filename], seen))
+            found.extend(compress(placed[filename], map(hosted, self._replica_hosts[filename])))
             if len(found) >= limit:
                 break
         return found

@@ -3,8 +3,8 @@
 The crawl in Section 4.1 found that ultrapeers come in two degree
 profiles, matching LimeWire's development history: newer ultrapeers keep
 32 ultrapeer neighbours and support 30 leaves; older ones keep 6
-ultrapeer neighbours and support 75 leaves. Leaves connect to a small
-number of ultrapeers and publish their file lists there.
+ultrapeer neighbours and support 75 leaves. Each leaf connects to one
+ultrapeer and publishes its file list there.
 
 ``build_topology`` generates a random graph honouring those profiles via
 stub matching (a configuration-model construction), then patches
@@ -21,8 +21,6 @@ from repro.common.rng import make_rng
 # Degree profiles from Section 4.1.
 NEW_PROFILE = {"neighbors": 32, "leaf_capacity": 30}
 OLD_PROFILE = {"neighbors": 6, "leaf_capacity": 75}
-#: how many ultrapeers each leaf connects to (its file list goes to each)
-LEAF_CONNECTIONS = 1
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,8 @@ class Topology:
     leaves: list[int]
     #: ultrapeer -> its ultrapeer neighbours
     neighbors: dict[int, list[int]]
-    #: leaf -> the ultrapeers it is attached to
-    leaf_parents: dict[int, list[int]]
+    #: leaf -> the ultrapeer it is attached to
+    leaf_parent: dict[int, int]
     #: ultrapeer -> its leaves
     ultrapeer_leaves: dict[int, list[int]] = field(default_factory=dict)
 
@@ -71,15 +69,15 @@ class Topology:
     def ultrapeer_of(self, node: int) -> int:
         """The ultrapeer that handles queries for ``node``.
 
-        For an ultrapeer that is the node itself; for a leaf, its first
-        parent (queries from a leaf are sent to an attached ultrapeer).
+        For an ultrapeer that is the node itself; for a leaf, its parent
+        (queries from a leaf are sent to its ultrapeer).
         """
         if node in self.neighbors:
             return node
-        parents = self.leaf_parents.get(node)
-        if not parents:
-            raise KeyError(f"node {node} is not in the topology")
-        return parents[0]
+        try:
+            return self.leaf_parent[node]
+        except KeyError:
+            raise KeyError(f"node {node} is not in the topology") from None
 
     def connected_ultrapeer_count(self) -> int:
         """Size of the connected component containing the first ultrapeer."""
@@ -110,14 +108,12 @@ def build_topology(config: TopologyConfig) -> Topology:
     profiles = _assign_profiles(ultrapeers, config.new_client_fraction, rng)
     neighbors = _match_stubs(ultrapeers, profiles, rng)
     _ensure_connected(ultrapeers, neighbors, rng)
-    leaf_parents, ultrapeer_leaves = _attach_leaves(
-        ultrapeers, leaves, profiles, LEAF_CONNECTIONS, rng
-    )
+    leaf_parent, ultrapeer_leaves = _attach_leaves(ultrapeers, leaves, profiles, rng)
     return Topology(
         ultrapeers=ultrapeers,
         leaves=leaves,
         neighbors=neighbors,
-        leaf_parents=leaf_parents,
+        leaf_parent=leaf_parent,
         ultrapeer_leaves=ultrapeer_leaves,
     )
 
@@ -190,31 +186,23 @@ def _attach_leaves(
     ultrapeers: list[int],
     leaves: list[int],
     profiles: dict[int, dict],
-    connections: int,
     rng: random.Random,
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Give each leaf, in order, a random ultrapeer with a free leaf slot."""
     capacity = {up: profiles[up]["leaf_capacity"] for up in ultrapeers}
     available = [up for up in ultrapeers if capacity[up] > 0]
-    leaf_parents: dict[int, list[int]] = {}
+    leaf_parent: dict[int, int] = {}
     ultrapeer_leaves: dict[int, list[int]] = {up: [] for up in ultrapeers}
     for leaf in leaves:
-        parents: list[int] = []
-        for _ in range(min(connections, len(available))):
-            # a leaf's first connection excludes nobody: same draw, no copy
-            candidates = [up for up in available if up not in parents] if parents else available
-            if not candidates:
-                break
-            parent = rng.choice(candidates)
-            parents.append(parent)
-            ultrapeer_leaves[parent].append(leaf)
+        if available:
+            parent = rng.choice(available)
             capacity[parent] -= 1
             if capacity[parent] == 0:
                 available.remove(parent)
-        if not parents:
+        else:
             # Network full: over-subscribe a random ultrapeer, as real
             # clients do when no slots are advertised.
             parent = rng.choice(ultrapeers)
-            parents = [parent]
-            ultrapeer_leaves[parent].append(leaf)
-        leaf_parents[leaf] = parents
-    return leaf_parents, ultrapeer_leaves
+        leaf_parent[leaf] = parent
+        ultrapeer_leaves[parent].append(leaf)
+    return leaf_parent, ultrapeer_leaves

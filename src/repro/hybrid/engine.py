@@ -120,14 +120,8 @@ class QueryRace:
     join_matches: int = 0
     done: bool = False
     finished_at: float | None = None
-    #: the first-result latency reached ``hybrid.first_result_latency``
-    latency_observed: bool = False
     #: root trace span of this race, when the engine carries a tracer
     span: object = None
-
-    @property
-    def first_result_latency(self) -> float:
-        return self.outcome.first_result_latency
 
 
 @dataclass
@@ -187,7 +181,6 @@ class HybridQueryEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: registry series resolved once each, on first use
         self._counters: dict[tuple[str, str, str], MetricCounter] = {}
-        self._latency_histogram = None
         #: only a caller-supplied registry is wired into the dataflow's
         #: per-batch hot path — with no opt-in the dataflow runs unmetered
         self._wired_metrics = metrics
@@ -498,10 +491,6 @@ class HybridQueryEngine:
             # A degraded answer may have lost data to churn: never let it
             # poison the shared result cache.
             walk.hybrid.cache_store(race.key, result)
-        if race.done and not race.latency_observed:
-            # Resolved on its first answer batch: only now is the PIER
-            # result count, and so the first-result latency, known.
-            self._observe_first_result(race)
         self._finish(race)
 
     def _on_pipeline_error(
@@ -523,8 +512,6 @@ class HybridQueryEngine:
                 outcome.pier_results = len(result)
                 outcome.pier_bytes = query.stats.bytes
                 outcome.pier_completion_latency = self.sim.now - race.submitted_at
-                if not race.latency_observed:
-                    self._observe_first_result(race)
             self._mark_degraded(race, "partial-answer")
             return
         self._counter("hybrid.dht_dead_ends").add(1)
@@ -611,7 +598,6 @@ class HybridQueryEngine:
             else "none"
         )
         self._counter("hybrid.winner", "source", winner).add(1)
-        self._observe_first_result(race)
         if race.span is not None:
             race.span.finish(
                 winner=winner,
@@ -623,18 +609,3 @@ class HybridQueryEngine:
                 gnutella_results=race.gnutella_arrived,
                 pier_results=outcome.pier_results,
             )
-
-    def _observe_first_result(self, race: QueryRace) -> None:
-        """Feed a resolved race's first-result latency to the histogram,
-        once, as soon as it is known: at resolution for a flood win or a
-        cache hit, and for a PIER answer when its result count arrives
-        (the race resolved on its first answer batch, before it)."""
-        latency = race.outcome.first_result_latency
-        if math.isinf(latency):
-            return
-        race.latency_observed = True
-        if self._latency_histogram is None:
-            self._latency_histogram = self.metrics.histogram(
-                "hybrid.first_result_latency", reservoir_size=4096
-            )
-        self._latency_histogram.observe(latency)

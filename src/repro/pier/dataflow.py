@@ -76,7 +76,6 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from operator import itemgetter
-from time import perf_counter
 from typing import Any, Callable
 
 from repro.common.errors import DhtError, NodeNotFoundError
@@ -146,17 +145,15 @@ class _HotMetrics:
     Resolving a series by name costs a label encoding plus a registry
     lookup; the per-batch and per-probe paths would pay that hundreds of
     thousands of times in a scale run, so the executor resolves each
-    handle once and the stages hold bound Counter/Histogram objects.
+    handle once and the stages hold bound counters.
     """
 
     def __init__(self, metrics):
         self.metrics = metrics
-        self.batch_transit = metrics.histogram("dataflow.batch_transit", reservoir_size=4096)
         self.join_build_rows = metrics.counter("operator.join.build_rows")
-        #: (seconds, rows in, keys out) of each stage operation
+        #: (rows in, keys out) of each stage operation
         self.stage = {
             op: (
-                metrics.histogram(f"operator.{name}.seconds", reservoir_size=1024),
                 metrics.counter(f"operator.{name}.{rows}"),
                 metrics.counter(f"operator.{name}.{out}"),
             )
@@ -166,15 +163,14 @@ class _HotMetrics:
         self._by_strategy: dict = {}
 
     def completion(self, strategy):
-        """(queries, per-strategy, completion-time) handles, memoised per
-        strategy; the registry hands every strategy the same shared two."""
+        """(queries, per-strategy) counters, memoised per strategy; the
+        registry hands every strategy the same shared first."""
         handles = self._by_strategy.get(strategy)
         if handles is None:
             metrics = self.metrics
             handles = self._by_strategy[strategy] = (
                 metrics.counter("dataflow.queries"),
                 metrics.counter("dataflow.strategy", labels={"strategy": strategy.name}),
-                metrics.histogram("dataflow.completion_vtime", reservoir_size=4096),
             )
         return handles
 
@@ -340,9 +336,8 @@ class _Exchange:
         hot = run.hot
         if hot is not None:
             self._m_batches, self._m_tuples = hot.batch_counters(self.category)
-            self._m_transit = hot.batch_transit
         else:
-            self._m_batches = self._m_tuples = self._m_transit = None
+            self._m_batches = self._m_tuples = None
 
     def offer(self, values: list[tuple]) -> None:
         """Queue value tuples (shaped by this edge's ``columns``) to ship."""
@@ -427,7 +422,6 @@ class _Exchange:
             # Counter.add inlined: two calls fewer per batch when metered.
             self._m_batches.value += 1
             self._m_tuples.value += tuples
-            self._m_transit.observe(arrival - run.sim.now)
         run.group.schedule_at(arrival, partial(self._arrive, batch))
         if self._queue:
             run.group.schedule(SEND_INTERVAL, self._send_head)
@@ -830,10 +824,9 @@ class _QueryRun:
                 batches=self.pipeline.batches_shipped,
             )
         if self.hot is not None:
-            queries, by_strategy, completion = self.hot.completion(self.plan.strategy)
+            queries, by_strategy = self.hot.completion(self.plan.strategy)
             queries.value += 1
             by_strategy.value += 1
-            completion.observe(self.pipeline.completion_time)
         if self.on_complete is not None:
             self.on_complete(self.query)
         self._teardown()
@@ -949,7 +942,7 @@ class _Stage:
         self.span = None
         #: a key-join's probe of the build on the site's list, once opened
         self.join: JoinProbe | None = None
-        #: (seconds, rows in, keys out) metric handles, when metered
+        #: (rows in, keys out) counters, when metered
         self.meters = run.hot.stage[op] if run.hot is not None else None
         if op == Op.JOIN:
             run.joins.insert(0, self)
@@ -991,8 +984,6 @@ class _Stage:
             except DhtError as error:
                 run.fail(error)
                 return
-        meters = self.meters
-        started = perf_counter() if meters is not None else 0.0
         if self.probe:
             rows_in = len(self.local.rows)
             matched = self.local.bloom_matches(batch)
@@ -1011,9 +1002,8 @@ class _Stage:
             if key not in emitted:
                 emitted.add(key)
                 survivors.append((key,))
-        if meters is not None:
-            seconds, rows_counter, keys_counter = meters
-            seconds.observe(perf_counter() - started)
+        if self.meters is not None:
+            rows_counter, keys_counter = self.meters
             rows_counter.value += rows_in
             keys_counter.value += len(survivors)
         if survivors:

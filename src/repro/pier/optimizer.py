@@ -150,8 +150,8 @@ class CostBasedOptimizer:
     def __init__(self, catalog: Catalog, metrics=None):
         self.catalog = catalog
         self.cost_model = catalog.network.cost_model
-        #: optional :class:`repro.obs.metrics.MetricsRegistry` — records
-        #: per-strategy pick counts and predicted-vs-actual byte error
+        #: optional :class:`repro.obs.metrics.MetricsRegistry` — counts
+        #: per-strategy picks and predicted and actual bytes
         self.metrics = metrics
         #: per-strategy metric handles, resolved once (label encoding is
         #: too costly to repeat on every pick/observation)
@@ -169,9 +169,6 @@ class CostBasedOptimizer:
                 self.metrics.counter("optimizer.picks", labels=labels),
                 self.metrics.counter("optimizer.predicted_bytes", labels=labels),
                 self.metrics.counter("optimizer.actual_bytes", labels=labels),
-                self.metrics.histogram(
-                    "optimizer.bytes_error_ratio", labels=labels, reservoir_size=4096
-                ),
             )
         return handles
 
@@ -280,12 +277,10 @@ class CostBasedOptimizer:
         (one request and one reply per answer under every strategy) and
         any empty answer message the model excludes, so the ratio sits
         somewhat above 1.0. The signal to watch is the per-strategy drift
-        of the ratio, not its absolute level.
+        of the ratio of the two counters, not its absolute level.
         """
         if self.metrics is None:
             return
-        _, predicted, actual, error_ratio = self._handles_for(estimate.strategy.name)
+        _, predicted, actual = self._handles_for(estimate.strategy.name)
         predicted.add(estimate.bytes)
         actual.add(actual_bytes)
-        if estimate.bytes > 0:
-            error_ratio.observe(actual_bytes / estimate.bytes)

@@ -13,8 +13,8 @@ Two stages, both deterministic:
   :func:`repro.hybrid.world.build_world`), replays
   the schedule through the virtual-time simulator, and reduces the
   resolved races into a :class:`ScenarioReport` with recall / latency /
-  bandwidth SLO measurements, published into the obs metrics registry
-  and evaluated against the spec's :class:`SloSpec` gates.
+  bandwidth SLO measurements, evaluated against the spec's
+  :class:`SloSpec` gates.
 
 Randomness discipline: the compiler and the runner each derive their
 streams from ``make_rng(spec.seed)`` with fixed spawn order
@@ -38,7 +38,6 @@ from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import QueryRace, RaceConfig
 from repro.hybrid.world import HybridWorld, build_world
 from repro.net.faults import FaultInjectingTransport
-from repro.obs.metrics import MetricsRegistry
 from repro.scenario.arrivals import generate_arrivals
 from repro.scenario.injectors import PartitionInjector, RegionalFailureInjector
 from repro.scenario.spec import MAX_SILENT_LOSS, POPULAR_FRACTION, STOP_TTL, ScenarioSpec
@@ -187,7 +186,6 @@ class ScenarioRunner:
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.schedule = compile_schedule(spec)
-        self.metrics = MetricsRegistry()
         #: the hybrid world, built by run() and kept for inspection
         self.world: HybridWorld | None = None
         self.corpus: list[ScenarioItem] = []
@@ -216,7 +214,6 @@ class ScenarioRunner:
             race_config=RaceConfig(requery_deadline=REQUERY_DEADLINE),
             rng=spawn_rng(rng, "engine"),
             cache_budget_bytes=spec.cache_budget_bytes,
-            metrics=self.metrics,
         )
         self.corpus = build_corpus(
             spec.workload, spec.num_files, spawn_rng(rng, "corpus")
@@ -347,7 +344,6 @@ class ScenarioRunner:
         report.churn_failures = churn.stats.failures
         report.suspect_ranges = len(self.world.dht.suspect_ranges)
         self._evaluate_slo(report)
-        self._publish_metrics(report)
         return report
 
     def _evaluate_slo(self, report: ScenarioReport) -> None:
@@ -382,22 +378,6 @@ class ScenarioRunner:
         ]
         report.slo_checks = checks
         report.passed = all(check.ok for check in checks)
-
-    def _publish_metrics(self, report: ScenarioReport) -> None:
-        labels = {"scenario": report.name}
-        gauges = {
-            "scenario.recall": report.recall,
-            "scenario.coverage": report.coverage,
-            "scenario.latency_p50": report.latency_p50,
-            "scenario.latency_p95": report.latency_p95,
-            "scenario.query_kb_mean": report.query_kb_mean,
-            "scenario.silent_loss": float(report.silent_loss),
-            "scenario.degraded_fraction": report.degraded_fraction,
-            "scenario.cache_hit_rate": report.cache_hit_rate,
-            "scenario.slo_passed": 1.0 if report.passed else 0.0,
-        }
-        for name, value in gauges.items():
-            self.metrics.gauge(name, labels=labels).set(value)
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioReport:

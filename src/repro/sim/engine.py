@@ -16,11 +16,9 @@ which the engine pops on fire; :meth:`EventGroup.cancel` clears that
 dict, so a cancelled entry left in the heap is a corpse that keeps
 nothing alive (not a whole finished query, say).
 
-The engine keeps two O(1) counters alongside the heap: the number of
-*live* (scheduled, not yet fired or cancelled) events, which backs
-:attr:`Simulator.pending`, and the number of corpses still sitting in the
-heap. Corpses are skipped lazily when popped; when they outnumber the
-live ones the heap is compacted in one pass so a cancel-heavy workload
+The engine counts the corpses still sitting in the heap alongside it.
+Corpses are skipped lazily when popped; when they outnumber the live
+entries the heap is compacted in one pass so a cancel-heavy workload
 (e.g. many pipelined queries failing at once) cannot leave the heap
 dominated by them.
 """
@@ -53,8 +51,6 @@ class Simulator:
         self._queue: list[tuple[float, int, Any, "EventGroup | None"]] = []
         self._next_seq = 0
         self._processed = 0
-        #: scheduled, not yet fired or cancelled — backs O(1) ``pending``
-        self._live = 0
         #: cancelled entries still physically in the heap
         self._cancelled_in_heap = 0
 
@@ -62,7 +58,6 @@ class Simulator:
         seq = self._next_seq
         self._next_seq = seq + 1
         heapq.heappush(self._queue, (time, seq, callback, group))
-        self._live += 1
         return seq
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
@@ -108,7 +103,6 @@ class Simulator:
                 if callback is None:
                     self._cancelled_in_heap -= 1
                     continue
-            self._live -= 1
             self.now = time
             callback()
             processed += 1
@@ -175,7 +169,6 @@ class Simulator:
                 if callback is None:
                     self._cancelled_in_heap -= 1
                     continue
-            self._live -= 1
             self.now = time
             callback()
             processed += 1
@@ -185,11 +178,6 @@ class Simulator:
     def step(self) -> bool:
         """Process exactly one event. Returns False if the queue was empty."""
         return self.run(max_events=1) == 1
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._live
 
     @property
     def processed(self) -> int:
@@ -210,7 +198,6 @@ class Simulator:
         cancelled event is O(1) and mass cancellations cannot leave the
         heap dominated by corpses until they happen to be popped.
         """
-        self._live -= count
         self._cancelled_in_heap += count
         if (
             self._cancelled_in_heap > _COMPACT_MIN
@@ -283,8 +270,3 @@ class EventGroup:
         if count:
             self.sim._on_cancel(count)
         return count
-
-    @property
-    def pending(self) -> int:
-        """Events scheduled through this group that have not yet fired."""
-        return len(self._callbacks)

@@ -26,7 +26,7 @@ them. :func:`reference_snoop` is a warm-up snoop's whole result set, built
 the way the deployment built it before it stopped at the QRS threshold.
 ``tests/test_gnutella_matcher.py`` holds production to all five.
 :func:`reference_attach_leaves` is leaf attachment with a fresh candidate
-list per connection (``tests/test_gnutella_topology.py``).
+list per leaf (``tests/test_gnutella_topology.py``).
 :func:`reference_flood` is a TTL flood counted from hop distances and
 degrees rather than sent message by message
 (``tests/test_gnutella_flooding.py``).
@@ -71,15 +71,24 @@ one fixed latency and spends no RNG state.
 byte model: one sum per strategy over the legs of a ``k``-term chain,
 written without any step list. ``tests/test_pier_steps.py`` holds the
 step-by-step pricer to it, strategy by strategy.
+
+:func:`dht_put`, :func:`dht_get` and :func:`lookup_from` are the plain
+write, read and lookup DHT tests need: a no-payload ``dht.put`` through
+``DhtNetwork.put_many``, and ``DhtNetwork.get_raw`` and
+``DhtNetwork.lookup`` from a chosen member (the program always routes
+them from a random one).
+:func:`pending` counts the events a simulator or an event group will
+still fire, by scanning the heap.
 """
 
 import hashlib
 import math
 from bisect import bisect_left
+from unittest.mock import patch
 
 from repro.common.bloom import BloomFilter
 from repro.common.errors import DhtError
-from repro.common.ids import KEY_BITS, KEY_SPACE, in_interval, ring_distance
+from repro.common.ids import KEY_BITS, KEY_SPACE, hash_key, in_interval, ring_distance
 from repro.dht.keyspace import finger_start
 from repro.dht.network import MAX_HOPS_FACTOR
 from repro.dht.node import OWNS
@@ -120,6 +129,39 @@ def steady_hops(network, hop=HOP_LATENCY):
     """Give ``network`` a :class:`SteadyHopTransport`; returns ``network``."""
     network.transport = SteadyHopTransport(network, hop)
     return network
+
+
+def dht_put(network, key, value, identity=None):
+    """Store ``value`` under ``key`` (a string is hashed first) from a
+    random member, as a ``dht.put`` with no payload."""
+    key = hash_key(key) if isinstance(key, str) else key
+    return network.put_many(((key % KEY_SPACE, value, identity, 0, "dht.put"),))
+
+
+def dht_get(network, key, origin=None):
+    """``network.get_raw`` of ``key`` (a string is hashed first), routed
+    from ``origin`` (None: a random member)."""
+    key = hash_key(key) if isinstance(key, str) else key
+    if origin is None:
+        return network.get_raw(key)
+    with patch.object(network, "random_node_id", return_value=origin):
+        return network.get_raw(key)
+
+
+def lookup_from(network, key, origin):
+    """``network.lookup(key)`` routed from ``origin``: the lookup's one
+    random-origin draw returns it."""
+    with patch.object(network, "random_node_id", return_value=origin):
+        return network.lookup(key)
+
+
+def pending(owner):
+    """Events that will still fire: those an ``EventGroup`` holds, or the
+    heap entries of a ``Simulator`` that are ungrouped or whose group still
+    holds their seq (a cancelled entry is a corpse)."""
+    if hasattr(owner, "_callbacks"):
+        return len(owner._callbacks)
+    return sum(1 for _, seq, _, group in owner._queue if group is None or seq in group._callbacks)
 
 
 def ring_of(ids):
@@ -476,7 +518,7 @@ def reference_publish(publisher, filename, filesize, ip_address, port, origin=No
         key = table_key(table, row[schema.index_column])
         identity = (table,) + tuple(row[column] for column in schema.key)
         category = f"publish.{table}"
-        result = network.lookup(key, origin)
+        result = network.lookup(key) if origin is None else lookup_from(network, key, origin)
         owner = result.owner
         network.put_local(owner, key, row, identity=identity)
         charges = [
@@ -642,27 +684,16 @@ def reference_replay(network, query, depth_maps, desired_results, union_ks, max_
     }
 
 
-def reference_attach_leaves(ultrapeers, leaves, profiles, connections, rng):
-    """Leaf attachment, rebuilding the candidate list for every connection."""
+def reference_attach_leaves(ultrapeers, leaves, profiles, rng):
+    """Leaf attachment, rebuilding the list of ultrapeers with a free slot
+    for every leaf."""
     capacity = {up: profiles[up]["leaf_capacity"] for up in ultrapeers}
-    available = [up for up in ultrapeers if capacity[up] > 0]
-    leaf_parents = {}
+    leaf_parent = {}
     ultrapeer_leaves = {up: [] for up in ultrapeers}
     for leaf in leaves:
-        parents = []
-        for _ in range(min(connections, len(available))):
-            candidates = [up for up in available if up not in parents]
-            if not candidates:
-                break
-            parent = rng.choice(candidates)
-            parents.append(parent)
-            ultrapeer_leaves[parent].append(leaf)
-            capacity[parent] -= 1
-            if capacity[parent] == 0:
-                available.remove(parent)
-        if not parents:
-            parent = rng.choice(ultrapeers)
-            parents = [parent]
-            ultrapeer_leaves[parent].append(leaf)
-        leaf_parents[leaf] = parents
-    return leaf_parents, ultrapeer_leaves
+        free = [up for up in ultrapeers if capacity[up] > 0]
+        parent = rng.choice(free or ultrapeers)
+        capacity[parent] -= 1
+        leaf_parent[leaf] = parent
+        ultrapeer_leaves[parent].append(leaf)
+    return leaf_parent, ultrapeer_leaves

@@ -279,7 +279,8 @@ def test_deleted_path_selectors_stay_deleted():
     budget and nothing else, and a plan's scan table comes from its step
     list. The cost optimizer has no configuration and prices wire bytes
     alone: no spill term, and the Bloom FP rate has one owner. QRP leaf
-    filters, trace files and the recall/CDF package are gone."""
+    filters, trace files and the recall/CDF package are gone. A metric is
+    a counter: no gauge, histogram, scrape collector or exporter."""
     import dataclasses
     import importlib
     import inspect
@@ -379,9 +380,22 @@ def test_deleted_path_selectors_stay_deleted():
         importlib.import_module("repro.cache.popularity")
     for name in ("adaptive_flood", "popularity_stop_ttl"):
         assert not hasattr(flooding, name), name
-    for module in ("repro.metrics", "repro.gnutella.qrp", "repro.workload.trace"):
+    for module in (
+        "repro.metrics",
+        "repro.gnutella.qrp",
+        "repro.workload.trace",
+        "repro.obs.collect",
+    ):
         with pytest.raises(ImportError):
             importlib.import_module(module)
+
+    import repro.sim.stats as stats
+    from repro.obs.metrics import MetricsRegistry
+
+    for name in ("histogram", "gauge", "summary", "to_prometheus", "to_json"):
+        assert not hasattr(MetricsRegistry, name), name
+    for name in ("Histogram", "Gauge"):
+        assert not hasattr(stats, name), name
 
 
 def _referenced_names(trees: Iterable[ast.AST]) -> set[str]:

@@ -11,6 +11,8 @@ import pytest
 from repro.common.ids import hash_key
 from repro.dht.network import DhtNetwork
 
+from oracle import dht_get, dht_put
+
 
 def build_network(num_nodes: int = 32, seed: int = 900, replication: int = 1) -> DhtNetwork:
     network = DhtNetwork(replication=replication, rng=seed)
@@ -27,10 +29,10 @@ class TestHotKeyDetection:
 
     def test_cold_keys_stay_unreplicated(self):
         network = build_network()
-        network.put("cold-key", "value")
+        dht_put(network, "cold-key", "value")
         key = hash_key("cold-key")
         for _ in range(20):
-            assert network.get("cold-key") == ["value"]
+            assert dht_get(network, "cold-key") == ["value"]
         assert holders(network, key) == [network.owner_of(key)]
         assert set(network.meter.by_category) == {"dht.put", "dht.get"}
 
@@ -45,7 +47,7 @@ class TestHotKeyDetection:
         for network in (single, triple):
             network.put_many(((hash_key("hot-key"), "value", None, 100, "dht.put"),), origin)
             for _ in range(6):
-                network.get("hot-key", origin=origin)
+                dht_get(network, "hot-key", origin=origin)
         put_1, put_3 = (n.meter.by_category["dht.put"] for n in (single, triple))
         assert put_3.messages == put_1.messages + 2
         assert put_3.bytes == put_1.bytes + 2 * triple.cost_model.message_bytes(100)
@@ -58,22 +60,22 @@ class TestInvalidation:
         # A successor that fails leaves the key's copy set: the next put
         # stores on the owner and its successors as they are now.
         network = build_network(replication=3)
-        network.put("hot-key", "first")
+        dht_put(network, "hot-key", "first")
         key = hash_key("hot-key")
         owner = network.owner_of(key)
         dead = network.successors_of(owner)[0]
         network.remove_node(dead, graceful=False)
-        network.put("hot-key", "second")
+        dht_put(network, "hot-key", "second")
         assert network.owner_of(key) == owner
         targets = [owner, *network.successors_of(owner)[:2]]
         assert dead not in targets
         second = [node for node in network.nodes if "second" in network.get_local(node, key)]
         assert sorted(second) == sorted(targets)
-        assert sorted(network.get("hot-key")) == ["first", "second"]
+        assert sorted(dht_get(network, "hot-key")) == ["first", "second"]
 
     def test_owner_failure_survived_via_replicas(self):
         network = build_network(replication=3)
-        network.put("hot-key", "value")
+        dht_put(network, "hot-key", "value")
         key = hash_key("hot-key")
         owner_before = network.owner_of(key)
         first_successor = network.successors_of(owner_before)[0]
@@ -83,7 +85,7 @@ class TestInvalidation:
         # the publish's copy: the key never became unavailable
         assert network.owner_of(key) == first_successor
         assert network.get_local(first_successor, key) == ["value"]
-        assert network.get("hot-key") == ["value"]
+        assert dht_get(network, "hot-key") == ["value"]
 
 
 class TestConfig:
@@ -96,21 +98,21 @@ class TestConfig:
 class TestWriteCoherence:
     def test_publish_after_replication_reaches_replicas(self):
         network = build_network(replication=3)
-        network.put("hot-key", "first")
+        dht_put(network, "hot-key", "first")
         key = hash_key("hot-key")
         copies = holders(network, key)
         assert len(copies) == 3
-        network.put("hot-key", "second")
+        dht_put(network, "hot-key", "second")
         assert holders(network, key) == copies
         for node_id in copies:
             assert sorted(network.get_local(node_id, key)) == ["first", "second"]
-        assert sorted(network.get("hot-key")) == ["first", "second"]
+        assert sorted(dht_get(network, "hot-key")) == ["first", "second"]
 
     def test_publish_to_unreplicated_key_unchanged(self):
         network = build_network()
-        network.put("cold-key", "only")
-        network.put("cold-key", "pair")
+        dht_put(network, "cold-key", "only")
+        dht_put(network, "cold-key", "pair")
         key = hash_key("cold-key")
-        assert sorted(network.get("cold-key")) == ["only", "pair"]
+        assert sorted(dht_get(network, "cold-key")) == ["only", "pair"]
         assert holders(network, key) == [network.owner_of(key)]
         assert "cache.replicate" not in network.meter.by_category

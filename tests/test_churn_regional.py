@@ -10,12 +10,13 @@ each offered row, then the rows the heir lacked.
 
 import random
 
-from oracle import reference_handoff_price
+from oracle import dht_put, reference_handoff_price
 from repro.common.errors import KeyNotFoundError
 from repro.common.rng import make_rng
 from repro.common.units import MessageCost
 from repro.dht.churn import ChurnProcess
-from repro.dht.network import DhtNetwork, hash_key
+from repro.common.ids import hash_key
+from repro.dht.network import DhtNetwork
 
 NUM_NODES = 32
 NUM_KEYS = 80
@@ -26,7 +27,7 @@ def build(seed=5):
     network = DhtNetwork(rng=make_rng(seed), replication=1)
     network.populate(NUM_NODES)
     for i in range(NUM_KEYS):
-        network.put(f"k-{i}", f"v-{i}")
+        dht_put(network, f"k-{i}", f"v-{i}")
     return network
 
 

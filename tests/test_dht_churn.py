@@ -7,6 +7,8 @@ from repro.dht.churn import ChurnProcess
 from repro.dht.network import DhtNetwork
 from repro.sim.engine import Simulator
 
+from oracle import dht_get, dht_put
+
 
 class TestChurnStep:
     def test_size_preserved_with_equal_join_leave(self):
@@ -50,10 +52,10 @@ class TestChurnStep:
     def test_replicated_data_survives_session_churn(self):
         network = DhtNetwork(replication=3, rng=1)
         network.populate(64)
-        network.put("sticky", "v")
+        dht_put(network, "sticky", "v")
         churn = ChurnProcess(network, rng=4, failure_fraction=0.5)
         churn.churn_step(joins=6, leaves=6)  # a tenth of the network turns over
-        assert network.get("sticky") == ["v"]
+        assert dht_get(network, "sticky") == ["v"]
 
     def test_never_removes_last_node(self):
         network = DhtNetwork(rng=1)

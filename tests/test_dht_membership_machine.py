@@ -70,7 +70,14 @@ from hypothesis.stateful import (
     rule,
 )
 
-from oracle import reference_handoff_price, reference_iter_lookup, reference_owner
+from oracle import (
+    dht_get,
+    dht_put,
+    lookup_from,
+    reference_handoff_price,
+    reference_iter_lookup,
+    reference_owner,
+)
 from repro.common.errors import DhtError, KeyNotFoundError, NodeNotFoundError
 from repro.common.ids import KEY_SPACE, hash_key, in_interval
 from repro.dht.churn import ChurnProcess
@@ -306,7 +313,7 @@ class MembershipMachine(RuleBasedStateMachine):
         origin = self._member(pick) if routed else None
         if len(entries) == 1 and origin is None:
             key, value = entries[0]
-            dht.put_raw(key, value, identity=value)
+            dht_put(dht, key, value, identity=value)
         else:
             batch = [(key % KEY_SPACE, value, value, 0, "dht.put") for key, value in entries]
             dht.put_many(batch, origin=origin)
@@ -369,7 +376,7 @@ class MembershipMachine(RuleBasedStateMachine):
         key %= KEY_SPACE
         expected = {value for pair_key, value in self.pairs if pair_key == key}
         try:
-            got = dht.get_raw(key, origin=self._member(pick))
+            got = dht_get(dht, key, self._member(pick))
         except KeyNotFoundError:
             got = []
         # The ring owner answers, with its own values and no one else's.
@@ -390,7 +397,7 @@ class MembershipMachine(RuleBasedStateMachine):
         else:
             assert (walked.owner, walked.path, walked.retries) == reference
         # After stabilizing (lookup does it): the cached route.
-        result = dht.lookup(key, origin)
+        result = lookup_from(dht, key, origin)
         owner, path, _ = _run(reference_iter_lookup(dht, key, origin))
         assert result.owner == owner == reference_owner(sorted(self.order), key)
         assert result.path == path

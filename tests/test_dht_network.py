@@ -10,6 +10,8 @@ from repro.common.ids import KEY_SPACE, hash_key
 from repro.dht.network import DhtNetwork
 from repro.dht.ring import DEFAULT_SUCCESSOR_COUNT
 
+from oracle import dht_get, dht_put, lookup_from
+
 
 @pytest.fixture(scope="module")
 def dht():
@@ -70,7 +72,7 @@ class TestRouting:
         key = hash_key("target")
         owner = dht.owner_of(key)
         for origin in list(dht.nodes)[:20]:
-            assert dht.lookup(key, origin=origin).owner == owner
+            assert lookup_from(dht, key, origin).owner == owner
 
     def test_hop_count_logarithmic(self, dht):
         hops = [
@@ -82,16 +84,16 @@ class TestRouting:
 
     def test_lookup_path_starts_at_origin(self, dht):
         origin = next(iter(dht.nodes))
-        result = dht.lookup(hash_key("abc"), origin=origin)
+        result = lookup_from(dht, hash_key("abc"), origin)
         assert result.path[0] == origin
 
     def test_lookup_unknown_origin_rejected(self, dht):
         with pytest.raises(NodeNotFoundError):
-            dht.lookup(5, origin=999999999999)
+            lookup_from(dht, 5, 999999999999)
 
     def test_routing_uses_local_state_only(self, dht):
         """Each path step must be a finger/successor of the previous node."""
-        result = dht.lookup(hash_key("locality"), origin=next(iter(dht.nodes)))
+        result = lookup_from(dht, hash_key("locality"), next(iter(dht.nodes)))
         for here, there in zip(result.path, result.path[1:]):
             node = dht.nodes[here]
             assert there in set(node.fingers) | set(node.successors)
@@ -101,28 +103,28 @@ class TestDataPath:
     def test_put_get_roundtrip(self):
         network = DhtNetwork(rng=3)
         network.populate(32)
-        network.put("song", ("value", 1))
-        assert network.get("song") == [("value", 1)]
+        dht_put(network, "song", ("value", 1))
+        assert dht_get(network, "song") == [("value", 1)]
 
     def test_get_missing_key_raises(self):
         network = DhtNetwork(rng=3)
         network.populate(8)
         with pytest.raises(KeyNotFoundError):
-            network.get("missing")
+            dht_get(network, "missing")
 
     def test_put_accumulates_values(self):
         network = DhtNetwork(rng=3)
         network.populate(16)
-        network.put("k", "a")
-        network.put("k", "b")
-        assert sorted(network.get("k")) == ["a", "b"]
+        dht_put(network, "k", "a")
+        dht_put(network, "k", "b")
+        assert sorted(dht_get(network, "k")) == ["a", "b"]
 
     def test_put_deduplicates_by_identity(self):
         network = DhtNetwork(rng=3)
         network.populate(16)
-        network.put("k", {"x": 1}, identity="same")
-        network.put("k", {"x": 1}, identity="same")
-        assert network.get("k") == [{"x": 1}]
+        dht_put(network, "k", {"x": 1}, identity="same")
+        dht_put(network, "k", {"x": 1}, identity="same")
+        assert dht_get(network, "k") == [{"x": 1}]
 
     def test_bandwidth_charged(self):
         network = DhtNetwork(rng=3)
@@ -134,7 +136,7 @@ class TestDataPath:
     def test_replication_places_copies(self):
         network = DhtNetwork(replication=3, rng=5)
         network.populate(32)
-        network.put("replicated", "v")
+        dht_put(network, "replicated", "v")
         holders = [
             node_id
             for node_id, node in network.nodes.items()
@@ -145,8 +147,8 @@ class TestDataPath:
     def test_stored_items_counts_every_value(self):
         network = DhtNetwork(rng=3)
         network.populate(8)
-        network.put("a", 1)
-        network.put("b", 2)
+        dht_put(network, "a", 1)
+        dht_put(network, "b", 2)
         assert sum(len(values) for _, _, values in network.stored_items()) == 2
 
 
@@ -154,30 +156,30 @@ class TestDeparture:
     def test_graceful_leave_hands_off_keys(self):
         network = DhtNetwork(rng=9)
         network.populate(32)
-        network.put("persist", "value")
+        dht_put(network, "persist", "value")
         owner = network.owner_of(hash_key("persist"))
         network.remove_node(owner, graceful=True)
         network.stabilize()
-        assert network.get("persist") == ["value"]
+        assert dht_get(network, "persist") == ["value"]
 
     def test_ungraceful_failure_loses_unreplicated_data(self):
         network = DhtNetwork(replication=1, rng=9)
         network.populate(32)
-        network.put("fragile", "value")
+        dht_put(network, "fragile", "value")
         owner = network.owner_of(hash_key("fragile"))
         network.remove_node(owner, graceful=False)
         network.stabilize()
         with pytest.raises(KeyNotFoundError):
-            network.get("fragile")
+            dht_get(network, "fragile")
 
     def test_replication_survives_failure(self):
         network = DhtNetwork(replication=3, rng=9)
         network.populate(32)
-        network.put("hardy", "value")
+        dht_put(network, "hardy", "value")
         owner = network.owner_of(hash_key("hardy"))
         network.remove_node(owner, graceful=False)
         network.stabilize()
-        assert network.get("hardy") == ["value"]
+        assert dht_get(network, "hardy") == ["value"]
 
     def test_routing_still_works_after_departures(self):
         network = DhtNetwork(rng=11)
@@ -192,7 +194,7 @@ class TestDeparture:
     def test_graceful_leave_charges_handoff_bandwidth(self):
         network = DhtNetwork(rng=9)
         network.populate(32)
-        network.put("persist", "value")
+        dht_put(network, "persist", "value")
         owner = network.owner_of(hash_key("persist"))
         before = network.meter.by_category.get("dht.handoff")
         network.remove_node(owner, graceful=True)
@@ -204,7 +206,7 @@ class TestDeparture:
     def test_ungraceful_failure_charges_nothing(self):
         network = DhtNetwork(rng=9)
         network.populate(32)
-        network.put("fragile", "value")
+        dht_put(network, "fragile", "value")
         owner = network.owner_of(hash_key("fragile"))
         network.remove_node(owner, graceful=False)
         assert "dht.handoff" not in network.meter.by_category
@@ -214,14 +216,14 @@ class TestDeparture:
         network = DhtNetwork(rng=21)
         network.populate(16)
         for i in range(40):
-            network.put(f"item-{i}", i)
+            dht_put(network, f"item-{i}", i)
         stored_before = sum(len(values) for _, _, values in network.stored_items())
         for _ in range(8):
             network.create_node()
         network.stabilize()
         assert sum(len(values) for _, _, values in network.stored_items()) == stored_before
         for i in range(40):
-            assert network.get(f"item-{i}") == [i]
+            assert dht_get(network, f"item-{i}") == [i]
 
 
 class TestDeadEndRegression:
@@ -242,7 +244,7 @@ class TestDeadEndRegression:
     def test_lookup_dead_end_raises_not_wrong_owner(self):
         network, key, non_owner = self._broken_network()
         with pytest.raises(DhtError):
-            network.lookup(key, origin=non_owner)
+            lookup_from(network, key, non_owner)
 
     def test_iter_lookup_dead_end_raises(self):
         network, key, non_owner = self._broken_network()
@@ -266,7 +268,7 @@ class TestIterLookup:
         for i in range(25):
             key = hash_key(f"iter-{i}")
             origin = network.random_node_id()
-            sync = network.lookup(key, origin=origin)
+            sync = lookup_from(network, key, origin)
             gen = network.iter_lookup(key, origin=origin)
             hops = list(_drive(gen))
             result = _result_of(network.iter_lookup(key, origin=origin))
@@ -283,9 +285,9 @@ class TestIterLookup:
         origin = next(
             o
             for o in network.nodes
-            if len(network.lookup(key, origin=o).path) >= 3
+            if len(lookup_from(network, key, o).path) >= 3
         )
-        victim = network.lookup(key, origin=origin).path[1]
+        victim = lookup_from(network, key, origin).path[1]
         gen = network.iter_lookup(key, origin=origin)
         next(gen)  # at origin
         next(gen)  # first hop: the walk now sits on or before the victim
@@ -301,9 +303,9 @@ class TestIterLookup:
         origin = next(
             o
             for o in network.nodes
-            if len(network.lookup(key, origin=o).path) >= 3
+            if len(lookup_from(network, key, o).path) >= 3
         )
-        planned = network.lookup(key, origin=origin).path
+        planned = lookup_from(network, key, origin).path
         gen = network.iter_lookup(key, origin=origin)
         next(gen)
         # Kill the next planned hop; nobody stabilizes, so the origin's
@@ -322,7 +324,7 @@ class TestReplicaRotationUnderChurn:
     def _replicated(self):
         network = DhtNetwork(replication=3, rng=37)
         network.populate(32)
-        network.put("hot", "v")
+        dht_put(network, "hot", "v")
         key = hash_key("hot")
         owner = network.owner_of(key)
         replicas = network.successors_of(owner)[:2]
@@ -360,11 +362,11 @@ class TestOwnerReads:
 
     def test_read_returns_the_owners_values_only(self):
         network = self._network()
-        network.put("song", "published")
+        dht_put(network, "song", "published")
         key = hash_key("song")
         successor = network.successors_of(network.owner_of(key))[0]
         network.put_local(successor, key, "successor-only")
-        assert network.get("song") == ["published"]
+        assert dht_get(network, "song") == ["published"]
 
     def test_a_value_held_off_the_owner_is_not_found(self):
         network = self._network()
@@ -378,35 +380,35 @@ class TestOwnerReads:
     def test_read_equals_the_owners_local_store(self):
         network = self._network()
         for i in range(30):
-            network.put(f"item-{i % 10}", i)
+            dht_put(network, f"item-{i % 10}", i)
         for i in range(10):
             key = hash_key(f"item-{i}")
             assert network.get_raw(key) == network.get_local(network.owner_of(key), key)
 
     def test_read_charges_one_routed_request(self):
         network = self._network()
-        network.put("song", "v")
+        dht_put(network, "song", "v")
         key = hash_key("song")
-        origin = max(network.nodes, key=lambda node: network.lookup(key, node).hops)
-        hops = network.lookup(key, origin).hops
+        origin = max(network.nodes, key=lambda node: lookup_from(network, key, node).hops)
+        hops = lookup_from(network, key, origin).hops
         assert hops >= 1
-        network.get_raw(key, origin)
+        dht_get(network, key, origin)
         cost = network.meter.by_category["dht.get"]
         assert cost.messages == hops
         assert cost.bytes == network.cost_model.routed_bytes(0, hops)
 
     def test_self_owned_read_is_one_local_delivery(self):
         network = self._network()
-        network.put("song", "v")
+        dht_put(network, "song", "v")
         key = hash_key("song")
-        network.get_raw(key, network.owner_of(key))
+        dht_get(network, key, network.owner_of(key))
         cost = network.meter.by_category["dht.get"]
         assert cost.messages == 1
         assert cost.bytes == network.cost_model.routed_bytes(0, 0)
 
     def test_read_charges_its_named_category(self):
         network = self._network()
-        network.put("song", "v")
+        dht_put(network, "song", "v")
         assert network.get_raw(hash_key("song"), category="pier.fetch") == ["v"]
         assert network.meter.by_category["pier.fetch"].messages >= 1
         assert "dht.get" not in network.meter.by_category
@@ -414,33 +416,33 @@ class TestOwnerReads:
     def test_a_miss_still_pays_its_request(self):
         network = self._network()
         with pytest.raises(KeyNotFoundError):
-            network.get("missing")
+            dht_get(network, "missing")
         assert network.meter.by_category["dht.get"].messages >= 1
 
     def test_reads_store_nothing(self):
         network = self._network()
         for i in range(5):
-            network.put(f"k{i}", i)
+            dht_put(network, f"k{i}", i)
         before = sorted((node, key, tuple(values)) for node, key, values in network.stored_items())
         version = network.membership_version
         for _ in range(20):
             for i in range(5):
-                network.get(f"k{i}")
+                dht_get(network, f"k{i}")
         after = sorted((node, key, tuple(values)) for node, key, values in network.stored_items())
         assert after == before
         assert network.membership_version == version
 
     def test_every_origin_reads_the_same_values(self):
         network = self._network()
-        network.put("song", "a")
-        network.put("song", "b")
+        dht_put(network, "song", "a")
+        dht_put(network, "song", "b")
         key = hash_key("song")
-        answers = {tuple(sorted(network.get_raw(key, origin))) for origin in network.nodes}
+        answers = {tuple(sorted(dht_get(network, key, origin))) for origin in network.nodes}
         assert answers == {("a", "b")}
 
     def test_read_follows_a_graceful_owner_leave(self):
         network = self._network(replication=1)
-        network.put("song", "v")
+        dht_put(network, "song", "v")
         key = hash_key("song")
         owner = network.owner_of(key)
         successor = network.successors_of(owner)[0]
@@ -451,7 +453,7 @@ class TestOwnerReads:
 
     def test_read_follows_a_join_that_claims_the_key(self):
         network = self._network(replication=1)
-        network.put("song", "v")
+        dht_put(network, "song", "v")
         key = hash_key("song")
         old_owner = network.owner_of(key)
         network.create_node(key)
@@ -461,7 +463,7 @@ class TestOwnerReads:
 
     def test_an_owner_crash_without_copies_reads_as_a_suspect_miss(self):
         network = self._network(replication=1)
-        network.put("fragile", "v")
+        dht_put(network, "fragile", "v")
         key = hash_key("fragile")
         network.remove_node(network.owner_of(key), graceful=False)
         assert network.is_suspect(key)
@@ -470,14 +472,14 @@ class TestOwnerReads:
 
     def test_a_repeated_read_replays_its_cached_route_at_the_same_price(self):
         network = self._network()
-        network.put("song", "v")
+        dht_put(network, "song", "v")
         key = hash_key("song")
         origin = sorted(network.nodes)[0]
-        network.get_raw(key, origin)
+        dht_get(network, key, origin)
         first = network.meter.by_category["dht.get"]
         messages, byte_count = first.messages, first.bytes
         hits = network.route_cache_hits
-        network.get_raw(key, origin)
+        dht_get(network, key, origin)
         second = network.meter.by_category["dht.get"]
         assert network.route_cache_hits == hits + 1
         assert (second.messages, second.bytes) == (2 * messages, 2 * byte_count)
@@ -510,9 +512,9 @@ class TestRouteCache:
         network = self._network()
         origin = network.random_node_id()
         key = hash_key("cached-route")
-        first = network.lookup(key, origin=origin)
+        first = lookup_from(network, key, origin)
         misses = network.route_cache_misses
-        second = network.lookup(key, origin=origin)
+        second = lookup_from(network, key, origin)
         assert network.route_cache_hits >= 1
         assert network.route_cache_misses == misses
         assert second.owner == first.owner
@@ -524,7 +526,7 @@ class TestRouteCache:
         origin = network.random_node_id()
         key = hash_key("region-key")
         owner = network.owner_of(key)
-        network.lookup(key, origin=origin)
+        lookup_from(network, key, origin)
         hits = network.route_cache_hits
         # A *different* key owned by the same node, from the same origin,
         # replays the cached path (interior keys of one region route
@@ -537,7 +539,7 @@ class TestRouteCache:
                 break
         if sibling is None:  # vanishingly unlikely with 160-bit regions
             return
-        result = network.lookup(sibling, origin=origin)
+        result = lookup_from(network, sibling, origin)
         assert network.route_cache_hits == hits + 1
         assert result.owner == owner
 
@@ -545,18 +547,18 @@ class TestRouteCache:
         network = self._network()
         origin = network.random_node_id()
         owner = network.owner_of(hash_key("exact"))
-        interior = network.lookup(hash_key("exact"), origin=origin)
-        exact = network.lookup(owner, origin=origin)
+        interior = lookup_from(network, hash_key("exact"), origin)
+        exact = lookup_from(network, owner, origin)
         # Both answers name the same owner; the cache may not conflate
         # them (routing to a node's own id can short-circuit earlier).
         assert interior.owner == exact.owner == owner
-        assert network.lookup(owner, origin=origin).path == exact.path
+        assert lookup_from(network, owner, origin).path == exact.path
 
     def test_membership_change_flushes_cached_routes(self):
         network = self._network()
         origin = network.random_node_id()
         key = hash_key("epoch")
-        network.lookup(key, origin=origin)
+        lookup_from(network, key, origin)
         epoch = network.membership_version
         victim = next(
             node_id for node_id in network.nodes
@@ -564,7 +566,7 @@ class TestRouteCache:
         )
         network.remove_node(victim, graceful=True)
         assert network.membership_version > epoch
-        result = network.lookup(key, origin=origin)
+        result = lookup_from(network, key, origin)
         # Fresh epoch: the lookup re-walked (a miss), and its path can
         # only name live members.
         assert all(node_id in network.nodes for node_id in result.path)
@@ -575,7 +577,7 @@ class TestRouteCache:
         for index in range(40):
             key = hash_key(f"hops-{index}")
             origin = sorted(network.nodes)[index % network.size]
-            assert network.route_hops(key, origin) == twin.lookup(key, origin).hops
+            assert network.route_hops(key, origin) == lookup_from(twin, key, origin).hops
         assert (network.route_cache_hits, network.route_cache_misses) == (
             twin.route_cache_hits,
             twin.route_cache_misses,
@@ -674,7 +676,7 @@ class TestBoundaries:
 
     def test_an_empty_network_refuses_a_put(self):
         with pytest.raises(DhtError, match="empty network"):
-            DhtNetwork(rng=1).put("orphan", "value")
+            dht_put(DhtNetwork(rng=1), "orphan", "value")
 
     def test_an_unknown_node_has_no_successors(self):
         network = DhtNetwork(rng=2)

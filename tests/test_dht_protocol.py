@@ -10,6 +10,8 @@ from repro.dht.network import DhtNetwork
 from repro.experiments.ext_churn import timed_lookup
 from repro.sim.latency import UniformLatencyModel
 
+from oracle import lookup_from
+
 LATENCY = UniformLatencyModel(0.05, 0.15)
 
 
@@ -42,7 +44,7 @@ class TestHappyPath:
         dht, rng = make_network()
         key = hash_key("timed")
         origin = next(n for n in dht.nodes if n != dht.owner_of(key))
-        hops = dht.lookup(key, origin=origin).hops
+        hops = lookup_from(dht, key, origin).hops
         _, seconds, _ = lookup(dht, rng, key, origin=origin)
         # Each hop = request + reply, each 0.05-0.15 s one way.
         assert hops >= 1

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from oracle import reference_fingers, ring_of
+from oracle import lookup_from, reference_fingers, ring_of
 from repro.common.ids import KEY_SPACE, hash_key
 from repro.dht.network import DhtNetwork
 from repro.dht.node import DhtNode
@@ -128,7 +128,7 @@ class TestNetworkChurnEquivalence:
                 if not live:
                     continue
                 origin = live[value % len(live)]
-                result = network.lookup(value, origin=origin)
+                result = lookup_from(network, value, origin)
                 assert result.owner == network.owner_of(value)
                 assert result.path[0] == origin and result.path[-1] == result.owner
                 stabilized = True  # lookup() stabilizes a stale ring first
@@ -148,8 +148,8 @@ class TestNetworkChurnEquivalence:
         reference.stabilize()
         assert bulk.owner_of(key) == reference.owner_of(key)
         origin = ids[key % count]
-        a = bulk.lookup(key, origin=origin)
-        b = reference.lookup(key, origin=origin)
+        a = lookup_from(bulk, key, origin)
+        b = lookup_from(reference, key, origin)
         assert (a.owner, a.path) == (b.owner, b.path)
         assert (bulk.meter.bytes, bulk.meter.messages) == (
             reference.meter.bytes,
@@ -288,7 +288,7 @@ def test_membership_reads_and_accounting_build_no_node():
     assert member in network.nodes and member + 1 not in network.nodes
     assert network.member_ids() == sorted(network.nodes)
     assert not network._built and _live_dht_nodes() == before
-    result = network.lookup(hash_key("one lookup"), origin=member)
+    result = lookup_from(network, hash_key("one lookup"), member)
     assert set(network._built) == set(result.path)
     assert _live_dht_nodes() == before + len(set(result.path))
 

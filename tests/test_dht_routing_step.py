@@ -18,7 +18,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import reference_fingers, reference_iter_lookup, reference_step, ring_of
+from oracle import (
+    lookup_from,
+    reference_fingers,
+    reference_iter_lookup,
+    reference_step,
+    ring_of,
+)
 from repro.common.errors import DhtError
 from repro.common.ids import KEY_SPACE, in_interval, ring_distance
 from repro.dht.network import DhtNetwork
@@ -366,7 +372,7 @@ class TestWalksUnderChurn:
                 _, key, pick = op
                 origin = sorted(network.nodes)[pick % network.size]
                 try:
-                    result = network.lookup(key, origin)
+                    result = lookup_from(network, key, origin)
                 except DhtError as error:
                     outcome = "raise", (type(error), str(error), error.path)
                 else:

@@ -18,7 +18,8 @@ import math
 import pytest
 
 from repro.cache.results import QueryResultCache
-from repro.dht.network import DhtNetwork, hash_key
+from repro.common.ids import hash_key
+from repro.dht.network import DhtNetwork
 from repro.hybrid.engine import HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import HybridUltrapeer
 from repro.pier.catalog import Catalog

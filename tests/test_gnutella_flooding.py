@@ -23,7 +23,7 @@ def line_topology(n=6):
         ultrapeers=list(range(n)),
         leaves=[],
         neighbors=neighbors,
-        leaf_parents={},
+        leaf_parent={},
         ultrapeer_leaves={i: [] for i in range(n)},
     )
 
@@ -34,7 +34,7 @@ def cycle_topology(n=6):
         ultrapeers=list(range(n)),
         leaves=[],
         neighbors=neighbors,
-        leaf_parents={},
+        leaf_parent={},
         ultrapeer_leaves={i: [] for i in range(n)},
     )
 
@@ -46,7 +46,7 @@ def star_topology(n=6):
         ultrapeers=list(range(n)),
         leaves=[],
         neighbors=neighbors,
-        leaf_parents={},
+        leaf_parent={},
         ultrapeer_leaves={i: [] for i in range(n)},
     )
 
@@ -57,7 +57,7 @@ def complete_topology(n=5):
         ultrapeers=list(range(n)),
         leaves=[],
         neighbors=neighbors,
-        leaf_parents={},
+        leaf_parent={},
         ultrapeer_leaves={i: [] for i in range(n)},
     )
 

@@ -45,14 +45,14 @@ def filename_of(file: SharedFile) -> str:
     return file.filename
 
 
-def line_network(files_by_node, leaf_parents=None):
+def line_network(files_by_node, leaf_parent=None):
     """Ultrapeers 0-1-2-3 in a line, leaves as given, content as given."""
-    leaf_parents = leaf_parents or {}
+    leaf_parent = leaf_parent or {}
     topology = Topology(
         ultrapeers=[0, 1, 2, 3],
-        leaves=list(leaf_parents),
+        leaves=list(leaf_parent),
         neighbors={0: [1], 1: [0, 2], 2: [1, 3], 3: [2]},
-        leaf_parents=leaf_parents,
+        leaf_parent=leaf_parent,
     )
     placement = Placement()
     for node, names in files_by_node.items():
@@ -138,7 +138,7 @@ def test_standalone_index_equals_scan_of_its_files(names, query):
 @settings(max_examples=100, deadline=None)
 @given(files_by_node=placements, query=terms)
 def test_network_shared_indexes_equal_scan(files_by_node, query):
-    network = line_network(files_by_node, {10: [0], 11: [1, 3], 12: []})
+    network = line_network(files_by_node, {10: 0, 11: 3})
     for index in network.indexes.values():
         expected = substring_scan(index.files, query, filename_of) if query else []
         assert index.match(query) == expected
@@ -168,7 +168,7 @@ def test_unselective_term_falls_back_to_the_scan():
 
 def test_empty_query_answers_are_pinned_per_caller():
     """Three callers, three meanings of "no terms" — kept apart on purpose."""
-    network = line_network({0: ["alpha.mp3"], 10: ["beta.mp3", "alpha.mp3"]}, {10: [1]})
+    network = line_network({0: ["alpha.mp3"], 10: ["beta.mp3", "alpha.mp3"]}, {10: 1})
     assert list(network.matcher.match([])) == ["alpha.mp3", "beta.mp3"]
     assert all(index.match([]) == [] for index in network.indexes.values())
     assert ContentMatcher(network).matching_filenames([]) == ["alpha.mp3", "beta.mp3"]
@@ -221,11 +221,11 @@ def test_shared_matcher_learns_from_any_index_of_the_network():
 
 
 def test_replica_depths_equal_generator_min_form():
-    # 11 has two parents, 12 none, 99 is outside the topology altogether
+    # 12 is on no ultrapeer, 99 is outside the topology altogether
     network = line_network(
         {0: ["a.mp3"], 3: ["a.mp3", "b.mp3"], 10: ["b.mp3"], 11: ["a.mp3"],
          12: ["b.mp3"], 99: ["a.mp3"]},
-        {10: [2], 11: [3, 1], 12: []},
+        {10: 2, 11: 1},
     )
     hosts = reference_hosts(network)
     names = ["b.mp3", "a.mp3"]
@@ -249,10 +249,10 @@ def test_thresholded_snoop_equals_the_full_snoop_below_its_threshold(
     files_by_node, query, horizon, threshold
 ):
     """The warm-up snoop reads the replicas inside a flood's horizon only
-    up to the QRS threshold. Leaf 10 has one parent, leaf 11 two (its
-    second host is one of the table's ``others`` rows) and leaf 12 none
-    (its first host is ``None``); 42 is no ultrapeer at all."""
-    network = line_network(files_by_node, {10: [0], 11: [1, 3], 12: []})
+    up to the QRS threshold. Leaves 10 and 11 each have a parent, node 12
+    is on no ultrapeer (its host is ``None``) and 42 is no ultrapeer at
+    all."""
+    network = line_network(files_by_node, {10: 0, 11: 3})
     names = ContentMatcher(network).matching_filenames(query)
     full = [id(file) for file in reference_snoop(network, names, horizon)]
     cut = [id(file) for file in network.replicas_hosted_by(names, horizon, threshold)]
@@ -267,16 +267,17 @@ def test_thresholded_snoop_equals_the_full_snoop_below_its_threshold(
 def test_thresholded_snoop_stops_at_the_filename_that_reaches_it():
     network = line_network(
         {0: ["a.mp3", "b.mp3"], 3: ["a.mp3"], 11: ["a.mp3", "c.mp3"], 12: ["a.mp3"]},
-        {11: [2, 3], 12: []},
+        {11: 3},
     )
     names = ["a.mp3", "b.mp3", "c.mp3"]
     replicas = network.placement.replicas_by_filename
     a, b, c = (replicas[name] for name in names)
-    # a.mp3 at 0, 3, 11 (through its second parent, 3) and 12 (no parent)
+    # a.mp3 at 0, 3, 11 (through its parent, 3) and 12 (on no ultrapeer)
     assert network.replicas_hosted_by(names, {0, 3}, 99) == [a[0], a[1], a[2], b[0], c[0]]
     assert network.replicas_hosted_by(names, {0, 3}, 3) == [a[0], a[1], a[2]]
     assert network.replicas_hosted_by(names, {0, 3}, 4) == [a[0], a[1], a[2], b[0]]
-    assert network.replicas_hosted_by(names, {2}, 99) == [a[2], c[0]]
+    assert network.replicas_hosted_by(names, {3}, 99) == [a[1], a[2], c[0]]
+    assert network.replicas_hosted_by(names, {2}, 99) == []
     assert network.replicas_hosted_by(names, set(), 99) == []
     assert network.replicas_hosted_by([], {0}, 0) == []
 

@@ -28,7 +28,7 @@ class TestContentPlacement:
             files = placement.files_by_node.get(leaf, [])
             if not files:
                 continue
-            parent = gnutella.topology.leaf_parents[leaf][0]
+            parent = gnutella.topology.leaf_parent[leaf]
             indexed = {f.result_key for f in gnutella.indexes[parent].files}
             for file in files:
                 assert file.result_key in indexed
@@ -62,7 +62,7 @@ class TestQueries:
     def test_query_from_leaf_routes_via_parent(self, gnutella):
         leaf = gnutella.topology.leaves[0]
         result = gnutella.query(leaf, ["zzznothing"], max_ttl=1)
-        assert result.origin == gnutella.topology.leaf_parents[leaf][0]
+        assert result.origin == gnutella.topology.leaf_parent[leaf]
 
     def test_all_results_for_is_superset_of_flood(self, gnutella):
         placement = gnutella.placement

@@ -55,12 +55,11 @@ class TestStructure:
 
     def test_every_leaf_has_a_parent(self, topology):
         for leaf in topology.leaves:
-            assert topology.leaf_parents[leaf]
+            assert topology.is_ultrapeer(topology.leaf_parent[leaf])
 
     def test_leaf_parent_linkage_consistent(self, topology):
-        for leaf, parents in topology.leaf_parents.items():
-            for parent in parents:
-                assert leaf in topology.ultrapeer_leaves[parent]
+        for leaf, parent in topology.leaf_parent.items():
+            assert leaf in topology.ultrapeer_leaves[parent]
 
     def test_degree_profiles_respected(self):
         # With a pure-new-profile topology degrees should cluster near 32.
@@ -85,7 +84,7 @@ class TestStructure:
         a = build_topology(TopologyConfig(num_ultrapeers=50, num_leaves=100, seed=9))
         b = build_topology(TopologyConfig(num_ultrapeers=50, num_leaves=100, seed=9))
         assert a.neighbors == b.neighbors
-        assert a.leaf_parents == b.leaf_parents
+        assert a.leaf_parent == b.leaf_parent
 
 
 class TestHelpers:
@@ -95,7 +94,7 @@ class TestHelpers:
 
     def test_ultrapeer_of_leaf(self, topology):
         leaf = topology.leaves[0]
-        assert topology.ultrapeer_of(leaf) == topology.leaf_parents[leaf][0]
+        assert topology.ultrapeer_of(leaf) == topology.leaf_parent[leaf]
 
     def test_ultrapeer_of_self(self, topology):
         up = topology.ultrapeers[0]
@@ -123,17 +122,16 @@ class TestHelpers:
 class TestAttachLeavesReference:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize(
-        "ultrapeers,leaves,connections",
-        # roomy; multi-parent; over capacity (6 x 75 slots for 500 leaves)
-        [(60, 240, 1), (40, 300, 3), (6, 500, 2)],
+        "ultrapeers,leaves",
+        # roomy; over capacity (6 x 75 slots for 500 leaves)
+        [(60, 240), (6, 500)],
     )
-    def test_topology_equals_fresh_candidate_list_per_connection(
-        self, monkeypatch, seed, ultrapeers, leaves, connections
+    def test_topology_equals_fresh_candidate_list_per_leaf(
+        self, monkeypatch, seed, ultrapeers, leaves
     ):
         config = TopologyConfig(
             num_ultrapeers=ultrapeers, num_leaves=leaves, new_client_fraction=0.0, seed=seed,
         )
-        monkeypatch.setattr(topology_module, "LEAF_CONNECTIONS", connections)
         built = build_topology(config)
         monkeypatch.setattr(topology_module, "_attach_leaves", reference_attach_leaves)
         assert build_topology(config) == built
@@ -155,6 +153,6 @@ class TestEnsureConnected:
         assert all(node in neighbors[other] for node, other in map(tuple, added))
         shape = Topology(
             ultrapeers=list(neighbors), leaves=[], neighbors=neighbors,
-            leaf_parents={}, ultrapeer_leaves={node: [] for node in neighbors},
+            leaf_parent={}, ultrapeer_leaves={node: [] for node in neighbors},
         )
         assert shape.connected_ultrapeer_count() == 6

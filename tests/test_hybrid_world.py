@@ -12,19 +12,21 @@ import pytest
 
 from repro.dht.network import DhtNetwork
 from repro.hybrid.world import build_world
-from repro.obs.metrics import MetricsRegistry, split_series_key
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+
+#: the series key of a ``dataflow.strategy`` counter, up to the strategy
+STRATEGY_SERIES = 'dataflow.strategy{strategy="'
 
 
 def executed_strategies(metrics: MetricsRegistry) -> dict[str, int]:
     """{strategy name: plans executed} from the ``dataflow.strategy``
     counters."""
-    executed = {}
-    for key, counter in metrics.counters.items():
-        name, labels = split_series_key(key)
-        if name == "dataflow.strategy" and counter.value:
-            executed[labels["strategy"]] = counter.value
-    return executed
+    return {
+        key[len(STRATEGY_SERIES) : -len('"}')]: counter.value
+        for key, counter in metrics.counters.items()
+        if key.startswith(STRATEGY_SERIES) and counter.value
+    }
 
 
 def populated_dht(nodes: int = 16) -> DhtNetwork:

@@ -166,8 +166,6 @@ class TestCostModel:
         value = lambda name: metrics.counter(f"optimizer.{name}", labels=labels).value
         assert value("predicted_bytes") == 2 * estimate.bytes
         assert value("actual_bytes") == 4_000
-        errors = metrics.histogram("optimizer.bytes_error_ratio", labels=labels)
-        assert errors.count == 2
 
 
 class TestBudgetPricesNothing:

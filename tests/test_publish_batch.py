@@ -32,7 +32,7 @@ from repro.piersearch.publisher import Publisher, compute_file_id
 from repro.piersearch.tokenizer import extract_keywords
 from repro.workload.library import SharedFile
 
-from oracle import reference_publish
+from oracle import lookup_from, reference_publish
 
 #: few words over many files, so postings share keys (and route-cache regions)
 FILES = [
@@ -233,7 +233,7 @@ class TestMidFileFailure:
         plan = probe.publisher.plan_file(*details(self.FILE))
         for selector in range(24):
             origin = probe.member(selector)
-            paths = [probe.network.lookup(entry[0], origin).path for entry in plan.entries]
+            paths = [lookup_from(probe.network, entry[0], origin).path for entry in plan.entries]
             crossed = set(paths[2][1:-1]) - {node for path in paths[:2] for node in path}
             if crossed:
                 break

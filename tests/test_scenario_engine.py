@@ -136,16 +136,6 @@ def test_failed_gate_reported_not_raised():
     assert "latency_p95" in failed
 
 
-def test_metrics_published_per_scenario():
-    runner = ScenarioRunner(tiny())
-    report = runner.run()
-    metrics = runner.metrics
-    gauge = metrics.gauge("scenario.recall", labels={"scenario": "tiny"})
-    assert gauge.value == report.recall
-    passed = metrics.gauge("scenario.slo_passed", labels={"scenario": "tiny"})
-    assert passed.value == (1.0 if report.passed else 0.0)
-
-
 def test_runner_keeps_world_for_inspection():
     runner = ScenarioRunner(tiny())
     assert runner.world is None

@@ -5,9 +5,12 @@ import pytest
 from repro.common.errors import KeyNotFoundError
 from repro.common.rng import make_rng
 from repro.dht.churn import ChurnProcess
-from repro.dht.network import DhtNetwork, hash_key
+from repro.common.ids import hash_key
+from repro.dht.network import DhtNetwork
 from repro.net.faults import FaultInjectingTransport
 from repro.scenario.injectors import PartitionInjector, RegionalFailureInjector
+
+from oracle import dht_put
 
 NUM_NODES = 24
 NUM_KEYS = 60
@@ -19,7 +22,7 @@ def build_network(seed=1, replication=2):
     network.populate(NUM_NODES)
     keys = []
     for i in range(NUM_KEYS):
-        network.put(f"item-{i}", f"value-{i}")
+        dht_put(network, f"item-{i}", f"value-{i}")
         keys.append(hash_key(f"item-{i}"))
     return network, keys
 
