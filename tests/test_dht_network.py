@@ -684,3 +684,61 @@ class TestBoundaries:
         absent = next(i for i in range(1, 100) if i not in network.nodes)
         with pytest.raises(NodeNotFoundError):
             network.successors_of(absent)
+
+
+class TestTrafficAccounting:
+    """The meter's totals, its categories and the route-cache counters are
+    what a run reports of DHT traffic; each must add up on its own."""
+
+    def _network(self):
+        network = DhtNetwork(replication=2, rng=7)
+        network.populate(16)
+        return network
+
+    def test_totals_equal_the_category_sums(self):
+        network = self._network()
+        for i in range(6):
+            dht_put(network, f"k{i}", i)
+            dht_get(network, f"k{i}")
+        network.get_raw(hash_key("k0"), category="pier.fetch")
+        meter = network.meter
+        assert len(meter.by_category) == 3
+        assert meter.messages == sum(cost.messages for cost in meter.by_category.values())
+        assert meter.bytes == sum(cost.bytes for cost in meter.by_category.values())
+
+    def test_a_put_many_returns_what_it_charged(self):
+        network = self._network()
+        entries = [(hash_key(f"k{i}"), i, None, 100 * i, "dht.put") for i in range(5)]
+        before = network.meter.snapshot()
+        messages, byte_count = network.put_many(entries)
+        after = network.meter.snapshot()
+        assert (after.messages - before.messages, after.bytes - before.bytes) == (
+            messages,
+            byte_count,
+        )
+        assert network.meter.by_category["dht.put"].messages == messages
+
+    def test_every_lookup_is_one_route_cache_hit_or_miss(self):
+        network = self._network()
+        keys = [hash_key(f"route-{i % 4}") for i in range(12)]
+        origin = next(iter(network.nodes))
+        for key in keys:
+            lookup_from(network, key, origin)
+        assert network.route_cache_hits + network.route_cache_misses == len(keys)
+        assert network.route_cache_misses <= 4
+
+    def test_a_lookup_starts_at_a_member_drawn_from_the_network_rng(self):
+        first, second = self._network(), self._network()
+        for i in range(10):
+            key = hash_key(f"drawn-{i}")
+            a, b = first.lookup(key), second.lookup(key)
+            assert a.path == b.path
+            assert a.path[0] in first.nodes
+            assert a.owner == first.owner_of(key)
+
+    def test_a_get_from_a_random_member_reads_the_owners_values(self):
+        network = self._network()
+        dht_put(network, "song", "a")
+        dht_put(network, "song", "b")
+        for _ in range(8):
+            assert sorted(network.get_raw(hash_key("song"))) == ["a", "b"]

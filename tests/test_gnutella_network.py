@@ -1,7 +1,10 @@
 """Tests for the GnutellaNetwork facade."""
 
+import math
+
 import pytest
 
+from oracle import reference_hosts
 from repro.gnutella.measurement import ContentMatcher
 from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.topology import TopologyConfig, build_topology
@@ -45,6 +48,38 @@ class TestContentPlacement:
                 assert files[0].result_key in indexed
                 return
         pytest.skip("no ultrapeer with local files")
+
+    def test_every_file_is_indexed_by_exactly_its_host(self, gnutella):
+        """One index per file: a leaf's at its parent, an ultrapeer's at
+        itself."""
+        hosts = reference_hosts(gnutella)
+        topology = gnutella.topology
+        for node, files in gnutella.placement.files_by_node.items():
+            host = node if topology.is_ultrapeer(node) else topology.leaf_parent[node]
+            for file in files:
+                assert hosts[(file.filename, file.node_id)] == [host]
+
+    def test_indexes_hold_every_placed_file_once(self, gnutella):
+        indexed = sum(len(index.files) for index in gnutella.indexes.values())
+        assert indexed == gnutella.placement.total_replicas
+
+    def test_a_replica_reads_its_hosts_depth(self, gnutella):
+        """A depth map holding only one leaf's parent puts exactly that
+        parent's replicas at its depth and the rest at ``inf``."""
+        topology = gnutella.topology
+        leaf = next(node for node in topology.leaves if gnutella.placement.files_by_node.get(node))
+        parent = topology.leaf_parent[leaf]
+        filename = gnutella.placement.files_by_node[leaf][0].filename
+        replicas = gnutella.placement.replicas_by_filename[filename]
+        depths = gnutella.replica_depths([filename], {parent: 2})
+        expected = [
+            2 if (topology.leaf_parent.get(file.node_id, file.node_id) == parent) else math.inf
+            for file in replicas
+        ]
+        assert depths == expected
+        assert 2 in depths
+        hosted = gnutella.replicas_hosted_by([filename], {parent}, len(replicas) + 1)
+        assert hosted == [file for file, depth in zip(replicas, depths) if depth == 2]
 
 
 class TestQueries:

@@ -61,6 +61,19 @@ class TestStructure:
         for leaf, parent in topology.leaf_parent.items():
             assert leaf in topology.ultrapeer_leaves[parent]
 
+    def test_leaf_parent_maps_exactly_the_leaves(self, topology):
+        assert sorted(topology.leaf_parent) == sorted(topology.leaves)
+        assert not any(topology.is_ultrapeer(leaf) for leaf in topology.leaves)
+
+    def test_each_leaf_is_listed_once_under_its_one_parent(self, topology):
+        listed = [
+            (leaf, parent)
+            for parent, leaves in topology.ultrapeer_leaves.items()
+            for leaf in leaves
+        ]
+        assert len(listed) == len(topology.leaves)
+        assert sorted(listed) == sorted(topology.leaf_parent.items())
+
     def test_degree_profiles_respected(self):
         # With a pure-new-profile topology degrees should cluster near 32.
         topo = build_topology(
@@ -100,6 +113,10 @@ class TestHelpers:
         up = topology.ultrapeers[0]
         assert topology.ultrapeer_of(up) == up
 
+    def test_ultrapeer_of_every_leaf_is_its_parent(self, topology):
+        for leaf in topology.leaves:
+            assert topology.ultrapeer_of(leaf) == topology.leaf_parent[leaf]
+
     def test_ultrapeer_of_unknown_raises(self, topology):
         with pytest.raises(KeyError):
             topology.ultrapeer_of(10**9)
@@ -119,12 +136,32 @@ class TestHelpers:
             assert len(topo.ultrapeer_leaves[up]) <= limit
 
 
+class TestLeafCapacity:
+    @pytest.mark.parametrize("ultrapeers,leaves", [(20, 1500), (6, 500)])
+    def test_no_leaf_overflows_while_a_slot_is_free(self, ultrapeers, leaves):
+        """Leaves fill every slot before any ultrapeer takes more than its
+        profile allows: exactly full leaves none over, and past full
+        none under."""
+        topo = build_topology(
+            TopologyConfig(
+                num_ultrapeers=ultrapeers, num_leaves=leaves, new_client_fraction=0.0, seed=4,
+            )
+        )
+        limit = OLD_PROFILE["leaf_capacity"]
+        loads = [len(topo.ultrapeer_leaves[up]) for up in topo.ultrapeers]
+        assert min(loads) >= min(limit, leaves // ultrapeers)
+        if leaves <= limit * ultrapeers:
+            assert max(loads) <= limit
+        assert sum(loads) == leaves
+
+
 class TestAttachLeavesReference:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize(
         "ultrapeers,leaves",
-        # roomy; over capacity (6 x 75 slots for 500 leaves)
-        [(60, 240), (6, 500)],
+        # roomy; exactly full (20 x 75 slots); over capacity (6 x 75 slots
+        # for 500 leaves)
+        [(60, 240), (20, 1500), (6, 500)],
     )
     def test_topology_equals_fresh_candidate_list_per_leaf(
         self, monkeypatch, seed, ultrapeers, leaves

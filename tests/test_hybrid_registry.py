@@ -13,6 +13,8 @@ by name on each use.
 
 import math
 
+import pytest
+
 from repro.cache.results import QueryResultCache
 from repro.common.ids import hash_key
 from repro.dht.network import DhtNetwork
@@ -155,5 +157,34 @@ EXPECTED = [
 ]
 
 
-def test_registry_series_match_the_per_use_lookups():
-    assert run_matrix() == EXPECTED
+@pytest.fixture(scope="module")
+def snapshots():
+    return run_matrix()
+
+
+def test_registry_series_match_the_per_use_lookups(snapshots):
+    assert snapshots == EXPECTED
+
+
+def family(snapshot, name):
+    """The sum of ``name``'s labelled series in ``snapshot``."""
+    return sum(value for key, value in snapshot.items() if key.startswith(name + "{"))
+
+
+def test_every_race_is_won_once(snapshots):
+    """Each resolved race names exactly one winner, ``none`` included."""
+    for snapshot in snapshots:
+        assert family(snapshot, "hybrid.winner") == snapshot.get("hybrid.races", 0)
+
+
+def test_every_cache_hit_is_a_cache_win(snapshots):
+    for snapshot in snapshots:
+        assert snapshot.get("hybrid.cache_hits", 0) == snapshot.get(
+            'hybrid.winner{source="cache"}', 0
+        )
+
+
+def test_counters_never_decrease_between_phases(snapshots):
+    for before, after in zip(snapshots, snapshots[1:]):
+        assert set(before) <= set(after)
+        assert all(after[key] >= value for key, value in before.items())

@@ -176,6 +176,26 @@ class TestExports:
         assert isinstance(args["obj"], str)
         assert args["seq"][0] == 1 and isinstance(args["seq"][2], str)
 
+    def test_an_open_span_exports_with_zero_duration(self):
+        tracer = Tracer()
+        tracer.begin("open", at=2.0)
+        document = tracer.to_chrome_trace()
+        validate_chrome_trace(document)
+        (event,) = document["traceEvents"]
+        assert (event["ts"], event["dur"]) == (2_000_000.0, 0.0)
+
+    def test_unsampled_roots_export_nothing(self):
+        tracer = Tracer(sample_every=2)
+        for index in range(4):
+            root = tracer.begin("race", at=float(index))
+            root.child("walk", at=float(index)).finish(at=index + 0.5)
+            root.finish(at=index + 1.0)
+        events = tracer.to_chrome_trace()["traceEvents"]
+        assert [(event["name"], event["ts"]) for event in events] == [
+            ("race", 0.0), ("walk", 0.0), ("race", 2_000_000.0), ("walk", 2_000_000.0),
+        ]
+        assert len({event["tid"] for event in events}) == 2
+
 
 class TestValidator:
     def test_rejects_missing_keys(self):

@@ -1,6 +1,9 @@
 """Scenario compile + run: schedules, reports, gates, reproducibility."""
 
 import dataclasses
+import math
+
+import pytest
 
 from repro.hybrid.engine import RaceConfig
 from repro.scenario import (
@@ -15,6 +18,7 @@ from repro.scenario import (
 )
 from repro.scenario.engine import REQUERY_DEADLINE
 from repro.scenario.presets import SMOKE
+from repro.sim.stats import nearest_rank
 
 
 def tiny(**overrides) -> ScenarioSpec:
@@ -134,6 +138,62 @@ def test_failed_gate_reported_not_raised():
     assert not report.passed
     failed = {c.name for c in report.slo_checks if not c.ok}
     assert "latency_p95" in failed
+
+
+@pytest.fixture(scope="module")
+def tiny_run():
+    """A tiny run with churn, its runner and its report."""
+    runner = ScenarioRunner(tiny(churn=ChurnSpec(kind="uniform", interval=3.0, steps=2)))
+    return runner, runner.run()
+
+
+def test_report_recall_and_coverage_rederive_from_the_records(tiny_run):
+    runner, report = tiny_run
+    rare = [(event, race) for event, race in runner.records if event.item >= 0]
+    published = [race for event, race in rare if runner.corpus[event.item].published]
+    answered = [race for race in published if race.outcome.total_results > 0]
+    assert report.rare_queries == len(rare)
+    assert report.rare_published == len(published)
+    assert report.answered_rare == len(answered)
+    assert report.recall == (len(answered) / len(published) if published else 0.0)
+    answered_all = sum(1 for _, race in rare if race.outcome.total_results > 0)
+    assert report.coverage == (answered_all / len(rare) if rare else 0.0)
+
+
+def test_report_latencies_are_nearest_ranks_of_the_answered_races(tiny_run):
+    runner, report = tiny_run
+    latencies = [
+        race.outcome.first_result_latency
+        for _, race in runner.records
+        if not math.isinf(race.outcome.first_result_latency)
+    ]
+    assert latencies
+    assert report.latency_p50 == nearest_rank(latencies, 0.50)
+    assert report.latency_p95 == nearest_rank(latencies, 0.95)
+
+
+def test_report_fractions_rederive_from_the_records(tiny_run):
+    runner, report = tiny_run
+    outcomes = [race.outcome for _, race in runner.records]
+    assert report.queries == len(outcomes)
+    assert report.degraded == sum(1 for outcome in outcomes if outcome.degraded)
+    assert report.degraded_fraction == report.degraded / len(outcomes)
+    requeried = sum(1 for outcome in outcomes if outcome.used_pier)
+    assert report.cache_hits == sum(1 for outcome in outcomes if outcome.cache_hit)
+    assert report.cache_hit_rate == (report.cache_hits / requeried if requeried else 0.0)
+    assert report.churn_joins + report.churn_leaves + report.churn_failures > 0
+
+
+def test_slo_checks_read_the_report_values(tiny_run):
+    _, report = tiny_run
+    checks = {check.name: check for check in report.slo_checks}
+    assert list(checks) == [
+        "recall", "latency_p95", "query_kb_mean", "silent_loss",
+        "degraded_fraction", "cache_hit_rate",
+    ]
+    for name, check in checks.items():
+        assert check.value == getattr(report, name)
+    assert report.passed == all(check.ok for check in report.slo_checks)
 
 
 def test_runner_keeps_world_for_inspection():

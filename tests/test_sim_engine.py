@@ -110,6 +110,32 @@ class TestRunControl:
         sim.run()
         assert sim.processed == 4
 
+    def test_processed_accumulates_across_runs_and_steps(self):
+        sim = Simulator()
+        for i in range(6):
+            sim.schedule(float(i + 1), lambda: None)
+        first = sim.run(until=2.5)
+        assert sim.step() is True
+        rest = sim.run()
+        assert (first, rest) == (2, 3)
+        assert sim.processed == 6
+
+    def test_cancelled_events_are_not_processed(self):
+        sim = Simulator()
+        group = sim.group()
+        for i in range(3):
+            group.schedule(float(i + 1), lambda: None)
+        sim.schedule(2.0, lambda: None)
+        group.cancel()
+        assert sim.run() == 1
+        assert sim.processed == 1
+
+    def test_run_until_with_nothing_due_moves_only_the_clock(self):
+        sim = Simulator()
+        sim.schedule(4.0, lambda: None)
+        assert sim.run(until=1.5) == 0
+        assert (sim.now, sim.processed, pending(sim)) == (1.5, 0, 1)
+
     def test_empty_run_returns_zero(self):
         assert Simulator().run() == 0
 
