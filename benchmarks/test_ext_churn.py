@@ -4,9 +4,7 @@ from repro.experiments import ext_churn
 
 
 def test_ext_churn(benchmark, scale):
-    result = benchmark(
-        ext_churn.run, scale, 64, 30, 0.4
-    )
+    result = benchmark(ext_churn.run, scale, 64, 30)
     rows = {row[0]: row for row in result.rows}
     clean = rows[0.0]
     worst = rows[max(rows)]

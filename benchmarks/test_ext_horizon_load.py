@@ -4,7 +4,7 @@ from repro.experiments import ext_horizon_load
 
 
 def test_ext_horizon_load(benchmark, scale):
-    result = benchmark(ext_horizon_load.run, scale, 5, 3)
+    result = benchmark(ext_horizon_load.run, scale)
     messages = result.column("messages_per_query")
     coverage = result.column("ultrapeer_coverage_pct")
     assert messages == sorted(messages)

@@ -8,15 +8,16 @@ import math
 
 from repro.experiments import fig08_flood_overhead
 from repro.experiments.common import SMALL_SCALE
-from repro.gnutella.dynamic import dynamic_query
 from repro.gnutella.flooding import flood
+from repro.gnutella.latency import GnutellaLatencyModel
 from repro.gnutella.topology import TopologyConfig, build_topology
+from repro.workload.library import Placement
+
+from tests.oracle import reference_dynamic_query, reference_flood
 
 
 def test_fig08(benchmark, scale):
-    result = benchmark(
-        fig08_flood_overhead.run, scale, num_ultrapeers=2000, num_origins=3
-    )
+    result = benchmark(fig08_flood_overhead.run, scale)
     marginals = [row[3] for row in result.rows if math.isfinite(row[3])]
     assert marginals[-1] > marginals[1]
     last = result.rows[-1]
@@ -25,19 +26,23 @@ def test_fig08(benchmark, scale):
 
 def test_fig08_dynamic_query_ablation(benchmark):
     """Dynamic querying re-floods each round: strictly more messages than
-    one flood at the final TTL, for the same coverage."""
+    one flood at the final TTL, for the same coverage. The rounds are the
+    reference query's, flooded one by one from scratch; their messages
+    are also the sum of the single flood's cumulative per-hop messages."""
     topology = build_topology(
         TopologyConfig(num_ultrapeers=800, num_leaves=0, seed=4)
     )
     origin = topology.ultrapeers[0]
 
     def run_ablation():
-        deepened = dynamic_query(
-            topology, {}, origin, ["nothing"], desired_results=10**9, max_ttl=4
+        deepened = reference_dynamic_query(
+            topology, Placement(), origin, ["nothing"], 10**9, 4, GnutellaLatencyModel()
         )
-        single = flood(topology, {}, origin, ["nothing"], ttl=deepened.final_ttl)
+        single = flood(topology, origin, ttl=deepened[1])
         return deepened, single
 
-    deepened, single = benchmark(run_ablation)
-    assert deepened.total_messages > single.messages
-    assert {f for r in deepened.rounds for f in r.visited} == single.visited
+    (found, final_ttl, _, total_messages), single = benchmark(run_ablation)
+    assert (found, final_ttl) == ([], 4)
+    assert total_messages > single.messages
+    assert reference_flood(topology, Placement(), origin, [], 4)[0] == single.visited
+    assert total_messages == sum(single.messages_by_hop[1:])

@@ -79,11 +79,11 @@ def test_bench_artifact_recorded(sweep, tmp_path):
     assert recorded.read_text() == ARTIFACT.read_text()
 
 
-def test_optimizer_smoke(benchmark):
+def test_optimizer_smoke(benchmark, monkeypatch):
     """CI smoke: one alpha, one repeat — the whole pipeline end to end."""
-    result = benchmark(
-        ext_optimizer.run, SMALL_SCALE, alphas=(1.1,), repeats=1
-    )
+    monkeypatch.setattr(ext_optimizer, "ZIPF_ALPHAS", (1.1,))
+    monkeypatch.setattr(ext_optimizer, "REPEATS", 1)
+    result = benchmark(ext_optimizer.run, SMALL_SCALE)
     strategies = {row[3] for row in result.rows}
     assert strategies == {
         "distributed_join", "semi_join", "bloom_join", "inverted_cache"

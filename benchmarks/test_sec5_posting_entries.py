@@ -13,7 +13,7 @@ def corpus(scale):
 
 
 def test_sec5_posting(benchmark, scale, corpus):
-    result = benchmark(sec5_posting.run, scale, 80)
+    result = benchmark(sec5_posting.run, scale)
     rows = {row[0]: row[1] for row in result.rows}
     # Rare queries ship fewer entries than the average query (paper: ~7x).
     assert rows["mean entries shipped (<=10 results)"] < rows[

@@ -38,7 +38,7 @@ def test_dht_put_get(benchmark, dht):
         i = next(counter)
         key = hash_key(f"bench-key-{i}")
         dht.put_many(((key, i, None, 0, "dht.put"),))
-        return dht.get_raw(key)
+        return dht.get_raw(key, "dht.get")
 
     values = benchmark(roundtrip)
     assert values
@@ -48,7 +48,7 @@ def test_flood_800_ultrapeers(benchmark):
     topology = build_topology(TopologyConfig(num_ultrapeers=800, num_leaves=0, seed=303))
 
     def one_flood():
-        return flood(topology, {}, topology.ultrapeers[0], ["x"], ttl=4)
+        return flood(topology, topology.ultrapeers[0], ttl=4)
 
     result = benchmark(one_flood)
     assert len(result.visited) > 100

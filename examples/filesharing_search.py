@@ -4,7 +4,10 @@ Builds a simulated Gnutella network (ultrapeers + leaves) sharing a
 long-tailed content library, then compares, for a popular and a rare
 query:
 
-* Gnutella dynamic querying — result count, messages, first-result latency
+* Gnutella dynamic querying — result count, messages, first-result latency,
+  answered the way the Section 7 deployment answers a leaf query: each
+  matching replica at its host's hop depth, cut at the TTL where the
+  client stops deepening
 * PIERSearch over a DHT with the same corpus published — result count and
   bandwidth
 
@@ -14,8 +17,11 @@ popular content and slow/lossy for the tail, where the DHT shines.
 Run:  python examples/filesharing_search.py
 """
 
+import math
+
 from repro.dht import DhtNetwork
-from repro.gnutella import GnutellaNetwork, TopologyConfig
+from repro.gnutella import GnutellaNetwork, TopologyConfig, flood
+from repro.gnutella.measurement import ContentMatcher, bfs_depths, dynamic_stop_ttl
 from repro.pier import Catalog
 from repro.piersearch import Publisher, SearchEngine
 from repro.workload import ContentLibrary
@@ -63,16 +69,28 @@ def main() -> None:
         ("rare", list(rare_item.family_terms), rare_item.replication),
     ]
 
+    # A LimeWire client deepens TTL 1, 2, ... until 150 results or TTL 4;
+    # each round re-floods from scratch, so its messages add up.
     origin = gnutella.topology.leaves[0]
+    ultrapeer = gnutella.topology.ultrapeer_of(origin)
+    depths = bfs_depths(gnutella, origin)
+    matcher = ContentMatcher(gnutella)
     for label, terms, replication in queries:
-        flood_result = gnutella.query(origin, terms, desired_results=150, max_ttl=4)
-        latency = gnutella.first_result_latency(flood_result)
-        latency_text = f"{latency:.1f}s" if latency != float("inf") else "never"
+        match_depths = gnutella.replica_depths(matcher.matching_filenames(terms), depths)
+        stop_ttl = dynamic_stop_ttl(match_depths, 150, 4)
+        results = sum(1 for depth in match_depths if depth <= stop_ttl)
+        messages = sum(
+            flood(gnutella.topology, ultrapeer, ttl).messages for ttl in range(1, stop_ttl + 1)
+        )
+        latency = gnutella.latency_model.arrival_for_depth(
+            min(match_depths, default=math.inf), stop_ttl
+        )
+        latency_text = f"{latency:.1f}s" if latency != math.inf else "never"
         pier_result = engine.search(terms)
         print(f"\n[{label}] query {terms} (target has {replication} replica(s))")
         print(
-            f"  Gnutella : {flood_result.num_results:4d} results, "
-            f"{flood_result.total_messages:6d} messages, first result {latency_text}"
+            f"  Gnutella : {results:4d} results, "
+            f"{messages:6d} messages, first result {latency_text}"
         )
         print(
             f"  PIERSearch: {len(pier_result):4d} results, "

@@ -766,7 +766,7 @@ class DhtNetwork:
                 total_bytes += byte_count
         return total_messages, total_bytes
 
-    def get_raw(self, key: int, category: str = "dht.get") -> list[Any]:
+    def get_raw(self, key: int, category: str) -> list[Any]:
         """Fetch every value under a raw ring key from its owner, routed
         from a random member and charged to ``category``.
 

@@ -29,6 +29,10 @@ from repro.piersearch.tokenizer import extract_keywords
 
 BUDGETS_KB = (0, 32, 128)
 ALPHAS = (0.6, 1.1)
+#: each sweep cell's overlay size, published files and query stream
+NUM_NODES = 48
+NUM_FILES = 240
+NUM_QUERIES = 500
 
 
 @dataclass
@@ -44,12 +48,7 @@ class _CellResult:
     outcomes: list = field(default_factory=list)
 
 
-def run(
-    scale: PaperScale = PAPER_SCALE,
-    num_nodes: int = 48,
-    num_files: int = 240,
-    num_queries: int = 500,
-) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     """Sweep cache budget x Zipf skew; returns the effectiveness table."""
     library = get_library(scale)
     rows = []
@@ -61,9 +60,6 @@ def run(
                 library=library,
                 alpha=alpha,
                 budget_kb=budget_kb,
-                num_nodes=num_nodes,
-                num_files=num_files,
-                num_queries=num_queries,
             )
             if budget_kb == 0:
                 baseline = cell
@@ -107,14 +103,11 @@ def _measure(
     library,
     alpha: float,
     budget_kb: int,
-    num_nodes: int,
-    num_files: int,
-    num_queries: int,
 ) -> _CellResult:
     """One sweep cell: fresh overlay, Zipf query stream, cached ultrapeer."""
     rng = make_rng(seed + int(alpha * 100) * 7 + budget_kb)
     dht = DhtNetwork(rng=seed + 1)
-    dht.populate(num_nodes)
+    dht.populate(NUM_NODES)
     world = build_world(
         dht,
         [0],
@@ -127,7 +120,7 @@ def _measure(
     # derive the query population from the published filenames, so every
     # query has a real answer in the DHT.
     population: list[list[str]] = []
-    for index, item in enumerate(library.items[:num_files]):
+    for index, item in enumerate(library.items[:NUM_FILES]):
         keywords = extract_keywords(item.filename)
         if not keywords:
             continue
@@ -147,13 +140,13 @@ def _measure(
     # flood reach, so every query times out on Gnutella and exercises the
     # cached PIER path.
     sampler = ZipfSampler(len(population), alpha, rng=rng)
-    for _ in range(num_queries):
+    for _ in range(NUM_QUERIES):
         terms = population[sampler.sample() - 1]
         hybrid.handle_leaf_query_simulated(world.engine, list(terms), [], stop_ttl=3)
         world.sim.run()
 
     cell.outcomes = [race.outcome for race in world.engine.races]
-    cell.queries = num_queries
+    cell.queries = NUM_QUERIES
     cell.pier_bytes = sum(outcome.pier_bytes for outcome in cell.outcomes)
     if cache is not None:
         cell.hits = cache.stats.hits

@@ -16,7 +16,7 @@ successor whenever a table entry names a departed node (one retry each),
 and gives up when its hop budget runs out. Timing is iterative-lookup
 timing: the querier pays a request and a reply (two one-way draws from
 :class:`~repro.sim.latency.UniformLatencyModel`) per node it contacts and
-one ``timeout`` per retry, the wait that told it the node was gone.
+one ``TIMEOUT`` per retry, the wait that told it the node was gone.
 """
 
 from __future__ import annotations
@@ -31,22 +31,23 @@ from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
 from repro.sim.latency import UniformLatencyModel
 
 FAILURE_FRACTIONS = (0.0, 0.1, 0.2, 0.3)
+#: seconds a querier waits before it gives a silent node up
+TIMEOUT = 0.5
 
 
 def run(
     scale: PaperScale = PAPER_SCALE,
     num_nodes: int = 128,
     lookups_per_point: int = 60,
-    timeout: float = 0.5,
 ) -> ExperimentResult:
     rows = []
     for fraction in FAILURE_FRACTIONS:
         before = _measure(
-            scale.seed, num_nodes, lookups_per_point, timeout, fraction,
+            scale.seed, num_nodes, lookups_per_point, fraction,
             stabilized=False,
         )
         after = _measure(
-            scale.seed, num_nodes, lookups_per_point, timeout, fraction,
+            scale.seed, num_nodes, lookups_per_point, fraction,
             stabilized=True,
         )
         rows.append(
@@ -113,7 +114,6 @@ def _measure(
     seed: int,
     num_nodes: int,
     lookups_per_point: int,
-    timeout: float,
     failure_fraction: float,
     stabilized: bool,
 ) -> dict[str, float]:
@@ -137,7 +137,7 @@ def _measure(
         key = rng.getrandbits(160)
         origin = rng.choice(alive)
         owner, seconds, retries = timed_lookup(
-            dht, key, origin, latency, hop_rng, timeout
+            dht, key, origin, latency, hop_rng, TIMEOUT
         )
         outcomes.append((owner == dht.owner_of(key), seconds, retries))
     return {

@@ -29,20 +29,18 @@ from repro.pier.planner import KeywordPlanner
 from repro.pier.query import JoinStrategy
 
 BATCH_SIZES = (1, 16, 64, 256)
+#: multi-term workload queries replayed at each batch size
+MAX_QUERIES = 60
 
 
-def run(
-    scale: PaperScale = PAPER_SCALE,
-    batch_sizes: tuple[int, ...] = BATCH_SIZES,
-    max_queries: int = 60,
-) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     network, catalog, _ = build_indexed_corpus(scale)
     planner = KeywordPlanner(catalog)
     unbatched = DataflowExecutor(network, catalog)
 
     queries = [
         query for query in list(get_workload(scale)) if len(query.terms) > 1
-    ][:max_queries]
+    ][:MAX_QUERIES]
 
     # One shared plan list: every sweep point (and the unbatched baseline)
     # replays the identical plans, so byte deltas are purely batching.
@@ -68,7 +66,7 @@ def run(
         answered += 1 if rows else 0
 
     result_rows = []
-    for batch_size in batch_sizes:
+    for batch_size in BATCH_SIZES:
         dataflow = DataflowExecutor(network, catalog, rng=scale.seed + 23)
         firsts: list[float] = []
         completions: list[float] = []

@@ -17,21 +17,25 @@ import math
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, get_network
 from repro.gnutella.flooding import flood
 
+#: the deepest flood swept, and the ultrapeers each TTL is averaged over
+MAX_TTL = 6
+NUM_ORIGINS = 5
 
-def run(scale: PaperScale = PAPER_SCALE, max_ttl: int = 6, num_origins: int = 5) -> ExperimentResult:
+
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     network = get_network(scale)
     topology = network.topology
-    origins = topology.ultrapeers[:num_origins]
+    origins = topology.ultrapeers[:NUM_ORIGINS]
     total_ultrapeers = len(topology.ultrapeers)
     n_nodes = scale.num_ultrapeers + scale.num_leaves
     dht_cost = math.log2(n_nodes)
 
     rows = []
-    for ttl in range(1, max_ttl + 1):
+    for ttl in range(1, MAX_TTL + 1):
         messages = 0.0
         covered = 0.0
         for origin in origins:
-            result = flood(topology, {}, origin, ["\x00none\x00"], ttl)
+            result = flood(topology, origin, ttl)
             messages += result.messages
             covered += len(result.visited)
         messages /= len(origins)

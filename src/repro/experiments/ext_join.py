@@ -59,13 +59,10 @@ MATRIX_STRATEGIES = (
 )
 
 
-def run(
-    scale: PaperScale = PAPER_SCALE,
-    alphas: tuple[float, ...] = ZIPF_ALPHAS,
-) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     num_files = max(300, scale.num_items // 3)
     rows = []
-    for alpha in alphas:
+    for alpha in ZIPF_ALPHAS:
         world = build_zipf_world(
             alpha, num_files=num_files, vocab_size=120, num_nodes=48,
             seed=scale.seed + int(alpha * 10),

@@ -54,6 +54,8 @@ SCENARIOS = (
 )
 
 ZIPF_ALPHAS = (0.8, 1.2)
+#: query nodes each scenario is replayed from, per strategy
+REPEATS = 3
 
 
 @dataclass
@@ -121,15 +123,11 @@ def _result_key(rows):
     return sorted((row.get("fileID"), row.get("filename")) for row in rows)
 
 
-def run(
-    scale: PaperScale = PAPER_SCALE,
-    alphas: tuple[float, ...] = ZIPF_ALPHAS,
-    repeats: int = 3,
-) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     num_files = max(200, scale.num_items // 4)
     vocab = 120
     rows = []
-    for alpha in alphas:
+    for alpha in ZIPF_ALPHAS:
         world = build_zipf_world(
             alpha, num_files=num_files, vocab_size=vocab, num_nodes=48,
             seed=scale.seed + int(alpha * 10),
@@ -140,7 +138,7 @@ def run(
             sizes = {t: world.catalog.posting_size("Inverted", t) for t in terms}
             pick = world.optimizer.pick(sizes, inverted_cache=False).strategy
             query_nodes = [
-                world.network.random_node_id() for _ in range(repeats)
+                world.network.random_node_id() for _ in range(REPEATS)
             ]
             baseline_bytes = None
             reference = None
@@ -186,9 +184,9 @@ def run(
                         scenario,
                         len(terms),
                         strategy.value,
-                        total_bytes / 1024 / repeats,
+                        total_bytes / 1024 / REPEATS,
                         reduction,
-                        total_entries // repeats,
+                        total_entries // REPEATS,
                         mean(firsts) if firsts else 0.0,
                         mean(completions) if completions else 0.0,
                         "<-" if strategy is pick else "",

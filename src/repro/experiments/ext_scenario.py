@@ -70,12 +70,9 @@ def _row(report: ScenarioReport) -> list:
     ]
 
 
-def run(
-    scale: PaperScale = PAPER_SCALE,
-    names: tuple[str, ...] = HOSTILE_MATRIX,
-) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     rows = []
-    for name in names:
+    for name in HOSTILE_MATRIX:
         report = run_scenario(SCENARIOS[name])
         rows.append(_row(report))
     return ExperimentResult(

@@ -83,7 +83,7 @@ def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     )
 
 
-def run_cdf(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
+def run_cdf(scale: PaperScale) -> ExperimentResult:
     """First-result latency CDF from virtual-time races (event engine).
 
     Re-queries execute on the streaming dataflow, so each PIER-answered

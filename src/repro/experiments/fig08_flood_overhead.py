@@ -16,16 +16,13 @@ from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
 from repro.gnutella.crawler import crawl, flood_overhead_curve
 from repro.gnutella.topology import TopologyConfig, build_topology
 
+#: ultrapeers the flood curves are averaged over
+NUM_ORIGINS = 5
 
-def run(
-    scale: PaperScale = PAPER_SCALE,
-    num_ultrapeers: int | None = None,
-    num_origins: int = 5,
-) -> ExperimentResult:
-    if num_ultrapeers is None:
-        num_ultrapeers = max(scale.num_ultrapeers * 5, 2000)
+
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     config = TopologyConfig(
-        num_ultrapeers=num_ultrapeers,
+        num_ultrapeers=max(scale.num_ultrapeers * 5, 2000),
         num_leaves=0,
         new_client_fraction=0.7,  # the live network's profile mix
         seed=scale.seed + 8,
@@ -34,7 +31,7 @@ def run(
     # Verify the crawler sees the whole overlay before analysing it.
     crawl_result = crawl(topology, seeds=topology.ultrapeers[:30])
     curve = flood_overhead_curve(
-        topology, origins=topology.ultrapeers[:num_origins], max_ttl=8
+        topology, origins=topology.ultrapeers[:NUM_ORIGINS], max_ttl=8
     )
     rows = []
     previous = (0.0, 1.0)

@@ -10,12 +10,14 @@ from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
 from repro.model.analytical import SystemParameters, pf_threshold
 
 HORIZONS = (0.05, 0.15, 0.30)
+#: the largest replica threshold swept
+MAX_THRESHOLD = 20
 
 
-def run(scale: PaperScale = PAPER_SCALE, max_threshold: int = 20) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     n = scale.num_ultrapeers + scale.num_leaves
     rows = []
-    for threshold in range(0, max_threshold + 1):
+    for threshold in range(0, MAX_THRESHOLD + 1):
         row = [threshold]
         for horizon in HORIZONS:
             params = SystemParameters(n=n, n_horizon=int(round(horizon * n)))

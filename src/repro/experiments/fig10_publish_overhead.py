@@ -10,11 +10,14 @@ from __future__ import annotations
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, get_library
 from repro.model.tradeoff import publishing_fraction
 
+#: the largest replica threshold swept
+MAX_THRESHOLD = 20
 
-def run(scale: PaperScale = PAPER_SCALE, max_threshold: int = 20) -> ExperimentResult:
+
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     replication = get_library(scale).replica_distribution()
     rows = []
-    for threshold in range(0, max_threshold + 1):
+    for threshold in range(0, MAX_THRESHOLD + 1):
         published = {
             name for name, count in replication.items() if count <= threshold
         }

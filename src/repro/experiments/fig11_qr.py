@@ -18,6 +18,8 @@ from repro.model.analytical import SystemParameters
 from repro.model.tradeoff import TraceModel
 
 HORIZONS = (0.05, 0.15, 0.30)
+#: the largest replica threshold swept (Figures 11 and 12)
+MAX_THRESHOLD = 10
 
 
 def build_trace_model(scale: PaperScale) -> TraceModel:
@@ -30,11 +32,11 @@ def build_trace_model(scale: PaperScale) -> TraceModel:
     return TraceModel.from_campaign(campaign, replication, params)
 
 
-def run(scale: PaperScale = PAPER_SCALE, max_threshold: int = 10) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     model = build_trace_model(scale)
-    sweeps = model.sweep_thresholds(list(range(0, max_threshold + 1)), list(HORIZONS))
+    sweeps = model.sweep_thresholds(list(range(0, MAX_THRESHOLD + 1)), list(HORIZONS))
     rows = []
-    for threshold in range(0, max_threshold + 1):
+    for threshold in range(0, MAX_THRESHOLD + 1):
         row = [threshold]
         for horizon in HORIZONS:
             row.append(100.0 * sweeps[horizon][threshold][2])

@@ -14,15 +14,15 @@ import math
 
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE, quantile
 from repro.experiments.fig07_latency import CDF_PERCENTILES, get_event_report
-from repro.experiments.fig11_qr import HORIZONS, build_trace_model
+from repro.experiments.fig11_qr import HORIZONS, MAX_THRESHOLD, build_trace_model
 from repro.hybrid.ultrapeer import DEFAULT_GNUTELLA_TIMEOUT
 
 
-def run(scale: PaperScale = PAPER_SCALE, max_threshold: int = 10) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     model = build_trace_model(scale)
-    sweeps = model.sweep_thresholds(list(range(0, max_threshold + 1)), list(HORIZONS))
+    sweeps = model.sweep_thresholds(list(range(0, MAX_THRESHOLD + 1)), list(HORIZONS))
     rows = []
-    for threshold in range(0, max_threshold + 1):
+    for threshold in range(0, MAX_THRESHOLD + 1):
         row = [threshold]
         for horizon in HORIZONS:
             row.append(100.0 * sweeps[horizon][threshold][3])
@@ -36,7 +36,7 @@ def run(scale: PaperScale = PAPER_SCALE, max_threshold: int = 10) -> ExperimentR
     )
 
 
-def run_cdf(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
+def run_cdf(scale: PaperScale) -> ExperimentResult:
     """Latency CDF by race winner (flood vs DHT), from virtual-time races."""
     report = get_event_report(scale)
     flood_won: list[float] = []

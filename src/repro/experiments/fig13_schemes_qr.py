@@ -45,9 +45,13 @@ def build_schemes(scale: PaperScale) -> list[RareItemScheme]:
     ]
 
 
-def run(
-    scale: PaperScale = PAPER_SCALE, metric: str = "qr"
-) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
+    return run_schemes(scale, "qr")
+
+
+def run_schemes(scale: PaperScale, metric: str) -> ExperimentResult:
+    """The scheme comparison on ``metric``: ``"qr"`` (Figure 13) or
+    ``"qdr"`` (Figure 14)."""
     if metric not in ("qr", "qdr"):
         raise ValueError(f"metric must be 'qr' or 'qdr', got {metric!r}")
     model = build_trace_model(scale)

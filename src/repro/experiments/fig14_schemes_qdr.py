@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, PaperScale, PAPER_SCALE
-from repro.experiments.fig13_schemes_qr import run as run_schemes
+from repro.experiments.fig13_schemes_qr import run_schemes
 
 
 def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
-    return run_schemes(scale, metric="qdr")
+    return run_schemes(scale, "qdr")

@@ -37,6 +37,8 @@ _corpus_cache: dict[str, tuple] = {}
 DHT_NODES = 64
 #: the published corpus's replica cap
 MAX_FILES = 25_000
+#: workload queries replayed
+MAX_QUERIES = 200
 
 
 def build_indexed_corpus(scale: PaperScale):
@@ -69,7 +71,7 @@ def build_indexed_corpus(scale: PaperScale):
     return _corpus_cache[scale.name]
 
 
-def run(scale: PaperScale = PAPER_SCALE, max_queries: int = 200) -> ExperimentResult:
+def run(scale: PaperScale = PAPER_SCALE) -> ExperimentResult:
     network, catalog, _ = build_indexed_corpus(scale)
     # Section 5 replays the paper's Figure 2 plan.
     engine = SearchEngine(
@@ -85,7 +87,7 @@ def run(scale: PaperScale = PAPER_SCALE, max_queries: int = 200) -> ExperimentRe
     planner = KeywordPlanner(catalog)
     unbatched = DataflowExecutor(network, catalog)
     dataflow = DataflowExecutor(network, catalog, rng=scale.seed + 22)
-    for query in list(workload)[:max_queries]:
+    for query in list(workload)[:MAX_QUERIES]:
         try:
             result = engine.search(list(query.terms))
         except PlanError:

@@ -59,18 +59,17 @@ def flood_overhead_curve(
 ) -> list[tuple[float, float]]:
     """Average (messages, ultrapeers visited) per search horizon depth.
 
-    For each origin, floods a match-nothing query at increasing TTL and
-    records cumulative messages vs cumulative ultrapeers reached; curves
+    For each origin, floods a query to ``max_ttl`` and records cumulative
+    messages vs cumulative ultrapeers reached after each hop; curves
     are averaged across origins. This is the Figure 8 computation: based
     on the crawled topology, with duplicate messages counted but
     duplicate deliveries suppressed.
     """
     if not origins:
         raise ValueError("need at least one origin")
-    empty_indexes: dict = {}
     curves: list[list[tuple[int, int]]] = []
     for origin in origins:
-        result = flood(topology, empty_indexes, origin, ["\x00nonexistent\x00"], max_ttl)
+        result = flood(topology, origin, max_ttl)
         curve = list(zip(result.messages_by_hop, result.visited_by_hop))
         curves.append(curve)
     depth = max(len(curve) for curve in curves)

@@ -1,11 +1,12 @@
-"""Filename matching and the per-ultrapeer content index.
+"""Filename matching over a network's content.
 
 An ultrapeer answers queries on behalf of its leaves: each leaf publishes
 its file list to the ultrapeer on connect (Gnutella 0.6), so query
 processing never touches leaves. Which *filenames* satisfy a query is a
 fact about the network's content, not about one ultrapeer, so it is
-resolved once, by the :class:`FilenameMatcher` every index of a network
-shares; an index only picks out its own files among the matching names.
+resolved once, by the network's one :class:`FilenameMatcher`; which
+ultrapeer hosts each replica of a matching name is the network's replica
+host table (:meth:`repro.gnutella.network.GnutellaNetwork.replica_depths`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.piersearch.tokenizer import tokenize
-from repro.workload.library import SharedFile
 
 #: a term inside more tokens than this is left to the substring check
 UNSELECTIVE_TOKENS = 50
@@ -34,8 +34,7 @@ class FilenameMatcher:
 
     No terms is an empty conjunction: *every* filename matches, which is
     what ``ContentMatcher.matching_filenames([])`` returns and what
-    ``GnutellaNetwork.all_results_for([])`` scans to; a servent drops such
-    a query, so ``UltrapeerIndex.match([])`` answers ``[]`` itself.
+    ``GnutellaNetwork.all_results_for([])`` scans to.
     """
 
     def __init__(self) -> None:
@@ -43,7 +42,7 @@ class FilenameMatcher:
         self._lowered: list[str] = []
         self._known: set[str] = set()
         self._token_index: dict[str, list[int]] = {}
-        self._memo: dict[tuple[str, ...], tuple[tuple[str, ...], frozenset[str]]] = {}
+        self._memo: dict[tuple[str, ...], tuple[str, ...]] = {}
         #: lowered term -> its token scan (see :meth:`_scan_term`)
         self._term_scans: dict[str, tuple[int, ...] | None] = {}
 
@@ -60,19 +59,13 @@ class FilenameMatcher:
 
     def match(self, terms: Sequence[str]) -> tuple[str, ...]:
         """Matching filenames, in the order they were added."""
-        return self._resolve(terms)[0]
-
-    def matching_set(self, terms: Sequence[str]) -> frozenset[str]:
-        """The filenames of :meth:`match`, for membership tests."""
-        return self._resolve(terms)[1]
-
-    def _resolve(self, terms: Sequence[str]) -> tuple[tuple[str, ...], frozenset[str]]:
         lowered = tuple(map(str.lower, terms))
-        resolved = self._memo.get(lowered)
-        if resolved is None:
-            names = tuple(self._names[position] for position in self._scan(lowered))
-            resolved = self._memo[lowered] = (names, frozenset(names))
-        return resolved
+        names = self._memo.get(lowered)
+        if names is None:
+            names = self._memo[lowered] = tuple(
+                self._names[position] for position in self._scan(lowered)
+            )
+        return names
 
     def _scan(self, lowered: tuple[str, ...]) -> list[int]:
         best: tuple[int, ...] | None = None
@@ -103,39 +96,3 @@ class FilenameMatcher:
             return None
         return tuple(sorted(set().union(*postings)))
 
-
-class UltrapeerIndex:
-    """Files searchable at one ultrapeer (its own plus its leaves').
-
-    ``matcher`` is the network's shared matcher; without one the index
-    keeps a private matcher over its own filenames.
-    """
-
-    def __init__(self, matcher: FilenameMatcher | None = None) -> None:
-        self._files: list[SharedFile] = []
-        self._filenames: set[str] = set()
-        self._matcher = FilenameMatcher() if matcher is None else matcher
-
-    def add_files(self, files: list[SharedFile]) -> None:
-        self._files.extend(files)
-        for file in files:
-            if file.filename not in self._filenames:
-                self._filenames.add(file.filename)
-                self._matcher.add(file.filename)
-
-    def __len__(self) -> int:
-        return len(self._files)
-
-    @property
-    def files(self) -> list[SharedFile]:
-        return list(self._files)
-
-    def match(self, terms: list[str]) -> list[SharedFile]:
-        """Files whose names contain every query term (substring match),
-        in the order they were added; an empty query matches nothing."""
-        if not terms:
-            return []
-        matching = self._matcher.matching_set(terms)
-        if matching.isdisjoint(self._filenames):
-            return []
-        return [file for file in self._files if file.filename in matching]

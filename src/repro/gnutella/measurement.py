@@ -5,12 +5,15 @@ ultrapeers and takes the union of the results as a lower bound on the
 network's true content ("Union-of-30"). This module reproduces that
 campaign against a simulated network.
 
-For speed, the campaign exploits the determinism of flooding: the result
-set a vantage obtains equals the matching replicas indexed at ultrapeers
-within its BFS horizon, so we precompute per-vantage BFS depths once and
-intersect per query — provably equivalent to running ``flood`` per
-(query, vantage), which the test suite verifies at small scale. Latency
-uses the same round/hop arithmetic as the full dynamic-query simulation.
+A dynamic query is answered in closed form, by replica depth. The result
+set a vantage obtains in a round with TTL ``t`` is the matching replicas
+hosted at ultrapeers within ``t`` hops, so the campaign computes each
+vantage's BFS depths once and, per query, each matching replica's depth
+(:meth:`GnutellaNetwork.replica_depths`); the stopping TTL
+(:func:`dynamic_stop_ttl`) and the first-result latency
+(:meth:`GnutellaLatencyModel.arrival_for_depth`) follow from the depths.
+``tests/oracle.py`` holds a reference dynamic query that floods round by
+round, and the tests hold the closed form equal to it.
 
 Matching lives below this module, shared with the Section 7 deployment:
 :class:`ContentMatcher` reads the network's one ``FilenameMatcher`` and
@@ -230,8 +233,8 @@ def dynamic_stop_ttl(depths: list[float], desired_results: int, max_ttl: int) ->
     """TTL at which a dynamic-querying client stops deepening.
 
     The client floods TTL 1, 2, ... and stops as soon as the cumulative
-    result count reaches ``desired_results`` (or ``max_ttl`` is hit). This
-    mirrors :func:`repro.gnutella.dynamic.dynamic_query`'s stopping rule.
+    result count (the replicas at depth ``<= ttl``) reaches
+    ``desired_results``, or ``max_ttl`` is hit.
     """
     histogram = Counter(depths)
     for ttl in range(1, max_ttl + 1):

@@ -1,11 +1,16 @@
 """Gnutella network facade.
 
-Glues topology, content placement, per-ultrapeer indexes, flooding,
-dynamic querying and the latency model into one object experiments can
-drive.
+Glues topology, content placement and the latency model into one object
+experiments can drive.
 
 The network owns the content plane everything above it reads: the one
-filename matcher its indexes share, and each replica's hosting ultrapeers.
+filename matcher that resolves a query's names, and each replica's hosting
+ultrapeer. A query's answer is computed from those by depth: the replicas
+of its matching names, each at its host's hop depth from the querying
+ultrapeer (:meth:`GnutellaNetwork.replica_depths` over
+:func:`repro.gnutella.measurement.bfs_depths`), cut at the TTL a dynamic
+query stops at (:func:`repro.gnutella.measurement.dynamic_stop_ttl`), and
+timed by :meth:`GnutellaLatencyModel.arrival_for_depth`.
 """
 
 from __future__ import annotations
@@ -16,14 +21,7 @@ from collections.abc import Container
 from itertools import compress, repeat
 
 from repro.common.rng import make_rng
-from repro.gnutella.dynamic import (
-    DEFAULT_DESIRED_RESULTS,
-    DEFAULT_MAX_TTL,
-    DynamicQueryResult,
-    dynamic_query,
-)
-from repro.gnutella.flooding import FloodResult, flood
-from repro.gnutella.index import FilenameMatcher, UltrapeerIndex
+from repro.gnutella.index import FilenameMatcher
 from repro.gnutella.latency import GnutellaLatencyModel
 from repro.gnutella.topology import Topology, TopologyConfig, build_topology
 from repro.workload.library import ContentLibrary, Placement, SharedFile
@@ -42,10 +40,6 @@ class GnutellaNetwork:
         self.rng = make_rng(rng)
         #: resolves a query's filenames once for the whole network
         self.matcher = FilenameMatcher()
-        self.indexes: dict[int, UltrapeerIndex] = {
-            ultrapeer: UltrapeerIndex(self.matcher)
-            for ultrapeer in topology.ultrapeers
-        }
         self.placement: Placement | None = None
         #: filename -> each replica's hosting ultrapeer (None: none), in
         #: placement order
@@ -62,7 +56,7 @@ class GnutellaNetwork:
         config: TopologyConfig | None = None,
         rng: random.Random | int | None = None,
     ) -> "GnutellaNetwork":
-        """Build topology, place ``library``'s replicas, index everything."""
+        """Build topology and place ``library``'s replicas."""
         rng = make_rng(rng)
         config = config or TopologyConfig()
         topology = build_topology(config)
@@ -72,26 +66,26 @@ class GnutellaNetwork:
         return network
 
     def load_placement(self, placement: Placement) -> None:
-        """Index every replica at the ultrapeer responsible for its node.
+        """Host every replica at the ultrapeer responsible for its node.
 
         Leaves publish their file lists to their parent ultrapeer;
-        ultrapeers index their own files locally.
+        ultrapeers answer for their own files.
         """
         self.placement = placement
         for filename in placement.replicas_by_filename:
             self.matcher.add(filename)
-        for node, files in placement.files_by_node.items():
-            host = self._host_of(node)
-            if host is not None:
-                self.indexes[host].add_files(files)
         for filename, replicas in placement.replicas_by_filename.items():
             self._replica_hosts[filename] = [self._host_of(replica.node_id) for replica in replicas]
 
     def _host_of(self, node: int) -> int | None:
-        """The ultrapeer that indexes ``node``'s files (None: none does)."""
+        """The ultrapeer that answers for ``node``'s files (None: none does)."""
         if self.topology.is_ultrapeer(node):
             return node
         return self.topology.leaf_parent.get(node)
+
+    # ------------------------------------------------------------------
+    # Content plane
+    # ------------------------------------------------------------------
 
     def replica_depths(self, filenames: list[str], depth_map: dict[int, int]) -> list[float]:
         """Per replica of ``filenames``, in placement order: the
@@ -106,7 +100,7 @@ class GnutellaNetwork:
         self, filenames: list[str], ultrapeers: Container[int], limit: int
     ) -> list[SharedFile]:
         """The replicas of ``filenames`` that some ultrapeer in
-        ``ultrapeers`` indexes, filename by filename in placement order
+        ``ultrapeers`` hosts, filename by filename in placement order
         (those whose :meth:`replica_depths` over a depth map of
         ``ultrapeers`` is finite), cut short after the filename that
         brings the count to ``limit``. A list shorter than ``limit`` is
@@ -119,38 +113,6 @@ class GnutellaNetwork:
             if len(found) >= limit:
                 break
         return found
-
-    # ------------------------------------------------------------------
-    # Query interface
-    # ------------------------------------------------------------------
-
-    def flood_query(self, origin: int, terms: list[str], ttl: int) -> FloodResult:
-        """Plain TTL flood from ``origin`` (a node; leaves go via parent)."""
-        return flood(self.topology, self.indexes, self.topology.ultrapeer_of(origin), terms, ttl)
-
-    def query(
-        self,
-        origin: int,
-        terms: list[str],
-        desired_results: int = DEFAULT_DESIRED_RESULTS,
-        max_ttl: int = DEFAULT_MAX_TTL,
-    ) -> DynamicQueryResult:
-        """Issue a query with dynamic deepening, as a modern client does."""
-        return dynamic_query(
-            self.topology,
-            self.indexes,
-            self.topology.ultrapeer_of(origin),
-            terms,
-            desired_results=desired_results,
-            max_ttl=max_ttl,
-        )
-
-    def first_result_latency(self, result: DynamicQueryResult) -> float:
-        return self.latency_model.first_result_latency(result)
-
-    # ------------------------------------------------------------------
-    # BrowseHost and bookkeeping
-    # ------------------------------------------------------------------
 
     def all_results_for(self, terms: list[str]) -> list[SharedFile]:
         """Oracle: every matching replica in the whole network.

@@ -359,13 +359,12 @@ def _observe_background_query(
     A hybrid ultrapeer sees the results of queries it forwarded. The
     flood's visited set is the set of forwarding ultrapeers, so every
     hybrid ultrapeer inside the (TTL-limited) horizon observes the result
-    set and applies the QRS rule. The flood runs over an empty index map,
-    for its horizon alone: the result set is read once, below, from the
-    network's replica host table, so no visited ultrapeer's index is
-    asked. It is read only up to the QRS threshold: a result set that
+    set and applies the QRS rule. The flood gives the horizon alone: the
+    result set is read once, below, from the network's replica host
+    table. It is read only up to the QRS threshold: a result set that
     long is dropped by every observer, so the rest of it is never built.
     """
-    horizon = flood(gnutella.topology, {}, origin, [], ttl=2).visited
+    horizon = flood(gnutella.topology, origin, ttl=2).visited
     observers = [hybrid_by_ultrapeer[up] for up in horizon if up in hybrid_by_ultrapeer]
     if not observers:
         return

@@ -28,8 +28,13 @@ the way the deployment built it before it stopped at the QRS threshold.
 :func:`reference_attach_leaves` is leaf attachment with a fresh candidate
 list per leaf (``tests/test_gnutella_topology.py``).
 :func:`reference_flood` is a TTL flood counted from hop distances and
-degrees rather than sent message by message
-(``tests/test_gnutella_flooding.py``).
+degrees rather than sent message by message, with what it finds scanned
+out of the placement, each file at its ultrapeer
+(``tests/test_gnutella_flooding.py``), and
+:func:`reference_dynamic_query` is a dynamic query run round by round,
+a :func:`reference_flood` per TTL, clocked by the latency model's
+constants: the program answers the same query in closed form by replica
+depth, and ``tests/test_gnutella_measurement.py`` holds the two equal.
 
 :func:`reference_publish` is publishing one file a tuple at a time: each
 row validated, keyed, routed, copied and charged on its own, one typed
@@ -143,9 +148,9 @@ def dht_get(network, key, origin=None):
     from ``origin`` (None: a random member)."""
     key = hash_key(key) if isinstance(key, str) else key
     if origin is None:
-        return network.get_raw(key)
+        return network.get_raw(key, "dht.get")
     with patch.object(network, "random_node_id", return_value=origin):
-        return network.get_raw(key)
+        return network.get_raw(key, "dht.get")
 
 
 def lookup_from(network, key, origin):
@@ -554,12 +559,24 @@ def substring_scan(items, terms, name=lambda item: item):
     ]
 
 
+def files_by_ultrapeer(topology, placement):
+    """ultrapeer -> the placed files it answers for: its own, then each of
+    its leaves' (Gnutella 0.6 leaves publish their file lists to their
+    parent). A file of a leaf with no parent is nobody's."""
+    files = {}
+    for node, placed in placement.files_by_node.items():
+        host = node if topology.is_ultrapeer(node) else topology.leaf_parent.get(node)
+        if host is not None:
+            files.setdefault(host, []).extend(placed)
+    return files
+
+
 def reference_hosts(network):
-    """(filename, node) -> the ultrapeers whose index lists a file of
-    that node under that name, read back out of the indexes."""
+    """(filename, node) -> the ultrapeers that answer for a file of that
+    node under that name, from the placement and the leaves' parents."""
     hosts = {}
-    for ultrapeer, index in network.indexes.items():
-        for file in index.files:
+    for ultrapeer, files in files_by_ultrapeer(network.topology, network.placement).items():
+        for file in files:
             hosts.setdefault((file.filename, file.node_id), []).append(ultrapeer)
     return hosts
 
@@ -592,7 +609,7 @@ def reference_snoop(network, names, horizon):
     return [file for file, depth in zip(replicas, depths) if depth == 0]
 
 
-def reference_flood(topology, indexes, origin, terms, ttl):
+def reference_flood(topology, placement, origin, terms, ttl):
     """A TTL flood by definition, as ``(visited, messages, visited_by_hop,
     messages_by_hop, matches)``.
 
@@ -601,8 +618,9 @@ def reference_flood(topology, indexes, origin, terms, ttl):
     message to each neighbour but the one it first heard from (the origin
     to all of them), duplicates included. The per-hop curves stop after
     the first hop that reaches nobody new. ``matches`` is the sorted
-    ``(filename, node_id, hop)`` of every file a reached node indexes
-    that contains every term.
+    ``(filename, node_id, hop)`` of every placed file a reached node
+    answers for (:func:`files_by_ultrapeer`) whose name contains every
+    term; no terms is an empty conjunction, which every file satisfies.
     """
     distance = {origin: 0}
     for hop in range(1, ttl + 1):
@@ -626,11 +644,45 @@ def reference_flood(topology, indexes, origin, terms, ttl):
     ]
     matches = sorted(
         (file.filename, file.node_id, distance[node])
-        for node, index in indexes.items()
-        if node in distance and terms
-        for file in substring_scan(index.files, terms, name=lambda f: f.filename)
+        for node, files in files_by_ultrapeer(topology, placement).items()
+        if node in distance
+        for file in substring_scan(files, terms, name=lambda f: f.filename)
     )
     return set(distance), messages_by_hop[-1], visited_by_hop, messages_by_hop, matches
+
+
+def reference_dynamic_query(topology, placement, origin, terms, desired_results, max_ttl, model):
+    """A dynamic query run round by round, as ``(found, stop_ttl,
+    first_arrival, messages)``.
+
+    The query enters at ``origin``'s ultrapeer (a leaf's parent). Round
+    ``t`` floods from scratch with TTL ``t`` (:func:`reference_flood`),
+    for ``t`` = 1, 2, ... up to ``max_ttl``, so the rounds' messages add
+    up; the query stops after the first round whose results number at
+    least ``desired_results``. ``found`` is the sorted ``(filename,
+    node_id)`` of the last round's results. Round ``t`` starts once every
+    earlier round has gone out and come back (``2 * ttl * hop_time`` each)
+    and paused (``round_pause``), after the ``initial_overhead``; its
+    result from ``hop`` hops away arrives ``2 * max(1, hop) * hop_time``
+    later (the origin's own files answer like a neighbour's).
+    ``first_arrival`` is the earliest arrival of any round, ``inf`` when
+    no round found anything.
+    """
+    start = topology.ultrapeer_of(origin)
+    clock = model.initial_overhead
+    first_arrival = math.inf
+    messages = 0
+    for ttl in range(1, max_ttl + 1):
+        _, sent, _, _, matches = reference_flood(topology, placement, start, terms, ttl)
+        messages += sent
+        if matches and math.isinf(first_arrival):
+            nearest = min(hop for _, _, hop in matches)
+            first_arrival = clock + 2 * max(1, nearest) * model.hop_time
+        if len(matches) >= desired_results:
+            break
+        clock += 2 * ttl * model.hop_time + model.round_pause
+    found = sorted((filename, node) for filename, node, _ in matches)
+    return found, ttl, first_arrival, messages
 
 
 def reference_stop_ttl(depths, desired_results, max_ttl):

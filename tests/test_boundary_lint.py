@@ -72,9 +72,7 @@ TEST_INSTRUMENTS = {
     "closest_preceding": "the routing-step differential reads a node's next-hop choice",
     "connected_ultrapeer_count": "the topology tests check the overlay is one component",
     "estimated_false_positive_rate": "the Bloom tests bound a filter's fill-implied FP rate",
-    "final_ttl": "the dynamic-querying tests read the deepest TTL a query reached",
     "first_successor": "the routing-step differential reads a node's fallback hop",
-    "flood_query": "the end-to-end and network tests flood a built network",
     "hybrid_overall_cost": "the paper's Equation (4), held to its closed form by the model tests",
     "matching_replicas": "the matcher tests hold it equal to a substring scan",
     "pf_hybrid": "the paper's Equation (1), held to its closed form by the model tests",
@@ -280,7 +278,10 @@ def test_deleted_path_selectors_stay_deleted():
     list. The cost optimizer has no configuration and prices wire bytes
     alone: no spill term, and the Bloom FP rate has one owner. QRP leaf
     filters, trace files and the recall/CDF package are gone. A metric is
-    a counter: no gauge, histogram, scrape collector or exporter."""
+    a counter: no gauge, histogram, scrape collector or exporter. A
+    Gnutella query is answered by replica depth alone: no round-by-round
+    dynamic query, no per-ultrapeer index, and a flood that only walks
+    its horizon."""
     import dataclasses
     import importlib
     import inspect
@@ -396,6 +397,33 @@ def test_deleted_path_selectors_stay_deleted():
         assert not hasattr(MetricsRegistry, name), name
     for name in ("Histogram", "Gauge"):
         assert not hasattr(stats, name), name
+
+    import repro.gnutella
+    from repro.gnutella import index
+    from repro.gnutella.latency import GnutellaLatencyModel
+    from repro.gnutella.network import GnutellaNetwork
+    from repro.gnutella.topology import Topology
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.gnutella.dynamic")
+    for module in (index, flooding, repro.gnutella):
+        for name in ("UltrapeerIndex", "Match", "dynamic_query", "DynamicQueryResult"):
+            assert not hasattr(module, name), (module, name)
+    for owner, name in (
+        (GnutellaNetwork, "query"),
+        (GnutellaNetwork, "flood_query"),
+        (GnutellaNetwork, "first_result_latency"),
+        (GnutellaLatencyModel, "round_start"),
+        (GnutellaLatencyModel, "first_result_latency"),
+        (index.FilenameMatcher, "matching_set"),
+    ):
+        assert not hasattr(owner, name), name
+    assert [field.name for field in dataclasses.fields(flooding.FloodResult)] == [
+        "origin", "ttl", "visited", "messages", "visited_by_hop", "messages_by_hop",
+    ]
+    network = GnutellaNetwork(Topology([0, 1], [], {0: [1], 1: [0]}, {}))
+    assert not hasattr(network, "indexes")
+    assert list(inspect.signature(flooding.flood).parameters) == ["topology", "origin", "ttl"]
 
 
 def _referenced_names(trees: Iterable[ast.AST]) -> set[str]:
@@ -651,9 +679,6 @@ class _Calls:
     replaced: set[str]
     #: attribute names assigned after construction
     assigned: set[str]
-    #: names given as a dict literal's values: a registry's entries, which
-    #: are called through the registry, not by name
-    registered: set[str]
 
 
 def _callee(func: ast.expr, cls: str | None) -> str | None:
@@ -665,7 +690,7 @@ def _collect_calls(trees: Iterable[ast.AST]) -> _Calls:
     """Every call under the caller roots, matched by name as the dead-code
     rule matches: a method call ``x.f(...)`` counts for every ``f``, and
     ``partial(f, ...)`` is a call to ``f``."""
-    out = _Calls({}, set(), set(), set())
+    out = _Calls({}, set(), set())
 
     def record(name: str | None, args: list[ast.expr], keywords: list[ast.keyword]) -> None:
         if name is None:
@@ -693,9 +718,11 @@ def _collect_calls(trees: Iterable[ast.AST]) -> _Calls:
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             out.assigned.add(node.attr)
         elif isinstance(node, ast.Dict):
+            # A registry's entries are called the way the runner calls
+            # them: one positional argument (the scale).
             for value in node.values:
                 if isinstance(value, (ast.Name, ast.Attribute)):
-                    out.registered.add(_callee(value, None))
+                    record(_callee(value, None), [value], [])
         for child in ast.iter_child_nodes(node):
             visit(child, cls)
 
@@ -716,14 +743,12 @@ def _passes(call: tuple[int, bool, set[str], bool], option: _Option) -> bool:
 
 
 def _unpassed(options: Iterable[_Option], calls: _Calls) -> list[_Option]:
-    """The options no call sets. An option of a function reached only as
-    a value (a callback, a registry entry) is out of the rule's sight and
-    skipped, and so is a field the code assigns after construction: that
-    is state, not an option."""
+    """The options no call sets. A function given as a dict literal's
+    value (a registry entry) counts as called with one positional
+    argument, and a field the code assigns after construction is skipped:
+    that is state, not an option."""
     out = []
     for option in options:
-        if option.owner in calls.registered:
-            continue
         if option.is_field and (option.name in calls.assigned or option.name in calls.replaced):
             continue
         if not any(_passes(call, option) for call in calls.calls.get(option.owner, [])):
@@ -824,7 +849,8 @@ PROBE_UNPASSED = {"helper.b", "helper.c", "turn.angle", "spin.speed", "Box.x", "
         ("partial(helper, 1, 2)\n", {"helper.b"}),
         ("# helper(1, 2, c=3)\n", set()),
         ("print('helper(1, 2, c=3)')\n", set()),
-        ("REGISTRY = {'h': helper}\n", {"helper.b", "helper.c"}),
+        ("REGISTRY = {'h': helper}\n", set()),
+        ("REGISTRY = {'s': Knob.spin}\n", {"spin.speed"}),
         ("knob.turn(90)\n", {"turn.angle"}),
         ("Knob.spin(3)\n", {"spin.speed"}),
         ("Box(1)\n", {"Box.x"}),
@@ -835,7 +861,7 @@ PROBE_UNPASSED = {"helper.b", "helper.c", "turn.angle", "spin.speed", "Box.x", "
     ids=[
         "uncalled", "default-left", "by-position", "by-keyword", "star",
         "double-star", "attribute-call", "partial", "comment", "string",
-        "registry", "method-skips-self", "staticmethod", "dataclass-position",
+        "registry", "registry-passes-one-positional", "method-skips-self", "staticmethod", "dataclass-position",
         "dataclass-all", "replace", "assigned-is-state",
     ],
 )
@@ -844,7 +870,8 @@ def test_option_rule_reads_calls_not_text(caller, passed):
     on a method, a ``cls(...)`` call building the class), through ``*`` or
     ``**``, through ``partial`` or ``dataclasses.replace``; a comment or a
     string passes nothing. A function given as a registry's value is
-    exempt, and so is a field the code assigns: that is state. A
+    called with one positional argument, as the runner calls its entries,
+    and a field the code assigns is skipped: that is state. A
     ``default_factory`` or ``init=False`` field is no option at all."""
     defined = list(_options(ast.parse(OPTION_PROBE), "probe.py"))
     calls = _collect_calls([ast.parse(OPTION_PROBE), ast.parse(caller)])

@@ -95,7 +95,7 @@ def test_graceful_regional_leave_hands_off_each_value_exactly_once():
     assert sorted(stored_values(network, heir)) == sorted(landing)
     assert not network.suspect_ranges
     for i in range(NUM_KEYS):
-        assert f"v-{i}" in network.get_raw(hash_key(f"k-{i}"))
+        assert f"v-{i}" in network.get_raw(hash_key(f"k-{i}"), "dht.get")
 
 
 def test_forward_order_removal_would_cascade_handoffs():
@@ -139,7 +139,7 @@ def test_graceful_victims_keys_survive_mixed_arc():
             continue
         for key, value in snapshots[node]:
             try:
-                values = network.get_raw(key)
+                values = network.get_raw(key, "dht.get")
             except KeyNotFoundError:
                 values = []
             assert value in values, (

@@ -338,7 +338,7 @@ class TestReplicaRotationUnderChurn:
         for replica in replicas:
             network.put_local(replica, key, "stale")
         for _ in range(4):
-            assert network.get_raw(key) == ["v"]
+            assert network.get_raw(key, "dht.get") == ["v"]
 
     def test_stale_replica_fallback_after_churn_shrinks_set(self):
         network, key, owner, replicas = self._replicated()
@@ -348,7 +348,7 @@ class TestReplicaRotationUnderChurn:
         network.put_local(replicas[1], key, "stale")
         assert network.owner_of(key) == owner
         for _ in range(4):
-            assert network.get_raw(key) == ["v"]
+            assert network.get_raw(key, "dht.get") == ["v"]
 
 
 class TestOwnerReads:
@@ -368,6 +368,18 @@ class TestOwnerReads:
         network.put_local(successor, key, "successor-only")
         assert dht_get(network, "song") == ["published"]
 
+    def test_a_read_names_its_category(self):
+        """No read is charged to a default: a read without a category is
+        refused before it routes or charges anything."""
+        network = self._network()
+        dht_put(network, "song", "published")
+        before = dict(network.meter.by_category)
+        with pytest.raises(TypeError):
+            network.get_raw(hash_key("song"))
+        assert dict(network.meter.by_category) == before
+        assert network.get_raw(hash_key("song"), "fetch.Item") == ["published"]
+        assert network.meter.by_category["fetch.Item"].messages >= 1
+
     def test_a_value_held_off_the_owner_is_not_found(self):
         network = self._network()
         key = hash_key("elsewhere")
@@ -375,7 +387,7 @@ class TestOwnerReads:
         for node_id in network.successors_of(owner)[:2]:
             network.put_local(node_id, key, "copy")
         with pytest.raises(KeyNotFoundError):
-            network.get_raw(key)
+            network.get_raw(key, "dht.get")
 
     def test_read_equals_the_owners_local_store(self):
         network = self._network()
@@ -383,7 +395,7 @@ class TestOwnerReads:
             dht_put(network, f"item-{i % 10}", i)
         for i in range(10):
             key = hash_key(f"item-{i}")
-            assert network.get_raw(key) == network.get_local(network.owner_of(key), key)
+            assert network.get_raw(key, "dht.get") == network.get_local(network.owner_of(key), key)
 
     def test_read_charges_one_routed_request(self):
         network = self._network()
@@ -448,7 +460,7 @@ class TestOwnerReads:
         successor = network.successors_of(owner)[0]
         network.remove_node(owner, graceful=True)
         assert network.owner_of(key) == successor
-        assert network.get_raw(key) == ["v"]
+        assert network.get_raw(key, "dht.get") == ["v"]
         assert network.get_local(successor, key) == ["v"]
 
     def test_read_follows_a_join_that_claims_the_key(self):
@@ -458,7 +470,7 @@ class TestOwnerReads:
         old_owner = network.owner_of(key)
         network.create_node(key)
         assert network.owner_of(key) == key
-        assert network.get_raw(key) == ["v"]
+        assert network.get_raw(key, "dht.get") == ["v"]
         assert network.get_local(old_owner, key) == []
 
     def test_an_owner_crash_without_copies_reads_as_a_suspect_miss(self):
@@ -468,7 +480,7 @@ class TestOwnerReads:
         network.remove_node(network.owner_of(key), graceful=False)
         assert network.is_suspect(key)
         with pytest.raises(KeyNotFoundError):
-            network.get_raw(key)
+            network.get_raw(key, "dht.get")
 
     def test_a_repeated_read_replays_its_cached_route_at_the_same_price(self):
         network = self._network()
@@ -741,4 +753,4 @@ class TestTrafficAccounting:
         dht_put(network, "song", "a")
         dht_put(network, "song", "b")
         for _ in range(8):
-            assert sorted(network.get_raw(hash_key("song"))) == ["a", "b"]
+            assert sorted(network.get_raw(hash_key("song"), "dht.get")) == ["a", "b"]

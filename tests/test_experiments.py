@@ -113,12 +113,12 @@ class TestFig12Cdf:
 
 class TestFig08:
     def test_diminishing_returns(self):
-        result = fig08_flood_overhead.run(SMALL_SCALE, num_ultrapeers=2000, num_origins=3)
+        result = fig08_flood_overhead.run(SMALL_SCALE)
         marginals = [row[3] for row in result.rows if math.isfinite(row[3])]
         assert marginals[-1] > marginals[1]
 
     def test_messages_exceed_visits_at_depth(self):
-        result = fig08_flood_overhead.run(SMALL_SCALE, num_ultrapeers=2000, num_origins=3)
+        result = fig08_flood_overhead.run(SMALL_SCALE)
         last = result.rows[-1]
         assert last[1] > last[2]  # messages > ultrapeers visited
 
@@ -303,9 +303,13 @@ class TestExtJoin:
         moves no strategy choice)."""
         from repro.experiments import ext_join
 
-        result = ext_join.run(SMALL_SCALE, alphas=(1.1,))
+        result = ext_join.run(SMALL_SCALE)
         assert {row[0] for row in result.rows} == {"spill", "equivalence"}
         assert not any("qps" in column or "ratio" in column for column in result.columns)
         spill = [row for row in result.rows if row[0] == "spill"]
-        assert [row[3] for row in spill] == [0, 512, 128, 64, ext_join.TIGHT_BUDGET]
+        budgets = [0, 512, 128, 64, ext_join.TIGHT_BUDGET]
+        assert [row[3] for row in spill] == budgets * len(ext_join.ZIPF_ALPHAS)
+        assert [row[1] for row in spill] == [
+            alpha for alpha in ext_join.ZIPF_ALPHAS for _ in budgets
+        ]
         assert all(type(value) is int for row in spill for value in row[3:])

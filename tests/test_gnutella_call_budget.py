@@ -3,12 +3,11 @@
 Which filenames a query matches, which ultrapeers index a replica, and
 which tuples publish a file are facts about the network: the Section 7
 deployment resolves the first once per query (one shared
-``FilenameMatcher``, each flooded ultrapeer only filters its own files),
-reads the second from one host table (``GnutellaNetwork.replica_depths``)
+``FilenameMatcher``), reads the second from one host table (``GnutellaNetwork.replica_depths``)
 and compiles the third once per file (``Publisher.plan_file``, kept on
 the shared publisher under the file's ``result_key``) however many
-hybrid ultrapeers snoop and publish it. A snoop floods for its horizon
-alone (no ultrapeer index is asked for matches nobody reads) and reads
+hybrid ultrapeers snoop and publish it. A snoop floods once, for its
+horizon alone, and reads
 the replicas inside it only up to the QRS threshold; a term's token scan
 is kept across queries; a republished plan copies a row only for a
 store that lacks it; and a put at ``replication=1`` never reads the
@@ -29,7 +28,8 @@ import cProfile
 import pstats
 
 from repro.dht.node import DhtNode
-from repro.gnutella.index import FilenameMatcher, UltrapeerIndex
+from repro.gnutella import flooding
+from repro.gnutella.index import FilenameMatcher
 from repro.hybrid.deployment import DeploymentConfig, build_deployment
 
 CONFIG = DeploymentConfig(
@@ -53,7 +53,9 @@ CONFIG = DeploymentConfig(
 #: term's token scan is kept, a republish copies only the rows a store
 #: takes and a race counts replica depths once per distinct depth,
 #: against 3,112 (3,034 on 3.10, 3,071 on 3.12) on the commit before,
-#: the same world. The ceiling leaves ~22 %
+#: the same world; 2,763 on 3.11 once the network stopped filling a
+#: per-ultrapeer index nothing read, against 2,931 before. The ceiling
+#: leaves ~22 %
 #: headroom for interpreter versions and unrelated bookkeeping, so the
 #: per-tuple put path overshoots it; a return to matching at every
 #: snooped ultrapeer, to a snoop through replica depths, to a row copy
@@ -102,11 +104,11 @@ def test_deployment_resolves_filenames_once_per_network():
             if (filename, line) == (code.co_filename, code.co_firstlineno)
         )
 
-    # The snoop reads only the flood's horizon, so no ultrapeer index is
-    # asked for matches (~7,100 scans here when every visited ultrapeer
-    # matched), and the deployment's DHT runs at replication=1, so no put
-    # reads a successor list (12,753 reads here when every put did).
-    assert calls_to(UltrapeerIndex.match) == 0
+    # Each warm-up query floods once, for the horizon its snoop reads
+    # (the test phase answers by replica depth and floods nothing), and
+    # the deployment's DHT runs at replication=1, so no put reads a
+    # successor list (12,753 reads here when every put did).
+    assert calls_to(flooding.flood) == CONFIG.num_background_queries
     assert calls_to(DhtNode.successors.fget) == 0
     assert calls("result_key") == QRS_OFFERS
     assert calls("publish_plan") == FILES_PUBLISHED

@@ -1,16 +1,17 @@
-"""Tests for TTL flooding, the content index, and dynamic querying."""
+"""Tests for TTL flooding and for dynamic querying answered by replica
+depth."""
 
+import math
 import random
 
 import pytest
 
-from oracle import reference_flood
-from repro.gnutella.dynamic import dynamic_query
+from oracle import reference_dynamic_query, reference_flood
 from repro.gnutella.flooding import flood
-from repro.gnutella.index import UltrapeerIndex
+from repro.gnutella.measurement import ContentMatcher, bfs_depths, dynamic_stop_ttl
 from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.topology import Topology, TopologyConfig, build_topology
-from repro.workload.library import ContentLibrary, SharedFile
+from repro.workload.library import Placement, SharedFile
 
 
 def line_topology(n=6):
@@ -62,108 +63,144 @@ def complete_topology(n=5):
     )
 
 
-def index_with(files_by_node):
-    indexes = {}
+def placement_of(files_by_node):
+    """A placement holding, at each node, one file per name given."""
+    placement = Placement()
     for node, filenames in files_by_node.items():
-        index = UltrapeerIndex()
         for filename in filenames:
-            index.add_files([SharedFile(filename=filename, filesize=1, node_id=node)])
-        indexes[node] = index
-    return indexes
+            file = SharedFile(filename=filename, filesize=1, node_id=node)
+            placement.files_by_node.setdefault(node, []).append(file)
+            placement.replicas_by_filename.setdefault(filename, []).append(file)
+    return placement
 
 
-class TestUltrapeerIndex:
+def network_of(topology, files_by_node):
+    """``topology`` carrying ``files_by_node``'s content."""
+    network = GnutellaNetwork(topology)
+    network.load_placement(placement_of(files_by_node))
+    return network
+
+
+def closed_form_query(network, origin, terms, desired_results, max_ttl):
+    """A dynamic query answered the way the program answers it, by replica
+    depth, as ``(found, stop_ttl, first_arrival, messages)`` — the shape of
+    :func:`oracle.reference_dynamic_query`.
+
+    ``found`` is the sorted ``(filename, node_id)`` of the matching
+    replicas within the stop TTL, the arrival is the latency model's for
+    the shallowest one, and ``messages`` adds up the TTL-1 to TTL-stop
+    rounds, each read off one flood's cumulative per-hop messages (a
+    flood with TTL ``t`` sends what a deeper one had sent after hop ``t``).
+    """
+    matcher = ContentMatcher(network)
+    names = matcher.matching_filenames(list(terms))
+    replicas = matcher.replicas(names)
+    depths = network.replica_depths(names, bfs_depths(network, origin))
+    stop_ttl = dynamic_stop_ttl(depths, desired_results, max_ttl)
+    found = sorted(
+        (file.filename, file.node_id) for file, depth in zip(replicas, depths) if depth <= stop_ttl
+    )
+    first_arrival = network.latency_model.arrival_for_depth(min(depths, default=math.inf), stop_ttl)
+    curve = flood(network.topology, network.topology.ultrapeer_of(origin), stop_ttl).messages_by_hop
+    messages = sum(curve[min(ttl, len(curve) - 1)] for ttl in range(1, stop_ttl + 1))
+    return found, stop_ttl, first_arrival, messages
+
+
+def answered(topology, files_by_node, origin, terms, desired_results, max_ttl):
+    """The closed form's answer, after holding it equal to the reference
+    query that floods round by round."""
+    network = network_of(topology, files_by_node)
+    closed = closed_form_query(network, origin, terms, desired_results, max_ttl)
+    reference = reference_dynamic_query(
+        topology, network.placement, origin, terms, desired_results, max_ttl,
+        network.latency_model,
+    )
+    assert closed == reference
+    return closed
+
+
+class TestFilenameMatch:
+    """What a query matches: every term, case-folded, as a substring."""
+
     def test_match_conjunctive_substring(self):
-        index = UltrapeerIndex()
-        index.add_files([SharedFile("britney spears - toxic.mp3", 1, 1)])
-        index.add_files([SharedFile("britney spears - lucky.mp3", 1, 1)])
-        assert len(index.match(["britney", "toxic"])) == 1
-        assert len(index.match(["britney"])) == 2
+        network = network_of(
+            line_topology(2), {1: ["britney spears - toxic.mp3", "britney spears - lucky.mp3"]}
+        )
+        matcher = ContentMatcher(network)
+        assert len(matcher.matching_replicas(["britney", "toxic"])) == 1
+        assert len(matcher.matching_replicas(["britney"])) == 2
 
     def test_match_partial_token(self):
-        index = UltrapeerIndex()
-        index.add_files([SharedFile("toxic.mp3", 1, 1)])
-        assert len(index.match(["toxi"])) == 1
+        network = network_of(line_topology(2), {1: ["toxic.mp3"]})
+        assert len(ContentMatcher(network).matching_replicas(["toxi"])) == 1
 
     def test_no_match(self):
-        index = UltrapeerIndex()
-        index.add_files([SharedFile("something.mp3", 1, 1)])
-        assert index.match(["absent"]) == []
-
-    def test_empty_terms(self):
-        index = UltrapeerIndex()
-        index.add_files([SharedFile("x.mp3", 1, 1)])
-        assert index.match([]) == []
+        network = network_of(line_topology(2), {1: ["something.mp3"]})
+        assert ContentMatcher(network).matching_replicas(["absent"]) == []
 
     def test_matches_equal_full_scan(self):
         """Token-index candidates must not change match results."""
-        index = UltrapeerIndex()
         names = [
             "darel montia - klorena.mp3",
             "darel bonzo - klore.mp3",
             "klorena velid - darel.avi",
             "unrelated thing.mp3",
         ]
-        for i, name in enumerate(names):
-            index.add_files([SharedFile(name, 1, i)])
+        network = network_of(line_topology(4), {i: [name] for i, name in enumerate(names)})
+        matcher = ContentMatcher(network)
         for terms in (["darel"], ["klore"], ["darel", "klorena"], ["velid"]):
             expected = [
-                f for f in index.files
-                if all(t in f.filename.lower() for t in terms)
+                f for f in network.all_results_for([]) if all(t in f.filename.lower() for t in terms)
             ]
-            assert index.match(terms) == expected
+            assert matcher.matching_replicas(terms) == expected
 
 
 class TestFlood:
     def test_ttl_zero_only_origin(self):
         topo = line_topology()
-        result = flood(topo, {}, 0, ["x"], ttl=0)
+        result = flood(topo, 0, ttl=0)
         assert result.visited == {0}
         assert result.messages == 0
 
     def test_ttl_limits_reach(self):
         topo = line_topology(6)
-        result = flood(topo, {}, 0, ["x"], ttl=2)
+        result = flood(topo, 0, ttl=2)
         assert result.visited == {0, 1, 2}
 
     def test_messages_on_line_have_no_duplicates(self):
         topo = line_topology(6)
-        result = flood(topo, {}, 0, ["x"], ttl=5)
+        result = flood(topo, 0, ttl=5)
         assert result.messages == 5  # one per edge, no redundancy
 
     def test_cycle_has_duplicate_messages(self):
         topo = cycle_topology(6)
-        result = flood(topo, {}, 0, ["x"], ttl=3)
+        result = flood(topo, 0, ttl=3)
         # 6-cycle from one origin: hops 1,2,3 — the two directions meet.
         assert len(result.visited) == 6
         assert result.messages > len(result.visited) - 1
 
     def test_matches_recorded_with_hop(self):
-        topo = line_topology(4)
-        indexes = index_with({2: ["rare item.mp3"]})
-        result = flood(topo, indexes, 0, ["rare"], ttl=3)
-        assert result.num_results == 1
-        assert result.matches[0].hop == 2
+        """A replica is found at its host's hop depth from the origin."""
+        network = network_of(line_topology(4), {2: ["rare item.mp3"]})
+        assert network.replica_depths(["rare item.mp3"], bfs_depths(network, 0)) == [2]
 
     def test_origin_matches_at_hop_zero(self):
-        topo = line_topology(3)
-        indexes = index_with({0: ["rare item.mp3"]})
-        result = flood(topo, indexes, 0, ["rare"], ttl=1)
-        assert result.first_match_hop() == 0
+        network = network_of(line_topology(3), {0: ["rare item.mp3"]})
+        assert network.replica_depths(["rare item.mp3"], bfs_depths(network, 0)) == [0]
 
     def test_cumulative_curves_monotone(self):
         topo = cycle_topology(8)
-        result = flood(topo, {}, 0, ["x"], ttl=4)
+        result = flood(topo, 0, ttl=4)
         assert result.visited_by_hop == sorted(result.visited_by_hop)
         assert result.messages_by_hop == sorted(result.messages_by_hop)
 
     def test_negative_ttl_rejected(self):
         with pytest.raises(ValueError):
-            flood(line_topology(), {}, 0, ["x"], ttl=-1)
+            flood(line_topology(), 0, ttl=-1)
 
     def test_stops_early_when_frontier_empty(self):
         topo = line_topology(3)
-        result = flood(topo, {}, 0, ["x"], ttl=10)
+        result = flood(topo, 0, ttl=10)
         assert result.visited == {0, 1, 2}
 
 
@@ -179,8 +216,10 @@ FLOOD_TOPOLOGIES = {
 
 class TestFloodReference:
     """A flood equals :func:`oracle.reference_flood`, which counts it from
-    hop distances and degrees: the nodes reached, every message
-    (duplicates included), both per-hop curves and each match at its hop."""
+    hop distances and degrees: the nodes reached and every message
+    (duplicates included), both per-hop curves; and the replicas within
+    ``ttl`` of the origin by depth are the reference's matches, each at
+    its hop."""
 
     @pytest.mark.parametrize("ttl", [1, 3])
     @pytest.mark.parametrize("shape", sorted(FLOOD_TOPOLOGIES))
@@ -188,113 +227,86 @@ class TestFloodReference:
         topo = FLOOD_TOPOLOGIES[shape]()
         rng = random.Random(f"{shape}|{ttl}")
         words = ("alpha beta", "alpha gamma", "beta gamma", "delta")
-        indexes = index_with({
+        network = network_of(topo, {
             node: [f"{rng.choice(words)} {node}.mp3" for _ in range(rng.randint(0, 2))]
-            for node in topo.ultrapeers
+            for node in topo.all_nodes()
         })
         origin = rng.choice(topo.ultrapeers)
-        result = flood(topo, indexes, origin, ["alpha"], ttl)
+        result = flood(topo, origin, ttl)
         visited, messages, visited_by_hop, messages_by_hop, matches = reference_flood(
-            topo, indexes, origin, ["alpha"], ttl
+            topo, network.placement, origin, ["alpha"], ttl
         )
         assert result.visited == visited
         assert result.messages == messages
         assert result.visited_by_hop == visited_by_hop
         assert result.messages_by_hop == messages_by_hop
-        found = sorted((m.file.filename, m.file.node_id, m.hop) for m in result.matches)
+        matcher = ContentMatcher(network)
+        names = matcher.matching_filenames(["alpha"])
+        depths = network.replica_depths(names, bfs_depths(network, origin))
+        found = sorted(
+            (file.filename, file.node_id, depth)
+            for file, depth in zip(matcher.replicas(names), depths)
+            if depth <= ttl
+        )
         assert found == matches
 
 
-class TestHorizonFlood:
-    """A flood over an empty index map (what the Section 7 snoop runs) is
-    the matching flood minus its matches: same horizon, same order, same
-    messages and per-hop curves."""
-
-    @pytest.mark.parametrize("seed", [3, 17, 29])
-    def test_index_free_flood_equals_matching_flood(self, seed):
-        library = ContentLibrary.generate(
-            num_items=120, vocabulary_size=200, max_replicas=40, rng=seed
-        )
-        config = TopologyConfig(num_ultrapeers=60, num_leaves=240, seed=seed + 1)
-        network = GnutellaNetwork.build(library, config, rng=seed + 2)
-        topology = network.topology
-        rng = random.Random(seed)
-        filenames = sorted(network.placement.replicas_by_filename)
-        answered = 0
-        for origin in rng.sample(topology.ultrapeers, 8):
-            terms = rng.choice(filenames).split()[:2]
-            for ttl in range(4):
-                matching = flood(topology, network.indexes, origin, terms, ttl)
-                horizon = flood(topology, {}, origin, terms, ttl)
-                assert list(horizon.visited) == list(matching.visited)
-                assert horizon.messages == matching.messages
-                assert horizon.visited_by_hop == matching.visited_by_hop
-                assert horizon.messages_by_hop == matching.messages_by_hop
-                assert horizon.matches == []
-                answered += matching.num_results > 0
-        # The matching side found something, so the two really differ in work.
-        assert answered
-
-
 class TestDynamicQuery:
+    """Fixed cases of the closed form, each also held to the reference
+    query that floods round by round."""
+
     def test_stops_when_enough_results(self):
-        topo = line_topology(6)
-        indexes = index_with({1: ["rare hit.mp3"]})
-        result = dynamic_query(topo, indexes, 0, ["rare"], desired_results=1, max_ttl=5)
-        assert result.final_ttl == 1
-        assert result.num_results == 1
+        found, stop_ttl, _, _ = answered(
+            line_topology(6), {1: ["rare hit.mp3"]}, 0, ["rare"], desired_results=1, max_ttl=5
+        )
+        assert stop_ttl == 1
+        assert found == [("rare hit.mp3", 1)]
 
     def test_deepens_for_rare_items(self):
-        topo = line_topology(6)
-        indexes = index_with({4: ["rare hit.mp3"]})
-        result = dynamic_query(topo, indexes, 0, ["rare"], desired_results=1, max_ttl=5)
-        assert result.final_ttl == 4
+        _, stop_ttl, _, _ = answered(
+            line_topology(6), {4: ["rare hit.mp3"]}, 0, ["rare"], desired_results=1, max_ttl=5
+        )
+        assert stop_ttl == 4
 
     def test_gives_up_at_max_ttl(self):
-        topo = line_topology(8)
-        indexes = index_with({7: ["rare hit.mp3"]})
-        result = dynamic_query(topo, indexes, 0, ["rare"], desired_results=1, max_ttl=3)
-        assert result.num_results == 0
-        assert result.final_ttl == 3
+        found, stop_ttl, first_arrival, _ = answered(
+            line_topology(8), {7: ["rare hit.mp3"]}, 0, ["rare"], desired_results=1, max_ttl=3
+        )
+        assert found == []
+        assert stop_ttl == 3
+        assert math.isinf(first_arrival)
 
     def test_results_deduplicated_across_rounds(self):
-        topo = line_topology(5)
-        indexes = index_with({1: ["rare hit.mp3"], 3: ["rare other.mp3"]})
-        result = dynamic_query(topo, indexes, 0, ["rare"], desired_results=2, max_ttl=4)
-        filenames = [f.filename for f in result.results()]
-        assert len(filenames) == len(set(filenames)) == 2
+        found, _, _, _ = answered(
+            line_topology(5), {1: ["rare hit.mp3"], 3: ["rare other.mp3"]}, 0, ["rare"],
+            desired_results=2, max_ttl=4,
+        )
+        assert found == [("rare hit.mp3", 1), ("rare other.mp3", 3)]
 
     def test_first_result_round_and_hop(self):
-        topo = line_topology(6)
-        indexes = index_with({3: ["rare hit.mp3"]})
-        result = dynamic_query(topo, indexes, 0, ["rare"], desired_results=1, max_ttl=5)
-        assert result.first_result_round_and_hop() == (2, 3)  # round ttl=3
+        _, stop_ttl, first_arrival, _ = answered(
+            line_topology(6), {3: ["rare hit.mp3"]}, 0, ["rare"], desired_results=1, max_ttl=5
+        )
+        # Rounds with TTL 1 and 2 go out and back (5 and 10 s) with an
+        # 8 s pause each, after the 2 s overhead; the TTL-3 round finds
+        # the file 3 hops out and its answer is back 15 s later.
+        assert stop_ttl == 3
+        assert first_arrival == 2.0 + (5.0 + 8.0) + (10.0 + 8.0) + 15.0
 
     def test_messages_compound_across_rounds(self):
-        topo = line_topology(6)
-        result = dynamic_query(topo, {}, 0, ["x"], desired_results=1, max_ttl=3)
+        _, stop_ttl, _, messages = answered(
+            line_topology(6), {}, 0, ["x"], desired_results=1, max_ttl=3
+        )
         # rounds at ttl=1,2,3 re-flood: 1+2+3 messages on a line.
-        assert result.total_messages == 6
+        assert stop_ttl == 3
+        assert messages == 6
 
-    def test_stops_when_overlay_covered(self):
-        topo = line_topology(3)
-        result = dynamic_query(topo, {}, 0, ["x"], desired_results=99, max_ttl=7)
-        assert result.final_ttl <= 3
-
-    def test_rejects_bad_desired(self):
-        with pytest.raises(ValueError):
-            dynamic_query(line_topology(), {}, 0, ["x"], desired_results=0)
-
-
-class TestFloodResult:
-    def test_results_are_the_matched_files_in_visit_order(self):
-        topo = line_topology(5)
-        indexes = index_with({3: ["rare one.mp3"], 1: ["rare two.mp3", "other.mp3"]})
-        result = flood(topo, indexes, 0, ["rare"], ttl=4)
-        assert [file.filename for file in result.results()] == ["rare two.mp3", "rare one.mp3"]
-        assert [match.hop for match in result.matches] == [1, 3]
-
-    def test_an_index_counts_its_files(self):
-        index = UltrapeerIndex()
-        index.add_files([SharedFile("a.mp3", 1, 1), SharedFile("a.mp3", 1, 2)])
-        assert len(index) == 2
+    def test_a_leaf_queries_through_its_parent(self):
+        topology = line_topology(4)
+        topology.leaves.append(9)
+        topology.leaf_parent[9] = 2
+        found, stop_ttl, _, _ = answered(
+            topology, {0: ["rare a.mp3"], 3: ["rare b.mp3"]}, 9, ["rare"],
+            desired_results=1, max_ttl=4,
+        )
+        assert (found, stop_ttl) == ([("rare b.mp3", 3)], 1)

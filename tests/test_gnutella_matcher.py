@@ -1,8 +1,8 @@
 """The Gnutella content plane against its definitions.
 
 One :class:`FilenameMatcher` answers "which filenames match" for a whole
-network, every :class:`UltrapeerIndex` filters its own files by that
-answer, and :meth:`GnutellaNetwork.replica_depths` and
+network, :class:`ContentMatcher` picks the placed ones among them, and
+:meth:`GnutellaNetwork.replica_depths` and
 :meth:`GnutellaNetwork.replicas_hosted_by` read one per-replica host
 table. All of it is an index-and-memo shortcut for plain scans, so each
 piece is held — order included — to the scan written out in
@@ -23,7 +23,7 @@ from oracle import (
     reference_stop_ttl,
     substring_scan,
 )
-from repro.gnutella.index import UNSELECTIVE_TOKENS, FilenameMatcher, UltrapeerIndex
+from repro.gnutella.index import UNSELECTIVE_TOKENS, FilenameMatcher
 from repro.gnutella.measurement import (
     DESIRED_RESULTS,
     UNION_KS,
@@ -81,8 +81,8 @@ def placed_replicas(network):
 
 
 # ----------------------------------------------------------------------
-# hypothesis differential: matcher, standalone index, shared index,
-# ContentMatcher == substring scan, order included
+# hypothesis differential: matcher, ContentMatcher == substring scan,
+# order included
 # ----------------------------------------------------------------------
 
 word = st.sampled_from(WORDS)
@@ -105,8 +105,8 @@ term = st.one_of(
     st.sampled_from(["qx0000qx", "darel k", "a1.mp", " - ", ""]),
 )
 terms = st.lists(term, min_size=0, max_size=3)
-#: node -> filenames; nodes 0-3 are ultrapeers, 10/11 leaves (11 has two
-#: parents), 12 a leaf nobody adopted
+#: node -> filenames; nodes 0-3 are ultrapeers, 10/11 leaves (of 0 and
+#: 3), 12 a leaf nobody adopted
 placements = st.dictionaries(
     st.sampled_from([0, 1, 2, 3, 10, 11, 12]),
     st.lists(filename, min_size=1, max_size=5),
@@ -121,27 +121,13 @@ def test_matcher_equals_substring_scan(names, query):
     matcher = matcher_over(names)
     expected = substring_scan(distinct, query)
     assert list(matcher.match(query)) == expected
-    assert matcher.matching_set(query) == frozenset(expected)
     assert list(matcher.match(query)) == expected  # memoized answer
-
-
-@settings(max_examples=150, deadline=None)
-@given(names=st.lists(filename, max_size=12), query=terms)
-def test_standalone_index_equals_scan_of_its_files(names, query):
-    index = UltrapeerIndex()
-    # duplicate filenames at one ultrapeer are separate files
-    index.add_files([SharedFile(name, 1, node) for node, name in enumerate(names)])
-    expected = substring_scan(index.files, query, filename_of) if query else []
-    assert index.match(query) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(files_by_node=placements, query=terms)
 def test_network_shared_indexes_equal_scan(files_by_node, query):
     network = line_network(files_by_node, {10: 0, 11: 3})
-    for index in network.indexes.values():
-        expected = substring_scan(index.files, query, filename_of) if query else []
-        assert index.match(query) == expected
     matcher = ContentMatcher(network)
     replicas = placed_replicas(network)
     assert matcher.matching_replicas(query) == substring_scan(
@@ -167,25 +153,23 @@ def test_unselective_term_falls_back_to_the_scan():
 
 
 def test_empty_query_answers_are_pinned_per_caller():
-    """Three callers, three meanings of "no terms" — kept apart on purpose."""
+    """No terms is an empty conjunction for every caller: everything
+    matches, names once each and replicas all."""
     network = line_network({0: ["alpha.mp3"], 10: ["beta.mp3", "alpha.mp3"]}, {10: 1})
     assert list(network.matcher.match([])) == ["alpha.mp3", "beta.mp3"]
-    assert all(index.match([]) == [] for index in network.indexes.values())
     assert ContentMatcher(network).matching_filenames([]) == ["alpha.mp3", "beta.mp3"]
     assert len(network.all_results_for([])) == 3
 
 
 def test_file_added_after_a_memoized_query_is_found():
-    index = UltrapeerIndex()
-    index.add_files([SharedFile("darel montia.mp3", 1, 1)])
-    assert [f.filename for f in index.match(["darel"])] == ["darel montia.mp3"]
-    assert index.match(["klorena"]) == []
-    index.add_files([SharedFile("Klorena darel.avi", 1, 2)])
-    assert [f.filename for f in index.match(["darel"])] == [
-        "darel montia.mp3",
-        "Klorena darel.avi",
-    ]
-    assert len(index.match(["klorena"])) == 1
+    matcher = matcher_over(["darel montia.mp3"])
+    assert list(matcher.match(["darel"])) == ["darel montia.mp3"]
+    assert list(matcher.match(["klorena"])) == []
+    matcher.add("Klorena darel.avi")
+    assert list(matcher.match(["darel"])) == ["darel montia.mp3", "Klorena darel.avi"]
+    assert list(matcher.match(["klorena"])) == ["Klorena darel.avi"]
+    matcher.add("darel montia.mp3")  # a name already known changes nothing
+    assert list(matcher.match(["darel"])) == ["darel montia.mp3", "Klorena darel.avi"]
 
 
 def test_term_scan_memoised_by_one_query_sees_a_name_learnt_later():
@@ -202,16 +186,14 @@ def test_term_scan_memoised_by_one_query_sees_a_name_learnt_later():
     assert list(matcher.match(["darel", "klore"])) == ["Klorena darel.avi"]
 
 
-def test_shared_matcher_learns_from_any_index_of_the_network():
+def test_content_matcher_reads_only_placed_names():
+    """The network's matcher may know a name the placement lacks; the
+    campaign's view stays the placement's."""
     network = line_network({0: ["darel montia.mp3"], 1: ["unrelated.mp3"]})
     contents = ContentMatcher(network)
-    assert network.indexes[1].match(["darel"]) == []
     assert len(contents.matching_replicas(["darel"])) == 1
-    late = SharedFile("late darel.mp3", 1, 1)
-    network.indexes[1].add_files([late])
-    assert network.indexes[1].match(["darel"]) == [late]
-    assert len(network.indexes[0].match(["darel"])) == 1
-    # the campaign's view stays the placement's
+    network.matcher.add("late darel.mp3")
+    assert list(network.matcher.match(["darel"])) == ["darel montia.mp3", "late darel.mp3"]
     assert contents.matching_filenames(["darel"]) == ["darel montia.mp3"]
 
 

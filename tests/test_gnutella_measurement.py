@@ -1,11 +1,14 @@
-"""Tests for the union-of-k measurement campaign, including the
-fast-path-vs-full-simulation equivalence check."""
+"""Tests for the union-of-k measurement campaign, and for the closed
+form every dynamic query is answered by, held to the reference query
+that floods round by round."""
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.gnutella.dynamic import dynamic_query
+from oracle import reference_dynamic_query
+from repro.gnutella.flooding import flood
 from repro.gnutella.measurement import (
     ContentMatcher,
     bfs_depths,
@@ -13,9 +16,11 @@ from repro.gnutella.measurement import (
     replay_campaign,
 )
 from repro.gnutella.network import GnutellaNetwork
-from repro.gnutella.topology import TopologyConfig
+from repro.gnutella.topology import Topology, TopologyConfig
 from repro.workload.library import ContentLibrary
 from repro.workload.queries import generate_workload
+
+from tests.test_gnutella_flooding import closed_form_query, network_of
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +71,8 @@ class TestDynamicStopTtl:
 
 class TestFastPathEquivalence:
     def test_vantage_results_match_full_dynamic_query(self, env):
-        """The precomputed-BFS fast path must reproduce dynamic_query."""
+        """The campaign's per-vantage answer (BFS depths computed once,
+        cut at the stop TTL) is the reference query's, round by round."""
         library, network, workload = env
         vantage = network.topology.ultrapeers[0]
         depths = bfs_depths(network, vantage)
@@ -74,26 +80,134 @@ class TestFastPathEquivalence:
         desired, max_ttl = 150, 3
         for query in list(workload)[:25]:
             terms = list(query.terms)
-            full = dynamic_query(
-                network.topology,
-                network.indexes,
-                vantage,
-                terms,
-                desired_results=desired,
-                max_ttl=max_ttl,
+            found, stop, _, _ = reference_dynamic_query(
+                network.topology, network.placement, vantage, terms, desired, max_ttl,
+                network.latency_model,
             )
-            full_keys = {f.result_key for f in full.results()}
             matches = matcher.matching_replicas(terms)
             match_depths = network.replica_depths(
                 matcher.matching_filenames(terms), depths
             )
-            stop = dynamic_stop_ttl(match_depths, desired, max_ttl)
-            fast_keys = {
-                f.result_key
+            assert dynamic_stop_ttl(match_depths, desired, max_ttl) == stop
+            fast = sorted(
+                (f.filename, f.node_id)
                 for f, depth in zip(matches, match_depths)
                 if depth <= stop
-            }
-            assert fast_keys == full_keys, query.terms
+            )
+            assert fast == found, query.terms
+
+
+#: filenames and query terms of the random worlds below: names share
+#: words, and terms hit whole words, parts of words, case-folded words
+#: and nothing
+NAMES = ["alpha beta.mp3", "Alpha gamma.avi", "beta.mp3", "delta gamma.mp3", "gamma"]
+TERMS = ["alpha", "GAMMA", "beta", "et", "zzz"]
+
+
+@st.composite
+def small_worlds(draw):
+    """A small overlay, possibly disconnected, with leaves, a placement
+    (node 99 is on no ultrapeer) and one query from an ultrapeer or a
+    leaf."""
+    size = draw(st.integers(2, 7))
+    ultrapeers = list(range(size))
+    edges = draw(st.sets(
+        st.tuples(st.sampled_from(ultrapeers), st.sampled_from(ultrapeers))
+        .filter(lambda edge: edge[0] < edge[1]),
+        max_size=12,
+    ))
+    neighbors = {up: [] for up in ultrapeers}
+    for a, b in draw(st.permutations(sorted(edges))):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    leaves = list(range(10, 10 + draw(st.integers(0, 4))))
+    leaf_parent = {leaf: draw(st.sampled_from(ultrapeers)) for leaf in leaves}
+    topology = Topology(ultrapeers, leaves, neighbors, leaf_parent)
+    files_by_node = draw(st.dictionaries(
+        st.sampled_from(ultrapeers + leaves + [99]),
+        st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
+        max_size=8,
+    ))
+    origin = draw(st.sampled_from(ultrapeers + leaves))
+    return topology, files_by_node, origin
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    world=small_worlds(),
+    terms=st.lists(st.sampled_from(TERMS), max_size=2),
+    desired_results=st.integers(1, 8),
+    max_ttl=st.integers(1, 6),
+)
+def test_closed_form_equals_round_by_round_reference(world, terms, desired_results, max_ttl):
+    """The replicas a dynamic query reaches, the TTL it stops at, its
+    first result's arrival and the messages its rounds send, computed by
+    replica depth, equal the reference query that floods TTL 1, 2, ...
+    from scratch and scans what each round reaches."""
+    topology, files_by_node, origin = world
+    network = network_of(topology, files_by_node)
+    closed = closed_form_query(network, origin, terms, desired_results, max_ttl)
+    reference = reference_dynamic_query(
+        topology, network.placement, origin, terms, desired_results, max_ttl,
+        network.latency_model,
+    )
+    assert closed == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=small_worlds(), ttl=st.integers(0, 7))
+def test_flood_horizon_is_the_depth_map_cut_at_its_ttl(world, ttl):
+    """The ultrapeers a flood reaches (the warm-up snoop's horizon) are
+    those the depth map the closed form reads puts within ``ttl``, and
+    each hop's count of them is the depth map's."""
+    topology, _, origin = world
+    network = GnutellaNetwork(topology)
+    start = topology.ultrapeer_of(origin)
+    depths = bfs_depths(network, origin)
+    result = flood(topology, start, ttl)
+    assert result.visited == {up for up, depth in depths.items() if depth <= ttl}
+    assert result.visited_by_hop == [
+        sum(1 for depth in depths.values() if depth <= hop)
+        for hop in range(len(result.visited_by_hop))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=small_worlds(), deepest=st.integers(0, 7))
+def test_a_shallower_flood_sends_what_a_deeper_one_had_sent_by_its_ttl(world, deepest):
+    """What the closed form's message count relies on: a flood with TTL
+    ``t`` reaches and sends what a deeper flood had after hop ``t`` (its
+    last entry once the frontier emptied)."""
+    topology, _, origin = world
+    start = topology.ultrapeer_of(origin)
+    deep = flood(topology, start, deepest)
+    last = len(deep.messages_by_hop) - 1
+    for ttl in range(deepest + 1):
+        shallow = flood(topology, start, ttl)
+        assert shallow.messages == deep.messages_by_hop[min(ttl, last)]
+        assert len(shallow.visited) == deep.visited_by_hop[min(ttl, last)]
+        assert shallow.visited <= deep.visited
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    world=small_worlds(),
+    terms=st.lists(st.sampled_from(TERMS), max_size=2),
+    desired_results=st.integers(1, 8),
+    max_ttl=st.integers(1, 5),
+)
+def test_a_deeper_limit_loses_no_result(world, terms, desired_results, max_ttl):
+    """Raising ``max_ttl`` never lowers the stop TTL and never drops a
+    replica the shallower query reached; it changes nothing once the
+    query had enough results."""
+    topology, files_by_node, origin = world
+    network = network_of(topology, files_by_node)
+    found, stop, first, _ = closed_form_query(network, origin, terms, desired_results, max_ttl)
+    deeper = closed_form_query(network, origin, terms, desired_results, max_ttl + 1)
+    assert deeper[1] >= stop
+    assert set(found) <= set(deeper[0])
+    if len(found) >= desired_results:
+        assert deeper[:3] == (found, stop, first)
 
 
 class TestCampaignStatistics:

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from oracle import reference_hosts
-from repro.gnutella.measurement import ContentMatcher
+from oracle import reference_dynamic_query, reference_flood, reference_hosts
+from repro.gnutella.measurement import ContentMatcher, bfs_depths
 from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.topology import TopologyConfig, build_topology
 from repro.workload.library import ContentLibrary
@@ -26,15 +26,15 @@ class TestContentPlacement:
         assert gnutella.placement.total_replicas > 0
 
     def test_leaf_files_indexed_at_parent(self, gnutella):
+        """A leaf's replica is hosted at its parent: at the parent's depth."""
         placement = gnutella.placement
         for leaf in gnutella.topology.leaves[:50]:
             files = placement.files_by_node.get(leaf, [])
             if not files:
                 continue
             parent = gnutella.topology.leaf_parent[leaf]
-            indexed = {f.result_key for f in gnutella.indexes[parent].files}
-            for file in files:
-                assert file.result_key in indexed
+            hosted = gnutella.replicas_hosted_by([files[0].filename], {parent}, math.inf)
+            assert files[0] in hosted
             break
         else:
             pytest.skip("no leaf with files in sample")
@@ -44,24 +44,33 @@ class TestContentPlacement:
         for up in gnutella.topology.ultrapeers:
             files = placement.files_by_node.get(up, [])
             if files:
-                indexed = {f.result_key for f in gnutella.indexes[up].files}
-                assert files[0].result_key in indexed
+                hosted = gnutella.replicas_hosted_by([files[0].filename], {up}, math.inf)
+                assert files[0] in hosted
                 return
         pytest.skip("no ultrapeer with local files")
 
     def test_every_file_is_indexed_by_exactly_its_host(self, gnutella):
-        """One index per file: a leaf's at its parent, an ultrapeer's at
-        itself."""
+        """One host per file: a leaf's is its parent, an ultrapeer's is
+        itself, so a depth map of that host alone puts the file at its
+        depth and a map of every other ultrapeer misses it."""
         hosts = reference_hosts(gnutella)
         topology = gnutella.topology
         for node, files in gnutella.placement.files_by_node.items():
             host = node if topology.is_ultrapeer(node) else topology.leaf_parent[node]
+            others = {up: 1 for up in topology.ultrapeers if up != host}
             for file in files:
                 assert hosts[(file.filename, file.node_id)] == [host]
+                replicas = gnutella.placement.replicas_by_filename[file.filename]
+                position = next(i for i, r in enumerate(replicas) if r is file)
+                assert gnutella.replica_depths([file.filename], {host: 0})[position] == 0
+                assert math.isinf(gnutella.replica_depths([file.filename], others)[position])
 
     def test_indexes_hold_every_placed_file_once(self, gnutella):
-        indexed = sum(len(index.files) for index in gnutella.indexes.values())
-        assert indexed == gnutella.placement.total_replicas
+        """Read over every ultrapeer, the host table lists each placed
+        replica once."""
+        names = list(gnutella.placement.replicas_by_filename)
+        hosted = gnutella.replicas_hosted_by(names, set(gnutella.topology.ultrapeers), math.inf)
+        assert len(hosted) == len({id(file) for file in hosted}) == gnutella.placement.total_replicas
 
     def test_a_replica_reads_its_hosts_depth(self, gnutella):
         """A depth map holding only one leaf's parent puts exactly that
@@ -82,6 +91,15 @@ class TestContentPlacement:
         assert hosted == [file for file, depth in zip(replicas, depths) if depth == 2]
 
 
+def replicas_within(gnutella, origin, terms, ttl):
+    """The matching replicas whose host is at most ``ttl`` hops from
+    ``origin``'s ultrapeer: what a flood with that TTL finds."""
+    matcher = ContentMatcher(gnutella)
+    names = matcher.matching_filenames(terms)
+    depths = gnutella.replica_depths(names, bfs_depths(gnutella, origin))
+    return [file for file, depth in zip(matcher.replicas(names), depths) if depth <= ttl]
+
+
 class TestQueries:
     def test_query_finds_existing_content(self, gnutella):
         # Pick a well-replicated filename and query its first keyword.
@@ -91,36 +109,35 @@ class TestQueries:
             key=lambda name: len(placement.replicas_by_filename[name]),
         )
         term = filename.split()[0]
-        result = gnutella.query(gnutella.topology.leaves[0], [term], max_ttl=7)
-        assert result.num_results > 0
+        assert replicas_within(gnutella, gnutella.topology.leaves[0], [term], 7)
 
     def test_query_from_leaf_routes_via_parent(self, gnutella):
         leaf = gnutella.topology.leaves[0]
-        result = gnutella.query(leaf, ["zzznothing"], max_ttl=1)
-        assert result.origin == gnutella.topology.leaf_parent[leaf]
+        depths = bfs_depths(gnutella, leaf)
+        assert depths[gnutella.topology.leaf_parent[leaf]] == 0
+        assert leaf not in depths
 
     def test_all_results_for_is_superset_of_flood(self, gnutella):
         placement = gnutella.placement
         filename = next(iter(placement.replicas_by_filename))
         term = filename.split()[0]
         oracle = {f.result_key for f in gnutella.all_results_for([term])}
-        flood_result = gnutella.flood_query(
-            gnutella.topology.ultrapeers[0], [term], ttl=7
-        )
-        found = {m.file.result_key for m in flood_result.matches}
+        found = {f.result_key for f in replicas_within(gnutella, gnutella.topology.ultrapeers[0], [term], 2)}
         assert found <= oracle
 
     def test_full_ttl_flood_equals_oracle(self, gnutella):
-        """A flood covering the whole overlay finds everything."""
+        """A flood covering the whole overlay finds everything: the
+        reference flood's matches, the closed form's replicas within 30
+        hops and the whole-network scan are the same files."""
         placement = gnutella.placement
         filename = next(iter(placement.replicas_by_filename))
         term = filename.split()[0]
-        oracle = {f.result_key for f in gnutella.all_results_for([term])}
-        flood_result = gnutella.flood_query(
-            gnutella.topology.ultrapeers[0], [term], ttl=30
-        )
-        found = {m.file.result_key for m in flood_result.matches}
-        assert found == oracle
+        origin = gnutella.topology.ultrapeers[0]
+        oracle = sorted((f.filename, f.node_id) for f in gnutella.all_results_for([term]))
+        *_, matches = reference_flood(gnutella.topology, placement, origin, [term], 30)
+        assert sorted((name, node) for name, node, _ in matches) == oracle
+        found = replicas_within(gnutella, origin, [term], 30)
+        assert sorted((f.filename, f.node_id) for f in found) == oracle
 
     def test_random_ultrapeers_distinct(self, gnutella):
         sample = gnutella.random_ultrapeers(10)
@@ -130,8 +147,12 @@ class TestQueries:
         assert len(gnutella.random_ultrapeers(10_000)) == 80
 
     def test_latency_model_attached(self, gnutella):
-        result = gnutella.query(gnutella.topology.leaves[0], ["zzznothing"], max_ttl=1)
-        assert gnutella.first_result_latency(result) == float("inf")
+        _, _, first_arrival, _ = reference_dynamic_query(
+            gnutella.topology, gnutella.placement, gnutella.topology.leaves[0],
+            ["zzznothing"], 1, 1, gnutella.latency_model,
+        )
+        assert first_arrival == gnutella.latency_model.arrival_for_depth(math.inf, 1)
+        assert first_arrival == float("inf")
 
 
 class TestWithoutPlacement:

@@ -5,8 +5,10 @@ import math
 import pytest
 
 from repro.cache.results import QueryResultCache
+from oracle import reference_dynamic_query
 from repro.dht.network import DhtNetwork
 from repro.gnutella.latency import GnutellaLatencyModel
+from repro.gnutella.measurement import ContentMatcher, bfs_depths, dynamic_stop_ttl
 from repro.hybrid.engine import MAX_REQUERY_ATTEMPTS, HybridQueryEngine, RaceConfig
 from repro.hybrid.ultrapeer import DEFAULT_CACHE_LATENCY, HybridUltrapeer
 from repro.net.transport import HOP_JITTER, HOP_LATENCY
@@ -14,6 +16,8 @@ from repro.pier.catalog import Catalog
 from repro.piersearch.publisher import Publisher
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
+
+from tests.test_gnutella_flooding import line_topology, network_of
 
 TIMEOUT = 30.0
 
@@ -62,6 +66,28 @@ class TestGnutellaSide:
         sim.run()
         model = GnutellaLatencyModel()
         assert race.outcome.gnutella_latency == pytest.approx(model.arrival_for_depth(3, 3))
+
+    def test_race_answers_as_the_round_by_round_reference(self, world):
+        """A leaf query raced with its closed-form depths and stop TTL (as
+        the Section 7 deployment submits it) counts the replicas and
+        first-result time of the reference query that floods round by
+        round."""
+        sim, _, engine, hybrid = world
+        topology = line_topology(6)
+        files = {0: ["hit zero.mp3"], 2: ["hit two.mp3", "miss.mp3"], 4: ["hit four.mp3"]}
+        network = network_of(topology, files)
+        names = ContentMatcher(network).matching_filenames(["hit"])
+        depths = network.replica_depths(names, bfs_depths(network, 1))
+        stop_ttl = dynamic_stop_ttl(depths, 2, 4)
+        race = hybrid.handle_leaf_query_simulated(engine, ["hit"], depths, stop_ttl)
+        sim.run()
+        found, reference_stop, first_arrival, _ = reference_dynamic_query(
+            topology, network.placement, 1, ["hit"], 2, 4, GnutellaLatencyModel()
+        )
+        assert stop_ttl == reference_stop == 1
+        assert race.outcome.gnutella_results == len(found) == 2
+        assert race.outcome.gnutella_latency == first_arrival == 7.0
+        assert not race.outcome.used_pier
 
     def test_replicas_beyond_stop_ttl_do_not_count(self, world):
         sim, _, engine, hybrid = world

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from oracle import reference_flood
 from repro.dht.network import DhtNetwork
 from repro.gnutella.measurement import ContentMatcher
 from repro.gnutella.network import GnutellaNetwork
@@ -90,13 +91,14 @@ class TestCrossSystemAgreement:
             terms = list(query.terms)
             if not query.target_filename:
                 continue
-            flood = gnutella.flood_query(
-                gnutella.topology.ultrapeers[0], terms, ttl=30
+            *_, matches = reference_flood(
+                gnutella.topology, gnutella.placement, gnutella.topology.ultrapeers[0],
+                terms, 30,
             )
             flood_names = {
-                m.file.filename
-                for m in flood.matches
-                if all(t in extract_keywords(m.file.filename) for t in terms)
+                filename
+                for filename, _, _ in matches
+                if all(t in extract_keywords(filename) for t in terms)
             }
             pier_names = set(engine.search(terms).filenames)
             assert flood_names <= pier_names

@@ -175,7 +175,7 @@ def _apply(network: DhtNetwork, op, keys) -> None:
     elif kind == "get":
         key = keys[operand % 12]
         try:
-            values = network.get_raw(key)
+            values = network.get_raw(key, "dht.get")
         except KeyNotFoundError:
             values = []
         assert values == network.get_local(network.owner_of(key), key)

@@ -31,7 +31,7 @@ def readable(network, keys):
     count = 0
     for i, key in enumerate(keys):
         try:
-            values = network.get_raw(key)
+            values = network.get_raw(key, "dht.get")
         except KeyNotFoundError:
             continue
         if f"value-{i}" in values:
